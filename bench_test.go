@@ -331,8 +331,8 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterThroughput measures the live message-passing runtime:
-// requests per second through the actor plane with 8 concurrent clients.
+// BenchmarkClusterThroughput measures the live cluster runtime: requests
+// per second through the walk with 8 concurrent clients.
 func BenchmarkClusterThroughput(b *testing.B) {
 	setup()
 	cluster, err := cascade.NewCluster(cascade.ClusterConfig{
@@ -404,12 +404,11 @@ func BenchmarkClusterThroughputSpans(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterThroughputParallel measures the sharded direct data
-// plane: requests execute synchronously on the caller's goroutine against
-// 8-way sharded node state, so concurrent clients on different objects
-// never share a lock. Compare against the committed single-shard
-// BenchmarkClusterThroughput baseline in BENCH_2.json (the actor plane sat
-// at ~8.1µs/op before the direct plane landed).
+// BenchmarkClusterThroughputParallel measures the sharded data plane:
+// requests execute synchronously on the caller's goroutine against 8-way
+// sharded node state, so concurrent clients on different objects never
+// share a lock. Compare against the committed single-shard
+// BenchmarkClusterThroughput baseline in BENCH_2.json.
 func BenchmarkClusterThroughputParallel(b *testing.B) {
 	setup()
 	cluster, err := cascade.NewCluster(cascade.ClusterConfig{

@@ -16,7 +16,7 @@
 //     k-optimization dynamic program over (f_i, m_i, l_i) path profiles.
 //   - The protocol engine (EngineState, EngineCandidate, DecidePlacement):
 //     the transport-agnostic per-node protocol steps every incarnation —
-//     replay scheme, actor cluster, HTTP gateway — delegates to.
+//     replay scheme, cluster, HTTP gateway — delegates to.
 //   - Caching schemes (NewCoordinated, NewLRU, NewModulo, NewLNCR, plus
 //     LFU/GDS extras): complete per-node cache management algorithms
 //     implementing the Scheme interface.
@@ -448,23 +448,24 @@ func FreshnessFrontier(arch Architecture, cfg ExperimentConfig, intervals []floa
 
 // Live protocol runtime (the deployable counterpart of the simulator).
 type (
-	// Cluster is a running set of concurrent cache-node actors
-	// implementing the coordinated caching protocol with real message
-	// passing.
+	// Cluster is a set of cache nodes implementing the coordinated
+	// caching protocol for concurrent callers: each Get walks both
+	// protocol passes on its own goroutine.
 	Cluster = runtime.Cluster
 	// ClusterConfig assembles a Cluster.
 	ClusterConfig = runtime.Config
 	// ClusterResult reports how the cluster served one request.
 	ClusterResult = runtime.Result
 	// ClusterStats are cluster-wide counters, including failure-handling
-	// accounting (overflows, routed-around hops, origin fallbacks).
+	// accounting (routed-around hops, fault drops, origin fallbacks).
 	ClusterStats = runtime.Stats
 )
 
-// NewCluster starts one actor per cache node of the network. The returned
-// cluster serves concurrent Gets; Close shuts it down after in-flight
-// requests drain. Cluster.Fail crashes a node (losing its state),
-// Cluster.Recover restarts it empty; requests route around dead hops.
+// NewCluster builds one cache node per cache of the network and starts no
+// goroutines. The returned cluster serves concurrent Gets; Close shuts it
+// down after in-flight requests drain. Cluster.Fail crashes a node (losing
+// its state), Cluster.Recover restarts it empty; requests route around dead
+// hops.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return runtime.NewCluster(cfg) }
 
 // Observability: metrics export and request tracing (docs/OBSERVABILITY.md).
@@ -722,7 +723,7 @@ type (
 	ChaosRun = experiment.ChaosRun
 )
 
-// ChaosStudy replays the workload through the actor runtime twice — clean,
+// ChaosStudy replays the workload through the cluster runtime twice — clean,
 // and with a deterministic subset of nodes crashed mid-trace and later
 // recovered — and tabulates byte hit ratio, degraded serves and
 // routed-around hops per phase.
@@ -738,7 +739,7 @@ type (
 	RollingResult = experiment.RollingResult
 )
 
-// RollingUpgradeStudy replays the workload through the live actor runtime
+// RollingUpgradeStudy replays the workload through the live cluster runtime
 // while every cache node is drained and re-admitted in batches — a rolling
 // upgrade under sustained load — with the active health checker running and
 // the auditor and cost ledger on throughout (cascadesim -exp rolling).

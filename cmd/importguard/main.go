@@ -1,7 +1,7 @@
 // Command importguard enforces the repo's import boundaries:
 //
 //   - Engine boundary: the protocol incarnations (the replay schemes, the
-//     actor cluster and the HTTP gateway) must reach the placement
+//     cluster and the HTTP gateway) must reach the placement
 //     optimizer only through internal/engine — never by importing
 //     internal/core directly. A direct import means transport code is
 //     re-deriving protocol steps instead of delegating to the shared

@@ -1,7 +1,8 @@
 // Livecluster runs the coordinated caching protocol as a real concurrent
-// system: one actor goroutine per cache node, requests and responses as
-// messages, placement decided by the serving node from piggybacked
-// descriptors — the deployable counterpart of the trace-driven simulator.
+// system: an in-process cluster of cache nodes, each client goroutine
+// walking its request up the tree and the response back down, placement
+// decided at the serving node from piggybacked descriptors — the deployable
+// counterpart of the trace-driven simulator.
 //
 //	go run ./examples/livecluster
 package main
@@ -101,7 +102,7 @@ func run() error {
 	wg.Wait()
 
 	n := served.Load()
-	fmt.Printf("served %d requests through %d cache actors\n", n, net.NumCaches())
+	fmt.Printf("served %d requests through %d cache nodes\n", n, net.NumCaches())
 	fmt.Printf("cache hit ratio: %.3f\n", float64(cacheHits.Load())/float64(n))
 	fmt.Printf("mean access cost: %.4fs\n", float64(atomic.LoadInt64(&totalCost))/1e6/float64(n))
 	return nil

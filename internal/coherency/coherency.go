@@ -22,7 +22,7 @@
 //
 // The same three engine entry points (LookupFresh, ApplyInvalidations,
 // generation-stamped DownStep/Promote) serve the replay simulator, the
-// actor cluster and the HTTP gateway chain; conformance replays a mixed
+// cluster and the HTTP gateway chain; conformance replays a mixed
 // read/write trace through all three and asserts identical served, placed
 // and invalidated sets.
 //

@@ -132,7 +132,7 @@ func gatewayWrite(t *testing.T, client *http.Client, base string, obj model.Obje
 }
 
 // TestCoherencyConformance replays one mixed read/write trace through all
-// three incarnations — the replay simulator scheme, the actor cluster and
+// three incarnations — the replay simulator scheme, the cluster and
 // two gateway chains (all-textual and all-binary framing) — in lockstep
 // under CAS-strict coherency, on both cascade topologies. Each incarnation
 // carries its own generation authority; because the write sequence is
@@ -188,7 +188,7 @@ func TestCoherencyConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Incarnation 2: the actor cluster under the same mode.
+			// Incarnation 2: the cluster under the same mode.
 			clk := &logicalClock{}
 			cluster, err := runtime.NewCluster(runtime.Config{
 				Network:        net,

@@ -1,6 +1,6 @@
 // Package conformance cross-validates the three incarnations of the
 // coordinated caching protocol — the trace-replay simulator scheme
-// (internal/scheme driven by internal/sim), the message-passing actor
+// (internal/scheme driven by internal/sim), the in-process
 // cluster (internal/runtime) and the HTTP gateway chain (internal/httpgw) —
 // against each other. All three are thin transport adapters over
 // internal/engine; replaying the same request sequence through each must
@@ -92,20 +92,38 @@ func (c *logicalClock) Now() float64  { c.mu.Lock(); defer c.mu.Unlock(); return
 // the origin, whose decision-side observability is enabled too.
 func gatewayChain(t *testing.T, upCost []float64, capacity int64, dEntries int, objSize int, clock func() float64) (string, []*httpgw.Node, *httpgw.Origin) {
 	t.Helper()
+	base, nodes, o, _ := closableGatewayChain(t, upCost, capacity, dEntries, objSize, clock)
+	return base, nodes, o
+}
+
+// closableGatewayChain is gatewayChain plus a function that shuts the
+// chain's servers down, client-facing hop first. Server.Close blocks until
+// every handler has returned, so once it is through, deferred handler work
+// (a hop's root span is emitted after the client already holds the body) is
+// visible to the test. The servers are closed at test cleanup regardless;
+// closing twice is harmless.
+func closableGatewayChain(t *testing.T, upCost []float64, capacity int64, dEntries int, objSize int, clock func() float64) (string, []*httpgw.Node, *httpgw.Origin, func()) {
+	t.Helper()
 	o := &httpgw.Origin{Size: func(model.ObjectID) int { return objSize }}
 	o.EnableObservability(64, clock)
 	origin := httptest.NewServer(o)
-	t.Cleanup(origin.Close)
+	servers := []*httptest.Server{origin}
 	upstream := origin.URL
 	nodes := make([]*httpgw.Node, len(upCost))
 	for i := len(upCost) - 1; i >= 0; i-- {
 		n := httpgw.NewNode(model.NodeID(i), upstream, upCost[i], capacity, dEntries, clock)
 		srv := httptest.NewServer(n)
-		t.Cleanup(srv.Close)
+		servers = append(servers, srv)
 		upstream = srv.URL
 		nodes[i] = n
 	}
-	return upstream, nodes, o
+	closeAll := func() {
+		for i := len(servers) - 1; i >= 0; i-- {
+			servers[i].Close()
+		}
+	}
+	t.Cleanup(closeAll)
+	return upstream, nodes, o, closeAll
 }
 
 // gatewayGet issues one request to the chain and returns the serving node
@@ -165,8 +183,8 @@ func nodesEqual(a, b []model.NodeID) bool {
 // TestThreeIncarnationsAgree replays one trace through all three
 // incarnations in lockstep and requires, per request, identical serving
 // nodes and identical placement sets. Run under -race (make conformance):
-// the cluster's actors and the gateway's HTTP handlers execute on their own
-// goroutines even for a serial request stream.
+// the gateway's HTTP handlers execute on their own goroutines even for a
+// serial request stream.
 func TestThreeIncarnationsAgree(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -224,7 +242,7 @@ func TestThreeIncarnationsAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Incarnation 2: the actor cluster.
+			// Incarnation 2: the cluster.
 			clk := &logicalClock{}
 			cluster, err := runtime.NewCluster(runtime.Config{
 				Network:        net,

@@ -122,11 +122,10 @@ func canonicalForms(t *testing.T, incarnation string, traces map[span.TraceID][]
 // TestSpanTreesConform replays one trace through all three incarnations
 // with span tracing at rate 1 and requires that every request produce the
 // same protocol-phase span tree (lookup→up→decide→down per hop, identical
-// nodes, hops and parent links) in the simulator scheme, the actor cluster
-// and the live gateway chain — plus one unique trace ID per request and
-// no dangling parents anywhere. Run under -race (make conformance): the
-// cluster's actors and the gateway's HTTP handlers are concurrent even
-// for a serial request stream.
+// nodes, hops and parent links) in the simulator scheme, the cluster and
+// the live gateway chain — plus one unique trace ID per request and no
+// dangling parents anywhere. Run under -race (make conformance): the
+// gateway's HTTP handlers are concurrent even for a serial request stream.
 //
 // The origin's decide span is outside the comparison by construction on
 // every incarnation: the gateway origin carries no tracer, and the
@@ -174,7 +173,7 @@ func TestSpanTreesConform(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Incarnation 2: the actor cluster.
+			// Incarnation 2: the cluster.
 			clk := &logicalClock{}
 			cluster, err := runtime.NewCluster(runtime.Config{
 				Network:       net,
@@ -191,7 +190,7 @@ func TestSpanTreesConform(t *testing.T) {
 			defer cluster.Close()
 
 			// Incarnation 3: the HTTP gateway chain, every hop tracing.
-			base, gwNodes, _ := gatewayChain(t, tc.upCost, capacity, dEntries, objSize, clk.Now)
+			base, gwNodes, _, closeChain := closableGatewayChain(t, tc.upCost, capacity, dEntries, objSize, clk.Now)
 			for _, n := range gwNodes {
 				n.EnableSpans(span.Policy{Rate: 1}, ringCap)
 			}
@@ -212,6 +211,11 @@ func TestSpanTreesConform(t *testing.T) {
 				}
 				gatewayGet(t, client, base, req.Object)
 			}
+
+			// A hop emits its root span from a deferred tracer.Collect that
+			// can run after the client already holds the body: wait for
+			// every handler to return before reading the rings.
+			closeChain()
 
 			// Harvest every node's ring per incarnation and stitch by
 			// trace ID — exactly how an operator reassembles a

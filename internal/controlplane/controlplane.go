@@ -8,7 +8,7 @@
 // routing view they started with while new requests pick up the changed
 // membership.
 //
-// The package is transport-agnostic: the actor cluster (internal/runtime)
+// The package is transport-agnostic: the cluster (internal/runtime)
 // and the HTTP gateway (internal/httpgw) both consult the same Manager
 // surface, so a drained node behaves identically whichever transport hosts
 // it — it stops offering placement candidacy, spills its descriptors to

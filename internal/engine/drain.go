@@ -11,7 +11,7 @@ import (
 // NCL eviction order (ascending normalized cost loss at now, ties broken by
 // object ID). The order matters: the parent absorbs the spill in the same
 // sequence every incarnation produces, so its d-cache evicts identically
-// whether the drain happened in the replay scheme, the actor cluster, or a
+// whether the drain happened in the replay scheme, the cluster, or a
 // gateway chain.
 //
 // The caller is responsible for discarding the node's d-cache (a departing

@@ -1,10 +1,10 @@
 // Package engine is the transport-agnostic core of the coordinated caching
 // protocol (paper §2.2–2.4). It implements the per-node protocol steps once,
 // so the three incarnations in this repository — the replay scheme
-// (internal/scheme.Coordinated), the message-passing cluster
+// (internal/scheme.Coordinated), the in-process cluster
 // (internal/runtime) and the HTTP gateway (internal/httpgw) — are thin
 // adapters that only marshal the engine's wire structs into their own
-// transport (Path slices, actor messages, X-Cascade-* headers).
+// transport (Path slices, the cluster's walk state, X-Cascade-* headers).
 //
 // The protocol per request:
 //

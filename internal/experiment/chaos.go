@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"cascade/internal/metrics"
 	"cascade/internal/model"
@@ -25,7 +24,7 @@ const (
 
 var chaosPhaseNames = [chaosPhases]string{"healthy", "degraded", "recovered"}
 
-// ChaosConfig parameterizes a fault-injection replay over the live actor
+// ChaosConfig parameterizes a fault-injection replay over the live cluster
 // runtime: the same trace is run twice — once undisturbed, once with a
 // deterministic subset of nodes crashed mid-trace and recovered later —
 // and the two runs are compared phase by phase.
@@ -44,8 +43,6 @@ type ChaosConfig struct {
 	// Seed drives the node selection; the same seed reproduces the exact
 	// fault schedule (default 1).
 	Seed int64
-	// RequestTimeout is each Get's liveness deadline (default 5s).
-	RequestTimeout time.Duration
 }
 
 // ChaosRun is one replay's accounting.
@@ -78,7 +75,7 @@ func (r ChaosResult) RecoveryGap() float64 {
 	return (base - r.Faulted.Phases[ChaosRecovered].ByteHitRatio) / base
 }
 
-// chaosClock is a settable logical clock shared with the cluster's actors.
+// chaosClock is a settable logical clock shared with the cluster.
 type chaosClock struct {
 	mu  sync.Mutex
 	now float64
@@ -87,7 +84,7 @@ type chaosClock struct {
 func (c *chaosClock) Set(t float64) { c.mu.Lock(); c.now = t; c.mu.Unlock() }
 func (c *chaosClock) Now() float64  { c.mu.Lock(); defer c.mu.Unlock(); return c.now }
 
-// ChaosStudy replays the workload through the actor runtime twice — clean
+// ChaosStudy replays the workload through the cluster runtime twice — clean
 // and with the crash schedule — and tabulates byte hit ratio, degraded
 // serves and routed-around hops per phase. Every request of both runs must
 // terminate (the runtime's deadline guarantees it); an error from either
@@ -109,9 +106,6 @@ func ChaosStudy(cfg ChaosConfig) (ChaosResult, Table, error) {
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
-	}
-	if cfg.RequestTimeout == 0 {
-		cfg.RequestTimeout = 5 * time.Second
 	}
 
 	w := base.workload()
@@ -185,12 +179,11 @@ func chaosReplay(cfg ChaosConfig, base Config, net topology.Network, w Workload,
 
 	clk := &chaosClock{}
 	cluster, err := runtime.NewCluster(runtime.Config{
-		Network:        net,
-		CacheBytes:     capacity,
-		DCacheEntries:  dEntries,
-		AvgObjectSize:  avg,
-		Clock:          clk.Now,
-		RequestTimeout: cfg.RequestTimeout,
+		Network:       net,
+		CacheBytes:    capacity,
+		DCacheEntries: dEntries,
+		AvgObjectSize: avg,
+		Clock:         clk.Now,
 	})
 	if err != nil {
 		return ChaosRun{}, err

@@ -24,7 +24,7 @@ const (
 var rollingPhaseNames = [rollingPhases]string{"healthy", "rolling", "recovered"}
 
 // RollingConfig parameterizes a rolling-reconfiguration replay over the
-// live actor runtime: under sustained load, the cascade's nodes are drained
+// live cluster runtime: under sustained load, the cascade's nodes are drained
 // and re-admitted one batch at a time — the control plane's version of a
 // rolling upgrade — and the run is accounted phase by phase.
 type RollingConfig struct {
@@ -40,8 +40,6 @@ type RollingConfig struct {
 	// count) bounding the rolling window (defaults 0.25, 0.75).
 	StartAt float64
 	EndAt   float64
-	// RequestTimeout is each Get's liveness deadline (default 5s).
-	RequestTimeout time.Duration
 	// HealthInterval is the active health checker's probe period during
 	// the replay (default 50ms; negative disables the checker).
 	HealthInterval time.Duration
@@ -78,7 +76,7 @@ func (r RollingResult) HitDip() float64 {
 	return (r.Phases[RollingHealthy].ByteHitRatio - r.Phases[RollingUpgrading].ByteHitRatio) * 100
 }
 
-// RollingUpgradeStudy replays the workload through the live actor runtime
+// RollingUpgradeStudy replays the workload through the live cluster runtime
 // while every cache node is drained and re-admitted in batches: at each
 // stride of the rolling window the previous batch rejoins (empty — an
 // upgraded process restarts cold) and the next batch drains, spilling its
@@ -99,9 +97,6 @@ func RollingUpgradeStudy(cfg RollingConfig) (RollingResult, Table, error) {
 	}
 	if cfg.EndAt == 0 {
 		cfg.EndAt = 0.75
-	}
-	if cfg.RequestTimeout == 0 {
-		cfg.RequestTimeout = 5 * time.Second
 	}
 	if cfg.HealthInterval == 0 {
 		cfg.HealthInterval = 50 * time.Millisecond
@@ -147,13 +142,12 @@ func RollingUpgradeStudy(cfg RollingConfig) (RollingResult, Table, error) {
 
 	clk := &chaosClock{}
 	cluster, err := runtime.NewCluster(runtime.Config{
-		Network:        net,
-		CacheBytes:     capacity,
-		DCacheEntries:  dEntries,
-		AvgObjectSize:  avg,
-		Clock:          clk.Now,
-		RequestTimeout: cfg.RequestTimeout,
-		EnableAudit:    true,
+		Network:       net,
+		CacheBytes:    capacity,
+		DCacheEntries: dEntries,
+		AvgObjectSize: avg,
+		Clock:         clk.Now,
+		EnableAudit:   true,
 	})
 	if err != nil {
 		return RollingResult{}, Table{}, err

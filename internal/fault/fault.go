@@ -1,11 +1,13 @@
 // Package fault is a deterministic, seedable fault injector for the
-// cascaded caching protocol's two deployable incarnations. The actor
-// runtime consults an Injector on every message send (keyed by the target
-// node), the HTTP gateway through a RoundTripper wrapped around its
+// cascaded caching protocol's two deployable incarnations. The cluster
+// runtime consults an Injector at every hop delivery of a request's walk,
+// in both passes (keyed by the target node), and acts on the verdict inline;
+// the HTTP gateway consults it through a RoundTripper wrapped around its
 // upstream client. Because every decision derives from a fixed seed plus
 // per-key message counters, a chaos scenario is exactly reproducible:
 // rerunning with the same seed yields the same schedule of drops, delays,
-// crashes and saturation verdicts.
+// crashes and saturation verdicts — and for a serial request stream against
+// the cluster, the same results and counters.
 //
 // The protocol under test is per-request self-contained (any lost message
 // leaves caches as they were — docs/PROTOCOL.md), so the injector never
@@ -25,16 +27,19 @@ type Action int
 const (
 	// ActPass delivers the message normally.
 	ActPass Action = iota
-	// ActDrop silently loses the message (the sender believes it was
-	// delivered; the per-request deadline is the receiver's only remedy).
+	// ActDrop loses the message: the cluster runtime abandons the request's
+	// walk where it stands and serves the client origin-direct; the gateway
+	// treats it as a transport error.
 	ActDrop
-	// ActDelay delivers the message after Decision.Delay.
+	// ActDelay delivers the message after Decision.Delay (the cluster
+	// runtime waits it out inline, giving up if the request's context ends
+	// first).
 	ActDelay
 	// ActCrash crashes the target node before delivery (the runtime maps
 	// this to Cluster.Fail; the gateway treats it as a transport error).
 	ActCrash
-	// ActSaturate makes the target look saturated/unresponsive: the send
-	// fails visibly and the sender routes around the node.
+	// ActSaturate makes the target look saturated/unresponsive: the
+	// delivery fails visibly and the request routes around the node.
 	ActSaturate
 )
 

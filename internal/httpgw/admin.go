@@ -36,7 +36,7 @@ import (
 // A draining or removed node stays in the chain as a pure relay: it appends
 // a "-" (no-descriptor) path entry so the decision DP sees only its link
 // cost, and it skips the DownStep on the way back — byte-identical to the
-// actor cluster routing around a drained node and folding the link.
+// cluster routing around a drained node and folding the link.
 
 // ErrUpstreamDown is returned by upstream fetches refused because the
 // active health checker has probed the upstream Down. It fails faster than
@@ -179,7 +179,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 // adminDrain performs the cooperative departure: hand the cached
 // descriptors to the upstream's d-cache in NCL eviction order, forget the
-// payloads, and switch to pass-through service. Unlike the actor cluster
+// payloads, and switch to pass-through service. Unlike the cluster
 // there is no epoch guard to wait on — each HTTP request holds n.mu for
 // every protocol step it takes, so the drain's own critical section is the
 // fence: requests that already passed it see a relay, requests before it
@@ -333,7 +333,7 @@ func (n *Node) serveHealth(w http.ResponseWriter) {
 // passThrough relays a request for a draining/removed node: extend the path
 // header with a "-" (no-descriptor) entry so the DP sees only the link
 // cost, forward, and add the link to the penalty counter on the way back
-// without a DownStep — the wire image of the actor cluster folding a
+// without a DownStep — the wire image of the cluster folding a
 // routed-around hop.
 func (n *Node) passThrough(w http.ResponseWriter, r *http.Request) {
 	up, err := http.NewRequestWithContext(r.Context(), http.MethodGet, n.Upstream+r.URL.Path, nil)

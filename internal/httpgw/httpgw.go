@@ -934,7 +934,7 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	n.mu.Lock()
 	if n.member != controlplane.Active {
-		// A drain landed while the fetch was in flight (the actor
+		// A drain landed while the fetch was in flight (the
 		// cluster's epoch guard has no analogue on this transport — the
 		// fetch runs outside the lock). A departed node takes no placement
 		// and books no ledger claim: finish as a relay, link cost folded.

@@ -18,7 +18,7 @@ import (
 // TestClusterDrainSpillsToParent drains a warm leaf and checks the whole
 // cooperative hand-off: the node leaves the routing view, its descriptors
 // land in the parent's d-cache, Failed() does not report it (a drain is not
-// a failure), and Admit restores a fresh empty actor.
+// a failure), and Admit restores a fresh empty node.
 func TestClusterDrainSpillsToParent(t *testing.T) {
 	clk := &logicalClock{}
 	h := topology.GenerateTree(topology.TreeConfig{Depth: 2, Fanout: 2, BaseDelay: 1, Growth: 2})
@@ -66,7 +66,8 @@ func TestClusterDrainSpillsToParent(t *testing.T) {
 		t.Fatalf("Failed() = %v; a drained node is not a failure", got)
 	}
 
-	// The spill is absorbed on the parent's actor; give its queue a beat.
+	// The spill lands in the parent's d-cache before Drain returns; the
+	// loop below passes on its first look.
 	deadline := time.After(2 * time.Second)
 	for {
 		if c.node(parent).st.DCacheContains(1) {
@@ -145,7 +146,7 @@ func TestClusterSetHealthGatesRouting(t *testing.T) {
 	if c.Stats().RoutedAround == 0 {
 		t.Fatal("down node was not routed around")
 	}
-	// The actor itself is alive the whole time — health is routing, not
+	// The node itself is alive the whole time — health is routing, not
 	// lifecycle.
 	if !c.aliveNode(mid) {
 		t.Fatal("health gating must not stop the actor")
@@ -197,12 +198,11 @@ func TestClusterHealthChecker(t *testing.T) {
 func TestClusterNoLostGetsAcrossEpochFlips(t *testing.T) {
 	net := topology.GenerateTree(topology.TreeConfig{Depth: 3, Fanout: 3, BaseDelay: 1, Growth: 2})
 	c, err := NewCluster(Config{
-		Network:        net,
-		CacheBytes:     1 << 18,
-		DCacheEntries:  200,
-		RequestTimeout: 200 * time.Millisecond,
-		EnableAudit:    true,
-		Fault:          fault.New(7).WithDrop(0.02),
+		Network:       net,
+		CacheBytes:    1 << 18,
+		DCacheEntries: 200,
+		EnableAudit:   true,
+		Fault:         fault.New(7).WithDrop(0.02),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -154,11 +154,10 @@ func TestClusterGetEmptyRouteError(t *testing.T) {
 func TestClusterRequestDeadlineFallback(t *testing.T) {
 	h := topology.GenerateTree(topology.TreeConfig{Depth: 2, Fanout: 2, BaseDelay: 1, Growth: 2})
 	c, err := NewCluster(Config{
-		Network:        h,
-		CacheBytes:     1000,
-		DCacheEntries:  10,
-		RequestTimeout: 30 * time.Millisecond,
-		Fault:          fault.New(1).WithDrop(1.0),
+		Network:       h,
+		CacheBytes:    1000,
+		DCacheEntries: 10,
+		Fault:         fault.New(1).WithDrop(1.0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -238,33 +237,6 @@ func TestClusterSaturatedNodeRoutedAround(t *testing.T) {
 	}
 }
 
-// TestClusterOverflowBounded verifies the bounded spill queue that
-// replaced the unbounded per-message goroutine escape hatch: InboxDepth +
-// OverflowDepth messages are accepted, the next is refused, and overflow
-// admissions are counted.
-func TestClusterOverflowBounded(t *testing.T) {
-	h := topology.GenerateTree(topology.TreeConfig{Depth: 2, Fanout: 2, BaseDelay: 1, Growth: 2})
-	c, err := NewCluster(Config{Network: h, CacheBytes: 1000, DCacheEntries: 10, InboxDepth: 2, OverflowDepth: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	// A detached node: no actor drains it, so admission is deterministic.
-	n := c.newNode(model.NodeID(0))
-	type dummy struct{}
-	for i := 0; i < 5; i++ {
-		if !c.enqueue(n, dummy{}) {
-			t.Fatalf("message %d refused before the bound", i)
-		}
-	}
-	if c.enqueue(n, dummy{}) {
-		t.Fatal("message accepted past inbox+overflow bound")
-	}
-	if st := c.Stats(); st.Overflows != 3 {
-		t.Fatalf("overflows = %d, want 3", st.Overflows)
-	}
-}
-
 // TestClusterConcurrentGetFailRecoverClose is the satellite race test:
 // parallel Gets against continuous crash/recovery churn, then Close racing
 // the tail of the traffic. Run with -race. Every Get must terminate with a
@@ -272,10 +244,9 @@ func TestClusterOverflowBounded(t *testing.T) {
 func TestClusterConcurrentGetFailRecoverClose(t *testing.T) {
 	net := topology.GenerateTree(topology.TreeConfig{Depth: 3, Fanout: 3, BaseDelay: 1, Growth: 2})
 	c, err := NewCluster(Config{
-		Network:        net,
-		CacheBytes:     1 << 18,
-		DCacheEntries:  200,
-		RequestTimeout: 200 * time.Millisecond,
+		Network:       net,
+		CacheBytes:    1 << 18,
+		DCacheEntries: 200,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -341,10 +312,9 @@ func TestClusterConcurrentGetFailRecoverClose(t *testing.T) {
 func TestClusterFailDuringInflightGets(t *testing.T) {
 	net := topology.GenerateTree(topology.TreeConfig{Depth: 4, Fanout: 2, BaseDelay: 1, Growth: 2})
 	c, err := NewCluster(Config{
-		Network:        net,
-		CacheBytes:     1 << 16,
-		DCacheEntries:  100,
-		RequestTimeout: 100 * time.Millisecond,
+		Network:       net,
+		CacheBytes:    1 << 16,
+		DCacheEntries: 100,
 	})
 	if err != nil {
 		t.Fatal(err)

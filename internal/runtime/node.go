@@ -1,209 +1,38 @@
 package runtime
 
 import (
-	"sync"
 	"sync/atomic"
 
-	"cascade/internal/cache"
-	"cascade/internal/coherency"
 	"cascade/internal/engine"
 	"cascade/internal/flightrec"
 	"cascade/internal/model"
-	"cascade/internal/span"
 	"cascade/internal/store"
 )
 
-// fetchMsg is the upstream request message of §2.3. As it passes each
-// cache it accumulates one engine.Candidate per node holding the object's
-// descriptor (the §2.4 "no descriptor" tag is represented by the entry's
-// absence; the decision step resynthesizes tagged records for the gaps).
-type fetchMsg struct {
-	obj  model.ObjectID
-	size int64
-	now  float64
-
-	route  []model.NodeID // caches from the client's first cache upward
-	upCost []float64      // per-object link costs, aligned with route
-	hop    int            // index of the node now processing the message
-
-	accCost float64 // cost accumulated so far (links below this node)
-	sentAt  float64 // Config.Clock() at the last enqueue (pass-latency metric)
-	floor   uint64  // ModeCAS read floor: origin generation at Get start
-	pb      []engine.Candidate
-
-	// tsp is the request's span trace (nil when span tracing is off).
-	// spanParent tracks the span the next hop's phases parent on — the
-	// root first, then each miss hop's up span; upSpans remembers the up
-	// span opened at each hop so the downstream pass can close it.
-	// Message handling is sequential per request, so the accumulator
-	// moves between actors safely.
-	tsp        *span.Trace
-	spanParent span.SpanID
-	upSpans    []span.SpanID
-
-	reply chan Result
-}
-
-// deliverMsg is the downstream response message: the decision set, the
-// miss-penalty counter and the delivery bookkeeping.
-type deliverMsg struct {
-	obj  model.ObjectID
-	size int64
-	now  float64
-
-	route  []model.NodeID
-	upCost []float64
-	hop    int // node about to process the message
-
-	chosen []int   // hop indices instructed to cache, ascending (tail = next)
-	mp     float64 // accumulated miss-penalty counter
-	sentAt float64 // Config.Clock() at the last enqueue (pass-latency metric)
-	gen    uint64  // served copy's coherency generation, stamped on placements
-
-	// invTail/invHead piggyback the authority's recent invalidation log on
-	// origin-served responses (PSI); every live hop applies the tail before
-	// its DownStep.
-	invTail []coherency.Invalidation
-	invHead uint64
-
-	// tsp/upSpans carry the request's span trace through the downstream
-	// pass (see fetchMsg).
-	tsp     *span.Trace
-	upSpans []span.SpanID
-
-	result Result
-	reply  chan Result
-}
-
-// drainMsg asks the actor to hand off its state for a cooperative
-// departure: it empties the main cache and replies with the descriptors in
-// NCL eviction order. The control plane sends it only after the epoch
-// guard has fenced out every request routed through this node.
-type drainMsg struct {
-	now   float64
-	reply chan []cache.DescriptorSnapshot
-}
-
-// absorbMsg delivers a departing child's spilled descriptors to this
-// node's d-cache.
-type absorbMsg struct {
-	now   float64
-	snaps []cache.DescriptorSnapshot
-}
-
-// node is one cache actor. All fields below quit are owned exclusively by
-// the actor goroutine; the inbox/overflow pair is the only write surface
-// for peers.
+// node is one cache node's state. A slot's node is replaced wholesale on
+// Recover and Admit (a restart keeps nothing in memory), so a walk that
+// resolved the old node finishes harmlessly against unreachable state.
 type node struct {
 	id      model.NodeID
 	cluster *Cluster
-	inbox   chan any
-	notify  chan struct{} // capacity 1: overflow became non-empty
-	quit    chan struct{} // closed on crash (Fail) or cluster shutdown
-	down    atomic.Bool
-
-	ovmu     sync.Mutex
-	overflow []any // bounded spill past the inbox (Config.OverflowDepth)
-	// ovdepth mirrors len(overflow), maintained under ovmu but readable
-	// lock-free: backpressure checks, health probes and metrics scrapes
-	// observe queue depth without serializing against senders.
-	ovdepth atomic.Int64
+	down    atomic.Bool // set on crash (Fail), drain or cluster shutdown
 
 	// st holds the node's protocol state (main store + d-cache stripes),
 	// sharded by object hash; every protocol step delegates to
-	// internal/engine. The shard locks make st safe for the direct data
-	// plane (request goroutines) and the actor loop to touch concurrently.
+	// internal/engine. The shard locks make st safe for concurrent walks.
 	st *engine.Sharded
 
 	// bodies is the node's data plane (Config.SpillDir): payloads of
 	// placed objects, with NCL evictions spilled to a per-node disk tier
 	// instead of dropped. nil when spill is off — every hook checks, so
 	// the default configuration pays nothing. The tier is internally
-	// locked, safe for the direct plane and the actor concurrently.
+	// locked.
 	bodies *store.Tiered
-
-	// evictBuf recycles the victim-ID buffer of this actor's DownSteps
-	// (owned by the actor goroutine; the direct plane uses pooled scratch).
-	evictBuf []model.ObjectID
 }
 
-// stop marks the node down and releases its actor. Idempotent; reports
-// whether this call performed the stop.
-func (n *node) stop() bool {
-	if !n.down.CompareAndSwap(false, true) {
-		return false
-	}
-	close(n.quit)
-	return true
-}
-
-func (n *node) run(wg *sync.WaitGroup) {
-	defer wg.Done()
-	for {
-		// A closed quit wins even when the inbox stays full.
-		select {
-		case <-n.quit:
-			return
-		default:
-		}
-		select {
-		case <-n.quit:
-			return
-		case msg := <-n.inbox:
-			n.dispatch(msg)
-		case <-n.notify:
-		}
-		n.drainOverflow()
-	}
-}
-
-// drainOverflow processes spilled messages. Overflow drains after each
-// inbox message, so cross-request ordering can invert under saturation —
-// harmless, as each request has at most one message in flight and the
-// protocol is per-request self-contained.
-func (n *node) drainOverflow() {
-	for {
-		n.ovmu.Lock()
-		if len(n.overflow) == 0 {
-			n.overflow = nil
-			n.ovdepth.Store(0)
-			n.ovmu.Unlock()
-			return
-		}
-		msg := n.overflow[0]
-		n.overflow[0] = nil
-		n.overflow = n.overflow[1:]
-		n.ovdepth.Store(int64(len(n.overflow)))
-		n.ovmu.Unlock()
-		n.dispatch(msg)
-	}
-}
-
-func (n *node) dispatch(msg any) {
-	if n.down.Load() {
-		// Crashed with this message still queued: a real restart loses
-		// its queue too. The sender-side request deadline is the remedy.
-		return
-	}
-	switch m := msg.(type) {
-	case *fetchMsg:
-		n.inst().upPass.Record(n.cluster.cfg.Clock() - m.sentAt)
-		n.handleFetch(m)
-	case *deliverMsg:
-		n.inst().downPass.Record(n.cluster.cfg.Clock() - m.sentAt)
-		n.handleDeliver(m)
-	case *drainMsg:
-		snaps := n.st.DrainDescriptors(m.now)
-		if n.bodies != nil {
-			// Departing payloads park on disk: a later Admit of this slot
-			// adopts the files and can promote instead of refetching.
-			n.bodies.SpillAll()
-		}
-		m.reply <- snaps
-	case *absorbMsg:
-		n.st.Absorb(m.snaps, m.now)
-	}
-}
+// stop marks the node down. Idempotent; reports whether this call
+// performed the stop.
+func (n *node) stop() bool { return n.down.CompareAndSwap(false, true) }
 
 // inst returns this node's slot-owned instruments.
 func (n *node) inst() *nodeInstruments { return &n.cluster.nodeInst[n.id] }
@@ -290,116 +119,4 @@ func (n *node) placeBody(obj model.ObjectID, size int64, gen uint64, now float64
 	if !n.st.Contains(obj) && n.bodies.Spill(obj) {
 		n.cluster.spills.Add(1)
 	}
-}
-
-// handleFetch implements the upstream pass at this node.
-func (n *node) handleFetch(m *fetchMsg) {
-	lk := m.tsp.Start(span.PhaseLookup, n.id, m.hop, m.spanParent, m.now)
-	res := n.st.LookupFresh(m.obj, m.now, m.floor)
-	m.tsp.End(lk, m.now)
-	if res.Hit {
-		// Serving node A_0: record the hit and decide placement for
-		// the caches below. A Stale or Expired copy self-healed to a miss
-		// inside LookupFresh and the pass continues upstream below.
-		n.cluster.decideAndDeliver(m, m.hop, n.id, m.accCost, m.hop, res.Gen)
-		return
-	}
-	if res.Stale {
-		m.tsp.Force(span.FlagStale)
-	}
-	served, gen, ev := n.diskServe(m.obj, m.size, m.now, m.floor, n.evictBuf)
-	n.evictBuf = ev
-	if served {
-		psp := m.tsp.Start(span.PhasePromote, n.id, m.hop, m.spanParent, m.now)
-		m.tsp.End(psp, m.now)
-		n.cluster.decideAndDeliver(m, m.hop, n.id, m.accCost, m.hop, gen)
-		return
-	}
-
-	up := m.tsp.Start(span.PhaseUp, n.id, m.hop, m.spanParent, m.now)
-	if m.tsp != nil {
-		m.upSpans[m.hop] = up
-		m.spanParent = up
-	}
-	// Observed passing through: refresh the descriptor's history and
-	// piggyback this node's candidacy. A node without a usable record
-	// ships no entry (the §2.4 tag) and is excluded from the DP.
-	if c := n.st.UpMiss(m.obj, m.size, m.hop, m.upCost[m.hop], m.now); c.Tag == engine.TagCandidate {
-		m.pb = append(m.pb, c)
-	}
-
-	if m.hop == len(m.route)-1 {
-		// Top cache missed: the origin serves. The origin's decision
-		// logic runs here (it is a deterministic function of the
-		// piggybacked data; a real origin would execute it upon
-		// receiving the tagged request).
-		originCost := m.accCost + m.upCost[m.hop]
-		originHops := len(m.route) - 1
-		if m.upCost[m.hop] > 0 {
-			originHops++ // hierarchy: root–server is a real link
-		}
-		n.cluster.decideAndDeliver(m, len(m.route), model.NoNode, originCost, originHops,
-			n.cluster.originGen(m.obj))
-		return
-	}
-
-	m.accCost += m.upCost[m.hop]
-	m.hop++
-	n.cluster.sendFetchUp(m)
-}
-
-// handleDeliver implements the downstream pass at this node.
-func (n *node) handleDeliver(d *deliverMsg) {
-	var up span.SpanID
-	if d.tsp != nil {
-		up = d.upSpans[d.hop]
-	}
-	// An origin response's piggybacked invalidation tail lands before the
-	// placement step, so a placement at the pre-write generation is caught
-	// by the freshly raised floor.
-	if d.invTail != nil {
-		coh := d.tsp.Start(span.PhaseCoherency, n.id, d.hop, up, d.now)
-		n.st.ApplyInvalidations(d.invTail, d.invHead, d.now)
-		d.tsp.End(coh, d.now)
-	}
-	// prev is the counter as it left the last caching point (plus any
-	// links folded in for routed-around hops) — the miss-penalty audit's
-	// reference value.
-	prev := d.mp
-	d.mp += d.upCost[d.hop]
-	// Chosen hops above this one that were routed around (dead or
-	// saturated while the response descended) can no longer take a copy:
-	// drop them so the tail cursor stays aligned.
-	for k := len(d.chosen) - 1; k >= 0 && d.chosen[k] > d.hop; k-- {
-		d.chosen = d.chosen[:k]
-	}
-	place := false
-	if k := len(d.chosen) - 1; k >= 0 && d.chosen[k] == d.hop {
-		place = true
-		d.chosen = d.chosen[:k]
-	}
-
-	dn := d.tsp.Start(span.PhaseDown, n.id, d.hop, up, d.now)
-	res, ev := n.st.DownStep(d.obj, d.size, place, d.mp, d.gen, d.hop, d.now, n.evictBuf[:0])
-	n.evictBuf = ev
-	n.st.Audit().CheckPenaltyStep(n.id, d.obj, d.hop, prev, d.mp, res.MP, res.Placed)
-	d.mp = res.MP
-	if res.Placed {
-		d.result.Placed = append(d.result.Placed, n.id)
-		inst := n.inst()
-		inst.inserts.Inc()
-		inst.evictions.Add(int64(len(ev)))
-		bsp := d.tsp.Start(span.PhaseBody, n.id, d.hop, dn, d.now)
-		n.placeBody(d.obj, d.size, d.gen, d.now, ev)
-		d.tsp.End(bsp, d.now)
-	}
-	d.tsp.End(dn, d.now)
-	d.tsp.End(up, d.now)
-
-	if d.hop == 0 {
-		n.cluster.finish(d.reply, d.result, d.tsp, d.now)
-		return
-	}
-	d.hop--
-	n.cluster.sendDeliverDown(d)
 }

@@ -110,7 +110,6 @@ func TestClusterAuditConcurrent(t *testing.T) {
 		Network:        h,
 		CacheBytes:     4096,
 		DCacheEntries:  64,
-		RequestTimeout: 200 * time.Millisecond,
 		Fault:          fault.New(11).WithDrop(0.05),
 		EnableAudit:    true,
 		FlightCapacity: 64,

@@ -1,10 +1,11 @@
 // Package runtime implements the coordinated caching protocol of paper
-// §2.3 as a concurrent message-passing system: every cache node is an
-// independent actor (goroutine) owning its stores exclusively, and all
-// coordination happens through the two messages the paper describes — a
-// request traveling up the distribution tree collecting piggybacked
-// (f, m, l) descriptors, and a response traveling down carrying the
-// placement decision and the accumulated miss-penalty counter.
+// §2.3 as a concurrent in-process cluster: every cache node owns its stores
+// behind per-shard locks, and each Get walks its path twice on the calling
+// goroutine, exactly as the paper describes — a request traveling up the
+// distribution tree collecting piggybacked (f, m, l) descriptors, and a
+// response traveling down carrying the placement decision and the
+// accumulated miss-penalty counter (walk.go). Any number of Gets run
+// concurrently; the cluster itself starts no goroutines.
 //
 // The trace-driven simulator (package sim) answers "does the algorithm
 // win?"; this package answers "does the protocol deploy?". Both share the
@@ -17,12 +18,12 @@
 // restart empty (Recover); both passes of the protocol route around dead
 // or saturated hops by folding the skipped link cost into the next miss
 // penalty — the §2.4 special tag already lets the DP tolerate an absent
-// hop record, so a dead cache simply becomes a more expensive link. A
-// per-request deadline (Config.RequestTimeout) guarantees every Get
-// terminates even when a crash or an injected fault (Config.Fault) loses
-// the message chain: the caller degrades to an origin-direct result at
-// full path cost. docs/PROTOCOL.md "Failure semantics" specifies the
-// behaviour.
+// hop record, so a dead cache simply becomes a more expensive link. An
+// injected fault (Config.Fault) is evaluated at every hop delivery of the
+// walk: a crash or saturation verdict routes around the hop, a delay is
+// waited out inline, and a dropped message abandons the walk where it
+// stands — the caller degrades to an origin-direct result at full path
+// cost. docs/PROTOCOL.md "Failure semantics" specifies the behaviour.
 package runtime
 
 import (
@@ -66,8 +67,8 @@ type Result struct {
 	// traveled down.
 	Placed []model.NodeID
 	// Degraded marks a request that could not traverse the cascade — all
-	// caches down, or the request deadline expired — and was satisfied as
-	// an origin-direct fetch at full path cost.
+	// caches down, or a protocol message lost — and was satisfied as an
+	// origin-direct fetch at full path cost.
 	Degraded bool
 	// ServedGen is the coherency generation of the served copy (the
 	// origin's current generation for origin-served requests; zero when
@@ -92,18 +93,6 @@ type Config struct {
 	// estimation. Defaults to wall-clock seconds since cluster start.
 	// Deterministic tests inject a logical clock.
 	Clock func() float64
-	// InboxDepth is each node's message-queue capacity (default 128).
-	InboxDepth int
-	// OverflowDepth bounds each node's overflow queue, absorbing bursts
-	// past InboxDepth without spawning goroutines (default 8×InboxDepth).
-	// A node whose overflow is also full counts as saturated and is
-	// routed around.
-	OverflowDepth int
-	// RequestTimeout is the per-request deadline: a Get whose reply has
-	// not arrived degrades to an origin-direct result. Default 10s; a
-	// negative value disables the deadline (a lost message then blocks
-	// the Get until its context cancels).
-	RequestTimeout time.Duration
 	// DCacheFactory selects the d-cache implementation (heap LFU by
 	// default).
 	DCacheFactory dcache.Factory
@@ -113,17 +102,9 @@ type Config struct {
 	// different objects proceed without contending on a node lock. See
 	// docs/PERFORMANCE.md.
 	Shards int
-	// QueuedDataPlane forces every protocol step through the per-node
-	// actor queues even when no fault injector is configured. By default a
-	// fault-free cluster executes both passes synchronously on the Get
-	// goroutine against the shard locks (the direct data plane), which is
-	// semantically identical and removes all scheduling overhead; the
-	// queued plane remains for fault injection (Config.Fault implies it)
-	// and for tests pinning queue semantics.
-	QueuedDataPlane bool
-	// Fault, when set, is consulted on every message send — the chaos
-	// hook (message drop/delay, crash-on-nth, saturation). Keys are node
-	// IDs.
+	// Fault, when set, is consulted on every hop delivery of a walk, in
+	// both passes — the chaos hook (message drop/delay, crash-on-nth,
+	// saturation). Keys are node IDs.
 	Fault *fault.Injector
 	// EnableAudit turns on the online invariant auditor and the
 	// predicted-vs-realized cost ledger: violations and ledger state are
@@ -132,7 +113,7 @@ type Config struct {
 	EnableAudit bool
 	// FlightCapacity, when > 0, gives every node slot a protocol flight
 	// recorder retaining the last N events. Recorders belong to the slot,
-	// not the actor, so crash/recover cycles keep their history (and
+	// not the node, so crash/recover cycles keep their history (and
 	// record the transitions themselves).
 	FlightCapacity int
 	// SpillDir, when non-empty, gives every node a disk-backed spill tier
@@ -180,10 +161,9 @@ type Config struct {
 type Stats struct {
 	Requests  int64 // Gets issued
 	CacheHits int64 // requests served by some cache
-	Messages  int64 // protocol messages enqueued between actors
+	Messages  int64 // protocol messages: one per live hop delivery, either pass
 	Inserts   int64 // object copies written by downstream passes
 
-	Overflows       int64 // messages absorbed by a node's overflow queue
 	RoutedAround    int64 // hops skipped because the node was down or saturated
 	FaultDrops      int64 // messages lost by the fault injector
 	Failures        int64 // node crashes (Fail or injected)
@@ -195,24 +175,23 @@ type Stats struct {
 	Promotions int64 // spilled objects promoted back into a node's cache
 }
 
-// Cluster is a running set of cache-node actors implementing coordinated
-// caching over a cascaded architecture.
+// Cluster is a set of cache nodes implementing coordinated caching over a
+// cascaded architecture.
 type Cluster struct {
 	cfg      Config
 	slots    []atomic.Pointer[node]
-	wg       sync.WaitGroup
 	inflight sync.WaitGroup // Gets in progress
 	mu       sync.Mutex     // guards closed and node lifecycle vs Close
 	closed   bool
 
 	// decScratch recycles per-decision buffers (candidate vector, DP
 	// tables): the placement decision runs on whichever goroutine serves
-	// the request — usually the serving actor — so the scratch is pooled
-	// rather than owned by any one node.
+	// the request, so the scratch is pooled rather than owned by any one
+	// node.
 	decScratch sync.Pool
-	// walkScratch recycles the direct data plane's per-request buffers
-	// (scaled link costs, piggyback vector, chosen set, victim IDs).
-	walkScratch sync.Pool
+	// walks recycles per-request walk state and its buffers (scaled link
+	// costs, piggyback vector, chosen set, victim IDs).
+	walks sync.Pool
 
 	// reg exports every instrument below in the Prometheus text format
 	// (Metrics); nodeInst holds the per-node instruments, indexed by slot,
@@ -234,10 +213,10 @@ type Cluster struct {
 
 	// auth is the origin's write authority and cohViews the per-slot
 	// generation floors (both nil when CoherencyMode is ModeNone). Views
-	// belong to the slot, not the actor, so crash/recover cycles keep the
+	// belong to the slot, not the node, so crash/recover cycles keep the
 	// node's coherency knowledge — a restarted real node would sync the
 	// origin's invalidation log before serving, and the slot-owned view
-	// is what lets a recovered actor reject stale spill files it adopts.
+	// is what lets a recovered node reject stale spill files it adopts.
 	auth       *coherency.Authority
 	cohViews   []*coherency.NodeView
 	cohMetrics *coherency.Metrics
@@ -254,7 +233,6 @@ type Cluster struct {
 	cacheHits       *metrics.Counter
 	messages        *metrics.Counter
 	inserts         *metrics.Counter
-	overflows       *metrics.Counter
 	routedAround    *metrics.Counter
 	faultDrops      *metrics.Counter
 	failures        *metrics.Counter
@@ -266,35 +244,21 @@ type Cluster struct {
 }
 
 // nodeInstruments are one node's operational counters. They belong to the
-// cluster slot, not the actor, so Fail/Recover cycles keep history.
+// cluster slot, not the node, so Fail/Recover cycles keep history.
 type nodeInstruments struct {
-	overflows    *metrics.Counter
 	routedAround *metrics.Counter
 	inserts      *metrics.Counter
 	evictions    *metrics.Counter
-	upPass       *metrics.AtomicHistogram // fetch-message queue+dispatch latency
-	downPass     *metrics.AtomicHistogram // deliver-message queue+dispatch latency
 }
 
-// NewCluster starts one actor per cache node of the network.
+// NewCluster builds one cache node per cache of the network. It starts no
+// goroutines: all protocol work runs on the goroutines that call Get.
 func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Network == nil {
 		return nil, fmt.Errorf("runtime: network is required")
 	}
 	if cfg.CacheBytes < 0 || cfg.DCacheEntries < 0 {
 		return nil, fmt.Errorf("runtime: negative capacities")
-	}
-	if cfg.InboxDepth <= 0 {
-		cfg.InboxDepth = 128
-	}
-	if cfg.OverflowDepth <= 0 {
-		cfg.OverflowDepth = 8 * cfg.InboxDepth
-	}
-	switch {
-	case cfg.RequestTimeout == 0:
-		cfg.RequestTimeout = 10 * time.Second
-	case cfg.RequestTimeout < 0:
-		cfg.RequestTimeout = 0
 	}
 	if cfg.Clock == nil {
 		start := time.Now()
@@ -310,7 +274,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	cfg.Shards = engine.NormalizeShards(cfg.Shards)
 	c := &Cluster{cfg: cfg, slots: make([]atomic.Pointer[node], cfg.Network.NumCaches())}
-	c.walkScratch.New = func() any { return new(walkScratch) }
+	c.walks.New = func() any { return new(walk) }
 	c.cp = controlplane.NewManager(len(c.slots))
 	c.guard = controlplane.NewEpochGuard()
 	c.cp.SetOnEvent(func(ev controlplane.Event) {
@@ -370,24 +334,20 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 	}
 	for i := range c.slots {
-		n := c.newNode(model.NodeID(i))
-		c.slots[i].Store(n)
-		c.wg.Add(1)
-		go n.run(&c.wg)
+		c.slots[i].Store(c.newNode(model.NodeID(i)))
 	}
 	return c, nil
 }
 
 // initMetrics registers every cluster and per-node instrument. Called once
-// before any actor starts, so the hot path only ever touches live atomic
+// before any node exists, so the hot path only ever touches live atomic
 // cells.
 func (c *Cluster) initMetrics() {
 	c.reg = metrics.NewRegistry()
 	c.requests = c.reg.Counter("cascade_cluster_requests_total", "Gets issued against the cluster.")
 	c.cacheHits = c.reg.Counter("cascade_cluster_cache_hits_total", "Requests served by some cache (not the origin).")
-	c.messages = c.reg.Counter("cascade_cluster_messages_total", "Protocol messages enqueued between actors.")
+	c.messages = c.reg.Counter("cascade_cluster_messages_total", "Protocol messages delivered hop to hop (one per live hop, each pass).")
 	c.inserts = c.reg.Counter("cascade_cluster_inserts_total", "Object copies written by downstream passes.")
-	c.overflows = c.reg.Counter("cascade_cluster_overflows_total", "Messages absorbed by overflow queues.")
 	c.routedAround = c.reg.Counter("cascade_cluster_routed_around_total", "Hops skipped because the node was down or saturated.")
 	c.faultDrops = c.reg.Counter("cascade_cluster_fault_drops_total", "Messages lost by the fault injector.")
 	c.failures = c.reg.Counter("cascade_cluster_failures_total", "Node crashes (Fail or injected).")
@@ -408,26 +368,11 @@ func (c *Cluster) initMetrics() {
 		i := i
 		nl := metrics.L("node", strconv.Itoa(i))
 		c.nodeInst[i] = nodeInstruments{
-			overflows:    c.reg.Counter("cascade_node_overflows_total", "Messages absorbed by this node's overflow queue.", nl),
 			routedAround: c.reg.Counter("cascade_node_routed_around_total", "Times this node was skipped because it was down or saturated.", nl),
 			inserts:      c.reg.Counter("cascade_node_inserts_total", "Object copies this node inserted.", nl),
 			evictions:    c.reg.Counter("cascade_node_evictions_total", "Objects this node evicted to make room.", nl),
-			upPass:       c.reg.Summary("cascade_node_pass_latency_seconds", "Enqueue-to-dispatch latency of protocol messages at this node.", nl, metrics.L("pass", "up")),
-			downPass:     c.reg.Summary("cascade_node_pass_latency_seconds", "Enqueue-to-dispatch latency of protocol messages at this node.", nl, metrics.L("pass", "down")),
 		}
-		c.reg.GaugeFunc("cascade_node_inbox_depth", "Messages queued in this node's inbox.", func() float64 {
-			if n := c.node(model.NodeID(i)); n != nil {
-				return float64(len(n.inbox))
-			}
-			return 0
-		}, nl)
-		c.reg.GaugeFunc("cascade_node_overflow_depth", "Messages spilled to this node's overflow queue.", func() float64 {
-			if n := c.node(model.NodeID(i)); n != nil {
-				return float64(n.ovdepth.Load())
-			}
-			return 0
-		}, nl)
-		c.reg.GaugeFunc("cascade_node_up", "1 while the node's actor is alive.", func() float64 {
+		c.reg.GaugeFunc("cascade_node_up", "1 while the node is up.", func() float64 {
 			if c.aliveNode(model.NodeID(i)) {
 				return 1
 			}
@@ -479,9 +424,9 @@ func (c *Cluster) initMetrics() {
 // WritePrometheus (see docs/OBSERVABILITY.md for the series).
 func (c *Cluster) Metrics() *metrics.Registry { return c.reg }
 
-// newNode builds a fresh (empty) actor for a slot. With spill configured
-// the actor gets a tiered body store over its per-node directory; a
-// replacement actor (Recover, Admit) adopts whatever complete spill files
+// newNode builds a fresh (empty) node for a slot. With spill configured
+// the node gets a tiered body store over its per-node directory; a
+// replacement node (Recover, Admit) adopts whatever complete spill files
 // the previous incarnation left, exactly like a process restart. A tier
 // that fails to open leaves the node without one — the data plane then
 // drops evicted bytes rather than blocking the recovery.
@@ -506,12 +451,9 @@ func (c *Cluster) newNode(id model.NodeID) *node {
 		}
 	}
 	return &node{
-		bodies: bodies,
+		bodies:  bodies,
 		id:      id,
 		cluster: c,
-		inbox:   make(chan any, c.cfg.InboxDepth),
-		notify:  make(chan struct{}, 1),
-		quit:    make(chan struct{}),
 		st: engine.NewSharded(engine.ShardedConfig{
 			Node:          id,
 			Shards:        c.cfg.Shards,
@@ -622,9 +564,8 @@ func (c *Cluster) DumpFlight(id model.NodeID) flightrec.Snapshot {
 }
 
 // Close rejects new requests, waits for every in-flight Get to return
-// (each is bounded by RequestTimeout, so lost messages cannot wedge
-// shutdown), then stops all node actors. The cluster must not be used
-// afterwards.
+// (a walk blocks only on an injected delay, which is finite), then marks
+// all nodes down. The cluster must not be used afterwards.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -639,10 +580,9 @@ func (c *Cluster) Close() {
 			n.stop()
 		}
 	}
-	c.wg.Wait()
 }
 
-// node returns the actor for a node ID (for inspection in tests).
+// node returns the current node of a slot, nil for an unknown ID.
 func (c *Cluster) node(id model.NodeID) *node {
 	if int(id) < 0 || int(id) >= len(c.slots) {
 		return nil
@@ -651,21 +591,21 @@ func (c *Cluster) node(id model.NodeID) *node {
 }
 
 // DCacheContains reports whether a node's d-cache currently holds the
-// object's descriptor. For conformance and test inspection only: the
-// d-cache belongs to the node's actor, so callers must quiesce the cluster
-// (no concurrent Gets) before relying on the answer.
+// object's descriptor. For conformance and test inspection only: callers
+// must quiesce the cluster (no concurrent Gets) before relying on the
+// answer.
 func (c *Cluster) DCacheContains(id model.NodeID, obj model.ObjectID) bool {
 	n := c.node(id)
 	return n != nil && n.st.DCacheContains(obj)
 }
 
-// aliveNode reports whether a node's actor is up.
+// aliveNode reports whether a node is up.
 func (c *Cluster) aliveNode(id model.NodeID) bool {
 	n := c.node(id)
 	return n != nil && !n.down.Load()
 }
 
-// routable is the routing predicate for new requests: the actor is up AND
+// routable is the routing predicate for new requests: the node is up AND
 // the control plane agrees (Active membership, not probed Down). In-flight
 // requests keep the view they entered with; the epoch guard decides when
 // that old view has fully drained.
@@ -679,22 +619,12 @@ func (c *Cluster) ControlPlane() *controlplane.Manager { return c.cp }
 
 // StartHealthChecker runs an active prober over the cluster in a background
 // goroutine until stop is closed. A nil cfg.Probe gets the default liveness
-// probe: the node's actor is up and its queues are not saturated. The
-// checker feeds the control plane, which in turn gates routing
-// (healthy → suspect → down), independently of the passive route-around
-// that Compact performs per request.
+// probe: the node's slot is up. The checker feeds the control plane, which
+// in turn gates routing (healthy → suspect → down), independently of the
+// passive route-around that Compact performs per request.
 func (c *Cluster) StartHealthChecker(cfg controlplane.CheckerConfig, stop <-chan struct{}) *controlplane.Checker {
 	if cfg.Probe == nil {
-		cfg.Probe = func(id model.NodeID) bool {
-			n := c.node(id)
-			if n == nil || n.down.Load() {
-				return false
-			}
-			if len(n.inbox) < c.cfg.InboxDepth {
-				return true
-			}
-			return n.ovdepth.Load() < int64(c.cfg.OverflowDepth)
-		}
+		cfg.Probe = c.aliveNode
 	}
 	ck := controlplane.NewChecker(c.cp, cfg)
 	go ck.Run(stop)
@@ -711,13 +641,14 @@ func (c *Cluster) SetHealth(id model.NodeID, h controlplane.Health) bool {
 // Drain removes a node cooperatively. The sequence: the node leaves the
 // routing view (new Gets route around it, folding its link cost exactly as
 // they do for a crashed hop), the epoch guard waits until every request
-// that entered on the old view has finished, the actor extracts its
-// descriptors in NCL eviction order and detaches, and the spill lands in
+// that entered on the old view has finished, the node's descriptors are
+// extracted in NCL eviction order and it detaches, and the spill lands in
 // the parent's d-cache — so the knowledge of what was worth caching
 // survives the departure even though the bytes do not. Reports whether the
-// node was drained; a node whose actor already crashed drains without a
-// spill. ctx bounds the hand-off (the per-request deadline applies too).
-func (c *Cluster) Drain(ctx context.Context, id model.NodeID) bool {
+// node was drained; a node that already crashed drains without a spill.
+// The hand-off is a direct call behind the fence, so nothing in it can
+// block and the context is not consulted.
+func (c *Cluster) Drain(_ context.Context, id model.NodeID) bool {
 	c.mu.Lock()
 	if c.closed || int(id) < 0 || int(id) >= len(c.slots) {
 		c.mu.Unlock()
@@ -732,24 +663,15 @@ func (c *Cluster) Drain(ctx context.Context, id model.NodeID) bool {
 	e := c.guard.Bump()
 	c.guard.WaitBefore(e)
 
-	// Cooperative hand-off on the actor itself (it owns its stores), then
-	// detach. A crashed or saturated actor forfeits the spill — its state
-	// is unreachable, exactly as in a crash.
+	// Cooperative hand-off, then detach. A crashed node forfeits the spill
+	// — its state is unreachable, exactly as in a crash.
 	var snaps []cache.DescriptorSnapshot
 	if n := c.node(id); n != nil && !n.down.Load() {
-		reply := make(chan []cache.DescriptorSnapshot, 1)
-		if c.sendCtl(n, &drainMsg{now: c.cfg.Clock(), reply: reply}) {
-			timeout := c.cfg.RequestTimeout
-			if timeout <= 0 {
-				timeout = 10 * time.Second
-			}
-			t := time.NewTimer(timeout)
-			select {
-			case snaps = <-reply:
-			case <-ctx.Done():
-			case <-t.C:
-			}
-			t.Stop()
+		snaps = n.st.DrainDescriptors(c.cfg.Clock())
+		if n.bodies != nil {
+			// Departing payloads park on disk: a later Admit of this slot
+			// adopts the files and can promote instead of refetching.
+			n.bodies.SpillAll()
 		}
 		n.stop()
 	}
@@ -766,16 +688,10 @@ func (c *Cluster) Drain(ctx context.Context, id model.NodeID) bool {
 		}); ok {
 			if pid := pr.Parent(id); pid != model.NoNode && int(pid) < len(c.slots) {
 				if pn := c.node(pid); pn != nil && !pn.down.Load() {
-					if c.cfg.Fault == nil && !c.cfg.QueuedDataPlane {
-						// Direct data plane: Gets bypass the actor inbox, so
-						// an enqueued absorb would race the very next request
-						// — land the spill before Drain returns instead. The
-						// shard locks make the direct call safe against any
-						// concurrent traffic.
-						pn.st.Absorb(snaps, c.cfg.Clock())
-					} else {
-						c.sendCtl(pn, &absorbMsg{now: c.cfg.Clock(), snaps: snaps})
-					}
+					// Land the spill before Drain returns, so the very next
+					// request already sees it; the shard locks make the call
+					// safe against any concurrent traffic.
+					pn.st.Absorb(snaps, c.cfg.Clock())
 				}
 			}
 		}
@@ -783,8 +699,8 @@ func (c *Cluster) Drain(ctx context.Context, id model.NodeID) bool {
 	return true
 }
 
-// Admit returns a previously drained node to service with a fresh, empty
-// actor (a departed node keeps no state; it warms up again under traffic).
+// Admit returns a previously drained node to service with fresh, empty
+// stores (a departed node keeps no state; it warms up again under traffic).
 // Reports whether the node was admitted — false when it is not currently
 // Removed (use Recover for crashed-but-Active nodes).
 func (c *Cluster) Admit(id model.NodeID) bool {
@@ -797,10 +713,7 @@ func (c *Cluster) Admit(id model.NodeID) bool {
 		return false
 	}
 	if old := c.slots[id].Load(); old == nil || old.down.Load() {
-		n := c.newNode(id)
-		c.slots[id].Store(n)
-		c.wg.Add(1)
-		go n.run(&c.wg)
+		c.slots[id].Store(c.newNode(id))
 	}
 	if nd, ok := c.cfg.Network.(interface {
 		SetNodeEnabled(model.NodeID, bool)
@@ -810,35 +723,9 @@ func (c *Cluster) Admit(id model.NodeID) bool {
 	return true
 }
 
-// sendCtl enqueues a control-plane message (drain hand-off, spill absorb)
-// on an actor's queues without touching the protocol-message counters or
-// the fault injector: reconfiguration is management traffic, not cascade
-// traffic.
-func (c *Cluster) sendCtl(n *node, msg any) bool {
-	select {
-	case n.inbox <- msg:
-		return true
-	default:
-	}
-	n.ovmu.Lock()
-	if n.down.Load() || len(n.overflow) >= c.cfg.OverflowDepth {
-		n.ovmu.Unlock()
-		return false
-	}
-	n.overflow = append(n.overflow, msg)
-	n.ovdepth.Store(int64(len(n.overflow)))
-	n.ovmu.Unlock()
-	select {
-	case n.notify <- struct{}{}:
-	default:
-	}
-	return true
-}
-
-// Fail crashes a node: its actor stops, queued messages are lost, and its
-// cache state is gone (Recover restarts it empty, as a real process
-// restart would). Requests route around it. Reports whether the node was
-// alive.
+// Fail crashes a node: it stops taking protocol steps and its cache state
+// is gone (Recover restarts it empty, as a real process restart would).
+// Requests route around it. Reports whether the node was alive.
 func (c *Cluster) Fail(id model.NodeID) bool {
 	n := c.node(id)
 	if n == nil || !n.stop() {
@@ -865,16 +752,13 @@ func (c *Cluster) Recover(id model.NodeID) bool {
 	if old == nil || !old.down.Load() {
 		return false
 	}
-	n := c.newNode(id)
-	c.slots[id].Store(n)
-	c.wg.Add(1)
-	go n.run(&c.wg)
+	c.slots[id].Store(c.newNode(id))
 	c.recoveries.Add(1)
 	c.flightRecorder(id).Record(flightrec.Event{Time: c.cfg.Clock(), Node: id, Kind: flightrec.KindRecover, Hop: -1})
 	return true
 }
 
-// Failed lists the currently-failed nodes: actors that are down without
+// Failed lists the currently-failed nodes: nodes that are down without
 // having been drained (a Removed node departed on purpose and is not a
 // failure). The slice is sorted ascending and non-nil even when empty, so
 // callers can range and serialize it without nil checks.
@@ -890,11 +774,15 @@ func (c *Cluster) Failed() []model.NodeID {
 }
 
 // Get requests an object on behalf of a client attached at clientNode from
-// the origin server attached at serverNode, blocking until the response
-// arrives, the per-request deadline degrades it to an origin-direct fetch,
-// or ctx is done. Concurrent Gets are safe; per-node state is touched only
-// by the owning actor.
+// the origin server attached at serverNode, running both protocol passes on
+// the calling goroutine. It returns ctx.Err() when ctx is already done on
+// entry or ends while the walk waits out an injected delay; a walk that
+// loses a message to the fault injector degrades to an origin-direct fetch.
+// Concurrent Gets are safe; per-node state is guarded by its shard locks.
 func (c *Cluster) Get(ctx context.Context, clientNode, serverNode model.NodeID, obj model.ObjectID, size int64) (Result, error) {
+	if err := ctx.Err(); err != nil {
+		return Result{}, err
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -930,8 +818,8 @@ func (c *Cluster) Get(ctx context.Context, clientNode, serverNode model.NodeID, 
 	}
 
 	// Route around nodes already known to be down, draining, or probed
-	// unhealthy; hops that fail mid-flight are skipped as they are
-	// discovered (sendFetchUp, sendDeliverDown).
+	// unhealthy; hops that fail mid-flight are skipped as the walk
+	// discovers them (deliver).
 	route, cut := full.Compact(c.routable)
 	if cut.Skipped > 0 {
 		c.routedAround.Add(int64(cut.Skipped))
@@ -946,271 +834,13 @@ func (c *Cluster) Get(ctx context.Context, clientNode, serverNode model.NodeID, 
 		return originDirect(), nil
 	}
 
-	if c.cfg.Fault == nil && !c.cfg.QueuedDataPlane {
-		// Direct data plane: both protocol passes execute synchronously on
-		// this goroutine against the shard locks — no queues, no actor
-		// hand-offs, no deadline (nothing can block). Semantics are
-		// step-for-step those of the queued plane below.
-		return c.directGet(route, cut.Lead*scale, obj, size, scale), nil
-	}
-
-	upCost := make([]float64, len(route.UpCost))
-	for i, v := range route.UpCost {
-		upCost[i] = v * scale
-	}
-
-	reply := make(chan Result, 1)
-	f := &fetchMsg{
-		obj:     obj,
-		size:    size,
-		now:     c.cfg.Clock(),
-		route:   route.Caches,
-		upCost:  upCost,
-		hop:     0,
-		accCost: cut.Lead * scale,
-		floor:   c.casFloor(obj),
-		reply:   reply,
-	}
-	if f.tsp = c.spanTracer.Begin(route.Caches[0], -1, f.now); f.tsp != nil {
-		f.spanParent = f.tsp.Root()
-		f.upSpans = make([]span.SpanID, len(route.Caches))
-	}
-	c.sendFetchUp(f)
-
-	var deadline <-chan time.Time
-	if c.cfg.RequestTimeout > 0 {
-		timer := time.NewTimer(c.cfg.RequestTimeout)
-		defer timer.Stop()
-		deadline = timer.C
-	}
-	select {
-	case r := <-reply:
-		return r, nil
-	case <-ctx.Done():
-		return Result{}, ctx.Err()
-	case <-deadline:
-		// The cascade lost this request's message chain (a crash took
-		// the queue with it, or the injector dropped a message): the
-		// client fetches straight from the origin instead.
+	r, err := c.runWalk(ctx, route, cut.Lead*scale, obj, size, scale)
+	if err == errLost {
+		// The cascade lost this request's message chain: the client
+		// fetches straight from the origin instead.
 		return originDirect(), nil
 	}
-}
-
-// sendTo enqueues a message for a node, consulting the fault injector
-// first. It reports false when the node is unreachable — down, saturated
-// (inbox and overflow full), or crashed by injection — so the caller can
-// route around it. A true return means the message was accepted (or
-// silently lost to an injected drop, which only the request deadline can
-// detect, exactly like a real lossy link).
-func (c *Cluster) sendTo(to model.NodeID, msg any) bool {
-	n := c.node(to)
-	if n == nil || n.down.Load() {
-		return false
-	}
-	if inj := c.cfg.Fault; inj != nil {
-		switch d := inj.Next(int64(to)); d.Action {
-		case fault.ActDrop:
-			c.faultDrops.Add(1)
-			return true
-		case fault.ActCrash:
-			c.Fail(to)
-			return false
-		case fault.ActSaturate:
-			return false
-		case fault.ActDelay:
-			time.AfterFunc(d.Delay, func() { c.enqueueTo(to, msg) })
-			return true
-		}
-	}
-	return c.enqueue(n, msg)
-}
-
-// enqueueTo re-resolves the slot (the node may have crashed or been
-// replaced while the message was delayed) and enqueues best-effort.
-func (c *Cluster) enqueueTo(to model.NodeID, msg any) {
-	if n := c.node(to); n != nil && !n.down.Load() {
-		c.enqueue(n, msg)
-	}
-}
-
-// enqueue places a message in a node's inbox, spilling to the bounded
-// overflow queue when the inbox is full. It never blocks: two nodes
-// saturating each other's queues in opposite directions degrade into
-// visible send failures instead of deadlocking the actors.
-func (c *Cluster) enqueue(n *node, msg any) bool {
-	select {
-	case n.inbox <- msg:
-		c.messages.Add(1)
-		return true
-	default:
-	}
-	// Saturation fast path: a full overflow queue is visible without the
-	// lock, so senders hitting a saturated node route around it instead of
-	// convoying on ovmu (the locked re-check below stays authoritative for
-	// the exact bound).
-	if n.ovdepth.Load() >= int64(c.cfg.OverflowDepth) {
-		return false
-	}
-	n.ovmu.Lock()
-	if n.down.Load() || len(n.overflow) >= c.cfg.OverflowDepth {
-		n.ovmu.Unlock()
-		return false
-	}
-	n.overflow = append(n.overflow, msg)
-	n.ovdepth.Store(int64(len(n.overflow)))
-	n.ovmu.Unlock()
-	c.messages.Add(1)
-	c.overflows.Add(1)
-	c.nodeInst[n.id].overflows.Inc()
-	select {
-	case n.notify <- struct{}{}:
-	default:
-	}
-	return true
-}
-
-// sendFetchUp delivers a request message to the cache at m.hop, skipping
-// hops that are down or saturated: each skipped hop's uplink cost folds
-// into accCost, so the eventual serving node's DP sees the true distance
-// across the gap (the §2.4 tag already tolerates the missing hop record).
-// If no remaining cache is reachable, the origin serves — its decision
-// logic is a deterministic function of the piggybacked data, so it runs
-// right here at the sender.
-func (c *Cluster) sendFetchUp(m *fetchMsg) {
-	for m.hop < len(m.route) {
-		m.sentAt = c.cfg.Clock()
-		if c.sendTo(m.route[m.hop], m) {
-			return
-		}
-		c.routedAround.Add(1)
-		c.nodeInst[m.route[m.hop]].routedAround.Inc()
-		m.accCost += m.upCost[m.hop]
-		m.hop++
-	}
-	hops := len(m.route) - 1
-	if m.upCost[len(m.route)-1] > 0 {
-		hops++ // hierarchy: root–server is a real link
-	}
-	c.decideAndDeliver(m, len(m.route), model.NoNode, m.accCost, hops, c.originGen(m.obj))
-}
-
-// sendDeliverDown delivers a response message to the cache at d.hop,
-// skipping unreachable hops: a dead cache takes no copy and learns no
-// penalty, but its link cost still accumulates into the counter so the
-// next live cache below sees its true distance to the nearest copy. When
-// every remaining hop is unreachable the reply is finished directly.
-func (c *Cluster) sendDeliverDown(d *deliverMsg) {
-	for d.hop >= 0 {
-		d.sentAt = c.cfg.Clock()
-		if c.sendTo(d.route[d.hop], d) {
-			return
-		}
-		c.routedAround.Add(1)
-		c.nodeInst[d.route[d.hop]].routedAround.Inc()
-		d.mp += d.upCost[d.hop]
-		d.hop--
-	}
-	c.finish(d.reply, d.result, d.tsp, d.now)
-}
-
-// decideScratch bundles the buffers one placement decision needs — the
-// rebuilt candidate vector and an engine.Decider with its DP tables —
-// recycled through Cluster.decScratch.
-type decideScratch struct {
-	cands []engine.Candidate
-	dec   engine.Decider
-}
-
-// decide rebuilds the full candidate vector in wire order (client first)
-// and runs the serving point's placement decision (engine.Decide, the §2.2
-// dynamic program): piggybacked records fill their hops; hops that shipped
-// no record — no descriptor, cannot fit, or routed around mid-flight — get
-// the §2.4 tag, whose link cost still feeds deeper candidates' miss
-// penalties. The chosen hop set is appended to buf (so callers may recycle
-// a buffer) and never aliases the decider's scratch.
-func (c *Cluster) decide(m *fetchMsg, servingHop int, servedBy model.NodeID, buf []int) []int {
-	s := c.decScratch.Get().(*decideScratch)
-	if cap(s.cands) < servingHop {
-		s.cands = make([]engine.Candidate, servingHop)
-	}
-	cands := s.cands[:servingHop]
-	for i := range cands {
-		cands[i] = engine.Candidate{Hop: i, Node: m.route[i], Tag: engine.TagNoDescriptor, Link: m.upCost[i]}
-	}
-	for _, e := range m.pb {
-		if e.Hop < servingHop {
-			cands[e.Hop] = e
-		}
-	}
-	opts := engine.DecideOptions{ClampMonotone: true}
-	if c.auditor != nil || c.ledger != nil || c.flight != nil {
-		opts.Audit = c.auditor
-		opts.Ledger = c.ledger
-		opts.Obj = m.obj
-		opts.Now = m.now
-		if servedBy != model.NoNode {
-			opts.Flight = c.flightRecorder(servedBy)
-		}
-	}
-	if m.tsp != nil {
-		opts.Span = m.tsp
-		opts.SpanParent = m.spanParent
-		opts.Now = m.now
-	}
-	chosen := append(buf, s.dec.Decide(cands, opts,
-		engine.ServePoint{Hop: servingHop, Node: servedBy}, nil)...)
-	c.decScratch.Put(s)
-	return chosen
-}
-
-// decideAndDeliver runs the serving node's placement decision
-// (engine.Decide, the §2.2 dynamic program) over the piggybacked
-// candidates and starts the downstream pass. servingHop is the path index
-// of the serving node (len(route) for the origin). It is a deterministic
-// function of the message, so any party may run it — the serving actor in
-// the common case, the last live sender when the top of the cascade is
-// unreachable. gen is the served copy's coherency generation; origin-served
-// responses additionally piggyback the authority's invalidation tail
-// (PSI-style), applied at every live hop on the way down.
-func (c *Cluster) decideAndDeliver(m *fetchMsg, servingHop int, servedBy model.NodeID, cost float64, hops int, gen uint64) {
-	result := Result{ServedBy: servedBy, Cost: cost, Hops: hops, ServedGen: gen}
-	if servingHop == 0 {
-		// Hit at the client's first cache: nothing travels downstream, so
-		// the DP is skipped — but the decide phase still lands in the span
-		// tree (trivially empty, as the other incarnations' engine call
-		// records it), so traces conform across transports. Nil-safe no-op
-		// when tracing is off.
-		dsp := m.tsp.Start(span.PhaseDecide, servedBy, 0, m.spanParent, m.now)
-		m.tsp.End(dsp, m.now)
-		c.finish(m.reply, result, m.tsp, m.now)
-		return
-	}
-
-	// The decider's result aliases its scratch, and the chosen vector
-	// outlives this call (it travels down the actor chain), so copy it out
-	// before recycling the scratch.
-	chosen := c.decide(m, servingHop, servedBy, nil)
-
-	d := &deliverMsg{
-		obj:     m.obj,
-		size:    m.size,
-		now:     m.now,
-		route:   m.route,
-		upCost:  m.upCost,
-		hop:     servingHop - 1,
-		chosen:  chosen,
-		mp:      0,
-		gen:     gen,
-		tsp:     m.tsp,
-		upSpans: m.upSpans,
-		result:  result,
-		reply:   m.reply,
-	}
-	if servedBy == model.NoNode && c.auth != nil && c.cfg.CoherencyMode.Validates() {
-		d.invTail = c.auth.Tail(nil)
-		d.invHead = c.auth.Head()
-	}
-	c.sendDeliverDown(d)
+	return r, err
 }
 
 // Stats returns a snapshot of the cluster-wide counters.
@@ -1220,7 +850,6 @@ func (c *Cluster) Stats() Stats {
 		CacheHits:       c.cacheHits.Value(),
 		Messages:        c.messages.Value(),
 		Inserts:         c.inserts.Value(),
-		Overflows:       c.overflows.Value(),
 		RoutedAround:    c.routedAround.Value(),
 		FaultDrops:      c.faultDrops.Value(),
 		Failures:        c.failures.Value(),
@@ -1237,22 +866,9 @@ type NodeMetrics struct {
 	Node model.NodeID
 	Up   bool
 
-	InboxDepth    int // messages queued in the inbox right now
-	OverflowDepth int // messages spilled to the overflow queue right now
-
-	Overflows    int64 // messages this node absorbed past its inbox
 	RoutedAround int64 // times requests skipped this node (down/saturated)
 	Inserts      int64 // copies this node inserted
 	Evictions    int64 // victims this node evicted to make room
-
-	// Enqueue-to-dispatch latency of the two protocol passes at this
-	// node (seconds, under Config.Clock).
-	UpPassCount   int64
-	UpPassP50     float64
-	UpPassP99     float64
-	DownPassCount int64
-	DownPassP50   float64
-	DownPassP99   float64
 }
 
 // ClusterMetrics pairs the cluster-wide counters with per-node detail.
@@ -1263,43 +879,18 @@ type ClusterMetrics struct {
 
 // MetricsSnapshot captures the cluster-wide counters and every node's
 // operational metrics. It is safe to call concurrently with Gets, Fail and
-// Recover; queue depths are instantaneous reads.
+// Recover.
 func (c *Cluster) MetricsSnapshot() ClusterMetrics {
 	out := ClusterMetrics{Stats: c.Stats(), Nodes: make([]NodeMetrics, len(c.slots))}
 	for i := range c.slots {
 		inst := &c.nodeInst[i]
-		nm := NodeMetrics{
+		out.Nodes[i] = NodeMetrics{
 			Node:         model.NodeID(i),
-			Overflows:    inst.overflows.Value(),
+			Up:           c.aliveNode(model.NodeID(i)),
 			RoutedAround: inst.routedAround.Value(),
 			Inserts:      inst.inserts.Value(),
 			Evictions:    inst.evictions.Value(),
 		}
-		up := inst.upPass.Snapshot()
-		nm.UpPassCount, nm.UpPassP50, nm.UpPassP99 = up.Count(), up.Quantile(0.5), up.Quantile(0.99)
-		down := inst.downPass.Snapshot()
-		nm.DownPassCount, nm.DownPassP50, nm.DownPassP99 = down.Count(), down.Quantile(0.5), down.Quantile(0.99)
-		if n := c.slots[i].Load(); n != nil && !n.down.Load() {
-			nm.Up = true
-			nm.InboxDepth = len(n.inbox)
-			nm.OverflowDepth = int(n.ovdepth.Load())
-		}
-		out.Nodes[i] = nm
 	}
 	return out
-}
-
-// finish delivers a request's reply. The channel is buffered, so a Get
-// that already degraded (deadline) or abandoned (context) never blocks the
-// cascade; its late reply is simply parked for the garbage collector.
-func (c *Cluster) finish(reply chan Result, r Result, tsp *span.Trace, now float64) {
-	if r.ServedBy != model.NoNode {
-		c.cacheHits.Add(1)
-	}
-	c.inserts.Add(int64(len(r.Placed)))
-	if r.Degraded {
-		tsp.Force(span.FlagError)
-	}
-	c.spanTracer.Collect(tsp, now, c.spanRingFor)
-	reply <- r
 }

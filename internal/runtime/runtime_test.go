@@ -136,7 +136,7 @@ func TestClusterGetAfterCloseFails(t *testing.T) {
 }
 
 // TestClusterMatchesSimulationScheme is the cross-validation: a serial
-// request sequence replayed through the message-passing cluster must
+// request sequence replayed through the in-process cluster must
 // produce exactly the same hits and placements as the simulation-oriented
 // scheme.Coordinated implementation.
 func TestClusterMatchesSimulationScheme(t *testing.T) {
@@ -223,7 +223,7 @@ func sortNodes(ns []model.NodeID) {
 	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
 }
 
-// TestClusterConcurrentGets exercises the actor plane under parallel load
+// TestClusterConcurrentGets exercises the data plane under parallel load
 // (run with -race); results must all be well-formed and the cluster must
 // quiesce cleanly.
 func TestClusterConcurrentGets(t *testing.T) {
@@ -402,42 +402,5 @@ func TestClusterMatchesSchemeEnRoute(t *testing.T) {
 		if len(got.Placed) != len(want.Placed) {
 			t.Fatalf("request %d: placements %v vs %v", i, got.Placed, want.Placed)
 		}
-	}
-}
-
-func TestClusterTinyInboxNoDeadlock(t *testing.T) {
-	// Depth-1 inboxes force the overflow path in send(); concurrent
-	// traffic must still complete.
-	net := topology.GenerateTree(topology.TreeConfig{Depth: 3, Fanout: 2, BaseDelay: 1, Growth: 2})
-	c, err := NewCluster(Config{
-		Network:       net,
-		CacheBytes:    1 << 18,
-		DCacheEntries: 100,
-		InboxDepth:    1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	leaves := net.ClientAttachPoints()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < 200; i++ {
-				leaf := leaves[r.Intn(len(leaves))]
-				if _, err := c.Get(context.Background(), leaf, model.NoNode,
-					model.ObjectID(r.Intn(50)), 256); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if st := c.Stats(); st.Requests != 1600 {
-		t.Fatalf("requests = %d", st.Requests)
 	}
 }

@@ -71,7 +71,7 @@ func TestShardedSpillHammer(t *testing.T) {
 	}
 
 	// Membership churn: a drain spills the departing node's payloads to
-	// disk, and the re-admitted actor adopts them.
+	// disk, and the re-admitted node adopts them.
 	churnLeaf := leaves[len(leaves)-1]
 	wg.Add(1)
 	go func() {
