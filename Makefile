@@ -19,9 +19,9 @@ BENCH_OUT  ?= bench_latest.txt
 SLO_THRESHOLD ?= 4.0
 LOADTEST_OUT  ?= loadtest_latest.txt
 
-.PHONY: check vet lint build bench-module test race observe conformance dataplane rolling coherency bench bench-check loadtest slo
+.PHONY: check vet lint build bench-module test race observe fuzz conformance dataplane rolling coherency bench bench-check loadtest slo
 
-check: vet lint build bench-module race observe conformance dataplane rolling coherency bench-check loadtest slo
+check: vet lint build bench-module race observe fuzz conformance dataplane rolling coherency bench-check loadtest slo
 
 # Import guard: the protocol incarnations (scheme, sim, runtime, httpgw)
 # must reach the placement optimizer only through internal/engine, never by
@@ -69,11 +69,18 @@ coherency:
 		-objects 1000 -capacity 2MB -nodes 3 -shards 8 -seed 1 \
 		-write-ratio 0.05
 
-# Observability smoke: boot a real origin → gateway chain, scrape the
-# Prometheus endpoints, round-trip the X-Cascade-Trace debug header
+# Observability smoke: boot a real origin → gateway → edge chain, scrape the
+# Prometheus endpoints, read one request's two passes and their attributes
+# back from the hops' /cascade/debug/spans dumps
 # (driver: cmd/observesmoke; docs/OBSERVABILITY.md documents the series).
 observe:
 	$(GO) run ./cmd/observesmoke -go $(GO)
+
+# Fuzz smoke: ten seconds of coverage-guided input against the one binary
+# frame decoder — it must never panic, and must accept only frames that
+# re-encode to the bytes they were decoded from.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/httpgw/
 
 vet:
 	$(GO) vet ./...

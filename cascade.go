@@ -58,7 +58,6 @@ import (
 	"cascade/internal/httpgw"
 	"cascade/internal/metrics"
 	"cascade/internal/model"
-	"cascade/internal/reqtrace"
 	"cascade/internal/runtime"
 	"cascade/internal/scheme"
 	"cascade/internal/sim"
@@ -139,7 +138,7 @@ const (
 // over piggybacked candidates, in wire order) and returns the chosen hop
 // indices, ascending.
 func DecidePlacement(cands []EngineCandidate, opts EngineDecideOptions, at EngineServePoint) []int {
-	return engine.Decide(cands, opts, at, nil)
+	return engine.Decide(cands, opts, at)
 }
 
 // Caching schemes (paper §2.3 and §3.3).
@@ -468,7 +467,7 @@ type (
 // hops.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return runtime.NewCluster(cfg) }
 
-// Observability: metrics export and request tracing (docs/OBSERVABILITY.md).
+// Observability: metrics export (docs/OBSERVABILITY.md).
 type (
 	// MetricsRegistry renders registered instruments in the Prometheus
 	// text exposition format. Cluster.Metrics and HTTPCacheNode expose
@@ -482,30 +481,10 @@ type (
 	ClusterMetrics = runtime.ClusterMetrics
 	// ClusterNodeMetrics is one runtime node's operational accounting.
 	ClusterNodeMetrics = runtime.NodeMetrics
-
-	// RequestTrace is the hop-by-hop record of one sampled request: the
-	// upward pass with piggybacked (f, m, l) descriptors, the DP decision,
-	// and the downward pass with placements and miss-penalty resets.
-	RequestTrace = reqtrace.Trace
-	// TraceEvent is one protocol step of a traced request.
-	TraceEvent = reqtrace.Event
-	// TraceSampler selects requests for tracing (Coordinated.SetTracer).
-	TraceSampler = reqtrace.Sampler
 )
 
 // NewMetricsRegistry returns an empty Prometheus-text-format registry.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
-
-// NewTraceSampler traces every stride-th request, capturing at most max
-// traces; attach it with Coordinated.SetTracer.
-func NewTraceSampler(stride int64, max int) *TraceSampler { return reqtrace.NewSampler(stride, max) }
-
-// SampleRequestTraces replays the configured workload through coordinated
-// caching at one relative cache size and returns up to n request traces
-// sampled evenly across the run (cascadesim -trace-requests).
-func SampleRequestTraces(arch Architecture, cfg ExperimentConfig, size float64, n int) ([]*RequestTrace, error) {
-	return experiment.SampleTraces(arch, cfg, size, n)
-}
 
 // Protocol flight recorder, online invariant auditing and predicted-vs-
 // realized cost accounting (docs/OBSERVABILITY.md).
@@ -643,9 +622,6 @@ const (
 	// HTTPHeaderDegraded marks responses served outside the protocol
 	// while the upstream chain was unreachable.
 	HTTPHeaderDegraded = httpgw.HeaderDegraded
-	// HTTPHeaderTrace is the opt-in debug header: send any value to
-	// receive a JSON event log of both protocol passes in the response.
-	HTTPHeaderTrace = httpgw.HeaderTrace
 	// HTTPHeaderPredict carries the decision's predicted Δcost term per
 	// chosen node downstream, so each placing node can book its own cost
 	// ledger claim at apply time.
@@ -653,8 +629,7 @@ const (
 	// HTTPHeaderFrame carries the binary wire frame that replaces the
 	// textual Path/Place/Predict headers between binary-capable hops.
 	HTTPHeaderFrame = httpgw.HeaderFrame
-	// HTTPHeaderAccept advertises binary-frame support ("bf1"/"bf2") per
-	// hop.
+	// HTTPHeaderAccept advertises binary-frame support per hop.
 	HTTPHeaderAccept = httpgw.HeaderAccept
 	// HTTPHeaderGen carries a coherency generation: a CAS read floor on
 	// requests, the served copy's generation on responses.

@@ -14,8 +14,7 @@
 //	cascadesim -exp figs -csv out/ -svg figs/ -html report.html
 //	cascadesim -exp figs -baseline golden/  # regression drift detection
 //	cascadesim -exp fig6a -replicate 5      # mean ± stdev over seeds
-//	cascadesim -trace-requests 5            # dump 5 hop-by-hop protocol traces as JSON
-//	cascadesim -span-dump 256 -span-sample 0.1  # dump per-node protocol-phase span rings as JSON
+//	cascadesim -span-dump 256 -span-sample 0.1  # dump per-node span rings (both passes, with f/l/tag, Δcost, penalty attributes) as JSON
 //
 // The workload is synthetic (see DESIGN.md for the substitution rationale)
 // unless -trace FILE replays a recorded trace in the cascade text format.
@@ -74,7 +73,6 @@ func run() error {
 		seed     = flag.Int64("seed", 1, "master seed (workload, topology, attachment)")
 
 		traceFile = flag.String("trace", "", "replay a recorded trace file instead of the synthetic workload")
-		traceReqs = flag.Int("trace-requests", 0, "dump N sampled per-request protocol traces as JSON (COORD scheme, first -arch and -sizes values) and exit")
 		flightCap = flag.Int("flight-dump", 0, "replay with per-node flight recorders of capacity N, dump every node's ring as JSON (COORD scheme, first -arch and -sizes values) and exit")
 		spanCap    = flag.Int("span-dump", 0, "replay with cascade-wide span tracing and per-node span rings of capacity N, dump every node's ring as JSON (COORD scheme, first -arch and -sizes values) and exit")
 		spanSample = flag.Float64("span-sample", 1, "span-dump: tail-sampling rate in [0,1] for unremarkable traces (error/stale/slow traces are always kept)")
@@ -217,22 +215,6 @@ func run() error {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(snaps)
-	}
-
-	if *traceReqs > 0 {
-		// Trace-dump mode: replay the workload once through the coordinated
-		// scheme, sample N requests and emit their hop-by-hop protocol
-		// traces (both passes; see docs/OBSERVABILITY.md) as a JSON array.
-		a, size := archs[0], sizeList[0]
-		traces, err := cascade.SampleRequestTraces(a, cfg, size, *traceReqs)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "sampled %d request traces (%s, COORD, cache size %.3g)\n",
-			len(traces), a, size)
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(traces)
 	}
 
 	wantTable1, wantRadius, wantDCache, wantOverhead, wantFreshness := false, false, false, false, false

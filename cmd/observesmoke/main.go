@@ -1,15 +1,16 @@
 // Command observesmoke is the `make observe` driver: it builds cascadegw,
-// boots an origin → gateway chain on ephemeral ports with the -metrics
-// listener enabled, issues a few requests, and asserts that the Prometheus
-// scrape carries the key gateway series — including every
+// boots an origin → gateway → edge gateway chain on ephemeral ports with the
+// -metrics listener enabled, issues a few requests, and asserts that the
+// Prometheus scrape carries the key gateway series — including every
 // cascade_audit_*_total invariant series at zero violations on this clean
 // run, and the cascade_ledger_* accounting series — that the
 // /cascade/debug/flight endpoint dumps the protocol flight recorder,
 // that the origin's decision-side auditor reports checks with
-// zero violations on its own /cascade/metrics, and that the
-// X-Cascade-Trace debug header round-trips a JSON event log of both
-// protocol passes. Exit status 0 means the observability surface of the
-// deployed binary works end to end.
+// zero violations on its own /cascade/metrics, and that one request's span
+// trace, stitched from two hops' /cascade/debug/spans dumps, carries both
+// protocol passes with their attributes (f on the up span, the chosen count
+// on the decide span, the placement on the down span). Exit status 0 means
+// the observability surface of the deployed binary works end to end.
 package main
 
 import (
@@ -28,7 +29,6 @@ import (
 
 	"cascade/internal/audit"
 	"cascade/internal/flightrec"
-	"cascade/internal/reqtrace"
 	"cascade/internal/span"
 )
 
@@ -70,6 +70,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	edgeAddr, err := freeAddr()
+	if err != nil {
+		return err
+	}
 
 	logs := io.Discard
 	if *keepLogs {
@@ -89,8 +93,19 @@ func run() error {
 		return err
 	}
 	defer stop(gw)
+	// A second hop below the gateway, driven only by the span check at the
+	// end: a decide span with candidates needs a cache serving a request
+	// that climbed through another cache.
+	edge, err := start(bin, logs,
+		"-listen", edgeAddr, "-upstream", "http://"+gwAddr,
+		"-id", "1", "-capacity", "1MB",
+		"-coherency", "cas", "-spans", "1", "-span-capacity", "128")
+	if err != nil {
+		return err
+	}
+	defer stop(edge)
 
-	for _, addr := range []string{originAddr, gwAddr, metricsAddr} {
+	for _, addr := range []string{originAddr, gwAddr, metricsAddr, edgeAddr} {
 		if err := waitListening(addr, 5*time.Second); err != nil {
 			return err
 		}
@@ -145,7 +160,6 @@ func run() error {
 			`cascade_gw_breaker_state{node="0",upstream="`,
 			`cascade_gw_cache_used_bytes{node="0"}`,
 			`cascade_gw_dcache_descriptors{node="0"}`,
-			`cascade_gw_trace_truncations_total{node="0"}`,
 			`cascade_gw_request_seconds{node="0",quantile="0.99"}`,
 			`cascade_gw_request_seconds_bucket{node="0",le="+Inf"}`,
 			`cascade_gw_request_seconds_count{node="0"}`,
@@ -218,7 +232,7 @@ func run() error {
 	} else if v < 1 {
 		return fmt.Errorf(`cascade_coherency_invalidations_total{node="0"} = %g, want >= 1 after the admin write`, v)
 	}
-	for _, kind := range []string{"gen", "inval"} {
+	for _, kind := range []string{"gen", "inval", "path"} {
 		found := false
 		for _, line := range strings.Split(gwBody, "\n") {
 			if strings.HasPrefix(line, "cascade_gw_bad_header_total") && strings.Contains(line, `header="`+kind+`"`) {
@@ -330,35 +344,57 @@ func run() error {
 	fmt.Printf("observesmoke: span ring retains %d spans across %d traces (%d phases, parents intact)\n",
 		len(spanSnap.Spans), len(ids), len(spanPhases))
 
-	// The trace header must round-trip a JSON event log showing the
-	// upward pass and the placement decision.
-	req, err := http.NewRequest(http.MethodGet, "http://"+gwAddr+"/objects/42", nil)
-	if err != nil {
-		return err
+	// One request's life from one trace: fetch the warm object through the
+	// edge twice. The first pass leaves a descriptor at the edge; on the
+	// refetch the edge piggybacks a real (f, l) record, the gateway — which
+	// holds the copy — runs the DP over it and chooses the edge, and the
+	// edge places. All three steps must be readable, with their inputs and
+	// outputs, from the two hops' span dumps under one trace ID.
+	for i := 0; i < 2; i++ {
+		resp, err := http.Get("http://" + edgeAddr + "/objects/7")
+		if err != nil {
+			return fmt.Errorf("GET objects/7 via edge: %w", err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
 	}
-	req.Header.Set("X-Cascade-Trace", "1")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
+	var edgeSnap, gwSnap span.Snapshot
+	for url, snap := range map[string]*span.Snapshot{
+		"http://" + edgeAddr + "/cascade/debug/spans": &edgeSnap,
+		"http://" + gwAddr + "/cascade/debug/spans":   &gwSnap,
+	} {
+		body, err := fetch(url)
+		if err != nil {
+			return err
+		}
+		if err := json.Unmarshal([]byte(body), snap); err != nil {
+			return fmt.Errorf("%s is not a JSON snapshot: %w\n%s", url, err, body)
+		}
 	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()
-	hdr := resp.Header.Get("X-Cascade-Trace")
-	if hdr == "" {
-		return fmt.Errorf("no X-Cascade-Trace header in traced response")
+	decided := map[span.TraceID]span.Span{}
+	for _, s := range gwSnap.Spans {
+		if s.Phase == span.PhaseDecide && s.N >= 1 {
+			decided[s.Trace] = s
+		}
 	}
-	var events []reqtrace.Event
-	if err := json.Unmarshal([]byte(hdr), &events); err != nil {
-		return fmt.Errorf("trace header is not a JSON event array: %w\n%s", err, hdr)
+	var up, down span.Span
+	for _, s := range edgeSnap.Spans {
+		if _, ok := decided[s.Trace]; !ok {
+			continue
+		}
+		switch {
+		case s.Phase == span.PhaseUp && s.A > 0:
+			up = s
+		case s.Phase == span.PhaseDown && s.N == span.DownPlaced:
+			down = s
+		}
 	}
-	phases := map[string]bool{}
-	for _, e := range events {
-		phases[e.Phase] = true
+	if up.ID == 0 || down.ID == 0 || up.Trace != down.Trace {
+		return fmt.Errorf("no trace joins an edge up span with f > 0, a gateway decide span with a chosen count and an edge placement\nedge: %+v\ngateway: %+v", edgeSnap.Spans, gwSnap.Spans)
 	}
-	if !phases[reqtrace.PhaseUp] || !phases[reqtrace.PhaseDecide] {
-		return fmt.Errorf("trace lacks up/decide phases: %s", hdr)
-	}
-	fmt.Printf("observesmoke: trace header carries %d events across %d phases\n", len(events), len(phases))
+	dec := decided[up.Trace]
+	fmt.Printf("observesmoke: trace %s reads up(f=%.3g l=%.3g) → decide(Δcost=%.3g chosen=%d) → down(penalty=%.3g placed) across two hops\n",
+		up.Trace, up.A, up.B, dec.A, dec.N, down.A)
 	return nil
 }
 

@@ -27,7 +27,7 @@ import (
 // authority, every node runs a CAS-strict view. EnableCoherency is called
 // before the httptest server starts accepting, honouring the set-before-
 // serving contract. binary pre-learns frame negotiation on every hop so the
-// chain speaks v2 frames from the first request; otherwise framing is
+// chain speaks frames from the first request; otherwise framing is
 // disabled and everything travels as textual headers.
 func coherencyChain(t *testing.T, upCost []float64, capacity int64, dEntries, objSize int, clock func() float64, binary bool) (string, []*httpgw.Node, *httpgw.Origin) {
 	t.Helper()

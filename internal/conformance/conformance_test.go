@@ -521,7 +521,7 @@ func TestFramingEncodingsConform(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			probe.Header.Set(httpgw.HeaderAccept, httpgw.FrameV1)
+			probe.Header.Set(httpgw.HeaderAccept, httpgw.FrameToken)
 			resp, err := client.Do(probe)
 			if err != nil {
 				t.Fatal(err)
@@ -541,7 +541,7 @@ func TestFramingEncodingsConform(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			probe2.Header.Set(httpgw.HeaderAccept, httpgw.FrameV1)
+			probe2.Header.Set(httpgw.HeaderAccept, httpgw.FrameToken)
 			resp, err = client.Do(probe2)
 			if err != nil {
 				t.Fatal(err)

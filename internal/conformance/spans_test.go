@@ -27,11 +27,14 @@ func protocolPhase(p span.Phase) bool {
 }
 
 // canonicalTree reduces one trace's span set to a transport-independent
-// form: each protocol-phase span rendered as "phase@node/hop<-parent",
-// where parent is the nearest protocol-phase ancestor ("root" when the
-// chain tops out at the request span), the lines sorted and joined. Two
-// incarnations emitted the same protocol tree for a request iff the
-// canonical forms are equal.
+// form: each protocol-phase span rendered as
+// "phase@node/hop[a,b,n]<-parent" — its three attributes included, floats
+// in their shortest exact form, so equal strings mean equal bits — where
+// parent is the nearest protocol-phase ancestor ("root" when the chain tops
+// out at the request span), the lines sorted and joined. Two incarnations
+// emitted the same protocol tree, with the same piggybacked records, DP
+// outputs and penalty counters, for a request iff the canonical forms are
+// equal.
 func canonicalTree(spans []span.Span) (string, error) {
 	byID := make(map[span.SpanID]span.Span, len(spans))
 	for _, s := range spans {
@@ -63,7 +66,7 @@ func canonicalTree(spans []span.Span) (string, error) {
 			}
 			pid = p.Parent
 		}
-		parts = append(parts, label(s)+"<-"+parent)
+		parts = append(parts, fmt.Sprintf("%s[%v,%v,%d]<-%s", label(s), s.A, s.B, s.N, parent))
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, ";"), nil
@@ -122,10 +125,14 @@ func canonicalForms(t *testing.T, incarnation string, traces map[span.TraceID][]
 // TestSpanTreesConform replays one trace through all three incarnations
 // with span tracing at rate 1 and requires that every request produce the
 // same protocol-phase span tree (lookup→up→decide→down per hop, identical
-// nodes, hops and parent links) in the simulator scheme, the cluster and
-// the live gateway chain — plus one unique trace ID per request and no
-// dangling parents anywhere. Run under -race (make conformance): the
-// gateway's HTTP handlers are concurrent even for a serial request stream.
+// nodes, hops and parent links) carrying the same attributes — f, l and the
+// §2.4 tag on every up span, predicted Δcost and chosen count on every
+// decide span, the observed miss-penalty counter, victim count and outcome
+// on every down span — in the simulator scheme, the cluster and two live
+// gateway chains, one speaking only text and one only frames — plus one
+// unique trace ID per request and no dangling parents anywhere. Run under
+// -race (make conformance): the gateway's HTTP handlers are concurrent even
+// for a serial request stream.
 //
 // The origin's decide span is outside the comparison by construction on
 // every incarnation: the gateway origin carries no tracer, and the
@@ -189,10 +196,18 @@ func TestSpanTreesConform(t *testing.T) {
 			}
 			defer cluster.Close()
 
-			// Incarnation 3: the HTTP gateway chain, every hop tracing.
-			base, gwNodes, _, closeChain := closableGatewayChain(t, tc.upCost, capacity, dEntries, objSize, clk.Now)
-			for _, n := range gwNodes {
-				n.EnableSpans(span.Policy{Rate: 1}, ringCap)
+			// Incarnation 3: the HTTP gateway chain, every hop tracing —
+			// once pinned to the textual headers and once speaking frames
+			// from the first exchange, so the span context and every
+			// attribute's source value cross the wire in both encodings.
+			textBase, textNodes, textOrigin, closeText := closableGatewayChain(t, tc.upCost, capacity, dEntries, objSize, clk.Now)
+			textOrigin.DisableBinaryFraming = true
+			binBase, binNodes, _, closeBin := closableGatewayChain(t, tc.upCost, capacity, dEntries, objSize, clk.Now)
+			for i := range tc.upCost {
+				textNodes[i].DisableBinaryFraming = true
+				textNodes[i].EnableSpans(span.Policy{Rate: 1}, ringCap)
+				binNodes[i].SetBinaryUpstream()
+				binNodes[i].EnableSpans(span.Policy{Rate: 1}, ringCap)
 			}
 			client := &http.Client{}
 
@@ -209,25 +224,29 @@ func TestSpanTreesConform(t *testing.T) {
 				if _, err := cluster.Get(ctx, 0, model.NoNode, req.Object, req.Size); err != nil {
 					t.Fatal(err)
 				}
-				gatewayGet(t, client, base, req.Object)
+				gatewayGet(t, client, textBase, req.Object)
+				gatewayGet(t, client, binBase, req.Object)
 			}
 
 			// A hop emits its root span from a deferred tracer.Collect that
 			// can run after the client already holds the body: wait for
 			// every handler to return before reading the rings.
-			closeChain()
+			closeText()
+			closeBin()
 
 			// Harvest every node's ring per incarnation and stitch by
 			// trace ID — exactly how an operator reassembles a
 			// distributed trace from /cascade/debug/spans dumps.
 			simSnaps := make([]span.Snapshot, 0, len(tc.upCost))
 			clSnaps := make([]span.Snapshot, 0, len(tc.upCost))
-			gwSnaps := make([]span.Snapshot, 0, len(tc.upCost))
+			textSnaps := make([]span.Snapshot, 0, len(tc.upCost))
+			binSnaps := make([]span.Snapshot, 0, len(tc.upCost))
 			for i := range tc.upCost {
 				id := model.NodeID(i)
 				simSnaps = append(simSnaps, sch.SpanRing(id).TakeSnapshot(id))
 				clSnaps = append(clSnaps, cluster.DumpSpans(id))
-				gwSnaps = append(gwSnaps, gwNodes[i].DumpSpans())
+				textSnaps = append(textSnaps, textNodes[i].DumpSpans())
+				binSnaps = append(binSnaps, binNodes[i].DumpSpans())
 			}
 			incarnations := []struct {
 				name   string
@@ -235,7 +254,8 @@ func TestSpanTreesConform(t *testing.T) {
 			}{
 				{name: "sim", traces: gatherTraces(t, "sim", simSnaps)},
 				{name: "cluster", traces: gatherTraces(t, "cluster", clSnaps)},
-				{name: "gateway", traces: gatherTraces(t, "gateway", gwSnaps)},
+				{name: "gateway-text", traces: gatherTraces(t, "gateway-text", textSnaps)},
+				{name: "gateway-binary", traces: gatherTraces(t, "gateway-binary", binSnaps)},
 			}
 
 			// One unique trace per request: rate-1 tail sampling retains
@@ -256,6 +276,23 @@ func TestSpanTreesConform(t *testing.T) {
 			}
 			if decides == 0 || downs == 0 {
 				t.Fatalf("vacuous workload: %d cache-served decide spans, %d down spans", decides, downs)
+			}
+			candidates, choosing, placements := 0, 0, 0
+			for _, spans := range incarnations[0].traces {
+				for _, s := range spans {
+					switch {
+					case s.Phase == span.PhaseUp && s.A > 0:
+						candidates++
+					case s.Phase == span.PhaseDecide && s.N > 0 && s.A > 0:
+						choosing++
+					case s.Phase == span.PhaseDown && s.N == span.DownPlaced:
+						placements++
+					}
+				}
+			}
+			if candidates == 0 || choosing == 0 || placements == 0 {
+				t.Fatalf("vacuous attributes: %d up spans with f > 0, %d decide spans choosing a cache, %d placing down spans",
+					candidates, choosing, placements)
 			}
 			freq := func(forms []string) map[string]int {
 				m := map[string]int{}
@@ -282,8 +319,8 @@ func TestSpanTreesConform(t *testing.T) {
 			if t.Failed() {
 				t.FailNow()
 			}
-			t.Logf("%s: %d requests produced identical protocol span trees across all three incarnations (%d hit-served decides, %d down steps)",
-				tc.name, nreq, decides, downs)
+			t.Logf("%s: %d requests produced identical protocol span trees and attributes across all three incarnations (%d hit-served decides, %d of them choosing a cache; %d down steps, %d placing; %d up records with f > 0)",
+				tc.name, nreq, decides, choosing, downs, placements, candidates)
 		})
 	}
 }

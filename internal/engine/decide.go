@@ -5,7 +5,6 @@ import (
 	"cascade/internal/core"
 	"cascade/internal/flightrec"
 	"cascade/internal/model"
-	"cascade/internal/reqtrace"
 	"cascade/internal/span"
 )
 
@@ -38,7 +37,8 @@ type DecideOptions struct {
 	Now float64
 
 	// Span optionally records a PhaseDecide span covering the DP, parented
-	// on SpanParent. Every incarnation routes its decide through here, so
+	// on SpanParent and annotated with the DP's output (predicted Δcost,
+	// caches chosen). Every incarnation routes its decide through here, so
 	// the decide phase lands in the span tree uniformly. Nil disables.
 	Span       *span.Trace
 	SpanParent span.SpanID
@@ -46,7 +46,7 @@ type DecideOptions struct {
 
 // ServePoint identifies where the decision runs: the serving hop and node
 // (Node is model.NoNode when the origin serves). It only feeds diagnostics
-// and the ActDecision trace event.
+// and the decide span.
 type ServePoint struct {
 	Hop  int
 	Node model.NodeID
@@ -76,20 +76,12 @@ type Decider struct {
 // DP, and returns the chosen hops in ascending order (toward the client
 // last). The returned slice aliases the Decider's scratch buffer and is
 // valid until the next Decide call.
-//
-// When tr is non-nil the decision is traced: one event per hop record in
-// wire order (piggyback, no-descriptor tag, or exclusion), then the
-// ActDecision event with an independently owned copy of the chosen hops.
-func (d *Decider) Decide(cands []Candidate, opts DecideOptions, at ServePoint, tr *reqtrace.Trace) []int {
+func (d *Decider) Decide(cands []Candidate, opts DecideOptions, at ServePoint) []int {
 	dsp := opts.Span.Start(span.PhaseDecide, at.Node, at.Hop, opts.SpanParent, opts.Now)
 	defer opts.Span.End(dsp, opts.Now)
 	d.prob = d.prob[:0]
 	d.hops = d.hops[:0]
 	d.nodes = d.nodes[:0]
-	pbMark := 0
-	if tr != nil {
-		pbMark = len(tr.Events)
-	}
 	// Walk serving-node→client (descending hop) so the miss penalty m
 	// accumulates link by link, matching the DP's input order (paper index
 	// 1 … n counts away from the serving node).
@@ -99,37 +91,16 @@ func (d *Decider) Decide(cands []Candidate, opts DecideOptions, at ServePoint, t
 		m += c.Link
 		switch c.Tag {
 		case TagNoDescriptor:
-			if tr != nil {
-				tr.Add(reqtrace.Event{Phase: reqtrace.PhaseUp, Hop: c.Hop, Node: int(c.Node), Action: reqtrace.ActNoDescriptor})
-			}
 			continue // §2.4 tag: excluded from candidates
 		case TagCannotFit:
-			if tr != nil {
-				tr.Add(reqtrace.Event{Phase: reqtrace.PhaseUp, Hop: c.Hop, Node: int(c.Node), Action: reqtrace.ActExcluded, MissPenalty: m})
-			}
 			continue // object cannot fit in this cache
 		}
 		if opts.Theorem2Prune && c.Freq*m < c.CostLoss {
-			if tr != nil {
-				tr.Add(reqtrace.Event{Phase: reqtrace.PhaseUp, Hop: c.Hop, Node: int(c.Node), Action: reqtrace.ActExcluded, Freq: c.Freq, CostLoss: c.CostLoss, MissPenalty: m})
-			}
 			continue // Theorem 2: never part of an optimal placement
-		}
-		if tr != nil {
-			tr.Add(reqtrace.Event{Phase: reqtrace.PhaseUp, Hop: c.Hop, Node: int(c.Node), Action: reqtrace.ActPiggyback, Freq: c.Freq, CostLoss: c.CostLoss, MissPenalty: m})
 		}
 		d.prob = append(d.prob, core.Node{Freq: c.Freq, MissPenalty: m, CostLoss: c.CostLoss})
 		d.hops = append(d.hops, c.Hop)
 		d.nodes = append(d.nodes, c.Node)
-	}
-	if tr != nil {
-		// The scan ran serving-node→client for the penalty accumulation,
-		// but the records physically attach client→origin during the
-		// upward pass: reverse so the trace reads in wire order.
-		evs := tr.Events[pbMark:]
-		for l, r := 0, len(evs)-1; l < r; l, r = l+1, r-1 {
-			evs[l], evs[r] = evs[r], evs[l]
-		}
 	}
 
 	problem := d.prob
@@ -137,6 +108,7 @@ func (d *Decider) Decide(cands []Candidate, opts DecideOptions, at ServePoint, t
 		problem = d.opt.ClampMonotone(problem)
 	}
 	pl := d.opt.Optimize(problem)
+	opts.Span.Annotate(dsp, pl.Gain, 0, len(pl.Indices))
 
 	if opts.Audit != nil || opts.Ledger != nil {
 		// Verify and account the decision against the values the DP
@@ -170,15 +142,6 @@ func (d *Decider) Decide(cands []Candidate, opts DecideOptions, at ServePoint, t
 	for i := len(pl.Indices) - 1; i >= 0; i-- {
 		d.chosen = append(d.chosen, d.hops[pl.Indices[i]])
 	}
-	if tr != nil {
-		tr.Add(reqtrace.Event{
-			Phase:  reqtrace.PhaseDecide,
-			Hop:    at.Hop,
-			Node:   int(at.Node),
-			Action: reqtrace.ActDecision,
-			Chosen: append([]int(nil), d.chosen...),
-		})
-	}
 	return d.chosen
 }
 
@@ -186,7 +149,7 @@ func (d *Decider) Decide(cands []Candidate, opts DecideOptions, at ServePoint, t
 // concurrent transports (the runtime cluster and the HTTP gateway spawn
 // decisions from many goroutines): fresh scratch per call, independently
 // owned result.
-func Decide(cands []Candidate, opts DecideOptions, at ServePoint, tr *reqtrace.Trace) []int {
+func Decide(cands []Candidate, opts DecideOptions, at ServePoint) []int {
 	var d Decider
-	return d.Decide(cands, opts, at, tr)
+	return d.Decide(cands, opts, at)
 }

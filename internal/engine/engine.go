@@ -25,9 +25,14 @@
 // (cmd/importguard enforces this); every placement decision flows through
 // this package so the three transports cannot re-diverge.
 //
-// Hot-path contract: none of the per-request methods allocate when tracing
-// is off and the caller supplies reusable scratch (the replay simulator
-// runs at 0 allocs/op). Methods are not safe for concurrent use on the
+// Tracing: the engine takes no per-request trace handle. Decide owns the
+// decide span (DecideOptions.Span) and annotates it with the DP's output;
+// the up and down spans belong to the incarnations, which annotate them from
+// what UpMiss and DownStep return (span.Span documents the attributes).
+//
+// Hot-path contract: none of the per-request methods allocate when span
+// tracing is off and the caller supplies reusable scratch (the replay
+// simulator runs at 0 allocs/op). Methods are not safe for concurrent use on the
 // same NodeState/Decider; concurrent transports shard state per node and
 // use the allocating Decide wrapper.
 package engine
@@ -40,7 +45,6 @@ import (
 	"cascade/internal/flightrec"
 	"cascade/internal/freq"
 	"cascade/internal/model"
-	"cascade/internal/reqtrace"
 )
 
 // Tag classifies a hop's upstream record.
@@ -65,8 +69,8 @@ const (
 
 // Candidate is one hop's serializable upstream record: everything the
 // request message piggybacks at a cache it passes. Transports encode it as
-// they see fit — the scheme keeps a slice, the runtime ships it inside
-// fetchMsg, the gateway renders it as an X-Cascade-Path header entry.
+// they see fit — the scheme and the cluster's walk keep a slice, the gateway
+// renders it as an X-Cascade-Path header entry or a path-frame record.
 type Candidate struct {
 	// Hop is the transport's hop index for this record, ascending from
 	// the requesting cache (0) toward the serving node. Transports that
@@ -143,11 +147,8 @@ func (st *NodeState) Lookup(obj model.ObjectID, now float64) bool {
 // otherwise the §2.4 tag. size may be 0 when the transport does not know
 // the object's size on the way up (the HTTP gateway); the descriptor's
 // recorded size is used instead.
-func (st *NodeState) UpMiss(obj model.ObjectID, size int64, hop int, link float64, now float64, tr *reqtrace.Trace) Candidate {
+func (st *NodeState) UpMiss(obj model.ObjectID, size int64, hop int, link float64, now float64) Candidate {
 	st.DCache.RecordAccess(obj, now)
-	if tr != nil {
-		tr.Add(reqtrace.Event{Phase: reqtrace.PhaseUp, Hop: hop, Node: int(st.Node), Action: reqtrace.ActMiss})
-	}
 	c := Candidate{Hop: hop, Node: st.Node, Tag: TagNoDescriptor, Link: link}
 	if d := st.DCache.Get(obj); d != nil {
 		if size <= 0 {
@@ -173,20 +174,6 @@ func (st *NodeState) UpMiss(obj model.ObjectID, size int64, hop int, link float6
 		st.Flight.Record(flightrec.Event{Time: now, Node: st.Node, Kind: kind, Obj: obj, Hop: hop, A: c.Freq, B: c.CostLoss})
 	}
 	return c
-}
-
-// TraceServe records the upstream pass's terminal event: a cache hit at
-// (hop, node), or — when node is model.NoNode — service by the origin.
-// Safe to call with a nil trace.
-func TraceServe(tr *reqtrace.Trace, hop int, node model.NodeID) {
-	if tr == nil {
-		return
-	}
-	if node == model.NoNode {
-		tr.Add(reqtrace.Event{Phase: reqtrace.PhaseUp, Hop: hop, Node: -1, Action: reqtrace.ActServeOrigin})
-		return
-	}
-	tr.Add(reqtrace.Event{Phase: reqtrace.PhaseUp, Hop: hop, Node: int(node), Action: reqtrace.ActHit})
 }
 
 // DownResult reports one downstream step's effect.
@@ -217,7 +204,7 @@ type DownResult struct {
 // node's floor is rejected (CAS conflict — the body was invalidated while
 // in flight). Otherwise the node records the passing counter in the
 // object's d-cache descriptor, creating one if needed.
-func (st *NodeState) DownStep(obj model.ObjectID, size int64, place bool, mp float64, gen uint64, hop int, now float64, tr *reqtrace.Trace) DownResult {
+func (st *NodeState) DownStep(obj model.ObjectID, size int64, place bool, mp float64, gen uint64, hop int, now float64) DownResult {
 	if place {
 		if st.Coh != nil && st.Coh.Mode().Validates() && gen < st.Coh.Floor(obj) {
 			// The copy was invalidated while the response was in flight;
@@ -228,9 +215,6 @@ func (st *NodeState) DownStep(obj model.ObjectID, size int64, place bool, mp flo
 			}
 			if st.Flight != nil {
 				st.Flight.Record(flightrec.Event{Time: now, Node: st.Node, Kind: flightrec.KindPlaceFailed, Obj: obj, Hop: hop, A: mp})
-			}
-			if tr != nil {
-				tr.Add(reqtrace.Event{Phase: reqtrace.PhaseDown, Hop: hop, Node: int(st.Node), Action: reqtrace.ActPlaceFailed, MissPenalty: mp})
 			}
 			return DownResult{MP: mp, PlaceFailed: true}
 		}
@@ -251,9 +235,6 @@ func (st *NodeState) DownStep(obj model.ObjectID, size int64, place bool, mp flo
 			}
 			if st.Flight != nil {
 				st.Flight.Record(flightrec.Event{Time: now, Node: st.Node, Kind: flightrec.KindPlaceFailed, Obj: obj, Hop: hop, A: mp})
-			}
-			if tr != nil {
-				tr.Add(reqtrace.Event{Phase: reqtrace.PhaseDown, Hop: hop, Node: int(st.Node), Action: reqtrace.ActPlaceFailed, MissPenalty: mp})
 			}
 			return DownResult{MP: mp, PlaceFailed: true}
 		}
@@ -291,9 +272,6 @@ func (st *NodeState) DownStep(obj model.ObjectID, size int64, place bool, mp flo
 		if st.Coh != nil {
 			st.Coh.RecordFetch(obj, now)
 		}
-		if tr != nil {
-			tr.Add(reqtrace.Event{Phase: reqtrace.PhaseDown, Hop: hop, Node: int(st.Node), Action: reqtrace.ActPlace, MissPenalty: mp, Reset: true, Evicted: len(evicted)})
-		}
 		return DownResult{MP: 0, Placed: true, Evicted: evicted}
 	}
 	// Not instructed to cache: maintain the node's meta information about
@@ -308,9 +286,6 @@ func (st *NodeState) DownStep(obj model.ObjectID, size int64, place bool, mp flo
 	}
 	if st.Flight != nil {
 		st.Flight.Record(flightrec.Event{Time: now, Node: st.Node, Kind: flightrec.KindPenaltyUpdate, Obj: obj, Hop: hop, A: mp})
-	}
-	if tr != nil {
-		tr.Add(reqtrace.Event{Phase: reqtrace.PhaseDown, Hop: hop, Node: int(st.Node), Action: reqtrace.ActUpdate, MissPenalty: mp})
 	}
 	return DownResult{MP: mp}
 }

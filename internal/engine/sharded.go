@@ -228,7 +228,7 @@ func (s *Sharded) SetCoherency(view *coherency.NodeView) {
 func (s *Sharded) UpMiss(obj model.ObjectID, size int64, hop int, link float64, now float64) Candidate {
 	sh := &s.shards[s.ShardOf(obj)]
 	s.lock(sh)
-	c := sh.st.UpMiss(obj, size, hop, link, now, nil)
+	c := sh.st.UpMiss(obj, size, hop, link, now)
 	sh.mu.Unlock()
 	return c
 }
@@ -254,7 +254,7 @@ type DownOutcome struct {
 func (s *Sharded) DownStep(obj model.ObjectID, size int64, place bool, mp float64, gen uint64, hop int, now float64, evicted []model.ObjectID) (DownOutcome, []model.ObjectID) {
 	sh := &s.shards[s.ShardOf(obj)]
 	s.lock(sh)
-	res := sh.st.DownStep(obj, size, place, mp, gen, hop, now, nil)
+	res := sh.st.DownStep(obj, size, place, mp, gen, hop, now)
 	for _, v := range res.Evicted {
 		evicted = append(evicted, v.ID)
 	}

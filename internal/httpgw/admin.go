@@ -14,7 +14,7 @@ import (
 	"cascade/internal/controlplane"
 	"cascade/internal/engine"
 	"cascade/internal/flightrec"
-	"cascade/internal/reqtrace"
+	"cascade/internal/span"
 )
 
 // The gateway's control-plane surface. Each node manages its own membership
@@ -335,15 +335,10 @@ func (n *Node) serveHealth(w http.ResponseWriter) {
 // cost, forward, and add the link to the penalty counter on the way back
 // without a DownStep — the wire image of the cluster folding a
 // routed-around hop.
-func (n *Node) passThrough(w http.ResponseWriter, r *http.Request) {
+func (n *Node) passThrough(w http.ResponseWriter, r *http.Request, entries []engine.Candidate, relayCtx span.Ctx) {
 	up, err := http.NewRequestWithContext(r.Context(), http.MethodGet, n.Upstream+r.URL.Path, nil)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	entries, perr := parseIncomingPath(r.Header)
-	if perr != nil {
-		http.Error(w, perr.Error(), http.StatusBadRequest)
 		return
 	}
 	entries = append(entries, engine.Candidate{Node: n.ID, Tag: engine.TagNoDescriptor, Link: n.UpCost})
@@ -352,11 +347,7 @@ func (n *Node) passThrough(w http.ResponseWriter, r *http.Request) {
 	// (if any) passes through unchanged, so the upstream still parents on
 	// the last tracing hop below — the wire image of a routed-around
 	// cluster hop.
-	_, relayCtx, _ := incomingSpanInfo(r.Header)
-	writePath(up.Header, n.upstreamVersion(), entries, relayCtx)
-	if traceWanted(r) {
-		up.Header.Set(HeaderTrace, r.Header.Get(HeaderTrace))
-	}
+	writePath(up.Header, n.upstreamFramed(), entries, relayCtx)
 	if tag := r.Header.Get("If-None-Match"); tag != "" {
 		up.Header.Set("If-None-Match", tag)
 	}
@@ -400,15 +391,8 @@ func (n *Node) passThrough(w http.ResponseWriter, r *http.Request) {
 	// A draining/removed node relays the coherency payload without applying
 	// it — it holds no copies and takes no placements, so there is no floor
 	// to raise; the live hops below apply the tail themselves.
-	if traceWanted(r) {
-		upEvt := traceEvent(reqtrace.Event{Phase: reqtrace.PhaseUp, Node: int(n.ID), Action: reqtrace.ActNoDescriptor})
-		downEvt := traceEvent(reqtrace.Event{Phase: reqtrace.PhaseDown, Node: int(n.ID), Action: reqtrace.ActUpdate, MissPenalty: prev + n.UpCost})
-		dec.trace = n.splice(dec.trace, upEvt, downEvt)
-	} else {
-		dec.trace = ""
-	}
 	n.advertise(w.Header())
-	writeDecision(w.Header(), n.replyVersion(r), dec)
+	writeDecision(w.Header(), n.replyFramed(r), dec)
 	w.Header().Set(HeaderPenalty, fmtFloat(prev+n.UpCost))
 	w.Header().Set(HeaderHit, resp.Header.Get(HeaderHit))
 	if tag := resp.Header.Get("ETag"); tag != "" {

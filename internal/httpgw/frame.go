@@ -18,96 +18,90 @@ import (
 //
 // The textual headers spell every float through strconv on each hop — parse,
 // re-format, re-parse — which is the dominant per-hop cost once the cache
-// math itself is sharded. The binary frame carries the same two payloads —
-// the upstream path (one candidate per hop) and the downstream decision
-// (placement set plus predicted Δcost terms) — as fixed-width little-endian
-// integers and raw IEEE-754 bit patterns, base64-encoded on a single
-// X-Cascade-Frame header. Both encodings are bit-exact for every float
-// (the textual side uses strconv 'g'/-1, the shortest round-tripping form),
-// so a chain may mix them freely: the conformance suite proves serving and
-// placement decisions are identical whichever encoding each hop speaks.
+// math itself is sharded. The binary frame carries the protocol's two
+// messages (paper §2.3–2.4) — the upstream path (one candidate per hop) and
+// the downstream decision (placement set, predicted Δcost terms, coherency
+// payload) — as fixed-width little-endian integers and raw IEEE-754 bit
+// patterns, base64-encoded on a single X-Cascade-Frame header. Both encodings
+// are bit-exact for every float (the textual side uses strconv 'g'/-1, the
+// shortest round-tripping form), so a chain may mix them freely: the
+// conformance suite proves serving and placement decisions are identical
+// whichever encoding each hop speaks.
 //
-// Negotiation is per-hop and fail-safe. A binary-capable hop advertises its
-// best version ("bf2"; "bf1" names the pre-coherency layout) on
-// X-Cascade-Accept in both directions: on its requests (telling the
-// upstream it may answer with a frame) and on its responses (telling the
-// downstream it may send frames next time). A node emits a binary request
-// frame only after it has seen the upstream's advert, and speaks the
-// highest version both sides understand, so the first exchange of any
-// pair — and every exchange with a textual peer, which ignores the unknown
-// headers — runs on the textual fallback.
+// There is one layout and one capability token. A binary-capable hop
+// advertises FrameToken on X-Cascade-Accept in both directions: on its
+// requests (the upstream may answer with a frame) and on its responses (the
+// downstream may send frames next time). A node emits a request frame only
+// after it has seen the upstream's advert, so the first exchange of any pair
+// runs textual — and so does every exchange with a peer that advertises
+// nothing or a token this build does not know: builds that spoke the retired
+// bf1–bf3 layouts see an unknown advert and stay on text instead of
+// mis-parsing, which is why the token and the version byte are ones no
+// earlier build used.
 //
 // Frame layout (all multi-byte values little-endian):
 //
 //	offset  size  value
 //	0       2     magic "CF"
-//	2       1     version (1 or 2)
+//	2       1     version (4)
 //	3       1     kind: 1 = path, 2 = decision
 //
-// kind 1 (path), repeated count times after a u16 count — 29 bytes each in
-// version 1, 37 in version 2:
+// kind 1 (path):
 //
+//	u16  candidate count
+//	u64  span trace ID, high half  ┐ the requester's span context; all
+//	u64  span trace ID, low half   │ zero when it runs no tracing
+//	u64  parent span ID            ┘
+//	then per candidate, 37 bytes:
 //	u32  node ID
 //	u8   tag: 0 = candidate, 1 = excluded (§2.4 no-descriptor; the
 //	     cannot-fit tag collapses here exactly as it does in text)
 //	f64  frequency estimate (bits; zero when excluded)
 //	f64  eviction cost loss (bits; zero when excluded)
 //	f64  cost of the link just crossed (bits)
-//	u64  coherency generation of the node's last copy (version 2 only)
+//	u64  coherency generation of the node's last copy
 //
 // kind 2 (decision):
 //
 //	u16  placement count, then u32 node IDs (ascending)
 //	u16  prediction count, then (u32 node, f64 term) pairs (ascending)
-//
-// version 2 appends the coherency payload:
-//
 //	u64  served generation
 //	u64  invalidation-log head
 //	u16  invalidation count, then (u64 seq, u64 obj, u64 gen) entries
 //
-// A version-1 frame carries no coherency fields; the textual X-Cascade-Gen
-// and X-Cascade-Inval headers ride beside it so a mixed chain stays
-// coherent. See docs/PERFORMANCE.md for a worked byte example and
-// docs/PROTOCOL.md for the header table.
-//
-// Version 3 adds the observability payloads. A v3 path frame carries the
-// span trace context — 128-bit trace ID plus the parent span ID, 24 bytes
-// right after the candidate count — so the upstream hop parents its spans
-// without the textual X-Cascade-TraceCtx header (which remains the
-// fallback beside v1/v2 frames and textual exchanges). A v3 decision frame
-// appends the X-Cascade-Trace debug splice as a length-prefixed blob, so a
-// binary hop relays and extends the chain's trace exactly as a textual hop
-// does; writeDecision re-materializes the textual header whenever the next
-// hop negotiated less than v3, keeping mixed chains loss-free.
+// Decoding is strict: a frame is accepted only in the exact form the
+// encoders emit (known tag bytes, zeroed payload on excluded candidates,
+// every count within maxPathEntries, no bytes after the payload), so an
+// accepted frame re-encodes byte-identically. See docs/PERFORMANCE.md for a
+// worked byte example and docs/PROTOCOL.md for the header table.
 const (
 	// HeaderFrame carries one base64 (raw, unpadded) binary frame.
 	HeaderFrame = "X-Cascade-Frame"
-	// HeaderAccept advertises frame support ("bf1"/"bf2"/"bf3") hop-by-hop.
+	// HeaderAccept advertises frame support hop-by-hop.
 	HeaderAccept = "X-Cascade-Accept"
-	// FrameV1 is the pre-coherency framing capability token.
-	FrameV1 = "bf1"
-	// FrameV2 adds the coherency payloads: per-candidate generations on
-	// path frames, served generation plus invalidation tail on decisions.
-	FrameV2 = "bf2"
-	// FrameV3 adds the observability payloads: span trace context on path
-	// frames, the debug-trace splice blob on decisions.
-	FrameV3 = "bf3"
+	// FrameToken is the capability token of the one frame layout.
+	FrameToken = "bf4"
 )
 
 const (
 	frameMagic0, frameMagic1 = 'C', 'F'
-	frameVersion1            = 1
-	frameVersion2            = 2
-	frameVersion3            = 3
+	frameVersion             = 4
 	framePath                = 1
 	frameDecision            = 2
 	frameHeaderLen           = 4
-	frameCandidateLenV1      = 4 + 1 + 8 + 8 + 8
-	frameCandidateLenV2      = frameCandidateLenV1 + 8
-	frameInvalLen            = 8 + 8 + 8
 	frameCtxLen              = 8 + 8 + 8 // trace hi, trace lo, parent span
+	frameCandidateLen        = 4 + 1 + 8 + 8 + 8 + 8
+	frameInvalLen            = 8 + 8 + 8
 )
+
+// maxPathEntries bounds every count a peer can put on the wire: hop
+// candidates in either path encoding, and a decision frame's placement,
+// prediction and invalidation lists. The §2.2 DP is quadratic in the
+// candidate count and decoders allocate and loop by the counts they read,
+// so an unbounded count lets one request header pin a handler for seconds.
+// Routes internal/topology generates are a dozen hops at most and the
+// invalidation tail is coherency.TailK (32) entries; 256 is far above both.
+const maxPathEntries = 256
 
 // predictTerm pairs a chosen node with the DP's predicted Δcost term for
 // its placement — the structured form of one HeaderPredict entry.
@@ -116,16 +110,16 @@ type predictTerm struct {
 	Term float64
 }
 
-// decision is one parsed placement decision: the §2.2 DP's output plus —
-// since frame version 2 — the coherency payloads that ride beside it.
+// decision is one parsed placement decision: the §2.2 DP's output plus the
+// coherency payloads that ride beside it.
 type decision struct {
 	place   []model.NodeID
 	predict []predictTerm
-	// gen is the served copy's coherency generation (X-Cascade-Gen /
-	// frame v2); zero when the serving side runs no coherency.
+	// gen is the served copy's coherency generation (X-Cascade-Gen or the
+	// frame); zero when the serving side runs no coherency.
 	gen uint64
 	// invHead and inval are the origin's invalidation-log head and recent
-	// tail (X-Cascade-Inval / frame v2), applied at every hop before its
+	// tail (X-Cascade-Inval or the frame), applied at every hop before its
 	// DownStep so a same-response placement at the pre-write generation
 	// is caught by the freshly raised floor.
 	invHead uint64
@@ -134,11 +128,6 @@ type decision struct {
 	// zero-defaulted (gen) or dropped (inval) explicitly, counted by the
 	// caller in cascade_gw_bad_header_total.
 	badGen, badInval bool
-	// trace is the chain's X-Cascade-Trace debug splice as it left the
-	// upstream — read from the v3 frame blob when one carried it, from the
-	// textual header otherwise — and, on the write side, the splice this
-	// node emits downstream (empty: none).
-	trace string
 }
 
 func putU16(b []byte, v int) []byte { return binary.LittleEndian.AppendUint16(b, uint16(v)) }
@@ -151,24 +140,16 @@ func putF64(b []byte, v float64) []byte {
 }
 
 // encodePathFrame renders hop candidates (wire order: the client's first
-// cache first) as a base64 path frame of the given version. Hop indices are
-// not encoded — the receiver assigns them positionally, exactly as
-// parsePath does. Version 3 carries the span trace context (zero when the
-// requester runs no tracing) right after the count, at a fixed offset so
-// the receiver can read it without decoding the candidates.
-func encodePathFrame(entries []engine.Candidate, version int, ctx span.Ctx) string {
-	candLen := frameCandidateLenV1
-	if version >= frameVersion2 {
-		candLen = frameCandidateLenV2
-	}
-	b := make([]byte, 0, frameHeaderLen+2+frameCtxLen+len(entries)*candLen)
-	b = append(b, frameMagic0, frameMagic1, byte(version), framePath)
+// cache first) as a base64 path frame. Hop indices are not encoded — the
+// receiver assigns them positionally, exactly as parsePath does. ctx is the
+// requester's span trace context (zero when it runs no tracing).
+func encodePathFrame(entries []engine.Candidate, ctx span.Ctx) string {
+	b := make([]byte, 0, frameHeaderLen+2+frameCtxLen+len(entries)*frameCandidateLen)
+	b = append(b, frameMagic0, frameMagic1, frameVersion, framePath)
 	b = putU16(b, len(entries))
-	if version >= frameVersion3 {
-		b = putU64(b, ctx.Trace.Hi)
-		b = putU64(b, ctx.Trace.Lo)
-		b = putU64(b, uint64(ctx.Parent))
-	}
+	b = putU64(b, ctx.Trace.Hi)
+	b = putU64(b, ctx.Trace.Lo)
+	b = putU64(b, uint64(ctx.Parent))
 	for _, e := range entries {
 		b = putU32(b, int32(e.Node))
 		if e.Tag == engine.TagCandidate {
@@ -181,20 +162,17 @@ func encodePathFrame(entries []engine.Candidate, version int, ctx span.Ctx) stri
 			b = putF64(b, 0)
 		}
 		b = putF64(b, e.Link)
-		if version >= frameVersion2 {
-			b = putU64(b, e.Gen)
-		}
+		b = putU64(b, e.Gen)
 	}
 	return base64.RawStdEncoding.EncodeToString(b)
 }
 
 // encodeDecisionFrame renders a placement decision (chosen node IDs
-// ascending, predicted terms ascending by node) as a base64 decision frame;
-// version 2 appends the coherency payload, version 3 the debug-trace
-// splice blob.
-func encodeDecisionFrame(d decision, version int) string {
-	b := make([]byte, 0, frameHeaderLen+4+4*len(d.place)+12*len(d.predict)+18+frameInvalLen*len(d.inval)+4+len(d.trace))
-	b = append(b, frameMagic0, frameMagic1, byte(version), frameDecision)
+// ascending, predicted terms ascending by node) and its coherency payload as
+// a base64 decision frame.
+func encodeDecisionFrame(d decision) string {
+	b := make([]byte, 0, frameHeaderLen+2+4*len(d.place)+2+12*len(d.predict)+8+8+2+frameInvalLen*len(d.inval))
+	b = append(b, frameMagic0, frameMagic1, frameVersion, frameDecision)
 	b = putU16(b, len(d.place))
 	for _, id := range d.place {
 		b = putU32(b, int32(id))
@@ -204,248 +182,169 @@ func encodeDecisionFrame(d decision, version int) string {
 		b = putU32(b, int32(p.Node))
 		b = putF64(b, p.Term)
 	}
-	if version >= frameVersion2 {
-		b = putU64(b, d.gen)
-		b = putU64(b, d.invHead)
-		b = putU16(b, len(d.inval))
-		for _, inv := range d.inval {
-			b = putU64(b, inv.Seq)
-			b = putU64(b, uint64(inv.Obj))
-			b = putU64(b, inv.Gen)
-		}
-	}
-	if version >= frameVersion3 {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(d.trace)))
-		b = append(b, d.trace...)
+	b = putU64(b, d.gen)
+	b = putU64(b, d.invHead)
+	b = putU16(b, len(d.inval))
+	for _, inv := range d.inval {
+		b = putU64(b, inv.Seq)
+		b = putU64(b, uint64(inv.Obj))
+		b = putU64(b, inv.Gen)
 	}
 	return base64.RawStdEncoding.EncodeToString(b)
 }
 
-// frameReader walks a decoded frame.
+// frameReader walks a decoded frame. The first failure — a short read, an
+// over-cap count, a bad byte — sticks in err and every later read yields
+// zero, so a decoder reads straight through the layout and checks once, in
+// end.
 type frameReader struct {
 	b   []byte
 	off int
+	err error
 }
 
-func (r *frameReader) need(n int) error {
-	if len(r.b)-r.off < n {
-		return fmt.Errorf("httpgw: truncated frame (want %d bytes at %d of %d)", n, r.off, len(r.b))
+var frameZeros [8]byte
+
+// take returns the next n (≤ 8) bytes of the frame.
+func (r *frameReader) take(n int) []byte {
+	if r.err == nil && len(r.b)-r.off < n {
+		r.err = fmt.Errorf("httpgw: truncated frame (want %d bytes at %d of %d)", n, r.off, len(r.b))
 	}
-	return nil
+	if r.err != nil {
+		return frameZeros[:n]
+	}
+	r.off += n
+	return r.b[r.off-n : r.off]
 }
 
-func (r *frameReader) u16() int {
-	v := binary.LittleEndian.Uint16(r.b[r.off:])
-	r.off += 2
-	return int(v)
+func (r *frameReader) u32() int32  { return int32(binary.LittleEndian.Uint32(r.take(4))) }
+func (r *frameReader) u64() uint64 { return binary.LittleEndian.Uint64(r.take(8)) }
+
+// count reads a u16 element count and holds it to maxPathEntries before the
+// caller allocates or loops by it.
+func (r *frameReader) count() int {
+	n := int(binary.LittleEndian.Uint16(r.take(2)))
+	if r.err == nil && n > maxPathEntries {
+		r.err = fmt.Errorf("httpgw: frame count %d exceeds %d", n, maxPathEntries)
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
 }
 
-func (r *frameReader) u32() int32 {
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return int32(v)
+// end closes the read: the first failure, or bytes left over after the
+// payload.
+func (r *frameReader) end() error {
+	if r.err == nil && r.off != len(r.b) {
+		r.err = fmt.Errorf("httpgw: %d trailing bytes after frame payload", len(r.b)-r.off)
+	}
+	return r.err
 }
 
-func (r *frameReader) u64() uint64 {
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *frameReader) f64() float64 {
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return math.Float64frombits(v)
-}
-
-// openFrame decodes the base64 envelope and checks magic and version,
-// returning a reader positioned after the kind byte plus the version and
-// kind.
-func openFrame(h string) (*frameReader, int, byte, error) {
+// openFrame decodes the base64 envelope and checks magic, version and kind —
+// the one place the version byte is compared — returning a reader positioned
+// after the frame header (or already failed).
+func openFrame(h string, kind byte) frameReader {
 	raw, err := base64.RawStdEncoding.DecodeString(h)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("httpgw: bad frame base64: %w", err)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("httpgw: bad frame base64: %w", err)
+	case len(raw) < frameHeaderLen || raw[0] != frameMagic0 || raw[1] != frameMagic1:
+		err = fmt.Errorf("httpgw: bad frame magic")
+	case raw[2] != frameVersion:
+		err = fmt.Errorf("httpgw: unsupported frame version %d", raw[2])
+	case raw[3] != kind:
+		err = fmt.Errorf("httpgw: frame kind %d where kind %d expected", raw[3], kind)
 	}
-	if len(raw) < frameHeaderLen || raw[0] != frameMagic0 || raw[1] != frameMagic1 {
-		return nil, 0, 0, fmt.Errorf("httpgw: bad frame magic")
-	}
-	if raw[2] < frameVersion1 || raw[2] > frameVersion3 {
-		return nil, 0, 0, fmt.Errorf("httpgw: unsupported frame version %d", raw[2])
-	}
-	return &frameReader{b: raw, off: frameHeaderLen}, int(raw[2]), raw[3], nil
+	return frameReader{b: raw, off: frameHeaderLen, err: err}
 }
 
-// decodePathFrame parses a path frame into hop candidates, assigning hop
-// indices positionally.
-func decodePathFrame(h string) ([]engine.Candidate, error) {
-	r, version, kind, err := openFrame(h)
-	if err != nil {
-		return nil, err
-	}
-	if kind != framePath {
-		return nil, fmt.Errorf("httpgw: frame kind %d where path frame expected", kind)
-	}
-	if err := r.need(2); err != nil {
-		return nil, err
-	}
-	count := r.u16()
-	if version >= frameVersion3 {
-		// The trace context is read separately (pathFrameInfo) by the span
-		// layer; the candidate parse skips over it.
-		if err := r.need(frameCtxLen); err != nil {
-			return nil, err
-		}
-		r.off += frameCtxLen
-	}
-	candLen := frameCandidateLenV1
-	if version >= frameVersion2 {
-		candLen = frameCandidateLenV2
-	}
-	if err := r.need(count * candLen); err != nil {
-		return nil, err
-	}
+// decodePathFrame parses a path frame into hop candidates (hop indices
+// assigned positionally) and the requester's span context. The context is
+// returned only with a fully valid frame, so a rejected frame can never plant
+// a trace ID in the receiver's span ring.
+func decodePathFrame(h string) ([]engine.Candidate, span.Ctx, error) {
+	r := openFrame(h, framePath)
+	count := r.count()
+	ctx := span.Ctx{Trace: span.TraceID{Hi: r.u64(), Lo: r.u64()}, Parent: span.SpanID(r.u64())}
 	out := make([]engine.Candidate, 0, count)
-	for i := 0; i < count; i++ {
+	for i := 0; i < count && r.err == nil; i++ {
 		e := engine.Candidate{Hop: i, Node: model.NodeID(r.u32())}
-		tag := r.b[r.off]
-		r.off++
-		freq, loss := r.f64(), r.f64()
-		if tag == 0 {
+		tag, freq, loss := r.take(1)[0], r.u64(), r.u64()
+		switch {
+		case tag == 0:
 			e.Tag = engine.TagCandidate
-			e.Freq, e.CostLoss = freq, loss
-		} else {
+			e.Freq, e.CostLoss = math.Float64frombits(freq), math.Float64frombits(loss)
+		case tag == 1 && freq == 0 && loss == 0:
 			e.Tag = engine.TagNoDescriptor
+		case tag == 1:
+			r.err = fmt.Errorf("httpgw: excluded path entry %d carries a payload", i)
+		default:
+			r.err = fmt.Errorf("httpgw: unknown tag %d on path entry %d", tag, i)
 		}
-		e.Link = r.f64()
-		if version >= frameVersion2 {
-			e.Gen = r.u64()
-		}
+		e.Link = math.Float64frombits(r.u64())
+		e.Gen = r.u64()
 		out = append(out, e)
 	}
-	return out, nil
+	if err := r.end(); err != nil {
+		return nil, span.Ctx{}, err
+	}
+	return out, ctx, nil
 }
 
-// decodeDecisionFrame parses a decision frame. hasCoh reports whether the
-// frame itself carried the coherency payload (version 2) — a version-1
-// frame leaves it to the textual headers beside it.
-func decodeDecisionFrame(h string) (d decision, hasCoh bool, err error) {
-	r, version, kind, err := openFrame(h)
-	if err != nil {
-		return decision{}, false, err
-	}
-	if kind != frameDecision {
-		return decision{}, false, fmt.Errorf("httpgw: frame kind %d where decision frame expected", kind)
-	}
-	if err := r.need(2); err != nil {
-		return decision{}, false, err
-	}
-	nplace := r.u16()
-	if err := r.need(nplace*4 + 2); err != nil {
-		return decision{}, false, err
-	}
-	for i := 0; i < nplace; i++ {
+// decodeDecisionFrame parses a decision frame.
+func decodeDecisionFrame(h string) (decision, error) {
+	r := openFrame(h, frameDecision)
+	var d decision
+	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
 		d.place = append(d.place, model.NodeID(r.u32()))
 	}
-	npredict := r.u16()
-	if err := r.need(npredict * 12); err != nil {
-		return decision{}, false, err
+	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
+		d.predict = append(d.predict, predictTerm{Node: model.NodeID(r.u32()), Term: math.Float64frombits(r.u64())})
 	}
-	for i := 0; i < npredict; i++ {
-		d.predict = append(d.predict, predictTerm{Node: model.NodeID(r.u32()), Term: r.f64()})
-	}
-	if version < frameVersion2 {
-		return d, false, nil
-	}
-	if err := r.need(8 + 8 + 2); err != nil {
-		return decision{}, false, err
-	}
-	d.gen = r.u64()
-	d.invHead = r.u64()
-	ninv := r.u16()
-	if err := r.need(ninv * frameInvalLen); err != nil {
-		return decision{}, false, err
-	}
-	for i := 0; i < ninv; i++ {
+	d.gen, d.invHead = r.u64(), r.u64()
+	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
 		d.inval = append(d.inval, coherency.Invalidation{Seq: r.u64(), Obj: model.ObjectID(r.u64()), Gen: r.u64()})
 	}
-	if version >= frameVersion3 {
-		if err := r.need(4); err != nil {
-			return decision{}, false, err
-		}
-		tlen := int(binary.LittleEndian.Uint32(r.b[r.off:]))
-		r.off += 4
-		if err := r.need(tlen); err != nil {
-			return decision{}, false, err
-		}
-		d.trace = string(r.b[r.off : r.off+tlen])
-		r.off += tlen
+	if err := r.end(); err != nil {
+		return decision{}, err
 	}
-	return d, true, nil
+	return d, nil
 }
 
-// peerFrameVersion reports the highest frame version the peer that sent
-// these headers advertised (0: textual only).
-func peerFrameVersion(h http.Header) int {
-	switch h.Get(HeaderAccept) {
-	case FrameV3:
-		return frameVersion3
-	case FrameV2:
-		return frameVersion2
-	case FrameV1:
-		return frameVersion1
-	}
-	return 0
-}
+// acceptsFrames reports whether the peer that sent these headers advertised
+// the frame layout this build speaks. Any other advert — none, or a token
+// from another build — means text.
+func acceptsFrames(h http.Header) bool { return h.Get(HeaderAccept) == FrameToken }
 
-// pathFrameInfo reads a path frame's hop count plus — version 3 — the span
-// trace context, without decoding the candidate payload (the context sits at
-// a fixed offset for exactly this read). ok reports a usable context.
-func pathFrameInfo(f string) (count int, ctx span.Ctx, ok bool) {
-	raw, err := base64.RawStdEncoding.DecodeString(f)
-	if err != nil || len(raw) < frameHeaderLen+2 || raw[3] != framePath {
-		return 0, span.Ctx{}, false
-	}
-	count = int(binary.LittleEndian.Uint16(raw[frameHeaderLen:]))
-	if raw[2] < frameVersion3 || len(raw) < frameHeaderLen+2+frameCtxLen {
-		return count, span.Ctx{}, false
-	}
-	off := frameHeaderLen + 2
-	ctx = span.Ctx{
-		Trace: span.TraceID{
-			Hi: binary.LittleEndian.Uint64(raw[off:]),
-			Lo: binary.LittleEndian.Uint64(raw[off+8:]),
-		},
-		Parent: span.SpanID(binary.LittleEndian.Uint64(raw[off+16:])),
-	}
-	return count, ctx, ctx.Valid()
-}
-
-// parseIncomingPath reads the request's hop candidates from whichever
-// encoding the downstream used: a path frame when present, the textual
-// X-Cascade-Path otherwise.
-func parseIncomingPath(h http.Header) ([]engine.Candidate, error) {
+// parseIncomingPath reads the request's hop candidates and the downstream
+// hop's span context (zero: it runs no tracing) from whichever encoding the
+// downstream used: a path frame carries both; the textual X-Cascade-Path
+// has X-Cascade-TraceCtx beside it.
+func parseIncomingPath(h http.Header) ([]engine.Candidate, span.Ctx, error) {
 	if f := h.Get(HeaderFrame); f != "" {
 		return decodePathFrame(f)
 	}
-	return parsePath(h.Get(HeaderPath))
+	entries, err := parsePath(h.Get(HeaderPath))
+	if err != nil {
+		return nil, span.Ctx{}, err
+	}
+	ctx, _ := span.ParseCtx(h.Get(HeaderTraceCtx))
+	return entries, ctx, nil
 }
 
-// writePath emits hop candidates upstream in the negotiated encoding
-// (version 0: textual headers). ctx is the requester's span trace context
-// (zero: no tracing): a v3 frame carries it inline; every lesser encoding
-// puts it on the X-Cascade-TraceCtx header, so tracing survives mixed
-// chains.
-func writePath(h http.Header, version int, entries []engine.Candidate, ctx span.Ctx) {
-	if version >= frameVersion3 {
-		h.Set(HeaderFrame, encodePathFrame(entries, version, ctx))
+// writePath emits hop candidates upstream as a frame (framed) or as the
+// textual headers. ctx is the requester's span trace context (zero: no
+// tracing): a frame carries it inline, the textual encoding on the
+// X-Cascade-TraceCtx header, so tracing survives mixed chains.
+func writePath(h http.Header, framed bool, entries []engine.Candidate, ctx span.Ctx) {
+	if framed {
+		h.Set(HeaderFrame, encodePathFrame(entries, ctx))
 		return
 	}
 	if ctx.Valid() {
 		h.Set(HeaderTraceCtx, ctx.String())
-	}
-	if version > 0 {
-		h.Set(HeaderFrame, encodePathFrame(entries, version, span.Ctx{}))
-		return
 	}
 	parts := make([]string, len(entries))
 	for i, e := range entries {
@@ -458,65 +357,40 @@ func writePath(h http.Header, version int, entries []engine.Candidate, ctx span.
 // encoding the upstream used. The placement set comes back in wire order
 // (ascending — both encoders sort) and the predictions keep their
 // ascending-node order, so re-encoding either way is byte-identical. The
-// coherency payload comes from the v2 frame when one carried it, from the
-// textual X-Cascade-Gen / X-Cascade-Inval headers otherwise.
+// coherency payload rides inside a frame and on the textual X-Cascade-Gen /
+// X-Cascade-Inval headers otherwise.
 func parseDecision(h http.Header) (decision, error) {
-	var d decision
-	hasCoh := false
 	if f := h.Get(HeaderFrame); f != "" {
-		var err error
-		if d, hasCoh, err = decodeDecisionFrame(f); err != nil {
-			return decision{}, err
-		}
-	} else {
-		d.place = parsePlacementList(h.Get(HeaderPlace))
-		d.predict = parsePredictTerms(h.Get(HeaderPredict))
+		return decodeDecisionFrame(f)
 	}
-	if !hasCoh {
-		var ok bool
-		if d.gen, ok = parseGen(h.Get(HeaderGen)); !ok {
-			d.badGen = true
-		}
-		if v := h.Get(HeaderInval); v != "" {
-			if head, tail, ok := parseInval(v); ok {
-				d.invHead, d.inval = head, tail
-			} else {
-				d.badInval = true
-			}
-		}
+	d := decision{
+		place:   parsePlacementList(h.Get(HeaderPlace)),
+		predict: parsePredictTerms(h.Get(HeaderPredict)),
 	}
-	if d.trace == "" {
-		// Pre-v3 frames and textual exchanges carry the debug splice on the
-		// header beside them.
-		d.trace = h.Get(HeaderTrace)
+	var ok bool
+	if d.gen, ok = parseGen(h.Get(HeaderGen)); !ok {
+		d.badGen = true
+	}
+	if v := h.Get(HeaderInval); v != "" {
+		if head, tail, ok := parseInval(v); ok {
+			d.invHead, d.inval = head, tail
+		} else {
+			d.badInval = true
+		}
 	}
 	return d, nil
 }
 
 // writeDecision emits a placement decision downstream in the encoding that
-// side negotiated. Version 1 frames cannot carry the coherency payload, so
-// it rides on the textual headers beside them — a mixed chain stays
-// coherent whichever encoding each hop speaks. The debug-trace splice rides
-// inside v3 frames and on the textual X-Cascade-Trace header for every
-// lesser encoding, so a binary hop no longer strands the splice chain.
-func writeDecision(h http.Header, version int, d decision) {
-	if d.trace != "" && version < frameVersion3 {
-		h.Set(HeaderTrace, d.trace)
+// side negotiated: one frame, or the textual decision and coherency headers.
+func writeDecision(h http.Header, framed bool, d decision) {
+	if framed {
+		h.Set(HeaderFrame, encodeDecisionFrame(d))
+		return
 	}
-	switch {
-	case version >= frameVersion3:
-		h.Set(HeaderFrame, encodeDecisionFrame(d, frameVersion3))
-		return
-	case version == frameVersion2:
-		h.Set(HeaderFrame, encodeDecisionFrame(d, frameVersion2))
-		return
-	case version == frameVersion1:
-		h.Set(HeaderFrame, encodeDecisionFrame(d, frameVersion1))
-	default:
-		h.Set(HeaderPlace, formatPlacement(d.place))
-		if len(d.predict) > 0 {
-			h.Set(HeaderPredict, formatPredictTerms(d.predict))
-		}
+	h.Set(HeaderPlace, formatPlacement(d.place))
+	if len(d.predict) > 0 {
+		h.Set(HeaderPredict, formatPredictTerms(d.predict))
 	}
 	if d.gen != 0 {
 		h.Set(HeaderGen, strconv.FormatUint(d.gen, 10))

@@ -13,9 +13,17 @@
 //	                   updated and reset at caching points on the way down.
 //
 // Binary-capable hops negotiate a compact alternative per hop: the same two
-// payloads travel as one length-prefixed binary frame on X-Cascade-Frame
-// (see frame.go), with the textual headers remaining the universal fallback
-// so mixed chains keep interoperating.
+// messages travel as one binary frame each on X-Cascade-Frame (see frame.go
+// — one layout, one capability token), with the textual headers remaining
+// the universal fallback so mixed chains keep interoperating. Either way a
+// piggybacked path is decoded once, up front, and refused with 400 when it
+// is malformed or longer than maxPathEntries.
+//
+// A request's two passes are observable from its span trace (EnableSpans,
+// /cascade/debug/spans): the node annotates its up span with the (f, l)
+// record it piggybacked and its down span with the miss-penalty counter it
+// observed and what it did with the copy; engine.Decide annotates the
+// decide span.
 //
 // The package demonstrates that the scheme deploys over a real transport
 // with self-describing messages — no out-of-band control channel — and is
@@ -49,7 +57,6 @@ import (
 	"cascade/internal/flightrec"
 	"cascade/internal/metrics"
 	"cascade/internal/model"
-	"cascade/internal/reqtrace"
 	"cascade/internal/span"
 	"cascade/internal/store"
 )
@@ -134,12 +141,6 @@ type Node struct {
 	// Sleep pauses between retries (time.Sleep when nil); injectable
 	// for tests.
 	Sleep func(time.Duration)
-	// TraceBudget bounds the X-Cascade-Trace header this node emits when
-	// splicing its events onto a chain's trace: an over-budget trace drops
-	// origin-side middle events first, replaced by a truncation marker, so
-	// deep chains cannot grow the header past transport limits. 0 means
-	// the default (4096 bytes); negative removes the bound.
-	TraceBudget int
 	// DisableBinaryFraming pins this node to the textual protocol headers:
 	// it neither advertises nor emits X-Cascade-Frame (frames it receives
 	// are still understood). For mixed-chain tests and header-level
@@ -158,10 +159,10 @@ type Node struct {
 	capacity int64 // main-cache byte budget, kept for SetShards rebuilds
 	dEntries int   // d-cache entry budget, kept for SetShards rebuilds
 
-	// upVersion rises to the highest frame version the upstream's
-	// responses have advertised (sticky); from then on upstream requests
-	// carry binary path frames of that version.
-	upVersion atomic.Int32
+	// upFrames is set once the upstream's responses have advertised the
+	// frame layout (sticky); from then on upstream requests carry binary
+	// path frames.
+	upFrames atomic.Bool
 
 	// view is the node's coherency generation-floor view, shared with the
 	// sharded engine state and the spill tier's MinGen oracle. Wired by
@@ -177,11 +178,7 @@ type Node struct {
 	// Malformed protocol headers received, counted per header kind
 	// (cascade_gw_bad_header_total). Atomics: the parse sites run outside
 	// mu's critical sections.
-	badPenalty, badSegment, badGen, badInval atomic.Int64
-
-	// traceTrunc counts debug-trace splices this node truncated to fit the
-	// trace budget (cascade_gw_trace_truncations_total).
-	traceTrunc atomic.Int64
+	badPenalty, badSegment, badGen, badInval, badPath atomic.Int64
 
 	// Span tracing, wired by EnableSpans before serving (nil — off — by
 	// default); the request path reads both without holding mu, like the
@@ -294,36 +291,29 @@ func (n *Node) SetShards(p int) {
 func (n *Node) binaryCapable() bool { return !n.DisableBinaryFraming }
 
 // advertise marks an outgoing protocol message (request or response) with
-// this node's best frame version.
+// this node's frame capability.
 func (n *Node) advertise(h http.Header) {
 	if n.binaryCapable() {
-		h.Set(HeaderAccept, FrameV3)
+		h.Set(HeaderAccept, FrameToken)
 	}
 }
 
-// replyVersion is the frame version the response to r should speak: the
-// highest the requester advertised, capped by this node's capability
-// (0: textual).
-func (n *Node) replyVersion(r *http.Request) int {
-	if !n.binaryCapable() {
-		return 0
-	}
-	return peerFrameVersion(r.Header)
+// replyFramed reports whether the response to r should be a frame: the
+// requester advertised the layout and this node speaks it.
+func (n *Node) replyFramed(r *http.Request) bool {
+	return n.binaryCapable() && acceptsFrames(r.Header)
 }
 
-// upstreamVersion is the frame version upstream requests speak: whatever
-// the upstream's responses have advertised so far (0 until the first
-// advert — the first exchange of any pair runs textual).
-func (n *Node) upstreamVersion() int {
-	if !n.binaryCapable() {
-		return 0
-	}
-	return int(n.upVersion.Load())
+// upstreamFramed reports whether upstream requests carry frames: only once
+// the upstream's responses have advertised the layout (the first exchange
+// of any pair runs textual).
+func (n *Node) upstreamFramed() bool {
+	return n.binaryCapable() && n.upFrames.Load()
 }
 
 // SetBinaryUpstream pre-learns the upstream's frame support, skipping the
 // one textual exchange negotiation would otherwise take.
-func (n *Node) SetBinaryUpstream() { n.upVersion.Store(frameVersion3) }
+func (n *Node) SetBinaryUpstream() { n.upFrames.Store(true) }
 
 // The X-Cascade-Path header carries one engine.Candidate per hop as
 // "node;freq;loss;linkcost" — plus an optional fifth field, the coherency
@@ -342,6 +332,9 @@ func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 func parsePath(h string) ([]engine.Candidate, error) {
 	if strings.TrimSpace(h) == "" {
 		return nil, nil
+	}
+	if n := strings.Count(h, ",") + 1; n > maxPathEntries {
+		return nil, fmt.Errorf("httpgw: path of %d entries exceeds %d", n, maxPathEntries)
 	}
 	var out []engine.Candidate
 	for i, part := range strings.Split(h, ",") {
@@ -394,24 +387,15 @@ func formatEntry(e engine.Candidate) string {
 	return s
 }
 
-// Decide runs the placement decision (engine.Decide, the §2.2 DP) over
-// piggybacked path entries (ordered from the client's first cache upward,
-// as accumulated in the header) and returns the chosen node IDs in
-// ascending order. This is the bare, unobserved variant kept for tests;
-// the serving paths use decideObserved.
-func Decide(entries []engine.Candidate) []model.NodeID {
-	ids, _ := decideObserved(entries, 0, 0, nil, nil, model.NoNode, nil, 0)
-	return ids
-}
-
 // decideObserved is the decision step shared by the cache nodes and the
-// origin: the §2.2 DP with the decision site's auditor and flight recorder
-// threaded through (Theorem 2 and optimality checks, the decision flight
-// event). It returns the chosen node IDs in ascending order plus the
-// predicted Δcost term per chosen node (ascending node order, ready for
-// either wire encoding) — the decision site cannot reach the other
-// processes' ledgers, so the claims ship downstream and every placing node
-// books its own. The terms come out of the engine via a throwaway ledger, so
+// origin: the §2.2 DP (engine.Decide) over piggybacked path entries (ordered
+// from the client's first cache upward, as accumulated on the wire) with the
+// decision site's auditor and flight recorder threaded through (Theorem 2
+// and optimality checks, the decision flight event). It returns the chosen
+// node IDs in ascending order plus the predicted Δcost term per chosen node
+// (ascending node order, ready for either wire encoding) — the decision site
+// cannot reach the other processes' ledgers, so the claims ship downstream
+// and every placing node books its own. The terms come out of the engine via a throwaway ledger, so
 // their computation stays in one place (post-clamp values, identical to what
 // the simulator and the cluster book at decision time).
 func decideObserved(entries []engine.Candidate, obj model.ObjectID, now float64,
@@ -428,7 +412,7 @@ func decideObserved(entries []engine.Candidate, obj model.ObjectID, now float64,
 		Span:          tsp,
 		SpanParent:    parent,
 	}
-	hops := engine.Decide(entries, opts, engine.ServePoint{Hop: len(entries), Node: serv}, nil)
+	hops := engine.Decide(entries, opts, engine.ServePoint{Hop: len(entries), Node: serv})
 	ids := make([]model.NodeID, len(hops))
 	for i, h := range hops {
 		ids[i] = entries[h].Node
@@ -449,57 +433,12 @@ func (n *Node) decide(entries []engine.Candidate, obj model.ObjectID, now float6
 	return decideObserved(entries, obj, now, n.auditor, n.flight, n.ID, tsp, parent)
 }
 
-// formatPredict encodes ledger accounts as the HeaderPredict value:
-// "node=term" comma-separated, ascending node order (Snapshot sorts), terms
-// in the shortest bit-exact float encoding.
-func formatPredict(accounts []audit.NodeAccount) string {
-	parts := make([]string, 0, len(accounts))
-	for _, acc := range accounts {
-		parts = append(parts, strconv.Itoa(int(acc.Node))+"="+fmtFloat(acc.PredictedGain))
-	}
-	return strings.Join(parts, ",")
-}
-
-// parsePredict decodes a HeaderPredict value into node → predicted term.
-// Malformed entries are skipped — a missing prediction only loses ledger
-// bookkeeping, never the placement itself.
-func parsePredict(h string) map[model.NodeID]float64 {
-	out := map[model.NodeID]float64{}
-	for _, p := range strings.Split(h, ",") {
-		if p = strings.TrimSpace(p); p == "" {
-			continue
-		}
-		eq := strings.IndexByte(p, '=')
-		if eq < 0 {
-			continue
-		}
-		id, err := strconv.Atoi(p[:eq])
-		if err != nil {
-			continue
-		}
-		term, err := strconv.ParseFloat(p[eq+1:], 64)
-		if err != nil {
-			continue
-		}
-		out[model.NodeID(id)] = term
-	}
-	return out
-}
-
 func formatPlacement(chosen []model.NodeID) string {
 	parts := make([]string, len(chosen))
 	for i, id := range chosen {
 		parts[i] = strconv.Itoa(int(id))
 	}
 	return strings.Join(parts, ",")
-}
-
-func parsePlacement(h string) map[model.NodeID]bool {
-	out := map[model.NodeID]bool{}
-	for _, id := range parsePlacementList(h) {
-		out[id] = true
-	}
-	return out
 }
 
 // parsePlacementList decodes a HeaderPlace value preserving wire order
@@ -519,7 +458,8 @@ func parsePlacementList(h string) []model.NodeID {
 }
 
 // formatPredictTerms encodes predicted Δcost terms as the HeaderPredict
-// value, identical to formatPredict over the originating ledger accounts.
+// value: "node=term" comma-separated, ascending node order, terms in the
+// shortest bit-exact float encoding.
 func formatPredictTerms(predict []predictTerm) string {
 	parts := make([]string, len(predict))
 	for i, p := range predict {
@@ -529,8 +469,9 @@ func formatPredictTerms(predict []predictTerm) string {
 }
 
 // parsePredictTerms decodes a HeaderPredict value preserving wire order
-// (ascending node — both encoders sort). Malformed entries are skipped, as
-// in parsePredict.
+// (ascending node — both encoders sort). Malformed entries are skipped — a
+// missing prediction only loses ledger bookkeeping, never the placement
+// itself.
 func parsePredictTerms(h string) []predictTerm {
 	var out []predictTerm
 	for _, p := range strings.Split(h, ",") {
@@ -641,10 +582,22 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		n.badGen.Add(1)
 	}
 
+	// The piggybacked path is decoded once, ahead of every protocol step: a
+	// malformed or over-long one is refused before it can cost a lookup, a
+	// decision or a span — and only a path that decoded cleanly contributes
+	// the span context the node joins below.
+	entries, spanCtx, perr := parseIncomingPath(r.Header)
+	if perr != nil {
+		n.badPath.Add(1)
+		http.Error(w, perr.Error(), http.StatusBadRequest)
+		return
+	}
+
 	// Span tracing: the edge node mints the trace, inner hops join the
 	// context the downstream forwarded. Collect runs on every exit —
 	// tail-sampling decides there whether the local spans reach the ring.
-	tsp, parent, hop := n.beginSpan(r, now)
+	tsp, parent := n.beginSpan(spanCtx, now)
+	hop := len(entries)
 	if tsp != nil {
 		defer func() { n.tracer.Collect(tsp, n.Clock(), n.ringOf) }()
 	}
@@ -658,7 +611,7 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// hop — so it forwards the incoming context unchanged (passThrough).
 	if n.member != controlplane.Active {
 		n.mu.Unlock()
-		n.passThrough(w, r)
+		n.passThrough(w, r, entries, spanCtx)
 		return
 	}
 	lk := tsp.Start(span.PhaseLookup, n.ID, hop, parent, now)
@@ -683,22 +636,11 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			// engine's hooks: ledger realized savings plus the lookup_hit
 			// flight event.
 			n.st.Lookup(obj, now)
-			entries, perr := parseIncomingPath(r.Header)
 			n.mu.Unlock()
 			tsp.End(lk, n.Clock())
-			if perr != nil {
-				tsp.Force(span.FlagError)
-				http.Error(w, perr.Error(), http.StatusBadRequest)
-				return
-			}
 			chosen, predict := n.decide(entries, obj, now, tsp, parent)
 			n.advertise(w.Header())
-			d := decision{place: chosen, predict: predict, gen: meta.Gen}
-			if traceWanted(r) {
-				hitEvt := traceEvent(reqtrace.Event{Phase: reqtrace.PhaseUp, Node: int(n.ID), Action: reqtrace.ActHit})
-				d.trace = "[" + hitEvt + "," + traceDecision(int(n.ID), chosen) + "]"
-			}
-			writeDecision(w.Header(), n.replyVersion(r), d)
+			writeDecision(w.Header(), n.replyFramed(r), decision{place: chosen, predict: predict, gen: meta.Gen})
 			w.Header().Set(HeaderPenalty, "0")
 			w.Header().Set(HeaderHit, strconv.Itoa(int(n.ID)))
 			if meta.ETag != "" {
@@ -756,20 +698,14 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				}
 				n.hits++
 				n.spillHits++
-				entries, perr := parseIncomingPath(r.Header)
 				n.mu.Unlock()
 				tnow := n.Clock()
 				tsp.End(lk, tnow)
 				psp := tsp.Start(span.PhasePromote, n.ID, hop, parent, tnow)
 				tsp.End(psp, tnow)
-				if perr != nil {
-					tsp.Force(span.FlagError)
-					http.Error(w, perr.Error(), http.StatusBadRequest)
-					return
-				}
 				chosen, predict := n.decide(entries, obj, now, tsp, parent)
 				n.advertise(w.Header())
-				writeDecision(w.Header(), n.replyVersion(r), decision{place: chosen, predict: predict, gen: dmeta.Gen})
+				writeDecision(w.Header(), n.replyFramed(r), decision{place: chosen, predict: predict, gen: dmeta.Gen})
 				w.Header().Set(HeaderPenalty, "0")
 				w.Header().Set(HeaderHit, strconv.Itoa(int(n.ID)))
 				if dmeta.ETag != "" {
@@ -791,17 +727,11 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	n.mu.Unlock()
 	tsp.End(lk, n.Clock())
 
-	entries, perr := parseIncomingPath(r.Header)
-	if perr != nil {
-		tsp.Force(span.FlagError)
-		http.Error(w, perr.Error(), http.StatusBadRequest)
-		return
-	}
-
 	// The up span covers the whole upstream exchange; the context forwarded
 	// on the wire parents the next hop's spans on it, so the cross-node tree
 	// links exactly as the in-process incarnations do.
 	upsp := tsp.Start(span.PhaseUp, n.ID, hop, parent, n.Clock())
+	tsp.Annotate(upsp, entry.Freq, entry.CostLoss, int(entry.Tag))
 
 	up, err := http.NewRequestWithContext(r.Context(), http.MethodGet, n.Upstream+r.URL.Path, nil)
 	if err != nil {
@@ -809,11 +739,11 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	// The upstream answers binary only after negotiation has learned it may
-	// ask for it (upVersion); the advert on the request lets the upstream
-	// answer in kind either way.
+	// The request goes up framed only after negotiation has learned the
+	// upstream reads frames (upFrames); the advert on the request lets the
+	// upstream answer in kind either way.
 	n.advertise(up.Header)
-	writePath(up.Header, n.upstreamVersion(), append(entries, entry), tsp.Ctx(upsp))
+	writePath(up.Header, n.upstreamFramed(), append(entries, entry), tsp.Ctx(upsp))
 	if fl := n.readFloor(obj, floor); fl > 0 {
 		// Forward the read floor, raised to this node's own: an upstream
 		// hit may not serve below what any hop on the path knows to be
@@ -826,9 +756,6 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// store.SegmentID.
 		up.Header.Set(HeaderSegment, r.Header.Get(HeaderSegment))
 		up.Header.Set("Range", r.Header.Get("Range"))
-	}
-	if traceWanted(r) {
-		up.Header.Set(HeaderTrace, r.Header.Get(HeaderTrace))
 	}
 
 	resp, err := n.fetchUpstream(up)
@@ -895,11 +822,6 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if dec.badInval {
 		n.badInval.Add(1)
 	}
-	if !traceWanted(r) {
-		// The client did not opt into the debug splice: whatever the
-		// upstream carried stops here rather than leaking downstream.
-		dec.trace = ""
-	}
 
 	now = n.Clock()
 	// The origin's piggybacked invalidation tail lands before this node's
@@ -913,12 +835,11 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	} else {
 		n.applyInval(dec.inval, dec.invHead, now)
 	}
-	mpSeen := mp
 	if !placed(dec.place, n.ID) {
 		// The decision did not choose this node: the bytes only pass
 		// through, so stream them client-ward through a pooled buffer
 		// instead of buffering the whole object.
-		n.relayStream(w, r, resp, seg, dec, obj, entry, prev, mp, mpSeen, now, tsp, upsp, hop)
+		n.relayStream(w, r, resp, seg, dec, obj, prev, mp, now, tsp, upsp, hop)
 		return
 	}
 
@@ -944,7 +865,7 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		n.mu.Unlock()
 		tsp.End(upsp, n.Clock())
 		n.advertise(w.Header())
-		writeDecision(w.Header(), n.replyVersion(r), dec)
+		writeDecision(w.Header(), n.replyFramed(r), dec)
 		w.Header().Set(HeaderPenalty, fmtFloat(mp))
 		w.Header().Set(HeaderHit, resp.Header.Get(HeaderHit))
 		writeBody(w, seg, body)
@@ -962,6 +883,7 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		n.ledger.RecordPrediction(n.ID, term)
 	}
 	res, evicted := n.st.DownStep(obj, int64(len(body)), true, mp, dec.gen, -1, now, nil)
+	tsp.Annotate(dn, mp, float64(len(evicted)), span.DownOutcome(res.Placed, res.PlaceFailed))
 	n.auditor.CheckPenaltyStep(n.ID, obj, -1, prev, mp, res.MP, res.Placed)
 	if res.Placed {
 		n.inserts++
@@ -980,26 +902,8 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	tsp.End(dn, tnow)
 	tsp.End(upsp, tnow)
 
-	if traceWanted(r) {
-		upEvt := reqtrace.Event{Phase: reqtrace.PhaseUp, Node: int(n.ID), Action: reqtrace.ActNoDescriptor}
-		if entry.Tag == engine.TagCandidate {
-			upEvt.Action = reqtrace.ActPiggyback
-			upEvt.Freq = entry.Freq
-			upEvt.CostLoss = entry.CostLoss
-		}
-		downEvt := reqtrace.Event{Phase: reqtrace.PhaseDown, Node: int(n.ID), Action: reqtrace.ActUpdate, MissPenalty: mpSeen}
-		switch {
-		case res.Placed:
-			downEvt.Action = reqtrace.ActPlace
-			downEvt.Reset = true
-			downEvt.Evicted = len(evicted)
-		case res.PlaceFailed:
-			downEvt.Action = reqtrace.ActPlaceFailed
-		}
-		dec.trace = n.splice(dec.trace, traceEvent(upEvt), traceEvent(downEvt))
-	}
 	n.advertise(w.Header())
-	writeDecision(w.Header(), n.replyVersion(r), dec)
+	writeDecision(w.Header(), n.replyFramed(r), dec)
 	w.Header().Set(HeaderPenalty, fmtFloat(mp))
 	w.Header().Set(HeaderHit, resp.Header.Get(HeaderHit))
 	if tag := resp.Header.Get("ETag"); tag != "" {
@@ -1015,8 +919,8 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // full object. size for the d-cache descriptor comes from Content-Length
 // (every protocol hop sets it explicitly).
 func (n *Node) relayStream(w http.ResponseWriter, r *http.Request, resp *http.Response, seg segInfo,
-	dec decision, obj model.ObjectID, entry engine.Candidate,
-	prev, mp, mpSeen float64, now float64, tsp *span.Trace, upsp span.SpanID, hop int) {
+	dec decision, obj model.ObjectID,
+	prev, mp float64, now float64, tsp *span.Trace, upsp span.SpanID, hop int) {
 	size := resp.ContentLength
 	if size < 0 {
 		size = 0
@@ -1028,6 +932,7 @@ func (n *Node) relayStream(w http.ResponseWriter, r *http.Request, resp *http.Re
 	if active {
 		dn = tsp.Start(span.PhaseDown, n.ID, hop, upsp, now)
 		res, _ := n.st.DownStep(obj, size, false, mp, dec.gen, -1, now, nil)
+		tsp.Annotate(dn, mp, 0, span.DownOutcome(res.Placed, res.PlaceFailed))
 		n.auditor.CheckPenaltyStep(n.ID, obj, -1, prev, mp, res.MP, res.Placed)
 		outMP = res.MP
 	}
@@ -1036,23 +941,8 @@ func (n *Node) relayStream(w http.ResponseWriter, r *http.Request, resp *http.Re
 	tsp.End(dn, tnow)
 	tsp.End(upsp, tnow)
 
-	if active && traceWanted(r) {
-		upEvt := reqtrace.Event{Phase: reqtrace.PhaseUp, Node: int(n.ID), Action: reqtrace.ActNoDescriptor}
-		if entry.Tag == engine.TagCandidate {
-			upEvt.Action = reqtrace.ActPiggyback
-			upEvt.Freq = entry.Freq
-			upEvt.CostLoss = entry.CostLoss
-		}
-		downEvt := reqtrace.Event{Phase: reqtrace.PhaseDown, Node: int(n.ID), Action: reqtrace.ActUpdate, MissPenalty: mpSeen}
-		dec.trace = n.splice(dec.trace, traceEvent(upEvt), traceEvent(downEvt))
-	} else if !active {
-		// A mid-flight drain relays without adding events (it took no
-		// protocol steps), matching the header behaviour before the splice
-		// rode inside frames.
-		dec.trace = ""
-	}
 	n.advertise(w.Header())
-	writeDecision(w.Header(), n.replyVersion(r), dec)
+	writeDecision(w.Header(), n.replyFramed(r), dec)
 	w.Header().Set(HeaderPenalty, fmtFloat(outMP))
 	w.Header().Set(HeaderHit, resp.Header.Get(HeaderHit))
 	if tag := resp.Header.Get("ETag"); tag != "" {
@@ -1162,7 +1052,7 @@ func (n *Node) serveStats(w http.ResponseWriter) {
 	spillHits, promotions := n.spillHits, n.promotions
 	bs := n.bodies.Stats()
 	n.mu.Unlock()
-	badHeaders := n.badPenalty.Load() + n.badSegment.Load() + n.badGen.Load() + n.badInval.Load()
+	badHeaders := n.badPenalty.Load() + n.badSegment.Load() + n.badGen.Load() + n.badInval.Load() + n.badPath.Load()
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w,
 		"{\"node\":%d,\"upstream\":%q,\"membership\":%q,\"health\":%q,\"upstream_health\":%q,\"epoch\":%d,\"shards\":%d,\"hits\":%d,\"misses\":%d,\"inserts\":%d,\"revalidations\":%d,\"objects\":%d,\"used_bytes\":%d,\"capacity_bytes\":%d,\"dcache_descriptors\":%d,\"retries\":%d,\"breaker_state\":%q,\"breaker_opens\":%d,\"degraded\":%d,\"spill_objects\":%d,\"spill_used_bytes\":%d,\"spill_bytes_total\":%d,\"spill_hits\":%d,\"promotions\":%d,\"bad_headers\":%d}\n",
@@ -1222,6 +1112,22 @@ type Origin struct {
 	auditor *audit.Auditor
 	flight  *flightrec.Recorder
 	reg     *metrics.Registry
+
+	// badPath counts malformed or over-long piggybacked paths refused with
+	// 400 (cascade_gw_bad_header_total{header="path"} once a registry
+	// exists).
+	badPath atomic.Int64
+}
+
+// replyFramed advertises the origin's frame capability on the response and
+// reports whether the decision should travel as a frame: the requester
+// advertised the layout and the origin speaks it.
+func (o *Origin) replyFramed(w http.ResponseWriter, r *http.Request) bool {
+	if o.DisableBinaryFraming {
+		return false
+	}
+	w.Header().Set(HeaderAccept, FrameToken)
+	return acceptsFrames(r.Header)
 }
 
 // EnableObservability equips the origin with the decision-side
@@ -1236,6 +1142,8 @@ type Origin struct {
 func (o *Origin) EnableObservability(flightCapacity int, clock func() float64) {
 	o.reg = metrics.NewRegistry()
 	o.auditor = audit.New(o.reg, metrics.L("node", "origin"))
+	o.reg.CounterFunc("cascade_gw_bad_header_total", "Malformed protocol headers received, by header kind.",
+		func() float64 { return float64(o.badPath.Load()) }, metrics.L("header", "path"), metrics.L("node", "origin"))
 	if flightCapacity > 0 {
 		o.flight = flightrec.New(flightCapacity)
 	}
@@ -1297,8 +1205,10 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if seg.on {
 		obj = store.SegmentID(baseObj, seg.idx)
 	}
-	entries, err := parseIncomingPath(r.Header)
+	// The origin records no spans, so the path's span context goes unused.
+	entries, _, err := parseIncomingPath(r.Header)
 	if err != nil {
+		o.badPath.Add(1)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -1360,12 +1270,7 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			hi = size - 1
 		}
 		chosen, predict := decideObserved(entries, obj, now, o.auditor, o.flight, model.NoNode, nil, 0)
-		version := 0
-		if !o.DisableBinaryFraming {
-			w.Header().Set(HeaderAccept, FrameV3)
-			version = peerFrameVersion(r.Header)
-		}
-		writeDecision(w.Header(), version, o.originDecision(obj, chosen, predict))
+		writeDecision(w.Header(), o.replyFramed(w, r), o.originDecision(obj, chosen, predict))
 		w.Header().Set(HeaderPenalty, "0")
 		w.Header().Set(HeaderHit, "origin")
 		body := slice(lo, hi)
@@ -1403,17 +1308,7 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 
 	chosen, predict := decideObserved(entries, obj, now, o.auditor, o.flight, model.NoNode, nil, 0)
-	version := 0
-	if !o.DisableBinaryFraming {
-		w.Header().Set(HeaderAccept, FrameV3)
-		version = peerFrameVersion(r.Header)
-	}
-	d := o.originDecision(obj, chosen, predict)
-	if traceWanted(r) {
-		serveEvt := traceEvent(reqtrace.Event{Phase: reqtrace.PhaseUp, Node: -1, Action: reqtrace.ActServeOrigin})
-		d.trace = "[" + serveEvt + "," + traceDecision(-1, chosen) + "]"
-	}
-	writeDecision(w.Header(), version, d)
+	writeDecision(w.Header(), o.replyFramed(w, r), o.originDecision(obj, chosen, predict))
 	w.Header().Set(HeaderPenalty, "0")
 	w.Header().Set(HeaderHit, "origin")
 

@@ -26,6 +26,16 @@ import (
 // logical clock.
 func chain(t *testing.T, levels int, capacity int64) (string, []*Node, func(float64)) {
 	t.Helper()
+	base, nodes, setNow, _ := chainWith(t, levels, capacity, nil)
+	return base, nodes, setNow
+}
+
+// chainWith is chain with a per-node setup hook (run before the node
+// serves) and the servers' closer handed back: Close waits for every
+// handler to return, which a test reading state a handler writes on its way
+// out — the span ring, filled by a deferred Collect — must do first.
+func chainWith(t *testing.T, levels int, capacity int64, setup func(*Node)) (string, []*Node, func(float64), func()) {
+	t.Helper()
 	var mu sync.Mutex
 	now := 0.0
 	clock := func() float64 {
@@ -40,18 +50,27 @@ func chain(t *testing.T, levels int, capacity int64) (string, []*Node, func(floa
 	}
 
 	origin := httptest.NewServer(&Origin{Size: func(model.ObjectID) int { return 500 }})
-	t.Cleanup(origin.Close)
+	servers := []*httptest.Server{origin}
 
 	upstream := origin.URL
 	nodes := make([]*Node, levels)
 	for i := levels - 1; i >= 0; i-- {
 		n := NewNode(model.NodeID(i), upstream, float64(i+1), capacity, 100, clock)
+		if setup != nil {
+			setup(n)
+		}
 		srv := httptest.NewServer(n)
-		t.Cleanup(srv.Close)
+		servers = append(servers, srv)
 		upstream = srv.URL
 		nodes[i] = n
 	}
-	return upstream, nodes, setNow
+	closeAll := func() {
+		for i := len(servers) - 1; i >= 0; i-- {
+			servers[i].Close()
+		}
+	}
+	t.Cleanup(closeAll)
+	return upstream, nodes, setNow, closeAll
 }
 
 func get(t *testing.T, base string, obj int) (*http.Response, []byte) {
@@ -235,6 +254,13 @@ func TestPathHeaderFloatExact(t *testing.T) {
 	}
 }
 
+// decideIDs runs the serving paths' decision step unobserved and returns the
+// chosen node IDs.
+func decideIDs(entries []engine.Candidate) []model.NodeID {
+	ids, _ := decideObserved(entries, 0, 0, nil, nil, model.NoNode, nil, 0)
+	return ids
+}
+
 func TestDecideMatchesDP(t *testing.T) {
 	// Empty caches, equal frequencies: the client-most candidate wins
 	// (max penalty, zero loss), as in the scheme tests.
@@ -243,11 +269,15 @@ func TestDecideMatchesDP(t *testing.T) {
 		{Hop: 1, Node: 1, Tag: engine.TagCandidate, Freq: 1, CostLoss: 0, Link: 1},
 		{Hop: 2, Node: 2, Tag: engine.TagNoDescriptor, Link: 1}, // tagged: excluded
 	}
-	chosen := Decide(entries)
+	chosen, predict := decideObserved(entries, 0, 0, nil, nil, model.NoNode, nil, 0)
 	if len(chosen) != 1 || chosen[0] != 0 {
 		t.Fatalf("chosen = %v, want node 0 only", chosen)
 	}
-	if got := parsePlacement(formatPlacement(chosen)); !got[0] || len(got) != 1 {
+	// Δcost of the lone placement: f·m − l = 1·3 − 0.
+	if len(predict) != 1 || predict[0] != (predictTerm{Node: 0, Term: 3}) {
+		t.Fatalf("predicted terms = %v, want node 0 at 3", predict)
+	}
+	if got := parsePlacementList(formatPlacement(chosen)); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("placement header round trip: %v", got)
 	}
 }
@@ -260,9 +290,9 @@ func TestPlacementHeaderDeterministic(t *testing.T) {
 		{Hop: 1, Node: 4, Tag: engine.TagCandidate, Freq: 2, CostLoss: 0, Link: 1},
 		{Hop: 2, Node: 6, Tag: engine.TagCandidate, Freq: 3, CostLoss: 0, Link: 1},
 	}
-	want := formatPlacement(Decide(entries))
+	want := formatPlacement(decideIDs(entries))
 	for i := 0; i < 50; i++ {
-		if got := formatPlacement(Decide(entries)); got != want {
+		if got := formatPlacement(decideIDs(entries)); got != want {
 			t.Fatalf("placement header unstable: %q vs %q", got, want)
 		}
 	}
@@ -558,7 +588,7 @@ func TestTTLRevalidationContentChanged(t *testing.T) {
 		w.Header().Set(HeaderHit, "origin")
 		// Let the node's own hop decide placement for itself.
 		entries, _ := parsePath(r.Header.Get(HeaderPath))
-		w.Header().Set(HeaderPlace, formatPlacement(Decide(entries)))
+		w.Header().Set(HeaderPlace, formatPlacement(decideIDs(entries)))
 		if r.Header.Get("If-None-Match") == tag {
 			w.WriteHeader(http.StatusNotModified)
 			return

@@ -81,8 +81,8 @@ func (n *Node) MetricsRegistry() *metrics.Registry {
 		func() float64 { return float64(n.badGen.Load()) }, metrics.L("header", "gen"), nl)
 	r.CounterFunc("cascade_gw_bad_header_total", "Malformed protocol headers received, by header kind.",
 		func() float64 { return float64(n.badInval.Load()) }, metrics.L("header", "inval"), nl)
-	r.CounterFunc("cascade_gw_trace_truncations_total", "Debug-trace splices truncated to fit the node's trace budget.",
-		func() float64 { return float64(n.traceTrunc.Load()) }, nl)
+	r.CounterFunc("cascade_gw_bad_header_total", "Malformed protocol headers received, by header kind.",
+		func() float64 { return float64(n.badPath.Load()) }, metrics.L("header", "path"), nl)
 	n.reqHist = r.Summary("cascade_gw_request_seconds",
 		"Wall-clock latency of data-path requests at this node, all outcomes.", nl)
 

@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -12,106 +14,122 @@ import (
 	"time"
 
 	"cascade/internal/audit"
+	"cascade/internal/engine"
 	"cascade/internal/flightrec"
 	"cascade/internal/model"
-	"cascade/internal/reqtrace"
+	"cascade/internal/span"
 )
 
-// getTraced issues a GET with the trace opt-in header set.
-func getTraced(t *testing.T, base string, obj int) *http.Response {
+// tracedChain is a 10 kB-per-node chain with span tracing at rate 1 on
+// every hop.
+func tracedChain(t *testing.T, levels int) (string, []*Node, func(float64), func()) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, base+"/objects/"+strconv.Itoa(obj), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(HeaderTrace, "1")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()
-	return resp
+	return chainWith(t, levels, 10000, func(n *Node) { n.EnableSpans(span.Policy{Rate: 1}, 256) })
 }
 
-// TestTraceHeaderBothPasses drives a 3-node chain with the debug header
-// and checks the spliced event array: up events client→origin, the
-// origin's decision, then down events origin→client — both protocol
-// passes of §2.3 visible in one response header.
-func TestTraceHeaderBothPasses(t *testing.T) {
-	base, nodes, setNow := chain(t, 3, 10000)
+// tracesByStart stitches the nodes' span rings into per-request traces, the
+// way an operator reassembles /cascade/debug/spans dumps, and returns each
+// request's spans keyed "phase@node", requests in start order.
+func tracesByStart(nodes []*Node) []map[string]span.Span {
+	byTrace := map[span.TraceID]map[string]span.Span{}
+	var order []span.TraceID
+	for _, n := range nodes {
+		for _, s := range n.DumpSpans().Spans {
+			if byTrace[s.Trace] == nil {
+				byTrace[s.Trace] = map[string]span.Span{}
+			}
+			byTrace[s.Trace][s.Phase.String()+"@"+strconv.Itoa(int(s.Node))] = s
+			if s.Phase == span.PhaseRequest {
+				order = append(order, s.Trace)
+			}
+		}
+	}
+	sort.Slice(order, func(i, j int) bool {
+		return byTrace[order[i]]["request@0"].Start < byTrace[order[j]]["request@0"].Start
+	})
+	out := make([]map[string]span.Span, len(order))
+	for i, id := range order {
+		out[i] = byTrace[id]
+	}
+	return out
+}
 
-	// A cold object misses every cache, so the trace walks the full chain
-	// up to the origin and back down.
+// TestSpanAttrsBothPasses drives a 3-node chain (link costs 1, 2, 3 toward
+// the origin) and reads both protocol passes of §2.3 back from the span
+// rings: each hop's upward record — the §2.4 tag on a cold object, a real
+// (f, l) once descriptors exist — and each hop's downward step with the
+// miss-penalty counter it observed and what it did with the copy.
+func TestSpanAttrsBothPasses(t *testing.T) {
+	base, nodes, setNow, closeAll := tracedChain(t, 3)
 	setNow(0)
-	resp := getTraced(t, base, 7)
-	h := resp.Header.Get(HeaderTrace)
-	if h == "" {
-		t.Fatal("no trace header on opted-in request")
+	get(t, base, 7) // cold: every cache misses without a descriptor
+	setNow(10)
+	if resp, _ := get(t, base, 7); resp.Header.Get(HeaderPlace) != "0" {
+		t.Fatalf("test premise broken: second fetch placed at %q, want the edge", resp.Header.Get(HeaderPlace))
 	}
-	var events []reqtrace.Event
-	if err := json.Unmarshal([]byte(h), &events); err != nil {
-		t.Fatalf("trace header is not a JSON event array: %v\n%s", err, h)
-	}
-
-	// Phases must appear in wire order: all up, then decide, then down —
-	// unless a cache hit ended the chain early.
-	phaseOrder := map[string]int{reqtrace.PhaseUp: 0, reqtrace.PhaseDecide: 1, reqtrace.PhaseDown: 2}
-	last := 0
-	counts := map[string]int{}
-	for _, e := range events {
-		p, ok := phaseOrder[e.Phase]
-		if !ok {
-			t.Fatalf("unknown phase %q in %+v", e.Phase, e)
-		}
-		if p < last {
-			t.Fatalf("phase %q after phase order %d:\n%s", e.Phase, last, h)
-		}
-		last = p
-		counts[e.Phase]++
-	}
-	if counts[reqtrace.PhaseUp] == 0 || counts[reqtrace.PhaseDecide] != 1 || counts[reqtrace.PhaseDown] == 0 {
-		t.Fatalf("trace missing a pass (up=%d decide=%d down=%d):\n%s",
-			counts[reqtrace.PhaseUp], counts[reqtrace.PhaseDecide], counts[reqtrace.PhaseDown], h)
-	}
-	// A request served by an upstream hop must show the hops below it in
-	// both directions; with 3 nodes at least one down event is a
-	// place/update on a live node.
-	if counts[reqtrace.PhaseDown] != counts[reqtrace.PhaseUp]-1 {
-		t.Fatalf("down events %d want %d (one per traversed cache):\n%s",
-			counts[reqtrace.PhaseDown], counts[reqtrace.PhaseUp]-1, h)
+	closeAll()
+	traces := tracesByStart(nodes)
+	if len(traces) != 2 {
+		t.Fatalf("stitched %d traces from 2 requests", len(traces))
 	}
 
-	// Without the opt-in header no trace is emitted.
-	plain, _ := get(t, base, 7)
-	if got := plain.Header.Get(HeaderTrace); got != "" {
-		t.Fatalf("trace header leaked without opt-in: %s", got)
+	wantPenalty := map[int]float64{2: 3, 1: 5, 0: 6} // links accumulate origin → client
+	for req, tr := range traces {
+		parent := tr["request@0"].ID
+		for node := 0; node < 3; node++ {
+			up := tr["up@"+strconv.Itoa(node)]
+			down := tr["down@"+strconv.Itoa(node)]
+			if up.ID == 0 || down.ID == 0 {
+				t.Fatalf("request %d: node %d lacks an up or down span: %v", req, node, tr)
+			}
+			if up.Parent != parent || down.Parent != up.ID {
+				t.Errorf("request %d node %d: passes not nested hop by hop (up %+v down %+v)", req, node, up, down)
+			}
+			parent = up.ID
+			if req == 0 {
+				if up.N != int(engine.TagNoDescriptor) || up.A != 0 || up.B != 0 {
+					t.Errorf("cold up@%d = %+v, want the no-descriptor tag", node, up)
+				}
+			} else if up.N != int(engine.TagCandidate) || up.A <= 0 || up.B != 0 {
+				t.Errorf("warm up@%d = %+v, want a candidate with f > 0 and l = 0", node, up)
+			}
+			wantN := span.DownPass
+			if req == 1 && node == 0 {
+				wantN = span.DownPlaced
+			}
+			if down.A != wantPenalty[node] || down.B != 0 || down.N != wantN {
+				t.Errorf("request %d down@%d = %+v, want penalty %g outcome %d", req, node, down, wantPenalty[node], wantN)
+			}
+		}
+		// The origin decided both; it records no spans.
+		for k := range tr {
+			if strings.HasPrefix(k, "decide@") {
+				t.Errorf("request %d: unexpected %s", req, k)
+			}
+		}
 	}
-	_ = nodes
 }
 
-// TestTraceHeaderLocalHit pins the short trace of a first-cache hit: the
-// hit event and the local decision, no downstream pass.
-func TestTraceHeaderLocalHit(t *testing.T) {
-	base, nodes, setNow := chain(t, 2, 10000)
-	for i := 0; i < 5; i++ {
+// TestSpanAttrsLocalHit pins the short trace of a first-cache hit: lookup
+// and the local, empty decision — no upward or downward pass.
+func TestSpanAttrsLocalHit(t *testing.T) {
+	base, nodes, setNow, closeAll := tracedChain(t, 2)
+	for i := 0; i < 3; i++ {
 		setNow(float64(10 * i))
 		get(t, base, 3)
 	}
 	if !nodes[0].Contains(3) {
-		t.Skip("object not cached at the edge under this workload")
+		t.Fatal("object not cached at the edge under this workload")
 	}
-	setNow(60)
-	resp := getTraced(t, base, 3)
-	var events []reqtrace.Event
-	if err := json.Unmarshal([]byte(resp.Header.Get(HeaderTrace)), &events); err != nil {
-		t.Fatal(err)
+	closeAll()
+	traces := tracesByStart(nodes)
+	hit := traces[len(traces)-1]
+	dec, ok := hit["decide@0"]
+	if !ok || dec.A != 0 || dec.N != 0 || dec.Hop != 0 {
+		t.Fatalf("edge hit decide span = %+v (present %v), want an empty decision at hop 0", dec, ok)
 	}
-	if len(events) != 2 || events[0].Action != reqtrace.ActHit || events[1].Phase != reqtrace.PhaseDecide {
-		t.Fatalf("local-hit trace = %+v", events)
-	}
-	if events[0].Node != 0 {
-		t.Fatalf("hit attributed to node %d, want 0", events[0].Node)
+	if len(hit) != 3 || hit["lookup@0"].ID == 0 || hit["request@0"].ID == 0 {
+		t.Fatalf("edge hit trace = %v, want request, lookup and decide only", hit)
 	}
 }
 
@@ -170,27 +188,17 @@ func TestGatewayMetricsEndpoint(t *testing.T) {
 // predicted Δcost term round-trips bit-exactly through the header, and
 // malformed entries are skipped rather than poisoning a ledger.
 func TestPredictHeaderRoundTrip(t *testing.T) {
-	scratch := audit.NewLedger()
-	terms := map[model.NodeID]float64{2: 1.0 / 3.0, 5: 0.1 + 0.2, 9: 4096}
-	for id, term := range terms {
-		scratch.RecordPrediction(id, term)
-	}
-	h := formatPredict(scratch.Snapshot())
-	got := parsePredict(h)
-	if len(got) != len(terms) {
-		t.Fatalf("parsed %d terms from %q, want %d", len(got), h, len(terms))
-	}
-	for id, term := range terms {
-		if got[id] != term {
-			t.Fatalf("node %d: %v != %v after header round-trip %q", id, got[id], term, h)
-		}
+	terms := []predictTerm{{Node: 2, Term: 1.0 / 3.0}, {Node: 5, Term: 0.1 + 0.2}, {Node: 9, Term: 4096}}
+	h := formatPredictTerms(terms)
+	if got := parsePredictTerms(h); !reflect.DeepEqual(got, terms) {
+		t.Fatalf("terms %v != %v after header round-trip %q", got, terms, h)
 	}
 
-	got = parsePredict("junk, 3=0.5 ,=7,8=,4=nope,6=2.25")
-	if len(got) != 2 || got[3] != 0.5 || got[6] != 2.25 {
-		t.Fatalf("malformed-entry parse = %v, want {3:0.5 6:2.25}", got)
+	got := parsePredictTerms("junk, 3=0.5 ,=7,8=,4=nope,6=2.25")
+	if want := []predictTerm{{Node: 3, Term: 0.5}, {Node: 6, Term: 2.25}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("malformed-entry parse = %v, want %v", got, want)
 	}
-	if got := parsePredict(""); len(got) != 0 {
+	if got := parsePredictTerms(""); len(got) != 0 {
 		t.Fatalf("empty header parsed to %v", got)
 	}
 }
@@ -216,9 +224,9 @@ func TestPredictBookedAtPlacingNode(t *testing.T) {
 			continue
 		}
 		placed = true
-		terms := parsePredict(predict)
-		for id := range parsePlacement(place) {
-			term, ok := terms[id]
+		terms := parsePredictTerms(predict)
+		for _, id := range parsePlacementList(place) {
+			term, ok := predictFor(terms, id)
 			if !ok {
 				t.Fatalf("placement at node %d carries no predicted term (place %q, predict %q)", id, place, predict)
 			}

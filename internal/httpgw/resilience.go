@@ -229,14 +229,12 @@ func (n *Node) fetchUpstream(req *http.Request) (*http.Response, error) {
 			n.mu.Lock()
 			n.breakerSuccessLocked()
 			n.mu.Unlock()
-			// Per-hop framing negotiation: a response advertising frame
-			// support licenses binary request frames at that version from
-			// now on. Sticky and upgrade-only — the advert's absence on one
-			// response (a relay, an error path) does not forget a capability
-			// already proven, and a v2 peer never gets downgraded by a stale
-			// v1 advert cached somewhere in the chain.
-			if v := int32(peerFrameVersion(resp.Header)); v > n.upVersion.Load() {
-				n.upVersion.Store(v)
+			// Per-hop framing negotiation: a response advertising the frame
+			// layout licenses binary request frames from now on. Sticky — the
+			// advert's absence on one response (a relay, an error path) does
+			// not forget a capability already proven.
+			if !n.upFrames.Load() && acceptsFrames(resp.Header) {
+				n.upFrames.Store(true)
 			}
 			return resp, nil
 		}

@@ -3,18 +3,16 @@ package httpgw
 import (
 	"encoding/json"
 	"net/http"
-	"strings"
 
 	"cascade/internal/model"
 	"cascade/internal/span"
 )
 
 // HeaderTraceCtx carries the span trace context hop-to-hop as
-// "<32 hex trace id>-<16 hex parent span>". It is the textual fallback for
-// the v3 path frame's inline context: a tracing hop always understands
-// either form, and a non-tracing hop relays the header untouched, so a
-// trace survives mixed and partially upgraded chains. See
-// docs/OBSERVABILITY.md for the span schema.
+// "<32 hex trace id>-<16 hex parent span>". It is the textual counterpart of
+// the path frame's inline context: a tracing hop understands either form, so
+// a trace survives mixed chains. See docs/OBSERVABILITY.md for the span
+// schema.
 const HeaderTraceCtx = "X-Cascade-TraceCtx"
 
 // EnableSpans equips the node with protocol span tracing: each request
@@ -57,38 +55,18 @@ func (n *Node) serveSpans(w http.ResponseWriter) {
 // reassembles the tree by trace ID.
 func (n *Node) ringOf(model.NodeID) *span.Ring { return n.spans }
 
-// incomingSpanInfo reads the request's hop index (the number of path
-// entries accumulated below this node) and, when the downstream hop traces,
-// the span context to join: inline from a v3 path frame, from the
-// X-Cascade-TraceCtx header otherwise.
-func incomingSpanInfo(h http.Header) (hop int, ctx span.Ctx, ok bool) {
-	if f := h.Get(HeaderFrame); f != "" {
-		hop, ctx, ok = pathFrameInfo(f)
-		if !ok {
-			ctx, ok = span.ParseCtx(h.Get(HeaderTraceCtx))
-		}
-		return hop, ctx, ok
-	}
-	if p := strings.TrimSpace(h.Get(HeaderPath)); p != "" {
-		hop = strings.Count(p, ",") + 1
-	}
-	ctx, ok = span.ParseCtx(h.Get(HeaderTraceCtx))
-	return hop, ctx, ok
-}
-
 // beginSpan opens this node's view of the request's trace: joining the
-// downstream hop's context when one arrived, minting a fresh trace (with
-// its root request span) when this node is the chain's edge. It returns a
-// nil trace when tracing is off. parent is the span the node's own phase
-// spans hang from; hop is this node's positional index on the path.
-func (n *Node) beginSpan(r *http.Request, now float64) (tsp *span.Trace, parent span.SpanID, hop int) {
+// downstream hop's context (ctx, read off the decoded path) when one
+// arrived, minting a fresh trace (with its root request span) when this
+// node is the chain's edge. It returns a nil trace when tracing is off.
+// parent is the span the node's own phase spans hang from.
+func (n *Node) beginSpan(ctx span.Ctx, now float64) (tsp *span.Trace, parent span.SpanID) {
 	if n.tracer == nil {
-		return nil, 0, 0
+		return nil, 0
 	}
-	hop, ctx, ok := incomingSpanInfo(r.Header)
-	if ok {
-		return n.tracer.Join(ctx), ctx.Parent, hop
+	if ctx.Valid() {
+		return n.tracer.Join(ctx), ctx.Parent
 	}
 	tsp = n.tracer.Begin(n.ID, -1, now)
-	return tsp, tsp.Root(), hop
+	return tsp, tsp.Root()
 }

@@ -196,7 +196,9 @@ func (c *Cluster) passes(ctx context.Context, w *walk) (Result, error) {
 		// Observed passing through: refresh the descriptor's history and
 		// piggyback this node's candidacy. A node without a usable record
 		// ships no entry (the §2.4 tag) and is excluded from the DP.
-		if cand := n.st.UpMiss(w.obj, w.size, hop, w.upCost[hop], w.now); cand.Tag == engine.TagCandidate {
+		cand := n.st.UpMiss(w.obj, w.size, hop, w.upCost[hop], w.now)
+		w.tsp.Annotate(up, cand.Freq, cand.CostLoss, int(cand.Tag))
+		if cand.Tag == engine.TagCandidate {
 			w.pb = append(w.pb, cand)
 		}
 		w.accCost += w.upCost[hop]
@@ -288,6 +290,7 @@ func (c *Cluster) passes(ctx context.Context, w *walk) (Result, error) {
 		dn := w.tsp.Start(span.PhaseDown, id, h, up, w.now)
 		out, ev := n.st.DownStep(w.obj, w.size, place, mp, gen, h, w.now, w.evict[:0])
 		w.evict = ev
+		w.tsp.Annotate(dn, mp, float64(len(ev)), span.DownOutcome(out.Placed, out.PlaceFailed))
 		n.st.Audit().CheckPenaltyStep(id, w.obj, h, prev, mp, out.MP, out.Placed)
 		mp = out.MP
 		if out.Placed {
@@ -355,7 +358,7 @@ func (c *Cluster) decide(w *walk, servingHop int, servedBy model.NodeID, buf []i
 		opts.Now = w.now
 	}
 	chosen := append(buf, s.dec.Decide(cands, opts,
-		engine.ServePoint{Hop: servingHop, Node: servedBy}, nil)...)
+		engine.ServePoint{Hop: servingHop, Node: servedBy})...)
 	c.decScratch.Put(s)
 	return chosen
 }

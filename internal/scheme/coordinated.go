@@ -9,7 +9,6 @@ import (
 	"cascade/internal/flightrec"
 	"cascade/internal/freq"
 	"cascade/internal/model"
-	"cascade/internal/reqtrace"
 	"cascade/internal/span"
 )
 
@@ -68,11 +67,6 @@ type Coordinated struct {
 	// pool recycles descriptors evicted by the d-caches.
 	pool engine.DescPool
 
-	// tracer, when set, samples requests for hop-by-hop protocol traces.
-	// Unsampled requests pay one nil/stride check, so the hot path stays
-	// allocation-free.
-	tracer *reqtrace.Sampler
-
 	// spanTracer, when set, emits cascade-wide phase spans into per-node
 	// rings (tail-sampled; nil disables and the hot path pays only nil
 	// checks). upSpan is the per-request upstream-span scratch, ringFor
@@ -130,10 +124,6 @@ func (s *Coordinated) SetWindowK(k int) {
 // default; dcache.NewLRUStacksFactory for the paper's O(1) variant). Call
 // before Configure.
 func (s *Coordinated) SetDCacheFactory(f dcache.Factory) { s.dfac = f }
-
-// SetTracer attaches a request-trace sampler (nil disables tracing, the
-// default). Call before processing requests.
-func (s *Coordinated) SetTracer(t *reqtrace.Sampler) { s.tracer = t }
 
 // SetAuditor attaches an online invariant auditor (nil disables, the
 // default). Callable before or after Configure.
@@ -321,8 +311,6 @@ func (s *Coordinated) Configure(budgets map[model.NodeID]NodeBudget) {
 
 // Process implements Scheme.
 func (s *Coordinated) Process(now float64, obj model.ObjectID, size int64, path Path) Outcome {
-	tr := s.tracer.Begin(now, obj, size)
-
 	// Cascade-wide span trace: the replay loop is this incarnation's edge,
 	// so the root request span opens here. parent tracks the span the next
 	// hop's phases hang off — the root at first, then each miss hop's up
@@ -388,7 +376,9 @@ func (s *Coordinated) Process(now float64, obj model.ObjectID, size int64, path 
 			s.upSpan[i] = up
 			parent = up
 		}
-		s.cand = append(s.cand, st.UpMiss(obj, size, i, path.UpCost[i], now, tr))
+		c := st.UpMiss(obj, size, i, path.UpCost[i], now)
+		tsp.Annotate(up, c.Freq, c.CostLoss, int(c.Tag))
+		s.cand = append(s.cand, c)
 	}
 	servNode := model.NoNode
 	if hit < path.OriginIndex() {
@@ -397,7 +387,6 @@ func (s *Coordinated) Process(now float64, obj model.ObjectID, size int64, path 
 		// The origin always serves the current generation.
 		servedGen = s.auth.Gen(obj)
 	}
-	engine.TraceServe(tr, hit, servNode)
 
 	// ---- Placement decision at the serving node ------------------------
 	// Message accounting: every hop whose d-cache held the descriptor
@@ -424,7 +413,7 @@ func (s *Coordinated) Process(now float64, obj model.ObjectID, size int64, path 
 		opts.SpanParent = parent
 		opts.Now = now
 	}
-	chosen := s.dec.Decide(s.cand, opts, engine.ServePoint{Hop: hit, Node: servNode}, tr)
+	chosen := s.dec.Decide(s.cand, opts, engine.ServePoint{Hop: hit, Node: servNode})
 	piggyback += int64(len(chosen)) * 4 // placement instructions on the response
 
 	// ---- Downstream pass ------------------------------------------------
@@ -467,7 +456,8 @@ func (s *Coordinated) Process(now float64, obj model.ObjectID, size int64, path 
 			last--
 		}
 		dn := tsp.Start(span.PhaseDown, path.Nodes[i], i, up, now)
-		res := st.DownStep(obj, size, place, mp, servedGen, i, now, tr)
+		res := st.DownStep(obj, size, place, mp, servedGen, i, now)
+		tsp.Annotate(dn, mp, float64(len(res.Evicted)), span.DownOutcome(res.Placed, res.PlaceFailed))
 		tsp.End(dn, now)
 		tsp.End(up, now)
 		if s.auditor != nil {
@@ -479,10 +469,6 @@ func (s *Coordinated) Process(now float64, obj model.ObjectID, size int64, path 
 		}
 	}
 	s.placed = placed
-	if tr != nil {
-		tr.HitIndex = hit
-		tr.Placed = append([]int(nil), placed...)
-	}
 	s.spanTracer.Collect(tsp, now, s.ringFor)
 	return Outcome{HitIndex: hit, Placed: placed, PiggybackBytes: piggyback, ServedGen: servedGen, Refetch: refetch}
 }

@@ -121,7 +121,7 @@ func (s *Partial) Process(now float64, obj model.ObjectID, size int64, path Path
 				hit = i
 				break
 			}
-			s.cand = append(s.cand, st.UpMiss(obj, size, i, path.UpCost[i], now, nil))
+			s.cand = append(s.cand, st.UpMiss(obj, size, i, path.UpCost[i], now))
 			continue
 		}
 		if c := s.legacy[n]; c.Contains(obj) {
@@ -140,7 +140,7 @@ func (s *Partial) Process(now float64, obj model.ObjectID, size int64, path Path
 
 	// Decision: DP over participating candidates below the hit.
 	chosen := s.dec.Decide(s.cand, engine.DecideOptions{ClampMonotone: true},
-		engine.ServePoint{Hop: hit, Node: servNode}, nil)
+		engine.ServePoint{Hop: hit, Node: servNode})
 
 	// Downstream: participating nodes follow the decision and maintain
 	// descriptors; legacy nodes insert everything. chosen holds ascending
@@ -164,7 +164,7 @@ func (s *Partial) Process(now float64, obj model.ObjectID, size int64, path Path
 		if place {
 			last--
 		}
-		res := st.DownStep(obj, size, place, mp, 0, i, now, nil)
+		res := st.DownStep(obj, size, place, mp, 0, i, now)
 		mp = res.MP
 		if res.Placed {
 			placed = append(placed, i)

@@ -1,127 +1,122 @@
 package scheme
 
 import (
-	"encoding/json"
+	"fmt"
 	"testing"
 
+	"cascade/internal/engine"
 	"cascade/internal/model"
-	"cascade/internal/reqtrace"
+	"cascade/internal/span"
 )
 
-// TestCoordinatedTraceBothPasses drives the coordinated scheme with a
-// tracer attached and checks that a sampled request records the full
-// protocol round trip: the upward pass with its piggybacked (f, m, l)
-// descriptors and the downward pass with the DP decision, placements and
-// miss-penalty counter resets.
+// spansOf gathers one request's spans from every node ring, keyed by
+// "phase@node".
+func spansOf(t *testing.T, s *Coordinated, id span.TraceID) map[string]span.Span {
+	t.Helper()
+	out := map[string]span.Span{}
+	for _, n := range s.SpanNodes() {
+		for _, sp := range s.SpanRing(n).Spans() {
+			if sp.Trace == id {
+				out[fmt.Sprintf("%s@%d", sp.Phase, sp.Node)] = sp
+			}
+		}
+	}
+	return out
+}
+
+// TestCoordinatedTraceBothPasses drives the coordinated scheme with span
+// tracing on and checks one request's trace against ground truth: the
+// upward pass with each hop's piggybacked (f, l) record or §2.4 tag, the
+// serving cache's decision with its predicted Δcost and chosen count, and
+// the downward pass with the miss-penalty counter each hop observed — reset
+// at the caching point — and the placement outcome.
 func TestCoordinatedTraceBothPasses(t *testing.T) {
 	s := NewCoordinated()
-	s.Configure(Uniform([]model.NodeID{0, 1, 2, 3}, 1000, 10))
-	sampler := reqtrace.NewSampler(1, 100)
-	s.SetTracer(sampler)
-	p := testPath()
+	// Node 0 is too small to ever hold the 100-byte object, so once it has a
+	// descriptor it answers with the cannot-fit tag.
+	budgets := Uniform([]model.NodeID{0, 1, 2, 3}, 1000, 10)
+	budgets[0] = NodeBudget{CacheBytes: 50, DCacheEntries: 10}
+	s.Configure(budgets)
+	s.SetSpans(span.NewTracer(span.Policy{Rate: 1}), 256)
+	full := testPath()
+	upper := Path{Nodes: []model.NodeID{2, 3}, UpCost: []float64{1, 1}}
 
-	// First sighting creates descriptors; repeat sightings build frequency
-	// until the DP places a copy.
-	var placedSeq int64 = -1
-	for i := 0; i < 6; i++ {
-		out := s.Process(float64(10*i), 42, 100, p)
-		if len(out.Placed) > 0 && placedSeq < 0 {
-			placedSeq = int64(i)
+	// A client attached at node 2 fetches the object twice: the second
+	// fetch places it there. A client below node 0 then fetches it twice
+	// through the whole path; node 2 serves both.
+	s.Process(0, 42, 100, upper)
+	if out := s.Process(10, 42, 100, upper); len(out.Placed) != 1 {
+		t.Fatalf("warm-up did not place at node 2: %+v", out)
+	}
+	s.Process(20, 42, 100, full)
+	out := s.Process(30, 42, 100, full)
+	if out.HitIndex != 2 || !equalInts(out.Placed, []int{1}) {
+		t.Fatalf("test premise broken: hit %d placed %v, want hit 2 placed [1]", out.HitIndex, out.Placed)
+	}
+
+	// The last request's trace is the one whose decide span chose a cache.
+	var id span.TraceID
+	for _, sp := range s.SpanRing(2).Spans() {
+		if sp.Phase == span.PhaseDecide && sp.N == 1 {
+			id = sp.Trace
 		}
 	}
-	if placedSeq < 0 {
-		t.Fatal("no request placed a copy; test premise broken")
+	got := spansOf(t, s, id)
+
+	up0, up1, dec := got["up@0"], got["up@1"], got["decide@2"]
+	if up0.N != int(engine.TagCannotFit) || up0.A != 0 || up0.B != 0 {
+		t.Errorf("up@0 = %+v, want the cannot-fit tag and no payload", up0)
+	}
+	if up1.N != int(engine.TagCandidate) || up1.A <= 0 || up1.B != 0 {
+		t.Errorf("up@1 = %+v, want a candidate with f > 0 and l = 0 (empty cache)", up1)
+	}
+	// One candidate one link below the serving cache: Δcost = f·m − l = f.
+	if dec.Hop != 2 || dec.N != 1 || dec.A != up1.A {
+		t.Errorf("decide@2 = %+v, want 1 chosen at predicted Δcost %g", dec, up1.A)
+	}
+	if _, ok := got["up@2"]; ok {
+		t.Error("the serving cache recorded an up span")
+	}
+	// Node 1 sees the counter at one link and places, resetting it; node 0
+	// therefore sees one link again, not two.
+	if d := got["down@1"]; d.A != 1 || d.B != 0 || d.N != span.DownPlaced {
+		t.Errorf("down@1 = %+v, want penalty 1, no victims, placed", d)
+	}
+	if d := got["down@0"]; d.A != 1 || d.N != span.DownPass {
+		t.Errorf("down@0 = %+v, want penalty 1 (reset at node 1) and a pass", d)
+	}
+	if up1.Parent != up0.ID || dec.Parent != up1.ID || got["down@1"].Parent != up1.ID {
+		t.Errorf("passes not nested hop by hop: %+v", got)
 	}
 
-	traces := sampler.Traces()
-	if len(traces) != 6 {
-		t.Fatalf("sampled %d traces, want 6", len(traces))
-	}
-
-	// The first request finds no descriptors anywhere: every hop carries
-	// the §2.4 "no descriptor" tag and the origin serves.
-	first := traces[0]
-	counts := map[string]int{}
-	for _, e := range first.Events {
-		counts[e.Phase+"/"+e.Action]++
-	}
-	if counts[reqtrace.PhaseUp+"/"+reqtrace.ActServeOrigin] != 1 {
-		t.Fatalf("first request not origin-served: %v", counts)
-	}
-	if counts[reqtrace.PhaseUp+"/"+reqtrace.ActNoDescriptor] != len(p.Nodes) {
-		t.Fatalf("first request descriptor tags: %v", counts)
-	}
-
-	// The placing request must show both passes: piggybacked candidates on
-	// the way up, a decision, and a place event with a counter reset on
-	// the way down.
-	tr := traces[placedSeq]
-	var sawPiggyback, sawDecision, sawPlace, sawDown bool
-	var lastUp = -1
-	for i, e := range tr.Events {
-		switch {
-		case e.Phase == reqtrace.PhaseUp && e.Action == reqtrace.ActPiggyback:
-			sawPiggyback = true
-			if e.Freq <= 0 || e.MissPenalty <= 0 {
-				t.Fatalf("piggyback event missing (f, m): %+v", e)
-			}
-			lastUp = i
-		case e.Phase == reqtrace.PhaseDecide:
-			sawDecision = true
-			if len(e.Chosen) == 0 {
-				t.Fatalf("decision chose nothing on the placing request: %+v", e)
-			}
-			if i < lastUp {
-				t.Fatal("decision recorded before the upward pass finished")
-			}
-		case e.Phase == reqtrace.PhaseDown:
-			sawDown = true
-			if !sawDecision {
-				t.Fatal("downward event before the decision")
-			}
-			if e.Action == reqtrace.ActPlace {
-				sawPlace = true
-				if !e.Reset {
-					t.Fatalf("placement did not reset the penalty counter: %+v", e)
-				}
-			}
+	// The request before it found no descriptor at either lower hop: §2.4
+	// tags on the way up, nothing chosen, the counter accumulating
+	// unreset on the way down.
+	for _, sp := range s.SpanRing(2).Spans() {
+		if sp.Phase == span.PhaseDecide && sp.N == 0 && sp.Start == 20 {
+			id = sp.Trace
 		}
 	}
-	if !sawPiggyback || !sawDecision || !sawPlace || !sawDown {
-		t.Fatalf("trace missing protocol steps (pb=%v dec=%v place=%v down=%v):\n%+v",
-			sawPiggyback, sawDecision, sawPlace, sawDown, tr.Events)
+	got = spansOf(t, s, id)
+	for _, k := range []string{"up@0", "up@1"} {
+		if u := got[k]; u.ID == 0 || u.N != int(engine.TagNoDescriptor) || u.A != 0 {
+			t.Errorf("%s = %+v, want the no-descriptor tag", k, u)
+		}
 	}
-	if tr.HitIndex != p.OriginIndex() && tr.HitIndex >= len(p.Nodes) {
-		t.Fatalf("hit index %d out of range", tr.HitIndex)
-	}
-	if len(tr.Placed) == 0 {
-		t.Fatalf("trace lost the placement set: %+v", tr)
-	}
-
-	// Traces are the JSON surface of cascadesim -trace-requests: they must
-	// round-trip.
-	b, err := json.Marshal(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back reqtrace.Trace
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Seq != tr.Seq || len(back.Events) != len(tr.Events) {
-		t.Fatalf("JSON round trip lost events: %d vs %d", len(back.Events), len(tr.Events))
+	if d1, d0 := got["down@1"], got["down@0"]; d1.A != 1 || d0.A != 2 || d1.N != span.DownPass || d0.N != span.DownPass {
+		t.Errorf("unplaced response: down@1 %+v down@0 %+v, want penalties 1 then 2, both passes", d1, d0)
 	}
 }
 
-// TestCoordinatedTracerDisabled pins the opt-in contract: without a
-// tracer (or with an exhausted sampler) Process records nothing and the
-// decision stream is byte-identical to an untraced scheme.
+// TestCoordinatedTracerDisabled pins the opt-in contract: without a span
+// tracer Process records nothing, and tracing never changes the decision
+// stream.
 func TestCoordinatedTracerDisabled(t *testing.T) {
 	a := NewCoordinated()
 	a.Configure(Uniform([]model.NodeID{0, 1, 2, 3}, 1000, 10))
 	b := NewCoordinated()
 	b.Configure(Uniform([]model.NodeID{0, 1, 2, 3}, 1000, 10))
-	b.SetTracer(reqtrace.NewSampler(1, 3))
+	b.SetSpans(span.NewTracer(span.Policy{Rate: 1}), 64)
 	p := testPath()
 	for i := 0; i < 10; i++ {
 		oa := a.Process(float64(i), model.ObjectID(i%4), 100, p)
@@ -130,11 +125,10 @@ func TestCoordinatedTracerDisabled(t *testing.T) {
 			t.Fatalf("request %d: tracing changed the decision: %+v vs %+v", i, oa, ob)
 		}
 	}
-	if got := len(b.tracer.Traces()); got != 3 {
-		t.Fatalf("sampler cap ignored: %d traces", got)
+	if len(a.SpanNodes()) != 0 || a.SpanRing(0).Len() != 0 {
+		t.Fatal("untraced scheme retained spans")
 	}
-	var nilSampler *reqtrace.Sampler
-	if tr := nilSampler.Begin(0, 1, 1); tr != nil {
-		t.Fatal("nil sampler sampled a request")
+	if b.SpanRing(0).Len() == 0 {
+		t.Fatal("traced scheme retained nothing")
 	}
 }

@@ -3,8 +3,11 @@
 // gateway that first sees it, Cluster.Get, or the simulator's request loop)
 // and propagated hop to hop, with one span per protocol phase at each node
 // the request touches. A span tree stitched across the cascade answers
-// "where did the p999 go" for a single request the way the per-process
-// surfaces (metrics, flight rings, the X-Cascade-Trace splice) cannot.
+// "where did the p999 go" — and, through each span's numeric attributes,
+// "why that placement" — for a single request the way the per-process
+// surfaces (metrics, flight rings) cannot. It is the only per-request
+// trace: all three incarnations fill it, from the engine's own return
+// values.
 //
 // The span vocabulary mirrors the protocol phases the engine already
 // executes (paper §2.2–2.4): lookup, upstream candidate collection, the DP
@@ -174,6 +177,39 @@ type Span struct {
 	// seconds; logical for the simulators, Unix for the gateway). An
 	// End before Start means the span was never finished.
 	Start, End float64
+	// A, B and N are the phase's protocol payload, flightrec.Event style
+	// (fixed numeric slots, no maps, so a span stays a flat value). Every
+	// incarnation fills them from what the engine returned at that step:
+	//
+	//	up:     A = f (frequency estimate), B = l (eviction cost loss),
+	//	        N = the hop's §2.4 tag (engine.Tag: 0 candidate,
+	//	        1 no descriptor, 2 cannot fit)
+	//	decide: A = the DP's predicted Δcost, N = caches chosen
+	//	down:   A = miss-penalty counter observed (link just crossed
+	//	        included), B = victims evicted, N = DownPass / DownPlaced
+	//	        (the counter reset here) / DownPlaceFailed
+	//
+	// Zero on every other phase.
+	A, B float64
+	N    int
+}
+
+// Down-span outcomes (Span.N).
+const (
+	DownPass = iota
+	DownPlaced
+	DownPlaceFailed
+)
+
+// DownOutcome maps a downstream step's result onto the down span's N.
+func DownOutcome(placed, placeFailed bool) int {
+	switch {
+	case placed:
+		return DownPlaced
+	case placeFailed:
+		return DownPlaceFailed
+	}
+	return DownPass
 }
 
 // spanJSON is the dump encoding: IDs in hex, phase by schema name.
@@ -187,6 +223,9 @@ type spanJSON struct {
 	Hop    int     `json:"hop"`
 	Start  float64 `json:"start"`
 	End    float64 `json:"end"`
+	A      float64 `json:"a,omitempty"`
+	B      float64 `json:"b,omitempty"`
+	N      int     `json:"n,omitempty"`
 }
 
 // MarshalJSON encodes the span with hex IDs and the phase spelled as its
@@ -201,6 +240,9 @@ func (s Span) MarshalJSON() ([]byte, error) {
 		Hop:   s.Hop,
 		Start: s.Start,
 		End:   s.End,
+		A:     s.A,
+		B:     s.B,
+		N:     s.N,
 	}
 	if s.Parent != 0 {
 		j.Parent = s.Parent.String()
@@ -249,13 +291,16 @@ func (s *Span) UnmarshalJSON(data []byte) error {
 		Hop:    j.Hop,
 		Start:  j.Start,
 		End:    j.End,
+		A:      j.A,
+		B:      j.B,
+		N:      j.N,
 	}
 	return nil
 }
 
 // Ctx is the propagated trace context: which trace the downstream hop
 // belongs to and which span is its parent. Carried hop to hop on the
-// X-Cascade-TraceCtx header and, under bf3 framing, inside the binary path
+// X-Cascade-TraceCtx header and, under binary framing, inside the path
 // frame.
 type Ctx struct {
 	Trace  TraceID

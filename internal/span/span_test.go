@@ -72,6 +72,7 @@ func TestTracerTreeShape(t *testing.T) {
 	tc.End(lk, 1.5)
 	up := tc.Start(PhaseUp, 0, 0, tc.Root(), 1.5)
 	dec := tc.Start(PhaseDecide, 1, 1, up, 2.0)
+	tc.Annotate(up, 0.5, 2, 1) // an open, non-tail span is annotated in place
 	tc.End(dec, 2.5)
 	tc.End(up, 3.0)
 	collect(tr, tc, 3.5, r)
@@ -96,6 +97,12 @@ func TestTracerTreeShape(t *testing.T) {
 	}
 	if byPhase[PhaseDecide].Parent != byPhase[PhaseUp].ID {
 		t.Fatal("decide not parented on up")
+	}
+	if u := byPhase[PhaseUp]; u.A != 0.5 || u.B != 2 || u.N != 1 {
+		t.Fatalf("up span attributes lost: %+v", u)
+	}
+	if d := byPhase[PhaseDecide]; d.A != 0 || d.B != 0 || d.N != 0 {
+		t.Fatalf("unannotated span carries attributes: %+v", d)
 	}
 }
 
@@ -187,6 +194,9 @@ func TestSpanJSONRoundTrip(t *testing.T) {
 		Hop:    2,
 		Start:  1.25,
 		End:    2.5,
+		A:      1.0 / 3.0,
+		B:      2,
+		N:      DownPlaced,
 	}
 	data, err := json.Marshal(in)
 	if err != nil {
@@ -223,6 +233,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil trace not inert")
 	}
 	tc.End(1, 0)
+	tc.Annotate(1, 1, 1, 1)
 	tc.Force(FlagError)
 	if tc.Forced() {
 		t.Fatal("nil trace reports forced")

@@ -213,6 +213,20 @@ func (t *Trace) End(id SpanID, now float64) {
 	}
 }
 
+// Annotate sets a span's protocol payload (see Span.A). Unknown or zero IDs
+// are ignored; the tail scan is End's.
+func (t *Trace) Annotate(id SpanID, a, b float64, n int) {
+	if t == nil || id == 0 {
+		return
+	}
+	for i := len(t.spans) - 1; i >= 0; i-- {
+		if t.spans[i].ID == id {
+			t.spans[i].A, t.spans[i].B, t.spans[i].N = a, b, n
+			return
+		}
+	}
+}
+
 // Force marks the trace for forced retention (FlagError, FlagStale,
 // FlagSlow). The tail sampler keeps forced traces regardless of rate.
 func (t *Trace) Force(flag uint8) {
