@@ -78,9 +78,14 @@ observe:
 
 # Fuzz smoke: ten seconds of coverage-guided input against the one binary
 # frame decoder — it must never panic, and must accept only frames that
-# re-encode to the bytes they were decoded from.
+# re-encode to the bytes they were decoded from — then ten against the
+# eviction heap: any byte string decodes to a HeapStore op sequence whose
+# victim order, CostLoss values and keys must match a full-sort reference
+# (minimization is capped: by default the fuzzer spends up to a minute
+# shrinking each coverage-expanding input, here the whole smoke).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/httpgw/
+	$(GO) test -run '^$$' -fuzz FuzzHeapStoreOps -fuzztime 10s -fuzzminimizetime 20x ./internal/cache/
 
 vet:
 	$(GO) vet ./...

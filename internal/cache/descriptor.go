@@ -6,7 +6,9 @@
 //     cost loss key NCL(O) = f(O)·m(O)/s(O) it is the cost-aware main cache
 //     of the coordinated and LNC-R schemes (paper §2.1/§2.4); with the plain
 //     frequency key it is an LFU store (used by the d-cache and the LFU
-//     baseline).
+//     baseline). Its heap keeps each entry's key and ID inline in 24-byte
+//     slots and its descriptors are 160 bytes; TestDescriptorLayout pins
+//     both.
 //   - LRU — the classic least-recently-used store used by the LRU and
 //     MODULO baselines.
 //   - GreedyDualSize — the GDS baseline from the related-work lineage.
@@ -43,11 +45,16 @@ type Descriptor struct {
 
 	missPenalty float64
 
-	// heap bookkeeping, owned by the containing store.
+	// heap bookkeeping, owned by the containing store. key is the value the
+	// descriptor's heap slot sorts under (the slot holds a copy); it stays
+	// here too so a detached victim still answers EvictionKey. heapIndex is
+	// 32-bit and shares a word with dirty: with the 96-byte Window that
+	// makes the descriptor exactly 160 bytes, an allocator size class of
+	// its own — one more word and it occupies 192 (TestDescriptorLayout).
 	key        float64
-	heapIndex  int
 	epoch      uint64
 	pendingKey float64 // deferred re-key value, meaningful while dirty
+	heapIndex  int32   // position in the store's heap, -1 when detached
 	dirty      bool    // a heap repair for this entry is pending
 }
 

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -22,7 +21,9 @@ func FreqKey(d *Descriptor, now float64) float64 { return d.Window.Estimate(now)
 
 // HeapStore is a capacity-bounded object store whose eviction order follows
 // a key function, maintained in a binary min-heap as suggested in paper
-// §2.4 (O(log m) per adjustment).
+// §2.4 (O(log m) per adjustment). The heap (descHeap) is a slice of value
+// slots carrying each entry's key and ID inline, so ordering decisions read
+// only the heap's own contiguous memory and never a descriptor.
 //
 // Keys derived from sliding-window frequency estimates are piecewise
 // constant: Estimate only recomputes when an object is referenced or its
@@ -105,16 +106,18 @@ func (s *HeapStore) maybeSweep(now float64) {
 		d.dirty = false
 	}
 	s.dirty = s.dirty[:0]
-	for _, d := range s.entries {
-		d.key = s.keyFn(d, now)
+	for i := range s.h {
+		sl := &s.h[i]
+		sl.key = s.keyFn(sl.d, now)
+		sl.d.key = sl.key
 	}
-	heap.Init(&s.h)
+	s.h.init()
 }
 
 // flushDirty applies deferred re-keys, restoring the heap invariant before
 // an order-sensitive operation (victim selection, removal). Each entry is
 // fixed individually: the heap is valid apart from the one entry whose key
-// changes, so heap.Fix fully restores it per step.
+// changes, so descHeap.fix fully restores it per step.
 func (s *HeapStore) flushDirty() {
 	if len(s.dirty) == 0 {
 		return
@@ -122,7 +125,7 @@ func (s *HeapStore) flushDirty() {
 	for i, d := range s.dirty {
 		if d.dirty && d.heapIndex >= 0 {
 			d.key = d.pendingKey
-			heap.Fix(&s.h, d.heapIndex)
+			s.h.fix(int(d.heapIndex))
 		}
 		d.dirty = false
 		s.dirty[i] = nil
@@ -218,7 +221,7 @@ func (s *HeapStore) selectVictims(need int64, now float64) ([]*Descriptor, bool)
 	s.epoch++
 	victims := s.victimBuf[:0]
 	for free < need {
-		d := heap.Pop(&s.h).(*Descriptor)
+		d := s.h.pop()
 		if d.epoch != s.epoch {
 			// First time this entry surfaces in this selection:
 			// refresh its key; if it no longer holds the minimum,
@@ -227,8 +230,8 @@ func (s *HeapStore) selectVictims(need int64, now float64) ([]*Descriptor, bool)
 			k := s.keyFn(d, now)
 			if k != d.key {
 				d.key = k
-				if s.h.Len() > 0 && k > s.h[0].key {
-					heap.Push(&s.h, d)
+				if len(s.h) > 0 && k > s.h[0].key {
+					s.h.push(d)
 					continue
 				}
 			}
@@ -253,7 +256,7 @@ func (s *HeapStore) CostLoss(size int64, now float64) (loss float64, ok bool) {
 	}
 	for _, d := range victims {
 		loss += d.CostLoss(now)
-		heap.Push(&s.h, d) // roll back
+		s.h.push(d) // roll back
 	}
 	return loss, true
 }
@@ -282,7 +285,7 @@ func (s *HeapStore) Insert(d *Descriptor, now float64) (evicted []*Descriptor, o
 	s.entries[d.ID] = d
 	s.used += size
 	d.key = s.keyFn(d, now)
-	heap.Push(&s.h, d)
+	s.h.push(d)
 	return victims, true
 }
 
@@ -295,8 +298,7 @@ func (s *HeapStore) Remove(id model.ObjectID) *Descriptor {
 	// Apply deferred re-keys first so a detached descriptor carries no
 	// stale dirty state into another store (main cache ↔ d-cache moves).
 	s.flushDirty()
-	heap.Remove(&s.h, d.heapIndex)
-	d.heapIndex = -1
+	s.h.remove(int(d.heapIndex))
 	delete(s.entries, id)
 	s.used -= s.entrySize(d)
 	return d
@@ -332,17 +334,29 @@ func (s *HeapStore) ForEach(fn func(*Descriptor)) {
 	}
 }
 
-// checkInvariants panics if internal bookkeeping is inconsistent. It is
-// exercised by tests.
+// checkInvariants panics if internal bookkeeping is inconsistent: entry and
+// heap membership, every slot mirroring its descriptor, the heap property,
+// and the capacity accounting. It is exercised by tests.
 func (s *HeapStore) checkInvariants() {
-	if len(s.entries) != s.h.Len() {
-		panic(fmt.Sprintf("cache: %d entries but heap len %d", len(s.entries), s.h.Len()))
+	if len(s.entries) != len(s.h) {
+		panic(fmt.Sprintf("cache: %d entries but heap len %d", len(s.entries), len(s.h)))
 	}
 	var used int64
 	for _, d := range s.entries {
 		used += s.entrySize(d)
-		if d.heapIndex < 0 || d.heapIndex >= s.h.Len() || s.h[d.heapIndex] != d {
-			panic(fmt.Sprintf("cache: descriptor %d heap index %d inconsistent", d.ID, d.heapIndex))
+		i := int(d.heapIndex)
+		if i < 0 || i >= len(s.h) || s.h[i].d != d {
+			panic(fmt.Sprintf("cache: descriptor %d heap index %d inconsistent", d.ID, i))
+		}
+	}
+	for i := range s.h {
+		sl := &s.h[i]
+		if sl.key != sl.d.key || sl.id != sl.d.ID {
+			panic(fmt.Sprintf("cache: slot %d holds (%v, %d) but its descriptor (%v, %d)",
+				i, sl.key, sl.id, sl.d.key, sl.d.ID))
+		}
+		if i > 0 && slotLess(sl, &s.h[(i-1)/2]) {
+			panic(fmt.Sprintf("cache: heap property violated between slot %d and its parent", i))
 		}
 	}
 	if used != s.used {
@@ -353,37 +367,123 @@ func (s *HeapStore) checkInvariants() {
 	}
 }
 
-// descHeap is a min-heap of descriptors ordered by cached key, with
-// deterministic ID tie-breaking so simulations replay identically.
-type descHeap []*Descriptor
+// slot is one heap element: the entry's sort key and ID by value beside the
+// descriptor pointer, 24 bytes, so that sifting compares neighbouring slots
+// without loading either descriptor (whose ID and key sit on two different
+// cache lines of a 160-byte object somewhere else in the Go heap).
+type slot struct {
+	key float64
+	id  model.ObjectID
+	d   *Descriptor
+}
 
-func (h descHeap) Len() int { return len(h) }
-
-func (h descHeap) Less(i, j int) bool {
-	if h[i].key != h[j].key {
-		return h[i].key < h[j].key
+// slotLess is the eviction order: ascending key, ties broken by ascending
+// ID. It is a strict total order over the entries of one store, so the
+// sequence of minima a heap yields is fixed by the set of (key, ID) pairs
+// alone — never by the heap's internal arrangement or by the order of the
+// operations that built it. Replay determinism rests on that.
+func slotLess(a, b *slot) bool {
+	if a.key != b.key {
+		return a.key < b.key
 	}
-	return h[i].ID < h[j].ID
+	return a.id < b.id
 }
 
-func (h descHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIndex = i
-	h[j].heapIndex = j
+// descHeap is a binary min-heap of slots under slotLess. A slot's key is a
+// copy of d.key taken when the slot is written (push, fix, or the sweep's
+// re-key); the store changes d.key of an attached entry only together with
+// one of those. Each descriptor's heapIndex tracks its slot, which bounds a
+// store at 2³¹−1 entries.
+//
+// Sifting moves a hole instead of swapping: the displaced slot is held in
+// a local while parents (or smaller children) slide into the hole, so each
+// level costs one 24-byte copy and one heapIndex store.
+type descHeap []slot
+
+// up sifts sl toward the root from the hole at i.
+func (h descHeap) up(i int, sl slot) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !slotLess(&sl, &h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].d.heapIndex = int32(i)
+		i = p
+	}
+	h[i] = sl
+	sl.d.heapIndex = int32(i)
 }
 
-func (h *descHeap) Push(x any) {
-	d := x.(*Descriptor)
-	d.heapIndex = len(*h)
-	*h = append(*h, d)
+// down sifts sl toward the leaves from the hole at i.
+func (h descHeap) down(i int, sl slot) {
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && slotLess(&h[r], &h[c]) {
+			c = r
+		}
+		if !slotLess(&h[c], &sl) {
+			break
+		}
+		h[i] = h[c]
+		h[i].d.heapIndex = int32(i)
+		i = c
+	}
+	h[i] = sl
+	sl.d.heapIndex = int32(i)
 }
 
-func (h *descHeap) Pop() any {
+// settle places sl, the only slot possibly out of order, starting from the
+// hole at i.
+func (h descHeap) settle(i int, sl slot) {
+	if i > 0 && slotLess(&sl, &h[(i-1)/2]) {
+		h.up(i, sl)
+	} else {
+		h.down(i, sl)
+	}
+}
+
+// push adds d under its current key.
+func (h *descHeap) push(d *Descriptor) {
+	*h = append(*h, slot{})
+	h.up(len(*h)-1, slot{key: d.key, id: d.ID, d: d})
+}
+
+// pop detaches and returns the minimum.
+func (h *descHeap) pop() *Descriptor {
+	return h.remove(0)
+}
+
+// remove detaches and returns the entry at i.
+func (h *descHeap) remove(i int) *Descriptor {
 	old := *h
-	n := len(old)
-	d := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	d := old[i].d
+	last := old[n]
+	old[n] = slot{} // drop the pointer so the descriptor can be collected
+	*h = old[:n]
+	if i < n {
+		(*h).settle(i, last)
+	}
 	d.heapIndex = -1
-	*h = old[:n-1]
 	return d
+}
+
+// fix re-reads the key of the entry at i from its descriptor and restores
+// the heap order around it.
+func (h descHeap) fix(i int) {
+	sl := h[i]
+	sl.key = sl.d.key
+	h.settle(i, sl)
+}
+
+// init establishes the heap order over arbitrary slot contents.
+func (h descHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i, h[i])
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"cascade/internal/model"
 )
@@ -301,8 +302,8 @@ func TestHeapStoreNeverExceedsCapacityRandomOps(t *testing.T) {
 		if s.Len() != len(live) {
 			t.Fatalf("op %d: len %d != tracked %d", op, s.Len(), len(live))
 		}
+		s.checkInvariants()
 	}
-	s.checkInvariants()
 }
 
 func TestDescriptorLFUCountsEntries(t *testing.T) {
@@ -442,5 +443,19 @@ func TestRestoreRespectsCapacity(t *testing.T) {
 	restored := small.Restore(s.Snapshot(), 100)
 	if restored > 3 || small.Used() > small.Capacity() {
 		t.Fatalf("restored %d into capacity 3000 (used %d)", restored, small.Used())
+	}
+}
+
+// TestDescriptorLayout pins the two sizes the store's memory behaviour
+// rests on. A descriptor of at most 160 bytes has an allocator size class to
+// itself; one more word and every descriptor in every cache and d-cache
+// occupies 192. A slot is three words, so a cache line holds the keys of
+// two to three neighbours and sifting never leaves the heap's own array.
+func TestDescriptorLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Descriptor{}); got > 160 {
+		t.Fatalf("Descriptor is %d bytes, want at most 160 (the next allocator class is 192)", got)
+	}
+	if got := unsafe.Sizeof(slot{}); got != 24 {
+		t.Fatalf("heap slot is %d bytes, want 24", got)
 	}
 }

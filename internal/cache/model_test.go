@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -257,4 +258,319 @@ func TestGDSModelBased(t *testing.T) {
 			t.Fatalf("final contents differ at %d", id)
 		}
 	}
+}
+
+// refStore is a deliberately naive HeapStore: entries in a slice, every
+// re-key applied at once, and victims found by sorting the whole slice
+// again for each one. It shares only the store's cached-key semantics —
+// an entry's key is what the key function returned the last time the
+// entry was inserted, touched, given a penalty, swept, or surfaced as the
+// minimum of a selection — so any difference in victim order is the heap's.
+// It keeps descriptors of its own, since key functions refresh the window's
+// cached estimate as a side effect.
+type refStore struct {
+	capacity, used   int64
+	unit             bool
+	keyFn            KeyFunc
+	aging, lastSweep float64
+	entries          []*refEntry
+	selection        int
+}
+
+type refEntry struct {
+	d    *Descriptor
+	key  float64
+	seen int // selection that last refreshed this entry
+}
+
+func (r *refStore) size(d *Descriptor) int64 {
+	if r.unit {
+		return 1
+	}
+	return d.Size
+}
+
+func (r *refStore) find(id model.ObjectID) *refEntry {
+	for _, e := range r.entries {
+		if e.d.ID == id {
+			return e
+		}
+	}
+	return nil
+}
+
+func (r *refStore) sweep(now float64) {
+	if r.aging <= 0 || now-r.lastSweep < r.aging {
+		return
+	}
+	r.lastSweep = now
+	for _, e := range r.entries {
+		e.key = r.keyFn(e.d, now)
+	}
+}
+
+func (r *refStore) touch(id model.ObjectID, now float64) bool {
+	r.sweep(now)
+	e := r.find(id)
+	if e == nil {
+		return false
+	}
+	e.d.Window.Record(now)
+	e.key = r.keyFn(e.d, now)
+	return true
+}
+
+func (r *refStore) setMissPenalty(id model.ObjectID, m, now float64) bool {
+	r.sweep(now)
+	e := r.find(id)
+	if e == nil {
+		return false
+	}
+	e.d.missPenalty = m
+	e.key = r.keyFn(e.d, now)
+	return true
+}
+
+// victims returns the greedy victim sequence for need, leaving every entry
+// in place.
+func (r *refStore) victims(need int64, now float64) ([]*refEntry, bool) {
+	if need > r.capacity {
+		return nil, false
+	}
+	free := r.capacity - r.used
+	r.selection++
+	pool := append([]*refEntry(nil), r.entries...)
+	var out []*refEntry
+	for free < need {
+		sort.Slice(pool, func(i, j int) bool {
+			if pool[i].key != pool[j].key {
+				return pool[i].key < pool[j].key
+			}
+			return pool[i].d.ID < pool[j].d.ID
+		})
+		e := pool[0]
+		if e.seen != r.selection {
+			// A minimum surfacing for the first time in this
+			// selection has its key refreshed; it stays a victim
+			// unless some other remaining key is now strictly lower.
+			e.seen = r.selection
+			if k := r.keyFn(e.d, now); k != e.key {
+				e.key = k
+				lower := false
+				for _, o := range pool[1:] {
+					lower = lower || o.key < k
+				}
+				if lower {
+					continue
+				}
+			}
+		}
+		pool = pool[1:]
+		out = append(out, e)
+		free += r.size(e.d)
+	}
+	return out, true
+}
+
+func (r *refStore) costLoss(size int64, now float64) (float64, bool) {
+	r.sweep(now)
+	vs, ok := r.victims(size, now)
+	if !ok {
+		return math.Inf(1), false
+	}
+	loss := 0.0
+	for _, e := range vs {
+		loss += e.d.CostLoss(now)
+	}
+	return loss, true
+}
+
+func (r *refStore) drop(e *refEntry) {
+	for i := range r.entries {
+		if r.entries[i] == e {
+			r.entries = append(r.entries[:i], r.entries[i+1:]...)
+			r.used -= r.size(e.d)
+			return
+		}
+	}
+}
+
+func (r *refStore) insert(d *Descriptor, now float64) ([]*refEntry, bool) {
+	if r.find(d.ID) != nil {
+		return nil, false
+	}
+	r.sweep(now)
+	vs, ok := r.victims(r.size(d), now)
+	if !ok {
+		return nil, false
+	}
+	for _, e := range vs {
+		r.drop(e)
+	}
+	r.entries = append(r.entries, &refEntry{d: d, key: r.keyFn(d, now)})
+	r.used += r.size(d)
+	return vs, true
+}
+
+func (r *refStore) remove(id model.ObjectID) bool {
+	e := r.find(id)
+	if e != nil {
+		r.drop(e)
+	}
+	return e != nil
+}
+
+// Encoding of a HeapStore op sequence, shared by the differential test and
+// the fuzz target. Byte 0 picks the store and its sweep interval; every
+// following triple is one op: {op | step<<3, id, arg}.
+const (
+	heapOpIDs    = 48   // object IDs in play
+	heapOpBytes  = 2000 // capacity of the byte-counted stores
+	heapOpUnits  = 12   // capacity of the entry-counted store
+	heapOpMaxOps = 4096
+)
+
+var (
+	// Time steps: mostly none or small, so that many descriptors share a
+	// cached estimate exactly; a few long enough that, summed over a run,
+	// `now` crosses the 600 s aging interval many times and keys go stale
+	// between sweeps.
+	heapOpSteps = [8]float64{0, 0, 0, 0.5, 3, 20, 90, 400}
+	// Estimates only decay, so under a non-negative penalty a refreshed
+	// minimum is still the minimum. The negative one makes an NCL key rise
+	// with age: the one way a stale minimum, once refreshed, has to go back.
+	heapOpPenalties = [4]float64{0, -1, 1, 2}
+)
+
+func heapOpSize(arg byte) int64 {
+	if arg == 255 {
+		return heapOpBytes + 1 // can never fit
+	}
+	return int64(100 * (1 + int(arg>>2)%6))
+}
+
+// runHeapOps drives a HeapStore and the reference through the encoded ops
+// and fails on the first observable difference. It returns how many full
+// sweeps and how many evictions the run saw.
+func runHeapOps(t *testing.T, data []byte) (sweeps, evictions int) {
+	t.Helper()
+	if len(data) == 0 {
+		return 0, 0
+	}
+	var s *HeapStore
+	switch data[0] % 3 {
+	case 0:
+		s = NewCostAware(heapOpBytes)
+	case 1:
+		s = NewLFU(heapOpBytes)
+	default:
+		s = NewDescriptorLFU(heapOpUnits)
+	}
+	if data[0]/3%2 == 1 {
+		// Sweep less often than estimates expire, so that most minima
+		// surface stale and are refreshed inside the selection.
+		s.SetAgingInterval(4 * s.aging)
+	}
+	ref := &refStore{capacity: s.capacity, unit: s.unit, keyFn: s.keyFn, aging: s.aging}
+	now := 0.0
+	ops := (len(data) - 1) / 3
+	if ops > heapOpMaxOps {
+		ops = heapOpMaxOps
+	}
+	for i := 0; i < ops; i++ {
+		b := data[1+3*i : 4+3*i]
+		op, id, arg := b[0]&7, model.ObjectID(b[1]%heapOpIDs), b[2]
+		now += heapOpSteps[b[0]>>3&7]
+		m := heapOpPenalties[arg&3]
+		swept := s.lastSweep
+		switch op {
+		case 0, 1, 2: // insert a one-reference descriptor
+			ev, ok := s.Insert(mkDesc(id, heapOpSize(arg), m, now), now)
+			wantEv, wantOK := ref.insert(mkDesc(id, heapOpSize(arg), m, now), now)
+			if ok != wantOK || len(ev) != len(wantEv) {
+				t.Fatalf("op %d: Insert(%d) = %v, %v; reference evicts %d, %v", i, id, ids(ev), ok, len(wantEv), wantOK)
+			}
+			for j, d := range ev {
+				if d.ID != wantEv[j].d.ID || d.EvictionKey() != wantEv[j].key || d.InStore() {
+					t.Fatalf("op %d: Insert(%d) victim %d is %d at key %v (in store: %v); reference %d at key %v",
+						i, id, j, d.ID, d.EvictionKey(), d.InStore(), wantEv[j].d.ID, wantEv[j].key)
+				}
+			}
+			evictions += len(ev)
+		case 3:
+			if got, want := s.Touch(id, now), ref.touch(id, now); got != want {
+				t.Fatalf("op %d: Touch(%d) = %v, reference %v", i, id, got, want)
+			}
+		case 4:
+			if got, want := s.SetMissPenalty(id, m, now), ref.setMissPenalty(id, m, now); got != want {
+				t.Fatalf("op %d: SetMissPenalty(%d) = %v, reference %v", i, id, got, want)
+			}
+		case 5:
+			d := s.Remove(id)
+			if want := ref.remove(id); (d != nil) != want || (d != nil && d.InStore()) {
+				t.Fatalf("op %d: Remove(%d) = %v, reference %v", i, id, d, want)
+			}
+		default: // CostLoss peeks and must leave the store as it was
+			loss, ok := s.CostLoss(heapOpSize(arg), now)
+			wantLoss, wantOK := ref.costLoss(heapOpSize(arg), now)
+			if ok != wantOK || loss != wantLoss {
+				t.Fatalf("op %d: CostLoss = %v, %v; reference %v, %v", i, loss, ok, wantLoss, wantOK)
+			}
+		}
+		if s.lastSweep != swept {
+			sweeps++
+		}
+		s.checkInvariants()
+		if s.Used() != ref.used || s.Len() != len(ref.entries) {
+			t.Fatalf("op %d: used %d len %d; reference used %d len %d", i, s.Used(), s.Len(), ref.used, len(ref.entries))
+		}
+		for _, e := range ref.entries {
+			if d := s.Get(e.d.ID); d == nil {
+				t.Fatalf("op %d: entry %d is gone; reference holds it at key %v", i, e.d.ID, e.key)
+			} else if d.EvictionKey() != e.key {
+				t.Fatalf("op %d: entry %d sorts under %v, in the reference under %v", i, e.d.ID, d.EvictionKey(), e.key)
+			}
+		}
+	}
+	return sweeps, evictions
+}
+
+// heapOpCases are the differential test's inputs and the fuzz target's seed
+// corpus: seeded random op strings for each of the three store kinds at
+// both sweep intervals.
+func heapOpCases() [][]byte {
+	var cases [][]byte
+	for config := byte(0); config < 6; config++ {
+		for seed := int64(0); seed < 2; seed++ {
+			rng := rand.New(rand.NewSource(100*int64(config) + seed))
+			data := make([]byte, 1+3*3000)
+			rng.Read(data)
+			data[0] = config
+			cases = append(cases, data)
+		}
+	}
+	return cases
+}
+
+// TestHeapStoreDifferential holds the slot heap to the reference on victim
+// order (not just victim sets), CostLoss values and every entry's effective
+// key, across byte-, LFU- and entry-counted stores, with time advancing
+// through many aging intervals and most keys exactly tied.
+func TestHeapStoreDifferential(t *testing.T) {
+	for _, data := range heapOpCases() {
+		sweeps, evictions := runHeapOps(t, data)
+		if sweeps < 5 || evictions < 100 {
+			t.Fatalf("store config %d: only %d sweeps and %d evictions — the case does not exercise aging", data[0], sweeps, evictions)
+		}
+	}
+}
+
+// FuzzHeapStoreOps seeds from a prefix of each differential case: enough ops
+// to fill the store and cross the aging interval dozens of times, short
+// enough for the mutator (and its minimizer) to turn over quickly.
+func FuzzHeapStoreOps(f *testing.F) {
+	for _, data := range heapOpCases() {
+		f.Add(data[:1+3*256])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { runHeapOps(t, data) })
 }

@@ -36,15 +36,20 @@ const maxK = 8
 // recent reference times. The zero value is unusable; construct with
 // NewWindow. Window is not safe for concurrent use; each cache node owns its
 // descriptors exclusively.
+//
+// count, head and k never exceed maxK = 8, so they are one byte each and sit
+// after the float64 fields: that keeps the struct at 96 bytes, which is what
+// lets cache.Descriptor fit the allocator's 160-byte class.
 type Window struct {
 	times [maxK]float64 // ring buffer of reference times
-	count int           // 𝒦: number of valid entries, ≤ k
-	head  int           // position of the next write
-	k     int           // configured window size, ≤ maxK
 
 	est     float64 // cached estimate
 	estTime float64 // time the estimate was computed
 	refresh float64 // aging interval
+
+	count uint8 // 𝒦: number of valid entries, ≤ k
+	head  uint8 // position of the next write
+	k     uint8 // configured window size, ≤ maxK
 }
 
 // NewWindow returns a Window recording up to k reference times (1 ≤ k ≤ 8)
@@ -62,11 +67,11 @@ func NewWindow(k int, refreshInterval float64) Window {
 	if refreshInterval <= 0 {
 		refreshInterval = DefaultRefreshInterval
 	}
-	return Window{k: k, refresh: refreshInterval, estTime: -1}
+	return Window{k: uint8(k), refresh: refreshInterval, estTime: -1}
 }
 
 // K returns the configured window size.
-func (w *Window) K() int { return w.k }
+func (w *Window) K() int { return int(w.k) }
 
 // Record notes a reference at time now and refreshes the cached estimate.
 // Reference times must be non-decreasing across calls.
@@ -81,7 +86,7 @@ func (w *Window) Record(now float64) {
 }
 
 // Count returns the number of recorded references, at most K.
-func (w *Window) Count() int { return w.count }
+func (w *Window) Count() int { return int(w.count) }
 
 // LastAccess returns the most recent recorded reference time, or -1 if no
 // reference has been recorded.
@@ -89,7 +94,7 @@ func (w *Window) LastAccess() float64 {
 	if w.count == 0 {
 		return -1
 	}
-	return w.times[(w.head-1+w.k)%w.k]
+	return w.times[(w.head+w.k-1)%w.k]
 }
 
 // Estimate returns the access-frequency estimate at time now. The cached
@@ -142,11 +147,11 @@ func (w *Window) compute(now float64) float64 {
 // freshly allocated.
 func (w *Window) Times() []float64 {
 	out := make([]float64, 0, w.count)
-	start := 0
+	start := uint8(0)
 	if w.count == w.k {
 		start = w.head
 	}
-	for i := 0; i < w.count; i++ {
+	for i := uint8(0); i < w.count; i++ {
 		out = append(out, w.times[(start+i)%w.k])
 	}
 	return out

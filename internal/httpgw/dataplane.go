@@ -1,7 +1,6 @@
 package httpgw
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -177,20 +176,47 @@ func writeBody(w http.ResponseWriter, seg segInfo, body []byte) {
 	w.Write(body) //nolint:errcheck
 }
 
+// relayBuf is one pooled relay buffer together with the writer wrapper that
+// makes io.CopyBuffer use it. CopyBuffer ignores its buffer when dst
+// implements io.ReaderFrom, and *http.response does: its ReadFrom sniffs
+// 512 bytes, flushes the header and hands the rest to net.genericReadFrom,
+// which allocates a fresh 32 KiB buffer per body. dst is therefore passed
+// as a struct that promotes Write and nothing else; it lives in the pooled
+// value so that hiding the method costs no allocation either.
+type relayBuf struct {
+	dst struct{ io.Writer }
+	buf [32 * 1024]byte
+}
+
 // copyBufPool feeds relay-hop streaming: bodies that only pass through a
 // node are copied upstream→client through one pooled 32 KiB buffer instead
 // of being buffered whole.
-var copyBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 32*1024)
-	return &b
-}}
+var copyBufPool = sync.Pool{New: func() any { return new(relayBuf) }}
 
 // copyStream streams src to dst through a pooled buffer.
 func copyStream(dst io.Writer, src io.Reader) (int64, error) {
-	bp := copyBufPool.Get().(*[]byte)
-	n, err := io.CopyBuffer(dst, src, *bp)
-	copyBufPool.Put(bp)
+	rb := copyBufPool.Get().(*relayBuf)
+	rb.dst.Writer = dst
+	n, err := io.CopyBuffer(&rb.dst, src, rb.buf[:])
+	rb.dst.Writer = nil
+	copyBufPool.Put(rb)
 	return n, err
+}
+
+// readBody reads a response body the node is about to store. A declared
+// length that fits the node's byte budget is read into a slice of exactly
+// that length, so the stored body carries no spare capacity and is not
+// reallocated on the way; a short body is io.ErrUnexpectedEOF. Any other
+// length — unknown, or beyond limit — takes io.ReadAll's incremental
+// growth: the number comes from a peer, and a peer's number is never an
+// allocation size.
+func readBody(resp *http.Response, limit int64) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= limit {
+		body := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, body)
+		return body, err
+	}
+	return io.ReadAll(resp.Body)
 }
 
 // bodyRecorder captures one in-process sub-request's response during
@@ -199,7 +225,7 @@ func copyStream(dst io.Writer, src io.Reader) (int64, error) {
 type bodyRecorder struct {
 	header http.Header
 	status int
-	buf    bytes.Buffer
+	buf    []byte
 }
 
 func (b *bodyRecorder) Header() http.Header { return b.header }
@@ -214,7 +240,8 @@ func (b *bodyRecorder) Write(p []byte) (int, error) {
 	if b.status == 0 {
 		b.status = http.StatusOK
 	}
-	return b.buf.Write(p)
+	b.buf = append(b.buf, p...)
+	return len(p), nil
 }
 
 // serveSegmented reassembles a large object for the client: the upstream
@@ -249,7 +276,14 @@ func (n *Node) serveSegmented(w http.ResponseWriter, r *http.Request, marker str
 		}
 		sreq.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", lo, hi))
 		sreq.Header.Set(HeaderSegment, seg.header())
+		want := hi - lo + 1
 		rec := &bodyRecorder{header: make(http.Header)}
+		if want <= n.capacity {
+			// The segment's length is known; a node cannot hold more
+			// than its budget, and the marker is a peer's claim, so
+			// anything larger grows as it arrives.
+			rec.buf = make([]byte, 0, want)
+		}
 		n.ServeHTTP(rec, sreq)
 		if rec.status != http.StatusOK && rec.status != http.StatusPartialContent {
 			if idx == 0 {
@@ -259,13 +293,13 @@ func (n *Node) serveSegmented(w http.ResponseWriter, r *http.Request, marker str
 			// surfaces the truncation to the client.
 			return
 		}
-		if int64(rec.buf.Len()) != hi-lo+1 {
+		if int64(len(rec.buf)) != want {
 			if idx == 0 {
 				http.Error(w, "httpgw: segment length mismatch", http.StatusBadGateway)
 			}
 			return
 		}
-		if _, err := w.Write(rec.buf.Bytes()); err != nil {
+		if _, err := w.Write(rec.buf); err != nil {
 			return
 		}
 	}

@@ -3,10 +3,12 @@ package httpgw
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -365,5 +367,164 @@ func TestDrainSpillsPayloadsToDisk(t *testing.T) {
 	}
 	if got := resp.Header.Get(HeaderHit); got != "1" {
 		t.Fatalf("post-admit fetch served by %q", got)
+	}
+}
+
+// readFromSpy is an http.ResponseWriter-shaped sink that, like
+// *http.response, also implements io.ReaderFrom — and records when that
+// path is taken.
+type readFromSpy struct {
+	written   int64
+	readFroms int
+}
+
+func (s *readFromSpy) Write(p []byte) (int, error) {
+	s.written += int64(len(p))
+	return len(p), nil
+}
+
+func (s *readFromSpy) ReadFrom(r io.Reader) (int64, error) {
+	s.readFroms++
+	return io.Copy(struct{ io.Writer }{s}, r)
+}
+
+// fixedReader yields left bytes and then io.EOF; it has no WriteTo, like a
+// network response body.
+type fixedReader struct{ left int }
+
+func (r *fixedReader) Read(p []byte) (int, error) {
+	if r.left == 0 {
+		return 0, io.EOF
+	}
+	n := len(p)
+	if n > r.left {
+		n = r.left
+	}
+	r.left -= n
+	return n, nil
+}
+
+// TestCopyStreamUsesPooledBuffer pins the relay copy to the pooled buffer:
+// io.CopyBuffer prefers dst.ReadFrom when dst has one, and the live dst
+// (*http.response) does, which left the pool unused and allocated 32 KiB
+// per relayed body.
+func TestCopyStreamUsesPooledBuffer(t *testing.T) {
+	const size = 100 * 1024
+	dst, src := &readFromSpy{}, &fixedReader{left: size}
+	n, err := copyStream(dst, src)
+	if err != nil || n != size || dst.written != size {
+		t.Fatalf("copyStream = %d, %v; sink saw %d bytes, want %d", n, err, dst.written, size)
+	}
+	if dst.readFroms != 0 {
+		t.Fatalf("copyStream handed the copy to dst.ReadFrom %d times; the pooled buffer went unused", dst.readFroms)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		src.left = size
+		copyStream(dst, src) //nolint:errcheck
+	})
+	if allocs != 0 {
+		t.Fatalf("warm copyStream allocates %v times per body, want 0", allocs)
+	}
+}
+
+func TestReadBodyKnownLength(t *testing.T) {
+	const limit = 1 << 20
+	resp := func(declared int64, body string) *http.Response {
+		return &http.Response{ContentLength: declared, Body: io.NopCloser(strings.NewReader(body))}
+	}
+	// A declared length within the budget is read into exactly that much.
+	got, err := readBody(resp(5, "hello"), limit)
+	if err != nil || string(got) != "hello" || cap(got) != 5 {
+		t.Fatalf("exact read = %q (cap %d), %v", got, cap(got), err)
+	}
+	// A body that ends early is an error, never a short success.
+	if _, err := readBody(resp(10, "abc"), limit); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("short body: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	// Unknown and over-budget lengths fall back to reading what arrives.
+	for _, declared := range []int64{-1, limit + 1, 1 << 40} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := readBody(resp(declared, "abc"), limit)
+		runtime.ReadMemStats(&after)
+		if err != nil || string(got) != "abc" {
+			t.Fatalf("declared %d: read %q, %v", declared, got, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > limit {
+			t.Fatalf("declared %d: allocated %d bytes for a 3-byte body", declared, grew)
+		}
+	}
+}
+
+// stubUpstream answers a node's upstream requests in-process, so a test can
+// play a peer that lies about lengths — something net/http's own server
+// will not do.
+type stubUpstream func(*http.Request) *http.Response
+
+func (f stubUpstream) RoundTrip(r *http.Request) (*http.Response, error) { return f(r), nil }
+
+// TestHostilePeerLengthsBoundAllocation: Content-Length and the segmented
+// marker are a peer's numbers. Neither may size an allocation beyond the
+// node's byte budget, and the request must still get a defined answer.
+func TestHostilePeerLengthsBoundAllocation(t *testing.T) {
+	const capacity = 1 << 20
+	const huge = int64(1) << 40
+	reply := func(declared int64, body string, hdr map[string]string) *http.Response {
+		h := http.Header{}
+		h.Set(HeaderHit, "origin")
+		h.Set(HeaderPenalty, "0")
+		for k, v := range hdr {
+			h.Set(k, v)
+		}
+		return &http.Response{StatusCode: http.StatusOK, Header: h, ContentLength: declared,
+			Body: io.NopCloser(strings.NewReader(body))}
+	}
+	cases := []struct {
+		name     string
+		upstream stubUpstream
+		status   int
+		body     string
+	}{
+		{
+			// Chosen as a caching point, body length declared as 1 TiB.
+			name: "content-length",
+			upstream: func(*http.Request) *http.Response {
+				return reply(huge, "abc", map[string]string{HeaderPlace: "1"})
+			},
+			status: http.StatusOK, body: "abc",
+		},
+		{
+			// One 1 TiB segment announced; the segment fetch returns 3 bytes.
+			name: "segmented-marker",
+			upstream: func(r *http.Request) *http.Response {
+				if r.Header.Get(HeaderSegment) == "" {
+					return reply(0, "", map[string]string{HeaderSegmented: "1099511627776;1099511627776"})
+				}
+				resp := reply(3, "abc", nil)
+				resp.StatusCode = http.StatusPartialContent
+				return resp
+			},
+			status: http.StatusBadGateway,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := NewNode(1, "http://upstream.invalid", 2.0, capacity, 100, func() float64 { return 0 })
+			n.Client = &http.Client{Transport: tc.upstream}
+			rec := httptest.NewRecorder()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			n.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/objects/7", nil))
+			runtime.ReadMemStats(&after)
+			if rec.Code != tc.status {
+				t.Fatalf("status %d, want %d (body %q)", rec.Code, tc.status, rec.Body.String())
+			}
+			if tc.body != "" && rec.Body.String() != tc.body {
+				t.Fatalf("body %q, want %q", rec.Body.String(), tc.body)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > capacity {
+				t.Fatalf("a peer-declared length of %d made the node allocate %d bytes (budget %d)", huge, grew, capacity)
+			}
+		})
 	}
 }

@@ -846,7 +846,7 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Chosen as a caching point: the node must hold the bytes anyway, so
 	// buffer the payload and keep the DownStep and the body-store insert in
 	// one critical section.
-	body, err := io.ReadAll(resp.Body)
+	body, err := readBody(resp, n.capacity)
 	if err != nil {
 		tsp.Force(span.FlagError)
 		tsp.End(upsp, n.Clock())
