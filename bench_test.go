@@ -11,6 +11,7 @@ package cascade_test
 import (
 	"context"
 	"math/rand"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -367,6 +368,35 @@ func BenchmarkClusterThroughput(b *testing.B) {
 	}
 }
 
+// TestHotPathAllocs pins the machine-independent half of the two throughput
+// benchmarks: the simulator's replay loop and the cluster's walk allocate
+// nothing per request (the simulator a bounded few bytes, amortised
+// bookkeeping), on any box at any load. Timings are judged elsewhere, on
+// paired bench/ runs (docs/PERFORMANCE.md).
+func TestHotPathAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two one-second benchmarks")
+	}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				// The detector makes sync.Pool drop entries at random, so
+				// the cluster walk allocates; `make allocs` runs this
+				// without it.
+				t.Skip("allocation counts are not meaningful under -race")
+			}
+		}
+	}
+	sim := testing.Benchmark(BenchmarkSimulatorThroughput)
+	if a, b := sim.AllocsPerOp(), sim.AllocedBytesPerOp(); a != 0 || b > 64 {
+		t.Errorf("BenchmarkSimulatorThroughput: %d allocs/op, %d B/op over %d ops; want 0 and <= 64", a, b, sim.N)
+	}
+	cl := testing.Benchmark(BenchmarkClusterThroughput)
+	if a := cl.AllocsPerOp(); a != 0 {
+		t.Errorf("BenchmarkClusterThroughput: %d allocs/op over %d ops; want 0", a, cl.N)
+	}
+}
+
 // BenchmarkClusterThroughputSpans is BenchmarkClusterThroughput with span
 // tracing on at a production-style 1% tail-sampling rate. Compare against
 // the plain variant: the acceptance bar for the tracing subsystem is a
@@ -407,8 +437,8 @@ func BenchmarkClusterThroughputSpans(b *testing.B) {
 // BenchmarkClusterThroughputParallel measures the sharded data plane:
 // requests execute synchronously on the caller's goroutine against 8-way
 // sharded node state, so concurrent clients on different objects never
-// share a lock. Compare against the committed single-shard
-// BenchmarkClusterThroughput baseline in BENCH_2.json.
+// share a lock. Compare against the single-shard
+// BenchmarkClusterThroughput, interleaved on the same box.
 func BenchmarkClusterThroughputParallel(b *testing.B) {
 	setup()
 	cluster, err := cascade.NewCluster(cascade.ClusterConfig{

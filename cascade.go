@@ -626,11 +626,6 @@ const (
 	// chosen node downstream, so each placing node can book its own cost
 	// ledger claim at apply time.
 	HTTPHeaderPredict = httpgw.HeaderPredict
-	// HTTPHeaderFrame carries the binary wire frame that replaces the
-	// textual Path/Place/Predict headers between binary-capable hops.
-	HTTPHeaderFrame = httpgw.HeaderFrame
-	// HTTPHeaderAccept advertises binary-frame support per hop.
-	HTTPHeaderAccept = httpgw.HeaderAccept
 	// HTTPHeaderGen carries a coherency generation: a CAS read floor on
 	// requests, the served copy's generation on responses.
 	HTTPHeaderGen = httpgw.HeaderGen

@@ -45,7 +45,6 @@ func run() error {
 		capacity = flag.String("capacity", "64MB", "gateway: cache capacity (e.g. 512KB, 64MB, 2GB)")
 		dEntries = flag.Int("dcache", 10000, "gateway: descriptor-cache entries")
 		shards   = flag.Int("shards", 1, "gateway: partition the cache state across this many shards (rounded up to a power of two)")
-		textOnly = flag.Bool("text-headers", false, "gateway: disable binary wire framing, speak textual X-Cascade-* headers only")
 		nodeID   = flag.Int("id", 0, "gateway: node ID used in protocol headers")
 		state    = flag.String("state", "", "gateway: warm-start snapshot file (loaded at boot, saved on shutdown)")
 		ttl      = flag.Float64("ttl", 0, "gateway: revalidate cached copies older than this many seconds (0 = never)")
@@ -112,7 +111,6 @@ func run() error {
 			fc = *flightCap
 		}
 		o.EnableObservability(fc, cascade.WallClock())
-		o.DisableBinaryFraming = *textOnly
 		thr, err := parseBytes(*segThreshold)
 		if err != nil {
 			return fmt.Errorf("-segment-threshold: %w", err)
@@ -152,7 +150,6 @@ func run() error {
 		node := cascade.NewHTTPCacheNode(cascade.NodeID(*nodeID),
 			strings.TrimRight(*upstream, "/"), *cost, capBytes, *dEntries, cascade.WallClock())
 		node.TTL = *ttl
-		node.DisableBinaryFraming = *textOnly
 		if *shards > 1 {
 			node.SetShards(*shards)
 		}

@@ -1,6 +1,5 @@
 // Command cascadeload drives a coordinated gateway chain with a Zipf
-// workload and reports latency percentiles, throughput and hit ratio in a
-// form the repository's regression gate understands.
+// workload and reports latency percentiles, throughput and hit ratio.
 //
 // Two targets:
 //
@@ -9,7 +8,7 @@
 //   - in-process mode (default): the tool assembles an origin plus a chain
 //     of -nodes gateways on loopback listeners, so the chain hit ratio is
 //     exact (one minus the fraction of requests that reached the origin)
-//     and `make loadtest` needs no running processes.
+//     and `make coherency` needs no running processes.
 //
 // Two arrival disciplines:
 //
@@ -18,11 +17,10 @@
 //   - open loop (-rate): requests launch on a fixed schedule regardless of
 //     completions, the discipline that actually exposes queueing collapse.
 //
-// The -bench-out file contains go-test-bench formatted lines
-// (BenchmarkCascadeLoadP50/P99/P999/Throughput, all ns/op, lower is
-// better), which cmd/benchcheck gates against BENCH_2.json: a latency SLO
-// regression fails `make loadtest` exactly like a hot-path regression
-// fails `make bench-check`. See docs/PERFORMANCE.md for methodology.
+// The summary goes to stderr; with -write-ratio the run fails on any
+// response served below a completed write's generation. Timings printed
+// here are not gated — performance claims are judged on paired bench/ runs
+// (docs/PERFORMANCE.md).
 package main
 
 import (
@@ -59,7 +57,6 @@ type config struct {
 	objSize  int
 	dEntries int
 	shards   int
-	textOnly bool
 
 	objects    int
 	zipfS      float64
@@ -71,7 +68,6 @@ type config struct {
 	warmup     int
 	seed       int64
 
-	benchOut   string
 	cpuProfile string
 	memProfile string
 }
@@ -84,7 +80,6 @@ func run() error {
 	flag.IntVar(&cfg.objSize, "object-size", 4096, "in-process: origin payload bytes per object")
 	flag.IntVar(&cfg.dEntries, "dcache", 4096, "in-process: descriptor-cache entries per gateway")
 	flag.IntVar(&cfg.shards, "shards", 1, "in-process: shards per gateway")
-	flag.BoolVar(&cfg.textOnly, "text-headers", false, "in-process: disable binary wire framing")
 	flag.IntVar(&cfg.objects, "objects", 5000, "catalog size (object IDs 0..n-1)")
 	flag.Float64Var(&cfg.zipfS, "zipf", 1.2, "Zipf skew s (must be > 1)")
 	flag.Float64Var(&cfg.writeRatio, "write-ratio", 0, "fraction of measured requests issued as origin writes (invalidations); enables CAS-strict coherency on the in-process chain")
@@ -94,7 +89,6 @@ func run() error {
 	flag.DurationVar(&cfg.duration, "duration", 0, "stop after this wall time even if -requests remain")
 	flag.IntVar(&cfg.warmup, "warmup", 1000, "unmeasured warmup requests issued first")
 	flag.Int64Var(&cfg.seed, "seed", 1, "workload RNG seed")
-	flag.StringVar(&cfg.benchOut, "bench-out", "", "also write the benchmark-format result lines to this file")
 	flag.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a CPU profile of the measured phase to this file")
 	flag.StringVar(&cfg.memProfile, "memprofile", "", "write a heap profile taken after the run to this file")
 	flag.Parse()
@@ -195,9 +189,7 @@ func run() error {
 		}
 	}
 
-	if err := report(cfg, res, elapsed, hitRatio, hitSource); err != nil {
-		return err
-	}
+	report(cfg, res, elapsed, hitRatio, hitSource)
 	// Under a mixed read/write workload the chain runs CAS-strict: a served
 	// generation older than a write the generator had already completed is
 	// a coherency SLO violation, and the run fails like a latency breach.
@@ -511,7 +503,6 @@ func buildChain(cfg config) (string, *atomic.Int64, func(), error) {
 	}
 	size := cfg.objSize
 	origin := cascade.NewHTTPOrigin(func(cascade.ObjectID) int { return size })
-	origin.DisableBinaryFraming = cfg.textOnly
 	if cfg.writeRatio > 0 {
 		// Writes need a generation authority at the origin; the chain runs
 		// CAS-strict so a served stale response is a hard failure.
@@ -529,7 +520,6 @@ func buildChain(cfg config) (string, *atomic.Int64, func(), error) {
 	clock := cascade.WallClock()
 	for i := cfg.nodes - 1; i >= 0; i-- {
 		node := cascade.NewHTTPCacheNode(cascade.NodeID(i), upstream, 0.1, capBytes, cfg.dEntries, clock)
-		node.DisableBinaryFraming = cfg.textOnly
 		if cfg.writeRatio > 0 {
 			node.EnableCoherency(cascade.CoherencyCAS)
 		}
@@ -568,11 +558,8 @@ func scrapeStats(client *http.Client, front string) (nodeStats, error) {
 	return st, err
 }
 
-// report prints the human summary to stderr and the machine-readable
-// benchmark lines to stdout (and -bench-out). The benchmark lines are what
-// `make loadtest` pipes into benchcheck, so their names and units are a
-// contract: ns/op, lower is better, gated like any other benchmark.
-func report(cfg config, res *result, elapsed time.Duration, hitRatio float64, hitSource string) error {
+// report prints the run summary to stderr.
+func report(cfg config, res *result, elapsed time.Duration, hitRatio float64, hitSource string) {
 	sort.Slice(res.latencies, func(i, j int) bool { return res.latencies[i] < res.latencies[j] })
 	p := func(q float64) int64 {
 		idx := int(q*float64(len(res.latencies))+0.5) - 1
@@ -585,7 +572,6 @@ func report(cfg config, res *result, elapsed time.Duration, hitRatio float64, hi
 		return res.latencies[idx]
 	}
 	p50, p99, p999 := p(0.50), p(0.99), p(0.999)
-	nsPerReq := float64(elapsed.Nanoseconds()) / float64(res.count)
 	rps := float64(res.count) / elapsed.Seconds()
 
 	mode := fmt.Sprintf("closed loop, %d users", cfg.users)
@@ -612,16 +598,6 @@ func report(cfg config, res *result, elapsed time.Duration, hitRatio float64, hi
 		fmt.Fprintf(os.Stderr, "cascadeload: hit ratio %s\n", hitSource)
 	}
 
-	lines := fmt.Sprintf(
-		"BenchmarkCascadeLoadP50 %d %d ns/op\nBenchmarkCascadeLoadP99 %d %d ns/op\nBenchmarkCascadeLoadP999 %d %d ns/op\nBenchmarkCascadeLoadThroughput %d %.0f ns/op\n",
-		res.count, p50, res.count, p99, res.count, p999, res.count, nsPerReq)
-	fmt.Print(lines)
-	if cfg.benchOut != "" {
-		if err := os.WriteFile(cfg.benchOut, []byte(lines), 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // parseBytes parses human-friendly sizes: plain bytes, or KB/MB/GB (binary

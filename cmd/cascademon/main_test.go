@@ -14,7 +14,7 @@ import (
 )
 
 // gateChain assembles an in-process origin ← 3-gateway chain, the same
-// shape `make loadtest` drives, and returns the edge URL.
+// shape `make coherency` drives, and returns the edge URL.
 func gateChain(t *testing.T) string {
 	t.Helper()
 	origin := httptest.NewServer(cascade.NewHTTPOrigin(func(cascade.ObjectID) int { return 800 }))

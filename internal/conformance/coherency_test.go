@@ -26,19 +26,14 @@ import (
 // engine-native coherency substrate attached: the origin owns a generation
 // authority, every node runs a CAS-strict view. EnableCoherency is called
 // before the httptest server starts accepting, honouring the set-before-
-// serving contract. binary pre-learns frame negotiation on every hop so the
-// chain speaks frames from the first request; otherwise framing is
-// disabled and everything travels as textual headers.
-func coherencyChain(t *testing.T, upCost []float64, capacity int64, dEntries, objSize int, clock func() float64, binary bool) (string, []*httpgw.Node, *httpgw.Origin) {
+// serving contract.
+func coherencyChain(t *testing.T, upCost []float64, capacity int64, dEntries, objSize int, clock func() float64) (string, []*httpgw.Node, *httpgw.Origin) {
 	t.Helper()
 	o := &httpgw.Origin{
 		Size:      func(model.ObjectID) int { return objSize },
 		Authority: coherency.NewAuthority(),
 	}
 	o.EnableObservability(64, clock)
-	if !binary {
-		o.DisableBinaryFraming = true
-	}
 	origin := httptest.NewServer(o)
 	t.Cleanup(origin.Close)
 	upstream := origin.URL
@@ -46,11 +41,6 @@ func coherencyChain(t *testing.T, upCost []float64, capacity int64, dEntries, ob
 	for i := len(upCost) - 1; i >= 0; i-- {
 		n := httpgw.NewNode(model.NodeID(i), upstream, upCost[i], capacity, dEntries, clock)
 		n.EnableCoherency(coherency.ModeCAS)
-		if binary {
-			n.SetBinaryUpstream()
-		} else {
-			n.DisableBinaryFraming = true
-		}
 		srv := httptest.NewServer(n)
 		t.Cleanup(srv.Close)
 		upstream = srv.URL
@@ -132,9 +122,9 @@ func gatewayWrite(t *testing.T, client *http.Client, base string, obj model.Obje
 }
 
 // TestCoherencyConformance replays one mixed read/write trace through all
-// three incarnations — the replay simulator scheme, the cluster and
-// two gateway chains (all-textual and all-binary framing) — in lockstep
-// under CAS-strict coherency, on both cascade topologies. Each incarnation
+// three incarnations — the replay simulator scheme, the cluster and a
+// gateway chain — in lockstep under CAS-strict coherency, on both cascade
+// topologies. Each incarnation
 // carries its own generation authority; because the write sequence is
 // identical, the authorities march through identical (gen, seq) histories
 // and every incarnation must agree, per request, on the serving node, the
@@ -205,9 +195,8 @@ func TestCoherencyConformance(t *testing.T) {
 			}
 			defer cluster.Close()
 
-			// Incarnation 3a/3b: gateway chains, textual and binary wire.
-			textBase, textNodes, textOrigin := coherencyChain(t, tc.upCost, capacity, dEntries, objSize, clk.Now, false)
-			binBase, binNodes, binOrigin := coherencyChain(t, tc.upCost, capacity, dEntries, objSize, clk.Now, true)
+			// Incarnation 3: the gateway chain.
+			gwBase, gwNodes, gwOrigin := coherencyChain(t, tc.upCost, capacity, dEntries, objSize, clk.Now)
 			client := &http.Client{}
 
 			ctx := context.Background()
@@ -227,11 +216,10 @@ func TestCoherencyConformance(t *testing.T) {
 					wobj := recent[len(recent)-3]
 					simGen := rec.inner.Invalidate(wobj, req.Time)
 					clGen := cluster.Invalidate(wobj)
-					gwTextGen := gatewayWrite(t, client, textBase, wobj)
-					gwBinGen := gatewayWrite(t, client, binBase, wobj)
-					if clGen != simGen || gwTextGen != simGen || gwBinGen != simGen {
-						t.Fatalf("write %d (obj %d): gen sim=%d cluster=%d text=%d binary=%d",
-							i, wobj, simGen, clGen, gwTextGen, gwBinGen)
+					gwGen := gatewayWrite(t, client, gwBase, wobj)
+					if clGen != simGen || gwGen != simGen {
+						t.Fatalf("write %d (obj %d): gen sim=%d cluster=%d gateway=%d",
+							i, wobj, simGen, clGen, gwGen)
 					}
 					writes++
 				}
@@ -259,20 +247,19 @@ func TestCoherencyConformance(t *testing.T) {
 				}
 				clPlaced := sortNodes(append([]model.NodeID(nil), clRes.Placed...))
 
-				txServed, txPlaced, txGen := gatewayReadCoh(t, client, textBase, req.Object)
-				biServed, biPlaced, biGen := gatewayReadCoh(t, client, binBase, req.Object)
+				gwServed, gwPlaced, gwGen := gatewayReadCoh(t, client, gwBase, req.Object)
 
-				if clRes.ServedBy != simServed || txServed != simServed || biServed != simServed {
-					t.Fatalf("request %d (obj %d): served by sim=%d cluster=%d text=%d binary=%d",
-						i, req.Object, simServed, clRes.ServedBy, txServed, biServed)
+				if clRes.ServedBy != simServed || gwServed != simServed {
+					t.Fatalf("request %d (obj %d): served by sim=%d cluster=%d gateway=%d",
+						i, req.Object, simServed, clRes.ServedBy, gwServed)
 				}
-				if !nodesEqual(clPlaced, simPlaced) || !nodesEqual(txPlaced, simPlaced) || !nodesEqual(biPlaced, simPlaced) {
-					t.Fatalf("request %d (obj %d): placed sim=%v cluster=%v text=%v binary=%v",
-						i, req.Object, simPlaced, clPlaced, txPlaced, biPlaced)
+				if !nodesEqual(clPlaced, simPlaced) || !nodesEqual(gwPlaced, simPlaced) {
+					t.Fatalf("request %d (obj %d): placed sim=%v cluster=%v gateway=%v",
+						i, req.Object, simPlaced, clPlaced, gwPlaced)
 				}
-				if clRes.ServedGen != simOut.ServedGen || txGen != simOut.ServedGen || biGen != simOut.ServedGen {
-					t.Fatalf("request %d (obj %d): served gen sim=%d cluster=%d text=%d binary=%d",
-						i, req.Object, simOut.ServedGen, clRes.ServedGen, txGen, biGen)
+				if clRes.ServedGen != simOut.ServedGen || gwGen != simOut.ServedGen {
+					t.Fatalf("request %d (obj %d): served gen sim=%d cluster=%d gateway=%d",
+						i, req.Object, simOut.ServedGen, clRes.ServedGen, gwGen)
 				}
 				// CAS-strict: the served copy is never older than the
 				// authority's current generation — zero stale serves.
@@ -298,8 +285,7 @@ func TestCoherencyConformance(t *testing.T) {
 				}
 				for name, floors := range map[string]map[model.ObjectID]uint64{
 					"cluster": cluster.CoherencyView(id).Floors(),
-					"text":    textNodes[i].CoherencyView().Floors(),
-					"binary":  binNodes[i].CoherencyView().Floors(),
+					"gateway": gwNodes[i].CoherencyView().Floors(),
 				} {
 					if len(floors) != len(simFloors) {
 						t.Fatalf("node %d: %s holds %d floors, sim %d", i, name, len(floors), len(simFloors))
@@ -315,14 +301,12 @@ func TestCoherencyConformance(t *testing.T) {
 			// Silence everywhere: a coherency-churned run is still a
 			// conforming run.
 			auditors := map[string]*audit.Auditor{
-				"sim":           rec.inner.Auditor(),
-				"cluster":       cluster.Auditor(),
-				"text-origin":   textOrigin.Auditor(),
-				"binary-origin": binOrigin.Auditor(),
+				"sim":            rec.inner.Auditor(),
+				"cluster":        cluster.Auditor(),
+				"gateway-origin": gwOrigin.Auditor(),
 			}
-			for i := range textNodes {
-				auditors[fmt.Sprintf("text%d", i)] = textNodes[i].Auditor()
-				auditors[fmt.Sprintf("binary%d", i)] = binNodes[i].Auditor()
+			for i, n := range gwNodes {
+				auditors[fmt.Sprintf("gateway%d", i)] = n.Auditor()
 			}
 			checks := int64(0)
 			for name, a := range auditors {
@@ -353,13 +337,10 @@ func TestCoherencyConformance(t *testing.T) {
 			if !sawInval(cluster.DumpFlight(0).Events) {
 				t.Error("cluster flight recorder has no invalidate events")
 			}
-			if !sawInval(textNodes[0].DumpFlight().Events) {
-				t.Error("text gateway flight recorder has no invalidate events")
+			if !sawInval(gwNodes[0].DumpFlight().Events) {
+				t.Error("gateway flight recorder has no invalidate events")
 			}
-			if !sawInval(binNodes[0].DumpFlight().Events) {
-				t.Error("binary gateway flight recorder has no invalidate events")
-			}
-			t.Logf("%s: %d requests + %d writes agreed across four replicas (%d cache hits, %d reads at gen>0, %d invariant checks, 0 violations)",
+			t.Logf("%s: %d requests + %d writes agreed across three incarnations (%d cache hits, %d reads at gen>0, %d invariant checks, 0 violations)",
 				tc.name, gen.Len(), writes, hits, genServes, checks)
 		})
 	}

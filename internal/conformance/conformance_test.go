@@ -416,141 +416,3 @@ func TestPlacementHeaderSortedOnWire(t *testing.T) {
 		t.Fatal("no request produced a placement decision; workload too cold to be meaningful")
 	}
 }
-
-// TestFramingEncodingsConform replays one trace through three gateway
-// chains that differ only in wire encoding — all-textual, all-binary
-// (pre-learned, so frames flow from the first request) and a mixed chain
-// alternating textual-only and binary-capable hops — on both topologies.
-// Every request must produce the same serving node and the same placement
-// set on all three chains, proving the binary frame and the textual headers
-// are byte-equivalent encodings of the protocol, and every auditor must
-// stay clean.
-func TestFramingEncodingsConform(t *testing.T) {
-	cases := []struct {
-		name   string
-		upCost []float64
-	}{
-		{name: "hierarchy", upCost: []float64{1, 2, 4, 8}},
-		{name: "enroute", upCost: []float64{1, 3, 0}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			const objSize = 1000
-			gen := trace.NewGenerator(trace.Config{
-				Objects:  200,
-				Servers:  8,
-				Clients:  20,
-				Requests: 1500,
-				Duration: 3600,
-				MinSize:  objSize,
-				MaxSize:  objSize,
-				Seed:     43,
-			})
-			var reqs []model.Request
-			for {
-				req, ok := gen.Next()
-				if !ok {
-					break
-				}
-				reqs = append(reqs, req)
-			}
-
-			capacity := int64(10 * objSize)
-			clk := &logicalClock{}
-			type chain struct {
-				name  string
-				base  string
-				nodes []*httpgw.Node
-				o     *httpgw.Origin
-			}
-			build := func(name string, setup func([]*httpgw.Node, *httpgw.Origin)) chain {
-				base, nodes, o := gatewayChain(t, tc.upCost, capacity, 64, objSize, clk.Now)
-				setup(nodes, o)
-				return chain{name: name, base: base, nodes: nodes, o: o}
-			}
-			chains := []chain{
-				build("text", func(ns []*httpgw.Node, o *httpgw.Origin) {
-					for _, n := range ns {
-						n.DisableBinaryFraming = true
-					}
-					o.DisableBinaryFraming = true
-				}),
-				build("binary", func(ns []*httpgw.Node, o *httpgw.Origin) {
-					for _, n := range ns {
-						n.SetBinaryUpstream()
-					}
-				}),
-				build("mixed", func(ns []*httpgw.Node, o *httpgw.Origin) {
-					for i, n := range ns {
-						if i%2 == 0 {
-							n.DisableBinaryFraming = true
-						}
-					}
-				}),
-			}
-
-			client := &http.Client{}
-			for i, req := range reqs {
-				clk.Set(req.Time)
-				refServed, refPlaced := gatewayGet(t, client, chains[0].base, req.Object)
-				sortNodes(refPlaced)
-				for _, c := range chains[1:] {
-					served, placed := gatewayGet(t, client, c.base, req.Object)
-					sortNodes(placed)
-					if served != refServed || !nodesEqual(placed, refPlaced) {
-						t.Fatalf("request %d (obj %d): %s chain served=%d placed=%v, text chain served=%d placed=%v",
-							i, req.Object, c.name, served, placed, refServed, refPlaced)
-					}
-				}
-			}
-
-			for _, c := range chains {
-				if v := c.o.Auditor().TotalViolations(); v != 0 {
-					t.Errorf("%s chain origin: %d invariant violations", c.name, v)
-				}
-				for i, n := range c.nodes {
-					if v := n.Auditor().TotalViolations(); v != 0 {
-						t.Errorf("%s chain node %d: %d invariant violations", c.name, i, v)
-					}
-				}
-			}
-
-			// The binary chain's interior must actually speak frames: an
-			// advertising client gets a frame back from the front node.
-			probe, err := http.NewRequest(http.MethodGet, chains[1].base+"/objects/0", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			probe.Header.Set(httpgw.HeaderAccept, httpgw.FrameToken)
-			resp, err := client.Do(probe)
-			if err != nil {
-				t.Fatal(err)
-			}
-			io.Copy(io.Discard, resp.Body) //nolint:errcheck
-			resp.Body.Close()
-			if resp.Header.Get(httpgw.HeaderFrame) == "" {
-				t.Error("binary chain front node answered an advertising client without a frame")
-			}
-			// The textual chain must never emit frames or adverts.
-			resp, err = client.Do(probe.Clone(context.Background()))
-			if err == nil {
-				io.Copy(io.Discard, resp.Body) //nolint:errcheck
-				resp.Body.Close()
-			}
-			probe2, err := http.NewRequest(http.MethodGet, chains[0].base+"/objects/0", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			probe2.Header.Set(httpgw.HeaderAccept, httpgw.FrameToken)
-			resp, err = client.Do(probe2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			io.Copy(io.Discard, resp.Body) //nolint:errcheck
-			resp.Body.Close()
-			if resp.Header.Get(httpgw.HeaderFrame) != "" || resp.Header.Get(httpgw.HeaderAccept) != "" {
-				t.Error("textual chain emitted binary framing headers")
-			}
-		})
-	}
-}

@@ -128,11 +128,10 @@ func canonicalForms(t *testing.T, incarnation string, traces map[span.TraceID][]
 // nodes, hops and parent links) carrying the same attributes — f, l and the
 // §2.4 tag on every up span, predicted Δcost and chosen count on every
 // decide span, the observed miss-penalty counter, victim count and outcome
-// on every down span — in the simulator scheme, the cluster and two live
-// gateway chains, one speaking only text and one only frames — plus one
-// unique trace ID per request and no dangling parents anywhere. Run under
-// -race (make conformance): the gateway's HTTP handlers are concurrent even
-// for a serial request stream.
+// on every down span — in the simulator scheme, the cluster and a live
+// gateway chain — plus one unique trace ID per request and no dangling
+// parents anywhere. Run under -race (make conformance): the gateway's HTTP
+// handlers are concurrent even for a serial request stream.
 //
 // The origin's decide span is outside the comparison by construction on
 // every incarnation: the gateway origin carries no tracer, and the
@@ -196,18 +195,12 @@ func TestSpanTreesConform(t *testing.T) {
 			}
 			defer cluster.Close()
 
-			// Incarnation 3: the HTTP gateway chain, every hop tracing —
-			// once pinned to the textual headers and once speaking frames
-			// from the first exchange, so the span context and every
-			// attribute's source value cross the wire in both encodings.
-			textBase, textNodes, textOrigin, closeText := closableGatewayChain(t, tc.upCost, capacity, dEntries, objSize, clk.Now)
-			textOrigin.DisableBinaryFraming = true
-			binBase, binNodes, _, closeBin := closableGatewayChain(t, tc.upCost, capacity, dEntries, objSize, clk.Now)
-			for i := range tc.upCost {
-				textNodes[i].DisableBinaryFraming = true
-				textNodes[i].EnableSpans(span.Policy{Rate: 1}, ringCap)
-				binNodes[i].SetBinaryUpstream()
-				binNodes[i].EnableSpans(span.Policy{Rate: 1}, ringCap)
+			// Incarnation 3: the HTTP gateway chain, every hop tracing, so
+			// the span context (X-Cascade-TraceCtx) and every attribute's
+			// source value cross the wire.
+			gwBase, gwNodes, _, closeGW := closableGatewayChain(t, tc.upCost, capacity, dEntries, objSize, clk.Now)
+			for _, n := range gwNodes {
+				n.EnableSpans(span.Policy{Rate: 1}, ringCap)
 			}
 			client := &http.Client{}
 
@@ -224,29 +217,25 @@ func TestSpanTreesConform(t *testing.T) {
 				if _, err := cluster.Get(ctx, 0, model.NoNode, req.Object, req.Size); err != nil {
 					t.Fatal(err)
 				}
-				gatewayGet(t, client, textBase, req.Object)
-				gatewayGet(t, client, binBase, req.Object)
+				gatewayGet(t, client, gwBase, req.Object)
 			}
 
 			// A hop emits its root span from a deferred tracer.Collect that
 			// can run after the client already holds the body: wait for
 			// every handler to return before reading the rings.
-			closeText()
-			closeBin()
+			closeGW()
 
 			// Harvest every node's ring per incarnation and stitch by
 			// trace ID — exactly how an operator reassembles a
 			// distributed trace from /cascade/debug/spans dumps.
 			simSnaps := make([]span.Snapshot, 0, len(tc.upCost))
 			clSnaps := make([]span.Snapshot, 0, len(tc.upCost))
-			textSnaps := make([]span.Snapshot, 0, len(tc.upCost))
-			binSnaps := make([]span.Snapshot, 0, len(tc.upCost))
+			gwSnaps := make([]span.Snapshot, 0, len(tc.upCost))
 			for i := range tc.upCost {
 				id := model.NodeID(i)
 				simSnaps = append(simSnaps, sch.SpanRing(id).TakeSnapshot(id))
 				clSnaps = append(clSnaps, cluster.DumpSpans(id))
-				textSnaps = append(textSnaps, textNodes[i].DumpSpans())
-				binSnaps = append(binSnaps, binNodes[i].DumpSpans())
+				gwSnaps = append(gwSnaps, gwNodes[i].DumpSpans())
 			}
 			incarnations := []struct {
 				name   string
@@ -254,8 +243,7 @@ func TestSpanTreesConform(t *testing.T) {
 			}{
 				{name: "sim", traces: gatherTraces(t, "sim", simSnaps)},
 				{name: "cluster", traces: gatherTraces(t, "cluster", clSnaps)},
-				{name: "gateway-text", traces: gatherTraces(t, "gateway-text", textSnaps)},
-				{name: "gateway-binary", traces: gatherTraces(t, "gateway-binary", binSnaps)},
+				{name: "gateway", traces: gatherTraces(t, "gateway", gwSnaps)},
 			}
 
 			// One unique trace per request: rate-1 tail sampling retains

@@ -342,12 +342,11 @@ func (n *Node) passThrough(w http.ResponseWriter, r *http.Request, entries []eng
 		return
 	}
 	entries = append(entries, engine.Candidate{Node: n.ID, Tag: engine.TagNoDescriptor, Link: n.UpCost})
-	n.advertise(up.Header)
 	// A relay hop records no spans of its own: the incoming trace context
 	// (if any) passes through unchanged, so the upstream still parents on
 	// the last tracing hop below — the wire image of a routed-around
 	// cluster hop.
-	writePath(up.Header, n.upstreamFramed(), entries, relayCtx)
+	writePath(up.Header, entries, relayCtx)
 	if tag := r.Header.Get("If-None-Match"); tag != "" {
 		up.Header.Set("If-None-Match", tag)
 	}
@@ -391,8 +390,7 @@ func (n *Node) passThrough(w http.ResponseWriter, r *http.Request, entries []eng
 	// A draining/removed node relays the coherency payload without applying
 	// it — it holds no copies and takes no placements, so there is no floor
 	// to raise; the live hops below apply the tail themselves.
-	n.advertise(w.Header())
-	writeDecision(w.Header(), n.replyFramed(r), dec)
+	writeDecision(w.Header(), dec)
 	w.Header().Set(HeaderPenalty, fmtFloat(prev+n.UpCost))
 	w.Header().Set(HeaderHit, resp.Header.Get(HeaderHit))
 	if tag := resp.Header.Get("ETag"); tag != "" {

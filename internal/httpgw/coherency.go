@@ -24,11 +24,9 @@ import (
 //	                 "head|seq:obj:gen,…", piggybacked on origin responses
 //	                 PSI-style and applied at every hop before its DownStep.
 //
-// Both payloads also travel inside the v2 binary frame (frame.go); the
-// textual headers remain the universal fallback so mixed chains stay
-// coherent. Malformed values never fail a request: a garbled floor
-// zero-defaults (weakening freshness, not availability) and a garbled tail
-// is ignored, each counted in cascade_gw_bad_header_total.
+// Malformed values never fail a request: a garbled floor zero-defaults
+// (weakening freshness, not availability) and a garbled tail is ignored,
+// each counted in cascade_gw_bad_header_total.
 const (
 	HeaderGen   = "X-Cascade-Gen"
 	HeaderInval = "X-Cascade-Inval"
@@ -116,48 +114,59 @@ func parseGen(v string) (uint64, bool) {
 }
 
 // formatInval renders the origin's invalidation-log head and tail as the
-// textual X-Cascade-Inval value: "head|seq:obj:gen,seq:obj:gen,…".
+// X-Cascade-Inval value: "head|seq:obj:gen,seq:obj:gen,…". Every
+// origin-served response carries one, so it is built in a single buffer
+// sized for the tail rather than a string per number.
 func formatInval(head uint64, tail []coherency.Invalidation) string {
-	var b strings.Builder
-	b.WriteString(strconv.FormatUint(head, 10))
-	b.WriteByte('|')
+	b := make([]byte, 0, 24*(1+len(tail)))
+	b = strconv.AppendUint(b, head, 10)
+	b = append(b, '|')
 	for i, inv := range tail {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(strconv.FormatUint(inv.Seq, 10))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatInt(int64(inv.Obj), 10))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatUint(inv.Gen, 10))
+		b = strconv.AppendUint(b, inv.Seq, 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(inv.Obj), 10)
+		b = append(b, ':')
+		b = strconv.AppendUint(b, inv.Gen, 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // parseInval decodes an X-Cascade-Inval value; !ok on any malformation (the
 // caller counts it and drops the whole batch — applying half a tail would
-// advance no cursor anyway).
+// advance no cursor anyway). One pass, one allocation: the tail slice, sized
+// from the separator count — which is a peer's number, so it is capped here
+// too, whatever parseDecision refused before calling.
 func parseInval(v string) (head uint64, tail []coherency.Invalidation, ok bool) {
-	bar := strings.IndexByte(v, '|')
-	if bar < 0 {
+	h, rest, found := strings.Cut(v, "|")
+	if !found {
 		return 0, nil, false
 	}
-	head, err := strconv.ParseUint(v[:bar], 10, 64)
+	head, err := strconv.ParseUint(h, 10, 64)
 	if err != nil {
 		return 0, nil, false
 	}
-	rest := v[bar+1:]
 	if rest == "" {
 		return head, nil, true
 	}
-	for _, part := range strings.Split(rest, ",") {
-		fields := strings.Split(part, ":")
-		if len(fields) != 3 {
+	n := strings.Count(rest, ",") + 1
+	if n > maxPathEntries {
+		return 0, nil, false
+	}
+	tail = make([]coherency.Invalidation, 0, n)
+	for more := true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ",")
+		seqS, objGen, ok1 := strings.Cut(part, ":")
+		objS, genS, ok2 := strings.Cut(objGen, ":")
+		if !ok1 || !ok2 {
 			return 0, nil, false
 		}
-		seq, e1 := strconv.ParseUint(fields[0], 10, 64)
-		obj, e2 := strconv.ParseInt(fields[1], 10, 64)
-		gen, e3 := strconv.ParseUint(fields[2], 10, 64)
+		seq, e1 := strconv.ParseUint(seqS, 10, 64)
+		obj, e2 := strconv.ParseInt(objS, 10, 64)
+		gen, e3 := strconv.ParseUint(genS, 10, 64)
 		if e1 != nil || e2 != nil || e3 != nil || obj < 0 {
 			return 0, nil, false
 		}

@@ -155,9 +155,9 @@ func TestBadCoherencyHeadersCounted(t *testing.T) {
 	now := 0.0
 	clock := func() float64 { mu.Lock(); defer mu.Unlock(); return now }
 
-	// The origin answers textually (no frames) with a garbage invalidation
-	// header injected beside its real decision — a corrupted peer.
-	o := &Origin{Size: func(model.ObjectID) int { return 500 }, DisableBinaryFraming: true}
+	// The origin answers with a garbage invalidation header injected beside
+	// its real decision — a corrupted peer.
+	o := &Origin{Size: func(model.ObjectID) int { return 500 }}
 	garbler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasPrefix(r.URL.Path, "/objects/") {
 			w.Header().Set(HeaderInval, "0|not:an:entry")
@@ -169,7 +169,6 @@ func TestBadCoherencyHeadersCounted(t *testing.T) {
 
 	n := NewNode(0, origin.URL, 1, 100000, 100, clock)
 	n.EnableCoherency(coherency.ModeCAS)
-	n.DisableBinaryFraming = true
 	srv := httptest.NewServer(n)
 	t.Cleanup(srv.Close)
 

@@ -3,7 +3,6 @@ package httpgw
 import (
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -84,8 +83,8 @@ func parsePenalty(v string) (float64, bool) {
 	if v == "" {
 		return 0, true
 	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) || f < 0 {
+	f, err := parseFinite(v)
+	if err != nil || f < 0 {
 		return 0, false
 	}
 	return f, true

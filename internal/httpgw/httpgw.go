@@ -12,12 +12,10 @@
 //	X-Cascade-Penalty: the response's accumulated miss-penalty counter,
 //	                   updated and reset at caching points on the way down.
 //
-// Binary-capable hops negotiate a compact alternative per hop: the same two
-// messages travel as one binary frame each on X-Cascade-Frame (see frame.go
-// — one layout, one capability token), with the textual headers remaining
-// the universal fallback so mixed chains keep interoperating. Either way a
-// piggybacked path is decoded once, up front, and refused with 400 when it
-// is malformed or longer than maxPathEntries.
+// That textual form is the only encoding: every hop and every client speaks
+// it (wire.go; docs/PROTOCOL.md has the header table). A piggybacked path is
+// decoded once, up front, and refused with 400 when it is malformed or
+// longer than maxPathEntries.
 //
 // A request's two passes are observable from its span trace (EnableSpans,
 // /cascade/debug/spans): the node annotates its up span with the (f, l)
@@ -37,6 +35,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -141,10 +140,8 @@ type Node struct {
 	// Sleep pauses between retries (time.Sleep when nil); injectable
 	// for tests.
 	Sleep func(time.Duration)
-	// DisableBinaryFraming pins this node to the textual protocol headers:
-	// it neither advertises nor emits X-Cascade-Frame (frames it receives
-	// are still understood). For mixed-chain tests and header-level
-	// debugging.
+	// Deprecated: no-op since the binary frame was removed; kept until
+	// bench/ stops assigning it.
 	DisableBinaryFraming bool
 
 	// mu guards the st rebuild (SetShards), the body store pointer and the
@@ -158,11 +155,6 @@ type Node struct {
 
 	capacity int64 // main-cache byte budget, kept for SetShards rebuilds
 	dEntries int   // d-cache entry budget, kept for SetShards rebuilds
-
-	// upFrames is set once the upstream's responses have advertised the
-	// frame layout (sticky); from then on upstream requests carry binary
-	// path frames.
-	upFrames atomic.Bool
 
 	// view is the node's coherency generation-floor view, shared with the
 	// sharded engine state and the spill tier's MinGen oracle. Wired by
@@ -287,34 +279,6 @@ func (n *Node) SetShards(p int) {
 	n.registerShardSeries()
 }
 
-// binaryCapable reports whether this node speaks the binary framing.
-func (n *Node) binaryCapable() bool { return !n.DisableBinaryFraming }
-
-// advertise marks an outgoing protocol message (request or response) with
-// this node's frame capability.
-func (n *Node) advertise(h http.Header) {
-	if n.binaryCapable() {
-		h.Set(HeaderAccept, FrameToken)
-	}
-}
-
-// replyFramed reports whether the response to r should be a frame: the
-// requester advertised the layout and this node speaks it.
-func (n *Node) replyFramed(r *http.Request) bool {
-	return n.binaryCapable() && acceptsFrames(r.Header)
-}
-
-// upstreamFramed reports whether upstream requests carry frames: only once
-// the upstream's responses have advertised the layout (the first exchange
-// of any pair runs textual).
-func (n *Node) upstreamFramed() bool {
-	return n.binaryCapable() && n.upFrames.Load()
-}
-
-// SetBinaryUpstream pre-learns the upstream's frame support, skipping the
-// one textual exchange negotiation would otherwise take.
-func (n *Node) SetBinaryUpstream() { n.upFrames.Store(true) }
-
 // The X-Cascade-Path header carries one engine.Candidate per hop as
 // "node;freq;loss;linkcost" — plus an optional fifth field, the coherency
 // generation of the node's last copy, emitted only when non-zero so
@@ -328,6 +292,24 @@ func (n *Node) SetBinaryUpstream() { n.upFrames.Store(true) }
 // fmtFloat renders a float64 so it survives format→parse→format exactly
 // ('g' with precision -1 is the shortest representation that round-trips).
 func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+// parseNodeID decodes a node ID field. model.NodeID is 32 bits wide; a value
+// outside it is malformed, never truncated onto some other node.
+func parseNodeID(s string) (model.NodeID, error) {
+	id, err := strconv.ParseInt(s, 10, 32)
+	return model.NodeID(id), err
+}
+
+// parseFinite decodes a float field, refusing NaN and ±Inf: neither is a
+// frequency, a cost or a Δcost term, and either would poison every sum it
+// enters (the DP, a ledger) for good.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = strconv.ErrRange
+	}
+	return v, err
+}
 
 func parsePath(h string) ([]engine.Candidate, error) {
 	if strings.TrimSpace(h) == "" {
@@ -344,21 +326,20 @@ func parsePath(h string) ([]engine.Candidate, error) {
 		}
 		// The header has no hop numbering; position assigns it.
 		e := engine.Candidate{Hop: i, Tag: engine.TagNoDescriptor}
-		id, err := strconv.Atoi(fields[0])
-		if err != nil {
+		var err error
+		if e.Node, err = parseNodeID(fields[0]); err != nil {
 			return nil, fmt.Errorf("httpgw: bad node id %q", fields[0])
 		}
-		e.Node = model.NodeID(id)
 		if fields[1] != "-" {
 			e.Tag = engine.TagCandidate
-			if e.Freq, err = strconv.ParseFloat(fields[1], 64); err != nil {
+			if e.Freq, err = parseFinite(fields[1]); err != nil {
 				return nil, fmt.Errorf("httpgw: bad freq %q", fields[1])
 			}
-			if e.CostLoss, err = strconv.ParseFloat(fields[2], 64); err != nil {
+			if e.CostLoss, err = parseFinite(fields[2]); err != nil {
 				return nil, fmt.Errorf("httpgw: bad loss %q", fields[2])
 			}
 		}
-		if e.Link, err = strconv.ParseFloat(fields[3], 64); err != nil {
+		if e.Link, err = parseFinite(fields[3]); err != nil {
 			return nil, fmt.Errorf("httpgw: bad link cost %q", fields[3])
 		}
 		if len(fields) == 5 {
@@ -393,8 +374,8 @@ func formatEntry(e engine.Candidate) string {
 // decision site's auditor and flight recorder threaded through (Theorem 2
 // and optimality checks, the decision flight event). It returns the chosen
 // node IDs in ascending order plus the predicted Δcost term per chosen node
-// (ascending node order, ready for either wire encoding) — the decision site
-// cannot reach the other processes' ledgers, so the claims ship downstream
+// (ascending node order, as X-Cascade-Predict carries them) — the decision
+// site cannot reach the other processes' ledgers, so the claims ship downstream
 // and every placing node books its own. The terms come out of the engine via a throwaway ledger, so
 // their computation stays in one place (post-clamp values, identical to what
 // the simulator and the cluster book at decision time).
@@ -442,16 +423,16 @@ func formatPlacement(chosen []model.NodeID) string {
 }
 
 // parsePlacementList decodes a HeaderPlace value preserving wire order
-// (ascending — formatPlacement emits sorted IDs), so re-encoding it in
-// either wire encoding is byte-identical.
+// (ascending — formatPlacement emits sorted IDs), so re-encoding it is
+// byte-identical. Malformed entries are skipped.
 func parsePlacementList(h string) []model.NodeID {
 	var out []model.NodeID
 	for _, p := range strings.Split(h, ",") {
 		if p = strings.TrimSpace(p); p == "" {
 			continue
 		}
-		if id, err := strconv.Atoi(p); err == nil {
-			out = append(out, model.NodeID(id))
+		if id, err := parseNodeID(p); err == nil {
+			out = append(out, id)
 		}
 	}
 	return out
@@ -469,35 +450,28 @@ func formatPredictTerms(predict []predictTerm) string {
 }
 
 // parsePredictTerms decodes a HeaderPredict value preserving wire order
-// (ascending node — both encoders sort). Malformed entries are skipped — a
-// missing prediction only loses ledger bookkeeping, never the placement
-// itself.
+// (ascending node, as decideObserved emits them). Malformed entries are
+// skipped — a missing prediction only loses ledger bookkeeping, never the
+// placement itself.
 func parsePredictTerms(h string) []predictTerm {
 	var out []predictTerm
 	for _, p := range strings.Split(h, ",") {
-		if p = strings.TrimSpace(p); p == "" {
+		node, term, ok := strings.Cut(strings.TrimSpace(p), "=")
+		if !ok {
 			continue
 		}
-		eq := strings.IndexByte(p, '=')
-		if eq < 0 {
-			continue
-		}
-		id, err := strconv.Atoi(p[:eq])
+		id, err := parseNodeID(node)
 		if err != nil {
 			continue
 		}
-		term, err := strconv.ParseFloat(p[eq+1:], 64)
+		t, err := parseFinite(term)
 		if err != nil {
 			continue
 		}
-		out = append(out, predictTerm{Node: model.NodeID(id), Term: term})
+		out = append(out, predictTerm{Node: id, Term: t})
 	}
 	return out
 }
-
-// joinComma joins pre-formatted wire entries (the textual encoders' shared
-// separator).
-func joinComma(parts []string) string { return strings.Join(parts, ",") }
 
 // objectID derives the object identity from a request path. Numeric
 // /objects/<id> paths map directly (the synthetic-workload convention);
@@ -639,8 +613,7 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			n.mu.Unlock()
 			tsp.End(lk, n.Clock())
 			chosen, predict := n.decide(entries, obj, now, tsp, parent)
-			n.advertise(w.Header())
-			writeDecision(w.Header(), n.replyFramed(r), decision{place: chosen, predict: predict, gen: meta.Gen})
+			writeDecision(w.Header(), decision{place: chosen, predict: predict, gen: meta.Gen})
 			w.Header().Set(HeaderPenalty, "0")
 			w.Header().Set(HeaderHit, strconv.Itoa(int(n.ID)))
 			if meta.ETag != "" {
@@ -704,8 +677,7 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				psp := tsp.Start(span.PhasePromote, n.ID, hop, parent, tnow)
 				tsp.End(psp, tnow)
 				chosen, predict := n.decide(entries, obj, now, tsp, parent)
-				n.advertise(w.Header())
-				writeDecision(w.Header(), n.replyFramed(r), decision{place: chosen, predict: predict, gen: dmeta.Gen})
+				writeDecision(w.Header(), decision{place: chosen, predict: predict, gen: dmeta.Gen})
 				w.Header().Set(HeaderPenalty, "0")
 				w.Header().Set(HeaderHit, strconv.Itoa(int(n.ID)))
 				if dmeta.ETag != "" {
@@ -739,11 +711,7 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	// The request goes up framed only after negotiation has learned the
-	// upstream reads frames (upFrames); the advert on the request lets the
-	// upstream answer in kind either way.
-	n.advertise(up.Header)
-	writePath(up.Header, n.upstreamFramed(), append(entries, entry), tsp.Ctx(upsp))
+	writePath(up.Header, append(entries, entry), tsp.Ctx(upsp))
 	if fl := n.readFloor(obj, floor); fl > 0 {
 		// Forward the read floor, raised to this node's own: an upstream
 		// hit may not serve below what any hop on the path knows to be
@@ -801,9 +769,7 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// audit's reference value; crossing the link adds its cost.
 	prev, okPen := parsePenalty(resp.Header.Get(HeaderPenalty))
 	if !okPen {
-		// Malformed counter: count it and fall back to zero explicitly —
-		// the same fail-safe posture as frame decoding falling back to
-		// textual headers.
+		// Malformed counter: count it and fall back to zero explicitly.
 		n.badPenalty.Add(1)
 		prev = 0
 	}
@@ -839,7 +805,7 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// The decision did not choose this node: the bytes only pass
 		// through, so stream them client-ward through a pooled buffer
 		// instead of buffering the whole object.
-		n.relayStream(w, r, resp, seg, dec, obj, prev, mp, now, tsp, upsp, hop)
+		n.relayStream(w, resp, seg, dec, obj, prev, mp, now, tsp, upsp, hop)
 		return
 	}
 
@@ -859,13 +825,9 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// cluster's epoch guard has no analogue on this transport — the
 		// fetch runs outside the lock). A departed node takes no placement
 		// and books no ledger claim: finish as a relay, link cost folded.
-		// The decision is re-encoded for whatever this side's client
-		// negotiated (byte-identical when the encodings match — both
-		// encoders are canonical).
 		n.mu.Unlock()
 		tsp.End(upsp, n.Clock())
-		n.advertise(w.Header())
-		writeDecision(w.Header(), n.replyFramed(r), dec)
+		writeDecision(w.Header(), dec)
 		w.Header().Set(HeaderPenalty, fmtFloat(mp))
 		w.Header().Set(HeaderHit, resp.Header.Get(HeaderHit))
 		writeBody(w, seg, body)
@@ -902,8 +864,7 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	tsp.End(dn, tnow)
 	tsp.End(upsp, tnow)
 
-	n.advertise(w.Header())
-	writeDecision(w.Header(), n.replyFramed(r), dec)
+	writeDecision(w.Header(), dec)
 	w.Header().Set(HeaderPenalty, fmtFloat(mp))
 	w.Header().Set(HeaderHit, resp.Header.Get(HeaderHit))
 	if tag := resp.Header.Get("ETag"); tag != "" {
@@ -914,11 +875,11 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // relayStream finishes a miss whose decision did not choose this node: the
 // non-place DownStep maintains the d-cache and penalty counter, the
-// response headers are re-encoded for this side's client, and the body is
+// decision is written on for this side's client, and the body is
 // streamed straight through a pooled buffer — a relay hop never holds a
 // full object. size for the d-cache descriptor comes from Content-Length
 // (every protocol hop sets it explicitly).
-func (n *Node) relayStream(w http.ResponseWriter, r *http.Request, resp *http.Response, seg segInfo,
+func (n *Node) relayStream(w http.ResponseWriter, resp *http.Response, seg segInfo,
 	dec decision, obj model.ObjectID,
 	prev, mp float64, now float64, tsp *span.Trace, upsp span.SpanID, hop int) {
 	size := resp.ContentLength
@@ -941,8 +902,7 @@ func (n *Node) relayStream(w http.ResponseWriter, r *http.Request, resp *http.Re
 	tsp.End(dn, tnow)
 	tsp.End(upsp, tnow)
 
-	n.advertise(w.Header())
-	writeDecision(w.Header(), n.replyFramed(r), dec)
+	writeDecision(w.Header(), dec)
 	w.Header().Set(HeaderPenalty, fmtFloat(outMP))
 	w.Header().Set(HeaderHit, resp.Header.Get(HeaderHit))
 	if tag := resp.Header.Get("ETag"); tag != "" {
@@ -1084,8 +1044,8 @@ type Origin struct {
 	Size func(model.ObjectID) int
 	// Dir, when non-empty, serves request paths as files beneath it.
 	Dir string
-	// DisableBinaryFraming pins the origin to the textual protocol headers
-	// (frames it receives are still understood).
+	// Deprecated: no-op since the binary frame was removed; kept until
+	// bench/ stops assigning it.
 	DisableBinaryFraming bool
 	// SegmentThreshold and SegmentSize, both positive, switch objects
 	// larger than the threshold to segmented delivery: a plain GET is
@@ -1117,17 +1077,6 @@ type Origin struct {
 	// 400 (cascade_gw_bad_header_total{header="path"} once a registry
 	// exists).
 	badPath atomic.Int64
-}
-
-// replyFramed advertises the origin's frame capability on the response and
-// reports whether the decision should travel as a frame: the requester
-// advertised the layout and the origin speaks it.
-func (o *Origin) replyFramed(w http.ResponseWriter, r *http.Request) bool {
-	if o.DisableBinaryFraming {
-		return false
-	}
-	w.Header().Set(HeaderAccept, FrameToken)
-	return acceptsFrames(r.Header)
 }
 
 // EnableObservability equips the origin with the decision-side
@@ -1270,7 +1219,7 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			hi = size - 1
 		}
 		chosen, predict := decideObserved(entries, obj, now, o.auditor, o.flight, model.NoNode, nil, 0)
-		writeDecision(w.Header(), o.replyFramed(w, r), o.originDecision(obj, chosen, predict))
+		writeDecision(w.Header(), o.originDecision(obj, chosen, predict))
 		w.Header().Set(HeaderPenalty, "0")
 		w.Header().Set(HeaderHit, "origin")
 		body := slice(lo, hi)
@@ -1308,7 +1257,7 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 
 	chosen, predict := decideObserved(entries, obj, now, o.auditor, o.flight, model.NoNode, nil, 0)
-	writeDecision(w.Header(), o.replyFramed(w, r), o.originDecision(obj, chosen, predict))
+	writeDecision(w.Header(), o.originDecision(obj, chosen, predict))
 	w.Header().Set(HeaderPenalty, "0")
 	w.Header().Set(HeaderHit, "origin")
 

@@ -229,13 +229,6 @@ func (n *Node) fetchUpstream(req *http.Request) (*http.Response, error) {
 			n.mu.Lock()
 			n.breakerSuccessLocked()
 			n.mu.Unlock()
-			// Per-hop framing negotiation: a response advertising the frame
-			// layout licenses binary request frames from now on. Sticky — the
-			// advert's absence on one response (a relay, an error path) does
-			// not forget a capability already proven.
-			if !n.upFrames.Load() && acceptsFrames(resp.Header) {
-				n.upFrames.Store(true)
-			}
 			return resp, nil
 		}
 		if err == nil {

@@ -9,10 +9,8 @@ import (
 )
 
 // HeaderTraceCtx carries the span trace context hop-to-hop as
-// "<32 hex trace id>-<16 hex parent span>". It is the textual counterpart of
-// the path frame's inline context: a tracing hop understands either form, so
-// a trace survives mixed chains. See docs/OBSERVABILITY.md for the span
-// schema.
+// "<32 hex trace id>-<16 hex parent span>", beside X-Cascade-Path. See
+// docs/OBSERVABILITY.md for the span schema.
 const HeaderTraceCtx = "X-Cascade-TraceCtx"
 
 // EnableSpans equips the node with protocol span tracing: each request
