@@ -32,9 +32,13 @@ conformance:
 # (streamed bodies byte-identical to the origin's synthetic payloads),
 # Range-segmented large-object reassembly at zero audit violations, and
 # disk-spill round trips served without an origin fetch (suite:
-# internal/conformance, TestDataPlane*; spec: docs/DATAPLANE.md).
+# internal/conformance, TestDataPlane*; spec: docs/DATAPLANE.md) — then the
+# data-plane tests of the package that owns the code: segment reassembly
+# outcomes, the origin's validator memo and ranged Dir-mode reads, spill,
+# relay and hostile-length handling.
 dataplane:
 	$(GO) test -race -count=1 -run 'TestDataPlane' ./internal/conformance/
+	$(GO) test -race -count=1 -run 'TestSegment|TestReassembl|TestOrigin|TestDirOrigin|TestSpill|TestRelay|TestReadBody|TestHostile' ./internal/httpgw/
 
 # Rolling-reconfiguration smoke (not tier-1): upgrade the 100-node default
 # cascade one batch at a time under sustained load; the job fails on any
@@ -66,12 +70,14 @@ observe:
 # only bounded, finite input that re-encodes to what was parsed — then ten
 # against the eviction heap: any byte string decodes to a HeapStore op
 # sequence whose victim order, CostLoss values and keys must match a
-# full-sort reference (minimization is capped: by default the fuzzer spends
-# up to a minute shrinking each coverage-expanding input, here the whole
-# smoke).
+# full-sort reference, then ten against the payload generator: any (obj,
+# size, lo, hi) must yield the bytes of the serial recurrence (minimization
+# is capped: by default the fuzzer spends up to a minute shrinking each
+# coverage-expanding input, here the whole smoke).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWireText -fuzztime 10s -fuzzminimizetime 20x ./internal/httpgw/
 	$(GO) test -run '^$$' -fuzz FuzzHeapStoreOps -fuzztime 10s -fuzzminimizetime 20x ./internal/cache/
+	$(GO) test -run '^$$' -fuzz FuzzSyntheticRange -fuzztime 10s -fuzzminimizetime 20x ./internal/store/
 
 vet:
 	$(GO) vet ./...
@@ -94,9 +100,11 @@ race:
 
 # The race detector makes sync.Pool drop entries, so TestHotPathAllocs (0
 # allocs/op on the simulator and cluster hot paths) skips itself under
-# `race`; this runs it without.
+# `race`, and so does TestReassemblyAllocs (a cached 1 MiB object served
+# from four segment hits allocates < 64 KiB); this runs them without.
 allocs:
 	$(GO) test -count=1 -run '^TestHotPathAllocs$$' .
+	$(GO) test -count=1 -run '^TestReassemblyAllocs$$' ./internal/httpgw/
 
 # Live SLO gate: cascademon (the federating monitor console) watches an
 # in-process origin → 3-gateway chain under closed-loop load and must pass

@@ -218,29 +218,66 @@ func readBody(resp *http.Response, limit int64) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// bodyRecorder captures one in-process sub-request's response during
-// segmented reassembly — the only place the client-facing node buffers, and
-// it holds at most one segment.
-type bodyRecorder struct {
-	header http.Header
-	status int
-	buf    []byte
+// segmentWriter is the http.ResponseWriter a segment sub-request answers
+// into during reassembly: a pass-through that forwards each body Write
+// straight to the client's writer — a segment hit hands over the store's
+// slice, a relayed segment flows through copyStream's pooled buffer — so the
+// client-facing node holds no copy of a segment it merely delivers. The
+// sub-response's status and declared Content-Length are checked when its
+// header is written, before any byte is forwarded; nothing is sized from the
+// peer-supplied marker, and no byte beyond want is ever forwarded.
+type segmentWriter struct {
+	dst      http.ResponseWriter // the client's writer
+	header   http.Header         // the sub-response's own headers; not forwarded
+	want     int64               // the segment's length as the marker implies it
+	sent     int64               // bytes forwarded to the client so far
+	status   int                 // the sub-response's status, 0 until its header is written
+	accepted bool                // status is 200/206 and the declared length is want
+	err      error               // first client write error, or http.ErrContentLength
 }
 
-func (b *bodyRecorder) Header() http.Header { return b.header }
-
-func (b *bodyRecorder) WriteHeader(code int) {
-	if b.status == 0 {
-		b.status = code
-	}
+// begin readies the writer for the next segment's sub-response.
+func (s *segmentWriter) begin(want int64) {
+	clear(s.header)
+	s.want, s.sent, s.status, s.accepted, s.err = want, 0, 0, false, nil
 }
 
-func (b *bodyRecorder) Write(p []byte) (int, error) {
-	if b.status == 0 {
-		b.status = http.StatusOK
+// complete reports whether the whole segment reached the client.
+func (s *segmentWriter) complete() bool { return s.accepted && s.err == nil && s.sent == s.want }
+
+func (s *segmentWriter) Header() http.Header { return s.header }
+
+func (s *segmentWriter) WriteHeader(code int) {
+	if s.status != 0 {
+		return
 	}
-	b.buf = append(b.buf, p...)
-	return len(p), nil
+	s.status = code
+	s.accepted = (code == http.StatusOK || code == http.StatusPartialContent) &&
+		s.header.Get("Content-Length") == strconv.FormatInt(s.want, 10)
+}
+
+func (s *segmentWriter) Write(p []byte) (int, error) {
+	if s.status == 0 {
+		s.WriteHeader(http.StatusOK)
+	}
+	if !s.accepted {
+		// A refused sub-response's body (an error page) goes nowhere.
+		return len(p), nil
+	}
+	if s.err != nil {
+		return 0, s.err
+	}
+	over := int64(len(p)) > s.want-s.sent
+	if over {
+		p = p[:s.want-s.sent]
+	}
+	n, err := s.dst.Write(p)
+	s.sent += int64(n)
+	if err == nil && over {
+		err = http.ErrContentLength
+	}
+	s.err = err
+	return n, err
 }
 
 // serveSegmented reassembles a large object for the client: the upstream
@@ -248,9 +285,13 @@ func (b *bodyRecorder) Write(p []byte) (int, error) {
 // node is the client-facing hop (empty incoming path), so it fetches each
 // Range segment through its own full protocol stack — each segment is a
 // distinct object identity with its own hit path, placement decision and
-// spill behaviour — and streams them to the client in order. The response
-// carries the marker and the exact total length; it has no single
-// placement decision because every segment decided for itself.
+// spill behaviour — and writes them through to the client in order. The
+// response carries the marker and the exact total length; it has no single
+// placement decision because every segment decided for itself. A first
+// segment that is refused turns the response into a 502 with no payload
+// byte; a later failure — refused, short, overlong, or the client gone —
+// ends the response where it stands, short of its Content-Length, which is
+// how the client detects the truncation.
 func (n *Node) serveSegmented(w http.ResponseWriter, r *http.Request, marker string) {
 	total, segSize, ok := parseSegmentedMarker(marker)
 	if !ok {
@@ -258,9 +299,17 @@ func (n *Node) serveSegmented(w http.ResponseWriter, r *http.Request, marker str
 		http.Error(w, "httpgw: bad segmented marker "+strconv.Quote(marker), http.StatusBadGateway)
 		return
 	}
+	// One sub-request serves every segment in turn (the handler keeps
+	// nothing of it past its return); only the two headers change.
+	sreq, err := http.NewRequestWithContext(r.Context(), http.MethodGet, r.URL.Path, nil)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadGateway)
+		return
+	}
 	nsegs := store.SegmentCount(total, segSize)
 	w.Header().Set(HeaderSegmented, marker)
 	w.Header().Set("Content-Length", strconv.FormatInt(total, 10))
+	sw := &segmentWriter{dst: w, header: make(http.Header)}
 	for idx := 0; idx < nsegs; idx++ {
 		seg := segInfo{on: true, idx: idx, size: segSize}
 		lo := seg.lo()
@@ -268,37 +317,18 @@ func (n *Node) serveSegmented(w http.ResponseWriter, r *http.Request, marker str
 		if hi >= total {
 			hi = total - 1
 		}
-		sreq, err := http.NewRequestWithContext(r.Context(), http.MethodGet, r.URL.Path, nil)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
 		sreq.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", lo, hi))
 		sreq.Header.Set(HeaderSegment, seg.header())
-		want := hi - lo + 1
-		rec := &bodyRecorder{header: make(http.Header)}
-		if want <= n.capacity {
-			// The segment's length is known; a node cannot hold more
-			// than its budget, and the marker is a peer's claim, so
-			// anything larger grows as it arrives.
-			rec.buf = make([]byte, 0, want)
-		}
-		n.ServeHTTP(rec, sreq)
-		if rec.status != http.StatusOK && rec.status != http.StatusPartialContent {
-			if idx == 0 {
-				w.WriteHeader(http.StatusBadGateway)
+		sw.begin(hi - lo + 1)
+		n.ServeHTTP(sw, sreq)
+		if !sw.complete() {
+			if idx == 0 && sw.sent == 0 && sw.err == nil {
+				// Nothing has been handed to the client yet: the answer
+				// can still be an error rather than a truncated object.
+				w.Header().Del(HeaderSegmented)
+				w.Header().Del("Content-Length")
+				http.Error(w, "httpgw: segment 0 unavailable or not the length the marker implies", http.StatusBadGateway)
 			}
-			// Mid-stream failure: stop short — the Content-Length mismatch
-			// surfaces the truncation to the client.
-			return
-		}
-		if int64(len(rec.buf)) != want {
-			if idx == 0 {
-				http.Error(w, "httpgw: segment length mismatch", http.StatusBadGateway)
-			}
-			return
-		}
-		if _, err := w.Write(rec.buf); err != nil {
 			return
 		}
 	}

@@ -1077,6 +1077,9 @@ type Origin struct {
 	// 400 (cascade_gw_bad_header_total{header="path"} once a registry
 	// exists).
 	badPath atomic.Int64
+
+	// etags remembers the validators of large synthetic payloads.
+	etags etagMemo
 }
 
 // EnableObservability equips the origin with the decision-side
@@ -1166,21 +1169,23 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		now = o.clock()
 	}
 
-	// Resolve the payload source: Dir mode reads the whole file (it is the
-	// backing store), synthetic mode only needs the size up front — the
-	// generator can emit any byte range directly.
-	var full []byte
+	// Resolve the payload source. Only the size is needed up front: the
+	// synthetic generator emits any byte range directly, and Dir mode reads
+	// exactly the range an answer carries — a marker response reads nothing,
+	// a segment request one segment of the file.
+	var file string
 	var size int64
 	if o.Dir != "" {
 		// path.Clean plus the Join keeps the lookup inside Dir
 		// (".." cannot escape a cleaned rooted path).
 		clean := path.Clean("/" + r.URL.Path)
-		full, err = os.ReadFile(filepath.Join(o.Dir, filepath.FromSlash(clean)))
-		if err != nil {
+		file = filepath.Join(o.Dir, filepath.FromSlash(clean))
+		fi, err := os.Stat(file)
+		if err != nil || !fi.Mode().IsRegular() {
 			http.Error(w, "object not found", http.StatusNotFound)
 			return
 		}
-		size = int64(len(full))
+		size = fi.Size()
 	} else {
 		size = 1024
 		if o.Size != nil {
@@ -1199,44 +1204,15 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	slice := func(lo, hi int64) []byte { // [lo, hi] inclusive
+	// read returns bytes [lo, hi] of the object.
+	read := func(lo, hi int64) ([]byte, error) {
 		if o.Dir != "" {
-			return full[lo : hi+1]
+			return readFileRange(file, lo, hi)
 		}
-		return store.SyntheticRange(baseObj, int(size), int(lo), int(hi+1))
+		return store.SyntheticRange(baseObj, int(size), int(lo), int(hi+1)), nil
 	}
 
-	if seg.on {
-		// One segment of a large object: validate that the Range agrees
-		// with the declared segment geometry, decide placement on the
-		// segment's own identity, serve the slice as a 206.
-		lo, hi, ok := parseByteRange(r.Header.Get("Range"))
-		if !ok || lo != seg.lo() || lo >= size {
-			http.Error(w, "httpgw: segment range mismatch", http.StatusRequestedRangeNotSatisfiable)
-			return
-		}
-		if hi >= size {
-			hi = size - 1
-		}
-		chosen, predict := decideObserved(entries, obj, now, o.auditor, o.flight, model.NoNode, nil, 0)
-		writeDecision(w.Header(), o.originDecision(obj, chosen, predict))
-		w.Header().Set(HeaderPenalty, "0")
-		w.Header().Set(HeaderHit, "origin")
-		body := slice(lo, hi)
-		tag := etagOf(body)
-		w.Header().Set("ETag", tag)
-		if r.Header.Get("If-None-Match") == tag {
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", lo, hi, size))
-		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-		w.WriteHeader(http.StatusPartialContent)
-		w.Write(body) //nolint:errcheck
-		return
-	}
-
-	if rng := r.Header.Get("Range"); rng != "" {
+	if rng := r.Header.Get("Range"); rng != "" && !seg.on {
 		// A bare Range request (no segment header) sits outside the
 		// coordinated protocol: serve the slice without decision headers
 		// so no cache treats it as a placeable object.
@@ -1248,7 +1224,11 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if hi >= size {
 			hi = size - 1
 		}
-		body := slice(lo, hi)
+		body, err := read(lo, hi)
+		if err != nil {
+			http.Error(w, "object unreadable", http.StatusInternalServerError)
+			return
+		}
 		w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", lo, hi, size))
 		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 		w.WriteHeader(http.StatusPartialContent)
@@ -1256,25 +1236,119 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// A protocol object — the whole body, or one segment of a large one:
+	// decide placement on its own identity, attach the validator, serve.
+	lo, hi := int64(0), size-1
+	if seg.on {
+		// Validate that the Range agrees with the declared segment geometry.
+		var ok bool
+		lo, hi, ok = parseByteRange(r.Header.Get("Range"))
+		if !ok || lo != seg.lo() || lo >= size {
+			http.Error(w, "httpgw: segment range mismatch", http.StatusRequestedRangeNotSatisfiable)
+			return
+		}
+		if hi >= size {
+			hi = size - 1
+		}
+	}
+	// A synthetic body is a pure function of the key, so the validator of a
+	// large one is remembered rather than rehashed, and a conditional GET
+	// that matches a remembered validator is answered without generating
+	// the bytes at all. A file's bytes can change under the same name, so
+	// Dir mode reads and hashes every time.
+	key := etagKey{obj: baseObj, size: size, lo: lo, hi: hi}
+	memoised := o.Dir == "" && hi-lo+1 >= etagMemoMinBytes
+	inm := r.Header.Get("If-None-Match")
+	var tag string
+	if memoised {
+		tag = o.etags.get(key)
+	}
+	var body []byte
+	if tag == "" || tag != inm {
+		if body, err = read(lo, hi); err != nil {
+			http.Error(w, "object unreadable", http.StatusInternalServerError)
+			return
+		}
+		if tag == "" {
+			tag = etagOf(body)
+			if memoised {
+				o.etags.put(key, tag)
+			}
+		}
+	}
 	chosen, predict := decideObserved(entries, obj, now, o.auditor, o.flight, model.NoNode, nil, 0)
 	writeDecision(w.Header(), o.originDecision(obj, chosen, predict))
 	w.Header().Set(HeaderPenalty, "0")
 	w.Header().Set(HeaderHit, "origin")
-
-	var body []byte
-	if o.Dir != "" {
-		body = full
-	} else {
-		body = store.SyntheticBody(baseObj, int(size))
-	}
-	tag := etagOf(body)
 	w.Header().Set("ETag", tag)
-	if r.Header.Get("If-None-Match") == tag {
+	if inm == tag {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	if seg.on {
+		w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", lo, hi, size))
+		w.WriteHeader(http.StatusPartialContent)
+	}
 	w.Write(body) //nolint:errcheck
+}
+
+// readFileRange reads bytes [lo, hi] of the named file; the caller has
+// clamped the range to the file's size, so a short read is an error.
+func readFileRange(name string, lo, hi int64) ([]byte, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	body := make([]byte, hi-lo+1)
+	if _, err := f.ReadAt(body, lo); err != nil {
+		return nil, err
+	}
+	return body, nil
+}
+
+// etagKey names one synthetic payload: bytes [lo, hi] of object obj
+// generated at size bytes — everything the generator's output depends on.
+type etagKey struct {
+	obj          model.ObjectID
+	size, lo, hi int64
+}
+
+const (
+	// etagMemoMinBytes is the smallest body whose validator is remembered:
+	// hashing 64 KiB costs tens of microseconds, three orders above a map
+	// probe, while an entry per small object of a large catalog would cost
+	// more heap than the hashing it saves is worth.
+	etagMemoMinBytes = 64 << 10
+	// etagMemoMaxEntries bounds the memo; a full memo is dropped whole and
+	// refills from the requests that follow.
+	etagMemoMaxEntries = 4096
+)
+
+// etagMemo remembers the validators of synthetic payloads, so the origin
+// hashes each large body once rather than on every request for it. The
+// zero value is ready to use; the map is allocated by the first put.
+type etagMemo struct {
+	mu   sync.Mutex
+	tags map[etagKey]string
+}
+
+// get returns the remembered validator, or "" (no validator is empty:
+// etagOf always yields a quoted string).
+func (m *etagMemo) get(k etagKey) string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.tags[k]
+}
+
+func (m *etagMemo) put(k etagKey, tag string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.tags == nil || len(m.tags) >= etagMemoMaxEntries {
+		m.tags = make(map[etagKey]string)
+	}
+	m.tags[k] = tag
 }
 
 // nodeSnapshot is the gob-serialized persistent state of a gateway node.

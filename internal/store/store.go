@@ -9,7 +9,9 @@
 //
 // The package also carries the deterministic synthetic payload generator
 // shared by the origin and the conformance suite (SyntheticBody,
-// SyntheticRange) and the segment identity math for Range-segmented large
+// SyntheticRange — one LCG, run as eight interleaved lanes advanced by the
+// 8-step affine map so the multiplies overlap; the bytes are those of the
+// serial recurrence, pinned by golden vectors) and the segment identity math for Range-segmented large
 // objects (SegmentID, SegmentCount) — every incarnation must derive the
 // same bytes and the same segment identities or body-hash conformance
 // cannot hold.
@@ -69,10 +71,10 @@ type BodyStore interface {
 
 // Stats is a consistent snapshot of a Tiered store's accounting.
 type Stats struct {
-	MemObjects int   // objects in the memory tier
-	MemBytes   int64 // bytes held by the memory tier
-	DiskObjects int  // objects in the disk tier
-	DiskBytes  int64 // bytes held by the disk tier
+	MemObjects  int   // objects in the memory tier
+	MemBytes    int64 // bytes held by the memory tier
+	DiskObjects int   // objects in the disk tier
+	DiskBytes   int64 // bytes held by the disk tier
 
 	SpillObjectsTotal int64 // evictions whose bytes landed on disk
 	SpillBytesTotal   int64 // bytes spilled to disk, cumulative
@@ -119,10 +121,10 @@ type memEntry struct {
 // use; file I/O for the disk tier happens under the store's mutex, which is
 // acceptable because spill and promote sit off the memory-hit fast path.
 type Tiered struct {
-	mu   sync.Mutex
-	mem  map[model.ObjectID]memEntry
+	mu       sync.Mutex
+	mem      map[model.ObjectID]memEntry
 	memBytes int64
-	disk *diskTier // nil when Config.Dir is empty
+	disk     *diskTier // nil when Config.Dir is empty
 
 	spillObjects int64
 	spillBytes   int64

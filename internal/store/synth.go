@@ -16,12 +16,21 @@ import (
 //	sᵢ₊₁ = sᵢ·A + C          (A, C from Knuth's MMIX LCG)
 //	bᵢ   = byte(sᵢ₊₁ >> 56)
 //
-// which must stay bit-for-bit stable: conformance pins it.
+// which must stay bit-for-bit stable: golden vectors in synth_test.go and
+// the conformance suite pin it. Run serially, every byte waits on the
+// previous byte's multiply. fillLCG instead keeps eight states one step
+// apart — lane j holds s₍ⱼ₊₁₎, s₍ⱼ₊₉₎, s₍ⱼ₊₁₇₎, … — and advances each by
+// the 8-step map s ↦ A₈·s + C₈, the same affine composition lcgSkip uses
+// to fast-forward: the eight multiplies of a round are independent, and
+// the bytes come out in the order the serial recurrence emits them.
 
 const (
 	lcgA uint64 = 6364136223846793005
 	lcgC uint64 = 1442695040888963407
 )
+
+// lcgA8, lcgC8 is the LCG step composed with itself eight times.
+var lcgA8, lcgC8 = lcgPow(8)
 
 func synthSeed(obj model.ObjectID) uint64 {
 	return uint64(obj)*2654435761 + 12345
@@ -30,18 +39,13 @@ func synthSeed(obj model.ObjectID) uint64 {
 // SyntheticBody returns the deterministic payload for obj at the given size.
 func SyntheticBody(obj model.ObjectID, size int) []byte {
 	body := make([]byte, size)
-	seed := synthSeed(obj)
-	for i := range body {
-		seed = seed*lcgA + lcgC
-		body[i] = byte(seed >> 56)
-	}
+	fillLCG(synthSeed(obj), body)
 	return body
 }
 
 // SyntheticRange returns bytes [lo, hi) of SyntheticBody(obj, size) without
 // materialising the prefix: the LCG is fast-forwarded lo steps in O(log lo)
-// by squaring the affine map (A, C) — composing s↦As+C with itself n times
-// yields another affine map, so f^(m+n) = (AmAn, AmCn+Cm).
+// by lcgSkip.
 func SyntheticRange(obj model.ObjectID, size int, lo, hi int) []byte {
 	if lo < 0 {
 		lo = 0
@@ -52,29 +56,56 @@ func SyntheticRange(obj model.ObjectID, size int, lo, hi int) []byte {
 	if hi <= lo {
 		return []byte{}
 	}
-	seed := lcgSkip(synthSeed(obj), uint64(lo))
 	out := make([]byte, hi-lo)
-	for i := range out {
-		seed = seed*lcgA + lcgC
-		out[i] = byte(seed >> 56)
-	}
+	fillLCG(lcgSkip(synthSeed(obj), uint64(lo)), out)
 	return out
 }
 
-// lcgSkip advances the LCG state n steps.
-func lcgSkip(state, n uint64) uint64 {
-	accA, accC := uint64(1), uint64(0) // identity affine map
+// fillLCG writes the len(out) bytes the recurrence emits after state: the
+// one generator loop behind SyntheticBody and SyntheticRange.
+func fillLCG(state uint64, out []byte) {
+	var s [8]uint64
+	for j := range s {
+		state = state*lcgA + lcgC
+		s[j] = state
+	}
+	s0, s1, s2, s3, s4, s5, s6, s7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+	a, c := lcgA8, lcgC8
+	for ; len(out) >= 8; out = out[8:] {
+		o := out[:8:8]
+		o[0], o[1], o[2], o[3] = byte(s0>>56), byte(s1>>56), byte(s2>>56), byte(s3>>56)
+		o[4], o[5], o[6], o[7] = byte(s4>>56), byte(s5>>56), byte(s6>>56), byte(s7>>56)
+		s0, s1, s2, s3 = s0*a+c, s1*a+c, s2*a+c, s3*a+c
+		s4, s5, s6, s7 = s4*a+c, s5*a+c, s6*a+c, s7*a+c
+	}
+	s = [8]uint64{s0, s1, s2, s3, s4, s5, s6, s7}
+	for j := range out {
+		out[j] = byte(s[j] >> 56)
+	}
+}
+
+// lcgPow returns the affine map (a, c) of n LCG steps, by squaring:
+// composing s↦As+C with itself yields another affine map, and
+// f^(m+n) = (AmAn, AmCn+Cm).
+func lcgPow(n uint64) (a, c uint64) {
+	a, c = 1, 0 // identity affine map
 	curA, curC := lcgA, lcgC
 	for n > 0 {
 		if n&1 == 1 {
 			// acc = cur ∘ acc
-			accA, accC = curA*accA, curA*accC+curC
+			a, c = curA*a, curA*c+curC
 		}
 		// cur = cur ∘ cur
 		curA, curC = curA*curA, curA*curC+curC
 		n >>= 1
 	}
-	return accA*state + accC
+	return a, c
+}
+
+// lcgSkip advances the LCG state n steps.
+func lcgSkip(state, n uint64) uint64 {
+	a, c := lcgPow(n)
+	return a*state + c
 }
 
 // BodyHash is the conformance fingerprint of a payload (hex SHA-256).
