@@ -1,15 +1,16 @@
 # Tier-1 verification gate: everything a change must pass before merging.
 # `make check` = vet + lint + build + the bench module's own tests + every
 # package's tests under the race detector + the hot-path allocation ceilings
-# + observability, fuzz, rolling-reconfiguration and CAS-coherency smokes.
+# + observability, fuzz, rolling-reconfiguration and CAS-coherency smokes
+# + a re-run of the paper's figures against the committed CSVs.
 # Timings are not gated here: a speed claim is judged on alternating
 # parent/change pairs of bench/run.sh (docs/PERFORMANCE.md).
 
 GO ?= go
 
-.PHONY: check vet lint build bench-module test race allocs observe fuzz conformance dataplane rolling coherency slo
+.PHONY: check vet lint build bench-module test race allocs observe fuzz conformance dataplane rolling coherency reproduce slo
 
-check: vet lint build bench-module race allocs observe fuzz rolling coherency
+check: vet lint build bench-module race allocs observe fuzz rolling coherency reproduce
 
 # Import guard: the protocol incarnations (scheme, sim, runtime, httpgw)
 # must reach the placement optimizer only through internal/engine, never by
@@ -58,9 +59,18 @@ coherency:
 		-objects 1000 -capacity 2MB -nodes 3 -shards 8 -seed 1 \
 		-write-ratio 0.05
 
+# Reproduction gate: re-run every figure of the paper's evaluation and fail
+# if any cell drifts more than 5% from the committed results/*.csv — the
+# tables EXPERIMENTS.md quotes and TestCommittedFiguresOrderCoordBest reads
+# (about 45 s on two cores; the replay is seed-deterministic, so drift means
+# the code changed what it computes).
+reproduce:
+	$(GO) run ./cmd/cascadesim -exp figs -parallel -baseline results > /dev/null
+
 # Observability smoke: boot a real origin → gateway → edge chain, scrape the
 # Prometheus endpoints, read one request's two passes and their attributes
-# back from the hops' /cascade/debug/spans dumps
+# back from the hops' /cascade/debug/spans dumps, and an origin-served
+# request's decide span back from the origin's
 # (driver: cmd/observesmoke; docs/OBSERVABILITY.md documents the series).
 observe:
 	$(GO) run ./cmd/observesmoke -go $(GO)

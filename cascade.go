@@ -486,17 +486,18 @@ type (
 // NewMetricsRegistry returns an empty Prometheus-text-format registry.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 
-// Protocol flight recorder, online invariant auditing and predicted-vs-
-// realized cost accounting (docs/OBSERVABILITY.md).
+// Per-node event log, online invariant auditing and predicted-vs-realized
+// cost accounting (docs/OBSERVABILITY.md).
 type (
 	// FlightRecorder is a per-node fixed-capacity ring buffer of compact
-	// protocol events; attach via Coordinated.SetFlightCapacity,
-	// ClusterConfig.FlightCapacity or the gateway's built-in recorder.
+	// events no single request owns (crashes, breaker/membership/health
+	// transitions, coherency and disk-tier events, audit violations);
+	// attach via Coordinated.SetFlightCapacity, ClusterConfig.FlightCapacity
+	// or the gateway's built-in recorder. Per-request protocol steps are
+	// spans (see Span below).
 	FlightRecorder = flightrec.Recorder
-	// FlightEvent is one recorded protocol step.
+	// FlightEvent is one recorded event.
 	FlightEvent = flightrec.Event
-	// FlightEventKind classifies a flight event.
-	FlightEventKind = flightrec.Kind
 	// FlightSnapshot is a dump-friendly view of one node's recorder.
 	FlightSnapshot = flightrec.Snapshot
 
@@ -518,9 +519,6 @@ type (
 	AuditReport = experiment.AuditReport
 )
 
-// NewFlightRecorder returns a recorder retaining the last capacity events.
-func NewFlightRecorder(capacity int) *FlightRecorder { return flightrec.New(capacity) }
-
 // NewAuditor returns an online invariant auditor whose counters register in
 // reg (nil for a detached auditor); attach via Coordinated.SetAuditor or
 // ClusterConfig.EnableAudit.
@@ -540,13 +538,6 @@ func AuditInvariants() []AuditInvariant { return audit.Invariants() }
 // (cascadesim -exp ledger).
 func LedgerStudy(arch Architecture, cfg ExperimentConfig, size float64) (ResultTable, AuditReport, error) {
 	return experiment.LedgerStudy(arch, cfg, size)
-}
-
-// DumpFlightRecorders replays the workload through coordinated caching with
-// per-node flight recorders attached and returns every node's snapshot
-// (cascadesim -flight-dump).
-func DumpFlightRecorders(arch Architecture, cfg ExperimentConfig, size float64, capacity int) ([]FlightSnapshot, AuditReport, error) {
-	return experiment.FlightDump(arch, cfg, size, capacity)
 }
 
 // Cascade-wide span tracing: per-request protocol-phase spans under one

@@ -62,10 +62,10 @@ func run() error {
 		brkThresh   = flag.Int("breaker-threshold", 0, "gateway: consecutive upstream failures that open the circuit breaker (0 = default, negative = disabled)")
 		brkCool     = flag.Float64("breaker-cooldown", 0, "gateway: seconds the breaker stays open before probing (0 = default)")
 		upHealth    = flag.Float64("up-health-interval", 1, "gateway: seconds between active upstream health probes (≤ 0 = disabled)")
-		flightCap   = flag.Int("flight", 0, "protocol flight-recorder capacity in events (0 = default 256, negative = disabled); dump via GET /cascade/debug/flight")
-		spanRate    = flag.Float64("spans", -1, "gateway: enable cascade-wide span tracing, keeping this fraction of unremarkable traces (error/stale/slow always kept; negative = disabled); dump via GET /cascade/debug/spans")
-		spanCap     = flag.Int("span-capacity", 512, "gateway: span-ring capacity in spans (with -spans)")
-		spanSlow    = flag.Duration("span-slow", 0, "gateway: force-keep traces slower than this end-to-end (with -spans; 0 = no slow threshold)")
+		flightCap   = flag.Int("flight", 0, "event-log (flight recorder) capacity in events (0 = default 256, negative = disabled); dump via GET /cascade/debug/flight")
+		spanRate    = flag.Float64("spans", -1, "enable cascade-wide span tracing, keeping this fraction of unremarkable traces (error/stale/slow always kept; negative = disabled; the origin records its decide spans); dump via GET /cascade/debug/spans")
+		spanCap     = flag.Int("span-capacity", 512, "span-ring capacity in spans (with -spans)")
+		spanSlow    = flag.Duration("span-slow", 0, "force-keep traces slower than this end-to-end (with -spans; 0 = no slow threshold)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
 		metricsAddr = flag.String("metrics", "", "gateway: serve Prometheus /metrics on this address (e.g. localhost:9090; empty = disabled)")
 	)
@@ -89,6 +89,7 @@ func run() error {
 		}()
 	}
 
+	spanPolicy := cascade.SpanPolicy{Rate: *spanRate, Slow: spanSlow.Seconds()}
 	var handler http.Handler
 	if *origin {
 		if *metricsAddr != "" {
@@ -104,13 +105,18 @@ func run() error {
 		}
 		// The origin decides every placement that missed the whole chain,
 		// so it audits its decisions like a cache node: cascade_audit_*
-		// series at /cascade/metrics, decision flight ring at
-		// /cascade/debug/flight.
+		// series at /cascade/metrics, violations in the flight ring at
+		// /cascade/debug/flight, and — with -spans — each request's decide
+		// span at /cascade/debug/spans.
 		fc := 256
 		if *flightCap != 0 {
 			fc = *flightCap
 		}
 		o.EnableObservability(fc, cascade.WallClock())
+		if *spanRate >= 0 {
+			o.EnableSpans(spanPolicy, *spanCap)
+			fmt.Fprintf(os.Stderr, "cascadegw: origin decide spans on (sample rate %g, ring %d)\n", *spanRate, *spanCap)
+		}
 		thr, err := parseBytes(*segThreshold)
 		if err != nil {
 			return fmt.Errorf("-segment-threshold: %w", err)
@@ -183,10 +189,7 @@ func run() error {
 			node.SetFlightCapacity(*flightCap)
 		}
 		if *spanRate >= 0 {
-			node.EnableSpans(cascade.SpanPolicy{
-				Rate: *spanRate,
-				Slow: spanSlow.Seconds(),
-			}, *spanCap)
+			node.EnableSpans(spanPolicy, *spanCap)
 			fmt.Fprintf(os.Stderr, "cascadegw: span tracing on (sample rate %g, ring %d)\n", *spanRate, *spanCap)
 		}
 		if *upTimeout != 0 {

@@ -72,29 +72,28 @@ func run() error {
 		locality = flag.Float64("locality", 0, "synthetic workload: community-of-interest strength [0,1]")
 		seed     = flag.Int64("seed", 1, "master seed (workload, topology, attachment)")
 
-		traceFile = flag.String("trace", "", "replay a recorded trace file instead of the synthetic workload")
-		flightCap = flag.Int("flight-dump", 0, "replay with per-node flight recorders of capacity N, dump every node's ring as JSON (COORD scheme, first -arch and -sizes values) and exit")
+		traceFile  = flag.String("trace", "", "replay a recorded trace file instead of the synthetic workload")
 		spanCap    = flag.Int("span-dump", 0, "replay with cascade-wide span tracing and per-node span rings of capacity N, dump every node's ring as JSON (COORD scheme, first -arch and -sizes values) and exit")
 		spanSample = flag.Float64("span-sample", 1, "span-dump: tail-sampling rate in [0,1] for unremarkable traces (error/stale/slow traces are always kept)")
-		csvDir    = flag.String("csv", "", "directory for CSV export (created if missing)")
-		svgDir    = flag.String("svg", "", "directory for SVG figure export (created if missing)")
-		htmlOut   = flag.String("html", "", "write a self-contained HTML report of every emitted table")
-		chart     = flag.Bool("chart", false, "render ASCII charts next to the tables")
-		md        = flag.Bool("md", false, "emit GitHub-flavored markdown instead of aligned text")
-		replicate = flag.Int("replicate", 0, "rerun each figure under N seeds and report mean ± stdev")
-		baseline  = flag.String("baseline", "", "directory of previously exported CSVs to compare against (5% tolerance)")
-		chaosFrac = flag.Float64("chaos-frac", 0.2, "chaos study: fraction of nodes crashed mid-trace")
-		chaosFail = flag.Float64("chaos-fail", 0.25, "chaos study: trace fraction at which nodes crash")
-		chaosHeal = flag.Float64("chaos-heal", 0.6, "chaos study: trace fraction at which nodes recover")
-		rollBatch = flag.Float64("rolling-batch", 0.1, "rolling study: fraction of nodes upgraded per batch")
-		rollStart = flag.Float64("rolling-start", 0.25, "rolling study: trace fraction at which the upgrade begins")
-		rollEnd   = flag.Float64("rolling-end", 0.75, "rolling study: trace fraction by which every batch has cycled")
-		verbose   = flag.Bool("v", false, "print per-cell progress")
-		list      = flag.Bool("list", false, "list available experiments, figures and schemes, then exit")
-		jobs      = flag.Int("j", 0, "concurrent sweep cells (0 = GOMAXPROCS)")
-		parallel  = flag.Bool("parallel", false, "run independent studies concurrently (output order is unchanged)")
-		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof   = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		csvDir     = flag.String("csv", "", "directory for CSV export (created if missing)")
+		svgDir     = flag.String("svg", "", "directory for SVG figure export (created if missing)")
+		htmlOut    = flag.String("html", "", "write a self-contained HTML report of every emitted table")
+		chart      = flag.Bool("chart", false, "render ASCII charts next to the tables")
+		md         = flag.Bool("md", false, "emit GitHub-flavored markdown instead of aligned text")
+		replicate  = flag.Int("replicate", 0, "rerun each figure under N seeds and report mean ± stdev")
+		baseline   = flag.String("baseline", "", "directory of previously exported CSVs to compare against (5% tolerance)")
+		chaosFrac  = flag.Float64("chaos-frac", 0.2, "chaos study: fraction of nodes crashed mid-trace")
+		chaosFail  = flag.Float64("chaos-fail", 0.25, "chaos study: trace fraction at which nodes crash")
+		chaosHeal  = flag.Float64("chaos-heal", 0.6, "chaos study: trace fraction at which nodes recover")
+		rollBatch  = flag.Float64("rolling-batch", 0.1, "rolling study: fraction of nodes upgraded per batch")
+		rollStart  = flag.Float64("rolling-start", 0.25, "rolling study: trace fraction at which the upgrade begins")
+		rollEnd    = flag.Float64("rolling-end", 0.75, "rolling study: trace fraction by which every batch has cycled")
+		verbose    = flag.Bool("v", false, "print per-cell progress")
+		list       = flag.Bool("list", false, "list available experiments, figures and schemes, then exit")
+		jobs       = flag.Int("j", 0, "concurrent sweep cells (0 = GOMAXPROCS)")
+		parallel   = flag.Bool("parallel", false, "run independent studies concurrently (output order is unchanged)")
+		cpuprof    = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memprof    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
 
@@ -175,26 +174,6 @@ func run() error {
 		archs = []cascade.Architecture{cascade.ArchEnRoute, cascade.ArchHierarchy}
 	default:
 		return fmt.Errorf("-arch: unknown architecture %q", *arch)
-	}
-
-	if *flightCap > 0 {
-		// Flight-dump mode: replay the workload once through the coordinated
-		// scheme with a flight recorder (and the invariant auditor) on every
-		// node, then emit each node's retained protocol events as JSON.
-		a, size := archs[0], sizeList[0]
-		snaps, report, err := cascade.DumpFlightRecorders(a, cfg, size, *flightCap)
-		if err != nil {
-			return err
-		}
-		events := 0
-		for _, s := range snaps {
-			events += len(s.Events)
-		}
-		fmt.Fprintf(os.Stderr, "flight dump: %d nodes, %d retained events, %d audit violations (%s, COORD, cache size %.3g)\n",
-			len(snaps), events, report.Total(), a, size)
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(snaps)
 	}
 
 	if *spanCap > 0 {

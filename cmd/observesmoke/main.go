@@ -4,13 +4,17 @@
 // Prometheus scrape carries the key gateway series — including every
 // cascade_audit_*_total invariant series at zero violations on this clean
 // run, and the cascade_ledger_* accounting series — that the
-// /cascade/debug/flight endpoint dumps the protocol flight recorder,
-// that the origin's decision-side auditor reports checks with
-// zero violations on its own /cascade/metrics, and that one request's span
+// /cascade/debug/flight endpoint dumps the node's event log (the invalidate
+// after the admin write; nothing at the origin, whose ring keeps audit
+// violations only), that the origin's decision-side auditor reports checks
+// with zero violations on its own /cascade/metrics, that one request's span
 // trace, stitched from two hops' /cascade/debug/spans dumps, carries both
 // protocol passes with their attributes (f on the up span, the chosen count
-// on the decide span, the placement on the down span). Exit status 0 means
-// the observability surface of the deployed binary works end to end.
+// on the decide span, the placement on the down span), and that an
+// origin-served request's tree holds lookup/up/down at every hop plus the
+// origin's decide span agreeing with the X-Cascade-Place and
+// X-Cascade-Predict headers the client saw. Exit status 0 means the
+// observability surface of the deployed binary works end to end.
 package main
 
 import (
@@ -18,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -80,7 +85,7 @@ func run() error {
 		logs = os.Stderr
 	}
 	origin, err := start(bin, logs, "-origin", "-listen", originAddr, "-object-size", "2048",
-		"-coherency", "cas")
+		"-coherency", "cas", "-spans", "1", "-span-capacity", "128")
 	if err != nil {
 		return err
 	}
@@ -268,27 +273,36 @@ func run() error {
 	} else if v < 1 {
 		return fmt.Errorf("origin audited no local-benefit checks despite deciding placements")
 	}
-	originFlight, err := fetch("http://" + originAddr + "/cascade/debug/flight")
-	if err != nil {
-		return err
-	}
 	var originSnap flightrec.Snapshot
-	if err := json.Unmarshal([]byte(originFlight), &originSnap); err != nil {
-		return fmt.Errorf("origin /cascade/debug/flight is not a JSON snapshot: %w\n%s", err, originFlight)
-	}
-	if len(originSnap.Events) == 0 {
-		return fmt.Errorf("origin flight recorder empty despite decided placements")
-	}
-	fmt.Printf("observesmoke: origin audits its decisions (%d flight events, zero violations)\n", len(originSnap.Events))
-
-	// The flight-recorder debug endpoint must dump the traffic just driven.
-	flightBody, err := fetch("http://" + gwAddr + "/cascade/debug/flight")
-	if err != nil {
+	if err := fetchJSON("http://"+originAddr+"/cascade/debug/flight", &originSnap); err != nil {
 		return err
 	}
+	if originSnap.Capacity <= 0 || len(originSnap.Events) != 0 {
+		return fmt.Errorf("origin flight ring: capacity %d with %d events, want a live ring holding no violations",
+			originSnap.Capacity, len(originSnap.Events))
+	}
+	// Its decisions are per-request facts: each one is a decide span in
+	// the origin's own span ring.
+	var originSpans span.Snapshot
+	if err := fetchJSON("http://"+originAddr+"/cascade/debug/spans", &originSpans); err != nil {
+		return err
+	}
+	originDecides := 0
+	for _, s := range originSpans.Spans {
+		if s.Phase == span.PhaseDecide {
+			originDecides++
+		}
+	}
+	if originSpans.Capacity != 128 || originDecides == 0 || originDecides != len(originSpans.Spans) {
+		return fmt.Errorf("origin span ring: capacity %d, %d decide spans of %d, want decide spans only after decided placements",
+			originSpans.Capacity, originDecides, len(originSpans.Spans))
+	}
+	fmt.Printf("observesmoke: origin audits its decisions (%d decide spans, zero violations)\n", originDecides)
+
+	// The flight-recorder debug endpoint must dump the write just driven.
 	var snap flightrec.Snapshot
-	if err := json.Unmarshal([]byte(flightBody), &snap); err != nil {
-		return fmt.Errorf("/cascade/debug/flight is not a JSON snapshot: %w\n%s", err, flightBody)
+	if err := fetchJSON("http://"+gwAddr+"/cascade/debug/flight", &snap); err != nil {
+		return err
 	}
 	if snap.Capacity <= 0 || len(snap.Events) == 0 {
 		return fmt.Errorf("/cascade/debug/flight dump is empty (capacity %d, %d events)", snap.Capacity, len(snap.Events))
@@ -301,20 +315,16 @@ func run() error {
 		}
 	}
 	if !sawInvalidate {
-		return fmt.Errorf("flight recorder holds no invalidate event after the admin write\n%s", flightBody)
+		return fmt.Errorf("flight recorder holds no invalidate event after the admin write: %+v", snap.Events)
 	}
 	fmt.Printf("observesmoke: flight recorder retains %d events (capacity %d, invalidation recorded)\n", len(snap.Events), snap.Capacity)
 
 	// The span-ring debug endpoint must dump protocol-phase spans for the
 	// traffic just driven: one shared trace ID per request, a request root,
 	// and every phase span parented inside its trace.
-	spansBody, err := fetch("http://" + gwAddr + "/cascade/debug/spans")
-	if err != nil {
-		return err
-	}
 	var spanSnap span.Snapshot
-	if err := json.Unmarshal([]byte(spansBody), &spanSnap); err != nil {
-		return fmt.Errorf("/cascade/debug/spans is not a JSON snapshot: %w\n%s", err, spansBody)
+	if err := fetchJSON("http://"+gwAddr+"/cascade/debug/spans", &spanSnap); err != nil {
+		return err
 	}
 	if spanSnap.Capacity != 128 || len(spanSnap.Spans) == 0 {
 		return fmt.Errorf("/cascade/debug/spans dump is empty (capacity %d, %d spans)", spanSnap.Capacity, len(spanSnap.Spans))
@@ -333,7 +343,7 @@ func run() error {
 	}
 	for _, want := range []string{"request", "lookup"} {
 		if !spanPhases[want] {
-			return fmt.Errorf("span dump lacks %q spans (got %v)\n%s", want, spanPhases, spansBody)
+			return fmt.Errorf("span dump lacks %q spans (got %v)", want, spanPhases)
 		}
 	}
 	for _, s := range spanSnap.Spans {
@@ -359,17 +369,11 @@ func run() error {
 		resp.Body.Close()
 	}
 	var edgeSnap, gwSnap span.Snapshot
-	for url, snap := range map[string]*span.Snapshot{
-		"http://" + edgeAddr + "/cascade/debug/spans": &edgeSnap,
-		"http://" + gwAddr + "/cascade/debug/spans":   &gwSnap,
-	} {
-		body, err := fetch(url)
-		if err != nil {
-			return err
-		}
-		if err := json.Unmarshal([]byte(body), snap); err != nil {
-			return fmt.Errorf("%s is not a JSON snapshot: %w\n%s", url, err, body)
-		}
+	if err := fetchJSON("http://"+edgeAddr+"/cascade/debug/spans", &edgeSnap); err != nil {
+		return err
+	}
+	if err := fetchJSON("http://"+gwAddr+"/cascade/debug/spans", &gwSnap); err != nil {
+		return err
 	}
 	decided := map[span.TraceID]span.Span{}
 	for _, s := range gwSnap.Spans {
@@ -395,6 +399,55 @@ func run() error {
 	dec := decided[up.Trace]
 	fmt.Printf("observesmoke: trace %s reads up(f=%.3g l=%.3g) → decide(Δcost=%.3g chosen=%d) → down(penalty=%.3g placed) across two hops\n",
 		up.Trace, up.A, up.B, dec.A, dec.N, down.A)
+
+	// An origin-served request, whole: a fresh object fetched twice through
+	// the edge misses every cache both times, and the second time both hops
+	// piggyback real records, so the origin's DP chooses a placement. The
+	// origin collects its span before it answers, so the newest span in its
+	// ring is that decide: it must carry the decision the client read off
+	// the response headers, in the trace the edge minted, under the last
+	// hop's up span — with both passes present at both hops.
+	var hdr http.Header
+	for i := 0; i < 2; i++ {
+		resp, err := http.Get("http://" + edgeAddr + "/objects/11")
+		if err != nil {
+			return fmt.Errorf("GET objects/11 via edge: %w", err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		hdr = resp.Header
+	}
+	chosen, predicted := 0, 0.0
+	if v := hdr.Get("X-Cascade-Place"); v != "" {
+		chosen = strings.Count(v, ",") + 1
+	}
+	for _, term := range strings.Split(hdr.Get("X-Cascade-Predict"), ",") {
+		_, v, _ := strings.Cut(term, "=")
+		f, _ := strconv.ParseFloat(v, 64) // a malformed term fails the comparison below
+		predicted += f
+	}
+	if err := fetchJSON("http://"+originAddr+"/cascade/debug/spans", &originSpans); err != nil {
+		return err
+	}
+	od := originSpans.Spans[len(originSpans.Spans)-1]
+	if hdr.Get("X-Cascade-Hit") != "origin" || chosen == 0 || od.Phase != span.PhaseDecide ||
+		od.N != chosen || math.Abs(od.A-predicted) > 1e-9*predicted {
+		return fmt.Errorf("origin's newest span %+v is not the placement decision the client saw: %v", od, hdr)
+	}
+	edgeTr, err := traceSpans(edgeAddr, od.Trace, span.PhaseRequest, span.PhaseLookup, span.PhaseUp, span.PhaseDown)
+	if err != nil {
+		return err
+	}
+	gwTr, err := traceSpans(gwAddr, od.Trace, span.PhaseLookup, span.PhaseUp, span.PhaseDown)
+	if err != nil {
+		return err
+	}
+	if edgeTr[span.PhaseRequest].Parent != 0 || gwTr[span.PhaseLookup].Parent != edgeTr[span.PhaseUp].ID || od.Parent != gwTr[span.PhaseUp].ID {
+		return fmt.Errorf("trace %s does not nest edge up → gateway up → origin decide:\nedge %v\ngateway %v\norigin %+v",
+			od.Trace, edgeTr, gwTr, od)
+	}
+	fmt.Printf("observesmoke: origin-served trace %s holds lookup/up/down at both hops and the origin's decide(Δcost=%.3g chosen=%d) matching the response headers\n",
+		od.Trace, od.A, od.N)
 	return nil
 }
 
@@ -441,6 +494,48 @@ func fetch(url string) (string, error) {
 		return "", fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
 	}
 	return string(body), nil
+}
+
+// traceSpans returns a hop's spans of one trace by phase, once every wanted
+// phase is there: a hop deposits its spans when its handler returns, which
+// can trail the client reading the body, so the dump is polled briefly.
+func traceSpans(addr string, trace span.TraceID, want ...span.Phase) (map[span.Phase]span.Span, error) {
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		var snap span.Snapshot
+		if err := fetchJSON("http://"+addr+"/cascade/debug/spans", &snap); err != nil {
+			return nil, err
+		}
+		got := map[span.Phase]span.Span{}
+		for _, s := range snap.Spans {
+			if s.Trace == trace {
+				got[s.Phase] = s
+			}
+		}
+		missing := ""
+		for _, ph := range want {
+			if got[ph].ID == 0 {
+				missing = ph.String()
+			}
+		}
+		if missing == "" {
+			return got, nil
+		}
+		if time.Now().After(deadline) {
+			return nil, fmt.Errorf("trace %s: hop %s holds no %s span", trace, addr, missing)
+		}
+	}
+}
+
+// fetchJSON GETs a URL and decodes its JSON body into v.
+func fetchJSON(url string, v any) error {
+	body, err := fetch(url)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal([]byte(body), v); err != nil {
+		return fmt.Errorf("%s is not a JSON snapshot: %w\n%s", url, err, body)
+	}
+	return nil
 }
 
 // freeAddr reserves an ephemeral localhost port and releases it for the

@@ -32,6 +32,7 @@ import (
 	"cascade/internal/runtime"
 	"cascade/internal/scheme"
 	"cascade/internal/sim"
+	"cascade/internal/span"
 	"cascade/internal/topology"
 	"cascade/internal/trace"
 )
@@ -224,16 +225,18 @@ func TestThreeIncarnationsAgree(t *testing.T) {
 			dEntries := int(3 * float64(capacity) / avg)
 
 			// All three incarnations run with the online invariant
-			// auditor and flight recorders attached: conformance both
-			// cross-validates the transports against each other and
-			// proves the audited replay is violation-free everywhere.
-			const flightCap = 64
+			// auditor, flight recorders and span tracing attached:
+			// conformance both cross-validates the transports against each
+			// other and proves the audited replay is violation-free
+			// everywhere.
+			const flightCap, spanCap = 64, 64
 
 			// Incarnation 1: the replay simulator.
 			rec := &recorder{inner: scheme.NewCoordinated()}
 			rec.inner.SetAuditor(audit.New(nil))
 			rec.inner.SetLedger(audit.NewLedger())
 			rec.inner.SetFlightCapacity(flightCap)
+			rec.inner.SetSpans(span.NewTracer(span.Policy{Rate: 1}), spanCap)
 			simr, err := sim.New(sim.Config{
 				Scheme: rec, Network: net, Catalog: cat,
 				RelativeCacheSize: tc.rel, Seed: 7,
@@ -252,6 +255,8 @@ func TestThreeIncarnationsAgree(t *testing.T) {
 				Clock:          clk.Now,
 				EnableAudit:    true,
 				FlightCapacity: flightCap,
+				SpanCapacity:   spanCap,
+				SpanSample:     1,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -260,6 +265,9 @@ func TestThreeIncarnationsAgree(t *testing.T) {
 
 			// Incarnation 3: the HTTP gateway chain (audited by default).
 			base, gwNodes, gwOrigin := gatewayChain(t, tc.upCost, capacity, dEntries, objSize, clk.Now)
+			for _, n := range gwNodes {
+				n.EnableSpans(span.Policy{Rate: 1}, spanCap)
+			}
 			client := &http.Client{}
 
 			ctx := context.Background()
@@ -329,15 +337,27 @@ func TestThreeIncarnationsAgree(t *testing.T) {
 			if checks == 0 {
 				t.Fatal("auditors attached but no checks ran")
 			}
-			// And the flight recorders must have captured the traffic.
-			if len(rec.inner.FlightRecorder(0).Events()) == 0 {
-				t.Error("simulator flight recorder empty")
+			// The span rings are the per-request record and must have
+			// captured the traffic (TestSpanTreesConform compares the
+			// trees); the flight rings log only what no request owns, and
+			// a run without faults, writes or violations owns nothing.
+			if len(rec.inner.SpanRing(0).Spans()) == 0 {
+				t.Error("simulator span ring empty")
 			}
-			if len(cluster.DumpFlight(0).Events) == 0 {
-				t.Error("cluster flight recorder empty")
+			if len(cluster.DumpSpans(0).Spans) == 0 {
+				t.Error("cluster span ring empty")
 			}
-			if len(gwNodes[0].DumpFlight().Events) == 0 {
-				t.Error("gateway flight recorder empty")
+			if len(gwNodes[0].DumpSpans().Spans) == 0 {
+				t.Error("gateway span ring empty")
+			}
+			for name, events := range map[string]int{
+				"simulator": len(rec.inner.FlightRecorder(0).Events()),
+				"cluster":   len(cluster.DumpFlight(0).Events),
+				"gateway":   len(gwNodes[0].DumpFlight().Events),
+			} {
+				if events != 0 {
+					t.Errorf("%s flight ring logged %d events on a clean run; per-request steps belong to spans", name, events)
+				}
 			}
 
 			// The cost ledgers must agree across incarnations too. The

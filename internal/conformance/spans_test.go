@@ -134,9 +134,11 @@ func canonicalForms(t *testing.T, incarnation string, traces map[span.TraceID][]
 // handlers are concurrent even for a serial request stream.
 //
 // The origin's decide span is outside the comparison by construction on
-// every incarnation: the gateway origin carries no tracer, and the
-// simulator and cluster stamp origin-side decides with model.NoNode,
-// which no per-node ring retains.
+// every incarnation: the gateway origin keeps it in its own ring
+// (Origin.EnableSpans, not enabled here; httpgw's TestOriginDecideSpan
+// checks it against the response headers), and the simulator and cluster
+// stamp origin-side decides with model.NoNode, which no per-node ring
+// retains.
 func TestSpanTreesConform(t *testing.T) {
 	cases := []struct {
 		name       string

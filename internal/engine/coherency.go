@@ -37,9 +37,6 @@ type LookupResult struct {
 func (st *NodeState) LookupFresh(obj model.ObjectID, now float64, floor uint64) LookupResult {
 	d := st.Store.Get(obj)
 	if d == nil {
-		if st.Flight != nil {
-			st.Flight.Record(flightrec.Event{Time: now, Node: st.Node, Kind: flightrec.KindLookupMiss, Obj: obj, Hop: -1})
-		}
 		return LookupResult{}
 	}
 	if st.Coh != nil {
@@ -71,9 +68,6 @@ func (st *NodeState) LookupFresh(obj model.ObjectID, now float64, floor uint64) 
 	st.Store.Touch(obj, now)
 	if st.Ledger != nil {
 		st.Ledger.RecordHit(st.Node, avoided)
-	}
-	if st.Flight != nil {
-		st.Flight.Record(flightrec.Event{Time: now, Node: st.Node, Kind: flightrec.KindLookupHit, Obj: obj, Hop: -1, A: avoided})
 	}
 	return LookupResult{Hit: true, Gen: d.Gen}
 }

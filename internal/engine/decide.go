@@ -3,7 +3,6 @@ package engine
 import (
 	"cascade/internal/audit"
 	"cascade/internal/core"
-	"cascade/internal/flightrec"
 	"cascade/internal/model"
 	"cascade/internal/span"
 )
@@ -28,11 +27,8 @@ type DecideOptions struct {
 	// Ledger optionally books the DP's predicted Δcost term per chosen
 	// candidate. Nil disables.
 	Ledger *audit.Ledger
-	// Flight optionally records the decision event at the serving node.
-	// Nil disables.
-	Flight *flightrec.Recorder
-	// Obj and Now give the audit/ledger/flight hooks request context;
-	// unused when all three are nil (Now also timestamps the decide span).
+	// Obj and Now give the audit and ledger hooks request context; unused
+	// when both are nil (Now also timestamps the decide span).
 	Obj model.ObjectID
 	Now float64
 
@@ -131,9 +127,6 @@ func (d *Decider) Decide(cands []Candidate, opts DecideOptions, at ServePoint) [
 			}
 			opts.Audit.SpotCheckDP(at.Node, opts.Obj, pts[:len(problem)], pl.Gain, opts.Now)
 		}
-	}
-	if opts.Flight != nil {
-		opts.Flight.Record(flightrec.Event{Time: opts.Now, Node: at.Node, Kind: flightrec.KindDecision, Obj: opts.Obj, Hop: at.Hop, A: pl.Gain, N: len(pl.Indices)})
 	}
 
 	// pl.Indices ascend over the DP input, which was filled with

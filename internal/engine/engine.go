@@ -70,7 +70,7 @@ const (
 // Candidate is one hop's serializable upstream record: everything the
 // request message piggybacks at a cache it passes. Transports encode it as
 // they see fit — the scheme and the cluster's walk keep a slice, the gateway
-// renders it as an X-Cascade-Path header entry or a path-frame record.
+// renders it as an X-Cascade-Path header entry.
 type Candidate struct {
 	// Hop is the transport's hop index for this record, ascending from
 	// the requesting cache (0) toward the serving node. Transports that
@@ -116,8 +116,10 @@ type NodeState struct {
 	// Pool optionally recycles descriptors so steady-state replay
 	// allocates none; nil allocates fresh descriptors.
 	Pool *DescPool
-	// Flight optionally records compact protocol events at this node
-	// (nil disables; the hot path pays one nil check per step).
+	// Flight optionally logs the node's coherency and disk-tier events
+	// (invalidate, stale_hit, revalidate, promote); nil disables. The
+	// hit/miss/place steps below carry no flight code — their record is
+	// the span the transport annotates from their return values.
 	Flight *flightrec.Recorder
 	// Audit optionally verifies protocol invariants online at this node
 	// (nil disables). Transports share one Auditor across their nodes.
@@ -129,6 +131,22 @@ type NodeState struct {
 	// floors, PSI log cursor and TTL bookkeeping (nil disables all
 	// freshness logic; the hot path pays one nil check per step).
 	Coh *coherency.NodeView
+}
+
+// ViolationEvent renders an audit violation as the audit_violation flight
+// event every incarnation's auditor sink records at the violating node
+// (audit and flightrec may not import each other; the engine sees both).
+func ViolationEvent(v audit.Violation) flightrec.Event {
+	return flightrec.Event{
+		Time: v.Now,
+		Node: v.Node,
+		Kind: flightrec.KindAuditViolation,
+		Obj:  v.Obj,
+		Hop:  v.Hop,
+		A:    v.Got,
+		B:    v.Want,
+		N:    int(v.Invariant),
+	}
 }
 
 // Lookup probes the node during the upstream pass. A hit refreshes the
@@ -163,16 +181,6 @@ func (st *NodeState) UpMiss(obj model.ObjectID, size int64, hop int, link float6
 			c.CostLoss = loss
 		}
 	}
-	if st.Flight != nil {
-		kind := flightrec.KindCandidate
-		switch c.Tag {
-		case TagNoDescriptor:
-			kind = flightrec.KindNoDescriptor
-		case TagCannotFit:
-			kind = flightrec.KindCannotFit
-		}
-		st.Flight.Record(flightrec.Event{Time: now, Node: st.Node, Kind: kind, Obj: obj, Hop: hop, A: c.Freq, B: c.CostLoss})
-	}
 	return c
 }
 
@@ -204,7 +212,7 @@ type DownResult struct {
 // node's floor is rejected (CAS conflict — the body was invalidated while
 // in flight). Otherwise the node records the passing counter in the
 // object's d-cache descriptor, creating one if needed.
-func (st *NodeState) DownStep(obj model.ObjectID, size int64, place bool, mp float64, gen uint64, hop int, now float64) DownResult {
+func (st *NodeState) DownStep(obj model.ObjectID, size int64, place bool, mp float64, gen uint64, now float64) DownResult {
 	if place {
 		if st.Coh != nil && st.Coh.Mode().Validates() && gen < st.Coh.Floor(obj) {
 			// The copy was invalidated while the response was in flight;
@@ -212,9 +220,6 @@ func (st *NodeState) DownStep(obj model.ObjectID, size int64, place bool, mp flo
 			st.Coh.Metrics().CASConflict()
 			if st.Ledger != nil {
 				st.Ledger.RecordPlacement(st.Node, false)
-			}
-			if st.Flight != nil {
-				st.Flight.Record(flightrec.Event{Time: now, Node: st.Node, Kind: flightrec.KindPlaceFailed, Obj: obj, Hop: hop, A: mp})
 			}
 			return DownResult{MP: mp, PlaceFailed: true}
 		}
@@ -232,9 +237,6 @@ func (st *NodeState) DownStep(obj model.ObjectID, size int64, place bool, mp flo
 			st.DCache.Put(desc, now)
 			if st.Ledger != nil {
 				st.Ledger.RecordPlacement(st.Node, false)
-			}
-			if st.Flight != nil {
-				st.Flight.Record(flightrec.Event{Time: now, Node: st.Node, Kind: flightrec.KindPlaceFailed, Obj: obj, Hop: hop, A: mp})
 			}
 			return DownResult{MP: mp, PlaceFailed: true}
 		}
@@ -256,13 +258,6 @@ func (st *NodeState) DownStep(obj model.ObjectID, size int64, place bool, mp flo
 		if st.Ledger != nil {
 			st.Ledger.RecordPlacement(st.Node, true)
 		}
-		if st.Flight != nil {
-			st.Flight.Record(flightrec.Event{Time: now, Node: st.Node, Kind: flightrec.KindInsert, Obj: obj, Hop: hop, A: mp, N: len(evicted)})
-			for _, v := range evicted {
-				st.Flight.Record(flightrec.Event{Time: now, Node: st.Node, Kind: flightrec.KindEvict, Obj: v.ID, Hop: hop, A: v.EvictionKey()})
-			}
-			st.Flight.Record(flightrec.Event{Time: now, Node: st.Node, Kind: flightrec.KindPenaltyReset, Obj: obj, Hop: hop, A: mp})
-		}
 		for _, v := range evicted {
 			st.DCache.Put(v, now)
 			if st.Coh != nil {
@@ -283,9 +278,6 @@ func (st *NodeState) DownStep(obj model.ObjectID, size int64, place bool, mp flo
 		desc.Window.Record(now)
 		desc.SetMissPenalty(mp)
 		st.DCache.Put(desc, now)
-	}
-	if st.Flight != nil {
-		st.Flight.Record(flightrec.Event{Time: now, Node: st.Node, Kind: flightrec.KindPenaltyUpdate, Obj: obj, Hop: hop, A: mp})
 	}
 	return DownResult{MP: mp}
 }
@@ -342,9 +334,6 @@ func (st *NodeState) Promote(obj model.ObjectID, size int64, gen uint64, now flo
 	evicted, ok := st.Store.Insert(desc, now)
 	if !ok {
 		st.DCache.Put(desc, now)
-		if st.Flight != nil {
-			st.Flight.Record(flightrec.Event{Time: now, Node: st.Node, Kind: flightrec.KindPlaceFailed, Obj: obj, Hop: -1, A: avoided})
-		}
 		return PromoteResult{Avoided: avoided}
 	}
 	if st.Audit != nil && len(evicted) > 0 {

@@ -251,10 +251,12 @@ type DownOutcome struct {
 // shard lock is held — the underlying descriptors alias the shard's scratch
 // buffer and must not escape — and the (possibly grown) slice is returned,
 // so a caller that reuses its buffer takes zero steady-state allocations.
-func (s *Sharded) DownStep(obj model.ObjectID, size int64, place bool, mp float64, gen uint64, hop int, now float64, evicted []model.ObjectID) (DownOutcome, []model.ObjectID) {
+// The hop index is unused (the step's record is the caller's down span);
+// the parameter stays because bench/ calls this signature.
+func (s *Sharded) DownStep(obj model.ObjectID, size int64, place bool, mp float64, gen uint64, _ int, now float64, evicted []model.ObjectID) (DownOutcome, []model.ObjectID) {
 	sh := &s.shards[s.ShardOf(obj)]
 	s.lock(sh)
-	res := sh.st.DownStep(obj, size, place, mp, gen, hop, now)
+	res := sh.st.DownStep(obj, size, place, mp, gen, now)
 	for _, v := range res.Evicted {
 		evicted = append(evicted, v.ID)
 	}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"cascade/internal/audit"
-	"cascade/internal/flightrec"
 	"cascade/internal/scheme"
 	"cascade/internal/sim"
 	"cascade/internal/span"
@@ -38,11 +37,10 @@ func reportOf(a *audit.Auditor) AuditReport {
 }
 
 // observedReplay runs the coordinated scheme over the configured workload at
-// one relative cache size with the full observability stack attached: an
-// online invariant auditor, a predicted-vs-realized cost ledger, (when
-// flightCap > 0) a per-node protocol flight recorder, and whatever else the
-// attach hook wires before the replay (span tracing; nil for none).
-func observedReplay(arch Arch, cfg Config, size float64, flightCap int, attach func(*scheme.Coordinated)) (*scheme.Coordinated, error) {
+// one relative cache size with the observability stack attached: an online
+// invariant auditor, a predicted-vs-realized cost ledger, and whatever else
+// the attach hook wires before the replay (span tracing; nil for none).
+func observedReplay(arch Arch, cfg Config, size float64, attach func(*scheme.Coordinated)) (*scheme.Coordinated, error) {
 	cfg.setDefaults()
 	w := cfg.workload()
 	net := cfg.Network(arch)
@@ -50,9 +48,6 @@ func observedReplay(arch Arch, cfg Config, size float64, flightCap int, attach f
 	sch := scheme.NewCoordinated()
 	sch.SetAuditor(audit.New(nil))
 	sch.SetLedger(audit.NewLedger())
-	if flightCap > 0 {
-		sch.SetFlightCapacity(flightCap)
-	}
 	if attach != nil {
 		attach(sch)
 	}
@@ -87,7 +82,7 @@ func LedgerStudy(arch Arch, cfg Config, size float64) (Table, AuditReport, error
 	if size <= 0 {
 		size = 0.01
 	}
-	sch, err := observedReplay(arch, cfg, size, 0, nil)
+	sch, err := observedReplay(arch, cfg, size, nil)
 	if err != nil {
 		return Table{}, AuditReport{}, err
 	}
@@ -115,32 +110,6 @@ func LedgerStudy(arch Arch, cfg Config, size float64) (Table, AuditReport, error
 	return t, reportOf(sch.Auditor()), nil
 }
 
-// FlightDump replays the configured workload through the coordinated scheme
-// at one relative cache size with per-node flight recorders of the given
-// capacity (plus the invariant auditor, so any violation lands in the ring
-// with full context) and returns every node's snapshot, sorted by node ID.
-// Exposed as `cascadesim -flight-dump`.
-func FlightDump(arch Arch, cfg Config, size float64, capacity int) ([]flightrec.Snapshot, AuditReport, error) {
-	if capacity <= 0 {
-		return nil, AuditReport{}, fmt.Errorf("experiment: flight capacity must be positive, got %d", capacity)
-	}
-	if size <= 0 {
-		size = 0.01
-	}
-	sch, err := observedReplay(arch, cfg, size, capacity, nil)
-	if err != nil {
-		return nil, AuditReport{}, err
-	}
-
-	nodes := sch.FlightNodes()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	out := make([]flightrec.Snapshot, 0, len(nodes))
-	for _, n := range nodes {
-		out = append(out, sch.FlightRecorder(n).TakeSnapshot(n))
-	}
-	return out, reportOf(sch.Auditor()), nil
-}
-
 // SpanDump replays the configured workload through the coordinated scheme
 // with cascade-wide span tracing attached — tail sampling at the given rate,
 // a per-node ring of the given capacity — and returns every node's span
@@ -155,7 +124,7 @@ func SpanDump(arch Arch, cfg Config, size float64, capacity int, rate float64) (
 	if size <= 0 {
 		size = 0.01
 	}
-	sch, err := observedReplay(arch, cfg, size, 0, func(sch *scheme.Coordinated) {
+	sch, err := observedReplay(arch, cfg, size, func(sch *scheme.Coordinated) {
 		sch.SetSpans(span.NewTracer(span.Policy{Rate: rate}), capacity)
 	})
 	if err != nil {

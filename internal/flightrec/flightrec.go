@@ -1,22 +1,23 @@
-// Package flightrec is a per-node protocol flight recorder: a fixed-capacity
-// ring buffer of compact events covering every step of the coordinated
-// caching protocol (paper §2.2–2.4) plus the failure-handling transitions
-// layered on top of it. It exists for post-hoc debugging — when a node
-// crashes, an invariant audit fires, or a placement looks wrong, the last
-// few hundred protocol steps at the node are available as structured data.
+// Package flightrec is a per-node event log: a fixed-capacity ring buffer of
+// compact events for what happens at a node outside any one request's two
+// passes — crashes and recoveries, breaker, membership and health
+// transitions, audit violations, disk-tier moves and coherency events. The
+// per-request protocol steps (paper §2.2–2.4) are not logged here: they are
+// span attributes (internal/span), the only per-request record. The ring
+// exists for post-hoc debugging — when a node crashes, an invariant audit
+// fires or a copy turns stale, the node's last few hundred events are
+// available as structured data.
 //
 // Design constraints (see docs/OBSERVABILITY.md for the event schema):
 //
 //   - Allocation-free recording: the ring is allocated once at construction
-//     and events are fixed-size values copied in place, so an enabled
-//     recorder adds no garbage to the replay hot path and a disabled (nil)
-//     recorder adds nothing at all — Record is nil-safe and the engine
-//     nil-guards every hook.
+//     and events are fixed-size values copied in place; a disabled (nil)
+//     recorder costs a nil check — Record is nil-safe.
 //   - Bounded memory: when the ring is full the oldest event is overwritten
 //     and Dropped is incremented; Seq numbers stay globally increasing so
 //     gaps are detectable in dumps.
 //   - Transport-agnostic: all three protocol incarnations share the same
-//     event vocabulary, so a simulator dump and a gateway /cascade/debug/
+//     event vocabulary, so a cluster dump and a gateway /cascade/debug/
 //     flight response read identically.
 //
 // The package depends only on the standard library and internal/model
@@ -34,41 +35,9 @@ import (
 type Kind uint8
 
 const (
-	// KindLookupHit: the upstream pass found the object cached at this
-	// node (the serving node). A = the avoided miss penalty m(O).
-	KindLookupHit Kind = iota
-	// KindLookupMiss: the upstream pass probed this node and missed.
-	KindLookupMiss
-	// KindCandidate: the node emitted a full piggyback record.
-	// A = f (frequency estimate), B = l (eviction cost loss).
-	KindCandidate
-	// KindNoDescriptor: the node emitted the §2.4 "no meta information"
-	// tag and is excluded from the placement decision.
-	KindNoDescriptor
-	// KindCannotFit: the node holds the descriptor but the object cannot
-	// fit in its store at any cost; excluded from the decision.
-	KindCannotFit
-	// KindDecision: the serving node solved the §2.2 dynamic program.
-	// A = predicted gain (Δcost), N = number of chosen placement hops.
-	KindDecision
-	// KindInsert: the downstream pass placed a copy at this node.
-	// A = incoming miss penalty, N = number of victims evicted.
-	KindInsert
-	// KindPlaceFailed: an instructed placement failed at apply time (the
-	// store could not make room). A = incoming miss penalty.
-	KindPlaceFailed
-	// KindEvict: one victim displaced by an insertion. Obj is the victim;
-	// A = its eviction key (NCL) at selection time.
-	KindEvict
-	// KindPenaltyReset: the miss-penalty counter reset to zero at a
-	// caching point (§2.3). A = the counter value before the reset.
-	KindPenaltyReset
-	// KindPenaltyUpdate: a non-placing downstream step recorded the
-	// passing counter in the node's d-cache. A = the counter value.
-	KindPenaltyUpdate
 	// KindCrash: the node failed (runtime fault injection or operator
 	// action).
-	KindCrash
+	KindCrash Kind = iota
 	// KindRecover: the node came back empty after a crash.
 	KindRecover
 	// KindBreaker: a circuit-breaker state transition at an HTTP gateway.
@@ -109,17 +78,6 @@ const (
 )
 
 var kindNames = [numKinds]string{
-	KindLookupHit:      "lookup_hit",
-	KindLookupMiss:     "lookup_miss",
-	KindCandidate:      "candidate",
-	KindNoDescriptor:   "no_descriptor",
-	KindCannotFit:      "cannot_fit",
-	KindDecision:       "decision",
-	KindInsert:         "insert",
-	KindPlaceFailed:    "place_failed",
-	KindEvict:          "evict",
-	KindPenaltyReset:   "mp_reset",
-	KindPenaltyUpdate:  "mp_update",
 	KindCrash:          "crash",
 	KindRecover:        "recover",
 	KindBreaker:        "breaker",
@@ -197,8 +155,8 @@ func (e Event) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes a dump event, resolving the kind from its schema
-// name so snapshots round-trip (tools reading /cascade/debug/flight or
-// `cascadesim -flight-dump` output can reuse this type directly).
+// name so snapshots round-trip (tools reading /cascade/debug/flight
+// can reuse this type directly).
 func (e *Event) UnmarshalJSON(data []byte) error {
 	var j eventJSON
 	if err := json.Unmarshal(data, &j); err != nil {
@@ -288,8 +246,8 @@ func (r *Recorder) Len() int {
 	return r.next
 }
 
-// Dropped returns how many events were overwritten since construction (or
-// the last Reset). Zero on a nil recorder.
+// Dropped returns how many events were overwritten since construction.
+// Zero on a nil recorder.
 func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
@@ -317,19 +275,6 @@ func (r *Recorder) Events() []Event {
 	out = append(out, r.buf[r.next:]...)
 	out = append(out, r.buf[:r.next]...)
 	return out
-}
-
-// Reset discards all retained events and the drop count. Sequence numbers
-// keep increasing so pre- and post-reset dumps cannot be confused.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.next = 0
-	r.full = false
-	r.dropped = 0
 }
 
 // Snapshot is a dump-friendly view of one recorder: the retained events

@@ -390,12 +390,7 @@ func (n *Node) passThrough(w http.ResponseWriter, r *http.Request, entries []eng
 	// A draining/removed node relays the coherency payload without applying
 	// it — it holds no copies and takes no placements, so there is no floor
 	// to raise; the live hops below apply the tail themselves.
-	writeDecision(w.Header(), dec)
-	w.Header().Set(HeaderPenalty, fmtFloat(prev+n.UpCost))
-	w.Header().Set(HeaderHit, resp.Header.Get(HeaderHit))
-	if tag := resp.Header.Get("ETag"); tag != "" {
-		w.Header().Set("ETag", tag)
-	}
+	writeMissTail(w.Header(), resp, dec, prev+n.UpCost)
 	if v := resp.Header.Get(HeaderSegmented); v != "" {
 		w.Header().Set(HeaderSegmented, v)
 	}

@@ -2,6 +2,7 @@ package httpgw
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -309,5 +310,59 @@ func TestPassThroughPreservesChainDecisions(t *testing.T) {
 	resp, _ := get(t, base, 9)
 	if resp.Header.Get(HeaderHit) != "0" {
 		t.Fatalf("served by %q, want node 0", resp.Header.Get(HeaderHit))
+	}
+}
+
+// TestMissTailsForwardETag: whichever way a miss finishes at a hop — placed,
+// relayed because the decision chose elsewhere, or relayed because a drain
+// landed while the upstream fetch was in flight — the upstream validator must
+// reach the hop below. A hop that stores the body with an empty validator
+// sends no If-None-Match on its next TTL revalidation and turns every 304
+// into a full refetch.
+func TestMissTailsForwardETag(t *testing.T) {
+	const tag = `"v1"`
+	cases := []struct {
+		name   string
+		place  string // X-Cascade-Place on the upstream reply
+		drain  bool   // drain the node inside RoundTrip
+		cached bool   // the node holds the object afterwards
+	}{
+		{name: "placed", place: "1", cached: true},
+		{name: "relayed", place: ""},
+		{name: "drained-mid-fetch", place: "1", drain: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := NewNode(1, "http://upstream.invalid", 2.0, 1<<20, 100, func() float64 { return 0 })
+			n.Client = &http.Client{Transport: stubUpstream(func(*http.Request) *http.Response {
+				if tc.drain {
+					rec := httptest.NewRecorder()
+					n.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/cascade/admin/drain", nil))
+					if rec.Code != http.StatusOK {
+						t.Errorf("drain inside RoundTrip: status %d", rec.Code)
+					}
+				}
+				h := http.Header{}
+				h.Set(HeaderHit, "origin")
+				h.Set(HeaderPenalty, "0")
+				h.Set("ETag", tag)
+				if tc.place != "" {
+					h.Set(HeaderPlace, tc.place)
+				}
+				return &http.Response{StatusCode: http.StatusOK, Header: h, ContentLength: 3,
+					Body: io.NopCloser(strings.NewReader("abc"))}
+			})}
+			rec := httptest.NewRecorder()
+			n.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/objects/7", nil))
+			if rec.Code != http.StatusOK || rec.Body.String() != "abc" {
+				t.Fatalf("status %d, body %q", rec.Code, rec.Body.String())
+			}
+			if got := n.Contains(7); got != tc.cached {
+				t.Fatalf("node caches the object = %v, want %v (wrong tail exercised)", got, tc.cached)
+			}
+			if got := rec.Header().Get("ETag"); got != tag {
+				t.Fatalf("client saw ETag %q, want %q", got, tag)
+			}
+		})
 	}
 }

@@ -187,7 +187,7 @@ type Node struct {
 	reqHist *metrics.AtomicHistogram
 
 	// Observability, built by NewNode: the online invariant auditor, the
-	// predicted-vs-realized cost ledger and the protocol flight recorder.
+	// predicted-vs-realized cost ledger and the flight recorder (event log).
 	// flight is replaced only by SetFlightCapacity (before serving), so the
 	// request path reads it without holding mu.
 	auditor *audit.Auditor
@@ -214,16 +214,17 @@ type Node struct {
 	degraded        int64
 }
 
-// DefaultFlightCapacity is the protocol flight recorder depth a gateway
+// DefaultFlightCapacity is the flight recorder (event log) depth a gateway
 // node starts with (SetFlightCapacity overrides it).
 const DefaultFlightCapacity = 256
 
 // NewNode builds a gateway node with the given stores. Observability is on
 // from construction: the node carries an online invariant auditor, a
-// predicted-vs-realized cost ledger and a protocol flight recorder, all
-// exported through the node's metrics registry — a deployed gateway wants
-// the cascade_audit_* and cascade_ledger_* series present from the first
-// scrape, and the hooks cost only nil checks and a fixed ring.
+// predicted-vs-realized cost ledger and a flight recorder for the events no
+// request owns, the first two exported through the node's metrics registry
+// — a deployed gateway wants the cascade_audit_* and cascade_ledger_*
+// series present from the first scrape. Per-request history needs
+// EnableSpans.
 func NewNode(id model.NodeID, upstream string, upCost float64, capacity int64, dEntries int, clock func() float64) *Node {
 	bodies, _ := store.NewTiered(store.Config{}) // memory-only never errors
 	n := &Node{
@@ -371,8 +372,9 @@ func formatEntry(e engine.Candidate) string {
 // decideObserved is the decision step shared by the cache nodes and the
 // origin: the §2.2 DP (engine.Decide) over piggybacked path entries (ordered
 // from the client's first cache upward, as accumulated on the wire) with the
-// decision site's auditor and flight recorder threaded through (Theorem 2
-// and optimality checks, the decision flight event). It returns the chosen
+// decision site's auditor threaded through (Theorem 2 and optimality checks)
+// and the decide span landed in the request's trace (tsp and parent,
+// nil-safe). It returns the chosen
 // node IDs in ascending order plus the predicted Δcost term per chosen node
 // (ascending node order, as X-Cascade-Predict carries them) — the decision
 // site cannot reach the other processes' ledgers, so the claims ship downstream
@@ -380,14 +382,13 @@ func formatEntry(e engine.Candidate) string {
 // their computation stays in one place (post-clamp values, identical to what
 // the simulator and the cluster book at decision time).
 func decideObserved(entries []engine.Candidate, obj model.ObjectID, now float64,
-	aud *audit.Auditor, flight *flightrec.Recorder, serv model.NodeID,
+	aud *audit.Auditor, serv model.NodeID,
 	tsp *span.Trace, parent span.SpanID) ([]model.NodeID, []predictTerm) {
 	scratch := audit.NewLedger()
 	opts := engine.DecideOptions{
 		ClampMonotone: true,
 		Audit:         aud,
 		Ledger:        scratch,
-		Flight:        flight,
 		Obj:           obj,
 		Now:           now,
 		Span:          tsp,
@@ -407,11 +408,10 @@ func decideObserved(entries []engine.Candidate, obj model.ObjectID, now float64,
 	return ids, predict
 }
 
-// decide runs decideObserved with this node as the decision site; tsp and
-// parent (nil-safe) land the decide span in the request's trace.
+// decide runs decideObserved with this node as the decision site.
 func (n *Node) decide(entries []engine.Candidate, obj model.ObjectID, now float64,
 	tsp *span.Trace, parent span.SpanID) ([]model.NodeID, []predictTerm) {
-	return decideObserved(entries, obj, now, n.auditor, n.flight, n.ID, tsp, parent)
+	return decideObserved(entries, obj, now, n.auditor, n.ID, tsp, parent)
 }
 
 func formatPlacement(chosen []model.NodeID) string {
@@ -606,9 +606,8 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			tsp.Force(span.FlagStale)
 		case okBody && !stale:
 			n.hits++
-			// Lookup (rather than a bare Touch) routes the hit through the
-			// engine's hooks: ledger realized savings plus the lookup_hit
-			// flight event.
+			// Lookup (rather than a bare Touch) books the hit's realized
+			// saving in the ledger.
 			n.st.Lookup(obj, now)
 			n.mu.Unlock()
 			tsp.End(lk, n.Clock())
@@ -694,7 +693,6 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// the descriptor's recorded size for the cost-loss estimate. The hop
 	// index is assigned positionally by each parse, so -1 here.
 	n.misses++
-	n.flight.Record(flightrec.Event{Time: now, Node: n.ID, Kind: flightrec.KindLookupMiss, Obj: obj, Hop: -1})
 	entry := n.st.UpMiss(obj, 0, -1, n.UpCost, now)
 	n.mu.Unlock()
 	tsp.End(lk, n.Clock())
@@ -827,9 +825,7 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// and books no ledger claim: finish as a relay, link cost folded.
 		n.mu.Unlock()
 		tsp.End(upsp, n.Clock())
-		writeDecision(w.Header(), dec)
-		w.Header().Set(HeaderPenalty, fmtFloat(mp))
-		w.Header().Set(HeaderHit, resp.Header.Get(HeaderHit))
+		writeMissTail(w.Header(), resp, dec, mp)
 		writeBody(w, seg, body)
 		return
 	}
@@ -864,13 +860,22 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	tsp.End(dn, tnow)
 	tsp.End(upsp, tnow)
 
-	writeDecision(w.Header(), dec)
-	w.Header().Set(HeaderPenalty, fmtFloat(mp))
-	w.Header().Set(HeaderHit, resp.Header.Get(HeaderHit))
-	if tag := resp.Header.Get("ETag"); tag != "" {
-		w.Header().Set("ETag", tag)
-	}
+	writeMissTail(w.Header(), resp, dec, mp)
 	writeBody(w, seg, body)
+}
+
+// writeMissTail writes what every miss tail — placed, relayed, relayed
+// because a drain landed mid-fetch, or passed through a drained hop —
+// forwards to the hop below: the decision, the outgoing penalty counter,
+// the serving node and the upstream validator (a hop that stores the body
+// without it cannot revalidate conditionally).
+func writeMissTail(h http.Header, resp *http.Response, dec decision, mp float64) {
+	writeDecision(h, dec)
+	h.Set(HeaderPenalty, fmtFloat(mp))
+	h.Set(HeaderHit, resp.Header.Get(HeaderHit))
+	if tag := resp.Header.Get("ETag"); tag != "" {
+		h.Set("ETag", tag)
+	}
 }
 
 // relayStream finishes a miss whose decision did not choose this node: the
@@ -902,12 +907,7 @@ func (n *Node) relayStream(w http.ResponseWriter, resp *http.Response, seg segIn
 	tsp.End(dn, tnow)
 	tsp.End(upsp, tnow)
 
-	writeDecision(w.Header(), dec)
-	w.Header().Set(HeaderPenalty, fmtFloat(outMP))
-	w.Header().Set(HeaderHit, resp.Header.Get(HeaderHit))
-	if tag := resp.Header.Get("ETag"); tag != "" {
-		w.Header().Set("ETag", tag)
-	}
+	writeMissTail(w.Header(), resp, dec, outMP)
 	if resp.ContentLength >= 0 {
 		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
 	}
@@ -1036,9 +1036,10 @@ func (n *Node) Contains(obj model.ObjectID) bool {
 // length.
 //
 // The origin decides most placements of a cold cascade, so it carries the
-// same decision-time observability as a cache node when EnableObservability
-// is called: an online invariant auditor, a flight recorder of its
-// decisions, and Prometheus export.
+// same decision-time observability as a cache node: an online invariant
+// auditor with its violations logged to a flight ring and Prometheus export
+// (EnableObservability), and the decide span of every request it serves
+// (EnableSpans).
 type Origin struct {
 	// Size returns a synthetic object's payload length.
 	Size func(model.ObjectID) int
@@ -1065,13 +1066,15 @@ type Origin struct {
 	Authority *coherency.Authority
 
 	// Observability over the origin's placement decisions, wired by
-	// EnableObservability (all nil — disabled — by default). auditor and
-	// flight are internally synchronized; concurrent requests need no
-	// extra locking.
+	// EnableObservability and EnableSpans (all nil — disabled — by
+	// default). All are internally synchronized; concurrent requests need
+	// no extra locking.
 	clock   func() float64
 	auditor *audit.Auditor
 	flight  *flightrec.Recorder
 	reg     *metrics.Registry
+	tracer  *span.Tracer
+	spans   *span.Ring
 
 	// badPath counts malformed or over-long piggybacked paths refused with
 	// 400 (cascade_gw_bad_header_total{header="path"} once a registry
@@ -1085,10 +1088,10 @@ type Origin struct {
 // EnableObservability equips the origin with the decision-side
 // observability stack of a cache node: an online invariant auditor over its
 // placement decisions (Theorem 2 local benefit plus sampled DP optimality),
-// a protocol flight recorder retaining the last flightCapacity decision
-// events (0 or negative disables the recorder; violations still count), and
-// Prometheus export of the cascade_audit_* series under node="origin" —
-// served by the origin itself at /cascade/metrics, next to flight dumps at
+// a flight ring retaining the last flightCapacity audit violations (0 or
+// negative disables the ring; violations still count), and Prometheus
+// export of the cascade_audit_* series under node="origin" — served by the
+// origin itself at /cascade/metrics, next to flight dumps at
 // /cascade/debug/flight. clock supplies decision timestamps (nil pins them
 // to 0). Call before serving.
 func (o *Origin) EnableObservability(flightCapacity int, clock func() float64) {
@@ -1100,20 +1103,29 @@ func (o *Origin) EnableObservability(flightCapacity int, clock func() float64) {
 		o.flight = flightrec.New(flightCapacity)
 	}
 	rec := o.flight // Record is nil-safe; capture by value like the nodes do
-	o.auditor.SetOnViolation(func(v audit.Violation) {
-		rec.Record(flightrec.Event{
-			Time: v.Now,
-			Node: v.Node,
-			Kind: flightrec.KindAuditViolation,
-			Obj:  v.Obj,
-			Hop:  v.Hop,
-			A:    v.Got,
-			B:    v.Want,
-			N:    int(v.Invariant),
-		})
-	})
+	o.auditor.SetOnViolation(func(v audit.Violation) { rec.Record(engine.ViolationEvent(v)) })
 	o.clock = clock
 }
+
+// EnableSpans makes the origin record the decide span of every traced
+// request it serves — the DP's predicted Δcost and chosen count, parented on
+// the span context the last hop forwarded, so the request's tree carries the
+// decision that chose its placement. Kept spans (the tail sampler hashes the
+// trace ID, so the origin reaches the hops' verdict) land in a ring of the
+// given capacity (<= 0 picks DefaultSpanCapacity) served at
+// /cascade/debug/spans. Spans are stamped with EnableObservability's clock.
+// Call before serving.
+func (o *Origin) EnableSpans(policy span.Policy, capacity int) {
+	if capacity <= 0 {
+		capacity = DefaultSpanCapacity
+	}
+	o.tracer = span.NewTracer(policy)
+	o.spans = span.NewRing(capacity)
+}
+
+// DumpSpans captures the origin's span-ring contents (Node is model.NoNode
+// — the origin is not a cache).
+func (o *Origin) DumpSpans() span.Snapshot { return o.spans.TakeSnapshot(model.NoNode) }
 
 // Auditor returns the origin's online invariant auditor (nil until
 // EnableObservability).
@@ -1139,6 +1151,11 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	if o.spans != nil && r.URL.Path == "/cascade/debug/spans" {
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(o.DumpSpans()) //nolint:errcheck
+		return
+	}
 	if r.URL.Path == "/cascade/admin/invalidate" {
 		o.serveInvalidate(w, r)
 		return
@@ -1157,8 +1174,7 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if seg.on {
 		obj = store.SegmentID(baseObj, seg.idx)
 	}
-	// The origin records no spans, so the path's span context goes unused.
-	entries, _, err := parseIncomingPath(r.Header)
+	entries, spanCtx, err := parseIncomingPath(r.Header)
 	if err != nil {
 		o.badPath.Add(1)
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -1276,7 +1292,12 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	chosen, predict := decideObserved(entries, obj, now, o.auditor, o.flight, model.NoNode, nil, 0)
+	// The decide span joins the trace the last hop forwarded (nil — off —
+	// without EnableSpans or on an untraced request) and is the origin's
+	// only span, so the trace is collected as soon as the DP returns.
+	tsp := o.tracer.Join(spanCtx)
+	chosen, predict := decideObserved(entries, obj, now, o.auditor, model.NoNode, tsp, spanCtx.Parent)
+	o.tracer.Collect(tsp, now, func(model.NodeID) *span.Ring { return o.spans })
 	writeDecision(w.Header(), o.originDecision(obj, chosen, predict))
 	w.Header().Set(HeaderPenalty, "0")
 	w.Header().Set(HeaderHit, "origin")

@@ -257,7 +257,7 @@ func TestPathHeaderFloatExact(t *testing.T) {
 // decideIDs runs the serving paths' decision step unobserved and returns the
 // chosen node IDs.
 func decideIDs(entries []engine.Candidate) []model.NodeID {
-	ids, _ := decideObserved(entries, 0, 0, nil, nil, model.NoNode, nil, 0)
+	ids, _ := decideObserved(entries, 0, 0, nil, model.NoNode, nil, 0)
 	return ids
 }
 
@@ -269,7 +269,7 @@ func TestDecideMatchesDP(t *testing.T) {
 		{Hop: 1, Node: 1, Tag: engine.TagCandidate, Freq: 1, CostLoss: 0, Link: 1},
 		{Hop: 2, Node: 2, Tag: engine.TagNoDescriptor, Link: 1}, // tagged: excluded
 	}
-	chosen, predict := decideObserved(entries, 0, 0, nil, nil, model.NoNode, nil, 0)
+	chosen, predict := decideObserved(entries, 0, 0, nil, model.NoNode, nil, 0)
 	if len(chosen) != 1 || chosen[0] != 0 {
 		t.Fatalf("chosen = %v, want node 0 only", chosen)
 	}

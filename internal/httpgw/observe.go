@@ -5,10 +5,12 @@ import (
 	"net/http"
 
 	"cascade/internal/audit"
+	"cascade/internal/engine"
 	"cascade/internal/flightrec"
 )
 
-// SetFlightCapacity replaces the node's protocol flight recorder with one
+// SetFlightCapacity replaces the node's flight recorder (its event log:
+// breaker, membership, health, spill, coherency and audit events) with one
 // retaining the last n events; n <= 0 disables recording (audit violations
 // then drop their flight events but still count in the metrics). Call
 // before the node serves requests — the request path reads the recorder
@@ -27,23 +29,14 @@ func (n *Node) SetFlightCapacity(capacity int) {
 
 // installAuditSink points the auditor's violation sink at the current
 // flight recorder, so every invariant failure leaves a full-context
-// audit_violation event next to the protocol steps that produced it.
-// Record is nil-safe, so a disabled recorder simply drops the events. The
-// sink captures the recorder by value: it may fire inside protocol steps
-// that hold n.mu and must not lock it.
+// audit_violation event in the node's ring. Record is nil-safe, so a
+// disabled recorder simply drops the events. The sink captures the recorder
+// by value: it may fire inside protocol steps that hold n.mu and must not
+// lock it.
 func (n *Node) installAuditSink() {
 	rec := n.flight
 	n.auditor.SetOnViolation(func(v audit.Violation) {
-		rec.Record(flightrec.Event{
-			Time: v.Now,
-			Node: v.Node,
-			Kind: flightrec.KindAuditViolation,
-			Obj:  v.Obj,
-			Hop:  v.Hop,
-			A:    v.Got,
-			B:    v.Want,
-			N:    int(v.Invariant),
-		})
+		rec.Record(engine.ViolationEvent(v))
 	})
 }
 
@@ -52,10 +45,6 @@ func (n *Node) Auditor() *audit.Auditor { return n.auditor }
 
 // Ledger returns the node's predicted-vs-realized cost ledger.
 func (n *Node) Ledger() *audit.Ledger { return n.ledger }
-
-// FlightRecorder returns the node's protocol flight recorder (nil when
-// disabled via SetFlightCapacity).
-func (n *Node) FlightRecorder() *flightrec.Recorder { return n.flight }
 
 // DumpFlight captures the node's flight-recorder contents.
 func (n *Node) DumpFlight() flightrec.Snapshot {

@@ -27,6 +27,15 @@ func tracedChain(t *testing.T, levels int) (string, []*Node, func(float64), func
 	return chainWith(t, levels, 10000, func(n *Node) { n.EnableSpans(span.Policy{Rate: 1}, 256) })
 }
 
+// testClock is a settable protocol clock, safe across handler goroutines.
+func testClock() (clock func() float64, setNow func(float64)) {
+	var mu sync.Mutex
+	now := 0.0
+	clock = func() float64 { mu.Lock(); defer mu.Unlock(); return now }
+	setNow = func(v float64) { mu.Lock(); now = v; mu.Unlock() }
+	return clock, setNow
+}
+
 // tracesByStart stitches the nodes' span rings into per-request traces, the
 // way an operator reassembles /cascade/debug/spans dumps, and returns each
 // request's spans keyed "phase@node", requests in start order.
@@ -101,7 +110,8 @@ func TestSpanAttrsBothPasses(t *testing.T) {
 				t.Errorf("request %d down@%d = %+v, want penalty %g outcome %d", req, node, down, wantPenalty[node], wantN)
 			}
 		}
-		// The origin decided both; it records no spans.
+		// The origin decided both; this chain's origin runs without
+		// EnableSpans (TestOriginDecideSpan covers it with).
 		for k := range tr {
 			if strings.HasPrefix(k, "decide@") {
 				t.Errorf("request %d: unexpected %s", req, k)
@@ -249,12 +259,10 @@ func TestPredictBookedAtPlacingNode(t *testing.T) {
 // TestOriginObservability enables the origin's decision-side instruments
 // and checks that whole-chain-miss placements are audited with zero
 // violations, that the origin's own listener serves the metrics and
-// flight debug routes, and that object serving is unaffected.
+// flight debug routes — the flight ring holding audit violations only, so
+// empty on clean traffic — and that object serving is unaffected.
 func TestOriginObservability(t *testing.T) {
-	var mu sync.Mutex
-	now := 0.0
-	clock := func() float64 { mu.Lock(); defer mu.Unlock(); return now }
-	setNow := func(v float64) { mu.Lock(); now = v; mu.Unlock() }
+	clock, setNow := testClock()
 
 	o := &Origin{Size: func(model.ObjectID) int { return 500 }}
 	o.EnableObservability(64, clock)
@@ -277,9 +285,6 @@ func TestOriginObservability(t *testing.T) {
 	}
 	if v := aud.TotalViolations(); v != 0 {
 		t.Errorf("%d audit violations on clean traffic", v)
-	}
-	if len(o.DumpFlight().Events) == 0 {
-		t.Error("origin flight recorder empty after decided placements")
 	}
 
 	resp, err := http.Get(osrv.URL + "/cascade/metrics")
@@ -308,8 +313,97 @@ func TestOriginObservability(t *testing.T) {
 	if err := json.Unmarshal(fbody, &snap); err != nil {
 		t.Fatalf("origin flight dump is not a JSON snapshot: %v\n%s", err, fbody)
 	}
-	if snap.Capacity != 64 || len(snap.Events) == 0 {
-		t.Fatalf("origin flight dump capacity %d with %d events, want 64 with traffic", snap.Capacity, len(snap.Events))
+	if snap.Capacity != 64 || len(snap.Events) != 0 {
+		t.Fatalf("origin flight dump capacity %d with %d events, want 64 and none on clean traffic", snap.Capacity, len(snap.Events))
+	}
+
+	// A violation is what the ring is for: it lands with full context.
+	aud.CheckLocalBenefit(model.NoNode, 7, 2, 0.1, 1, 5, 40) // f·m < l
+	evs := o.DumpFlight().Events
+	if len(evs) != 1 || evs[0].Kind != flightrec.KindAuditViolation || evs[0].Obj != 7 ||
+		evs[0].Hop != 2 || evs[0].N != int(audit.LocalBenefit) {
+		t.Fatalf("origin flight ring after a violation = %+v, want one audit_violation for object 7 at hop 2", evs)
+	}
+}
+
+// TestOriginDecideSpan: an origin-served request's span tree carries the
+// decide that chose its placement. The origin joins the trace the last hop
+// forwarded and keeps, in its own ring, exactly one decide span per request —
+// in the client's trace, parented on the last hop's up span — whose N is the
+// length of X-Cascade-Place and whose A is the sum of the X-Cascade-Predict
+// terms the client saw. This is the only per-request record of the origin's
+// predicted Δcost.
+func TestOriginDecideSpan(t *testing.T) {
+	clock, setNow := testClock()
+
+	o := &Origin{Size: func(model.ObjectID) int { return 500 }}
+	o.EnableObservability(64, clock)
+	o.EnableSpans(span.Policy{Rate: 1}, 0)
+	servers := []*httptest.Server{httptest.NewServer(o)}
+	closeAll := func() {
+		for i := len(servers) - 1; i >= 0; i-- {
+			servers[i].Close()
+		}
+	}
+	defer closeAll()
+	const levels = 3
+	nodes := make([]*Node, levels)
+	for i := levels - 1; i >= 0; i-- {
+		nodes[i] = NewNode(model.NodeID(i), servers[len(servers)-1].URL, float64(i+1), 10000, 100, clock)
+		nodes[i].EnableSpans(span.Policy{Rate: 1}, 256)
+		servers = append(servers, httptest.NewServer(nodes[i]))
+	}
+	base := servers[len(servers)-1].URL
+
+	// Two passes over a few objects: the cold pass decides nothing (no
+	// descriptors anywhere), the warm pass decides real placements.
+	var decisions []decision
+	for i := 0; i < 8; i++ {
+		setNow(float64(10 * (i + 1)))
+		resp, _ := get(t, base, 1+i%4)
+		if resp.Header.Get(HeaderHit) != "origin" {
+			t.Fatalf("request %d served by %q, want the origin", i, resp.Header.Get(HeaderHit))
+		}
+		dec, err := parseDecision(resp.Header)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decisions = append(decisions, dec)
+	}
+	closeAll() // every hop's deferred Collect has run
+
+	snap := o.DumpSpans()
+	if snap.Node != int(model.NoNode) || snap.Capacity != DefaultSpanCapacity || len(snap.Spans) != len(decisions) {
+		t.Fatalf("origin ring: node %d capacity %d with %d spans, want %d spans (one decide per request) at the default capacity",
+			snap.Node, snap.Capacity, len(snap.Spans), len(decisions))
+	}
+	byTrace := map[span.TraceID]span.Span{}
+	for _, s := range snap.Spans {
+		byTrace[s.Trace] = s
+	}
+	placedSomething := false
+	for i, tr := range tracesByStart(nodes) {
+		dec, ok := byTrace[tr["request@0"].Trace]
+		if !ok {
+			t.Fatalf("request %d: the origin kept no span in the client's trace", i)
+		}
+		if dec.Phase != span.PhaseDecide || dec.Node != model.NoNode || dec.Hop != levels ||
+			dec.Parent != tr["up@2"].ID || dec.End < dec.Start {
+			t.Errorf("request %d: origin span %+v, want a closed decide at hop %d under the last hop's up span %s",
+				i, dec, levels, tr["up@2"].ID)
+		}
+		sum := 0.0
+		for _, p := range decisions[i].predict {
+			sum += p.Term
+		}
+		if dec.N != len(decisions[i].place) || dec.A != sum {
+			t.Errorf("request %d: decide(Δcost=%v, chosen=%d) but the client saw place=%v predict=%v (sum %v)",
+				i, dec.A, dec.N, decisions[i].place, decisions[i].predict, sum)
+		}
+		placedSomething = placedSomething || dec.N > 0
+	}
+	if !placedSomething {
+		t.Fatal("test premise broken: no request decided a placement")
 	}
 }
 

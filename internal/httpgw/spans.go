@@ -13,20 +13,24 @@ import (
 // docs/OBSERVABILITY.md for the span schema.
 const HeaderTraceCtx = "X-Cascade-TraceCtx"
 
+// DefaultSpanCapacity is the span-ring depth EnableSpans (node and origin)
+// falls back to when given none.
+const DefaultSpanCapacity = 256
+
 // EnableSpans equips the node with protocol span tracing: each request
 // contributes phase spans (lookup, up, decide, down, body, coherency,
 // promote) to a trace begun at the chain's edge, and completed traces that
 // survive the tail-sampling policy land in a fixed-capacity ring served at
 // /cascade/debug/spans. Call before the node serves requests — the request
 // path reads both pointers without holding the node lock, exactly like the
-// flight recorder. capacity <= 0 picks DefaultFlightCapacity.
+// flight recorder. capacity <= 0 picks DefaultSpanCapacity.
 //
 // Gateway spans are stamped with the node's Clock, so Start/End measure
 // real elapsed time (unlike the simulator and cluster incarnations, whose
 // spans are point-in-time markers on the protocol clock).
 func (n *Node) EnableSpans(policy span.Policy, capacity int) {
 	if capacity <= 0 {
-		capacity = DefaultFlightCapacity
+		capacity = DefaultSpanCapacity
 	}
 	n.mu.Lock()
 	n.tracer = span.NewTracer(policy)
@@ -41,7 +45,8 @@ func (n *Node) SpanRing() *span.Ring { return n.spans }
 func (n *Node) DumpSpans() span.Snapshot { return n.spans.TakeSnapshot(n.ID) }
 
 // serveSpans answers /cascade/debug/spans: the node's retained spans as
-// JSON, the flight recorder's sibling endpoint for distributed traces.
+// JSON — the per-request record (the flight ring logs only what no request
+// owns).
 func (n *Node) serveSpans(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(n.DumpSpans()) //nolint:errcheck

@@ -17,8 +17,9 @@ import (
 // TestClusterAuditedReplay drives a deterministic workload through an
 // audited cluster and checks the observability stack end to end: every
 // invariant is exercised with zero violations, the ledger accounts the
-// placements, the flight recorders capture protocol and crash events, and
-// the Prometheus export carries the audit and ledger series.
+// placements, the span rings capture the requests and the flight recorders
+// the crash events, and the Prometheus export carries the audit and ledger
+// series.
 func TestClusterAuditedReplay(t *testing.T) {
 	clk := &logicalClock{}
 	h := topology.GenerateTree(topology.TreeConfig{Depth: 3, Fanout: 2, BaseDelay: 1, Growth: 2})
@@ -29,6 +30,8 @@ func TestClusterAuditedReplay(t *testing.T) {
 		Clock:          clk.Now,
 		EnableAudit:    true,
 		FlightCapacity: 128,
+		SpanCapacity:   128,
+		SpanSample:     1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,21 +68,21 @@ func TestClusterAuditedReplay(t *testing.T) {
 		t.Fatalf("ledger recorded no realized savings: %+v", totals)
 	}
 
-	// The leaf's flight ring must hold protocol events from the workload.
-	snap := c.DumpFlight(leaf)
-	if snap.Capacity != 128 || len(snap.Events) == 0 {
-		t.Fatalf("flight dump empty: capacity=%d events=%d", snap.Capacity, len(snap.Events))
+	// The leaf's span ring is the per-request record of the workload; its
+	// flight ring logs only what no request owns — nothing so far.
+	if spans := c.DumpSpans(leaf); spans.Capacity != 128 || len(spans.Spans) == 0 {
+		t.Fatalf("span dump empty: capacity=%d spans=%d", spans.Capacity, len(spans.Spans))
+	}
+	if snap := c.DumpFlight(leaf); snap.Capacity != 128 || len(snap.Events) != 0 {
+		t.Fatalf("flight dump: capacity=%d events=%d, want 128 and none before any fault", snap.Capacity, len(snap.Events))
 	}
 
-	// Crash/recover transitions land in the slot-owned recorder.
+	// Crash/recover transitions land in the slot-owned recorder, in order.
 	c.Fail(leaf)
 	c.Recover(leaf)
-	kinds := map[flightrec.Kind]bool{}
-	for _, e := range c.DumpFlight(leaf).Events {
-		kinds[e.Kind] = true
-	}
-	if !kinds[flightrec.KindCrash] || !kinds[flightrec.KindRecover] {
-		t.Fatalf("crash/recover not recorded; kinds seen: %v", kinds)
+	evs := c.DumpFlight(leaf).Events
+	if len(evs) != 2 || evs[0].Kind != flightrec.KindCrash || evs[1].Kind != flightrec.KindRecover {
+		t.Fatalf("flight ring after Fail/Recover = %+v, want crash then recover", evs)
 	}
 
 	var b strings.Builder

@@ -111,10 +111,12 @@ type Config struct {
 	// exported through the cluster's metrics registry
 	// (cascade_audit_*, cascade_ledger_* series).
 	EnableAudit bool
-	// FlightCapacity, when > 0, gives every node slot a protocol flight
-	// recorder retaining the last N events. Recorders belong to the slot,
-	// not the node, so crash/recover cycles keep their history (and
-	// record the transitions themselves).
+	// FlightCapacity, when > 0, gives every node slot a flight recorder —
+	// the event log of crashes, recoveries, membership and health
+	// transitions, coherency events and audit violations — retaining the
+	// last N events. Recorders belong to the slot, not the node, so
+	// crash/recover cycles keep their history (and record the transitions
+	// themselves).
 	FlightCapacity int
 	// SpillDir, when non-empty, gives every node a disk-backed spill tier
 	// under <SpillDir>/node-<id>: NCL evictions park their payload in
@@ -324,10 +326,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		// Violations land in the violating node's flight recorder with
 		// full context (nil-safe when recording is off).
 		c.auditor.SetOnViolation(func(v audit.Violation) {
-			c.flightRecorder(v.Node).Record(flightrec.Event{
-				Time: v.Now, Node: v.Node, Kind: flightrec.KindAuditViolation,
-				Obj: v.Obj, Hop: v.Hop, A: v.Got, B: v.Want, N: int(v.Invariant),
-			})
+			c.flightRecorder(v.Node).Record(engine.ViolationEvent(v))
 		})
 		for i := range c.slots {
 			c.ledger.RegisterNode(c.reg, model.NodeID(i), metrics.L("node", strconv.Itoa(i)))
@@ -557,8 +556,8 @@ func (c *Cluster) DumpSpans(id model.NodeID) span.Snapshot {
 }
 
 // DumpFlight captures a node's flight-recorder contents — typically called
-// right after a crash to preserve the node's last protocol steps. The
-// snapshot is empty when recording is off.
+// right after a crash to preserve the node's last events. The snapshot is
+// empty when recording is off.
 func (c *Cluster) DumpFlight(id model.NodeID) flightrec.Snapshot {
 	return c.flightRecorder(id).TakeSnapshot(id)
 }

@@ -343,14 +343,11 @@ func (c *Cluster) decide(w *walk, servingHop int, servedBy model.NodeID, buf []i
 		}
 	}
 	opts := engine.DecideOptions{ClampMonotone: true}
-	if c.auditor != nil || c.ledger != nil || c.flight != nil {
+	if c.auditor != nil || c.ledger != nil {
 		opts.Audit = c.auditor
 		opts.Ledger = c.ledger
 		opts.Obj = w.obj
 		opts.Now = w.now
-		if servedBy != model.NoNode {
-			opts.Flight = c.flightRecorder(servedBy)
-		}
 	}
 	if w.tsp != nil {
 		opts.Span = w.tsp

@@ -143,7 +143,8 @@ func (s *Coordinated) SetLedger(l *audit.Ledger) {
 	}
 }
 
-// SetFlightCapacity gives every node a protocol flight recorder retaining
+// SetFlightCapacity gives every node a flight recorder — the event log of
+// invalidations, stale hits, revalidations and audit violations — retaining
 // the last n events (0 disables, the default). Call before Configure.
 func (s *Coordinated) SetFlightCapacity(n int) { s.flightCap = n }
 
@@ -239,15 +240,6 @@ func (s *Coordinated) FlightRecorder(n model.NodeID) *flightrec.Recorder {
 	return nil
 }
 
-// FlightNodes returns the IDs of every configured node, for flight dumps.
-func (s *Coordinated) FlightNodes() []model.NodeID {
-	out := make([]model.NodeID, 0, len(s.nodes))
-	for n := range s.nodes {
-		out = append(out, n)
-	}
-	return out
-}
-
 // Auditor returns the attached auditor (nil when auditing is off).
 func (s *Coordinated) Auditor() *audit.Auditor { return s.auditor }
 
@@ -295,16 +287,7 @@ func (s *Coordinated) Configure(budgets map[model.NodeID]NodeBudget) {
 			if st == nil {
 				return
 			}
-			st.Flight.Record(flightrec.Event{
-				Time: v.Now,
-				Node: v.Node,
-				Kind: flightrec.KindAuditViolation,
-				Obj:  v.Obj,
-				Hop:  v.Hop,
-				A:    v.Got,
-				B:    v.Want,
-				N:    int(v.Invariant),
-			})
+			st.Flight.Record(engine.ViolationEvent(v))
 		})
 	}
 }
@@ -399,14 +382,11 @@ func (s *Coordinated) Process(now float64, obj model.ObjectID, size int64, path 
 		}
 	}
 	opts := engine.DecideOptions{ClampMonotone: s.clampMonotone, Theorem2Prune: s.theorem2Prune}
-	if s.auditor != nil || s.ledger != nil || s.flightCap > 0 {
+	if s.auditor != nil || s.ledger != nil {
 		opts.Audit = s.auditor
 		opts.Ledger = s.ledger
 		opts.Obj = obj
 		opts.Now = now
-		if servNode != model.NoNode {
-			opts.Flight = s.nodes[servNode].Flight
-		}
 	}
 	if tsp != nil {
 		opts.Span = tsp
@@ -456,7 +436,7 @@ func (s *Coordinated) Process(now float64, obj model.ObjectID, size int64, path 
 			last--
 		}
 		dn := tsp.Start(span.PhaseDown, path.Nodes[i], i, up, now)
-		res := st.DownStep(obj, size, place, mp, servedGen, i, now)
+		res := st.DownStep(obj, size, place, mp, servedGen, now)
 		tsp.Annotate(dn, mp, float64(len(res.Evicted)), span.DownOutcome(res.Placed, res.PlaceFailed))
 		tsp.End(dn, now)
 		tsp.End(up, now)

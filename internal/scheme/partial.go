@@ -164,7 +164,7 @@ func (s *Partial) Process(now float64, obj model.ObjectID, size int64, path Path
 		if place {
 			last--
 		}
-		res := st.DownStep(obj, size, place, mp, 0, i, now)
+		res := st.DownStep(obj, size, place, mp, 0, now)
 		mp = res.MP
 		if res.Placed {
 			placed = append(placed, i)

@@ -300,8 +300,7 @@ func (s *Span) UnmarshalJSON(data []byte) error {
 
 // Ctx is the propagated trace context: which trace the downstream hop
 // belongs to and which span is its parent. Carried hop to hop on the
-// X-Cascade-TraceCtx header and, under binary framing, inside the path
-// frame.
+// X-Cascade-TraceCtx header.
 type Ctx struct {
 	Trace  TraceID
 	Parent SpanID
