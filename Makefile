@@ -35,11 +35,13 @@ conformance:
 # disk-spill round trips served without an origin fetch (suite:
 # internal/conformance, TestDataPlane*; spec: docs/DATAPLANE.md) — then the
 # data-plane tests of the package that owns the code: segment reassembly
-# outcomes, the origin's validator memo and ranged Dir-mode reads, spill,
-# relay and hostile-length handling.
+# outcomes (status, length, and generation — writes that race a reassembly
+# in CAS, PSI and TTL modes), the marker memo, a drained client-facing node,
+# the origin's validator memo and ranged Dir-mode reads, spill, relay and
+# hostile-length and hostile-geometry handling.
 dataplane:
 	$(GO) test -race -count=1 -run 'TestDataPlane' ./internal/conformance/
-	$(GO) test -race -count=1 -run 'TestSegment|TestReassembl|TestOrigin|TestDirOrigin|TestSpill|TestRelay|TestReadBody|TestHostile' ./internal/httpgw/
+	$(GO) test -race -count=1 -run 'TestSegment|TestReassembl|TestMarkerMemo|TestDrainedEdge|TestPassThrough|TestOldPeerMarker|TestOrigin|TestDirOrigin|TestSpill|TestRelay|TestReadBody|TestHostile' ./internal/httpgw/
 
 # Rolling-reconfiguration smoke (not tier-1): upgrade the 100-node default
 # cascade one batch at a time under sustained load; the job fails on any
@@ -51,13 +53,19 @@ rolling:
 
 # Coherency gate: a CAS-strict load run against an in-process 3-gateway
 # chain — any response served below a completed write's generation fails the
-# build. (The generation substrate's unit suite, the gateway's invalidation
-# paths, the cluster's concurrent write hammer and the cross-incarnation
-# coherency replay are ordinary tests; `race` runs them.)
+# build — then, for objects above the segment threshold, which that run has
+# none of: concurrent large GETs and writes through a 3-hop CAS chain over a
+# Dir-mode origin whose file is rewritten with every write (every complete
+# body must be one generation's bytes, none below a completed write), and
+# the generation rows of the reassembly table. (The generation substrate's
+# unit suite, the gateway's invalidation paths, the cluster's concurrent
+# write hammer and the cross-incarnation coherency replay — its last stage a
+# segmented object — are ordinary tests; `race` runs them, and these.)
 coherency:
 	$(GO) run ./cmd/cascadeload -requests 3000 -warmup 500 -users 4 \
 		-objects 1000 -capacity 2MB -nodes 3 -shards 8 -seed 1 \
 		-write-ratio 0.05
+	$(GO) test -race -count=1 -run 'TestSegmentedWriteHammer|TestReassemblyGenerations' ./internal/httpgw/
 
 # Reproduction gate: re-run every figure of the paper's evaluation and fail
 # if any cell drifts more than 5% from the committed results/*.csv — the
@@ -78,6 +86,10 @@ observe:
 # Fuzz smoke: ten seconds of coverage-guided input against the textual wire
 # decoders — parsePath and parseDecision must never panic, and must accept
 # only bounded, finite input that re-encodes to what was parsed — then ten
+# against the segment protocol's three small parsers: whatever
+# parseSegmentRequest, parseSegmentedMarker or parseByteRange accepts must be
+# bounded (no offset overflows, no object of more than store.MaxSegments
+# segments) and re-encode to what was parsed — then ten
 # against the eviction heap: any byte string decodes to a HeapStore op
 # sequence whose victim order, CostLoss values and keys must match a
 # full-sort reference, then ten against the payload generator: any (obj,
@@ -86,6 +98,7 @@ observe:
 # coverage-expanding input, here the whole smoke).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWireText -fuzztime 10s -fuzzminimizetime 20x ./internal/httpgw/
+	$(GO) test -run '^$$' -fuzz FuzzSegmentHeaders -fuzztime 10s -fuzzminimizetime 20x ./internal/httpgw/
 	$(GO) test -run '^$$' -fuzz FuzzHeapStoreOps -fuzztime 10s -fuzzminimizetime 20x ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzSyntheticRange -fuzztime 10s -fuzzminimizetime 20x ./internal/store/
 

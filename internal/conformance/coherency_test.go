@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -19,6 +20,7 @@ import (
 	"cascade/internal/runtime"
 	"cascade/internal/scheme"
 	"cascade/internal/sim"
+	"cascade/internal/store"
 	"cascade/internal/trace"
 )
 
@@ -26,14 +28,23 @@ import (
 // engine-native coherency substrate attached: the origin owns a generation
 // authority, every node runs a CAS-strict view. EnableCoherency is called
 // before the httptest server starts accepting, honouring the set-before-
-// serving contract.
-func coherencyChain(t *testing.T, upCost []float64, capacity int64, dEntries, objSize int, clock func() float64) (string, []*httpgw.Node, *httpgw.Origin) {
+// serving contract. One object outside every catalog, segmentedObject, is
+// three and a half times objSize and travels in objSize segments; the
+// catalog's own objects sit exactly at the threshold and travel whole.
+func coherencyChain(t *testing.T, upCost []float64, capacity int64, dEntries, objSize int, clock func() float64) (string, []*httpgw.Node, *countedOrigin) {
 	t.Helper()
-	o := &httpgw.Origin{
-		Size:      func(model.ObjectID) int { return objSize },
-		Authority: coherency.NewAuthority(),
-	}
-	o.EnableObservability(64, clock)
+	o := &countedOrigin{o: &httpgw.Origin{
+		Size: func(obj model.ObjectID) int {
+			if obj == segmentedObject {
+				return 7 * objSize / 2
+			}
+			return objSize
+		},
+		SegmentThreshold: int64(objSize),
+		SegmentSize:      int64(objSize),
+		Authority:        coherency.NewAuthority(),
+	}}
+	o.o.EnableObservability(64, clock)
 	origin := httptest.NewServer(o)
 	t.Cleanup(origin.Close)
 	upstream := origin.URL
@@ -47,6 +58,65 @@ func coherencyChain(t *testing.T, upCost []float64, capacity int64, dEntries, ob
 		nodes[i] = n
 	}
 	return upstream, nodes, o
+}
+
+// segmentedObject is the large object of the coherency replay's last stage.
+const segmentedObject model.ObjectID = 1 << 20
+
+// segmentedObjectStage drives one large object through the gateway chain
+// the coherency replay just exercised: to a writer it is one object, so one
+// write of the base must reach every cached segment at every hop, and every
+// reassembled body must be stamped with — and wholly made of — the one
+// generation the authority holds.
+func segmentedObjectStage(t *testing.T, client *http.Client, base string, nodes []*httpgw.Node, o *countedOrigin, clk *logicalClock, objSize int) {
+	t.Helper()
+	want := store.SyntheticBody(segmentedObject, 7*objSize/2)
+	now := clk.Now()
+	// read fetches the object and returns how many of its four segments the
+	// origin had to serve.
+	read := func(wantGen uint64) int64 {
+		t.Helper()
+		now += 30
+		clk.Set(now)
+		before := o.segment.Load()
+		resp, body := dpGet(t, client, base, segmentedObject)
+		if !bytes.Equal(body, want) {
+			t.Fatalf("segmented object: %d bytes, not the origin's payload", len(body))
+		}
+		gen, _ := strconv.ParseUint(resp.Header.Get(httpgw.HeaderGen), 10, 64)
+		if cur := o.o.Authority.Gen(segmentedObject); gen != wantGen || cur != wantGen {
+			t.Fatalf("segmented object served at generation %d with the authority at %d, want %d", gen, cur, wantGen)
+		}
+		return o.segment.Load() - before
+	}
+	for gen := uint64(0); gen < 3; gen++ {
+		// Warm until the chain holds at least part of the object.
+		fromOrigin := read(gen)
+		for round := 0; round < 8 && fromOrigin == 4; round++ {
+			fromOrigin = read(gen)
+		}
+		if fromOrigin == 4 {
+			t.Fatalf("generation %d: no segment was ever served from the chain", gen)
+		}
+		if w := gatewayWrite(t, client, base, segmentedObject); w != gen+1 {
+			t.Fatalf("write assigned generation %d, want %d", w, gen+1)
+		}
+		for i, n := range nodes {
+			if fl := n.CoherencyView().Floor(segmentedObject); fl != gen+1 {
+				t.Fatalf("node %d: floor %d after the write, want %d", i, fl, gen+1)
+			}
+		}
+		// The purge of the base reached every segment: all four come from
+		// the origin again, at the new generation.
+		if fromOrigin := read(gen + 1); fromOrigin != 4 {
+			t.Fatalf("after write %d the origin served %d of 4 segments: the chain still answered with the old generation's", gen+1, fromOrigin)
+		}
+	}
+	for i, n := range nodes {
+		if v := n.Auditor().TotalViolations(); v != 0 {
+			t.Errorf("gateway%d: %d invariant violations after the segmented stage", i, v)
+		}
+	}
 }
 
 // gatewayReadCoh is gatewayGet plus the generation of the served copy (the
@@ -303,7 +373,7 @@ func TestCoherencyConformance(t *testing.T) {
 			auditors := map[string]*audit.Auditor{
 				"sim":            rec.inner.Auditor(),
 				"cluster":        cluster.Auditor(),
-				"gateway-origin": gwOrigin.Auditor(),
+				"gateway-origin": gwOrigin.o.Auditor(),
 			}
 			for i, n := range gwNodes {
 				auditors[fmt.Sprintf("gateway%d", i)] = n.Auditor()
@@ -340,6 +410,7 @@ func TestCoherencyConformance(t *testing.T) {
 			if !sawInval(gwNodes[0].DumpFlight().Events) {
 				t.Error("gateway flight recorder has no invalidate events")
 			}
+			segmentedObjectStage(t, client, gwBase, gwNodes, gwOrigin, clk, objSize)
 			t.Logf("%s: %d requests + %d writes agreed across three incarnations (%d cache hits, %d reads at gen>0, %d invariant checks, 0 violations)",
 				tc.name, gen.Len(), writes, hits, genServes, checks)
 		})

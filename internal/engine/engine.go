@@ -213,8 +213,16 @@ type DownResult struct {
 // in flight). Otherwise the node records the passing counter in the
 // object's d-cache descriptor, creating one if needed.
 func (st *NodeState) DownStep(obj model.ObjectID, size int64, place bool, mp float64, gen uint64, now float64) DownResult {
+	return st.DownStepUnder(obj, obj, size, place, mp, gen, now)
+}
+
+// DownStepUnder is DownStep for an object whose generation is another
+// identity's: a segment of a large object is placed, evicted and counted
+// under its own identity, but it is written — and invalidated — as part of
+// its base, so the generation guard reads floorObj's floor.
+func (st *NodeState) DownStepUnder(obj, floorObj model.ObjectID, size int64, place bool, mp float64, gen uint64, now float64) DownResult {
 	if place {
-		if st.Coh != nil && st.Coh.Mode().Validates() && gen < st.Coh.Floor(obj) {
+		if st.Coh != nil && st.Coh.Mode().Validates() && gen < st.Coh.Floor(floorObj) {
 			// The copy was invalidated while the response was in flight;
 			// caching it would resurrect stale bytes.
 			st.Coh.Metrics().CASConflict()
@@ -314,10 +322,16 @@ type PromoteResult struct {
 // (CBS1); a copy below the node's floor is rejected outright so a spill
 // can never resurrect stale bytes.
 func (st *NodeState) Promote(obj model.ObjectID, size int64, gen uint64, now float64) PromoteResult {
-	if st.Coh != nil && st.Coh.Mode().Validates() && gen < st.Coh.Floor(obj) {
+	return st.PromoteUnder(obj, obj, size, gen, now)
+}
+
+// PromoteUnder is Promote with the generation guard reading floorObj's
+// floor (see DownStepUnder).
+func (st *NodeState) PromoteUnder(obj, floorObj model.ObjectID, size int64, gen uint64, now float64) PromoteResult {
+	if st.Coh != nil && st.Coh.Mode().Validates() && gen < st.Coh.Floor(floorObj) {
 		st.Coh.Metrics().StaleHit()
 		if st.Flight != nil {
-			st.Flight.Record(flightrec.Event{Time: now, Node: st.Node, Kind: flightrec.KindStaleHit, Obj: obj, Hop: -1, A: float64(gen), B: float64(st.Coh.Floor(obj)), N: 1})
+			st.Flight.Record(flightrec.Event{Time: now, Node: st.Node, Kind: flightrec.KindStaleHit, Obj: obj, Hop: -1, A: float64(gen), B: float64(st.Coh.Floor(floorObj)), N: 1})
 		}
 		return PromoteResult{Stale: true}
 	}

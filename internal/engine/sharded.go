@@ -254,9 +254,17 @@ type DownOutcome struct {
 // The hop index is unused (the step's record is the caller's down span);
 // the parameter stays because bench/ calls this signature.
 func (s *Sharded) DownStep(obj model.ObjectID, size int64, place bool, mp float64, gen uint64, _ int, now float64, evicted []model.ObjectID) (DownOutcome, []model.ObjectID) {
+	return s.DownStepUnder(obj, obj, size, place, mp, gen, now, evicted)
+}
+
+// DownStepUnder is DownStep with the generation guard reading floorObj's
+// floor — a segment's base (see NodeState.DownStepUnder). The shard is
+// obj's: only the floor lookup, which the shared view answers under its own
+// lock, names the other identity.
+func (s *Sharded) DownStepUnder(obj, floorObj model.ObjectID, size int64, place bool, mp float64, gen uint64, now float64, evicted []model.ObjectID) (DownOutcome, []model.ObjectID) {
 	sh := &s.shards[s.ShardOf(obj)]
 	s.lock(sh)
-	res := sh.st.DownStep(obj, size, place, mp, gen, now)
+	res := sh.st.DownStepUnder(obj, floorObj, size, place, mp, gen, now)
 	for _, v := range res.Evicted {
 		evicted = append(evicted, v.ID)
 	}
@@ -274,9 +282,15 @@ func (s *Sharded) DownStep(obj model.ObjectID, size int64, place bool, mp float6
 // turn. A Stale result means the disk copy failed the generation floor
 // and must be treated as a miss.
 func (s *Sharded) Promote(obj model.ObjectID, size int64, gen uint64, now float64, evicted []model.ObjectID) (PromoteOutcome, []model.ObjectID) {
+	return s.PromoteUnder(obj, obj, size, gen, now, evicted)
+}
+
+// PromoteUnder is Promote with the generation guard reading floorObj's
+// floor (see DownStepUnder).
+func (s *Sharded) PromoteUnder(obj, floorObj model.ObjectID, size int64, gen uint64, now float64, evicted []model.ObjectID) (PromoteOutcome, []model.ObjectID) {
 	sh := &s.shards[s.ShardOf(obj)]
 	s.lock(sh)
-	res := sh.st.Promote(obj, size, gen, now)
+	res := sh.st.PromoteUnder(obj, floorObj, size, gen, now)
 	for _, v := range res.Evicted {
 		evicted = append(evicted, v.ID)
 	}

@@ -202,6 +202,9 @@ func (n *Node) adminDrain(w http.ResponseWriter, now float64) {
 	// re-admitted node can then serve spilled objects from disk instead of
 	// refetching them from the origin.
 	n.bodies.SpillAll()
+	// A relay applies no invalidations, so what it remembered of large
+	// objects cannot be checked against a floor when it is admitted again.
+	n.markers = nil
 	n.mu.Unlock()
 
 	absorbed := n.spill(snaps)
@@ -334,25 +337,33 @@ func (n *Node) serveHealth(w http.ResponseWriter) {
 // header with a "-" (no-descriptor) entry so the DP sees only the link
 // cost, forward, and add the link to the penalty counter on the way back
 // without a DownStep — the wire image of the cluster folding a
-// routed-around hop.
-func (n *Node) passThrough(w http.ResponseWriter, r *http.Request, entries []engine.Candidate, relayCtx span.Ctx) {
+// routed-around hop. One thing a relay still does itself: when it is the
+// client-facing hop and the answer is a segmented marker, it reassembles —
+// the client asked for a body, and each sub-request is relayed through here
+// like any other — starting over on an overtaken pin as an active node would
+// (restarts counts how often this GET already has).
+func (n *Node) passThrough(w http.ResponseWriter, r *http.Request, entries []engine.Candidate, relayCtx span.Ctx, restarts int) {
 	up, err := http.NewRequestWithContext(r.Context(), http.MethodGet, n.Upstream+r.URL.Path, nil)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	entries = append(entries, engine.Candidate{Node: n.ID, Tag: engine.TagNoDescriptor, Link: n.UpCost})
+	relay := engine.Candidate{Node: n.ID, Tag: engine.TagNoDescriptor, Link: n.UpCost}
 	// A relay hop records no spans of its own: the incoming trace context
 	// (if any) passes through unchanged, so the upstream still parents on
 	// the last tracing hop below — the wire image of a routed-around
 	// cluster hop.
-	writePath(up.Header, entries, relayCtx)
+	writePath(up.Header, append(entries, relay), relayCtx)
 	if tag := r.Header.Get("If-None-Match"); tag != "" {
 		up.Header.Set("If-None-Match", tag)
 	}
-	if v := r.Header.Get(HeaderSegment); v != "" {
-		up.Header.Set(HeaderSegment, v)
-		up.Header.Set("Range", r.Header.Get("Range"))
+	isSeg := r.Header.Get(HeaderSegment) != ""
+	if isSeg {
+		forwardSegment(up.Header, r.Header)
+	} else if fl := r.Header.Get(HeaderGen); fl != "" {
+		// The read floor passes through as it came: a relay has no floor
+		// of its own to raise it to.
+		up.Header.Set(HeaderGen, fl)
 	}
 
 	resp, err := n.fetchUpstream(up)
@@ -364,10 +375,25 @@ func (n *Node) passThrough(w http.ResponseWriter, r *http.Request, entries []eng
 		return
 	}
 	defer resp.Body.Close()
-	isSeg := r.Header.Get(HeaderSegment) != ""
 	if resp.StatusCode != http.StatusOK && !(isSeg && resp.StatusCode == http.StatusPartialContent) {
 		w.WriteHeader(resp.StatusCode)
 		copyStream(w, resp.Body) //nolint:errcheck
+		return
+	}
+	if resp.Header.Get(HeaderSegmented) != "" && !isSeg {
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		if len(entries) > 0 {
+			relayMarker(w.Header(), resp.Header)
+			return
+		}
+		m, ok := n.acceptMarker(w, resp.Header, n.Clock())
+		if !ok {
+			return
+		}
+		base, _ := objectID(r) // ServeHTTP already derived it from this request
+		if n.serveSegmented(w, r, base, m, false, restarts, nil) {
+			n.passThrough(w, r, entries, relayCtx, restarts+1)
+		}
 		return
 	}
 
@@ -391,9 +417,6 @@ func (n *Node) passThrough(w http.ResponseWriter, r *http.Request, entries []eng
 	// it — it holds no copies and takes no placements, so there is no floor
 	// to raise; the live hops below apply the tail themselves.
 	writeMissTail(w.Header(), resp, dec, prev+n.UpCost)
-	if v := resp.Header.Get(HeaderSegmented); v != "" {
-		w.Header().Set(HeaderSegmented, v)
-	}
 	if resp.ContentLength >= 0 {
 		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
 	}

@@ -18,11 +18,19 @@ import (
 // file gives it wire form:
 //
 //	X-Cascade-Gen:   on a request, the client's read floor (ModeCAS: the
-//	                 origin generation the response must meet or beat); on
-//	                 a response, the served copy's generation.
+//	                 origin generation the response must meet or beat) —
+//	                 or, beside X-Cascade-Segment, the one generation the
+//	                 asker is reassembling, which is exact; on a response,
+//	                 the served copy's generation — or, beside
+//	                 X-Cascade-Segmented, the generation to reassemble at.
 //	X-Cascade-Inval: the origin's invalidation-log head and recent tail,
 //	                 "head|seq:obj:gen,…", piggybacked on origin responses
 //	                 PSI-style and applied at every hop before its DownStep.
+//
+// Generations, floors and the invalidation log speak in base identities
+// only: a segment of a large object is stamped with its base's generation
+// and validated against its base's floor, so one write of the base reaches
+// every segment wherever it is cached (servable, Node.serveSegmented).
 //
 // Malformed values never fail a request: a garbled floor zero-defaults
 // (weakening freshness, not availability) and a garbled tail is ignored,
@@ -69,6 +77,18 @@ func (n *Node) readFloor(obj model.ObjectID, reqFloor uint64) uint64 {
 		return f
 	}
 	return reqFloor
+}
+
+// servable reports whether a resident copy at generation gen may answer a
+// request: never below the read floor, and — for a segment request, whose
+// X-Cascade-Gen is the generation its reassembly pinned — at exactly that
+// generation, in every coherency mode. A segment on the other side of the
+// pin is not old or new, it is part of another body; the caller drops it
+// like any copy below a floor (when the copy is the newer one the asker's
+// marker is what is stale: the refetch comes back at the origin's
+// generation, the asker refuses it and starts over with a fresh marker).
+func servable(gen, readFloor uint64, seg segInfo, pin uint64) bool {
+	return gen >= readFloor && (!seg.on || gen == pin)
 }
 
 // recordStaleHit labels a generation-floor freshness decision: n=1 means a
@@ -253,11 +273,12 @@ func (o *Origin) serveInvalidate(w http.ResponseWriter, r *http.Request) {
 }
 
 // originDecision assembles the coherency payload of an origin decision
-// response: the object's current generation plus the log's recent tail.
-func (o *Origin) originDecision(obj model.ObjectID, place []model.NodeID, predict []predictTerm) decision {
+// response: the object's current generation — base's, for a segment — plus
+// the log's recent tail.
+func (o *Origin) originDecision(base model.ObjectID, place []model.NodeID, predict []predictTerm) decision {
 	d := decision{place: place, predict: predict}
 	if o.Authority != nil {
-		d.gen = o.Authority.Gen(obj)
+		d.gen = o.Authority.Gen(base)
 		d.invHead = o.Authority.Head()
 		d.inval = o.Authority.Tail(nil)
 	}

@@ -3,6 +3,7 @@ package httpgw
 import (
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"cascade/internal/flightrec"
 	"cascade/internal/model"
+	"cascade/internal/span"
 	"cascade/internal/store"
 )
 
@@ -19,7 +21,10 @@ import (
 // segments, each a first-class object to the placement decision. The
 // descriptor-plane protocol (path/place/penalty headers) is untouched —
 // segments simply have their own object identity (store.SegmentID), so
-// every existing invariant applies per segment.
+// every existing invariant applies per segment. Only freshness is the base
+// object's: a segment carries its base's generation, is validated against
+// its base's floor, and is reassembled with siblings of that one generation
+// or not at all (serveSegmented).
 
 // EnableSpill attaches a disk-backed second tier to the node's body store:
 // NCL evictions spill their payload to per-object CRC-checked files under
@@ -98,6 +103,8 @@ type segInfo struct {
 	size int64
 }
 
+// lo is the segment's first byte. parseSegmentRequest bounds idx and size
+// so that the product cannot overflow.
 func (s segInfo) lo() int64 { return int64(s.idx) * s.size }
 
 // header renders the wire form "idx;segsize".
@@ -106,6 +113,9 @@ func (s segInfo) header() string {
 }
 
 // parseSegmentRequest decodes the X-Cascade-Segment header ("idx;segsize").
+// An index past store.MaxSegments, or a size at which that many segments
+// would not fit in an int64, is malformed: no object this cascade serves has
+// such a segment, and lo() would overflow for it.
 func parseSegmentRequest(h http.Header) (segInfo, error) {
 	v := h.Get(HeaderSegment)
 	if v == "" {
@@ -117,14 +127,43 @@ func parseSegmentRequest(h http.Header) (segInfo, error) {
 	}
 	idx, err1 := strconv.Atoi(v[:semi])
 	size, err2 := strconv.ParseInt(v[semi+1:], 10, 64)
-	if err1 != nil || err2 != nil || idx < 0 || size <= 0 {
+	if err1 != nil || err2 != nil || idx < 0 || idx >= store.MaxSegments ||
+		size <= 0 || size > math.MaxInt64/store.MaxSegments {
 		return segInfo{}, fmt.Errorf("httpgw: bad segment header %q", v)
 	}
 	return segInfo{on: true, idx: idx, size: size}, nil
 }
 
+// forwardSegment copies a segment request's identity onto the request a hop
+// sends upstream for it: the segment header and the original Range, so every
+// hop (and the origin) derives the same store.SegmentID, and the generation
+// its reassembly pinned — verbatim, never raised to the hop's own floor: a
+// pin is exact, and a hop that knows better drops its copy rather than
+// rewrite what the asker is assembling.
+func forwardSegment(up, from http.Header) {
+	up.Set(HeaderSegment, from.Get(HeaderSegment))
+	up.Set("Range", from.Get("Range"))
+	if pin := from.Get(HeaderGen); pin != "" {
+		up.Set(HeaderGen, pin)
+	}
+}
+
+// relayMarker passes an upstream's bodiless segmented marker, and the
+// generation beside it, toward the client-facing node.
+func relayMarker(down, from http.Header) {
+	down.Set(HeaderSegmented, from.Get(HeaderSegmented))
+	if gen := from.Get(HeaderGen); gen != "" {
+		down.Set(HeaderGen, gen)
+	}
+	down.Set(HeaderHit, from.Get(HeaderHit))
+	down.Set("Content-Length", "0")
+}
+
 // formatSegmentedMarker / parseSegmentedMarker handle the origin's
-// X-Cascade-Segmented response marker ("total;segsize").
+// X-Cascade-Segmented response marker ("total;segsize"). The marker is a
+// peer's arithmetic — its quotient is the number of sub-requests a
+// reassembly issues, and the client-facing node remembers it — so a
+// geometry of more than store.MaxSegments segments does not parse.
 func formatSegmentedMarker(total, segSize int64) string {
 	return strconv.FormatInt(total, 10) + ";" + strconv.FormatInt(segSize, 10)
 }
@@ -136,7 +175,7 @@ func parseSegmentedMarker(v string) (total, segSize int64, ok bool) {
 	}
 	total, err1 := strconv.ParseInt(v[:semi], 10, 64)
 	segSize, err2 := strconv.ParseInt(v[semi+1:], 10, 64)
-	if err1 != nil || err2 != nil || total <= 0 || segSize <= 0 {
+	if err1 != nil || err2 != nil || store.SegmentCount(total, segSize) == 0 {
 		return 0, 0, false
 	}
 	return total, segSize, true
@@ -162,6 +201,30 @@ func parseByteRange(v string) (lo, hi int64, ok bool) {
 	return lo, hi, true
 }
 
+// fmtRange renders a Range request value, "bytes=lo-hi", and fmtContentRange
+// a Content-Range response value, "bytes lo-hi/total" ("/*" for a negative
+// total: complete length unknown). One of each is written per segment per
+// hop, so they are built in a stack buffer — three 19-digit numbers fit —
+// rather than through fmt.
+func fmtRange(lo, hi int64) string {
+	var buf [72]byte
+	return string(appendLoHi(append(buf[:0], "bytes="...), lo, hi))
+}
+
+func fmtContentRange(lo, hi, total int64) string {
+	var buf [72]byte
+	b := appendLoHi(append(buf[:0], "bytes "...), lo, hi)
+	if total < 0 {
+		return string(append(b, "/*"...))
+	}
+	return string(strconv.AppendInt(append(b, '/'), total, 10))
+}
+
+func appendLoHi(b []byte, lo, hi int64) []byte {
+	b = strconv.AppendInt(b, lo, 10)
+	return strconv.AppendInt(append(b, '-'), hi, 10)
+}
+
 // writeBody finishes a locally-served response: explicit Content-Length,
 // and for segment requests the 206/Content-Range framing (a cache does not
 // know the base object's total size, hence the "*" complete-length).
@@ -169,7 +232,7 @@ func writeBody(w http.ResponseWriter, seg segInfo, body []byte) {
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	if seg.on && len(body) > 0 {
 		lo := seg.lo()
-		w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/*", lo, lo+int64(len(body))-1))
+		w.Header().Set("Content-Range", fmtContentRange(lo, lo+int64(len(body))-1, -1))
 		w.WriteHeader(http.StatusPartialContent)
 	}
 	w.Write(body) //nolint:errcheck
@@ -223,23 +286,25 @@ func readBody(resp *http.Response, limit int64) ([]byte, error) {
 // straight to the client's writer — a segment hit hands over the store's
 // slice, a relayed segment flows through copyStream's pooled buffer — so the
 // client-facing node holds no copy of a segment it merely delivers. The
-// sub-response's status and declared Content-Length are checked when its
-// header is written, before any byte is forwarded; nothing is sized from the
-// peer-supplied marker, and no byte beyond want is ever forwarded.
+// sub-response's status, declared Content-Length and generation are checked
+// when its header is written, before any byte is forwarded; nothing is sized
+// from the peer-supplied marker, and no byte beyond want is ever forwarded.
 type segmentWriter struct {
-	dst      http.ResponseWriter // the client's writer
-	header   http.Header         // the sub-response's own headers; not forwarded
-	want     int64               // the segment's length as the marker implies it
-	sent     int64               // bytes forwarded to the client so far
-	status   int                 // the sub-response's status, 0 until its header is written
-	accepted bool                // status is 200/206 and the declared length is want
-	err      error               // first client write error, or http.ErrContentLength
+	dst       http.ResponseWriter // the client's writer
+	header    http.Header         // the sub-response's own headers; not forwarded
+	pin       uint64              // the reassembly's generation; a sub-response at any other is refused
+	want      int64               // the segment's length as the marker implies it
+	sent      int64               // bytes forwarded to the client so far
+	status    int                 // the sub-response's status, 0 until its header is written
+	accepted  bool                // status is 200/206, the declared length is want, the generation is pin
+	overtaken bool                // refused for its generation alone: the pin is no longer the object's
+	err       error               // first client write error, or http.ErrContentLength
 }
 
 // begin readies the writer for the next segment's sub-response.
 func (s *segmentWriter) begin(want int64) {
 	clear(s.header)
-	s.want, s.sent, s.status, s.accepted, s.err = want, 0, 0, false, nil
+	s.want, s.sent, s.status, s.accepted, s.overtaken, s.err = want, 0, 0, false, false, nil
 }
 
 // complete reports whether the whole segment reached the client.
@@ -252,8 +317,15 @@ func (s *segmentWriter) WriteHeader(code int) {
 		return
 	}
 	s.status = code
-	s.accepted = (code == http.StatusOK || code == http.StatusPartialContent) &&
-		s.header.Get("Content-Length") == strconv.FormatInt(s.want, 10)
+	if (code != http.StatusOK && code != http.StatusPartialContent) ||
+		s.header.Get("Content-Length") != strconv.FormatInt(s.want, 10) {
+		return
+	}
+	// An absent generation is generation zero (an old peer, or an origin
+	// without an authority), which only a reassembly pinned at zero accepts.
+	gen, ok := parseGen(s.header.Get(HeaderGen))
+	s.overtaken = !ok || gen != s.pin
+	s.accepted = !s.overtaken
 }
 
 func (s *segmentWriter) Write(p []byte) (int, error) {
@@ -261,7 +333,8 @@ func (s *segmentWriter) Write(p []byte) (int, error) {
 		s.WriteHeader(http.StatusOK)
 	}
 	if !s.accepted {
-		// A refused sub-response's body (an error page) goes nowhere.
+		// A refused sub-response's body (an error page, or another
+		// generation's bytes) goes nowhere.
 		return len(p), nil
 	}
 	if s.err != nil {
@@ -280,56 +353,161 @@ func (s *segmentWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// serveSegmented reassembles a large object for the client: the upstream
-// answered with the X-Cascade-Segmented marker instead of a body, and this
-// node is the client-facing hop (empty incoming path), so it fetches each
-// Range segment through its own full protocol stack — each segment is a
-// distinct object identity with its own hit path, placement decision and
-// spill behaviour — and writes them through to the client in order. The
-// response carries the marker and the exact total length; it has no single
-// placement decision because every segment decided for itself. A first
-// segment that is refused turns the response into a 502 with no payload
-// byte; a later failure — refused, short, overlong, or the client gone —
-// ends the response where it stands, short of its Content-Length, which is
-// how the client detects the truncation.
-func (n *Node) serveSegmented(w http.ResponseWriter, r *http.Request, marker string) {
+// segMarker is a validated X-Cascade-Segmented marker with the generation
+// the origin issued it at: everything a reassembly needs, and all the
+// client-facing node remembers of a large object between GETs.
+type segMarker struct {
+	total, segSize int64
+	gen            uint64  // the base object's generation: the reassembly's pin
+	fetched        float64 // Clock time the marker arrived, for Node.TTL
+}
+
+const (
+	// markerMemoMaxEntries bounds the client-facing node's marker memo; a
+	// full memo is dropped whole and refills from the GETs that follow (an
+	// entry is a few dozen bytes and costs one upstream exchange to regain).
+	markerMemoMaxEntries = 4096
+	// maxReassemblyRestarts bounds how often one GET starts over with a
+	// fresh marker because its pinned generation was overtaken before the
+	// first payload byte. Each restart needs a write to land between a
+	// marker and its first segment, so two in a row is already a writer
+	// outrunning the reader; the third answer is a 502.
+	maxReassemblyRestarts = 2
+)
+
+// reassemblyOutcome indexes Node.reassembly
+// (cascade_gw_reassembly_total{outcome=…}). Every reassembly ends in exactly
+// one of ok, marker_hit, truncated and refused; restarted counts the fresh
+// starts on the way there.
+type reassemblyOutcome int
+
+const (
+	reassemblyOK        reassemblyOutcome = iota // every byte delivered; the marker came from upstream
+	reassemblyMarkerHit                          // every byte delivered; the marker was remembered, no upstream exchange for it
+	reassemblyRestarted                          // pin overtaken before the first payload byte: marker dropped, started over
+	reassemblyTruncated                          // ended short of Content-Length after the first payload byte
+	reassemblyRefused                            // answered 502 without a payload byte
+	numReassemblyOutcomes
+)
+
+var reassemblyOutcomeNames = [numReassemblyOutcomes]string{"ok", "marker_hit", "restarted", "truncated", "refused"}
+
+// acceptMarker validates an upstream's marker and the generation beside it.
+// A malformed or over-cap geometry is counted and answered with a 502; a
+// malformed generation zero-defaults like every other X-Cascade-Gen.
+func (n *Node) acceptMarker(w http.ResponseWriter, h http.Header, now float64) (segMarker, bool) {
+	marker := h.Get(HeaderSegmented)
 	total, segSize, ok := parseSegmentedMarker(marker)
 	if !ok {
 		n.badSegment.Add(1)
+		n.reassembly[reassemblyRefused].Add(1)
 		http.Error(w, "httpgw: bad segmented marker "+strconv.Quote(marker), http.StatusBadGateway)
-		return
+		return segMarker{}, false
 	}
+	gen, ok := parseGen(h.Get(HeaderGen))
+	if !ok {
+		n.badGen.Add(1)
+	}
+	return segMarker{total: total, segSize: segSize, gen: gen, fetched: now}, true
+}
+
+// rememberMarker records base's marker in the memo. Caller holds n.mu.
+func (n *Node) rememberMarker(base model.ObjectID, m segMarker) {
+	if n.markers == nil || len(n.markers) >= markerMemoMaxEntries {
+		n.markers = make(map[model.ObjectID]segMarker)
+	}
+	n.markers[base] = m
+}
+
+// forgetMarker drops base's remembered marker if it is still the one at
+// generation gen (a concurrent GET may already have replaced it).
+func (n *Node) forgetMarker(base model.ObjectID, gen uint64) {
+	n.mu.Lock()
+	if m, ok := n.markers[base]; ok && m.gen == gen {
+		delete(n.markers, base)
+	}
+	n.mu.Unlock()
+}
+
+// serveSegmented reassembles a large object for the client: this node is
+// the client-facing hop (empty incoming path) and holds the object's marker
+// — just fetched, or remembered from an earlier GET (fromMemo) — so it
+// fetches each Range segment through its own full protocol stack — each
+// segment is a distinct object identity with its own hit path, placement
+// decision and spill behaviour — and writes them through to the client in
+// order. The response carries the marker, the exact total length and the one
+// generation every byte of it belongs to; it has no single placement
+// decision because every segment decided for itself.
+//
+// The marker's generation pins the reassembly: every sub-request carries it
+// as X-Cascade-Gen, every hop treats it as exact, and a sub-response at any
+// other generation is refused, so a body is never spliced from two writes.
+// A first segment that is refused turns the response into a 502 with no
+// payload byte — unless it was refused for its generation alone, in which
+// case the marker is forgotten and serveSegmented returns true: the caller
+// starts the GET over with a fresh marker (restarts counts the times it
+// already has; after maxReassemblyRestarts the answer is the 502). A later
+// failure — refused, overtaken, short, overlong, or the client gone — ends
+// the response where it stands, short of its Content-Length, which is how
+// the client detects the truncation.
+func (n *Node) serveSegmented(w http.ResponseWriter, r *http.Request, base model.ObjectID, m segMarker, fromMemo bool, restarts int, tsp *span.Trace) (restart bool) {
 	// One sub-request serves every segment in turn (the handler keeps
-	// nothing of it past its return); only the two headers change.
+	// nothing of it past its return); only the Range and segment headers
+	// change.
 	sreq, err := http.NewRequestWithContext(r.Context(), http.MethodGet, r.URL.Path, nil)
 	if err != nil {
+		n.reassembly[reassemblyRefused].Add(1)
 		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
+		return false
 	}
-	nsegs := store.SegmentCount(total, segSize)
-	w.Header().Set(HeaderSegmented, marker)
-	w.Header().Set("Content-Length", strconv.FormatInt(total, 10))
-	sw := &segmentWriter{dst: w, header: make(http.Header)}
+	h := w.Header()
+	h.Set(HeaderSegmented, formatSegmentedMarker(m.total, m.segSize))
+	h.Set("Content-Length", strconv.FormatInt(m.total, 10))
+	if m.gen != 0 {
+		pin := strconv.FormatUint(m.gen, 10)
+		h.Set(HeaderGen, pin)
+		sreq.Header.Set(HeaderGen, pin)
+	}
+	sw := &segmentWriter{dst: w, header: make(http.Header), pin: m.gen}
+	nsegs := store.SegmentCount(m.total, m.segSize)
 	for idx := 0; idx < nsegs; idx++ {
-		seg := segInfo{on: true, idx: idx, size: segSize}
+		seg := segInfo{on: true, idx: idx, size: m.segSize}
 		lo := seg.lo()
-		hi := lo + segSize - 1
-		if hi >= total {
-			hi = total - 1
-		}
-		sreq.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", lo, hi))
+		want := min(m.segSize, m.total-lo)
+		sreq.Header.Set("Range", fmtRange(lo, lo+want-1))
 		sreq.Header.Set(HeaderSegment, seg.header())
-		sw.begin(hi - lo + 1)
+		sw.begin(want)
 		n.ServeHTTP(sw, sreq)
-		if !sw.complete() {
-			if idx == 0 && sw.sent == 0 && sw.err == nil {
-				// Nothing has been handed to the client yet: the answer
-				// can still be an error rather than a truncated object.
-				w.Header().Del(HeaderSegmented)
-				w.Header().Del("Content-Length")
-				http.Error(w, "httpgw: segment 0 unavailable or not the length the marker implies", http.StatusBadGateway)
-			}
-			return
+		if sw.complete() {
+			continue
 		}
+		if sw.overtaken {
+			// Whatever else happens, this marker's generation is history.
+			n.forgetMarker(base, m.gen)
+		}
+		if idx > 0 || sw.sent > 0 || sw.err != nil {
+			n.reassembly[reassemblyTruncated].Add(1)
+			tsp.Force(span.FlagStale)
+			return false
+		}
+		// Nothing has been handed to the client yet: the answer can still
+		// be a fresh start or an error rather than a truncated object.
+		h.Del(HeaderSegmented)
+		h.Del("Content-Length")
+		h.Del(HeaderGen)
+		if sw.overtaken && restarts < maxReassemblyRestarts {
+			n.reassembly[reassemblyRestarted].Add(1)
+			tsp.Force(span.FlagStale)
+			return true
+		}
+		n.reassembly[reassemblyRefused].Add(1)
+		http.Error(w, "httpgw: segment 0 unavailable, or not the length and generation the marker implies", http.StatusBadGateway)
+		return false
 	}
+	if fromMemo {
+		n.reassembly[reassemblyMarkerHit].Add(1)
+	} else {
+		n.reassembly[reassemblyOK].Add(1)
+	}
+	return false
 }

@@ -18,10 +18,11 @@ import (
 	"cascade/internal/store"
 )
 
-// countingOrigin wraps an Origin and counts object requests, split into
-// segment fetches (X-Cascade-Segment present) and plain ones.
+// countingOrigin wraps an Origin — or any hop — and counts the object
+// requests it receives, split into segment fetches (X-Cascade-Segment
+// present) and plain ones.
 type countingOrigin struct {
-	o        *Origin
+	o        http.Handler
 	plain    atomic.Int64
 	segments atomic.Int64
 }

@@ -80,12 +80,14 @@ const (
 	// HeaderSegment marks a Range request as one segment of a segmented
 	// large object: "idx;segsize". Nodes rewrite the object identity to
 	// store.SegmentID(base, idx) and run the full protocol on it, so each
-	// segment is a distinct placement decision (docs/DATAPLANE.md).
+	// segment is a distinct placement decision (docs/DATAPLANE.md). Its
+	// X-Cascade-Gen is not a floor but the reassembly's exact generation.
 	HeaderSegment = "X-Cascade-Segment"
 	// HeaderSegmented is the origin's bodiless marker response for an
-	// over-threshold object: "total;segsize". Mid-chain nodes relay it;
-	// the client-facing node fans out per-segment Range requests and
-	// reassembles.
+	// over-threshold object: "total;segsize", with the object's generation
+	// beside it in X-Cascade-Gen. Mid-chain nodes relay both; the
+	// client-facing node remembers them, fans out per-segment Range
+	// requests pinned to that generation and reassembles.
 	HeaderSegmented = "X-Cascade-Segmented"
 )
 
@@ -171,6 +173,17 @@ type Node struct {
 	// (cascade_gw_bad_header_total). Atomics: the parse sites run outside
 	// mu's critical sections.
 	badPenalty, badSegment, badGen, badInval, badPath atomic.Int64
+
+	// markers remembers, at the client-facing node, the segmented marker of
+	// each large object it reassembled, so a later GET starts its segment
+	// requests without walking upstream to be told the geometry again.
+	// Guarded by mu; bounded by markerMemoMaxEntries. An entry is used only
+	// while its generation meets the read floor (and Node.TTL), and is
+	// dropped the moment a segment answers at another generation.
+	markers map[model.ObjectID]segMarker
+	// reassembly counts what each large-object reassembly did, by
+	// reassemblyOutcome (cascade_gw_reassembly_total).
+	reassembly [numReassemblyOutcomes]atomic.Int64
 
 	// Span tracing, wired by EnableSpans before serving (nil — off — by
 	// default); the request path reads both without holding mu, like the
@@ -537,20 +550,25 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	// A segment request (Range + X-Cascade-Segment) targets one slice of a
 	// large object; the slice is a first-class object to the protocol, so
-	// rewrite the identity and proceed exactly as for any other object.
+	// rewrite the identity and proceed exactly as for any other object —
+	// except in matters of freshness, which stay the base object's: writers
+	// name the base, so generations and floors are read under base.
 	seg, segErr := parseSegmentRequest(r.Header)
 	if segErr != nil {
 		n.badSegment.Add(1)
 		http.Error(w, segErr.Error(), http.StatusBadRequest)
 		return
 	}
+	base := obj
 	if seg.on {
-		obj = store.SegmentID(obj, seg.idx)
+		obj = store.SegmentID(base, seg.idx)
 	}
 
 	// The request's read floor (ModeCAS: the generation the response must
-	// meet or beat). Malformed: counted, then zero-defaulted explicitly —
-	// a garbled floor weakens freshness, never availability.
+	// meet or beat) — or, on a segment request, the generation its
+	// reassembly pinned, which a copy must equal (servable). Malformed:
+	// counted, then zero-defaulted explicitly — a garbled floor weakens
+	// freshness, never availability.
 	floor, okGen := parseGen(r.Header.Get(HeaderGen))
 	if !okGen {
 		n.badGen.Add(1)
@@ -576,6 +594,10 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		defer func() { n.tracer.Collect(tsp, n.Clock(), n.ringOf) }()
 	}
 
+	// A reassembly whose pinned generation was overtaken before its first
+	// payload byte starts the GET over from here, its marker forgotten.
+	restarts := 0
+lookup:
 	// ---- Local hit? ----
 	n.mu.Lock()
 	// Draining or departed: pure relay, no protocol participation. The
@@ -585,19 +607,38 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// hop — so it forwards the incoming context unchanged (passThrough).
 	if n.member != controlplane.Active {
 		n.mu.Unlock()
-		n.passThrough(w, r, entries, spanCtx)
+		n.passThrough(w, r, entries, spanCtx, restarts)
 		return
 	}
 	lk := tsp.Start(span.PhaseLookup, n.ID, hop, parent, now)
+	if hop == 0 && !seg.on {
+		// A large object this client-facing node has reassembled before?
+		// While the remembered marker is not below the read floor (nor past
+		// the freshness budget) the segment requests start at once; a stale
+		// one is dropped and the GET walks upstream for its successor.
+		if m, ok := n.markers[base]; ok {
+			if m.gen >= n.readFloor(base, floor) && !(n.TTL > 0 && now-m.fetched > n.TTL) {
+				n.mu.Unlock()
+				tsp.End(lk, n.Clock())
+				if n.serveSegmented(w, r, base, m, true, restarts, tsp) {
+					restarts++
+					goto lookup
+				}
+				return
+			}
+			delete(n.markers, base)
+		}
+	}
 	if n.st.Contains(obj) {
 		body, meta, okBody := n.bodies.GetMemory(obj)
 		stale := n.TTL > 0 && now-meta.Fetched > n.TTL
-		readFloor := n.readFloor(obj, floor)
+		readFloor := n.readFloor(base, floor)
 		switch {
-		case okBody && meta.Gen < readFloor:
+		case okBody && !servable(meta.Gen, readFloor, seg, floor):
 			// The generation floor moved past this copy (an applied
-			// invalidation, or the request's CAS floor): the bytes are
-			// history, not merely old, so no revalidation can resurrect
+			// invalidation, or the request's CAS floor), or it is a segment
+			// at another generation than its reassembly pinned: the bytes
+			// are history, not merely old, so no revalidation can resurrect
 			// them. Self-heal to a miss — demote the descriptor, drop the
 			// payload — and refetch at the current generation.
 			n.st.Demote(obj, now)
@@ -640,10 +681,11 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// upstream fetch and promote the copy behind a fresh insertion. ----
 	if dbody, dmeta, src := n.bodies.Get(obj); src == store.SrcDisk {
 		serveDisk := true
-		if fl := n.readFloor(obj, floor); dmeta.Gen < fl {
+		if fl := n.readFloor(base, floor); !servable(dmeta.Gen, fl, seg, floor) {
 			// The store's MinGen oracle already screens spill files against
-			// the node floor; the request's CAS floor can sit above it, so
-			// it is enforced here. Either way the copy is history.
+			// the node floor; the request's CAS floor can sit above it, a
+			// segment's floor is its base's and its pin is exact, so all
+			// three are enforced here. Either way the copy is history.
 			n.bodies.Delete(obj)
 			n.recordStaleHit(obj, dmeta.Gen, fl, false, now)
 			tsp.Force(span.FlagStale)
@@ -655,7 +697,7 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			serveDisk = false
 		}
 		if serveDisk {
-			out, victims := n.st.Promote(obj, int64(len(dbody)), dmeta.Gen, now, nil)
+			out, victims := n.st.PromoteUnder(obj, base, int64(len(dbody)), dmeta.Gen, now, nil)
 			if out.Stale {
 				// The engine's backstop: the node floor moved between the
 				// disk read and the promote. Not servable.
@@ -710,18 +752,13 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writePath(up.Header, append(entries, entry), tsp.Ctx(upsp))
-	if fl := n.readFloor(obj, floor); fl > 0 {
+	if seg.on {
+		forwardSegment(up.Header, r.Header)
+	} else if fl := n.readFloor(base, floor); fl > 0 {
 		// Forward the read floor, raised to this node's own: an upstream
 		// hit may not serve below what any hop on the path knows to be
 		// invalidated.
 		up.Header.Set(HeaderGen, strconv.FormatUint(fl, 10))
-	}
-	if seg.on {
-		// Segment identity travels as the original Range plus the segment
-		// header, so every hop (and the origin) derives the same
-		// store.SegmentID.
-		up.Header.Set(HeaderSegment, r.Header.Get(HeaderSegment))
-		up.Header.Set("Range", r.Header.Get("Range"))
 	}
 
 	resp, err := n.fetchUpstream(up)
@@ -737,21 +774,33 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer resp.Body.Close()
-	if marker := resp.Header.Get(HeaderSegmented); marker != "" && !seg.on && resp.StatusCode == http.StatusOK {
+	if resp.Header.Get(HeaderSegmented) != "" && !seg.on && resp.StatusCode == http.StatusOK {
 		// The upstream declared the object segmented (bodiless marker, no
 		// placement anywhere — the base identity carries no protocol
-		// state). A mid-chain hop relays the marker toward the client; the
-		// client-facing hop (empty incoming path) fans out the per-segment
-		// Range requests through its own protocol stack and reassembles.
+		// state). A mid-chain hop relays the marker and its generation
+		// toward the client; the client-facing hop (empty incoming path)
+		// validates and remembers them, fans out the per-segment Range
+		// requests through its own protocol stack and reassembles.
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck
 		tsp.End(upsp, n.Clock())
-		if len(entries) > 0 {
-			w.Header().Set(HeaderSegmented, marker)
-			w.Header().Set(HeaderHit, resp.Header.Get(HeaderHit))
-			w.Header().Set("Content-Length", "0")
+		if hop > 0 {
+			relayMarker(w.Header(), resp.Header)
 			return
 		}
-		n.serveSegmented(w, r, marker)
+		m, ok := n.acceptMarker(w, resp.Header, n.Clock())
+		if !ok {
+			tsp.Force(span.FlagError)
+			return
+		}
+		n.mu.Lock()
+		if n.member == controlplane.Active {
+			n.rememberMarker(base, m)
+		}
+		n.mu.Unlock()
+		if n.serveSegmented(w, r, base, m, false, restarts, tsp) {
+			restarts++
+			goto lookup
+		}
 		return
 	}
 	if resp.StatusCode != http.StatusOK && !(seg.on && resp.StatusCode == http.StatusPartialContent) {
@@ -840,7 +889,7 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if term, ok := predictFor(dec.predict, n.ID); ok {
 		n.ledger.RecordPrediction(n.ID, term)
 	}
-	res, evicted := n.st.DownStep(obj, int64(len(body)), true, mp, dec.gen, -1, now, nil)
+	res, evicted := n.st.DownStepUnder(obj, base, int64(len(body)), true, mp, dec.gen, now, nil)
 	tsp.Annotate(dn, mp, float64(len(evicted)), span.DownOutcome(res.Placed, res.PlaceFailed))
 	n.auditor.CheckPenaltyStep(n.ID, obj, -1, prev, mp, res.MP, res.Placed)
 	if res.Placed {
@@ -935,8 +984,7 @@ func (n *Node) revalidate(w http.ResponseWriter, r *http.Request, obj model.Obje
 		up.Header.Set("If-None-Match", tag)
 	}
 	if seg.on {
-		up.Header.Set(HeaderSegment, r.Header.Get(HeaderSegment))
-		up.Header.Set("Range", r.Header.Get("Range"))
+		forwardSegment(up.Header, r.Header)
 	}
 	resp, err := n.fetchUpstream(up)
 	if err != nil {
@@ -1015,11 +1063,13 @@ func (n *Node) serveStats(w http.ResponseWriter) {
 	badHeaders := n.badPenalty.Load() + n.badSegment.Load() + n.badGen.Load() + n.badInval.Load() + n.badPath.Load()
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w,
-		"{\"node\":%d,\"upstream\":%q,\"membership\":%q,\"health\":%q,\"upstream_health\":%q,\"epoch\":%d,\"shards\":%d,\"hits\":%d,\"misses\":%d,\"inserts\":%d,\"revalidations\":%d,\"objects\":%d,\"used_bytes\":%d,\"capacity_bytes\":%d,\"dcache_descriptors\":%d,\"retries\":%d,\"breaker_state\":%q,\"breaker_opens\":%d,\"degraded\":%d,\"spill_objects\":%d,\"spill_used_bytes\":%d,\"spill_bytes_total\":%d,\"spill_hits\":%d,\"promotions\":%d,\"bad_headers\":%d}\n",
+		"{\"node\":%d,\"upstream\":%q,\"membership\":%q,\"health\":%q,\"upstream_health\":%q,\"epoch\":%d,\"shards\":%d,\"hits\":%d,\"misses\":%d,\"inserts\":%d,\"revalidations\":%d,\"objects\":%d,\"used_bytes\":%d,\"capacity_bytes\":%d,\"dcache_descriptors\":%d,\"retries\":%d,\"breaker_state\":%q,\"breaker_opens\":%d,\"degraded\":%d,\"spill_objects\":%d,\"spill_used_bytes\":%d,\"spill_bytes_total\":%d,\"spill_hits\":%d,\"promotions\":%d,\"bad_headers\":%d,\"reassembly\":{\"ok\":%d,\"marker_hit\":%d,\"restarted\":%d,\"truncated\":%d,\"refused\":%d}}\n",
 		n.ID, n.Upstream, member.String(), health.String(), upHealth.String(), epoch, shards,
 		hits, misses, inserts, revs, objects, used, capacity, descs,
 		retries, state.String(), opens, degraded,
-		bs.DiskObjects, bs.DiskBytes, bs.SpillBytesTotal, spillHits, promotions, badHeaders)
+		bs.DiskObjects, bs.DiskBytes, bs.SpillBytesTotal, spillHits, promotions, badHeaders,
+		n.reassembly[reassemblyOK].Load(), n.reassembly[reassemblyMarkerHit].Load(), n.reassembly[reassemblyRestarted].Load(),
+		n.reassembly[reassemblyTruncated].Load(), n.reassembly[reassemblyRefused].Load())
 }
 
 // Contains reports whether the node currently caches the object.
@@ -1209,12 +1259,21 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	segmented := o.SegmentThreshold > 0 && o.SegmentSize > 0 && size > o.SegmentThreshold
+	// An object that would take more than store.MaxSegments segments is
+	// served whole: no node would accept its marker.
+	segmented := o.SegmentThreshold > 0 && size > o.SegmentThreshold && store.SegmentCount(size, o.SegmentSize) > 0
 	if !seg.on && segmented && r.Header.Get("Range") == "" {
 		// Over-threshold object on a plain GET: answer the bodiless
 		// segmented marker. No decision headers — the base identity takes
-		// no placement; every segment decides for itself.
+		// no placement; every segment decides for itself — but the object's
+		// generation rides along: it is what the reassembly pins its
+		// segments to.
 		w.Header().Set(HeaderSegmented, formatSegmentedMarker(size, o.SegmentSize))
+		if o.Authority != nil {
+			if gen := o.Authority.Gen(baseObj); gen != 0 {
+				w.Header().Set(HeaderGen, strconv.FormatUint(gen, 10))
+			}
+		}
 		w.Header().Set(HeaderHit, "origin")
 		w.Header().Set("Content-Length", "0")
 		return
@@ -1245,7 +1304,7 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "object unreadable", http.StatusInternalServerError)
 			return
 		}
-		w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", lo, hi, size))
+		w.Header().Set("Content-Range", fmtContentRange(lo, hi, size))
 		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 		w.WriteHeader(http.StatusPartialContent)
 		w.Write(body) //nolint:errcheck
@@ -1253,7 +1312,8 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// A protocol object — the whole body, or one segment of a large one:
-	// decide placement on its own identity, attach the validator, serve.
+	// decide placement on its own identity, stamp it with the generation of
+	// the object writers name (the base), attach the validator, serve.
 	lo, hi := int64(0), size-1
 	if seg.on {
 		// Validate that the Range agrees with the declared segment geometry.
@@ -1298,7 +1358,7 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	tsp := o.tracer.Join(spanCtx)
 	chosen, predict := decideObserved(entries, obj, now, o.auditor, model.NoNode, tsp, spanCtx.Parent)
 	o.tracer.Collect(tsp, now, func(model.NodeID) *span.Ring { return o.spans })
-	writeDecision(w.Header(), o.originDecision(obj, chosen, predict))
+	writeDecision(w.Header(), o.originDecision(baseObj, chosen, predict))
 	w.Header().Set(HeaderPenalty, "0")
 	w.Header().Set(HeaderHit, "origin")
 	w.Header().Set("ETag", tag)
@@ -1308,7 +1368,7 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	if seg.on {
-		w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", lo, hi, size))
+		w.Header().Set("Content-Range", fmtContentRange(lo, hi, size))
 		w.WriteHeader(http.StatusPartialContent)
 	}
 	w.Write(body) //nolint:errcheck

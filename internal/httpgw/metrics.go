@@ -83,6 +83,11 @@ func (n *Node) MetricsRegistry() *metrics.Registry {
 		func() float64 { return float64(n.badInval.Load()) }, metrics.L("header", "inval"), nl)
 	r.CounterFunc("cascade_gw_bad_header_total", "Malformed protocol headers received, by header kind.",
 		func() float64 { return float64(n.badPath.Load()) }, metrics.L("header", "path"), nl)
+	for o, name := range reassemblyOutcomeNames {
+		c := &n.reassembly[o]
+		r.CounterFunc("cascade_gw_reassembly_total", "Large-object reassemblies at the client-facing node, by what they did.",
+			func() float64 { return float64(c.Load()) }, metrics.L("outcome", name), nl)
+	}
 	n.reqHist = r.Summary("cascade_gw_request_seconds",
 		"Wall-clock latency of data-path requests at this node, all outcomes.", nl)
 

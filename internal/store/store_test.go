@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -304,6 +305,11 @@ func TestSyntheticRangeMatchesBody(t *testing.T) {
 func TestSegmentIdentity(t *testing.T) {
 	if SegmentCount(10000, 4096) != 3 || SegmentCount(4096, 4096) != 1 || SegmentCount(0, 4096) != 0 {
 		t.Fatal("SegmentCount wrong")
+	}
+	// A peer's numbers: no overflow near MaxInt64, nothing past the cap.
+	if SegmentCount(math.MaxInt64, 2) != 0 || SegmentCount(math.MaxInt64, math.MaxInt64) != 1 ||
+		SegmentCount(MaxSegments*4096, 4096) != MaxSegments || SegmentCount(MaxSegments*4096+1, 4096) != 0 {
+		t.Fatal("SegmentCount overflows or exceeds MaxSegments")
 	}
 	seen := map[model.ObjectID]bool{}
 	for base := model.ObjectID(0); base < 100; base++ {

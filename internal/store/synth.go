@@ -128,10 +128,22 @@ func SegmentID(base model.ObjectID, idx int) model.ObjectID {
 	return model.ObjectID(h >> 1)
 }
 
-// SegmentCount is the number of segSize segments covering total bytes.
+// MaxSegments caps the segments of one large object. A marker's total and
+// segment size are a peer's numbers and their quotient is how many
+// sub-requests a reassembly issues, so every parser that meets segment
+// geometry refuses more than this (64 Ki segments: 16 GiB at the usual
+// 256 KiB) and an origin asked to cut finer serves the object whole.
+const MaxSegments = 1 << 16
+
+// SegmentCount is the number of segSize segments covering total bytes,
+// computed without the total+segSize sum that overflows for totals near
+// MaxInt64; 0 for a non-positive argument or a count beyond MaxSegments.
 func SegmentCount(total, segSize int64) int {
 	if segSize <= 0 || total <= 0 {
 		return 0
 	}
-	return int((total + segSize - 1) / segSize)
+	if n := (total-1)/segSize + 1; n <= MaxSegments {
+		return int(n)
+	}
+	return 0
 }
