@@ -93,14 +93,19 @@ observe:
 # against the eviction heap: any byte string decodes to a HeapStore op
 # sequence whose victim order, CostLoss values and keys must match a
 # full-sort reference, then ten against the payload generator: any (obj,
-# size, lo, hi) must yield the bytes of the serial recurrence (minimization
-# is capped: by default the fuzzer spends up to a minute shrinking each
-# coverage-expanding input, here the whole smoke).
+# size, lo, hi) must yield the bytes of the serial recurrence, then ten
+# against the fused upstream step: any byte string decodes to get / place /
+# pass / invalidate / expire ops, in every coherency mode, on which
+# NodeState.UpStep must leave results, both stores and every metric exactly
+# as LookupFresh followed by UpMiss does (minimization is capped: by default
+# the fuzzer spends up to a minute shrinking each coverage-expanding input,
+# here the whole smoke).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWireText -fuzztime 10s -fuzzminimizetime 20x ./internal/httpgw/
 	$(GO) test -run '^$$' -fuzz FuzzSegmentHeaders -fuzztime 10s -fuzzminimizetime 20x ./internal/httpgw/
 	$(GO) test -run '^$$' -fuzz FuzzHeapStoreOps -fuzztime 10s -fuzzminimizetime 20x ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzSyntheticRange -fuzztime 10s -fuzzminimizetime 20x ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzUpStep -fuzztime 10s -fuzzminimizetime 20x ./internal/engine/
 
 vet:
 	$(GO) vet ./...
@@ -123,11 +128,13 @@ race:
 
 # The race detector makes sync.Pool drop entries, so TestHotPathAllocs (0
 # allocs/op on the simulator and cluster hot paths) skips itself under
-# `race`, and so does TestReassemblyAllocs (a cached 1 MiB object served
-# from four segment hits allocates < 64 KiB); this runs them without.
+# `race`, and so do TestReassemblyAllocs (a cached 1 MiB object served
+# from four segment hits allocates < 64 KiB) and TestFrontNodeHitAllocs (a
+# hit at the client-facing node allocates its response header values and
+# nothing for the empty decision it carries); this runs them without.
 allocs:
 	$(GO) test -count=1 -run '^TestHotPathAllocs$$' .
-	$(GO) test -count=1 -run '^TestReassemblyAllocs$$' ./internal/httpgw/
+	$(GO) test -count=1 -run '^(TestReassemblyAllocs|TestFrontNodeHitAllocs)$$' ./internal/httpgw/
 
 # Live SLO gate: cascademon (the federating monitor console) watches an
 # in-process origin → 3-gateway chain under closed-loop load and must pass

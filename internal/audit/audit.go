@@ -30,7 +30,10 @@
 //
 // All checks are safe for concurrent use: counters are atomic and the
 // samplers use atomic state, so one Auditor can serve every node of a
-// concurrent transport.
+// concurrent transport. A transport that runs several checks per request
+// counts them in a request-local Tally and adds it to the shared counters
+// once (Publish), so the per-invariant check counters are not a word every
+// hop of every request writes.
 package audit
 
 import (
@@ -104,6 +107,13 @@ const (
 	relEpsBenefit    = 1e-9
 	relEpsOptimality = 1e-6
 )
+
+// Tally holds evaluated-check counts that have not reached an Auditor's
+// shared counters yet. Every Check method takes one: nil counts the check at
+// once; a request that owns a Tally passes it to each check it runs and
+// calls Publish before it returns. Violations are never deferred. The zero
+// value is empty; a Tally is not safe for concurrent use.
+type Tally [numInvariants]int64
 
 // Auditor evaluates the invariants and accounts the results. The zero value
 // is not usable; construct with New. A nil *Auditor disables every check
@@ -202,6 +212,30 @@ func (a *Auditor) TotalViolations() int64 {
 	return total
 }
 
+// Publish adds a request's tallied checks to the shared counters and empties
+// the tally. Nil-safe on both.
+func (a *Auditor) Publish(t *Tally) {
+	if a == nil || t == nil {
+		return
+	}
+	for iv, n := range t {
+		if n != 0 {
+			a.checks[iv].Add(n)
+			t[iv] = 0
+		}
+	}
+}
+
+// count books one evaluated check: in the caller's tally when it keeps one,
+// on the shared counter otherwise.
+func (a *Auditor) count(t *Tally, iv Invariant) {
+	if t != nil {
+		t[iv]++
+		return
+	}
+	a.checks[iv].Inc()
+}
+
 func (a *Auditor) violate(v Violation) {
 	a.violations[v.Invariant].Inc()
 	if fn, ok := a.onViolation.Load().(func(Violation)); ok {
@@ -212,11 +246,11 @@ func (a *Auditor) violate(v Violation) {
 // CheckLocalBenefit verifies Theorem 2 on one chosen placement: the node's
 // f·m must cover its eviction cost loss l. f, m and l are the values the DP
 // consumed (post clamping). Nil-safe.
-func (a *Auditor) CheckLocalBenefit(node model.NodeID, obj model.ObjectID, hop int, f, m, l, now float64) {
+func (a *Auditor) CheckLocalBenefit(t *Tally, node model.NodeID, obj model.ObjectID, hop int, f, m, l, now float64) {
 	if a == nil {
 		return
 	}
-	a.checks[LocalBenefit].Inc()
+	a.count(t, LocalBenefit)
 	fm := f * m
 	// Relative epsilon on the larger magnitude absorbs the DP's different
 	// association order; the absolute floor covers l ≈ 0.
@@ -250,11 +284,11 @@ func (a *Auditor) ShouldSpotCheck(n int) bool {
 // the DP's gain must match the best gain over all 2^n placements of path.
 // Call only when ShouldSpotCheck granted the sample; path must be ≤ the
 // configured maxN (the oracle is exponential). Nil-safe.
-func (a *Auditor) SpotCheckDP(node model.NodeID, obj model.ObjectID, path []PathPoint, dpGain, now float64) {
+func (a *Auditor) SpotCheckDP(t *Tally, node model.NodeID, obj model.ObjectID, path []PathPoint, dpGain, now float64) {
 	if a == nil || len(path) == 0 {
 		return
 	}
-	a.checks[DPOptimality].Inc()
+	a.count(t, DPOptimality)
 	best := bruteForceGain(path)
 	tol := relEpsOptimality*math.Max(math.Abs(best), math.Abs(dpGain)) + 1e-12
 	if math.Abs(best-dpGain) > tol {
@@ -296,11 +330,11 @@ func bruteForceGain(path []PathPoint) float64 {
 // store's own cached values at commit time, so the comparison is exact —
 // the lazy re-key machinery guarantees equality of cached and effective
 // keys at selection. Nil-safe.
-func (a *Auditor) CheckEvictionOrder(node model.NodeID, obj model.ObjectID, maxVictimKey, minRetainedKey, now float64) {
+func (a *Auditor) CheckEvictionOrder(t *Tally, node model.NodeID, obj model.ObjectID, maxVictimKey, minRetainedKey, now float64) {
 	if a == nil {
 		return
 	}
-	a.checks[EvictionOrder].Inc()
+	a.count(t, EvictionOrder)
 	if maxVictimKey > minRetainedKey {
 		a.violate(Violation{Invariant: EvictionOrder, Node: node, Obj: obj, Hop: -1, Got: maxVictimKey, Want: minRetainedKey, Now: now})
 	}
@@ -313,11 +347,11 @@ func (a *Auditor) CheckEvictionOrder(node model.NodeID, obj model.ObjectID, maxV
 // here. The counter must be non-negative, non-decreasing between caching
 // points, reset to exactly zero at a placement, and pass through unchanged
 // otherwise. Nil-safe.
-func (a *Auditor) CheckPenaltyStep(node model.NodeID, obj model.ObjectID, hop int, prev, incoming, outgoing float64, placed bool) {
+func (a *Auditor) CheckPenaltyStep(t *Tally, node model.NodeID, obj model.ObjectID, hop int, prev, incoming, outgoing float64, placed bool) {
 	if a == nil {
 		return
 	}
-	a.checks[MissPenalty].Inc()
+	a.count(t, MissPenalty)
 	switch {
 	case prev < 0 || incoming < 0 || outgoing < 0:
 		a.violate(Violation{Invariant: MissPenalty, Node: node, Obj: obj, Hop: hop, Got: math.Min(math.Min(prev, incoming), outgoing), Want: 0})

@@ -10,14 +10,14 @@ import (
 func TestCheckLocalBenefit(t *testing.T) {
 	a := New(nil)
 	// Clearly beneficial: f·m = 0.5·10 = 5 ≥ l = 1.
-	a.CheckLocalBenefit(1, 7, 0, 0.5, 10, 1, 0)
+	a.CheckLocalBenefit(nil, 1, 7, 0, 0.5, 10, 1, 0)
 	if a.Violations(LocalBenefit) != 0 || a.Checks(LocalBenefit) != 1 {
 		t.Fatalf("benefit check miscounted: v=%d c=%d", a.Violations(LocalBenefit), a.Checks(LocalBenefit))
 	}
 	// Clearly violating: f·m = 0.1·1 < l = 5.
 	var got Violation
 	a.SetOnViolation(func(v Violation) { got = v })
-	a.CheckLocalBenefit(2, 9, 3, 0.1, 1, 5, 42)
+	a.CheckLocalBenefit(nil, 2, 9, 3, 0.1, 1, 5, 42)
 	if a.Violations(LocalBenefit) != 1 {
 		t.Fatal("violation not counted")
 	}
@@ -27,7 +27,7 @@ func TestCheckLocalBenefit(t *testing.T) {
 	}
 	// Reassociation noise within the relative epsilon must not fire.
 	fm := 0.3 * 7.0
-	a.CheckLocalBenefit(1, 7, 0, 0.3, 7, fm*(1+1e-12), 0)
+	a.CheckLocalBenefit(nil, 1, 7, 0, 0.3, 7, fm*(1+1e-12), 0)
 	if a.Violations(LocalBenefit) != 1 {
 		t.Fatal("epsilon-scale difference fired the check")
 	}
@@ -55,11 +55,11 @@ func TestBruteForceGain(t *testing.T) {
 func TestSpotCheckDP(t *testing.T) {
 	a := New(nil)
 	path := []PathPoint{{Freq: 2, MissPenalty: 3, CostLoss: 1}, {Freq: 1, MissPenalty: 5, CostLoss: 2}}
-	a.SpotCheckDP(0, 1, path, 5, 0) // matches the oracle
+	a.SpotCheckDP(nil, 0, 1, path, 5, 0) // matches the oracle
 	if a.Violations(DPOptimality) != 0 || a.Checks(DPOptimality) != 1 {
 		t.Fatalf("matching DP flagged: v=%d", a.Violations(DPOptimality))
 	}
-	a.SpotCheckDP(0, 1, path, 4.5, 0) // sub-optimal claim
+	a.SpotCheckDP(nil, 0, 1, path, 4.5, 0) // sub-optimal claim
 	if a.Violations(DPOptimality) != 1 {
 		t.Fatal("sub-optimal DP gain not flagged")
 	}
@@ -89,12 +89,12 @@ func TestShouldSpotCheckSampling(t *testing.T) {
 
 func TestCheckEvictionOrder(t *testing.T) {
 	a := New(nil)
-	a.CheckEvictionOrder(0, 1, 2.0, 2.0, 0) // boundary: equal keys are legal
-	a.CheckEvictionOrder(0, 1, 1.0, 3.0, 0)
+	a.CheckEvictionOrder(nil, 0, 1, 2.0, 2.0, 0) // boundary: equal keys are legal
+	a.CheckEvictionOrder(nil, 0, 1, 1.0, 3.0, 0)
 	if a.Violations(EvictionOrder) != 0 {
 		t.Fatal("legal victim sets flagged")
 	}
-	a.CheckEvictionOrder(0, 1, 3.0, 2.0, 0) // victim outranks a retained entry
+	a.CheckEvictionOrder(nil, 0, 1, 3.0, 2.0, 0) // victim outranks a retained entry
 	if a.Violations(EvictionOrder) != 1 {
 		t.Fatal("out-of-order eviction not flagged")
 	}
@@ -116,7 +116,7 @@ func TestCheckPenaltyStep(t *testing.T) {
 	}
 	for _, tc := range cases {
 		a := New(nil)
-		a.CheckPenaltyStep(0, 1, 0, tc.prev, tc.incoming, tc.outgoing, tc.placed)
+		a.CheckPenaltyStep(nil, 0, 1, 0, tc.prev, tc.incoming, tc.outgoing, tc.placed)
 		if got := a.Violations(MissPenalty) != 0; got != tc.bad {
 			t.Errorf("%s: violation=%v want %v", tc.name, got, tc.bad)
 		}
@@ -127,10 +127,10 @@ func TestNilAuditorSafe(t *testing.T) {
 	var a *Auditor
 	a.SetOnViolation(func(Violation) { t.Fatal("sink on nil auditor") })
 	a.SetSpotCheck(1, 4)
-	a.CheckLocalBenefit(0, 1, 0, 0, 1, 5, 0)
-	a.SpotCheckDP(0, 1, []PathPoint{{Freq: 1, MissPenalty: 1}}, -1, 0)
-	a.CheckEvictionOrder(0, 1, 5, 1, 0)
-	a.CheckPenaltyStep(0, 1, 0, -1, -1, -1, false)
+	a.CheckLocalBenefit(nil, 0, 1, 0, 0, 1, 5, 0)
+	a.SpotCheckDP(nil, 0, 1, []PathPoint{{Freq: 1, MissPenalty: 1}}, -1, 0)
+	a.CheckEvictionOrder(nil, 0, 1, 5, 1, 0)
+	a.CheckPenaltyStep(nil, 0, 1, 0, -1, -1, -1, false)
 	if a.ShouldSpotCheck(1) {
 		t.Fatal("nil auditor granted a spot check")
 	}
@@ -142,7 +142,7 @@ func TestNilAuditorSafe(t *testing.T) {
 func TestRegisteredSeries(t *testing.T) {
 	reg := metrics.NewRegistry()
 	a := New(reg, metrics.L("node", "3"))
-	a.CheckLocalBenefit(3, 1, 0, 0.1, 1, 5, 0) // one violation
+	a.CheckLocalBenefit(nil, 3, 1, 0, 0.1, 1, 5, 0) // one violation
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -242,12 +242,12 @@ func TestSpotCheckTolerance(t *testing.T) {
 	path := []PathPoint{{Freq: 1e6, MissPenalty: 1e3, CostLoss: 1}}
 	best := bruteForceGain(path)
 	// A relative wobble far under the epsilon must pass.
-	a.SpotCheckDP(0, 1, path, best*(1+1e-9), 0)
+	a.SpotCheckDP(nil, 0, 1, path, best*(1+1e-9), 0)
 	if a.Violations(DPOptimality) != 0 {
 		t.Fatal("relative tolerance too tight")
 	}
 	// A real gap at the same magnitude must fail.
-	a.SpotCheckDP(0, 1, path, best*(1-1e-3), 0)
+	a.SpotCheckDP(nil, 0, 1, path, best*(1-1e-3), 0)
 	if a.Violations(DPOptimality) != 1 {
 		t.Fatal("real optimality gap not flagged")
 	}

@@ -3,6 +3,7 @@ package audit
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"cascade/internal/metrics"
 	"cascade/internal/model"
@@ -25,10 +26,23 @@ import (
 // mispredicted). docs/OBSERVABILITY.md discusses reading them together.
 //
 // A nil *Ledger disables all accounting (methods are nil-safe). A Ledger is
-// safe for concurrent use.
+// safe for concurrent use, and records at different nodes share no lock:
+// each node's account has its own mutex, reached through a copy-on-write
+// table that only the first record at a node rewrites. Node and Snapshot
+// read each account atomically; Totals and Snapshot read the accounts one
+// after another, so under concurrent records they are sums of per-node
+// states taken at slightly different instants.
 type Ledger struct {
-	mu    sync.Mutex
-	nodes map[model.NodeID]*NodeAccount
+	grow  sync.Mutex // serializes table growth (a node's first record)
+	table atomic.Pointer[map[model.NodeID]*account]
+}
+
+// account is one node's state behind the node's own lock. With the mutex a
+// NodeAccount fills a 64-byte allocation, so two nodes' accounts never
+// share a cache line.
+type account struct {
+	mu sync.Mutex
+	NodeAccount
 }
 
 // NodeAccount is one node's accumulated ledger state.
@@ -51,16 +65,36 @@ type NodeAccount struct {
 }
 
 // NewLedger returns an empty ledger.
-func NewLedger() *Ledger {
-	return &Ledger{nodes: make(map[model.NodeID]*NodeAccount)}
+func NewLedger() *Ledger { return &Ledger{} }
+
+// lookup returns node's account, nil when nothing was ever recorded there.
+func (l *Ledger) lookup(node model.NodeID) *account {
+	if t := l.table.Load(); t != nil {
+		return (*t)[node]
+	}
+	return nil
 }
 
-func (l *Ledger) account(node model.NodeID) *NodeAccount {
-	acc, ok := l.nodes[node]
-	if !ok {
-		acc = &NodeAccount{Node: node}
-		l.nodes[node] = acc
+// account returns node's account, publishing a table that has it on the
+// node's first record.
+func (l *Ledger) account(node model.NodeID) *account {
+	if acc := l.lookup(node); acc != nil {
+		return acc
 	}
+	l.grow.Lock()
+	defer l.grow.Unlock()
+	next := map[model.NodeID]*account{}
+	if t := l.table.Load(); t != nil {
+		if acc := (*t)[node]; acc != nil {
+			return acc
+		}
+		for id, a := range *t {
+			next[id] = a
+		}
+	}
+	acc := &account{NodeAccount: NodeAccount{Node: node}}
+	next[node] = acc
+	l.table.Store(&next)
 	return acc
 }
 
@@ -70,11 +104,11 @@ func (l *Ledger) RecordPrediction(node model.NodeID, term float64) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
 	acc := l.account(node)
+	acc.mu.Lock()
 	acc.PredictedGain += term
 	acc.Predictions++
-	l.mu.Unlock()
+	acc.mu.Unlock()
 }
 
 // RecordPlacement books the apply-time outcome of one instructed placement.
@@ -83,14 +117,14 @@ func (l *Ledger) RecordPlacement(node model.NodeID, ok bool) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
 	acc := l.account(node)
+	acc.mu.Lock()
 	if ok {
 		acc.Placements++
 	} else {
 		acc.PlaceFailures++
 	}
-	l.mu.Unlock()
+	acc.mu.Unlock()
 }
 
 // RecordHit books one hit served by a cached copy at node, avoiding the
@@ -99,11 +133,11 @@ func (l *Ledger) RecordHit(node model.NodeID, avoidedPenalty float64) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
 	acc := l.account(node)
+	acc.mu.Lock()
 	acc.RealizedSavings += avoidedPenalty
 	acc.Hits++
-	l.mu.Unlock()
+	acc.mu.Unlock()
 }
 
 // Node returns a copy of one node's account (zero value if unseen).
@@ -112,12 +146,13 @@ func (l *Ledger) Node(node model.NodeID) NodeAccount {
 	if l == nil {
 		return NodeAccount{Node: node}
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if acc, ok := l.nodes[node]; ok {
-		return *acc
+	acc := l.lookup(node)
+	if acc == nil {
+		return NodeAccount{Node: node}
 	}
-	return NodeAccount{Node: node}
+	acc.mu.Lock()
+	defer acc.mu.Unlock()
+	return acc.NodeAccount
 }
 
 // Snapshot returns a copy of every node's account, sorted by node ID.
@@ -126,12 +161,14 @@ func (l *Ledger) Snapshot() []NodeAccount {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	out := make([]NodeAccount, 0, len(l.nodes))
-	for _, acc := range l.nodes {
-		out = append(out, *acc)
+	out := []NodeAccount{}
+	if t := l.table.Load(); t != nil {
+		for _, acc := range *t {
+			acc.mu.Lock()
+			out = append(out, acc.NodeAccount)
+			acc.mu.Unlock()
+		}
 	}
-	l.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
 	return out
 }
@@ -139,12 +176,7 @@ func (l *Ledger) Snapshot() []NodeAccount {
 // Totals sums every node's account (Node is model.NoNode). Nil-safe.
 func (l *Ledger) Totals() NodeAccount {
 	t := NodeAccount{Node: model.NoNode}
-	if l == nil {
-		return t
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, acc := range l.nodes {
+	for _, acc := range l.Snapshot() {
 		t.PredictedGain += acc.PredictedGain
 		t.RealizedSavings += acc.RealizedSavings
 		t.Predictions += acc.Predictions

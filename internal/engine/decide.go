@@ -24,9 +24,17 @@ type DecideOptions struct {
 	// benefit on every chosen candidate, plus sampled DP-vs-exhaustive
 	// optimality spot checks. Nil disables.
 	Audit *audit.Auditor
+	// Checks is where the decision's audit checks are counted: the
+	// request's tally, or nil to count them on Audit at once.
+	Checks *audit.Tally
 	// Ledger optionally books the DP's predicted Δcost term per chosen
 	// candidate. Nil disables.
 	Ledger *audit.Ledger
+	// Predicted optionally receives those same terms — one Prediction per
+	// chosen candidate, appended in the DP's order (serving side first) —
+	// for a decision site that cannot reach the chosen nodes' ledgers and
+	// ships the claims to them instead. Nil disables.
+	Predicted *[]Prediction
 	// Obj and Now give the audit and ledger hooks request context; unused
 	// when both are nil (Now also timestamps the decide span).
 	Obj model.ObjectID
@@ -38,6 +46,14 @@ type DecideOptions struct {
 	// the decide phase lands in the span tree uniformly. Nil disables.
 	Span       *span.Trace
 	SpanParent span.SpanID
+}
+
+// Prediction is the DP's claim for one chosen candidate: placing at Node
+// reduces the path's access cost rate by Term = (f_i − f_{i+1})·m_i − l_i
+// (§2.1), on the values the DP consumed (post clamping).
+type Prediction struct {
+	Node model.NodeID
+	Term float64
 }
 
 // ServePoint identifies where the decision runs: the serving hop and node
@@ -106,26 +122,30 @@ func (d *Decider) Decide(cands []Candidate, opts DecideOptions, at ServePoint) [
 	pl := d.opt.Optimize(problem)
 	opts.Span.Annotate(dsp, pl.Gain, 0, len(pl.Indices))
 
-	if opts.Audit != nil || opts.Ledger != nil {
+	if opts.Audit != nil || opts.Ledger != nil || opts.Predicted != nil {
 		// Verify and account the decision against the values the DP
 		// actually consumed (post clamping). pl.Indices ascend over the
 		// DP input, which is the paper's order — index 0 nearest the
 		// serving node — so the next chosen index holds f_{v_{i+1}}.
 		for j, idx := range pl.Indices {
 			nd := problem[idx]
-			opts.Audit.CheckLocalBenefit(d.nodes[idx], opts.Obj, d.hops[idx], nd.Freq, nd.MissPenalty, nd.CostLoss, opts.Now)
+			opts.Audit.CheckLocalBenefit(opts.Checks, d.nodes[idx], opts.Obj, d.hops[idx], nd.Freq, nd.MissPenalty, nd.CostLoss, opts.Now)
 			fNext := 0.0
 			if j+1 < len(pl.Indices) {
 				fNext = problem[pl.Indices[j+1]].Freq
 			}
-			opts.Ledger.RecordPrediction(d.nodes[idx], (nd.Freq-fNext)*nd.MissPenalty-nd.CostLoss)
+			term := (nd.Freq-fNext)*nd.MissPenalty - nd.CostLoss
+			opts.Ledger.RecordPrediction(d.nodes[idx], term)
+			if opts.Predicted != nil {
+				*opts.Predicted = append(*opts.Predicted, Prediction{Node: d.nodes[idx], Term: term})
+			}
 		}
 		if opts.Audit.ShouldSpotCheck(len(problem)) {
 			var pts [16]audit.PathPoint
 			for i, nd := range problem {
 				pts[i] = audit.PathPoint{Freq: nd.Freq, MissPenalty: nd.MissPenalty, CostLoss: nd.CostLoss}
 			}
-			opts.Audit.SpotCheckDP(at.Node, opts.Obj, pts[:len(problem)], pl.Gain, opts.Now)
+			opts.Audit.SpotCheckDP(opts.Checks, at.Node, opts.Obj, pts[:len(problem)], pl.Gain, opts.Now)
 		}
 	}
 

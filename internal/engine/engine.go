@@ -8,10 +8,12 @@
 //
 // The protocol per request:
 //
-//   - Upstream pass: NodeState.Lookup probes each cache for the object; the
-//     first hit is the serving node. NodeState.UpMiss performs the miss-side
-//     bookkeeping (d-cache access history) and emits the hop's Candidate —
-//     the piggybacked (f, l) record, or the §2.4 "no descriptor" tag.
+//   - Upstream pass: NodeState.UpStep probes each cache for the object; the
+//     first hit is the serving node. On a miss the same step performs the
+//     miss-side bookkeeping (d-cache access history) and emits the hop's
+//     Candidate — the piggybacked (f, l) record, or the §2.4 "no descriptor"
+//     tag. Lookup/LookupFresh and UpMiss are its two halves, for a transport
+//     with work between them (a disk tier to try, a body store to check).
 //   - Decision: Decider.Decide reconstructs each candidate's miss penalty
 //     m from the accumulated link costs, optionally prunes locally
 //     non-beneficial candidates (Theorem 2) and restores the monotone
@@ -166,22 +168,39 @@ func (st *NodeState) Lookup(obj model.ObjectID, now float64) bool {
 // the object's size on the way up (the HTTP gateway); the descriptor's
 // recorded size is used instead.
 func (st *NodeState) UpMiss(obj model.ObjectID, size int64, hop int, link float64, now float64) Candidate {
-	st.DCache.RecordAccess(obj, now)
 	c := Candidate{Hop: hop, Node: st.Node, Tag: TagNoDescriptor, Link: link}
-	if d := st.DCache.Get(obj); d != nil {
-		if size <= 0 {
-			size = d.Size
-		}
-		c.Gen = d.Gen
-		if loss, ok := st.Store.CostLoss(size, now); !ok {
-			c.Tag = TagCannotFit
-		} else {
-			c.Tag = TagCandidate
-			c.Freq = d.Freq(now)
-			c.CostLoss = loss
-		}
+	// RecordAccess answers whether the descriptor is there, so a node that
+	// knows nothing about the object pays one d-cache probe, not two.
+	if !st.DCache.RecordAccess(obj, now) {
+		return c
+	}
+	d := st.DCache.Get(obj)
+	if size <= 0 {
+		size = d.Size
+	}
+	c.Gen = d.Gen
+	if loss, ok := st.Store.CostLoss(size, now); !ok {
+		c.Tag = TagCannotFit
+	} else {
+		c.Tag = TagCandidate
+		c.Freq = d.Freq(now)
+		c.CostLoss = loss
 	}
 	return c
+}
+
+// UpStep is one hop of the upstream pass in a single call: the
+// freshness-checked probe of LookupFresh and, when it misses, UpMiss's
+// bookkeeping and hop record (meaningful only when the result is not a
+// hit). A stale or expired copy self-heals inside the probe and the miss
+// half then sees its demoted descriptor, exactly as the two calls in
+// sequence would.
+func (st *NodeState) UpStep(obj model.ObjectID, size int64, hop int, link float64, now float64, floor uint64) (LookupResult, Candidate) {
+	res := st.LookupFresh(obj, now, floor)
+	if res.Hit {
+		return res, Candidate{}
+	}
+	return res, st.UpMiss(obj, size, hop, link, now)
 }
 
 // DownResult reports one downstream step's effect.
@@ -213,14 +232,15 @@ type DownResult struct {
 // in flight). Otherwise the node records the passing counter in the
 // object's d-cache descriptor, creating one if needed.
 func (st *NodeState) DownStep(obj model.ObjectID, size int64, place bool, mp float64, gen uint64, now float64) DownResult {
-	return st.DownStepUnder(obj, obj, size, place, mp, gen, now)
+	return st.DownStepUnder(obj, obj, size, place, mp, gen, now, nil)
 }
 
 // DownStepUnder is DownStep for an object whose generation is another
 // identity's: a segment of a large object is placed, evicted and counted
 // under its own identity, but it is written — and invalidated — as part of
-// its base, so the generation guard reads floorObj's floor.
-func (st *NodeState) DownStepUnder(obj, floorObj model.ObjectID, size int64, place bool, mp float64, gen uint64, now float64) DownResult {
+// its base, so the generation guard reads floorObj's floor. checks is where
+// the step's audit checks are counted (nil: on the auditor at once).
+func (st *NodeState) DownStepUnder(obj, floorObj model.ObjectID, size int64, place bool, mp float64, gen uint64, now float64, checks *audit.Tally) DownResult {
 	if place {
 		if st.Coh != nil && st.Coh.Mode().Validates() && gen < st.Coh.Floor(floorObj) {
 			// The copy was invalidated while the response was in flight;
@@ -260,7 +280,7 @@ func (st *NodeState) DownStepUnder(obj, floorObj model.ObjectID, size int64, pla
 				}
 			}
 			if minK, retained := st.Store.MinKeyExcluding(obj); retained {
-				st.Audit.CheckEvictionOrder(st.Node, obj, maxK, minK, now)
+				st.Audit.CheckEvictionOrder(checks, st.Node, obj, maxK, minK, now)
 			}
 		}
 		if st.Ledger != nil {
@@ -278,10 +298,8 @@ func (st *NodeState) DownStepUnder(obj, floorObj model.ObjectID, size int64, pla
 		return DownResult{MP: 0, Placed: true, Evicted: evicted}
 	}
 	// Not instructed to cache: maintain the node's meta information about
-	// the passing object.
-	if st.DCache.Contains(obj) {
-		st.DCache.SetMissPenalty(obj, mp, now)
-	} else {
+	// the passing object. SetMissPenalty answers whether there was any.
+	if !st.DCache.SetMissPenalty(obj, mp, now) {
 		desc := st.newDescriptor(obj, size)
 		desc.Window.Record(now)
 		desc.SetMissPenalty(mp)
@@ -358,7 +376,7 @@ func (st *NodeState) PromoteUnder(obj, floorObj model.ObjectID, size int64, gen 
 			}
 		}
 		if minK, retained := st.Store.MinKeyExcluding(obj); retained {
-			st.Audit.CheckEvictionOrder(st.Node, obj, maxK, minK, now)
+			st.Audit.CheckEvictionOrder(nil, st.Node, obj, maxK, minK, now)
 		}
 	}
 	if st.Flight != nil {

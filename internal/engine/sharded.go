@@ -233,6 +233,17 @@ func (s *Sharded) UpMiss(obj model.ObjectID, size int64, hop int, link float64, 
 	return c
 }
 
+// UpStep runs one hop of the upstream pass under a single acquisition of the
+// owning shard's lock (see NodeState.UpStep): the two-call form takes the
+// lock twice on every miss.
+func (s *Sharded) UpStep(obj model.ObjectID, size int64, hop int, link float64, now float64, floor uint64) (LookupResult, Candidate) {
+	sh := &s.shards[s.ShardOf(obj)]
+	s.lock(sh)
+	res, c := sh.st.UpStep(obj, size, hop, link, now, floor)
+	sh.mu.Unlock()
+	return res, c
+}
+
 // DownOutcome reports one sharded downstream step's effect. Unlike
 // NodeState's DownResult it carries no descriptor pointers: those alias the
 // shard's heap scratch, which is only valid under the shard lock.
@@ -254,17 +265,18 @@ type DownOutcome struct {
 // The hop index is unused (the step's record is the caller's down span);
 // the parameter stays because bench/ calls this signature.
 func (s *Sharded) DownStep(obj model.ObjectID, size int64, place bool, mp float64, gen uint64, _ int, now float64, evicted []model.ObjectID) (DownOutcome, []model.ObjectID) {
-	return s.DownStepUnder(obj, obj, size, place, mp, gen, now, evicted)
+	return s.DownStepUnder(obj, obj, size, place, mp, gen, now, evicted, nil)
 }
 
 // DownStepUnder is DownStep with the generation guard reading floorObj's
 // floor — a segment's base (see NodeState.DownStepUnder). The shard is
 // obj's: only the floor lookup, which the shared view answers under its own
-// lock, names the other identity.
-func (s *Sharded) DownStepUnder(obj, floorObj model.ObjectID, size int64, place bool, mp float64, gen uint64, now float64, evicted []model.ObjectID) (DownOutcome, []model.ObjectID) {
+// lock, names the other identity. checks is the caller's audit tally (nil
+// counts the step's checks on the auditor at once).
+func (s *Sharded) DownStepUnder(obj, floorObj model.ObjectID, size int64, place bool, mp float64, gen uint64, now float64, evicted []model.ObjectID, checks *audit.Tally) (DownOutcome, []model.ObjectID) {
 	sh := &s.shards[s.ShardOf(obj)]
 	s.lock(sh)
-	res := sh.st.DownStepUnder(obj, floorObj, size, place, mp, gen, now)
+	res := sh.st.DownStepUnder(obj, floorObj, size, place, mp, gen, now, checks)
 	for _, v := range res.Evicted {
 		evicted = append(evicted, v.ID)
 	}
@@ -475,9 +487,6 @@ func (s *Sharded) SetFlight(r *flightrec.Recorder) {
 	}
 	s.unlockAll()
 }
-
-// Audit returns the shared auditor (nil when auditing is off).
-func (s *Sharded) Audit() *audit.Auditor { return s.shards[0].st.Audit }
 
 // Used returns the bytes held across all shards.
 func (s *Sharded) Used() int64 {

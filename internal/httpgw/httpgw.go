@@ -387,37 +387,39 @@ func formatEntry(e engine.Candidate) string {
 // from the client's first cache upward, as accumulated on the wire) with the
 // decision site's auditor threaded through (Theorem 2 and optimality checks)
 // and the decide span landed in the request's trace (tsp and parent,
-// nil-safe). It returns the chosen
-// node IDs in ascending order plus the predicted Δcost term per chosen node
-// (ascending node order, as X-Cascade-Predict carries them) — the decision
-// site cannot reach the other processes' ledgers, so the claims ship downstream
-// and every placing node books its own. The terms come out of the engine via a throwaway ledger, so
-// their computation stays in one place (post-clamp values, identical to what
-// the simulator and the cluster book at decision time).
+// nil-safe). It returns the chosen node IDs in ascending order plus the
+// engine's predicted Δcost term per chosen node (ascending node order, as
+// X-Cascade-Predict carries them) — the decision site cannot reach the other
+// processes' ledgers, so the claims ship downstream and every placing node
+// books its own. A decision that chooses nothing — every front-node hit —
+// allocates nothing.
 func decideObserved(entries []engine.Candidate, obj model.ObjectID, now float64,
 	aud *audit.Auditor, serv model.NodeID,
 	tsp *span.Trace, parent span.SpanID) ([]model.NodeID, []predictTerm) {
-	scratch := audit.NewLedger()
 	opts := engine.DecideOptions{
 		ClampMonotone: true,
 		Audit:         aud,
-		Ledger:        scratch,
 		Obj:           obj,
 		Now:           now,
 		Span:          tsp,
 		SpanParent:    parent,
 	}
+	if len(entries) > 0 {
+		// Only a decision with candidates can choose any; the slice header
+		// escapes, so an empty one is not worth a heap cell per hit.
+		opts.Predicted = new([]predictTerm)
+	}
 	hops := engine.Decide(entries, opts, engine.ServePoint{Hop: len(entries), Node: serv})
+	if len(hops) == 0 {
+		return nil, nil
+	}
 	ids := make([]model.NodeID, len(hops))
 	for i, h := range hops {
 		ids[i] = entries[h].Node
 	}
+	predict := *opts.Predicted
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	accounts := scratch.Snapshot()
-	predict := make([]predictTerm, 0, len(accounts))
-	for _, acc := range accounts {
-		predict = append(predict, predictTerm{Node: acc.Node, Term: acc.PredictedGain})
-	}
+	sort.Slice(predict, func(i, j int) bool { return predict[i].Node < predict[j].Node })
 	return ids, predict
 }
 
@@ -889,9 +891,9 @@ lookup:
 	if term, ok := predictFor(dec.predict, n.ID); ok {
 		n.ledger.RecordPrediction(n.ID, term)
 	}
-	res, evicted := n.st.DownStepUnder(obj, base, int64(len(body)), true, mp, dec.gen, now, nil)
+	res, evicted := n.st.DownStepUnder(obj, base, int64(len(body)), true, mp, dec.gen, now, nil, nil)
 	tsp.Annotate(dn, mp, float64(len(evicted)), span.DownOutcome(res.Placed, res.PlaceFailed))
-	n.auditor.CheckPenaltyStep(n.ID, obj, -1, prev, mp, res.MP, res.Placed)
+	n.auditor.CheckPenaltyStep(nil, n.ID, obj, -1, prev, mp, res.MP, res.Placed)
 	if res.Placed {
 		n.inserts++
 		bsp := tsp.Start(span.PhaseBody, n.ID, hop, dn, now)
@@ -948,7 +950,7 @@ func (n *Node) relayStream(w http.ResponseWriter, resp *http.Response, seg segIn
 		dn = tsp.Start(span.PhaseDown, n.ID, hop, upsp, now)
 		res, _ := n.st.DownStep(obj, size, false, mp, dec.gen, -1, now, nil)
 		tsp.Annotate(dn, mp, 0, span.DownOutcome(res.Placed, res.PlaceFailed))
-		n.auditor.CheckPenaltyStep(n.ID, obj, -1, prev, mp, res.MP, res.Placed)
+		n.auditor.CheckPenaltyStep(nil, n.ID, obj, -1, prev, mp, res.MP, res.Placed)
 		outMP = res.MP
 	}
 	n.mu.Unlock()

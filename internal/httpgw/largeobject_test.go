@@ -277,6 +277,49 @@ func TestReassemblyAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkFrontNodeHit is the gateway's cheapest request: a 4 KiB object
+// resident at the client-facing node, so the handler, one engine lookup and
+// an empty placement decision are all that run.
+func BenchmarkFrontNodeHit(b *testing.B) {
+	const size = 4 << 10
+	body := store.SyntheticBody(7, size)
+	n := NewNode(1, "http://upstream.invalid", 2.0, 1<<20, 100, func() float64 { return 0 })
+	n.Client = &http.Client{Transport: stubUpstream(func(*http.Request) *http.Response {
+		return upstreamReply(http.StatusOK, size, body, HeaderPlace, "1", "ETag", etagOf(body))
+	})}
+	w := newDiscardWriter()
+	r := httptest.NewRequest(http.MethodGet, "/objects/7", nil)
+	n.ServeHTTP(w, r)
+	if w.status != http.StatusOK || !n.Contains(7) {
+		b.Fatalf("warm-up GET: status %d, cached %v", w.status, n.Contains(7))
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.reset()
+		n.ServeHTTP(w, r)
+		if w.n != size || w.header.Get(HeaderHit) != "1" {
+			b.Fatalf("served %d bytes, hit %q", w.n, w.header.Get(HeaderHit))
+		}
+	}
+}
+
+// TestFrontNodeHitAllocs is the ceiling on a front-node hit: the response's
+// header values and nothing else. The decision it carries chooses nobody, so
+// the decision step must not allocate — it used to build a ledger, a mutex
+// and a map, per hit, only to read an empty list back out of it (220 B in 11
+// allocations a hit then, 108 B in 7 now).
+func TestFrontNodeHitAllocs(t *testing.T) {
+	if underRace() {
+		t.Skip("allocation counts are not meaningful under -race; `make allocs` runs this without it")
+	}
+	res := testing.Benchmark(BenchmarkFrontNodeHit)
+	if bytes, allocs := res.AllocedBytesPerOp(), res.AllocsPerOp(); bytes > 160 || allocs > 8 {
+		t.Fatalf("a front-node hit allocates %d bytes in %d allocations over %d ops; want ≤ 160 B in ≤ 8", bytes, allocs, res.N)
+	}
+}
+
 func largeOrigin() *Origin {
 	return &Origin{Size: func(model.ObjectID) int { return obj1M }, SegmentThreshold: seg256K, SegmentSize: seg256K}
 }

@@ -318,7 +318,7 @@ func TestOriginObservability(t *testing.T) {
 	}
 
 	// A violation is what the ring is for: it lands with full context.
-	aud.CheckLocalBenefit(model.NoNode, 7, 2, 0.1, 1, 5, 40) // f·m < l
+	aud.CheckLocalBenefit(nil, model.NoNode, 7, 2, 0.1, 1, 5, 40) // f·m < l
 	evs := o.DumpFlight().Events
 	if len(evs) != 1 || evs[0].Kind != flightrec.KindAuditViolation || evs[0].Obj != 7 ||
 		evs[0].Hop != 2 || evs[0].N != int(audit.LocalBenefit) {

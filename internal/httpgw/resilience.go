@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"time"
 
@@ -18,8 +19,25 @@ import (
 const DefaultUpstreamTimeout = 10 * time.Second
 
 // defaultUpstreamClient is shared by all nodes whose Client is nil. Unlike
-// http.DefaultClient it carries a timeout.
-var defaultUpstreamClient = &http.Client{Timeout: DefaultUpstreamTimeout}
+// http.DefaultClient it carries a timeout, and it does not borrow
+// http.DefaultTransport: a hop talks to one upstream, so its idle pool is
+// sized per host for a hop's concurrent misses (the default keeps two, and
+// the third concurrent miss re-dials on every request); an inter-hop fetch
+// must not detour through whatever HTTP_PROXY the environment names; and a
+// body relayed verbatim gains nothing from negotiating gzip. Dial and idle
+// timeouts are http.DefaultTransport's.
+var defaultUpstreamClient = &http.Client{
+	Timeout: DefaultUpstreamTimeout,
+	Transport: &http.Transport{
+		DialContext:           (&net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
+		MaxIdleConns:          256,
+		MaxIdleConnsPerHost:   64,
+		IdleConnTimeout:       90 * time.Second,
+		TLSHandshakeTimeout:   10 * time.Second,
+		ExpectContinueTimeout: time.Second,
+		DisableCompression:    true,
+	},
+}
 
 // ErrBreakerOpen is returned by upstream fetches refused while the
 // circuit breaker is open.
@@ -224,7 +242,13 @@ func (n *Node) fetchUpstream(req *http.Request) (*http.Response, error) {
 	client := n.client()
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		resp, err := client.Do(req.Clone(req.Context()))
+		// A body-less GET goes out as built; only a retry needs its own
+		// copy, the transport having had its hands on the first.
+		try := req
+		if attempt > 0 {
+			try = req.Clone(req.Context())
+		}
+		resp, err := client.Do(try)
 		if err == nil && !retryableStatus(resp.StatusCode) {
 			n.mu.Lock()
 			n.breakerSuccessLocked()

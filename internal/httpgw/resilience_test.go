@@ -2,10 +2,12 @@ package httpgw
 
 import (
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,6 +29,57 @@ func TestNilClientDefaultTimeout(t *testing.T) {
 	n.Client = explicit
 	if n.client() != explicit {
 		t.Fatal("explicit Client not honored")
+	}
+}
+
+// TestDefaultClientKeepsAHopsConnections: a hop with eight misses in flight
+// at once must keep eight upstream connections, not two. Borrowed from
+// http.DefaultTransport, the nil-Client default kept two idle connections per
+// host, so every round of eight concurrent misses dialed six more — hundreds
+// over this test; with its own pool the hop dials once per concurrent miss
+// and then only to replace a connection net/http retires (on a loaded box it
+// declines to reuse one whose request-write goroutine has not reported back
+// within 50 ms — seen twice in 200 rounds under three CPU hogs), hence the
+// allowance of a second set. It also names no proxy and asks for no
+// compression.
+func TestDefaultClientKeepsAHopsConnections(t *testing.T) {
+	var dials atomic.Int64
+	up := httptest.NewUnstartedServer(&Origin{Size: func(model.ObjectID) int { return 500 }})
+	up.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	up.Start()
+	defer up.Close()
+
+	n := NewNode(0, up.URL, 1, 10000, 100, func() float64 { return 0 })
+	const concurrent, rounds = 8, 200
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for g := 0; g < concurrent; g++ {
+			wg.Add(1)
+			go func(obj int) {
+				defer wg.Done()
+				w := newDiscardWriter()
+				n.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/objects/"+strconv.Itoa(obj), nil))
+				if w.status != http.StatusOK || w.n != 500 || w.header.Get(HeaderHit) != "origin" {
+					t.Errorf("cold miss of %d: status %d, %d bytes, served by %q", obj, w.status, w.n, w.header.Get(HeaderHit))
+				}
+			}(round*concurrent + g)
+		}
+		wg.Wait()
+	}
+	if got := dials.Load(); got > 2*concurrent {
+		t.Fatalf("%d rounds of %d concurrent misses dialed the upstream %d times; want at most %d", rounds, concurrent, got, 2*concurrent)
+	}
+
+	tr, ok := n.client().Transport.(*http.Transport)
+	if !ok || tr == http.DefaultTransport {
+		t.Fatalf("default upstream client rides %T, want its own *http.Transport", n.client().Transport)
+	}
+	if tr.Proxy != nil || !tr.DisableCompression {
+		t.Fatalf("default upstream transport: proxy set %v, compression disabled %v", tr.Proxy != nil, tr.DisableCompression)
 	}
 }
 

@@ -22,11 +22,9 @@ import (
 const maxPathEntries = 256
 
 // predictTerm pairs a chosen node with the DP's predicted Δcost term for
-// its placement — the structured form of one HeaderPredict entry.
-type predictTerm struct {
-	Node model.NodeID
-	Term float64
-}
+// its placement — the structured form of one HeaderPredict entry, as the
+// engine hands it out.
+type predictTerm = engine.Prediction
 
 // decision is one parsed placement decision: the §2.2 DP's output plus the
 // coherency payloads that ride beside it.

@@ -21,8 +21,14 @@ import (
 
 // Counter is a monotonically increasing value. The zero value is usable,
 // but instruments are normally obtained from Registry.Counter so they are
-// exported.
-type Counter struct{ v atomic.Int64 }
+// exported. A Counter fills one cache line: counters are allocated back to
+// back at construction and bumped from many goroutines, and eight of them
+// packed into one line would make every increment of one invalidate the
+// other seven in every other core's cache.
+type Counter struct {
+	v atomic.Int64
+	_ [56]byte
+}
 
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }

@@ -180,11 +180,13 @@ type Stats struct {
 // Cluster is a set of cache nodes implementing coordinated caching over a
 // cascaded architecture.
 type Cluster struct {
-	cfg      Config
-	slots    []atomic.Pointer[node]
-	inflight sync.WaitGroup // Gets in progress
-	mu       sync.Mutex     // guards closed and node lifecycle vs Close
-	closed   bool
+	cfg   Config
+	slots []atomic.Pointer[node]
+	// mu orders node lifecycle changes (Recover, Admit, Drain's entry
+	// check) against Close; closed is written under it. Get takes no lock:
+	// it registers with guard and then reads closed (see Get and Close).
+	mu     sync.Mutex
+	closed atomic.Bool
 
 	// decScratch recycles per-decision buffers (candidate vector, DP
 	// tables): the placement decision runs on whichever goroutine serves
@@ -208,8 +210,9 @@ type Cluster struct {
 	ledger  *audit.Ledger
 	flight  []*flightrec.Recorder
 
-	// cp tracks membership and health; guard fences in-flight Gets across
-	// routing-view changes so a drain never strands a request mid-cascade.
+	// cp tracks membership and health; guard is the one registry of Gets
+	// in flight: a drain fences on it so no request is stranded mid-cascade
+	// on the old routing view, and Close waits on it for every Get to return.
 	cp    *controlplane.Manager
 	guard *controlplane.EpochGuard
 
@@ -565,15 +568,21 @@ func (c *Cluster) DumpFlight(id model.NodeID) flightrec.Snapshot {
 // Close rejects new requests, waits for every in-flight Get to return
 // (a walk blocks only on an injected delay, which is finite), then marks
 // all nodes down. The cluster must not be used afterwards.
+//
+// closed is set before the epoch moves, and a Get reads it only after
+// registering under the epoch it found: a Get counted in an older epoch is
+// waited for whether or not it saw the flag, and one that registers after
+// the wait's scan — in either epoch — is ordered after the flag and turns
+// back without touching a node.
 func (c *Cluster) Close() {
 	c.mu.Lock()
-	if c.closed {
+	if c.closed.Load() {
 		c.mu.Unlock()
 		return
 	}
-	c.closed = true
+	c.closed.Store(true)
 	c.mu.Unlock()
-	c.inflight.Wait()
+	c.guard.WaitBefore(c.guard.Bump())
 	for i := range c.slots {
 		if n := c.slots[i].Load(); n != nil {
 			n.stop()
@@ -648,12 +657,9 @@ func (c *Cluster) SetHealth(id model.NodeID, h controlplane.Health) bool {
 // The hand-off is a direct call behind the fence, so nothing in it can
 // block and the context is not consulted.
 func (c *Cluster) Drain(_ context.Context, id model.NodeID) bool {
-	c.mu.Lock()
-	if c.closed || int(id) < 0 || int(id) >= len(c.slots) {
-		c.mu.Unlock()
+	if c.closed.Load() || int(id) < 0 || int(id) >= len(c.slots) {
 		return false
 	}
-	c.mu.Unlock()
 	if !c.cp.StartDrain(id) {
 		return false
 	}
@@ -705,7 +711,7 @@ func (c *Cluster) Drain(_ context.Context, id model.NodeID) bool {
 func (c *Cluster) Admit(id model.NodeID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed || int(id) < 0 || int(id) >= len(c.slots) {
+	if c.closed.Load() || int(id) < 0 || int(id) >= len(c.slots) {
 		return false
 	}
 	if c.cp.StateOf(id) != controlplane.Removed || !c.cp.Admit(id) {
@@ -741,7 +747,7 @@ func (c *Cluster) Fail(id model.NodeID) bool {
 func (c *Cluster) Recover(id model.NodeID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed || int(id) < 0 || int(id) >= len(c.slots) {
+	if c.closed.Load() || int(id) < 0 || int(id) >= len(c.slots) {
 		return false
 	}
 	if c.cp.StateOf(id) != controlplane.Active {
@@ -777,31 +783,36 @@ func (c *Cluster) Failed() []model.NodeID {
 // the calling goroutine. It returns ctx.Err() when ctx is already done on
 // entry or ends while the walk waits out an injected delay; a walk that
 // loses a message to the fault injector degrades to an origin-direct fetch.
-// Concurrent Gets are safe; per-node state is guarded by its shard locks.
+// Concurrent Gets are safe; per-node state is guarded by its shard locks,
+// and what a Get adds to the cluster-wide counters (Stats) it adds once,
+// just before it returns.
 func (c *Cluster) Get(ctx context.Context, clientNode, serverNode model.NodeID, obj model.ObjectID, size int64) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return Result{}, fmt.Errorf("runtime: cluster closed")
-	}
-	c.inflight.Add(1)
-	c.mu.Unlock()
-	defer c.inflight.Done()
 	// Register under the current routing epoch: a reconfiguration bumps
 	// the epoch and waits for older entries, so this request finishes on
-	// the view it resolves below before any drained node detaches.
+	// the view it resolves below before any drained node detaches — and
+	// Close waits the same way, so closed is read after registering.
 	epoch := c.guard.Enter()
 	defer c.guard.Exit(epoch)
+	if c.closed.Load() {
+		return Result{}, fmt.Errorf("runtime: cluster closed")
+	}
 
 	full := c.cfg.Network.Route(clientNode, serverNode)
 	if len(full.Caches) == 0 {
 		return Result{}, fmt.Errorf("runtime: no route between client node %d and server node %d", clientNode, serverNode)
 	}
-	c.requests.Add(1)
+	w := c.walks.Get().(*walk)
+	r, err := c.serve(ctx, w, full, obj, size)
+	c.publish(w)
+	c.walks.Put(w)
+	return r, err
+}
 
+// serve routes one admitted request and runs its walk, counting into w.
+func (c *Cluster) serve(ctx context.Context, w *walk, full topology.Route, obj model.ObjectID, size int64) (Result, error) {
 	scale := 1.0
 	if c.cfg.AvgObjectSize > 0 {
 		scale = float64(size) / c.cfg.AvgObjectSize
@@ -821,7 +832,7 @@ func (c *Cluster) Get(ctx context.Context, clientNode, serverNode model.NodeID, 
 	// discovers them (deliver).
 	route, cut := full.Compact(c.routable)
 	if cut.Skipped > 0 {
-		c.routedAround.Add(int64(cut.Skipped))
+		w.count.routedAround += int64(cut.Skipped)
 		for _, id := range full.Caches {
 			if !c.routable(id) {
 				c.nodeInst[id].routedAround.Inc()
@@ -833,13 +844,38 @@ func (c *Cluster) Get(ctx context.Context, clientNode, serverNode model.NodeID, 
 		return originDirect(), nil
 	}
 
-	r, err := c.runWalk(ctx, route, cut.Lead*scale, obj, size, scale)
+	r, err := c.runWalk(ctx, w, route, cut.Lead*scale, obj, size, scale)
 	if err == errLost {
 		// The cascade lost this request's message chain: the client
 		// fetches straight from the origin instead.
 		return originDirect(), nil
 	}
 	return r, err
+}
+
+// publish adds one finished request's counts to the cluster-wide counters
+// and clears them in w. It runs on every exit of an admitted Get — served,
+// degraded, lost or cancelled — so the counters lose nothing, and it is the
+// only place the request path writes them: a Get costs each of these words
+// one update, however many hops it crossed. Requests goes first, so no
+// scrape finds more hits than requests.
+func (c *Cluster) publish(w *walk) {
+	n := &w.count
+	c.requests.Add(1)
+	if n.messages > 0 {
+		c.messages.Add(n.messages)
+	}
+	if n.hit {
+		c.cacheHits.Add(1)
+	}
+	if n.inserts > 0 {
+		c.inserts.Add(n.inserts)
+	}
+	if n.routedAround > 0 {
+		c.routedAround.Add(n.routedAround)
+	}
+	c.auditor.Publish(&n.checks)
+	*n = walkCounts{}
 }
 
 // Stats returns a snapshot of the cluster-wide counters.

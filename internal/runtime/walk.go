@@ -5,6 +5,7 @@ import (
 	"errors"
 	"time"
 
+	"cascade/internal/audit"
 	"cascade/internal/coherency"
 	"cascade/internal/engine"
 	"cascade/internal/fault"
@@ -21,9 +22,14 @@ import (
 // pass applying placements and the miss-penalty counter. Per-node state is
 // guarded by engine.Sharded's shard locks, so concurrent walks need no
 // further serialization. Each hop the walk reaches is one protocol message
-// delivery: it ticks Stats.Messages, consults the fault injector, and is
-// skipped — its link folded into the cost or the miss penalty — when the
-// node turns out to be unreachable.
+// delivery: it counts toward Stats.Messages, consults the fault injector,
+// and is skipped — its link folded into the cost or the miss penalty — when
+// the node turns out to be unreachable.
+//
+// A hop touches its own node's memory and the walk's, nothing else: what the
+// request adds to the cluster-wide counters accumulates in the walk and is
+// published once when the Get returns (Cluster.publish). A counter word that
+// every hop of every request writes is a cache line every core fights over.
 
 // walk is one request's protocol state plus the buffers it recycles through
 // Cluster.walks. On the way up it accumulates one engine.Candidate per node
@@ -55,6 +61,19 @@ type walk struct {
 	evict   []model.ObjectID
 	inv     []coherency.Invalidation
 	spanBuf []span.SpanID
+
+	// count is this request's share of the cluster-wide counters,
+	// published and cleared by Cluster.publish.
+	count walkCounts
+}
+
+// walkCounts is what one request adds to the cluster-wide counters.
+type walkCounts struct {
+	messages     int64 // live hop deliveries, either pass
+	hit          bool  // a cache served it
+	inserts      int64 // copies written on the way down
+	routedAround int64 // hops skipped as down or saturated
+	checks       audit.Tally
 }
 
 // errLost reports a walk abandoned because the fault injector dropped one
@@ -68,7 +87,7 @@ var errLost = errors.New("runtime: protocol message lost")
 // errLost for an injected drop, ctx.Err() when the context ends during an
 // injected delay. The injector only ever sees deliveries to live nodes, so a
 // seeded fault schedule is a function of the traffic alone.
-func (c *Cluster) deliver(ctx context.Context, to model.NodeID) (*node, error) {
+func (c *Cluster) deliver(ctx context.Context, w *walk, to model.NodeID) (*node, error) {
 	n := c.node(to)
 	if n == nil || n.down.Load() {
 		return nil, nil
@@ -98,20 +117,19 @@ func (c *Cluster) deliver(ctx context.Context, to model.NodeID) (*node, error) {
 			}
 		}
 	}
-	c.messages.Add(1)
+	w.count.messages++
 	return n, nil
 }
 
 // skip accounts a hop routed around mid-walk.
-func (c *Cluster) skip(id model.NodeID) {
-	c.routedAround.Add(1)
+func (c *Cluster) skip(w *walk, id model.NodeID) {
+	w.count.routedAround++
 	c.nodeInst[id].routedAround.Inc()
 }
 
 // runWalk executes one request. route is already compacted to routable
 // nodes; lead is the scaled cost of the links below the first live hop.
-func (c *Cluster) runWalk(ctx context.Context, route topology.Route, lead float64, obj model.ObjectID, size int64, scale float64) (Result, error) {
-	w := c.walks.Get().(*walk)
+func (c *Cluster) runWalk(ctx context.Context, w *walk, route topology.Route, lead float64, obj model.ObjectID, size int64, scale float64) (Result, error) {
 	w.costBuf = w.costBuf[:0]
 	for _, v := range route.UpCost {
 		w.costBuf = append(w.costBuf, v*scale)
@@ -141,7 +159,6 @@ func (c *Cluster) runWalk(ctx context.Context, route topology.Route, lead float6
 
 	// Drop references into the topology so pooled scratch does not pin it.
 	w.route, w.upCost, w.tsp, w.upSpans = nil, nil, nil, nil
-	c.walks.Put(w)
 	return r, err
 }
 
@@ -155,7 +172,7 @@ func (c *Cluster) passes(ctx context.Context, w *walk) (Result, error) {
 	servedBy := model.NoNode
 	var gen uint64
 	for hop, id := range w.route {
-		n, err := c.deliver(ctx, id)
+		n, err := c.deliver(ctx, w, id)
 		if err != nil {
 			return Result{}, err
 		}
@@ -164,39 +181,50 @@ func (c *Cluster) passes(ctx context.Context, w *walk) (Result, error) {
 			// cost folds into accCost, so the eventual serving node's DP
 			// sees the true distance across the gap (the §2.4 tag already
 			// tolerates the missing hop record).
-			c.skip(id)
+			c.skip(w, id)
 			w.accCost += w.upCost[hop]
 			continue
 		}
+		// One engine step per hop: the probe and, on a miss, the node
+		// observing the request pass through — its descriptor's history
+		// refreshed, its candidacy piggybacked (a node without a usable
+		// record ships no entry, the §2.4 tag, and is excluded from the DP).
+		// A node with a disk tier takes the step in its two halves, because
+		// a disk hit between them must not age the d-cache.
 		lk := w.tsp.Start(span.PhaseLookup, id, hop, w.spanParent, w.now)
-		res := n.st.LookupFresh(w.obj, w.now, w.floor)
+		var res engine.LookupResult
+		var cand engine.Candidate
+		if n.bodies == nil {
+			res, cand = n.st.UpStep(w.obj, w.size, hop, w.upCost[hop], w.now, w.floor)
+		} else {
+			res = n.st.LookupFresh(w.obj, w.now, w.floor)
+		}
 		w.tsp.End(lk, w.now)
 		if res.Hit {
 			// Serving node A_0. A Stale or Expired copy self-healed to a
-			// miss inside LookupFresh and the pass continues upstream.
+			// miss inside the probe and the pass continues upstream.
 			servingHop, servedBy, gen = hop, id, res.Gen
 			break
 		}
 		if res.Stale {
 			w.tsp.Force(span.FlagStale)
 		}
-		served, dgen, ev := n.diskServe(w.obj, w.size, w.now, w.floor, w.evict)
-		w.evict = ev
-		if served {
-			psp := w.tsp.Start(span.PhasePromote, id, hop, w.spanParent, w.now)
-			w.tsp.End(psp, w.now)
-			servingHop, servedBy, gen = hop, id, dgen
-			break
+		if n.bodies != nil {
+			served, dgen, ev := n.diskServe(w.obj, w.size, w.now, w.floor, w.evict)
+			w.evict = ev
+			if served {
+				psp := w.tsp.Start(span.PhasePromote, id, hop, w.spanParent, w.now)
+				w.tsp.End(psp, w.now)
+				servingHop, servedBy, gen = hop, id, dgen
+				break
+			}
+			cand = n.st.UpMiss(w.obj, w.size, hop, w.upCost[hop], w.now)
 		}
 		up := w.tsp.Start(span.PhaseUp, id, hop, w.spanParent, w.now)
 		if w.tsp != nil {
 			w.upSpans[hop] = up
 			w.spanParent = up
 		}
-		// Observed passing through: refresh the descriptor's history and
-		// piggyback this node's candidacy. A node without a usable record
-		// ships no entry (the §2.4 tag) and is excluded from the DP.
-		cand := n.st.UpMiss(w.obj, w.size, hop, w.upCost[hop], w.now)
 		w.tsp.Annotate(up, cand.Freq, cand.CostLoss, int(cand.Tag))
 		if cand.Tag == engine.TagCandidate {
 			w.pb = append(w.pb, cand)
@@ -234,7 +262,7 @@ func (c *Cluster) passes(ctx context.Context, w *walk) (Result, error) {
 		// when tracing is off.
 		dsp := w.tsp.Start(span.PhaseDecide, servedBy, 0, w.spanParent, w.now)
 		w.tsp.End(dsp, w.now)
-		c.cacheHits.Add(1)
+		w.count.hit = true
 		return result, nil
 	}
 
@@ -244,18 +272,16 @@ func (c *Cluster) passes(ctx context.Context, w *walk) (Result, error) {
 	mp := 0.0
 	for h := servingHop - 1; h >= 0; h-- {
 		id := w.route[h]
-		n, err := c.deliver(ctx, id)
+		n, err := c.deliver(ctx, w, id)
 		if err != nil {
-			// Copies written above this hop exist; keep the cluster counter
-			// equal to the sum of the per-node ones.
-			c.inserts.Add(int64(len(result.Placed)))
+			// Copies written above this hop exist, and are counted.
 			return Result{}, err
 		}
 		if n == nil {
 			// An unreachable cache takes no copy and learns no penalty, but
 			// its link cost still accumulates into the counter so the next
 			// live cache below sees its true distance to the nearest copy.
-			c.skip(id)
+			c.skip(w, id)
 			mp += w.upCost[h]
 			continue
 		}
@@ -288,13 +314,14 @@ func (c *Cluster) passes(ctx context.Context, w *walk) (Result, error) {
 			chosen = chosen[:k]
 		}
 		dn := w.tsp.Start(span.PhaseDown, id, h, up, w.now)
-		out, ev := n.st.DownStep(w.obj, w.size, place, mp, gen, h, w.now, w.evict[:0])
+		out, ev := n.st.DownStepUnder(w.obj, w.obj, w.size, place, mp, gen, w.now, w.evict[:0], &w.count.checks)
 		w.evict = ev
 		w.tsp.Annotate(dn, mp, float64(len(ev)), span.DownOutcome(out.Placed, out.PlaceFailed))
-		n.st.Audit().CheckPenaltyStep(id, w.obj, h, prev, mp, out.MP, out.Placed)
+		c.auditor.CheckPenaltyStep(&w.count.checks, id, w.obj, h, prev, mp, out.MP, out.Placed)
 		mp = out.MP
 		if out.Placed {
 			result.Placed = append(result.Placed, id)
+			w.count.inserts++
 			inst := &c.nodeInst[id]
 			inst.inserts.Inc()
 			inst.evictions.Add(int64(len(ev)))
@@ -306,10 +333,7 @@ func (c *Cluster) passes(ctx context.Context, w *walk) (Result, error) {
 		w.tsp.End(up, w.now)
 	}
 
-	if servedBy != model.NoNode {
-		c.cacheHits.Add(1)
-	}
-	c.inserts.Add(int64(len(result.Placed)))
+	w.count.hit = servedBy != model.NoNode
 	return result, nil
 }
 
@@ -345,6 +369,7 @@ func (c *Cluster) decide(w *walk, servingHop int, servedBy model.NodeID, buf []i
 	opts := engine.DecideOptions{ClampMonotone: true}
 	if c.auditor != nil || c.ledger != nil {
 		opts.Audit = c.auditor
+		opts.Checks = &w.count.checks
 		opts.Ledger = c.ledger
 		opts.Obj = w.obj
 		opts.Now = w.now

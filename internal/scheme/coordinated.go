@@ -19,10 +19,10 @@ import (
 // simulator's adapter over it — it owns one engine.NodeState per cache and
 // walks the delivery path sequentially:
 //
-//  1. Upstream pass (request message): engine.NodeState.Lookup probes each
-//     cache; on a miss, engine.NodeState.UpMiss appends the hop's
-//     piggybacked candidate record (f_i, l_i, link cost) — or the §2.4 "no
-//     descriptor" tag — to the request's candidate vector.
+//  1. Upstream pass (request message): engine.NodeState.UpStep probes each
+//     cache and, on a miss, yields the hop's piggybacked candidate record
+//     (f_i, l_i, link cost) — or the §2.4 "no descriptor" tag — for the
+//     request's candidate vector.
 //  2. The serving node A_0 (first cache holding the object, or the origin)
 //     solves the n-optimization problem with the dynamic program of §2.2
 //     via engine.Decider.Decide.
@@ -338,7 +338,7 @@ func (s *Coordinated) Process(now float64, obj model.ObjectID, size int64, path 
 		}
 		st := s.nodes[path.Nodes[i]]
 		lk := tsp.Start(span.PhaseLookup, path.Nodes[i], i, parent, now)
-		res := st.LookupFresh(obj, now, floor)
+		res, c := st.UpStep(obj, size, i, path.UpCost[i], now, floor)
 		tsp.End(lk, now)
 		if res.Hit {
 			hit = i
@@ -359,7 +359,6 @@ func (s *Coordinated) Process(now float64, obj model.ObjectID, size int64, path 
 			s.upSpan[i] = up
 			parent = up
 		}
-		c := st.UpMiss(obj, size, i, path.UpCost[i], now)
 		tsp.Annotate(up, c.Freq, c.CostLoss, int(c.Tag))
 		s.cand = append(s.cand, c)
 	}
@@ -441,7 +440,7 @@ func (s *Coordinated) Process(now float64, obj model.ObjectID, size int64, path 
 		tsp.End(dn, now)
 		tsp.End(up, now)
 		if s.auditor != nil {
-			s.auditor.CheckPenaltyStep(st.Node, obj, i, prev, mp, res.MP, res.Placed)
+			s.auditor.CheckPenaltyStep(nil, st.Node, obj, i, prev, mp, res.MP, res.Placed)
 		}
 		mp = res.MP
 		if res.Placed {
