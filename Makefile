@@ -12,12 +12,15 @@ GO ?= go
 
 check: vet lint build bench-module race allocs observe fuzz rolling coherency reproduce
 
+# Format gate: `gofmt -l .` must print nothing.
 # Import guard: the protocol incarnations (scheme, sim, runtime, httpgw)
 # must reach the placement optimizer only through internal/engine, never by
 # importing internal/core directly (driver: cmd/importguard). Metric lint:
 # registered series names and docs/OBSERVABILITY.md must agree in both
 # directions (driver: cmd/metriclint).
 lint:
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need formatting:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/importguard
 	$(GO) run ./cmd/metriclint
 

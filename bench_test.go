@@ -305,10 +305,16 @@ func BenchmarkOverheadPiggyback(b *testing.B) {
 
 // BenchmarkSimulatorThroughput measures raw replay speed: requests per
 // second through the coordinated scheme on the en-route network.
-func BenchmarkSimulatorThroughput(b *testing.B) {
+func BenchmarkSimulatorThroughput(b *testing.B) { simulatorThroughput(b, 3) }
+
+// simulatorThroughput is BenchmarkSimulatorThroughput with descriptors
+// recording the last windowK reference times.
+func simulatorThroughput(b *testing.B, windowK int) {
 	setup()
+	sch := cascade.NewCoordinated()
+	sch.SetWindowK(windowK)
 	sim, err := cascade.NewSimulator(cascade.SimConfig{
-		Scheme:            cascade.NewCoordinated(),
+		Scheme:            sch,
 		Network:           benchEnRoute,
 		Catalog:           benchGen.Catalog(),
 		RelativeCacheSize: 0.01,
@@ -371,11 +377,13 @@ func BenchmarkClusterThroughput(b *testing.B) {
 // TestHotPathAllocs pins the machine-independent half of the two throughput
 // benchmarks: the simulator's replay loop and the cluster's walk allocate
 // nothing per request (the simulator a bounded few bytes, amortised
-// bookkeeping), on any box at any load. Timings are judged elsewhere, on
-// paired bench/ runs (docs/PERFORMANCE.md).
+// bookkeeping), on any box at any load. The simulator is held to that at
+// K = 8 too, where every descriptor's window continues in an overflow ring:
+// recycled descriptors keep theirs. Timings are judged elsewhere, on paired
+// bench/ runs (docs/PERFORMANCE.md).
 func TestHotPathAllocs(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs two one-second benchmarks")
+		t.Skip("runs three one-second benchmarks")
 	}
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
@@ -387,9 +395,11 @@ func TestHotPathAllocs(t *testing.T) {
 			}
 		}
 	}
-	sim := testing.Benchmark(BenchmarkSimulatorThroughput)
-	if a, b := sim.AllocsPerOp(), sim.AllocedBytesPerOp(); a != 0 || b > 64 {
-		t.Errorf("BenchmarkSimulatorThroughput: %d allocs/op, %d B/op over %d ops; want 0 and <= 64", a, b, sim.N)
+	for _, k := range []int{3, 8} {
+		sim := testing.Benchmark(func(b *testing.B) { simulatorThroughput(b, k) })
+		if a, b := sim.AllocsPerOp(), sim.AllocedBytesPerOp(); a != 0 || b > 64 {
+			t.Errorf("simulator replay at K = %d: %d allocs/op, %d B/op over %d ops; want 0 and <= 64", k, a, b, sim.N)
+		}
 	}
 	cl := testing.Benchmark(BenchmarkClusterThroughput)
 	if a := cl.AllocsPerOp(); a != 0 {

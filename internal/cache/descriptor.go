@@ -7,7 +7,7 @@
 //     of the coordinated and LNC-R schemes (paper §2.1/§2.4); with the plain
 //     frequency key it is an LFU store (used by the d-cache and the LFU
 //     baseline). Its heap keeps each entry's key and ID inline in 24-byte
-//     slots and its descriptors are 160 bytes; TestDescriptorLayout pins
+//     slots and its descriptors are 96 bytes; TestDescriptorLayout pins
 //     both.
 //   - LRU — the classic least-recently-used store used by the LRU and
 //     MODULO baselines.
@@ -45,18 +45,29 @@ type Descriptor struct {
 
 	missPenalty float64
 
-	// heap bookkeeping, owned by the containing store. key is the value the
-	// descriptor's heap slot sorts under (the slot holds a copy); it stays
-	// here too so a detached victim still answers EvictionKey. heapIndex is
-	// 32-bit and shares a word with dirty: with the 96-byte Window that
-	// makes the descriptor exactly 160 bytes, an allocator size class of
-	// its own — one more word and it occupies 192 (TestDescriptorLayout).
-	key        float64
-	epoch      uint64
-	pendingKey float64 // deferred re-key value, meaningful while dirty
-	heapIndex  int32   // position in the store's heap, -1 when detached
-	dirty      bool    // a heap repair for this entry is pending
+	// heap bookkeeping, owned by the containing store. key is the entry's
+	// effective eviction key. The heap slot holds a copy, which lags behind
+	// key while a re-key is deferred (the dirty bit is set) and equals it
+	// otherwise; key stays here too so a detached victim still answers
+	// EvictionKey. heapIndex and mark share one word: with the 48-byte
+	// Window that makes the descriptor exactly 96 bytes, an allocator size
+	// class of its own — one more word and it occupies 112
+	// (TestDescriptorLayout).
+	key       float64
+	heapIndex int32  // position in the store's heap, -1 when detached
+	mark      uint32 // dirtyBit | selection epoch (see HeapStore.nextEpoch)
 }
+
+// mark layout: the top bit says a heap repair for the entry is pending, the
+// other 31 hold the epoch of the last victim selection it surfaced in.
+const (
+	dirtyBit  = 1 << 31
+	epochMask = dirtyBit - 1
+)
+
+func (d *Descriptor) dirty() bool       { return d.mark&dirtyBit != 0 }
+func (d *Descriptor) epoch() uint32     { return d.mark & epochMask }
+func (d *Descriptor) setEpoch(e uint32) { d.mark = d.mark&dirtyBit | e }
 
 // NewDescriptor returns a descriptor for the given object with the paper's
 // default sliding-window parameters and a zero miss penalty.
@@ -71,19 +82,22 @@ func NewDescriptorK(id model.ObjectID, size int64, k int) *Descriptor {
 	return &Descriptor{
 		ID:        id,
 		Size:      size,
-		Window:    freq.NewWindow(k, freq.DefaultRefreshInterval),
+		Window:    freq.NewWindow(k),
 		heapIndex: -1,
 	}
 }
 
 // Reset reinitializes a recycled descriptor with a new identity, clearing
-// the access history, miss penalty and store bookkeeping. Call only on
-// descriptors detached from every store.
+// the access history, miss penalty and store bookkeeping. The window keeps
+// its overflow ring, so recycling a K > 3 descriptor allocates nothing.
+// Call only on descriptors detached from every store.
 func (d *Descriptor) Reset(id model.ObjectID, size int64, k int) {
+	w := d.Window
+	w.Reset(k)
 	*d = Descriptor{
 		ID:        id,
 		Size:      size,
-		Window:    freq.NewWindow(k, freq.DefaultRefreshInterval),
+		Window:    w,
 		heapIndex: -1,
 	}
 }
@@ -124,9 +138,4 @@ func (d *Descriptor) InStore() bool { return d.heapIndex >= 0 }
 // sorted under, including any re-key deferred by the lazy repair machinery.
 // For a victim just returned by HeapStore.Insert this is the final key it
 // was selected at — the value the eviction-order audit compares.
-func (d *Descriptor) EvictionKey() float64 {
-	if d.dirty {
-		return d.pendingKey
-	}
-	return d.key
-}
+func (d *Descriptor) EvictionKey() float64 { return d.key }

@@ -26,8 +26,8 @@ func FreqKey(d *Descriptor, now float64) float64 { return d.Window.Estimate(now)
 // only the heap's own contiguous memory and never a descriptor.
 //
 // Keys derived from sliding-window frequency estimates are piecewise
-// constant: Estimate only recomputes when an object is referenced or its
-// cached value is older than the refresh interval. The store keeps heap
+// constant: Estimate only re-evaluates when an object is referenced or its
+// last evaluation is older than the refresh interval. The store keeps heap
 // keys in step with those semantics two ways: touched entries are re-keyed
 // on update, and a full re-key sweep runs once per aging interval
 // (paper §3.2's 10-minute refresh) so the keys of unreferenced objects
@@ -48,7 +48,7 @@ type HeapStore struct {
 	keyFn     KeyFunc
 	entries   map[model.ObjectID]*Descriptor
 	h         descHeap
-	epoch     uint64
+	epoch     uint32  // current victim selection, 1 … epochMask
 	aging     float64 // full re-key sweep interval (seconds)
 	lastSweep float64
 
@@ -103,7 +103,7 @@ func (s *HeapStore) maybeSweep(now float64) {
 	// The sweep recomputes every key and rebuilds the heap wholesale, so
 	// any deferred repairs are subsumed.
 	for _, d := range s.dirty {
-		d.dirty = false
+		d.mark &^= dirtyBit
 	}
 	s.dirty = s.dirty[:0]
 	for i := range s.h {
@@ -115,19 +115,19 @@ func (s *HeapStore) maybeSweep(now float64) {
 }
 
 // flushDirty applies deferred re-keys, restoring the heap invariant before
-// an order-sensitive operation (victim selection, removal). Each entry is
-// fixed individually: the heap is valid apart from the one entry whose key
+// an order-sensitive operation (victim selection, removal): each dirty
+// entry's slot takes the key its descriptor now holds. Each entry is fixed
+// individually: the heap is valid apart from the one entry whose key
 // changes, so descHeap.fix fully restores it per step.
 func (s *HeapStore) flushDirty() {
 	if len(s.dirty) == 0 {
 		return
 	}
 	for i, d := range s.dirty {
-		if d.dirty && d.heapIndex >= 0 {
-			d.key = d.pendingKey
+		if d.dirty() && d.heapIndex >= 0 {
 			s.h.fix(int(d.heapIndex))
 		}
-		d.dirty = false
+		d.mark &^= dirtyBit
 		s.dirty[i] = nil
 	}
 	s.dirty = s.dirty[:0]
@@ -178,21 +178,35 @@ func (s *HeapStore) SetMissPenalty(id model.ObjectID, m, now float64) bool {
 	return true
 }
 
-// rekey records the entry's key at update time and schedules the heap
-// repair for the next flushDirty. No-op when the key is unchanged (the
-// common case while the sliding-window estimate's cache is warm).
+// rekey records the entry's key at update time in d.key and schedules the
+// heap repair for the next flushDirty; until then the entry's slot keeps the
+// key it sorts under, which is all the sifts read. No-op when the key is
+// unchanged (the common case while the sliding-window estimate is fresh).
 func (s *HeapStore) rekey(d *Descriptor, now float64) {
 	k := s.keyFn(d, now)
-	if d.dirty {
-		d.pendingKey = k
-		return
-	}
 	if k == d.key {
 		return
 	}
-	d.pendingKey = k
-	d.dirty = true
-	s.dirty = append(s.dirty, d)
+	d.key = k
+	if !d.dirty() {
+		d.mark |= dirtyBit
+		s.dirty = append(s.dirty, d)
+	}
+}
+
+// nextEpoch starts a victim selection. The epoch lives in 31 bits of each
+// descriptor's mark; when the counter would leave them it restarts at 1 and
+// every entry's epoch is cleared, so no entry can look as though it already
+// surfaced in a selection it has not.
+func (s *HeapStore) nextEpoch() {
+	s.epoch++
+	if s.epoch <= epochMask {
+		return
+	}
+	s.epoch = 1
+	for i := range s.h {
+		s.h[i].d.setEpoch(0)
+	}
 }
 
 func (s *HeapStore) entrySize(d *Descriptor) int64 {
@@ -218,15 +232,15 @@ func (s *HeapStore) selectVictims(need int64, now float64) ([]*Descriptor, bool)
 		return nil, true
 	}
 	s.flushDirty()
-	s.epoch++
+	s.nextEpoch()
 	victims := s.victimBuf[:0]
 	for free < need {
 		d := s.h.pop()
-		if d.epoch != s.epoch {
+		if d.epoch() != s.epoch {
 			// First time this entry surfaces in this selection:
 			// refresh its key; if it no longer holds the minimum,
 			// put it back and keep looking.
-			d.epoch = s.epoch
+			d.setEpoch(s.epoch)
 			k := s.keyFn(d, now)
 			if k != d.key {
 				d.key = k
@@ -285,8 +299,27 @@ func (s *HeapStore) Insert(d *Descriptor, now float64) (evicted []*Descriptor, o
 	s.entries[d.ID] = d
 	s.used += size
 	d.key = s.keyFn(d, now)
+	if s.unit && len(s.h) == cap(s.h) {
+		s.growExact()
+	}
 	s.h.push(d)
 	return victims, true
+}
+
+// growExact enlarges a full heap of an entry-counted store, doubling as
+// append would but never past the capacity: such a store holds at most
+// capacity entries, so every slot beyond it would be slack for good.
+func (s *HeapStore) growExact() {
+	n := 2 * cap(s.h)
+	if n < 8 {
+		n = 8
+	}
+	if int64(n) > s.capacity {
+		n = int(s.capacity)
+	}
+	h := make(descHeap, len(s.h), n)
+	copy(h, s.h)
+	s.h = h
 }
 
 // Remove detaches and returns the descriptor for id, or nil if absent.
@@ -316,11 +349,7 @@ func (s *HeapStore) MinKeyExcluding(id model.ObjectID) (float64, bool) {
 		if d.ID == id {
 			continue
 		}
-		k := d.key
-		if d.dirty {
-			k = d.pendingKey
-		}
-		if !found || k < best {
+		if k := d.key; !found || k < best {
 			best, found = k, true
 		}
 	}
@@ -335,8 +364,9 @@ func (s *HeapStore) ForEach(fn func(*Descriptor)) {
 }
 
 // checkInvariants panics if internal bookkeeping is inconsistent: entry and
-// heap membership, every slot mirroring its descriptor, the heap property,
-// and the capacity accounting. It is exercised by tests.
+// heap membership, every slot mirroring its descriptor (its key only once
+// no re-key is deferred), the heap property, and the capacity accounting.
+// It is exercised by tests.
 func (s *HeapStore) checkInvariants() {
 	if len(s.entries) != len(s.h) {
 		panic(fmt.Sprintf("cache: %d entries but heap len %d", len(s.entries), len(s.h)))
@@ -351,7 +381,7 @@ func (s *HeapStore) checkInvariants() {
 	}
 	for i := range s.h {
 		sl := &s.h[i]
-		if sl.key != sl.d.key || sl.id != sl.d.ID {
+		if (sl.key != sl.d.key && !sl.d.dirty()) || sl.id != sl.d.ID {
 			panic(fmt.Sprintf("cache: slot %d holds (%v, %d) but its descriptor (%v, %d)",
 				i, sl.key, sl.id, sl.d.key, sl.d.ID))
 		}
@@ -369,8 +399,8 @@ func (s *HeapStore) checkInvariants() {
 
 // slot is one heap element: the entry's sort key and ID by value beside the
 // descriptor pointer, 24 bytes, so that sifting compares neighbouring slots
-// without loading either descriptor (whose ID and key sit on two different
-// cache lines of a 160-byte object somewhere else in the Go heap).
+// without loading either descriptor (whose ID and key sit 80 bytes apart in
+// a 96-byte object somewhere else in the Go heap, often on two cache lines).
 type slot struct {
 	key float64
 	id  model.ObjectID
@@ -392,8 +422,9 @@ func slotLess(a, b *slot) bool {
 // descHeap is a binary min-heap of slots under slotLess. A slot's key is a
 // copy of d.key taken when the slot is written (push, fix, or the sweep's
 // re-key); the store changes d.key of an attached entry only together with
-// one of those. Each descriptor's heapIndex tracks its slot, which bounds a
-// store at 2³¹−1 entries.
+// one of those, or in a deferred re-key that marks the entry dirty until
+// flushDirty fixes its slot. Each descriptor's heapIndex tracks its slot,
+// which bounds a store at 2³¹−1 entries.
 //
 // Sifting moves a hole instead of swapping: the displaced slot is held in
 // a local while parents (or smaller children) slide into the hole, so each

@@ -3,10 +3,12 @@ package cache
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"unsafe"
 
+	"cascade/internal/freq"
 	"cascade/internal/model"
 )
 
@@ -447,15 +449,73 @@ func TestRestoreRespectsCapacity(t *testing.T) {
 }
 
 // TestDescriptorLayout pins the two sizes the store's memory behaviour
-// rests on. A descriptor of at most 160 bytes has an allocator size class to
-// itself; one more word and every descriptor in every cache and d-cache
-// occupies 192. A slot is three words, so a cache line holds the keys of
-// two to three neighbours and sifting never leaves the heap's own array.
+// rests on. A 96-byte descriptor fills an allocator size class exactly; one
+// more word and every descriptor in every cache and d-cache occupies 112.
+// A slot is three words, so a cache line holds the keys of two to three
+// neighbours and sifting never leaves the heap's own array.
 func TestDescriptorLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Descriptor{}); got > 160 {
-		t.Fatalf("Descriptor is %d bytes, want at most 160 (the next allocator class is 192)", got)
+	if got := unsafe.Sizeof(Descriptor{}); got != 96 {
+		t.Fatalf("Descriptor is %d bytes, want 96 (the next allocator class is 112)", got)
 	}
 	if got := unsafe.Sizeof(slot{}); got != 24 {
 		t.Fatalf("heap slot is %d bytes, want 24", got)
 	}
+}
+
+// TestEntryStoreHeapExact drives a d-cache stripe — an entry-counted store —
+// well past its capacity: its heap may grow only up to that capacity, never
+// to the slack append would leave (the next power of two and beyond).
+func TestEntryStoreHeapExact(t *testing.T) {
+	for _, capacity := range []int64{1, 5, 12, 100, 1000, 1500} {
+		s := NewDescriptorLFU(capacity)
+		now := 0.0
+		for id := model.ObjectID(0); id < model.ObjectID(3*capacity+10); id++ {
+			now += 0.5
+			if _, ok := s.Insert(mkDesc(id, 1, 1, now), now); !ok {
+				t.Fatalf("capacity %d: insert %d failed", capacity, id)
+			}
+			if int64(cap(s.h)) > capacity {
+				t.Fatalf("capacity %d: heap backing array holds %d slots after %d inserts", capacity, cap(s.h), id+1)
+			}
+		}
+		if int64(s.Len()) != capacity {
+			t.Fatalf("capacity %d: %d entries", capacity, s.Len())
+		}
+		s.checkInvariants()
+	}
+}
+
+// TestSnapshotRoundTripEveryK restores a snapshot of a descriptor at every
+// window size, including those whose window continues past the inline
+// times: the windows must be equal, and the two descriptors must share no
+// ring — recording into one leaves the other as it was.
+func TestSnapshotRoundTripEveryK(t *testing.T) {
+	for k := 1; k <= 8; k++ {
+		a := NewDescriptorK(7, 100, k)
+		a.missPenalty = 2
+		for i := 0; i < 2*k+1; i++ {
+			a.Window.Record(float64(i))
+		}
+		b, err := RestoreDescriptor(a.Snapshot())
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if !sameWindow(&a.Window, &b.Window) {
+			t.Fatalf("k=%d: restored window %v (k=%d), original %v", k, b.Window.Times(), b.Window.K(), a.Window.Times())
+		}
+		before := b.Window.Times()
+		for i := 0; i < k; i++ {
+			a.Window.Record(float64(100 + i))
+		}
+		if after := b.Window.Times(); !slices.Equal(before, after) {
+			t.Fatalf("k=%d: recording into the original changed the restored window %v → %v", k, before, after)
+		}
+	}
+}
+
+// sameWindow reports whether two windows hold the same state as far as any
+// reader can tell.
+func sameWindow(a, b *freq.Window) bool {
+	return a.K() == b.K() && a.Count() == b.Count() && a.LastAccess() == b.LastAccess() &&
+		a.Peek() == b.Peek() && slices.Equal(a.Times(), b.Times())
 }

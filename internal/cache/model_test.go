@@ -266,8 +266,8 @@ func TestGDSModelBased(t *testing.T) {
 // an entry's key is what the key function returned the last time the
 // entry was inserted, touched, given a penalty, swept, or surfaced as the
 // minimum of a selection — so any difference in victim order is the heap's.
-// It keeps descriptors of its own, since key functions refresh the window's
-// cached estimate as a side effect.
+// It keeps descriptors of its own, since key functions move the window's
+// estimate time as a side effect.
 type refStore struct {
 	capacity, used   int64
 	unit             bool
@@ -421,18 +421,21 @@ func (r *refStore) remove(id model.ObjectID) bool {
 }
 
 // Encoding of a HeapStore op sequence, shared by the differential test and
-// the fuzz target. Byte 0 picks the store and its sweep interval; every
-// following triple is one op: {op | step<<3, id, arg}.
+// the fuzz target. Byte 0 picks the store, its sweep interval and whether
+// the selection epoch wraps mid-run; every following triple is one op:
+// {op | step<<3, id, arg}.
 const (
 	heapOpIDs    = 48   // object IDs in play
 	heapOpBytes  = 2000 // capacity of the byte-counted stores
 	heapOpUnits  = 12   // capacity of the entry-counted store
 	heapOpMaxOps = 4096
+
+	heapOpWrapEvery = 4 // ops between epoch wraps, in the wrapping configs
 )
 
 var (
-	// Time steps: mostly none or small, so that many descriptors share a
-	// cached estimate exactly; a few long enough that, summed over a run,
+	// Time steps: mostly none or small, so that many descriptors share an
+	// estimate exactly; a few long enough that, summed over a run,
 	// `now` crosses the 600 s aging interval many times and keys go stale
 	// between sweeps.
 	heapOpSteps = [8]float64{0, 0, 0, 0.5, 3, 20, 90, 400}
@@ -471,6 +474,7 @@ func runHeapOps(t *testing.T, data []byte) (sweeps, evictions int) {
 		// surface stale and are refreshed inside the selection.
 		s.SetAgingInterval(4 * s.aging)
 	}
+	wrap := data[0]/6%2 == 1
 	ref := &refStore{capacity: s.capacity, unit: s.unit, keyFn: s.keyFn, aging: s.aging}
 	now := 0.0
 	ops := (len(data) - 1) / 3
@@ -478,6 +482,13 @@ func runHeapOps(t *testing.T, data []byte) (sweeps, evictions int) {
 		ops = heapOpMaxOps
 	}
 	for i := 0; i < ops; i++ {
+		if wrap && i%heapOpWrapEvery == 0 && s.epoch < epochMask-1 {
+			// Forward to two selections short of the 31-bit epoch wrap,
+			// again and again: entries that surfaced in the last cycle's
+			// low epochs are still resident when the counter comes round
+			// to those values in the next.
+			s.epoch = epochMask - 1
+		}
 		b := data[1+3*i : 4+3*i]
 		op, id, arg := b[0]&7, model.ObjectID(b[1]%heapOpIDs), b[2]
 		now += heapOpSteps[b[0]>>3&7]
@@ -565,12 +576,31 @@ func TestHeapStoreDifferential(t *testing.T) {
 	}
 }
 
+// TestHeapStoreEpochWrap is the differential test with every store's
+// selection epoch moved to just below the wrap halfway through the run. The
+// second half still evicts (each case evicts at least a hundred times over
+// the whole run, and a selection evicts at most twenty), so the counter
+// wraps; an entry whose epoch survived the wrap would skip the stale-minimum
+// refresh the reference makes, and victim order or keys would differ.
+func TestHeapStoreEpochWrap(t *testing.T) {
+	for _, data := range heapOpCases() {
+		data[0] += 6
+		if _, evictions := runHeapOps(t, data); evictions < 100 {
+			t.Fatalf("store config %d: only %d evictions", data[0], evictions)
+		}
+	}
+}
+
 // FuzzHeapStoreOps seeds from a prefix of each differential case: enough ops
 // to fill the store and cross the aging interval dozens of times, short
-// enough for the mutator (and its minimizer) to turn over quickly.
+// enough for the mutator (and its minimizer) to turn over quickly. Each
+// prefix is seeded twice, the second time with the epoch wrapping mid-run.
 func FuzzHeapStoreOps(f *testing.F) {
 	for _, data := range heapOpCases() {
 		f.Add(data[:1+3*256])
+		wrapped := append([]byte(nil), data[:1+3*256]...)
+		wrapped[0] += 6
+		f.Add(wrapped)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) { runHeapOps(t, data) })
 }

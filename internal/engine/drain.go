@@ -38,16 +38,17 @@ func (st *NodeState) DrainDescriptors(now float64) []cache.DescriptorSnapshot {
 // Absorb folds a departing child's spilled descriptors into this node's
 // d-cache, in the order DrainDescriptors produced them. Objects whose
 // descriptor is already known here — in the main cache or the d-cache —
-// are skipped: the local view has fresher access history for them. It
-// reports how many descriptors were absorbed (the d-cache may evict some
-// again immediately; those still count as absorbed).
+// are skipped: the local view has fresher access history for them. So are
+// snapshots cache.RestoreDescriptor refuses. It reports how many
+// descriptors were absorbed (the d-cache may evict some again immediately;
+// those still count as absorbed).
 func (st *NodeState) Absorb(snaps []cache.DescriptorSnapshot, now float64) int {
 	absorbed := 0
 	for _, snap := range snaps {
 		if st.Store.Contains(snap.ID) || st.DCache.Contains(snap.ID) {
 			continue
 		}
-		if st.DCache.Put(cache.RestoreDescriptor(snap), now) {
+		if d, err := cache.RestoreDescriptor(snap); err == nil && st.DCache.Put(d, now) {
 			absorbed++
 		}
 	}

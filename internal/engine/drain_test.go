@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"testing"
 
 	"cascade/internal/cache"
@@ -82,6 +83,35 @@ func TestAbsorbSkipsKnownObjects(t *testing.T) {
 	}
 	if got := parent.DCache.Get(2); got == nil || got != dTwo {
 		t.Fatal("existing parent descriptor must be preserved, not replaced")
+	}
+}
+
+// TestRestorePathsRefuseInvalidSnapshots feeds every engine path that turns
+// a snapshot back into a descriptor (a drained child's spill, a warm start)
+// snapshots no node could have written; none may reach a store.
+func TestRestorePathsRefuseInvalidSnapshots(t *testing.T) {
+	bad := []cache.DescriptorSnapshot{
+		{ID: 1, Size: -4096, MissPenalty: 1, AccessTimes: []float64{1}},
+		{ID: 2, Size: 100, MissPenalty: math.NaN(), AccessTimes: []float64{1}},
+		{ID: 3, Size: 100, MissPenalty: 1, AccessTimes: []float64{2, math.Inf(1)}},
+		{ID: 4, Size: 100, MissPenalty: 1, AccessTimes: []float64{3, 1}},
+		{ID: 5, Size: 100, MissPenalty: 1, AccessTimes: []float64{1}, WindowK: 99},
+	}
+	st := drainNode(0, 1000, 8)
+	if got := st.Absorb(bad, 5); got != 0 || st.DCache.Len() != 0 {
+		t.Errorf("NodeState.Absorb took %d bad snapshots (d-cache len %d)", got, st.DCache.Len())
+	}
+	s := NewSharded(ShardedConfig{Shards: 2, CacheBytes: 1000, DCacheEntries: 8})
+	if got := s.Absorb(bad, 5); got != 0 {
+		t.Errorf("Sharded.Absorb took %d bad snapshots", got)
+	}
+	for _, snap := range bad {
+		if s.RestoreInsert(snap, 5) {
+			t.Errorf("Sharded.RestoreInsert took object %d", snap.ID)
+		}
+	}
+	if s.Used() != 0 || s.StoreLen() != 0 {
+		t.Errorf("after refused restores: used %d, %d entries", s.Used(), s.StoreLen())
 	}
 }
 

@@ -420,14 +420,19 @@ func (s *Sharded) DrainDescriptors(now float64) []cache.DescriptorSnapshot {
 }
 
 // Absorb folds a departing child's spilled descriptors into the owning
-// shards' d-cache stripes, in spill order (see NodeState.Absorb).
+// shards' d-cache stripes, in spill order, skipping invalid snapshots (see
+// NodeState.Absorb).
 func (s *Sharded) Absorb(snaps []cache.DescriptorSnapshot, now float64) int {
 	absorbed := 0
 	for _, snap := range snaps {
+		d, err := cache.RestoreDescriptor(snap)
+		if err != nil {
+			continue
+		}
 		sh := &s.shards[s.ShardOf(snap.ID)]
 		s.lock(sh)
 		if !sh.st.Store.Contains(snap.ID) && !sh.st.DCache.Contains(snap.ID) &&
-			sh.st.DCache.Put(cache.RestoreDescriptor(snap), now) {
+			sh.st.DCache.Put(d, now) {
 			absorbed++
 		}
 		sh.mu.Unlock()
@@ -465,16 +470,21 @@ func (s *Sharded) Snapshot() []cache.DescriptorSnapshot {
 	return out
 }
 
-// RestoreInsert re-inserts one snapshot into its owning shard if that
-// shard's free space fits it without eviction. Reports success.
+// RestoreInsert re-inserts one snapshot into its owning shard if
+// cache.RestoreDescriptor accepts it and that shard's free space fits it
+// without eviction. Reports success.
 func (s *Sharded) RestoreInsert(snap cache.DescriptorSnapshot, now float64) bool {
+	d, err := cache.RestoreDescriptor(snap)
+	if err != nil {
+		return false
+	}
 	sh := &s.shards[s.ShardOf(snap.ID)]
 	s.lock(sh)
 	defer sh.mu.Unlock()
-	if sh.st.Store.Capacity()-sh.st.Store.Used() < snap.Size {
+	if sh.st.Store.Capacity()-sh.st.Store.Used() < d.Size {
 		return false
 	}
-	_, ok := sh.st.Store.Insert(cache.RestoreDescriptor(snap), now)
+	_, ok := sh.st.Store.Insert(d, now)
 	return ok
 }
 

@@ -74,8 +74,8 @@ func fill(s *Sharded, objs []model.ObjectID, size int64, now float64) int {
 	placedCount := 0
 	for i, obj := range objs {
 		ts := now + float64(i)*0.01
-		s.UpMiss(obj, size, 0, 1, ts)         // creates the descriptor
-		s.UpMiss(obj, size, 0, 1, ts+0.001)   // second touch: usable frequency
+		s.UpMiss(obj, size, 0, 1, ts)       // creates the descriptor
+		s.UpMiss(obj, size, 0, 1, ts+0.001) // second touch: usable frequency
 		out, _ := s.DownStep(obj, size, true, 1, 0, 0, ts+0.002, nil)
 		if out.Placed {
 			placedCount++

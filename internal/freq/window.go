@@ -8,14 +8,22 @@
 //	f(O) = 𝒦 / (t − t_𝒦)
 //
 // where 𝒦 ≤ K is the number of recorded references and t_𝒦 the oldest
-// recorded reference time. To bound bookkeeping cost, the cached estimate is
-// refreshed only when the object is referenced and, to reflect aging of
-// unreferenced objects, whenever the cached value is older than a refresh
-// interval (the paper uses 10 minutes).
+// recorded reference time. To bound bookkeeping cost, the estimate is
+// re-evaluated only when the object is referenced and, to reflect aging of
+// unreferenced objects, whenever it is older than the refresh interval (the
+// paper uses 10 minutes). The estimate itself is not stored: a window keeps
+// the time it was last evaluated at, estTime, and derives 𝒦/(estTime − t_𝒦)
+// from the recorded times on demand. The times change only in Record, which
+// moves estTime to the reference, so the derived value is exactly what a
+// cached one would be.
 package freq
 
 // DefaultK is the paper's window size (3 most recent references).
 const DefaultK = 3
+
+// MaxK bounds the window size (the paper uses K = 3; 8 leaves room for
+// experimentation).
+const MaxK = 8
 
 // DefaultRefreshInterval is the paper's aging interval in seconds (10 min).
 const DefaultRefreshInterval = 600.0
@@ -27,61 +35,77 @@ const DefaultRefreshInterval = 600.0
 // letting it diverge.
 const epsilon = 1.0
 
-// maxK bounds the window size; descriptors embed the ring inline, so the
-// cap keeps them compact (the paper uses K = 3; 8 leaves room for
-// experimentation without heap-allocating per object).
-const maxK = 8
+// inlineK reference times sit inside the Window itself: the paper's K.
+const inlineK = DefaultK
 
 // Window estimates the access frequency of a single object from its K most
 // recent reference times. The zero value is unusable; construct with
 // NewWindow. Window is not safe for concurrent use; each cache node owns its
-// descriptors exclusively.
+// descriptors exclusively, and a Window must not be copied while the copy
+// and the original are both recorded into (they would share the overflow
+// ring).
 //
-// count, head and k never exceed maxK = 8, so they are one byte each and sit
-// after the float64 fields: that keeps the struct at 96 bytes, which is what
-// lets cache.Descriptor fit the allocator's 160-byte class.
+// The ring of K times is the inline array, continued for K > 3 in an
+// overflow array allocated once by NewWindow and kept by Reset. count, head
+// and k never exceed MaxK, so they are one byte each: the struct is 48
+// bytes, which is what lets cache.Descriptor fit the allocator's 96-byte
+// class.
 type Window struct {
-	times [maxK]float64 // ring buffer of reference times
-
-	est     float64 // cached estimate
-	estTime float64 // time the estimate was computed
-	refresh float64 // aging interval
+	times   [inlineK]float64         // ring positions 0 … inlineK−1
+	more    *[MaxK - inlineK]float64 // ring positions inlineK … k−1; nil until some k > inlineK needs it
+	estTime float64                  // time the estimate was last evaluated at; −1 before any
 
 	count uint8 // 𝒦: number of valid entries, ≤ k
 	head  uint8 // position of the next write
-	k     uint8 // configured window size, ≤ maxK
+	k     uint8 // configured window size, ≤ MaxK
 }
 
 // NewWindow returns a Window recording up to k reference times (1 ≤ k ≤ 8)
-// whose cached estimate is refreshed on reference and after
-// refreshInterval seconds of staleness. Passing k ≤ 0 selects the paper's
-// K = 3; k above the cap clamps to 8. refreshInterval ≤ 0 selects the
-// paper's 10 minutes.
-func NewWindow(k int, refreshInterval float64) Window {
+// whose estimate is re-evaluated on reference and after
+// DefaultRefreshInterval seconds of staleness. Passing k ≤ 0 selects the
+// paper's K = 3; k above the cap clamps to 8.
+func NewWindow(k int) Window {
+	var w Window
+	w.Reset(k)
+	return w
+}
+
+// Reset reinitializes the window to size k (clamped as by NewWindow) with
+// no recorded references. An overflow ring the window already has is kept
+// for reuse, so recycling a descriptor allocates nothing.
+func (w *Window) Reset(k int) {
 	if k <= 0 {
 		k = DefaultK
 	}
-	if k > maxK {
-		k = maxK
+	if k > MaxK {
+		k = MaxK
 	}
-	if refreshInterval <= 0 {
-		refreshInterval = DefaultRefreshInterval
+	more := w.more
+	if k > inlineK && more == nil {
+		more = new([MaxK - inlineK]float64)
 	}
-	return Window{k: uint8(k), refresh: refreshInterval, estTime: -1}
+	*w = Window{more: more, estTime: -1, k: uint8(k)}
 }
 
 // K returns the configured window size.
 func (w *Window) K() int { return int(w.k) }
 
-// Record notes a reference at time now and refreshes the cached estimate.
-// Reference times must be non-decreasing across calls.
+// at returns ring position i.
+func (w *Window) at(i uint8) *float64 {
+	if i < inlineK {
+		return &w.times[i]
+	}
+	return &w.more[i-inlineK]
+}
+
+// Record notes a reference at time now, at which the estimate is
+// re-evaluated. Reference times must be non-decreasing across calls.
 func (w *Window) Record(now float64) {
-	w.times[w.head] = now
+	*w.at(w.head) = now
 	w.head = (w.head + 1) % w.k
 	if w.count < w.k {
 		w.count++
 	}
-	w.est = w.compute(now)
 	w.estTime = now
 }
 
@@ -94,26 +118,27 @@ func (w *Window) LastAccess() float64 {
 	if w.count == 0 {
 		return -1
 	}
-	return w.times[(w.head+w.k-1)%w.k]
+	return *w.at((w.head + w.k - 1) % w.k)
 }
 
-// Estimate returns the access-frequency estimate at time now. The cached
-// value is returned unless it is older than the refresh interval, in which
-// case it is recomputed (aging unreferenced objects toward zero).
+// Estimate returns the access-frequency estimate at time now: the value at
+// the last evaluation time unless that is older than the refresh interval,
+// in which case the estimate is re-evaluated at now (aging unreferenced
+// objects toward zero).
 func (w *Window) Estimate(now float64) float64 {
 	if w.count == 0 {
 		return 0
 	}
-	if w.estTime < 0 || now-w.estTime >= w.refresh {
-		w.est = w.compute(now)
+	if w.estTime < 0 || now-w.estTime >= DefaultRefreshInterval {
 		w.estTime = now
 	}
-	return w.est
+	return w.compute(w.estTime)
 }
 
-// Peek returns the cached estimate without any refresh. It is what a
-// descriptor serialized onto a request message would carry.
-func (w *Window) Peek() float64 { return w.est }
+// Peek returns the estimate at the last evaluation time, without any
+// refresh. It is what a descriptor serialized onto a request message would
+// carry.
+func (w *Window) Peek() float64 { return w.compute(w.estTime) }
 
 // compute evaluates 𝒦/(now − t_𝒦) directly.
 func (w *Window) compute(now float64) float64 {
@@ -124,7 +149,7 @@ func (w *Window) compute(now float64) float64 {
 	// ring was filled from index 0.
 	oldest := w.times[0]
 	if w.count == w.k {
-		oldest = w.times[w.head]
+		oldest = *w.at(w.head)
 	}
 	dt := now - oldest
 	if w.count == 1 {
@@ -134,8 +159,8 @@ func (w *Window) compute(now float64) float64 {
 		// otherwise first-touch objects would look hotter than any
 		// genuinely popular object and flood every cost-aware cache
 		// with one-hit wonders.
-		if dt < w.refresh {
-			dt = w.refresh
+		if dt < DefaultRefreshInterval {
+			dt = DefaultRefreshInterval
 		}
 	} else if dt < epsilon {
 		dt = epsilon
@@ -152,7 +177,7 @@ func (w *Window) Times() []float64 {
 		start = w.head
 	}
 	for i := uint8(0); i < w.count; i++ {
-		out = append(out, w.times[(start+i)%w.k])
+		out = append(out, *w.at((start + i) % w.k))
 	}
 	return out
 }

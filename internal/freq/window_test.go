@@ -3,12 +3,13 @@ package freq
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
 func TestZeroReferences(t *testing.T) {
-	w := NewWindow(3, 600)
+	w := NewWindow(3)
 	if got := w.Estimate(100); got != 0 {
 		t.Fatalf("estimate with no references = %v, want 0", got)
 	}
@@ -18,7 +19,7 @@ func TestZeroReferences(t *testing.T) {
 }
 
 func TestSingleReference(t *testing.T) {
-	w := NewWindow(3, 600)
+	w := NewWindow(3)
 	w.Record(10)
 	// 𝒦=1, t_𝒦=10 → f = 1/(t-10).
 	if got, want := w.Estimate(10+2), 0.5; math.Abs(got-want) > 1e-12 {
@@ -33,7 +34,7 @@ func TestSingleReference(t *testing.T) {
 }
 
 func TestFullWindowUsesOldestOfK(t *testing.T) {
-	w := NewWindow(3, 600)
+	w := NewWindow(3)
 	for _, ts := range []float64{0, 10, 20, 30, 40} {
 		w.Record(ts)
 	}
@@ -52,7 +53,7 @@ func TestFullWindowUsesOldestOfK(t *testing.T) {
 }
 
 func TestPartialWindow(t *testing.T) {
-	w := NewWindow(3, 600)
+	w := NewWindow(3)
 	w.Record(5)
 	w.Record(15)
 	// 𝒦=2, t_𝒦=5 → at record time f = 2/(15-5).
@@ -62,9 +63,9 @@ func TestPartialWindow(t *testing.T) {
 }
 
 func TestCachedEstimateNotRefreshedWithinInterval(t *testing.T) {
-	w := NewWindow(3, 600)
+	w := NewWindow(3)
 	w.Record(0)
-	cached := w.Estimate(1) // within interval → cached value from Record(0)
+	cached := w.Estimate(1) // within interval → the value as of Record(0)
 	if got := w.Estimate(599); got != cached {
 		t.Fatalf("estimate changed within refresh interval: %v != %v", got, cached)
 	}
@@ -74,12 +75,12 @@ func TestCachedEstimateNotRefreshedWithinInterval(t *testing.T) {
 }
 
 func TestAgingDecreasesEstimate(t *testing.T) {
-	w := NewWindow(3, 100)
+	w := NewWindow(3)
 	w.Record(0)
 	w.Record(1)
 	w.Record(2)
 	prev := w.Estimate(2)
-	for _, now := range []float64{200, 400, 900, 5000} {
+	for _, now := range []float64{700, 1400, 2100, 5000} {
 		cur := w.Estimate(now)
 		if cur >= prev {
 			t.Fatalf("estimate did not decay at t=%v: %v >= %v", now, cur, prev)
@@ -89,7 +90,7 @@ func TestAgingDecreasesEstimate(t *testing.T) {
 }
 
 func TestSameTimestampReferences(t *testing.T) {
-	w := NewWindow(3, 600)
+	w := NewWindow(3)
 	w.Record(7)
 	w.Record(7)
 	w.Record(7)
@@ -100,18 +101,19 @@ func TestSameTimestampReferences(t *testing.T) {
 }
 
 func TestDefaultsSelected(t *testing.T) {
-	w := NewWindow(0, 0)
-	if w.K() != DefaultK || w.refresh != DefaultRefreshInterval {
-		t.Fatalf("defaults not applied: k=%d refresh=%v", w.K(), w.refresh)
+	if w := NewWindow(0); w.K() != DefaultK {
+		t.Fatalf("default not applied: k=%d", w.K())
 	}
-	w2 := NewWindow(99, -5)
-	if w2.K() != maxK || w2.refresh != DefaultRefreshInterval {
-		t.Fatalf("out-of-range args not clamped: k=%d refresh=%v", w2.K(), w2.refresh)
+	if w := NewWindow(-2); w.K() != DefaultK {
+		t.Fatalf("negative k not defaulted: k=%d", w.K())
+	}
+	if w := NewWindow(99); w.K() != MaxK {
+		t.Fatalf("out-of-range k not clamped: k=%d", w.K())
 	}
 }
 
 func TestLargerK(t *testing.T) {
-	w := NewWindow(5, 600)
+	w := NewWindow(5)
 	for _, ts := range []float64{0, 10, 20, 30, 40, 50, 60} {
 		w.Record(ts)
 	}
@@ -125,7 +127,7 @@ func TestLargerK(t *testing.T) {
 }
 
 func TestSmallerK(t *testing.T) {
-	w := NewWindow(1, 600)
+	w := NewWindow(1)
 	w.Record(0)
 	w.Record(100)
 	// K=1: only the newest reference counts → f = 1/(now-100) after aging.
@@ -138,7 +140,7 @@ func TestSmallerK(t *testing.T) {
 
 func TestEstimatePositiveQuick(t *testing.T) {
 	prop := func(gaps []uint16) bool {
-		w := NewWindow(3, 600)
+		w := NewWindow(3)
 		now := 0.0
 		for _, g := range gaps {
 			now += float64(g%1000) / 10
@@ -159,7 +161,7 @@ func TestMoreFrequentObjectsEstimateHigher(t *testing.T) {
 	// Statistical sanity: an object referenced 10× as often should carry a
 	// clearly larger estimate.
 	r := rand.New(rand.NewSource(21))
-	hot, cold := NewWindow(3, 600), NewWindow(3, 600)
+	hot, cold := NewWindow(3), NewWindow(3)
 	now := 0.0
 	for i := 0; i < 10000; i++ {
 		now += r.ExpFloat64()
@@ -175,7 +177,7 @@ func TestMoreFrequentObjectsEstimateHigher(t *testing.T) {
 }
 
 func BenchmarkRecordEstimate(b *testing.B) {
-	w := NewWindow(3, 600)
+	w := NewWindow(3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		w.Record(float64(i))
@@ -184,7 +186,7 @@ func BenchmarkRecordEstimate(b *testing.B) {
 }
 
 func TestTimesOrder(t *testing.T) {
-	w := NewWindow(3, 600)
+	w := NewWindow(3)
 	if got := w.Times(); len(got) != 0 {
 		t.Fatalf("empty window times = %v", got)
 	}
@@ -198,5 +200,110 @@ func TestTimesOrder(t *testing.T) {
 	got := w.Times()
 	if len(got) != 3 || got[0] != 2 || got[2] != 4 {
 		t.Fatalf("wrapped times = %v", got)
+	}
+}
+
+// cachingWindow is the estimator as the paper states it: the last k times in
+// a plain slice and an estimate cached at each reference and refreshed once
+// it is a refresh interval old. Window derives its estimate instead of
+// caching it; the two must agree bit for bit.
+type cachingWindow struct {
+	k       int
+	times   []float64
+	est     float64
+	estTime float64
+}
+
+func (c *cachingWindow) compute(now float64) float64 {
+	n := len(c.times)
+	if n == 0 {
+		return 0
+	}
+	dt := now - c.times[0]
+	if n == 1 {
+		dt = math.Max(dt, DefaultRefreshInterval)
+	} else if dt < epsilon {
+		dt = epsilon
+	}
+	return float64(n) / dt
+}
+
+func (c *cachingWindow) record(now float64) {
+	c.times = append(c.times, now)
+	if len(c.times) > c.k {
+		c.times = c.times[1:]
+	}
+	c.est, c.estTime = c.compute(now), now
+}
+
+func (c *cachingWindow) estimate(now float64) float64 {
+	if len(c.times) == 0 {
+		return 0
+	}
+	if c.estTime < 0 || now-c.estTime >= DefaultRefreshInterval {
+		c.est, c.estTime = c.compute(now), now
+	}
+	return c.est
+}
+
+// TestWindowMatchesCachingEstimator drives every window size through random
+// references and reads, recycling the window now and then, against the
+// caching reference: estimates, peeks, times and last accesses must be
+// identical, including across refresh boundaries and for k above the three
+// inline times.
+func TestWindowMatchesCachingEstimator(t *testing.T) {
+	r := rand.New(rand.NewSource(32))
+	for k := 1; k <= MaxK; k++ {
+		w := NewWindow(k)
+		ref := &cachingWindow{k: k, estTime: -1}
+		now := 0.0
+		for op := 0; op < 20000; op++ {
+			now += []float64{0, 0.3, 1, 50, 700}[r.Intn(5)]
+			switch r.Intn(8) {
+			case 0, 1, 2:
+				w.Record(now)
+				ref.record(now)
+			case 7:
+				if r.Intn(50) == 0 {
+					w.Reset(k)
+					*ref = cachingWindow{k: k, estTime: -1}
+				}
+			default:
+				if got, want := w.Estimate(now), ref.estimate(now); got != want {
+					t.Fatalf("k=%d op %d: Estimate(%v) = %v, reference %v", k, op, now, got, want)
+				}
+			}
+			if got, want := w.Peek(), ref.est; len(ref.times) > 0 && got != want {
+				t.Fatalf("k=%d op %d: Peek = %v, reference %v", k, op, got, want)
+			}
+			if got := w.Times(); !slices.Equal(got, ref.times) || w.Count() != len(ref.times) {
+				t.Fatalf("k=%d op %d: times %v (count %d), reference %v", k, op, got, w.Count(), ref.times)
+			}
+			if n := len(ref.times); n > 0 && w.LastAccess() != ref.times[n-1] {
+				t.Fatalf("k=%d op %d: last access %v, reference %v", k, op, w.LastAccess(), ref.times[n-1])
+			}
+		}
+	}
+}
+
+// TestResetKeepsOverflowRing pins what recycling a descriptor relies on: a
+// window above the inline size allocates its overflow ring once, Reset keeps
+// it, and a window copied before Reset shares nothing recorded afterwards.
+func TestResetKeepsOverflowRing(t *testing.T) {
+	w := NewWindow(MaxK)
+	ring := w.more
+	if ring == nil {
+		t.Fatal("a K = 8 window has no overflow ring")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		w.Reset(MaxK)
+		for i := 0; i < 20; i++ {
+			w.Record(float64(i))
+		}
+	}); allocs != 0 || w.more != ring {
+		t.Fatalf("Reset + Record allocated %v times (ring kept: %v)", allocs, w.more == ring)
+	}
+	if small := NewWindow(DefaultK); small.more != nil {
+		t.Fatal("a K = 3 window allocated an overflow ring")
 	}
 }

@@ -1457,7 +1457,8 @@ func (n *Node) SaveSnapshot(w io.Writer) error {
 
 // LoadSnapshot restores previously saved cache state into the (typically
 // fresh) node at time now. Entries that no longer fit are skipped; entries
-// whose payload is missing are dropped.
+// whose payload is missing or disagrees with the descriptor's size, and
+// descriptors cache.RestoreDescriptor refuses, are dropped.
 func (n *Node) LoadSnapshot(r io.Reader, now float64) (restored int, err error) {
 	var snap nodeSnapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
@@ -1467,7 +1468,7 @@ func (n *Node) LoadSnapshot(r io.Reader, now float64) (restored int, err error) 
 	defer n.mu.Unlock()
 	for _, ds := range snap.Descriptors {
 		body, ok := snap.Bodies[ds.ID]
-		if !ok {
+		if !ok || int64(len(body)) != ds.Size {
 			continue
 		}
 		if n.st.RestoreInsert(ds, now) {

@@ -2,6 +2,7 @@ package httpgw
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"io"
 	"math"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"cascade/internal/cache"
 	"cascade/internal/engine"
 	"cascade/internal/model"
 	"cascade/internal/scheme"
@@ -491,6 +493,36 @@ func TestNodeSnapshotWarmRestart(t *testing.T) {
 	// Garbage snapshot rejected.
 	if _, err := fresh.LoadSnapshot(bytes.NewReader([]byte("junk")), 0); err == nil {
 		t.Fatal("garbage snapshot accepted")
+	}
+}
+
+// TestLoadSnapshotRefusesInconsistentEntries loads a snapshot whose entries
+// are hostile one way each; only the consistent one may be restored, and
+// the body store must still hold exactly the bytes the descriptors count.
+func TestLoadSnapshotRefusesInconsistentEntries(t *testing.T) {
+	body := bytes.Repeat([]byte{7}, 500)
+	times := []float64{1, 2}
+	snap := nodeSnapshot{
+		Descriptors: []cache.DescriptorSnapshot{
+			{ID: 1, Size: 500, MissPenalty: 1, AccessTimes: times},
+			{ID: 2, Size: 200, MissPenalty: 1, AccessTimes: times}, // body is 500 bytes
+			{ID: 3, Size: -500, MissPenalty: 1, AccessTimes: times},
+			{ID: 4, Size: 500, MissPenalty: math.NaN(), AccessTimes: times},
+			{ID: 5, Size: 500, MissPenalty: 1, AccessTimes: []float64{2, 1}},
+		},
+		Bodies: map[model.ObjectID][]byte{1: body, 2: body, 3: body, 4: body, 5: body},
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	n := NewNode(0, "http://127.0.0.1:1", 1, 1<<20, 100, func() float64 { return 20 })
+	restored, err := n.LoadSnapshot(&buf, 20)
+	if err != nil || restored != 1 || !n.Contains(1) {
+		t.Fatalf("restored=%d err=%v contains(1)=%v; want only object 1", restored, err, n.Contains(1))
+	}
+	if mem, used := n.bodies.Stats().MemBytes, n.st.Used(); mem != used || used != 500 {
+		t.Fatalf("body store holds %d bytes, descriptor store %d; want 500 each", mem, used)
 	}
 }
 
