@@ -95,7 +95,9 @@ observe:
 # segments) and re-encode to what was parsed — then ten
 # against the eviction heap: any byte string decodes to a HeapStore op
 # sequence whose victim order, CostLoss values and keys must match a
-# full-sort reference, then ten against the payload generator: any (obj,
+# full-sort reference, then five against the heap's ID index: any byte
+# string decodes to puts, deletes and lookups that must agree with a Go map
+# and leave the table tombstone-free, then ten against the payload generator: any (obj,
 # size, lo, hi) must yield the bytes of the serial recurrence, then ten
 # against the fused upstream step: any byte string decodes to get / place /
 # pass / invalidate / expire ops, in every coherency mode, on which
@@ -107,6 +109,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWireText -fuzztime 10s -fuzzminimizetime 20x ./internal/httpgw/
 	$(GO) test -run '^$$' -fuzz FuzzSegmentHeaders -fuzztime 10s -fuzzminimizetime 20x ./internal/httpgw/
 	$(GO) test -run '^$$' -fuzz FuzzHeapStoreOps -fuzztime 10s -fuzzminimizetime 20x ./internal/cache/
+	$(GO) test -run '^$$' -fuzz FuzzIndexOps -fuzztime 5s -fuzzminimizetime 20x ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzSyntheticRange -fuzztime 10s -fuzzminimizetime 20x ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzUpStep -fuzztime 10s -fuzzminimizetime 20x ./internal/engine/
 

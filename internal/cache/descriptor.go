@@ -7,8 +7,8 @@
 //     of the coordinated and LNC-R schemes (paper §2.1/§2.4); with the plain
 //     frequency key it is an LFU store (used by the d-cache and the LFU
 //     baseline). Its heap keeps each entry's key and ID inline in 24-byte
-//     slots and its descriptors are 96 bytes; TestDescriptorLayout pins
-//     both.
+//     slots, its ID index is a tombstone-free table of 16-byte slots, and
+//     its descriptors are 96 bytes; TestDescriptorLayout pins the sizes.
 //   - LRU — the classic least-recently-used store used by the LRU and
 //     MODULO baselines.
 //   - GreedyDualSize — the GDS baseline from the related-work lineage.

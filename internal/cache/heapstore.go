@@ -23,7 +23,10 @@ func FreqKey(d *Descriptor, now float64) float64 { return d.Window.Estimate(now)
 // a key function, maintained in a binary min-heap as suggested in paper
 // §2.4 (O(log m) per adjustment). The heap (descHeap) is a slice of value
 // slots carrying each entry's key and ID inline, so ordering decisions read
-// only the heap's own contiguous memory and never a descriptor.
+// only the heap's own contiguous memory and never a descriptor. A lookup by
+// ID goes through a flat open-addressing index (index) whose hash is seeded
+// per store; every walk over the entries follows the heap instead, so no
+// result depends on the seed.
 //
 // Keys derived from sliding-window frequency estimates are piecewise
 // constant: Estimate only re-evaluates when an object is referenced or its
@@ -46,7 +49,7 @@ type HeapStore struct {
 	used      int64
 	unit      bool // capacity counted in entries instead of bytes
 	keyFn     KeyFunc
-	entries   map[model.ObjectID]*Descriptor
+	idx       index // finds an entry by ID; h owns every walk over entries
 	h         descHeap
 	epoch     uint32  // current victim selection, 1 … epochMask
 	aging     float64 // full re-key sweep interval (seconds)
@@ -81,7 +84,7 @@ func newHeapStore(capacity int64, unit bool, keyFn KeyFunc) *HeapStore {
 		capacity: capacity,
 		unit:     unit,
 		keyFn:    keyFn,
-		entries:  make(map[model.ObjectID]*Descriptor),
+		idx:      newIndex(),
 		aging:    freq.DefaultRefreshInterval,
 	}
 }
@@ -141,23 +144,20 @@ func (s *HeapStore) Capacity() int64 { return s.capacity }
 func (s *HeapStore) Used() int64 { return s.used }
 
 // Len returns the number of stored descriptors.
-func (s *HeapStore) Len() int { return len(s.entries) }
+func (s *HeapStore) Len() int { return len(s.h) }
 
 // Contains reports whether the object is present.
-func (s *HeapStore) Contains(id model.ObjectID) bool {
-	_, ok := s.entries[id]
-	return ok
-}
+func (s *HeapStore) Contains(id model.ObjectID) bool { return s.idx.get(id) != nil }
 
 // Get returns the descriptor for id, or nil.
-func (s *HeapStore) Get(id model.ObjectID) *Descriptor { return s.entries[id] }
+func (s *HeapStore) Get(id model.ObjectID) *Descriptor { return s.idx.get(id) }
 
 // Touch records an access to id at time now and repositions it in the
 // eviction order. It reports whether the object was present.
 func (s *HeapStore) Touch(id model.ObjectID, now float64) bool {
 	s.maybeSweep(now)
-	d, ok := s.entries[id]
-	if !ok {
+	d := s.idx.get(id)
+	if d == nil {
 		return false
 	}
 	d.Window.Record(now)
@@ -169,8 +169,8 @@ func (s *HeapStore) Touch(id model.ObjectID, now float64) bool {
 // eviction order. It reports whether the object was present.
 func (s *HeapStore) SetMissPenalty(id model.ObjectID, m, now float64) bool {
 	s.maybeSweep(now)
-	d, ok := s.entries[id]
-	if !ok {
+	d := s.idx.get(id)
+	if d == nil {
 		return false
 	}
 	d.missPenalty = m
@@ -278,31 +278,45 @@ func (s *HeapStore) CostLoss(size int64, now float64) (loss float64, ok bool) {
 // Insert adds d to the store, evicting the greedy victim set first if
 // needed. The evicted descriptors (detached from the store) are returned so
 // the caller can demote them to a d-cache; the slice is the store's
-// reusable scratch and is valid only until the next CostLoss or Insert on
-// this store. ok is false — and the store unchanged — when the object
-// cannot fit at all or is already present.
+// reusable scratch and is valid only until the next CostLoss, Evict or
+// Insert on this store. ok is false — and the store unchanged — when the
+// object cannot fit at all or is already present.
 func (s *HeapStore) Insert(d *Descriptor, now float64) (evicted []*Descriptor, ok bool) {
-	if _, dup := s.entries[d.ID]; dup {
+	if s.idx.get(d.ID) != nil {
 		return nil, false
 	}
-	s.maybeSweep(now)
 	size := s.entrySize(d)
-	victims, ok := s.selectVictims(size, now)
+	victims, ok := s.Evict(size, now)
 	if !ok {
 		return nil, false
 	}
-	for _, v := range victims {
-		delete(s.entries, v.ID)
-		s.used -= s.entrySize(v)
-		v.heapIndex = -1
-	}
-	s.entries[d.ID] = d
+	s.idx.put(d)
 	s.used += size
 	d.key = s.keyFn(d, now)
 	if s.unit && len(s.h) == cap(s.h) {
 		s.growExact()
 	}
 	s.h.push(d)
+	return victims, true
+}
+
+// Evict detaches the greedy victim set that an Insert of an entry of the
+// given size would evict at now, and returns it: the same victims, in the
+// same order, under the same final keys, so that an Insert which follows at
+// the same now evicts nothing more. It lets a caller admit into a victim it
+// re-initialises instead of into a fresh descriptor. The slice is the
+// store's scratch, as Insert's is; ok is false, and nothing evicted, when
+// the size exceeds the capacity.
+func (s *HeapStore) Evict(size int64, now float64) (evicted []*Descriptor, ok bool) {
+	s.maybeSweep(now)
+	victims, ok := s.selectVictims(size, now)
+	if !ok {
+		return nil, false
+	}
+	for _, v := range victims {
+		s.idx.del(v.ID)
+		s.used -= s.entrySize(v)
+	}
 	return victims, true
 }
 
@@ -324,15 +338,14 @@ func (s *HeapStore) growExact() {
 
 // Remove detaches and returns the descriptor for id, or nil if absent.
 func (s *HeapStore) Remove(id model.ObjectID) *Descriptor {
-	d, ok := s.entries[id]
-	if !ok {
+	d := s.idx.del(id)
+	if d == nil {
 		return nil
 	}
 	// Apply deferred re-keys first so a detached descriptor carries no
 	// stale dirty state into another store (main cache ↔ d-cache moves).
 	s.flushDirty()
 	s.h.remove(int(d.heapIndex))
-	delete(s.entries, id)
 	s.used -= s.entrySize(d)
 	return d
 }
@@ -345,42 +358,42 @@ func (s *HeapStore) Remove(id model.ObjectID) *Descriptor {
 // victims, every retained entry's key must be ≥ every victim's final key.
 func (s *HeapStore) MinKeyExcluding(id model.ObjectID) (float64, bool) {
 	best, found := 0.0, false
-	for _, d := range s.entries {
-		if d.ID == id {
+	for i := range s.h {
+		if s.h[i].id == id {
 			continue
 		}
-		if k := d.key; !found || k < best {
+		if k := s.h[i].d.key; !found || k < best {
 			best, found = k, true
 		}
 	}
 	return best, found
 }
 
-// ForEach calls fn for every stored descriptor in unspecified order.
+// ForEach calls fn for every stored descriptor in heap-slot order, which
+// the store's operations alone determine: two stores given the same
+// operations visit the same sequence. fn must not modify the store.
 func (s *HeapStore) ForEach(fn func(*Descriptor)) {
-	for _, d := range s.entries {
-		fn(d)
+	for i := range s.h {
+		fn(s.h[i].d)
 	}
 }
 
-// checkInvariants panics if internal bookkeeping is inconsistent: entry and
-// heap membership, every slot mirroring its descriptor (its key only once
-// no re-key is deferred), the heap property, and the capacity accounting.
-// It is exercised by tests.
+// checkInvariants panics if internal bookkeeping is inconsistent: the index
+// (see index.check) and the heap holding the same entries, every slot
+// mirroring its descriptor (its key only once no re-key is deferred), the
+// heap property, and the capacity accounting. It is exercised by tests.
 func (s *HeapStore) checkInvariants() {
-	if len(s.entries) != len(s.h) {
-		panic(fmt.Sprintf("cache: %d entries but heap len %d", len(s.entries), len(s.h)))
+	s.idx.check()
+	if s.idx.n != len(s.h) {
+		panic(fmt.Sprintf("cache: %d indexed entries but heap len %d", s.idx.n, len(s.h)))
 	}
 	var used int64
-	for _, d := range s.entries {
-		used += s.entrySize(d)
-		i := int(d.heapIndex)
-		if i < 0 || i >= len(s.h) || s.h[i].d != d {
-			panic(fmt.Sprintf("cache: descriptor %d heap index %d inconsistent", d.ID, i))
-		}
-	}
 	for i := range s.h {
 		sl := &s.h[i]
+		used += s.entrySize(sl.d)
+		if int(sl.d.heapIndex) != i || s.idx.get(sl.id) != sl.d {
+			panic(fmt.Sprintf("cache: descriptor %d in slot %d has heap index %d or is not indexed", sl.d.ID, i, sl.d.heapIndex))
+		}
 		if (sl.key != sl.d.key && !sl.d.dirty()) || sl.id != sl.d.ID {
 			panic(fmt.Sprintf("cache: slot %d holds (%v, %d) but its descriptor (%v, %d)",
 				i, sl.key, sl.id, sl.d.key, sl.d.ID))

@@ -448,17 +448,21 @@ func TestRestoreRespectsCapacity(t *testing.T) {
 	}
 }
 
-// TestDescriptorLayout pins the two sizes the store's memory behaviour
+// TestDescriptorLayout pins the three sizes the store's memory behaviour
 // rests on. A 96-byte descriptor fills an allocator size class exactly; one
 // more word and every descriptor in every cache and d-cache occupies 112.
 // A slot is three words, so a cache line holds the keys of two to three
-// neighbours and sifting never leaves the heap's own array.
+// neighbours and sifting never leaves the heap's own array. An index slot
+// is two words, so a probe reads four slots per cache line.
 func TestDescriptorLayout(t *testing.T) {
 	if got := unsafe.Sizeof(Descriptor{}); got != 96 {
 		t.Fatalf("Descriptor is %d bytes, want 96 (the next allocator class is 112)", got)
 	}
 	if got := unsafe.Sizeof(slot{}); got != 24 {
 		t.Fatalf("heap slot is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(indexSlot{}); got != 16 {
+		t.Fatalf("index slot is %d bytes, want 16", got)
 	}
 }
 

@@ -77,11 +77,13 @@ func RestoreDescriptor(s DescriptorSnapshot) (*Descriptor, error) {
 	return d, nil
 }
 
-// Snapshot captures every stored descriptor (order unspecified).
+// Snapshot captures every stored descriptor in ForEach's order, which the
+// store's operations alone determine: a snapshot restored into a store too
+// small for all of it keeps the same entries in every process.
 func (s *HeapStore) Snapshot() []DescriptorSnapshot {
-	out := make([]DescriptorSnapshot, 0, len(s.entries))
-	for _, d := range s.entries {
-		out = append(out, d.Snapshot())
+	out := make([]DescriptorSnapshot, 0, len(s.h))
+	for i := range s.h {
+		out = append(out, s.h[i].d.Snapshot())
 	}
 	return out
 }

@@ -56,6 +56,13 @@ type DCache interface {
 	// object is promoted into the main cache, which then owns the
 	// descriptor. It returns nil if absent.
 	Take(id model.ObjectID) *cache.Descriptor
+	// TakeVictim makes room in a full d-cache: it removes and returns the
+	// descriptor a Put at now would evict — the same one, so that a Put
+	// which follows at the same now evicts nothing — without handing it
+	// to the recycler. The caller re-initialises it (cache.Descriptor.Reset)
+	// and Puts it back as the new entry. nil when there is room already or
+	// the capacity is zero.
+	TakeVictim(now float64) *cache.Descriptor
 }
 
 // LFU is the heap-based d-cache implementation.
@@ -110,6 +117,18 @@ func (d *LFU) Put(desc *cache.Descriptor, now float64) (ok bool) {
 
 // Take implements DCache.
 func (d *LFU) Take(id model.ObjectID) *cache.Descriptor { return d.store.Remove(id) }
+
+// TakeVictim implements DCache.
+func (d *LFU) TakeVictim(now float64) *cache.Descriptor {
+	if d.store.Used() < d.store.Capacity() {
+		return nil
+	}
+	victims, ok := d.store.Evict(1, now)
+	if !ok {
+		return nil
+	}
+	return victims[0]
+}
 
 // Recycler is implemented by d-caches that can hand evicted descriptors to
 // a reuse pool instead of dropping them to the garbage collector. Both

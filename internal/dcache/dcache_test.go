@@ -1,6 +1,8 @@
 package dcache
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"cascade/internal/cache"
@@ -112,5 +114,80 @@ func TestCapacityNeverExceeded(t *testing.T) {
 	}
 	if dc.Len() != 5 {
 		t.Fatalf("len = %d, want 5", dc.Len())
+	}
+}
+
+// TestTakeVictimMatchesPut drives two d-caches of each implementation
+// through the same random stream. One admits an unknown object as a fresh
+// descriptor through Put, which evicts and recycles; the other into
+// TakeVictim's victim re-initialised in place, as engine.DownStep does. The
+// victim sequence and every held descriptor's window, penalty
+// and eviction key must agree after every step, and the Put that follows
+// TakeVictim must evict nothing.
+func TestTakeVictimMatchesPut(t *testing.T) {
+	steps := []float64{0, 0, 0.5, 3, 40, 700}
+	for name, factory := range map[string]Factory{"LFU": NewFactory, "LRUStacks": NewLRUStacksFactory} {
+		for _, capacity := range []int{0, 1, 12} {
+			put, reuse := factory(capacity), factory(capacity)
+			var putVictims, reuseVictims, reusePutEvicted []model.ObjectID
+			put.(Recycler).SetRecycler(func(d *cache.Descriptor) { putVictims = append(putVictims, d.ID) })
+			reuse.(Recycler).SetRecycler(func(d *cache.Descriptor) { reusePutEvicted = append(reusePutEvicted, d.ID) })
+			rng := rand.New(rand.NewSource(int64(capacity)))
+			now := 0.0
+			for op := 0; op < 20000; op++ {
+				now += steps[rng.Intn(len(steps))]
+				id, m := model.ObjectID(rng.Intn(60)), float64(rng.Intn(4))
+				switch rng.Intn(5) {
+				case 0:
+					if put.RecordAccess(id, now) != reuse.RecordAccess(id, now) {
+						t.Fatalf("%s/%d op %d: RecordAccess(%d) disagrees", name, capacity, op, id)
+					}
+				case 1:
+					if (put.Take(id) == nil) != (reuse.Take(id) == nil) {
+						t.Fatalf("%s/%d op %d: Take(%d) disagrees", name, capacity, op, id)
+					}
+				default:
+					if put.SetMissPenalty(id, m, now) != reuse.SetMissPenalty(id, m, now) {
+						t.Fatalf("%s/%d op %d: SetMissPenalty(%d) disagrees", name, capacity, op, id)
+					}
+					if put.Contains(id) {
+						break
+					}
+					d := cache.NewDescriptor(id, 100)
+					d.Window.Record(now)
+					d.SetMissPenalty(m)
+					put.Put(d, now)
+					v := reuse.TakeVictim(now)
+					if v != nil {
+						reuseVictims = append(reuseVictims, v.ID)
+						v.Reset(id, 100, 3)
+					} else {
+						v = cache.NewDescriptor(id, 100)
+					}
+					v.Window.Record(now)
+					v.SetMissPenalty(m)
+					reuse.Put(v, now)
+				}
+				if !slices.Equal(putVictims, reuseVictims) || len(reusePutEvicted) != 0 {
+					t.Fatalf("%s/%d op %d: Put evicted %v; TakeVictim took %v, and the Put after it evicted %v", name, capacity, op, putVictims, reuseVictims, reusePutEvicted)
+				}
+				if put.Len() != reuse.Len() {
+					t.Fatalf("%s/%d op %d: %d descriptors against %d", name, capacity, op, put.Len(), reuse.Len())
+				}
+				for id := model.ObjectID(0); id < 60; id++ {
+					a, b := put.Get(id), reuse.Get(id)
+					if (a == nil) != (b == nil) {
+						t.Fatalf("%s/%d op %d: object %d held by one d-cache only", name, capacity, op, id)
+					}
+					if a != nil && (a.MissPenalty() != b.MissPenalty() || a.EvictionKey() != b.EvictionKey() ||
+						a.Freq(now) != b.Freq(now) || !slices.Equal(a.Window.Times(), b.Window.Times())) {
+						t.Fatalf("%s/%d op %d: object %d differs: %v/%v vs %v/%v", name, capacity, op, id, a.Window.Times(), a.EvictionKey(), b.Window.Times(), b.EvictionKey())
+					}
+				}
+			}
+			if capacity > 0 && len(putVictims) < 100 {
+				t.Fatalf("%s/%d: only %d evictions", name, capacity, len(putVictims))
+			}
+		}
 	}
 }

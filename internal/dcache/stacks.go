@@ -117,7 +117,9 @@ func (s *LRUStacks) Put(desc *cache.Descriptor, now float64) bool {
 		return false
 	}
 	if len(s.entries) >= s.capacity {
-		s.evictOne(now)
+		if v := s.evictOne(now); s.recycle != nil {
+			s.recycle(v)
+		}
 	}
 	e := &stackEntry{desc: desc}
 	s.entries[desc.ID] = e
@@ -125,9 +127,9 @@ func (s *LRUStacks) Put(desc *cache.Descriptor, now float64) bool {
 	return true
 }
 
-// evictOne removes the least-frequent descriptor: the minimum-estimate tail
-// among the K stacks.
-func (s *LRUStacks) evictOne(now float64) {
+// evictOne removes and returns the least-frequent descriptor: the
+// minimum-estimate tail among the K stacks. The d-cache must not be empty.
+func (s *LRUStacks) evictOne(now float64) *cache.Descriptor {
 	var victim *stackEntry
 	best := 0.0
 	for _, st := range s.stacks {
@@ -141,13 +143,17 @@ func (s *LRUStacks) evictOne(now float64) {
 			victim, best = e, f
 		}
 	}
-	if victim != nil {
-		s.stacks[victim.stack].Remove(victim.elem)
-		delete(s.entries, victim.desc.ID)
-		if s.recycle != nil {
-			s.recycle(victim.desc)
-		}
+	s.stacks[victim.stack].Remove(victim.elem)
+	delete(s.entries, victim.desc.ID)
+	return victim.desc
+}
+
+// TakeVictim implements DCache.
+func (s *LRUStacks) TakeVictim(now float64) *cache.Descriptor {
+	if s.capacity == 0 || len(s.entries) < s.capacity {
+		return nil
 	}
+	return s.evictOne(now)
 }
 
 // SetRecycler implements Recycler.

@@ -300,7 +300,16 @@ func (st *NodeState) DownStepUnder(obj, floorObj model.ObjectID, size int64, pla
 	// Not instructed to cache: maintain the node's meta information about
 	// the passing object. SetMissPenalty answers whether there was any.
 	if !st.DCache.SetMissPenalty(obj, mp, now) {
-		desc := st.newDescriptor(obj, size)
+		// A full d-cache evicts first and the new descriptor reuses the
+		// victim, whose lines the victim selection has just read; the Put
+		// below then evicts nothing. The victim is the one Put would have
+		// evicted, so nothing the protocol computes changes.
+		desc := st.DCache.TakeVictim(now)
+		if desc != nil {
+			desc.Reset(obj, size, st.windowK())
+		} else {
+			desc = st.newDescriptor(obj, size)
+		}
 		desc.Window.Record(now)
 		desc.SetMissPenalty(mp)
 		st.DCache.Put(desc, now)
@@ -394,15 +403,19 @@ func (st *NodeState) PromoteUnder(obj, floorObj model.ObjectID, size int64, gen 
 	return PromoteResult{Placed: true, Avoided: avoided, Evicted: evicted}
 }
 
+// windowK is the sliding-window size of descriptors created at this node.
+func (st *NodeState) windowK() int {
+	if st.WindowK <= 0 {
+		return freq.DefaultK
+	}
+	return st.WindowK
+}
+
 // newDescriptor builds (or recycles) a descriptor with this node's window
 // parameters.
 func (st *NodeState) newDescriptor(obj model.ObjectID, size int64) *cache.Descriptor {
-	k := st.WindowK
-	if k <= 0 {
-		k = freq.DefaultK
-	}
 	if st.Pool != nil {
-		return st.Pool.Get(obj, size, k)
+		return st.Pool.Get(obj, size, st.windowK())
 	}
-	return cache.NewDescriptorK(obj, size, k)
+	return cache.NewDescriptorK(obj, size, st.windowK())
 }

@@ -7,19 +7,26 @@ import (
 )
 
 // DescPool recycles descriptors the d-caches evict, eliminating the
-// per-request descriptor allocation on the replay hot path: in steady
-// state every full d-cache eviction frees exactly the descriptor the next
-// miss needs. Recycling is invisible to protocol results — Reset clears
-// all history and nothing orders on descriptor identity. A pool is not
-// safe for concurrent use; share one only among NodeStates driven by the
-// same goroutine (the replay simulator), and leave Pool nil in concurrent
-// transports.
+// per-request descriptor allocation on the hot path. A hop that passes an
+// unknown object through a full d-cache needs no pool: it reuses the
+// d-cache's own victim (DownStep). The pool holds what the other evictions
+// free — main-cache victims demoted into a full d-cache — and serves
+// admissions into a d-cache that still has room and descriptors rebuilt
+// for placement or promotion. Recycling is invisible to protocol results —
+// Reset clears all history and nothing orders on descriptor identity. A
+// pool is not safe for concurrent use: share one only among NodeStates
+// driven by one goroutine (the replay simulator), or give each shard of a
+// concurrent node its own, touched only under the shard lock
+// (ShardedConfig.Pooled).
 type DescPool struct {
 	free []*cache.Descriptor
 }
 
 // Recycle accepts an evicted descriptor for reuse.
 func (p *DescPool) Recycle(d *cache.Descriptor) { p.free = append(p.free, d) }
+
+// Len returns the number of descriptors waiting for reuse.
+func (p *DescPool) Len() int { return len(p.free) }
 
 // Get returns a descriptor for the given object, reusing a recycled one
 // when available.

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"cascade/internal/audit"
 	"cascade/internal/cache"
@@ -36,18 +37,27 @@ type Sharded struct {
 	shards []shard
 }
 
-// shard is one lock-guarded partition. The counters are atomics so the
-// metrics export reads them without taking the shard lock.
+// shard is one lock-guarded partition, padded to a whole number of 64-byte
+// cache lines so that every shard of a slice sits at the same offset within
+// its lines. The pad then keeps each shard's counters, which placements and
+// contended acquisitions write, off the line where the next shard's mutex
+// starts — whether the slice begins on a line or, as Go's allocator places
+// a larger slice of pointerful structs, eight bytes past one
+// (TestShardLayout).
 type shard struct {
+	shardState
+	_ [(64 - unsafe.Sizeof(shardState{})%64) % 64]byte
+}
+
+// shardState is a shard's content. The counters are atomics so the metrics
+// export reads them without taking the shard lock.
+type shardState struct {
 	mu sync.Mutex
 	st NodeState
 
 	inserts   atomic.Int64
 	evictions atomic.Int64
 	lockWaits atomic.Int64
-
-	// pad keeps neighbouring shards' hot mutexes off one cache line.
-	_ [32]byte //nolint:unused
 }
 
 // ShardedConfig assembles a Sharded node state.
@@ -559,6 +569,7 @@ type ShardStats struct {
 	UsedBytes     int64 // bytes held by the shard
 	CapacityBytes int64 // the shard's capacity slice
 	Descriptors   int   // entries in the shard's d-cache stripe
+	Pooled        int   // descriptors waiting in the shard's pool (Pooled nodes)
 }
 
 // ShardInserts reads one shard's placement count lock-free (metrics path).
@@ -585,6 +596,9 @@ func (s *Sharded) ShardStatsAt(i int) ShardStats {
 	out.UsedBytes = sh.st.Store.Used()
 	out.CapacityBytes = sh.st.Store.Capacity()
 	out.Descriptors = sh.st.DCache.Len()
+	if sh.st.Pool != nil {
+		out.Pooled = sh.st.Pool.Len()
+	}
 	sh.mu.Unlock()
 	return out
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"testing"
+	"unsafe"
 
 	"cascade/internal/model"
 )
@@ -194,5 +195,29 @@ func TestShardedAbsorbAndRestore(t *testing.T) {
 	}
 	if fresh.Used() > fresh.Capacity() {
 		t.Fatalf("restore overfilled: %d > %d", fresh.Used(), fresh.Capacity())
+	}
+}
+
+// TestShardLayout pins the shard padding, as cache.TestDescriptorLayout pins
+// the descriptor: a shard fills whole 64-byte lines with its mutex first,
+// and in the slices NewSharded allocates no shard's counters share a line
+// with the next shard's mutex. (At 144 bytes, shard 2's evictions and
+// lockWaits sat on the line holding shard 3's mutex.)
+func TestShardLayout(t *testing.T) {
+	if size := unsafe.Sizeof(shard{}); size%64 != 0 {
+		t.Fatalf("shard is %d bytes, not a whole number of 64-byte lines", size)
+	}
+	if off := unsafe.Offsetof(shard{}.mu); off != 0 {
+		t.Fatalf("shard mutex at offset %d, want 0", off)
+	}
+	for _, p := range []int{2, 4, 8, 16, 64, 512} {
+		s := NewSharded(ShardedConfig{Shards: p, CacheBytes: 1 << 20, DCacheEntries: 64})
+		for i := 0; i+1 < p; i++ {
+			last := uintptr(unsafe.Pointer(&s.shards[i].lockWaits)) + unsafe.Sizeof(s.shards[i].lockWaits) - 1
+			next := uintptr(unsafe.Pointer(&s.shards[i+1].mu))
+			if last/64 == next/64 {
+				t.Fatalf("%d shards: shard %d's counters end at %#x, on the line of shard %d's mutex at %#x", p, i, last, i+1, next)
+			}
+		}
 	}
 }

@@ -404,3 +404,43 @@ func TestClusterMatchesSchemeEnRoute(t *testing.T) {
 		}
 	}
 }
+
+// TestDescriptorPoolsBounded drives an 8-shard cluster to steady state and
+// holds every shard's descriptor pool to its d-cache stripe's capacity after
+// every request (see the simulator's TestDescriptorPoolBounded).
+func TestDescriptorPoolsBounded(t *testing.T) {
+	gen := trace.NewGenerator(trace.Config{Objects: 2000, Servers: 10, Clients: 40, Requests: 20000, Duration: 7200, Seed: 5})
+	cat := gen.Catalog()
+	h := topology.GenerateTree(topology.TreeConfig{Depth: 3, Fanout: 3, BaseDelay: 0.008, Growth: 5})
+	capacity := int64(0.01 * float64(cat.TotalBytes))
+	c, err := NewCluster(Config{Network: h, CacheBytes: capacity, DCacheEntries: int(3 * float64(capacity) / cat.AvgSize()), Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	leaves := h.ClientAttachPoints()
+	peak := 0
+	for {
+		req, ok := gen.Next()
+		if !ok {
+			break
+		}
+		if _, err := c.Get(context.Background(), leaves[int(req.Client)%len(leaves)], model.NoNode, req.Object, req.Size); err != nil {
+			t.Fatal(err)
+		}
+		for id := 0; id < h.NumCaches(); id++ {
+			st := c.node(model.NodeID(id)).st
+			for s := 0; s < st.ShardCount(); s++ {
+				pooled, limit := st.ShardStatsAt(s).Pooled, st.DCacheAt(s).Capacity()
+				if pooled > limit {
+					t.Fatalf("node %d shard %d: %d pooled descriptors, d-cache stripe capacity %d", id, s, pooled, limit)
+				}
+				peak = max(peak, pooled)
+			}
+		}
+	}
+	if peak == 0 {
+		t.Fatal("no shard ever pooled a descriptor: the run never reached steady state")
+	}
+	t.Logf("largest shard pool %d", peak)
+}

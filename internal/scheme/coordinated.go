@@ -468,6 +468,10 @@ func (s *Coordinated) DCache(n model.NodeID) dcache.DCache {
 	return nil
 }
 
+// PooledDescriptors reports how many recycled descriptors the scheme's
+// shared pool holds, for tests.
+func (s *Coordinated) PooledDescriptors() int { return s.pool.Len() }
+
 // Evict implements Evicter: the invalidated copy's descriptor is demoted
 // to the d-cache, exactly as a capacity eviction would.
 func (s *Coordinated) Evict(node model.NodeID, obj model.ObjectID) bool {

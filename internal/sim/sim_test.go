@@ -525,3 +525,36 @@ func TestAllSchemesUnderCheckerFullSim(t *testing.T) {
 		}
 	}
 }
+
+// TestDescriptorPoolBounded replays a trace through the coordinated scheme
+// and holds its shared descriptor pool to the summed capacity of the
+// d-caches it serves after every request. A hop that passes an unknown
+// object through a full d-cache reuses that d-cache's own victim, so the
+// pool only collects what demotions into full d-caches free and spends it
+// where a d-cache still has room.
+func TestDescriptorPoolBounded(t *testing.T) {
+	g := workload()
+	net := enroute()
+	sch := scheme.NewCoordinated()
+	simr, err := New(Config{Scheme: sch, Network: net, Catalog: g.Catalog(), RelativeCacheSize: 0.01, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	capacity := 0
+	for n := 0; n < net.NumCaches(); n++ {
+		capacity += sch.DCache(model.NodeID(n)).Capacity()
+	}
+	peak := 0
+	for {
+		req, ok := g.Next()
+		if !ok {
+			break
+		}
+		simr.Process(req)
+		peak = max(peak, sch.PooledDescriptors())
+	}
+	if peak == 0 || peak > capacity {
+		t.Fatalf("descriptor pool peaked at %d; want 1 … %d, the d-caches' capacity", peak, capacity)
+	}
+	t.Logf("pool peak %d of %d d-cache entries", peak, capacity)
+}
