@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint build bench-module test race allocs observe fuzz conformance dataplane rolling coherency reproduce slo
+.PHONY: check vet lint build bench-module test race allocs observe fuzz conformance dataplane rolling coherency reproduce slo loc
 
 check: vet lint build bench-module race allocs observe fuzz rolling coherency reproduce
 
@@ -128,6 +128,14 @@ bench-module:
 
 test:
 	$(GO) test ./...
+
+# Size report (not a gate): non-test Go lines per package of the root
+# module, bench/ excluded, and their total — the number ROADMAP's deletion
+# targets are stated in.
+loc:
+	@find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' -exec wc -l {} + | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d; printf "%7d  total\n", t }' | sort -k2
 
 race:
 	$(GO) test -race -count=1 ./...

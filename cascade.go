@@ -14,9 +14,9 @@
 //
 //   - The placement optimizer (OptimizePlacement): the paper's
 //     k-optimization dynamic program over (f_i, m_i, l_i) path profiles.
-//   - The protocol engine (EngineState, EngineCandidate, DecidePlacement):
-//     the transport-agnostic per-node protocol steps every incarnation —
-//     replay scheme, cluster, HTTP gateway — delegates to.
+//   - The protocol engine (EngineCandidate, DecidePlacement): the
+//     transport-agnostic per-node protocol steps and request walk every
+//     incarnation — replay scheme, cluster, HTTP gateway — delegates to.
 //   - Caching schemes (NewCoordinated, NewLRU, NewModulo, NewLNCR, plus
 //     LFU/GDS extras): complete per-node cache management algorithms
 //     implementing the Scheme interface.
@@ -105,13 +105,10 @@ func OptimizePlacement(path []PathNode) Placement { return core.Optimize(path) }
 func PlacementGain(path []PathNode, indices []int) float64 { return core.Gain(path, indices) }
 
 // Protocol engine (paper §2.2–2.4): the per-node protocol steps shared by
-// all three incarnations. Building a new transport means carrying
-// EngineCandidate records up, calling DecidePlacement at the serving node,
-// and walking EngineState.DownStep back down — see docs/PROTOCOL.md.
+// all three incarnations. A transport carries EngineCandidate records up,
+// calls DecidePlacement at the serving node and applies the decision on the
+// way back down — see docs/PROTOCOL.md.
 type (
-	// EngineState is one node's protocol state: main cache plus d-cache,
-	// with the per-node steps (Lookup, UpMiss, DownStep) as methods.
-	EngineState = engine.NodeState
 	// EngineCandidate is one hop's piggybacked record on the upstream
 	// pass: the (f, l, link) triple, or a §2.4 tag.
 	EngineCandidate = engine.Candidate
@@ -123,8 +120,6 @@ type (
 	EngineDecideOptions = engine.DecideOptions
 	// EngineServePoint locates the serving node for a placement decision.
 	EngineServePoint = engine.ServePoint
-	// EngineDownResult reports one hop's downstream-pass outcome.
-	EngineDownResult = engine.DownResult
 )
 
 // Engine hop-record tags.

@@ -34,7 +34,7 @@ type LookupResult struct {
 //
 // With no coherency view attached this is exactly the pre-coherency
 // Lookup: one nil check on the hot path.
-func (st *NodeState) LookupFresh(obj model.ObjectID, now float64, floor uint64) LookupResult {
+func (st *nodeState) LookupFresh(obj model.ObjectID, now float64, floor uint64) LookupResult {
 	d := st.Store.Get(obj)
 	if d == nil {
 		return LookupResult{}
@@ -74,7 +74,7 @@ func (st *NodeState) LookupFresh(obj model.ObjectID, now float64, floor uint64) 
 
 // demote removes a cached copy, keeping its descriptor (and access
 // history) in the d-cache — the freshness analogue of an NCL eviction.
-func (st *NodeState) demote(obj model.ObjectID, now float64) bool {
+func (st *nodeState) demote(obj model.ObjectID, now float64) bool {
 	d := st.Store.Remove(obj)
 	if d == nil {
 		return false
@@ -90,7 +90,7 @@ func (st *NodeState) demote(obj model.ObjectID, now float64) bool {
 // (past the cursor) the floor is raised and any held copy older than the
 // new floor is dropped. Reports whether the floor actually moved. The
 // caller advances the cursor after the batch.
-func (st *NodeState) applyInvalidation(inv coherency.Invalidation, now float64) bool {
+func (st *nodeState) applyInvalidation(inv coherency.Invalidation, now float64) bool {
 	if !st.Coh.ShouldApply(inv.Seq) {
 		return false
 	}
@@ -119,7 +119,7 @@ func (st *NodeState) applyInvalidation(inv coherency.Invalidation, now float64) 
 // entries as seen). Only validating modes (PSI, CAS) consume
 // invalidations; others ignore them. Returns how many entries raised a
 // floor.
-func (st *NodeState) ApplyInvalidations(tail []coherency.Invalidation, head uint64, now float64) int {
+func (st *nodeState) ApplyInvalidations(tail []coherency.Invalidation, head uint64, now float64) int {
 	if st.Coh == nil || !st.Coh.Mode().Validates() {
 		return 0
 	}

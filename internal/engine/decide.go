@@ -68,7 +68,8 @@ type ServePoint struct {
 // per call: the DP problem vector, hop map and chosen buffer are owned by
 // the Decider and reused, and the embedded core.Optimizer owns the DP
 // tables. The zero value is ready to use. A Decider is not safe for
-// concurrent use; concurrent transports call the package-level Decide.
+// concurrent use: every Walk owns one, and a concurrent transport pools its
+// walks.
 type Decider struct {
 	opt    core.Optimizer
 	prob   []core.Node
@@ -158,10 +159,10 @@ func (d *Decider) Decide(cands []Candidate, opts DecideOptions, at ServePoint) [
 	return d.chosen
 }
 
-// Decide is the allocating one-shot variant of Decider.Decide for
-// concurrent transports (the runtime cluster and the HTTP gateway spawn
-// decisions from many goroutines): fresh scratch per call, independently
-// owned result.
+// Decide is the allocating one-shot variant of Decider.Decide, for a caller
+// that keeps no scratch of its own (the HTTP gateway decides on whichever
+// handler goroutine serves the request): fresh scratch per call,
+// independently owned result.
 func Decide(cands []Candidate, opts DecideOptions, at ServePoint) []int {
 	var d Decider
 	return d.Decide(cands, opts, at)

@@ -5,26 +5,21 @@ import (
 	"testing"
 
 	"cascade/internal/cache"
-	"cascade/internal/dcache"
 	"cascade/internal/model"
 )
 
-func drainNode(id model.NodeID, bytes int64, dEntries int) *NodeState {
-	return &NodeState{
-		Node:   id,
-		Store:  cache.NewCostAware(bytes),
-		DCache: dcache.New(dEntries),
-	}
+func drainNode(id model.NodeID, bytes int64, dEntries int) *Sharded {
+	return NewSharded(ShardedConfig{Node: id, CacheBytes: bytes, DCacheEntries: dEntries})
 }
 
-func stock(t *testing.T, st *NodeState, id model.ObjectID, size int64, mp float64, times ...float64) {
+func stock(t *testing.T, st *Sharded, id model.ObjectID, size int64, mp float64, times ...float64) {
 	t.Helper()
 	d := cache.NewDescriptor(id, size)
 	for _, at := range times {
 		d.Window.Record(at)
 	}
 	d.SetMissPenalty(mp)
-	if _, ok := st.Store.Insert(d, times[len(times)-1]); !ok {
+	if _, ok := st.StoreAt(0).Insert(d, times[len(times)-1]); !ok {
 		t.Fatalf("insert %d failed", id)
 	}
 }
@@ -40,8 +35,8 @@ func TestDrainDescriptorsOrderAndEmpty(t *testing.T) {
 	if len(snaps) != 3 {
 		t.Fatalf("drained %d snapshots, want 3", len(snaps))
 	}
-	if st.Store.Len() != 0 || st.Store.Used() != 0 {
-		t.Fatalf("store not emptied: len=%d used=%d", st.Store.Len(), st.Store.Used())
+	if st.StoreLen() != 0 || st.Used() != 0 {
+		t.Fatalf("store not emptied: len=%d used=%d", st.StoreLen(), st.Used())
 	}
 	want := []model.ObjectID{3, 1, 2} // ascending NCL
 	for i, s := range snaps {
@@ -71,17 +66,17 @@ func TestAbsorbSkipsKnownObjects(t *testing.T) {
 	stock(t, parent, 1, 100, 9.0, 1, 2) // already in parent's store
 	dTwo := cache.NewDescriptor(2, 100)
 	dTwo.Window.Record(2)
-	parent.DCache.Put(dTwo, 2) // already in parent's d-cache
+	parent.DCacheAt(0).Put(dTwo, 2) // already in parent's d-cache
 
 	snaps := child.DrainDescriptors(3)
 	absorbed := parent.Absorb(snaps, 3)
 	if absorbed != 1 {
 		t.Fatalf("absorbed = %d, want 1 (only object 3 is new)", absorbed)
 	}
-	if !parent.DCache.Contains(3) {
+	if !parent.DCacheContains(3) {
 		t.Fatal("object 3 descriptor should land in the parent d-cache")
 	}
-	if got := parent.DCache.Get(2); got == nil || got != dTwo {
+	if got := parent.DCacheAt(0).Get(2); got == nil || got != dTwo {
 		t.Fatal("existing parent descriptor must be preserved, not replaced")
 	}
 }
@@ -96,10 +91,6 @@ func TestRestorePathsRefuseInvalidSnapshots(t *testing.T) {
 		{ID: 3, Size: 100, MissPenalty: 1, AccessTimes: []float64{2, math.Inf(1)}},
 		{ID: 4, Size: 100, MissPenalty: 1, AccessTimes: []float64{3, 1}},
 		{ID: 5, Size: 100, MissPenalty: 1, AccessTimes: []float64{1}, WindowK: 99},
-	}
-	st := drainNode(0, 1000, 8)
-	if got := st.Absorb(bad, 5); got != 0 || st.DCache.Len() != 0 {
-		t.Errorf("NodeState.Absorb took %d bad snapshots (d-cache len %d)", got, st.DCache.Len())
 	}
 	s := NewSharded(ShardedConfig{Shards: 2, CacheBytes: 1000, DCacheEntries: 8})
 	if got := s.Absorb(bad, 5); got != 0 {
@@ -125,7 +116,7 @@ func TestAbsorbRespectsDCacheCapacity(t *testing.T) {
 	if absorbed != 5 {
 		t.Fatalf("absorbed = %d, want 5 (evictions still count)", absorbed)
 	}
-	if parent.DCache.Len() != 2 {
-		t.Fatalf("parent d-cache len = %d, want capacity 2", parent.DCache.Len())
+	if parent.DCacheLen() != 2 {
+		t.Fatalf("parent d-cache len = %d, want capacity 2", parent.DCacheLen())
 	}
 }

@@ -1,42 +1,49 @@
 // Package engine is the transport-agnostic core of the coordinated caching
-// protocol (paper §2.2–2.4). It implements the per-node protocol steps once,
-// so the three incarnations in this repository — the replay scheme
-// (internal/scheme.Coordinated), the in-process cluster
-// (internal/runtime) and the HTTP gateway (internal/httpgw) — are thin
-// adapters that only marshal the engine's wire structs into their own
-// transport (Path slices, the cluster's walk state, X-Cascade-* headers).
+// protocol (paper §2.2–2.4). It implements the per-node protocol steps and
+// the two-pass walk over a request's path once, so the three incarnations in
+// this repository — the replay scheme (internal/scheme.Coordinated), the
+// in-process cluster (internal/runtime) and the HTTP gateway
+// (internal/httpgw) — are thin adapters: the first two own a Walk and answer
+// its deliveries, the gateway takes one hop's steps per handler.
 //
 // The protocol per request:
 //
-//   - Upstream pass: NodeState.UpStep probes each cache for the object; the
+//   - Upstream pass: Sharded.UpStep probes each cache for the object; the
 //     first hit is the serving node. On a miss the same step performs the
 //     miss-side bookkeeping (d-cache access history) and emits the hop's
 //     Candidate — the piggybacked (f, l) record, or the §2.4 "no descriptor"
-//     tag. Lookup/LookupFresh and UpMiss are its two halves, for a transport
-//     with work between them (a disk tier to try, a body store to check).
+//     tag. LookupFresh and UpMiss are its two halves, for a transport with
+//     work between them (a disk tier to try, a body store to check).
 //   - Decision: Decider.Decide reconstructs each candidate's miss penalty
 //     m from the accumulated link costs, optionally prunes locally
 //     non-beneficial candidates (Theorem 2) and restores the monotone
 //     frequency profile, then solves the §2.2 dynamic program
 //     (internal/core) and returns the chosen hops.
-//   - Downstream pass: NodeState.DownStep applies the decision at each hop —
-//     insert-with-eviction into the main store and miss-penalty counter
-//     reset at caching points, d-cache penalty updates elsewhere.
+//   - Downstream pass: Sharded.DownStepUnder applies the decision at each
+//     hop — insert-with-eviction into the main store and miss-penalty
+//     counter reset at caching points, d-cache penalty updates elsewhere.
+//
+// Walk strings the three together over one path (walk.go); its owner only
+// says, per delivery, whether the hop is live, routed around, or the end of
+// the walk.
 //
 // internal/core must not be imported by the incarnations directly
 // (cmd/importguard enforces this); every placement decision flows through
 // this package so the three transports cannot re-diverge.
 //
-// Tracing: the engine takes no per-request trace handle. Decide owns the
-// decide span (DecideOptions.Span) and annotates it with the DP's output;
-// the up and down spans belong to the incarnations, which annotate them from
-// what UpMiss and DownStep return (span.Span documents the attributes).
+// Tracing: the engine takes no per-request trace handle in its per-node
+// steps. Decide owns the decide span (DecideOptions.Span) and annotates it
+// with the DP's output; Walk opens and annotates the lookup, up, down,
+// coherency, promote and body spans from what the steps return (span.Span
+// documents the attributes). The gateway annotates its own.
 //
 // Hot-path contract: none of the per-request methods allocate when span
-// tracing is off and the caller supplies reusable scratch (the replay
-// simulator runs at 0 allocs/op). Methods are not safe for concurrent use on the
-// same NodeState/Decider; concurrent transports shard state per node and
-// use the allocating Decide wrapper.
+// tracing is off and the caller reuses its scratch (a Walk, a Decider, a
+// victim buffer); the replay simulator runs at 0 allocs/op. Sharded is safe
+// for concurrent use — every step takes its object's shard lock — while a
+// Walk and a Decider belong to one goroutine at a time: a concurrent
+// transport pools them. Only a caller with no scratch of its own, the HTTP
+// gateway, uses the allocating package-level Decide.
 package engine
 
 import (
@@ -101,11 +108,11 @@ type Candidate struct {
 	Gen uint64
 }
 
-// NodeState owns one cache node's protocol state: the main object store and
-// the §2.4 descriptor cache. Each transport embeds one per node; all
-// protocol steps below operate exclusively on it, so the node's behaviour
-// is identical whichever transport drives it.
-type NodeState struct {
+// nodeState is one shard of a Sharded node: a main object store and the
+// §2.4 descriptor cache, with every protocol step below operating on it
+// alone. Sharded guards each one with its shard lock; the engine's tests
+// drive a bare one as the unsharded reference.
+type nodeState struct {
 	// Node identifies the cache in traces and diagnostics.
 	Node model.NodeID
 	// Store is the node's main cache (cost-aware replacement, §2.3).
@@ -151,15 +158,6 @@ func ViolationEvent(v audit.Violation) flightrec.Event {
 	}
 }
 
-// Lookup probes the node during the upstream pass. A hit refreshes the
-// copy's access history and makes this node the serving node; the caller
-// stops the pass. Freshness (TTL expiry, generation floors) is enforced
-// when the node has a coherency view — see LookupFresh for the full
-// result.
-func (st *NodeState) Lookup(obj model.ObjectID, now float64) bool {
-	return st.LookupFresh(obj, now, 0).Hit
-}
-
 // UpMiss performs the miss-side bookkeeping of the upstream pass at this
 // node and returns its hop record: the request is observed passing through
 // (refreshing the d-cache access history), and the node's candidacy is
@@ -167,7 +165,7 @@ func (st *NodeState) Lookup(obj model.ObjectID, now float64) bool {
 // otherwise the §2.4 tag. size may be 0 when the transport does not know
 // the object's size on the way up (the HTTP gateway); the descriptor's
 // recorded size is used instead.
-func (st *NodeState) UpMiss(obj model.ObjectID, size int64, hop int, link float64, now float64) Candidate {
+func (st *nodeState) UpMiss(obj model.ObjectID, size int64, hop int, link float64, now float64) Candidate {
 	c := Candidate{Hop: hop, Node: st.Node, Tag: TagNoDescriptor, Link: link}
 	// RecordAccess answers whether the descriptor is there, so a node that
 	// knows nothing about the object pays one d-cache probe, not two.
@@ -195,7 +193,7 @@ func (st *NodeState) UpMiss(obj model.ObjectID, size int64, hop int, link float6
 // hit). A stale or expired copy self-heals inside the probe and the miss
 // half then sees its demoted descriptor, exactly as the two calls in
 // sequence would.
-func (st *NodeState) UpStep(obj model.ObjectID, size int64, hop int, link float64, now float64, floor uint64) (LookupResult, Candidate) {
+func (st *nodeState) UpStep(obj model.ObjectID, size int64, hop int, link float64, now float64, floor uint64) (LookupResult, Candidate) {
 	res := st.LookupFresh(obj, now, floor)
 	if res.Hit {
 		return res, Candidate{}
@@ -203,8 +201,8 @@ func (st *NodeState) UpStep(obj model.ObjectID, size int64, hop int, link float6
 	return res, st.UpMiss(obj, size, hop, link, now)
 }
 
-// DownResult reports one downstream step's effect.
-type DownResult struct {
+// downResult reports one downstream step's effect.
+type downResult struct {
 	// MP is the outgoing miss-penalty counter: zero after a successful
 	// placement (a fresh copy now sits at this node), the incoming value
 	// otherwise.
@@ -220,27 +218,23 @@ type DownResult struct {
 	Evicted []*cache.Descriptor
 }
 
-// DownStep applies the response pass at this node. mp is the miss-penalty
-// counter including the link the response just crossed (the caller
-// accumulates link costs); gen is the coherency generation of the body
-// flowing down (the serving copy's generation — zero when coherency is
+// DownStepUnder applies the response pass at this node. mp is the
+// miss-penalty counter including the link the response just crossed (the
+// caller accumulates link costs); gen is the coherency generation of the
+// body flowing down (the serving copy's generation — zero when coherency is
 // off). If place is set the node caches the object: the descriptor is
 // promoted from the d-cache (or rebuilt), its miss penalty set and its
-// generation stamped, and victims' descriptors demoted; the counter
-// resets to zero on success. A placement whose generation is below the
-// node's floor is rejected (CAS conflict — the body was invalidated while
-// in flight). Otherwise the node records the passing counter in the
-// object's d-cache descriptor, creating one if needed.
-func (st *NodeState) DownStep(obj model.ObjectID, size int64, place bool, mp float64, gen uint64, now float64) DownResult {
-	return st.DownStepUnder(obj, obj, size, place, mp, gen, now, nil)
-}
-
-// DownStepUnder is DownStep for an object whose generation is another
-// identity's: a segment of a large object is placed, evicted and counted
-// under its own identity, but it is written — and invalidated — as part of
-// its base, so the generation guard reads floorObj's floor. checks is where
-// the step's audit checks are counted (nil: on the auditor at once).
-func (st *NodeState) DownStepUnder(obj, floorObj model.ObjectID, size int64, place bool, mp float64, gen uint64, now float64, checks *audit.Tally) DownResult {
+// generation stamped, and victims' descriptors demoted; the counter resets
+// to zero on success. A placement whose generation is below the node's
+// floor is rejected (CAS conflict — the body was invalidated while in
+// flight). Otherwise the node records the passing counter in the object's
+// d-cache descriptor, creating one if needed.
+//
+// floorObj names the identity whose generation governs obj: a segment of a
+// large object is placed, evicted and counted under its own identity, but it
+// is written — and invalidated — as part of its base. checks is where the
+// step's audit checks are counted (nil: on the auditor at once).
+func (st *nodeState) DownStepUnder(obj, floorObj model.ObjectID, size int64, place bool, mp float64, gen uint64, now float64, checks *audit.Tally) downResult {
 	if place {
 		if st.Coh != nil && st.Coh.Mode().Validates() && gen < st.Coh.Floor(floorObj) {
 			// The copy was invalidated while the response was in flight;
@@ -249,7 +243,7 @@ func (st *NodeState) DownStepUnder(obj, floorObj model.ObjectID, size int64, pla
 			if st.Ledger != nil {
 				st.Ledger.RecordPlacement(st.Node, false)
 			}
-			return DownResult{MP: mp, PlaceFailed: true}
+			return downResult{MP: mp, PlaceFailed: true}
 		}
 		desc := st.DCache.Take(obj)
 		if desc == nil {
@@ -260,42 +254,14 @@ func (st *NodeState) DownStepUnder(obj, floorObj model.ObjectID, size int64, pla
 		}
 		desc.SetMissPenalty(mp)
 		desc.Gen = gen
-		evicted, ok := st.Store.Insert(desc, now)
-		if !ok {
-			st.DCache.Put(desc, now)
-			if st.Ledger != nil {
-				st.Ledger.RecordPlacement(st.Node, false)
-			}
-			return DownResult{MP: mp, PlaceFailed: true}
-		}
-		if st.Audit != nil && len(evicted) > 0 {
-			// §2.3 eviction-order invariant: the committed victim set is
-			// a prefix of the NCL order. Victim keys are final here (the
-			// store refreshed them at selection); check before the
-			// d-cache demotion below, which reuses the key field.
-			maxK := evicted[0].EvictionKey()
-			for _, v := range evicted[1:] {
-				if k := v.EvictionKey(); k > maxK {
-					maxK = k
-				}
-			}
-			if minK, retained := st.Store.MinKeyExcluding(obj); retained {
-				st.Audit.CheckEvictionOrder(checks, st.Node, obj, maxK, minK, now)
-			}
-		}
+		evicted, ok := st.insert(desc, now, checks)
 		if st.Ledger != nil {
-			st.Ledger.RecordPlacement(st.Node, true)
+			st.Ledger.RecordPlacement(st.Node, ok)
 		}
-		for _, v := range evicted {
-			st.DCache.Put(v, now)
-			if st.Coh != nil {
-				st.Coh.Forget(v.ID)
-			}
+		if !ok {
+			return downResult{MP: mp, PlaceFailed: true}
 		}
-		if st.Coh != nil {
-			st.Coh.RecordFetch(obj, now)
-		}
-		return DownResult{MP: 0, Placed: true, Evicted: evicted}
+		return downResult{MP: 0, Placed: true, Evicted: evicted}
 	}
 	// Not instructed to cache: maintain the node's meta information about
 	// the passing object. SetMissPenalty answers whether there was any.
@@ -314,11 +280,11 @@ func (st *NodeState) DownStepUnder(obj, floorObj model.ObjectID, size int64, pla
 		desc.SetMissPenalty(mp)
 		st.DCache.Put(desc, now)
 	}
-	return DownResult{MP: mp}
+	return downResult{MP: mp}
 }
 
-// PromoteResult reports a spill-promotion attempt.
-type PromoteResult struct {
+// promoteResult reports a spill-promotion attempt.
+type promoteResult struct {
 	// Placed reports that the descriptor was re-admitted to the main
 	// store; the caller should move the object's bytes back to the memory
 	// tier.
@@ -337,30 +303,25 @@ type PromoteResult struct {
 	Evicted []*cache.Descriptor
 }
 
-// Promote re-admits a spilled object: its descriptor left the main store
+// PromoteUnder re-admits a spilled object: its descriptor left the main store
 // with an NCL eviction but the data plane kept the bytes on disk, and a new
 // request just hit that disk copy. The descriptor is taken back from the
 // d-cache (or rebuilt), its access history refreshed, and the object is
-// inserted exactly like a DownStep placement — same eviction-order audit,
+// inserted exactly like a DownStepUnder placement — same eviction-order audit,
 // same victim demotion — so the §2.3 invariants hold for promoted copies
 // too. The hit itself is accounted to the ledger in both branches (serving
 // from disk avoids the upstream fetch regardless of whether the memory
 // re-admission sticks). gen is the disk copy's persisted generation
 // (CBS1); a copy below the node's floor is rejected outright so a spill
-// can never resurrect stale bytes.
-func (st *NodeState) Promote(obj model.ObjectID, size int64, gen uint64, now float64) PromoteResult {
-	return st.PromoteUnder(obj, obj, size, gen, now)
-}
-
-// PromoteUnder is Promote with the generation guard reading floorObj's
-// floor (see DownStepUnder).
-func (st *NodeState) PromoteUnder(obj, floorObj model.ObjectID, size int64, gen uint64, now float64) PromoteResult {
+// can never resurrect stale bytes; the guard reads floorObj's floor (see
+// DownStepUnder).
+func (st *nodeState) PromoteUnder(obj, floorObj model.ObjectID, size int64, gen uint64, now float64) promoteResult {
 	if st.Coh != nil && st.Coh.Mode().Validates() && gen < st.Coh.Floor(floorObj) {
 		st.Coh.Metrics().StaleHit()
 		if st.Flight != nil {
 			st.Flight.Record(flightrec.Event{Time: now, Node: st.Node, Kind: flightrec.KindStaleHit, Obj: obj, Hop: -1, A: float64(gen), B: float64(st.Coh.Floor(floorObj)), N: 1})
 		}
-		return PromoteResult{Stale: true}
+		return promoteResult{Stale: true}
 	}
 	desc := st.DCache.Take(obj)
 	if desc == nil {
@@ -372,24 +333,41 @@ func (st *NodeState) PromoteUnder(obj, floorObj model.ObjectID, size int64, gen 
 	if st.Ledger != nil {
 		st.Ledger.RecordHit(st.Node, avoided)
 	}
+	evicted, ok := st.insert(desc, now, nil)
+	if !ok {
+		return promoteResult{Avoided: avoided}
+	}
+	if st.Flight != nil {
+		st.Flight.Record(flightrec.Event{Time: now, Node: st.Node, Kind: flightrec.KindPromote, Obj: obj, Hop: -1, A: avoided, N: len(evicted)})
+	}
+	return promoteResult{Placed: true, Avoided: avoided, Evicted: evicted}
+}
+
+// insert admits desc to the main store, the step a placement and a
+// promotion share. A failed insert returns desc to the d-cache. A
+// successful one is checked against the §2.3 eviction-order invariant, its
+// victims' descriptors are demoted to the d-cache and the copy's fetch time
+// is recorded; the victims alias the store's scratch buffer.
+func (st *nodeState) insert(desc *cache.Descriptor, now float64, checks *audit.Tally) ([]*cache.Descriptor, bool) {
 	evicted, ok := st.Store.Insert(desc, now)
 	if !ok {
 		st.DCache.Put(desc, now)
-		return PromoteResult{Avoided: avoided}
+		return nil, false
 	}
 	if st.Audit != nil && len(evicted) > 0 {
+		// The committed victim set must be a prefix of the NCL order.
+		// Victim keys are final here (the store refreshed them at
+		// selection); check before the d-cache demotion below, which
+		// reuses the key field.
 		maxK := evicted[0].EvictionKey()
 		for _, v := range evicted[1:] {
 			if k := v.EvictionKey(); k > maxK {
 				maxK = k
 			}
 		}
-		if minK, retained := st.Store.MinKeyExcluding(obj); retained {
-			st.Audit.CheckEvictionOrder(nil, st.Node, obj, maxK, minK, now)
+		if minK, retained := st.Store.MinKeyExcluding(desc.ID); retained {
+			st.Audit.CheckEvictionOrder(checks, st.Node, desc.ID, maxK, minK, now)
 		}
-	}
-	if st.Flight != nil {
-		st.Flight.Record(flightrec.Event{Time: now, Node: st.Node, Kind: flightrec.KindPromote, Obj: obj, Hop: -1, A: avoided, N: len(evicted)})
 	}
 	for _, v := range evicted {
 		st.DCache.Put(v, now)
@@ -398,13 +376,13 @@ func (st *NodeState) PromoteUnder(obj, floorObj model.ObjectID, size int64, gen 
 		}
 	}
 	if st.Coh != nil {
-		st.Coh.RecordFetch(obj, now)
+		st.Coh.RecordFetch(desc.ID, now)
 	}
-	return PromoteResult{Placed: true, Avoided: avoided, Evicted: evicted}
+	return evicted, true
 }
 
 // windowK is the sliding-window size of descriptors created at this node.
-func (st *NodeState) windowK() int {
+func (st *nodeState) windowK() int {
 	if st.WindowK <= 0 {
 		return freq.DefaultK
 	}
@@ -413,7 +391,7 @@ func (st *NodeState) windowK() int {
 
 // newDescriptor builds (or recycles) a descriptor with this node's window
 // parameters.
-func (st *NodeState) newDescriptor(obj model.ObjectID, size int64) *cache.Descriptor {
+func (st *nodeState) newDescriptor(obj model.ObjectID, size int64) *cache.Descriptor {
 	if st.Pool != nil {
 		return st.Pool.Get(obj, size, st.windowK())
 	}

@@ -9,15 +9,13 @@ import (
 // DescPool recycles descriptors the d-caches evict, eliminating the
 // per-request descriptor allocation on the hot path. A hop that passes an
 // unknown object through a full d-cache needs no pool: it reuses the
-// d-cache's own victim (DownStep). The pool holds what the other evictions
-// free — main-cache victims demoted into a full d-cache — and serves
-// admissions into a d-cache that still has room and descriptors rebuilt
-// for placement or promotion. Recycling is invisible to protocol results —
-// Reset clears all history and nothing orders on descriptor identity. A
-// pool is not safe for concurrent use: share one only among NodeStates
-// driven by one goroutine (the replay simulator), or give each shard of a
-// concurrent node its own, touched only under the shard lock
-// (ShardedConfig.Pooled).
+// d-cache's own victim (DownStepUnder). The pool holds what the other
+// evictions free — main-cache victims demoted into a full d-cache — and
+// serves admissions into a d-cache that still has room and descriptors
+// rebuilt for placement or promotion. Recycling is invisible to protocol
+// results — Reset clears all history and nothing orders on descriptor
+// identity. A pool is not safe for concurrent use: each shard of a pooled
+// node owns one, touched only under the shard lock (ShardedConfig.Pooled).
 type DescPool struct {
 	free []*cache.Descriptor
 }

@@ -14,8 +14,9 @@ import (
 	"cascade/internal/model"
 )
 
-// Sharded partitions one cache node's protocol state across P independent
-// shards by object-ID hash. Each shard owns its own main-cache heap, its own
+// Sharded is one cache node's protocol state — the only per-node type the
+// incarnations see. It partitions the state across P independent shards by
+// object-ID hash. Each shard owns its own main-cache heap, its own
 // d-cache stripe and its own miss-penalty bookkeeping, guarded by a private
 // mutex, so concurrent protocol steps on objects in different shards never
 // contend. Capacity is split exactly across shards (the byte remainder goes
@@ -23,14 +24,15 @@ import (
 // per shard: an insert evicts the ascending-NCL prefix of its own shard's
 // heap, which the per-shard audit oracle keeps verifying online.
 //
-// With Shards == 1 a Sharded node is step-for-step identical to a bare
-// NodeState behind a mutex — that is the configuration the cross-incarnation
-// conformance suite pins, since a sharded heap partitions the victim
-// search space and therefore legitimately diverges from the unsharded
-// replay scheme at eviction time. Multi-shard nodes trade that byte-exact
-// equivalence for parallelism; every protocol invariant (Theorem 2 pruning,
-// per-shard NCL order, penalty-counter monotonicity, ledger parity) still
-// holds and stays audited.
+// With Shards == 1 a Sharded node is step-for-step identical to a single
+// unsharded node behind an uncontended mutex — the configuration the replay
+// simulator runs and the cross-incarnation conformance suite pins, since a
+// sharded heap partitions the victim search space and therefore
+// legitimately diverges from the unsharded replay at eviction time.
+// Multi-shard nodes trade that byte-exact equivalence for parallelism;
+// every protocol invariant (Theorem 2 pruning, per-shard NCL order,
+// penalty-counter monotonicity, ledger parity) still holds and stays
+// audited.
 type Sharded struct {
 	node   model.NodeID
 	shift  uint
@@ -53,7 +55,7 @@ type shard struct {
 // export reads them without taking the shard lock.
 type shardState struct {
 	mu sync.Mutex
-	st NodeState
+	st nodeState
 
 	inserts   atomic.Int64
 	evictions atomic.Int64
@@ -83,7 +85,7 @@ type ShardedConfig struct {
 	// shard's lock.
 	Pooled bool
 	// Flight/Audit/Ledger are shared across shards (all three are
-	// internally synchronized); nil disables as in NodeState.
+	// internally synchronized); nil disables each.
 	Flight *flightrec.Recorder
 	Audit  *audit.Auditor
 	Ledger *audit.Ledger
@@ -118,7 +120,7 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 	}
 	s := &Sharded{node: cfg.Node, shift: shift, shards: make([]shard, p)}
 	for i := range s.shards {
-		ns := NodeState{
+		ns := nodeState{
 			Node:    cfg.Node,
 			Store:   cache.NewCostAware(splitBytes(cfg.CacheBytes, p, i)),
 			DCache:  cfg.DCacheFactory(splitEntries(cfg.DCacheEntries, p, i)),
@@ -179,18 +181,19 @@ func (s *Sharded) Node() model.NodeID { return s.node }
 // ShardCount returns the number of shards.
 func (s *Sharded) ShardCount() int { return len(s.shards) }
 
-// Lookup probes the owning shard during the upstream pass (see
-// NodeState.Lookup).
+// Lookup probes the owning shard during the upstream pass: a hit refreshes
+// the copy's access history and makes this node the serving node. It is
+// LookupFresh with no request-carried floor, reporting only the hit.
 func (s *Sharded) Lookup(obj model.ObjectID, now float64) bool {
 	sh := &s.shards[s.ShardOf(obj)]
 	s.lock(sh)
-	hit := sh.st.Lookup(obj, now)
+	hit := sh.st.LookupFresh(obj, now, 0).Hit
 	sh.mu.Unlock()
 	return hit
 }
 
 // LookupFresh probes the owning shard with freshness enforcement (see
-// NodeState.LookupFresh).
+// nodeState.LookupFresh).
 func (s *Sharded) LookupFresh(obj model.ObjectID, now float64, floor uint64) LookupResult {
 	sh := &s.shards[s.ShardOf(obj)]
 	s.lock(sh)
@@ -201,7 +204,7 @@ func (s *Sharded) LookupFresh(obj model.ObjectID, now float64, floor uint64) Loo
 
 // ApplyInvalidations applies a piggybacked (or pushed) invalidation tail,
 // routing each entry's copy-drop to the owning shard, then advances the
-// shared cursor to head (see NodeState.ApplyInvalidations).
+// shared cursor to head (see nodeState.ApplyInvalidations).
 func (s *Sharded) ApplyInvalidations(tail []coherency.Invalidation, head uint64, now float64) int {
 	view := s.shards[0].st.Coh
 	if view == nil || !view.Mode().Validates() {
@@ -234,7 +237,7 @@ func (s *Sharded) SetCoherency(view *coherency.NodeView) {
 }
 
 // UpMiss performs the miss-side bookkeeping on the owning shard and returns
-// the hop's piggyback record (see NodeState.UpMiss).
+// the hop's piggyback record (see nodeState.UpMiss).
 func (s *Sharded) UpMiss(obj model.ObjectID, size int64, hop int, link float64, now float64) Candidate {
 	sh := &s.shards[s.ShardOf(obj)]
 	s.lock(sh)
@@ -244,7 +247,7 @@ func (s *Sharded) UpMiss(obj model.ObjectID, size int64, hop int, link float64, 
 }
 
 // UpStep runs one hop of the upstream pass under a single acquisition of the
-// owning shard's lock (see NodeState.UpStep): the two-call form takes the
+// owning shard's lock (see nodeState.UpStep): the two-call form takes the
 // lock twice on every miss.
 func (s *Sharded) UpStep(obj model.ObjectID, size int64, hop int, link float64, now float64, floor uint64) (LookupResult, Candidate) {
 	sh := &s.shards[s.ShardOf(obj)]
@@ -254,9 +257,9 @@ func (s *Sharded) UpStep(obj model.ObjectID, size int64, hop int, link float64, 
 	return res, c
 }
 
-// DownOutcome reports one sharded downstream step's effect. Unlike
-// NodeState's DownResult it carries no descriptor pointers: those alias the
-// shard's heap scratch, which is only valid under the shard lock.
+// DownOutcome reports one downstream step's effect. It carries no
+// descriptor pointers: those alias the shard's heap scratch, which is only
+// valid under the shard lock.
 type DownOutcome struct {
 	// MP is the outgoing miss-penalty counter (zero after a successful
 	// placement, the incoming value otherwise).
@@ -268,7 +271,7 @@ type DownOutcome struct {
 }
 
 // DownStep applies the response pass on the owning shard (see
-// NodeState.DownStep). Victim object IDs are appended to evicted while the
+// nodeState.DownStepUnder). Victim object IDs are appended to evicted while the
 // shard lock is held — the underlying descriptors alias the shard's scratch
 // buffer and must not escape — and the (possibly grown) slice is returned,
 // so a caller that reuses its buffer takes zero steady-state allocations.
@@ -279,7 +282,7 @@ func (s *Sharded) DownStep(obj model.ObjectID, size int64, place bool, mp float6
 }
 
 // DownStepUnder is DownStep with the generation guard reading floorObj's
-// floor — a segment's base (see NodeState.DownStepUnder). The shard is
+// floor — a segment's base (see nodeState.DownStepUnder). The shard is
 // obj's: only the floor lookup, which the shared view answers under its own
 // lock, names the other identity. checks is the caller's audit tally (nil
 // counts the step's checks on the auditor at once).
@@ -298,17 +301,12 @@ func (s *Sharded) DownStepUnder(obj, floorObj model.ObjectID, size int64, place 
 	return DownOutcome{MP: res.MP, Placed: res.Placed, PlaceFailed: res.PlaceFailed}, evicted
 }
 
-// Promote re-admits a spilled object after a disk-tier hit (see
-// NodeState.Promote). Reports whether the re-admission stuck, and appends
+// PromoteUnder re-admits a spilled object after a disk-tier hit (see
+// nodeState.PromoteUnder), the generation guard reading floorObj's floor
+// (see DownStepUnder). Reports whether the re-admission stuck, and appends
 // insertion victims' ids to evicted — the caller spills their bytes in
-// turn. A Stale result means the disk copy failed the generation floor
-// and must be treated as a miss.
-func (s *Sharded) Promote(obj model.ObjectID, size int64, gen uint64, now float64, evicted []model.ObjectID) (PromoteOutcome, []model.ObjectID) {
-	return s.PromoteUnder(obj, obj, size, gen, now, evicted)
-}
-
-// PromoteUnder is Promote with the generation guard reading floorObj's
-// floor (see DownStepUnder).
+// turn. A Stale result means the disk copy failed the generation floor and
+// must be treated as a miss.
 func (s *Sharded) PromoteUnder(obj, floorObj model.ObjectID, size int64, gen uint64, now float64, evicted []model.ObjectID) (PromoteOutcome, []model.ObjectID) {
 	sh := &s.shards[s.ShardOf(obj)]
 	s.lock(sh)
@@ -376,17 +374,6 @@ func (s *Sharded) Demote(obj model.ObjectID, now float64) bool {
 	return d != nil
 }
 
-// Locked runs fn on the shard owning obj while holding that shard's lock —
-// the escape hatch for callers needing a compound read-modify step the
-// dedicated methods do not cover (snapshot restore, tests). fn must not
-// retain descriptor pointers past the call.
-func (s *Sharded) Locked(obj model.ObjectID, fn func(st *NodeState)) {
-	sh := &s.shards[s.ShardOf(obj)]
-	s.lock(sh)
-	fn(&sh.st)
-	sh.mu.Unlock()
-}
-
 // lockAll acquires every shard lock in index order (the only multi-lock
 // path, so lock ordering is trivially consistent).
 func (s *Sharded) lockAll() {
@@ -401,12 +388,16 @@ func (s *Sharded) unlockAll() {
 	}
 }
 
-// DrainDescriptors empties the whole node for a cooperative departure,
-// returning snapshots of every stored descriptor in global NCL eviction
-// order (ascending NCL at now, ties by object ID) — merging the shards
-// reproduces exactly the order an unsharded node would spill, so the parent
-// absorbs identically (see NodeState.DrainDescriptors). All shard locks are
-// held for the duration: the drain is atomic against concurrent steps.
+// DrainDescriptors empties the whole node's main cache for a cooperative
+// departure, returning snapshots of every stored descriptor in global NCL
+// eviction order (ascending NCL at now, ties by object ID). The order
+// matters: merged across shards it is exactly the order an unsharded node
+// would spill, so the parent absorbs the spill in the same sequence
+// whichever incarnation — and whichever shard count — drained. All shard
+// locks are held for the duration: the drain is atomic against concurrent
+// steps. The caller discards the node's d-cache (ResetDCaches; a departing
+// node keeps no meta state) and delivers the snapshots to the parent's
+// Absorb.
 func (s *Sharded) DrainDescriptors(now float64) []cache.DescriptorSnapshot {
 	s.lockAll()
 	defer s.unlockAll()
@@ -430,8 +421,11 @@ func (s *Sharded) DrainDescriptors(now float64) []cache.DescriptorSnapshot {
 }
 
 // Absorb folds a departing child's spilled descriptors into the owning
-// shards' d-cache stripes, in spill order, skipping invalid snapshots (see
-// NodeState.Absorb).
+// shards' d-cache stripes, in spill order. Objects already known here — in
+// the main cache or the d-cache — are skipped: the local view has fresher
+// access history for them. So are snapshots cache.RestoreDescriptor
+// refuses. It reports how many descriptors were absorbed (the d-cache may
+// evict some again at once; those still count).
 func (s *Sharded) Absorb(snaps []cache.DescriptorSnapshot, now float64) int {
 	absorbed := 0
 	for _, snap := range snaps {
@@ -557,6 +551,10 @@ func (s *Sharded) DCacheLen() int {
 // DCacheAt exposes one shard's d-cache stripe for inspection. Callers must
 // quiesce the node first (tests, post-drain assertions).
 func (s *Sharded) DCacheAt(i int) dcache.DCache { return s.shards[i].st.DCache }
+
+// StoreAt exposes one shard's main store for inspection, under the same
+// rule as DCacheAt.
+func (s *Sharded) StoreAt(i int) *cache.HeapStore { return s.shards[i].st.Store }
 
 // ShardStats is one shard's operational accounting, readable lock-free
 // except for the occupancy fields.

@@ -45,7 +45,7 @@ func upOpSize(id model.ObjectID) int64 { return int64(100 * (1 + int(id)%4)) }
 
 // upSide is one of the two nodes with everything it reports into.
 type upSide struct {
-	st   NodeState
+	st   nodeState
 	reg  *metrics.Registry
 	view *coherency.NodeView
 }
@@ -59,7 +59,7 @@ func newUpSide(mode coherency.Mode, stacks bool) *upSide {
 	nl := metrics.L("node", "7")
 	ledger := audit.NewLedger()
 	ledger.RegisterNode(s.reg, 7, nl)
-	s.st = NodeState{
+	s.st = nodeState{
 		Node:   7,
 		Store:  cache.NewCostAware(upOpBytes),
 		DCache: dfac(upOpDEntries),
@@ -183,8 +183,8 @@ func runUpOps(t *testing.T, data []byte) (hits, candidates, healed, evictions in
 			if arg >= 224 && gen > 0 {
 				gen-- // a body that was overtaken in flight
 			}
-			got := fused.st.DownStep(id, size, place, mp+link, gen, now)
-			want := split.st.DownStep(id, size, place, mp+link, gen, now)
+			got := fused.st.DownStepUnder(id, id, size, place, mp+link, gen, now, nil)
+			want := split.st.DownStepUnder(id, id, size, place, mp+link, gen, now, nil)
 			if got.MP != want.MP || got.Placed != want.Placed || got.PlaceFailed != want.PlaceFailed ||
 				!reflect.DeepEqual(evictedIDs(got.Evicted), evictedIDs(want.Evicted)) {
 				t.Fatalf("op %d: DownStep(%d, place=%v) = %+v, on the other side %+v", i, id, place, got, want)
@@ -232,7 +232,7 @@ func upOpCases() [][]byte {
 	return cases
 }
 
-// TestUpStepMatchesTwoCalls holds NodeState.UpStep to LookupFresh followed
+// TestUpStepMatchesTwoCalls holds nodeState.UpStep to LookupFresh followed
 // by UpMiss in every coherency mode, and checks that the cases reach what
 // they are for: hits, candidates with an eviction cost, evicting
 // placements, and — where the mode has them — self-healed copies.

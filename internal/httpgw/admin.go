@@ -265,7 +265,7 @@ func (n *Node) adminAdmit(w http.ResponseWriter, now float64) {
 }
 
 // adminAbsorb receives a departing downstream's spilled descriptors and
-// offers them to this node's d-cache (engine.NodeState.Absorb: objects the
+// offers them to this node's d-cache (engine.Sharded.Absorb: objects the
 // node already knows are skipped, the d-cache's eviction policy takes the
 // rest).
 func (n *Node) adminAbsorb(w http.ResponseWriter, r *http.Request, now float64) {

@@ -34,10 +34,8 @@ type node struct {
 // performed the stop.
 func (n *node) stop() bool { return n.down.CompareAndSwap(false, true) }
 
-// inst returns this node's slot-owned instruments.
-func (n *node) inst() *nodeInstruments { return &n.cluster.nodeInst[n.id] }
-
-// diskServe tries to serve a lookup miss from the node's disk spill tier.
+// Serve tries to serve a lookup miss from the node's disk spill tier (the
+// node is its walk hop's engine.Tier when it has one).
 // A SrcDisk hit is served at this hop without touching the rest of the
 // cascade; when the store re-admits the descriptor the payload is promoted
 // back to memory and the insertion's NCL victims spill in turn (a failed
@@ -47,10 +45,7 @@ func (n *node) inst() *nodeInstruments { return &n.cluster.nodeInst[n.id] }
 // dropped and the pass continues upstream, never serving stale bytes.
 // evict is a reusable victim-ID buffer, returned possibly grown. The served
 // copy's generation is returned alongside.
-func (n *node) diskServe(obj model.ObjectID, size int64, now float64, floor uint64, evict []model.ObjectID) (bool, uint64, []model.ObjectID) {
-	if n.bodies == nil {
-		return false, 0, evict
-	}
+func (n *node) Serve(obj model.ObjectID, size int64, now float64, floor uint64, evict []model.ObjectID) (bool, uint64, []model.ObjectID) {
 	body, meta, src := n.bodies.Get(obj)
 	if src != store.SrcDisk {
 		return false, 0, evict
@@ -69,7 +64,7 @@ func (n *node) diskServe(obj model.ObjectID, size int64, now float64, floor uint
 		n.bodies.Delete(obj)
 		return false, 0, evict
 	}
-	out, ev := n.st.Promote(obj, size, meta.Gen, now, evict[:0])
+	out, ev := n.st.PromoteUnder(obj, obj, size, meta.Gen, now, evict[:0])
 	if out.Stale {
 		// The node's floor moved past the spill while it sat on disk; the
 		// engine counted the stale hit — drop the bytes and miss.
@@ -79,44 +74,43 @@ func (n *node) diskServe(obj model.ObjectID, size int64, now float64, floor uint
 	if out.Placed {
 		n.bodies.Promote(obj, body, meta)
 		c.promotions.Add(1)
-		inst := n.inst()
+		inst := &c.nodeInst[n.id]
 		inst.inserts.Inc()
 		inst.evictions.Add(int64(len(ev)))
 		for _, v := range ev {
-			if n.bodies.Spill(v) {
-				c.spills.Add(1)
-			}
+			n.spill(v)
 		}
 		// A concurrent placement may have evicted the object between the
 		// store insert and the tier move above (the shard lock does not
-		// cover the body store); its Spill found no memory body then, so
+		// cover the body store); its spill found no memory body then, so
 		// re-spill here to keep bytes and descriptors aligned.
-		if !n.st.Contains(obj) && n.bodies.Spill(obj) {
-			c.spills.Add(1)
-		}
+		n.spill(obj)
 	}
 	c.spillHits.Add(1)
 	return true, meta.Gen, ev
 }
 
-// placeBody records a downstream placement in the data plane: the payload
+// Place records a downstream placement in the data plane: the payload
 // (synthesized — the runtime carries no real bytes) enters the memory tier
 // at the served generation and each NCL victim's bytes spill to the disk
 // tier.
-func (n *node) placeBody(obj model.ObjectID, size int64, gen uint64, now float64, ev []model.ObjectID) {
-	if n.bodies == nil {
-		return
-	}
+func (n *node) Place(obj model.ObjectID, size int64, gen uint64, now float64, ev []model.ObjectID) {
 	n.bodies.Put(obj, store.SyntheticBody(obj, int(size)), store.Meta{Fetched: now, Gen: gen})
 	for _, v := range ev {
-		if n.bodies.Spill(v) {
-			n.cluster.spills.Add(1)
-		}
+		n.spill(v)
 	}
-	// Close the race with a concurrent eviction of obj itself: its Spill
-	// ran before the Put above and found nothing, so the check below is
-	// the one that moves the body out of the memory tier.
-	if !n.st.Contains(obj) && n.bodies.Spill(obj) {
+	// Close the race with a concurrent eviction of obj itself: its spill
+	// ran before the Put above and found nothing, so this one moves the
+	// body out of the memory tier.
+	n.spill(obj)
+}
+
+// spill parks an evicted object's bytes on disk unless its descriptor is in
+// the main store: a victim may have been placed again, and its fresh body
+// stored, between the eviction and this call. The tier asks under its own
+// lock, so no placement's body lands between the answer and the move.
+func (n *node) spill(obj model.ObjectID) {
+	if n.bodies.SpillUnless(obj, n.st.Contains) {
 		n.cluster.spills.Add(1)
 	}
 }

@@ -188,13 +188,10 @@ type Cluster struct {
 	mu     sync.Mutex
 	closed atomic.Bool
 
-	// decScratch recycles per-decision buffers (candidate vector, DP
-	// tables): the placement decision runs on whichever goroutine serves
-	// the request, so the scratch is pooled rather than owned by any one
-	// node.
-	decScratch sync.Pool
 	// walks recycles per-request walk state and its buffers (scaled link
-	// costs, piggyback vector, chosen set, victim IDs).
+	// costs, hop records, the decider's DP tables, victim IDs): a walk runs
+	// on whichever goroutine serves the request, so it is pooled rather
+	// than owned by any one node.
 	walks sync.Pool
 
 	// reg exports every instrument below in the Prometheus text format
@@ -292,7 +289,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			A: float64(ev.Epoch), N: n,
 		})
 	})
-	c.decScratch.New = func() any { return new(decideScratch) }
 	if cfg.FlightCapacity > 0 {
 		c.flight = make([]*flightrec.Recorder, len(c.slots))
 		for i := range c.flight {
@@ -487,24 +483,6 @@ func (c *Cluster) CoherencyView(id model.NodeID) *coherency.NodeView { return c.
 // Authority returns the origin's write authority, nil when coherency is
 // off.
 func (c *Cluster) Authority() *coherency.Authority { return c.auth }
-
-// originGen reads the origin's current generation for an object (zero when
-// coherency is off).
-func (c *Cluster) originGen(obj model.ObjectID) uint64 {
-	if c.auth == nil {
-		return 0
-	}
-	return c.auth.Gen(obj)
-}
-
-// casFloor is the read-your-writes floor a Get must enforce: under ModeCAS
-// the origin's generation at request start, zero otherwise.
-func (c *Cluster) casFloor(obj model.ObjectID) uint64 {
-	if c.auth != nil && c.cfg.CoherencyMode == coherency.ModeCAS {
-		return c.auth.Gen(obj)
-	}
-	return 0
-}
 
 // Invalidate is the origin-driven write path: it bumps the object's
 // generation at the authority and — in validating modes — pushes the entry
@@ -823,8 +801,11 @@ func (c *Cluster) serve(ctx context.Context, w *walk, full topology.Route, obj m
 			total += v
 		}
 		c.originFallbacks.Add(1)
-		return Result{ServedBy: model.NoNode, Cost: total * scale, Hops: full.Hops(), Degraded: true,
-			ServedGen: c.originGen(obj)}
+		r := Result{ServedBy: model.NoNode, Cost: total * scale, Hops: full.Hops(), Degraded: true}
+		if c.auth != nil {
+			r.ServedGen = c.auth.Gen(obj)
+		}
+		return r
 	}
 
 	// Route around nodes already known to be down, draining, or probed
@@ -874,7 +855,7 @@ func (c *Cluster) publish(w *walk) {
 	if n.routedAround > 0 {
 		c.routedAround.Add(n.routedAround)
 	}
-	c.auditor.Publish(&n.checks)
+	c.auditor.Publish(&w.Checks)
 	*n = walkCounts{}
 }
 

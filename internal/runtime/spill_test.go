@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cascade/internal/model"
+	"cascade/internal/store"
 	"cascade/internal/topology"
 )
 
@@ -16,6 +17,54 @@ import (
 // replayed placement always carries the same byte count and the data-plane
 // accounting below can be exact.
 func sizeOf(obj model.ObjectID) int64 { return 1024 + int64(obj%7)*512 }
+
+// TestLateSpillKeepsReplacedVictim forces, step by step, the interleaving
+// behind TestShardedSpillHammer's old flake. Walk A's placement evicts Y
+// under the shard lock; walk B then places Y again and stores its body; only
+// then does A's body hook spill A's victims. Y's descriptor is back in the
+// store by then, so its fresh body must stay in the memory tier: moving it
+// to disk would leave the descriptor store one object ahead of the memory
+// tier.
+func TestLateSpillKeepsReplacedVictim(t *testing.T) {
+	const size = 1024
+	c, err := NewCluster(Config{
+		Network:       topology.GenerateTree(topology.TreeConfig{Depth: 2, Fanout: 1, BaseDelay: 1}),
+		CacheBytes:    size, // room for exactly one object
+		DCacheEntries: 16,
+		AvgObjectSize: size,
+		Clock:         func() float64 { return 0 },
+		SpillDir:      t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	n := c.node(0)
+	const x, y = model.ObjectID(1), model.ObjectID(2)
+	place := func(obj model.ObjectID, now float64) []model.ObjectID {
+		t.Helper()
+		out, ev := n.st.DownStep(obj, size, true, 1, 0, 0, now, nil)
+		if !out.Placed {
+			t.Fatalf("object %d not placed", obj)
+		}
+		return ev
+	}
+	n.Place(y, size, 0, 1, place(y, 1))
+	evA := place(x, 2) // walk A evicts y
+	if len(evA) != 1 || evA[0] != y {
+		t.Fatalf("walk A evicted %v, want [%d]", evA, y)
+	}
+	n.Place(y, size, 0, 3, place(y, 3)) // walk B re-places y, evicting x
+	n.Place(x, size, 0, 2, evA)         // walk A's body hook, late
+	bs := n.bodies.Stats()
+	if bs.MemObjects != n.st.StoreLen() || bs.MemBytes != n.st.Used() {
+		t.Fatalf("memory tier holds %d objects (%d bytes), descriptor store %d (%d bytes)",
+			bs.MemObjects, bs.MemBytes, n.st.StoreLen(), n.st.Used())
+	}
+	if _, _, src := n.bodies.Get(y); src != store.SrcMemory {
+		t.Fatalf("y's body served from %v, want the memory tier", src)
+	}
+}
 
 // TestShardedSpillHammer is TestShardedClusterHammer's data-plane sibling:
 // same multi-shard cluster and request workers plus drain/admit churn and a

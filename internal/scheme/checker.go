@@ -94,14 +94,5 @@ func (c *Checker) Process(now float64, obj model.ObjectID, size int64, path Path
 	return out
 }
 
-// Evict implements Evicter when the wrapped scheme does.
-func (c *Checker) Evict(node model.NodeID, obj model.ObjectID) bool {
-	ev, ok := c.inner.(Evicter)
-	if !ok {
-		return false
-	}
-	return ev.Evict(node, obj)
-}
-
 // Requests returns the number of checked requests.
 func (c *Checker) Requests() int64 { return c.requests }

@@ -89,22 +89,3 @@ func TestCheckerCatchesViolations(t *testing.T) {
 		})
 	}
 }
-
-func TestCheckerEvictPassThrough(t *testing.T) {
-	chk := NewChecker(NewLRU())
-	chk.Configure(Uniform([]model.NodeID{0}, 1000, 0))
-	p := Path{Nodes: []model.NodeID{0}, UpCost: []float64{1}}
-	chk.Process(0, 1, 100, p)
-	out := chk.Process(1, 1, 100, p)
-	if out.HitIndex != 0 {
-		t.Fatal("expected hit")
-	}
-	if !chk.Evict(0, 1) {
-		t.Fatal("evict pass-through failed")
-	}
-	// Non-evicter inner scheme: Evict reports false.
-	chk2 := NewChecker(&badScheme{})
-	if chk2.Evict(0, 1) {
-		t.Fatal("evict on non-evicter succeeded")
-	}
-}

@@ -2,7 +2,6 @@ package scheme
 
 import (
 	"cascade/internal/cache"
-	"cascade/internal/engine"
 	"cascade/internal/model"
 )
 
@@ -12,11 +11,11 @@ import (
 // single-threaded, so there is no epoch guard to wait on — a drain between
 // two Process calls is trivially fenced.
 //
-// A draining node stays on the request path as a pure relay: Process ships
-// an explicit "no descriptor" (§2.4) entry for it, so the DP sees only its
-// link cost, and skips its DownStep on the response pass — the same wire
-// behavior as a drained gateway node, and cost-equivalent to the cluster
-// routing around the node and folding the link.
+// A draining node stays on the request path as a pure relay: the walk
+// routes around it, so it ships the §2.4 "no descriptor" tag carrying only
+// its link cost and takes no step on the response pass — the same wire
+// behavior as a drained gateway node, and exactly the cluster routing
+// around the node and folding the link.
 
 // Drain performs a node's cooperative departure: its main cache empties in
 // NCL eviction order, its d-cache is replaced by a fresh one, and the node
@@ -24,14 +23,13 @@ import (
 // hand them to the parent with Absorb. A second Drain (or an unknown node)
 // returns nil.
 func (s *Coordinated) Drain(node model.NodeID, now float64) []cache.DescriptorSnapshot {
-	st := s.nodes[node]
-	if st == nil || s.draining[node] {
+	nd := s.node(node)
+	if nd == nil || nd.draining {
 		return nil
 	}
-	s.draining[node] = true
-	snaps := st.DrainDescriptors(now)
-	st.DCache = s.dfac(st.DCache.Capacity())
-	s.pool.Attach(st.DCache)
+	nd.draining = true
+	snaps := nd.st.DrainDescriptors(now)
+	nd.st.ResetDCaches(s.dfac)
 	return snaps
 }
 
@@ -39,29 +37,27 @@ func (s *Coordinated) Drain(node model.NodeID, now float64) []cache.DescriptorSn
 // d-cache (objects the node already knows are skipped). It returns how many
 // were taken; a draining target refuses.
 func (s *Coordinated) Absorb(node model.NodeID, snaps []cache.DescriptorSnapshot, now float64) int {
-	st := s.nodes[node]
-	if st == nil || s.draining[node] {
+	nd := s.node(node)
+	if nd == nil || nd.draining {
 		return 0
 	}
-	return st.Absorb(snaps, now)
+	return nd.st.Absorb(snaps, now)
 }
 
 // Admit returns a drained node to service. It rejoins empty — its state
 // left with the drain. Reports whether a transition happened.
 func (s *Coordinated) Admit(node model.NodeID) bool {
-	if s.nodes[node] == nil || !s.draining[node] {
+	nd := s.node(node)
+	if nd == nil || !nd.draining {
 		return false
 	}
-	delete(s.draining, node)
+	nd.draining = false
 	return true
 }
 
 // Draining reports whether the node is currently drained out of the
 // protocol.
-func (s *Coordinated) Draining(node model.NodeID) bool { return s.draining[node] }
-
-// relayCandidate is the path entry a draining node ships: the §2.4 "no
-// descriptor" tag, carrying only the link cost.
-func relayCandidate(node model.NodeID, hop int, link float64) engine.Candidate {
-	return engine.Candidate{Node: node, Hop: hop, Tag: engine.TagNoDescriptor, Link: link}
+func (s *Coordinated) Draining(node model.NodeID) bool {
+	nd := s.node(node)
+	return nd != nil && nd.draining
 }

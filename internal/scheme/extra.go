@@ -112,18 +112,3 @@ func (s *GDS) Process(now float64, obj model.ObjectID, size int64, path Path) Ou
 	s.placed = placed
 	return Outcome{HitIndex: hit, Placed: placed}
 }
-
-// Evict implements Evicter.
-func (s *LFU) Evict(node model.NodeID, obj model.ObjectID) bool {
-	d := s.caches[node].Remove(obj)
-	if d == nil {
-		return false
-	}
-	s.dcaches[node].Put(d, d.Window.LastAccess())
-	return true
-}
-
-// Evict implements Evicter.
-func (s *GDS) Evict(node model.NodeID, obj model.ObjectID) bool {
-	return s.caches[node].Remove(obj)
-}

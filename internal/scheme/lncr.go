@@ -93,14 +93,3 @@ func (s *LNCR) Cache(n model.NodeID) *cache.HeapStore { return s.caches[n] }
 
 // DCache exposes a node's descriptor cache for tests.
 func (s *LNCR) DCache(n model.NodeID) dcache.DCache { return s.dcaches[n] }
-
-// Evict implements Evicter: the invalidated copy's descriptor is demoted
-// to the d-cache, exactly as a capacity eviction would.
-func (s *LNCR) Evict(node model.NodeID, obj model.ObjectID) bool {
-	d := s.caches[node].Remove(obj)
-	if d == nil {
-		return false
-	}
-	s.dcaches[node].Put(d, d.Window.LastAccess())
-	return true
-}

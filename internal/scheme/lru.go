@@ -51,8 +51,3 @@ func (s *LRU) Process(now float64, obj model.ObjectID, size int64, path Path) Ou
 
 // Cache exposes a node's store for tests.
 func (s *LRU) Cache(n model.NodeID) *cache.LRU { return s.caches[n] }
-
-// Evict implements Evicter.
-func (s *LRU) Evict(node model.NodeID, obj model.ObjectID) bool {
-	return s.caches[node].Remove(obj)
-}

@@ -71,11 +71,6 @@ func (s *LRU2H) Process(now float64, obj model.ObjectID, size int64, path Path) 
 	return Outcome{HitIndex: hit, Placed: placed}
 }
 
-// Evict implements Evicter.
-func (s *LRU2H) Evict(node model.NodeID, obj model.ObjectID) bool {
-	return s.caches[node].Remove(obj)
-}
-
 // Cache exposes a node's store for tests.
 func (s *LRU2H) Cache(n model.NodeID) *cache.LRU { return s.caches[n] }
 

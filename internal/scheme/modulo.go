@@ -67,8 +67,3 @@ func (s *Modulo) Process(now float64, obj model.ObjectID, size int64, path Path)
 
 // Cache exposes a node's store for tests.
 func (s *Modulo) Cache(n model.NodeID) *cache.LRU { return s.caches[n] }
-
-// Evict implements Evicter.
-func (s *Modulo) Evict(node model.NodeID, obj model.ObjectID) bool {
-	return s.caches[node].Remove(obj)
-}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"cascade/internal/cache"
-	"cascade/internal/dcache"
 	"cascade/internal/engine"
 	"cascade/internal/model"
 )
@@ -18,7 +17,7 @@ import (
 // below the serving point inserts unconditionally, exactly as a real
 // mixed fleet would behave.
 //
-// Participating nodes run the same engine.NodeState steps as the pure
+// Participating nodes run the same engine.Sharded steps as the pure
 // Coordinated scheme; legacy hops contribute a §2.4 "no descriptor" tag to
 // the candidate vector (their link costs still feed deeper candidates'
 // miss penalties) and apply their cache-everything policy on the way down.
@@ -31,17 +30,15 @@ type Partial struct {
 	participation float64
 	seed          int64
 
-	coord  map[model.NodeID]*engine.NodeState // participating nodes
-	legacy map[model.NodeID]*cache.LRU        // non-participating nodes
+	coord  map[model.NodeID]*engine.Sharded // participating nodes
+	legacy map[model.NodeID]*cache.LRU      // non-participating nodes
 
 	// dec owns the DP tables and scratch so the per-call optimization
 	// allocates nothing; the slices below are reused across Process calls.
 	dec    engine.Decider
 	cand   []engine.Candidate
 	placed []int
-
-	// pool recycles descriptors evicted by the d-caches.
-	pool engine.DescPool
+	evict  []model.ObjectID
 }
 
 // NewPartial returns a mixed-deployment scheme where approximately the
@@ -67,7 +64,7 @@ func (s *Partial) Participation() float64 { return s.participation }
 
 // Configure implements Scheme.
 func (s *Partial) Configure(budgets map[model.NodeID]NodeBudget) {
-	s.coord = make(map[model.NodeID]*engine.NodeState)
+	s.coord = make(map[model.NodeID]*engine.Sharded)
 	s.legacy = make(map[model.NodeID]*cache.LRU)
 	r := rand.New(rand.NewSource(s.seed))
 	// Iterate nodes in a deterministic order for reproducible draws.
@@ -79,14 +76,12 @@ func (s *Partial) Configure(budgets map[model.NodeID]NodeBudget) {
 	for _, n := range ids {
 		b := budgets[n]
 		if r.Float64() < s.participation {
-			st := &engine.NodeState{
-				Node:   n,
-				Store:  cache.NewCostAware(b.CacheBytes),
-				DCache: dcache.New(b.DCacheEntries),
-				Pool:   &s.pool,
-			}
-			s.pool.Attach(st.DCache)
-			s.coord[n] = st
+			s.coord[n] = engine.NewSharded(engine.ShardedConfig{
+				Node:          n,
+				CacheBytes:    b.CacheBytes,
+				DCacheEntries: b.DCacheEntries,
+				Pooled:        true,
+			})
 		} else {
 			s.legacy[n] = cache.NewLRU(b.CacheBytes)
 		}
@@ -164,7 +159,8 @@ func (s *Partial) Process(now float64, obj model.ObjectID, size int64, path Path
 		if place {
 			last--
 		}
-		res := st.DownStep(obj, size, place, mp, 0, now)
+		var res engine.DownOutcome
+		res, s.evict = st.DownStep(obj, size, place, mp, 0, i, now, s.evict[:0])
 		mp = res.MP
 		if res.Placed {
 			placed = append(placed, i)
@@ -172,17 +168,4 @@ func (s *Partial) Process(now float64, obj model.ObjectID, size int64, path Path
 	}
 	s.placed = placed
 	return Outcome{HitIndex: hit, Placed: placed}
-}
-
-// Evict implements Evicter.
-func (s *Partial) Evict(node model.NodeID, obj model.ObjectID) bool {
-	if st := s.coord[node]; st != nil {
-		d := st.Store.Remove(obj)
-		if d == nil {
-			return false
-		}
-		st.DCache.Put(d, d.Window.LastAccess())
-		return true
-	}
-	return s.legacy[node].Remove(obj)
 }

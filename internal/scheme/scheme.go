@@ -113,13 +113,3 @@ const descriptorWireBytes = 40
 // entry (sequence, object ID, generation — three u64s) piggybacked on an
 // origin response.
 const invalidationWireBytes = 24
-
-// Evicter is implemented by schemes that support externally driven copy
-// removal (tests and operational tooling drop a copy without a request;
-// engine-native coherency uses generation floors instead — see
-// Coordinated.Invalidate).
-type Evicter interface {
-	// Evict drops the object's copy at the node, reporting whether a
-	// copy was present.
-	Evict(node model.NodeID, obj model.ObjectID) bool
-}

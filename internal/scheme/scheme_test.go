@@ -464,10 +464,6 @@ func TestLRU2HAdmissionControl(t *testing.T) {
 	if out.HitIndex != 0 {
 		t.Fatalf("hit at %d, want 0", out.HitIndex)
 	}
-	// Evict support.
-	if !s.Evict(0, 7) || s.Cache(0).Contains(7) {
-		t.Fatal("evict failed")
-	}
 }
 
 func TestLRU2HOneHitWondersFilteredOut(t *testing.T) {

@@ -217,6 +217,21 @@ func (t *Tiered) Spill(id model.ObjectID) bool {
 	return t.spillLocked(id)
 }
 
+// SpillUnless is Spill for a caller whose eviction may already be stale:
+// keep is asked, under the tier's lock, whether the object is resident again
+// (a concurrent placement re-admitted it and stored a fresh body), and the
+// bytes stay in memory if it is. Holding the lock across the question means
+// no body can be stored between the answer and the move. keep must not call
+// back into the tier.
+func (t *Tiered) SpillUnless(id model.ObjectID, keep func(model.ObjectID) bool) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if keep(id) {
+		return false
+	}
+	return t.spillLocked(id)
+}
+
 func (t *Tiered) spillLocked(id model.ObjectID) bool {
 	e, ok := t.mem[id]
 	if !ok {
