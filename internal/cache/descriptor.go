@@ -2,7 +2,7 @@
 // schemes in the paper:
 //
 //   - HeapStore — a capacity-bounded store whose eviction order is driven by
-//     a pluggable key function over object descriptors. With the normalized
+//     one of two keys over object descriptors. With the normalized
 //     cost loss key NCL(O) = f(O)·m(O)/s(O) it is the cost-aware main cache
 //     of the coordinated and LNC-R schemes (paper §2.1/§2.4); with the plain
 //     frequency key it is an LFU store (used by the d-cache and the LFU
@@ -92,14 +92,11 @@ func NewDescriptorK(id model.ObjectID, size int64, k int) *Descriptor {
 // its overflow ring, so recycling a K > 3 descriptor allocates nothing.
 // Call only on descriptors detached from every store.
 func (d *Descriptor) Reset(id model.ObjectID, size int64, k int) {
-	w := d.Window
-	w.Reset(k)
-	*d = Descriptor{
-		ID:        id,
-		Size:      size,
-		Window:    w,
-		heapIndex: -1,
-	}
+	// Field by field: copying the whole struct out and back costs two
+	// 96-byte block moves on the path a full d-cache admits through.
+	d.Window.Reset(k)
+	d.ID, d.Size, d.Gen = id, size, 0
+	d.missPenalty, d.key, d.heapIndex, d.mark = 0, 0, -1, 0
 }
 
 // MissPenalty returns m(O): the additional cost of accessing the object

@@ -8,19 +8,18 @@ import (
 	"cascade/internal/model"
 )
 
-// KeyFunc computes the eviction key of a descriptor at a point in time; the
-// store evicts ascending by key. The function may consult (and thereby
-// refresh) the descriptor's frequency estimate.
-type KeyFunc func(d *Descriptor, now float64) float64
+// keyKind selects a store's eviction key; the store evicts ascending by key.
+type keyKind uint8
 
-// NCLKey is the normalized-cost-loss key of the paper: f(O)·m(O)/s(O).
-func NCLKey(d *Descriptor, now float64) float64 { return d.NCL(now) }
-
-// FreqKey is a plain frequency key, yielding LFU behaviour.
-func FreqKey(d *Descriptor, now float64) float64 { return d.Window.Estimate(now) }
+const (
+	// nclKey is the normalized cost loss of the paper: f(O)·m(O)/s(O).
+	nclKey keyKind = iota
+	// freqKey is the frequency estimate f(O) alone, yielding LFU behaviour.
+	freqKey
+)
 
 // HeapStore is a capacity-bounded object store whose eviction order follows
-// a key function, maintained in a binary min-heap as suggested in paper
+// an eviction key, maintained in a binary min-heap as suggested in paper
 // §2.4 (O(log m) per adjustment). The heap (descHeap) is a slice of value
 // slots carrying each entry's key and ID inline, so ordering decisions read
 // only the heap's own contiguous memory and never a descriptor. A lookup by
@@ -37,18 +36,19 @@ func FreqKey(d *Descriptor, now float64) float64 { return d.Window.Estimate(now)
 // decay too. Victim selection additionally re-keys stale minima as they
 // surface from the heap.
 //
-// Re-keying is lazy: Touch and SetMissPenalty compute the entry's new key
-// immediately (so it reflects the update-time estimate) but defer the
-// O(log m) heap repair until the next victim selection, coalescing repeated
-// updates of hot entries between evictions into one sift. Because the heap
-// ordering is a strict total order (key, then ID), the victim sequence
-// after a flush is identical to eager repair — replay determinism is
-// unaffected.
+// Re-keying is lazy: Touch, SetMissPenalty and CostLoss compute the entry's
+// new key immediately (so it reflects the update-time estimate) but defer
+// the O(log m) heap repair until the next victim selection, coalescing
+// repeated updates of hot entries between evictions into one sift. Because
+// the heap ordering is a strict total order (key, then ID), the victim
+// sequence after a flush is identical to eager repair — replay determinism
+// is unaffected, and an insertion may take the root slot of its last victim
+// instead of popping the victim and pushing itself.
 type HeapStore struct {
 	capacity  int64
 	used      int64
 	unit      bool // capacity counted in entries instead of bytes
-	keyFn     KeyFunc
+	kind      keyKind
 	idx       index // finds an entry by ID; h owns every walk over entries
 	h         descHeap
 	epoch     uint32  // current victim selection, 1 … epochMask
@@ -56,37 +56,52 @@ type HeapStore struct {
 	lastSweep float64
 
 	dirty     []*Descriptor // entries with a deferred heap repair
-	victimBuf []*Descriptor // scratch for selectVictims, reused per call
+	victimBuf []*Descriptor // scratch for evict, reused per call
 }
 
 // NewCostAware returns a byte-capacity store with NCL eviction — the main
 // cache of the coordinated and LNC-R schemes.
 func NewCostAware(capacity int64) *HeapStore {
-	return newHeapStore(capacity, false, NCLKey)
+	return newHeapStore(capacity, false, nclKey)
 }
 
 // NewLFU returns a byte-capacity store with least-frequently-used eviction.
 func NewLFU(capacity int64) *HeapStore {
-	return newHeapStore(capacity, false, FreqKey)
+	return newHeapStore(capacity, false, freqKey)
 }
 
 // NewDescriptorLFU returns an entry-capacity LFU store, as used by the
 // d-cache to hold descriptors of objects absent from the main cache.
 func NewDescriptorLFU(capacity int64) *HeapStore {
-	return newHeapStore(capacity, true, FreqKey)
+	return newHeapStore(capacity, true, freqKey)
 }
 
-func newHeapStore(capacity int64, unit bool, keyFn KeyFunc) *HeapStore {
+func newHeapStore(capacity int64, unit bool, kind keyKind) *HeapStore {
 	if capacity < 0 {
 		capacity = 0
 	}
 	return &HeapStore{
 		capacity: capacity,
 		unit:     unit,
-		keyFn:    keyFn,
+		kind:     kind,
 		idx:      newIndex(),
 		aging:    freq.DefaultRefreshInterval,
 	}
+}
+
+// rate returns d's eviction key at now and f·m, its cost loss, from one
+// frequency estimate, bit for bit what Descriptor.NCL (or Freq) and CostLoss
+// return. An NCL entry of size ≤ 0 has key 0 and takes no estimate: fm NaN.
+func (s *HeapStore) rate(d *Descriptor, now float64) (key, fm float64) {
+	if s.kind == nclKey && d.Size <= 0 {
+		return 0, math.NaN()
+	}
+	f := d.Window.Estimate(now)
+	fm = f * d.missPenalty
+	if s.kind == freqKey {
+		return f, fm
+	}
+	return fm / float64(d.Size), fm
 }
 
 // SetAgingInterval overrides the interval (seconds) between full re-key
@@ -111,7 +126,7 @@ func (s *HeapStore) maybeSweep(now float64) {
 	s.dirty = s.dirty[:0]
 	for i := range s.h {
 		sl := &s.h[i]
-		sl.key = s.keyFn(sl.d, now)
+		sl.key, _ = s.rate(sl.d, now)
 		sl.d.key = sl.key
 	}
 	s.h.init()
@@ -153,16 +168,21 @@ func (s *HeapStore) Contains(id model.ObjectID) bool { return s.idx.get(id) != n
 func (s *HeapStore) Get(id model.ObjectID) *Descriptor { return s.idx.get(id) }
 
 // Touch records an access to id at time now and repositions it in the
-// eviction order. It reports whether the object was present.
-func (s *HeapStore) Touch(id model.ObjectID, now float64) bool {
+// eviction order. It returns the descriptor, nil when absent.
+func (s *HeapStore) Touch(id model.ObjectID, now float64) *Descriptor {
 	s.maybeSweep(now)
 	d := s.idx.get(id)
-	if d == nil {
-		return false
+	if d != nil {
+		s.TouchEntry(d, now)
 	}
+	return d
+}
+
+// TouchEntry is Touch of d, an entry of this store already found with Get.
+func (s *HeapStore) TouchEntry(d *Descriptor, now float64) {
+	s.maybeSweep(now)
 	d.Window.Record(now)
 	s.rekey(d, now)
-	return true
 }
 
 // SetMissPenalty updates m(O) for a stored object and repositions it in the
@@ -183,7 +203,12 @@ func (s *HeapStore) SetMissPenalty(id model.ObjectID, m, now float64) bool {
 // key it sorts under, which is all the sifts read. No-op when the key is
 // unchanged (the common case while the sliding-window estimate is fresh).
 func (s *HeapStore) rekey(d *Descriptor, now float64) {
-	k := s.keyFn(d, now)
+	k, _ := s.rate(d, now)
+	s.setKey(d, k)
+}
+
+// setKey defers the repair that makes d sort under k (see rekey).
+func (s *HeapStore) setKey(d *Descriptor, k float64) {
 	if k == d.key {
 		return
 	}
@@ -209,21 +234,20 @@ func (s *HeapStore) nextEpoch() {
 	}
 }
 
-func (s *HeapStore) entrySize(d *Descriptor) int64 {
+func (s *HeapStore) entrySize(size int64) int64 {
 	if s.unit {
 		return 1
 	}
-	return d.Size
+	return size
 }
 
-// selectVictims pops ascending-key victims until free ≥ need, re-keying
-// stale entries as they surface. Victims are returned removed from the
-// heap; the caller either commits (removes from entries) or rolls back
-// (pushes them back). Returns nil, false when need exceeds capacity.
-//
-// The returned slice is the store's reusable scratch buffer: it is valid
-// only until the next selection (CostLoss or Insert) on this store.
-func (s *HeapStore) selectVictims(need int64, now float64) ([]*Descriptor, bool) {
+// evict detaches the greedy victim set for an entry of size need: ascending
+// keys until free ≥ need, each stale minimum re-keyed in the root slot as it
+// surfaces. All but the last are popped; the last keeps the root slot for
+// admit, so it and the admission share one sift. The slice is scratch, valid
+// until the next Insert or Reuse; nil, false when need exceeds capacity.
+func (s *HeapStore) evict(need int64, now float64) ([]*Descriptor, bool) {
+	s.maybeSweep(now)
 	if need > s.capacity {
 		return nil, false
 	}
@@ -234,90 +258,167 @@ func (s *HeapStore) selectVictims(need int64, now float64) ([]*Descriptor, bool)
 	s.flushDirty()
 	s.nextEpoch()
 	victims := s.victimBuf[:0]
-	for free < need {
-		d := s.h.pop()
+	for {
+		d := s.h[0].d
 		if d.epoch() != s.epoch {
-			// First time this entry surfaces in this selection:
-			// refresh its key; if it no longer holds the minimum,
-			// put it back and keep looking.
+			// First time this entry surfaces in this selection: refresh
+			// its key; if it no longer holds the minimum (a child's key is
+			// lower), sift it down and keep looking.
 			d.setEpoch(s.epoch)
-			k := s.keyFn(d, now)
-			if k != d.key {
+			if k, _ := s.rate(d, now); k != d.key {
 				d.key = k
-				if len(s.h) > 0 && k > s.h[0].key {
-					s.h.push(d)
+				if n := len(s.h); n > 1 && k > s.h[1].key || n > 2 && k > s.h[2].key {
+					s.h.fix(0)
 					continue
 				}
 			}
 		}
 		victims = append(victims, d)
-		free += s.entrySize(d)
+		s.idx.del(d.ID)
+		size := s.entrySize(d.Size)
+		s.used -= size
+		if free += size; free >= need {
+			break
+		}
+		s.h.remove(0)
 	}
 	s.victimBuf = victims
 	return victims, true
 }
 
+// admit adds d under its key at now, into the root slot evict left its last
+// victim in, or else at the end of the heap.
+func (s *HeapStore) admit(d *Descriptor, now float64, intoRoot bool) {
+	s.idx.put(d)
+	s.used += s.entrySize(d.Size)
+	d.key, _ = s.rate(d, now)
+	if intoRoot {
+		s.h[0].d.heapIndex = -1
+		s.h.down(0, slot{key: d.key, id: d.ID, d: d})
+		return
+	}
+	if s.unit && len(s.h) == cap(s.h) {
+		s.growExact()
+	}
+	s.h.push(d)
+}
+
 // CostLoss returns l: the total cost loss Σ f(O)·m(O) of the greedy victim
 // set that would be evicted to fit an object of the given size (paper
-// §2.1). The store is not modified. ok is false when the object cannot fit
-// even with an empty cache; a zero loss with ok=true means there is room
-// (or the victims are all cost-free).
+// §2.1). ok is false when the object cannot fit even with an empty cache; a
+// zero loss with ok=true means there is room (or the victims are all
+// cost-free). No slot moves: it visits entries in eviction order over a
+// frontier of slot positions and refreshes each minimum that surfaces as a
+// selection would, a changed key becoming a deferred re-key (see rekey).
+// No descriptor but a surfaced one is read or written.
 func (s *HeapStore) CostLoss(size int64, now float64) (loss float64, ok bool) {
 	s.maybeSweep(now)
-	victims, ok := s.selectVictims(size, now)
-	if !ok {
+	if size > s.capacity {
 		return math.Inf(1), false
 	}
-	for _, d := range victims {
-		loss += d.CostLoss(now)
-		s.h.push(d) // roll back
+	free := s.capacity - s.used
+	if free >= size {
+		return 0, true
 	}
-	return loss, true
+	s.flushDirty()
+	// The frontier holds the slot of every remaining entry whose parent has
+	// surfaced, so the next minimum is on it; ^i marks an entry whose refresh
+	// raised its key above the rest. Past 31 victims, buf outgrows the stack.
+	var buf [32]int32
+	front := append(buf[:0], 0)
+	for {
+		b := s.frontMin(front, -1)
+		i, fm := front[b], math.NaN()
+		if i >= 0 {
+			// First surfacing: the children join, and the entry is refreshed.
+			for c := 2*i + 1; c <= 2*i+2 && int(c) < len(s.h); c++ {
+				front = append(front, c)
+			}
+			var k float64
+			k, fm = s.rate(s.h[i].d, now)
+			if k != s.h[i].key {
+				s.setKey(s.h[i].d, k)
+				if r := s.frontMin(front, b); r >= 0 && k > s.frontSlot(front[r]).key {
+					front[b] = ^i
+					continue
+				}
+			}
+		} else {
+			i = ^i // raised: f·m reads the estimate its refresh fixed at now
+		}
+		d := s.h[i].d
+		if math.IsNaN(fm) {
+			fm = d.CostLoss(now)
+		}
+		loss += fm
+		if free += s.entrySize(d.Size); free >= size {
+			return loss, true
+		}
+		front[b] = front[len(front)-1]
+		front = front[:len(front)-1]
+	}
+}
+
+// frontMin returns the position on CostLoss's frontier of the entry that
+// sorts first, leaving out position skip; -1 when there is none.
+func (s *HeapStore) frontMin(front []int32, skip int) int {
+	b, least := -1, slot{}
+	for j, e := range front {
+		if sl := s.frontSlot(e); j != skip && (b < 0 || slotLess(&sl, &least)) {
+			b, least = j, sl
+		}
+	}
+	return b
+}
+
+// frontSlot is the slot a frontier entry sorts under: the heap's, with the
+// refreshed key for a raised entry.
+func (s *HeapStore) frontSlot(e int32) slot {
+	if e >= 0 {
+		return s.h[e]
+	}
+	sl := s.h[^e]
+	sl.key = sl.d.key
+	return sl
 }
 
 // Insert adds d to the store, evicting the greedy victim set first if
 // needed. The evicted descriptors (detached from the store) are returned so
 // the caller can demote them to a d-cache; the slice is the store's
-// reusable scratch and is valid only until the next CostLoss, Evict or
-// Insert on this store. ok is false — and the store unchanged — when the
-// object cannot fit at all or is already present.
+// reusable scratch and is valid only until the next Insert or Reuse on this
+// store. ok is false — and the store unchanged — when the object cannot fit
+// at all or is already present.
 func (s *HeapStore) Insert(d *Descriptor, now float64) (evicted []*Descriptor, ok bool) {
 	if s.idx.get(d.ID) != nil {
 		return nil, false
 	}
-	size := s.entrySize(d)
-	victims, ok := s.Evict(size, now)
+	victims, ok := s.evict(s.entrySize(d.Size), now)
 	if !ok {
 		return nil, false
 	}
-	s.idx.put(d)
-	s.used += size
-	d.key = s.keyFn(d, now)
-	if s.unit && len(s.h) == cap(s.h) {
-		s.growExact()
-	}
-	s.h.push(d)
+	s.admit(d, now, len(victims) > 0)
 	return victims, true
 }
 
-// Evict detaches the greedy victim set that an Insert of an entry of the
-// given size would evict at now, and returns it: the same victims, in the
-// same order, under the same final keys, so that an Insert which follows at
-// the same now evicts nothing more. It lets a caller admit into a victim it
-// re-initialises instead of into a fresh descriptor. The slice is the
-// store's scratch, as Insert's is; ok is false, and nothing evicted, when
-// the size exceeds the capacity.
-func (s *HeapStore) Evict(size int64, now float64) (evicted []*Descriptor, ok bool) {
-	s.maybeSweep(now)
-	victims, ok := s.selectVictims(size, now)
-	if !ok {
-		return nil, false
+// Reuse admits id into a full store in its last victim's descriptor, Reset
+// with window size k, given one reference at now and miss penalty m: the
+// store ends as Inserting such a fresh descriptor would leave it, other
+// victims (none in an entry-counted store) dropped. It reports false, and
+// evicts nothing, when there is room, the entry cannot fit, or id is present.
+func (s *HeapStore) Reuse(id model.ObjectID, size int64, k int, m, now float64) bool {
+	if s.idx.get(id) != nil {
+		return false
 	}
-	for _, v := range victims {
-		s.idx.del(v.ID)
-		s.used -= s.entrySize(v)
+	victims, _ := s.evict(s.entrySize(size), now)
+	if len(victims) == 0 {
+		return false
 	}
-	return victims, true
+	d := victims[len(victims)-1]
+	d.Reset(id, size, k)
+	d.Window.Record(now)
+	d.missPenalty = m
+	s.admit(d, now, true)
+	return true
 }
 
 // growExact enlarges a full heap of an entry-counted store, doubling as
@@ -346,7 +447,7 @@ func (s *HeapStore) Remove(id model.ObjectID) *Descriptor {
 	// stale dirty state into another store (main cache ↔ d-cache moves).
 	s.flushDirty()
 	s.h.remove(int(d.heapIndex))
-	s.used -= s.entrySize(d)
+	s.used -= s.entrySize(d.Size)
 	return d
 }
 
@@ -356,13 +457,20 @@ func (s *HeapStore) Remove(id model.ObjectID) *Descriptor {
 // the key the entry would sort under after the next flush. It exists for
 // the eviction-order audit: immediately after an insertion that evicted
 // victims, every retained entry's key must be ≥ every victim's final key.
+// Such an insertion leaves no re-key pending; then the answer is in the
+// root's slot or a child's, and only a pending re-key makes it read them all.
 func (s *HeapStore) MinKeyExcluding(id model.ObjectID) (float64, bool) {
+	n, pending := len(s.h), len(s.dirty) > 0
+	if !pending {
+		n = min(n, 3)
+	}
 	best, found := 0.0, false
-	for i := range s.h {
-		if s.h[i].id == id {
-			continue
+	for i := 0; i < n; i++ {
+		k := s.h[i].key
+		if pending {
+			k = s.h[i].d.key
 		}
-		if k := s.h[i].d.key; !found || k < best {
+		if s.h[i].id != id && (!found || k < best) {
 			best, found = k, true
 		}
 	}
@@ -390,7 +498,7 @@ func (s *HeapStore) checkInvariants() {
 	var used int64
 	for i := range s.h {
 		sl := &s.h[i]
-		used += s.entrySize(sl.d)
+		used += s.entrySize(sl.d.Size)
 		if int(sl.d.heapIndex) != i || s.idx.get(sl.id) != sl.d {
 			panic(fmt.Sprintf("cache: descriptor %d in slot %d has heap index %d or is not indexed", sl.d.ID, i, sl.d.heapIndex))
 		}
@@ -433,8 +541,8 @@ func slotLess(a, b *slot) bool {
 }
 
 // descHeap is a binary min-heap of slots under slotLess. A slot's key is a
-// copy of d.key taken when the slot is written (push, fix, or the sweep's
-// re-key); the store changes d.key of an attached entry only together with
+// copy of d.key taken when the slot is written (push, fix, admit, or the
+// sweep's re-key); the store changes d.key of an attached entry only together with
 // one of those, or in a deferred re-key that marks the entry dirty until
 // flushDirty fixes its slot. Each descriptor's heapIndex tracks its slot,
 // which bounds a store at 2³¹−1 entries.
@@ -495,11 +603,6 @@ func (h descHeap) settle(i int, sl slot) {
 func (h *descHeap) push(d *Descriptor) {
 	*h = append(*h, slot{})
 	h.up(len(*h)-1, slot{key: d.key, id: d.ID, d: d})
-}
-
-// pop detaches and returns the minimum.
-func (h *descHeap) pop() *Descriptor {
-	return h.remove(0)
 }
 
 // remove detaches and returns the entry at i.

@@ -172,11 +172,15 @@ func TestHeapStoreCostLossDoesNotMutate(t *testing.T) {
 	now := 5.0
 	s.Insert(mkDesc(1, 60, 2, 4, 5), now)
 	s.Insert(mkDesc(2, 40, 3, 4, 5), now)
+	root := s.h[0].id
 	if _, ok := s.CostLoss(50, now); !ok {
 		t.Fatal("CostLoss failed")
 	}
 	if !s.Contains(1) || !s.Contains(2) || s.Used() != 100 {
 		t.Fatal("CostLoss mutated the store")
+	}
+	if s.h[0].id != root || len(s.dirty) != 0 {
+		t.Fatal("CostLoss moved an entry or re-keyed one")
 	}
 	s.checkInvariants()
 }
@@ -216,10 +220,10 @@ func TestHeapStoreTouchProtectsFromEviction(t *testing.T) {
 	s.Insert(d1, 2)
 	s.Insert(d2, 2)
 	now := 1000.0
-	if !s.Touch(2, now) {
+	if s.Touch(2, now) != d2 {
 		t.Fatal("touch missed present object")
 	}
-	if s.Touch(42, now) {
+	if s.Touch(42, now) != nil {
 		t.Fatal("touch claimed success on absent object")
 	}
 	ev, ok := s.Insert(mkDesc(3, 50, 5, now), now)
@@ -331,18 +335,22 @@ func TestDescriptorLFUCountsEntries(t *testing.T) {
 	s.checkInvariants()
 }
 
+// TestNCLKeyAndFreqKey holds each store's key, and the cost loss evaluated
+// beside it from the same estimate, bit for bit to the descriptor's own NCL,
+// Freq and CostLoss.
 func TestNCLKeyAndFreqKey(t *testing.T) {
 	d := mkDesc(1, 100, 4, 0, 1, 2)
 	now := 2.0
 	f := d.Freq(now)
-	if got, want := NCLKey(d, now), f*4/100; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("NCLKey = %v, want %v", got, want)
+	ncl, lfu := NewCostAware(0), NewLFU(0)
+	if got, fm := ncl.rate(d, now); got != d.NCL(now) || got != f*4/100 || fm != d.CostLoss(now) {
+		t.Fatalf("NCL key = %v and f·m = %v, want %v and %v", got, fm, d.NCL(now), d.CostLoss(now))
 	}
-	if got := FreqKey(d, now); got != f {
-		t.Fatalf("FreqKey = %v, want %v", got, f)
+	if got, fm := lfu.rate(d, now); got != f || fm != d.CostLoss(now) {
+		t.Fatalf("frequency key = %v and f·m = %v, want %v and %v", got, fm, f, d.CostLoss(now))
 	}
 	z := NewDescriptor(2, 0)
-	if z.NCL(0) != 0 {
+	if k, _ := ncl.rate(z, 0); z.NCL(0) != 0 || k != 0 {
 		t.Fatal("zero-size descriptor NCL not zero")
 	}
 }

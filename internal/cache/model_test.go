@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"cascade/internal/freq"
 	"cascade/internal/model"
 )
 
@@ -266,12 +267,13 @@ func TestGDSModelBased(t *testing.T) {
 // an entry's key is what the key function returned the last time the
 // entry was inserted, touched, given a penalty, swept, or surfaced as the
 // minimum of a selection — so any difference in victim order is the heap's.
-// It keeps descriptors of its own, since key functions move the window's
-// estimate time as a side effect.
+// Its keys come from Descriptor.NCL and Freq, not from the store's own key
+// evaluation. It keeps descriptors of its own, since evaluating a key moves
+// the window's estimate time as a side effect.
 type refStore struct {
 	capacity, used   int64
 	unit             bool
-	keyFn            KeyFunc
+	kind             keyKind
 	aging, lastSweep float64
 	entries          []*refEntry
 	selection        int
@@ -290,6 +292,13 @@ func (r *refStore) size(d *Descriptor) int64 {
 	return d.Size
 }
 
+func (r *refStore) key(d *Descriptor, now float64) float64 {
+	if r.kind == freqKey {
+		return d.Freq(now)
+	}
+	return d.NCL(now)
+}
+
 func (r *refStore) find(id model.ObjectID) *refEntry {
 	for _, e := range r.entries {
 		if e.d.ID == id {
@@ -305,7 +314,7 @@ func (r *refStore) sweep(now float64) {
 	}
 	r.lastSweep = now
 	for _, e := range r.entries {
-		e.key = r.keyFn(e.d, now)
+		e.key = r.key(e.d, now)
 	}
 }
 
@@ -316,7 +325,7 @@ func (r *refStore) touch(id model.ObjectID, now float64) bool {
 		return false
 	}
 	e.d.Window.Record(now)
-	e.key = r.keyFn(e.d, now)
+	e.key = r.key(e.d, now)
 	return true
 }
 
@@ -327,7 +336,7 @@ func (r *refStore) setMissPenalty(id model.ObjectID, m, now float64) bool {
 		return false
 	}
 	e.d.missPenalty = m
-	e.key = r.keyFn(e.d, now)
+	e.key = r.key(e.d, now)
 	return true
 }
 
@@ -354,7 +363,7 @@ func (r *refStore) victims(need int64, now float64) ([]*refEntry, bool) {
 			// selection has its key refreshed; it stays a victim
 			// unless some other remaining key is now strictly lower.
 			e.seen = r.selection
-			if k := r.keyFn(e.d, now); k != e.key {
+			if k := r.key(e.d, now); k != e.key {
 				e.key = k
 				lower := false
 				for _, o := range pool[1:] {
@@ -407,7 +416,7 @@ func (r *refStore) insert(d *Descriptor, now float64) ([]*refEntry, bool) {
 	for _, e := range vs {
 		r.drop(e)
 	}
-	r.entries = append(r.entries, &refEntry{d: d, key: r.keyFn(d, now)})
+	r.entries = append(r.entries, &refEntry{d: d, key: r.key(d, now)})
 	r.used += r.size(d)
 	return vs, true
 }
@@ -475,8 +484,9 @@ func runHeapOps(t *testing.T, data []byte) (sweeps, evictions int) {
 		s.SetAgingInterval(4 * s.aging)
 	}
 	wrap := data[0]/6%2 == 1
-	ref := &refStore{capacity: s.capacity, unit: s.unit, keyFn: s.keyFn, aging: s.aging}
+	ref := &refStore{capacity: s.capacity, unit: s.unit, kind: s.kind, aging: s.aging}
 	now := 0.0
+	var slots []*Descriptor // the heap's entries by slot, before a CostLoss
 	ops := (len(data) - 1) / 3
 	if ops > heapOpMaxOps {
 		ops = heapOpMaxOps
@@ -496,8 +506,18 @@ func runHeapOps(t *testing.T, data []byte) (sweeps, evictions int) {
 		swept := s.lastSweep
 		switch op {
 		case 0, 1, 2: // insert a one-reference descriptor
-			ev, ok := s.Insert(mkDesc(id, heapOpSize(arg), m, now), now)
 			wantEv, wantOK := ref.insert(mkDesc(id, heapOpSize(arg), m, now), now)
+			// On the entry-counted store, op 2 admits in place when the
+			// store is full: its one victim becomes the new entry, held to
+			// the reference by the entry check below.
+			if op == 2 && s.unit && s.Reuse(id, heapOpSize(arg), freq.DefaultK, m, now) {
+				if !wantOK || len(wantEv) != 1 {
+					t.Fatalf("op %d: Reuse(%d) admitted; reference evicts %d, %v", i, id, len(wantEv), wantOK)
+				}
+				evictions++
+				break
+			}
+			ev, ok := s.Insert(mkDesc(id, heapOpSize(arg), m, now), now)
 			if ok != wantOK || len(ev) != len(wantEv) {
 				t.Fatalf("op %d: Insert(%d) = %v, %v; reference evicts %d, %v", i, id, ids(ev), ok, len(wantEv), wantOK)
 			}
@@ -509,7 +529,7 @@ func runHeapOps(t *testing.T, data []byte) (sweeps, evictions int) {
 			}
 			evictions += len(ev)
 		case 3:
-			if got, want := s.Touch(id, now), ref.touch(id, now); got != want {
+			if got, want := s.Touch(id, now) != nil, ref.touch(id, now); got != want {
 				t.Fatalf("op %d: Touch(%d) = %v, reference %v", i, id, got, want)
 			}
 		case 4:
@@ -521,11 +541,27 @@ func runHeapOps(t *testing.T, data []byte) (sweeps, evictions int) {
 			if want := ref.remove(id); (d != nil) != want || (d != nil && d.InStore()) {
 				t.Fatalf("op %d: Remove(%d) = %v, reference %v", i, id, d, want)
 			}
-		default: // CostLoss peeks and must leave the store as it was
+		default: // CostLoss peeks: it may re-key, but moves no slot unless it sweeps
+			clean := len(s.dirty) == 0
+			slots = slots[:0]
+			for j := range s.h {
+				slots = append(slots, s.h[j].d)
+			}
 			loss, ok := s.CostLoss(heapOpSize(arg), now)
 			wantLoss, wantOK := ref.costLoss(heapOpSize(arg), now)
 			if ok != wantOK || loss != wantLoss {
 				t.Fatalf("op %d: CostLoss = %v, %v; reference %v, %v", i, loss, ok, wantLoss, wantOK)
+			}
+			for j, d := range slots {
+				if clean && len(s.dirty) == 0 && s.lastSweep == swept && d.heapIndex != int32(j) {
+					t.Fatalf("op %d: CostLoss changed no key but moved entry %d from slot %d to %d", i, d.ID, j, d.heapIndex)
+				}
+			}
+		}
+		for _, probe := range []model.ObjectID{id, rootID(s)} {
+			k, ok := s.MinKeyExcluding(probe)
+			if wantK, wantOK := minKeyScan(s, probe); k != wantK || ok != wantOK {
+				t.Fatalf("op %d: MinKeyExcluding(%d) = %v, %v; the scan reads %v, %v", i, probe, k, ok, wantK, wantOK)
 			}
 		}
 		if s.lastSweep != swept {
@@ -544,6 +580,25 @@ func runHeapOps(t *testing.T, data []byte) (sweeps, evictions int) {
 		}
 	}
 	return sweeps, evictions
+}
+
+// minKeyScan is MinKeyExcluding read from every entry's descriptor.
+func minKeyScan(s *HeapStore, id model.ObjectID) (best float64, found bool) {
+	for i := range s.h {
+		if k := s.h[i].d.key; s.h[i].id != id && (!found || k < best) {
+			best, found = k, true
+		}
+	}
+	return best, found
+}
+
+// rootID is the ID in the root slot, the one MinKeyExcluding answers from
+// the root's children; -1 when the store is empty.
+func rootID(s *HeapStore) model.ObjectID {
+	if len(s.h) == 0 {
+		return -1
+	}
+	return s.h[0].id
 }
 
 // heapOpCases are the differential test's inputs and the fuzz target's seed

@@ -97,7 +97,7 @@ func (s *HeapStore) Restore(snaps []DescriptorSnapshot, now float64) int {
 	restored := 0
 	for _, snap := range snaps {
 		d, err := RestoreDescriptor(snap)
-		if err != nil || s.Capacity()-s.Used() < s.entrySize(d) {
+		if err != nil || s.Capacity()-s.Used() < s.entrySize(d.Size) {
 			continue
 		}
 		if _, ok := s.Insert(d, now); ok {

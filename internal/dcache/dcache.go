@@ -41,9 +41,9 @@ type DCache interface {
 	// Contains reports whether a descriptor for id is held.
 	Contains(id model.ObjectID) bool
 	// RecordAccess notes a reference to id at time now, refreshing its
-	// frequency estimate and replacement position. It reports whether
-	// the descriptor was present.
-	RecordAccess(id model.ObjectID, now float64) bool
+	// frequency estimate and replacement position. It returns the
+	// refreshed descriptor, or nil when none is held.
+	RecordAccess(id model.ObjectID, now float64) *cache.Descriptor
 	// SetMissPenalty updates the stored miss penalty for id, as driven
 	// by the accumulated-cost variable carried in response messages
 	// (§2.3). It reports whether the descriptor was present.
@@ -56,13 +56,12 @@ type DCache interface {
 	// object is promoted into the main cache, which then owns the
 	// descriptor. It returns nil if absent.
 	Take(id model.ObjectID) *cache.Descriptor
-	// TakeVictim makes room in a full d-cache: it removes and returns the
-	// descriptor a Put at now would evict — the same one, so that a Put
-	// which follows at the same now evicts nothing — without handing it
-	// to the recycler. The caller re-initialises it (cache.Descriptor.Reset)
-	// and Puts it back as the new entry. nil when there is room already or
-	// the capacity is zero.
-	TakeVictim(now float64) *cache.Descriptor
+	// ReuseVictim admits id into a full d-cache in the descriptor a Put at
+	// now would evict, Reset (window size k) to one reference at now and
+	// miss penalty m: the d-cache ends as a Put of such a descriptor would
+	// leave it, but no victim reaches the recycler. It returns false, and
+	// changes nothing, when there is room, no capacity, or id is held.
+	ReuseVictim(id model.ObjectID, size int64, k int, m, now float64) bool
 }
 
 // LFU is the heap-based d-cache implementation.
@@ -92,7 +91,7 @@ func (d *LFU) Get(id model.ObjectID) *cache.Descriptor { return d.store.Get(id) 
 func (d *LFU) Contains(id model.ObjectID) bool { return d.store.Contains(id) }
 
 // RecordAccess implements DCache.
-func (d *LFU) RecordAccess(id model.ObjectID, now float64) bool {
+func (d *LFU) RecordAccess(id model.ObjectID, now float64) *cache.Descriptor {
 	return d.store.Touch(id, now)
 }
 
@@ -118,16 +117,10 @@ func (d *LFU) Put(desc *cache.Descriptor, now float64) (ok bool) {
 // Take implements DCache.
 func (d *LFU) Take(id model.ObjectID) *cache.Descriptor { return d.store.Remove(id) }
 
-// TakeVictim implements DCache.
-func (d *LFU) TakeVictim(now float64) *cache.Descriptor {
-	if d.store.Used() < d.store.Capacity() {
-		return nil
-	}
-	victims, ok := d.store.Evict(1, now)
-	if !ok {
-		return nil
-	}
-	return victims[0]
+// ReuseVictim implements DCache: the store counts entries, so the reused
+// victim is the only one.
+func (d *LFU) ReuseVictim(id model.ObjectID, size int64, k int, m, now float64) bool {
+	return d.store.Reuse(id, size, k, m, now)
 }
 
 // Recycler is implemented by d-caches that can hand evicted descriptors to

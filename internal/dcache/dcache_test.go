@@ -63,11 +63,11 @@ func TestRecordAccessPromotes(t *testing.T) {
 	dc.Put(desc(2, 0), 0)
 	// Give 1 many fresh accesses so 2 is the LFU victim.
 	for _, now := range []float64{650, 651, 652} {
-		if !dc.RecordAccess(1, now) {
+		if dc.RecordAccess(1, now) != dc.Get(1) || dc.Get(1) == nil {
 			t.Fatal("record access missed present descriptor")
 		}
 	}
-	if dc.RecordAccess(99, 700) {
+	if dc.RecordAccess(99, 700) != nil {
 		t.Fatal("record access claimed success on absent descriptor")
 	}
 	dc.Put(desc(3, 652), 652)
@@ -117,14 +117,14 @@ func TestCapacityNeverExceeded(t *testing.T) {
 	}
 }
 
-// TestTakeVictimMatchesPut drives two d-caches of each implementation
+// TestReuseVictimMatchesPut drives two d-caches of each implementation
 // through the same random stream. One admits an unknown object as a fresh
-// descriptor through Put, which evicts and recycles; the other into
-// TakeVictim's victim re-initialised in place, as engine.DownStep does. The
-// victim sequence and every held descriptor's window, penalty
-// and eviction key must agree after every step, and the Put that follows
-// TakeVictim must evict nothing.
-func TestTakeVictimMatchesPut(t *testing.T) {
+// descriptor through Put, which evicts and recycles; the other through
+// ReuseVictim, as engine.DownStep does, falling back to Put only when
+// ReuseVictim declines. The victim sequence and every held descriptor's
+// window, penalty and eviction key must agree after every step, and no Put
+// on the second d-cache may evict: a full one always admits in place.
+func TestReuseVictimMatchesPut(t *testing.T) {
 	steps := []float64{0, 0, 0.5, 3, 40, 700}
 	for name, factory := range map[string]Factory{"LFU": NewFactory, "LRUStacks": NewLRUStacksFactory} {
 		for _, capacity := range []int{0, 1, 12} {
@@ -139,7 +139,7 @@ func TestTakeVictimMatchesPut(t *testing.T) {
 				id, m := model.ObjectID(rng.Intn(60)), float64(rng.Intn(4))
 				switch rng.Intn(5) {
 				case 0:
-					if put.RecordAccess(id, now) != reuse.RecordAccess(id, now) {
+					if (put.RecordAccess(id, now) == nil) != (reuse.RecordAccess(id, now) == nil) {
 						t.Fatalf("%s/%d op %d: RecordAccess(%d) disagrees", name, capacity, op, id)
 					}
 				case 1:
@@ -157,19 +157,27 @@ func TestTakeVictimMatchesPut(t *testing.T) {
 					d.Window.Record(now)
 					d.SetMissPenalty(m)
 					put.Put(d, now)
-					v := reuse.TakeVictim(now)
-					if v != nil {
-						reuseVictims = append(reuseVictims, v.ID)
-						v.Reset(id, 100, 3)
-					} else {
-						v = cache.NewDescriptor(id, 100)
+					var held []model.ObjectID
+					for o := model.ObjectID(0); o < 60; o++ {
+						if reuse.Contains(o) {
+							held = append(held, o)
+						}
 					}
-					v.Window.Record(now)
-					v.SetMissPenalty(m)
-					reuse.Put(v, now)
+					if reuse.ReuseVictim(id, 100, 3, m, now) {
+						for _, o := range held {
+							if !reuse.Contains(o) {
+								reuseVictims = append(reuseVictims, o)
+							}
+						}
+					} else {
+						v := cache.NewDescriptor(id, 100)
+						v.Window.Record(now)
+						v.SetMissPenalty(m)
+						reuse.Put(v, now)
+					}
 				}
 				if !slices.Equal(putVictims, reuseVictims) || len(reusePutEvicted) != 0 {
-					t.Fatalf("%s/%d op %d: Put evicted %v; TakeVictim took %v, and the Put after it evicted %v", name, capacity, op, putVictims, reuseVictims, reusePutEvicted)
+					t.Fatalf("%s/%d op %d: Put evicted %v; ReuseVictim took %v, and Put evicted %v", name, capacity, op, putVictims, reuseVictims, reusePutEvicted)
 				}
 				if put.Len() != reuse.Len() {
 					t.Fatalf("%s/%d op %d: %d descriptors against %d", name, capacity, op, put.Len(), reuse.Len())

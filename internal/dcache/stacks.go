@@ -86,15 +86,15 @@ func (s *LRUStacks) place(e *stackEntry) {
 // RecordAccess implements DCache: the access may promote the descriptor to
 // the next stack; either way it moves to its stack's front (its window just
 // slid forward, making it the freshest member).
-func (s *LRUStacks) RecordAccess(id model.ObjectID, now float64) bool {
+func (s *LRUStacks) RecordAccess(id model.ObjectID, now float64) *cache.Descriptor {
 	e, ok := s.entries[id]
 	if !ok {
-		return false
+		return nil
 	}
 	e.desc.Window.Record(now)
 	s.stacks[e.stack].Remove(e.elem)
 	s.place(e)
-	return true
+	return e.desc
 }
 
 // SetMissPenalty implements DCache. Miss penalties do not affect LFU
@@ -117,7 +117,7 @@ func (s *LRUStacks) Put(desc *cache.Descriptor, now float64) bool {
 		return false
 	}
 	if len(s.entries) >= s.capacity {
-		if v := s.evictOne(now); s.recycle != nil {
+		if v := s.evictOne(now).desc; s.recycle != nil {
 			s.recycle(v)
 		}
 	}
@@ -127,9 +127,10 @@ func (s *LRUStacks) Put(desc *cache.Descriptor, now float64) bool {
 	return true
 }
 
-// evictOne removes and returns the least-frequent descriptor: the
-// minimum-estimate tail among the K stacks. The d-cache must not be empty.
-func (s *LRUStacks) evictOne(now float64) *cache.Descriptor {
+// evictOne removes and returns the entry of the least-frequent descriptor:
+// the minimum-estimate tail among the K stacks. The d-cache must not be
+// empty.
+func (s *LRUStacks) evictOne(now float64) *stackEntry {
 	var victim *stackEntry
 	best := 0.0
 	for _, st := range s.stacks {
@@ -145,15 +146,21 @@ func (s *LRUStacks) evictOne(now float64) *cache.Descriptor {
 	}
 	s.stacks[victim.stack].Remove(victim.elem)
 	delete(s.entries, victim.desc.ID)
-	return victim.desc
+	return victim
 }
 
-// TakeVictim implements DCache.
-func (s *LRUStacks) TakeVictim(now float64) *cache.Descriptor {
-	if s.capacity == 0 || len(s.entries) < s.capacity {
-		return nil
+// ReuseVictim implements DCache; the victim's stack entry is reused too.
+func (s *LRUStacks) ReuseVictim(id model.ObjectID, size int64, k int, m, now float64) bool {
+	if _, dup := s.entries[id]; dup || s.capacity == 0 || len(s.entries) < s.capacity {
+		return false
 	}
-	return s.evictOne(now)
+	e := s.evictOne(now)
+	e.desc.Reset(id, size, k)
+	e.desc.Window.Record(now)
+	e.desc.SetMissPenalty(m)
+	s.entries[id] = e
+	s.place(e)
+	return true
 }
 
 // SetRecycler implements Recycler.

@@ -38,10 +38,10 @@ func TestDCacheInterfaceContract(t *testing.T) {
 			if dc.SetMissPenalty(9, 1, 10) {
 				t.Fatal("set miss penalty on absent succeeded")
 			}
-			if !dc.RecordAccess(1, 11) {
+			if dc.RecordAccess(1, 11) != d1 {
 				t.Fatal("record access failed")
 			}
-			if dc.RecordAccess(9, 11) {
+			if dc.RecordAccess(9, 11) != nil {
 				t.Fatal("record access on absent succeeded")
 			}
 			if dc.Take(1) != d1 || dc.Len() != 0 || dc.Take(1) != nil {

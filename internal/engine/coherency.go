@@ -63,9 +63,9 @@ func (st *nodeState) LookupFresh(obj model.ObjectID, now float64, floor uint64) 
 		}
 	}
 	// The hit avoids the copy's current miss penalty — read it before
-	// Touch refreshes the access history.
+	// TouchEntry refreshes the access history.
 	avoided := d.MissPenalty()
-	st.Store.Touch(obj, now)
+	st.Store.TouchEntry(d, now)
 	if st.Ledger != nil {
 		st.Ledger.RecordHit(st.Node, avoided)
 	}

@@ -167,12 +167,12 @@ func ViolationEvent(v audit.Violation) flightrec.Event {
 // recorded size is used instead.
 func (st *nodeState) UpMiss(obj model.ObjectID, size int64, hop int, link float64, now float64) Candidate {
 	c := Candidate{Hop: hop, Node: st.Node, Tag: TagNoDescriptor, Link: link}
-	// RecordAccess answers whether the descriptor is there, so a node that
-	// knows nothing about the object pays one d-cache probe, not two.
-	if !st.DCache.RecordAccess(obj, now) {
+	// RecordAccess returns the descriptor it refreshed, so the hop probes
+	// the d-cache once.
+	d := st.DCache.RecordAccess(obj, now)
+	if d == nil {
 		return c
 	}
-	d := st.DCache.Get(obj)
 	if size <= 0 {
 		size = d.Size
 	}
@@ -264,18 +264,12 @@ func (st *nodeState) DownStepUnder(obj, floorObj model.ObjectID, size int64, pla
 		return downResult{MP: 0, Placed: true, Evicted: evicted}
 	}
 	// Not instructed to cache: maintain the node's meta information about
-	// the passing object. SetMissPenalty answers whether there was any.
-	if !st.DCache.SetMissPenalty(obj, mp, now) {
-		// A full d-cache evicts first and the new descriptor reuses the
-		// victim, whose lines the victim selection has just read; the Put
-		// below then evicts nothing. The victim is the one Put would have
-		// evicted, so nothing the protocol computes changes.
-		desc := st.DCache.TakeVictim(now)
-		if desc != nil {
-			desc.Reset(obj, size, st.windowK())
-		} else {
-			desc = st.newDescriptor(obj, size)
-		}
+	// the passing object. SetMissPenalty answers whether there was any. A
+	// full d-cache admits the object into the descriptor a Put would evict,
+	// whose lines the victim selection has just read, so nothing the
+	// protocol computes changes; only one with room takes a new descriptor.
+	if !st.DCache.SetMissPenalty(obj, mp, now) && !st.DCache.ReuseVictim(obj, size, st.windowK(), mp, now) {
+		desc := st.newDescriptor(obj, size)
 		desc.Window.Record(now)
 		desc.SetMissPenalty(mp)
 		st.DCache.Put(desc, now)

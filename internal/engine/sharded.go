@@ -355,7 +355,7 @@ func (s *Sharded) DCacheContains(obj model.ObjectID) bool {
 func (s *Sharded) Touch(obj model.ObjectID, now float64) bool {
 	sh := &s.shards[s.ShardOf(obj)]
 	s.lock(sh)
-	ok := sh.st.Store.Touch(obj, now)
+	ok := sh.st.Store.Touch(obj, now) != nil
 	sh.mu.Unlock()
 	return ok
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"cascade/internal/cache"
 	"cascade/internal/coherency"
 	"cascade/internal/dcache"
 	"cascade/internal/fault"
@@ -26,7 +27,7 @@ type hookedDCache struct {
 	hook *func()
 }
 
-func (h hookedDCache) RecordAccess(id model.ObjectID, now float64) bool {
+func (h hookedDCache) RecordAccess(id model.ObjectID, now float64) *cache.Descriptor {
 	if *h.hook != nil {
 		(*h.hook)()
 	}
