@@ -92,7 +92,10 @@ observe:
 # against the segment protocol's three small parsers: whatever
 # parseSegmentRequest, parseSegmentedMarker or parseByteRange accepts must be
 # bounded (no offset overflows, no object of more than store.MaxSegments
-# segments) and re-encode to what was parsed — then ten
+# segments) and re-encode to what was parsed — then five against the hop
+# connection's serving loop: any bytes after the 101 must not panic it, and it
+# must serve only a prefix of the requests they hold, cap each head at
+# net/http's limit, close on malformation and leave no goroutine — then ten
 # against the eviction heap: any byte string decodes to a HeapStore op
 # sequence whose victim order, CostLoss values and keys must match a
 # full-sort reference, then five against the heap's ID index: any byte
@@ -108,6 +111,7 @@ observe:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWireText -fuzztime 10s -fuzzminimizetime 20x ./internal/httpgw/
 	$(GO) test -run '^$$' -fuzz FuzzSegmentHeaders -fuzztime 10s -fuzzminimizetime 20x ./internal/httpgw/
+	$(GO) test -run '^$$' -fuzz FuzzHopConn -fuzztime 5s -fuzzminimizetime 20x ./internal/httpgw/
 	$(GO) test -run '^$$' -fuzz FuzzHeapStoreOps -fuzztime 10s -fuzzminimizetime 20x ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzIndexOps -fuzztime 5s -fuzzminimizetime 20x ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzSyntheticRange -fuzztime 10s -fuzzminimizetime 20x ./internal/store/

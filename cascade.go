@@ -44,6 +44,7 @@ package cascade
 import (
 	"io"
 	"math/rand"
+	"net/http"
 	"time"
 
 	"cascade/internal/analysis"
@@ -623,6 +624,14 @@ const (
 // DefaultUpstreamTimeout bounds gateway upstream fetches when no explicit
 // Client is configured.
 const DefaultUpstreamTimeout = httpgw.DefaultUpstreamTimeout
+
+// NewHTTPUpstreamClient builds a gateway upstream client with a budget of
+// timeout per exchange: hop connections to cascade peers, a tuned HTTP
+// transport to everything else (HTTPCacheNode.Client's default, with
+// DefaultUpstreamTimeout).
+func NewHTTPUpstreamClient(timeout time.Duration) *http.Client {
+	return httpgw.NewUpstreamClient(timeout)
+}
 
 // NewHTTPCacheNode builds a gateway node: a cache of capacity bytes (plus a
 // dEntries-descriptor d-cache) forwarding misses to upstream across a link

@@ -193,7 +193,7 @@ func run() error {
 			fmt.Fprintf(os.Stderr, "cascadegw: span tracing on (sample rate %g, ring %d)\n", *spanRate, *spanCap)
 		}
 		if *upTimeout != 0 {
-			node.Client = &http.Client{Timeout: *upTimeout}
+			node.Client = cascade.NewHTTPUpstreamClient(*upTimeout)
 		}
 		if *upHealth > 0 {
 			// The active prober gates upstream selection ahead of the

@@ -109,9 +109,10 @@ type Node struct {
 	// UpCost is the cost of the link from this node toward Upstream.
 	UpCost float64
 	// Client issues upstream requests. When nil a shared default with
-	// DefaultUpstreamTimeout is used — never http.DefaultClient, whose
-	// missing timeout would let one hung upstream pin gateway goroutines
-	// forever. Set an explicit Client to choose a different budget.
+	// DefaultUpstreamTimeout is used (NewUpstreamClient: hop connections to
+	// cascade peers) — never http.DefaultClient, whose missing timeout
+	// would let one hung upstream pin gateway goroutines forever. Set an
+	// explicit Client, e.g. NewUpstreamClient(d), to choose another budget.
 	Client *http.Client
 	// Clock supplies seconds for frequency estimation.
 	Clock func() float64
@@ -173,6 +174,12 @@ type Node struct {
 	// (cascade_gw_bad_header_total). Atomics: the parse sites run outside
 	// mu's critical sections.
 	badPenalty, badSegment, badGen, badInval, badPath atomic.Int64
+
+	// Upstream exchanges answered, by the transport that carried them
+	// (cascade_gw_upstream_exchanges_total).
+	upHop, upHTTP atomic.Int64
+	// hops holds the hop connections this node accepted (hop.go).
+	hops hopConns
 
 	// markers remembers, at the client-facing node, the segmented marker of
 	// each large object it reassembled, so a later GET starts its segment
@@ -511,8 +518,12 @@ func objectID(r *http.Request) (model.ObjectID, error) {
 	return model.ObjectID(h.Sum64() >> 1), nil
 }
 
-// ServeHTTP implements the node's request/response protocol.
+// ServeHTTP implements the node's request/response protocol. A request
+// offering a hop connection is answered on one (hop.go).
 func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Header.Get("Upgrade") == hopProtocol && n.hops.accept(w, r, n) {
+		return
+	}
 	obj, err := objectID(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)

@@ -83,6 +83,10 @@ func (n *Node) MetricsRegistry() *metrics.Registry {
 		func() float64 { return float64(n.badInval.Load()) }, metrics.L("header", "inval"), nl)
 	r.CounterFunc("cascade_gw_bad_header_total", "Malformed protocol headers received, by header kind.",
 		func() float64 { return float64(n.badPath.Load()) }, metrics.L("header", "path"), nl)
+	r.CounterFunc("cascade_gw_upstream_exchanges_total", "Upstream exchanges answered, by the transport that carried them.",
+		func() float64 { return float64(n.upHop.Load()) }, metrics.L("transport", "hop"), nl)
+	r.CounterFunc("cascade_gw_upstream_exchanges_total", "Upstream exchanges answered, by the transport that carried them.",
+		func() float64 { return float64(n.upHTTP.Load()) }, metrics.L("transport", "http"), nl)
 	for o, name := range reassemblyOutcomeNames {
 		c := &n.reassembly[o]
 		r.CounterFunc("cascade_gw_reassembly_total", "Large-object reassemblies at the client-facing node, by what they did.",

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"time"
 
@@ -18,26 +17,12 @@ import (
 // completes, retries, or degrades to the origin within this budget.
 const DefaultUpstreamTimeout = 10 * time.Second
 
-// defaultUpstreamClient is shared by all nodes whose Client is nil. Unlike
-// http.DefaultClient it carries a timeout, and it does not borrow
-// http.DefaultTransport: a hop talks to one upstream, so its idle pool is
-// sized per host for a hop's concurrent misses (the default keeps two, and
-// the third concurrent miss re-dials on every request); an inter-hop fetch
-// must not detour through whatever HTTP_PROXY the environment names; and a
-// body relayed verbatim gains nothing from negotiating gzip. Dial and idle
-// timeouts are http.DefaultTransport's.
-var defaultUpstreamClient = &http.Client{
-	Timeout: DefaultUpstreamTimeout,
-	Transport: &http.Transport{
-		DialContext:           (&net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
-		MaxIdleConns:          256,
-		MaxIdleConnsPerHost:   64,
-		IdleConnTimeout:       90 * time.Second,
-		TLSHandshakeTimeout:   10 * time.Second,
-		ExpectContinueTimeout: time.Second,
-		DisableCompression:    true,
-	},
-}
+// defaultUpstreamClient is shared by all nodes whose Client is nil: hop
+// connections to cascade peers, its own tuned transport to everything else,
+// and DefaultUpstreamTimeout on every exchange (NewUpstreamClient) — never
+// http.DefaultClient, which has no timeout, keeps two idle connections per
+// host and honours HTTP_PROXY.
+var defaultUpstreamClient = NewUpstreamClient(DefaultUpstreamTimeout)
 
 // ErrBreakerOpen is returned by upstream fetches refused while the
 // circuit breaker is open.
@@ -249,6 +234,13 @@ func (n *Node) fetchUpstream(req *http.Request) (*http.Response, error) {
 			try = req.Clone(req.Context())
 		}
 		resp, err := client.Do(try)
+		if err == nil {
+			if resp.Proto == hopProtocol {
+				n.upHop.Add(1)
+			} else {
+				n.upHTTP.Add(1)
+			}
+		}
 		if err == nil && !retryableStatus(resp.StatusCode) {
 			n.mu.Lock()
 			n.breakerSuccessLocked()

@@ -2,6 +2,7 @@ package httpgw
 
 import (
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -15,20 +16,75 @@ import (
 )
 
 // TestNilClientDefaultTimeout: a nil Client must resolve to the shared
-// default with a real timeout — never http.DefaultClient, which has none.
+// default — never http.DefaultClient, which has no timeout — and the budget
+// must hold behaviourally: a hung upstream fails within it on a hop
+// connection and on the HTTP fallback alike. The default carries no
+// http.Client.Timeout (on its transport that would cost a goroutine and a
+// timer per request); the transport enforces DefaultUpstreamTimeout.
 func TestNilClientDefaultTimeout(t *testing.T) {
 	n := NewNode(0, "http://unused", 1, 1000, 10, func() float64 { return 0 })
 	c := n.client()
 	if c == http.DefaultClient {
 		t.Fatal("nil Client resolved to http.DefaultClient")
 	}
-	if c.Timeout != DefaultUpstreamTimeout {
-		t.Fatalf("default client timeout %v, want %v", c.Timeout, DefaultUpstreamTimeout)
+	if tr, ok := c.Transport.(*upstreamTransport); !ok || tr.timeout != DefaultUpstreamTimeout {
+		t.Fatalf("default client rides %T, want the upstream transport with a %v budget", c.Transport, DefaultUpstreamTimeout)
 	}
 	explicit := &http.Client{Timeout: time.Second}
 	n.Client = explicit
 	if n.client() != explicit {
 		t.Fatal("explicit Client not honored")
+	}
+
+	release := make(chan struct{})
+	defer close(release)
+	hang := func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}
+	plain := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/hang" {
+			hang(w, r)
+		}
+	}))
+	defer plain.Close()
+	peer := NewNode(1, plain.URL, 1, 1000, 10, func() float64 { return 0 })
+	hop := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/hang" {
+			hang(w, r)
+			return
+		}
+		peer.ServeHTTP(w, r)
+	}))
+	defer hop.Close()
+
+	const budget = 100 * time.Millisecond
+	client := NewUpstreamClient(budget)
+	for _, tc := range []struct{ name, base, settle, proto string }{
+		{"hop", hop.URL, "/cascade/health", hopProtocol},
+		{"http", plain.URL, "/", "HTTP/1.1"},
+	} {
+		// The first exchange settles the path: the node upgrades, the
+		// plain server declines.
+		resp, err := client.Get(tc.base + tc.settle)
+		if err != nil {
+			t.Fatalf("%s: settling exchange: %v", tc.name, err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		if resp.Proto != tc.proto {
+			t.Fatalf("%s: settling exchange answered over %q, want %q", tc.name, resp.Proto, tc.proto)
+		}
+		start := time.Now()
+		if resp, err = client.Get(tc.base + "/hang"); err == nil {
+			_, err = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+		if elapsed := time.Since(start); err == nil || elapsed > 20*budget {
+			t.Fatalf("%s: a hung upstream answered err=%v after %v; want an error within the %v budget", tc.name, err, elapsed, budget)
+		}
 	}
 }
 
@@ -40,46 +96,55 @@ func TestNilClientDefaultTimeout(t *testing.T) {
 // and then only to replace a connection net/http retires (on a loaded box it
 // declines to reuse one whose request-write goroutine has not reported back
 // within 50 ms — seen twice in 200 rounds under three CPU hogs), hence the
-// allowance of a second set. It also names no proxy and asks for no
-// compression.
+// allowance of a second set. The bound holds for the default client and for
+// one built with its own budget (cascadegw -up-timeout). The upstream is an
+// origin, so every exchange after the declined offer takes the transport's
+// own *http.Transport, which names no proxy and asks for no compression.
 func TestDefaultClientKeepsAHopsConnections(t *testing.T) {
-	var dials atomic.Int64
-	up := httptest.NewUnstartedServer(&Origin{Size: func(model.ObjectID) int { return 500 }})
-	up.Config.ConnState = func(_ net.Conn, s http.ConnState) {
-		if s == http.StateNew {
-			dials.Add(1)
+	for _, client := range []*http.Client{nil, NewUpstreamClient(time.Minute)} {
+		var dials atomic.Int64
+		up := httptest.NewUnstartedServer(&Origin{Size: func(model.ObjectID) int { return 500 }})
+		up.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+			if s == http.StateNew {
+				dials.Add(1)
+			}
 		}
-	}
-	up.Start()
-	defer up.Close()
+		up.Start()
+		defer up.Close()
 
-	n := NewNode(0, up.URL, 1, 10000, 100, func() float64 { return 0 })
-	const concurrent, rounds = 8, 200
-	for round := 0; round < rounds; round++ {
-		var wg sync.WaitGroup
-		for g := 0; g < concurrent; g++ {
-			wg.Add(1)
-			go func(obj int) {
-				defer wg.Done()
-				w := newDiscardWriter()
-				n.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/objects/"+strconv.Itoa(obj), nil))
-				if w.status != http.StatusOK || w.n != 500 || w.header.Get(HeaderHit) != "origin" {
-					t.Errorf("cold miss of %d: status %d, %d bytes, served by %q", obj, w.status, w.n, w.header.Get(HeaderHit))
-				}
-			}(round*concurrent + g)
+		n := NewNode(0, up.URL, 1, 10000, 100, func() float64 { return 0 })
+		n.Client = client
+		const concurrent, rounds = 8, 200
+		for round := 0; round < rounds; round++ {
+			var wg sync.WaitGroup
+			for g := 0; g < concurrent; g++ {
+				wg.Add(1)
+				go func(obj int) {
+					defer wg.Done()
+					w := newDiscardWriter()
+					n.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/objects/"+strconv.Itoa(obj), nil))
+					if w.status != http.StatusOK || w.n != 500 || w.header.Get(HeaderHit) != "origin" {
+						t.Errorf("cold miss of %d: status %d, %d bytes, served by %q", obj, w.status, w.n, w.header.Get(HeaderHit))
+					}
+				}(round*concurrent + g)
+			}
+			wg.Wait()
 		}
-		wg.Wait()
-	}
-	if got := dials.Load(); got > 2*concurrent {
-		t.Fatalf("%d rounds of %d concurrent misses dialed the upstream %d times; want at most %d", rounds, concurrent, got, 2*concurrent)
-	}
+		if got := dials.Load(); got > 2*concurrent {
+			t.Fatalf("%d rounds of %d concurrent misses dialed the upstream %d times; want at most %d", rounds, concurrent, got, 2*concurrent)
+		}
 
-	tr, ok := n.client().Transport.(*http.Transport)
-	if !ok || tr == http.DefaultTransport {
-		t.Fatalf("default upstream client rides %T, want its own *http.Transport", n.client().Transport)
-	}
-	if tr.Proxy != nil || !tr.DisableCompression {
-		t.Fatalf("default upstream transport: proxy set %v, compression disabled %v", tr.Proxy != nil, tr.DisableCompression)
+		ut, ok := n.client().Transport.(*upstreamTransport)
+		if !ok {
+			t.Fatalf("upstream client rides %T, want the upstream transport", n.client().Transport)
+		}
+		tr := ut.fallback
+		if tr == nil || tr == http.DefaultTransport {
+			t.Fatal("upstream transport falls back on http.DefaultTransport, want its own *http.Transport")
+		}
+		if tr.Proxy != nil || !tr.DisableCompression {
+			t.Fatalf("fallback transport: proxy set %v, compression disabled %v", tr.Proxy != nil, tr.DisableCompression)
+		}
 	}
 }
 
