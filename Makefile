@@ -95,7 +95,11 @@ observe:
 # segments) and re-encode to what was parsed — then five against the hop
 # connection's serving loop: any bytes after the 101 must not panic it, and it
 # must serve only a prefix of the requests they hold, cap each head at
-# net/http's limit, close on malformation and leave no goroutine — then ten
+# net/http's limit, close on malformation and leave no goroutine — then five
+# against the hop connection's client half: any bytes after the 101, relayed
+# through copyStream into a socket, must not panic it, forward no byte beyond
+# what the response declares and holds, pool the connection only after a
+# response a plain parser reads whole and leave no goroutine — then ten
 # against the eviction heap: any byte string decodes to a HeapStore op
 # sequence whose victim order, CostLoss values and keys must match a
 # full-sort reference, then five against the heap's ID index: any byte
@@ -112,6 +116,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWireText -fuzztime 10s -fuzzminimizetime 20x ./internal/httpgw/
 	$(GO) test -run '^$$' -fuzz FuzzSegmentHeaders -fuzztime 10s -fuzzminimizetime 20x ./internal/httpgw/
 	$(GO) test -run '^$$' -fuzz FuzzHopConn -fuzztime 5s -fuzzminimizetime 20x ./internal/httpgw/
+	$(GO) test -run '^$$' -fuzz FuzzHopResponse -fuzztime 5s -fuzzminimizetime 20x ./internal/httpgw/
 	$(GO) test -run '^$$' -fuzz FuzzHeapStoreOps -fuzztime 10s -fuzzminimizetime 20x ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzIndexOps -fuzztime 5s -fuzzminimizetime 20x ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzSyntheticRange -fuzztime 10s -fuzzminimizetime 20x ./internal/store/

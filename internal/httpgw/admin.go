@@ -426,7 +426,7 @@ func (n *Node) passThrough(w http.ResponseWriter, r *http.Request, entries []eng
 		}
 		w.WriteHeader(http.StatusPartialContent)
 	}
-	copyStream(w, resp.Body) //nolint:errcheck
+	n.relay(w, resp.Body)
 }
 
 // ProbeUpstream runs one synchronous health probe against the upstream's

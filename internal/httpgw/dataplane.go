@@ -241,10 +241,12 @@ func writeBody(w http.ResponseWriter, seg segInfo, body []byte) {
 // relayBuf is one pooled relay buffer together with the writer wrapper that
 // makes io.CopyBuffer use it. CopyBuffer ignores its buffer when dst
 // implements io.ReaderFrom, and *http.response does: its ReadFrom sniffs
-// 512 bytes, flushes the header and hands the rest to net.genericReadFrom,
-// which allocates a fresh 32 KiB buffer per body. dst is therefore passed
-// as a struct that promotes Write and nothing else; it lives in the pooled
-// value so that hiding the method costs no allocation either.
+// 512 bytes, flushes the header and hands the rest to the socket's
+// ReadFrom, which, unless src is a socket it can splice from, allocates a
+// fresh 32 KiB buffer per body (net.genericReadFrom). dst is therefore
+// passed as a struct that promotes Write and nothing else; it lives in the
+// pooled value so that hiding the method costs no allocation either.
+// ReadFrom is reached on purpose only for a kernel relay (hopBody.relayTo).
 type relayBuf struct {
 	dst struct{ io.Writer }
 	buf [32 * 1024]byte
@@ -255,8 +257,18 @@ type relayBuf struct {
 // of being buffered whole.
 var copyBufPool = sync.Pool{New: func() any { return new(relayBuf) }}
 
-// copyStream streams src to dst through a pooled buffer.
+// copyStream streams src to dst through a pooled buffer — except a hop
+// body whose rest is still on its socket, which goes to dst's ReadFrom
+// (hopBody.relayTo): the kernel splices it when dst is a socket too, and
+// every writer that takes it checks the limit against what it still owes.
 func copyStream(dst io.Writer, src io.Reader) (int64, error) {
+	if b, ok := src.(*hopBody); ok {
+		if rf, ok := dst.(io.ReaderFrom); ok {
+			if n, ok, err := b.relayTo(dst, rf); ok {
+				return n, err
+			}
+		}
+	}
 	rb := copyBufPool.Get().(*relayBuf)
 	rb.dst.Writer = dst
 	n, err := io.CopyBuffer(&rb.dst, src, rb.buf[:])
@@ -284,11 +296,12 @@ func readBody(resp *http.Response, limit int64) ([]byte, error) {
 // segmentWriter is the http.ResponseWriter a segment sub-request answers
 // into during reassembly: a pass-through that forwards each body Write
 // straight to the client's writer — a segment hit hands over the store's
-// slice, a relayed segment flows through copyStream's pooled buffer — so the
-// client-facing node holds no copy of a segment it merely delivers. The
-// sub-response's status, declared Content-Length and generation are checked
-// when its header is written, before any byte is forwarded; nothing is sized
-// from the peer-supplied marker, and no byte beyond want is ever forwarded.
+// slice, a relayed segment flows through copyStream, spliced when it arrives
+// on a hop connection (ReadFrom) — so the client-facing node holds no copy
+// of a segment it merely delivers. The sub-response's status, declared
+// Content-Length and generation are checked when its header is written,
+// before any byte is forwarded; nothing is sized from the peer-supplied
+// marker, and no byte beyond want is ever forwarded.
 type segmentWriter struct {
 	dst       http.ResponseWriter // the client's writer
 	header    http.Header         // the sub-response's own headers; not forwarded
@@ -349,6 +362,25 @@ func (s *segmentWriter) Write(p []byte) (int, error) {
 	if err == nil && over {
 		err = http.ErrContentLength
 	}
+	s.err = err
+	return n, err
+}
+
+// ReadFrom hands an accepted segment's remainder to the client's writer's
+// ReadFrom — a splice(2) when both ends are sockets — when src is an
+// *io.LimitedReader within what the segment still owes. Anything else takes
+// Write, and its checks, through copyStream's pooled buffer.
+func (s *segmentWriter) ReadFrom(src io.Reader) (int64, error) {
+	if s.status == 0 {
+		s.WriteHeader(http.StatusOK)
+	}
+	lr, ok := src.(*io.LimitedReader)
+	rf, isRF := s.dst.(io.ReaderFrom)
+	if !ok || !isRF || !s.accepted || s.err != nil || lr.N > s.want-s.sent {
+		return copyStream(s, src)
+	}
+	n, err := rf.ReadFrom(lr)
+	s.sent += n
 	s.err = err
 	return n, err
 }

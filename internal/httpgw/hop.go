@@ -342,6 +342,27 @@ func (w *hopWriter) writeHead(final bool) {
 	w.bw.WriteString("\r\n")                                                             //nolint:errcheck
 }
 
+// ReadFrom hands a body's remainder to the connection once the head has
+// left: src must be an *io.LimitedReader within the declared length still
+// owed, and then the bytes move by the connection's ReadFrom — a splice(2)
+// when src reads a socket. Any other source takes Write, and its checks,
+// through copyStream's pooled buffer.
+func (w *hopWriter) ReadFrom(src io.Reader) (int64, error) {
+	if !w.wrote {
+		w.writeHead(false)
+	}
+	lr, ok := src.(*io.LimitedReader)
+	if !ok || w.chunked || lr.N > w.remain {
+		return copyStream(w, src)
+	}
+	if err := w.bw.Flush(); err != nil {
+		return 0, err
+	}
+	n, err := w.bw.ReadFrom(lr) // empty: straight to the connection's ReadFrom
+	w.remain -= n
+	return n, err
+}
+
 // finish completes the message and flushes it: false when the connection
 // cannot carry another (a write failed, or the body fell short).
 func (w *hopWriter) finish() bool {
@@ -527,7 +548,7 @@ func (t *upstreamTransport) exchange(cc *hopClientConn, req *http.Request, offer
 	if b.keep = b.keep && !resp.Close; resp.Body == http.NoBody {
 		b.finish(true)
 	} else {
-		b.rc, resp.Body = resp.Body, b
+		b.rc, resp.Body, b.owed = resp.Body, b, resp.ContentLength
 	}
 	return resp, nil
 }
@@ -535,13 +556,16 @@ func (t *upstreamTransport) exchange(cc *hopClientConn, req *http.Request, offer
 // hopBody returns its connection to the idle list once read to the end,
 // and closes it when the caller gives up early.
 type hopBody struct {
-	rc   io.ReadCloser
-	t    *upstreamTransport
-	cc   *hopClientConn
-	br   *bufio.Reader
-	stop func() bool
-	keep bool
-	err  error // after the end: what Read reports
+	rc      io.ReadCloser
+	t       *upstreamTransport
+	cc      *hopClientConn
+	br      *bufio.Reader
+	stop    func() bool
+	keep    bool
+	owed    int64            // declared bytes not yet read; negative when none were declared
+	lr      io.LimitedReader // the socket, within owed: what relayTo hands to ReadFrom
+	spliced bool             // relayTo moved the body
+	err     error            // after the end: what Read reports
 }
 
 func (b *hopBody) Read(p []byte) (int, error) {
@@ -549,11 +573,45 @@ func (b *hopBody) Read(p []byte) (int, error) {
 		return 0, b.err
 	}
 	n, err := b.rc.Read(p)
+	b.owed -= int64(n)
 	if err != nil {
 		b.finish(err == io.EOF)
 		b.err = err
 	}
 	return n, err
+}
+
+// relayTo moves the rest of a declared-length body to dst: the bytes the
+// reader already holds by Write, then the remainder by rf — dst's ReadFrom —
+// as an *io.LimitedReader straight over the upstream socket, which the
+// kernel splices when dst is a socket too. It reports false, having done
+// nothing, unless the upstream is a TCP socket and the reader holds less
+// than the declared rest. A short upstream is io.ErrUnexpectedEOF; either
+// way the connection is pooled only after exactly the declared bytes.
+func (b *hopBody) relayTo(dst io.Writer, rf io.ReaderFrom) (n int64, ok bool, err error) {
+	tc, isTCP := b.cc.Conn.(*net.TCPConn)
+	if b.err != nil || !isTCP || b.owed <= int64(b.br.Buffered()) {
+		return 0, false, nil
+	}
+	b.spliced = true
+	held, _ := b.br.Peek(b.br.Buffered())
+	m, err := dst.Write(held)
+	b.br.Discard(m) //nolint:errcheck // m ≤ Buffered
+	n, b.owed = int64(m), b.owed-int64(m)
+	if err == nil {
+		b.lr = io.LimitedReader{R: tc, N: b.owed}
+		var k int64
+		k, err = rf.ReadFrom(&b.lr)
+		n, b.owed = n+k, b.owed-k
+		if err == nil && b.owed > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+	}
+	b.finish(err == nil)
+	if b.err = err; err == nil {
+		b.err = io.EOF
+	}
+	return n, true, err
 }
 
 func (b *hopBody) Close() error {
@@ -574,6 +632,20 @@ func (b *hopBody) finish(clean bool) {
 	if !alive || !b.t.release(b.cc) {
 		b.cc.Close()
 	}
+}
+
+// CloseIdleConnections closes every peer's idle hop connections, then the
+// fallback's idle connections; http.Client.CloseIdleConnections calls it.
+func (t *upstreamTransport) CloseIdleConnections() {
+	t.mu.Lock()
+	for _, p := range t.peers {
+		for _, cc := range p.idle {
+			cc.Close()
+		}
+		p.idle = nil
+	}
+	t.mu.Unlock()
+	t.fallback.CloseIdleConnections()
 }
 
 // release returns cc to its peer's idle list, reporting false when its

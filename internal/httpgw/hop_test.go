@@ -220,7 +220,7 @@ func TestHopConnectionsShutDown(t *testing.T) {
 	// would, and while the clients still pool their ends.
 	waitFor(t, hopServerIdle/2, func() bool { return hopConnsOpen(c.nodes) == 0 }, "hop connections still open after Shutdown")
 	client.CloseIdleConnections()
-	defaultUpstreamClient.Transport.(*upstreamTransport).fallback.CloseIdleConnections()
+	defaultUpstreamClient.CloseIdleConnections()
 	waitFor(t, 10*time.Second, func() bool { return runtime.NumGoroutine() <= before }, "goroutines above the baseline of %d", before)
 }
 
@@ -314,6 +314,50 @@ func TestHopClientIdleLimit(t *testing.T) {
 	hopGet(t, client, srv.URL+"/cascade/health")
 	if got := dials.Load(); got != 2 {
 		t.Fatalf("an exchange after the idle limit dialed %d times in all; want a fresh dial", got)
+	}
+}
+
+// TestHopClientCloseIdle: CloseIdleConnections on the upstream client closes
+// its idle hop connections and its fallback's idle HTTP connections, and the
+// next exchange with either peer dials.
+func TestHopClientCloseIdle(t *testing.T) {
+	hop, hopDials := hopPeerServer(t, nil, nil)
+	var httpDials atomic.Int64
+	plain := httptest.NewUnstartedServer(&Origin{Size: func(model.ObjectID) int { return 100 }})
+	plain.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			httpDials.Add(1)
+		}
+	}
+	plain.Start()
+	defer plain.Close()
+	client := NewUpstreamClient(time.Minute)
+	defer client.CloseIdleConnections()
+	exchanges := func() {
+		hopGet(t, client, hop.URL+"/cascade/health")
+		resp, err := client.Get(plain.URL + "/objects/1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+	}
+	for i := 0; i < 3; i++ {
+		exchanges()
+	}
+	// The HTTP peer's first connection carried the declined offer; the
+	// fallback's own is kept alive from then on.
+	if h, p := hopDials.Load(), httpDials.Load(); h != 1 || p != 2 || len(idleHop(client, hop.URL)) != 1 {
+		t.Fatalf("three rounds dialed the hop peer %d and the HTTP peer %d times, %d idle hop connections; want 1, 2 and 1",
+			h, p, len(idleHop(client, hop.URL)))
+	}
+	client.CloseIdleConnections()
+	if n := len(idleHop(client, hop.URL)); n != 0 {
+		t.Fatalf("%d idle hop connections after CloseIdleConnections", n)
+	}
+	exchanges()
+	if h, p := hopDials.Load(), httpDials.Load(); h != 2 || p != 3 {
+		t.Fatalf("after CloseIdleConnections the hop peer was dialed %d and the HTTP peer %d times in all; want a fresh dial to each", h, p)
 	}
 }
 

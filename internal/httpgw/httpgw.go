@@ -178,6 +178,9 @@ type Node struct {
 	// Upstream exchanges answered, by the transport that carried them
 	// (cascade_gw_upstream_exchanges_total).
 	upHop, upHTTP atomic.Int64
+	// Relayed body bytes, by path: kernel (hopBody.relayTo) or copy
+	// (cascade_gw_relayed_bytes_total).
+	relayedKernel, relayedCopy atomic.Int64
 	// hops holds the hop connections this node accepted (hop.go).
 	hops hopConns
 
@@ -863,8 +866,8 @@ lookup:
 	}
 	if !placed(dec.place, n.ID) {
 		// The decision did not choose this node: the bytes only pass
-		// through, so stream them client-ward through a pooled buffer
-		// instead of buffering the whole object.
+		// through, so stream them client-ward instead of buffering the
+		// whole object.
 		n.relayStream(w, resp, seg, dec, obj, prev, mp, now, tsp, upsp, hop)
 		return
 	}
@@ -943,9 +946,10 @@ func writeMissTail(h http.Header, resp *http.Response, dec decision, mp float64)
 // relayStream finishes a miss whose decision did not choose this node: the
 // non-place DownStep maintains the d-cache and penalty counter, the
 // decision is written on for this side's client, and the body is
-// streamed straight through a pooled buffer — a relay hop never holds a
-// full object. size for the d-cache descriptor comes from Content-Length
-// (every protocol hop sets it explicitly).
+// streamed straight through — socket to socket in the kernel when it
+// arrives on a hop connection, else through a pooled buffer — so a relay
+// hop never holds a full object. size for the d-cache descriptor comes
+// from Content-Length (every protocol hop sets it explicitly).
 func (n *Node) relayStream(w http.ResponseWriter, resp *http.Response, seg segInfo,
 	dec decision, obj model.ObjectID,
 	prev, mp float64, now float64, tsp *span.Trace, upsp span.SpanID, hop int) {
@@ -979,7 +983,20 @@ func (n *Node) relayStream(w http.ResponseWriter, resp *http.Response, seg segIn
 		}
 		w.WriteHeader(http.StatusPartialContent)
 	}
-	copyStream(w, resp.Body) //nolint:errcheck
+	n.relay(w, resp.Body)
+}
+
+// relay streams a body this node only passes on (copyStream) and counts its
+// bytes under the path the relay took.
+func (n *Node) relay(w io.Writer, body io.Reader) {
+	// A short or failed relay ends the response short, which is how the
+	// client learns of it.
+	k, _ := copyStream(w, body)
+	if b, ok := body.(*hopBody); ok && b.spliced {
+		n.relayedKernel.Add(k)
+	} else {
+		n.relayedCopy.Add(k)
+	}
 }
 
 // revalidate issues a conditional GET upstream for an expired copy. It

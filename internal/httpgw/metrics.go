@@ -87,6 +87,10 @@ func (n *Node) MetricsRegistry() *metrics.Registry {
 		func() float64 { return float64(n.upHop.Load()) }, metrics.L("transport", "hop"), nl)
 	r.CounterFunc("cascade_gw_upstream_exchanges_total", "Upstream exchanges answered, by the transport that carried them.",
 		func() float64 { return float64(n.upHTTP.Load()) }, metrics.L("transport", "http"), nl)
+	r.CounterFunc("cascade_gw_relayed_bytes_total", "Body bytes relayed through this node without being stored, by the path they took.",
+		func() float64 { return float64(n.relayedKernel.Load()) }, metrics.L("path", "kernel"), nl)
+	r.CounterFunc("cascade_gw_relayed_bytes_total", "Body bytes relayed through this node without being stored, by the path they took.",
+		func() float64 { return float64(n.relayedCopy.Load()) }, metrics.L("path", "copy"), nl)
 	for o, name := range reassemblyOutcomeNames {
 		c := &n.reassembly[o]
 		r.CounterFunc("cascade_gw_reassembly_total", "Large-object reassemblies at the client-facing node, by what they did.",
