@@ -411,6 +411,7 @@ func TestCoherencyConformance(t *testing.T) {
 				t.Error("gateway flight recorder has no invalidate events")
 			}
 			segmentedObjectStage(t, client, gwBase, gwNodes, gwOrigin, clk, objSize)
+			assertBytesAgree(t, cluster, len(tc.upCost), gwNodes)
 			t.Logf("%s: %d requests + %d writes agreed across three incarnations (%d cache hits, %d reads at gen>0, %d invariant checks, 0 violations)",
 				tc.name, gen.Len(), writes, hits, genServes, checks)
 		})

@@ -360,6 +360,8 @@ func TestThreeIncarnationsAgree(t *testing.T) {
 				}
 			}
 
+			assertBytesAgree(t, cluster, len(tc.upCost), gwNodes)
+
 			// The cost ledgers must agree across incarnations too. The
 			// simulator and the cluster book predictions at the decision
 			// site into one shared ledger; the gateway ships each term over
@@ -434,5 +436,23 @@ func TestPlacementHeaderSortedOnWire(t *testing.T) {
 	}
 	if nonEmpty == 0 {
 		t.Fatal("no request produced a placement decision; workload too cold to be meaningful")
+	}
+}
+
+// assertBytesAgree fails the test for every gateway node, and every tiered
+// node among the cluster's first n, whose memory tier does not hold exactly
+// the objects and bytes of its descriptor store: every copy the engine
+// demoted must have taken its bytes with it.
+func assertBytesAgree(t *testing.T, cluster *runtime.Cluster, n int, gw []*httpgw.Node) {
+	t.Helper()
+	for id := 0; id < n; id++ {
+		if err := cluster.CheckBytes(model.NodeID(id)); err != nil {
+			t.Errorf("cluster %v", err)
+		}
+	}
+	for _, node := range gw {
+		if err := node.CheckBytes(); err != nil {
+			t.Errorf("gateway %v", err)
+		}
 	}
 }

@@ -299,4 +299,5 @@ func TestDataPlaneSpill(t *testing.T) {
 		t.Fatalf("disk hit not accounted: %+v", bs)
 	}
 	assertAuditorsClean(t, nodes, co)
+	assertBytesAgree(t, nil, 0, nodes)
 }

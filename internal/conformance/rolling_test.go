@@ -242,6 +242,7 @@ func TestDrainAdmitCycleConforms(t *testing.T) {
 	if rec.inner.Draining(drainTgt) {
 		t.Error("simulator still draining after admit")
 	}
+	assertBytesAgree(t, cluster, len(upCost), gwNodes)
 	t.Logf("drain/admit cycle: %d requests agreed (%d hits, %d while drained), spill parity on %d descriptors",
 		gen.Len(), hits, relayHits, agree)
 }

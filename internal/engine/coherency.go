@@ -4,6 +4,7 @@ import (
 	"cascade/internal/coherency"
 	"cascade/internal/flightrec"
 	"cascade/internal/model"
+	"cascade/internal/store"
 )
 
 // LookupResult reports a freshness-aware upstream probe.
@@ -29,47 +30,95 @@ type LookupResult struct {
 // strict mode: the object's current generation at the origin, so a read
 // after a write never observes the old bytes; zero otherwise). A copy
 // below max(floor, node floor) — or past its TTL lifetime — self-heals to
-// a miss, cascache-style: the bytes are dropped, the descriptor keeps its
+// a miss, cascache-style: the copy is dropped, the descriptor keeps its
 // history in the d-cache, and the caller continues the pass upstream.
 //
 // With no coherency view attached this is exactly the pre-coherency
 // Lookup: one nil check on the hot path.
 func (st *nodeState) LookupFresh(obj model.ObjectID, now float64, floor uint64) LookupResult {
-	d := st.Store.Get(obj)
+	q := Req{Obj: obj, FloorObj: obj, Now: now}
+	return st.probe(&q, st.readFloor(obj, floor), false, nil, false).LookupResult
+}
+
+// probed is a probe's outcome beyond the LookupResult: whether the copy
+// was demoted (stale, expired or without its bytes), is a copy old enough
+// to Revalidate, or one to recheck, both of which the probe left untouched.
+type probed struct {
+	LookupResult
+	// Revalidate: a copy older than Req.MaxAge.
+	Revalidate       bool
+	demoted, recheck bool
+}
+
+// probe is the memory half of Up, under the shard lock: q.Obj's resident
+// copy is checked against the coherency view's lifetime (ModeTTL), the read
+// floor and q's pin, and — at a hop that keeps bytes (tiered) — against its
+// bytes' metadata mem, nil when the memory tier lacks them: a copy without
+// its bytes is demoted like a stale one, and a copy whose bytes are older
+// than q.MaxAge is handed back for revalidation. With recheck set, a copy
+// without its bytes is handed back untouched instead, for the caller to
+// read them again: a placement may have landed since its read. A copy that
+// passes is a hit: its access history is refreshed and the ledger books
+// the saving.
+func (st *nodeState) probe(q *Req, floor uint64, tiered bool, mem *store.Meta, recheck bool) (p probed) {
+	d := st.Store.Get(q.Obj)
 	if d == nil {
-		return LookupResult{}
+		return p
 	}
+	switch {
+	case st.Coh != nil && st.Coh.Expired(q.Obj, q.Now):
+		st.demote(q.Obj, q.Now)
+		st.Coh.Metrics().Revalidation()
+		st.record(flightrec.KindRevalidate, q.Obj, q.Now, float64(d.Gen), 0, 0)
+		p.Expired, p.demoted = true, true
+	case d.Gen < floor || (q.Pinned && d.Gen != q.Pin):
+		st.demote(q.Obj, q.Now)
+		st.staleHit(q.Obj, d.Gen, floor, q.Now)
+		p.Stale, p.demoted = true, true
+	case tiered && (mem == nil || mem.Gen != d.Gen) && recheck:
+		p.recheck = true
+	case tiered && (mem == nil || mem.Gen != d.Gen):
+		st.demote(q.Obj, q.Now)
+		p.demoted = true
+	case mem != nil && q.MaxAge > 0 && q.Now-mem.Fetched > q.MaxAge:
+		p.Revalidate = true
+	default:
+		// The hit avoids the copy's current miss penalty — read it before
+		// TouchEntry refreshes the access history.
+		avoided := d.MissPenalty()
+		st.Store.TouchEntry(d, q.Now)
+		if st.Ledger != nil {
+			st.Ledger.RecordHit(st.Node, avoided)
+		}
+		p.Hit, p.Gen = true, d.Gen
+	}
+	return p
+}
+
+// readFloor is the effective read floor for obj: the node's floor raised to
+// the request's, in validating modes; zero otherwise, so no copy is below
+// it.
+func (st *nodeState) readFloor(obj model.ObjectID, floor uint64) uint64 {
+	if st.Coh == nil || !st.Coh.Mode().Validates() {
+		return 0
+	}
+	return max(st.Coh.Floor(obj), floor)
+}
+
+// staleHit counts a copy dropped below its read floor (or off its pin) and
+// logs it: the copy's generation and the floor it failed.
+func (st *nodeState) staleHit(obj model.ObjectID, gen, floor uint64, now float64) {
 	if st.Coh != nil {
-		if st.Coh.Expired(obj, now) {
-			st.demote(obj, now)
-			st.Coh.Metrics().Revalidation()
-			if st.Flight != nil {
-				st.Flight.Record(flightrec.Event{Time: now, Node: st.Node, Kind: flightrec.KindRevalidate, Obj: obj, Hop: -1, A: float64(d.Gen)})
-			}
-			return LookupResult{Expired: true}
-		}
-		if st.Coh.Mode().Validates() {
-			if f := st.Coh.Floor(obj); f > floor {
-				floor = f
-			}
-			if d.Gen < floor {
-				st.demote(obj, now)
-				st.Coh.Metrics().StaleHit()
-				if st.Flight != nil {
-					st.Flight.Record(flightrec.Event{Time: now, Node: st.Node, Kind: flightrec.KindStaleHit, Obj: obj, Hop: -1, A: float64(d.Gen), B: float64(floor), N: 1})
-				}
-				return LookupResult{Stale: true}
-			}
-		}
+		st.Coh.Metrics().StaleHit()
 	}
-	// The hit avoids the copy's current miss penalty — read it before
-	// TouchEntry refreshes the access history.
-	avoided := d.MissPenalty()
-	st.Store.TouchEntry(d, now)
-	if st.Ledger != nil {
-		st.Ledger.RecordHit(st.Node, avoided)
+	st.record(flightrec.KindStaleHit, obj, now, float64(gen), float64(floor), 1)
+}
+
+// record logs one of the node's own events on its flight recorder.
+func (st *nodeState) record(k flightrec.Kind, obj model.ObjectID, now, a, b float64, n int) {
+	if st.Flight != nil {
+		st.Flight.Record(flightrec.Event{Time: now, Node: st.Node, Kind: k, Obj: obj, Hop: -1, A: a, B: b, N: n})
 	}
-	return LookupResult{Hit: true, Gen: d.Gen}
 }
 
 // demote removes a cached copy, keeping its descriptor (and access
@@ -88,29 +137,29 @@ func (st *nodeState) demote(obj model.ObjectID, now float64) bool {
 
 // applyInvalidation applies one invalidation-log entry: if it is news
 // (past the cursor) the floor is raised and any held copy older than the
-// new floor is dropped. Reports whether the floor actually moved. The
-// caller advances the cursor after the batch.
-func (st *nodeState) applyInvalidation(inv coherency.Invalidation, now float64) bool {
+// new floor is demoted. Reports whether the floor actually moved and
+// whether a copy was demoted. The caller advances the cursor after the
+// batch.
+func (st *nodeState) applyInvalidation(inv coherency.Invalidation, now float64) (raised, dropped bool) {
 	if !st.Coh.ShouldApply(inv.Seq) {
-		return false
+		return false, false
 	}
-	raised := st.Coh.Raise(inv.Obj, inv.Gen)
-	dropped := 0
+	raised = st.Coh.Raise(inv.Obj, inv.Gen)
 	if d := st.Store.Get(inv.Obj); d != nil && d.Gen < inv.Gen {
-		if st.demote(inv.Obj, now) {
-			dropped = 1
-		}
+		dropped = st.demote(inv.Obj, now)
 	}
-	if !raised && dropped == 0 {
-		return false
+	if !raised && !dropped {
+		return false, false
 	}
 	if raised {
 		st.Coh.Metrics().Invalidation()
 	}
-	if st.Flight != nil {
-		st.Flight.Record(flightrec.Event{Time: now, Node: st.Node, Kind: flightrec.KindInvalidate, Obj: inv.Obj, Hop: -1, A: float64(inv.Gen), B: float64(inv.Seq), N: dropped})
+	n := 0
+	if dropped {
+		n = 1
 	}
-	return raised
+	st.record(flightrec.KindInvalidate, inv.Obj, now, float64(inv.Gen), float64(inv.Seq), n)
+	return raised, dropped
 }
 
 // ApplyInvalidations applies a piggybacked (or pushed) slice of
@@ -125,7 +174,7 @@ func (st *nodeState) ApplyInvalidations(tail []coherency.Invalidation, head uint
 	}
 	applied := 0
 	for _, inv := range tail {
-		if st.applyInvalidation(inv, now) {
+		if raised, _ := st.applyInvalidation(inv, now); raised {
 			applied++
 		}
 	}

@@ -8,34 +8,33 @@
 //
 // The protocol per request:
 //
-//   - Upstream pass: Sharded.UpStep probes each cache for the object; the
+//   - Upstream pass: Up probes each cache for the object (step.go); the
 //     first hit is the serving node. On a miss the same step performs the
 //     miss-side bookkeeping (d-cache access history) and emits the hop's
 //     Candidate — the piggybacked (f, l) record, or the §2.4 "no descriptor"
-//     tag. LookupFresh and UpMiss are its two halves, for a transport with
-//     work between them (a disk tier to try, a body store to check).
+//     tag.
 //   - Decision: Decider.Decide reconstructs each candidate's miss penalty
 //     m from the accumulated link costs, optionally prunes locally
 //     non-beneficial candidates (Theorem 2) and restores the monotone
 //     frequency profile, then solves the §2.2 dynamic program
 //     (internal/core) and returns the chosen hops.
-//   - Downstream pass: Sharded.DownStepUnder applies the decision at each
-//     hop — insert-with-eviction into the main store and miss-penalty
-//     counter reset at caching points, d-cache penalty updates elsewhere.
+//   - Downstream pass: Down applies the decision at each hop —
+//     insert-with-eviction into the main store and miss-penalty counter
+//     reset at caching points, d-cache penalty updates elsewhere.
 //
+// Up and Down carry a hop's body bytes with its descriptors (Hop.Tier).
 // Walk strings the three together over one path (walk.go); its owner only
 // says, per delivery, whether the hop is live, routed around, or the end of
-// the walk.
+// the walk. The HTTP gateway takes its one hop's Up and Down per request.
 //
 // internal/core must not be imported by the incarnations directly
 // (cmd/importguard enforces this); every placement decision flows through
 // this package so the three transports cannot re-diverge.
 //
-// Tracing: the engine takes no per-request trace handle in its per-node
-// steps. Decide owns the decide span (DecideOptions.Span) and annotates it
-// with the DP's output; Walk opens and annotates the lookup, up, down,
-// coherency, promote and body spans from what the steps return (span.Span
-// documents the attributes). The gateway annotates its own.
+// Tracing: the Sharded steps take no per-request trace handle. Decide owns
+// the decide span (DecideOptions.Span) and annotates it with the DP's
+// output; Up and Down open and annotate the lookup, up, down, coherency,
+// promote and body spans (span.Span documents the attributes).
 //
 // Hot-path contract: none of the per-request methods allocate when span
 // tracing is off and the caller reuses its scratch (a Walk, a Decider, a
@@ -54,6 +53,7 @@ import (
 	"cascade/internal/flightrec"
 	"cascade/internal/freq"
 	"cascade/internal/model"
+	"cascade/internal/store"
 )
 
 // Tag classifies a hop's upstream record.
@@ -187,34 +187,26 @@ func (st *nodeState) UpMiss(obj model.ObjectID, size int64, hop int, link float6
 	return c
 }
 
-// UpStep is one hop of the upstream pass in a single call: the
-// freshness-checked probe of LookupFresh and, when it misses, UpMiss's
-// bookkeeping and hop record (meaningful only when the result is not a
-// hit). A stale or expired copy self-heals inside the probe and the miss
-// half then sees its demoted descriptor, exactly as the two calls in
-// sequence would.
-func (st *nodeState) UpStep(obj model.ObjectID, size int64, hop int, link float64, now float64, floor uint64) (LookupResult, Candidate) {
-	res := st.LookupFresh(obj, now, floor)
-	if res.Hit {
-		return res, Candidate{}
+// UpStep is one hop of the upstream pass in a single call: the probe (see
+// probe) and, unless the copy is served, kept for revalidation or for a
+// recheck — or a disk copy is still to be tried (diskNext) — UpMiss's
+// bookkeeping and hop record. A stale or expired copy self-heals inside the
+// probe and the miss half then sees its demoted descriptor, exactly as
+// LookupFresh and UpMiss in sequence would.
+func (st *nodeState) UpStep(q *Req, floor uint64, tiered bool, mem *store.Meta, recheck bool, idx int, link float64, diskNext bool) (probed, Candidate) {
+	p := st.probe(q, floor, tiered, mem, recheck)
+	if p.Hit || p.Revalidate || p.recheck || diskNext {
+		return p, Candidate{}
 	}
-	return res, st.UpMiss(obj, size, hop, link, now)
+	return p, st.UpMiss(q.Obj, q.Size, idx, link, q.Now)
 }
 
-// downResult reports one downstream step's effect.
+// downResult reports one downstream step's effect. Evicted lists the
+// victims the insertion displaced, their descriptors already demoted to the
+// d-cache; the slice aliases the store's scratch buffer — valid until the
+// next insert.
 type downResult struct {
-	// MP is the outgoing miss-penalty counter: zero after a successful
-	// placement (a fresh copy now sits at this node), the incoming value
-	// otherwise.
-	MP float64
-	// Placed reports a successful insertion.
-	Placed bool
-	// PlaceFailed reports an instructed placement whose insert failed
-	// (the store could not make room at apply time).
-	PlaceFailed bool
-	// Evicted lists the victims the insertion displaced; their
-	// descriptors have already been demoted to the d-cache. The slice
-	// aliases the store's scratch buffer — valid until the next insert.
+	DownOutcome
 	Evicted []*cache.Descriptor
 }
 
@@ -243,7 +235,7 @@ func (st *nodeState) DownStepUnder(obj, floorObj model.ObjectID, size int64, pla
 			if st.Ledger != nil {
 				st.Ledger.RecordPlacement(st.Node, false)
 			}
-			return downResult{MP: mp, PlaceFailed: true}
+			return downResult{DownOutcome: DownOutcome{MP: mp, PlaceFailed: true}}
 		}
 		desc := st.DCache.Take(obj)
 		if desc == nil {
@@ -259,9 +251,9 @@ func (st *nodeState) DownStepUnder(obj, floorObj model.ObjectID, size int64, pla
 			st.Ledger.RecordPlacement(st.Node, ok)
 		}
 		if !ok {
-			return downResult{MP: mp, PlaceFailed: true}
+			return downResult{DownOutcome: DownOutcome{MP: mp, PlaceFailed: true}}
 		}
-		return downResult{MP: 0, Placed: true, Evicted: evicted}
+		return downResult{DownOutcome{MP: 0, Placed: true}, evicted}
 	}
 	// Not instructed to cache: maintain the node's meta information about
 	// the passing object. SetMissPenalty answers whether there was any. A
@@ -274,48 +266,24 @@ func (st *nodeState) DownStepUnder(obj, floorObj model.ObjectID, size int64, pla
 		desc.SetMissPenalty(mp)
 		st.DCache.Put(desc, now)
 	}
-	return downResult{MP: mp}
+	return downResult{DownOutcome: DownOutcome{MP: mp}}
 }
 
-// promoteResult reports a spill-promotion attempt.
-type promoteResult struct {
-	// Placed reports that the descriptor was re-admitted to the main
-	// store; the caller should move the object's bytes back to the memory
-	// tier.
-	Placed bool
-	// Stale reports that the disk copy's generation was below the node's
-	// floor: the bytes must not be served or re-admitted (the caller
-	// treats the disk hit as a miss).
-	Stale bool
-	// Avoided is the miss penalty the disk copy saved (the descriptor's
-	// counter at promotion time) — the hit's realized saving whether or
-	// not the re-admission succeeded, because the bytes are served either
-	// way.
-	Avoided float64
-	// Evicted lists insertion victims (already demoted to the d-cache);
-	// aliases the store's scratch buffer — valid until the next insert.
-	Evicted []*cache.Descriptor
-}
-
-// PromoteUnder re-admits a spilled object: its descriptor left the main store
+// promote re-admits a spilled object: its descriptor left the main store
 // with an NCL eviction but the data plane kept the bytes on disk, and a new
 // request just hit that disk copy. The descriptor is taken back from the
 // d-cache (or rebuilt), its access history refreshed, and the object is
-// inserted exactly like a DownStepUnder placement — same eviction-order audit,
-// same victim demotion — so the §2.3 invariants hold for promoted copies
-// too. The hit itself is accounted to the ledger in both branches (serving
-// from disk avoids the upstream fetch regardless of whether the memory
-// re-admission sticks). gen is the disk copy's persisted generation
-// (CBS1); a copy below the node's floor is rejected outright so a spill
-// can never resurrect stale bytes; the guard reads floorObj's floor (see
-// DownStepUnder).
-func (st *nodeState) PromoteUnder(obj, floorObj model.ObjectID, size int64, gen uint64, now float64) promoteResult {
-	if st.Coh != nil && st.Coh.Mode().Validates() && gen < st.Coh.Floor(floorObj) {
-		st.Coh.Metrics().StaleHit()
-		if st.Flight != nil {
-			st.Flight.Record(flightrec.Event{Time: now, Node: st.Node, Kind: flightrec.KindStaleHit, Obj: obj, Hop: -1, A: float64(gen), B: float64(st.Coh.Floor(floorObj)), N: 1})
-		}
-		return promoteResult{Stale: true}
+// inserted exactly like a DownStepUnder placement — same eviction-order
+// audit, same victim demotion — so the §2.3 invariants hold for promoted
+// copies too. The hit is booked on the ledger whether or not the
+// re-admission sticks: the bytes are served either way. A copy at a
+// generation gen below floorObj's floor is stale and not re-admitted, so a
+// spill can never resurrect stale bytes. The victims alias the store's
+// scratch buffer.
+func (st *nodeState) promote(obj, floorObj model.ObjectID, size int64, gen uint64, now float64) (placed, stale bool, evicted []*cache.Descriptor) {
+	if f := st.readFloor(floorObj, 0); gen < f {
+		st.staleHit(obj, gen, f, now)
+		return false, true, nil
 	}
 	desc := st.DCache.Take(obj)
 	if desc == nil {
@@ -327,14 +295,10 @@ func (st *nodeState) PromoteUnder(obj, floorObj model.ObjectID, size int64, gen 
 	if st.Ledger != nil {
 		st.Ledger.RecordHit(st.Node, avoided)
 	}
-	evicted, ok := st.insert(desc, now, nil)
-	if !ok {
-		return promoteResult{Avoided: avoided}
+	if evicted, placed = st.insert(desc, now, nil); placed {
+		st.record(flightrec.KindPromote, obj, now, avoided, 0, len(evicted))
 	}
-	if st.Flight != nil {
-		st.Flight.Record(flightrec.Event{Time: now, Node: st.Node, Kind: flightrec.KindPromote, Obj: obj, Hop: -1, A: avoided, N: len(evicted)})
-	}
-	return promoteResult{Placed: true, Avoided: avoided, Evicted: evicted}
+	return placed, false, evicted
 }
 
 // insert admits desc to the main store, the step a placement and a

@@ -12,6 +12,7 @@ import (
 	"cascade/internal/dcache"
 	"cascade/internal/flightrec"
 	"cascade/internal/model"
+	"cascade/internal/store"
 )
 
 // Sharded is one cache node's protocol state — the only per-node type the
@@ -192,20 +193,23 @@ func (s *Sharded) Lookup(obj model.ObjectID, now float64) bool {
 	return hit
 }
 
-// LookupFresh probes the owning shard with freshness enforcement (see
-// nodeState.LookupFresh).
-func (s *Sharded) LookupFresh(obj model.ObjectID, now float64, floor uint64) LookupResult {
-	sh := &s.shards[s.ShardOf(obj)]
-	s.lock(sh)
-	res := sh.st.LookupFresh(obj, now, floor)
-	sh.mu.Unlock()
-	return res
-}
-
 // ApplyInvalidations applies a piggybacked (or pushed) invalidation tail,
 // routing each entry's copy-drop to the owning shard, then advances the
-// shared cursor to head (see nodeState.ApplyInvalidations).
+// shared cursor to head (see nodeState.ApplyInvalidations). It reports how
+// many entries raised a floor.
 func (s *Sharded) ApplyInvalidations(tail []coherency.Invalidation, head uint64, now float64) int {
+	return s.invalidate(tail, head, now, nil)
+}
+
+// Invalidate is ApplyInvalidations that also appends to dropped, a
+// caller-owned buffer returned possibly grown, every object whose copy it
+// demoted — the copies whose bytes the caller must drop (Hop.ApplyInvalidations).
+func (s *Sharded) Invalidate(tail []coherency.Invalidation, head uint64, now float64, dropped []model.ObjectID) (int, []model.ObjectID) {
+	applied := s.invalidate(tail, head, now, &dropped)
+	return applied, dropped
+}
+
+func (s *Sharded) invalidate(tail []coherency.Invalidation, head uint64, now float64, dropped *[]model.ObjectID) int {
 	view := s.shards[0].st.Coh
 	if view == nil || !view.Mode().Validates() {
 		return 0
@@ -214,13 +218,26 @@ func (s *Sharded) ApplyInvalidations(tail []coherency.Invalidation, head uint64,
 	for _, inv := range tail {
 		sh := &s.shards[s.ShardOf(inv.Obj)]
 		s.lock(sh)
-		if sh.st.applyInvalidation(inv, now) {
+		raised, demoted := sh.st.applyInvalidation(inv, now)
+		sh.mu.Unlock()
+		if raised {
 			applied++
 		}
-		sh.mu.Unlock()
+		if demoted && dropped != nil {
+			*dropped = append(*dropped, inv.Obj)
+		}
 	}
 	view.AdvanceCursor(head)
 	return applied
+}
+
+// ReadFloor is the effective read floor for floorObj: the node's floor
+// raised to the request's floor, in validating modes; zero otherwise.
+func (s *Sharded) ReadFloor(floorObj model.ObjectID, floor uint64) uint64 {
+	if st := &s.shards[0].st; st.Coh != nil {
+		return st.readFloor(floorObj, floor)
+	}
+	return 0
 }
 
 // Coherency returns the node's shared coherency view (nil when off).
@@ -246,27 +263,28 @@ func (s *Sharded) UpMiss(obj model.ObjectID, size int64, hop int, link float64, 
 	return c
 }
 
-// UpStep runs one hop of the upstream pass under a single acquisition of the
-// owning shard's lock (see nodeState.UpStep): the two-call form takes the
-// lock twice on every miss.
-func (s *Sharded) UpStep(obj model.ObjectID, size int64, hop int, link float64, now float64, floor uint64) (LookupResult, Candidate) {
-	sh := &s.shards[s.ShardOf(obj)]
+// up is Up's probe and miss bookkeeping under one acquisition of the
+// owning shard's lock (see nodeState.UpStep).
+func (s *Sharded) up(q *Req, floor uint64, tiered bool, mem *store.Meta, recheck bool, idx int, link float64, diskNext bool) (probed, Candidate) {
+	sh := &s.shards[s.ShardOf(q.Obj)]
 	s.lock(sh)
-	res, c := sh.st.UpStep(obj, size, hop, link, now, floor)
+	p, c := sh.st.UpStep(q, floor, tiered, mem, recheck, idx, link, diskNext)
 	sh.mu.Unlock()
-	return res, c
+	return p, c
 }
 
 // DownOutcome reports one downstream step's effect. It carries no
 // descriptor pointers: those alias the shard's heap scratch, which is only
 // valid under the shard lock.
 type DownOutcome struct {
-	// MP is the outgoing miss-penalty counter (zero after a successful
-	// placement, the incoming value otherwise).
+	// MP is the outgoing miss-penalty counter: zero after a successful
+	// placement (a fresh copy now sits at this node), the incoming value
+	// otherwise.
 	MP float64
 	// Placed reports a successful insertion.
 	Placed bool
-	// PlaceFailed reports an instructed placement whose insert failed.
+	// PlaceFailed reports an instructed placement whose insert failed
+	// (the store could not make room at apply time).
 	PlaceFailed bool
 }
 
@@ -290,46 +308,33 @@ func (s *Sharded) DownStepUnder(obj, floorObj model.ObjectID, size int64, place 
 	sh := &s.shards[s.ShardOf(obj)]
 	s.lock(sh)
 	res := sh.st.DownStepUnder(obj, floorObj, size, place, mp, gen, now, checks)
-	for _, v := range res.Evicted {
-		evicted = append(evicted, v.ID)
-	}
-	if res.Placed {
-		sh.inserts.Add(1)
-		sh.evictions.Add(int64(len(res.Evicted)))
-	}
+	evicted = sh.placed(res.Placed, res.Evicted, evicted)
 	sh.mu.Unlock()
-	return DownOutcome{MP: res.MP, Placed: res.Placed, PlaceFailed: res.PlaceFailed}, evicted
+	return res.DownOutcome, evicted
 }
 
-// PromoteUnder re-admits a spilled object after a disk-tier hit (see
-// nodeState.PromoteUnder), the generation guard reading floorObj's floor
-// (see DownStepUnder). Reports whether the re-admission stuck, and appends
-// insertion victims' ids to evicted — the caller spills their bytes in
-// turn. A Stale result means the disk copy failed the generation floor and
-// must be treated as a miss.
-func (s *Sharded) PromoteUnder(obj, floorObj model.ObjectID, size int64, gen uint64, now float64, evicted []model.ObjectID) (PromoteOutcome, []model.ObjectID) {
-	sh := &s.shards[s.ShardOf(obj)]
+// promote re-admits q.Obj's disk copy at generation gen on the owning shard
+// (see nodeState.promote), leaving the victims' IDs in q.victims.
+func (s *Sharded) promote(q *Req, size int64, gen uint64) (placed, stale bool) {
+	sh := &s.shards[s.ShardOf(q.Obj)]
 	s.lock(sh)
-	res := sh.st.PromoteUnder(obj, floorObj, size, gen, now)
-	for _, v := range res.Evicted {
-		evicted = append(evicted, v.ID)
-	}
-	if res.Placed {
-		sh.inserts.Add(1)
-		sh.evictions.Add(int64(len(res.Evicted)))
-	}
+	placed, stale, ev := sh.st.promote(q.Obj, q.FloorObj, size, gen, q.Now)
+	q.victims = sh.placed(placed, ev, q.victims[:0])
 	sh.mu.Unlock()
-	return PromoteOutcome{Placed: res.Placed, Stale: res.Stale}, evicted
+	return placed, stale
 }
 
-// PromoteOutcome reports one sharded promotion's effect without exposing
-// shard-scratch descriptor pointers.
-type PromoteOutcome struct {
-	// Placed reports the memory-tier re-admission stuck.
-	Placed bool
-	// Stale reports the disk copy failed the generation floor; the bytes
-	// must not be served.
-	Stale bool
+// placed appends an insertion's victims' IDs to ids and counts the
+// insertion. Caller holds the shard lock: the victims alias its scratch.
+func (sh *shard) placed(ok bool, victims []*cache.Descriptor, ids []model.ObjectID) []model.ObjectID {
+	for _, v := range victims {
+		ids = append(ids, v.ID)
+	}
+	if ok {
+		sh.inserts.Add(1)
+		sh.evictions.Add(int64(len(victims)))
+	}
+	return ids
 }
 
 // Contains reports whether the node currently caches the object.

@@ -160,7 +160,9 @@ func runUpOps(t *testing.T, data []byte) (hits, candidates, healed, evictions in
 			if arg >= 192 {
 				size = 0 // a transport that learns the size on the way down
 			}
-			res, cand := fused.st.UpStep(id, size, int(arg&7), link, now, floor)
+			q := Req{Obj: id, FloorObj: id, Size: size, Now: now}
+			p, cand := fused.st.UpStep(&q, fused.st.readFloor(id, floor), false, nil, false, int(arg&7), link, false)
+			res := p.LookupResult
 			want := split.st.LookupFresh(id, now, floor)
 			var wantCand Candidate
 			if !want.Hit {

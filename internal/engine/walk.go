@@ -5,6 +5,7 @@ import (
 	"cascade/internal/coherency"
 	"cascade/internal/model"
 	"cascade/internal/span"
+	"cascade/internal/store"
 )
 
 // Verdict is a walk owner's answer to one protocol message delivery.
@@ -23,27 +24,6 @@ const (
 	Stop
 )
 
-// Hop is the node a delivery reached.
-type Hop struct {
-	// St is the node's protocol state.
-	St *Sharded
-	// Tier is the node's body store with a tier below memory; nil when the
-	// node has none.
-	Tier Tier
-}
-
-// Tier is the data plane behind a hop's descriptors.
-type Tier interface {
-	// Serve tries the tier below memory after a memory miss at floor (the
-	// request's read floor), re-admitting a copy it serves. It reports
-	// whether it served and the served copy's generation; evict is a victim
-	// buffer, returned possibly grown.
-	Serve(obj model.ObjectID, size int64, now float64, floor uint64, evict []model.ObjectID) (bool, uint64, []model.ObjectID)
-	// Place stores a placed object's bytes at generation gen and spills its
-	// insertion's victims.
-	Place(obj model.ObjectID, size int64, gen uint64, now float64, evicted []model.ObjectID)
-}
-
 // Router is the owner of a walk: it resolves every delivery and learns
 // every placement.
 type Router interface {
@@ -59,9 +39,9 @@ type Router interface {
 // solves the §2.2 placement, and the response travels down applying it and
 // carrying the miss-penalty counter. Every incarnation that walks a whole
 // path in one place — the replay simulator and the in-process cluster —
-// runs this one. The owner sets the inputs, calls Run and reads the
-// outputs; the scratch is kept for the next request. A Walk belongs to one
-// goroutine at a time.
+// runs this one, one Up and one Down per hop. The owner sets the inputs,
+// calls Run and reads the outputs; the scratch is kept for the next
+// request. A Walk belongs to one goroutine at a time.
 type Walk struct {
 	// Inputs.
 	Obj  model.ObjectID
@@ -94,6 +74,13 @@ type Walk struct {
 	Serve    int
 	ServedBy model.NodeID
 	Gen      uint64
+	// FromTier reports that the serving hop answered from its tier below
+	// memory, and Promoted that the copy re-entered memory there, evicting
+	// PromoteEvicted victims.
+	FromTier, Promoted bool
+	PromoteEvicted     int
+	// Spills counts the victims whose bytes went below memory, either pass.
+	Spills int
 	// Refetch reports a copy demoted on the way up, stale or expired.
 	Refetch bool
 	// Cands holds one record per hop below Serve, in wire order, the §2.4
@@ -109,8 +96,9 @@ type Walk struct {
 	Checks audit.Tally
 
 	dec     Decider
+	req     Req
+	up      UpResult
 	upSpans []span.SpanID
-	evict   []model.ObjectID
 	inv     []coherency.Invalidation
 }
 
@@ -128,13 +116,17 @@ func (w *Walk) Run(r Router) bool {
 		w.upSpans = w.upSpans[:len(w.Route)]
 		clear(w.upSpans)
 	}
-	var floor uint64
+	q := &w.req
+	q.Obj, q.FloorObj, q.Size, q.Now = w.Obj, w.Obj, w.Size, w.Now
+	q.Trace, q.Audit, q.Checks = tr, w.Decide.Audit, &w.Checks
+	q.Floor, q.Gen, q.Tail, q.Head = 0, 0, nil, 0
 	if w.Auth != nil && w.Mode == coherency.ModeCAS {
 		// CAS: the request carries the object's current generation as a
 		// read floor, so a stale copy self-heals to a miss.
-		floor = w.Auth.Gen(w.Obj)
+		q.Floor = w.Auth.Gen(w.Obj)
 	}
 	w.Serve, w.ServedBy, w.Gen, w.Refetch = len(w.Route), model.NoNode, 0, false
+	w.FromTier, w.Promoted, w.PromoteEvicted, w.Spills = false, false, 0, 0
 	w.Cands, w.Chosen, w.Tail = w.Cands[:0], nil, nil
 
 	// Upstream pass.
@@ -149,61 +141,33 @@ func (w *Walk) Run(r Router) bool {
 			w.Cost += link
 			continue
 		}
-		// One engine step per hop: the probe and, on a miss, the node
-		// observing the request pass through. A hop with a tier below
-		// memory takes the step in its two halves, because a hit in that
-		// tier must not age the d-cache.
-		lk := tr.Start(span.PhaseLookup, id, h, parent, w.Now)
-		var res LookupResult
-		var c Candidate
-		if hop.Tier == nil {
-			res, c = hop.St.UpStep(w.Obj, w.Size, h, link, w.Now, floor)
-		} else {
-			res = hop.St.LookupFresh(w.Obj, w.Now, floor)
-		}
-		tr.End(lk, w.Now)
-		if res.Hit {
-			w.Serve, w.ServedBy, w.Gen = h, id, res.Gen
+		up := &w.up
+		Up(hop, q, h, link, parent, up)
+		w.Refetch = w.Refetch || up.Stale || up.Expired
+		w.Spills += up.Spilled
+		if up.Hit {
+			w.Serve, w.ServedBy, w.Gen = h, id, up.Gen
+			w.FromTier, w.Promoted, w.PromoteEvicted = up.FromTier, up.Promoted, up.Evicted
 			break
 		}
-		if res.Expired || res.Stale {
-			// Both freshness demotions send the request on upstream.
-			w.Refetch = true
-			if res.Stale {
-				tr.Force(span.FlagStale)
-			}
-		}
-		if hop.Tier != nil {
-			served, gen, ev := hop.Tier.Serve(w.Obj, w.Size, w.Now, floor, w.evict)
-			w.evict = ev
-			if served {
-				psp := tr.Start(span.PhasePromote, id, h, parent, w.Now)
-				tr.End(psp, w.Now)
-				w.Serve, w.ServedBy, w.Gen = h, id, gen
-				break
-			}
-			c = hop.St.UpMiss(w.Obj, w.Size, h, link, w.Now)
-		}
-		up := tr.Start(span.PhaseUp, id, h, parent, w.Now)
 		if tr != nil {
-			w.upSpans[h] = up
-			parent = up
+			w.upSpans[h] = up.Span
+			parent = up.Span
 		}
-		tr.Annotate(up, c.Freq, c.CostLoss, int(c.Tag))
-		w.Cands = append(w.Cands, c)
+		w.Cands = append(w.Cands, up.Cand)
 		w.Cost += link
 	}
 
-	var head uint64
 	if w.ServedBy == model.NoNode && w.Auth != nil {
 		// The origin serves its current generation, and in validating modes
 		// its response carries the recent invalidation-log tail (PSI).
 		w.Gen = w.Auth.Gen(w.Obj)
 		if w.Mode.Validates() {
 			w.inv = w.Auth.Tail(w.inv[:0])
-			w.Tail, head = w.inv, w.Auth.Head()
+			w.Tail, q.Head = w.inv, w.Auth.Head()
 		}
 	}
+	q.Gen, q.Tail = w.Gen, w.Tail
 	if w.Serve == 0 {
 		// Nothing travels downstream, so the decision is empty; its phase
 		// still lands in the span tree.
@@ -219,10 +183,13 @@ func (w *Walk) Run(r Router) bool {
 		opts.Span, opts.SpanParent = tr, parent
 	}
 	w.Chosen = w.dec.Decide(w.Cands, opts, ServePoint{Hop: w.Serve, Node: w.ServedBy})
+	return w.down(r)
+}
 
-	// Downstream pass. Chosen ascends and the response descends, so a tail
-	// cursor walks it; chosen hops the response routes around lose their
-	// copy.
+// down is the walk's downstream pass: Chosen ascends and the response
+// descends, so a tail cursor walks it; chosen hops the response routes
+// around lose their copy.
+func (w *Walk) down(r Router) bool {
 	last := len(w.Chosen) - 1
 	mp := 0.0 // the response's miss-penalty counter
 	for h := w.Serve - 1; h >= 0; h-- {
@@ -233,18 +200,6 @@ func (w *Walk) Run(r Router) bool {
 		if v == RouteAround {
 			mp += w.Links[h]
 			continue
-		}
-		id := w.Route[h]
-		var up span.SpanID
-		if tr != nil {
-			up = w.upSpans[h]
-		}
-		if w.Tail != nil {
-			// The tail lands before the placement step, so a placement at
-			// the pre-write generation meets the freshly raised floor.
-			coh := tr.Start(span.PhaseCoherency, id, h, up, w.Now)
-			hop.St.ApplyInvalidations(w.Tail, head, w.Now)
-			tr.End(coh, w.Now)
 		}
 		// prev is the counter as it left the last caching point, plus any
 		// links routed around since: the penalty audit's reference.
@@ -257,22 +212,22 @@ func (w *Walk) Run(r Router) bool {
 		if place {
 			last--
 		}
-		dn := tr.Start(span.PhaseDown, id, h, up, w.Now)
-		out, ev := hop.St.DownStepUnder(w.Obj, w.Obj, w.Size, place, mp, w.Gen, w.Now, w.evict[:0], &w.Checks)
-		w.evict = ev
-		tr.Annotate(dn, mp, float64(len(ev)), span.DownOutcome(out.Placed, out.PlaceFailed))
-		w.Decide.Audit.CheckPenaltyStep(&w.Checks, id, w.Obj, h, prev, mp, out.MP, out.Placed)
+		var up span.SpanID
+		if w.Trace != nil {
+			up = w.upSpans[h]
+		}
+		var body []byte
+		if place && hop.Tier != nil {
+			// The walk carries no real bytes; a hop that stores them gets
+			// the object's synthetic payload.
+			body = store.SyntheticBody(w.Obj, int(w.Size))
+		}
+		out := Down(hop, &w.req, h, up, place, prev, mp, body, "")
+		w.Spills += out.Spilled
 		mp = out.MP
 		if out.Placed {
-			r.Placed(h, len(ev))
-			if hop.Tier != nil {
-				bsp := tr.Start(span.PhaseBody, id, h, dn, w.Now)
-				hop.Tier.Place(w.Obj, w.Size, w.Gen, w.Now, ev)
-				tr.End(bsp, w.Now)
-			}
+			r.Placed(h, out.Evicted)
 		}
-		tr.End(dn, w.Now)
-		tr.End(up, w.Now)
 	}
 	return true
 }

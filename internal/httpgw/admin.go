@@ -7,14 +7,11 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"cascade/internal/cache"
 	"cascade/internal/controlplane"
-	"cascade/internal/engine"
 	"cascade/internal/flightrec"
-	"cascade/internal/span"
 )
 
 // The gateway's control-plane surface. Each node manages its own membership
@@ -331,102 +328,6 @@ func (n *Node) serveHealth(w http.ResponseWriter) {
 		code = http.StatusServiceUnavailable
 	}
 	writeJSON(w, code, st)
-}
-
-// passThrough relays a request for a draining/removed node: extend the path
-// header with a "-" (no-descriptor) entry so the DP sees only the link
-// cost, forward, and add the link to the penalty counter on the way back
-// without a DownStep — the wire image of the cluster folding a
-// routed-around hop. One thing a relay still does itself: when it is the
-// client-facing hop and the answer is a segmented marker, it reassembles —
-// the client asked for a body, and each sub-request is relayed through here
-// like any other — starting over on an overtaken pin as an active node would
-// (restarts counts how often this GET already has).
-func (n *Node) passThrough(w http.ResponseWriter, r *http.Request, entries []engine.Candidate, relayCtx span.Ctx, restarts int) {
-	up, err := http.NewRequestWithContext(r.Context(), http.MethodGet, n.Upstream+r.URL.Path, nil)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	relay := engine.Candidate{Node: n.ID, Tag: engine.TagNoDescriptor, Link: n.UpCost}
-	// A relay hop records no spans of its own: the incoming trace context
-	// (if any) passes through unchanged, so the upstream still parents on
-	// the last tracing hop below — the wire image of a routed-around
-	// cluster hop.
-	writePath(up.Header, append(entries, relay), relayCtx)
-	if tag := r.Header.Get("If-None-Match"); tag != "" {
-		up.Header.Set("If-None-Match", tag)
-	}
-	isSeg := r.Header.Get(HeaderSegment) != ""
-	if isSeg {
-		forwardSegment(up.Header, r.Header)
-	} else if fl := r.Header.Get(HeaderGen); fl != "" {
-		// The read floor passes through as it came: a relay has no floor
-		// of its own to raise it to.
-		up.Header.Set(HeaderGen, fl)
-	}
-
-	resp, err := n.fetchUpstream(up)
-	if err != nil {
-		if n.serveDegraded(w, r) {
-			return
-		}
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && !(isSeg && resp.StatusCode == http.StatusPartialContent) {
-		w.WriteHeader(resp.StatusCode)
-		copyStream(w, resp.Body) //nolint:errcheck
-		return
-	}
-	if resp.Header.Get(HeaderSegmented) != "" && !isSeg {
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		if len(entries) > 0 {
-			relayMarker(w.Header(), resp.Header)
-			return
-		}
-		m, ok := n.acceptMarker(w, resp.Header, n.Clock())
-		if !ok {
-			return
-		}
-		base, _ := objectID(r) // ServeHTTP already derived it from this request
-		if n.serveSegmented(w, r, base, m, false, restarts, nil) {
-			n.passThrough(w, r, entries, relayCtx, restarts+1)
-		}
-		return
-	}
-
-	prev, okPen := parsePenalty(resp.Header.Get(HeaderPenalty))
-	if !okPen {
-		n.badPenalty.Add(1)
-		prev = 0
-	}
-	dec, derr := parseDecision(resp.Header)
-	if derr != nil {
-		http.Error(w, derr.Error(), http.StatusBadGateway)
-		return
-	}
-	if dec.badGen {
-		n.badGen.Add(1)
-	}
-	if dec.badInval {
-		n.badInval.Add(1)
-	}
-	// A draining/removed node relays the coherency payload without applying
-	// it — it holds no copies and takes no placements, so there is no floor
-	// to raise; the live hops below apply the tail themselves.
-	writeMissTail(w.Header(), resp, dec, prev+n.UpCost)
-	if resp.ContentLength >= 0 {
-		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
-	}
-	if resp.StatusCode == http.StatusPartialContent {
-		if cr := resp.Header.Get("Content-Range"); cr != "" {
-			w.Header().Set("Content-Range", cr)
-		}
-		w.WriteHeader(http.StatusPartialContent)
-	}
-	n.relay(w, resp.Body)
 }
 
 // ProbeUpstream runs one synchronous health probe against the upstream's

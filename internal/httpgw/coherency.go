@@ -7,15 +7,14 @@ import (
 	"strings"
 
 	"cascade/internal/coherency"
-	"cascade/internal/flightrec"
 	"cascade/internal/metrics"
 	"cascade/internal/model"
 )
 
 // Coherency on the HTTP transport. The engine owns the mechanism — per-object
 // generation floors in the shared coherency.NodeView, generation-guarded
-// placement in DownStep/Promote, generation-validated spill files — and this
-// file gives it wire form:
+// placement and promotion in the hop step, generation-validated spill
+// files — and this file gives it wire form:
 //
 //	X-Cascade-Gen:   on a request, the client's read floor (ModeCAS: the
 //	                 origin generation the response must meet or beat) —
@@ -30,7 +29,7 @@ import (
 // Generations, floors and the invalidation log speak in base identities
 // only: a segment of a large object is stamped with its base's generation
 // and validated against its base's floor, so one write of the base reaches
-// every segment wherever it is cached (servable, Node.serveSegmented).
+// every segment wherever it is cached (engine.Up, Node.serveSegmented).
 //
 // Malformed values never fail a request: a garbled floor zero-defaults
 // (weakening freshness, not availability) and a garbled tail is ignored,
@@ -63,61 +62,6 @@ func (n *Node) EnableCoherency(mode coherency.Mode) {
 // CoherencyView returns the node's generation-floor view (nil until
 // EnableCoherency).
 func (n *Node) CoherencyView() *coherency.NodeView { return n.view }
-
-// readFloor is the effective generation floor for one read: the
-// request-carried CAS floor or the node's own floor for the object,
-// whichever is higher. Zero when coherency is off or non-validating, so
-// every `gen < readFloor` guard collapses to false.
-func (n *Node) readFloor(obj model.ObjectID, reqFloor uint64) uint64 {
-	v := n.view
-	if v == nil || !v.Mode().Validates() {
-		return 0
-	}
-	if f := v.Floor(obj); f > reqFloor {
-		return f
-	}
-	return reqFloor
-}
-
-// servable reports whether a resident copy at generation gen may answer a
-// request: never below the read floor, and — for a segment request, whose
-// X-Cascade-Gen is the generation its reassembly pinned — at exactly that
-// generation, in every coherency mode. A segment on the other side of the
-// pin is not old or new, it is part of another body; the caller drops it
-// like any copy below a floor (when the copy is the newer one the asker's
-// marker is what is stale: the refetch comes back at the origin's
-// generation, the asker refuses it and starts over with a fresh marker).
-func servable(gen, readFloor uint64, seg segInfo, pin uint64) bool {
-	return gen >= readFloor && (!seg.on || gen == pin)
-}
-
-// recordStaleHit labels a generation-floor freshness decision: n=1 means a
-// stale copy was dropped and self-healed to a miss, n=0 means stale bytes
-// were knowingly served (stale-if-error while the upstream is unreachable).
-func (n *Node) recordStaleHit(obj model.ObjectID, gen, floor uint64, served bool, now float64) {
-	if v := n.view; v != nil {
-		v.Metrics().StaleHit()
-	}
-	dropped := 1
-	if served {
-		dropped = 0
-	}
-	n.flight.Record(flightrec.Event{Time: now, Node: n.ID, Kind: flightrec.KindStaleHit, Obj: obj, Hop: -1, A: float64(gen), B: float64(floor), N: dropped})
-}
-
-// applyInval lands a response-piggybacked (or admin-pushed) invalidation
-// batch at this node before any placement step, so a placement at the
-// pre-write generation is caught by the freshly raised floor. head is the
-// origin's log head for PSI cursor advance (0 for out-of-band pushes).
-func (n *Node) applyInval(tail []coherency.Invalidation, head uint64, now float64) int {
-	if len(tail) == 0 && head == 0 {
-		return 0
-	}
-	n.mu.Lock()
-	applied := n.st.ApplyInvalidations(tail, head, now)
-	n.mu.Unlock()
-	return applied
-}
 
 // parseGen decodes an X-Cascade-Gen value. Absent is legitimately zero (a
 // hop or client outside coherency); malformed reports !ok so the caller
@@ -239,11 +183,11 @@ func (n *Node) adminInvalidate(w http.ResponseWriter, r *http.Request, now float
 	inv := [1]coherency.Invalidation{{Seq: rep.Seq, Obj: model.ObjectID(rep.Obj), Gen: rep.Gen}}
 	n.mu.Lock()
 	// head 0: an out-of-band push must not mark intermediate log entries
-	// as seen by the PSI cursor.
-	if n.st.ApplyInvalidations(inv[:], 0, now) > 0 {
-		// The floor moved: any held payload predates it. The engine
-		// demoted the descriptor; drop the bytes from both tiers too.
-		n.bodies.Delete(model.ObjectID(rep.Obj))
+	// as seen by the PSI cursor. A demoted copy's bytes leave with it, and
+	// when the floor moved any held payload predates it: a disk copy goes
+	// too, unless a fresh copy is resident.
+	if applied, _ := n.hop().ApplyInvalidations(inv[:], 0, now, nil); applied > 0 {
+		n.bodies.DeleteUnless(inv[0].Obj, n.st.Contains)
 	}
 	n.mu.Unlock()
 	writeJSON(w, http.StatusOK, rep)

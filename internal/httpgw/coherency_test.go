@@ -336,3 +336,131 @@ func TestSnapshotPreservesGeneration(t *testing.T) {
 		t.Fatalf("restored copy served at generation %q, want 1", resp.Header.Get(HeaderGen))
 	}
 }
+
+// bytesMatchDescriptors fails the test unless every node's memory tier
+// holds exactly the bytes and objects of its descriptor store: a demoted
+// copy must take its bytes with it.
+func bytesMatchDescriptors(t *testing.T, nodes []*Node) {
+	t.Helper()
+	for _, n := range nodes {
+		if err := n.CheckBytes(); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestPiggybackedInvalidationDropsBytes: an invalidation that reaches a
+// node on another object's response — the write went straight to the
+// origin, so no unwind passed the node — demotes the copy and must drop its
+// bytes in the same step.
+func TestPiggybackedInvalidationDropsBytes(t *testing.T) {
+	base, nodes, _, setNow := cohChain(t, 3, 100000)
+	for i := 0; i < 3; i++ {
+		setNow(float64(10 * i))
+		get(t, base, 42)
+	}
+	if !nodes[0].Contains(42) {
+		t.Fatal("object not cached before the write")
+	}
+	setNow(30)
+	postInvalidate(t, nodes[2].Upstream, 42)
+	setNow(40)
+	get(t, base, 43)
+	if nodes[0].Contains(42) {
+		t.Fatal("node 0 still holds the invalidated copy")
+	}
+	bytesMatchDescriptors(t, nodes)
+}
+
+// TestTTLExpiryRefetches: under ModeTTL a copy past the view's lifetime
+// (3600 s) is refetched from upstream, never served, and its bytes leave
+// with it.
+func TestTTLExpiryRefetches(t *testing.T) {
+	base, nodes, setNow, _ := chainWith(t, 1, 100000, func(n *Node) { n.EnableCoherency(coherency.ModeTTL) })
+	for i := 0; i < 3; i++ {
+		setNow(float64(10 * i))
+		get(t, base, 42)
+	}
+	if !nodes[0].Contains(42) {
+		t.Fatal("object not cached")
+	}
+	setNow(5000)
+	if resp, _ := get(t, base, 42); resp.Header.Get(HeaderHit) != "origin" {
+		t.Fatalf("expired copy served by %q, want a refetch from the origin", resp.Header.Get(HeaderHit))
+	}
+	bytesMatchDescriptors(t, nodes)
+}
+
+// TestAdminInvalidateDropsSpilledCopy: a pushed invalidation that raises
+// the node's floor drops a spilled disk copy of the object too, so the
+// stale file does not hold disk-tier capacity until something reads it.
+func TestAdminInvalidateDropsSpilledCopy(t *testing.T) {
+	var mu sync.Mutex
+	now := 0.0
+	clock := func() float64 { mu.Lock(); defer mu.Unlock(); return now }
+	const objSize = 1000
+	o := &Origin{Size: func(model.ObjectID) int { return objSize }, Authority: coherency.NewAuthority()}
+	origin := httptest.NewServer(o)
+	t.Cleanup(origin.Close)
+	n := NewNode(1, origin.URL, 2.0, 3*objSize, 100, clock)
+	n.EnableCoherency(coherency.ModeCAS)
+	if err := n.EnableSpill(t.TempDir(), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(n)
+	t.Cleanup(srv.Close)
+	// Churn a working set larger than memory so NCL evictions spill.
+	for obj := 0; obj < 8; obj++ {
+		for k := 0; k < 5; k++ {
+			mu.Lock()
+			now = float64(obj*10 + k)
+			mu.Unlock()
+			get(t, srv.URL, obj)
+		}
+	}
+	spilled := model.ObjectID(-1)
+	for obj := model.ObjectID(0); obj < 8 && spilled < 0; obj++ {
+		if n.SpillContains(obj) && !n.Contains(obj) {
+			spilled = obj
+		}
+	}
+	if spilled < 0 {
+		t.Fatalf("no spilled-but-not-cached object found: %+v", n.BodyStats())
+	}
+	postInvalidate(t, srv.URL, int(spilled))
+	if n.SpillContains(spilled) {
+		t.Fatal("the spilled copy survived the invalidation that raised its floor")
+	}
+	bytesMatchDescriptors(t, []*Node{n})
+}
+
+// TestDrainMidFetchLandsInvalidationTail: a drain that lands while the
+// upstream fetch is in flight routes the node around, but the response's
+// invalidation tail still lands there: the floor rises and the PSI cursor
+// advances.
+func TestDrainMidFetchLandsInvalidationTail(t *testing.T) {
+	n := NewNode(1, "http://upstream.invalid", 2.0, 1<<20, 100, func() float64 { return 0 })
+	n.EnableCoherency(coherency.ModeCAS)
+	n.Client = &http.Client{Transport: stubUpstream(func(*http.Request) *http.Response {
+		rec := httptest.NewRecorder()
+		n.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/cascade/admin/drain", nil))
+		if rec.Code != http.StatusOK {
+			t.Errorf("drain inside RoundTrip: status %d", rec.Code)
+		}
+		h := http.Header{}
+		h.Set(HeaderHit, "origin")
+		h.Set(HeaderPenalty, "0")
+		h.Set(HeaderPlace, "1")
+		h.Set(HeaderInval, formatInval(5, []coherency.Invalidation{{Seq: 5, Obj: 9, Gen: 3}}))
+		return &http.Response{StatusCode: http.StatusOK, Header: h, ContentLength: 3,
+			Body: io.NopCloser(strings.NewReader("abc"))}
+	})}
+	rec := httptest.NewRecorder()
+	n.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/objects/7", nil))
+	if rec.Code != http.StatusOK || n.Contains(7) {
+		t.Fatalf("status %d, cached %v: want a relay", rec.Code, n.Contains(7))
+	}
+	if v := n.CoherencyView(); v.Floor(9) != 3 || v.Cursor() != 5 {
+		t.Fatalf("floor %d, cursor %d after the tail; want 3 and 5", v.Floor(9), v.Cursor())
+	}
+}

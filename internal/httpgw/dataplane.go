@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 
-	"cascade/internal/flightrec"
 	"cascade/internal/model"
 	"cascade/internal/span"
 	"cascade/internal/store"
@@ -68,16 +67,12 @@ func (n *Node) BodyStats() store.Stats {
 	return b.Stats()
 }
 
-// spillVictim moves an evicted object's payload to the disk tier (or drops
-// it without one). Caller holds n.mu.
-func (n *Node) spillVictim(v model.ObjectID, now float64) {
-	body, _, ok := n.bodies.GetMemory(v)
-	if !ok {
-		return
-	}
-	if n.bodies.Spill(v) {
-		n.flight.Record(flightrec.Event{Time: now, Node: n.ID, Kind: flightrec.KindSpill, Obj: v, Hop: -1, A: float64(len(body))})
-	}
+// CheckBytes reports a disagreement between the node's bytes and its
+// descriptors (engine.Hop.CheckBytes). For tests: quiesce the node first.
+func (n *Node) CheckBytes() error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.hop().CheckBytes()
 }
 
 // parsePenalty decodes an X-Cascade-Penalty value with an explicit ok

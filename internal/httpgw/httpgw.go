@@ -18,10 +18,10 @@
 // longer than maxPathEntries.
 //
 // A request's two passes are observable from its span trace (EnableSpans,
-// /cascade/debug/spans): the node annotates its up span with the (f, l)
-// record it piggybacked and its down span with the miss-penalty counter it
-// observed and what it did with the copy; engine.Decide annotates the
-// decide span.
+// /cascade/debug/spans): the engine's hop step annotates the node's up span
+// with the (f, l) record it piggybacked and its down span with the
+// miss-penalty counter it observed and what it did with the copy;
+// engine.Decide annotates the decide span.
 //
 // The package demonstrates that the scheme deploys over a real transport
 // with self-describing messages — no out-of-band control channel — and is
@@ -433,12 +433,6 @@ func decideObserved(entries []engine.Candidate, obj model.ObjectID, now float64,
 	return ids, predict
 }
 
-// decide runs decideObserved with this node as the decision site.
-func (n *Node) decide(entries []engine.Candidate, obj model.ObjectID, now float64,
-	tsp *span.Trace, parent span.SpanID) ([]model.NodeID, []predictTerm) {
-	return decideObserved(entries, obj, now, n.auditor, n.ID, tsp, parent)
-}
-
 func formatPlacement(chosen []model.NodeID) string {
 	parts := make([]string, len(chosen))
 	for i, id := range chosen {
@@ -521,8 +515,9 @@ func objectID(r *http.Request) (model.ObjectID, error) {
 	return model.ObjectID(h.Sum64() >> 1), nil
 }
 
-// ServeHTTP implements the node's request/response protocol. A request
-// offering a hop connection is answered on one (hop.go).
+// ServeHTTP implements the node's request/response protocol: decode, the
+// engine's up step, the upstream exchange, the engine's down step, encode.
+// A request offering a hop connection is answered on one (hop.go).
 func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get("Upgrade") == hopProtocol && n.hops.accept(w, r, n) {
 		return
@@ -533,317 +528,284 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	now := n.Clock()
-
-	if r.URL.Path == "/cascade/stats" {
-		n.serveStats(w)
+	if n.serveControl(w, r, now) {
 		return
 	}
-	if r.URL.Path == "/cascade/metrics" {
-		n.MetricsHandler().ServeHTTP(w, r)
-		return
-	}
-	if r.URL.Path == "/cascade/debug/flight" {
-		n.serveFlight(w)
-		return
-	}
-	if r.URL.Path == "/cascade/debug/spans" {
-		n.serveSpans(w)
-		return
-	}
-	if r.URL.Path == "/cascade/health" {
-		n.serveHealth(w)
-		return
-	}
-	if strings.HasPrefix(r.URL.Path, "/cascade/admin/") {
-		n.serveAdmin(w, r, now)
-		return
-	}
-
 	if h := n.reqHist; h != nil {
 		start := n.Clock()
 		defer func() { h.Record(n.Clock() - start) }()
 	}
-
-	// A segment request (Range + X-Cascade-Segment) targets one slice of a
-	// large object; the slice is a first-class object to the protocol, so
-	// rewrite the identity and proceed exactly as for any other object —
-	// except in matters of freshness, which stay the base object's: writers
-	// name the base, so generations and floors are read under base.
-	seg, segErr := parseSegmentRequest(r.Header)
-	if segErr != nil {
-		n.badSegment.Add(1)
-		http.Error(w, segErr.Error(), http.StatusBadRequest)
+	g, ok := n.decodeGet(w, r, obj, now)
+	if !ok {
 		return
 	}
-	base := obj
-	if seg.on {
-		obj = store.SegmentID(base, seg.idx)
-	}
-
-	// The request's read floor (ModeCAS: the generation the response must
-	// meet or beat) — or, on a segment request, the generation its
-	// reassembly pinned, which a copy must equal (servable). Malformed:
-	// counted, then zero-defaulted explicitly — a garbled floor weakens
-	// freshness, never availability.
-	floor, okGen := parseGen(r.Header.Get(HeaderGen))
-	if !okGen {
-		n.badGen.Add(1)
-	}
-
-	// The piggybacked path is decoded once, ahead of every protocol step: a
-	// malformed or over-long one is refused before it can cost a lookup, a
-	// decision or a span — and only a path that decoded cleanly contributes
-	// the span context the node joins below.
-	entries, spanCtx, perr := parseIncomingPath(r.Header)
-	if perr != nil {
-		n.badPath.Add(1)
-		http.Error(w, perr.Error(), http.StatusBadRequest)
-		return
-	}
-
 	// Span tracing: the edge node mints the trace, inner hops join the
 	// context the downstream forwarded. Collect runs on every exit —
 	// tail-sampling decides there whether the local spans reach the ring.
-	tsp, parent := n.beginSpan(spanCtx, now)
-	hop := len(entries)
-	if tsp != nil {
-		defer func() { n.tracer.Collect(tsp, n.Clock(), n.ringOf) }()
+	g.tsp, g.parent = n.beginSpan(g.spanCtx, now)
+	if g.tsp != nil {
+		defer func() { n.tracer.Collect(g.tsp, n.Clock(), n.ringOf) }()
 	}
-
 	// A reassembly whose pinned generation was overtaken before its first
-	// payload byte starts the GET over from here, its marker forgotten.
-	restarts := 0
-lookup:
-	// ---- Local hit? ----
-	n.mu.Lock()
-	// Draining or departed: pure relay, no protocol participation. The
-	// check shares the hit path's critical section so no request can read
-	// the store on one side of a drain and take protocol steps on the
-	// other. A relay hop records no spans — like a routed-around cluster
-	// hop — so it forwards the incoming context unchanged (passThrough).
-	if n.member != controlplane.Active {
-		n.mu.Unlock()
-		n.passThrough(w, r, entries, spanCtx, restarts)
-		return
+	// payload byte starts the GET over, its marker forgotten.
+	for restarts := 0; n.serveGet(w, r, &g, restarts); restarts++ {
 	}
-	lk := tsp.Start(span.PhaseLookup, n.ID, hop, parent, now)
-	if hop == 0 && !seg.on {
-		// A large object this client-facing node has reassembled before?
-		// While the remembered marker is not below the read floor (nor past
-		// the freshness budget) the segment requests start at once; a stale
-		// one is dropped and the GET walks upstream for its successor.
-		if m, ok := n.markers[base]; ok {
-			if m.gen >= n.readFloor(base, floor) && !(n.TTL > 0 && now-m.fetched > n.TTL) {
-				n.mu.Unlock()
-				tsp.End(lk, n.Clock())
-				if n.serveSegmented(w, r, base, m, true, restarts, tsp) {
-					restarts++
-					goto lookup
-				}
-				return
-			}
-			delete(n.markers, base)
+}
+
+// serveControl answers the node's operational endpoints and reports whether
+// r asked for one.
+func (n *Node) serveControl(w http.ResponseWriter, r *http.Request, now float64) bool {
+	switch r.URL.Path {
+	case "/cascade/stats":
+		n.serveStats(w)
+	case "/cascade/metrics":
+		n.MetricsHandler().ServeHTTP(w, r)
+	case "/cascade/debug/flight":
+		n.serveFlight(w)
+	case "/cascade/debug/spans":
+		n.serveSpans(w)
+	case "/cascade/health":
+		n.serveHealth(w)
+	default:
+		if !strings.HasPrefix(r.URL.Path, "/cascade/admin/") {
+			return false
 		}
+		n.serveAdmin(w, r, now)
 	}
-	if n.st.Contains(obj) {
-		body, meta, okBody := n.bodies.GetMemory(obj)
-		stale := n.TTL > 0 && now-meta.Fetched > n.TTL
-		readFloor := n.readFloor(base, floor)
-		switch {
-		case okBody && !servable(meta.Gen, readFloor, seg, floor):
-			// The generation floor moved past this copy (an applied
-			// invalidation, or the request's CAS floor), or it is a segment
-			// at another generation than its reassembly pinned: the bytes
-			// are history, not merely old, so no revalidation can resurrect
-			// them. Self-heal to a miss — demote the descriptor, drop the
-			// payload — and refetch at the current generation.
-			n.st.Demote(obj, now)
-			n.bodies.Delete(obj)
-			n.recordStaleHit(obj, meta.Gen, readFloor, false, now)
-			tsp.Force(span.FlagStale)
-		case okBody && !stale:
-			n.hits++
-			// Lookup (rather than a bare Touch) books the hit's realized
-			// saving in the ledger.
-			n.st.Lookup(obj, now)
-			n.mu.Unlock()
-			tsp.End(lk, n.Clock())
-			chosen, predict := n.decide(entries, obj, now, tsp, parent)
-			writeDecision(w.Header(), decision{place: chosen, predict: predict, gen: meta.Gen})
-			w.Header().Set(HeaderPenalty, "0")
-			w.Header().Set(HeaderHit, strconv.Itoa(int(n.ID)))
-			if meta.ETag != "" {
-				w.Header().Set("ETag", meta.ETag)
-			}
-			writeBody(w, seg, body)
-			return
-		case okBody:
-			// Expired: revalidate upstream with the stored validator. A 304
-			// refreshes the copy; a 200 replaces it below.
-			n.mu.Unlock()
-			if n.revalidate(w, r, obj, seg, meta.ETag, body, meta.Gen, now) {
-				return
-			}
-			n.mu.Lock()
-		default:
-			// Descriptor without payload (a snapshot restored more
-			// descriptors than bodies): demote and refetch as a miss.
-			n.st.Demote(obj, now)
-		}
-	}
+	return true
+}
 
-	// ---- Disk-tier hit? The descriptor left the main store with an NCL
-	// eviction but the data plane spilled the bytes: serve them without an
-	// upstream fetch and promote the copy behind a fresh insertion. ----
-	if dbody, dmeta, src := n.bodies.Get(obj); src == store.SrcDisk {
-		serveDisk := true
-		if fl := n.readFloor(base, floor); !servable(dmeta.Gen, fl, seg, floor) {
-			// The store's MinGen oracle already screens spill files against
-			// the node floor; the request's CAS floor can sit above it, a
-			// segment's floor is its base's and its pin is exact, so all
-			// three are enforced here. Either way the copy is history.
-			n.bodies.Delete(obj)
-			n.recordStaleHit(obj, dmeta.Gen, fl, false, now)
-			tsp.Force(span.FlagStale)
-			serveDisk = false
-		} else if stale := n.TTL > 0 && now-dmeta.Fetched > n.TTL; stale {
-			// The spilled copy outlived its freshness budget; drop it and
-			// take the regular miss path.
-			n.bodies.Delete(obj)
-			serveDisk = false
-		}
-		if serveDisk {
-			out, victims := n.st.PromoteUnder(obj, base, int64(len(dbody)), dmeta.Gen, now, nil)
-			if out.Stale {
-				// The engine's backstop: the node floor moved between the
-				// disk read and the promote. Not servable.
-				n.bodies.Delete(obj)
-			} else {
-				if out.Placed {
-					n.bodies.Promote(obj, dbody, dmeta)
-					n.promotions++
-					for _, v := range victims {
-						n.spillVictim(v, now)
-					}
-				}
-				n.hits++
-				n.spillHits++
-				n.mu.Unlock()
-				tnow := n.Clock()
-				tsp.End(lk, tnow)
-				psp := tsp.Start(span.PhasePromote, n.ID, hop, parent, tnow)
-				tsp.End(psp, tnow)
-				chosen, predict := n.decide(entries, obj, now, tsp, parent)
-				writeDecision(w.Header(), decision{place: chosen, predict: predict, gen: dmeta.Gen})
-				w.Header().Set(HeaderPenalty, "0")
-				w.Header().Set(HeaderHit, strconv.Itoa(int(n.ID)))
-				if dmeta.ETag != "" {
-					w.Header().Set("ETag", dmeta.ETag)
-				}
-				writeBody(w, seg, dbody)
-				return
-			}
-		}
-	}
+// getReq is one GET as the node decoded it; it holds across reassembly
+// restarts.
+type getReq struct {
+	// obj is the identity the node caches, base the one writers name: a
+	// segment request's object is one slice of base.
+	obj, base model.ObjectID
+	seg       segInfo
+	// gen is the request's X-Cascade-Gen: its read floor (ModeCAS: the
+	// generation the response must meet or beat) — or, on a segment
+	// request, the generation its reassembly pinned, which a copy must
+	// equal.
+	gen     uint64
+	entries []engine.Candidate // the piggybacked path below this node
+	spanCtx span.Ctx           // the trace context that arrived with it
+	now     float64
 
-	// ---- Miss: extend the piggyback header and forward upstream. ----
-	// The object's size is unknown on the way up; UpMiss falls back to
-	// the descriptor's recorded size for the cost-loss estimate. The hop
-	// index is assigned positionally by each parse, so -1 here.
-	n.misses++
-	entry := n.st.UpMiss(obj, 0, -1, n.UpCost, now)
-	n.mu.Unlock()
-	tsp.End(lk, n.Clock())
+	tsp    *span.Trace
+	parent span.SpanID
+}
 
-	// The up span covers the whole upstream exchange; the context forwarded
-	// on the wire parents the next hop's spans on it, so the cross-node tree
-	// links exactly as the in-process incarnations do.
-	upsp := tsp.Start(span.PhaseUp, n.ID, hop, parent, n.Clock())
-	tsp.Annotate(upsp, entry.Freq, entry.CostLoss, int(entry.Tag))
+// hop is the node's index on the request's path: the hops below it.
+func (g *getReq) hop() int { return len(g.entries) }
 
-	up, err := http.NewRequestWithContext(r.Context(), http.MethodGet, n.Upstream+r.URL.Path, nil)
+// decodeGet reads a GET's protocol headers, refusing with 400 what it
+// cannot use.
+func (n *Node) decodeGet(w http.ResponseWriter, r *http.Request, obj model.ObjectID, now float64) (g getReq, ok bool) {
+	// A segment request (Range + X-Cascade-Segment) targets one slice of a
+	// large object; the slice is a first-class object to the protocol, so
+	// the identity is rewritten and the request proceeds exactly as for any
+	// other object — except in matters of freshness, which stay the base
+	// object's: writers name the base, so generations and floors are read
+	// under base.
+	seg, err := parseSegmentRequest(r.Header)
 	if err != nil {
-		tsp.Force(span.FlagError)
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
+		n.badSegment.Add(1)
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return g, false
 	}
-	writePath(up.Header, append(entries, entry), tsp.Ctx(upsp))
+	g.obj, g.base, g.seg, g.now = obj, obj, seg, now
 	if seg.on {
-		forwardSegment(up.Header, r.Header)
-	} else if fl := n.readFloor(base, floor); fl > 0 {
-		// Forward the read floor, raised to this node's own: an upstream
-		// hit may not serve below what any hop on the path knows to be
-		// invalidated.
-		up.Header.Set(HeaderGen, strconv.FormatUint(fl, 10))
+		g.obj = store.SegmentID(obj, seg.idx)
 	}
+	// A malformed generation is counted, then zero-defaulted explicitly — a
+	// garbled floor weakens freshness, never availability.
+	if g.gen, ok = parseGen(r.Header.Get(HeaderGen)); !ok {
+		n.badGen.Add(1)
+	}
+	// The piggybacked path is decoded once, ahead of every protocol step: a
+	// malformed or over-long one is refused before it can cost a lookup, a
+	// decision or a span — and only a path that decoded cleanly contributes
+	// the span context the node joins.
+	if g.entries, g.spanCtx, err = parseIncomingPath(r.Header); err != nil {
+		n.badPath.Add(1)
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return g, false
+	}
+	return g, true
+}
 
-	resp, err := n.fetchUpstream(up)
-	if err != nil {
-		// Upstream chain unreachable: fall back to the origin when one
-		// is configured, else fail conventionally.
+// hop is the node as the engine's steps see it. Caller holds n.mu.
+func (n *Node) hop() engine.Hop { return engine.Hop{St: n.st, Tier: n.bodies} }
+
+// serveGet takes the node's up step for a GET and answers it: from the
+// node's copy, or through the upstream exchange. It reports whether the GET
+// must start over (serveSegmented).
+func (n *Node) serveGet(w http.ResponseWriter, r *http.Request, g *getReq, restarts int) (restart bool) {
+	for {
+		n.mu.Lock()
+		// Draining or departed: pure relay, no protocol participation. The
+		// check shares the step's critical section, so no request reads
+		// the store on one side of a drain and takes protocol steps on the
+		// other.
+		if n.member != controlplane.Active {
+			n.mu.Unlock()
+			return n.exchange(w, r, g, nil, nil, restarts)
+		}
+		if m, ok := n.rememberedMarker(g); ok {
+			n.mu.Unlock()
+			lk := g.tsp.Start(span.PhaseLookup, n.ID, 0, g.parent, g.now)
+			g.tsp.End(lk, n.Clock())
+			return n.serveSegmented(w, r, g.base, m, true, restarts, g.tsp)
+		}
+		q := engine.Req{
+			Obj: g.obj, FloorObj: g.base, Now: g.now, Clock: n.Clock,
+			Floor: g.gen, Pin: g.gen, Pinned: g.seg.on, MaxAge: n.TTL,
+			Trace: g.tsp, Audit: n.auditor,
+		}
+		var up engine.UpResult
+		engine.Up(n.hop(), &q, g.hop(), n.UpCost, g.parent, &up)
+		switch {
+		case up.FromTier:
+			n.hits++
+			n.spillHits++
+			if up.Promoted {
+				n.promotions++
+			}
+		case up.Hit:
+			n.hits++
+		case !up.Revalidate:
+			n.misses++
+		}
+		n.mu.Unlock()
+		switch {
+		case up.Hit:
+			n.serveHit(w, g, &up)
+			return false
+		case !up.Revalidate:
+			return n.exchange(w, r, g, &q, &up, restarts)
+		}
+		// Older than Node.TTL: revalidate upstream with the stored
+		// validator. A 304 refreshes the copy; anything else drops it, and
+		// the step runs again, a miss.
+		if n.revalidate(w, r, g, &up) {
+			return false
+		}
+	}
+}
+
+// rememberedMarker returns the segmented marker this client-facing node
+// remembers for a plain GET's object, while it is not below the read floor
+// nor older than Node.TTL; a stale one is dropped, and the GET walks
+// upstream for its successor. Caller holds n.mu.
+func (n *Node) rememberedMarker(g *getReq) (segMarker, bool) {
+	if g.hop() != 0 || g.seg.on {
+		return segMarker{}, false
+	}
+	m, ok := n.markers[g.base]
+	if !ok {
+		return m, false
+	}
+	if m.gen >= n.st.ReadFloor(g.base, g.gen) && !(n.TTL > 0 && g.now-m.fetched > n.TTL) {
+		return m, true
+	}
+	delete(n.markers, g.base)
+	return segMarker{}, false
+}
+
+// serveHit answers from the node's own copy: the decision over the path
+// below it, then the bytes.
+func (n *Node) serveHit(w http.ResponseWriter, g *getReq, up *engine.UpResult) {
+	chosen, predict := decideObserved(g.entries, g.obj, g.now, n.auditor, n.ID, g.tsp, g.parent)
+	h := w.Header()
+	writeDecision(h, decision{place: chosen, predict: predict, gen: up.Gen})
+	h.Set(HeaderPenalty, "0")
+	h.Set(HeaderHit, strconv.Itoa(int(n.ID)))
+	if up.Meta.ETag != "" {
+		h.Set("ETag", up.Meta.ETag)
+	}
+	writeBody(w, g.seg, up.Body)
+}
+
+// exchange forwards a GET the node did not answer and finishes it with the
+// answer. q and up are the node's up step; without them the node is routed
+// around (draining or departed): it appends a "no descriptor" path entry so
+// the decision sees only its link cost, forwards the trace context, the
+// validator and the read floor as they came, records no spans and takes no
+// down step — the wire image of the cluster routing around a hop. One
+// thing a routed-around hop still does itself: when it is the client-facing
+// hop and the answer is a segmented marker, it reassembles — the client
+// asked for a body. It reports whether the GET must start over.
+func (n *Node) exchange(w http.ResponseWriter, r *http.Request, g *getReq, q *engine.Req, up *engine.UpResult, restarts int) (restart bool) {
+	var tsp *span.Trace
+	var upsp span.SpanID
+	entry, ctx := engine.Candidate{Node: n.ID, Tag: engine.TagNoDescriptor, Link: n.UpCost}, g.spanCtx
+	if q != nil {
+		// The up span covers the whole exchange; the context forwarded on
+		// the wire parents the next hop's spans on it.
+		tsp, upsp = g.tsp, up.Span
+		entry, ctx = up.Cand, tsp.Ctx(upsp)
+	}
+	fail := func() {
 		tsp.Force(span.FlagError)
 		tsp.End(upsp, n.Clock())
-		if n.serveDegraded(w, r) {
-			return
-		}
+	}
+	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, n.Upstream+r.URL.Path, nil)
+	if err != nil {
+		fail()
 		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
+		return false
+	}
+	writePath(req.Header, append(g.entries, entry), ctx)
+	if tag := r.Header.Get("If-None-Match"); tag != "" && q == nil {
+		req.Header.Set("If-None-Match", tag)
+	}
+	switch {
+	case g.seg.on:
+		forwardSegment(req.Header, r.Header)
+	case q == nil:
+		if fl := r.Header.Get(HeaderGen); fl != "" {
+			req.Header.Set(HeaderGen, fl)
+		}
+	case up.Floor > 0:
+		// The read floor, raised to this node's own: an upstream hit may
+		// not serve below what any hop on the path knows to be invalidated.
+		req.Header.Set(HeaderGen, strconv.FormatUint(up.Floor, 10))
+	}
+
+	resp, err := n.fetchUpstream(req)
+	if err != nil {
+		// Upstream chain unreachable: fall back to the origin when one is
+		// configured, else fail conventionally.
+		fail()
+		if !n.serveDegraded(w, r) {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+		}
+		return false
 	}
 	defer resp.Body.Close()
-	if resp.Header.Get(HeaderSegmented) != "" && !seg.on && resp.StatusCode == http.StatusOK {
-		// The upstream declared the object segmented (bodiless marker, no
-		// placement anywhere — the base identity carries no protocol
-		// state). A mid-chain hop relays the marker and its generation
-		// toward the client; the client-facing hop (empty incoming path)
-		// validates and remembers them, fans out the per-segment Range
-		// requests through its own protocol stack and reassembles.
+	if !g.seg.on && resp.StatusCode == http.StatusOK && resp.Header.Get(HeaderSegmented) != "" {
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck
 		tsp.End(upsp, n.Clock())
-		if hop > 0 {
-			relayMarker(w.Header(), resp.Header)
-			return
-		}
-		m, ok := n.acceptMarker(w, resp.Header, n.Clock())
-		if !ok {
-			tsp.Force(span.FlagError)
-			return
-		}
-		n.mu.Lock()
-		if n.member == controlplane.Active {
-			n.rememberMarker(base, m)
-		}
-		n.mu.Unlock()
-		if n.serveSegmented(w, r, base, m, false, restarts, tsp) {
-			restarts++
-			goto lookup
-		}
-		return
+		return n.segmentedAnswer(w, r, g, resp, tsp, restarts)
 	}
-	if resp.StatusCode != http.StatusOK && !(seg.on && resp.StatusCode == http.StatusPartialContent) {
-		tsp.Force(span.FlagError)
-		tsp.End(upsp, n.Clock())
+	if resp.StatusCode != http.StatusOK && !(g.seg.on && resp.StatusCode == http.StatusPartialContent) {
+		fail()
 		w.WriteHeader(resp.StatusCode)
 		copyStream(w, resp.Body) //nolint:errcheck
-		return
+		return false
 	}
-
-	// ---- Response pass: maintain penalty counter, cache if chosen. ----
 	// prev is the counter as it left the upstream node — the miss-penalty
-	// audit's reference value; crossing the link adds its cost.
+	// audit's reference value. A malformed one is counted and zeroed.
 	prev, okPen := parsePenalty(resp.Header.Get(HeaderPenalty))
 	if !okPen {
-		// Malformed counter: count it and fall back to zero explicitly.
 		n.badPenalty.Add(1)
 		prev = 0
 	}
-	mp := prev + n.UpCost
-
-	dec, derr := parseDecision(resp.Header)
-	if derr != nil {
-		tsp.Force(span.FlagError)
-		tsp.End(upsp, n.Clock())
-		http.Error(w, derr.Error(), http.StatusBadGateway)
-		return
+	dec, err := parseDecision(resp.Header)
+	if err != nil {
+		fail()
+		http.Error(w, err.Error(), http.StatusBadGateway)
+		return false
 	}
 	if dec.badGen {
 		n.badGen.Add(1)
@@ -851,89 +813,112 @@ lookup:
 	if dec.badInval {
 		n.badInval.Add(1)
 	}
-
-	now = n.Clock()
-	// The origin's piggybacked invalidation tail lands before this node's
-	// DownStep, so a placement instruction issued at the pre-write
-	// generation is caught by the freshly raised floor — and it lands
-	// whether or not this node was chosen.
-	if len(dec.inval) > 0 || dec.invHead != 0 {
-		csp := tsp.Start(span.PhaseCoherency, n.ID, hop, upsp, now)
-		n.applyInval(dec.inval, dec.invHead, now)
-		tsp.End(csp, n.Clock())
-	} else {
-		n.applyInval(dec.inval, dec.invHead, now)
-	}
-	if !placed(dec.place, n.ID) {
-		// The decision did not choose this node: the bytes only pass
-		// through, so stream them client-ward instead of buffering the
-		// whole object.
-		n.relayStream(w, resp, seg, dec, obj, prev, mp, now, tsp, upsp, hop)
-		return
-	}
-
-	// Chosen as a caching point: the node must hold the bytes anyway, so
-	// buffer the payload and keep the DownStep and the body-store insert in
-	// one critical section.
-	body, err := readBody(resp, n.capacity)
-	if err != nil {
-		tsp.Force(span.FlagError)
-		tsp.End(upsp, n.Clock())
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	n.mu.Lock()
-	if n.member != controlplane.Active {
-		// A drain landed while the fetch was in flight (the
-		// cluster's epoch guard has no analogue on this transport — the
-		// fetch runs outside the lock). A departed node takes no placement
-		// and books no ledger claim: finish as a relay, link cost folded.
-		n.mu.Unlock()
-		tsp.End(upsp, n.Clock())
-		writeMissTail(w.Header(), resp, dec, mp)
-		writeBody(w, seg, body)
-		return
-	}
-	dn := tsp.Start(span.PhaseDown, n.ID, hop, upsp, now)
-	// The decision site shipped this node's predicted Δcost term next
-	// to the placement instruction; book the claim here, where the
-	// realized savings will accumulate, so the node's ledger is
-	// self-contained. Booked per instruction, before the apply — a
-	// store that cannot make room shows up as a place failure against
-	// a recorded prediction, exactly the drift the ledger exists to
-	// expose.
-	if term, ok := predictFor(dec.predict, n.ID); ok {
-		n.ledger.RecordPrediction(n.ID, term)
-	}
-	res, evicted := n.st.DownStepUnder(obj, base, int64(len(body)), true, mp, dec.gen, now, nil, nil)
-	tsp.Annotate(dn, mp, float64(len(evicted)), span.DownOutcome(res.Placed, res.PlaceFailed))
-	n.auditor.CheckPenaltyStep(nil, n.ID, obj, -1, prev, mp, res.MP, res.Placed)
-	if res.Placed {
-		n.inserts++
-		bsp := tsp.Start(span.PhaseBody, n.ID, hop, dn, now)
-		n.bodies.Put(obj, body, store.Meta{ETag: resp.Header.Get("ETag"), Fetched: now, Gen: dec.gen})
-		// DownStep already demoted the victims' descriptors; their
-		// payloads spill to the disk tier (or drop without one).
-		for _, v := range evicted {
-			n.spillVictim(v, now)
-		}
-		tsp.End(bsp, now)
-	}
-	n.mu.Unlock()
-	mp = res.MP
-	tnow := n.Clock()
-	tsp.End(dn, tnow)
-	tsp.End(upsp, tnow)
-
-	writeMissTail(w.Header(), resp, dec, mp)
-	writeBody(w, seg, body)
+	n.finishMiss(w, resp, g, q, upsp, dec, prev)
+	return false
 }
 
-// writeMissTail writes what every miss tail — placed, relayed, relayed
-// because a drain landed mid-fetch, or passed through a drained hop —
-// forwards to the hop below: the decision, the outgoing penalty counter,
-// the serving node and the upstream validator (a hop that stores the body
-// without it cannot revalidate conditionally).
+// segmentedAnswer handles an upstream's bodiless segmented marker (no
+// placement anywhere — the base identity carries no protocol state). A
+// mid-chain hop relays it and its generation toward the client; the
+// client-facing hop validates and remembers them, fans out the per-segment
+// Range requests through its own protocol stack and reassembles. It reports
+// whether the GET must start over.
+func (n *Node) segmentedAnswer(w http.ResponseWriter, r *http.Request, g *getReq, resp *http.Response, tsp *span.Trace, restarts int) bool {
+	if g.hop() > 0 {
+		relayMarker(w.Header(), resp.Header)
+		return false
+	}
+	m, ok := n.acceptMarker(w, resp.Header, n.Clock())
+	if !ok {
+		tsp.Force(span.FlagError)
+		return false
+	}
+	n.mu.Lock()
+	if n.member == controlplane.Active {
+		n.rememberMarker(g.base, m)
+	}
+	n.mu.Unlock()
+	return n.serveSegmented(w, r, g.base, m, false, restarts, tsp)
+}
+
+// finishMiss takes the node's down step on an upstream answer — if it took
+// the up step — and relays the answer on. A node the decision chose must
+// hold the bytes anyway, so it reads them whole and the step stores them;
+// otherwise they stream through — socket to socket in the kernel when they
+// arrive on a hop connection, else through a pooled buffer — so a relay hop
+// never holds a full object.
+func (n *Node) finishMiss(w http.ResponseWriter, resp *http.Response, g *getReq, q *engine.Req, upsp span.SpanID, dec decision, prev float64) {
+	mp := prev + n.UpCost
+	place := q != nil && placed(dec.place, n.ID)
+	var body []byte
+	if place {
+		var err error
+		if body, err = readBody(resp, n.capacity); err != nil {
+			q.Trace.Force(span.FlagError)
+			q.Trace.End(upsp, n.Clock())
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+	}
+	if q != nil {
+		mp = n.downStep(q, g.hop(), upsp, dec, place, prev, mp, body, resp)
+	}
+	writeMissTail(w.Header(), resp, dec, mp)
+	if body != nil {
+		writeBody(w, g.seg, body)
+		return
+	}
+	if resp.ContentLength >= 0 {
+		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
+	}
+	if resp.StatusCode == http.StatusPartialContent {
+		if cr := resp.Header.Get("Content-Range"); cr != "" {
+			w.Header().Set("Content-Range", cr)
+		}
+		w.WriteHeader(http.StatusPartialContent)
+	}
+	n.relay(w, resp.Body)
+}
+
+// downStep takes the engine's down step for a miss under n.mu and returns
+// the penalty counter the response carries on. A drain that landed while
+// the fetch was in flight — the fetch runs outside the lock, and this
+// transport has no epoch guard — routes the node around instead: the
+// invalidation tail still lands, but no placement, no ledger claim, the
+// link folded into the counter.
+func (n *Node) downStep(q *engine.Req, hop int, upsp span.SpanID, dec decision, place bool, prev, mp float64, body []byte, resp *http.Response) float64 {
+	q.Now, q.Gen, q.Tail, q.Head = n.Clock(), dec.gen, dec.inval, dec.invHead
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.member != controlplane.Active {
+		n.hop().Land(q, hop, upsp)
+		q.Trace.End(upsp, n.Clock())
+		return mp
+	}
+	q.Size = max(resp.ContentLength, 0)
+	if place {
+		q.Size = int64(len(body))
+		// The decision site shipped this node's predicted Δcost term next to
+		// the placement instruction; book the claim here, where the realized
+		// savings will accumulate, so the node's ledger is self-contained.
+		// Booked per instruction, before the step — a store that cannot make
+		// room shows up as a place failure against a recorded prediction,
+		// exactly the drift the ledger exists to expose.
+		if term, ok := predictFor(dec.predict, n.ID); ok {
+			n.ledger.RecordPrediction(n.ID, term)
+		}
+	}
+	out := engine.Down(n.hop(), q, hop, upsp, place, prev, mp, body, resp.Header.Get("ETag"))
+	if out.Placed {
+		n.inserts++
+	}
+	return out.MP
+}
+
+// writeMissTail writes what every miss tail — placed, relayed, or passed
+// through a routed-around hop — forwards to the hop below: the decision, the
+// outgoing penalty counter, the serving node and the upstream validator (a
+// hop that stores the body without it cannot revalidate conditionally).
 func writeMissTail(h http.Header, resp *http.Response, dec decision, mp float64) {
 	writeDecision(h, dec)
 	h.Set(HeaderPenalty, fmtFloat(mp))
@@ -941,49 +926,6 @@ func writeMissTail(h http.Header, resp *http.Response, dec decision, mp float64)
 	if tag := resp.Header.Get("ETag"); tag != "" {
 		h.Set("ETag", tag)
 	}
-}
-
-// relayStream finishes a miss whose decision did not choose this node: the
-// non-place DownStep maintains the d-cache and penalty counter, the
-// decision is written on for this side's client, and the body is
-// streamed straight through — socket to socket in the kernel when it
-// arrives on a hop connection, else through a pooled buffer — so a relay
-// hop never holds a full object. size for the d-cache descriptor comes
-// from Content-Length (every protocol hop sets it explicitly).
-func (n *Node) relayStream(w http.ResponseWriter, resp *http.Response, seg segInfo,
-	dec decision, obj model.ObjectID,
-	prev, mp float64, now float64, tsp *span.Trace, upsp span.SpanID, hop int) {
-	size := resp.ContentLength
-	if size < 0 {
-		size = 0
-	}
-	outMP := mp
-	var dn span.SpanID
-	n.mu.Lock()
-	active := n.member == controlplane.Active
-	if active {
-		dn = tsp.Start(span.PhaseDown, n.ID, hop, upsp, now)
-		res, _ := n.st.DownStep(obj, size, false, mp, dec.gen, -1, now, nil)
-		tsp.Annotate(dn, mp, 0, span.DownOutcome(res.Placed, res.PlaceFailed))
-		n.auditor.CheckPenaltyStep(nil, n.ID, obj, -1, prev, mp, res.MP, res.Placed)
-		outMP = res.MP
-	}
-	n.mu.Unlock()
-	tnow := n.Clock()
-	tsp.End(dn, tnow)
-	tsp.End(upsp, tnow)
-
-	writeMissTail(w.Header(), resp, dec, outMP)
-	if resp.ContentLength >= 0 {
-		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
-	}
-	if seg.on && resp.StatusCode == http.StatusPartialContent {
-		if cr := resp.Header.Get("Content-Range"); cr != "" {
-			w.Header().Set("Content-Range", cr)
-		}
-		w.WriteHeader(http.StatusPartialContent)
-	}
-	n.relay(w, resp.Body)
 }
 
 // relay streams a body this node only passes on (copyStream) and counts its
@@ -999,81 +941,74 @@ func (n *Node) relay(w io.Writer, body io.Reader) {
 	}
 }
 
-// revalidate issues a conditional GET upstream for an expired copy. It
-// reports whether it fully served the response (true on 304 or transport
-// error); a false return means the caller should fall through to the
-// regular miss path (the upstream returned fresh content or the copy is
-// simply gone).
-func (n *Node) revalidate(w http.ResponseWriter, r *http.Request, obj model.ObjectID, seg segInfo, tag string, body []byte, gen uint64, now float64) bool {
-	up, err := http.NewRequestWithContext(r.Context(), http.MethodGet, n.Upstream+r.URL.Path, nil)
+// revalidate issues a conditional GET upstream for the copy up, older than
+// Node.TTL, and reports whether it answered: from the copy on a 304, or —
+// stale-if-error — while the upstream is unreachable. Anything else drops
+// the copy, and the caller takes the step again, a miss.
+func (n *Node) revalidate(w http.ResponseWriter, r *http.Request, g *getReq, up *engine.UpResult) bool {
+	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, n.Upstream+r.URL.Path, nil)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return true
 	}
-	if tag != "" {
-		up.Header.Set("If-None-Match", tag)
+	if up.Meta.ETag != "" {
+		req.Header.Set("If-None-Match", up.Meta.ETag)
 	}
-	if seg.on {
-		forwardSegment(up.Header, r.Header)
+	if g.seg.on {
+		forwardSegment(req.Header, r.Header)
 	}
-	resp, err := n.fetchUpstream(up)
-	if err != nil {
-		// Stale-if-error: an unreachable upstream is no reason to fail a
-		// request we can answer from the expired copy. Serve it marked
-		// degraded — and as an explicit freshness decision: the stale-hit
-		// record carries N:0 (served by policy, not dropped) so degraded
-		// serving is auditable, not silent.
-		n.mu.Lock()
-		n.degraded++
-		n.hits++
-		n.st.Touch(obj, now)
-		n.mu.Unlock()
-		n.recordStaleHit(obj, gen, 0, true, now)
-		w.Header().Set(HeaderDegraded, "1")
-		w.Header().Set(HeaderPenalty, "0")
-		w.Header().Set(HeaderHit, strconv.Itoa(int(n.ID)))
-		if gen != 0 {
-			w.Header().Set(HeaderGen, strconv.FormatUint(gen, 10))
-		}
-		if tag != "" {
-			w.Header().Set("ETag", tag)
-		}
-		writeBody(w, seg, body)
-		return true
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotModified {
-		// Fresh content came back (or an error): drop the stale copy
-		// and let the regular miss path refetch and re-decide.
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		n.mu.Lock()
-		n.st.Demote(obj, now)
-		n.bodies.Delete(obj)
-		n.mu.Unlock()
-		return false
+	resp, err := n.fetchUpstream(req)
+	if err == nil {
+		defer resp.Body.Close()
 	}
 	n.mu.Lock()
-	n.revalidations++
-	n.hits++
-	if b, m, ok := n.bodies.GetMemory(obj); ok {
-		m.Fetched = now
-		n.bodies.Put(obj, b, m)
+	switch {
+	case err != nil:
+		n.degraded++
+		n.hits++
+		n.st.Touch(g.obj, g.now)
+	case resp.StatusCode != http.StatusNotModified:
+		n.st.Demote(g.obj, g.now)
+		n.bodies.Delete(g.obj)
+	default:
+		n.revalidations++
+		n.hits++
+		if b, m, ok := n.bodies.GetMemory(g.obj); ok {
+			m.Fetched = g.now
+			n.bodies.Put(g.obj, b, m)
+		}
+		n.st.Touch(g.obj, g.now)
 	}
-	n.st.Touch(obj, now)
 	n.mu.Unlock()
-	if v := n.view; v != nil {
-		v.Metrics().Revalidation()
+	gen := up.Meta.Gen
+	switch {
+	case err != nil:
+		// Serve the old copy marked degraded, as an explicit freshness
+		// decision: the stale-hit record carries N:0 (served by policy,
+		// not dropped), so degraded serving is auditable, not silent.
+		if v := n.view; v != nil {
+			v.Metrics().StaleHit()
+		}
+		n.flight.Record(flightrec.Event{Time: g.now, Node: n.ID, Kind: flightrec.KindStaleHit, Obj: g.obj, Hop: -1, A: float64(gen)})
+		w.Header().Set(HeaderDegraded, "1")
+	case resp.StatusCode != http.StatusNotModified:
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		return false
+	default:
+		if v := n.view; v != nil {
+			v.Metrics().Revalidation()
+		}
+		n.flight.Record(flightrec.Event{Time: g.now, Node: n.ID, Kind: flightrec.KindRevalidate, Obj: g.obj, Hop: -1, A: float64(gen), N: 1})
 	}
-	n.flight.Record(flightrec.Event{Time: now, Node: n.ID, Kind: flightrec.KindRevalidate, Obj: obj, Hop: -1, A: float64(gen), N: 1})
 	w.Header().Set(HeaderPenalty, "0")
 	w.Header().Set(HeaderHit, strconv.Itoa(int(n.ID)))
 	if gen != 0 {
 		w.Header().Set(HeaderGen, strconv.FormatUint(gen, 10))
 	}
-	if tag != "" {
-		w.Header().Set("ETag", tag)
+	if up.Meta.ETag != "" {
+		w.Header().Set("ETag", up.Meta.ETag)
 	}
-	writeBody(w, seg, body)
+	writeBody(w, g.seg, up.Body)
 	return true
 }
 

@@ -224,7 +224,7 @@ func TestNonFiniteNumbersRefused(t *testing.T) {
 
 // TestOverCapDecisionListsRefused: the placement, prediction and invalidation
 // lists of a response are peer-supplied bytes (net/http admits a 10 MB
-// response header, and applyInval walks the tail under the node lock). One
+// response header, and the down step walks the tail under the node lock). One
 // entry past maxPathEntries fails the whole decision with 502, before the
 // list is split; a list at the cap is served.
 func TestOverCapDecisionListsRefused(t *testing.T) {

@@ -189,3 +189,136 @@ func TestClusterCoherencyHammer(t *testing.T) {
 		t.Fatalf("workload too cold to be meaningful: %+v", st)
 	}
 }
+
+// TestClusterInvalidateDropsBytes: a pushed invalidation demotes a tiered
+// node's copy, and its bytes must leave the memory tier with it.
+func TestClusterInvalidateDropsBytes(t *testing.T) {
+	h := topology.GenerateTree(topology.TreeConfig{Depth: 2, Fanout: 1, BaseDelay: 1})
+	var tick atomic.Int64
+	clock := func() float64 { return float64(tick.Add(1)) * 1e-3 }
+	c, err := NewCluster(Config{
+		Network:       h,
+		CacheBytes:    1 << 20,
+		DCacheEntries: 256,
+		Clock:         clock,
+		CoherencyMode: coherency.ModeCAS,
+		SpillDir:      t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	leaf := h.ClientAttachPoints()[0]
+	const obj = model.ObjectID(7)
+	for i := 0; i < 5; i++ {
+		if _, err := c.Get(context.Background(), leaf, model.NoNode, obj, 1024); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := false
+	for id := 0; id < h.NumCaches(); id++ {
+		held = held || c.node(model.NodeID(id)).st.Contains(obj)
+	}
+	if !held {
+		t.Fatal("object never got cached")
+	}
+	c.Invalidate(obj)
+	bytesMatchDescriptors(t, c)
+}
+
+// bytesMatchDescriptors fails the test unless every tiered node's memory
+// tier holds exactly the bytes and objects of its descriptor store.
+func bytesMatchDescriptors(t *testing.T, c *Cluster) {
+	t.Helper()
+	for id := range c.slots {
+		if err := c.CheckBytes(model.NodeID(id)); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestTieredStepsHammer runs Up against Down through a tiered, coherent
+// (CAS) cluster. Every request enters at the same leaf of a two-cache chain
+// with room for every object, so a copy, once placed, stays: a request that
+// starts after an earlier one placed its object, or was served from a copy,
+// must hit. A reader racing the placement therefore must never find the
+// descriptor without its bytes and demote it. Each round sets the workers
+// on a few fresh objects at once, so first placements race their readers.
+// Then writes push invalidations while the readers run — a demotion's byte
+// drop racing a re-placement — and every node's bytes must still match its
+// descriptors.
+func TestTieredStepsHammer(t *testing.T) {
+	h := topology.GenerateTree(topology.TreeConfig{Depth: 2, Fanout: 1, BaseDelay: 1})
+	var tick atomic.Int64
+	c, err := NewCluster(Config{
+		Network:       h,
+		CacheBytes:    1 << 22,
+		DCacheEntries: 1024,
+		AvgObjectSize: 2048,
+		Clock:         func() float64 { return float64(tick.Add(1)) * 1e-4 },
+		Shards:        4,
+		EnableAudit:   true,
+		SpillDir:      t.TempDir(),
+		CoherencyMode: coherency.ModeCAS,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	leaf := h.ClientAttachPoints()[0]
+	const rounds, perRound, workers, perWorker = 200, 4, 4, 16
+	var served [rounds * perRound]atomic.Bool
+	var lost atomic.Int64
+	run := func(round int, writes bool) {
+		t.Helper()
+		var wg sync.WaitGroup
+		errs := make(chan error, workers)
+		start := make(chan struct{})
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(rng *rand.Rand) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < perWorker; i++ {
+					obj := round*perRound + rng.Intn(perRound)
+					if writes && rng.Intn(4) == 0 {
+						c.Invalidate(model.ObjectID(obj))
+						continue
+					}
+					before := served[obj].Load()
+					res, err := c.Get(context.Background(), leaf, model.NoNode, model.ObjectID(obj), 2048)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if before && res.ServedBy == model.NoNode && !writes {
+						lost.Add(1)
+					}
+					if res.ServedBy != model.NoNode || len(res.Placed) > 0 {
+						served[obj].Store(true)
+					}
+				}
+			}(rand.New(rand.NewSource(int64(round*workers + w))))
+		}
+		close(start)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+	}
+	for r := 0; r < rounds; r++ {
+		run(r, false)
+	}
+	if n := lost.Load(); n != 0 {
+		t.Errorf("%d requests missed an object an earlier request had placed", n)
+	}
+	bytesMatchDescriptors(t, c)
+	for r := 0; r < rounds; r += 10 {
+		run(r, true)
+	}
+	bytesMatchDescriptors(t, c)
+	if v := c.Auditor().TotalViolations(); v != 0 {
+		t.Fatalf("%d audit violations under concurrency", v)
+	}
+}

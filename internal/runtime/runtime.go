@@ -449,9 +449,7 @@ func (c *Cluster) newNode(id model.NodeID) *node {
 		}
 	}
 	return &node{
-		bodies:  bodies,
-		id:      id,
-		cluster: c,
+		bodies: bodies,
 		st: engine.NewSharded(engine.ShardedConfig{
 			Node:          id,
 			Shards:        c.cfg.Shards,
@@ -499,10 +497,11 @@ func (c *Cluster) Invalidate(obj model.ObjectID) uint64 {
 	if c.cfg.CoherencyMode.Validates() {
 		now := c.cfg.Clock()
 		inv := [1]coherency.Invalidation{{Seq: seq, Obj: obj, Gen: gen}}
+		var dropped [1]model.ObjectID
 		for i := range c.slots {
 			id := model.NodeID(i)
 			if n := c.node(id); n != nil && !n.down.Load() && c.cp.Routable(id) {
-				n.st.ApplyInvalidations(inv[:], 0, now)
+				engine.Hop{St: n.st, Tier: n.bodies}.ApplyInvalidations(inv[:], 0, now, dropped[:0])
 			}
 		}
 	}
@@ -583,6 +582,16 @@ func (c *Cluster) node(id model.NodeID) *node {
 func (c *Cluster) DCacheContains(id model.NodeID, obj model.ObjectID) bool {
 	n := c.node(id)
 	return n != nil && n.st.DCacheContains(obj)
+}
+
+// CheckBytes reports a disagreement between a node's bytes and its
+// descriptors (engine.Hop.CheckBytes); nil for an unknown or untiered node.
+// For conformance and test inspection only: quiesce the cluster first.
+func (c *Cluster) CheckBytes(id model.NodeID) error {
+	if n := c.node(id); n != nil {
+		return engine.Hop{St: n.st, Tier: n.bodies}.CheckBytes()
+	}
+	return nil
 }
 
 // aliveNode reports whether a node is up.

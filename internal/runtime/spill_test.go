@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"cascade/internal/engine"
 	"cascade/internal/model"
 	"cascade/internal/store"
 	"cascade/internal/topology"
@@ -19,12 +20,12 @@ import (
 func sizeOf(obj model.ObjectID) int64 { return 1024 + int64(obj%7)*512 }
 
 // TestLateSpillKeepsReplacedVictim forces, step by step, the interleaving
-// behind TestShardedSpillHammer's old flake. Walk A's placement evicts Y
-// under the shard lock; walk B then places Y again and stores its body; only
-// then does A's body hook spill A's victims. Y's descriptor is back in the
-// store by then, so its fresh body must stay in the memory tier: moving it
-// to disk would leave the descriptor store one object ahead of the memory
-// tier.
+// behind TestShardedSpillHammer's old flake. Walk A's placement
+// (engine.Hop.Place) stores X and evicts Y; walk B then places Y again,
+// evicting X; only then does A's down step spill its victims. Y's
+// descriptor is back in the store by then, so its fresh body must stay in
+// the memory tier: moving it to disk would leave the descriptor store one
+// object ahead of the memory tier.
 func TestLateSpillKeepsReplacedVictim(t *testing.T) {
 	const size = 1024
 	c, err := NewCluster(Config{
@@ -40,29 +41,31 @@ func TestLateSpillKeepsReplacedVictim(t *testing.T) {
 	}
 	defer c.Close()
 	n := c.node(0)
+	hop := engine.Hop{St: n.st, Tier: n.bodies}
 	const x, y = model.ObjectID(1), model.ObjectID(2)
-	place := func(obj model.ObjectID, now float64) []model.ObjectID {
+	down := func(obj model.ObjectID, now float64) { // a whole down step
 		t.Helper()
-		out, ev := n.st.DownStep(obj, size, true, 1, 0, 0, now, nil)
-		if !out.Placed {
+		q := engine.Req{Obj: obj, FloorObj: obj, Size: size, Now: now}
+		if out := engine.Down(hop, &q, 0, 0, true, 0, 1, store.SyntheticBody(obj, size), ""); !out.Placed {
 			t.Fatalf("object %d not placed", obj)
 		}
-		return ev
 	}
-	n.Place(y, size, 0, 1, place(y, 1))
-	evA := place(x, 2) // walk A evicts y
-	if len(evA) != 1 || evA[0] != y {
-		t.Fatalf("walk A evicted %v, want [%d]", evA, y)
+	down(y, 1)
+	qA := engine.Req{Obj: x, FloorObj: x, Size: size, Now: 2}
+	out, evA := hop.Place(&qA, true, 1, store.SyntheticBody(x, size), "") // walk A evicts y
+	if !out.Placed || len(evA) != 1 || evA[0] != y {
+		t.Fatalf("walk A placed=%v evicting %v, want [%d]", out.Placed, evA, y)
 	}
-	n.Place(y, size, 0, 3, place(y, 3)) // walk B re-places y, evicting x
-	n.Place(x, size, 0, 2, evA)         // walk A's body hook, late
-	bs := n.bodies.Stats()
-	if bs.MemObjects != n.st.StoreLen() || bs.MemBytes != n.st.Used() {
-		t.Fatalf("memory tier holds %d objects (%d bytes), descriptor store %d (%d bytes)",
-			bs.MemObjects, bs.MemBytes, n.st.StoreLen(), n.st.Used())
+	down(y, 3)        // walk B re-places y, evicting x
+	hop.Spill(evA, 2) // walk A's victims, late
+	if err := hop.CheckBytes(); err != nil {
+		t.Fatal(err)
 	}
 	if _, _, src := n.bodies.Get(y); src != store.SrcMemory {
 		t.Fatalf("y's body served from %v, want the memory tier", src)
+	}
+	if _, _, src := n.bodies.Get(x); src != store.SrcDisk {
+		t.Fatalf("x's body served from %v, want the disk tier", src)
 	}
 }
 

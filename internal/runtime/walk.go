@@ -100,10 +100,7 @@ func (w *walk) Deliver(hop int) (engine.Hop, engine.Verdict) {
 		return engine.Hop{}, engine.RouteAround
 	}
 	w.count.messages++
-	if n.bodies == nil {
-		return engine.Hop{St: n.st}, engine.Live
-	}
-	return engine.Hop{St: n.st, Tier: n}, engine.Live
+	return engine.Hop{St: n.st, Tier: n.bodies}, engine.Live
 }
 
 // Placed counts a copy the response wrote.
@@ -146,6 +143,19 @@ func (c *Cluster) runWalk(ctx context.Context, w *walk, route topology.Route, le
 	} else {
 		// An abandoned walk is always worth keeping in the span rings.
 		w.Trace.Force(span.FlagError)
+	}
+	// The data plane's counters: a stopped walk keeps the steps it took.
+	if w.FromTier {
+		c.spillHits.Add(1)
+	}
+	if w.Promoted {
+		c.promotions.Add(1)
+		inst := &c.nodeInst[w.ServedBy]
+		inst.inserts.Inc()
+		inst.evictions.Add(int64(w.PromoteEvicted))
+	}
+	if w.Spills > 0 {
+		c.spills.Add(int64(w.Spills))
 	}
 	c.spanTracer.Collect(w.Trace, w.Now, c.spanRingFor)
 	err := w.err

@@ -56,19 +56,6 @@ const (
 	SrcDisk
 )
 
-// BodyStore is the contract between the protocol transports and the data
-// plane: opaque bytes keyed by object identity, with explicit tier
-// movement. Tiered is the only implementation; the interface pins the
-// surface the transports may depend on.
-type BodyStore interface {
-	Put(id model.ObjectID, body []byte, meta Meta)
-	Get(id model.ObjectID) ([]byte, Meta, Source)
-	Spill(id model.ObjectID) bool
-	Promote(id model.ObjectID, body []byte, meta Meta)
-	Delete(id model.ObjectID)
-	Stats() Stats
-}
-
 // Stats is a consistent snapshot of a Tiered store's accounting.
 type Stats struct {
 	MemObjects  int   // objects in the memory tier
@@ -120,6 +107,9 @@ type memEntry struct {
 // Tiered is the two-tier body store. All methods are safe for concurrent
 // use; file I/O for the disk tier happens under the store's mutex, which is
 // acceptable because spill and promote sit off the memory-hit fast path.
+// The callbacks of Admit, SpillUnless and DeleteUnless run under the mutex
+// too, so a caller may take its descriptor store's locks inside the
+// store's, never the other way round.
 type Tiered struct {
 	mu       sync.Mutex
 	mem      map[model.ObjectID]memEntry
@@ -156,12 +146,36 @@ func NewTiered(cfg Config) (*Tiered, error) {
 // caller must not mutate body afterwards.
 func (t *Tiered) Put(id model.ObjectID, body []byte, meta Meta) {
 	t.mu.Lock()
+	t.putLocked(id, body, meta)
+	t.mu.Unlock()
+}
+
+func (t *Tiered) putLocked(id model.ObjectID, body []byte, meta Meta) {
 	if old, ok := t.mem[id]; ok {
 		t.memBytes -= int64(len(old.body))
 	}
 	t.mem[id] = memEntry{body: body, meta: meta}
 	t.memBytes += int64(len(body))
-	t.mu.Unlock()
+}
+
+// Admit stores an object's bytes in the memory tier if admit, asked under
+// the tier's lock, reports that its descriptor entered the main store. So no
+// reader finds the descriptor without its bytes, and no eviction's spill
+// runs between the two. A promotion (promote) also drops the disk copy that
+// Get read body and meta from. admit must not call back into the tier.
+func (t *Tiered) Admit(id model.ObjectID, body []byte, meta Meta, promote bool, admit func() bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !admit() {
+		return
+	}
+	t.putLocked(id, body, meta)
+	if promote {
+		if t.disk != nil {
+			t.disk.remove(id)
+		}
+		t.promotions++
+	}
 }
 
 // Get returns an object's bytes from the first tier that holds them. A disk
@@ -214,7 +228,8 @@ func (t *Tiered) Contains(id model.ObjectID) Source {
 func (t *Tiered) Spill(id model.ObjectID) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.spillLocked(id)
+	_, ok := t.spillLocked(id)
+	return ok
 }
 
 // SpillUnless is Spill for a caller whose eviction may already be stale:
@@ -222,35 +237,36 @@ func (t *Tiered) Spill(id model.ObjectID) bool {
 // (a concurrent placement re-admitted it and stored a fresh body), and the
 // bytes stay in memory if it is. Holding the lock across the question means
 // no body can be stored between the answer and the move. keep must not call
-// back into the tier.
-func (t *Tiered) SpillUnless(id model.ObjectID, keep func(model.ObjectID) bool) bool {
+// back into the tier. It reports the size of the bytes and whether they
+// reached disk.
+func (t *Tiered) SpillUnless(id model.ObjectID, keep func(model.ObjectID) bool) (int, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if keep(id) {
-		return false
+		return 0, false
 	}
 	return t.spillLocked(id)
 }
 
-func (t *Tiered) spillLocked(id model.ObjectID) bool {
+func (t *Tiered) spillLocked(id model.ObjectID) (int, bool) {
 	e, ok := t.mem[id]
 	if !ok {
-		return false
+		return 0, false
 	}
 	delete(t.mem, id)
 	t.memBytes -= int64(len(e.body))
 	if t.disk == nil {
 		t.spillDrops++
-		return false
+		return len(e.body), false
 	}
 	if err := t.disk.put(id, e.body, e.meta); err != nil {
 		t.spillDrops++
-		return false
+		return len(e.body), false
 	}
 	t.spillObjects++
 	t.spillBytes += int64(len(e.body))
 	t.spillDrops += int64(t.disk.takeEvicted())
-	return true
+	return len(e.body), true
 }
 
 // SpillAll spills every memory-tier object (a draining node parks its bytes
@@ -267,26 +283,21 @@ func (t *Tiered) SpillAll() {
 	}
 }
 
-// Promote moves an object back to the memory tier after the caller
-// re-admitted its descriptor into the main store. body/meta are what the
-// preceding Get(SrcDisk) returned.
-func (t *Tiered) Promote(id model.ObjectID, body []byte, meta Meta) {
-	t.mu.Lock()
-	if old, ok := t.mem[id]; ok {
-		t.memBytes -= int64(len(old.body))
-	}
-	t.mem[id] = memEntry{body: body, meta: meta}
-	t.memBytes += int64(len(body))
-	if t.disk != nil {
-		t.disk.remove(id)
-	}
-	t.promotions++
-	t.mu.Unlock()
-}
-
 // Delete drops an object from every tier.
 func (t *Tiered) Delete(id model.ObjectID) {
+	t.DeleteUnless(id, func(model.ObjectID) bool { return false })
+}
+
+// DeleteUnless is Delete for a caller whose demotion may already be stale:
+// keep is asked, under the tier's lock, whether the object is resident again
+// (a concurrent placement stored fresh bytes), and nothing is dropped if it
+// is. keep must not call back into the tier.
+func (t *Tiered) DeleteUnless(id model.ObjectID, keep func(model.ObjectID) bool) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	if keep(id) {
+		return
+	}
 	if e, ok := t.mem[id]; ok {
 		t.memBytes -= int64(len(e.body))
 		delete(t.mem, id)
@@ -294,7 +305,6 @@ func (t *Tiered) Delete(id model.ObjectID) {
 	if t.disk != nil {
 		t.disk.remove(id)
 	}
-	t.mu.Unlock()
 }
 
 // Reset drops the memory tier (a crash or a shard rebuild loses RAM; disk
@@ -349,5 +359,3 @@ func (t *Tiered) Stats() Stats {
 	}
 	return s
 }
-
-var _ BodyStore = (*Tiered)(nil)

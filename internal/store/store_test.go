@@ -65,7 +65,7 @@ func TestSpillPromoteRoundTrip(t *testing.T) {
 		t.Fatalf("disk round-trip lost data: meta=%+v", meta)
 	}
 
-	ts.Promote(42, got, meta)
+	ts.Admit(42, got, meta, true, func() bool { return true })
 	if src := ts.Contains(42); src != SrcMemory {
 		t.Fatalf("Contains after promote = %d", src)
 	}
@@ -75,6 +75,27 @@ func TestSpillPromoteRoundTrip(t *testing.T) {
 	}
 	if s.DiskObjects != 0 || s.DiskBytes != 0 {
 		t.Fatalf("promote left disk residue: %+v", s)
+	}
+}
+
+// TestAdmitAndDeleteUnlessAskUnderTheLock: bytes land only when the
+// descriptor did, and a stale demotion's delete spares a resident object.
+func TestAdmitAndDeleteUnlessAskUnderTheLock(t *testing.T) {
+	ts := newTestTiered(t, Config{Dir: t.TempDir()})
+	ts.Admit(3, SyntheticBody(3, 512), Meta{}, false, func() bool { return false })
+	if src := ts.Contains(3); src != SrcNone {
+		t.Fatalf("declined admission stored bytes, src=%d", src)
+	}
+	ts.Admit(3, SyntheticBody(3, 512), Meta{}, false, func() bool { return true })
+	if s := ts.Stats(); s.MemObjects != 1 || s.MemBytes != 512 || s.Promotions != 0 {
+		t.Fatalf("stats = %+v", s)
+	}
+	resident := func(model.ObjectID) bool { return true }
+	if ts.DeleteUnless(3, resident); ts.Contains(3) != SrcMemory {
+		t.Fatal("DeleteUnless dropped a resident object's bytes")
+	}
+	if ts.DeleteUnless(3, func(model.ObjectID) bool { return false }); ts.Contains(3) != SrcNone {
+		t.Fatal("DeleteUnless kept a demoted object's bytes")
 	}
 }
 
