@@ -94,8 +94,11 @@ observe:
 # bounded (no offset overflows, no object of more than store.MaxSegments
 # segments) and re-encode to what was parsed — then five against the hop
 # connection's serving loop: any bytes after the 101 must not panic it, and it
-# must serve only a prefix of the requests they hold, cap each head at
-# net/http's limit, close on malformation and leave no goroutine — then five
+# must serve only a prefix of the requests net/http's server would hand its
+# handler, cap each head at net/http's limit, close on malformation and leave
+# no goroutine — then five against the edge take-over, differentially: any
+# bytes after a first GET must reach the handler as the same requests, and
+# draw the same answers (Date's value aside), as from net/http — then five
 # against the hop connection's client half: any bytes after the 101, relayed
 # through copyStream into a socket, must not panic it, forward no byte beyond
 # what the response declares and holds, pool the connection only after a
@@ -116,6 +119,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWireText -fuzztime 10s -fuzzminimizetime 20x ./internal/httpgw/
 	$(GO) test -run '^$$' -fuzz FuzzSegmentHeaders -fuzztime 10s -fuzzminimizetime 20x ./internal/httpgw/
 	$(GO) test -run '^$$' -fuzz FuzzHopConn -fuzztime 5s -fuzzminimizetime 20x ./internal/httpgw/
+	$(GO) test -run '^$$' -fuzz FuzzEdgeConn -fuzztime 5s -fuzzminimizetime 20x ./internal/httpgw/
 	$(GO) test -run '^$$' -fuzz FuzzHopResponse -fuzztime 5s -fuzzminimizetime 20x ./internal/httpgw/
 	$(GO) test -run '^$$' -fuzz FuzzHeapStoreOps -fuzztime 10s -fuzzminimizetime 20x ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzIndexOps -fuzztime 5s -fuzzminimizetime 20x ./internal/cache/

@@ -361,6 +361,95 @@ func TestHopClientCloseIdle(t *testing.T) {
 	}
 }
 
+// TestHopOfferBlackHole: against an upstream that accepts connections and
+// never answers, every exchange in flight fails within about one budget.
+// Those that arrive while the first one's offer is unanswered take the
+// peer's plain pool; none waits behind the offer.
+func TestHopOfferBlackHole(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var held []net.Conn
+	defer func() {
+		ln.Close()
+		mu.Lock()
+		for _, c := range held {
+			c.Close()
+		}
+		mu.Unlock()
+	}()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, c)
+			mu.Unlock()
+		}
+	}()
+	const budget, concurrent = 400 * time.Millisecond, 6
+	client := NewUpstreamClient(budget)
+	defer client.CloseIdleConnections()
+	start := time.Now()
+	failed := make(chan time.Duration, concurrent)
+	for i := 0; i < concurrent; i++ {
+		go func(i int) {
+			resp, err := client.Get(fmt.Sprintf("http://%s/objects/%d", ln.Addr(), i))
+			if err == nil {
+				resp.Body.Close()
+				t.Errorf("GET %d from a black hole: %s", i, resp.Status)
+			}
+			failed <- time.Since(start)
+		}(i)
+	}
+	for i := 0; i < concurrent; i++ {
+		if d := <-failed; d > budget*3/2 {
+			t.Errorf("an exchange ended after %v; want every one within about the %v budget", d, budget)
+		}
+	}
+}
+
+// TestHopOfferClosesPlainConns: exchanges that reach a node while the
+// first one's offer is unanswered ride plain keep-alive connections, which
+// the node's loop takes over. Once the node answers 101 none of them is
+// used again, so none may stay open: each would hold a loop on the node.
+func TestHopOfferClosesPlainConns(t *testing.T) {
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(100 * time.Millisecond) // every miss outlasts the offer's start
+		(&Origin{Size: func(model.ObjectID) int { return 500 }}).ServeHTTP(w, r)
+	}))
+	defer origin.Close()
+	peer := NewNode(1, origin.URL, 1, 1<<20, 100, func() float64 { return 0 })
+	srv := httptest.NewServer(peer)
+	defer srv.Close()
+	client := NewUpstreamClient(time.Minute)
+	defer client.CloseIdleConnections()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := client.Get(srv.URL + "/objects/" + strconv.Itoa(i))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body) //nolint:errcheck
+			resp.Body.Close()
+		}(i)
+	}
+	wg.Wait()
+	if peer.served[servedEdge].Load() == 0 {
+		t.Fatal("no exchange rode a plain connection; the test needs some during the offer")
+	}
+	waitFor(t, 2*time.Second, func() bool { return hopConnsOpen([]*Node{peer}) == len(idleHop(client, srv.URL)) },
+		"%d loop connections open on the node; want only the client's %d idle hop connections", hopConnsOpen([]*Node{peer}), len(idleHop(client, srv.URL)))
+}
+
 // TestHopCancellation: a downstream that gives up while the upstream handler
 // blocks cancels that handler's context, and its connection is not pooled
 // again.
@@ -410,10 +499,10 @@ func TestHopCancellation(t *testing.T) {
 // serving loop over net.Pipe, with a node behind it. pad, when set, inserts
 // a header of pad%2 MiB bytes after the first line, so that oversized heads
 // are reachable without megabyte corpus files. The loop must not panic; it
-// must dispatch, in order, a prefix of the requests a plain parser finds in
-// the input — nothing after a malformed message, and no head beyond
-// net/http's cap; and it must return, leaving no goroutine, once the peer hangs
-// up.
+// must dispatch, in order, a prefix of the requests net/http's server hands
+// its handler for the same bytes — nothing after a malformed message, and no
+// head beyond net/http's cap; and it must return, leaving no goroutine, once
+// the peer hangs up.
 func FuzzHopConn(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, pad uint32) {
 		if pad %= 2 << 20; pad > 0 {
@@ -427,7 +516,7 @@ func FuzzHopConn(f *testing.F) {
 			in = append(in, "\r\n"...)
 			data = append(in, data[line:]...)
 		}
-		want, exact := hopReference(data)
+		want, finals, exact := hopReference(t, data)
 
 		n := NewNode(0, "http://upstream.invalid", 1, 1<<20, 100, func() float64 { return 0 })
 		n.Client = &http.Client{Transport: stubUpstream(func(r *http.Request) *http.Response {
@@ -445,7 +534,7 @@ func FuzzHopConn(f *testing.F) {
 		served := make(chan struct{})
 		go func() {
 			defer close(served)
-			newHopServerConn(server, h, context.Background()).serve(hopRequest{})
+			newHopServerConn(server, h, context.Background(), servedHop).serve(hopRequest{})
 		}()
 		// Answers are read until the server has answered every request the
 		// input holds, then discarded until it hangs up; the peer leaves once
@@ -454,13 +543,20 @@ func FuzzHopConn(f *testing.F) {
 		go func() {
 			defer close(drained)
 			br := bufio.NewReader(peer)
-			for i := 0; i < len(want); i++ {
-				resp, err := http.ReadResponse(br, &http.Request{Method: strings.Fields(want[i])[0]})
+			for i := 0; i < finals; {
+				method := http.MethodGet
+				if i < len(want) {
+					method = strings.Fields(want[i])[0]
+				}
+				resp, err := http.ReadResponse(br, &http.Request{Method: method})
 				if err != nil {
 					break
 				}
 				if _, err := io.Copy(io.Discard, resp.Body); err != nil {
 					break
+				}
+				if resp.StatusCode >= 200 {
+					i++
 				}
 			}
 			close(enough)
@@ -501,32 +597,18 @@ func FuzzHopConn(f *testing.F) {
 	})
 }
 
-// hopReference lists the requests a plain parser reads off data, up to the
-// first malformed message. exact is false when it stopped at a head near
-// the cap, which the server may or may not accept.
-func hopReference(data []byte) (reqs []string, exact bool) {
-	src := &countingReader{r: bytes.NewReader(data)}
-	br := bufio.NewReader(src)
-	for {
-		start := src.n - int64(br.Buffered())
-		r, err := http.ReadRequest(br)
-		if err != nil {
-			return reqs, true
-		}
-		head := src.n - int64(br.Buffered()) - start
-		// The cap is net/http's: http.DefaultMaxHeaderBytes plus 4 KiB of
-		// slack, give or take a buffer's read-ahead.
-		if head > http.DefaultMaxHeaderBytes+4096+hopBufSize {
-			return reqs, true
-		}
-		if head > http.DefaultMaxHeaderBytes-hopBufSize {
-			return reqs, false
-		}
-		reqs = append(reqs, r.Method+" "+r.RequestURI)
-		if _, err := io.Copy(io.Discard, r.Body); err != nil {
-			return reqs, true
-		}
+// hopReference lists the requests net/http's server hands its handler for
+// data, and counts the final answers it owes (edgeReference). exact is false
+// when data holds a head near the cap, which either server may or may not
+// accept.
+func hopReference(t *testing.T, data []byte) (reqs []string, finals int, exact bool) {
+	methods, finals, upto := edgeReference(data)
+	_, seen := newEdgeSide(t, false).run(t, [][]byte{data}, []int{finals}, methods, 2*time.Second)
+	for _, s := range seen {
+		f := strings.Fields(s)
+		reqs = append(reqs, f[0]+" "+f[1])
 	}
+	return reqs, finals, upto < 0
 }
 
 type countingReader struct {
@@ -540,10 +622,13 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// BenchmarkNodeExchange4K times one node-to-node exchange of a 4 KiB object
-// over loopback — request out, the upstream node's hit, the body back — on
-// a hop connection and over net/http. The gap between the two is what the
-// transport costs per exchange.
+// BenchmarkNodeExchange4K times one exchange of a 4 KiB object with a node
+// over loopback — request out, the node's hit, the body back — three ways:
+// on a hop connection; from a plain HTTP client, whose connection the node's
+// loop takes over (edge); and from the same client with net/http serving the
+// node, its Hijack hidden (nethttp). edge against nethttp is what the
+// take-over saves per exchange; hop and edge share the server's loop and
+// differ in the client.
 func BenchmarkNodeExchange4K(b *testing.B) {
 	const size = 4 << 10
 	origin := httptest.NewServer(&Origin{Size: func(model.ObjectID) int { return size }})
@@ -551,13 +636,23 @@ func BenchmarkNodeExchange4K(b *testing.B) {
 	up := NewNode(1, origin.URL, 1, 1<<20, 100, func() float64 { return 0 })
 	srv := httptest.NewServer(up)
 	defer srv.Close()
-	for name, client := range map[string]*http.Client{
-		"hop":  NewUpstreamClient(DefaultUpstreamTimeout),
-		"http": {Transport: &http.Transport{DisableCompression: true}},
+	std := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		up.ServeHTTP(netHTTPOnly{w, w.(io.ReaderFrom)}, r)
+	}))
+	defer std.Close()
+	for _, arm := range []struct {
+		name   string
+		url    string
+		client *http.Client
+	}{
+		{"hop", srv.URL, NewUpstreamClient(DefaultUpstreamTimeout)},
+		{"edge", srv.URL, &http.Client{Transport: &http.Transport{DisableCompression: true}}},
+		{"nethttp", std.URL, &http.Client{Transport: &http.Transport{DisableCompression: true}}},
 	} {
-		b.Run(name, func(b *testing.B) {
+		client := arm.client
+		b.Run(arm.name, func(b *testing.B) {
 			defer client.CloseIdleConnections()
-			req, err := http.NewRequest(http.MethodGet, srv.URL+"/objects/7", nil)
+			req, err := http.NewRequest(http.MethodGet, arm.url+"/objects/7", nil)
 			if err != nil {
 				b.Fatal(err)
 			}

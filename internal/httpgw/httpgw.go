@@ -181,8 +181,10 @@ type Node struct {
 	// Relayed body bytes, by path: kernel (hopBody.relayTo) or copy
 	// (cascade_gw_relayed_bytes_total).
 	relayedKernel, relayedCopy atomic.Int64
-	// hops holds the hop connections this node accepted (hop.go).
-	hops hopConns
+	// hops holds the loop connections this node accepted (hop.go); served
+	// counts requests by how they came (cascade_gw_served_total).
+	hops   hopConns
+	served [len(servedNames)]atomic.Int64
 
 	// markers remembers, at the client-facing node, the segmented marker of
 	// each large object it reassembled, so a later GET starts its segment
@@ -517,11 +519,17 @@ func objectID(r *http.Request) (model.ObjectID, error) {
 
 // ServeHTTP implements the node's request/response protocol: decode, the
 // engine's up step, the upstream exchange, the engine's down step, encode.
-// A request offering a hop connection is answered on one (hop.go).
+// The first request net/http hands it on a connection the node can serve
+// from its own loop — a hop offer, or, when the node is its server's whole
+// handler, a plaintext HTTP/1.1 keep-alive request without a body — is
+// answered there, with every later one (hop.go). Such a connection is no
+// longer net/http's: the server's Shutdown closes it, its Close does not.
 func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Header.Get("Upgrade") == hopProtocol && n.hops.accept(w, r, n) {
+	kind, _ := r.Context().Value(servedKey{}).(int)
+	if kind == servedHTTP && n.hops.accept(w, r, n) {
 		return
 	}
+	n.served[kind].Add(1)
 	obj, err := objectID(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)

@@ -91,6 +91,11 @@ func (n *Node) MetricsRegistry() *metrics.Registry {
 		func() float64 { return float64(n.relayedKernel.Load()) }, metrics.L("path", "kernel"), nl)
 	r.CounterFunc("cascade_gw_relayed_bytes_total", "Body bytes relayed through this node without being stored, by the path they took.",
 		func() float64 { return float64(n.relayedCopy.Load()) }, metrics.L("path", "copy"), nl)
+	for kind, name := range servedNames {
+		c := &n.served[kind]
+		r.CounterFunc("cascade_gw_served_total", "Requests served, by the connection they came on: hop (a hop connection), edge (a client connection the node's loop took over) or http (net/http).",
+			func() float64 { return float64(c.Load()) }, metrics.L("conn", name), nl)
+	}
 	for o, name := range reassemblyOutcomeNames {
 		c := &n.reassembly[o]
 		r.CounterFunc("cascade_gw_reassembly_total", "Large-object reassemblies at the client-facing node, by what they did.",

@@ -162,6 +162,24 @@ func TestRelayKernelShortUpstream(t *testing.T) {
 	}
 }
 
+// TestHopFirstExchangeShortCloses: the upstream falls short on the very
+// first request, the one each hop connection's offer carried. Each hop
+// closes its connection after that failed answer as after any other, so
+// the client sees the short body at once, not after two idle closes.
+func TestHopFirstExchangeShortCloses(t *testing.T) {
+	const declared, sent = 256 << 10, 100 << 10
+	body := store.SyntheticBody(7, declared)
+	c := newRelayChain(t, time.Minute, func(*http.Request) *http.Response {
+		return upstreamReply(http.StatusOK, declared, body[:sent])
+	}, nil)
+	start := time.Now()
+	got, err := c.get(context.Background(), 1)
+	if elapsed := time.Since(start); !errors.Is(err, io.ErrUnexpectedEOF) || !bytes.Equal(got, body[:sent]) || elapsed > time.Second {
+		t.Fatalf("short first answer: client got %d bytes, %v after %v; want the %d sent, then io.ErrUnexpectedEOF within 1s",
+			len(got), err, elapsed, sent)
+	}
+}
+
 // TestRelayKernelStalledUpstream: an upstream that stalls mid-body ends the
 // relay within the hops' 100 ms budget.
 func TestRelayKernelStalledUpstream(t *testing.T) {
@@ -273,9 +291,11 @@ func TestReassemblyGenerationsSpliced(t *testing.T) {
 	mu.Unlock()
 }
 
-// TestRelayWritersRefuseOverlong: a hop writer and a segment writer take the
-// socket hand-off only for a limit within what they still owe; a longer
-// source goes through Write, which stops at the declared length.
+// TestRelayWritersRefuseOverlong: a loop connection's writer and a segment
+// writer take the socket hand-off only for a limit within what they still
+// owe; a longer source goes through Write, which the loop writer refuses
+// whole past the declared length, as net/http's response does, and the
+// segment writer stops at it.
 func TestRelayWritersRefuseOverlong(t *testing.T) {
 	const owed, offered = 10, 20
 	up, src := tcpPair(t)
@@ -283,9 +303,18 @@ func TestRelayWritersRefuseOverlong(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hw := &hopWriter{h: http.Header{"Content-Length": {strconv.Itoa(owed)}}, bw: bufio.NewWriter(io.Discard)}
-	if n, err := hw.ReadFrom(&io.LimitedReader{R: up, N: offered}); n != owed || !errors.Is(err, http.ErrContentLength) || hw.remain != 0 {
-		t.Fatalf("hop writer owing %d took %d bytes of %d offered, %v", owed, n, offered, err)
+	var wire bytes.Buffer
+	sent := bytes.Repeat([]byte("y"), 4096)
+	hw := &hopWriter{req: httptest.NewRequest(http.MethodGet, "/", nil), h: http.Header{"Content-Length": {strconv.Itoa(len(sent) + owed)}},
+		bw: bufio.NewWriter(&wire), declared: -1}
+	hw.hold = bufio.NewWriterSize((*hopWire)(hw), hopHoldSize)
+	if _, err := hw.Write(sent); err != nil || !hw.sent {
+		t.Fatalf("a %d-byte write: %v, head sent %v; want the head and the bytes on the wire", len(sent), err, hw.sent)
+	}
+	n, err := hw.ReadFrom(&io.LimitedReader{R: up, N: offered})
+	hw.bw.Flush() //nolint:errcheck
+	if n != 0 || !errors.Is(err, http.ErrContentLength) || !bytes.HasSuffix(wire.Bytes(), sent) {
+		t.Fatalf("loop writer owing %d took %d bytes of %d offered, %v; the wire ends in %q", owed, n, offered, err, wire.Bytes()[max(0, wire.Len()-16):])
 	}
 
 	rec := &readFromSpy{}
@@ -360,7 +389,7 @@ func FuzzHopResponse(f *testing.F) {
 		tr := &upstreamTransport{
 			timeout:  10 * time.Second,
 			fallback: &http.Transport{DialContext: dialNoLinger},
-			peers:    map[string]*hopPeer{addr: {mode: peerHop}},
+			peers:    map[string]*hopPeer{addr: {mode: peerHop, plain: &http.Transport{}}},
 		}
 		req, err := http.NewRequest(http.MethodGet, "http://"+addr+"/objects/1", nil)
 		if err != nil {
