@@ -92,17 +92,18 @@ observe:
 # against the segment protocol's three small parsers: whatever
 # parseSegmentRequest, parseSegmentedMarker or parseByteRange accepts must be
 # bounded (no offset overflows, no object of more than store.MaxSegments
-# segments) and re-encode to what was parsed — then five against the hop
-# connection's serving loop: any bytes after the 101 must not panic it, and it
+# segments) and re-encode to what was parsed — then five against the node's
+# serving loop: any bytes after a taken-over request must not panic it, and it
 # must serve only a prefix of the requests net/http's server would hand its
 # handler, cap each head at net/http's limit, close on malformation and leave
 # no goroutine — then five against the edge take-over, differentially: any
 # bytes after a first GET must reach the handler as the same requests, and
 # draw the same answers (Date's value aside), as from net/http — then five
-# against the hop connection's client half: any bytes after the 101, relayed
+# against the upstream client: any bytes as an upstream's answer, relayed
 # through copyStream into a socket, must not panic it, forward no byte beyond
-# what the response declares and holds, pool the connection only after a
-# response a plain parser reads whole and leave no goroutine — then ten
+# what the final answer declares and holds, pool the connection only after a
+# keep-alive HTTP/1.1 answer a plain parser reads whole and leave no
+# goroutine — then ten
 # against the eviction heap: any byte string decodes to a HeapStore op
 # sequence whose victim order, CostLoss values and keys must match a
 # full-sort reference, then five against the heap's ID index: any byte

@@ -625,10 +625,15 @@ const (
 // Client is configured.
 const DefaultUpstreamTimeout = httpgw.DefaultUpstreamTimeout
 
+// HTTPServerIdleTimeout is a gateway server's IdleTimeout: longer than the
+// upstream client keeps a connection idle, so the client never reuses one
+// its upstream is closing.
+const HTTPServerIdleTimeout = httpgw.ServerIdleTimeout
+
 // NewHTTPUpstreamClient builds a gateway upstream client with a budget of
-// timeout per exchange: hop connections to cascade peers, a tuned HTTP
-// transport to everything else (HTTPCacheNode.Client's default, with
-// DefaultUpstreamTimeout).
+// timeout per exchange: keep-alive HTTP/1.1 connections of its own to every
+// http:// upstream, a tuned HTTP transport to https:// ones
+// (HTTPCacheNode.Client's default, with DefaultUpstreamTimeout).
 func NewHTTPUpstreamClient(timeout time.Duration) *http.Client {
 	return httpgw.NewUpstreamClient(timeout)
 }

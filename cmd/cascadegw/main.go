@@ -238,11 +238,9 @@ func run() error {
 			*nodeID, *listen, *upstream, *capacity, *cost)
 	}
 
-	srv := &http.Server{
-		Addr:              *listen,
-		Handler:           handler,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	// IdleTimeout outlasts the upstream client's idle limit, and closes what
+	// a departed downstream left (docs/PROTOCOL.md, "Hop connections").
+	srv := &http.Server{Addr: *listen, Handler: handler, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: cascade.HTTPServerIdleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 

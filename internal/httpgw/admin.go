@@ -261,14 +261,24 @@ func (n *Node) adminAdmit(w http.ResponseWriter, now float64) {
 	writeJSON(w, http.StatusOK, st)
 }
 
+// maxAbsorbBytes caps an absorb body (docs/PROTOCOL.md): about 350,000
+// descriptors of two access times each, 35 times cascadegw's default
+// d-cache.
+const maxAbsorbBytes = 8 << 20
+
 // adminAbsorb receives a departing downstream's spilled descriptors and
 // offers them to this node's d-cache (engine.Sharded.Absorb: objects the
 // node already knows are skipped, the d-cache's eviction policy takes the
-// rest).
+// rest). A body past maxAbsorbBytes is refused with 413, and nothing of
+// it is absorbed.
 func (n *Node) adminAbsorb(w http.ResponseWriter, r *http.Request, now float64) {
 	var snaps []cache.DescriptorSnapshot
-	if err := gob.NewDecoder(r.Body).Decode(&snaps); err != nil {
-		http.Error(w, "httpgw: bad absorb payload: "+err.Error(), http.StatusBadRequest)
+	if err := gob.NewDecoder(http.MaxBytesReader(w, r.Body, maxAbsorbBytes)).Decode(&snaps); err != nil {
+		code := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "httpgw: bad absorb payload: "+err.Error(), code)
 		return
 	}
 	n.mu.Lock()

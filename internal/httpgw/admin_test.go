@@ -1,6 +1,8 @@
 package httpgw
 
 import (
+	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -8,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"cascade/internal/cache"
 	"cascade/internal/controlplane"
 	"cascade/internal/flightrec"
 	"cascade/internal/model"
@@ -364,5 +367,38 @@ func TestMissTailsForwardETag(t *testing.T) {
 				t.Fatalf("client saw ETag %q, want %q", got, tag)
 			}
 		})
+	}
+}
+
+// TestAbsorbCapped: an absorb body past maxAbsorbBytes is refused with 413
+// before it is decoded whole, even when it is a valid spill, and the
+// d-cache is left as it was; a spill within the cap is absorbed.
+func TestAbsorbCapped(t *testing.T) {
+	spill := func(n int) []byte {
+		snaps := make([]cache.DescriptorSnapshot, n)
+		for i := range snaps {
+			snaps[i] = cache.DescriptorSnapshot{ID: model.ObjectID(i), Size: 3000, MissPenalty: 1.5, AccessTimes: []float64{0.25, 0.5}, WindowK: 2}
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(snaps); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	absorb := func(n *Node, body []byte) int {
+		w := httptest.NewRecorder()
+		n.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/cascade/admin/absorb", bytes.NewReader(body)))
+		return w.Code
+	}
+	n := NewNode(0, "http://upstream.invalid", 1, 1<<20, 1<<20, func() float64 { return 1 })
+	over := spill(maxAbsorbBytes / 20)
+	if len(over) <= maxAbsorbBytes {
+		t.Fatalf("the spill is %d bytes, want more than the %d cap", len(over), maxAbsorbBytes)
+	}
+	if code := absorb(n, over); code != http.StatusRequestEntityTooLarge || n.st.DCacheLen() != 0 {
+		t.Fatalf("a %d-byte spill: status %d, %d descriptors absorbed; want 413 and none", len(over), code, n.st.DCacheLen())
+	}
+	if code := absorb(n, spill(100)); code != http.StatusOK || n.st.DCacheLen() != 100 {
+		t.Fatalf("a 100-descriptor spill: status %d, %d descriptors absorbed; want 200 and 100", code, n.st.DCacheLen())
 	}
 }

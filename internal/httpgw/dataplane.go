@@ -292,11 +292,11 @@ func readBody(resp *http.Response, limit int64) ([]byte, error) {
 // into during reassembly: a pass-through that forwards each body Write
 // straight to the client's writer — a segment hit hands over the store's
 // slice, a relayed segment flows through copyStream, spliced when it arrives
-// on a hop connection (ReadFrom) — so the client-facing node holds no copy
-// of a segment it merely delivers. The sub-response's status, declared
-// Content-Length and generation are checked when its header is written,
-// before any byte is forwarded; nothing is sized from the peer-supplied
-// marker, and no byte beyond want is ever forwarded.
+// on an upstream client's connection (ReadFrom) — so the client-facing node
+// holds no copy of a segment it merely delivers. The sub-response's status,
+// declared Content-Length and generation are checked when its header is
+// written, before any byte is forwarded; nothing is sized from the
+// peer-supplied marker, and no byte beyond want is ever forwarded.
 type segmentWriter struct {
 	dst       http.ResponseWriter // the client's writer
 	header    http.Header         // the sub-response's own headers; not forwarded

@@ -3,6 +3,7 @@ package httpgw
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -15,29 +16,27 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 	_ "unsafe" // readRequest
 )
 
 // Loop connections (docs/PROTOCOL.md, "Hop connections"): once net/http has
 // handed a node a connection's first request, the node serves the
-// connection from its own loop, each answer in one flush. There are two
-// entrances. A hop offer — the upstream client's Upgrade on a node-to-node
-// exchange — is answered 101 first; the origin and every other server
-// decline it, and stay on HTTP. Under a server whose handler is the node
-// itself, any other plaintext HTTP/1.1 keep-alive request without a body is
-// taken over as it stands: the loop answers what net/http's server would,
-// and refuses the few forms no such client sends (refusal).
+// connection from its own loop, each answer in one flush. Under a server
+// whose handler is the node itself, any plaintext HTTP/1.1 keep-alive
+// request without a body is taken over as it stands — a peer's or a plain
+// client's: the loop answers what net/http's server would, and refuses the
+// few forms no such client sends (refusal).
 const (
-	hopProtocol = "cascade-hop/1"
-	// A server closes a hop connection idle for hopServerIdle (Apache's
-	// KeepAliveTimeout default); a client never reuses one idle for
-	// hopClientIdle, so it never writes into that close. An edge connection
-	// keeps its http.Server's timeouts.
-	hopServerIdle = 5 * time.Second
-	hopClientIdle = 4 * time.Second
-	hopBufSize    = 8 << 10                           // a head and a 4 KiB body leave in one write
-	hopMaxHead    = http.DefaultMaxHeaderBytes + 4096 // net/http's cap, with its slack
+	// The upstream client closes a connection idle for clientIdle, and never
+	// reuses one that old; a server closes one idle for its IdleTimeout,
+	// which must be longer (ServerIdleTimeout, Apache's KeepAliveTimeout
+	// default), so the client never writes into that close.
+	clientIdle        = 4 * time.Second
+	ServerIdleTimeout = 5 * time.Second
+	hopBufSize        = 8 << 10                           // a head and a 4 KiB body leave in one write
+	hopMaxHead        = http.DefaultMaxHeaderBytes + 4096 // net/http's cap, with its slack
 	// net/http's server: the handler's output held back until the head is
 	// decided, the bytes sniffed for a Content-Type, the unread request body
 	// discarded to keep a connection, and the wait before a close that may
@@ -46,6 +45,9 @@ const (
 	hopSniffLen   = 512
 	hopMaxDiscard = 256 << 10
 	hopLinger     = 500 * time.Millisecond
+	// The interim (1xx) answers the client reads past; one more is an error,
+	// so an upstream cannot keep an exchange reading heads.
+	max1xx = 5
 )
 
 // Buffers belong to an exchange, never to an idle connection.
@@ -61,24 +63,20 @@ var (
 //go:linkname readRequest net/http.readRequest
 func readRequest(b *bufio.Reader) (*http.Request, error)
 
-// servedKey tags the contexts of a loop connection's requests with the
-// entrance it came by (cascade_gw_served_total); a request net/http serves
-// carries none.
+// servedKey tags the contexts of a loop connection's requests
+// (cascade_gw_served_total); a request net/http serves carries none.
 type servedKey struct{}
 
 const (
 	servedHTTP = iota
-	servedHop
-	servedEdge
+	servedLoop
 )
 
-var servedNames = [...]string{"http", "hop", "edge"}
+var servedNames = [...]string{"http", "loop"}
 
-// edgeServer marks a server handler whose every request the loop may serve
-// on a plain client's connection: a Node. Under any other handler — a mux
-// that holds a node beside a handler that streams or hijacks — such a
-// connection stays net/http's. A hop offer comes from the upstream client
-// alone, and is taken up under any handler.
+// edgeServer marks a server handler whose every request the loop may serve:
+// a Node. Under any other handler — a mux that holds a node beside a
+// handler that streams or hijacks — every connection stays net/http's.
 type edgeServer interface{ servesEdge() }
 
 func (*Node) servesEdge() {}
@@ -91,45 +89,23 @@ type hopConns struct {
 	conns map[*http.Server]map[*hopServerConn]struct{}
 }
 
-// accept takes a connection over from net/http at r, its first request: a
-// hop offer, answered 101 ahead of r's own answer, or, under an edgeServer,
-// a plaintext HTTP/1.1 keep-alive request without a body. It reports false,
+// accept takes a connection over from net/http at r, its first request,
+// when the server's handler is an edgeServer and r is a plaintext HTTP/1.1
+// keep-alive request without a body; first answers r. It reports false,
 // with w untouched, when r cannot be taken over, and r stays net/http's.
 func (s *hopConns) accept(w http.ResponseWriter, r *http.Request, first http.Handler) bool {
 	srv, _ := r.Context().Value(http.ServerContextKey).(*http.Server)
 	if srv == nil || r.ProtoMajor != 1 || r.ProtoMinor != 1 || r.Close || r.TLS != nil || r.Body != http.NoBody {
 		return false
 	}
-	kind := servedEdge
-	if r.Header.Get("Upgrade") == hopProtocol {
-		kind = servedHop
-	}
-	if _, whole := srv.Handler.(edgeServer); kind == servedEdge && !whole {
+	if _, whole := srv.Handler.(edgeServer); !whole {
 		return false
 	}
 	conn, rw, err := http.NewResponseController(w).Hijack()
 	if err != nil {
 		return false
 	}
-	h := srv.Handler
-	if h == nil {
-		h = http.DefaultServeMux
-	}
-	hc := newHopServerConn(conn, h, r.Context(), kind)
-	if hc.upgrade = kind == servedHop; hc.upgrade {
-		r.Header.Del("Upgrade")
-		r.Header.Del("Connection")
-	} else {
-		// net/http's: the idle wait is IdleTimeout's, else ReadTimeout's;
-		// a head's is ReadHeaderTimeout's, else ReadTimeout's; 0 is none.
-		hc.idle, hc.header, hc.write = srv.IdleTimeout, srv.ReadHeaderTimeout, srv.WriteTimeout
-		if hc.idle == 0 {
-			hc.idle = srv.ReadTimeout
-		}
-		if hc.header == 0 {
-			hc.header = srv.ReadTimeout
-		}
-	}
+	hc := newHopServerConn(conn, srv, r.Context())
 	if n := rw.Reader.Buffered(); n > 0 { // pipelined behind r
 		held, _ := rw.Reader.Peek(n)
 		hc.src.pending = append([]byte(nil), held...)
@@ -185,7 +161,6 @@ type hopServerConn struct {
 	armed   time.Time // the read deadline set
 	// The server's timeouts: the idle wait, a head's, a write's; 0 is none.
 	idle, header, write time.Duration
-	upgrade             bool // the next answer is the first on a hop connection: the 101 precedes it
 	afterPost           bool // net/http skips a CRLF a client sent after a POST body
 	linger              bool // close as net/http does after a refused body: FIN, a wait, then the close
 	answered            chan bool
@@ -207,12 +182,15 @@ type hopRequest struct {
 	hold   bool        // read waits for the answer
 }
 
-// newHopServerConn is a loop connection with a hop connection's timeouts;
-// accept sets an edge connection's.
-func newHopServerConn(conn net.Conn, h http.Handler, base context.Context, kind int) *hopServerConn {
-	base = context.WithValue(context.WithoutCancel(base), servedKey{}, kind)
-	hc := &hopServerConn{conn: conn, handler: h, base: base, remote: conn.RemoteAddr().String(),
-		src: hopSource{conn: conn}, idle: hopServerIdle, header: hopServerIdle, idleSince: time.Now(), answered: make(chan bool)}
+// newHopServerConn is a loop connection under srv, with srv's handler and,
+// as net/http applies them, its timeouts: the idle wait is IdleTimeout's,
+// else ReadTimeout's; a head's is ReadHeaderTimeout's, else ReadTimeout's;
+// 0 is none.
+func newHopServerConn(conn net.Conn, srv *http.Server, base context.Context) *hopServerConn {
+	base = context.WithValue(context.WithoutCancel(base), servedKey{}, servedLoop)
+	hc := &hopServerConn{conn: conn, handler: srv.Handler, base: base, remote: conn.RemoteAddr().String(), src: hopSource{conn: conn},
+		idle: cmp.Or(srv.IdleTimeout, srv.ReadTimeout), header: cmp.Or(srv.ReadHeaderTimeout, srv.ReadTimeout), write: srv.WriteTimeout,
+		idleSince: time.Now(), answered: make(chan bool)}
 	hc.head.R = &hc.src
 	return hc
 }
@@ -324,13 +302,13 @@ func (hc *hopServerConn) read(reqs chan<- hopRequest) bool {
 		h = expectationFailed
 	}
 	hr := hc.begin(r, h)
+	if hc.header > 0 {
+		hc.arm(time.Time{}) // the head is in: from here the wait is await's
+	}
 	if hr.r.Body != http.NoBody {
 		expect := hasToken(r.Header.Get("Expect"), "100-continue")
 		hr.body = &hopReqBody{rc: hr.r.Body, n: hr.r.ContentLength, expect: expect, cont: expect}
 		hr.r.Body = hr.body
-		if hc.header > 0 {
-			hc.arm(time.Time{})
-		}
 	}
 	if hr.hold = hr.body != nil || hc.br.Buffered() > 0; !hr.hold {
 		hc.release()
@@ -501,12 +479,11 @@ func (hc *hopServerConn) respond(hr hopRequest) (ok bool) {
 		return false
 	}
 	w := &hopWriter{hc: hc, req: hr.r, body: hr.body, bw: bw, hold: hopHolds.Get().(*bufio.Writer),
-		h: make(http.Header), declared: -1, upgrade: hc.upgrade}
+		h: make(http.Header), declared: -1}
 	w.hold.Reset((*hopWire)(w))
 	if hr.body != nil {
 		hr.body.w = w
 	}
-	hc.upgrade = false
 	defer func() {
 		if p := recover(); p != nil && p != http.ErrAbortHandler {
 			log.Printf("httpgw: panic serving %s: %v", hr.r.URL.Path, p)
@@ -612,7 +589,6 @@ type hopWriter struct {
 	status   int
 	declared int64 // -1 when the handler declares no length
 	written  int64
-	upgrade  bool
 	sent     bool // the head is on bw
 	done     bool // the handler returned
 	chunked  bool
@@ -772,9 +748,6 @@ func (w *hopWriter) writeHead(p []byte) {
 		del("Connection")
 		conn = "close"
 	}
-	if w.upgrade {
-		w.bw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + hopProtocol + "\r\n\r\n") //nolint:errcheck
-	}
 	w.writeStatus(w.status)
 	h.WriteSubset(w.bw, ex) //nolint:errcheck
 	if !has(h, "Date") {
@@ -897,14 +870,15 @@ func (w *hopWriter) finish() bool {
 }
 
 // NewUpstreamClient returns an upstream client with a budget of timeout
-// per exchange (none when timeout ≤ 0): hop connections to cascade peers,
-// its own tuned *http.Transport to every other upstream — a pool sized for
-// a hop's concurrent misses, no proxy, no compression. The budget lives in
-// the transport, not in http.Client.Timeout, which on any RoundTripper but
-// *http.Transport costs a goroutine and a timer per request: it is a hop
-// exchange's connection deadline, and the fallback's ResponseHeaderTimeout.
+// per exchange (none when timeout ≤ 0): keep-alive connections of its own to
+// every http:// upstream, peer or origin, and a tuned *http.Transport to
+// https:// ones — a pool sized for a hop's concurrent misses, no proxy, no
+// compression. The budget lives in the transport, not in
+// http.Client.Timeout, which on any RoundTripper but *http.Transport costs
+// a goroutine and a timer per request: it is an exchange's connection
+// deadline, and the fallback's ResponseHeaderTimeout.
 func NewUpstreamClient(timeout time.Duration) *http.Client {
-	t := &upstreamTransport{
+	return &http.Client{Transport: &upstreamTransport{
 		timeout: timeout,
 		fallback: &http.Transport{
 			DialContext:           (&net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
@@ -916,178 +890,135 @@ func NewUpstreamClient(timeout time.Duration) *http.Client {
 			ResponseHeaderTimeout: timeout,
 			DisableCompression:    true,
 		},
-		peers: make(map[string]*hopPeer),
-	}
-	return &http.Client{Transport: t}
+		idle: make(map[string][]*hopClientConn),
+	}}
 }
 
-// upstreamTransport offers its first GET or body-less POST to each http://
-// upstream a hop connection and remembers the answer: a 101 makes the
-// upstream a hop peer, anything else an HTTP peer for good. At most one
-// offer per unknown upstream is in flight; the peer's other exchanges
-// meanwhile, and all of an HTTP peer's, take the peer's own plain pool.
-// Every other request takes the fallback.
+// upstreamTransport carries each http:// exchange on the newest idle
+// connection to its upstream, or a new one, and pools the connection again
+// once the answer has been read to its end. Every other request takes the
+// fallback.
 type upstreamTransport struct {
 	timeout  time.Duration
 	fallback *http.Transport
 
-	mu    sync.Mutex
-	peers map[string]*hopPeer
-}
-
-type peerMode int8
-
-const (
-	peerUnknown peerMode = iota
-	peerOffering
-	peerHop
-	peerHTTP
-)
-
-type hopPeer struct {
-	mode peerMode
-	idle []*hopClientConn // oldest first
-	// plain is a copy of the fallback for this peer alone: once the peer
-	// answers 101, closing its idle connections closes the ones the offer's
-	// wait opened, and those still in use as they come back — to a node,
-	// each is a loop waiting on a client that will not return.
-	plain *http.Transport
+	mu   sync.Mutex
+	idle map[string][]*hopClientConn // by host, oldest first
 }
 
 type hopClientConn struct {
 	net.Conn
-	host  string
-	since time.Time
+	host string
+	// reap closes the connection once it has sat idle for clientIdle, so an
+	// upstream no exchange goes to any more is left no loop serving it; nil
+	// until the connection is first pooled.
+	reap *time.Timer
 }
 
+// RoundTrip sends req and returns the final answer to it. A GET or HEAD
+// without a body whose reused connection ends — closed or reset by the
+// upstream while it sat idle — before a byte of the answer arrives is sent
+// once more on a new connection, as net/http's Transport does; nothing
+// else is retried: not a timeout, not a done context, not a POST.
 func (t *upstreamTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	hop := req.URL.Scheme == "http" && (req.Method == http.MethodGet || req.Method == http.MethodPost) &&
-		(req.Body == nil || req.Body == http.NoBody)
-	cc, offer, plain := t.take(req.URL.Host, hop)
-	if cc == nil && !offer {
-		return plain.RoundTrip(req)
+	if req.URL.Scheme != "http" {
+		return t.fallback.RoundTrip(req)
 	}
-	if cc == nil {
-		addr := req.URL.Host
-		if req.URL.Port() == "" {
-			addr = net.JoinHostPort(req.URL.Hostname(), "80")
+	replay := (req.Method == http.MethodGet || req.Method == http.MethodHead) && (req.Body == nil || req.Body == http.NoBody)
+	for fresh := false; ; fresh = true {
+		var cc *hopClientConn
+		if !fresh {
+			cc = t.take(req.URL.Host)
 		}
-		c, err := t.fallback.DialContext(req.Context(), "tcp", addr)
-		if err != nil {
-			t.settle(req.URL.Host, peerUnknown)
-			return nil, err
+		if cc == nil {
+			addr := req.URL.Host
+			if req.URL.Port() == "" {
+				addr = net.JoinHostPort(req.URL.Hostname(), "80")
+			}
+			c, err := t.fallback.DialContext(req.Context(), "tcp", addr)
+			if err != nil {
+				return nil, err
+			}
+			cc = &hopClientConn{Conn: c, host: req.URL.Host}
 		}
-		cc = &hopClientConn{Conn: c, host: req.URL.Host}
+		reused := cc.reap != nil // the upstream may have closed it while it sat idle
+		resp, early, err := t.exchange(cc, req)
+		if err == nil || fresh || !early || !reused || !replay || req.Context().Err() != nil ||
+			!errors.Is(err, io.EOF) && !errors.Is(err, syscall.ECONNRESET) && !errors.Is(err, syscall.EPIPE) {
+			return resp, err
+		}
 	}
-	return t.exchange(cc, req, offer)
 }
 
-// take hands out the newest idle hop connection to host, or reports that
-// the caller should dial one and offer the upgrade on it, or else names the
-// transport the request takes.
-func (t *upstreamTransport) take(host string, hop bool) (*hopClientConn, bool, *http.Transport) {
-	if !hop {
-		return nil, false, t.fallback
-	}
+// take hands out the newest idle connection to host, or nil.
+func (t *upstreamTransport) take(host string) *hopClientConn {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	p := t.peers[host]
-	if p == nil {
-		p = &hopPeer{plain: t.fallback.Clone()}
-		t.peers[host] = p
+	idle := t.idle[host]
+	n := len(idle)
+	if n == 0 {
+		return nil
 	}
-	switch p.mode {
-	case peerHop:
-		if n := len(p.idle); n > 0 {
-			cc := p.idle[n-1]
-			if p.idle = p.idle[:n-1]; time.Since(cc.since) < hopClientIdle {
-				return cc, false, nil
-			}
-			for _, old := range append(p.idle, cc) { // the newest is too old, so all are
-				old.Close()
-			}
-			p.idle = p.idle[:0]
-		}
-		return nil, true, nil
-	case peerUnknown:
-		p.mode = peerOffering
-		return nil, true, nil
+	cc := idle[n-1]
+	if !cc.reap.Stop() { // reaped, and so are the older ones, or about to be
+		delete(t.idle, host)
+		return nil
 	}
-	return nil, false, p.plain
+	idle[n-1] = nil
+	t.idle[host] = idle[:n-1]
+	return cc
 }
 
-// settle records what an offer to host learned; peerUnknown only ends an
-// offer that failed before the peer answered. A new hop peer's plain pool
-// is closed: no exchange takes it again.
-func (t *upstreamTransport) settle(host string, m peerMode) {
-	t.mu.Lock()
-	p := t.peers[host]
-	if p == nil || m == peerUnknown && p.mode != peerOffering {
-		t.mu.Unlock()
-		return
-	}
-	was := p.mode
-	p.mode = m
-	t.mu.Unlock()
-	if m == peerHop && was != peerHop {
-		p.plain.CloseIdleConnections()
-	}
-}
-
-// exchange sends req on cc — with the upgrade offer when offer is set —
-// and reads its response. The connection's deadline is the exchange's
-// budget, and a done request context closes the connection.
-func (t *upstreamTransport) exchange(cc *hopClientConn, req *http.Request, offer bool) (*http.Response, error) {
+// exchange sends req on cc and reads the final answer to it, past any 1xx.
+// The connection's deadline is the exchange's budget, and a done request
+// context closes the connection. early reports a failure before a byte of
+// any answer arrived.
+func (t *upstreamTransport) exchange(cc *hopClientConn, req *http.Request) (resp *http.Response, early bool, err error) {
 	if t.timeout > 0 {
 		cc.SetDeadline(time.Now().Add(t.timeout)) //nolint:errcheck
 	}
-	b := &hopBody{t: t, cc: cc, keep: true}
+	b := &hopBody{t: t, cc: cc}
 	if ctx := req.Context(); ctx.Done() != nil {
 		b.stop = context.AfterFunc(ctx, func() { cc.Close() })
 	}
-	out := req
-	if offer {
-		out = req.Clone(req.Context())
-		out.Header.Set("Connection", "Upgrade")
-		out.Header.Set("Upgrade", hopProtocol)
-	}
 	bw := hopWriters.Get().(*bufio.Writer)
 	bw.Reset(cc)
-	err := out.Write(bw)
+	err = req.Write(bw)
 	if err == nil {
 		err = bw.Flush()
 	}
 	bw.Reset(nil)
 	hopWriters.Put(bw)
+	b.head = io.LimitedReader{R: cc, N: hopMaxHead} // every head of the answer, 1xx included, within one cap
 	b.br = hopReaders.Get().(*bufio.Reader)
-	b.br.Reset(cc)
-	var resp *http.Response
+	b.br.Reset(&b.head)
 	if err == nil {
-		resp, err = http.ReadResponse(b.br, req)
+		_, err = b.br.Peek(1)
 	}
-	if err == nil && offer {
-		if resp.StatusCode == http.StatusSwitchingProtocols && resp.Header.Get("Upgrade") == hopProtocol {
-			t.settle(cc.host, peerHop)
-			resp, err = http.ReadResponse(b.br, req)
-		} else {
-			t.settle(cc.host, peerHTTP)
-			b.keep = false
+	early = err != nil
+	for interim := 0; err == nil; interim++ {
+		resp, err = http.ReadResponse(b.br, req)
+		if err == nil && (resp.StatusCode >= 200 || resp.StatusCode == http.StatusSwitchingProtocols) {
+			break
+		}
+		if err == nil && interim == max1xx {
+			err = errors.New("httpgw: too many 1xx answers from upstream")
 		}
 	}
 	if err != nil {
-		t.settle(cc.host, peerUnknown)
 		b.finish(false)
-		return nil, err
+		return nil, early, err
 	}
-	if b.keep {
-		resp.Proto = hopProtocol
-	}
-	if b.keep = b.keep && !resp.Close; resp.Body == http.NoBody {
+	b.head.N = math.MaxInt64
+	// A 101 hands the connection to another protocol; an HTTP/1.0 answer
+	// may close it unannounced.
+	b.keep = !req.Close && !resp.Close && resp.ProtoAtLeast(1, 1) && resp.StatusCode >= 200
+	if resp.Body == http.NoBody {
 		b.finish(true)
 	} else {
 		b.rc, resp.Body, b.owed = resp.Body, b, resp.ContentLength
 	}
-	return resp, nil
+	return resp, false, nil
 }
 
 // hopBody returns its connection to the idle list once read to the end,
@@ -1097,6 +1028,7 @@ type hopBody struct {
 	t       *upstreamTransport
 	cc      *hopClientConn
 	br      *bufio.Reader
+	head    io.LimitedReader // the socket, within hopMaxHead until the final head is read
 	stop    func() bool
 	keep    bool
 	owed    int64            // declared bytes not yet read; negative when none were declared
@@ -1166,36 +1098,36 @@ func (b *hopBody) finish(clean bool) {
 	if b.stop != nil && !b.stop() {
 		alive = false // the context fired: the connection is closed
 	}
-	if !alive || !b.t.release(b.cc) {
+	if alive {
+		b.t.release(b.cc)
+	} else {
 		b.cc.Close()
 	}
 }
 
-// CloseIdleConnections closes every peer's idle hop and plain connections,
-// then the fallback's; http.Client.CloseIdleConnections calls it.
+// release returns cc to its host's idle list, and arms its reaper.
+func (t *upstreamTransport) release(cc *hopClientConn) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if cc.reap == nil {
+		cc.reap = time.AfterFunc(clientIdle, func() { cc.Close() })
+	} else {
+		cc.reap.Reset(clientIdle)
+	}
+	t.idle[cc.host] = append(t.idle[cc.host], cc)
+}
+
+// CloseIdleConnections closes every idle connection, then the fallback's;
+// http.Client.CloseIdleConnections calls it.
 func (t *upstreamTransport) CloseIdleConnections() {
 	t.mu.Lock()
-	for _, p := range t.peers {
-		for _, cc := range p.idle {
+	for host, idle := range t.idle {
+		for _, cc := range idle {
+			cc.reap.Stop()
 			cc.Close()
 		}
-		p.idle = nil
-		p.plain.CloseIdleConnections()
+		delete(t.idle, host)
 	}
 	t.mu.Unlock()
 	t.fallback.CloseIdleConnections()
-}
-
-// release returns cc to its peer's idle list, reporting false when its
-// peer is no hop peer.
-func (t *upstreamTransport) release(cc *hopClientConn) bool {
-	cc.since = time.Now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p := t.peers[cc.host]
-	if p == nil || p.mode != peerHop {
-		return false
-	}
-	p.idle = append(p.idle, cc)
-	return true
 }

@@ -12,7 +12,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"runtime"
 	"sort"
 	"strconv"
@@ -28,8 +27,9 @@ import (
 )
 
 // hopChain is an origin and three nodes over httptest servers, the way
-// cmd/cascadegw deploys them: each node's Client is the default (hop
-// connections), or, with plain set, a bare *http.Transport.
+// cmd/cascadegw deploys them, each node's Client the default: each node's
+// loop serves its connections, or, with plain set, net/http does, the
+// node's writer hiding Hijack.
 type hopChain struct {
 	base    string
 	nodes   []*Node
@@ -63,10 +63,11 @@ func newHopChain(t *testing.T, clock func() float64, plain bool) *hopChain {
 	for i := 2; i >= 0; i-- {
 		n := NewNode(model.NodeID(i), upstream, float64(i+1), 24<<10, 64, clock)
 		n.EnableCoherency(coherency.ModeCAS)
+		var h http.Handler = n
 		if plain {
-			n.Client = &http.Client{Transport: &http.Transport{DisableCompression: true}}
+			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { n.ServeHTTP(netHTTPOnly{w, w.(io.ReaderFrom)}, r) })
 		}
-		srv := httptest.NewServer(n)
+		srv := httptest.NewServer(h)
 		t.Cleanup(srv.Close)
 		c.servers = append(c.servers, srv)
 		c.nodes[i] = n
@@ -78,17 +79,16 @@ func newHopChain(t *testing.T, clock func() float64, plain bool) *hopChain {
 
 // TestHopChainMatchesHTTP runs one workload — cold and warm GETs, large
 // objects in segments, invalidations — through a three-node chain twice:
-// over hop connections, and with every Node.Client forced onto a plain
-// *http.Transport. Every client-visible answer, every node's placements,
+// served by the nodes' loops, and by net/http with every node's writer
+// hiding Hijack. Every client-visible answer, every node's placements,
 // counters and cost ledger, and the origin's request count must be equal:
-// the transport carries the protocol and changes nothing in it.
+// the connection carries the protocol and changes nothing in it.
 func TestHopChainMatchesHTTP(t *testing.T) {
 	type outcome struct {
-		answers  []string
-		nodes    []string
-		origin   int64
-		up       [3][2]int64 // per node: hop, http exchanges
-		upstream [3]int64    // per node: exchanges fetchUpstream made
+		answers []string
+		nodes   []string
+		origin  int64
+		served  [3][2]int64 // per node: requests net/http and the loop served
 	}
 	run := func(plain bool) outcome {
 		clock, setNow := testClock()
@@ -145,44 +145,37 @@ func TestHopChainMatchesHTTP(t *testing.T) {
 			out.nodes = append(out.nodes, fmt.Sprintf("node %d: hits %d misses %d inserts %d revalidations %d held %v dcache %d ledger %+v",
 				n.ID, n.hits, n.misses, n.inserts, n.revalidations, held, n.st.DCacheLen(), n.Ledger().Snapshot()))
 			n.mu.Unlock()
-			out.up[i] = [2]int64{n.upHop.Load(), n.upHTTP.Load()}
-			out.upstream[i] = out.up[i][0] + out.up[i][1]
+			out.served[i] = [2]int64{n.served[servedHTTP].Load(), n.served[servedLoop].Load()}
 		}
 		out.origin = c.origin.Load()
 		return out
 	}
 	hop, plain := run(false), run(true)
 
-	for i := range hop.up {
-		wantHop := hop.upstream[i]
-		if i == 2 {
-			wantHop = 0 // the last node's upstream is the origin: HTTP
-		}
-		if hop.upstream[i] == 0 || hop.up[i][0] != wantHop {
-			t.Errorf("node %d: %d exchanges on hop connections, %d on HTTP; want all %d on %s", i, hop.up[i][0], hop.up[i][1],
-				hop.upstream[i], map[bool]string{true: "HTTP", false: "hop connections"}[i == 2])
-		}
-		if plain.up[i][0] != 0 {
-			t.Errorf("node %d on a plain transport: %d exchanges on hop connections", i, plain.up[i][0])
+	for i, s := range hop.served {
+		// The loop serves all but each connection's first request.
+		if s[1] <= s[0] || plain.served[i][1] != 0 || s[0]+s[1] != plain.served[i][0] {
+			t.Errorf("node %d served %v (net/http, loop) under its loop and %v under net/http; want most on the loop, none, and the same total",
+				i, s, plain.served[i])
 		}
 	}
-	if !reflect.DeepEqual(hop.upstream, plain.upstream) || hop.origin != plain.origin {
-		t.Errorf("upstream exchanges %v and origin requests %d over hop connections; %v and %d over HTTP", hop.upstream, hop.origin, plain.upstream, plain.origin)
+	if hop.origin != plain.origin {
+		t.Errorf("%d origin requests under the loops, %d under net/http", hop.origin, plain.origin)
 	}
 	for i := range hop.answers {
 		if hop.answers[i] != plain.answers[i] {
-			t.Fatalf("request %d: over hop connections %s\nover HTTP %s", i, hop.answers[i], plain.answers[i])
+			t.Fatalf("request %d: under the loops %s\nunder net/http %s", i, hop.answers[i], plain.answers[i])
 		}
 	}
 	for i := range hop.nodes {
 		if hop.nodes[i] != plain.nodes[i] {
-			t.Errorf("over hop connections %s\nover HTTP %s", hop.nodes[i], plain.nodes[i])
+			t.Errorf("under the loops %s\nunder net/http %s", hop.nodes[i], plain.nodes[i])
 		}
 	}
 }
 
 // TestHopConnectionsShutDown: cold GETs, large objects and an invalidation
-// cross a chain over hop connections; Shutdown of every server then closes
+// cross a chain over loop connections; Shutdown of every server then closes
 // them all, and every goroutine they ran is gone.
 func TestHopConnectionsShutDown(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -205,9 +198,9 @@ func TestHopConnectionsShutDown(t *testing.T) {
 		}
 	}
 	open := hopConnsOpen(c.nodes)
-	if open == 0 || c.nodes[0].upHop.Load() == 0 || c.nodes[1].upHop.Load() == 0 {
-		t.Fatalf("%d hop connections open, nodes 0 and 1 made %d and %d hop exchanges; want hop connections in use",
-			open, c.nodes[0].upHop.Load(), c.nodes[1].upHop.Load())
+	if open == 0 || c.nodes[1].served[servedLoop].Load() == 0 || c.nodes[2].served[servedLoop].Load() == 0 {
+		t.Fatalf("%d loop connections open, nodes 1 and 2 served %d and %d requests on them; want node-to-node loops in use",
+			open, c.nodes[1].served[servedLoop].Load(), c.nodes[2].served[servedLoop].Load())
 	}
 
 	for _, srv := range c.servers {
@@ -216,9 +209,9 @@ func TestHopConnectionsShutDown(t *testing.T) {
 		}
 		srv.Close()
 	}
-	// Shutdown closes the hop connections — well before the idle limit
-	// would, and while the clients still pool their ends.
-	waitFor(t, hopServerIdle/2, func() bool { return hopConnsOpen(c.nodes) == 0 }, "hop connections still open after Shutdown")
+	// Shutdown closes the loop connections — well before the clients' idle
+	// limit would, and while they still pool their ends.
+	waitFor(t, clientIdle/2, func() bool { return hopConnsOpen(c.nodes) == 0 }, "loop connections still open after Shutdown")
 	client.CloseIdleConnections()
 	defaultUpstreamClient.CloseIdleConnections()
 	waitFor(t, 10*time.Second, func() bool { return runtime.NumGoroutine() <= before }, "goroutines above the baseline of %d", before)
@@ -248,12 +241,13 @@ func waitFor(t *testing.T, within time.Duration, cond func() bool, msg string, a
 }
 
 // hopPeerServer serves a node behind a wrapper that answers /block itself —
-// it holds the request until its context is done — and counts dials.
+// it holds the request until its context is done — and counts dials. The
+// node's loop serves the wrapper.
 func hopPeerServer(t *testing.T, entered chan<- struct{}, left chan<- error) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
 	var dials atomic.Int64
 	peer := NewNode(1, "http://upstream.invalid", 1, 1<<20, 100, func() float64 { return 0 })
-	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := httptest.NewUnstartedServer(edgeRecorder(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/block" {
 			entered <- struct{}{}
 			<-r.Context().Done()
@@ -280,8 +274,8 @@ func hopGet(t *testing.T, client *http.Client, url string) {
 	}
 	io.Copy(io.Discard, resp.Body) //nolint:errcheck
 	resp.Body.Close()
-	if resp.Proto != hopProtocol {
-		t.Fatalf("GET %s answered over %q, want a hop connection", url, resp.Proto)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %s", url, resp.Status)
 	}
 }
 
@@ -289,14 +283,11 @@ func idleHop(client *http.Client, url string) []*hopClientConn {
 	t := client.Transport.(*upstreamTransport)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if p := t.peers[strings.TrimPrefix(url, "http://")]; p != nil {
-		return append([]*hopClientConn(nil), p.idle...)
-	}
-	return nil
+	return append([]*hopClientConn(nil), t.idle[strings.TrimPrefix(url, "http://")]...)
 }
 
 // TestHopClientIdleLimit: an idle client-side connection is reused until it
-// has sat hopClientIdle, and never after: the server may close it then.
+// has sat clientIdle, and then closed: the server may close it after that.
 func TestHopClientIdleLimit(t *testing.T) {
 	srv, dials := hopPeerServer(t, nil, nil)
 	client := NewUpstreamClient(time.Second)
@@ -308,9 +299,13 @@ func TestHopClientIdleLimit(t *testing.T) {
 	}
 	idle := idleHop(client, srv.URL)
 	if len(idle) != 1 {
-		t.Fatalf("%d idle hop connections, want 1", len(idle))
+		t.Fatalf("%d idle connections, want 1", len(idle))
 	}
-	idle[0].since = idle[0].since.Add(-hopClientIdle)
+	idle[0].reap.Reset(0) // it has sat clientIdle
+	waitFor(t, 5*time.Second, func() bool {
+		_, err := idle[0].Read(make([]byte, 1))
+		return errors.Is(err, net.ErrClosed)
+	}, "the connection is still open past the idle limit")
 	hopGet(t, client, srv.URL+"/cascade/health")
 	if got := dials.Load(); got != 2 {
 		t.Fatalf("an exchange after the idle limit dialed %d times in all; want a fresh dial", got)
@@ -318,8 +313,8 @@ func TestHopClientIdleLimit(t *testing.T) {
 }
 
 // TestHopClientCloseIdle: CloseIdleConnections on the upstream client closes
-// its idle hop connections and its fallback's idle HTTP connections, and the
-// next exchange with either peer dials.
+// its idle connections to a node and to a plain HTTP server alike, and the
+// next exchange with either dials.
 func TestHopClientCloseIdle(t *testing.T) {
 	hop, hopDials := hopPeerServer(t, nil, nil)
 	var httpDials atomic.Int64
@@ -345,27 +340,24 @@ func TestHopClientCloseIdle(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		exchanges()
 	}
-	// The HTTP peer's first connection carried the declined offer; the
-	// fallback's own is kept alive from then on.
-	if h, p := hopDials.Load(), httpDials.Load(); h != 1 || p != 2 || len(idleHop(client, hop.URL)) != 1 {
-		t.Fatalf("three rounds dialed the hop peer %d and the HTTP peer %d times, %d idle hop connections; want 1, 2 and 1",
-			h, p, len(idleHop(client, hop.URL)))
+	if h, p := hopDials.Load(), httpDials.Load(); h != 1 || p != 1 || len(idleHop(client, hop.URL)) != 1 || len(idleHop(client, plain.URL)) != 1 {
+		t.Fatalf("three rounds dialed the node %d and the HTTP server %d times, %d and %d idle connections; want 1 each",
+			h, p, len(idleHop(client, hop.URL)), len(idleHop(client, plain.URL)))
 	}
 	client.CloseIdleConnections()
-	if n := len(idleHop(client, hop.URL)); n != 0 {
-		t.Fatalf("%d idle hop connections after CloseIdleConnections", n)
+	if n := len(idleHop(client, hop.URL)) + len(idleHop(client, plain.URL)); n != 0 {
+		t.Fatalf("%d idle connections after CloseIdleConnections", n)
 	}
 	exchanges()
-	if h, p := hopDials.Load(), httpDials.Load(); h != 2 || p != 3 {
+	if h, p := hopDials.Load(), httpDials.Load(); h != 2 || p != 2 {
 		t.Fatalf("after CloseIdleConnections the hop peer was dialed %d and the HTTP peer %d times in all; want a fresh dial to each", h, p)
 	}
 }
 
-// TestHopOfferBlackHole: against an upstream that accepts connections and
-// never answers, every exchange in flight fails within about one budget.
-// Those that arrive while the first one's offer is unanswered take the
-// peer's plain pool; none waits behind the offer.
-func TestHopOfferBlackHole(t *testing.T) {
+// TestUpstreamBlackHole: against an upstream that accepts connections and
+// never answers, every exchange in flight fails within about one budget;
+// none waits behind another.
+func TestUpstreamBlackHole(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -413,41 +405,159 @@ func TestHopOfferBlackHole(t *testing.T) {
 	}
 }
 
-// TestHopOfferClosesPlainConns: exchanges that reach a node while the
-// first one's offer is unanswered ride plain keep-alive connections, which
-// the node's loop takes over. Once the node answers 101 none of them is
-// used again, so none may stay open: each would hold a loop on the node.
-func TestHopOfferClosesPlainConns(t *testing.T) {
-	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(100 * time.Millisecond) // every miss outlasts the offer's start
-		(&Origin{Size: func(model.ObjectID) int { return 500 }}).ServeHTTP(w, r)
-	}))
-	defer origin.Close()
-	peer := NewNode(1, origin.URL, 1, 1<<20, 100, func() float64 { return 0 })
-	srv := httptest.NewServer(peer)
-	defer srv.Close()
-	client := NewUpstreamClient(time.Minute)
-	defer client.CloseIdleConnections()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := client.Get(srv.URL + "/objects/" + strconv.Itoa(i))
+// TestUpstreamClientContract holds the upstream client to what net/http's
+// Transport does for an arbitrary server, over raw sockets. Each row's
+// upstream answers the requests on its i-th accepted connection with
+// conns[i] in turn ("" never answers), and closes the connection after the
+// last answer, or at once past the last connection; the client sends steps
+// in order. A step at or past fail must
+// fail; every other must read "ok". idle is how many connections the
+// client pools after each step, and dials how many it opens in all.
+func TestUpstreamClientContract(t *testing.T) {
+	const (
+		ok      = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+		okClose = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n\r\nok"
+		ok10    = "HTTP/1.0 200 OK\r\nContent-Length: 2\r\nConnection: keep-alive\r\n\r\nok"
+		interim = "HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 103 Early Hints\r\nLink: </a.css>; rel=preload\r\n\r\n"
+		hang    = ""
+	)
+	const budget = 300 * time.Millisecond
+	for _, tc := range []struct {
+		name  string
+		conns [][]string
+		steps []string
+		fail  int
+		idle  []int
+		dials int64
+	}{
+		{"an idle connection the upstream closed: one redial", [][]string{{ok}, {ok}}, []string{"GET", "GET"}, 2, []int{1, 1}, 2},
+		{"100 and 103 before the 200 are skipped", [][]string{{interim + ok, ok}}, []string{"GET", "GET"}, 2, []int{1, 1}, 1},
+		{"Connection: close: the next GET dials", [][]string{{okClose}, {ok}}, []string{"GET", "GET"}, 2, []int{0, 1}, 2},
+		{"HTTP/1.0: the next GET dials", [][]string{{ok10}, {ok}}, []string{"GET", "GET"}, 2, []int{0, 1}, 2},
+		{"a timeout on a reused connection is not retried", [][]string{{ok, hang}}, []string{"GET", "GET"}, 1, []int{1, 0}, 1},
+		{"a POST is not retried", [][]string{{ok}, {ok}}, []string{"GET", "POST"}, 1, []int{1, 0}, 1},
+		{"a head past the cap fails", [][]string{{"HTTP/1.1 200 OK\r\nX-Pad: " + strings.Repeat("a", 2<<20) + "\r\n\r\n"}}, []string{"GET"}, 0, []int{0}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
-				t.Error(err)
-				return
+				t.Fatal(err)
 			}
-			io.Copy(io.Discard, resp.Body) //nolint:errcheck
-			resp.Body.Close()
-		}(i)
+			var dials atomic.Int64
+			answered := make(chan struct{}, 2) // one per answer a row holds
+			var wg sync.WaitGroup
+			defer wg.Wait()
+			defer ln.Close()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					conn, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					dials.Add(1)
+					if i >= len(tc.conns) {
+						conn.Close()
+						continue
+					}
+					answers := tc.conns[i]
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						defer conn.Close()
+						br := bufio.NewReader(conn)
+						for i, a := range answers {
+							r, err := http.ReadRequest(br)
+							if err != nil {
+								return
+							}
+							io.Copy(io.Discard, r.Body) //nolint:errcheck
+							if a == hang {
+								io.Copy(io.Discard, br) //nolint:errcheck // until the client hangs up
+								return
+							}
+							conn.Write([]byte(a)) //nolint:errcheck
+							if i == len(answers)-1 {
+								conn.Close()
+							}
+							answered <- struct{}{}
+						}
+					}()
+				}
+			}()
+			client := NewUpstreamClient(budget)
+			defer client.CloseIdleConnections()
+			base := "http://" + ln.Addr().String()
+			for i, method := range tc.steps {
+				var sent io.Reader
+				if method == http.MethodPost {
+					sent = strings.NewReader("x")
+				}
+				req, err := http.NewRequest(method, base+"/objects/1", sent)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := client.Do(req)
+				var body []byte
+				if err == nil {
+					body, err = io.ReadAll(resp.Body)
+					resp.Body.Close()
+				}
+				switch {
+				case i >= tc.fail && err == nil:
+					t.Fatalf("step %d (%s) read %q, want an error", i, method, body)
+				case i < tc.fail && (err != nil || string(body) != "ok"):
+					t.Fatalf("step %d (%s): %q, %v", i, method, body, err)
+				case i < tc.fail:
+					<-answered // and the connection closed, if that was its last
+				}
+				if got := len(idleHop(client, base)); got != tc.idle[i] {
+					t.Fatalf("after step %d (%s): %d idle connections, want %d", i, method, got, tc.idle[i])
+				}
+			}
+			if got := dials.Load(); got != tc.dials {
+				t.Fatalf("%d dials, want %d", got, tc.dials)
+			}
+		})
 	}
-	wg.Wait()
-	if peer.served[servedEdge].Load() == 0 {
-		t.Fatal("no exchange rode a plain connection; the test needs some during the offer")
+}
+
+// TestOldHopOfferAnswered: a build from before this one offered each new
+// connection to a peer an upgrade on its first request. A node answers the
+// offer as the plain request it also is — its real 200, no 101, no Upgrade
+// header — on a connection its loop takes over. The old client reads any
+// answer but "101 Switching Protocols" with "Upgrade: cascade-hop/1" as a
+// refusal, records the peer as HTTP-only, and keeps plain keep-alive
+// connections to it, which the loop serves too.
+func TestOldHopOfferAnswered(t *testing.T) {
+	n := NewNode(0, "http://upstream.invalid", 1, 1<<20, 100, func() float64 { return 0 })
+	srv := httptest.NewServer(n)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
 	}
-	waitFor(t, 2*time.Second, func() bool { return hopConnsOpen([]*Node{peer}) == len(idleHop(client, srv.URL)) },
-		"%d loop connections open on the node; want only the client's %d idle hop connections", hopConnsOpen([]*Node{peer}), len(idleHop(client, srv.URL)))
+	defer conn.Close()
+	const offer = "GET /cascade/health HTTP/1.1\r\nHost: peer\r\nConnection: Upgrade\r\nUpgrade: cascade-hop/1\r\n\r\n"
+	if _, err := conn.Write([]byte(offer + "GET /cascade/health HTTP/1.1\r\nHost: peer\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	br := bufio.NewReader(conn)
+	for i := 0; i < 2; i++ {
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("answer %d: %v", i, err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Upgrade") != "" || resp.Close {
+			t.Fatalf("answer %d: %s, Upgrade %q, close %v; want a kept-alive 200 and no Upgrade", i, resp.Status, resp.Header.Get("Upgrade"), resp.Close)
+		}
+	}
+	if loop, std := n.served[servedLoop].Load(), n.served[servedHTTP].Load(); loop != 2 || std != 0 {
+		t.Fatalf("the offer and the request after it: %d served by the loop, %d by net/http; want both by the loop", loop, std)
+	}
 }
 
 // TestHopCancellation: a downstream that gives up while the upstream handler
@@ -487,7 +597,7 @@ func TestHopCancellation(t *testing.T) {
 		t.Fatal("the upstream handler's context outlived its departed downstream")
 	}
 	if idle := idleHop(client, srv.URL); len(idle) != 0 {
-		t.Fatalf("%d idle hop connections after the cancelled exchange, want none", len(idle))
+		t.Fatalf("%d idle connections after the cancelled exchange, want none", len(idle))
 	}
 	hopGet(t, client, srv.URL+"/cascade/health")
 	if got := dials.Load(); got != 2 {
@@ -495,8 +605,9 @@ func TestHopCancellation(t *testing.T) {
 	}
 }
 
-// FuzzHopConn feeds arbitrary bytes, as they would follow the 101, to the
-// serving loop over net.Pipe, with a node behind it. pad, when set, inserts
+// FuzzHopConn feeds arbitrary bytes, as they would follow the request a
+// connection was taken over at, to the serving loop over net.Pipe, with a
+// node behind it. pad, when set, inserts
 // a header of pad%2 MiB bytes after the first line, so that oversized heads
 // are reachable without megabyte corpus files. The loop must not panic; it
 // must dispatch, in order, a prefix of the requests net/http's server hands
@@ -534,7 +645,7 @@ func FuzzHopConn(f *testing.F) {
 		served := make(chan struct{})
 		go func() {
 			defer close(served)
-			newHopServerConn(server, h, context.Background(), servedHop).serve(hopRequest{})
+			newHopServerConn(server, &http.Server{Handler: h}, context.Background()).serve(hopRequest{})
 		}()
 		// Answers are read until the server has answered every request the
 		// input holds, then discarded until it hangs up; the peer leaves once
@@ -623,12 +734,11 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // BenchmarkNodeExchange4K times one exchange of a 4 KiB object with a node
-// over loopback — request out, the node's hit, the body back — three ways:
-// on a hop connection; from a plain HTTP client, whose connection the node's
-// loop takes over (edge); and from the same client with net/http serving the
-// node, its Hijack hidden (nethttp). edge against nethttp is what the
-// take-over saves per exchange; hop and edge share the server's loop and
-// differ in the client.
+// over loopback — request out, the node's hit, the body back — two ways:
+// from the upstream client, served by the node's loop (loop); and from
+// net/http's client, served by net/http with the node's Hijack hidden
+// (nethttp). loop against nethttp is what the node's own connections save
+// per exchange at both ends.
 func BenchmarkNodeExchange4K(b *testing.B) {
 	const size = 4 << 10
 	origin := httptest.NewServer(&Origin{Size: func(model.ObjectID) int { return size }})
@@ -645,8 +755,7 @@ func BenchmarkNodeExchange4K(b *testing.B) {
 		url    string
 		client *http.Client
 	}{
-		{"hop", srv.URL, NewUpstreamClient(DefaultUpstreamTimeout)},
-		{"edge", srv.URL, &http.Client{Transport: &http.Transport{DisableCompression: true}}},
+		{"loop", srv.URL, NewUpstreamClient(DefaultUpstreamTimeout)},
 		{"nethttp", std.URL, &http.Client{Transport: &http.Transport{DisableCompression: true}}},
 	} {
 		client := arm.client

@@ -109,10 +109,11 @@ type Node struct {
 	// UpCost is the cost of the link from this node toward Upstream.
 	UpCost float64
 	// Client issues upstream requests. When nil a shared default with
-	// DefaultUpstreamTimeout is used (NewUpstreamClient: hop connections to
-	// cascade peers) — never http.DefaultClient, whose missing timeout
-	// would let one hung upstream pin gateway goroutines forever. Set an
-	// explicit Client, e.g. NewUpstreamClient(d), to choose another budget.
+	// DefaultUpstreamTimeout is used (NewUpstreamClient: keep-alive
+	// connections of its own to every http:// upstream) — never
+	// http.DefaultClient, whose missing timeout would let one hung upstream
+	// pin gateway goroutines forever. Set an explicit Client, e.g.
+	// NewUpstreamClient(d), to choose another budget.
 	Client *http.Client
 	// Clock supplies seconds for frequency estimation.
 	Clock func() float64
@@ -175,9 +176,6 @@ type Node struct {
 	// mu's critical sections.
 	badPenalty, badSegment, badGen, badInval, badPath atomic.Int64
 
-	// Upstream exchanges answered, by the transport that carried them
-	// (cascade_gw_upstream_exchanges_total).
-	upHop, upHTTP atomic.Int64
 	// Relayed body bytes, by path: kernel (hopBody.relayTo) or copy
 	// (cascade_gw_relayed_bytes_total).
 	relayedKernel, relayedCopy atomic.Int64
@@ -519,11 +517,11 @@ func objectID(r *http.Request) (model.ObjectID, error) {
 
 // ServeHTTP implements the node's request/response protocol: decode, the
 // engine's up step, the upstream exchange, the engine's down step, encode.
-// The first request net/http hands it on a connection the node can serve
-// from its own loop — a hop offer, or, when the node is its server's whole
-// handler, a plaintext HTTP/1.1 keep-alive request without a body — is
-// answered there, with every later one (hop.go). Such a connection is no
-// longer net/http's: the server's Shutdown closes it, its Close does not.
+// When the node is its server's whole handler, the first plaintext
+// HTTP/1.1 keep-alive request without a body net/http hands it on a
+// connection is answered from the node's own loop, with every later one
+// (hop.go). Such a connection is no longer net/http's: the server's
+// Shutdown closes it, its Close does not.
 func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	kind, _ := r.Context().Value(servedKey{}).(int)
 	if kind == servedHTTP && n.hops.accept(w, r, n) {
@@ -853,8 +851,8 @@ func (n *Node) segmentedAnswer(w http.ResponseWriter, r *http.Request, g *getReq
 // the up step — and relays the answer on. A node the decision chose must
 // hold the bytes anyway, so it reads them whole and the step stores them;
 // otherwise they stream through — socket to socket in the kernel when they
-// arrive on a hop connection, else through a pooled buffer — so a relay hop
-// never holds a full object.
+// arrive on an upstream client's connection, else through a pooled buffer —
+// so a relay hop never holds a full object.
 func (n *Node) finishMiss(w http.ResponseWriter, resp *http.Response, g *getReq, q *engine.Req, upsp span.SpanID, dec decision, prev float64) {
 	mp := prev + n.UpCost
 	place := q != nil && placed(dec.place, n.ID)

@@ -83,17 +83,13 @@ func (n *Node) MetricsRegistry() *metrics.Registry {
 		func() float64 { return float64(n.badInval.Load()) }, metrics.L("header", "inval"), nl)
 	r.CounterFunc("cascade_gw_bad_header_total", "Malformed protocol headers received, by header kind.",
 		func() float64 { return float64(n.badPath.Load()) }, metrics.L("header", "path"), nl)
-	r.CounterFunc("cascade_gw_upstream_exchanges_total", "Upstream exchanges answered, by the transport that carried them.",
-		func() float64 { return float64(n.upHop.Load()) }, metrics.L("transport", "hop"), nl)
-	r.CounterFunc("cascade_gw_upstream_exchanges_total", "Upstream exchanges answered, by the transport that carried them.",
-		func() float64 { return float64(n.upHTTP.Load()) }, metrics.L("transport", "http"), nl)
 	r.CounterFunc("cascade_gw_relayed_bytes_total", "Body bytes relayed through this node without being stored, by the path they took.",
 		func() float64 { return float64(n.relayedKernel.Load()) }, metrics.L("path", "kernel"), nl)
 	r.CounterFunc("cascade_gw_relayed_bytes_total", "Body bytes relayed through this node without being stored, by the path they took.",
 		func() float64 { return float64(n.relayedCopy.Load()) }, metrics.L("path", "copy"), nl)
 	for kind, name := range servedNames {
 		c := &n.served[kind]
-		r.CounterFunc("cascade_gw_served_total", "Requests served, by the connection they came on: hop (a hop connection), edge (a client connection the node's loop took over) or http (net/http).",
+		r.CounterFunc("cascade_gw_served_total", "Requests served, by the connection they came on: loop (a connection the node's loop took over) or http (net/http).",
 			func() float64 { return float64(c.Load()) }, metrics.L("conn", name), nl)
 	}
 	for o, name := range reassemblyOutcomeNames {

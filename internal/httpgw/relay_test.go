@@ -20,15 +20,15 @@ import (
 	"cascade/internal/store"
 )
 
-// Kernel relays: a hop that only passes a body on moves what arrives on a
-// hop connection socket to socket (hopBody.relayTo). The tests below run a
+// Kernel relays: a hop that only passes a body on moves what arrives on its
+// upstream client's connection socket to socket (hopBody.relayTo). The tests below run a
 // real three-node chain over loopback with bodies far above a hop reader's
 // 8 KiB, so nodes 0 and 1 take that path, and check that every failure ends
 // as it does on the copy path.
 
 // relayChain is three nodes over loopback in front of a stub upstream: node
 // 2 fetches from reply in-process, node 1 from node 2 and node 0 from node 1
-// over hop connections, each through its own upstream client of the given
+// over loop connections, each through its own upstream client of the given
 // budget; a plain HTTP client reaches node 0. The stub places nowhere, so
 // every node relays.
 type relayChain struct {
@@ -59,7 +59,7 @@ func newRelayChain(t *testing.T, budget time.Duration, reply stubUpstream, setup
 	return c
 }
 
-// close shuts every server down — Shutdown closes the hop connections it
+// close shuts every server down — Shutdown closes the loop connections it
 // accepted — and drops every idle connection.
 func (c *relayChain) close() {
 	for _, srv := range c.servers {
@@ -72,7 +72,7 @@ func (c *relayChain) close() {
 	c.client.CloseIdleConnections()
 }
 
-// idle counts node i's pooled hop connections to its upstream.
+// idle counts node i's pooled connections to its upstream.
 func (c *relayChain) idle(i int) int { return len(idleHop(c.nodes[i].Client, c.servers[i+1].URL)) }
 
 // get fetches obj from node 0 and reads as much of the body as arrives.
@@ -132,8 +132,8 @@ func TestRelayKernelShortUpstream(t *testing.T) {
 		return upstreamReply(http.StatusOK, declared, body)
 	}, nil)
 
-	// A whole body first: it crosses both hop connections in the kernel,
-	// and each is pooled after it.
+	// A whole body first: it crosses both node-to-node connections in the
+	// kernel, and each is pooled after it.
 	got, err := c.get(context.Background(), 2)
 	if err != nil || !bytes.Equal(got, body) {
 		t.Fatalf("whole body: %d bytes, %v; want %d bytes", len(got), err, declared)
@@ -162,10 +162,35 @@ func TestRelayKernelShortUpstream(t *testing.T) {
 	}
 }
 
+// TestOriginRelaySplices: a node that relays the origin's answers moves
+// their bodies socket to socket, as it does a peer's: every origin exchange
+// rides the upstream client's own connections, not net/http's Transport.
+func TestOriginRelaySplices(t *testing.T) {
+	const size = 256 << 10
+	origin := httptest.NewServer(&Origin{Size: func(model.ObjectID) int { return size }})
+	defer origin.Close()
+	n := NewNode(0, origin.URL, 1, size/2, 100, func() float64 { return 0 }) // too small to place an object
+	n.Client = NewUpstreamClient(time.Minute)
+	defer n.Client.CloseIdleConnections()
+	srv := httptest.NewServer(n)
+	defer srv.Close()
+	for obj := 1; obj <= 3; obj++ {
+		resp, body := get(t, srv.URL, obj)
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, store.SyntheticBody(model.ObjectID(obj), size)) || n.Contains(model.ObjectID(obj)) {
+			t.Fatalf("object %d: status %d, %d bytes, placed %v; want the origin's %d bytes relayed", obj, resp.StatusCode, len(body), n.Contains(model.ObjectID(obj)), size)
+		}
+		waitFor(t, 5*time.Second, func() bool { k, c := relayedBytes(n); return k+c == int64(obj)*size }, "object %d: the relay counted short", obj)
+	}
+	if k, c := relayedBytes(n); c != 0 {
+		t.Fatalf("relayed %d bytes in the kernel and copied %d; want all %d in the kernel", k, c, 3*size)
+	}
+}
+
 // TestHopFirstExchangeShortCloses: the upstream falls short on the very
-// first request, the one each hop connection's offer carried. Each hop
-// closes its connection after that failed answer as after any other, so
-// the client sees the short body at once, not after two idle closes.
+// first request, the one net/http serves before each node's loop takes the
+// connection over. Each hop closes its connection after that failed answer
+// as after any other, so the client sees the short body at once, not after
+// two idle closes.
 func TestHopFirstExchangeShortCloses(t *testing.T) {
 	const declared, sent = 256 << 10, 100 << 10
 	body := store.SyntheticBody(7, declared)
@@ -198,7 +223,7 @@ func TestRelayKernelStalledUpstream(t *testing.T) {
 }
 
 // TestRelayKernelClientDeparts: a client that leaves mid-relay closes every
-// upstream hop connection on the way, unpooled; the upstream handler's
+// upstream connection on the way, unpooled; the upstream handler's
 // context ends; and every goroutine returns.
 func TestRelayKernelClientDeparts(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -240,7 +265,7 @@ func TestRelayKernelClientDeparts(t *testing.T) {
 }
 
 // TestReassemblyGenerationsSpliced is TestReassemblyGenerations' "write
-// between segment 1 and 2" row in CAS over hop connections with 64 KiB
+// between segment 1 and 2" row in CAS over loop connections with 64 KiB
 // segments: node 0 hands each accepted segment to the client's socket in the
 // kernel, and the generation pin still ends the response short at the
 // first segment of the new generation.
@@ -349,14 +374,15 @@ func tcpPair(t *testing.T) (*net.TCPConn, *net.TCPConn) {
 	return a.(*net.TCPConn), b.(*net.TCPConn)
 }
 
-// FuzzHopResponse serves arbitrary bytes, after a valid 101, as a hop peer's
-// response over loopback TCP, and relays whatever body the client half makes
-// of them through copyStream into a socket. pad, when set, inserts pad%(1
-// MiB) bytes of 'a' after the first blank line, so that long bodies are
+// FuzzHopResponse serves arbitrary bytes as an upstream's answer over
+// loopback TCP, and relays whatever body the upstream client makes of them
+// through copyStream into a socket. pad, when set, inserts pad%(1 MiB)
+// bytes of 'a' after the first blank line, so that long bodies are
 // reachable without megabyte corpus files. No panic; never a forwarded byte
-// beyond what the response declares and holds, and those bytes are its
-// body's; the connection pooled only after a response a plain parser reads
-// whole; and no goroutine left behind.
+// beyond what the final answer declares and holds, and those bytes are its
+// body's; the connection pooled only after a keep-alive HTTP/1.1 final
+// answer a plain parser reads whole, past at most five 1xx; and no
+// goroutine left behind.
 func FuzzHopResponse(f *testing.F) {
 	sink, received := socketSink(f)
 	f.Fuzz(func(t *testing.T, data []byte, pad uint32) {
@@ -380,23 +406,30 @@ func FuzzHopResponse(f *testing.F) {
 				return
 			}
 			defer conn.Close()
-			upgrade := "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + hopProtocol + "\r\n\r\n"
-			conn.Write(append([]byte(upgrade), data...)) //nolint:errcheck // the client may hang up first
-			conn.(*net.TCPConn).CloseWrite()             //nolint:errcheck
-			io.Copy(io.Discard, conn)                    //nolint:errcheck
+			conn.Write(data)                 //nolint:errcheck // the client may hang up first
+			conn.(*net.TCPConn).CloseWrite() //nolint:errcheck
+			io.Copy(io.Discard, conn)        //nolint:errcheck
 		}()
 		addr := ln.Addr().String()
 		tr := &upstreamTransport{
 			timeout:  10 * time.Second,
 			fallback: &http.Transport{DialContext: dialNoLinger},
-			peers:    map[string]*hopPeer{addr: {mode: peerHop, plain: &http.Transport{}}},
+			idle:     make(map[string][]*hopClientConn),
 		}
 		req, err := http.NewRequest(http.MethodGet, "http://"+addr+"/objects/1", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var refBody []byte
-		ref, refErr := http.ReadResponse(bufio.NewReader(bytes.NewReader(data)), req)
+		br := bufio.NewReader(bytes.NewReader(data))
+		ref, refErr := http.ReadResponse(br, req)
+		for interim := 1; refErr == nil && ref.StatusCode < 200 && ref.StatusCode != http.StatusSwitchingProtocols; interim++ {
+			if interim > 5 {
+				ref, refErr = nil, errors.New("more than five 1xx answers")
+				break
+			}
+			ref, refErr = http.ReadResponse(br, req)
+		}
 		if refErr == nil {
 			refBody, refErr = io.ReadAll(ref.Body)
 		}
@@ -414,9 +447,12 @@ func FuzzHopResponse(f *testing.F) {
 				t.Fatalf("forwarded %d bytes; the response declares %d and holds %d", n, resp.ContentLength, len(refBody))
 			}
 		}
-		pooled := len(tr.peers[addr].idle) == 1
+		pooled := len(tr.idle[addr]) == 1
 		if pooled && (refErr != nil || n != int64(len(refBody))) {
 			t.Fatalf("pooled after forwarding %d of %d body bytes (%v)", n, len(refBody), refErr)
+		}
+		if pooled && (ref.Close || !ref.ProtoAtLeast(1, 1) || ref.StatusCode < 200) {
+			t.Fatalf("pooled after a %s %d answer that ends the connection (close %v)", ref.Proto, ref.StatusCode, ref.Close)
 		}
 		tr.CloseIdleConnections()
 		ln.Close()
@@ -505,7 +541,7 @@ func (s *sinkBuffer) await(n int64) []byte {
 }
 
 // BenchmarkRelay256K times one 256 KiB body relayed by a middle node between
-// hop connections over loopback: the upstream node's hit, the middle node's
+// loop connections over loopback: the upstream node's hit, the middle node's
 // relay, the body read by its client. kernel is the shipping path (the hop
 // writer's ReadFrom, a splice); copy hides that ReadFrom behind a wrapper,
 // so the same relay copies through the pooled 32 KiB buffer.
@@ -581,7 +617,7 @@ func BenchmarkRelay256K(b *testing.B) {
 }
 
 // writeOnly hides a ResponseWriter's ReadFrom; Unwrap keeps its Hijack
-// reachable, so that the hop upgrade still happens.
+// reachable, so that the node's loop still takes the connection over.
 type writeOnly struct{ http.ResponseWriter }
 
 func (w writeOnly) Unwrap() http.ResponseWriter { return w.ResponseWriter }

@@ -17,9 +17,9 @@ import (
 // completes, retries, or degrades to the origin within this budget.
 const DefaultUpstreamTimeout = 10 * time.Second
 
-// defaultUpstreamClient is shared by all nodes whose Client is nil: hop
-// connections to cascade peers, its own tuned transport to everything else,
-// and DefaultUpstreamTimeout on every exchange (NewUpstreamClient) — never
+// defaultUpstreamClient is shared by all nodes whose Client is nil: its own
+// keep-alive connections to every http:// upstream, and
+// DefaultUpstreamTimeout on every exchange (NewUpstreamClient) — never
 // http.DefaultClient, which has no timeout, keeps two idle connections per
 // host and honours HTTP_PROXY.
 var defaultUpstreamClient = NewUpstreamClient(DefaultUpstreamTimeout)
@@ -234,13 +234,6 @@ func (n *Node) fetchUpstream(req *http.Request) (*http.Response, error) {
 			try = req.Clone(req.Context())
 		}
 		resp, err := client.Do(try)
-		if err == nil {
-			if resp.Proto == hopProtocol {
-				n.upHop.Add(1)
-			} else {
-				n.upHTTP.Add(1)
-			}
-		}
 		if err == nil && !retryableStatus(resp.StatusCode) {
 			n.mu.Lock()
 			n.breakerSuccessLocked()
