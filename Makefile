@@ -112,7 +112,7 @@ observe:
 # size, lo, hi) must yield the bytes of the serial recurrence, then ten
 # against the fused upstream step: any byte string decodes to get / place /
 # pass / invalidate / expire ops, in every coherency mode, on which
-# NodeState.UpStep must leave results, both stores and every metric exactly
+# nodeState.UpStep must leave results, both stores and every metric exactly
 # as LookupFresh followed by UpMiss does (minimization is capped: by default
 # the fuzzer spends up to a minute shrinking each coverage-expanding input,
 # here the whole smoke).

@@ -647,8 +647,8 @@ func NewHTTPCacheNode(id NodeID, upstream string, upCost float64, capacity int64
 
 // NewHTTPOrigin builds a synthetic origin handler; size maps objects to
 // payload lengths. The origin decides placements for whole-chain misses;
-// EnableObservability audits those decisions and serves the metrics and
-// flight-recorder routes on its listener.
+// its node (HTTPOrigin.Node) audits them and serves the metrics, flight
+// and span routes on its listener, as a cache node does.
 func NewHTTPOrigin(size func(ObjectID) int) *HTTPOrigin { return &httpgw.Origin{Size: size} }
 
 // NewHTTPFileOrigin builds an origin handler serving files beneath dir, so

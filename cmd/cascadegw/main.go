@@ -63,11 +63,11 @@ func run() error {
 		brkCool     = flag.Float64("breaker-cooldown", 0, "gateway: seconds the breaker stays open before probing (0 = default)")
 		upHealth    = flag.Float64("up-health-interval", 1, "gateway: seconds between active upstream health probes (≤ 0 = disabled)")
 		flightCap   = flag.Int("flight", 0, "event-log (flight recorder) capacity in events (0 = default 256, negative = disabled); dump via GET /cascade/debug/flight")
-		spanRate    = flag.Float64("spans", -1, "enable cascade-wide span tracing, keeping this fraction of unremarkable traces (error/stale/slow always kept; negative = disabled; the origin records its decide spans); dump via GET /cascade/debug/spans")
+		spanRate    = flag.Float64("spans", -1, "enable cascade-wide span tracing, keeping this fraction of unremarkable traces (error/stale/slow always kept; negative = disabled; the origin keeps its decide spans); dump via GET /cascade/debug/spans")
 		spanCap     = flag.Int("span-capacity", 512, "span-ring capacity in spans (with -spans)")
 		spanSlow    = flag.Duration("span-slow", 0, "force-keep traces slower than this end-to-end (with -spans; 0 = no slow threshold)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
-		metricsAddr = flag.String("metrics", "", "gateway: serve Prometheus /metrics on this address (e.g. localhost:9090; empty = disabled)")
+		metricsAddr = flag.String("metrics", "", "serve Prometheus /metrics on this address (e.g. localhost:9090; empty = disabled)")
 	)
 	flag.Parse()
 
@@ -89,12 +89,9 @@ func run() error {
 		}()
 	}
 
-	spanPolicy := cascade.SpanPolicy{Rate: *spanRate, Slow: spanSlow.Seconds()}
 	var handler http.Handler
+	var node *cascade.HTTPCacheNode
 	if *origin {
-		if *metricsAddr != "" {
-			fmt.Fprintln(os.Stderr, "cascadegw: -metrics is gateway-only; ignored in origin mode (scrape /cascade/metrics on the main listener)")
-		}
 		var o *cascade.HTTPOrigin
 		if *dir != "" {
 			o = cascade.NewHTTPFileOrigin(*dir)
@@ -102,20 +99,6 @@ func run() error {
 		} else {
 			o = cascade.NewHTTPOrigin(func(cascade.ObjectID) int { return *objSize })
 			fmt.Fprintf(os.Stderr, "cascadegw: origin on %s (%d-byte objects)\n", *listen, *objSize)
-		}
-		// The origin decides every placement that missed the whole chain,
-		// so it audits its decisions like a cache node: cascade_audit_*
-		// series at /cascade/metrics, violations in the flight ring at
-		// /cascade/debug/flight, and — with -spans — each request's decide
-		// span at /cascade/debug/spans.
-		fc := 256
-		if *flightCap != 0 {
-			fc = *flightCap
-		}
-		o.EnableObservability(fc, cascade.WallClock())
-		if *spanRate >= 0 {
-			o.EnableSpans(spanPolicy, *spanCap)
-			fmt.Fprintf(os.Stderr, "cascadegw: origin decide spans on (sample rate %g, ring %d)\n", *spanRate, *spanCap)
 		}
 		thr, err := parseBytes(*segThreshold)
 		if err != nil {
@@ -144,6 +127,10 @@ func run() error {
 				fmt.Fprintf(os.Stderr, "cascadegw: origin generation authority enabled (%s)\n", mode)
 			}
 		}
+		// The origin decides every placement that missed the whole chain:
+		// its node audits them, in wall time like a cache node's.
+		node = o.Node()
+		node.Clock = cascade.WallClock()
 		handler = o
 	} else {
 		if *upstream == "" {
@@ -153,7 +140,7 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("-capacity: %w", err)
 		}
-		node := cascade.NewHTTPCacheNode(cascade.NodeID(*nodeID),
+		node = cascade.NewHTTPCacheNode(cascade.NodeID(*nodeID),
 			strings.TrimRight(*upstream, "/"), *cost, capBytes, *dEntries, cascade.WallClock())
 		node.TTL = *ttl
 		if *shards > 1 {
@@ -185,13 +172,6 @@ func run() error {
 		node.MaxRetries = *retries
 		node.BreakerThreshold = *brkThresh
 		node.BreakerCooldown = *brkCool
-		if *flightCap != 0 {
-			node.SetFlightCapacity(*flightCap)
-		}
-		if *spanRate >= 0 {
-			node.EnableSpans(spanPolicy, *spanCap)
-			fmt.Fprintf(os.Stderr, "cascadegw: span tracing on (sample rate %g, ring %d)\n", *spanRate, *spanCap)
-		}
 		if *upTimeout != 0 {
 			node.Client = cascade.NewHTTPUpstreamClient(*upTimeout)
 		}
@@ -218,24 +198,32 @@ func run() error {
 			}
 			defer saveState(node, *state)
 		}
-		if *metricsAddr != "" {
-			// Same separate-listener model as -pprof: operational scrapes
-			// never contend with the public cache listener. The node also
-			// serves the identical payload at /cascade/metrics on the main
-			// listener for single-port deployments.
-			mux := http.NewServeMux()
-			mux.Handle("/metrics", node.MetricsHandler())
-			go func() {
-				fmt.Fprintf(os.Stderr, "cascadegw: metrics on http://%s/metrics\n", *metricsAddr)
-				msrv := &http.Server{Addr: *metricsAddr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
-				if err := msrv.ListenAndServe(); err != nil {
-					fmt.Fprintf(os.Stderr, "cascadegw: metrics: %v\n", err)
-				}
-			}()
-		}
 		handler = node
 		fmt.Fprintf(os.Stderr, "cascadegw: node %d on %s → %s (capacity %s, link cost %g)\n",
 			*nodeID, *listen, *upstream, *capacity, *cost)
+	}
+	// Observability means the same at the origin's node as at a cache node.
+	if *flightCap != 0 {
+		node.SetFlightCapacity(*flightCap)
+	}
+	if *spanRate >= 0 {
+		node.EnableSpans(cascade.SpanPolicy{Rate: *spanRate, Slow: spanSlow.Seconds()}, *spanCap)
+		fmt.Fprintf(os.Stderr, "cascadegw: span tracing on (sample rate %g, ring %d)\n", *spanRate, *spanCap)
+	}
+	if *metricsAddr != "" {
+		// Same separate-listener model as -pprof: operational scrapes never
+		// contend with the public listener. The node also serves the
+		// identical payload at /cascade/metrics on the main listener for
+		// single-port deployments.
+		mux := http.NewServeMux()
+		mux.Handle("/metrics", node.MetricsHandler())
+		go func() {
+			fmt.Fprintf(os.Stderr, "cascadegw: metrics on http://%s/metrics\n", *metricsAddr)
+			msrv := &http.Server{Addr: *metricsAddr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+			if err := msrv.ListenAndServe(); err != nil {
+				fmt.Fprintf(os.Stderr, "cascadegw: metrics: %v\n", err)
+			}
+		}()
 	}
 
 	// IdleTimeout outlasts the upstream client's idle limit, and closes what

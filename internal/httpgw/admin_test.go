@@ -402,3 +402,47 @@ func TestAbsorbCapped(t *testing.T) {
 		t.Fatalf("a 100-descriptor spill: status %d, %d descriptors absorbed; want 200 and 100", code, n.st.DCacheLen())
 	}
 }
+
+// TestControlNamespaceReserved: every path under /cascade/ is a control
+// endpoint, at nodes and at the origin alike, and an unknown one is 404 —
+// never an object the origin synthesizes, or one a node forwards upstream
+// and may place. The origin reports no stats, so federation stops there,
+// and answers the health probe its downstream neighbour polls.
+func TestControlNamespaceReserved(t *testing.T) {
+	origin := httptest.NewServer(&Origin{Size: func(model.ObjectID) int { return 64 }})
+	defer origin.Close()
+	n := NewNode(0, origin.URL, 1, 1<<20, 64, func() float64 { return 0 })
+	node := httptest.NewServer(n)
+	defer node.Close()
+	const prom, js = "text/plain; version=0.0.4", "application/json"
+	for _, tc := range []struct {
+		base, path string
+		status     int
+		ctype      string
+	}{
+		{origin.URL, "/cascade/stats", http.StatusNotFound, ""},
+		{origin.URL, "/cascade/metrics", http.StatusOK, prom},
+		{origin.URL, "/cascade/debug/spans", http.StatusOK, js},
+		{origin.URL, "/cascade/debug/flight", http.StatusOK, js},
+		{origin.URL, "/cascade/health", http.StatusOK, js},
+		{origin.URL, "/cascade/admin/drain", http.StatusNotFound, ""},
+		{origin.URL, "/cascade/nosuch", http.StatusNotFound, ""},
+		{node.URL, "/cascade/nosuch", http.StatusNotFound, ""},
+		{node.URL, "/cascade/debug/nosuch", http.StatusNotFound, ""},
+	} {
+		resp, err := http.Get(tc.base + tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		at := map[string]string{origin.URL: "origin", node.URL: "node"}[tc.base]
+		if ct := resp.Header.Get("Content-Type"); resp.StatusCode != tc.status || resp.Header.Get(HeaderHit) != "" || !strings.HasPrefix(ct, tc.ctype) {
+			t.Errorf("%s %s: status %d, %s %q, Content-Type %q; want %d, no object, Content-Type %q",
+				at, tc.path, resp.StatusCode, HeaderHit, resp.Header.Get(HeaderHit), ct, tc.status, tc.ctype)
+		}
+	}
+	if n.misses != 0 || n.inserts != 0 {
+		t.Errorf("the node forwarded control paths upstream: %d misses, %d inserts", n.misses, n.inserts)
+	}
+}

@@ -52,7 +52,7 @@ func (n *Node) EnableCoherency(mode coherency.Mode) {
 		return
 	}
 	v := coherency.NewNodeView(mode, 0)
-	v.SetMetrics(coherency.NewMetrics(n.MetricsRegistry(), metrics.L("node", strconv.Itoa(int(n.ID)))))
+	v.SetMetrics(coherency.NewMetrics(n.MetricsRegistry(), metrics.L("node", nodeName(n.ID))))
 	n.view = v
 	n.mu.Lock()
 	n.st.SetCoherency(v)
@@ -191,40 +191,4 @@ func (n *Node) adminInvalidate(w http.ResponseWriter, r *http.Request, now float
 	}
 	n.mu.Unlock()
 	writeJSON(w, http.StatusOK, rep)
-}
-
-// serveInvalidate is the origin's side: bump the object's generation in the
-// authority's log and acknowledge with the new (gen, seq) so the chain can
-// apply it on the unwind. The bump also lands in the log tail piggybacked
-// on subsequent responses, reaching branches of the tree the write request
-// never traversed.
-func (o *Origin) serveInvalidate(w http.ResponseWriter, r *http.Request) {
-	if o.Authority == nil {
-		http.Error(w, "httpgw: origin has no coherency authority", http.StatusNotFound)
-		return
-	}
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	obj, err := strconv.ParseInt(r.URL.Query().Get("obj"), 10, 64)
-	if err != nil || obj < 0 {
-		http.Error(w, "httpgw: bad obj parameter", http.StatusBadRequest)
-		return
-	}
-	gen, seq := o.Authority.Bump(model.ObjectID(obj))
-	writeJSON(w, http.StatusOK, invalidateReply{Obj: obj, Gen: gen, Seq: seq})
-}
-
-// originDecision assembles the coherency payload of an origin decision
-// response: the object's current generation — base's, for a segment — plus
-// the log's recent tail.
-func (o *Origin) originDecision(base model.ObjectID, place []model.NodeID, predict []predictTerm) decision {
-	d := decision{place: place, predict: predict}
-	if o.Authority != nil {
-		d.gen = o.Authority.Gen(base)
-		d.invHead = o.Authority.Head()
-		d.inval = o.Authority.Tail(nil)
-	}
-	return d
 }

@@ -75,7 +75,7 @@ const (
 var servedNames = [...]string{"http", "loop"}
 
 // edgeServer marks a server handler whose every request the loop may serve:
-// a Node. Under any other handler — a mux that holds a node beside a
+// a Node, or an Origin. Under any other handler — a mux that holds a node beside a
 // handler that streams or hijacks — every connection stays net/http's.
 type edgeServer interface{ servesEdge() }
 

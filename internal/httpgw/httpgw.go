@@ -31,16 +31,13 @@ package httpgw
 
 import (
 	"encoding/gob"
-	"encoding/json"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"io"
 	"math"
 	"math/rand"
 	"net/http"
-	"os"
-	"path"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -96,7 +93,22 @@ const (
 func etagOf(body []byte) string {
 	h := fnv.New64a()
 	h.Write(body) //nolint:errcheck
-	return fmt.Sprintf("%q", strconv.FormatUint(h.Sum64(), 16))
+	return etagSum(h)
+}
+
+// etagSum renders an FNV-1a hash of a payload as its validator.
+func etagSum(h hash.Hash64) string { return fmt.Sprintf("%q", strconv.FormatUint(h.Sum64(), 16)) }
+
+// originName names the origin in X-Cascade-Hit and in its series' node
+// label.
+const originName = "origin"
+
+// nodeName is a node's name in X-Cascade-Hit and in its series' node label.
+func nodeName(id model.NodeID) string {
+	if id == model.NoNode {
+		return originName
+	}
+	return strconv.Itoa(int(id))
 }
 
 // Node is one HTTP cache gateway. It serves GET /objects/<id>; misses are
@@ -104,6 +116,9 @@ func etagOf(body []byte) string {
 type Node struct {
 	// ID names this node in protocol headers.
 	ID model.NodeID
+	// origin is set on the node an Origin serves through: the serving point
+	// at the top of every path, which answers every GET from its source.
+	origin *Origin
 	// Upstream is the next hop's base URL (another Node or an Origin).
 	Upstream string
 	// UpCost is the cost of the link from this node toward Upstream.
@@ -260,7 +275,7 @@ func NewNode(id model.NodeID, upstream string, upCost float64, capacity int64, d
 		bodies:   bodies,
 	}
 	reg := n.MetricsRegistry()
-	nl := metrics.L("node", strconv.Itoa(int(id)))
+	nl := metrics.L("node", nodeName(id))
 	n.auditor = audit.New(reg, nl)
 	n.ledger = audit.NewLedger()
 	n.ledger.RegisterNode(reg, id, nl)
@@ -516,12 +531,13 @@ func objectID(r *http.Request) (model.ObjectID, error) {
 }
 
 // ServeHTTP implements the node's request/response protocol: decode, the
-// engine's up step, the upstream exchange, the engine's down step, encode.
-// When the node is its server's whole handler, the first plaintext
-// HTTP/1.1 keep-alive request without a body net/http hands it on a
-// connection is answered from the node's own loop, with every later one
-// (hop.go). Such a connection is no longer net/http's: the server's
-// Shutdown closes it, its Close does not.
+// engine's up step, the upstream exchange, the engine's down step, encode —
+// at the origin, decode, decide, encode. When the node, or the Origin it
+// serves, is its server's whole handler, the first plaintext HTTP/1.1
+// keep-alive request without a body net/http hands it on a connection is
+// answered from the node's own loop, with every later one (hop.go). Such a
+// connection is no longer net/http's: the server's Shutdown closes it, its
+// Close does not.
 func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	kind, _ := r.Context().Value(servedKey{}).(int)
 	if kind == servedHTTP && n.hops.accept(w, r, n) {
@@ -558,25 +574,32 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// serveControl answers the node's operational endpoints and reports whether
-// r asked for one.
+// serveControl answers the control endpoints, every path under /cascade/,
+// and reports whether r asked for one. An unknown one is 404, never an
+// object. The origin reports no stats, and its one admin endpoint is the
+// authority's.
 func (n *Node) serveControl(w http.ResponseWriter, r *http.Request, now float64) bool {
-	switch r.URL.Path {
-	case "/cascade/stats":
-		n.serveStats(w)
-	case "/cascade/metrics":
+	p, ok := strings.CutPrefix(r.URL.Path, "/cascade/")
+	if !ok {
+		return false
+	}
+	switch {
+	case p == "metrics":
 		n.MetricsHandler().ServeHTTP(w, r)
-	case "/cascade/debug/flight":
-		n.serveFlight(w)
-	case "/cascade/debug/spans":
-		n.serveSpans(w)
-	case "/cascade/health":
+	case p == "debug/flight":
+		writeJSON(w, http.StatusOK, n.DumpFlight())
+	case p == "debug/spans":
+		writeJSON(w, http.StatusOK, n.DumpSpans())
+	case p == "health":
 		n.serveHealth(w)
-	default:
-		if !strings.HasPrefix(r.URL.Path, "/cascade/admin/") {
-			return false
-		}
+	case n.origin != nil && p == "admin/invalidate":
+		n.origin.serveInvalidate(w, r)
+	case n.origin == nil && p == "stats":
+		n.serveStats(w)
+	case n.origin == nil && strings.HasPrefix(p, "admin/"):
 		n.serveAdmin(w, r, now)
+	default:
+		http.NotFound(w, r)
 	}
 	return true
 }
@@ -643,10 +666,14 @@ func (n *Node) decodeGet(w http.ResponseWriter, r *http.Request, obj model.Objec
 // hop is the node as the engine's steps see it. Caller holds n.mu.
 func (n *Node) hop() engine.Hop { return engine.Hop{St: n.st, Tier: n.bodies} }
 
-// serveGet takes the node's up step for a GET and answers it: from the
-// node's copy, or through the upstream exchange. It reports whether the GET
-// must start over (serveSegmented).
+// serveGet answers a GET: the origin from its source, a cache node by its
+// up step, from its copy or through the upstream exchange. It reports
+// whether the GET must start over (serveSegmented).
 func (n *Node) serveGet(w http.ResponseWriter, r *http.Request, g *getReq, restarts int) (restart bool) {
+	if n.origin != nil {
+		n.origin.serve(w, r, n, g)
+		return false
+	}
 	for {
 		n.mu.Lock()
 		// Draining or departed: pure relay, no protocol participation. The
@@ -721,15 +748,22 @@ func (n *Node) rememberedMarker(g *getReq) (segMarker, bool) {
 // serveHit answers from the node's own copy: the decision over the path
 // below it, then the bytes.
 func (n *Node) serveHit(w http.ResponseWriter, g *getReq, up *engine.UpResult) {
-	chosen, predict := decideObserved(g.entries, g.obj, g.now, n.auditor, n.ID, g.tsp, g.parent)
-	h := w.Header()
-	writeDecision(h, decision{place: chosen, predict: predict, gen: up.Gen})
-	h.Set(HeaderPenalty, "0")
-	h.Set(HeaderHit, strconv.Itoa(int(n.ID)))
-	if up.Meta.ETag != "" {
-		h.Set("ETag", up.Meta.ETag)
-	}
+	n.decide(w.Header(), g, decision{gen: up.Gen}, up.Meta.ETag)
 	writeBody(w, g.seg, up.Body)
+}
+
+// decide writes the head of an answer from the serving point — a node's
+// copy, or the origin's source: the decision over the path below, with d's
+// coherency payload, a fresh penalty counter, the serving node and the
+// validator.
+func (n *Node) decide(h http.Header, g *getReq, d decision, etag string) {
+	d.place, d.predict = decideObserved(g.entries, g.obj, g.now, n.auditor, n.ID, g.tsp, g.parent)
+	writeDecision(h, d)
+	h.Set(HeaderPenalty, "0")
+	h.Set(HeaderHit, nodeName(n.ID))
+	if etag != "" {
+		h.Set("ETag", etag)
+	}
 }
 
 // exchange forwards a GET the node did not answer and finishes it with the
@@ -1007,7 +1041,7 @@ func (n *Node) revalidate(w http.ResponseWriter, r *http.Request, g *getReq, up 
 		n.flight.Record(flightrec.Event{Time: g.now, Node: n.ID, Kind: flightrec.KindRevalidate, Obj: g.obj, Hop: -1, A: float64(gen), N: 1})
 	}
 	w.Header().Set(HeaderPenalty, "0")
-	w.Header().Set(HeaderHit, strconv.Itoa(int(n.ID)))
+	w.Header().Set(HeaderHit, nodeName(n.ID))
 	if gen != 0 {
 		w.Header().Set(HeaderGen, strconv.FormatUint(gen, 10))
 	}
@@ -1048,359 +1082,6 @@ func (n *Node) Contains(obj model.ObjectID) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.st.Contains(obj)
-}
-
-// Origin is the content source: it serves every object and runs the
-// placement decision for requests that missed everywhere. With Dir set it
-// serves files from that directory tree (reverse-proxy-style content);
-// otherwise it synthesizes deterministic pseudo-random bytes of Size(obj)
-// length.
-//
-// The origin decides most placements of a cold cascade, so it carries the
-// same decision-time observability as a cache node: an online invariant
-// auditor with its violations logged to a flight ring and Prometheus export
-// (EnableObservability), and the decide span of every request it serves
-// (EnableSpans).
-type Origin struct {
-	// Size returns a synthetic object's payload length.
-	Size func(model.ObjectID) int
-	// Dir, when non-empty, serves request paths as files beneath it.
-	Dir string
-	// Deprecated: no-op since the binary frame was removed; kept until
-	// bench/ stops assigning it.
-	DisableBinaryFraming bool
-	// SegmentThreshold and SegmentSize, both positive, switch objects
-	// larger than the threshold to segmented delivery: a plain GET is
-	// answered with the bodiless X-Cascade-Segmented marker, and the
-	// client-facing gateway refetches the object as SegmentSize-byte Range
-	// segments, each placed independently (docs/DATAPLANE.md).
-	SegmentThreshold int64
-	SegmentSize      int64
-
-	// Authority, when set, makes the origin the cascade's generation
-	// authority: POST /cascade/admin/invalidate bumps an object's
-	// generation, every decision response carries the object's current
-	// generation plus the log's recent tail (PSI piggybacking), and the
-	// chain below validates served copies against the floors it learns
-	// here. Nil keeps the origin generation-oblivious (ModeNone wire image —
-	// responses carry no coherency payload).
-	Authority *coherency.Authority
-
-	// Observability over the origin's placement decisions, wired by
-	// EnableObservability and EnableSpans (all nil — disabled — by
-	// default). All are internally synchronized; concurrent requests need
-	// no extra locking.
-	clock   func() float64
-	auditor *audit.Auditor
-	flight  *flightrec.Recorder
-	reg     *metrics.Registry
-	tracer  *span.Tracer
-	spans   *span.Ring
-
-	// badPath counts malformed or over-long piggybacked paths refused with
-	// 400 (cascade_gw_bad_header_total{header="path"} once a registry
-	// exists).
-	badPath atomic.Int64
-
-	// etags remembers the validators of large synthetic payloads.
-	etags etagMemo
-}
-
-// EnableObservability equips the origin with the decision-side
-// observability stack of a cache node: an online invariant auditor over its
-// placement decisions (Theorem 2 local benefit plus sampled DP optimality),
-// a flight ring retaining the last flightCapacity audit violations (0 or
-// negative disables the ring; violations still count), and Prometheus
-// export of the cascade_audit_* series under node="origin" — served by the
-// origin itself at /cascade/metrics, next to flight dumps at
-// /cascade/debug/flight. clock supplies decision timestamps (nil pins them
-// to 0). Call before serving.
-func (o *Origin) EnableObservability(flightCapacity int, clock func() float64) {
-	o.reg = metrics.NewRegistry()
-	o.auditor = audit.New(o.reg, metrics.L("node", "origin"))
-	o.reg.CounterFunc("cascade_gw_bad_header_total", "Malformed protocol headers received, by header kind.",
-		func() float64 { return float64(o.badPath.Load()) }, metrics.L("header", "path"), metrics.L("node", "origin"))
-	if flightCapacity > 0 {
-		o.flight = flightrec.New(flightCapacity)
-	}
-	rec := o.flight // Record is nil-safe; capture by value like the nodes do
-	o.auditor.SetOnViolation(func(v audit.Violation) { rec.Record(engine.ViolationEvent(v)) })
-	o.clock = clock
-}
-
-// EnableSpans makes the origin record the decide span of every traced
-// request it serves — the DP's predicted Δcost and chosen count, parented on
-// the span context the last hop forwarded, so the request's tree carries the
-// decision that chose its placement. Kept spans (the tail sampler hashes the
-// trace ID, so the origin reaches the hops' verdict) land in a ring of the
-// given capacity (<= 0 picks DefaultSpanCapacity) served at
-// /cascade/debug/spans. Spans are stamped with EnableObservability's clock.
-// Call before serving.
-func (o *Origin) EnableSpans(policy span.Policy, capacity int) {
-	if capacity <= 0 {
-		capacity = DefaultSpanCapacity
-	}
-	o.tracer = span.NewTracer(policy)
-	o.spans = span.NewRing(capacity)
-}
-
-// DumpSpans captures the origin's span-ring contents (Node is model.NoNode
-// — the origin is not a cache).
-func (o *Origin) DumpSpans() span.Snapshot { return o.spans.TakeSnapshot(model.NoNode) }
-
-// Auditor returns the origin's online invariant auditor (nil until
-// EnableObservability).
-func (o *Origin) Auditor() *audit.Auditor { return o.auditor }
-
-// DumpFlight captures the origin's flight-recorder contents (Node is
-// model.NoNode — the origin is not a cache).
-func (o *Origin) DumpFlight() flightrec.Snapshot {
-	return o.flight.TakeSnapshot(model.NoNode)
-}
-
-// ServeHTTP implements the origin's side of the protocol.
-func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if o.reg != nil {
-		switch r.URL.Path {
-		case "/cascade/metrics":
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			o.reg.WritePrometheus(w) //nolint:errcheck
-			return
-		case "/cascade/debug/flight":
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(o.DumpFlight()) //nolint:errcheck
-			return
-		}
-	}
-	if o.spans != nil && r.URL.Path == "/cascade/debug/spans" {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(o.DumpSpans()) //nolint:errcheck
-		return
-	}
-	if r.URL.Path == "/cascade/admin/invalidate" {
-		o.serveInvalidate(w, r)
-		return
-	}
-	baseObj, err := objectID(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	seg, segErr := parseSegmentRequest(r.Header)
-	if segErr != nil {
-		http.Error(w, segErr.Error(), http.StatusBadRequest)
-		return
-	}
-	obj := baseObj
-	if seg.on {
-		obj = store.SegmentID(baseObj, seg.idx)
-	}
-	entries, spanCtx, err := parseIncomingPath(r.Header)
-	if err != nil {
-		o.badPath.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	now := 0.0
-	if o.clock != nil {
-		now = o.clock()
-	}
-
-	// Resolve the payload source. Only the size is needed up front: the
-	// synthetic generator emits any byte range directly, and Dir mode reads
-	// exactly the range an answer carries — a marker response reads nothing,
-	// a segment request one segment of the file.
-	var file string
-	var size int64
-	if o.Dir != "" {
-		// path.Clean plus the Join keeps the lookup inside Dir
-		// (".." cannot escape a cleaned rooted path).
-		clean := path.Clean("/" + r.URL.Path)
-		file = filepath.Join(o.Dir, filepath.FromSlash(clean))
-		fi, err := os.Stat(file)
-		if err != nil || !fi.Mode().IsRegular() {
-			http.Error(w, "object not found", http.StatusNotFound)
-			return
-		}
-		size = fi.Size()
-	} else {
-		size = 1024
-		if o.Size != nil {
-			size = int64(o.Size(baseObj))
-		}
-	}
-
-	// An object that would take more than store.MaxSegments segments is
-	// served whole: no node would accept its marker.
-	segmented := o.SegmentThreshold > 0 && size > o.SegmentThreshold && store.SegmentCount(size, o.SegmentSize) > 0
-	if !seg.on && segmented && r.Header.Get("Range") == "" {
-		// Over-threshold object on a plain GET: answer the bodiless
-		// segmented marker. No decision headers — the base identity takes
-		// no placement; every segment decides for itself — but the object's
-		// generation rides along: it is what the reassembly pins its
-		// segments to.
-		w.Header().Set(HeaderSegmented, formatSegmentedMarker(size, o.SegmentSize))
-		if o.Authority != nil {
-			if gen := o.Authority.Gen(baseObj); gen != 0 {
-				w.Header().Set(HeaderGen, strconv.FormatUint(gen, 10))
-			}
-		}
-		w.Header().Set(HeaderHit, "origin")
-		w.Header().Set("Content-Length", "0")
-		return
-	}
-
-	// read returns bytes [lo, hi] of the object.
-	read := func(lo, hi int64) ([]byte, error) {
-		if o.Dir != "" {
-			return readFileRange(file, lo, hi)
-		}
-		return store.SyntheticRange(baseObj, int(size), int(lo), int(hi+1)), nil
-	}
-
-	if rng := r.Header.Get("Range"); rng != "" && !seg.on {
-		// A bare Range request (no segment header) sits outside the
-		// coordinated protocol: serve the slice without decision headers
-		// so no cache treats it as a placeable object.
-		lo, hi, ok := parseByteRange(rng)
-		if !ok || lo >= size {
-			http.Error(w, "httpgw: unsatisfiable range", http.StatusRequestedRangeNotSatisfiable)
-			return
-		}
-		if hi >= size {
-			hi = size - 1
-		}
-		body, err := read(lo, hi)
-		if err != nil {
-			http.Error(w, "object unreadable", http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Range", fmtContentRange(lo, hi, size))
-		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-		w.WriteHeader(http.StatusPartialContent)
-		w.Write(body) //nolint:errcheck
-		return
-	}
-
-	// A protocol object — the whole body, or one segment of a large one:
-	// decide placement on its own identity, stamp it with the generation of
-	// the object writers name (the base), attach the validator, serve.
-	lo, hi := int64(0), size-1
-	if seg.on {
-		// Validate that the Range agrees with the declared segment geometry.
-		var ok bool
-		lo, hi, ok = parseByteRange(r.Header.Get("Range"))
-		if !ok || lo != seg.lo() || lo >= size {
-			http.Error(w, "httpgw: segment range mismatch", http.StatusRequestedRangeNotSatisfiable)
-			return
-		}
-		if hi >= size {
-			hi = size - 1
-		}
-	}
-	// A synthetic body is a pure function of the key, so the validator of a
-	// large one is remembered rather than rehashed, and a conditional GET
-	// that matches a remembered validator is answered without generating
-	// the bytes at all. A file's bytes can change under the same name, so
-	// Dir mode reads and hashes every time.
-	key := etagKey{obj: baseObj, size: size, lo: lo, hi: hi}
-	memoised := o.Dir == "" && hi-lo+1 >= etagMemoMinBytes
-	inm := r.Header.Get("If-None-Match")
-	var tag string
-	if memoised {
-		tag = o.etags.get(key)
-	}
-	var body []byte
-	if tag == "" || tag != inm {
-		if body, err = read(lo, hi); err != nil {
-			http.Error(w, "object unreadable", http.StatusInternalServerError)
-			return
-		}
-		if tag == "" {
-			tag = etagOf(body)
-			if memoised {
-				o.etags.put(key, tag)
-			}
-		}
-	}
-	// The decide span joins the trace the last hop forwarded (nil — off —
-	// without EnableSpans or on an untraced request) and is the origin's
-	// only span, so the trace is collected as soon as the DP returns.
-	tsp := o.tracer.Join(spanCtx)
-	chosen, predict := decideObserved(entries, obj, now, o.auditor, model.NoNode, tsp, spanCtx.Parent)
-	o.tracer.Collect(tsp, now, func(model.NodeID) *span.Ring { return o.spans })
-	writeDecision(w.Header(), o.originDecision(baseObj, chosen, predict))
-	w.Header().Set(HeaderPenalty, "0")
-	w.Header().Set(HeaderHit, "origin")
-	w.Header().Set("ETag", tag)
-	if inm == tag {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	if seg.on {
-		w.Header().Set("Content-Range", fmtContentRange(lo, hi, size))
-		w.WriteHeader(http.StatusPartialContent)
-	}
-	w.Write(body) //nolint:errcheck
-}
-
-// readFileRange reads bytes [lo, hi] of the named file; the caller has
-// clamped the range to the file's size, so a short read is an error.
-func readFileRange(name string, lo, hi int64) ([]byte, error) {
-	f, err := os.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	body := make([]byte, hi-lo+1)
-	if _, err := f.ReadAt(body, lo); err != nil {
-		return nil, err
-	}
-	return body, nil
-}
-
-// etagKey names one synthetic payload: bytes [lo, hi] of object obj
-// generated at size bytes — everything the generator's output depends on.
-type etagKey struct {
-	obj          model.ObjectID
-	size, lo, hi int64
-}
-
-const (
-	// etagMemoMinBytes is the smallest body whose validator is remembered:
-	// hashing 64 KiB costs tens of microseconds, three orders above a map
-	// probe, while an entry per small object of a large catalog would cost
-	// more heap than the hashing it saves is worth.
-	etagMemoMinBytes = 64 << 10
-	// etagMemoMaxEntries bounds the memo; a full memo is dropped whole and
-	// refills from the requests that follow.
-	etagMemoMaxEntries = 4096
-)
-
-// etagMemo remembers the validators of synthetic payloads, so the origin
-// hashes each large body once rather than on every request for it. The
-// zero value is ready to use; the map is allocated by the first put.
-type etagMemo struct {
-	mu   sync.Mutex
-	tags map[etagKey]string
-}
-
-// get returns the remembered validator, or "" (no validator is empty:
-// etagOf always yields a quoted string).
-func (m *etagMemo) get(k etagKey) string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.tags[k]
-}
-
-func (m *etagMemo) put(k etagKey, tag string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.tags == nil || len(m.tags) >= etagMemoMaxEntries {
-		m.tags = make(map[etagKey]string)
-	}
-	m.tags[k] = tag
 }
 
 // nodeSnapshot is the gob-serialized persistent state of a gateway node.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -353,9 +354,9 @@ func originSegment(t *testing.T, o *Origin, obj, idx int, inm string) *httptest.
 }
 
 func memoLen(o *Origin) int {
-	o.etags.mu.Lock()
-	defer o.etags.mu.Unlock()
-	return len(o.etags.tags)
+	o.etagMu.Lock()
+	defer o.etagMu.Unlock()
+	return len(o.etags)
 }
 
 func TestOriginETagMemo(t *testing.T) {
@@ -408,7 +409,7 @@ func TestOriginETagMemoSkipsSmallBodies(t *testing.T) {
 		if rec.Code != http.StatusOK || rec.Body.Len() != size || rec.Header().Get("ETag") != etagOf(rec.Body.Bytes()) {
 			t.Fatalf("size %d: status %d, %d bytes, ETag %s", size, rec.Code, rec.Body.Len(), rec.Header().Get("ETag"))
 		}
-		if o.etags.tags != nil {
+		if o.etags != nil {
 			t.Fatalf("size %d: a body under %d bytes was memoised", size, etagMemoMinBytes)
 		}
 	}
@@ -426,7 +427,7 @@ func TestOriginETagMemoBounded(t *testing.T) {
 	first := originSegment(t, o, 1, 0, "")
 	// Fill to the cap with keys no request below asks for.
 	for i := 0; memoLen(o) < etagMemoMaxEntries; i++ {
-		o.etags.put(etagKey{obj: model.ObjectID(1_000_000 + i), size: obj1M, lo: 0, hi: seg256K - 1}, `"filler"`)
+		o.etags[etagKey{obj: model.ObjectID(1_000_000 + i), size: obj1M, lo: 0, hi: seg256K - 1}] = `"filler"`
 	}
 	for obj := 1; obj <= 6; obj++ {
 		for round := 0; round < 2; round++ {
@@ -528,7 +529,7 @@ func TestDirOriginRangedReads(t *testing.T) {
 	if grew >= 1<<20 {
 		t.Fatalf("one segment of an 8 MiB file allocated %d bytes; want < 1 MiB", grew)
 	}
-	if o.etags.tags != nil {
+	if o.etags != nil {
 		t.Fatal("Dir-mode validators were memoised; a file's bytes can change under its name")
 	}
 
@@ -548,5 +549,55 @@ func TestDirOriginRangedReads(t *testing.T) {
 	o.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/sub", nil))
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("a directory answered %d, want 404", rec.Code)
+	}
+}
+
+// TestDirOriginStreams: a Dir-mode origin serves a 64 MiB file whole from
+// its one open descriptor — the validator hashed from it, then the bytes
+// sent from it — without copying the file into memory, whether net/http or
+// the node's loop serves the connection.
+func TestDirOriginStreams(t *testing.T) {
+	const size = 64 << 20
+	dir := t.TempDir()
+	want := store.SyntheticBody(3, size)
+	if err := os.WriteFile(filepath.Join(dir, "big.bin"), want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tag := etagOf(want)
+	want = nil // the file is on disk; the GETs need no copy in the heap
+	for _, tc := range []struct {
+		conn  string
+		serve func(*Origin) http.Handler
+		loops string
+	}{
+		{"http", func(o *Origin) http.Handler { return http.HandlerFunc(o.ServeHTTP) }, "0"},
+		{"loop", func(o *Origin) http.Handler { return o }, "2"},
+	} {
+		o := &Origin{Dir: dir}
+		srv := httptest.NewServer(tc.serve(o))
+		client := &http.Client{Transport: &http.Transport{}}
+		for i := 0; i < 2; i++ {
+			var resp *http.Response
+			var n int64
+			var err error
+			h := fnv.New64a()
+			grew := allocatedBy(func() {
+				if resp, err = client.Get(srv.URL + "/big.bin"); err == nil {
+					n, err = io.Copy(h, resp.Body)
+					resp.Body.Close()
+				}
+			})
+			if err != nil || resp.StatusCode != http.StatusOK || n != size || etagSum(h) != tag || resp.Header.Get("ETag") != tag {
+				t.Fatalf("%s GET %d: %v, %d bytes, err %v; want the whole file under its validator", tc.conn, i, resp, n, err)
+			}
+			if grew >= 8<<20 {
+				t.Errorf("%s GET %d of a 64 MiB file allocated %d bytes; want < 8 MiB", tc.conn, i, grew)
+			}
+		}
+		if got := scrapeCounter(t, o, `cascade_gw_served_total{conn="loop",node="origin"}`); got != tc.loops {
+			t.Errorf("%s: the loop served %s GETs, want %s", tc.conn, got, tc.loops)
+		}
+		client.CloseIdleConnections()
+		srv.Close()
 	}
 }

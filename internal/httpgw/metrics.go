@@ -24,7 +24,7 @@ func (n *Node) MetricsRegistry() *metrics.Registry {
 		return n.reg
 	}
 	r := metrics.NewRegistry()
-	nl := metrics.L("node", strconv.Itoa(int(n.ID)))
+	nl := metrics.L("node", nodeName(n.ID))
 	ul := metrics.L("upstream", n.Upstream)
 
 	lockedCount := func(f func() int64) func() float64 {
@@ -127,7 +127,7 @@ func (n *Node) registerShardSeries() {
 		defer n.mu.Unlock()
 		return n.st
 	}
-	nl := metrics.L("node", strconv.Itoa(int(n.ID)))
+	nl := metrics.L("node", nodeName(n.ID))
 	for s := from; s < to; s++ {
 		s := s
 		sl := metrics.L("shard", strconv.Itoa(s))

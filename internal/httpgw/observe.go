@@ -1,9 +1,6 @@
 package httpgw
 
 import (
-	"encoding/json"
-	"net/http"
-
 	"cascade/internal/audit"
 	"cascade/internal/engine"
 	"cascade/internal/flightrec"
@@ -49,11 +46,4 @@ func (n *Node) Ledger() *audit.Ledger { return n.ledger }
 // DumpFlight captures the node's flight-recorder contents.
 func (n *Node) DumpFlight() flightrec.Snapshot {
 	return n.flight.TakeSnapshot(n.ID)
-}
-
-// serveFlight answers /cascade/debug/flight: the node's flight snapshot as
-// JSON, for post-hoc debugging of a deployed gateway.
-func (n *Node) serveFlight(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(n.DumpFlight()) //nolint:errcheck
 }

@@ -303,26 +303,29 @@ func TestOriginObservability(t *testing.T) {
 		}
 	}
 
-	fresp, err := http.Get(osrv.URL + "/cascade/debug/flight")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fbody, _ := io.ReadAll(fresp.Body)
-	fresp.Body.Close()
 	var snap flightrec.Snapshot
-	if err := json.Unmarshal(fbody, &snap); err != nil {
-		t.Fatalf("origin flight dump is not a JSON snapshot: %v\n%s", err, fbody)
-	}
+	dumpJSON(t, o, "/cascade/debug/flight", &snap)
 	if snap.Capacity != 64 || len(snap.Events) != 0 {
 		t.Fatalf("origin flight dump capacity %d with %d events, want 64 and none on clean traffic", snap.Capacity, len(snap.Events))
 	}
 
 	// A violation is what the ring is for: it lands with full context.
 	aud.CheckLocalBenefit(nil, model.NoNode, 7, 2, 0.1, 1, 5, 40) // f·m < l
-	evs := o.DumpFlight().Events
+	dumpJSON(t, o, "/cascade/debug/flight", &snap)
+	evs := snap.Events
 	if len(evs) != 1 || evs[0].Kind != flightrec.KindAuditViolation || evs[0].Obj != 7 ||
 		evs[0].Hop != 2 || evs[0].N != int(audit.LocalBenefit) {
 		t.Fatalf("origin flight ring after a violation = %+v, want one audit_violation for object 7 at hop 2", evs)
+	}
+}
+
+// dumpJSON decodes the JSON a handler answers at a control endpoint into v.
+func dumpJSON(t *testing.T, h http.Handler, path string, v any) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	if err := json.Unmarshal(rec.Body.Bytes(), v); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("%s: status %d, %v\n%s", path, rec.Code, err, rec.Body.Bytes())
 	}
 }
 
@@ -372,7 +375,8 @@ func TestOriginDecideSpan(t *testing.T) {
 	}
 	closeAll() // every hop's deferred Collect has run
 
-	snap := o.DumpSpans()
+	var snap span.Snapshot
+	dumpJSON(t, o, "/cascade/debug/spans", &snap)
 	if snap.Node != int(model.NoNode) || snap.Capacity != DefaultSpanCapacity || len(snap.Spans) != len(decisions) {
 		t.Fatalf("origin ring: node %d capacity %d with %d spans, want %d spans (one decide per request) at the default capacity",
 			snap.Node, snap.Capacity, len(snap.Spans), len(decisions))

@@ -621,3 +621,22 @@ func BenchmarkRelay256K(b *testing.B) {
 type writeOnly struct{ http.ResponseWriter }
 
 func (w writeOnly) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+// TestOriginServedByLoop: an origin that is its server's whole handler is
+// served by its node's loop, as any node is — a keep-alive client's GETs,
+// the second on the connection the loop took over at the first.
+func TestOriginServedByLoop(t *testing.T) {
+	const size = 500
+	o := &Origin{Size: func(model.ObjectID) int { return size }}
+	srv := httptest.NewServer(o)
+	defer srv.Close()
+	for obj := 1; obj <= 2; obj++ {
+		resp, body := get(t, srv.URL, obj)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get(HeaderHit) != originName || !bytes.Equal(body, store.SyntheticBody(model.ObjectID(obj), size)) {
+			t.Fatalf("object %d: status %d from %q, %d bytes; want the origin's %d", obj, resp.StatusCode, resp.Header.Get(HeaderHit), len(body), size)
+		}
+	}
+	if got := scrapeCounter(t, o, `cascade_gw_served_total{conn="loop",node="origin"}`); got != "2" {
+		t.Fatalf("the loop served %s of the client's GETs, want 2", got)
+	}
+}

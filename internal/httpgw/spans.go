@@ -1,9 +1,6 @@
 package httpgw
 
 import (
-	"encoding/json"
-	"net/http"
-
 	"cascade/internal/model"
 	"cascade/internal/span"
 )
@@ -44,14 +41,6 @@ func (n *Node) SpanRing() *span.Ring { return n.spans }
 // DumpSpans captures the node's span-ring contents.
 func (n *Node) DumpSpans() span.Snapshot { return n.spans.TakeSnapshot(n.ID) }
 
-// serveSpans answers /cascade/debug/spans: the node's retained spans as
-// JSON — the per-request record (the flight ring logs only what no request
-// owns).
-func (n *Node) serveSpans(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(n.DumpSpans()) //nolint:errcheck
-}
-
 // ringOf deposits every span this node records into its own ring — a
 // gateway node only ever records spans it created, so the trace's other
 // hops live in their owners' rings and a dump of the whole chain
@@ -61,13 +50,14 @@ func (n *Node) ringOf(model.NodeID) *span.Ring { return n.spans }
 // beginSpan opens this node's view of the request's trace: joining the
 // downstream hop's context (ctx, read off the decoded path) when one
 // arrived, minting a fresh trace (with its root request span) when this
-// node is the chain's edge. It returns a nil trace when tracing is off.
+// node is the chain's edge — the origin, which records only its decide
+// span, never mints one. It returns a nil trace when tracing is off.
 // parent is the span the node's own phase spans hang from.
 func (n *Node) beginSpan(ctx span.Ctx, now float64) (tsp *span.Trace, parent span.SpanID) {
 	if n.tracer == nil {
 		return nil, 0
 	}
-	if ctx.Valid() {
+	if ctx.Valid() || n.origin != nil {
 		return n.tracer.Join(ctx), ctx.Parent
 	}
 	tsp = n.tracer.Begin(n.ID, -1, now)
