@@ -55,7 +55,6 @@ import (
 	"cascade/internal/engine"
 	"cascade/internal/experiment"
 	"cascade/internal/fault"
-	"cascade/internal/flightrec"
 	"cascade/internal/httpgw"
 	"cascade/internal/metrics"
 	"cascade/internal/model"
@@ -482,21 +481,9 @@ type (
 // NewMetricsRegistry returns an empty Prometheus-text-format registry.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 
-// Per-node event log, online invariant auditing and predicted-vs-realized
-// cost accounting (docs/OBSERVABILITY.md).
+// Online invariant auditing and predicted-vs-realized cost accounting
+// (docs/OBSERVABILITY.md).
 type (
-	// FlightRecorder is a per-node fixed-capacity ring buffer of compact
-	// events no single request owns (crashes, breaker/membership/health
-	// transitions, coherency and disk-tier events, audit violations);
-	// attach via Coordinated.SetFlightCapacity, ClusterConfig.FlightCapacity
-	// or the gateway's built-in recorder. Per-request protocol steps are
-	// spans (see Span below).
-	FlightRecorder = flightrec.Recorder
-	// FlightEvent is one recorded event.
-	FlightEvent = flightrec.Event
-	// FlightSnapshot is a dump-friendly view of one node's recorder.
-	FlightSnapshot = flightrec.Snapshot
-
 	// Auditor evaluates the paper's analytical guarantees online (Theorem 2
 	// local benefit, §2.2 DP optimality spot checks, NCL eviction order,
 	// miss-penalty consistency); violations surface as
@@ -538,9 +525,12 @@ func LedgerStudy(arch Architecture, cfg ExperimentConfig, size float64) (ResultT
 
 // Cascade-wide span tracing: per-request protocol-phase spans under one
 // 128-bit trace ID, propagated hop to hop and tail-sampled into per-node
-// rings (docs/OBSERVABILITY.md).
+// rings, which also keep each node's events — crashes, breaker, membership
+// and health transitions, coherency and disk-tier events, audit violations
+// — as zero-length records (docs/OBSERVABILITY.md).
 type (
-	// Span is one protocol-phase record of a traced request at one node.
+	// Span is one protocol-phase record of a traced request at one node,
+	// or one event record (ID zero, Start == End).
 	Span = span.Span
 	// SpanPhase classifies a span (lookup, up, decide, down, body, …).
 	SpanPhase = span.Phase
@@ -647,8 +637,8 @@ func NewHTTPCacheNode(id NodeID, upstream string, upCost float64, capacity int64
 
 // NewHTTPOrigin builds a synthetic origin handler; size maps objects to
 // payload lengths. The origin decides placements for whole-chain misses;
-// its node (HTTPOrigin.Node) audits them and serves the metrics, flight
-// and span routes on its listener, as a cache node does.
+// its node (HTTPOrigin.Node) audits them and serves the metrics and span
+// routes on its listener, as a cache node does.
 func NewHTTPOrigin(size func(ObjectID) int) *HTTPOrigin { return &httpgw.Origin{Size: size} }
 
 // NewHTTPFileOrigin builds an origin handler serving files beneath dir, so

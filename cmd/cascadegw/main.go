@@ -62,9 +62,8 @@ func run() error {
 		brkThresh   = flag.Int("breaker-threshold", 0, "gateway: consecutive upstream failures that open the circuit breaker (0 = default, negative = disabled)")
 		brkCool     = flag.Float64("breaker-cooldown", 0, "gateway: seconds the breaker stays open before probing (0 = default)")
 		upHealth    = flag.Float64("up-health-interval", 1, "gateway: seconds between active upstream health probes (≤ 0 = disabled)")
-		flightCap   = flag.Int("flight", 0, "event-log (flight recorder) capacity in events (0 = default 256, negative = disabled); dump via GET /cascade/debug/flight")
 		spanRate    = flag.Float64("spans", -1, "enable cascade-wide span tracing, keeping this fraction of unremarkable traces (error/stale/slow always kept; negative = disabled; the origin keeps its decide spans); dump via GET /cascade/debug/spans")
-		spanCap     = flag.Int("span-capacity", 512, "span-ring capacity in spans (with -spans)")
+		spanCap     = flag.Int("span-capacity", 512, "span-ring capacity in records (with -spans; without, the ring keeps 256 event records)")
 		spanSlow    = flag.Duration("span-slow", 0, "force-keep traces slower than this end-to-end (with -spans; 0 = no slow threshold)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
 		metricsAddr = flag.String("metrics", "", "serve Prometheus /metrics on this address (e.g. localhost:9090; empty = disabled)")
@@ -203,9 +202,6 @@ func run() error {
 			*nodeID, *listen, *upstream, *capacity, *cost)
 	}
 	// Observability means the same at the origin's node as at a cache node.
-	if *flightCap != 0 {
-		node.SetFlightCapacity(*flightCap)
-	}
 	if *spanRate >= 0 {
 		node.EnableSpans(cascade.SpanPolicy{Rate: *spanRate, Slow: spanSlow.Seconds()}, *spanCap)
 		fmt.Fprintf(os.Stderr, "cascadegw: span tracing on (sample rate %g, ring %d)\n", *spanRate, *spanCap)

@@ -6,8 +6,8 @@
 //     internal/core directly. A direct import means transport code is
 //     re-deriving protocol steps instead of delegating to the shared
 //     engine, exactly the drift the engine extraction removed.
-//   - Observability independence: internal/flightrec and internal/audit
-//     may import only the standard library plus internal/model and
+//   - Observability independence: internal/audit and internal/span may
+//     import only the standard library plus internal/model and
 //     internal/metrics. The auditor is an independent oracle for the
 //     protocol implementation — importing internal/core (or the engine,
 //     or a transport) would let the oracle share a bug with the code under
@@ -45,12 +45,6 @@ var rules = []rule{
 	{pkg: "internal/runtime", deny: []string{"cascade/internal/core"}, reason: "go through cascade/internal/engine"},
 	{pkg: "internal/httpgw", deny: []string{"cascade/internal/core"}, reason: "go through cascade/internal/engine"},
 
-	{
-		pkg:         "internal/flightrec",
-		allowPrefix: "cascade/",
-		allow:       []string{"cascade/internal/model", "cascade/internal/metrics"},
-		reason:      "the flight recorder must stay dependency-free (stdlib + model + metrics only)",
-	},
 	{
 		pkg:         "internal/audit",
 		allowPrefix: "cascade/",

@@ -1,13 +1,14 @@
 // Command observesmoke is the `make observe` driver: it builds cascadegw,
 // boots an origin → gateway → edge gateway chain on ephemeral ports with the
-// -metrics listener enabled, issues a few requests, and asserts that the
-// Prometheus scrape carries the key gateway series — including every
-// cascade_audit_*_total invariant series at zero violations on this clean
-// run, and the cascade_ledger_* accounting series — that the
-// /cascade/debug/flight endpoint dumps the node's event log (the invalidate
-// after the admin write; nothing at the origin, whose ring keeps audit
-// violations only), that the origin's decision-side auditor reports checks
-// with zero violations on its own /cascade/metrics, that one request's span
+// -metrics listener enabled, plus an untraced gateway below the first,
+// issues a few requests, and asserts that the Prometheus scrape carries the
+// key gateway series — including every cascade_audit_*_total invariant
+// series at zero violations on this clean run, and the cascade_ledger_*
+// accounting series — that the untraced gateway's /cascade/debug/spans
+// dump keeps its events (the invalidate after the admin write), that the
+// origin's ring holds decide spans only (no audit violation), that the
+// origin's decision-side auditor reports checks with zero violations on its
+// own /cascade/metrics, that one request's span
 // trace, stitched from two hops' /cascade/debug/spans dumps, carries both
 // protocol passes with their attributes (f on the up span, the chosen count
 // on the decide span, the placement on the down span), and that an
@@ -33,7 +34,6 @@ import (
 	"time"
 
 	"cascade/internal/audit"
-	"cascade/internal/flightrec"
 	"cascade/internal/span"
 )
 
@@ -79,6 +79,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	plainAddr, err := freeAddr()
+	if err != nil {
+		return err
+	}
 
 	logs := io.Discard
 	if *keepLogs {
@@ -109,8 +113,14 @@ func run() error {
 		return err
 	}
 	defer stop(edge)
+	// An untraced gateway below the first, where the write enters.
+	plain, err := start(bin, logs, "-listen", plainAddr, "-upstream", "http://"+gwAddr, "-id", "2", "-coherency", "cas")
+	if err != nil {
+		return err
+	}
+	defer stop(plain)
 
-	for _, addr := range []string{originAddr, gwAddr, metricsAddr, edgeAddr} {
+	for _, addr := range []string{originAddr, gwAddr, metricsAddr, edgeAddr, plainAddr} {
 		if err := waitListening(addr, 5*time.Second); err != nil {
 			return err
 		}
@@ -126,10 +136,10 @@ func run() error {
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck
 		resp.Body.Close()
 	}
-	// One write through the chain: the origin bumps the generation, the
-	// gateway applies the invalidation on the unwind — the coherency series
-	// and the invalidate flight events below must reflect it.
-	wresp, err := http.Post("http://"+gwAddr+"/cascade/admin/invalidate?obj=7", "application/json", nil)
+	// One write through the chain: the origin bumps the generation, both
+	// gateways apply the invalidation on the unwind — the coherency series
+	// and the untraced gateway's invalidate record below must reflect it.
+	wresp, err := http.Post("http://"+plainAddr+"/cascade/admin/invalidate?obj=7", "application/json", nil)
 	if err != nil {
 		return fmt.Errorf("POST invalidate: %w", err)
 	}
@@ -273,16 +283,8 @@ func run() error {
 	} else if v < 1 {
 		return fmt.Errorf("origin audited no local-benefit checks despite deciding placements")
 	}
-	var originSnap flightrec.Snapshot
-	if err := fetchJSON("http://"+originAddr+"/cascade/debug/flight", &originSnap); err != nil {
-		return err
-	}
-	if originSnap.Capacity <= 0 || len(originSnap.Events) != 0 {
-		return fmt.Errorf("origin flight ring: capacity %d with %d events, want a live ring holding no violations",
-			originSnap.Capacity, len(originSnap.Events))
-	}
-	// Its decisions are per-request facts: each one is a decide span in
-	// the origin's own span ring.
+	// Its decisions are per-request facts, decide spans in its own ring,
+	// which holds nothing else: no audit_violation record either.
 	var originSpans span.Snapshot
 	if err := fetchJSON("http://"+originAddr+"/cascade/debug/spans", &originSpans); err != nil {
 		return err
@@ -294,30 +296,25 @@ func run() error {
 		}
 	}
 	if originSpans.Capacity != 128 || originDecides == 0 || originDecides != len(originSpans.Spans) {
-		return fmt.Errorf("origin span ring: capacity %d, %d decide spans of %d, want decide spans only after decided placements",
-			originSpans.Capacity, originDecides, len(originSpans.Spans))
+		return fmt.Errorf("origin span ring: capacity %d, %d decide spans of %d records, want decide spans only after decided placements: %+v",
+			originSpans.Capacity, originDecides, len(originSpans.Spans), originSpans.Spans)
 	}
 	fmt.Printf("observesmoke: origin audits its decisions (%d decide spans, zero violations)\n", originDecides)
 
-	// The flight-recorder debug endpoint must dump the write just driven.
-	var snap flightrec.Snapshot
-	if err := fetchJSON("http://"+gwAddr+"/cascade/debug/flight", &snap); err != nil {
+	// The untraced gateway's ring, at its default depth, must keep the
+	// invalidate record of the write just driven.
+	var snap span.Snapshot
+	if err := fetchJSON("http://"+plainAddr+"/cascade/debug/spans", &snap); err != nil {
 		return err
 	}
-	if snap.Capacity <= 0 || len(snap.Events) == 0 {
-		return fmt.Errorf("/cascade/debug/flight dump is empty (capacity %d, %d events)", snap.Capacity, len(snap.Events))
-	}
 	sawInvalidate := false
-	for _, e := range snap.Events {
-		if e.Kind == flightrec.KindInvalidate {
-			sawInvalidate = true
-			break
-		}
+	for _, s := range snap.Spans {
+		sawInvalidate = sawInvalidate || s.ID == 0 && s.Phase == span.PhaseInvalidate && s.Obj == 7
 	}
-	if !sawInvalidate {
-		return fmt.Errorf("flight recorder holds no invalidate event after the admin write: %+v", snap.Events)
+	if snap.Capacity != 256 || !sawInvalidate {
+		return fmt.Errorf("untraced gateway's ring (capacity %d) holds no invalidate record after the admin write: %+v", snap.Capacity, snap.Spans)
 	}
-	fmt.Printf("observesmoke: flight recorder retains %d events (capacity %d, invalidation recorded)\n", len(snap.Events), snap.Capacity)
+	fmt.Printf("observesmoke: an untraced gateway's ring keeps %d event records (capacity %d, invalidation recorded)\n", len(snap.Spans), snap.Capacity)
 
 	// The span-ring debug endpoint must dump protocol-phase spans for the
 	// traffic just driven: one shared trace ID per request, a request root,
@@ -332,8 +329,11 @@ func run() error {
 	spanPhases := map[string]bool{}
 	ids := map[span.TraceID]map[span.SpanID]bool{}
 	for _, s := range spanSnap.Spans {
-		if s.Trace.IsZero() || s.ID == 0 {
-			return fmt.Errorf("span with zero trace or span ID: %+v", s)
+		if s.ID == 0 { // an event record (the invalidate), not a tree's span
+			continue
+		}
+		if s.Trace.IsZero() {
+			return fmt.Errorf("span with zero trace ID: %+v", s)
 		}
 		spanPhases[s.Phase.String()] = true
 		if ids[s.Trace] == nil {

@@ -24,7 +24,8 @@
 // Violations increment per-invariant counters in an internal/metrics
 // registry (series cascade_audit_violations_total{invariant=...}) and are
 // forwarded to an optional sink callback, which the wiring layers use to
-// write full-context flight-recorder events — the package itself depends
+// write full-context audit_violation event records into the violating
+// node's span ring — the package itself depends
 // only on the standard library, internal/model and internal/metrics
 // (cmd/importguard enforces this).
 //
@@ -83,7 +84,7 @@ func Invariants() []Invariant {
 }
 
 // Violation carries the full context of one invariant failure, for the
-// sink callback (flight-recorder events, test assertions, logs).
+// sink callback (span-ring event records, test assertions, logs).
 type Violation struct {
 	Invariant Invariant
 	Node      model.NodeID

@@ -14,12 +14,12 @@ import (
 
 	"cascade/internal/audit"
 	"cascade/internal/coherency"
-	"cascade/internal/flightrec"
 	"cascade/internal/httpgw"
 	"cascade/internal/model"
 	"cascade/internal/runtime"
 	"cascade/internal/scheme"
 	"cascade/internal/sim"
+	"cascade/internal/span"
 	"cascade/internal/store"
 	"cascade/internal/trace"
 )
@@ -202,8 +202,8 @@ func gatewayWrite(t *testing.T, client *http.Client, base string, obj model.Obje
 // the generation assigned. CAS-strict means never-serve-stale: every served
 // generation must equal the authority's current generation at read time.
 // After the run the per-node generation floors must be identical maps
-// everywhere, every auditor must be silent, and every incarnation's flight
-// recorder must have captured invalidation traffic.
+// everywhere, every auditor must be silent, and every incarnation's span
+// ring must have captured invalidation traffic.
 func TestCoherencyConformance(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -232,13 +232,13 @@ func TestCoherencyConformance(t *testing.T) {
 			route := net.Route(0, model.NoNode)
 			capacity := int64(tc.rel * float64(cat.TotalBytes))
 			dEntries := int(3 * float64(capacity) / cat.AvgSize())
-			const flightCap = 256
+			const spanCap = 256
 
 			// Incarnation 1: the replay simulator with an attached authority.
 			rec := &recorder{inner: scheme.NewCoordinated()}
 			rec.inner.SetAuditor(audit.New(nil))
 			rec.inner.SetLedger(audit.NewLedger())
-			rec.inner.SetFlightCapacity(flightCap)
+			rec.inner.SetSpans(span.NewTracer(span.Policy{}), spanCap)
 			rec.inner.SetCoherency(coherency.NewAuthority(), coherency.ModeCAS, 0)
 			simr, err := sim.New(sim.Config{
 				Scheme: rec, Network: net, Catalog: cat,
@@ -251,14 +251,14 @@ func TestCoherencyConformance(t *testing.T) {
 			// Incarnation 2: the cluster under the same mode.
 			clk := &logicalClock{}
 			cluster, err := runtime.NewCluster(runtime.Config{
-				Network:        net,
-				CacheBytes:     capacity,
-				DCacheEntries:  dEntries,
-				AvgObjectSize:  cat.AvgSize(),
-				Clock:          clk.Now,
-				EnableAudit:    true,
-				FlightCapacity: flightCap,
-				CoherencyMode:  coherency.ModeCAS,
+				Network:       net,
+				CacheBytes:    capacity,
+				DCacheEntries: dEntries,
+				AvgObjectSize: cat.AvgSize(),
+				Clock:         clk.Now,
+				EnableAudit:   true,
+				SpanCapacity:  spanCap,
+				CoherencyMode: coherency.ModeCAS,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -391,24 +391,16 @@ func TestCoherencyConformance(t *testing.T) {
 				t.Fatal("auditors attached but no checks ran")
 			}
 
-			// Every incarnation's flight recorder must have captured the
-			// invalidation traffic as first-class protocol events.
-			sawInval := func(events []flightrec.Event) bool {
-				for _, e := range events {
-					if e.Kind == flightrec.KindInvalidate {
-						return true
-					}
+			// Every incarnation's span ring must have captured the
+			// invalidation traffic as event records.
+			for name, spans := range map[string][]span.Span{
+				"simulator": rec.inner.SpanRing(0).Spans(),
+				"cluster":   cluster.DumpSpans(0).Spans,
+				"gateway":   gwNodes[0].DumpSpans().Spans,
+			} {
+				if countEvents(spans, span.PhaseInvalidate) == 0 {
+					t.Errorf("%s span ring has no invalidate records", name)
 				}
-				return false
-			}
-			if !sawInval(rec.inner.FlightRecorder(0).Events()) {
-				t.Error("simulator flight recorder has no invalidate events")
-			}
-			if !sawInval(cluster.DumpFlight(0).Events) {
-				t.Error("cluster flight recorder has no invalidate events")
-			}
-			if !sawInval(gwNodes[0].DumpFlight().Events) {
-				t.Error("gateway flight recorder has no invalidate events")
 			}
 			segmentedObjectStage(t, client, gwBase, gwNodes, gwOrigin, clk, objSize)
 			assertBytesAgree(t, cluster, len(tc.upCost), gwNodes)

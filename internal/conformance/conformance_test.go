@@ -20,6 +20,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -89,7 +90,7 @@ func (c *logicalClock) Now() float64  { c.mu.Lock(); defer c.mu.Unlock(); return
 
 // gatewayChain builds origin ← node(L-1) ← … ← node0 over httptest servers
 // and returns node0's base URL, the nodes bottom-up (each carries its own
-// auditor, ledger and flight recorder — NewNode wires them by default) and
+// auditor, ledger and span ring — NewNode wires them by default) and
 // the origin, whose decision-side observability is enabled too.
 func gatewayChain(t *testing.T, upCost []float64, capacity int64, dEntries int, objSize int, clock func() float64) (string, []*httpgw.Node, *httpgw.Origin) {
 	t.Helper()
@@ -225,17 +226,15 @@ func TestThreeIncarnationsAgree(t *testing.T) {
 			dEntries := int(3 * float64(capacity) / avg)
 
 			// All three incarnations run with the online invariant
-			// auditor, flight recorders and span tracing attached:
-			// conformance both cross-validates the transports against each
-			// other and proves the audited replay is violation-free
-			// everywhere.
-			const flightCap, spanCap = 64, 64
+			// auditor and span tracing attached: conformance both
+			// cross-validates the transports against each other and proves
+			// the audited replay is violation-free everywhere.
+			const spanCap = 64
 
 			// Incarnation 1: the replay simulator.
 			rec := &recorder{inner: scheme.NewCoordinated()}
 			rec.inner.SetAuditor(audit.New(nil))
 			rec.inner.SetLedger(audit.NewLedger())
-			rec.inner.SetFlightCapacity(flightCap)
 			rec.inner.SetSpans(span.NewTracer(span.Policy{Rate: 1}), spanCap)
 			simr, err := sim.New(sim.Config{
 				Scheme: rec, Network: net, Catalog: cat,
@@ -248,15 +247,14 @@ func TestThreeIncarnationsAgree(t *testing.T) {
 			// Incarnation 2: the cluster.
 			clk := &logicalClock{}
 			cluster, err := runtime.NewCluster(runtime.Config{
-				Network:        net,
-				CacheBytes:     capacity,
-				DCacheEntries:  dEntries,
-				AvgObjectSize:  avg,
-				Clock:          clk.Now,
-				EnableAudit:    true,
-				FlightCapacity: flightCap,
-				SpanCapacity:   spanCap,
-				SpanSample:     1,
+				Network:       net,
+				CacheBytes:    capacity,
+				DCacheEntries: dEntries,
+				AvgObjectSize: avg,
+				Clock:         clk.Now,
+				EnableAudit:   true,
+				SpanCapacity:  spanCap,
+				SpanSample:    1,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -339,8 +337,8 @@ func TestThreeIncarnationsAgree(t *testing.T) {
 			}
 			// The span rings are the per-request record and must have
 			// captured the traffic (TestSpanTreesConform compares the
-			// trees); the flight rings log only what no request owns, and
-			// a run without faults, writes or violations owns nothing.
+			// trees); their event records log faults, writes, disk moves and
+			// violations, and a run without any holds none.
 			if len(rec.inner.SpanRing(0).Spans()) == 0 {
 				t.Error("simulator span ring empty")
 			}
@@ -350,13 +348,13 @@ func TestThreeIncarnationsAgree(t *testing.T) {
 			if len(gwNodes[0].DumpSpans().Spans) == 0 {
 				t.Error("gateway span ring empty")
 			}
-			for name, events := range map[string]int{
-				"simulator": len(rec.inner.FlightRecorder(0).Events()),
-				"cluster":   len(cluster.DumpFlight(0).Events),
-				"gateway":   len(gwNodes[0].DumpFlight().Events),
+			for name, spans := range map[string][]span.Span{
+				"simulator": rec.inner.SpanRing(0).Spans(),
+				"cluster":   cluster.DumpSpans(0).Spans,
+				"gateway":   gwNodes[0].DumpSpans().Spans,
 			} {
-				if events != 0 {
-					t.Errorf("%s flight ring logged %d events on a clean run; per-request steps belong to spans", name, events)
+				if n := countEvents(spans); n != 0 {
+					t.Errorf("%s span ring holds %d event records on a clean run; per-request steps are spans", name, n)
 				}
 			}
 
@@ -455,4 +453,16 @@ func assertBytesAgree(t *testing.T, cluster *runtime.Cluster, n int, gw []*httpg
 			t.Errorf("gateway %v", err)
 		}
 	}
+}
+
+// countEvents counts the event records among a ring's spans — the records
+// with no span ID — of the given phases, or of any phase when none is given.
+func countEvents(spans []span.Span, phases ...span.Phase) int {
+	n := 0
+	for _, s := range spans {
+		if s.ID == 0 && (len(phases) == 0 || slices.Contains(phases, s.Phase)) {
+			n++
+		}
+	}
+	return n
 }

@@ -12,6 +12,7 @@ import (
 	"cascade/internal/runtime"
 	"cascade/internal/scheme"
 	"cascade/internal/sim"
+	"cascade/internal/span"
 	"cascade/internal/trace"
 )
 
@@ -65,11 +66,11 @@ func TestDrainAdmitCycleConforms(t *testing.T) {
 	const rel = 0.02
 	capacity := int64(rel * float64(cat.TotalBytes))
 	dEntries := int(3 * float64(capacity) / cat.AvgSize())
-	const flightCap = 64
+	const spanCap = 64
 
 	rec := &recorder{inner: scheme.NewCoordinated()}
 	rec.inner.SetAuditor(audit.New(nil))
-	rec.inner.SetFlightCapacity(flightCap)
+	rec.inner.SetSpans(span.NewTracer(span.Policy{}), spanCap)
 	simr, err := sim.New(sim.Config{
 		Scheme: rec, Network: net, Catalog: cat,
 		RelativeCacheSize: rel, Seed: 7,
@@ -80,13 +81,13 @@ func TestDrainAdmitCycleConforms(t *testing.T) {
 
 	clk := &logicalClock{}
 	cluster, err := runtime.NewCluster(runtime.Config{
-		Network:        net,
-		CacheBytes:     capacity,
-		DCacheEntries:  dEntries,
-		AvgObjectSize:  cat.AvgSize(),
-		Clock:          clk.Now,
-		EnableAudit:    true,
-		FlightCapacity: flightCap,
+		Network:       net,
+		CacheBytes:    capacity,
+		DCacheEntries: dEntries,
+		AvgObjectSize: cat.AvgSize(),
+		Clock:         clk.Now,
+		EnableAudit:   true,
+		SpanCapacity:  spanCap,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -230,6 +231,14 @@ func TestDrainAdmitCycleConforms(t *testing.T) {
 		if v := a.TotalViolations(); v != 0 {
 			t.Errorf("%s: %d invariant violations across the drain/admit cycle", name, v)
 		}
+	}
+
+	// The cluster and the gateway recorded the same membership
+	// transitions at the drained node: drain, remove, admit.
+	clMember := countEvents(cluster.DumpSpans(drainTgt).Spans, span.PhaseMembership)
+	gwMember := countEvents(gwNodes[drainTgt].DumpSpans().Spans, span.PhaseMembership)
+	if clMember != 3 || gwMember != 3 {
+		t.Errorf("membership records at the drained node: cluster %d, gateway %d; want 3 each", clMember, gwMember)
 	}
 
 	// Membership landed back where it started on every transport.

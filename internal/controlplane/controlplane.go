@@ -104,7 +104,7 @@ func (k EventKind) String() string {
 }
 
 // Event is one membership or health transition, delivered to the Manager's
-// OnEvent hook (for flight recorders and logs).
+// OnEvent hook (for span-ring event records and logs).
 type Event struct {
 	Kind   EventKind
 	Node   model.NodeID

@@ -2,8 +2,8 @@ package engine
 
 import (
 	"cascade/internal/coherency"
-	"cascade/internal/flightrec"
 	"cascade/internal/model"
+	"cascade/internal/span"
 	"cascade/internal/store"
 )
 
@@ -69,11 +69,11 @@ func (st *nodeState) probe(q *Req, floor uint64, tiered bool, mem *store.Meta, r
 	case st.Coh != nil && st.Coh.Expired(q.Obj, q.Now):
 		st.demote(q.Obj, q.Now)
 		st.Coh.Metrics().Revalidation()
-		st.record(flightrec.KindRevalidate, q.Obj, q.Now, float64(d.Gen), 0, 0)
+		st.record(span.PhaseRevalidate, q.Trace.ID(), q.Obj, q.Now, float64(d.Gen), 0, 0)
 		p.Expired, p.demoted = true, true
 	case d.Gen < floor || (q.Pinned && d.Gen != q.Pin):
 		st.demote(q.Obj, q.Now)
-		st.staleHit(q.Obj, d.Gen, floor, q.Now)
+		st.staleHit(q, d.Gen, floor)
 		p.Stale, p.demoted = true, true
 	case tiered && (mem == nil || mem.Gen != d.Gen) && recheck:
 		p.recheck = true
@@ -105,19 +105,22 @@ func (st *nodeState) readFloor(obj model.ObjectID, floor uint64) uint64 {
 	return max(st.Coh.Floor(obj), floor)
 }
 
-// staleHit counts a copy dropped below its read floor (or off its pin) and
-// logs it: the copy's generation and the floor it failed.
-func (st *nodeState) staleHit(obj model.ObjectID, gen, floor uint64, now float64) {
+// staleHit counts q's copy dropped below its read floor (or off its pin)
+// and records it: the copy's generation and the floor it failed.
+func (st *nodeState) staleHit(q *Req, gen, floor uint64) {
 	if st.Coh != nil {
 		st.Coh.Metrics().StaleHit()
 	}
-	st.record(flightrec.KindStaleHit, obj, now, float64(gen), float64(floor), 1)
+	st.record(span.PhaseStaleHit, q.Trace.ID(), q.Obj, q.Now, float64(gen), float64(floor), 1)
 }
 
-// record logs one of the node's own events on its flight recorder.
-func (st *nodeState) record(k flightrec.Kind, obj model.ObjectID, now, a, b float64, n int) {
-	if st.Flight != nil {
-		st.Flight.Record(flightrec.Event{Time: now, Node: st.Node, Kind: k, Obj: obj, Hop: -1, A: a, B: b, N: n})
+// record writes one of the node's own events into its ring, under trace tr
+// — the request that caused it, zero when none did.
+func (st *nodeState) record(ph span.Phase, tr span.TraceID, obj model.ObjectID, now, a, b float64, n int) {
+	if st.Ring != nil {
+		e := span.Event(ph, st.Node, now)
+		e.Trace, e.Obj, e.A, e.B, e.N = tr, obj, a, b, n
+		st.Ring.Add(e)
 	}
 }
 
@@ -140,7 +143,7 @@ func (st *nodeState) demote(obj model.ObjectID, now float64) bool {
 // new floor is demoted. Reports whether the floor actually moved and
 // whether a copy was demoted. The caller advances the cursor after the
 // batch.
-func (st *nodeState) applyInvalidation(inv coherency.Invalidation, now float64) (raised, dropped bool) {
+func (st *nodeState) applyInvalidation(tr span.TraceID, inv coherency.Invalidation, now float64) (raised, dropped bool) {
 	if !st.Coh.ShouldApply(inv.Seq) {
 		return false, false
 	}
@@ -158,7 +161,7 @@ func (st *nodeState) applyInvalidation(inv coherency.Invalidation, now float64) 
 	if dropped {
 		n = 1
 	}
-	st.record(flightrec.KindInvalidate, inv.Obj, now, float64(inv.Gen), float64(inv.Seq), n)
+	st.record(span.PhaseInvalidate, tr, inv.Obj, now, float64(inv.Gen), float64(inv.Seq), n)
 	return raised, dropped
 }
 
@@ -174,7 +177,7 @@ func (st *nodeState) ApplyInvalidations(tail []coherency.Invalidation, head uint
 	}
 	applied := 0
 	for _, inv := range tail {
-		if raised, _ := st.applyInvalidation(inv, now); raised {
+		if raised, _ := st.applyInvalidation(span.TraceID{}, inv, now); raised {
 			applied++
 		}
 	}

@@ -50,9 +50,9 @@ import (
 	"cascade/internal/cache"
 	"cascade/internal/coherency"
 	"cascade/internal/dcache"
-	"cascade/internal/flightrec"
 	"cascade/internal/freq"
 	"cascade/internal/model"
+	"cascade/internal/span"
 	"cascade/internal/store"
 )
 
@@ -125,11 +125,11 @@ type nodeState struct {
 	// Pool optionally recycles descriptors so steady-state replay
 	// allocates none; nil allocates fresh descriptors.
 	Pool *DescPool
-	// Flight optionally logs the node's coherency and disk-tier events
-	// (invalidate, stale_hit, revalidate, promote); nil disables. The
-	// hit/miss/place steps below carry no flight code — their record is
-	// the span the transport annotates from their return values.
-	Flight *flightrec.Recorder
+	// Ring optionally keeps the node's coherency and disk-tier events
+	// (invalidate, stale_hit, revalidate, promote, spill) as event records;
+	// nil disables. The hit/miss/place steps below write none — their
+	// record is the span the transport annotates from their return values.
+	Ring *span.Ring
 	// Audit optionally verifies protocol invariants online at this node
 	// (nil disables). Transports share one Auditor across their nodes.
 	Audit *audit.Auditor
@@ -142,20 +142,17 @@ type nodeState struct {
 	Coh *coherency.NodeView
 }
 
-// ViolationEvent renders an audit violation as the audit_violation flight
-// event every incarnation's auditor sink records at the violating node
-// (audit and flightrec may not import each other; the engine sees both).
-func ViolationEvent(v audit.Violation) flightrec.Event {
-	return flightrec.Event{
-		Time: v.Now,
-		Node: v.Node,
-		Kind: flightrec.KindAuditViolation,
-		Obj:  v.Obj,
-		Hop:  v.Hop,
-		A:    v.Got,
-		B:    v.Want,
-		N:    int(v.Invariant),
-	}
+// RecordViolations points a's violation sink at the span rings: every
+// violation becomes an audit_violation event record in the ring ring
+// returns for the violating node (nil drops it). Each incarnation installs
+// it on its auditor (audit and span may not import each other; the engine
+// sees both).
+func RecordViolations(a *audit.Auditor, ring func(model.NodeID) *span.Ring) {
+	a.SetOnViolation(func(v audit.Violation) {
+		e := span.Event(span.PhaseAuditViolation, v.Node, v.Now)
+		e.Obj, e.Hop, e.A, e.B, e.N = v.Obj, v.Hop, v.Got, v.Want, int(v.Invariant)
+		ring(v.Node).Add(e)
+	})
 }
 
 // UpMiss performs the miss-side bookkeeping of the upstream pass at this
@@ -277,12 +274,13 @@ func (st *nodeState) DownStepUnder(obj, floorObj model.ObjectID, size int64, pla
 // audit, same victim demotion — so the §2.3 invariants hold for promoted
 // copies too. The hit is booked on the ledger whether or not the
 // re-admission sticks: the bytes are served either way. A copy at a
-// generation gen below floorObj's floor is stale and not re-admitted, so a
-// spill can never resurrect stale bytes. The victims alias the store's
+// generation gen below q.FloorObj's floor is stale and not re-admitted, so
+// a spill can never resurrect stale bytes. The victims alias the store's
 // scratch buffer.
-func (st *nodeState) promote(obj, floorObj model.ObjectID, size int64, gen uint64, now float64) (placed, stale bool, evicted []*cache.Descriptor) {
-	if f := st.readFloor(floorObj, 0); gen < f {
-		st.staleHit(obj, gen, f, now)
+func (st *nodeState) promote(q *Req, size int64, gen uint64) (placed, stale bool, evicted []*cache.Descriptor) {
+	obj, now := q.Obj, q.Now
+	if f := st.readFloor(q.FloorObj, 0); gen < f {
+		st.staleHit(q, gen, f)
 		return false, true, nil
 	}
 	desc := st.DCache.Take(obj)
@@ -296,7 +294,7 @@ func (st *nodeState) promote(obj, floorObj model.ObjectID, size int64, gen uint6
 		st.Ledger.RecordHit(st.Node, avoided)
 	}
 	if evicted, placed = st.insert(desc, now, nil); placed {
-		st.record(flightrec.KindPromote, obj, now, avoided, 0, len(evicted))
+		st.record(span.PhasePromote, q.Trace.ID(), obj, now, avoided, 0, len(evicted))
 	}
 	return placed, false, evicted
 }

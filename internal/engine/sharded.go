@@ -10,8 +10,8 @@ import (
 	"cascade/internal/cache"
 	"cascade/internal/coherency"
 	"cascade/internal/dcache"
-	"cascade/internal/flightrec"
 	"cascade/internal/model"
+	"cascade/internal/span"
 	"cascade/internal/store"
 )
 
@@ -85,9 +85,10 @@ type ShardedConfig struct {
 	// descriptors. Safe because every pool is touched only under its
 	// shard's lock.
 	Pooled bool
-	// Flight/Audit/Ledger are shared across shards (all three are
-	// internally synchronized); nil disables each.
-	Flight *flightrec.Recorder
+	// Ring (the node's span ring, for its event records), Audit and
+	// Ledger are shared across shards (all three are internally
+	// synchronized); nil disables each.
+	Ring   *span.Ring
 	Audit  *audit.Auditor
 	Ledger *audit.Ledger
 	// Coherency is the node's coherency view, shared across shards (the
@@ -126,7 +127,7 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 			Store:   cache.NewCostAware(splitBytes(cfg.CacheBytes, p, i)),
 			DCache:  cfg.DCacheFactory(splitEntries(cfg.DCacheEntries, p, i)),
 			WindowK: cfg.WindowK,
-			Flight:  cfg.Flight,
+			Ring:    cfg.Ring,
 			Audit:   cfg.Audit,
 			Ledger:  cfg.Ledger,
 			Coh:     cfg.Coherency,
@@ -198,18 +199,19 @@ func (s *Sharded) Lookup(obj model.ObjectID, now float64) bool {
 // shared cursor to head (see nodeState.ApplyInvalidations). It reports how
 // many entries raised a floor.
 func (s *Sharded) ApplyInvalidations(tail []coherency.Invalidation, head uint64, now float64) int {
-	return s.invalidate(tail, head, now, nil)
+	return s.invalidate(span.TraceID{}, tail, head, now, nil)
 }
 
-// Invalidate is ApplyInvalidations that also appends to dropped, a
-// caller-owned buffer returned possibly grown, every object whose copy it
-// demoted — the copies whose bytes the caller must drop (Hop.ApplyInvalidations).
-func (s *Sharded) Invalidate(tail []coherency.Invalidation, head uint64, now float64, dropped []model.ObjectID) (int, []model.ObjectID) {
-	applied := s.invalidate(tail, head, now, &dropped)
+// Invalidate is ApplyInvalidations that records its invalidate events under
+// trace tr and also appends to dropped, a caller-owned buffer returned
+// possibly grown, every object whose copy it demoted — the copies whose
+// bytes the caller must drop (Hop.ApplyInvalidations).
+func (s *Sharded) Invalidate(tr span.TraceID, tail []coherency.Invalidation, head uint64, now float64, dropped []model.ObjectID) (int, []model.ObjectID) {
+	applied := s.invalidate(tr, tail, head, now, &dropped)
 	return applied, dropped
 }
 
-func (s *Sharded) invalidate(tail []coherency.Invalidation, head uint64, now float64, dropped *[]model.ObjectID) int {
+func (s *Sharded) invalidate(tr span.TraceID, tail []coherency.Invalidation, head uint64, now float64, dropped *[]model.ObjectID) int {
 	view := s.shards[0].st.Coh
 	if view == nil || !view.Mode().Validates() {
 		return 0
@@ -218,7 +220,7 @@ func (s *Sharded) invalidate(tail []coherency.Invalidation, head uint64, now flo
 	for _, inv := range tail {
 		sh := &s.shards[s.ShardOf(inv.Obj)]
 		s.lock(sh)
-		raised, demoted := sh.st.applyInvalidation(inv, now)
+		raised, demoted := sh.st.applyInvalidation(tr, inv, now)
 		sh.mu.Unlock()
 		if raised {
 			applied++
@@ -244,7 +246,7 @@ func (s *Sharded) ReadFloor(floorObj model.ObjectID, floor uint64) uint64 {
 func (s *Sharded) Coherency() *coherency.NodeView { return s.shards[0].st.Coh }
 
 // SetCoherency attaches (or detaches) the node's coherency view on every
-// shard — configuration before serving, like SetFlight.
+// shard — configuration before serving, like SetRing.
 func (s *Sharded) SetCoherency(view *coherency.NodeView) {
 	s.lockAll()
 	for i := range s.shards {
@@ -318,7 +320,7 @@ func (s *Sharded) DownStepUnder(obj, floorObj model.ObjectID, size int64, place 
 func (s *Sharded) promote(q *Req, size int64, gen uint64) (placed, stale bool) {
 	sh := &s.shards[s.ShardOf(q.Obj)]
 	s.lock(sh)
-	placed, stale, ev := sh.st.promote(q.Obj, q.FloorObj, size, gen, q.Now)
+	placed, stale, ev := sh.st.promote(q, size, gen)
 	q.victims = sh.placed(placed, ev, q.victims[:0])
 	sh.mu.Unlock()
 	return placed, stale
@@ -497,12 +499,12 @@ func (s *Sharded) RestoreInsert(snap cache.DescriptorSnapshot, now float64) bool
 	return ok
 }
 
-// SetFlight replaces the flight recorder on every shard (observability
-// reconfiguration before serving).
-func (s *Sharded) SetFlight(r *flightrec.Recorder) {
+// SetRing replaces the ring the node's event records go to on every shard
+// (observability reconfiguration before serving).
+func (s *Sharded) SetRing(r *span.Ring) {
 	s.lockAll()
 	for i := range s.shards {
-		s.shards[i].st.Flight = r
+		s.shards[i].st.Ring = r
 	}
 	s.unlockAll()
 }

@@ -5,7 +5,6 @@ import (
 
 	"cascade/internal/audit"
 	"cascade/internal/coherency"
-	"cascade/internal/flightrec"
 	"cascade/internal/model"
 	"cascade/internal/span"
 	"cascade/internal/store"
@@ -156,7 +155,7 @@ func (h Hop) fromTier(q *Req, r *UpResult) bool {
 	if gen < r.Floor || (q.Pinned && gen != q.Pin) {
 		// The tier screens files against Obj's floor only.
 		h.Tier.DeleteUnless(q.Obj, h.St.Contains)
-		h.St.shards[0].st.staleHit(q.Obj, gen, r.Floor, q.Now)
+		h.St.shards[0].st.staleHit(q, gen, r.Floor)
 		q.Trace.Force(span.FlagStale)
 		return false
 	}
@@ -175,7 +174,7 @@ func (h Hop) fromTier(q *Req, r *UpResult) bool {
 	}
 	if placed {
 		r.Promoted, r.Evicted = true, len(q.victims)
-		r.Spilled = h.Spill(q.victims, q.Now)
+		r.Spilled = h.Spill(q, q.victims)
 	}
 	r.Hit, r.FromTier, r.Gen = true, true, gen
 	return true
@@ -205,7 +204,7 @@ func Down(h Hop, q *Req, idx int, up span.SpanID, place bool, prev, mp float64, 
 	r.DownOutcome, r.Evicted = out, len(ev)
 	if out.Placed && h.Tier != nil {
 		bsp := tr.Start(span.PhaseBody, id, idx, dn, q.Now)
-		r.Spilled = h.Spill(ev, q.Now)
+		r.Spilled = h.Spill(q, ev)
 		tr.End(bsp, q.Now)
 	}
 	end := q.end()
@@ -222,7 +221,7 @@ func (h Hop) Land(q *Req, idx int, up span.SpanID) {
 		return
 	}
 	coh := q.Trace.Start(span.PhaseCoherency, h.St.Node(), idx, up, q.Now)
-	_, q.dropped = h.ApplyInvalidations(q.Tail, q.Head, q.Now, q.dropped[:0])
+	_, q.dropped = h.invalidate(q.Trace.ID(), q.Tail, q.Head, q.Now, q.dropped[:0])
 	q.Trace.End(coh, q.end())
 }
 
@@ -251,7 +250,13 @@ func (h Hop) Place(q *Req, place bool, mp float64, body []byte, etag string) (ou
 // floor, and appends the demoted objects to dropped, a caller-owned buffer
 // returned possibly grown.
 func (h Hop) ApplyInvalidations(tail []coherency.Invalidation, head uint64, now float64, dropped []model.ObjectID) (int, []model.ObjectID) {
-	applied, dropped := h.St.Invalidate(tail, head, now, dropped)
+	return h.invalidate(span.TraceID{}, tail, head, now, dropped)
+}
+
+// invalidate is ApplyInvalidations recording its invalidate events under
+// trace tr, the request whose response carried the batch (zero: none).
+func (h Hop) invalidate(tr span.TraceID, tail []coherency.Invalidation, head uint64, now float64, dropped []model.ObjectID) (int, []model.ObjectID) {
+	applied, dropped := h.St.Invalidate(tr, tail, head, now, dropped)
 	if h.Tier != nil {
 		for _, obj := range dropped {
 			h.Tier.DeleteUnless(obj, h.St.Contains)
@@ -260,18 +265,19 @@ func (h Hop) ApplyInvalidations(tail []coherency.Invalidation, head uint64, now 
 	return applied, dropped
 }
 
-// Spill parks evicted copies' bytes below memory and reports how many
-// reached disk. A victim placed again since its eviction keeps its fresh
-// bytes in memory: the tier asks the descriptor store under its own lock,
-// so no placement's bytes land between the answer and the move.
-func (h Hop) Spill(victims []model.ObjectID, now float64) int {
+// Spill parks the bytes of q's evicted copies below memory and reports how
+// many reached disk, recording each spill under q's trace. A victim placed
+// again since its eviction keeps its fresh bytes in memory: the tier asks
+// the descriptor store under its own lock, so no placement's bytes land
+// between the answer and the move.
+func (h Hop) Spill(q *Req, victims []model.ObjectID) int {
 	n := 0
 	for _, v := range victims {
 		if h.Tier == nil {
 			break
 		}
 		if size, ok := h.Tier.SpillUnless(v, h.St.Contains); ok {
-			h.St.shards[0].st.record(flightrec.KindSpill, v, now, float64(size), 0, 0)
+			h.St.shards[0].st.record(span.PhaseSpill, q.Trace.ID(), v, q.Now, float64(size), 0, 0)
 			n++
 		}
 	}

@@ -11,7 +11,7 @@ import (
 
 	"cascade/internal/cache"
 	"cascade/internal/controlplane"
-	"cascade/internal/flightrec"
+	"cascade/internal/span"
 )
 
 // The gateway's control-plane surface. Each node manages its own membership
@@ -66,28 +66,23 @@ func (c UpstreamHealthConfig) withDefaults() UpstreamHealthConfig {
 }
 
 // recordTransitionLocked bumps the node's control-plane epoch, counts the
-// transition and records the flight event. Caller holds n.mu. Self events
-// carry B=0; upstream-probe health events carry B=1 (the recorder has one
-// Node field, and both kinds of event belong to this node's timeline).
+// transition and records its event. Caller holds n.mu. Self events carry
+// B=0; upstream-probe health events carry B=1 (a record has one Node
+// field, and both kinds of event belong to this node's timeline).
 func (n *Node) recordTransitionLocked(k controlplane.EventKind, upstream bool, now float64) {
 	n.cpEpoch++
 	if c := n.changes[k]; c != nil {
 		c.Inc()
 	}
-	kind, v := flightrec.KindMembership, int(n.member)
+	e := span.Event(span.PhaseMembership, n.ID, now)
+	e.A, e.N = float64(n.cpEpoch), int(n.member)
 	if k == controlplane.EventHealthChange {
-		kind = flightrec.KindHealth
+		e.Phase, e.N = span.PhaseHealth, int(n.selfHealth)
 		if upstream {
-			v = int(n.upHealth)
-		} else {
-			v = int(n.selfHealth)
+			e.N, e.B = int(n.upHealth), 1
 		}
 	}
-	b := 0.0
-	if upstream {
-		b = 1
-	}
-	n.flight.Record(flightrec.Event{Time: now, Node: n.ID, Kind: kind, Hop: -1, A: float64(n.cpEpoch), B: b, N: v})
+	n.spans.Add(e)
 }
 
 // Member returns the node's membership state.
@@ -237,7 +232,7 @@ func (n *Node) spill(snaps []cache.DescriptorSnapshot) int {
 		return 0
 	}
 	var st controlState
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxReplyBytes)).Decode(&st); err != nil {
 		return 0
 	}
 	return st.Absorbed
@@ -260,6 +255,12 @@ func (n *Node) adminAdmit(w http.ResponseWriter, now float64) {
 	n.mu.Unlock()
 	writeJSON(w, http.StatusOK, st)
 }
+
+// maxReplyBytes caps a JSON reply read from a peer — an absorb or an
+// invalidate acknowledgment, a few hundred bytes at most (docs/PROTOCOL.md):
+// a longer one fails to decode instead of growing the reader's buffer. The
+// decoder's doubling buffer allocates about four times the cap in all.
+const maxReplyBytes = 256 << 10
 
 // maxAbsorbBytes caps an absorb body (docs/PROTOCOL.md): about 350,000
 // descriptors of two access times each, 35 times cascadegw's default

@@ -7,13 +7,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
 	"cascade/internal/cache"
 	"cascade/internal/controlplane"
-	"cascade/internal/flightrec"
 	"cascade/internal/model"
+	"cascade/internal/span"
 )
 
 func postJSON(t *testing.T, url string) (int, controlState) {
@@ -129,16 +130,16 @@ func TestAdminDrainSpillsUpstream(t *testing.T) {
 		t.Fatal("second admit should refuse")
 	}
 
-	// The flight recorder kept the membership transitions: drain, remove,
+	// The span ring kept the membership transitions: drain, remove,
 	// admit.
 	var members int
-	for _, ev := range nodes[0].flight.TakeSnapshot(nodes[0].ID).Events {
-		if ev.Kind == flightrec.KindMembership {
+	for _, ev := range events(nodes[0].DumpSpans().Spans) {
+		if ev.Phase == span.PhaseMembership {
 			members++
 		}
 	}
 	if members != 3 {
-		t.Fatalf("got %d membership flight events, want 3", members)
+		t.Fatalf("got %d membership event records, want 3", members)
 	}
 }
 
@@ -423,12 +424,13 @@ func TestControlNamespaceReserved(t *testing.T) {
 		{origin.URL, "/cascade/stats", http.StatusNotFound, ""},
 		{origin.URL, "/cascade/metrics", http.StatusOK, prom},
 		{origin.URL, "/cascade/debug/spans", http.StatusOK, js},
-		{origin.URL, "/cascade/debug/flight", http.StatusOK, js},
+		{origin.URL, "/cascade/debug/flight", http.StatusNotFound, ""},
 		{origin.URL, "/cascade/health", http.StatusOK, js},
 		{origin.URL, "/cascade/admin/drain", http.StatusNotFound, ""},
 		{origin.URL, "/cascade/nosuch", http.StatusNotFound, ""},
 		{node.URL, "/cascade/nosuch", http.StatusNotFound, ""},
 		{node.URL, "/cascade/debug/nosuch", http.StatusNotFound, ""},
+		{node.URL, "/cascade/debug/flight", http.StatusNotFound, ""},
 	} {
 		resp, err := http.Get(tc.base + tc.path)
 		if err != nil {
@@ -444,5 +446,50 @@ func TestControlNamespaceReserved(t *testing.T) {
 	}
 	if n.misses != 0 || n.inserts != 0 {
 		t.Errorf("the node forwarded control paths upstream: %d misses, %d inserts", n.misses, n.inserts)
+	}
+}
+
+// hugeJSONBytes is the length of the JSON string a hostile peer streams.
+const hugeJSONBytes = 64 << 20
+
+// hugeJSONPeer is a peer that answers every request with one JSON object
+// holding a hugeJSONBytes-long string, streamed from one reused chunk.
+func hugeJSONPeer(t *testing.T) *httptest.Server {
+	chunk := bytes.Repeat([]byte("a"), 32<<10)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) //nolint:errcheck
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"obj":"`) //nolint:errcheck
+		for i := 0; i < hugeJSONBytes/len(chunk); i++ {
+			if _, err := w.Write(chunk); err != nil {
+				return // the reader gave up
+			}
+		}
+		io.WriteString(w, `"}`) //nolint:errcheck
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// allocDuring returns the bytes the process allocates while f runs.
+func allocDuring(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSpillReplyCapped: a drain's spill reads the upstream's absorb reply
+// through maxReplyBytes, so a peer streaming a huge JSON string costs the
+// node a bounded buffer and the spill reports nothing absorbed.
+func TestSpillReplyCapped(t *testing.T) {
+	n := NewNode(0, hugeJSONPeer(t).URL, 1, 1<<20, 64, func() float64 { return 0 })
+	absorbed := -1
+	alloc := allocDuring(func() {
+		absorbed = n.spill([]cache.DescriptorSnapshot{{ID: 1, Size: 100, AccessTimes: []float64{1}, WindowK: 3}})
+	})
+	if absorbed != 0 || alloc >= 4<<20 {
+		t.Fatalf("spill against a huge reply: absorbed %d, allocated %d bytes; want 0 and under 4 MiB", absorbed, alloc)
 	}
 }

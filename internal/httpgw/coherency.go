@@ -2,6 +2,7 @@ package httpgw
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -176,7 +177,7 @@ func (n *Node) adminInvalidate(w http.ResponseWriter, r *http.Request, now float
 		return
 	}
 	var rep invalidateReply
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxReplyBytes)).Decode(&rep); err != nil {
 		http.Error(w, "httpgw: bad invalidate reply: "+err.Error(), http.StatusBadGateway)
 		return
 	}

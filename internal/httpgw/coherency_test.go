@@ -11,8 +11,8 @@ import (
 	"testing"
 
 	"cascade/internal/coherency"
-	"cascade/internal/flightrec"
 	"cascade/internal/model"
+	"cascade/internal/span"
 )
 
 // cohChain is chain with the coherency substrate attached: the origin owns
@@ -133,16 +133,86 @@ func TestInvalidatePropagatesChain(t *testing.T) {
 		t.Fatalf("second write assigned generation %d", gen)
 	}
 
-	// The flight recorder logged the invalidations as protocol events.
+	// The span ring, on without a tracer, logged the invalidations as
+	// event records.
+	var snap span.Snapshot
+	dumpJSON(t, nodes[0], "/cascade/debug/spans", &snap)
 	saw := false
-	for _, e := range nodes[0].DumpFlight().Events {
-		if e.Kind == flightrec.KindInvalidate {
-			saw = true
-			break
-		}
+	for _, e := range events(snap.Spans) {
+		saw = saw || e.Phase == span.PhaseInvalidate && e.Obj == 42
 	}
 	if !saw {
-		t.Fatal("no invalidate events in the flight recorder")
+		t.Fatalf("no invalidate record in the span ring: %+v", snap.Spans)
+	}
+}
+
+// TestStaleHitInRequestTrace: a GET that finds its copy below the CAS floor
+// leaves a stale_hit event record in the span ring under the request's own
+// trace ID, beside that request's lookup span — both in one dump, though
+// the tracer samples no unremarkable trace.
+func TestStaleHitInRequestTrace(t *testing.T) {
+	o := &Origin{Size: func(model.ObjectID) int { return 500 }, Authority: coherency.NewAuthority()}
+	origin := httptest.NewServer(o)
+	t.Cleanup(origin.Close)
+	now := 0.0
+	n := NewNode(0, origin.URL, 1, 100000, 100, func() float64 { return now })
+	n.EnableCoherency(coherency.ModeCAS)
+	n.EnableSpans(span.Policy{Rate: 0}, 64)
+	serve := func(floor string) {
+		now++
+		req := httptest.NewRequest(http.MethodGet, "/objects/42", nil)
+		if floor != "" {
+			req.Header.Set(HeaderGen, floor)
+		}
+		rec := httptest.NewRecorder()
+		n.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET with floor %q: status %d", floor, rec.Code)
+		}
+	}
+	for i := 0; i < 5 && !n.Contains(42); i++ {
+		serve("")
+	}
+	if !n.Contains(42) {
+		t.Fatal("the node never cached object 42")
+	}
+	o.Authority.Bump(42) // a write the node has not heard of
+	serve("1")           // the request's floor is above the copy's generation
+
+	var snap span.Snapshot
+	dumpJSON(t, n, "/cascade/debug/spans", &snap)
+	var stale span.Span
+	for _, s := range events(snap.Spans) {
+		if s.Phase == span.PhaseStaleHit && s.Obj == 42 {
+			stale = s
+		}
+	}
+	if stale.Trace.IsZero() || stale.Start != stale.End || stale.A != 0 || stale.B != 1 || stale.N != 1 {
+		t.Fatalf("no stale_hit record for object 42 under a request's trace (gen 0, floor 1, healed): %+v", snap.Spans)
+	}
+	for _, s := range snap.Spans {
+		if s.Trace == stale.Trace && s.Phase == span.PhaseLookup && s.ID != 0 {
+			return
+		}
+	}
+	t.Fatalf("trace %s holds the stale_hit record but no lookup span: %+v", stale.Trace, snap.Spans)
+}
+
+// TestInvalidateReplyCapped: a node reads the authority's invalidate
+// acknowledgment through maxReplyBytes, so a peer streaming a huge JSON
+// string gets a 502 at a bounded cost and no floor moves.
+func TestInvalidateReplyCapped(t *testing.T) {
+	n := NewNode(0, hugeJSONPeer(t).URL, 1, 1<<20, 64, func() float64 { return 0 })
+	n.EnableCoherency(coherency.ModeCAS)
+	rec := httptest.NewRecorder()
+	alloc := allocDuring(func() {
+		n.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/cascade/admin/invalidate?obj=7", nil))
+	})
+	if rec.Code != http.StatusBadGateway || alloc >= 4<<20 {
+		t.Fatalf("invalidate against a huge reply: status %d, allocated %d bytes; want 502 and under 4 MiB", rec.Code, alloc)
+	}
+	if fl := n.CoherencyView().Floor(7); fl != 0 {
+		t.Fatalf("floor %d after a refused reply, want 0", fl)
 	}
 }
 

@@ -50,7 +50,6 @@ import (
 	"cascade/internal/coherency"
 	"cascade/internal/controlplane"
 	"cascade/internal/engine"
-	"cascade/internal/flightrec"
 	"cascade/internal/metrics"
 	"cascade/internal/model"
 	"cascade/internal/span"
@@ -210,9 +209,11 @@ type Node struct {
 	// reassemblyOutcome (cascade_gw_reassembly_total).
 	reassembly [numReassemblyOutcomes]atomic.Int64
 
-	// Span tracing, wired by EnableSpans before serving (nil — off — by
-	// default); the request path reads both without holding mu, like the
-	// flight recorder.
+	// Span tracing: the tracer, wired by EnableSpans (nil — off — by
+	// default), and the node's one ring, built by NewNode, which keeps the
+	// sampled spans and the node's event records (breaker, membership,
+	// health, spill, coherency and audit events). Both are replaced only
+	// before serving, so the request path reads them without holding mu.
 	tracer *span.Tracer
 	spans  *span.Ring
 
@@ -224,13 +225,10 @@ type Node struct {
 	// Nodes that never built a registry.
 	reqHist *metrics.AtomicHistogram
 
-	// Observability, built by NewNode: the online invariant auditor, the
-	// predicted-vs-realized cost ledger and the flight recorder (event log).
-	// flight is replaced only by SetFlightCapacity (before serving), so the
-	// request path reads it without holding mu.
+	// Observability, built by NewNode: the online invariant auditor and the
+	// predicted-vs-realized cost ledger.
 	auditor *audit.Auditor
 	ledger  *audit.Ledger
-	flight  *flightrec.Recorder
 
 	// Control plane (guarded by mu): this node's membership and advertised
 	// health, the prober's view of the upstream, and the transition epoch.
@@ -252,17 +250,13 @@ type Node struct {
 	degraded        int64
 }
 
-// DefaultFlightCapacity is the flight recorder (event log) depth a gateway
-// node starts with (SetFlightCapacity overrides it).
-const DefaultFlightCapacity = 256
-
 // NewNode builds a gateway node with the given stores. Observability is on
 // from construction: the node carries an online invariant auditor, a
-// predicted-vs-realized cost ledger and a flight recorder for the events no
-// request owns, the first two exported through the node's metrics registry
-// — a deployed gateway wants the cascade_audit_* and cascade_ledger_*
-// series present from the first scrape. Per-request history needs
-// EnableSpans.
+// predicted-vs-realized cost ledger and a span ring of DefaultSpanCapacity
+// records that keeps its events, the first two exported through the node's
+// metrics registry — a deployed gateway wants the cascade_audit_* and
+// cascade_ledger_* series present from the first scrape. Per-request
+// history needs EnableSpans.
 func NewNode(id model.NodeID, upstream string, upCost float64, capacity int64, dEntries int, clock func() float64) *Node {
 	bodies, _ := store.NewTiered(store.Config{}) // memory-only never errors
 	n := &Node{
@@ -279,18 +273,16 @@ func NewNode(id model.NodeID, upstream string, upCost float64, capacity int64, d
 	n.auditor = audit.New(reg, nl)
 	n.ledger = audit.NewLedger()
 	n.ledger.RegisterNode(reg, id, nl)
-	n.flight = flightrec.New(DefaultFlightCapacity)
 	n.st = engine.NewSharded(engine.ShardedConfig{
 		Node:          id,
 		Shards:        1,
 		CacheBytes:    capacity,
 		DCacheEntries: dEntries,
-		Flight:        n.flight,
 		Audit:         n.auditor,
 		Ledger:        n.ledger,
 	})
+	n.setRing(DefaultSpanCapacity)
 	n.registerShardSeries()
-	n.installAuditSink()
 	return n
 }
 
@@ -306,7 +298,7 @@ func (n *Node) SetShards(p int) {
 		Shards:        p,
 		CacheBytes:    n.capacity,
 		DCacheEntries: n.dEntries,
-		Flight:        n.flight,
+		Ring:          n.spans,
 		Audit:         n.auditor,
 		Ledger:        n.ledger,
 		Coherency:     n.view,
@@ -586,8 +578,6 @@ func (n *Node) serveControl(w http.ResponseWriter, r *http.Request, now float64)
 	switch {
 	case p == "metrics":
 		n.MetricsHandler().ServeHTTP(w, r)
-	case p == "debug/flight":
-		writeJSON(w, http.StatusOK, n.DumpFlight())
 	case p == "debug/spans":
 		writeJSON(w, http.StatusOK, n.DumpSpans())
 	case p == "health":
@@ -1029,7 +1019,9 @@ func (n *Node) revalidate(w http.ResponseWriter, r *http.Request, g *getReq, up 
 		if v := n.view; v != nil {
 			v.Metrics().StaleHit()
 		}
-		n.flight.Record(flightrec.Event{Time: g.now, Node: n.ID, Kind: flightrec.KindStaleHit, Obj: g.obj, Hop: -1, A: float64(gen)})
+		e := span.Event(span.PhaseStaleHit, n.ID, g.now)
+		e.Trace, e.Obj, e.A = g.tsp.ID(), g.obj, float64(gen)
+		n.spans.Add(e)
 		w.Header().Set(HeaderDegraded, "1")
 	case resp.StatusCode != http.StatusNotModified:
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck
@@ -1038,7 +1030,9 @@ func (n *Node) revalidate(w http.ResponseWriter, r *http.Request, g *getReq, up 
 		if v := n.view; v != nil {
 			v.Metrics().Revalidation()
 		}
-		n.flight.Record(flightrec.Event{Time: g.now, Node: n.ID, Kind: flightrec.KindRevalidate, Obj: g.obj, Hop: -1, A: float64(gen), N: 1})
+		e := span.Event(span.PhaseRevalidate, n.ID, g.now)
+		e.Trace, e.Obj, e.A, e.N = g.tsp.ID(), g.obj, float64(gen), 1
+		n.spans.Add(e)
 	}
 	w.Header().Set(HeaderPenalty, "0")
 	w.Header().Set(HeaderHit, nodeName(n.ID))

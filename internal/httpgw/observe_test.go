@@ -15,7 +15,6 @@ import (
 
 	"cascade/internal/audit"
 	"cascade/internal/engine"
-	"cascade/internal/flightrec"
 	"cascade/internal/model"
 	"cascade/internal/span"
 )
@@ -258,9 +257,9 @@ func TestPredictBookedAtPlacingNode(t *testing.T) {
 
 // TestOriginObservability enables the origin's decision-side instruments
 // and checks that whole-chain-miss placements are audited with zero
-// violations, that the origin's own listener serves the metrics and
-// flight debug routes — the flight ring holding audit violations only, so
-// empty on clean traffic — and that object serving is unaffected.
+// violations, that the origin's own listener serves the metrics and span
+// debug routes — the ring holding no event record on clean traffic, an
+// audit violation once one fires — and that object serving is unaffected.
 func TestOriginObservability(t *testing.T) {
 	clock, setNow := testClock()
 
@@ -303,19 +302,19 @@ func TestOriginObservability(t *testing.T) {
 		}
 	}
 
-	var snap flightrec.Snapshot
-	dumpJSON(t, o, "/cascade/debug/flight", &snap)
-	if snap.Capacity != 64 || len(snap.Events) != 0 {
-		t.Fatalf("origin flight dump capacity %d with %d events, want 64 and none on clean traffic", snap.Capacity, len(snap.Events))
+	var snap span.Snapshot
+	dumpJSON(t, o, "/cascade/debug/spans", &snap)
+	if snap.Capacity != 64 || len(events(snap.Spans)) != 0 {
+		t.Fatalf("origin span ring capacity %d with %d event records, want 64 and none on clean traffic", snap.Capacity, len(events(snap.Spans)))
 	}
 
-	// A violation is what the ring is for: it lands with full context.
+	// A violation lands in the ring with full context.
 	aud.CheckLocalBenefit(nil, model.NoNode, 7, 2, 0.1, 1, 5, 40) // f·m < l
-	dumpJSON(t, o, "/cascade/debug/flight", &snap)
-	evs := snap.Events
-	if len(evs) != 1 || evs[0].Kind != flightrec.KindAuditViolation || evs[0].Obj != 7 ||
+	dumpJSON(t, o, "/cascade/debug/spans", &snap)
+	evs := events(snap.Spans)
+	if len(evs) != 1 || evs[0].Phase != span.PhaseAuditViolation || evs[0].Obj != 7 ||
 		evs[0].Hop != 2 || evs[0].N != int(audit.LocalBenefit) {
-		t.Fatalf("origin flight ring after a violation = %+v, want one audit_violation for object 7 at hop 2", evs)
+		t.Fatalf("origin span ring after a violation = %+v, want one audit_violation for object 7 at hop 2", evs)
 	}
 }
 
@@ -437,4 +436,16 @@ func TestBreakerStateMetric(t *testing.T) {
 	if !strings.Contains(out, "cascade_gw_breaker_opens_total{") {
 		t.Fatalf("missing breaker opens counter:\n%s", out)
 	}
+}
+
+// events returns the event records among a ring's spans: the zero-length
+// records with no span ID, oldest first.
+func events(spans []span.Span) []span.Span {
+	var out []span.Span
+	for _, s := range spans {
+		if s.ID == 0 {
+			out = append(out, s)
+		}
+	}
+	return out
 }

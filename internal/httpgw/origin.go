@@ -78,14 +78,15 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) { o.Node().Se
 
 func (*Origin) servesEdge() {}
 
-// EnableObservability sets the origin's flight ring to flightCapacity
-// events (0 or negative disables it; violations still count) and its clock
-// (nil keeps 0), which stamps decisions and spans. Call before serving.
-func (o *Origin) EnableObservability(flightCapacity int, clock func() float64) {
+// EnableObservability sizes the origin node's span ring to capacity records
+// (0 or negative: no ring — events are dropped, violations still count)
+// and sets its clock (nil keeps 0), which stamps decisions, spans and
+// events. Call before serving.
+func (o *Origin) EnableObservability(capacity int, clock func() float64) {
 	if clock != nil {
 		o.Node().Clock = clock
 	}
-	o.Node().SetFlightCapacity(flightCapacity)
+	o.Node().setRing(capacity)
 }
 
 // EnableSpans makes the origin keep the decide span of every traced request

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"cascade/internal/controlplane"
-	"cascade/internal/flightrec"
+	"cascade/internal/span"
 )
 
 // DefaultUpstreamTimeout bounds upstream fetches when Node.Client is nil.
@@ -162,10 +162,12 @@ func (n *Node) breakerAllowLocked(now float64) bool {
 	}
 }
 
-// recordBreakerLocked writes a flight event for a breaker state
+// recordBreakerLocked writes a breaker event record for a state
 // transition that just happened. Caller holds n.mu.
 func (n *Node) recordBreakerLocked(now float64) {
-	n.flight.Record(flightrec.Event{Time: now, Node: n.ID, Kind: flightrec.KindBreaker, Hop: -1, N: int(n.breaker)})
+	e := span.Event(span.PhaseBreaker, n.ID, now)
+	e.N = int(n.breaker)
+	n.spans.Add(e)
 }
 
 // breakerSuccessLocked records a successful upstream exchange. Caller

@@ -1,6 +1,7 @@
 package httpgw
 
 import (
+	"cascade/internal/engine"
 	"cascade/internal/model"
 	"cascade/internal/span"
 )
@@ -10,17 +11,20 @@ import (
 // docs/OBSERVABILITY.md for the span schema.
 const HeaderTraceCtx = "X-Cascade-TraceCtx"
 
-// DefaultSpanCapacity is the span-ring depth EnableSpans (node and origin)
-// falls back to when given none.
+// DefaultSpanCapacity is the depth of the span ring a node starts with
+// (NewNode), and the one EnableSpans (node and origin) falls back to when
+// given none.
 const DefaultSpanCapacity = 256
 
 // EnableSpans equips the node with protocol span tracing: each request
 // contributes phase spans (lookup, up, decide, down, body, coherency,
 // promote) to a trace begun at the chain's edge, and completed traces that
-// survive the tail-sampling policy land in a fixed-capacity ring served at
-// /cascade/debug/spans. Call before the node serves requests — the request
-// path reads both pointers without holding the node lock, exactly like the
-// flight recorder. capacity <= 0 picks DefaultSpanCapacity.
+// survive the tail-sampling policy land in the node's ring, served at
+// /cascade/debug/spans beside the node's event records, which the ring
+// keeps with or without a tracer. The ring is rebuilt at capacity records
+// (capacity <= 0 picks DefaultSpanCapacity). Call before the node serves
+// requests — the request path reads both pointers without holding the node
+// lock.
 //
 // Gateway spans are stamped with the node's Clock, so Start/End measure
 // real elapsed time (unlike the simulator and cluster incarnations, whose
@@ -31,11 +35,28 @@ func (n *Node) EnableSpans(policy span.Policy, capacity int) {
 	}
 	n.mu.Lock()
 	n.tracer = span.NewTracer(policy)
-	n.spans = span.NewRing(capacity)
 	n.mu.Unlock()
+	n.setRing(capacity)
 }
 
-// SpanRing returns the node's span ring (nil until EnableSpans).
+// setRing replaces the node's span ring with one of capacity records —
+// none when capacity <= 0: events are dropped, audit violations still
+// count — and points the protocol state and the auditor's violation sink
+// at it. The sink holds the ring itself: it may fire inside protocol steps
+// that hold n.mu and must not lock it. Call before serving.
+func (n *Node) setRing(capacity int) {
+	var r *span.Ring
+	if capacity > 0 {
+		r = span.NewRing(capacity)
+	}
+	n.mu.Lock()
+	n.spans = r
+	n.st.SetRing(r)
+	n.mu.Unlock()
+	engine.RecordViolations(n.auditor, func(model.NodeID) *span.Ring { return r })
+}
+
+// SpanRing returns the node's span ring.
 func (n *Node) SpanRing() *span.Ring { return n.spans }
 
 // DumpSpans captures the node's span-ring contents.

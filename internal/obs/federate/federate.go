@@ -19,6 +19,7 @@ package federate
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -81,6 +82,12 @@ type statsJSON struct {
 	Misses         float64 `json:"misses"`
 }
 
+// maxStatsBytes caps the /cascade/stats reply stats reads, a few kilobytes
+// from a real node (docs/PROTOCOL.md): a longer one fails to decode instead
+// of growing the reader's buffer. The decoder's doubling buffer allocates
+// about four times the cap in all.
+const maxStatsBytes = 256 << 10
+
 // stats fetches one node's /cascade/stats; ok is false when the URL does
 // not answer like a cascade node (the origin, or something else entirely),
 // which is how a chain walk knows it reached the top.
@@ -94,7 +101,7 @@ func (f *Federator) stats(url string) (statsJSON, bool) {
 		return statsJSON{}, false
 	}
 	var st statsJSON
-	if json.NewDecoder(resp.Body).Decode(&st) != nil || st.Node == nil {
+	if json.NewDecoder(io.LimitReader(resp.Body, maxStatsBytes)).Decode(&st) != nil || st.Node == nil {
 		return statsJSON{}, false
 	}
 	return st, true

@@ -1,9 +1,12 @@
 package federate
 
 import (
+	"bytes"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -177,5 +180,30 @@ func TestDiscoverRejectsNonCascade(t *testing.T) {
 	var f Federator
 	if _, err := f.Discover(srv.URL); err == nil {
 		t.Fatal("discovery accepted an origin as a chain edge")
+	}
+}
+
+// TestDiscoverStatsCapped: Discover reads /cascade/stats through
+// maxStatsBytes, so an edge streaming a huge JSON string fails discovery
+// at a bounded cost instead of growing the decoder's buffer.
+func TestDiscoverStatsCapped(t *testing.T) {
+	chunk := bytes.Repeat([]byte("a"), 32<<10)
+	edge := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"node":0,"upstream":"`) //nolint:errcheck
+		for i := 0; i < (64<<20)/len(chunk); i++ {
+			if _, err := w.Write(chunk); err != nil {
+				return // the reader gave up
+			}
+		}
+		io.WriteString(w, `"}`) //nolint:errcheck
+	}))
+	defer edge.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	urls, err := (&Federator{}).Discover(edge.URL)
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; err == nil || alloc >= 4<<20 {
+		t.Fatalf("Discover against a huge stats reply: %v, err %v, allocated %d bytes; want an error under 4 MiB", urls, err, alloc)
 	}
 }

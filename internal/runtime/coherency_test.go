@@ -85,16 +85,16 @@ func TestClusterCoherencyHammer(t *testing.T) {
 	var tick atomic.Int64
 	clock := func() float64 { return float64(tick.Add(1)) * 1e-4 }
 	c, err := NewCluster(Config{
-		Network:        h,
-		CacheBytes:     64 << 10, // small: placements evict, evictions spill
-		DCacheEntries:  512,
-		AvgObjectSize:  2048,
-		Clock:          clock,
-		Shards:         8,
-		EnableAudit:    true,
-		FlightCapacity: 64,
-		SpillDir:       t.TempDir(),
-		CoherencyMode:  coherency.ModeCAS,
+		Network:       h,
+		CacheBytes:    64 << 10, // small: placements evict, evictions spill
+		DCacheEntries: 512,
+		AvgObjectSize: 2048,
+		Clock:         clock,
+		Shards:        8,
+		EnableAudit:   true,
+		SpanCapacity:  64,
+		SpillDir:      t.TempDir(),
+		CoherencyMode: coherency.ModeCAS,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -10,8 +10,8 @@ import (
 
 	"cascade/internal/controlplane"
 	"cascade/internal/fault"
-	"cascade/internal/flightrec"
 	"cascade/internal/model"
+	"cascade/internal/span"
 	"cascade/internal/topology"
 )
 
@@ -23,11 +23,11 @@ func TestClusterDrainSpillsToParent(t *testing.T) {
 	clk := &logicalClock{}
 	h := topology.GenerateTree(topology.TreeConfig{Depth: 2, Fanout: 2, BaseDelay: 1, Growth: 2})
 	c, err := NewCluster(Config{
-		Network:        h,
-		CacheBytes:     1000,
-		DCacheEntries:  10,
-		Clock:          clk.Now,
-		FlightCapacity: 16,
+		Network:       h,
+		CacheBytes:    1000,
+		DCacheEntries: 10,
+		Clock:         clk.Now,
+		SpanCapacity:  16,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,15 +107,15 @@ func TestClusterDrainSpillsToParent(t *testing.T) {
 		t.Fatal("admitted node should be routable")
 	}
 
-	// The slot's flight recorder kept the membership transitions.
-	var kinds []flightrec.Kind
-	for _, ev := range c.DumpFlight(leaf).Events {
-		if ev.Kind == flightrec.KindMembership {
-			kinds = append(kinds, ev.Kind)
+	// The slot's span ring kept the membership transitions.
+	membership := 0
+	for _, ev := range events(c.DumpSpans(leaf).Spans) {
+		if ev.Phase == span.PhaseMembership {
+			membership++
 		}
 	}
-	if len(kinds) != 3 { // drain, remove, admit
-		t.Fatalf("got %d membership flight events, want 3", len(kinds))
+	if membership != 3 { // drain, remove, admit
+		t.Fatalf("got %d membership event records, want 3", membership)
 	}
 }
 

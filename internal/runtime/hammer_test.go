@@ -26,14 +26,14 @@ func TestShardedClusterHammer(t *testing.T) {
 	clock := func() float64 { return float64(tick.Add(1)) * 1e-4 }
 	const capacity = 1 << 19
 	c, err := NewCluster(Config{
-		Network:        h,
-		CacheBytes:     capacity,
-		DCacheEntries:  1024,
-		AvgObjectSize:  2048,
-		Clock:          clock,
-		Shards:         8,
-		EnableAudit:    true,
-		FlightCapacity: 64,
+		Network:       h,
+		CacheBytes:    capacity,
+		DCacheEntries: 1024,
+		AvgObjectSize: 2048,
+		Clock:         clock,
+		Shards:        8,
+		EnableAudit:   true,
+		SpanCapacity:  64,
 	})
 	if err != nil {
 		t.Fatal(err)

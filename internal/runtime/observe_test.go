@@ -9,29 +9,27 @@ import (
 
 	"cascade/internal/audit"
 	"cascade/internal/fault"
-	"cascade/internal/flightrec"
 	"cascade/internal/model"
+	"cascade/internal/span"
 	"cascade/internal/topology"
 )
 
 // TestClusterAuditedReplay drives a deterministic workload through an
 // audited cluster and checks the observability stack end to end: every
 // invariant is exercised with zero violations, the ledger accounts the
-// placements, the span rings capture the requests and the flight recorders
-// the crash events, and the Prometheus export carries the audit and ledger
+// placements, the span rings capture the requests and the crash events, and the Prometheus export carries the audit and ledger
 // series.
 func TestClusterAuditedReplay(t *testing.T) {
 	clk := &logicalClock{}
 	h := topology.GenerateTree(topology.TreeConfig{Depth: 3, Fanout: 2, BaseDelay: 1, Growth: 2})
 	c, err := NewCluster(Config{
-		Network:        h,
-		CacheBytes:     10000,
-		DCacheEntries:  100,
-		Clock:          clk.Now,
-		EnableAudit:    true,
-		FlightCapacity: 128,
-		SpanCapacity:   128,
-		SpanSample:     1,
+		Network:       h,
+		CacheBytes:    10000,
+		DCacheEntries: 100,
+		Clock:         clk.Now,
+		EnableAudit:   true,
+		SpanCapacity:  128,
+		SpanSample:    1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,21 +66,22 @@ func TestClusterAuditedReplay(t *testing.T) {
 		t.Fatalf("ledger recorded no realized savings: %+v", totals)
 	}
 
-	// The leaf's span ring is the per-request record of the workload; its
-	// flight ring logs only what no request owns — nothing so far.
-	if spans := c.DumpSpans(leaf); spans.Capacity != 128 || len(spans.Spans) == 0 {
+	// The leaf's span ring is the per-request record of the workload; it
+	// holds no event record yet — a clean run has no event.
+	spans := c.DumpSpans(leaf)
+	if spans.Capacity != 128 || len(spans.Spans) == 0 {
 		t.Fatalf("span dump empty: capacity=%d spans=%d", spans.Capacity, len(spans.Spans))
 	}
-	if snap := c.DumpFlight(leaf); snap.Capacity != 128 || len(snap.Events) != 0 {
-		t.Fatalf("flight dump: capacity=%d events=%d, want 128 and none before any fault", snap.Capacity, len(snap.Events))
+	if evs := events(spans.Spans); len(evs) != 0 {
+		t.Fatalf("span ring holds %d event records before any fault: %+v", len(evs), evs)
 	}
 
-	// Crash/recover transitions land in the slot-owned recorder, in order.
+	// Crash/recover transitions land in the slot-owned ring, in order.
 	c.Fail(leaf)
 	c.Recover(leaf)
-	evs := c.DumpFlight(leaf).Events
-	if len(evs) != 2 || evs[0].Kind != flightrec.KindCrash || evs[1].Kind != flightrec.KindRecover {
-		t.Fatalf("flight ring after Fail/Recover = %+v, want crash then recover", evs)
+	evs := events(c.DumpSpans(leaf).Spans)
+	if len(evs) != 2 || evs[0].Phase != span.PhaseCrash || evs[1].Phase != span.PhaseRecover {
+		t.Fatalf("event records after Fail/Recover = %+v, want crash then recover", evs)
 	}
 
 	var b strings.Builder
@@ -110,12 +109,12 @@ func TestClusterAuditedReplay(t *testing.T) {
 func TestClusterAuditConcurrent(t *testing.T) {
 	h := topology.GenerateTree(topology.TreeConfig{Depth: 3, Fanout: 2, BaseDelay: 1, Growth: 2})
 	c, err := NewCluster(Config{
-		Network:        h,
-		CacheBytes:     4096,
-		DCacheEntries:  64,
-		Fault:          fault.New(11).WithDrop(0.05),
-		EnableAudit:    true,
-		FlightCapacity: 64,
+		Network:       h,
+		CacheBytes:    4096,
+		DCacheEntries: 64,
+		Fault:         fault.New(11).WithDrop(0.05),
+		EnableAudit:   true,
+		SpanCapacity:  64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -162,8 +161,8 @@ func TestClusterAuditConcurrent(t *testing.T) {
 	}()
 
 	// Readers: the Prometheus scrape (audit and ledger series render from
-	// live counters), ledger snapshots, and flight dumps of the node being
-	// crash-cycled.
+	// live counters), ledger snapshots, and span-ring dumps of the node
+	// being crash-cycled.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -179,7 +178,7 @@ func TestClusterAuditConcurrent(t *testing.T) {
 				return
 			}
 			_ = c.Ledger().Snapshot()
-			_ = c.DumpFlight(mid)
+			_ = c.DumpSpans(mid)
 		}
 	}()
 
@@ -193,7 +192,19 @@ func TestClusterAuditConcurrent(t *testing.T) {
 	if c.Auditor().Checks(audit.MissPenalty) == 0 {
 		t.Fatal("no miss-penalty checks ran")
 	}
-	if len(c.DumpFlight(mid).Events) == 0 {
-		t.Fatal("crash-cycled node has an empty flight ring")
+	if len(events(c.DumpSpans(mid).Spans)) == 0 {
+		t.Fatal("crash-cycled node's span ring holds no event record")
 	}
+}
+
+// events returns the event records among a ring's spans: the zero-length
+// records with no span ID, oldest first.
+func events(spans []span.Span) []span.Span {
+	var out []span.Span
+	for _, s := range spans {
+		if s.ID == 0 {
+			out = append(out, s)
+		}
+	}
+	return out
 }

@@ -43,7 +43,6 @@ import (
 	"cascade/internal/dcache"
 	"cascade/internal/engine"
 	"cascade/internal/fault"
-	"cascade/internal/flightrec"
 	"cascade/internal/metrics"
 	"cascade/internal/model"
 	"cascade/internal/span"
@@ -111,13 +110,6 @@ type Config struct {
 	// exported through the cluster's metrics registry
 	// (cascade_audit_*, cascade_ledger_* series).
 	EnableAudit bool
-	// FlightCapacity, when > 0, gives every node slot a flight recorder —
-	// the event log of crashes, recoveries, membership and health
-	// transitions, coherency events and audit violations — retaining the
-	// last N events. Recorders belong to the slot, not the node, so
-	// crash/recover cycles keep their history (and record the transitions
-	// themselves).
-	FlightCapacity int
 	// SpillDir, when non-empty, gives every node a disk-backed spill tier
 	// under <SpillDir>/node-<id>: NCL evictions park their payload in
 	// per-object CRC-checked files instead of dropping it, and a later
@@ -146,8 +138,8 @@ type Config struct {
 	// Cluster.Invalidate).
 	Authority *coherency.Authority
 	// SpanCapacity, when > 0, turns on cascade-wide span tracing: every
-	// node slot gets a span ring retaining the last N sampled spans
-	// (DumpSpans). Spans are stamped with the request's protocol clock,
+	// node slot gets a span ring retaining the last N records — sampled
+	// spans and the slot's event records (DumpSpans). Spans are stamped with the request's protocol clock,
 	// so cluster spans are point-in-time markers of phase order rather
 	// than durations (the HTTP gateway incarnation measures real time).
 	SpanCapacity int
@@ -200,12 +192,10 @@ type Cluster struct {
 	reg      *metrics.Registry
 	nodeInst []nodeInstruments
 
-	// auditor/ledger exist when Config.EnableAudit is set; flight holds
-	// one slot-owned recorder per node when Config.FlightCapacity > 0.
-	// All are nil-guarded throughout.
+	// auditor/ledger exist when Config.EnableAudit is set; both are
+	// nil-guarded throughout.
 	auditor *audit.Auditor
 	ledger  *audit.Ledger
-	flight  []*flightrec.Recorder
 
 	// cp tracks membership and health; guard is the one registry of Gets
 	// in flight: a drain fences on it so no request is stranded mid-cascade
@@ -224,9 +214,12 @@ type Cluster struct {
 	cohMetrics *coherency.Metrics
 
 	// spanTracer/spanRings exist when Config.SpanCapacity > 0 (nil
-	// otherwise — the hot paths pay only nil checks). Rings belong to the
-	// slot, like flight recorders, so crash/recover cycles keep history.
-	// spanRingFor is the deposit closure, allocated once.
+	// otherwise — the hot paths pay only nil checks). A ring keeps its
+	// slot's sampled spans and event records (crashes, recoveries,
+	// membership and health transitions, coherency and disk-tier events,
+	// audit violations). Rings belong to the slot, not the node, so
+	// crash/recover cycles keep history (and record the transitions
+	// themselves). spanRingFor is the deposit closure, allocated once.
 	spanTracer  *span.Tracer
 	spanRings   []*span.Ring
 	spanRingFor func(model.NodeID) *span.Ring
@@ -280,21 +273,13 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	c.cp = controlplane.NewManager(len(c.slots))
 	c.guard = controlplane.NewEpochGuard()
 	c.cp.SetOnEvent(func(ev controlplane.Event) {
-		kind, n := flightrec.KindMembership, int(ev.Member)
+		e := span.Event(span.PhaseMembership, ev.Node, c.cfg.Clock())
+		e.A, e.N = float64(ev.Epoch), int(ev.Member)
 		if ev.Kind == controlplane.EventHealthChange {
-			kind, n = flightrec.KindHealth, int(ev.Health)
+			e.Phase, e.N = span.PhaseHealth, int(ev.Health)
 		}
-		c.flightRecorder(ev.Node).Record(flightrec.Event{
-			Time: c.cfg.Clock(), Node: ev.Node, Kind: kind, Hop: -1,
-			A: float64(ev.Epoch), N: n,
-		})
+		c.spanRingFor(ev.Node).Add(e)
 	})
-	if cfg.FlightCapacity > 0 {
-		c.flight = make([]*flightrec.Recorder, len(c.slots))
-		for i := range c.flight {
-			c.flight[i] = flightrec.New(cfg.FlightCapacity)
-		}
-	}
 	if cfg.SpanCapacity > 0 {
 		c.spanTracer = span.NewTracer(span.Policy{Rate: cfg.SpanSample, Slow: cfg.SpanSlow})
 		c.spanRings = make([]*span.Ring, len(c.slots))
@@ -322,11 +307,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.EnableAudit {
 		c.auditor = audit.New(c.reg)
 		c.ledger = audit.NewLedger()
-		// Violations land in the violating node's flight recorder with
-		// full context (nil-safe when recording is off).
-		c.auditor.SetOnViolation(func(v audit.Violation) {
-			c.flightRecorder(v.Node).Record(engine.ViolationEvent(v))
-		})
+		// Violations land in the violating node's span ring with full
+		// context (dropped when span rings are off).
+		engine.RecordViolations(c.auditor, c.spanRingFor)
 		for i := range c.slots {
 			c.ledger.RegisterNode(c.reg, model.NodeID(i), metrics.L("node", strconv.Itoa(i)))
 		}
@@ -457,7 +440,7 @@ func (c *Cluster) newNode(id model.NodeID) *node {
 			DCacheEntries: c.cfg.DCacheEntries,
 			DCacheFactory: c.cfg.DCacheFactory,
 			Pooled:        true,
-			Flight:        c.flightRecorder(id),
+			Ring:          c.spanRingFor(id),
 			Audit:         c.auditor,
 			Ledger:        c.ledger,
 			Coherency:     view,
@@ -508,15 +491,6 @@ func (c *Cluster) Invalidate(obj model.ObjectID) uint64 {
 	return gen
 }
 
-// flightRecorder returns a slot's flight recorder, nil when recording is
-// off or the ID is out of range (a nil recorder is a valid disabled one).
-func (c *Cluster) flightRecorder(id model.NodeID) *flightrec.Recorder {
-	if c.flight == nil || int(id) < 0 || int(id) >= len(c.flight) {
-		return nil
-	}
-	return c.flight[id]
-}
-
 // Auditor returns the online invariant auditor, nil unless
 // Config.EnableAudit was set.
 func (c *Cluster) Auditor() *audit.Auditor { return c.auditor }
@@ -533,13 +507,6 @@ func (c *Cluster) SpanRing(id model.NodeID) *span.Ring { return c.spanRingFor(id
 // tracing is off (returns an empty snapshot).
 func (c *Cluster) DumpSpans(id model.NodeID) span.Snapshot {
 	return c.spanRingFor(id).TakeSnapshot(id)
-}
-
-// DumpFlight captures a node's flight-recorder contents — typically called
-// right after a crash to preserve the node's last events. The snapshot is
-// empty when recording is off.
-func (c *Cluster) DumpFlight(id model.NodeID) flightrec.Snapshot {
-	return c.flightRecorder(id).TakeSnapshot(id)
 }
 
 // Close rejects new requests, waits for every in-flight Get to return
@@ -724,7 +691,7 @@ func (c *Cluster) Fail(id model.NodeID) bool {
 		return false
 	}
 	c.failures.Add(1)
-	c.flightRecorder(id).Record(flightrec.Event{Time: c.cfg.Clock(), Node: id, Kind: flightrec.KindCrash, Hop: -1})
+	c.spanRingFor(id).Add(span.Event(span.PhaseCrash, id, c.cfg.Clock()))
 	return true
 }
 
@@ -746,7 +713,7 @@ func (c *Cluster) Recover(id model.NodeID) bool {
 	}
 	c.slots[id].Store(c.newNode(id))
 	c.recoveries.Add(1)
-	c.flightRecorder(id).Record(flightrec.Event{Time: c.cfg.Clock(), Node: id, Kind: flightrec.KindRecover, Hop: -1})
+	c.spanRingFor(id).Add(span.Event(span.PhaseRecover, id, c.cfg.Clock()))
 	return true
 }
 

@@ -56,8 +56,8 @@ func TestLateSpillKeepsReplacedVictim(t *testing.T) {
 	if !out.Placed || len(evA) != 1 || evA[0] != y {
 		t.Fatalf("walk A placed=%v evicting %v, want [%d]", out.Placed, evA, y)
 	}
-	down(y, 3)        // walk B re-places y, evicting x
-	hop.Spill(evA, 2) // walk A's victims, late
+	down(y, 3)                          // walk B re-places y, evicting x
+	hop.Spill(&engine.Req{Now: 2}, evA) // walk A's victims, late
 	if err := hop.CheckBytes(); err != nil {
 		t.Fatal(err)
 	}
@@ -85,15 +85,15 @@ func TestShardedSpillHammer(t *testing.T) {
 	clock := func() float64 { return float64(tick.Add(1)) * 1e-4 }
 	const capacity = 1 << 16 // ~30 objects per node: constant eviction churn
 	c, err := NewCluster(Config{
-		Network:        h,
-		CacheBytes:     capacity,
-		DCacheEntries:  1024,
-		AvgObjectSize:  2048,
-		Clock:          clock,
-		Shards:         8,
-		EnableAudit:    true,
-		FlightCapacity: 64,
-		SpillDir:       t.TempDir(),
+		Network:       h,
+		CacheBytes:    capacity,
+		DCacheEntries: 1024,
+		AvgObjectSize: 2048,
+		Clock:         clock,
+		Shards:        8,
+		EnableAudit:   true,
+		SpanCapacity:  64,
+		SpillDir:      t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)

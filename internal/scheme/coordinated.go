@@ -6,7 +6,6 @@ import (
 	"cascade/internal/coherency"
 	"cascade/internal/dcache"
 	"cascade/internal/engine"
-	"cascade/internal/flightrec"
 	"cascade/internal/freq"
 	"cascade/internal/model"
 	"cascade/internal/span"
@@ -43,16 +42,13 @@ type Coordinated struct {
 
 	// spanTracer, when set, emits cascade-wide phase spans into per-node
 	// rings (tail-sampled; nil disables and the hot path pays only nil
-	// checks). ringFor is the deposit closure, allocated once.
+	// checks), which keep the nodes' event records too. ringFor is the
+	// deposit closure, allocated once. The auditor and ledger live in the
+	// walk's Decide options; the rings, auditor and ledger are nil-guarded
+	// in the engine, so the default replay stays allocation-free.
 	spanTracer *span.Tracer
 	spanCap    int
 	ringFor    func(model.NodeID) *span.Ring
-
-	// flightCap > 0 gives every node a protocol flight recorder of that
-	// capacity. The auditor and ledger live in the walk's Decide options;
-	// all three are nil-guarded in the engine, so the default replay stays
-	// allocation-free.
-	flightCap int
 
 	// coherency state (nil auth = coherency off, the default): the
 	// origin-side generation authority, the enforced mode and TTL
@@ -64,12 +60,10 @@ type Coordinated struct {
 }
 
 // replayNode is one cache of the replay: its protocol state, whether it is
-// mid-departure (see controlplane.go), and its flight recorder and span
-// ring (nil when off).
+// mid-departure (see controlplane.go), and its span ring (nil when off).
 type replayNode struct {
 	st       *engine.Sharded
 	draining bool
-	flight   *flightrec.Recorder
 	ring     *span.Ring
 }
 
@@ -77,6 +71,7 @@ type replayNode struct {
 // frequency clamping enabled.
 func NewCoordinated() *Coordinated {
 	s := &Coordinated{dfac: dcache.NewFactory, windowK: freq.DefaultK}
+	s.ringFor = s.SpanRing
 	s.walk.Decide.ClampMonotone = true
 	return s
 }
@@ -111,24 +106,19 @@ func (s *Coordinated) SetAuditor(a *audit.Auditor) { s.walk.Decide.Audit = a }
 // the default). Call before Configure.
 func (s *Coordinated) SetLedger(l *audit.Ledger) { s.walk.Decide.Ledger = l }
 
-// SetFlightCapacity gives every node a flight recorder — the event log of
-// invalidations, stale hits, revalidations and audit violations — retaining
-// the last n events (0 disables, the default). Call before Configure.
-func (s *Coordinated) SetFlightCapacity(n int) { s.flightCap = n }
-
 // SetSpans attaches a cascade-wide span tracer, giving every node a span
-// ring retaining the last capacity sampled spans (nil tracer disables, the
-// default). Callable before or after Configure.
+// ring retaining the last capacity records: sampled spans and the node's
+// event records — invalidations, stale hits, revalidations and audit
+// violations (nil tracer disables, the default). Callable before or after
+// Configure.
 func (s *Coordinated) SetSpans(tr *span.Tracer, capacity int) {
 	s.spanTracer = tr
 	s.spanCap = capacity
-	if s.ringFor == nil {
-		s.ringFor = func(n model.NodeID) *span.Ring { return s.SpanRing(n) }
-	}
 	if tr != nil {
 		for _, nd := range s.nodes {
 			if nd != nil {
 				nd.ring = span.NewRing(capacity)
+				nd.st.SetRing(nd.ring)
 			}
 		}
 	}
@@ -221,15 +211,6 @@ func (s *Coordinated) Invalidate(obj model.ObjectID, now float64) uint64 {
 	return gen
 }
 
-// FlightRecorder returns a node's flight recorder, or nil when recording
-// is disabled or the node unknown.
-func (s *Coordinated) FlightRecorder(n model.NodeID) *flightrec.Recorder {
-	if nd := s.node(n); nd != nil {
-		return nd.flight
-	}
-	return nil
-}
-
 // Auditor returns the attached auditor (nil when auditing is off).
 func (s *Coordinated) Auditor() *audit.Auditor { return s.walk.Decide.Audit }
 
@@ -248,9 +229,6 @@ func (s *Coordinated) Configure(budgets map[model.NodeID]NodeBudget) {
 	s.nodes = make([]*replayNode, size)
 	for n, b := range budgets {
 		nd := &replayNode{}
-		if s.flightCap > 0 {
-			nd.flight = flightrec.New(s.flightCap)
-		}
 		if s.spanTracer != nil {
 			nd.ring = span.NewRing(s.spanCap)
 		}
@@ -261,22 +239,18 @@ func (s *Coordinated) Configure(budgets map[model.NodeID]NodeBudget) {
 			DCacheFactory: s.dfac,
 			WindowK:       s.windowK,
 			Pooled:        true,
-			Flight:        nd.flight,
+			Ring:          nd.ring,
 			Audit:         s.Auditor(),
 			Ledger:        s.Ledger(),
 			Coherency:     s.newView(),
 		})
 		s.nodes[n] = nd
 	}
-	if a := s.Auditor(); a != nil && s.flightCap > 0 {
+	if a := s.Auditor(); a != nil {
 		// Replay is single-threaded, so the sink may read the node map
 		// directly: every invariant failure lands in the offending node's
-		// flight ring with full context.
-		a.SetOnViolation(func(v audit.Violation) {
-			if nd := s.node(v.Node); nd != nil {
-				nd.flight.Record(engine.ViolationEvent(v))
-			}
-		})
+		// span ring with full context.
+		engine.RecordViolations(a, s.ringFor)
 	}
 }
 

@@ -27,7 +27,7 @@ var goldenSummaries = map[string]string{
 	"coord/k8":      "{Requests:15000 AvgSize:8675.486733333333 AvgLatency:0.8769698421525969 AvgRespRatio:0.10643185927358484 HitRatio:0.44753333333333334 ByteHitRatio:0.44619669792821076 AvgByteHops:69184.4522 AvgHops:8.191666666666666 AvgReadLoad:3870.9735333333333 AvgWriteLoad:565.6962 AvgLoad:4436.669733333333 AvgInserts:0.0888 AvgPiggyback:36.1232 StaleHitRatio:0 RefetchRatio:0 DegradedRatio:0 AvgSkippedHops:0 P50Latency:0.1678804018122561 P95Latency:4.216965034285822 P99Latency:10.592537251772885}",
 	"coord/stacks":  "{Requests:15000 AvgSize:8675.486733333333 AvgLatency:0.8467064820585303 AvgRespRatio:0.09966962022909572 HitRatio:0.4633333333333333 ByteHitRatio:0.4482167882361505 AvgByteHops:67272.02593333334 AvgHops:7.749933333333333 AvgReadLoad:3888.4988 AvgWriteLoad:958.8058 AvgLoad:4847.3046 AvgInserts:0.15073333333333333 AvgPiggyback:42.312266666666666 StaleHitRatio:0 RefetchRatio:0 DegradedRatio:0 AvgSkippedHops:0 P50Latency:0.14962356560944345 P95Latency:4.216965034285822 P99Latency:10.592537251772885}",
 	"coord/prune":   "{Requests:15000 AvgSize:8675.486733333333 AvgLatency:0.8909316081208809 AvgRespRatio:0.10692754041542439 HitRatio:0.45526666666666665 ByteHitRatio:0.45101814498769216 AvgByteHops:69843.88953333333 AvgHops:8.194866666666666 AvgReadLoad:3912.801933333333 AvgWriteLoad:799.4008 AvgLoad:4712.2027333333335 AvgInserts:0.11533333333333333 AvgPiggyback:32.536 StaleHitRatio:0 RefetchRatio:0 DegradedRatio:0 AvgSkippedHops:0 P50Latency:0.18836490894898006 P95Latency:4.216965034285822 P99Latency:10.592537251772885}",
-	"coord/observe": "{Requests:15000 AvgSize:8675.486733333333 AvgLatency:0.8555516584131966 AvgRespRatio:0.10252331188147161 HitRatio:0.3015333333333333 ByteHitRatio:0.31186439253079834 AvgByteHops:26533.172333333332 AvgHops:3.0995333333333335 AvgReadLoad:2705.5754 AvgWriteLoad:847.1486666666667 AvgLoad:3552.7240666666667 AvgInserts:0.11953333333333334 AvgPiggyback:551.1298666666667 StaleHitRatio:0 RefetchRatio:0.0002666666666666667 DegradedRatio:0 AvgSkippedHops:0 P50Latency:0.29853826189179616 P95Latency:4.216965034285822 P99Latency:7.498942093324558} checks:99760 violations:0 ledger:{Node:-1 PredictedGain:332.1150547044416 RealizedSavings:6808.292407676471 Predictions:3832 Placements:3832 PlaceFailures:0 Hits:8716} spans:415834",
+	"coord/observe": "{Requests:15000 AvgSize:8675.486733333333 AvgLatency:0.8555516584131966 AvgRespRatio:0.10252331188147161 HitRatio:0.3015333333333333 ByteHitRatio:0.31186439253079834 AvgByteHops:26533.172333333332 AvgHops:3.0995333333333335 AvgReadLoad:2705.5754 AvgWriteLoad:847.1486666666667 AvgLoad:3552.7240666666667 AvgInserts:0.11953333333333334 AvgPiggyback:551.1298666666667 StaleHitRatio:0 RefetchRatio:0.0002666666666666667 DegradedRatio:0 AvgSkippedHops:0 P50Latency:0.29853826189179616 P95Latency:4.216965034285822 P99Latency:7.498942093324558} checks:99760 violations:0 ledger:{Node:-1 PredictedGain:332.1150547044416 RealizedSavings:6808.292407676471 Predictions:3832 Placements:3832 PlaceFailures:0 Hits:8716} spans:481636",
 	"coord/drain":   "{Requests:15000 AvgSize:8675.486733333333 AvgLatency:0.8449606880898184 AvgRespRatio:0.1012377946005225 HitRatio:0.31166666666666665 ByteHitRatio:0.3211701912502108 AvgByteHops:25988.085733333333 AvgHops:3.065 AvgReadLoad:2786.3077333333335 AvgWriteLoad:618.6628666666667 AvgLoad:3404.9706 AvgInserts:0.09286666666666667 AvgPiggyback:13.3448 StaleHitRatio:0 RefetchRatio:0 DegradedRatio:0 AvgSkippedHops:0 P50Latency:0.26607250597988125 P95Latency:4.216965034285822 P99Latency:7.498942093324558} drained:7 absorbed:4 admitted:true",
 	"partial50":     "{Requests:15000 AvgSize:8675.486733333333 AvgLatency:0.9869107142657727 AvgRespRatio:0.1179138283616868 HitRatio:0.4428 ByteHitRatio:0.4399490868911939 AvgByteHops:77024.39373333333 AvgHops:9.006866666666667 AvgReadLoad:3816.772466666667 AvgWriteLoad:36597.44793333334 AvgLoad:40414.2204 AvgInserts:4.424666666666667 AvgPiggyback:0 StaleHitRatio:0 RefetchRatio:0 DegradedRatio:0 AvgSkippedHops:0 P50Latency:0.26607250597988125 P95Latency:4.731512589614807 P99Latency:10.592537251772885}",
 }

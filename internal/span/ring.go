@@ -5,11 +5,10 @@ import (
 	"sync"
 )
 
-// Ring is a fixed-capacity ring buffer of completed, sampled spans — the
-// flightrec ring discipline applied to spans. One ring per node; when full
-// the oldest span is overwritten and Dropped is incremented. A nil *Ring
-// is a valid disabled ring (Add and the readers are no-ops), so depositors
-// need no guards.
+// Ring is a node's one fixed-capacity ring buffer: completed, sampled spans
+// and the node's event records share it. When full the oldest record is
+// overwritten and Dropped is incremented. A nil *Ring is a valid disabled
+// ring (Add and the readers are no-ops), so depositors need no guards.
 type Ring struct {
 	mu      sync.Mutex
 	buf     []Span
@@ -100,8 +99,8 @@ func (r *Ring) Reset() {
 	r.dropped = 0
 }
 
-// Snapshot is the dump encoding of one node's ring: the retained spans
-// plus how much history was lost to overwrites. Served by
+// Snapshot is the dump encoding of one node's ring: the retained spans and
+// event records plus how much history was lost to overwrites. Served by
 // /cascade/debug/spans and `cascadesim -span-dump`.
 type Snapshot struct {
 	Node     int    `json:"node"`

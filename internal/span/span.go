@@ -5,9 +5,8 @@
 // the request touches. A span tree stitched across the cascade answers
 // "where did the p999 go" — and, through each span's numeric attributes,
 // "why that placement" — for a single request the way the per-process
-// surfaces (metrics, flight rings) cannot. It is the only per-request
-// trace: all three incarnations fill it, from the engine's own return
-// values.
+// surfaces (metrics) cannot. It is the only per-request trace: all three
+// incarnations fill it, from the engine's own return values.
 //
 // The span vocabulary mirrors the protocol phases the engine already
 // executes (paper §2.2–2.4): lookup, upstream candidate collection, the DP
@@ -18,14 +17,20 @@
 // into identical protocol-phase trees for identical requests (the
 // conformance suite asserts exactly this).
 //
-// Design constraints (shared with internal/flightrec):
+// The same per-node ring keeps the node's events — crashes, recoveries,
+// breaker, membership and health transitions, audit violations, disk-tier
+// moves and coherency events — as zero-length records (see Event), written
+// as they happen rather than through the sampler. An event caused by a
+// request carries that request's trace ID, so it sits in the request's
+// tree; one no request caused carries the zero trace ID.
+//
+// Design constraints:
 //
 //   - Allocation-free when disabled: a nil *Tracer yields nil *Trace values
 //     whose methods are all nil-safe no-ops, so the hot paths wire the
 //     hooks unconditionally and pay one predictable branch.
-//   - Bounded memory: completed, sampled spans land in fixed-capacity
-//     per-node rings (the flightrec ring discipline) that overwrite oldest
-//     and count drops.
+//   - Bounded memory: completed, sampled spans and event records land in
+//     fixed-capacity per-node rings that overwrite oldest and count drops.
 //   - Tail sampling: the keep/drop choice happens at request completion, so
 //     error, stale and slow traces are always kept while the rest are
 //     sampled by a deterministic hash of the trace ID — every node of the
@@ -114,13 +119,46 @@ const (
 	// PhaseBody covers moving object bytes at a node (streaming a
 	// response body, buffering a placement copy).
 	PhaseBody
-	// PhaseSpill covers a disk-tier spill or a disk-tier read at a node.
+	// PhaseSpill is an event record: an NCL eviction's bytes moved to the
+	// disk tier (A = the spilled size in bytes).
 	PhaseSpill
-	// PhasePromote covers re-admitting a disk-tier hit to memory.
+	// PhasePromote covers re-admitting a disk-tier hit to memory; its
+	// event record carries A = the avoided miss penalty, N = the insertion
+	// victims.
 	PhasePromote
 	// PhaseCoherency covers applying piggybacked invalidations or a
 	// revalidation round trip.
 	PhaseCoherency
+
+	// The event phases below, like spill and promote, are written as
+	// zero-length records (see Event); docs/OBSERVABILITY.md tabulates
+	// their payloads.
+
+	// PhaseCrash: the node failed.
+	PhaseCrash
+	// PhaseRecover: the node came back empty after a crash.
+	PhaseRecover
+	// PhaseBreaker: a circuit-breaker transition; N = the new state.
+	PhaseBreaker
+	// PhaseAuditViolation: an invariant monitor fired; N = the invariant,
+	// A and B = its got and want values.
+	PhaseAuditViolation
+	// PhaseMembership: a membership transition; N = the new state, A =
+	// the routing epoch after it.
+	PhaseMembership
+	// PhaseHealth: a health transition; N = the new state, A = the
+	// routing epoch after it (B = 1 for a gateway's upstream probe).
+	PhaseHealth
+	// PhaseInvalidate: an invalidation-log entry applied; A = the new
+	// floor, B = the log sequence, N = 1 when a copy was dropped.
+	PhaseInvalidate
+	// PhaseStaleHit: a copy below the read floor; A = its generation, B =
+	// the floor, N = 1 when it self-healed to a miss, 0 when served
+	// degraded.
+	PhaseStaleHit
+	// PhaseRevalidate: a copy's lifetime or age turned a hit into a
+	// refresh; A = its generation, N = 1 when confirmed by a 304.
+	PhaseRevalidate
 
 	numPhases
 )
@@ -135,6 +173,16 @@ var phaseNames = [numPhases]string{
 	PhaseSpill:     "spill",
 	PhasePromote:   "promote",
 	PhaseCoherency: "coherency",
+
+	PhaseCrash:          "crash",
+	PhaseRecover:        "recover",
+	PhaseBreaker:        "breaker",
+	PhaseAuditViolation: "audit_violation",
+	PhaseMembership:     "membership",
+	PhaseHealth:         "health",
+	PhaseInvalidate:     "invalidate",
+	PhaseStaleHit:       "stale_hit",
+	PhaseRevalidate:     "revalidate",
 }
 
 // String returns the schema name of the phase (docs/OBSERVABILITY.md).
@@ -170,6 +218,9 @@ type Span struct {
 	Flags uint8
 	// Node is the cache the phase executed at.
 	Node model.NodeID
+	// Obj is the object an event record concerns (zero on request spans
+	// and on events about no object).
+	Obj model.ObjectID
 	// Hop is the transport hop index, -1 when the transport has none
 	// (the root span, origin-side spans).
 	Hop int
@@ -177,9 +228,9 @@ type Span struct {
 	// seconds; logical for the simulators, Unix for the gateway). An
 	// End before Start means the span was never finished.
 	Start, End float64
-	// A, B and N are the phase's protocol payload, flightrec.Event style
-	// (fixed numeric slots, no maps, so a span stays a flat value). Every
-	// incarnation fills them from what the engine returned at that step:
+	// A, B and N are the phase's protocol payload (fixed numeric slots, no
+	// maps, so a span stays a flat value). Every incarnation fills them
+	// from what the engine returned at that step:
 	//
 	//	up:     A = f (frequency estimate), B = l (eviction cost loss),
 	//	        N = the hop's §2.4 tag (engine.Tag: 0 candidate,
@@ -189,9 +240,17 @@ type Span struct {
 	//	        included), B = victims evicted, N = DownPass / DownPlaced
 	//	        (the counter reset here) / DownPlaceFailed
 	//
-	// Zero on every other phase.
+	// The event phases carry theirs (see the Phase constants); every other
+	// phase carries zero.
 	A, B float64
 	N    int
+}
+
+// Event returns an event record of phase ph at node: a zero-length span
+// (Start == End == now) with no span ID and no hop (-1). The caller adds
+// the trace of the request that caused it, if any, and the payload.
+func Event(ph Phase, node model.NodeID, now float64) Span {
+	return Span{Phase: ph, Node: node, Hop: -1, Start: now, End: now}
 }
 
 // Down-span outcomes (Span.N).
@@ -220,6 +279,7 @@ type spanJSON struct {
 	Phase  string  `json:"phase"`
 	Flags  uint8   `json:"flags,omitempty"`
 	Node   int     `json:"node"`
+	Obj    int64   `json:"obj,omitempty"`
 	Hop    int     `json:"hop"`
 	Start  float64 `json:"start"`
 	End    float64 `json:"end"`
@@ -237,6 +297,7 @@ func (s Span) MarshalJSON() ([]byte, error) {
 		Phase: s.Phase.String(),
 		Flags: s.Flags,
 		Node:  int(s.Node),
+		Obj:   int64(s.Obj),
 		Hop:   s.Hop,
 		Start: s.Start,
 		End:   s.End,
@@ -288,6 +349,7 @@ func (s *Span) UnmarshalJSON(data []byte) error {
 		Phase:  phase,
 		Flags:  j.Flags,
 		Node:   model.NodeID(j.Node),
+		Obj:    model.ObjectID(j.Obj),
 		Hop:    j.Hop,
 		Start:  j.Start,
 		End:    j.End,

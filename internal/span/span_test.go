@@ -183,6 +183,113 @@ func TestRingOverwrite(t *testing.T) {
 	}
 }
 
+func TestRingCapacityClamp(t *testing.T) {
+	r := NewRing(0)
+	r.Add(Event(PhaseCrash, 1, 1))
+	r.Add(Event(PhaseRecover, 1, 2))
+	if r.Len() != 1 || r.Dropped() != 1 || r.Spans()[0].Phase != PhaseRecover {
+		t.Fatalf("NewRing(0) holds %d records (dropped %d), want the newest one", r.Len(), r.Dropped())
+	}
+}
+
+// TestEventRecordsRetainInOrder: event records below capacity are all kept,
+// oldest first, each with its object and time.
+func TestEventRecordsRetainInOrder(t *testing.T) {
+	r := NewRing(8)
+	for i := 0; i < 5; i++ {
+		e := Event(PhaseSpill, 1, float64(i))
+		e.Obj = model.ObjectID(100 + i)
+		r.Add(e)
+	}
+	if r.Len() != 5 || r.Dropped() != 0 {
+		t.Fatalf("len=%d dropped=%d, want 5/0", r.Len(), r.Dropped())
+	}
+	for i, e := range r.Spans() {
+		if e.Start != float64(i) || e.Obj != model.ObjectID(100+i) || e.Phase != PhaseSpill {
+			t.Fatalf("record %d = %+v", i, e)
+		}
+	}
+}
+
+// TestEventRecordsRingWrap: past capacity the ring keeps the newest event
+// records, oldest first, and counts every overwritten one, so a reader can
+// tell exactly how much was lost.
+func TestEventRecordsRingWrap(t *testing.T) {
+	r := NewRing(4)
+	for i := 0; i < 10; i++ {
+		e := Event(PhaseMembership, 0, float64(i))
+		e.Obj = model.ObjectID(i)
+		r.Add(e)
+	}
+	if r.Len() != 4 || r.Dropped() != 6 {
+		t.Fatalf("len=%d dropped=%d, want 4/6", r.Len(), r.Dropped())
+	}
+	for i, e := range r.Spans() {
+		if e.Start != float64(6+i) || e.Obj != model.ObjectID(6+i) {
+			t.Fatalf("record %d = %+v, want obj %d", i, e, 6+i)
+		}
+	}
+}
+
+// TestNilRingEventSafe: a node without a ring takes event records and
+// reports nothing, its snapshot naming the node with zero capacity.
+func TestNilRingEventSafe(t *testing.T) {
+	var r *Ring
+	r.Add(Event(PhaseCrash, 3, 1))
+	if r.Len() != 0 || r.Dropped() != 0 || r.Spans() != nil {
+		t.Fatal("nil ring reported state")
+	}
+	s := r.TakeSnapshot(3)
+	if s.Node != 3 || s.Capacity != 0 || len(s.Spans) != 0 {
+		t.Fatalf("nil snapshot = %+v", s)
+	}
+}
+
+// TestPhaseNamesRoundTrip: every phase, the event phases included, has its
+// own schema name and survives a Span JSON round trip by it.
+func TestPhaseNamesRoundTrip(t *testing.T) {
+	seen := map[string]Phase{}
+	for p := Phase(0); p < numPhases; p++ {
+		name := p.String()
+		if name == "" || name == "unknown" {
+			t.Fatalf("phase %d has no schema name", p)
+		}
+		if q, dup := seen[name]; dup {
+			t.Fatalf("phases %d and %d share the name %q", q, p, name)
+		}
+		seen[name] = p
+		data, err := json.Marshal(Span{Trace: TraceID{Lo: 1}, ID: 1, Phase: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out Span
+		if err := json.Unmarshal(data, &out); err != nil || out.Phase != p {
+			t.Fatalf("phase %q: round trip gave %v (%v)", name, out.Phase, err)
+		}
+	}
+	if numPhases.String() != "unknown" {
+		t.Fatal("an out-of-range phase has a schema name")
+	}
+}
+
+// TestEventJSONRoundTrip: an event record no request caused — zero trace,
+// zero ID — round-trips, its object and payload with it.
+func TestEventJSONRoundTrip(t *testing.T) {
+	in := Event(PhaseInvalidate, 2, 7.5)
+	in.Obj, in.A, in.B, in.N = 11, 3, 9, 1
+	data, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out Span
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out != in || out.ID != 0 || !out.Trace.IsZero() || out.Start != out.End {
+		t.Fatalf("round trip: got %+v want %+v\n%s", out, in, data)
+	}
+}
+
 func TestSpanJSONRoundTrip(t *testing.T) {
 	in := Span{
 		Trace:  TraceID{Hi: 0xabc, Lo: 0xdef},
