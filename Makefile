@@ -60,7 +60,11 @@ rolling:
 # none of: concurrent large GETs and writes through a 3-hop CAS chain over a
 # Dir-mode origin whose file is rewritten with every write (every complete
 # body must be one generation's bytes, none below a completed write), and
-# the generation rows of the reassembly table. (The generation substrate's
+# the generation rows of the reassembly table — then the gateway's hop steps
+# run concurrently with no node lock around them: GETs, TTL revalidations,
+# invalidations and drain/admit cycles through a sharded 3-node CAS chain
+# with spill tiers, every node's bytes matching its descriptors at the end
+# and the drained node empty after every drain. (The generation substrate's
 # unit suite, the gateway's invalidation paths, the cluster's concurrent
 # write hammer and the cross-incarnation coherency replay — its last stage a
 # segmented object — are ordinary tests; `race` runs them, and these.)
@@ -68,7 +72,7 @@ coherency:
 	$(GO) run ./cmd/cascadeload -requests 3000 -warmup 500 -users 4 \
 		-objects 1000 -capacity 2MB -nodes 3 -shards 8 -seed 1 \
 		-write-ratio 0.05
-	$(GO) test -race -count=1 -run 'TestSegmentedWriteHammer|TestReassemblyGenerations' ./internal/httpgw/
+	$(GO) test -race -count=1 -run 'TestSegmentedWriteHammer|TestGatewayStepsHammer|TestReassemblyGenerations' ./internal/httpgw/
 
 # Reproduction gate: re-run every figure of the paper's evaluation and fail
 # if any cell drifts more than 5% from the committed results/*.csv — the

@@ -358,11 +358,17 @@ func (s *Sharded) DCacheContains(obj model.ObjectID) bool {
 	return ok
 }
 
-// Touch refreshes a cached copy's access history (TTL revalidation path).
-func (s *Sharded) Touch(obj model.ObjectID, now float64) bool {
+// Touch refreshes the access history of obj's cached copy if it is still
+// the one a TTL revalidation read, at generation gen and size bytes, and
+// reports whether it is.
+func (s *Sharded) Touch(obj model.ObjectID, gen uint64, size int64, now float64) bool {
 	sh := &s.shards[s.ShardOf(obj)]
 	s.lock(sh)
-	ok := sh.st.Store.Touch(obj, now) != nil
+	d := sh.st.Store.Get(obj)
+	ok := d != nil && d.Gen == gen && d.Size == size
+	if ok {
+		sh.st.Store.TouchEntry(d, now)
+	}
 	sh.mu.Unlock()
 	return ok
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"cascade/internal/model"
 	"cascade/internal/store"
 )
 
@@ -25,7 +26,7 @@ func TestUpDemotesCopyWithoutBytes(t *testing.T) {
 	if Up(h, &q, 0, 1, 0, &r); !r.Hit || len(r.Body) != 100 || r.Meta.ETag != `"v"` {
 		t.Fatalf("hit=%v with %d bytes, validator %q; want a hit with the stored body", r.Hit, len(r.Body), r.Meta.ETag)
 	}
-	tier.Delete(7)
+	tier.DeleteUnless(7, func(model.ObjectID) bool { return false })
 	q.Now = 3
 	if Up(h, &q, 0, 1, 0, &r); r.Hit || h.St.Contains(7) {
 		t.Fatalf("hit=%v, resident=%v: a copy without its bytes must be demoted to a miss", r.Hit, h.St.Contains(7))

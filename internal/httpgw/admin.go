@@ -75,7 +75,7 @@ func (n *Node) recordTransitionLocked(k controlplane.EventKind, upstream bool, n
 		c.Inc()
 	}
 	e := span.Event(span.PhaseMembership, n.ID, now)
-	e.A, e.N = float64(n.cpEpoch), int(n.member)
+	e.A, e.N = float64(n.cpEpoch), int(n.Member())
 	if k == controlplane.EventHealthChange {
 		e.Phase, e.N = span.PhaseHealth, int(n.selfHealth)
 		if upstream {
@@ -87,9 +87,18 @@ func (n *Node) recordTransitionLocked(k controlplane.EventKind, upstream bool, n
 
 // Member returns the node's membership state.
 func (n *Node) Member() controlplane.MemberState {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.member
+	return controlplane.MemberState(n.member.Load())
+}
+
+// active reports whether the node takes protocol steps: its membership is
+// Active. A step checks it inside the drain fence (Node.fence).
+func (n *Node) active() bool { return n.Member() == controlplane.Active }
+
+// setMemberLocked moves the node to membership m and records the
+// transition k. Caller holds n.mu.
+func (n *Node) setMemberLocked(m controlplane.MemberState, k controlplane.EventKind, now float64) {
+	n.member.Store(uint32(m))
+	n.recordTransitionLocked(k, false, now)
 }
 
 // UpstreamHealth returns the prober's current classification of the
@@ -103,7 +112,7 @@ func (n *Node) UpstreamHealth() controlplane.Health {
 // serving reports whether the node participates in the protocol (Active
 // membership, not marked down by an operator). Caller holds n.mu.
 func (n *Node) servingLocked() bool {
-	return n.member == controlplane.Active && n.selfHealth != controlplane.Down
+	return n.active() && n.selfHealth != controlplane.Down
 }
 
 // serveAdmin routes the /cascade/admin/* endpoints.
@@ -156,7 +165,7 @@ func (n *Node) stateLocked() controlState {
 	return controlState{
 		Node:           int(n.ID),
 		Upstream:       n.Upstream,
-		Member:         n.member.String(),
+		Member:         n.Member().String(),
 		Health:         n.selfHealth.String(),
 		UpstreamHealth: n.upHealth.String(),
 		Epoch:          n.cpEpoch,
@@ -171,21 +180,22 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 // adminDrain performs the cooperative departure: hand the cached
 // descriptors to the upstream's d-cache in NCL eviction order, forget the
-// payloads, and switch to pass-through service. Unlike the cluster
-// there is no epoch guard to wait on — each HTTP request holds n.mu for
-// every protocol step it takes, so the drain's own critical section is the
-// fence: requests that already passed it see a relay, requests before it
-// completed their steps.
+// payloads, and switch to pass-through service. The fence is the
+// cluster's (runtime.Cluster.Drain): once the node is Draining, every
+// step that enters sees a relay, and the drain waits out the steps that
+// entered before, so no placement lands behind it.
 func (n *Node) adminDrain(w http.ResponseWriter, now float64) {
 	n.mu.Lock()
-	if n.member != controlplane.Active {
+	if !n.active() {
 		st := n.stateLocked()
 		n.mu.Unlock()
 		writeJSON(w, http.StatusConflict, st)
 		return
 	}
-	n.member = controlplane.Draining
-	n.recordTransitionLocked(controlplane.EventDrain, false, now)
+	n.setMemberLocked(controlplane.Draining, controlplane.EventDrain, now)
+	n.mu.Unlock()
+	n.fence.WaitBefore(n.fence.Bump())
+
 	snaps := n.st.DrainDescriptors(now)
 	// The d-cache's history belongs to the departing identity too; the
 	// interface has no clear, so swap every stripe for a fresh instance.
@@ -196,14 +206,14 @@ func (n *Node) adminDrain(w http.ResponseWriter, now float64) {
 	n.bodies.SpillAll()
 	// A relay applies no invalidations, so what it remembered of large
 	// objects cannot be checked against a floor when it is admitted again.
+	n.markerMu.Lock()
 	n.markers = nil
-	n.mu.Unlock()
+	n.markerMu.Unlock()
 
 	absorbed := n.spill(snaps)
 
 	n.mu.Lock()
-	n.member = controlplane.Removed
-	n.recordTransitionLocked(controlplane.EventRemove, false, now)
+	n.setMemberLocked(controlplane.Removed, controlplane.EventRemove, now)
 	st := n.stateLocked()
 	n.mu.Unlock()
 	st.Drained = len(snaps)
@@ -242,15 +252,14 @@ func (n *Node) spill(snaps []cache.DescriptorSnapshot) int {
 // node rejoins empty — its state left with the drain.
 func (n *Node) adminAdmit(w http.ResponseWriter, now float64) {
 	n.mu.Lock()
-	if n.member == controlplane.Active {
+	if n.active() {
 		st := n.stateLocked()
 		n.mu.Unlock()
 		writeJSON(w, http.StatusConflict, st)
 		return
 	}
-	n.member = controlplane.Active
 	n.selfHealth = controlplane.Healthy
-	n.recordTransitionLocked(controlplane.EventAdmit, false, now)
+	n.setMemberLocked(controlplane.Active, controlplane.EventAdmit, now)
 	st := n.stateLocked()
 	n.mu.Unlock()
 	writeJSON(w, http.StatusOK, st)
@@ -282,16 +291,21 @@ func (n *Node) adminAbsorb(w http.ResponseWriter, r *http.Request, now float64) 
 		http.Error(w, "httpgw: bad absorb payload: "+err.Error(), code)
 		return
 	}
+	// Inside the fence, like a step: a drain that starts now waits for the
+	// absorbed descriptors before it empties the d-cache.
+	e := n.fence.Enter()
+	absorbed, ok := 0, n.active()
+	if ok {
+		absorbed = n.st.Absorb(snaps, now)
+	}
+	n.fence.Exit(e)
 	n.mu.Lock()
-	if n.member != controlplane.Active {
-		st := n.stateLocked()
-		n.mu.Unlock()
+	st := n.stateLocked()
+	n.mu.Unlock()
+	if !ok {
 		writeJSON(w, http.StatusConflict, st)
 		return
 	}
-	absorbed := n.st.Absorb(snaps, now)
-	st := n.stateLocked()
-	n.mu.Unlock()
 	st.Absorbed = absorbed
 	writeJSON(w, http.StatusOK, st)
 }

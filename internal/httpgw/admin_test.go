@@ -444,8 +444,8 @@ func TestControlNamespaceReserved(t *testing.T) {
 				at, tc.path, resp.StatusCode, HeaderHit, resp.Header.Get(HeaderHit), ct, tc.status, tc.ctype)
 		}
 	}
-	if n.misses != 0 || n.inserts != 0 {
-		t.Errorf("the node forwarded control paths upstream: %d misses, %d inserts", n.misses, n.inserts)
+	if n.misses.Load() != 0 || n.inserts.Load() != 0 {
+		t.Errorf("the node forwarded control paths upstream: %d misses, %d inserts", n.misses.Load(), n.inserts.Load())
 	}
 }
 

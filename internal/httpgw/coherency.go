@@ -55,9 +55,7 @@ func (n *Node) EnableCoherency(mode coherency.Mode) {
 	v := coherency.NewNodeView(mode, 0)
 	v.SetMetrics(coherency.NewMetrics(n.MetricsRegistry(), metrics.L("node", nodeName(n.ID))))
 	n.view = v
-	n.mu.Lock()
 	n.st.SetCoherency(v)
-	n.mu.Unlock()
 }
 
 // CoherencyView returns the node's generation-floor view (nil until
@@ -182,7 +180,6 @@ func (n *Node) adminInvalidate(w http.ResponseWriter, r *http.Request, now float
 		return
 	}
 	inv := [1]coherency.Invalidation{{Seq: rep.Seq, Obj: model.ObjectID(rep.Obj), Gen: rep.Gen}}
-	n.mu.Lock()
 	// head 0: an out-of-band push must not mark intermediate log entries
 	// as seen by the PSI cursor. A demoted copy's bytes leave with it, and
 	// when the floor moved any held payload predates it: a disk copy goes
@@ -190,6 +187,5 @@ func (n *Node) adminInvalidate(w http.ResponseWriter, r *http.Request, now float
 	if applied, _ := n.hop().ApplyInvalidations(inv[:], 0, now, nil); applied > 0 {
 		n.bodies.DeleteUnless(inv[0].Obj, n.st.Contains)
 	}
-	n.mu.Unlock()
 	writeJSON(w, http.StatusOK, rep)
 }

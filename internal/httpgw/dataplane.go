@@ -44,36 +44,22 @@ func (n *Node) EnableSpill(dir string, maxBytes int64, ttl float64) error {
 	if err != nil {
 		return err
 	}
-	n.mu.Lock()
 	n.bodies = t
-	n.mu.Unlock()
 	return nil
 }
 
 // SpillContains reports whether the object's bytes sit in the disk spill
 // tier (and only there).
 func (n *Node) SpillContains(obj model.ObjectID) bool {
-	n.mu.Lock()
-	b := n.bodies
-	n.mu.Unlock()
-	return b.Contains(obj) == store.SrcDisk
+	return n.bodies.Contains(obj) == store.SrcDisk
 }
 
 // BodyStats returns the node's data-plane accounting snapshot.
-func (n *Node) BodyStats() store.Stats {
-	n.mu.Lock()
-	b := n.bodies
-	n.mu.Unlock()
-	return b.Stats()
-}
+func (n *Node) BodyStats() store.Stats { return n.bodies.Stats() }
 
 // CheckBytes reports a disagreement between the node's bytes and its
 // descriptors (engine.Hop.CheckBytes). For tests: quiesce the node first.
-func (n *Node) CheckBytes() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.hop().CheckBytes()
-}
+func (n *Node) CheckBytes() error { return n.hop().CheckBytes() }
 
 // parsePenalty decodes an X-Cascade-Penalty value with an explicit ok
 // flag: an absent header is legitimately zero (a hop outside the
@@ -438,8 +424,15 @@ func (n *Node) acceptMarker(w http.ResponseWriter, h http.Header, now float64) (
 	return segMarker{total: total, segSize: segSize, gen: gen, fetched: now}, true
 }
 
-// rememberMarker records base's marker in the memo. Caller holds n.mu.
+// rememberMarker records base's marker in the memo while the node is
+// Active. The check shares the memo's lock with the drain's clearing, so a
+// drained node remembers nothing.
 func (n *Node) rememberMarker(base model.ObjectID, m segMarker) {
+	n.markerMu.Lock()
+	defer n.markerMu.Unlock()
+	if !n.active() {
+		return
+	}
 	if n.markers == nil || len(n.markers) >= markerMemoMaxEntries {
 		n.markers = make(map[model.ObjectID]segMarker)
 	}
@@ -449,11 +442,11 @@ func (n *Node) rememberMarker(base model.ObjectID, m segMarker) {
 // forgetMarker drops base's remembered marker if it is still the one at
 // generation gen (a concurrent GET may already have replaced it).
 func (n *Node) forgetMarker(base model.ObjectID, gen uint64) {
-	n.mu.Lock()
+	n.markerMu.Lock()
 	if m, ok := n.markers[base]; ok && m.gen == gen {
 		delete(n.markers, base)
 	}
-	n.mu.Unlock()
+	n.markerMu.Unlock()
 }
 
 // serveSegmented reassembles a large object for the client: this node is

@@ -141,10 +141,8 @@ func TestHopChainMatchesHTTP(t *testing.T) {
 					}
 				}
 			}
-			n.mu.Lock()
 			out.nodes = append(out.nodes, fmt.Sprintf("node %d: hits %d misses %d inserts %d revalidations %d held %v dcache %d ledger %+v",
-				n.ID, n.hits, n.misses, n.inserts, n.revalidations, held, n.st.DCacheLen(), n.Ledger().Snapshot()))
-			n.mu.Unlock()
+				n.ID, n.hits.Load(), n.misses.Load(), n.inserts.Load(), n.revalidations.Load(), held, n.st.DCacheLen(), n.Ledger().Snapshot()))
 			out.served[i] = [2]int64{n.served[servedHTTP].Load(), n.served[servedLoop].Load()}
 		}
 		out.origin = c.origin.Load()

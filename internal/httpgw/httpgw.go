@@ -36,7 +36,6 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
-	"math/rand"
 	"net/http"
 	"sort"
 	"strconv"
@@ -162,13 +161,17 @@ type Node struct {
 	// bench/ stops assigning it.
 	DisableBinaryFraming bool
 
-	// mu guards the st rebuild (SetShards), the body store pointer and the
-	// counters; the sharded protocol state itself carries per-shard locks.
+	// mu guards the control state: membership and health transitions with
+	// their event records, the upstream prober and the breaker. No protocol
+	// step runs under it — the engine's shard locks and the body store's
+	// tier lock guard everything a step touches, taken tier lock first.
 	mu sync.Mutex
-	st *engine.Sharded
-	// bodies is the node's data plane: the in-memory payload tier plus,
-	// after EnableSpill, the disk-backed spill tier (internal/store). The
-	// pointer is guarded by mu; the store itself is internally locked.
+	// st is the node's protocol state and bodies its data plane: the
+	// in-memory payload tier plus, after EnableSpill, the disk-backed spill
+	// tier (internal/store). Like view, tracer and spans, both pointers are
+	// set only before serving (SetShards, EnableSpill), so the request path
+	// reads them without a lock.
+	st     *engine.Sharded
 	bodies *store.Tiered
 
 	capacity int64 // main-cache byte budget, kept for SetShards rebuilds
@@ -176,18 +179,22 @@ type Node struct {
 
 	// view is the node's coherency generation-floor view, shared with the
 	// sharded engine state and the spill tier's MinGen oracle. Wired by
-	// EnableCoherency before serving (nil — off — by default); the request
-	// path and the store callback read it without holding mu.
+	// EnableCoherency before serving (nil — off — by default).
 	view *coherency.NodeView
 
-	shardSeries int // shard metric series registered so far (guarded by mu)
+	shardSeries int // shard metric series registered so far
 
-	hits, misses, inserts, revalidations int64
-	spillHits, promotions                int64
+	// fence orders the protocol steps against a drain (adminDrain): each
+	// step enters it, then checks membership; the drain marks the node
+	// Draining, then waits out every step that entered before — the
+	// cluster's discipline (runtime.Cluster.Drain).
+	fence *controlplane.EpochGuard
+
+	hits, misses, inserts, revalidations atomic.Int64
+	spillHits, promotions                atomic.Int64
 
 	// Malformed protocol headers received, counted per header kind
-	// (cascade_gw_bad_header_total). Atomics: the parse sites run outside
-	// mu's critical sections.
+	// (cascade_gw_bad_header_total).
 	badPenalty, badSegment, badGen, badInval, badPath atomic.Int64
 
 	// Relayed body bytes, by path: kernel (hopBody.relayTo) or copy
@@ -201,10 +208,12 @@ type Node struct {
 	// markers remembers, at the client-facing node, the segmented marker of
 	// each large object it reassembled, so a later GET starts its segment
 	// requests without walking upstream to be told the geometry again.
-	// Guarded by mu; bounded by markerMemoMaxEntries. An entry is used only
-	// while its generation meets the read floor (and Node.TTL), and is
-	// dropped the moment a segment answers at another generation.
-	markers map[model.ObjectID]segMarker
+	// Guarded by markerMu, which no step holds; bounded by
+	// markerMemoMaxEntries. An entry is used only while its generation meets
+	// the read floor (and Node.TTL), and is dropped the moment a segment
+	// answers at another generation.
+	markerMu sync.Mutex
+	markers  map[model.ObjectID]segMarker
 	// reassembly counts what each large-object reassembly did, by
 	// reassemblyOutcome (cascade_gw_reassembly_total).
 	reassembly [numReassemblyOutcomes]atomic.Int64
@@ -232,22 +241,21 @@ type Node struct {
 
 	// Control plane (guarded by mu): this node's membership and advertised
 	// health, the prober's view of the upstream, and the transition epoch.
-	// See admin.go for the endpoints that drive them.
-	member         controlplane.MemberState
+	// See admin.go for the endpoints that drive them. Membership changes
+	// under mu and is read atomically, so the request path takes no lock
+	// for it.
+	member         atomic.Uint32 // a controlplane.MemberState
 	selfHealth     controlplane.Health
 	upHealth       controlplane.Health
 	upFails, upOks int
 	cpEpoch        uint64
 	changes        map[controlplane.EventKind]*metrics.Counter
 
-	rng             *rand.Rand // backoff jitter; lazily seeded from ID
-	breaker         BreakerState
-	breakerFails    int
-	breakerOpenedAt float64
-	probing         bool
-	retries         int64
-	breakerOpens    int64
-	degraded        int64
+	breaker                         BreakerState
+	breakerFails                    int
+	breakerOpenedAt                 float64
+	probing                         bool
+	retries, breakerOpens, degraded atomic.Int64
 }
 
 // NewNode builds a gateway node with the given stores. Observability is on
@@ -267,6 +275,7 @@ func NewNode(id model.NodeID, upstream string, upCost float64, capacity int64, d
 		capacity: capacity,
 		dEntries: dEntries,
 		bodies:   bodies,
+		fence:    controlplane.NewEpochGuard(),
 	}
 	reg := n.MetricsRegistry()
 	nl := metrics.L("node", nodeName(id))
@@ -292,7 +301,6 @@ func NewNode(id model.NodeID, upstream string, upCost float64, capacity int64, d
 // contending. Call before serving: cached payloads and descriptors are
 // discarded.
 func (n *Node) SetShards(p int) {
-	n.mu.Lock()
 	n.st = engine.NewSharded(engine.ShardedConfig{
 		Node:          n.ID,
 		Shards:        p,
@@ -306,7 +314,6 @@ func (n *Node) SetShards(p int) {
 	// The memory tier goes with the descriptors; disk copies survive like
 	// a process restart would leave them.
 	n.bodies.Reset()
-	n.mu.Unlock()
 	n.registerShardSeries()
 }
 
@@ -653,7 +660,7 @@ func (n *Node) decodeGet(w http.ResponseWriter, r *http.Request, obj model.Objec
 	return g, true
 }
 
-// hop is the node as the engine's steps see it. Caller holds n.mu.
+// hop is the node as the engine's steps see it.
 func (n *Node) hop() engine.Hop { return engine.Hop{St: n.st, Tier: n.bodies} }
 
 // serveGet answers a GET: the origin from its source, a cache node by its
@@ -665,17 +672,16 @@ func (n *Node) serveGet(w http.ResponseWriter, r *http.Request, g *getReq, resta
 		return false
 	}
 	for {
-		n.mu.Lock()
 		// Draining or departed: pure relay, no protocol participation. The
-		// check shares the step's critical section, so no request reads
-		// the store on one side of a drain and takes protocol steps on the
-		// other.
-		if n.member != controlplane.Active {
-			n.mu.Unlock()
+		// check shares the step's fence, so no request reads the store on
+		// one side of a drain and takes protocol steps on the other.
+		e := n.fence.Enter()
+		if !n.active() {
+			n.fence.Exit(e)
 			return n.exchange(w, r, g, nil, nil, restarts)
 		}
 		if m, ok := n.rememberedMarker(g); ok {
-			n.mu.Unlock()
+			n.fence.Exit(e)
 			lk := g.tsp.Start(span.PhaseLookup, n.ID, 0, g.parent, g.now)
 			g.tsp.End(lk, n.Clock())
 			return n.serveSegmented(w, r, g.base, m, true, restarts, g.tsp)
@@ -687,24 +693,20 @@ func (n *Node) serveGet(w http.ResponseWriter, r *http.Request, g *getReq, resta
 		}
 		var up engine.UpResult
 		engine.Up(n.hop(), &q, g.hop(), n.UpCost, g.parent, &up)
+		n.fence.Exit(e)
 		switch {
-		case up.FromTier:
-			n.hits++
-			n.spillHits++
-			if up.Promoted {
-				n.promotions++
+		case up.Hit:
+			n.hits.Add(1)
+			if up.FromTier {
+				n.spillHits.Add(1)
 			}
-		case up.Hit:
-			n.hits++
-		case !up.Revalidate:
-			n.misses++
-		}
-		n.mu.Unlock()
-		switch {
-		case up.Hit:
+			if up.Promoted {
+				n.promotions.Add(1)
+			}
 			n.serveHit(w, g, &up)
 			return false
 		case !up.Revalidate:
+			n.misses.Add(1)
 			return n.exchange(w, r, g, &q, &up, restarts)
 		}
 		// Older than Node.TTL: revalidate upstream with the stored
@@ -719,11 +721,13 @@ func (n *Node) serveGet(w http.ResponseWriter, r *http.Request, g *getReq, resta
 // rememberedMarker returns the segmented marker this client-facing node
 // remembers for a plain GET's object, while it is not below the read floor
 // nor older than Node.TTL; a stale one is dropped, and the GET walks
-// upstream for its successor. Caller holds n.mu.
+// upstream for its successor.
 func (n *Node) rememberedMarker(g *getReq) (segMarker, bool) {
 	if g.hop() != 0 || g.seg.on {
 		return segMarker{}, false
 	}
+	n.markerMu.Lock()
+	defer n.markerMu.Unlock()
 	m, ok := n.markers[g.base]
 	if !ok {
 		return m, false
@@ -863,11 +867,7 @@ func (n *Node) segmentedAnswer(w http.ResponseWriter, r *http.Request, g *getReq
 		tsp.Force(span.FlagError)
 		return false
 	}
-	n.mu.Lock()
-	if n.member == controlplane.Active {
-		n.rememberMarker(g.base, m)
-	}
-	n.mu.Unlock()
+	n.rememberMarker(g.base, m)
 	return n.serveSegmented(w, r, g.base, m, false, restarts, tsp)
 }
 
@@ -910,17 +910,17 @@ func (n *Node) finishMiss(w http.ResponseWriter, resp *http.Response, g *getReq,
 	n.relay(w, resp.Body)
 }
 
-// downStep takes the engine's down step for a miss under n.mu and returns
-// the penalty counter the response carries on. A drain that landed while
-// the fetch was in flight — the fetch runs outside the lock, and this
-// transport has no epoch guard — routes the node around instead: the
+// downStep takes the engine's down step for a miss inside the drain fence
+// and returns the penalty counter the response carries on. A drain that
+// landed while the fetch was in flight — the fetch runs outside the fence,
+// so a drain can run from inside it — routes the node around instead: the
 // invalidation tail still lands, but no placement, no ledger claim, the
 // link folded into the counter.
 func (n *Node) downStep(q *engine.Req, hop int, upsp span.SpanID, dec decision, place bool, prev, mp float64, body []byte, resp *http.Response) float64 {
 	q.Now, q.Gen, q.Tail, q.Head = n.Clock(), dec.gen, dec.inval, dec.invHead
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.member != controlplane.Active {
+	e := n.fence.Enter()
+	defer n.fence.Exit(e)
+	if !n.active() {
 		n.hop().Land(q, hop, upsp)
 		q.Trace.End(upsp, n.Clock())
 		return mp
@@ -940,7 +940,7 @@ func (n *Node) downStep(q *engine.Req, hop int, upsp span.SpanID, dec decision, 
 	}
 	out := engine.Down(n.hop(), q, hop, upsp, place, prev, mp, body, resp.Header.Get("ETag"))
 	if out.Placed {
-		n.inserts++
+		n.inserts.Add(1)
 	}
 	return out.MP
 }
@@ -991,31 +991,15 @@ func (n *Node) revalidate(w http.ResponseWriter, r *http.Request, g *getReq, up 
 	if err == nil {
 		defer resp.Body.Close()
 	}
-	n.mu.Lock()
-	switch {
-	case err != nil:
-		n.degraded++
-		n.hits++
-		n.st.Touch(g.obj, g.now)
-	case resp.StatusCode != http.StatusNotModified:
-		n.st.Demote(g.obj, g.now)
-		n.bodies.Delete(g.obj)
-	default:
-		n.revalidations++
-		n.hits++
-		if b, m, ok := n.bodies.GetMemory(g.obj); ok {
-			m.Fetched = g.now
-			n.bodies.Put(g.obj, b, m)
-		}
-		n.st.Touch(g.obj, g.now)
-	}
-	n.mu.Unlock()
-	gen := up.Meta.Gen
+	gen, size := up.Meta.Gen, int64(len(up.Body))
 	switch {
 	case err != nil:
 		// Serve the old copy marked degraded, as an explicit freshness
 		// decision: the stale-hit record carries N:0 (served by policy,
 		// not dropped), so degraded serving is auditable, not silent.
+		n.degraded.Add(1)
+		n.hits.Add(1)
+		n.st.Touch(g.obj, gen, size, g.now)
 		if v := n.view; v != nil {
 			v.Metrics().StaleHit()
 		}
@@ -1024,9 +1008,22 @@ func (n *Node) revalidate(w http.ResponseWriter, r *http.Request, g *getReq, up 
 		n.spans.Add(e)
 		w.Header().Set(HeaderDegraded, "1")
 	case resp.StatusCode != http.StatusNotModified:
+		// The copy is outdated. Its bytes go with it, unless a placement
+		// stored fresh ones since.
+		n.st.Demote(g.obj, g.now)
+		n.bodies.DeleteUnless(g.obj, n.st.Contains)
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck
 		return false
 	default:
+		// The 304 restamps the bytes' validation time, tier lock then shard
+		// lock as the steps take them, and only while the resident copy is
+		// still the one up read: a placement that landed since keeps its
+		// own bytes.
+		n.revalidations.Add(1)
+		n.hits.Add(1)
+		meta := up.Meta
+		meta.Fetched = g.now
+		n.bodies.Admit(g.obj, up.Body, meta, false, func() bool { return n.st.Touch(g.obj, gen, size, g.now) })
 		if v := n.view; v != nil {
 			v.Metrics().Revalidation()
 		}
@@ -1050,33 +1047,25 @@ func (n *Node) revalidate(w http.ResponseWriter, r *http.Request, g *getReq, up 
 // operational monitoring of a deployed gateway.
 func (n *Node) serveStats(w http.ResponseWriter) {
 	n.mu.Lock()
-	hits, misses, inserts, revs := n.hits, n.misses, n.inserts, n.revalidations
-	used, capacity, objects := n.st.Used(), n.st.Capacity(), n.st.StoreLen()
-	descs := n.st.DCacheLen()
-	shards := n.st.ShardCount()
-	retries, opens, degraded, state := n.retries, n.breakerOpens, n.degraded, n.breaker
-	member, health, upHealth, epoch := n.member, n.selfHealth, n.upHealth, n.cpEpoch
-	spillHits, promotions := n.spillHits, n.promotions
-	bs := n.bodies.Stats()
+	cs := n.stateLocked()
+	state := n.breaker
 	n.mu.Unlock()
+	bs := n.bodies.Stats()
 	badHeaders := n.badPenalty.Load() + n.badSegment.Load() + n.badGen.Load() + n.badInval.Load() + n.badPath.Load()
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w,
 		"{\"node\":%d,\"upstream\":%q,\"membership\":%q,\"health\":%q,\"upstream_health\":%q,\"epoch\":%d,\"shards\":%d,\"hits\":%d,\"misses\":%d,\"inserts\":%d,\"revalidations\":%d,\"objects\":%d,\"used_bytes\":%d,\"capacity_bytes\":%d,\"dcache_descriptors\":%d,\"retries\":%d,\"breaker_state\":%q,\"breaker_opens\":%d,\"degraded\":%d,\"spill_objects\":%d,\"spill_used_bytes\":%d,\"spill_bytes_total\":%d,\"spill_hits\":%d,\"promotions\":%d,\"bad_headers\":%d,\"reassembly\":{\"ok\":%d,\"marker_hit\":%d,\"restarted\":%d,\"truncated\":%d,\"refused\":%d}}\n",
-		n.ID, n.Upstream, member.String(), health.String(), upHealth.String(), epoch, shards,
-		hits, misses, inserts, revs, objects, used, capacity, descs,
-		retries, state.String(), opens, degraded,
-		bs.DiskObjects, bs.DiskBytes, bs.SpillBytesTotal, spillHits, promotions, badHeaders,
+		n.ID, n.Upstream, cs.Member, cs.Health, cs.UpstreamHealth, cs.Epoch, n.st.ShardCount(),
+		n.hits.Load(), n.misses.Load(), n.inserts.Load(), n.revalidations.Load(),
+		n.st.StoreLen(), n.st.Used(), n.st.Capacity(), n.st.DCacheLen(),
+		n.retries.Load(), state.String(), n.breakerOpens.Load(), n.degraded.Load(),
+		bs.DiskObjects, bs.DiskBytes, bs.SpillBytesTotal, n.spillHits.Load(), n.promotions.Load(), badHeaders,
 		n.reassembly[reassemblyOK].Load(), n.reassembly[reassemblyMarkerHit].Load(), n.reassembly[reassemblyRestarted].Load(),
 		n.reassembly[reassemblyTruncated].Load(), n.reassembly[reassemblyRefused].Load())
 }
 
 // Contains reports whether the node currently caches the object.
-func (n *Node) Contains(obj model.ObjectID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.st.Contains(obj)
-}
+func (n *Node) Contains(obj model.ObjectID) bool { return n.st.Contains(obj) }
 
 // nodeSnapshot is the gob-serialized persistent state of a gateway node.
 type nodeSnapshot struct {
@@ -1087,7 +1076,6 @@ type nodeSnapshot struct {
 // SaveSnapshot writes the node's cached objects (descriptors and payloads)
 // so a restarted gateway can warm-start with LoadSnapshot.
 func (n *Node) SaveSnapshot(w io.Writer) error {
-	n.mu.Lock()
 	snap := nodeSnapshot{
 		Descriptors: n.st.Snapshot(),
 		Bodies:      make(map[model.ObjectID][]byte),
@@ -1095,32 +1083,42 @@ func (n *Node) SaveSnapshot(w io.Writer) error {
 	n.bodies.ForEachMemory(func(id model.ObjectID, b []byte, _ store.Meta) {
 		snap.Bodies[id] = append([]byte(nil), b...)
 	})
-	n.mu.Unlock()
 	return gob.NewEncoder(w).Encode(snap)
 }
 
 // LoadSnapshot restores previously saved cache state into the (typically
-// fresh) node at time now. Entries that no longer fit are skipped; entries
-// whose payload is missing or disagrees with the descriptor's size, and
-// descriptors cache.RestoreDescriptor refuses, are dropped.
+// fresh) node at time now. It reads at most the node's byte budget, for
+// the payloads, plus maxAbsorbBytes, for the descriptors (docs/PROTOCOL.md):
+// a longer stream is refused, and nothing of it restored. Entries that no
+// longer fit are skipped; entries whose payload is missing or disagrees
+// with the descriptor's size, and descriptors cache.RestoreDescriptor
+// refuses, are dropped.
 func (n *Node) LoadSnapshot(r io.Reader, now float64) (restored int, err error) {
+	limit := n.capacity + maxAbsorbBytes
+	lr := &io.LimitedReader{R: r, N: limit}
 	var snap nodeSnapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
+	if err := gob.NewDecoder(lr).Decode(&snap); err != nil {
+		if lr.N == 0 {
+			return 0, fmt.Errorf("httpgw: snapshot longer than %d bytes", limit)
+		}
 		return 0, err
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	for _, ds := range snap.Descriptors {
 		body, ok := snap.Bodies[ds.ID]
 		if !ok || int64(len(body)) != ds.Size {
 			continue
 		}
-		if n.st.RestoreInsert(ds, now) {
-			// The snapshot predates the validator split; rederive the ETag
-			// from the bytes (etagOf is deterministic). The generation rides
-			// in the descriptor snapshot, so a restored copy still validates
-			// against floors raised while the node was down.
-			n.bodies.Put(ds.ID, body, store.Meta{ETag: etagOf(body), Fetched: now, Gen: ds.Gen})
+		// The snapshot predates the validator split; rederive the ETag from
+		// the bytes (etagOf is deterministic). The generation rides in the
+		// descriptor snapshot, so a restored copy still validates against
+		// floors raised while the node was down. Descriptor and bytes land
+		// together, as a placement's do.
+		meta := store.Meta{ETag: etagOf(body), Fetched: now, Gen: ds.Gen}
+		n.bodies.Admit(ds.ID, body, meta, false, func() bool {
+			ok = n.st.RestoreInsert(ds, now)
+			return ok
+		})
+		if ok {
 			restored++
 		}
 	}

@@ -526,6 +526,77 @@ func TestLoadSnapshotRefusesInconsistentEntries(t *testing.T) {
 	}
 }
 
+// zeros reads as an endless run of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// gobUint is gob's encoding of an unsigned count: one byte below 128, else
+// the negated byte count and the big-endian bytes.
+func gobUint(x uint64) []byte {
+	if x < 128 {
+		return []byte{byte(x)}
+	}
+	var b []byte
+	for ; x > 0; x >>= 8 {
+		b = append([]byte{byte(x)}, b...)
+	}
+	return append([]byte{byte(-len(b))}, b...)
+}
+
+// TestLoadSnapshotCapped: a snapshot stream is read through the node's
+// snapshot cap (capacity plus maxAbsorbBytes), so a well-formed 64 MiB
+// snapshot — one descriptor and its 64 MiB body, streamed without being
+// built — fails against a 1 MiB node, restores nothing and costs the
+// loader a bounded allocation: the read stops at the 9 MiB cap, inside the
+// first 10 MiB chunk gob reads a long message in.
+func TestLoadSnapshotCapped(t *testing.T) {
+	const big = 64 << 20
+	marker := []byte("\xde\xad\xbe\xef")
+	tmpl := nodeSnapshot{
+		Descriptors: []cache.DescriptorSnapshot{{ID: 1, Size: big, MissPenalty: 1, AccessTimes: []float64{1, 2}}},
+		Bodies:      map[model.ObjectID][]byte{1: marker},
+	}
+	// Encoded twice, the template's second message is its value alone; what
+	// precedes the first is gob's type preamble.
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	if err := enc.Encode(tmpl); err != nil {
+		t.Fatal(err)
+	}
+	first := buf.Len()
+	if err := enc.Encode(tmpl); err != nil {
+		t.Fatal(err)
+	}
+	msg := buf.Bytes()[first:]
+	if msg[0] >= 128 {
+		t.Fatalf("template message of %d bytes needs a longer length prefix", len(msg))
+	}
+	pre, val := buf.Bytes()[:first-len(msg)], msg[1:]
+	i := bytes.Index(val, marker)
+	if i < 1 || val[i-1] != byte(len(marker)) {
+		t.Fatal("body not found in the template")
+	}
+	head, tail, bodyLen := val[:i-1], val[i+len(marker):], gobUint(big)
+	stream := io.MultiReader(bytes.NewReader(pre),
+		bytes.NewReader(gobUint(uint64(len(head)+len(bodyLen)+big+len(tail)))),
+		bytes.NewReader(head), bytes.NewReader(bodyLen), io.LimitReader(zeros{}, big), bytes.NewReader(tail))
+
+	n := NewNode(0, "http://127.0.0.1:1", 1, 1<<20, 100, func() float64 { return 20 })
+	var restored int
+	var err error
+	alloc := allocDuring(func() { restored, err = n.LoadSnapshot(stream, 20) })
+	if err == nil || restored != 0 || n.Contains(1) || n.BodyStats().MemObjects != 0 {
+		t.Fatalf("restored %d, err %v, cached %v; want an error and nothing restored", restored, err, n.Contains(1))
+	}
+	if alloc >= 24<<20 {
+		t.Fatalf("loading a 64 MiB snapshot allocated %d bytes; want under 24 MiB", alloc)
+	}
+}
+
 func TestStatsEndpoint(t *testing.T) {
 	base, _, setNow := chain(t, 1, 1<<20)
 	setNow(0)

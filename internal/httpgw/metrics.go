@@ -3,6 +3,7 @@ package httpgw
 import (
 	"net/http"
 	"strconv"
+	"sync/atomic"
 
 	"cascade/internal/controlplane"
 	"cascade/internal/engine"
@@ -10,16 +11,13 @@ import (
 	"cascade/internal/store"
 )
 
-// MetricsRegistry returns the node's Prometheus registry (built once;
-// NewNode calls it during construction so the audit and ledger series can
-// register eagerly). Every series carries a node label; breaker and retry series
-// additionally carry the upstream, so a scrape of a whole chain
-// distinguishes which link is failing. Counters are read at scrape time
-// from the node's existing mutex-guarded accounting — the request path
-// pays nothing for the export.
+// MetricsRegistry returns the node's Prometheus registry, built by NewNode
+// (so the audit and ledger series register eagerly). Every series carries a
+// node label; breaker and retry series additionally carry the upstream, so
+// a scrape of a whole chain distinguishes which link is failing. Counters
+// are read at scrape time from the node's own atomics and the engine's and
+// body store's accounting — the request path pays nothing for the export.
 func (n *Node) MetricsRegistry() *metrics.Registry {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.reg != nil {
 		return n.reg
 	}
@@ -27,48 +25,42 @@ func (n *Node) MetricsRegistry() *metrics.Registry {
 	nl := metrics.L("node", nodeName(n.ID))
 	ul := metrics.L("upstream", n.Upstream)
 
-	lockedCount := func(f func() int64) func() float64 {
+	load := func(c *atomic.Int64) func() float64 { return func() float64 { return float64(c.Load()) } }
+	// control reads a field of the control state, which n.mu guards.
+	control := func(f func() int) func() float64 {
 		return func() float64 {
 			n.mu.Lock()
 			defer n.mu.Unlock()
 			return float64(f())
 		}
 	}
-	r.CounterFunc("cascade_gw_hits_total", "Requests served from this node's cache.", lockedCount(func() int64 { return n.hits }), nl)
-	r.CounterFunc("cascade_gw_misses_total", "Requests forwarded upstream.", lockedCount(func() int64 { return n.misses }), nl)
-	r.CounterFunc("cascade_gw_inserts_total", "Copies cached by placement decisions.", lockedCount(func() int64 { return n.inserts }), nl)
-	r.CounterFunc("cascade_gw_revalidations_total", "Expired copies refreshed by a 304.", lockedCount(func() int64 { return n.revalidations }), nl)
-	r.CounterFunc("cascade_gw_retries_total", "Upstream retry attempts.", lockedCount(func() int64 { return n.retries }), nl, ul)
-	r.CounterFunc("cascade_gw_breaker_opens_total", "Times the upstream circuit breaker opened.", lockedCount(func() int64 { return n.breakerOpens }), nl, ul)
-	r.CounterFunc("cascade_gw_degraded_total", "Responses served outside the protocol (origin-direct or stale-if-error).", lockedCount(func() int64 { return n.degraded }), nl)
+	r.CounterFunc("cascade_gw_hits_total", "Requests served from this node's cache.", load(&n.hits), nl)
+	r.CounterFunc("cascade_gw_misses_total", "Requests forwarded upstream.", load(&n.misses), nl)
+	r.CounterFunc("cascade_gw_inserts_total", "Copies cached by placement decisions.", load(&n.inserts), nl)
+	r.CounterFunc("cascade_gw_revalidations_total", "Expired copies refreshed by a 304.", load(&n.revalidations), nl)
+	r.CounterFunc("cascade_gw_retries_total", "Upstream retry attempts.", load(&n.retries), nl, ul)
+	r.CounterFunc("cascade_gw_breaker_opens_total", "Times the upstream circuit breaker opened.", load(&n.breakerOpens), nl, ul)
+	r.CounterFunc("cascade_gw_degraded_total", "Responses served outside the protocol (origin-direct or stale-if-error).", load(&n.degraded), nl)
 
-	r.GaugeFunc("cascade_gw_breaker_state", "Upstream circuit breaker position (0=closed, 1=open, 2=half-open).", lockedCount(func() int64 { return int64(n.breaker) }), nl, ul)
-	r.GaugeFunc("cascade_node_health", "This node's advertised health (0=healthy, 1=suspect, 2=down).", lockedCount(func() int64 { return int64(n.selfHealth) }), nl)
-	r.GaugeFunc("cascade_gw_membership", "This node's membership state (0=active, 1=draining, 2=removed).", lockedCount(func() int64 { return int64(n.member) }), nl)
-	r.GaugeFunc("cascade_gw_upstream_health", "The active prober's view of the upstream (0=healthy, 1=suspect, 2=down).", lockedCount(func() int64 { return int64(n.upHealth) }), nl, ul)
+	r.GaugeFunc("cascade_gw_breaker_state", "Upstream circuit breaker position (0=closed, 1=open, 2=half-open).", control(func() int { return int(n.breaker) }), nl, ul)
+	r.GaugeFunc("cascade_node_health", "This node's advertised health (0=healthy, 1=suspect, 2=down).", control(func() int { return int(n.selfHealth) }), nl)
+	r.GaugeFunc("cascade_gw_membership", "This node's membership state (0=active, 1=draining, 2=removed).", func() float64 { return float64(n.Member()) }, nl)
+	r.GaugeFunc("cascade_gw_upstream_health", "The active prober's view of the upstream (0=healthy, 1=suspect, 2=down).", control(func() int { return int(n.upHealth) }), nl, ul)
 	n.changes = make(map[controlplane.EventKind]*metrics.Counter)
 	for _, k := range []controlplane.EventKind{controlplane.EventAdmit, controlplane.EventDrain, controlplane.EventRemove, controlplane.EventHealthChange} {
 		n.changes[k] = r.Counter("cascade_membership_changes_total",
 			"Membership and health transitions applied by the control plane.",
 			metrics.L("event", k.String()), nl)
 	}
-	// Data-plane series. Body-store stats are read through the node's mutex
-	// only to fetch the store pointer (EnableSpill may replace it); the
-	// store snapshots its own accounting.
 	bodyStats := func(f func(s store.Stats) float64) func() float64 {
-		return func() float64 {
-			n.mu.Lock()
-			b := n.bodies
-			n.mu.Unlock()
-			return f(b.Stats())
-		}
+		return func() float64 { return f(n.bodies.Stats()) }
 	}
 	r.CounterFunc("cascade_node_spill_bytes_total", "Bytes of NCL-evicted payloads spilled to the disk tier.",
 		bodyStats(func(s store.Stats) float64 { return float64(s.SpillBytesTotal) }), nl)
 	r.CounterFunc("cascade_gw_spill_hits_total", "Requests served from the disk spill tier without an upstream fetch.",
-		lockedCount(func() int64 { return n.spillHits }), nl)
+		load(&n.spillHits), nl)
 	r.CounterFunc("cascade_gw_promotions_total", "Spilled objects promoted back to the memory tier.",
-		lockedCount(func() int64 { return n.promotions }), nl)
+		load(&n.promotions), nl)
 	r.CounterFunc("cascade_gw_disk_corrupt_total", "Disk-tier reads discarded on CRC or format mismatch.",
 		bodyStats(func(s store.Stats) float64 { return float64(s.CorruptReads) }), nl)
 	r.GaugeFunc("cascade_gw_spill_used_bytes", "Bytes currently held by the disk spill tier.",
@@ -100,11 +92,11 @@ func (n *Node) MetricsRegistry() *metrics.Registry {
 	n.reqHist = r.Summary("cascade_gw_request_seconds",
 		"Wall-clock latency of data-path requests at this node, all outcomes.", nl)
 
-	r.GaugeFunc("cascade_gw_cache_used_bytes", "Bytes held by the object cache.", lockedCount(func() int64 { return n.st.Used() }), nl)
-	r.GaugeFunc("cascade_gw_cache_capacity_bytes", "Object cache capacity.", lockedCount(func() int64 { return n.st.Capacity() }), nl)
-	r.GaugeFunc("cascade_gw_cache_objects", "Objects held by the cache.", lockedCount(func() int64 { return int64(n.st.StoreLen()) }), nl)
-	r.GaugeFunc("cascade_gw_dcache_descriptors", "Descriptors held by the d-cache.", lockedCount(func() int64 { return int64(n.st.DCacheLen()) }), nl)
-	r.GaugeFunc("cascade_node_shards", "Shard count of the node's partitioned protocol state.", lockedCount(func() int64 { return int64(n.st.ShardCount()) }), nl)
+	r.GaugeFunc("cascade_gw_cache_used_bytes", "Bytes held by the object cache.", func() float64 { return float64(n.st.Used()) }, nl)
+	r.GaugeFunc("cascade_gw_cache_capacity_bytes", "Object cache capacity.", func() float64 { return float64(n.st.Capacity()) }, nl)
+	r.GaugeFunc("cascade_gw_cache_objects", "Objects held by the cache.", func() float64 { return float64(n.st.StoreLen()) }, nl)
+	r.GaugeFunc("cascade_gw_dcache_descriptors", "Descriptors held by the d-cache.", func() float64 { return float64(n.st.DCacheLen()) }, nl)
+	r.GaugeFunc("cascade_node_shards", "Shard count of the node's partitioned protocol state.", func() float64 { return float64(n.st.ShardCount()) }, nl)
 
 	n.reg = r
 	return r
@@ -116,24 +108,15 @@ func (n *Node) MetricsRegistry() *metrics.Registry {
 // leaves the stale indices reading zero). Counters are atomics on the shard,
 // read lock-free at scrape time.
 func (n *Node) registerShardSeries() {
-	n.mu.Lock()
 	reg, from, to := n.reg, n.shardSeries, n.st.ShardCount()
-	if to > n.shardSeries {
-		n.shardSeries = to
-	}
-	n.mu.Unlock()
-	shardState := func() *engine.Sharded {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return n.st
-	}
+	n.shardSeries = max(n.shardSeries, to)
 	nl := metrics.L("node", nodeName(n.ID))
 	for s := from; s < to; s++ {
 		s := s
 		sl := metrics.L("shard", strconv.Itoa(s))
 		read := func(f func(st *engine.Sharded) int64) func() float64 {
 			return func() float64 {
-				if st := shardState(); s < st.ShardCount() {
+				if st := n.st; s < st.ShardCount() {
 					return float64(f(st))
 				}
 				return 0

@@ -153,9 +153,7 @@ func TestRelayKernelShortUpstream(t *testing.T) {
 		if i < 2 && c.idle(i) != 0 {
 			t.Errorf("node %d pooled the upstream connection that fell short", i)
 		}
-		n.mu.Lock()
-		inserts, mem, used := n.inserts, n.bodies.Stats().MemBytes, n.st.Used()
-		n.mu.Unlock()
+		inserts, mem, used := n.inserts.Load(), n.bodies.Stats().MemBytes, n.st.Used()
 		if inserts != 0 || mem != used {
 			t.Errorf("node %d: %d inserts, MemBytes %d, Used %d; want nothing placed and MemBytes = Used", i, inserts, mem, used)
 		}

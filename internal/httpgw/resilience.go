@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
+	"math/rand/v2"
 	"net/http"
 	"time"
 
@@ -117,13 +117,7 @@ func (n *Node) sleep(d time.Duration) {
 // synchronized retries from sibling nodes spread out.
 func (n *Node) backoff(attempt int) time.Duration {
 	base := n.retryBase() << uint(attempt)
-	n.mu.Lock()
-	if n.rng == nil {
-		n.rng = rand.New(rand.NewSource(int64(n.ID) + 1))
-	}
-	j := time.Duration(n.rng.Int63n(int64(base) + 1))
-	n.mu.Unlock()
-	return base + j
+	return base + rand.N(base+1)
 }
 
 // retryableStatus reports whether an upstream status is worth retrying:
@@ -193,7 +187,7 @@ func (n *Node) breakerFailureLocked(now float64) {
 		// The probe failed: straight back to open.
 		n.breaker = BreakerOpen
 		n.breakerOpenedAt = now
-		n.breakerOpens++
+		n.breakerOpens.Add(1)
 		n.recordBreakerLocked(now)
 		return
 	}
@@ -201,7 +195,7 @@ func (n *Node) breakerFailureLocked(now float64) {
 	if n.breakerFails >= n.breakerThreshold() && n.breaker == BreakerClosed {
 		n.breaker = BreakerOpen
 		n.breakerOpenedAt = now
-		n.breakerOpens++
+		n.breakerOpens.Add(1)
 		n.recordBreakerLocked(now)
 	}
 }
@@ -260,9 +254,7 @@ func (n *Node) fetchUpstream(req *http.Request) (*http.Response, error) {
 		if attempt >= n.maxRetries() {
 			break
 		}
-		n.mu.Lock()
-		n.retries++
-		n.mu.Unlock()
+		n.retries.Add(1)
 		n.sleep(n.backoff(attempt))
 	}
 	n.mu.Lock()
@@ -290,9 +282,7 @@ func (n *Node) serveDegraded(w http.ResponseWriter, r *http.Request) bool {
 		return true
 	}
 	defer resp.Body.Close()
-	n.mu.Lock()
-	n.degraded++
-	n.mu.Unlock()
+	n.degraded.Add(1)
 	w.Header().Set(HeaderDegraded, "1")
 	w.Header().Set(HeaderHit, "origin")
 	if tag := resp.Header.Get("ETag"); tag != "" {

@@ -553,9 +553,7 @@ func TestPassThroughForwardsGeneration(t *testing.T) {
 		}
 		return upstreamReply(http.StatusOK, 4, []byte("abcd"), HeaderGen, "9")
 	})}
-	n.mu.Lock()
-	n.member = controlplane.Removed
-	n.mu.Unlock()
+	n.member.Store(uint32(controlplane.Removed))
 
 	plain := httptest.NewRequest(http.MethodGet, "/objects/3", nil)
 	plain.Header.Set(HeaderPath, "0;-;-;1")

@@ -33,26 +33,22 @@ func (n *Node) EnableSpans(policy span.Policy, capacity int) {
 	if capacity <= 0 {
 		capacity = DefaultSpanCapacity
 	}
-	n.mu.Lock()
 	n.tracer = span.NewTracer(policy)
-	n.mu.Unlock()
 	n.setRing(capacity)
 }
 
 // setRing replaces the node's span ring with one of capacity records —
 // none when capacity <= 0: events are dropped, audit violations still
 // count — and points the protocol state and the auditor's violation sink
-// at it. The sink holds the ring itself: it may fire inside protocol steps
-// that hold n.mu and must not lock it. Call before serving.
+// at it. Call before serving: protocol steps read the ring without a
+// lock.
 func (n *Node) setRing(capacity int) {
 	var r *span.Ring
 	if capacity > 0 {
 		r = span.NewRing(capacity)
 	}
-	n.mu.Lock()
 	n.spans = r
 	n.st.SetRing(r)
-	n.mu.Unlock()
 	engine.RecordViolations(n.auditor, func(model.NodeID) *span.Ring { return r })
 }
 

@@ -178,8 +178,8 @@ func TestWideNodeIDNotTruncated(t *testing.T) {
 	n := NewNode(1, hostileUpstream(t, map[string]string{HeaderPlace: "4294967297"}), 1, 1<<20, 64, func() float64 { return 0 })
 	rec := httptest.NewRecorder()
 	n.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/objects/5", nil))
-	if rec.Code != http.StatusOK || n.inserts != 0 || n.Contains(5) {
-		t.Errorf("status %d, %d inserts: node 1 took a placement addressed to node 4294967297", rec.Code, n.inserts)
+	if rec.Code != http.StatusOK || n.inserts.Load() != 0 || n.Contains(5) {
+		t.Errorf("status %d, %d inserts: node 1 took a placement addressed to node 4294967297", rec.Code, n.inserts.Load())
 	}
 	req := httptest.NewRequest(http.MethodGet, "/objects/5", nil)
 	req.Header.Set(HeaderPath, "4294967297;1;1;0.1")
@@ -205,8 +205,8 @@ func TestNonFiniteNumbersRefused(t *testing.T) {
 	n := NewNode(0, up, 1, 1<<20, 64, func() float64 { return 0 })
 	rec := httptest.NewRecorder()
 	n.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/objects/5", nil))
-	if rec.Code != http.StatusOK || n.inserts != 1 {
-		t.Fatalf("status %d, %d inserts: the placement itself must survive a bad prediction", rec.Code, n.inserts)
+	if rec.Code != http.StatusOK || n.inserts.Load() != 1 {
+		t.Fatalf("status %d, %d inserts: the placement itself must survive a bad prediction", rec.Code, n.inserts.Load())
 	}
 	if got := scrapeCounter(t, n, `cascade_ledger_predicted_gain{node="0"}`); got != "0" {
 		t.Errorf("ledger predicted gain reads %s after a NaN prediction, want 0", got)
@@ -439,8 +439,8 @@ func TestOversizedPathRefused(t *testing.T) {
 	if got := scrapeCounter(t, o, `cascade_gw_bad_header_total{header="path",node="origin"}`); got != "1" {
 		t.Errorf("origin counted %s bad paths, want 1", got)
 	}
-	if n.misses != 0 {
-		t.Errorf("refused requests still took %d protocol steps", n.misses)
+	if n.misses.Load() != 0 {
+		t.Errorf("refused requests still took %d protocol steps", n.misses.Load())
 	}
 	// The bound itself is generous: a path at the cap is served.
 	req := httptest.NewRequest(http.MethodGet, "/objects/1", nil)

@@ -198,15 +198,6 @@ func (t *Tiered) Get(id model.ObjectID) ([]byte, Meta, Source) {
 	return nil, Meta{}, SrcNone
 }
 
-// GetMemory probes only the memory tier (the protocol hit path: the
-// descriptor store said the object is cached, so its bytes must be here).
-func (t *Tiered) GetMemory(id model.ObjectID) ([]byte, Meta, bool) {
-	t.mu.Lock()
-	e, ok := t.mem[id]
-	t.mu.Unlock()
-	return e.body, e.meta, ok
-}
-
 // Contains reports which tier, if any, holds the object (without the cost
 // of a CRC-verified read).
 func (t *Tiered) Contains(id model.ObjectID) Source {
@@ -283,15 +274,10 @@ func (t *Tiered) SpillAll() {
 	}
 }
 
-// Delete drops an object from every tier.
-func (t *Tiered) Delete(id model.ObjectID) {
-	t.DeleteUnless(id, func(model.ObjectID) bool { return false })
-}
-
-// DeleteUnless is Delete for a caller whose demotion may already be stale:
-// keep is asked, under the tier's lock, whether the object is resident again
-// (a concurrent placement stored fresh bytes), and nothing is dropped if it
-// is. keep must not call back into the tier.
+// DeleteUnless drops an object from every tier, unless keep, asked under
+// the tier's lock, reports it resident again — a concurrent placement
+// stored fresh bytes since the caller's demotion. keep must not call back
+// into the tier.
 func (t *Tiered) DeleteUnless(id model.ObjectID, keep func(model.ObjectID) bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
