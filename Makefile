@@ -49,10 +49,19 @@ dataplane:
 # Rolling-reconfiguration smoke (not tier-1): upgrade the 100-node default
 # cascade one batch at a time under sustained load; the job fails on any
 # audit violation, a hit-rate dip beyond 5 percentage points, or a vacuous
-# cost ledger (driver: cmd/cascadesim -exp rolling).
+# cost ledger (driver: cmd/cascadesim -exp rolling). Then the control plane
+# both incarnations run (internal/controlplane: the membership Manager and
+# the probe threshold machine), under the race detector: its own suite, the
+# cluster's drain/admit cycle against the simulator
+# (TestDrainAdmitCycleConforms), and the gateway's admin endpoints and
+# upstream prober, an admit refused while a drain runs and the epoch and
+# event records of a scripted transition sequence (internal/httpgw).
 rolling:
 	$(GO) run ./cmd/cascadesim -exp rolling -arch enroute \
 		-objects 2000 -requests 30000 -clients 200 -servers 40
+	$(GO) test -race -count=1 ./internal/controlplane/
+	$(GO) test -race -count=1 -run 'TestDrainAdmitCycleConforms' ./internal/conformance/
+	$(GO) test -race -count=1 -run 'TestAdmin|TestUpstreamProber|TestAdmitDuringDrainRefused|TestControlPlaneRecord' ./internal/httpgw/
 
 # Coherency gate: a CAS-strict load run against an in-process 3-gateway
 # chain — any response served below a completed write's generation fails the

@@ -8,18 +8,19 @@
 // routing view they started with while new requests pick up the changed
 // membership.
 //
-// The package is transport-agnostic: the cluster (internal/runtime)
-// and the HTTP gateway (internal/httpgw) both consult the same Manager
-// surface, so a drained node behaves identically whichever transport hosts
-// it — it stops offering placement candidacy, spills its descriptors to
-// its parent, and departs. cmd/importguard pins the dependency surface to
-// the standard library plus internal/model, internal/metrics and
-// internal/topology.
+// The package is transport-agnostic: the cluster (internal/runtime) and
+// the HTTP gateway (internal/httpgw) both run a Manager — the cluster one
+// slot per cache, each gateway node two, itself (slot 0) and its upstream
+// (slot 1) — and both probe with the same threshold machine (Streak), so a
+// drained node behaves identically whichever transport hosts it: it stops
+// offering placement candidacy, spills its descriptors to its parent, and
+// departs, and only a removed node is admitted again. cmd/importguard pins
+// the dependency surface to the standard library plus internal/model,
+// internal/metrics and internal/topology.
 package controlplane
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -121,24 +122,27 @@ type Event struct {
 // All methods are safe for concurrent use.
 type Manager struct {
 	mu      sync.Mutex
-	member  []MemberState
 	health  []Health
 	epoch   uint64
 	onEvent func(Event)
 
-	// routable mirrors member/health as one atomic flag per node, so the
-	// per-hop routing predicate never touches the lock. Updated inside
-	// every transition while m.mu is held.
+	// member (a MemberState per node) and routable (member Active and
+	// health not Down) are written inside every transition while m.mu is
+	// held and read without it, so StateOf and the per-hop routing
+	// predicate are one atomic load each.
+	member   []atomic.Uint32
 	routable []atomic.Bool
 
-	changes [numEvents]*metrics.Counter
+	// changes counts the transitions applied, by kind
+	// (cascade_membership_changes_total).
+	changes [numEvents]atomic.Uint64
 }
 
 // NewManager returns a manager over node IDs [0, n), all Active and
 // Healthy.
 func NewManager(n int) *Manager {
 	m := &Manager{
-		member:   make([]MemberState, n),
+		member:   make([]atomic.Uint32, n),
 		health:   make([]Health, n),
 		routable: make([]atomic.Bool, n),
 	}
@@ -157,14 +161,11 @@ func (m *Manager) SetOnEvent(fn func(Event)) { m.onEvent = fn }
 // cascade_membership_changes_total{event}.
 func (m *Manager) RegisterMetrics(reg *metrics.Registry) {
 	for k := EventKind(0); k < numEvents; k++ {
-		m.changes[k] = reg.Counter("cascade_membership_changes_total",
+		reg.CounterFunc("cascade_membership_changes_total",
 			"Membership and health transitions applied by the control plane.",
-			metrics.L("event", k.String()))
+			func() float64 { return float64(m.Changes(k)) }, metrics.L("event", k.String()))
 	}
-	m.mu.Lock()
-	n := len(m.member)
-	m.mu.Unlock()
-	for i := 0; i < n; i++ {
+	for i := range m.member {
 		id := model.NodeID(i)
 		reg.GaugeFunc("cascade_node_health",
 			"Probe-driven node health (0=healthy, 1=suspect, 2=down).",
@@ -174,11 +175,10 @@ func (m *Manager) RegisterMetrics(reg *metrics.Registry) {
 }
 
 // Len returns the size of the managed ID space.
-func (m *Manager) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.member)
-}
+func (m *Manager) Len() int { return len(m.member) }
+
+// Changes returns how many transitions of kind k the manager has applied.
+func (m *Manager) Changes(k EventKind) uint64 { return m.changes[k].Load() }
 
 // Epoch returns the current routing epoch.
 func (m *Manager) Epoch() uint64 {
@@ -187,14 +187,13 @@ func (m *Manager) Epoch() uint64 {
 	return m.epoch
 }
 
-// StateOf returns a node's membership state (Removed for unknown IDs).
+// StateOf returns a node's membership state (Removed for unknown IDs). The
+// read is one atomic load, so a transport can check membership per step.
 func (m *Manager) StateOf(id model.NodeID) MemberState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if int(id) < 0 || int(id) >= len(m.member) {
 		return Removed
 	}
-	return m.member[id]
+	return MemberState(m.member[id].Load())
 }
 
 // HealthOf returns a node's health (Down for unknown IDs).
@@ -221,68 +220,53 @@ func (m *Manager) Routable(id model.NodeID) bool {
 // emitLocked counts and snapshots a transition; the caller must hold m.mu
 // and fire the returned event (if any) after unlocking.
 func (m *Manager) emitLocked(k EventKind, id model.NodeID) (Event, bool) {
-	m.routable[id].Store(m.member[id] == Active && m.health[id] != Down)
+	member := MemberState(m.member[id].Load())
+	m.routable[id].Store(member == Active && m.health[id] != Down)
 	m.epoch++
-	if c := m.changes[k]; c != nil {
-		c.Inc()
-	}
+	m.changes[k].Add(1)
 	if m.onEvent == nil {
 		return Event{}, false
 	}
-	return Event{Kind: k, Node: id, Member: m.member[id], Health: m.health[id], Epoch: m.epoch}, true
+	return Event{Kind: k, Node: id, Member: member, Health: m.health[id], Epoch: m.epoch}, true
 }
 
-// Admit (re)activates a node: Removed or Draining → Active. It reports
-// whether a transition happened (false when already Active or unknown).
-func (m *Manager) Admit(id model.NodeID) bool {
+// move applies a membership transition: node id, when in state from,
+// moves to state to (an admitted node starts Healthy), and the transition
+// k is emitted. Reports whether a transition happened (false when id is
+// unknown or not in from).
+func (m *Manager) move(id model.NodeID, from, to MemberState, k EventKind) bool {
 	m.mu.Lock()
-	if int(id) < 0 || int(id) >= len(m.member) || m.member[id] == Active {
+	if int(id) < 0 || int(id) >= len(m.member) || MemberState(m.member[id].Load()) != from {
 		m.mu.Unlock()
 		return false
 	}
-	m.member[id] = Active
-	m.health[id] = Healthy
-	ev, fire := m.emitLocked(EventAdmit, id)
+	m.member[id].Store(uint32(to))
+	if to == Active {
+		m.health[id] = Healthy
+	}
+	ev, fire := m.emitLocked(k, id)
 	m.mu.Unlock()
 	if fire {
 		m.onEvent(ev)
 	}
 	return true
 }
+
+// Admit returns a departed node to service: Removed → Active, Healthy. A
+// Draining node is not admitted — its drain is still running and will
+// remove it — nor is an Active or unknown one. Reports whether a
+// transition happened.
+func (m *Manager) Admit(id model.NodeID) bool { return m.move(id, Removed, Active, EventAdmit) }
 
 // StartDrain moves an Active node to Draining: it leaves the routing view
 // (the epoch bumps) but keeps serving requests already routed through it.
 // Reports whether a transition happened.
-func (m *Manager) StartDrain(id model.NodeID) bool {
-	m.mu.Lock()
-	if int(id) < 0 || int(id) >= len(m.member) || m.member[id] != Active {
-		m.mu.Unlock()
-		return false
-	}
-	m.member[id] = Draining
-	ev, fire := m.emitLocked(EventDrain, id)
-	m.mu.Unlock()
-	if fire {
-		m.onEvent(ev)
-	}
-	return true
-}
+func (m *Manager) StartDrain(id model.NodeID) bool { return m.move(id, Active, Draining, EventDrain) }
 
 // FinishDrain completes a drain: Draining → Removed. Reports whether a
 // transition happened.
 func (m *Manager) FinishDrain(id model.NodeID) bool {
-	m.mu.Lock()
-	if int(id) < 0 || int(id) >= len(m.member) || m.member[id] != Draining {
-		m.mu.Unlock()
-		return false
-	}
-	m.member[id] = Removed
-	ev, fire := m.emitLocked(EventRemove, id)
-	m.mu.Unlock()
-	if fire {
-		m.onEvent(ev)
-	}
-	return true
+	return m.move(id, Draining, Removed, EventRemove)
 }
 
 // SetHealth records a node's health classification (typically from a
@@ -310,12 +294,11 @@ func (m *Manager) Members(s MemberState) []model.NodeID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]model.NodeID, 0)
-	for i, st := range m.member {
-		if st == s {
+	for i := range m.member {
+		if MemberState(m.member[i].Load()) == s {
 			out = append(out, model.NodeID(i))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

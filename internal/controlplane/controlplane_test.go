@@ -177,6 +177,47 @@ func TestCheckerThresholds(t *testing.T) {
 	}
 }
 
+// TestAdmitOnlyRemoved: a draining node is not admitted — its drain will
+// remove it — and a removed one is, healthy again.
+func TestAdmitOnlyRemoved(t *testing.T) {
+	m := NewManager(1)
+	m.SetHealth(0, Down)
+	m.StartDrain(0)
+	if m.Admit(0) || m.StateOf(0) != Draining {
+		t.Fatalf("admit of a draining node: state %v, want draining", m.StateOf(0))
+	}
+	m.FinishDrain(0)
+	if !m.Admit(0) || m.StateOf(0) != Active || m.HealthOf(0) != Healthy {
+		t.Fatalf("admit of a removed node: %v, %v; want active, healthy", m.StateOf(0), m.HealthOf(0))
+	}
+}
+
+// TestStreakConcurrentObserve feeds one node's streak from several
+// goroutines at once: every failure counts, so the node ends Down, and
+// then the default two successes restore it.
+func TestStreakConcurrentObserve(t *testing.T) {
+	m := NewManager(1)
+	var s Streak
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.Observe(m, 0, false, 4, 0)
+		}()
+	}
+	wg.Wait()
+	if got := m.HealthOf(0); got != Down {
+		t.Fatalf("after 4 concurrent failures: %v, want down", got)
+	}
+	if got := s.Observe(m, 0, true, 0, 0); got != Down {
+		t.Fatalf("after 1 success: %v, want still down", got)
+	}
+	if got := s.Observe(m, 0, true, 0, 0); got != Healthy {
+		t.Fatalf("after 2 successes: %v, want healthy", got)
+	}
+}
+
 func TestCheckerSkipsNonActive(t *testing.T) {
 	m := NewManager(2)
 	m.StartDrain(1)

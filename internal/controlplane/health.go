@@ -22,7 +22,7 @@ type CheckerConfig struct {
 }
 
 // Checker is the active health prober: a periodic probe per node with
-// consecutive failure/success thresholds driving the
+// consecutive failure/success thresholds (a Streak per node) driving the
 // healthy → suspect → down state machine in a Manager. It is the active
 // counterpart of the gateways' passive circuit breaker — the breaker
 // reacts to real traffic failing, the checker detects sickness before (or
@@ -31,79 +31,105 @@ type CheckerConfig struct {
 // Tests drive it deterministically with Tick; deployments start the
 // background loop with Run.
 type Checker struct {
-	cfg CheckerConfig
-	mgr *Manager
-
-	mu    sync.Mutex
-	fails []int
-	oks   []int
+	cfg     CheckerConfig
+	mgr     *Manager
+	streaks []Streak
 }
 
 // NewChecker returns a checker feeding the manager. The checker probes
 // every node the manager knows; nodes not currently Active are skipped (a
 // drained node is not sick, it is gone).
 func NewChecker(mgr *Manager, cfg CheckerConfig) *Checker {
-	if cfg.FailureThreshold <= 0 {
-		cfg.FailureThreshold = 3
-	}
-	if cfg.SuccessThreshold <= 0 {
-		cfg.SuccessThreshold = 2
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = time.Second
-	}
-	n := mgr.Len()
-	return &Checker{cfg: cfg, mgr: mgr, fails: make([]int, n), oks: make([]int, n)}
+	return &Checker{cfg: cfg, mgr: mgr, streaks: make([]Streak, mgr.Len())}
 }
 
-// Tick probes every Active node once and applies the threshold state
-// machine: any failure marks a Healthy node Suspect immediately,
-// FailureThreshold consecutive failures mark it Down, SuccessThreshold
-// consecutive successes return it to Healthy.
+// Tick probes every Active node once and feeds the outcome to the node's
+// Streak; a node that is not Active has its streak forgotten.
 func (c *Checker) Tick() {
-	n := c.mgr.Len()
-	for i := 0; i < n; i++ {
+	for i := range c.streaks {
 		id := model.NodeID(i)
 		if c.mgr.StateOf(id) != Active {
-			c.mu.Lock()
-			c.fails[i], c.oks[i] = 0, 0
-			c.mu.Unlock()
+			c.streaks[i].Reset()
 			continue
 		}
-		ok := c.cfg.Probe(id)
-		c.mu.Lock()
-		if ok {
-			c.oks[i]++
-			c.fails[i] = 0
-			oks := c.oks[i]
-			c.mu.Unlock()
-			if oks >= c.cfg.SuccessThreshold {
-				c.mgr.SetHealth(id, Healthy)
-			}
-			continue
-		}
-		c.fails[i]++
-		c.oks[i] = 0
-		fails := c.fails[i]
-		c.mu.Unlock()
-		if fails >= c.cfg.FailureThreshold {
-			c.mgr.SetHealth(id, Down)
-		} else if c.mgr.HealthOf(id) == Healthy {
-			c.mgr.SetHealth(id, Suspect)
-		}
+		c.streaks[i].Observe(c.mgr, id, c.cfg.Probe(id), c.cfg.FailureThreshold, c.cfg.SuccessThreshold)
 	}
 }
 
 // Run ticks every Interval until stop is closed. Call in a goroutine.
-func (c *Checker) Run(stop <-chan struct{}) {
-	t := time.NewTicker(c.cfg.Interval)
+func (c *Checker) Run(stop <-chan struct{}) { Every(c.cfg.Interval, stop, c.Tick) }
+
+// The probe defaults, for the Checker and for every other active prober
+// (the gateway's upstream prober): a threshold or an interval ≤ 0 means
+// these.
+const (
+	defaultFailureThreshold = 3
+	defaultSuccessThreshold = 2
+	defaultInterval         = time.Second
+)
+
+// Streak is the probe threshold machine of one node: it counts consecutive
+// probe outcomes and walks the node's health in a Manager through
+// healthy → suspect → down and back. The Checker keeps one per node, a
+// gateway node one for its upstream. Safe for concurrent use.
+type Streak struct {
+	mu         sync.Mutex
+	fails, oks int
+}
+
+// Observe feeds one probe outcome for node id into the streak and records
+// the health it implies in m: any failure marks a Healthy node Suspect at
+// once, failureThreshold consecutive failures mark it Down (default 3),
+// successThreshold consecutive successes return it to Healthy (default 2).
+// It returns the node's health after the probe.
+func (s *Streak) Observe(m *Manager, id model.NodeID, ok bool, failureThreshold, successThreshold int) Health {
+	if failureThreshold <= 0 {
+		failureThreshold = defaultFailureThreshold
+	}
+	if successThreshold <= 0 {
+		successThreshold = defaultSuccessThreshold
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	h := m.HealthOf(id)
+	if ok {
+		s.oks, s.fails = s.oks+1, 0
+		if s.oks >= successThreshold {
+			h = Healthy
+		}
+	} else {
+		s.fails, s.oks = s.fails+1, 0
+		if s.fails >= failureThreshold {
+			h = Down
+		} else if h == Healthy {
+			h = Suspect
+		}
+	}
+	m.SetHealth(id, h)
+	return h
+}
+
+// Reset forgets the streak's counts.
+func (s *Streak) Reset() {
+	s.mu.Lock()
+	s.fails, s.oks = 0, 0
+	s.mu.Unlock()
+}
+
+// Every calls tick every interval (default 1s) until stop is closed. Call
+// in a goroutine.
+func Every(interval time.Duration, stop <-chan struct{}, tick func()) {
+	if interval <= 0 {
+		interval = defaultInterval
+	}
+	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
 		select {
 		case <-stop:
 			return
 		case <-t.C:
-			c.Tick()
+			tick()
 		}
 	}
 }

@@ -11,18 +11,22 @@ import (
 
 	"cascade/internal/cache"
 	"cascade/internal/controlplane"
+	"cascade/internal/model"
 	"cascade/internal/span"
 )
 
-// The gateway's control-plane surface. Each node manages its own membership
-// and advertised health — there is no central registry on this transport, so
-// the admin endpoints below are the wire form of runtime.Cluster's
-// Admit/Drain/SetHealth:
+// The gateway's control-plane surface. Each node runs a controlplane.Manager
+// of its own, the one the cluster runs — there is no central registry on
+// this transport: slot 0 is the node itself, whatever its ID, and slot 1 its
+// upstream. The admin endpoints below are the wire form of runtime.Cluster's
+// Admit/Drain/SetHealth, with the cluster's rules (a drain only from Active,
+// an admit only once the drain has removed the node):
 //
 //	POST /cascade/admin/drain   cooperative departure: empty the cache,
 //	                            spill the descriptors to the upstream's
 //	                            d-cache, then serve pass-through only
-//	POST /cascade/admin/admit   rejoin (empty) after a drain
+//	POST /cascade/admin/admit   rejoin (empty) after a drain; 409 while
+//	                            the drain still runs
 //	POST /cascade/admin/absorb  receive a departing downstream's spill
 //	                            (gob-encoded []cache.DescriptorSnapshot)
 //	GET  /cascade/admin/health  membership + health as JSON
@@ -42,78 +46,52 @@ import (
 var ErrUpstreamDown = errors.New("httpgw: upstream probed down")
 
 // UpstreamHealthConfig tunes the node's active upstream prober
-// (StartUpstreamHealthCheck). The thresholds mirror
-// controlplane.CheckerConfig: FailureThreshold consecutive probe failures
-// mark the upstream Down (the first failure alone makes it Suspect);
-// SuccessThreshold consecutive successes restore Healthy.
+// (StartUpstreamHealthCheck), which runs controlplane.CheckerConfig's
+// threshold machine (controlplane.Streak) on the upstream:
+// FailureThreshold consecutive probe failures mark the upstream Down (the
+// first failure alone makes it Suspect); SuccessThreshold consecutive
+// successes restore Healthy. A field ≤ 0 takes the Checker's default (3
+// failures, 2 successes, 1s).
 type UpstreamHealthConfig struct {
-	Interval         time.Duration // probe period; default 1s
-	FailureThreshold int           // default 3
-	SuccessThreshold int           // default 2
+	Interval         time.Duration // probe period
+	FailureThreshold int
+	SuccessThreshold int
 }
 
-func (c UpstreamHealthConfig) withDefaults() UpstreamHealthConfig {
-	if c.Interval <= 0 {
-		c.Interval = time.Second
-	}
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 3
-	}
-	if c.SuccessThreshold <= 0 {
-		c.SuccessThreshold = 2
-	}
-	return c
-}
+// The node's two slots in its Manager.
+const (
+	selfSlot model.NodeID = 0
+	upSlot   model.NodeID = 1
+)
 
-// recordTransitionLocked bumps the node's control-plane epoch, counts the
-// transition and records its event. Caller holds n.mu. Self events carry
-// B=0; upstream-probe health events carry B=1 (a record has one Node
-// field, and both kinds of event belong to this node's timeline).
-func (n *Node) recordTransitionLocked(k controlplane.EventKind, upstream bool, now float64) {
-	n.cpEpoch++
-	if c := n.changes[k]; c != nil {
-		c.Inc()
+// recordTransition writes the event record of a control-plane transition,
+// shaped as the cluster's (runtime.NewCluster): A is the epoch after it, N
+// the membership or the health. The upstream slot's records carry B=1 (a
+// record has one Node field, and both kinds of event belong to this node's
+// timeline).
+func (n *Node) recordTransition(ev controlplane.Event) {
+	e := span.Event(span.PhaseMembership, n.ID, n.Clock())
+	e.A, e.N = float64(ev.Epoch), int(ev.Member)
+	if ev.Kind == controlplane.EventHealthChange {
+		e.Phase, e.N = span.PhaseHealth, int(ev.Health)
 	}
-	e := span.Event(span.PhaseMembership, n.ID, now)
-	e.A, e.N = float64(n.cpEpoch), int(n.Member())
-	if k == controlplane.EventHealthChange {
-		e.Phase, e.N = span.PhaseHealth, int(n.selfHealth)
-		if upstream {
-			e.N, e.B = int(n.upHealth), 1
-		}
+	if ev.Node == upSlot {
+		e.B = 1
 	}
 	n.spans.Add(e)
 }
 
 // Member returns the node's membership state.
-func (n *Node) Member() controlplane.MemberState {
-	return controlplane.MemberState(n.member.Load())
-}
+func (n *Node) Member() controlplane.MemberState { return n.cp.StateOf(selfSlot) }
 
 // active reports whether the node takes protocol steps: its membership is
-// Active. A step checks it inside the drain fence (Node.fence).
+// Active, one atomic load. A step checks it inside the drain fence
+// (Node.fence).
 func (n *Node) active() bool { return n.Member() == controlplane.Active }
-
-// setMemberLocked moves the node to membership m and records the
-// transition k. Caller holds n.mu.
-func (n *Node) setMemberLocked(m controlplane.MemberState, k controlplane.EventKind, now float64) {
-	n.member.Store(uint32(m))
-	n.recordTransitionLocked(k, false, now)
-}
 
 // UpstreamHealth returns the prober's current classification of the
 // upstream (Healthy until the first probe says otherwise).
-func (n *Node) UpstreamHealth() controlplane.Health {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.upHealth
-}
-
-// serving reports whether the node participates in the protocol (Active
-// membership, not marked down by an operator). Caller holds n.mu.
-func (n *Node) servingLocked() bool {
-	return n.active() && n.selfHealth != controlplane.Down
-}
+func (n *Node) UpstreamHealth() controlplane.Health { return n.cp.HealthOf(upSlot) }
 
 // serveAdmin routes the /cascade/admin/* endpoints.
 func (n *Node) serveAdmin(w http.ResponseWriter, r *http.Request, now float64) {
@@ -129,7 +107,7 @@ func (n *Node) serveAdmin(w http.ResponseWriter, r *http.Request, now float64) {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
-		n.adminAdmit(w, now)
+		n.adminAdmit(w)
 	case "/cascade/admin/absorb":
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -143,7 +121,7 @@ func (n *Node) serveAdmin(w http.ResponseWriter, r *http.Request, now float64) {
 		}
 		n.adminInvalidate(w, r, now)
 	case "/cascade/admin/health":
-		n.adminHealth(w, r, now)
+		n.adminHealth(w, r)
 	default:
 		http.Error(w, "unknown admin endpoint", http.StatusNotFound)
 	}
@@ -161,14 +139,14 @@ type controlState struct {
 	Absorbed       int    `json:"absorbed,omitempty"`
 }
 
-func (n *Node) stateLocked() controlState {
+func (n *Node) state() controlState {
 	return controlState{
 		Node:           int(n.ID),
 		Upstream:       n.Upstream,
 		Member:         n.Member().String(),
-		Health:         n.selfHealth.String(),
-		UpstreamHealth: n.upHealth.String(),
-		Epoch:          n.cpEpoch,
+		Health:         n.cp.HealthOf(selfSlot).String(),
+		UpstreamHealth: n.UpstreamHealth().String(),
+		Epoch:          n.cp.Epoch(),
 	}
 }
 
@@ -185,15 +163,10 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // step that enters sees a relay, and the drain waits out the steps that
 // entered before, so no placement lands behind it.
 func (n *Node) adminDrain(w http.ResponseWriter, now float64) {
-	n.mu.Lock()
-	if !n.active() {
-		st := n.stateLocked()
-		n.mu.Unlock()
-		writeJSON(w, http.StatusConflict, st)
+	if !n.cp.StartDrain(selfSlot) {
+		writeJSON(w, http.StatusConflict, n.state())
 		return
 	}
-	n.setMemberLocked(controlplane.Draining, controlplane.EventDrain, now)
-	n.mu.Unlock()
 	n.fence.WaitBefore(n.fence.Bump())
 
 	snaps := n.st.DrainDescriptors(now)
@@ -212,10 +185,8 @@ func (n *Node) adminDrain(w http.ResponseWriter, now float64) {
 
 	absorbed := n.spill(snaps)
 
-	n.mu.Lock()
-	n.setMemberLocked(controlplane.Removed, controlplane.EventRemove, now)
-	st := n.stateLocked()
-	n.mu.Unlock()
+	n.cp.FinishDrain(selfSlot)
+	st := n.state()
 	st.Drained = len(snaps)
 	st.Absorbed = absorbed
 	writeJSON(w, http.StatusOK, st)
@@ -248,21 +219,15 @@ func (n *Node) spill(snaps []cache.DescriptorSnapshot) int {
 	return st.Absorbed
 }
 
-// adminAdmit returns a drained (or draining) node to Active service. The
-// node rejoins empty — its state left with the drain.
-func (n *Node) adminAdmit(w http.ResponseWriter, now float64) {
-	n.mu.Lock()
-	if n.active() {
-		st := n.stateLocked()
-		n.mu.Unlock()
-		writeJSON(w, http.StatusConflict, st)
-		return
+// adminAdmit returns a removed node to Active service, healthy. The node
+// rejoins empty — its state left with the drain. An active node, or one
+// whose drain still runs, is refused with 409.
+func (n *Node) adminAdmit(w http.ResponseWriter) {
+	code := http.StatusOK
+	if !n.cp.Admit(selfSlot) {
+		code = http.StatusConflict
 	}
-	n.selfHealth = controlplane.Healthy
-	n.setMemberLocked(controlplane.Active, controlplane.EventAdmit, now)
-	st := n.stateLocked()
-	n.mu.Unlock()
-	writeJSON(w, http.StatusOK, st)
+	writeJSON(w, code, n.state())
 }
 
 // maxReplyBytes caps a JSON reply read from a peer — an absorb or an
@@ -299,9 +264,7 @@ func (n *Node) adminAbsorb(w http.ResponseWriter, r *http.Request, now float64) 
 		absorbed = n.st.Absorb(snaps, now)
 	}
 	n.fence.Exit(e)
-	n.mu.Lock()
-	st := n.stateLocked()
-	n.mu.Unlock()
+	st := n.state()
 	if !ok {
 		writeJSON(w, http.StatusConflict, st)
 		return
@@ -314,27 +277,18 @@ func (n *Node) adminAbsorb(w http.ResponseWriter, r *http.Request, now float64) 
 // the node's advertised health. A node marked down keeps serving protocol
 // traffic it receives — the override's effect is on the probe endpoint, so
 // the downstream's checker routes around it, exactly like a probed failure.
-func (n *Node) adminHealth(w http.ResponseWriter, r *http.Request, now float64) {
+func (n *Node) adminHealth(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		n.mu.Lock()
-		st := n.stateLocked()
-		n.mu.Unlock()
-		writeJSON(w, http.StatusOK, st)
+		writeJSON(w, http.StatusOK, n.state())
 	case http.MethodPost:
 		h, err := controlplane.ParseHealth(r.URL.Query().Get("state"))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		n.mu.Lock()
-		if n.selfHealth != h {
-			n.selfHealth = h
-			n.recordTransitionLocked(controlplane.EventHealthChange, false, now)
-		}
-		st := n.stateLocked()
-		n.mu.Unlock()
-		writeJSON(w, http.StatusOK, st)
+		n.cp.SetHealth(selfSlot, h)
+		writeJSON(w, http.StatusOK, n.state())
 	default:
 		http.Error(w, "GET or POST", http.StatusMethodNotAllowed)
 	}
@@ -344,23 +298,19 @@ func (n *Node) adminHealth(w http.ResponseWriter, r *http.Request, now float64) 
 // node participates in the protocol, 503 while it is draining, removed or
 // operator-marked down.
 func (n *Node) serveHealth(w http.ResponseWriter) {
-	n.mu.Lock()
-	serving := n.servingLocked()
-	st := n.stateLocked()
-	n.mu.Unlock()
 	code := http.StatusOK
-	if !serving {
+	if !n.cp.Routable(selfSlot) {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, st)
+	writeJSON(w, code, n.state())
 }
 
 // ProbeUpstream runs one synchronous health probe against the upstream's
-// /cascade/health endpoint and applies the threshold state machine. It
-// returns the resulting classification. Exported so tests (and operators'
-// tooling) can drive ticks without the background loop.
+// /cascade/health endpoint and feeds the outcome to the upstream slot's
+// threshold machine. It returns the resulting classification. Exported so
+// tests (and operators' tooling) can drive ticks without the background
+// loop.
 func (n *Node) ProbeUpstream(cfg UpstreamHealthConfig) controlplane.Health {
-	cfg = cfg.withDefaults()
 	ok := false
 	if n.Upstream != "" {
 		if resp, err := n.client().Get(n.Upstream + "/cascade/health"); err == nil {
@@ -369,29 +319,7 @@ func (n *Node) ProbeUpstream(cfg UpstreamHealthConfig) controlplane.Health {
 			ok = resp.StatusCode == http.StatusOK
 		}
 	}
-	now := n.Clock()
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	prev := n.upHealth
-	if ok {
-		n.upOks++
-		n.upFails = 0
-		if n.upOks >= cfg.SuccessThreshold {
-			n.upHealth = controlplane.Healthy
-		}
-	} else {
-		n.upFails++
-		n.upOks = 0
-		if n.upFails >= cfg.FailureThreshold {
-			n.upHealth = controlplane.Down
-		} else if n.upHealth == controlplane.Healthy {
-			n.upHealth = controlplane.Suspect
-		}
-	}
-	if n.upHealth != prev {
-		n.recordTransitionLocked(controlplane.EventHealthChange, true, now)
-	}
-	return n.upHealth
+	return n.upProbe.Observe(n.cp, upSlot, ok, cfg.FailureThreshold, cfg.SuccessThreshold)
 }
 
 // StartUpstreamHealthCheck launches the active upstream prober: every
@@ -401,17 +329,5 @@ func (n *Node) ProbeUpstream(cfg UpstreamHealthConfig) controlplane.Health {
 // request traffic to learn anything), so requests degrade to the origin
 // immediately. The goroutine exits when stop closes.
 func (n *Node) StartUpstreamHealthCheck(cfg UpstreamHealthConfig, stop <-chan struct{}) {
-	cfg = cfg.withDefaults()
-	go func() {
-		t := time.NewTicker(cfg.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				n.ProbeUpstream(cfg)
-			}
-		}
-	}()
+	go controlplane.Every(cfg.Interval, stop, func() { n.ProbeUpstream(cfg) })
 }

@@ -161,10 +161,10 @@ type Node struct {
 	// bench/ stops assigning it.
 	DisableBinaryFraming bool
 
-	// mu guards the control state: membership and health transitions with
-	// their event records, the upstream prober and the breaker. No protocol
-	// step runs under it — the engine's shard locks and the body store's
-	// tier lock guard everything a step touches, taken tier lock first.
+	// mu guards the circuit breaker (resilience.go) and nothing else. No
+	// protocol step runs under it — the engine's shard locks and the body
+	// store's tier lock guard everything a step touches, taken tier lock
+	// first — and the control plane is cp's.
 	mu sync.Mutex
 	// st is the node's protocol state and bodies its data plane: the
 	// in-memory payload tier plus, after EnableSpill, the disk-backed spill
@@ -239,17 +239,14 @@ type Node struct {
 	auditor *audit.Auditor
 	ledger  *audit.Ledger
 
-	// Control plane (guarded by mu): this node's membership and advertised
-	// health, the prober's view of the upstream, and the transition epoch.
-	// See admin.go for the endpoints that drive them. Membership changes
-	// under mu and is read atomically, so the request path takes no lock
-	// for it.
-	member         atomic.Uint32 // a controlplane.MemberState
-	selfHealth     controlplane.Health
-	upHealth       controlplane.Health
-	upFails, upOks int
-	cpEpoch        uint64
-	changes        map[controlplane.EventKind]*metrics.Counter
+	// cp is the node's control plane, the Manager the cluster runs: slot
+	// selfSlot holds this node's membership and advertised health, slot
+	// upSlot the prober's view of the upstream, and its epoch counts both
+	// slots' transitions (admin.go). Membership reads are one atomic load,
+	// so the request path takes no lock for them. upProbe is the upstream
+	// prober's threshold machine.
+	cp      *controlplane.Manager
+	upProbe controlplane.Streak
 
 	breaker                         BreakerState
 	breakerFails                    int
@@ -276,7 +273,9 @@ func NewNode(id model.NodeID, upstream string, upCost float64, capacity int64, d
 		dEntries: dEntries,
 		bodies:   bodies,
 		fence:    controlplane.NewEpochGuard(),
+		cp:       controlplane.NewManager(2),
 	}
+	n.cp.SetOnEvent(n.recordTransition)
 	reg := n.MetricsRegistry()
 	nl := metrics.L("node", nodeName(id))
 	n.auditor = audit.New(reg, nl)
@@ -703,7 +702,7 @@ func (n *Node) serveGet(w http.ResponseWriter, r *http.Request, g *getReq, resta
 			if up.Promoted {
 				n.promotions.Add(1)
 			}
-			n.serveHit(w, g, &up)
+			n.serveHit(w, r, g, up.Gen, &up)
 			return false
 		case !up.Revalidate:
 			n.misses.Add(1)
@@ -739,10 +738,16 @@ func (n *Node) rememberedMarker(g *getReq) (segMarker, bool) {
 	return segMarker{}, false
 }
 
-// serveHit answers from the node's own copy: the decision over the path
-// below it, then the bytes.
-func (n *Node) serveHit(w http.ResponseWriter, g *getReq, up *engine.UpResult) {
-	n.decide(w.Header(), g, decision{gen: up.Gen}, up.Meta.ETag)
+// serveHit answers from the node's own copy, at generation gen, as the
+// origin answers from its source: the decision over the path below it, then
+// a 304 when the request's If-None-Match names the copy's validator, else
+// the bytes.
+func (n *Node) serveHit(w http.ResponseWriter, r *http.Request, g *getReq, gen uint64, up *engine.UpResult) {
+	n.decide(w.Header(), g, decision{gen: gen}, up.Meta.ETag)
+	if up.Meta.ETag != "" && r.Header.Get("If-None-Match") == up.Meta.ETag {
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
 	writeBody(w, g.seg, up.Body)
 }
 
@@ -972,9 +977,10 @@ func (n *Node) relay(w io.Writer, body io.Reader) {
 }
 
 // revalidate issues a conditional GET upstream for the copy up, older than
-// Node.TTL, and reports whether it answered: from the copy on a 304, or —
-// stale-if-error — while the upstream is unreachable. Anything else drops
-// the copy, and the caller takes the step again, a miss.
+// Node.TTL, and reports whether it answered: from the copy on a 304, as a
+// hit answers (serveHit), or — stale-if-error, with no decision — while the
+// upstream is unreachable. Anything else drops the copy, and the caller
+// takes the step again, a miss.
 func (n *Node) revalidate(w http.ResponseWriter, r *http.Request, g *getReq, up *engine.UpResult) bool {
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, n.Upstream+r.URL.Path, nil)
 	if err != nil {
@@ -1006,7 +1012,18 @@ func (n *Node) revalidate(w http.ResponseWriter, r *http.Request, g *getReq, up 
 		e := span.Event(span.PhaseStaleHit, n.ID, g.now)
 		e.Trace, e.Obj, e.A = g.tsp.ID(), g.obj, float64(gen)
 		n.spans.Add(e)
-		w.Header().Set(HeaderDegraded, "1")
+		h := w.Header()
+		h.Set(HeaderDegraded, "1")
+		h.Set(HeaderPenalty, "0")
+		h.Set(HeaderHit, nodeName(n.ID))
+		if gen != 0 {
+			h.Set(HeaderGen, strconv.FormatUint(gen, 10))
+		}
+		if up.Meta.ETag != "" {
+			h.Set("ETag", up.Meta.ETag)
+		}
+		writeBody(w, g.seg, up.Body)
+		return true
 	case resp.StatusCode != http.StatusNotModified:
 		// The copy is outdated. Its bytes go with it, unless a placement
 		// stored fresh ones since.
@@ -1030,26 +1047,15 @@ func (n *Node) revalidate(w http.ResponseWriter, r *http.Request, g *getReq, up 
 		e := span.Event(span.PhaseRevalidate, n.ID, g.now)
 		e.Trace, e.Obj, e.A, e.N = g.tsp.ID(), g.obj, float64(gen), 1
 		n.spans.Add(e)
+		n.serveHit(w, r, g, gen, up)
+		return true
 	}
-	w.Header().Set(HeaderPenalty, "0")
-	w.Header().Set(HeaderHit, nodeName(n.ID))
-	if gen != 0 {
-		w.Header().Set(HeaderGen, strconv.FormatUint(gen, 10))
-	}
-	if up.Meta.ETag != "" {
-		w.Header().Set("ETag", up.Meta.ETag)
-	}
-	writeBody(w, g.seg, up.Body)
-	return true
 }
 
 // serveStats reports the node's counters and occupancy as JSON, for
 // operational monitoring of a deployed gateway.
 func (n *Node) serveStats(w http.ResponseWriter) {
-	n.mu.Lock()
-	cs := n.stateLocked()
-	state := n.breaker
-	n.mu.Unlock()
+	cs := n.state()
 	bs := n.bodies.Stats()
 	badHeaders := n.badPenalty.Load() + n.badSegment.Load() + n.badGen.Load() + n.badInval.Load() + n.badPath.Load()
 	w.Header().Set("Content-Type", "application/json")
@@ -1058,7 +1064,7 @@ func (n *Node) serveStats(w http.ResponseWriter) {
 		n.ID, n.Upstream, cs.Member, cs.Health, cs.UpstreamHealth, cs.Epoch, n.st.ShardCount(),
 		n.hits.Load(), n.misses.Load(), n.inserts.Load(), n.revalidations.Load(),
 		n.st.StoreLen(), n.st.Used(), n.st.Capacity(), n.st.DCacheLen(),
-		n.retries.Load(), state.String(), n.breakerOpens.Load(), n.degraded.Load(),
+		n.retries.Load(), n.Breaker().String(), n.breakerOpens.Load(), n.degraded.Load(),
 		bs.DiskObjects, bs.DiskBytes, bs.SpillBytesTotal, n.spillHits.Load(), n.promotions.Load(), badHeaders,
 		n.reassembly[reassemblyOK].Load(), n.reassembly[reassemblyMarkerHit].Load(), n.reassembly[reassemblyRestarted].Load(),
 		n.reassembly[reassemblyTruncated].Load(), n.reassembly[reassemblyRefused].Load())

@@ -20,6 +20,7 @@ import (
 	"cascade/internal/engine"
 	"cascade/internal/model"
 	"cascade/internal/scheme"
+	"cascade/internal/span"
 	"cascade/internal/trace"
 )
 
@@ -727,5 +728,92 @@ func TestTTLRevalidationContentChanged(t *testing.T) {
 	}
 	if resp.Header.Get(HeaderHit) != "origin" {
 		t.Fatalf("changed content served by %q, want origin", resp.Header.Get(HeaderHit))
+	}
+}
+
+// TestRevalidatedCopyDecidesLikeAHit: a copy past Node.TTL whose upstream
+// answers the conditional GET with a 304 is served as a hit is — with the
+// decision over the path below — so a request carrying a path entry the
+// DP chooses gets the same X-Cascade-Place and X-Cascade-Predict from the
+// revalidated copy as from a fresh one.
+func TestRevalidatedCopyDecidesLikeAHit(t *testing.T) {
+	base, nodes, setNow := chain(t, 1, 1<<20)
+	node := nodes[0]
+	node.TTL = 100
+	setNow(0)
+	get(t, base, 9)
+	setNow(10)
+	get(t, base, 9) // placed, fetched at 10
+	if !node.Contains(9) {
+		t.Fatal("warm-up did not place a copy")
+	}
+	below := []engine.Candidate{{Node: 7, Tag: engine.TagCandidate, Freq: 50, CostLoss: 0, Link: 1}}
+	ask := func(now float64) *http.Response {
+		t.Helper()
+		setNow(now)
+		req, _ := http.NewRequest(http.MethodGet, base+"/objects/9", nil)
+		writePath(req.Header, below, span.Ctx{})
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		return resp
+	}
+	fresh := ask(20)
+	if fresh.Header.Get(HeaderHit) != "0" || fresh.Header.Get(HeaderPlace) != "7" {
+		t.Fatalf("fresh hit: served by %q, place %q; want node 0, place 7", fresh.Header.Get(HeaderHit), fresh.Header.Get(HeaderPlace))
+	}
+	revalidated := ask(200)
+	if node.revalidations.Load() != 1 {
+		t.Fatalf("%d revalidations, want 1", node.revalidations.Load())
+	}
+	for _, h := range []string{HeaderHit, HeaderPlace, HeaderPredict, HeaderPenalty, "ETag"} {
+		if got, want := revalidated.Header.Get(h), fresh.Header.Get(h); got != want {
+			t.Errorf("%s from the revalidated copy = %q, from the fresh one %q", h, got, want)
+		}
+	}
+}
+
+// TestHitAnswersConditionalGET: a node's hit honours If-None-Match as the
+// origin does, so a TTL revalidation at the lower node of a two-node chain
+// whose upper node holds a fresh copy is answered 304 by the upper node —
+// no body crosses the link, and the lower node counts a revalidation, not a
+// miss.
+func TestHitAnswersConditionalGET(t *testing.T) {
+	answers := &revalidationAnswers{rt: NewUpstreamClient(DefaultUpstreamTimeout).Transport}
+	base, nodes, setNow, _ := chainWith(t, 2, 1<<20, func(n *Node) {
+		if n.ID == 0 {
+			n.TTL = 100
+			n.Client = &http.Client{Transport: answers}
+		}
+	})
+	lower, upper := nodes[0], nodes[1]
+	upperURL := nodeURL(t, base, nodes, 1)
+	for i, url := range []string{upperURL, upperURL, base, base} {
+		setNow(float64(10 * i))
+		get(t, url, 5)
+	}
+	if !lower.Contains(5) || !upper.Contains(5) {
+		t.Fatalf("warm-up placed lower %v, upper %v; want both", lower.Contains(5), upper.Contains(5))
+	}
+	misses, upperHits := lower.misses.Load(), upper.hits.Load()
+	setNow(500)
+	resp, body := get(t, base, 5)
+	if resp.StatusCode != http.StatusOK || len(body) != 500 || resp.Header.Get(HeaderHit) != "0" {
+		t.Fatalf("revalidated answer: status %d, %d bytes, served by %q", resp.StatusCode, len(body), resp.Header.Get(HeaderHit))
+	}
+	if got := lower.revalidations.Load(); got != 1 {
+		t.Errorf("lower node: %d revalidations, want 1", got)
+	}
+	if got := lower.misses.Load(); got != misses {
+		t.Errorf("lower node: misses %d → %d, want unchanged", misses, got)
+	}
+	if got := upper.hits.Load(); got != upperHits+1 {
+		t.Errorf("upper node: hits %d → %d, want one more", upperHits, got)
+	}
+	if nm, other := answers.notModified.Load(), answers.other.Load(); nm != 1 || other != 0 {
+		t.Errorf("conditional GETs answered 304: %d, otherwise: %d; want 1, 0", nm, other)
 	}
 }

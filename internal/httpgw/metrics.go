@@ -26,14 +26,6 @@ func (n *Node) MetricsRegistry() *metrics.Registry {
 	ul := metrics.L("upstream", n.Upstream)
 
 	load := func(c *atomic.Int64) func() float64 { return func() float64 { return float64(c.Load()) } }
-	// control reads a field of the control state, which n.mu guards.
-	control := func(f func() int) func() float64 {
-		return func() float64 {
-			n.mu.Lock()
-			defer n.mu.Unlock()
-			return float64(f())
-		}
-	}
 	r.CounterFunc("cascade_gw_hits_total", "Requests served from this node's cache.", load(&n.hits), nl)
 	r.CounterFunc("cascade_gw_misses_total", "Requests forwarded upstream.", load(&n.misses), nl)
 	r.CounterFunc("cascade_gw_inserts_total", "Copies cached by placement decisions.", load(&n.inserts), nl)
@@ -42,15 +34,14 @@ func (n *Node) MetricsRegistry() *metrics.Registry {
 	r.CounterFunc("cascade_gw_breaker_opens_total", "Times the upstream circuit breaker opened.", load(&n.breakerOpens), nl, ul)
 	r.CounterFunc("cascade_gw_degraded_total", "Responses served outside the protocol (origin-direct or stale-if-error).", load(&n.degraded), nl)
 
-	r.GaugeFunc("cascade_gw_breaker_state", "Upstream circuit breaker position (0=closed, 1=open, 2=half-open).", control(func() int { return int(n.breaker) }), nl, ul)
-	r.GaugeFunc("cascade_node_health", "This node's advertised health (0=healthy, 1=suspect, 2=down).", control(func() int { return int(n.selfHealth) }), nl)
+	r.GaugeFunc("cascade_gw_breaker_state", "Upstream circuit breaker position (0=closed, 1=open, 2=half-open).", func() float64 { return float64(n.Breaker()) }, nl, ul)
+	r.GaugeFunc("cascade_node_health", "This node's advertised health (0=healthy, 1=suspect, 2=down).", func() float64 { return float64(n.cp.HealthOf(selfSlot)) }, nl)
 	r.GaugeFunc("cascade_gw_membership", "This node's membership state (0=active, 1=draining, 2=removed).", func() float64 { return float64(n.Member()) }, nl)
-	r.GaugeFunc("cascade_gw_upstream_health", "The active prober's view of the upstream (0=healthy, 1=suspect, 2=down).", control(func() int { return int(n.upHealth) }), nl, ul)
-	n.changes = make(map[controlplane.EventKind]*metrics.Counter)
+	r.GaugeFunc("cascade_gw_upstream_health", "The active prober's view of the upstream (0=healthy, 1=suspect, 2=down).", func() float64 { return float64(n.UpstreamHealth()) }, nl, ul)
 	for _, k := range []controlplane.EventKind{controlplane.EventAdmit, controlplane.EventDrain, controlplane.EventRemove, controlplane.EventHealthChange} {
-		n.changes[k] = r.Counter("cascade_membership_changes_total",
+		r.CounterFunc("cascade_membership_changes_total",
 			"Membership and health transitions applied by the control plane.",
-			metrics.L("event", k.String()), nl)
+			func() float64 { return float64(n.cp.Changes(k)) }, metrics.L("event", k.String()), nl)
 	}
 	bodyStats := func(f func(s store.Stats) float64) func() float64 {
 		return func() float64 { return f(n.bodies.Stats()) }

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"time"
 
-	"cascade/internal/controlplane"
 	"cascade/internal/span"
 )
 
@@ -129,13 +128,16 @@ func retryableStatus(code int) bool {
 		code == http.StatusGatewayTimeout
 }
 
-// breakerAllowLocked reports whether an upstream fetch may proceed and
-// transitions open → half-open when the cooldown has elapsed. Caller holds
-// n.mu.
-func (n *Node) breakerAllowLocked(now float64) bool {
+// The breaker's functions below are the only holders of n.mu.
+
+// breakerAllow reports whether an upstream fetch may proceed and
+// transitions open → half-open when the cooldown has elapsed.
+func (n *Node) breakerAllow(now float64) bool {
 	if n.breakerThreshold() == 0 {
 		return true
 	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	switch n.breaker {
 	case BreakerClosed:
 		return true
@@ -164,9 +166,10 @@ func (n *Node) recordBreakerLocked(now float64) {
 	n.spans.Add(e)
 }
 
-// breakerSuccessLocked records a successful upstream exchange. Caller
-// holds n.mu.
-func (n *Node) breakerSuccessLocked() {
+// breakerSuccess records a successful upstream exchange.
+func (n *Node) breakerSuccess() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	closing := n.breaker != BreakerClosed
 	n.breakerFails = 0
 	n.breaker = BreakerClosed
@@ -176,9 +179,11 @@ func (n *Node) breakerSuccessLocked() {
 	}
 }
 
-// breakerFailureLocked records an exhausted upstream exchange (all retries
-// failed). Caller holds n.mu.
-func (n *Node) breakerFailureLocked(now float64) {
+// breakerFailure records an exhausted upstream exchange (all retries
+// failed).
+func (n *Node) breakerFailure(now float64) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.probing = false
 	if n.breakerThreshold() == 0 {
 		return
@@ -200,23 +205,27 @@ func (n *Node) breakerFailureLocked(now float64) {
 	}
 }
 
+// breakerAbandon records an exchange its client gave up on: a half-open
+// probe ends without a verdict.
+func (n *Node) breakerAbandon() {
+	n.mu.Lock()
+	n.probing = false
+	n.mu.Unlock()
+}
+
 // fetchUpstream performs one logical upstream exchange: breaker check,
 // bounded retries with exponential backoff and jitter on transport errors
 // and transient 5xx statuses, breaker bookkeeping on the outcome. The
 // returned response (when err == nil) is either a success or a
 // non-retryable status the caller must pass through.
 func (n *Node) fetchUpstream(req *http.Request) (*http.Response, error) {
-	n.mu.Lock()
 	// The active prober's verdict gates ahead of the breaker: the breaker
 	// needs consecutive request failures to learn anything, the prober
 	// already knows. A Down upstream fails fast into degraded mode.
-	if n.upHealth == controlplane.Down {
-		n.mu.Unlock()
+	if !n.cp.Routable(upSlot) {
 		return nil, ErrUpstreamDown
 	}
-	allowed := n.breakerAllowLocked(n.Clock())
-	n.mu.Unlock()
-	if !allowed {
+	if !n.breakerAllow(n.Clock()) {
 		return nil, ErrBreakerOpen
 	}
 
@@ -231,9 +240,7 @@ func (n *Node) fetchUpstream(req *http.Request) (*http.Response, error) {
 		}
 		resp, err := client.Do(try)
 		if err == nil && !retryableStatus(resp.StatusCode) {
-			n.mu.Lock()
-			n.breakerSuccessLocked()
-			n.mu.Unlock()
+			n.breakerSuccess()
 			return resp, nil
 		}
 		if err == nil {
@@ -246,9 +253,7 @@ func (n *Node) fetchUpstream(req *http.Request) (*http.Response, error) {
 		// A dead client context makes further attempts pointless and
 		// should not count against the upstream's health.
 		if req.Context().Err() != nil {
-			n.mu.Lock()
-			n.probing = false
-			n.mu.Unlock()
+			n.breakerAbandon()
 			return nil, lastErr
 		}
 		if attempt >= n.maxRetries() {
@@ -257,9 +262,7 @@ func (n *Node) fetchUpstream(req *http.Request) (*http.Response, error) {
 		n.retries.Add(1)
 		n.sleep(n.backoff(attempt))
 	}
-	n.mu.Lock()
-	n.breakerFailureLocked(n.Clock())
-	n.mu.Unlock()
+	n.breakerFailure(n.Clock())
 	return nil, lastErr
 }
 

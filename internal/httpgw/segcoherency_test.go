@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"cascade/internal/coherency"
-	"cascade/internal/controlplane"
 	"cascade/internal/model"
 	"cascade/internal/span"
 	"cascade/internal/store"
@@ -553,7 +552,8 @@ func TestPassThroughForwardsGeneration(t *testing.T) {
 		}
 		return upstreamReply(http.StatusOK, 4, []byte("abcd"), HeaderGen, "9")
 	})}
-	n.member.Store(uint32(controlplane.Removed))
+	n.cp.StartDrain(selfSlot)
+	n.cp.FinishDrain(selfSlot)
 
 	plain := httptest.NewRequest(http.MethodGet, "/objects/3", nil)
 	plain.Header.Set(HeaderPath, "0;-;-;1")

@@ -668,7 +668,7 @@ func (c *Cluster) Admit(id model.NodeID) bool {
 	if c.closed.Load() || int(id) < 0 || int(id) >= len(c.slots) {
 		return false
 	}
-	if c.cp.StateOf(id) != controlplane.Removed || !c.cp.Admit(id) {
+	if !c.cp.Admit(id) {
 		return false
 	}
 	if old := c.slots[id].Load(); old == nil || old.down.Load() {
