@@ -17,9 +17,10 @@
 //   - The protocol engine (EngineCandidate, DecidePlacement): the
 //     transport-agnostic per-node protocol steps and request walk every
 //     incarnation — replay scheme, cluster, HTTP gateway — delegates to.
-//   - Caching schemes (NewCoordinated, NewLRU, NewModulo, NewLNCR, plus
-//     LFU/GDS extras): complete per-node cache management algorithms
-//     implementing the Scheme interface.
+//   - Caching schemes (NewCoordinated, NewLRU, NewModulo, and NewScheme by
+//     name for LNC-R, the LFU/GDS extras and the partial fleet): complete
+//     per-node cache management algorithms implementing the Scheme
+//     interface.
 //   - Architectures (GenerateTiers, GenerateTree): the paper's en-route
 //     (Tiers-style WAN/MAN topology, Table 1) and hierarchical (full O-ary
 //     tree, Figure 5) networks.
@@ -54,7 +55,6 @@ import (
 	"cascade/internal/dcache"
 	"cascade/internal/engine"
 	"cascade/internal/experiment"
-	"cascade/internal/fault"
 	"cascade/internal/httpgw"
 	"cascade/internal/metrics"
 	"cascade/internal/model"
@@ -74,10 +74,6 @@ type (
 	NodeID = model.NodeID
 	// ClientID identifies a request-issuing client.
 	ClientID = model.ClientID
-	// ServerID identifies an origin server.
-	ServerID = model.ServerID
-	// Object is a catalog entry (identity, size, home server).
-	Object = model.Object
 	// Request is one trace record.
 	Request = model.Request
 )
@@ -112,9 +108,6 @@ type (
 	// EngineCandidate is one hop's piggybacked record on the upstream
 	// pass: the (f, l, link) triple, or a §2.4 tag.
 	EngineCandidate = engine.Candidate
-	// EngineTag classifies a hop record (candidate, no-descriptor tag,
-	// cannot-fit).
-	EngineTag = engine.Tag
 	// EngineDecideOptions toggles the monotone frequency clamp and the
 	// Theorem-2 prune of the placement decision.
 	EngineDecideOptions = engine.DecideOptions
@@ -122,12 +115,8 @@ type (
 	EngineServePoint = engine.ServePoint
 )
 
-// Engine hop-record tags.
-const (
-	EngineTagCandidate    = engine.TagCandidate
-	EngineTagNoDescriptor = engine.TagNoDescriptor
-	EngineTagCannotFit    = engine.TagCannotFit
-)
+// EngineTagCandidate tags a hop record that is a placement candidate.
+const EngineTagCandidate = engine.TagCandidate
 
 // DecidePlacement runs the serving node's placement decision (the §2.2 DP
 // over piggybacked candidates, in wire order) and returns the chosen hop
@@ -142,12 +131,8 @@ type (
 	Scheme = scheme.Scheme
 	// SchemePath is a request's delivery path as seen by a scheme.
 	SchemePath = scheme.Path
-	// SchemeOutcome reports how a request was served.
-	SchemeOutcome = scheme.Outcome
 	// NodeBudget sizes one cache node (capacity, d-cache entries).
 	NodeBudget = scheme.NodeBudget
-	// Coordinated is the paper's proposed scheme.
-	Coordinated = scheme.Coordinated
 )
 
 // NewCoordinated returns the paper's coordinated placement+replacement
@@ -160,31 +145,17 @@ func NewLRU() *scheme.LRU { return scheme.NewLRU() }
 // NewModulo returns the MODULO baseline with the given cache radius.
 func NewModulo(radius int) *scheme.Modulo { return scheme.NewModulo(radius) }
 
-// NewLNCR returns the LNC-R cost-based replacement baseline.
-func NewLNCR() *scheme.LNCR { return scheme.NewLNCR() }
-
-// NewLFUScheme returns the extra LFU baseline.
-func NewLFUScheme() *scheme.LFU { return scheme.NewLFU() }
-
-// NewGDSScheme returns the extra GreedyDual-Size baseline.
-func NewGDSScheme() *scheme.GDS { return scheme.NewGDS() }
-
 // NewLRU2H returns the extra admission-controlled LRU baseline (objects
 // are cached only on their second sighting).
 func NewLRU2H() *scheme.LRU2H { return scheme.NewLRU2H() }
-
-// NewPartial returns a mixed fleet: the given fraction of nodes (seeded
-// random choice) run coordinated caching, the rest legacy LRU.
-func NewPartial(participation float64, seed int64) *scheme.Partial {
-	return scheme.NewPartial(participation, seed)
-}
 
 // NewSchemeChecker wraps a scheme with per-request protocol invariant
 // checking (test harness; panics on violation).
 func NewSchemeChecker(inner Scheme) *scheme.Checker { return scheme.NewChecker(inner) }
 
 // NewScheme constructs a scheme from its report name ("LRU", "MODULO(4)",
-// "LNC-R", "COORD", "LFU", "GDS", "LRU-2H").
+// "LNC-R", "COORD", "COORD@50%" — a fleet where that share of the nodes
+// runs coordinated caching, the rest LRU — "LFU", "GDS", "LRU-2H").
 func NewScheme(name string) (Scheme, error) { return scheme.New(name) }
 
 // DCacheFactory selects a d-cache implementation for the schemes that use
@@ -212,27 +183,18 @@ func UniformBudgets(nodes []NodeID, capacity int64, dcacheEntries int) map[NodeI
 type (
 	// Network is a cascaded caching architecture.
 	Network = topology.Network
-	// Route is a distribution-tree path with per-link delays.
-	Route = topology.Route
 	// TiersConfig parameterizes the en-route topology generator.
 	TiersConfig = topology.TiersConfig
 	// TreeConfig parameterizes the hierarchical architecture.
 	TreeConfig = topology.TreeConfig
-	// EnRouteNetwork is the generated en-route topology.
-	EnRouteNetwork = topology.EnRoute
 	// HierarchyNetwork is the full O-ary cache tree.
 	HierarchyNetwork = topology.Hierarchy
 	// TopologyDescription summarizes an en-route topology (Table 1).
 	TopologyDescription = topology.Description
 )
 
-// Node kinds of the en-route topology.
-const (
-	// WANNodeKind marks backbone nodes.
-	WANNodeKind = topology.WANNode
-	// MANNodeKind marks metropolitan nodes (client/server attachment).
-	MANNodeKind = topology.MANNode
-)
+// WANNodeKind marks the en-route topology's backbone nodes.
+const WANNodeKind = topology.WANNode
 
 // DefaultTiersConfig returns the paper's Table 1 topology parameters.
 func DefaultTiersConfig() TiersConfig { return topology.DefaultTiersConfig() }
@@ -258,10 +220,6 @@ type (
 	Generator = trace.Generator
 	// Catalog is a workload's object universe.
 	Catalog = trace.Catalog
-	// TraceWriter serializes workloads to the text trace format.
-	TraceWriter = trace.Writer
-	// TraceReader parses the text trace format.
-	TraceReader = trace.Reader
 )
 
 // NewGenerator builds a synthetic workload generator.
@@ -315,9 +273,6 @@ func ConvertSquidLog(r io.Reader, w io.Writer) (SquidStats, error) {
 // harness.
 type Workload = experiment.Workload
 
-// SyntheticWorkload wraps a generator as an experiment workload.
-func SyntheticWorkload(g *Generator) Workload { return experiment.SyntheticWorkload(g) }
-
 // FileWorkload validates a recorded trace file and returns a workload that
 // replays it for every experiment cell.
 func FileWorkload(path string) (Workload, error) { return experiment.FileWorkload(path) }
@@ -328,27 +283,8 @@ type (
 	SimConfig = sim.Config
 	// Simulator replays a request stream through a scheme on a network.
 	Simulator = sim.Simulator
-	// RequestSource streams requests (satisfied by *Generator).
-	RequestSource = sim.Source
-	// CostModel selects the measure schemes optimize (§2's generic
-	// cost).
-	CostModel = sim.CostModel
-	// NodeStats is the simulator's per-node accounting (SimConfig.TrackNodes).
-	NodeStats = sim.NodeStats
 	// Summary is a run's derived per-request averages.
 	Summary = metrics.Summary
-	// Sample is the accounting of one request.
-	Sample = metrics.Sample
-)
-
-// Cost models.
-const (
-	// CostLatency optimizes size-scaled link delay (the paper's choice).
-	CostLatency = sim.CostLatency
-	// CostBandwidth optimizes bytes moved across links (byte×hops).
-	CostBandwidth = sim.CostBandwidth
-	// CostHops optimizes pure link crossings.
-	CostHops = sim.CostHops
 )
 
 // NewSimulator validates the configuration and prepares the caches and
@@ -381,12 +317,6 @@ func CheLRUTreeHitRatios(objs []AnalysisObject, capacity int64, depth, fanout, l
 	return analysis.CheLRUTree(objs, capacity, depth, fanout, leaves)
 }
 
-// TreeLatencyPrediction folds per-level hit predictions and uplink delays
-// into an expected mean access latency.
-func TreeLatencyPrediction(preds []AnalysisPrediction, levelDelays []float64) (float64, error) {
-	return analysis.TreeLatency(preds, levelDelays)
-}
-
 // Cache coherency substrate (the §2 freshness assumption, made a protocol
 // concern): per-object generations owned by an origin-side authority,
 // per-node generation floors raised by piggybacked or pushed invalidations,
@@ -402,12 +332,6 @@ type (
 	// monotonic generation per object plus the invalidation log whose
 	// tail origin responses piggyback.
 	CoherencyAuthority = coherency.Authority
-	// CoherencyInvalidation is one invalidation-log entry (sequence,
-	// object, new generation).
-	CoherencyInvalidation = coherency.Invalidation
-	// CoherencyView is one node's freshness state: per-object generation
-	// floors plus the PSI log cursor.
-	CoherencyView = coherency.NodeView
 )
 
 // Coherency modes.
@@ -448,8 +372,6 @@ type (
 	Cluster = runtime.Cluster
 	// ClusterConfig assembles a Cluster.
 	ClusterConfig = runtime.Config
-	// ClusterResult reports how the cluster served one request.
-	ClusterResult = runtime.Result
 	// ClusterStats are cluster-wide counters, including failure-handling
 	// accounting (routed-around hops, fault drops, origin fallbacks).
 	ClusterStats = runtime.Stats
@@ -462,56 +384,17 @@ type (
 // hops.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return runtime.NewCluster(cfg) }
 
-// Observability: metrics export (docs/OBSERVABILITY.md).
-type (
-	// MetricsRegistry renders registered instruments in the Prometheus
-	// text exposition format. Cluster.Metrics and HTTPCacheNode expose
-	// their instruments through one; NewMetricsRegistry builds an empty
-	// registry for application-level series.
-	MetricsRegistry = metrics.Registry
-	// MetricsLabel is one name="value" pair attached to a series.
-	MetricsLabel = metrics.Label
-	// ClusterMetrics pairs cluster-wide counters with per-node detail
-	// (Cluster.MetricsSnapshot).
-	ClusterMetrics = runtime.ClusterMetrics
-	// ClusterNodeMetrics is one runtime node's operational accounting.
-	ClusterNodeMetrics = runtime.NodeMetrics
-)
-
-// NewMetricsRegistry returns an empty Prometheus-text-format registry.
-func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
-
 // Online invariant auditing and predicted-vs-realized cost accounting
 // (docs/OBSERVABILITY.md).
 type (
-	// Auditor evaluates the paper's analytical guarantees online (Theorem 2
-	// local benefit, §2.2 DP optimality spot checks, NCL eviction order,
-	// miss-penalty consistency); violations surface as
+	// AuditInvariant identifies one monitored guarantee of the paper's
+	// analysis (Theorem 2 local benefit, §2.2 DP optimality spot checks,
+	// NCL eviction order, miss-penalty consistency); violations surface as
 	// cascade_audit_violations_total{invariant=...}.
-	Auditor = audit.Auditor
-	// AuditInvariant identifies one monitored guarantee.
 	AuditInvariant = audit.Invariant
-	// AuditViolation carries one failure's full context to the sink.
-	AuditViolation = audit.Violation
-	// CostLedger accounts the DP's predicted cost reduction against the
-	// savings realized by hits at placed copies, per node.
-	CostLedger = audit.Ledger
-	// LedgerAccount is one node's accumulated ledger state.
-	LedgerAccount = audit.NodeAccount
 	// AuditReport summarizes an audited run's per-invariant counts.
 	AuditReport = experiment.AuditReport
 )
-
-// NewAuditor returns an online invariant auditor whose counters register in
-// reg (nil for a detached auditor); attach via Coordinated.SetAuditor or
-// ClusterConfig.EnableAudit.
-func NewAuditor(reg *MetricsRegistry, labels ...MetricsLabel) *Auditor {
-	return audit.New(reg, labels...)
-}
-
-// NewCostLedger returns an empty predicted-vs-realized cost ledger; attach
-// via Coordinated.SetLedger.
-func NewCostLedger() *CostLedger { return audit.NewLedger() }
 
 // AuditInvariants lists every monitored invariant in metric-label order.
 func AuditInvariants() []AuditInvariant { return audit.Invariants() }
@@ -529,26 +412,12 @@ func LedgerStudy(arch Architecture, cfg ExperimentConfig, size float64) (ResultT
 // and health transitions, coherency and disk-tier events, audit violations
 // — as zero-length records (docs/OBSERVABILITY.md).
 type (
-	// Span is one protocol-phase record of a traced request at one node,
-	// or one event record (ID zero, Start == End).
-	Span = span.Span
-	// SpanPhase classifies a span (lookup, up, decide, down, body, …).
-	SpanPhase = span.Phase
 	// SpanPolicy declares a tracer's tail-sampling policy: the keep rate
 	// for unremarkable traces and the forced-keep slow threshold.
 	SpanPolicy = span.Policy
-	// SpanTracer mints trace IDs, accumulates per-request spans and
-	// applies the tail-sampling verdict; attach via Coordinated.SetSpans,
-	// ClusterConfig.SpanCapacity or HTTPCacheNode.EnableSpans.
-	SpanTracer = span.Tracer
 	// SpanSnapshot is the dump encoding of one node's span ring.
 	SpanSnapshot = span.Snapshot
-	// SpanTraceID identifies one request's cascade-wide trace.
-	SpanTraceID = span.TraceID
 )
-
-// NewSpanTracer returns a span tracer with the given tail-sampling policy.
-func NewSpanTracer(p SpanPolicy) *SpanTracer { return span.NewTracer(p) }
 
 // DumpSpanRings replays the workload through coordinated caching with
 // cascade-wide span tracing attached — tail sampling at rate, a per-node
@@ -557,22 +426,6 @@ func NewSpanTracer(p SpanPolicy) *SpanTracer { return span.NewTracer(p) }
 func DumpSpanRings(arch Architecture, cfg ExperimentConfig, size float64, capacity int, rate float64) ([]SpanSnapshot, error) {
 	return experiment.SpanDump(arch, cfg, size, capacity, rate)
 }
-
-// Fault injection (deterministic chaos hooks shared by the runtime and the
-// HTTP gateway).
-type (
-	// FaultInjector decides per message whether to drop, delay, crash the
-	// receiver, or report saturation — deterministically from a seed.
-	FaultInjector = fault.Injector
-	// FaultStats counts the injector's interventions.
-	FaultStats = fault.Stats
-	// FaultRoundTripper wires an injector into an http.Client transport.
-	FaultRoundTripper = fault.RoundTripper
-)
-
-// NewFaultInjector builds a rule-free injector; add rules with the
-// WithDrop/WithDelay/WithDropEvery/WithCrashOn builders.
-func NewFaultInjector(seed int64) *FaultInjector { return fault.New(seed) }
 
 // HTTP gateway incarnation of the protocol (piggybacking as headers).
 type (
@@ -588,27 +441,11 @@ type (
 
 // Protocol header names used by the HTTP gateway.
 const (
-	// HTTPHeaderPath carries the piggybacked per-hop records upstream.
-	HTTPHeaderPath = httpgw.HeaderPath
-	// HTTPHeaderPlace carries the placement decision downstream.
-	HTTPHeaderPlace = httpgw.HeaderPlace
-	// HTTPHeaderPenalty carries the accumulated miss-penalty counter.
-	HTTPHeaderPenalty = httpgw.HeaderPenalty
 	// HTTPHeaderHit names the serving node ("origin" for the source).
 	HTTPHeaderHit = httpgw.HeaderHit
-	// HTTPHeaderDegraded marks responses served outside the protocol
-	// while the upstream chain was unreachable.
-	HTTPHeaderDegraded = httpgw.HeaderDegraded
-	// HTTPHeaderPredict carries the decision's predicted Δcost term per
-	// chosen node downstream, so each placing node can book its own cost
-	// ledger claim at apply time.
-	HTTPHeaderPredict = httpgw.HeaderPredict
 	// HTTPHeaderGen carries a coherency generation: a CAS read floor on
 	// requests, the served copy's generation on responses.
 	HTTPHeaderGen = httpgw.HeaderGen
-	// HTTPHeaderInval piggybacks the origin's invalidation-log tail
-	// downstream as "head|seq:obj:gen,...".
-	HTTPHeaderInval = httpgw.HeaderInval
 )
 
 // DefaultUpstreamTimeout bounds gateway upstream fetches when no explicit
@@ -679,8 +516,6 @@ type (
 	ChaosConfig = experiment.ChaosConfig
 	// ChaosResult pairs the no-fault and faulted replays.
 	ChaosResult = experiment.ChaosResult
-	// ChaosRun is one replay's accounting.
-	ChaosRun = experiment.ChaosRun
 )
 
 // ChaosStudy replays the workload through the cluster runtime twice — clean,

@@ -10,7 +10,7 @@
 //	tracegen -describe sub.txt                   # workload statistics
 //
 // The output replays identically through cascadesim -trace or the
-// cascade.TraceReader API.
+// cascade.NewTraceReader API.
 package main
 
 import (

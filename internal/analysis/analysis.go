@@ -190,13 +190,13 @@ func sortByDensity(idx []int, objs []Object) {
 	})
 }
 
-// TreeLatency combines layered per-level hit predictions with the
+// treeLatency combines layered per-level hit predictions with the
 // hierarchy's uplink delays into an expected mean access latency for an
 // average-size object: a request pays each level's uplink with the
 // probability it is still unserved when it crosses it.
 // levelDelays[i] is the uplink delay of level i, with the final entry the
 // root–origin link (as topology.Hierarchy.Describe reports).
-func TreeLatency(preds []Prediction, levelDelays []float64) (float64, error) {
+func treeLatency(preds []Prediction, levelDelays []float64) (float64, error) {
 	if len(preds) != len(levelDelays) {
 		return 0, fmt.Errorf("analysis: %d level predictions vs %d delays", len(preds), len(levelDelays))
 	}

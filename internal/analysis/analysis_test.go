@@ -214,14 +214,14 @@ func TestTreeLatency(t *testing.T) {
 	delays := []float64{1, 10}
 	// Level 0 uplink crossed with prob 0.5; level 1 (origin link) with
 	// prob 0.5*0.8 = 0.4 → latency = 0.5*1 + 0.4*10 = 4.5.
-	got, err := TreeLatency(preds, delays)
+	got, err := treeLatency(preds, delays)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(got-4.5) > 1e-12 {
 		t.Fatalf("latency = %v, want 4.5", got)
 	}
-	if _, err := TreeLatency(preds, []float64{1}); err == nil {
+	if _, err := treeLatency(preds, []float64{1}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 }
@@ -260,7 +260,7 @@ func TestTreeLatencyMatchesSimulatedLRU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	predicted, err := TreeLatency(preds, tree.Describe().LevelDelays)
+	predicted, err := treeLatency(preds, tree.Describe().LevelDelays)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@
 // write full-context audit_violation event records into the violating
 // node's span ring — the package itself depends
 // only on the standard library, internal/model and internal/metrics
-// (cmd/importguard enforces this).
+// (cmd/lint enforces this).
 //
 // All checks are safe for concurrent use: counters are atomic and the
 // samplers use atomic state, so one Auditor can serve every node of a

@@ -26,7 +26,7 @@
 // read/write trace through all three and asserts identical served, placed
 // and invalidated sets.
 //
-// Dependency rule (enforced by cmd/importguard): stdlib + internal/model +
+// Dependency rule (enforced by cmd/lint): stdlib + internal/model +
 // internal/metrics only — the substrate sits below every incarnation.
 package coherency
 

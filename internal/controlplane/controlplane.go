@@ -14,7 +14,7 @@
 // (slot 1) — and both probe with the same threshold machine (Streak), so a
 // drained node behaves identically whichever transport hosts it: it stops
 // offering placement candidacy, spills its descriptors to its parent, and
-// departs, and only a removed node is admitted again. cmd/importguard pins
+// departs, and only a removed node is admitted again. cmd/lint pins
 // the dependency surface to the standard library plus internal/model,
 // internal/metrics and internal/topology.
 package controlplane

@@ -28,7 +28,7 @@
 // the walk. The HTTP gateway takes its one hop's Up and Down per request.
 //
 // internal/core must not be imported by the incarnations directly
-// (cmd/importguard enforces this); every placement decision flows through
+// (cmd/lint enforces this); every placement decision flows through
 // this package so the three transports cannot re-diverge.
 //
 // Tracing: the Sharded steps take no per-request trace handle. Decide owns

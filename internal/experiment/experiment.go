@@ -93,7 +93,7 @@ func (c Config) workload() Workload {
 	if c.Workload != nil {
 		return c.Workload
 	}
-	return SyntheticWorkload(trace.NewGenerator(c.Trace))
+	return syntheticWorkload(trace.NewGenerator(c.Trace))
 }
 
 // RunSweep simulates every (cache size, scheme) pair for one architecture.

@@ -552,7 +552,7 @@ func TestCapacityWeightsPreserveBudget(t *testing.T) {
 	// degenerate weight function (uniform via weights) against no
 	// weights at all — identical results.
 	cfg := tinyConfig()
-	w := SyntheticWorkload(trace.NewGenerator(cfg.Trace))
+	w := syntheticWorkload(trace.NewGenerator(cfg.Trace))
 	net := cfg.Network(Hierarchy)
 	base, err := runCell(cfg, scheme.NewLRU(), net, w, 0.03)
 	if err != nil {

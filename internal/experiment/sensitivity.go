@@ -94,7 +94,7 @@ func ZipfStudy(cfg Config, thetas []float64, size float64) (Table, error) {
 	for _, theta := range thetas {
 		tcfg := cfg.Trace
 		tcfg.ZipfTheta = theta
-		w := SyntheticWorkload(trace.NewGenerator(tcfg))
+		w := syntheticWorkload(trace.NewGenerator(tcfg))
 		lru, err := runCellOn(cfg, scheme.NewLRU(), net, w, size)
 		if err != nil {
 			return Table{}, err
@@ -145,7 +145,7 @@ func LocalityStudy(cfg Config, localities []float64, size float64) (Table, error
 	for _, loc := range localities {
 		tcfg := cfg.Trace
 		tcfg.Locality = loc
-		w := SyntheticWorkload(trace.NewGenerator(tcfg))
+		w := syntheticWorkload(trace.NewGenerator(tcfg))
 		var lats, bhrs []float64
 		for _, sch := range []scheme.Scheme{scheme.NewLRU(), scheme.NewModulo(4), scheme.NewCoordinated()} {
 			cell, err := runCell(cfg, sch, net, w, size)

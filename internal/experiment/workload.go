@@ -27,8 +27,8 @@ type Workload interface {
 // replays are identical) to keep concurrent cells isolated.
 type generatorWorkload struct{ g *trace.Generator }
 
-// SyntheticWorkload wraps a trace generator as a Workload.
-func SyntheticWorkload(g *trace.Generator) Workload { return generatorWorkload{g} }
+// syntheticWorkload wraps a trace generator as a Workload.
+func syntheticWorkload(g *trace.Generator) Workload { return generatorWorkload{g} }
 
 func (w generatorWorkload) Catalog() *trace.Catalog { return w.g.Catalog() }
 

@@ -2,8 +2,7 @@
 // cascaded caching protocol's two deployable incarnations. The cluster
 // runtime consults an Injector at every hop delivery of a request's walk,
 // in both passes (keyed by the target node), and acts on the verdict inline;
-// the HTTP gateway consults it through a RoundTripper wrapped around its
-// upstream client. Because every decision derives from a fixed seed plus
+// roundTripper applies it to an http.Client's exchanges. Because every decision derives from a fixed seed plus
 // per-key message counters, a chaos scenario is exactly reproducible:
 // rerunning with the same seed yields the same schedule of drops, delays,
 // crashes and saturation verdicts — and for a serial request stream against

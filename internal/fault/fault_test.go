@@ -83,7 +83,7 @@ func TestRoundTripperDropAndDelay(t *testing.T) {
 
 	var slept time.Duration
 	inj := New(1).WithDropEvery(2) // second request dropped
-	client := &http.Client{Transport: &RoundTripper{
+	client := &http.Client{Transport: &roundTripper{
 		Injector: inj,
 		Sleep:    func(d time.Duration) { slept += d },
 	}}
@@ -97,7 +97,7 @@ func TestRoundTripperDropAndDelay(t *testing.T) {
 	}
 
 	inj2 := New(1).WithDelay(1.0, 3*time.Millisecond)
-	client2 := &http.Client{Transport: &RoundTripper{
+	client2 := &http.Client{Transport: &roundTripper{
 		Injector: inj2,
 		Sleep:    func(d time.Duration) { slept += d },
 	}}
@@ -110,7 +110,7 @@ func TestRoundTripperDropAndDelay(t *testing.T) {
 		t.Fatalf("slept %v, want 3ms", slept)
 	}
 	// nil injector passes through.
-	client3 := &http.Client{Transport: &RoundTripper{}}
+	client3 := &http.Client{Transport: &roundTripper{}}
 	resp, err = client3.Get(srv.URL)
 	if err != nil {
 		t.Fatal(err)

@@ -17,11 +17,11 @@ func (e *DroppedError) Error() string {
 	return fmt.Sprintf("fault: injected %s for %s", e.Action, e.URL)
 }
 
-// RoundTripper wires an Injector into an http.Client: every upstream
+// roundTripper wires an Injector into an http.Client: every upstream
 // request is one "message" keyed by Key. Drops, crashes and saturation
 // surface as transport errors (exactly how a chain peer's failure looks to
 // the gateway); delays sleep before forwarding.
-type RoundTripper struct {
+type roundTripper struct {
 	// Base performs the real exchange (http.DefaultTransport when nil).
 	Base http.RoundTripper
 	// Injector supplies verdicts; a nil Injector passes everything.
@@ -33,7 +33,7 @@ type RoundTripper struct {
 }
 
 // RoundTrip implements http.RoundTripper.
-func (rt *RoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
+func (rt *roundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 	base := rt.Base
 	if base == nil {
 		base = http.DefaultTransport

@@ -114,7 +114,7 @@ func TestAdminDrainSpillsUpstream(t *testing.T) {
 	if resp.Header.Get(HeaderHit) != "1" {
 		t.Fatalf("served by %q, want node 1", resp.Header.Get(HeaderHit))
 	}
-	if got := resp.Header.Get(HeaderPenalty); got != "1" {
+	if got := resp.Header.Get(headerPenalty); got != "1" {
 		t.Fatalf("relay penalty %q, want 1 (link folded, no reset)", got)
 	}
 
@@ -229,7 +229,7 @@ func TestUpstreamProberGatesFetch(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || len(body) != 100 {
 		t.Fatalf("degraded response status %d, %d bytes", resp.StatusCode, len(body))
 	}
-	if resp.Header.Get(HeaderDegraded) != "1" {
+	if resp.Header.Get(headerDegraded) != "1" {
 		t.Fatal("response not marked degraded")
 	}
 
@@ -241,7 +241,7 @@ func TestUpstreamProberGatesFetch(t *testing.T) {
 		t.Fatalf("after recovery probe: %v, want healthy", got)
 	}
 	resp, _ = get(t, edgeSrv.URL, 7)
-	if resp.Header.Get(HeaderDegraded) != "" {
+	if resp.Header.Get(headerDegraded) != "" {
 		t.Fatal("healthy upstream should serve through the protocol")
 	}
 }
@@ -348,7 +348,7 @@ func TestMissTailsForwardETag(t *testing.T) {
 				}
 				h := http.Header{}
 				h.Set(HeaderHit, "origin")
-				h.Set(HeaderPenalty, "0")
+				h.Set(headerPenalty, "0")
 				h.Set("ETag", tag)
 				if tc.place != "" {
 					h.Set(HeaderPlace, tc.place)

@@ -37,7 +37,7 @@ import (
 // each counted in cascade_gw_bad_header_total.
 const (
 	HeaderGen   = "X-Cascade-Gen"
-	HeaderInval = "X-Cascade-Inval"
+	headerInval = "X-Cascade-Inval"
 )
 
 // EnableCoherency attaches engine-native freshness to the node: one

@@ -230,7 +230,7 @@ func TestBadCoherencyHeadersCounted(t *testing.T) {
 	o := &Origin{Size: func(model.ObjectID) int { return 500 }}
 	garbler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasPrefix(r.URL.Path, "/objects/") {
-			w.Header().Set(HeaderInval, "0|not:an:entry")
+			w.Header().Set(headerInval, "0|not:an:entry")
 		}
 		o.ServeHTTP(w, r)
 	})
@@ -519,9 +519,9 @@ func TestDrainMidFetchLandsInvalidationTail(t *testing.T) {
 		}
 		h := http.Header{}
 		h.Set(HeaderHit, "origin")
-		h.Set(HeaderPenalty, "0")
+		h.Set(headerPenalty, "0")
 		h.Set(HeaderPlace, "1")
-		h.Set(HeaderInval, formatInval(5, []coherency.Invalidation{{Seq: 5, Obj: 9, Gen: 3}}))
+		h.Set(headerInval, formatInval(5, []coherency.Invalidation{{Seq: 5, Obj: 9, Gen: 3}}))
 		return &http.Response{StatusCode: http.StatusOK, Header: h, ContentLength: 3,
 			Body: io.NopCloser(strings.NewReader("abc"))}
 	})}

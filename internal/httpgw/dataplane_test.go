@@ -234,7 +234,7 @@ func TestMalformedPenaltyHeaderCounted(t *testing.T) {
 	// An upstream that speaks just enough of the protocol but emits a
 	// garbage penalty counter.
 	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(HeaderPenalty, "not-a-number")
+		w.Header().Set(headerPenalty, "not-a-number")
 		w.Header().Set(HeaderHit, "origin")
 		w.Header().Set("Content-Length", "3")
 		w.Write([]byte("abc")) //nolint:errcheck
@@ -251,7 +251,7 @@ func TestMalformedPenaltyHeaderCounted(t *testing.T) {
 	}
 	// Explicit fallback: the counter is treated as zero, so the outgoing
 	// penalty is exactly the link cost.
-	if got := resp.Header.Get(HeaderPenalty); got != "2" {
+	if got := resp.Header.Get(headerPenalty); got != "2" {
 		t.Fatalf("penalty %q, want link cost 2", got)
 	}
 	if n.badPenalty.Load() != 1 {
@@ -473,7 +473,7 @@ func TestHostilePeerLengthsBoundAllocation(t *testing.T) {
 	reply := func(declared int64, body string, hdr map[string]string) *http.Response {
 		h := http.Header{}
 		h.Set(HeaderHit, "origin")
-		h.Set(HeaderPenalty, "0")
+		h.Set(headerPenalty, "0")
 		for k, v := range hdr {
 			h.Set(k, v)
 		}

@@ -763,7 +763,7 @@ func BenchmarkNodeExchange4K(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			req.Header.Set(HeaderPath, "0;0.5;1;2")
+			req.Header.Set(headerPath, "0;0.5;1;2")
 			buf := make([]byte, size)
 			exchange := func() *http.Response {
 				resp, err := client.Do(req)

@@ -57,21 +57,21 @@ import (
 
 // Protocol header names.
 const (
-	HeaderPath    = "X-Cascade-Path"
+	headerPath    = "X-Cascade-Path"
 	HeaderPlace   = "X-Cascade-Place"
-	HeaderPenalty = "X-Cascade-Penalty"
+	headerPenalty = "X-Cascade-Penalty"
 	HeaderHit     = "X-Cascade-Hit"
-	// HeaderPredict pairs each node of the placement decision with the
+	// headerPredict pairs each node of the placement decision with the
 	// DP's predicted Δcost term for that placement (§2.1), "node=term"
 	// entries in ascending node order. It rides next to HeaderPlace so
 	// each placing node can book its own prediction into its own cost
 	// ledger — the decision site (serving node or origin) cannot reach the
 	// other processes' ledgers.
-	HeaderPredict = "X-Cascade-Predict"
-	// HeaderDegraded marks a response served outside the coordinated
+	headerPredict = "X-Cascade-Predict"
+	// headerDegraded marks a response served outside the coordinated
 	// protocol — fetched straight from the origin (or served stale) while
 	// the upstream chain is unreachable. No placement decision rode along.
-	HeaderDegraded = "X-Cascade-Degraded"
+	headerDegraded = "X-Cascade-Degraded"
 	// HeaderSegment marks a Range request as one segment of a segmented
 	// large object: "idx;segsize". Nodes rewrite the object identity to
 	// store.SegmentID(base, idx) and run the full protocol on it, so each
@@ -139,14 +139,11 @@ type Node struct {
 	// OriginURL, when set, enables degraded mode: if the upstream chain
 	// is unreachable (retries exhausted or circuit breaker open), the
 	// node fetches straight from this URL and serves the bytes without
-	// caching or coordination, marked with HeaderDegraded.
+	// caching or coordination, marked with headerDegraded.
 	OriginURL string
 	// MaxRetries bounds upstream retry attempts after the initial try.
 	// 0 means the default (2); negative disables retries.
 	MaxRetries int
-	// RetryBase is the first retry's backoff; it doubles per attempt
-	// with jitter. 0 means the default (25ms).
-	RetryBase time.Duration
 	// BreakerThreshold is the consecutive upstream-failure count that
 	// opens the circuit breaker. 0 means the default (5); negative
 	// disables the breaker.
@@ -470,7 +467,7 @@ func parsePlacementList(h string) []model.NodeID {
 	return out
 }
 
-// formatPredictTerms encodes predicted Δcost terms as the HeaderPredict
+// formatPredictTerms encodes predicted Δcost terms as the headerPredict
 // value: "node=term" comma-separated, ascending node order, terms in the
 // shortest bit-exact float encoding.
 func formatPredictTerms(predict []predictTerm) string {
@@ -481,7 +478,7 @@ func formatPredictTerms(predict []predictTerm) string {
 	return strings.Join(parts, ",")
 }
 
-// parsePredictTerms decodes a HeaderPredict value preserving wire order
+// parsePredictTerms decodes a headerPredict value preserving wire order
 // (ascending node, as decideObserved emits them). Malformed entries are
 // skipped — a missing prediction only loses ledger bookkeeping, never the
 // placement itself.
@@ -758,7 +755,7 @@ func (n *Node) serveHit(w http.ResponseWriter, r *http.Request, g *getReq, gen u
 func (n *Node) decide(h http.Header, g *getReq, d decision, etag string) {
 	d.place, d.predict = decideObserved(g.entries, g.obj, g.now, n.auditor, n.ID, g.tsp, g.parent)
 	writeDecision(h, d)
-	h.Set(HeaderPenalty, "0")
+	h.Set(headerPenalty, "0")
 	h.Set(HeaderHit, nodeName(n.ID))
 	if etag != "" {
 		h.Set("ETag", etag)
@@ -835,7 +832,7 @@ func (n *Node) exchange(w http.ResponseWriter, r *http.Request, g *getReq, q *en
 	}
 	// prev is the counter as it left the upstream node — the miss-penalty
 	// audit's reference value. A malformed one is counted and zeroed.
-	prev, okPen := parsePenalty(resp.Header.Get(HeaderPenalty))
+	prev, okPen := parsePenalty(resp.Header.Get(headerPenalty))
 	if !okPen {
 		n.badPenalty.Add(1)
 		prev = 0
@@ -956,7 +953,7 @@ func (n *Node) downStep(q *engine.Req, hop int, upsp span.SpanID, dec decision, 
 // hop that stores the body without it cannot revalidate conditionally).
 func writeMissTail(h http.Header, resp *http.Response, dec decision, mp float64) {
 	writeDecision(h, dec)
-	h.Set(HeaderPenalty, fmtFloat(mp))
+	h.Set(headerPenalty, fmtFloat(mp))
 	h.Set(HeaderHit, resp.Header.Get(HeaderHit))
 	if tag := resp.Header.Get("ETag"); tag != "" {
 		h.Set("ETag", tag)
@@ -1013,8 +1010,8 @@ func (n *Node) revalidate(w http.ResponseWriter, r *http.Request, g *getReq, up 
 		e.Trace, e.Obj, e.A = g.tsp.ID(), g.obj, float64(gen)
 		n.spans.Add(e)
 		h := w.Header()
-		h.Set(HeaderDegraded, "1")
-		h.Set(HeaderPenalty, "0")
+		h.Set(headerDegraded, "1")
+		h.Set(headerPenalty, "0")
 		h.Set(HeaderHit, nodeName(n.ID))
 		if gen != 0 {
 			h.Set(HeaderGen, strconv.FormatUint(gen, 10))

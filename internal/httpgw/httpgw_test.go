@@ -139,7 +139,7 @@ func TestHTTPPenaltyCounter(t *testing.T) {
 	}
 	// The response reaching the client has the counter reset at the
 	// caching point (node 0 is the last hop, so the client sees 0).
-	if got := resp.Header.Get(HeaderPenalty); got != "0" {
+	if got := resp.Header.Get(headerPenalty); got != "0" {
 		t.Fatalf("penalty header = %q, want 0", got)
 	}
 	// Node 1's d-cache descriptor carries its distance to the origin.
@@ -688,10 +688,10 @@ func TestTTLRevalidationContentChanged(t *testing.T) {
 		mu.Unlock()
 		tag := etagOf(body)
 		w.Header().Set("ETag", tag)
-		w.Header().Set(HeaderPenalty, "0")
+		w.Header().Set(headerPenalty, "0")
 		w.Header().Set(HeaderHit, "origin")
 		// Let the node's own hop decide placement for itself.
-		entries, _ := parsePath(r.Header.Get(HeaderPath))
+		entries, _ := parsePath(r.Header.Get(headerPath))
 		w.Header().Set(HeaderPlace, formatPlacement(decideIDs(entries)))
 		if r.Header.Get("If-None-Match") == tag {
 			w.WriteHeader(http.StatusNotModified)
@@ -769,7 +769,7 @@ func TestRevalidatedCopyDecidesLikeAHit(t *testing.T) {
 	if node.revalidations.Load() != 1 {
 		t.Fatalf("%d revalidations, want 1", node.revalidations.Load())
 	}
-	for _, h := range []string{HeaderHit, HeaderPlace, HeaderPredict, HeaderPenalty, "ETag"} {
+	for _, h := range []string{HeaderHit, HeaderPlace, headerPredict, headerPenalty, "ETag"} {
 		if got, want := revalidated.Header.Get(h), fresh.Header.Get(h); got != want {
 			t.Errorf("%s from the revalidated copy = %q, from the fresh one %q", h, got, want)
 		}

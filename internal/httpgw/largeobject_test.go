@@ -105,7 +105,7 @@ func segmentRequest(path string, idx int, segSize, total int64) *http.Request {
 func upstreamReply(status int, declared int64, body []byte, hdr ...string) *http.Response {
 	h := http.Header{}
 	h.Set(HeaderHit, "origin")
-	h.Set(HeaderPenalty, "0")
+	h.Set(headerPenalty, "0")
 	for i := 0; i+1 < len(hdr); i += 2 {
 		h.Set(hdr[i], hdr[i+1])
 	}

@@ -225,7 +225,7 @@ func TestPredictBookedAtPlacingNode(t *testing.T) {
 		setNow(float64(10 * i))
 		resp, _ := get(t, base, 7)
 		place := resp.Header.Get(HeaderPlace)
-		predict := resp.Header.Get(HeaderPredict)
+		predict := resp.Header.Get(headerPredict)
 		if place == "" {
 			if predict != "" {
 				t.Fatalf("predict header %q without a placement", predict)

@@ -569,7 +569,7 @@ func BenchmarkRelay256K(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			req.Header.Set(HeaderPath, "0;0.5;1;2")
+			req.Header.Set(headerPath, "0;0.5;1;2")
 			buf := make([]byte, size)
 			exchanges := 0
 			exchange := func() *http.Response {

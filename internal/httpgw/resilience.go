@@ -79,13 +79,6 @@ func (n *Node) maxRetries() int {
 	return n.MaxRetries
 }
 
-func (n *Node) retryBase() time.Duration {
-	if n.RetryBase > 0 {
-		return n.RetryBase
-	}
-	return defaultRetryBase
-}
-
 func (n *Node) breakerThreshold() int {
 	if n.BreakerThreshold < 0 {
 		return 0 // disabled
@@ -112,10 +105,10 @@ func (n *Node) sleep(d time.Duration) {
 }
 
 // backoff returns the pause before retry number attempt (0-based):
-// exponential growth from RetryBase with full jitter on the increment, so
+// exponential growth from defaultRetryBase with full jitter on the increment, so
 // synchronized retries from sibling nodes spread out.
 func (n *Node) backoff(attempt int) time.Duration {
-	base := n.retryBase() << uint(attempt)
+	base := defaultRetryBase << uint(attempt)
 	return base + rand.N(base+1)
 }
 
@@ -286,7 +279,7 @@ func (n *Node) serveDegraded(w http.ResponseWriter, r *http.Request) bool {
 	}
 	defer resp.Body.Close()
 	n.degraded.Add(1)
-	w.Header().Set(HeaderDegraded, "1")
+	w.Header().Set(headerDegraded, "1")
 	w.Header().Set(HeaderHit, "origin")
 	if tag := resp.Header.Get("ETag"); tag != "" {
 		w.Header().Set("ETag", tag)

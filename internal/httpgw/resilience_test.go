@@ -170,7 +170,7 @@ func TestHangingUpstreamOriginFallback(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || len(body) != 500 {
 		t.Fatalf("status %d, %d bytes", resp.StatusCode, len(body))
 	}
-	if resp.Header.Get(HeaderDegraded) != "1" || resp.Header.Get(HeaderHit) != "origin" {
+	if resp.Header.Get(headerDegraded) != "1" || resp.Header.Get(HeaderHit) != "origin" {
 		t.Fatalf("headers: %v", resp.Header)
 	}
 	if n.Contains(7) {
@@ -207,7 +207,7 @@ func TestUpstreamRetrySucceeds(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || len(body) != 500 {
 		t.Fatalf("status %d, %d bytes", resp.StatusCode, len(body))
 	}
-	if resp.Header.Get(HeaderDegraded) != "" {
+	if resp.Header.Get(headerDegraded) != "" {
 		t.Fatal("successful retry marked degraded")
 	}
 	if len(pauses) != 2 {
@@ -257,7 +257,7 @@ func TestBreakerOpensServesDegradedAndRecovers(t *testing.T) {
 	// Two failing exchanges trip the breaker; both still serve degraded.
 	for i := 0; i < 2; i++ {
 		resp, _ := get(t, srv.URL, 100+i)
-		if resp.StatusCode != http.StatusOK || resp.Header.Get(HeaderDegraded) != "1" {
+		if resp.StatusCode != http.StatusOK || resp.Header.Get(headerDegraded) != "1" {
 			t.Fatalf("failing request %d: status %d, %v", i, resp.StatusCode, resp.Header)
 		}
 	}
@@ -270,7 +270,7 @@ func TestBreakerOpensServesDegradedAndRecovers(t *testing.T) {
 
 	// Open: fail fast — the upstream must not even see the request.
 	resp, _ := get(t, srv.URL, 102)
-	if resp.StatusCode != http.StatusOK || resp.Header.Get(HeaderDegraded) != "1" {
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(headerDegraded) != "1" {
 		t.Fatalf("open-breaker request: %d %v", resp.StatusCode, resp.Header)
 	}
 	mu.Lock()
@@ -287,7 +287,7 @@ func TestBreakerOpensServesDegradedAndRecovers(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || len(body) != 500 {
 		t.Fatalf("probe request: %d, %d bytes", resp.StatusCode, len(body))
 	}
-	if resp.Header.Get(HeaderDegraded) != "" {
+	if resp.Header.Get(headerDegraded) != "" {
 		t.Fatal("healthy probe still degraded")
 	}
 	if n.Breaker() != BreakerClosed {
@@ -358,7 +358,7 @@ func TestStaleIfError(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || len(body) != 400 {
 		t.Fatalf("stale serve: status %d, %d bytes", resp.StatusCode, len(body))
 	}
-	if resp.Header.Get(HeaderDegraded) != "1" {
+	if resp.Header.Get(headerDegraded) != "1" {
 		t.Fatal("stale-if-error response not marked degraded")
 	}
 	if resp.Header.Get(HeaderHit) != strconv.Itoa(int(n.ID)) {

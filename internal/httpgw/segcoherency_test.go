@@ -58,7 +58,7 @@ func (u *genUpstream) RoundTrip(r *http.Request) (*http.Response, error) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	if r.URL.Path != "/objects/"+strconv.Itoa(genObj) {
-		return upstreamReply(http.StatusOK, 100, store.SyntheticBody(99, 100), HeaderInval, u.inval), nil
+		return upstreamReply(http.StatusOK, 100, store.SyntheticBody(99, 100), headerInval, u.inval), nil
 	}
 	if !seg.on {
 		u.markers++
@@ -556,12 +556,12 @@ func TestPassThroughForwardsGeneration(t *testing.T) {
 	n.cp.FinishDrain(selfSlot)
 
 	plain := httptest.NewRequest(http.MethodGet, "/objects/3", nil)
-	plain.Header.Set(HeaderPath, "0;-;-;1")
+	plain.Header.Set(headerPath, "0;-;-;1")
 	plain.Header.Set(HeaderGen, "9")
 	rec := httptest.NewRecorder()
 	n.ServeHTTP(rec, plain)
 	seg := segmentRequest("/objects/3", 0, 4, 4)
-	seg.Header.Set(HeaderPath, "0;-;-;1")
+	seg.Header.Set(headerPath, "0;-;-;1")
 	seg.Header.Set(HeaderGen, "9")
 	rec2 := httptest.NewRecorder()
 	n.ServeHTTP(rec2, seg)

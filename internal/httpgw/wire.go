@@ -22,7 +22,7 @@ import (
 const maxPathEntries = 256
 
 // predictTerm pairs a chosen node with the DP's predicted Δcost term for
-// its placement — the structured form of one HeaderPredict entry, as the
+// its placement — the structured form of one headerPredict entry, as the
 // engine hands it out.
 type predictTerm = engine.Prediction
 
@@ -51,7 +51,7 @@ type decision struct {
 // tracing). The context is returned only beside a path that parsed, so a
 // refused request can never plant a trace ID in the receiver's span ring.
 func parseIncomingPath(h http.Header) ([]engine.Candidate, span.Ctx, error) {
-	entries, err := parsePath(h.Get(HeaderPath))
+	entries, err := parsePath(h.Get(headerPath))
 	if err != nil {
 		return nil, span.Ctx{}, err
 	}
@@ -69,7 +69,7 @@ func writePath(h http.Header, entries []engine.Candidate, ctx span.Ctx) {
 	for i, e := range entries {
 		parts[i] = formatEntry(e)
 	}
-	h.Set(HeaderPath, strings.Join(parts, ","))
+	h.Set(headerPath, strings.Join(parts, ","))
 }
 
 // parseDecision reads a response's placement decision. The placement set
@@ -78,20 +78,20 @@ func writePath(h http.Header, entries []engine.Candidate, ctx span.Ctx) {
 // byte-identical. A list longer than maxPathEntries fails the whole decision
 // before anything is split or allocated by its length.
 func parseDecision(h http.Header) (decision, error) {
-	for _, name := range [...]string{HeaderPlace, HeaderPredict, HeaderInval} {
+	for _, name := range [...]string{HeaderPlace, headerPredict, headerInval} {
 		if n := strings.Count(h.Get(name), ",") + 1; n > maxPathEntries {
 			return decision{}, fmt.Errorf("httpgw: %s of %d entries exceeds %d", name, n, maxPathEntries)
 		}
 	}
 	d := decision{
 		place:   parsePlacementList(h.Get(HeaderPlace)),
-		predict: parsePredictTerms(h.Get(HeaderPredict)),
+		predict: parsePredictTerms(h.Get(headerPredict)),
 	}
 	var ok bool
 	if d.gen, ok = parseGen(h.Get(HeaderGen)); !ok {
 		d.badGen = true
 	}
-	if v := h.Get(HeaderInval); v != "" {
+	if v := h.Get(headerInval); v != "" {
 		if head, tail, ok := parseInval(v); ok {
 			d.invHead, d.inval = head, tail
 		} else {
@@ -106,13 +106,13 @@ func parseDecision(h http.Header) (decision, error) {
 func writeDecision(h http.Header, d decision) {
 	h.Set(HeaderPlace, formatPlacement(d.place))
 	if len(d.predict) > 0 {
-		h.Set(HeaderPredict, formatPredictTerms(d.predict))
+		h.Set(headerPredict, formatPredictTerms(d.predict))
 	}
 	if d.gen != 0 {
 		h.Set(HeaderGen, strconv.FormatUint(d.gen, 10))
 	}
 	if len(d.inval) > 0 || d.invHead != 0 {
-		h.Set(HeaderInval, formatInval(d.invHead, d.inval))
+		h.Set(headerInval, formatInval(d.invHead, d.inval))
 	}
 }
 

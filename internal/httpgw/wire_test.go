@@ -97,7 +97,7 @@ func TestInvalHeaderMalformed(t *testing.T) {
 	h := http.Header{}
 	h.Set(HeaderPlace, "1")
 	h.Set(HeaderGen, "banana")
-	h.Set(HeaderInval, "7|1:2:3,garbled")
+	h.Set(headerInval, "7|1:2:3,garbled")
 	d, err := parseDecision(h)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func hostileUpstream(t *testing.T, hdr map[string]string) string {
 		for k, v := range hdr {
 			w.Header().Set(k, v)
 		}
-		w.Header().Set(HeaderPenalty, "0")
+		w.Header().Set(headerPenalty, "0")
 		w.Header().Set(HeaderHit, "origin")
 		w.Write(make([]byte, 64)) //nolint:errcheck
 	}))
@@ -182,7 +182,7 @@ func TestWideNodeIDNotTruncated(t *testing.T) {
 		t.Errorf("status %d, %d inserts: node 1 took a placement addressed to node 4294967297", rec.Code, n.inserts.Load())
 	}
 	req := httptest.NewRequest(http.MethodGet, "/objects/5", nil)
-	req.Header.Set(HeaderPath, "4294967297;1;1;0.1")
+	req.Header.Set(headerPath, "4294967297;1;1;0.1")
 	rec = httptest.NewRecorder()
 	n.ServeHTTP(rec, req)
 	if rec.Code != http.StatusBadRequest {
@@ -201,7 +201,7 @@ func TestNonFiniteNumbersRefused(t *testing.T) {
 	if out := parsePredictTerms("0=NaN,1=+Inf,2=-Inf,3=0.5"); !reflect.DeepEqual(out, []predictTerm{{Node: 3, Term: 0.5}}) {
 		t.Errorf("parsePredictTerms kept non-finite terms: %v", out)
 	}
-	up := hostileUpstream(t, map[string]string{HeaderPlace: "0", HeaderPredict: "0=NaN"})
+	up := hostileUpstream(t, map[string]string{HeaderPlace: "0", headerPredict: "0=NaN"})
 	n := NewNode(0, up, 1, 1<<20, 64, func() float64 { return 0 })
 	rec := httptest.NewRecorder()
 	n.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/objects/5", nil))
@@ -213,7 +213,7 @@ func TestNonFiniteNumbersRefused(t *testing.T) {
 	}
 	for _, path := range []string{"1;NaN;Inf;1", "1;-;-;Inf"} {
 		req := httptest.NewRequest(http.MethodGet, "/objects/6", nil)
-		req.Header.Set(HeaderPath, path)
+		req.Header.Set(headerPath, path)
 		rec = httptest.NewRecorder()
 		n.ServeHTTP(rec, req)
 		if rec.Code != http.StatusBadRequest {
@@ -232,10 +232,10 @@ func TestOverCapDecisionListsRefused(t *testing.T) {
 	for name, mk := range map[string]func(n int) map[string]string{
 		"place": func(n int) map[string]string { return map[string]string{HeaderPlace: list("9", n)} },
 		"predict": func(n int) map[string]string {
-			return map[string]string{HeaderPlace: "9", HeaderPredict: list("9=1", n)}
+			return map[string]string{HeaderPlace: "9", headerPredict: list("9=1", n)}
 		},
 		"inval": func(n int) map[string]string {
-			return map[string]string{HeaderPlace: "9", HeaderInval: "1|" + list("1:2:3", n)}
+			return map[string]string{HeaderPlace: "9", headerInval: "1|" + list("1:2:3", n)}
 		},
 	} {
 		for n, want := range map[int]int{maxPathEntries: http.StatusOK, maxPathEntries + 1: http.StatusBadGateway} {
@@ -261,8 +261,8 @@ func TestOverCapDecisionListsRefused(t *testing.T) {
 // constants.
 func TestOldPeerAdvertIgnored(t *testing.T) {
 	known := map[string]bool{}
-	for _, h := range []string{HeaderPath, HeaderPlace, HeaderPenalty, HeaderHit, HeaderPredict, HeaderDegraded,
-		HeaderSegment, HeaderSegmented, HeaderGen, HeaderInval, HeaderTraceCtx} {
+	for _, h := range []string{headerPath, HeaderPlace, headerPenalty, HeaderHit, headerPredict, headerDegraded,
+		HeaderSegment, HeaderSegmented, HeaderGen, headerInval, HeaderTraceCtx} {
 		known[http.CanonicalHeaderKey(h)] = true // the form net/http puts on the wire
 	}
 	if len(known) != 11 {
@@ -301,7 +301,7 @@ func TestOldPeerAdvertIgnored(t *testing.T) {
 		// An old downstream: advertises on every request.
 		req := httptest.NewRequest(http.MethodGet, "/objects/3", nil)
 		req.Header.Set("X-Cascade-Accept", "bf4")
-		req.Header.Set(HeaderPath, "7;0.5;1;2")
+		req.Header.Set(headerPath, "7;0.5;1;2")
 		rec := httptest.NewRecorder()
 		n.ServeHTTP(rec, req)
 		resp := rec.Result()
@@ -322,12 +322,12 @@ func TestOldPeerAdvertIgnored(t *testing.T) {
 		t.Fatal("no request reached the upstream")
 	}
 	for i, h := range upstreamSaw {
-		if h.Get(HeaderPath) == "" {
+		if h.Get(headerPath) == "" {
 			t.Errorf("upstream request %d carries no X-Cascade-Path after the upstream advertised bf4: %v", i, h)
 		}
 		checkNames("upstream request", h)
 	}
-	for _, h := range []string{HeaderPath, HeaderTraceCtx, HeaderPlace, HeaderPenalty, HeaderHit, HeaderGen, HeaderInval} {
+	for _, h := range []string{headerPath, HeaderTraceCtx, HeaderPlace, headerPenalty, HeaderHit, HeaderGen, headerInval} {
 		if !seen[http.CanonicalHeaderKey(h)] {
 			t.Errorf("exchange never carried %s; the name check is vacuous for it", h)
 		}
@@ -366,7 +366,7 @@ func FuzzWireText(f *testing.F) {
 			}
 			h := http.Header{}
 			writePath(h, entries, span.Ctx{})
-			again, err := parsePath(h.Get(HeaderPath))
+			again, err := parsePath(h.Get(headerPath))
 			if err != nil || !reflect.DeepEqual(again, entries) {
 				t.Fatalf("path not a fixed point:\n in %+v\nout %+v (%v)", entries, again, err)
 			}
@@ -374,9 +374,9 @@ func FuzzWireText(f *testing.F) {
 
 		h := http.Header{}
 		h.Set(HeaderPlace, place)
-		h.Set(HeaderPredict, predict)
+		h.Set(headerPredict, predict)
 		h.Set(HeaderGen, gen)
-		h.Set(HeaderInval, inval)
+		h.Set(headerInval, inval)
 		d, err := parseDecision(h)
 		if err != nil {
 			return
@@ -425,7 +425,7 @@ func TestOversizedPathRefused(t *testing.T) {
 
 	for name, h := range map[string]http.Handler{"node": n, "origin": o} {
 		req := httptest.NewRequest(http.MethodGet, "/objects/1", nil)
-		req.Header.Set(HeaderPath, long)
+		req.Header.Set(headerPath, long)
 		rec := httptest.NewRecorder()
 		start := time.Now()
 		h.ServeHTTP(rec, req)
@@ -444,7 +444,7 @@ func TestOversizedPathRefused(t *testing.T) {
 	}
 	// The bound itself is generous: a path at the cap is served.
 	req := httptest.NewRequest(http.MethodGet, "/objects/1", nil)
-	req.Header.Set(HeaderPath, strings.Repeat("1;-;-;1,", maxPathEntries-1)+"1;-;-;1")
+	req.Header.Set(headerPath, strings.Repeat("1;-;-;1,", maxPathEntries-1)+"1;-;-;1")
 	rec := httptest.NewRecorder()
 	o.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
@@ -462,7 +462,7 @@ func TestMalformedPathJoinsNoTrace(t *testing.T) {
 	ctx := span.Ctx{Trace: span.TraceID{Hi: 0xfeedface, Lo: 1}, Parent: 42}
 	for _, path := range []string{"garbage", "1;NaN;1;1", "4294967297;-;-;1"} {
 		req := httptest.NewRequest(http.MethodGet, "/objects/1", nil)
-		req.Header.Set(HeaderPath, path)
+		req.Header.Set(headerPath, path)
 		req.Header.Set(HeaderTraceCtx, ctx.String())
 		rec := httptest.NewRecorder()
 		n.ServeHTTP(rec, req)

@@ -8,25 +8,25 @@ import (
 	"cascade/internal/model"
 )
 
-// LFU is an extra baseline beyond the paper's comparators: caching
+// lfu is an extra baseline beyond the paper's comparators: caching
 // everywhere with least-frequently-used replacement driven by the same
 // sliding-window estimator the cost-aware schemes use. It isolates the
 // value of frequency information alone (no cost, no placement decisions).
-type LFU struct {
+type lfu struct {
 	caches  map[model.NodeID]*cache.HeapStore
 	dcaches map[model.NodeID]dcache.DCache
 	placed  []int           // scratch reused across Process calls
 	pool    engine.DescPool // recycles descriptors evicted by the d-caches
 }
 
-// NewLFU returns an unconfigured LFU scheme.
-func NewLFU() *LFU { return &LFU{} }
+// newLFU returns an unconfigured LFU scheme.
+func newLFU() *lfu { return &lfu{} }
 
 // Name implements Scheme.
-func (s *LFU) Name() string { return "LFU" }
+func (s *lfu) Name() string { return "LFU" }
 
 // Configure implements Scheme.
-func (s *LFU) Configure(budgets map[model.NodeID]NodeBudget) {
+func (s *lfu) Configure(budgets map[model.NodeID]NodeBudget) {
 	s.caches = make(map[model.NodeID]*cache.HeapStore, len(budgets))
 	s.dcaches = make(map[model.NodeID]dcache.DCache, len(budgets))
 	for n, b := range budgets {
@@ -37,7 +37,7 @@ func (s *LFU) Configure(budgets map[model.NodeID]NodeBudget) {
 }
 
 // Process implements Scheme.
-func (s *LFU) Process(now float64, obj model.ObjectID, size int64, path Path) Outcome {
+func (s *lfu) Process(now float64, obj model.ObjectID, size int64, path Path) Outcome {
 	hit := path.OriginIndex()
 	for i := range path.Nodes {
 		n := path.Nodes[i]
@@ -70,22 +70,22 @@ func (s *LFU) Process(now float64, obj model.ObjectID, size int64, path Path) Ou
 	return Outcome{HitIndex: hit, Placed: placed}
 }
 
-// GDS is an extra baseline: caching everywhere with GreedyDual-Size
+// gds is an extra baseline: caching everywhere with GreedyDual-Size
 // replacement, the retrieval cost of an object taken as the delay of the
 // immediate upstream link (the cost LNC-R uses too).
-type GDS struct {
+type gds struct {
 	caches map[model.NodeID]*cache.GreedyDualSize
 	placed []int // scratch reused across Process calls
 }
 
-// NewGDS returns an unconfigured GreedyDual-Size scheme.
-func NewGDS() *GDS { return &GDS{} }
+// newGDS returns an unconfigured GreedyDual-Size scheme.
+func newGDS() *gds { return &gds{} }
 
 // Name implements Scheme.
-func (s *GDS) Name() string { return "GDS" }
+func (s *gds) Name() string { return "GDS" }
 
 // Configure implements Scheme.
-func (s *GDS) Configure(budgets map[model.NodeID]NodeBudget) {
+func (s *gds) Configure(budgets map[model.NodeID]NodeBudget) {
 	s.caches = make(map[model.NodeID]*cache.GreedyDualSize, len(budgets))
 	for n, b := range budgets {
 		s.caches[n] = cache.NewGreedyDualSize(b.CacheBytes)
@@ -93,7 +93,7 @@ func (s *GDS) Configure(budgets map[model.NodeID]NodeBudget) {
 }
 
 // Process implements Scheme.
-func (s *GDS) Process(now float64, obj model.ObjectID, size int64, path Path) Outcome {
+func (s *gds) Process(now float64, obj model.ObjectID, size int64, path Path) Outcome {
 	hit := path.OriginIndex()
 	for i := range path.Nodes {
 		c := s.caches[path.Nodes[i]]

@@ -20,9 +20,9 @@ func New(name string) (Scheme, error) {
 	case n == "COORD" || n == "COORDINATED":
 		return NewCoordinated(), nil
 	case n == "LFU":
-		return NewLFU(), nil
+		return newLFU(), nil
 	case n == "GDS":
-		return NewGDS(), nil
+		return newGDS(), nil
 	case n == "LRU-2H" || n == "LRU2H":
 		return NewLRU2H(), nil
 	case n == "MODULO":

@@ -393,7 +393,7 @@ func TestCoordinatedClampToggle(t *testing.T) {
 }
 
 func TestLFUSchemeKeepsFrequentObject(t *testing.T) {
-	s := NewLFU()
+	s := newLFU()
 	s.Configure(Uniform([]model.NodeID{0}, 200, 100))
 	p := Path{Nodes: []model.NodeID{0}, UpCost: []float64{1}}
 	for i := 0; i < 10; i++ {
@@ -408,7 +408,7 @@ func TestLFUSchemeKeepsFrequentObject(t *testing.T) {
 }
 
 func TestGDSScheme(t *testing.T) {
-	s := NewGDS()
+	s := newGDS()
 	s.Configure(Uniform([]model.NodeID{0, 1}, 200, 0))
 	p := Path{Nodes: []model.NodeID{0, 1}, UpCost: []float64{2, 3}}
 	out := s.Process(0, 1, 100, p)
@@ -430,8 +430,8 @@ func TestSchemeNames(t *testing.T) {
 		{NewModulo(4), "MODULO(4)"},
 		{NewLNCR(), "LNC-R"},
 		{NewCoordinated(), "COORD"},
-		{NewLFU(), "LFU"},
-		{NewGDS(), "GDS"},
+		{newLFU(), "LFU"},
+		{newGDS(), "GDS"},
 	} {
 		if tc.s.Name() != tc.want {
 			t.Fatalf("name %q, want %q", tc.s.Name(), tc.want)

@@ -38,7 +38,7 @@
 //     without coordination.
 //
 // The package depends only on the standard library and internal/model
-// (cmd/importguard enforces this).
+// (cmd/lint enforces this).
 package span
 
 import (

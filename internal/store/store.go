@@ -16,7 +16,7 @@
 // same bytes and the same segment identities or body-hash conformance
 // cannot hold.
 //
-// Dependency discipline (enforced by cmd/importguard): standard library
+// Dependency discipline (enforced by cmd/lint): standard library
 // plus internal/model and internal/metrics only. The data plane sits below
 // every incarnation and must not reach back into the protocol.
 package store

@@ -15,7 +15,7 @@ type NodeKind uint8
 // Node kinds of the two-level Tiers-style topology.
 const (
 	WANNode NodeKind = iota
-	MANNode
+	manNode
 )
 
 // TiersConfig parameterizes the Tiers-style random topology of paper §3.2.
@@ -180,7 +180,7 @@ func GenerateTiers(cfg TiersConfig, r *rand.Rand) *EnRoute {
 		base := cfg.WANNodes + man*cfg.NodesPerMAN
 		for i := 0; i < cfg.NodesPerMAN; i++ {
 			id := model.NodeID(base + i)
-			kinds[id] = MANNode
+			kinds[id] = manNode
 			manNodes = append(manNodes, id)
 			if i > 0 {
 				g.AddEdge(id, model.NodeID(base+r.Intn(i)), delay(cfg.MANDelayMean))
@@ -518,7 +518,7 @@ func (e *EnRoute) WriteDot(w io.Writer) error {
 	}
 	for u := 0; u < e.G.NumNodes(); u++ {
 		shape := "circle"
-		if e.Kinds[u] == MANNode {
+		if e.Kinds[u] == manNode {
 			shape = "doublecircle"
 		}
 		if _, err := fmt.Fprintf(w, "  n%d [shape=%s]\n", u, shape); err != nil {

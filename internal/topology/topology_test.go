@@ -147,7 +147,7 @@ func TestGenerateTiersDefaults(t *testing.T) {
 		t.Fatal("attach points wrong")
 	}
 	for _, id := range e.ClientAttachPoints() {
-		if e.Kinds[id] != MANNode {
+		if e.Kinds[id] != manNode {
 			t.Fatalf("attach point %d is not a MAN node", id)
 		}
 	}

@@ -66,3 +66,49 @@ func TestCommittedFiguresOrderCoordBest(t *testing.T) {
 		}
 	}
 }
+
+// TestCommittedFreshnessFrontier holds the committed freshness tables to
+// what EXPERIMENTS.md claims of them: CAS-strict coherency serves no stale
+// read at any update rate, and PSI never serves more stale reads than no
+// protocol at all.
+func TestCommittedFreshnessFrontier(t *testing.T) {
+	for _, arch := range []string{"enroute", "hierarchy"} {
+		name := "freshness_frontier_" + arch + ".csv"
+		f, err := os.Open(filepath.Join("results", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := csv.NewReader(f).ReadAll()
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(rows) < 2 {
+			t.Fatalf("%s: no data rows", name)
+		}
+		col := map[string]int{}
+		for i, h := range rows[0] {
+			col[h] = i
+		}
+		for _, h := range []string{"None stale", "PSI stale", "CAS stale"} {
+			if _, ok := col[h]; !ok {
+				t.Fatalf("%s: no %q column in %v", name, h, rows[0])
+			}
+		}
+		for _, row := range rows[1:] {
+			stale := func(h string) float64 {
+				v, err := strconv.ParseFloat(row[col[h]], 64)
+				if err != nil {
+					t.Fatalf("%s at %s: %v", name, row[0], err)
+				}
+				return v
+			}
+			if cas := stale("CAS stale"); cas != 0 {
+				t.Errorf("%s at %s: CAS-strict served stale reads (%v)", name, row[0], cas)
+			}
+			if psi, none := stale("PSI stale"), stale("None stale"); psi > none {
+				t.Errorf("%s at %s: PSI stale %v above no protocol's %v", name, row[0], psi, none)
+			}
+		}
+	}
+}
