@@ -42,11 +42,12 @@ conformance:
 # data-plane tests of the package that owns the code: segment reassembly
 # outcomes (status, length, and generation — writes that race a reassembly
 # in CAS, PSI and TTL modes), the marker memo, a drained client-facing node,
-# the origin's validator memo and ranged Dir-mode reads, spill, relay and
-# hostile-length and hostile-geometry handling.
+# the origin's validator memo and ranged Dir-mode reads, spill, relay,
+# hostile-length and hostile-geometry handling, and degraded answers (a
+# large object whole, the marker kept and no down step one hop down).
 dataplane:
 	$(GO) test -race -count=1 -run 'TestDataPlane' ./internal/conformance/
-	$(GO) test -race -count=1 -run 'TestSegment|TestReassembl|TestMarkerMemo|TestDrainedEdge|TestPassThrough|TestOldPeerMarker|TestOrigin|TestDirOrigin|TestSpill|TestRelay|TestReadBody|TestHostile' ./internal/httpgw/
+	$(GO) test -race -count=1 -run 'TestSegment|TestReassembl|TestMarkerMemo|TestDrainedEdge|TestPassThrough|TestOldPeerMarker|TestOrigin|TestDirOrigin|TestSpill|TestRelay|TestReadBody|TestHostile|TestDegraded' ./internal/httpgw/
 
 # Rolling-reconfiguration smoke (not tier-1): upgrade the 100-node default
 # cascade one batch at a time under sustained load; the job fails on any
@@ -55,15 +56,17 @@ dataplane:
 # both incarnations run (internal/controlplane: the membership Manager and
 # the probe threshold machine), under the race detector: its own suite, the
 # cluster's drain/admit cycle against the simulator
-# (TestDrainAdmitCycleConforms), and the gateway's admin endpoints and
-# upstream prober, an admit refused while a drain runs and the epoch and
-# event records of a scripted transition sequence (internal/httpgw).
+# (TestDrainAdmitCycleConforms), and the gateway's admin endpoints, its
+# upstream slot's one health machine (probes and failing exchanges, the
+# cooldown trial, a probed-down upstream held down under traffic), an admit
+# refused while a drain runs and the epoch and event records of a scripted
+# transition sequence (internal/httpgw).
 rolling:
 	$(GO) run ./cmd/cascadesim -exp rolling -arch enroute \
 		-objects 2000 -requests 30000 -clients 200 -servers 40
 	$(GO) test -race -count=1 ./internal/controlplane/
 	$(GO) test -race -count=1 -run 'TestDrainAdmitCycleConforms' ./internal/conformance/
-	$(GO) test -race -count=1 -run 'TestAdmin|TestUpstreamProber|TestAdmitDuringDrainRefused|TestControlPlaneRecord' ./internal/httpgw/
+	$(GO) test -race -count=1 -run 'TestAdmin|TestUpstreamProber|TestUpstreamFailures|TestProbedDown|TestAdmitDuringDrainRefused|TestControlPlaneRecord' ./internal/httpgw/
 
 # Coherency gate: a CAS-strict load run against an in-process 3-gateway
 # chain — any response served below a completed write's generation fails the

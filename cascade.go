@@ -408,8 +408,8 @@ func LedgerStudy(arch Architecture, cfg ExperimentConfig, size float64) (ResultT
 
 // Cascade-wide span tracing: per-request protocol-phase spans under one
 // 128-bit trace ID, propagated hop to hop and tail-sampled into per-node
-// rings, which also keep each node's events — crashes, breaker, membership
-// and health transitions, coherency and disk-tier events, audit violations
+// rings, which also keep each node's events — crashes, membership and
+// health transitions, coherency and disk-tier events, audit violations
 // — as zero-length records (docs/OBSERVABILITY.md).
 type (
 	// SpanPolicy declares a tracer's tail-sampling policy: the keep rate
@@ -434,9 +434,6 @@ type (
 	HTTPCacheNode = httpgw.Node
 	// HTTPOrigin is the content source handler.
 	HTTPOrigin = httpgw.Origin
-	// UpstreamHealthConfig tunes a gateway node's active upstream prober
-	// (HTTPCacheNode.StartUpstreamHealthCheck).
-	UpstreamHealthConfig = httpgw.UpstreamHealthConfig
 )
 
 // Protocol header names used by the HTTP gateway.

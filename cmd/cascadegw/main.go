@@ -59,8 +59,6 @@ func run() error {
 		originURL   = flag.String("origin-url", "", "gateway: origin base URL for degraded-mode fallback when the upstream chain is unreachable")
 		upTimeout   = flag.Duration("up-timeout", 0, "gateway: upstream request timeout (0 = built-in default)")
 		retries     = flag.Int("retries", 0, "gateway: upstream retries after the initial attempt (0 = default, negative = none)")
-		brkThresh   = flag.Int("breaker-threshold", 0, "gateway: consecutive upstream failures that open the circuit breaker (0 = default, negative = disabled)")
-		brkCool     = flag.Float64("breaker-cooldown", 0, "gateway: seconds the breaker stays open before probing (0 = default)")
 		upHealth    = flag.Float64("up-health-interval", 1, "gateway: seconds between active upstream health probes (≤ 0 = disabled)")
 		spanRate    = flag.Float64("spans", -1, "enable cascade-wide span tracing, keeping this fraction of unremarkable traces (error/stale/slow always kept; negative = disabled; the origin keeps its decide spans); dump via GET /cascade/debug/spans")
 		spanCap     = flag.Int("span-capacity", 512, "span-ring capacity in records (with -spans; without, the ring keeps 256 event records)")
@@ -169,21 +167,16 @@ func run() error {
 		}
 		node.OriginURL = strings.TrimRight(*originURL, "/")
 		node.MaxRetries = *retries
-		node.BreakerThreshold = *brkThresh
-		node.BreakerCooldown = *brkCool
 		if *upTimeout != 0 {
 			node.Client = cascade.NewHTTPUpstreamClient(*upTimeout)
 		}
 		if *upHealth > 0 {
-			// The active prober gates upstream selection ahead of the
-			// circuit breaker: a probed-Down upstream fails fast to the
-			// degraded path without waiting for request traffic to teach
-			// the breaker.
+			// The active prober finds a dead upstream Down even when no
+			// request flows, so requests fail fast to the degraded path
+			// without spending themselves on it.
 			probeStop := make(chan struct{})
 			defer close(probeStop)
-			node.StartUpstreamHealthCheck(cascade.UpstreamHealthConfig{
-				Interval: time.Duration(*upHealth * float64(time.Second)),
-			}, probeStop)
+			node.StartUpstreamHealthCheck(time.Duration(*upHealth*float64(time.Second)), probeStop)
 		}
 		if *state != "" {
 			if f, err := os.Open(*state); err == nil {

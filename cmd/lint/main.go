@@ -70,7 +70,7 @@ const maxFuncLines = 120
 var funcCeilings = map[string]int{
 	"cmd/cascadesim run":                      516,
 	"cmd/observesmoke run":                    405,
-	"cmd/cascadegw run":                       205,
+	"cmd/cascadegw run":                       198,
 	"internal/experiment RollingUpgradeStudy": 202,
 	"internal/trace ExtractTopObjects":        138,
 	"cmd/cascadeload run":                     126,
@@ -79,7 +79,7 @@ var funcCeilings = map[string]int{
 // maxLines is the ceiling on `make loc`'s total. Only an issue that states
 // its reason may raise it, as a bound-backed optimality oracle replacing the
 // non-paper baselines would.
-const maxLines = 25174
+const maxLines = 24973
 
 // unreached lists, per package directory, the exported names that nothing
 // outside their package reaches. Each is to be unexported or deleted.
@@ -88,8 +88,7 @@ var unreached = map[string][]string{
 	"internal/core":         {"BruteForce", "ClampMonotone", "LocallyBeneficial"},
 	"internal/dcache":       {"NewLRUStacks"},
 	"internal/experiment":   {"ChaosDegraded", "ChaosHealthy", "ChaosRecovered", "ReplicateSummary", "RollingHealthy", "RollingRecovered", "RollingUpgrading"},
-	"internal/fault":        {"ActPass", "DroppedError"},
-	"internal/httpgw":       {"BreakerClosed", "BreakerHalfOpen", "BreakerOpen", "DefaultSpanCapacity", "ErrBreakerOpen", "ErrUpstreamDown", "HeaderTraceCtx"},
+	"internal/fault":        {"ActPass"},
 	"internal/metrics":      {"BucketUpperBound"},
 	"internal/sim":          {"CoherencyScheme"},
 	"internal/span":         {"DownPlaceFailed", "FlagSlow", "Sampled"},

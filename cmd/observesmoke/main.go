@@ -172,7 +172,7 @@ func run() error {
 		series := []string{
 			`cascade_gw_hits_total{node="0"}`,
 			`cascade_gw_misses_total{node="0"}`,
-			`cascade_gw_breaker_state{node="0",upstream="`,
+			`cascade_gw_upstream_health{node="0",upstream="`,
 			`cascade_gw_cache_used_bytes{node="0"}`,
 			`cascade_gw_dcache_descriptors{node="0"}`,
 			`cascade_gw_request_seconds{node="0",quantile="0.99"}`,

@@ -2,16 +2,16 @@
 // cache nodes at runtime. The paper's coordinated placement (§2.2–2.4)
 // assumes a fixed set of caches; this package makes the set a living object
 // without touching the protocol: a membership Manager admits, drains and
-// removes nodes, an active HealthChecker (distinct from any passive
-// circuit breaker) transitions nodes healthy → suspect → down on probe
-// evidence, and an EpochGuard lets in-flight requests finish on the
+// removes nodes, an active Checker transitions nodes healthy → suspect →
+// down on probe evidence, and an EpochGuard lets in-flight requests finish on the
 // routing view they started with while new requests pick up the changed
 // membership.
 //
 // The package is transport-agnostic: the cluster (internal/runtime) and
 // the HTTP gateway (internal/httpgw) both run a Manager — the cluster one
 // slot per cache, each gateway node two, itself (slot 0) and its upstream
-// (slot 1) — and both probe with the same threshold machine (Streak), so a
+// (slot 1) — and both judge health with the same threshold machine
+// (Streak), which a gateway feeds its upstream exchanges too, so a
 // drained node behaves identically whichever transport hosts it: it stops
 // offering placement candidacy, spills its descriptors to its parent, and
 // departs, and only a removed node is admitted again. cmd/lint pins
@@ -122,15 +122,15 @@ type Event struct {
 // All methods are safe for concurrent use.
 type Manager struct {
 	mu      sync.Mutex
-	health  []Health
 	epoch   uint64
 	onEvent func(Event)
 
-	// member (a MemberState per node) and routable (member Active and
-	// health not Down) are written inside every transition while m.mu is
-	// held and read without it, so StateOf and the per-hop routing
-	// predicate are one atomic load each.
+	// member (a MemberState per node), health (a Health per node) and
+	// routable (member Active and health not Down) are written inside every
+	// transition while m.mu is held and read without it, so StateOf,
+	// HealthOf and the per-hop routing predicate are one atomic load each.
 	member   []atomic.Uint32
+	health   []atomic.Uint32
 	routable []atomic.Bool
 
 	// changes counts the transitions applied, by kind
@@ -143,7 +143,7 @@ type Manager struct {
 func NewManager(n int) *Manager {
 	m := &Manager{
 		member:   make([]atomic.Uint32, n),
-		health:   make([]Health, n),
+		health:   make([]atomic.Uint32, n),
 		routable: make([]atomic.Bool, n),
 	}
 	for i := range m.routable {
@@ -196,14 +196,13 @@ func (m *Manager) StateOf(id model.NodeID) MemberState {
 	return MemberState(m.member[id].Load())
 }
 
-// HealthOf returns a node's health (Down for unknown IDs).
+// HealthOf returns a node's health (Down for unknown IDs), one atomic
+// load.
 func (m *Manager) HealthOf(id model.NodeID) Health {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if int(id) < 0 || int(id) >= len(m.health) {
 		return Down
 	}
-	return m.health[id]
+	return Health(m.health[id].Load())
 }
 
 // Routable reports whether new requests may be routed through the node:
@@ -221,13 +220,14 @@ func (m *Manager) Routable(id model.NodeID) bool {
 // and fire the returned event (if any) after unlocking.
 func (m *Manager) emitLocked(k EventKind, id model.NodeID) (Event, bool) {
 	member := MemberState(m.member[id].Load())
-	m.routable[id].Store(member == Active && m.health[id] != Down)
+	health := Health(m.health[id].Load())
+	m.routable[id].Store(member == Active && health != Down)
 	m.epoch++
 	m.changes[k].Add(1)
 	if m.onEvent == nil {
 		return Event{}, false
 	}
-	return Event{Kind: k, Node: id, Member: member, Health: m.health[id], Epoch: m.epoch}, true
+	return Event{Kind: k, Node: id, Member: member, Health: health, Epoch: m.epoch}, true
 }
 
 // move applies a membership transition: node id, when in state from,
@@ -242,7 +242,7 @@ func (m *Manager) move(id model.NodeID, from, to MemberState, k EventKind) bool 
 	}
 	m.member[id].Store(uint32(to))
 	if to == Active {
-		m.health[id] = Healthy
+		m.health[id].Store(uint32(Healthy))
 	}
 	ev, fire := m.emitLocked(k, id)
 	m.mu.Unlock()
@@ -271,14 +271,18 @@ func (m *Manager) FinishDrain(id model.NodeID) bool {
 
 // SetHealth records a node's health classification (typically from a
 // HealthChecker, or an operator override). Reports whether the value
-// changed; only changes bump the epoch.
+// changed; only changes bump the epoch, and only a change takes the
+// manager's lock.
 func (m *Manager) SetHealth(id model.NodeID, h Health) bool {
+	if m.HealthOf(id) == h {
+		return false
+	}
 	m.mu.Lock()
-	if int(id) < 0 || int(id) >= len(m.health) || m.health[id] == h {
+	if int(id) < 0 || int(id) >= len(m.health) || Health(m.health[id].Load()) == h {
 		m.mu.Unlock()
 		return false
 	}
-	m.health[id] = h
+	m.health[id].Store(uint32(h))
 	ev, fire := m.emitLocked(EventHealthChange, id)
 	m.mu.Unlock()
 	if fire {

@@ -135,11 +135,7 @@ func TestEventsAndMetrics(t *testing.T) {
 func TestCheckerThresholds(t *testing.T) {
 	m := NewManager(1)
 	healthy := true
-	c := NewChecker(m, CheckerConfig{
-		Probe:            func(model.NodeID) bool { return healthy },
-		FailureThreshold: 3,
-		SuccessThreshold: 2,
-	})
+	c := NewChecker(m, CheckerConfig{Probe: func(model.NodeID) bool { return healthy }})
 
 	c.Tick()
 	if got := m.HealthOf(0); got != Healthy {
@@ -193,27 +189,28 @@ func TestAdmitOnlyRemoved(t *testing.T) {
 }
 
 // TestStreakConcurrentObserve feeds one node's streak from several
-// goroutines at once: every failure counts, so the node ends Down, and
-// then the default two successes restore it.
+// goroutines at once: every failure counts, so failureThreshold concurrent
+// failures leave the node Down, and then successThreshold successes
+// restore it.
 func TestStreakConcurrentObserve(t *testing.T) {
 	m := NewManager(1)
 	var s Streak
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for g := 0; g < failureThreshold; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.Observe(m, 0, false, 4, 0)
+			s.Observe(m, 0, false)
 		}()
 	}
 	wg.Wait()
 	if got := m.HealthOf(0); got != Down {
-		t.Fatalf("after 4 concurrent failures: %v, want down", got)
+		t.Fatalf("after %d concurrent failures: %v, want down", failureThreshold, got)
 	}
-	if got := s.Observe(m, 0, true, 0, 0); got != Down {
+	if got := s.Observe(m, 0, true); got != Down {
 		t.Fatalf("after 1 success: %v, want still down", got)
 	}
-	if got := s.Observe(m, 0, true, 0, 0); got != Healthy {
+	if got := s.Observe(m, 0, true); got != Healthy {
 		t.Fatalf("after 2 successes: %v, want healthy", got)
 	}
 }

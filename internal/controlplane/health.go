@@ -11,22 +11,15 @@ import (
 type CheckerConfig struct {
 	// Probe reports whether the node answered its health probe. Required.
 	Probe func(id model.NodeID) bool
-	// FailureThreshold is how many consecutive probe failures mark a node
-	// Down (default 3). The first failure already marks it Suspect.
-	FailureThreshold int
-	// SuccessThreshold is how many consecutive probe successes return a
-	// Suspect or Down node to Healthy (default 2).
-	SuccessThreshold int
 	// Interval is the probe period for Run (default 1s). Tick ignores it.
 	Interval time.Duration
 }
 
 // Checker is the active health prober: a periodic probe per node with
 // consecutive failure/success thresholds (a Streak per node) driving the
-// healthy → suspect → down state machine in a Manager. It is the active
-// counterpart of the gateways' passive circuit breaker — the breaker
-// reacts to real traffic failing, the checker detects sickness before (or
-// without) traffic.
+// healthy → suspect → down state machine in a Manager. A gateway node runs
+// the same Streak on its upstream, fed by its prober and by its upstream
+// exchanges alike.
 //
 // Tests drive it deterministically with Tick; deployments start the
 // background loop with Run.
@@ -52,43 +45,44 @@ func (c *Checker) Tick() {
 			c.streaks[i].Reset()
 			continue
 		}
-		c.streaks[i].Observe(c.mgr, id, c.cfg.Probe(id), c.cfg.FailureThreshold, c.cfg.SuccessThreshold)
+		c.streaks[i].Observe(c.mgr, id, c.cfg.Probe(id))
 	}
 }
 
 // Run ticks every Interval until stop is closed. Call in a goroutine.
 func (c *Checker) Run(stop <-chan struct{}) { Every(c.cfg.Interval, stop, c.Tick) }
 
-// The probe defaults, for the Checker and for every other active prober
-// (the gateway's upstream prober): a threshold or an interval ≤ 0 means
-// these.
+// The health machine's constants, for the Checker and for the gateway's
+// upstream slot: failureThreshold consecutive failures mark a node Down,
+// successThreshold consecutive successes return it to Healthy, and an
+// active prober polls every defaultInterval unless told otherwise.
 const (
-	defaultFailureThreshold = 3
-	defaultSuccessThreshold = 2
-	defaultInterval         = time.Second
+	failureThreshold = 3
+	successThreshold = 2
+	defaultInterval  = time.Second
 )
 
-// Streak is the probe threshold machine of one node: it counts consecutive
-// probe outcomes and walks the node's health in a Manager through
-// healthy → suspect → down and back. The Checker keeps one per node, a
-// gateway node one for its upstream. Safe for concurrent use.
+// Cooldown is how long, in clock seconds, a gateway whose upstream is Down
+// fails fast before it lets one request up as a trial.
+const Cooldown = 30.0
+
+// Streak is the threshold machine of one node: it counts consecutive
+// outcomes — probes, and at a gateway its upstream exchanges — and walks the
+// node's health in a Manager through healthy → suspect → down and back. The
+// Checker keeps one per node, a gateway node one for its upstream. Safe for
+// concurrent use.
 type Streak struct {
 	mu         sync.Mutex
 	fails, oks int
 }
 
-// Observe feeds one probe outcome for node id into the streak and records
-// the health it implies in m: any failure marks a Healthy node Suspect at
-// once, failureThreshold consecutive failures mark it Down (default 3),
-// successThreshold consecutive successes return it to Healthy (default 2).
-// It returns the node's health after the probe.
-func (s *Streak) Observe(m *Manager, id model.NodeID, ok bool, failureThreshold, successThreshold int) Health {
-	if failureThreshold <= 0 {
-		failureThreshold = defaultFailureThreshold
-	}
-	if successThreshold <= 0 {
-		successThreshold = defaultSuccessThreshold
-	}
+// Observe feeds one outcome for node id into the streak and records the
+// health it implies in m: any failure marks a Healthy node Suspect at once,
+// failureThreshold consecutive failures mark it Down, successThreshold
+// consecutive successes return it to Healthy. It returns the node's health
+// after the outcome. A success on a Healthy node takes the streak's lock and
+// no other.
+func (s *Streak) Observe(m *Manager, id model.NodeID, ok bool) Health {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	h := m.HealthOf(id)

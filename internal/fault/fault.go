@@ -1,8 +1,8 @@
 // Package fault is a deterministic, seedable fault injector for the
-// cascaded caching protocol's two deployable incarnations. The cluster
-// runtime consults an Injector at every hop delivery of a request's walk,
-// in both passes (keyed by the target node), and acts on the verdict inline;
-// roundTripper applies it to an http.Client's exchanges. Because every decision derives from a fixed seed plus
+// cascaded caching protocol. The cluster runtime consults an Injector at
+// every hop delivery of a request's walk, in both passes (keyed by the
+// target node), and acts on the verdict inline; the HTTP gateway does not
+// consult one. Because every decision derives from a fixed seed plus
 // per-key message counters, a chaos scenario is exactly reproducible:
 // rerunning with the same seed yields the same schedule of drops, delays,
 // crashes and saturation verdicts — and for a serial request stream against
@@ -27,15 +27,14 @@ const (
 	// ActPass delivers the message normally.
 	ActPass Action = iota
 	// ActDrop loses the message: the cluster runtime abandons the request's
-	// walk where it stands and serves the client origin-direct; the gateway
-	// treats it as a transport error.
+	// walk where it stands and serves the client origin-direct.
 	ActDrop
 	// ActDelay delivers the message after Decision.Delay (the cluster
 	// runtime waits it out inline, giving up if the request's context ends
 	// first).
 	ActDelay
 	// ActCrash crashes the target node before delivery (the runtime maps
-	// this to Cluster.Fail; the gateway treats it as a transport error).
+	// this to Cluster.Fail).
 	ActCrash
 	// ActSaturate makes the target look saturated/unresponsive: the
 	// delivery fails visibly and the request routes around the node.

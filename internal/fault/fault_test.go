@@ -1,8 +1,6 @@
 package fault
 
 import (
-	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 )
@@ -73,47 +71,4 @@ func TestZeroInjectorPasses(t *testing.T) {
 			t.Fatalf("zero-rule injector acted: %v", d.Action)
 		}
 	}
-}
-
-func TestRoundTripperDropAndDelay(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer srv.Close()
-
-	var slept time.Duration
-	inj := New(1).WithDropEvery(2) // second request dropped
-	client := &http.Client{Transport: &roundTripper{
-		Injector: inj,
-		Sleep:    func(d time.Duration) { slept += d },
-	}}
-	resp, err := client.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if _, err := client.Get(srv.URL); err == nil {
-		t.Fatal("dropped request succeeded")
-	}
-
-	inj2 := New(1).WithDelay(1.0, 3*time.Millisecond)
-	client2 := &http.Client{Transport: &roundTripper{
-		Injector: inj2,
-		Sleep:    func(d time.Duration) { slept += d },
-	}}
-	resp, err = client2.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if slept != 3*time.Millisecond {
-		t.Fatalf("slept %v, want 3ms", slept)
-	}
-	// nil injector passes through.
-	client3 := &http.Client{Transport: &roundTripper{}}
-	resp, err = client3.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"time"
 
@@ -39,44 +40,29 @@ import (
 // cost, and it skips the DownStep on the way back — byte-identical to the
 // cluster routing around a drained node and folding the link.
 
-// ErrUpstreamDown is returned by upstream fetches refused because the
-// active health checker has probed the upstream Down. It fails faster than
-// the circuit breaker (which needs consecutive request failures) — the
-// prober works even when no requests flow.
-var ErrUpstreamDown = errors.New("httpgw: upstream probed down")
-
-// UpstreamHealthConfig tunes the node's active upstream prober
-// (StartUpstreamHealthCheck), which runs controlplane.CheckerConfig's
-// threshold machine (controlplane.Streak) on the upstream:
-// FailureThreshold consecutive probe failures mark the upstream Down (the
-// first failure alone makes it Suspect); SuccessThreshold consecutive
-// successes restore Healthy. A field ≤ 0 takes the Checker's default (3
-// failures, 2 successes, 1s).
-type UpstreamHealthConfig struct {
-	Interval         time.Duration // probe period
-	FailureThreshold int
-	SuccessThreshold int
-}
-
 // The node's two slots in its Manager.
 const (
 	selfSlot model.NodeID = 0
 	upSlot   model.NodeID = 1
 )
 
-// recordTransition writes the event record of a control-plane transition,
+// transition writes the event record of a control-plane transition,
 // shaped as the cluster's (runtime.NewCluster): A is the epoch after it, N
 // the membership or the health. The upstream slot's records carry B=1 (a
 // record has one Node field, and both kinds of event belong to this node's
-// timeline).
-func (n *Node) recordTransition(ev controlplane.Event) {
-	e := span.Event(span.PhaseMembership, n.ID, n.Clock())
+// timeline). An upstream that goes Down starts its cooldown (trial).
+func (n *Node) transition(ev controlplane.Event) {
+	now := n.Clock()
+	e := span.Event(span.PhaseMembership, n.ID, now)
 	e.A, e.N = float64(ev.Epoch), int(ev.Member)
 	if ev.Kind == controlplane.EventHealthChange {
 		e.Phase, e.N = span.PhaseHealth, int(ev.Health)
 	}
 	if ev.Node == upSlot {
 		e.B = 1
+		if ev.Health == controlplane.Down {
+			n.trialAt.Store(math.Float64bits(now))
+		}
 	}
 	n.spans.Add(e)
 }
@@ -89,8 +75,8 @@ func (n *Node) Member() controlplane.MemberState { return n.cp.StateOf(selfSlot)
 // (Node.fence).
 func (n *Node) active() bool { return n.Member() == controlplane.Active }
 
-// UpstreamHealth returns the prober's current classification of the
-// upstream (Healthy until the first probe says otherwise).
+// UpstreamHealth returns the upstream slot's health, as its prober and
+// its upstream exchanges have judged it (Healthy until they say otherwise).
 func (n *Node) UpstreamHealth() controlplane.Health { return n.cp.HealthOf(upSlot) }
 
 // serveAdmin routes the /cascade/admin/* endpoints.
@@ -307,10 +293,13 @@ func (n *Node) serveHealth(w http.ResponseWriter) {
 
 // ProbeUpstream runs one synchronous health probe against the upstream's
 // /cascade/health endpoint and feeds the outcome to the upstream slot's
-// threshold machine. It returns the resulting classification. Exported so
-// tests (and operators' tooling) can drive ticks without the background
-// loop.
-func (n *Node) ProbeUpstream(cfg UpstreamHealthConfig) controlplane.Health {
+// threshold machine. It returns the resulting classification. From the
+// first probe on, only probes count as the upstream's successes: an
+// upstream that serves but answers its probe 503 (marked down, or draining)
+// must reach Down under traffic. Exported so tests (and operators' tooling)
+// can drive ticks without the background loop.
+func (n *Node) ProbeUpstream() controlplane.Health {
+	n.probed.Store(true)
 	ok := false
 	if n.Upstream != "" {
 		if resp, err := n.client().Get(n.Upstream + "/cascade/health"); err == nil {
@@ -319,15 +308,14 @@ func (n *Node) ProbeUpstream(cfg UpstreamHealthConfig) controlplane.Health {
 			ok = resp.StatusCode == http.StatusOK
 		}
 	}
-	return n.upProbe.Observe(n.cp, upSlot, ok, cfg.FailureThreshold, cfg.SuccessThreshold)
+	return n.upProbe.Observe(n.cp, upSlot, ok)
 }
 
 // StartUpstreamHealthCheck launches the active upstream prober: every
-// Interval it probes the upstream's /cascade/health and walks the
-// healthy → suspect → down machine. A Down upstream makes fetchUpstream
-// fail fast with ErrUpstreamDown (ahead of the circuit breaker, which needs
-// request traffic to learn anything), so requests degrade to the origin
-// immediately. The goroutine exits when stop closes.
-func (n *Node) StartUpstreamHealthCheck(cfg UpstreamHealthConfig, stop <-chan struct{}) {
-	go controlplane.Every(cfg.Interval, stop, func() { n.ProbeUpstream(cfg) })
+// interval (≤ 0: the Checker's default) it probes the upstream's
+// /cascade/health and walks the healthy → suspect → down machine, so a dead
+// upstream is Down — and fetchUpstream fails fast to the degraded path —
+// even when no request flows. The goroutine exits when stop closes.
+func (n *Node) StartUpstreamHealthCheck(interval time.Duration, stop <-chan struct{}) {
+	go controlplane.Every(interval, stop, func() { n.ProbeUpstream() })
 }

@@ -207,8 +207,7 @@ func TestUpstreamProberGatesFetch(t *testing.T) {
 	edgeSrv := httptest.NewServer(edge)
 	defer edgeSrv.Close()
 
-	cfg := UpstreamHealthConfig{FailureThreshold: 2, SuccessThreshold: 1}
-	if got := edge.ProbeUpstream(cfg); got != controlplane.Healthy {
+	if got := edge.ProbeUpstream(); got != controlplane.Healthy {
 		t.Fatalf("healthy upstream probed %v", got)
 	}
 
@@ -216,11 +215,10 @@ func TestUpstreamProberGatesFetch(t *testing.T) {
 	if code, _ := postJSON(t, midSrv.URL+"/cascade/admin/health?state=down"); code != http.StatusOK {
 		t.Fatal("override failed")
 	}
-	if got := edge.ProbeUpstream(cfg); got != controlplane.Suspect {
-		t.Fatalf("after 1 failed probe: %v, want suspect", got)
-	}
-	if got := edge.ProbeUpstream(cfg); got != controlplane.Down {
-		t.Fatalf("after 2 failed probes: %v, want down", got)
+	for i, want := range []controlplane.Health{controlplane.Suspect, controlplane.Suspect, controlplane.Down} {
+		if got := edge.ProbeUpstream(); got != want {
+			t.Fatalf("after %d failed probes: %v, want %v", i+1, got, want)
+		}
 	}
 
 	// Down upstream: the fetch is refused before any request goes out, and
@@ -233,12 +231,14 @@ func TestUpstreamProberGatesFetch(t *testing.T) {
 		t.Fatal("response not marked degraded")
 	}
 
-	// Recovery: one successful probe restores Healthy and the protocol.
+	// Recovery: two successful probes restore Healthy and the protocol.
 	if code, _ := postJSON(t, midSrv.URL+"/cascade/admin/health?state=healthy"); code != http.StatusOK {
 		t.Fatal("recovery override failed")
 	}
-	if got := edge.ProbeUpstream(cfg); got != controlplane.Healthy {
-		t.Fatalf("after recovery probe: %v, want healthy", got)
+	for i, want := range []controlplane.Health{controlplane.Down, controlplane.Healthy} {
+		if got := edge.ProbeUpstream(); got != want {
+			t.Fatalf("after %d recovery probes: %v, want %v", i+1, got, want)
+		}
 	}
 	resp, _ = get(t, edgeSrv.URL, 7)
 	if resp.Header.Get(headerDegraded) != "" {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"cascade/internal/controlplane"
 	"cascade/internal/model"
 	"cascade/internal/span"
 )
@@ -84,7 +85,7 @@ func TestAdmitDuringDrainRefused(t *testing.T) {
 
 // TestControlPlaneRecord runs one scripted sequence of control-plane
 // transitions at one node — a drain, an admit, a health override to down
-// and back, two upstream-probe transitions — and pins, after each step, the
+// and back, three upstream-probe transitions — and pins, after each step, the
 // epoch the admin endpoint reports and the event records the node's ring
 // gained: A is the epoch after the transition, N the membership (membership
 // records) or health (health records), and B is 1 on the upstream probe's
@@ -92,7 +93,6 @@ func TestAdmitDuringDrainRefused(t *testing.T) {
 func TestControlPlaneRecord(t *testing.T) {
 	base, nodes, _ := chain(t, 2, 100000)
 	edge, upURL := nodes[0], nodes[0].Upstream
-	cfg := UpstreamHealthConfig{FailureThreshold: 1, SuccessThreshold: 1}
 	type rec struct {
 		phase span.Phase
 		a, b  float64
@@ -149,14 +149,48 @@ func TestControlPlaneRecord(t *testing.T) {
 	post(base + "/cascade/admin/health?state=healthy")
 	check("override healthy", 5, rec{hl, 5, 0, 0})
 
+	// Three failed probes: the first makes the upstream suspect, the third
+	// down; two successful ones make it healthy.
+	probe := func(want string) {
+		t.Helper()
+		if h := edge.ProbeUpstream(); h.String() != want {
+			t.Fatalf("probe: upstream %v, want %s", h, want)
+		}
+	}
 	post(upURL + "/cascade/admin/health?state=down")
-	if h := edge.ProbeUpstream(cfg); h.String() != "down" {
-		t.Fatalf("probe of a down upstream: %v", h)
-	}
-	check("upstream down", 6, rec{hl, 6, 1, 2})
+	probe("suspect")
+	check("upstream suspect", 6, rec{hl, 6, 1, 1})
+	probe("suspect")
+	probe("down")
+	check("upstream down", 7, rec{hl, 7, 1, 2})
 	post(upURL + "/cascade/admin/health?state=healthy")
-	if h := edge.ProbeUpstream(cfg); h.String() != "healthy" {
-		t.Fatalf("probe of a healthy upstream: %v", h)
+	probe("down")
+	probe("healthy")
+	check("upstream healthy", 8, rec{hl, 8, 1, 0})
+}
+
+// TestProbedDownHoldsUnderTraffic: at a node whose prober runs, only probes
+// count as the upstream's successes. An upstream marked down still serves,
+// so the GETs between probes succeed; were they counted, each would reset
+// the probes' failure count and the upstream would never reach Down.
+func TestProbedDownHoldsUnderTraffic(t *testing.T) {
+	base, nodes, _ := chain(t, 2, 100000)
+	edge := nodes[0]
+	if code, _ := postJSON(t, edge.Upstream+"/cascade/admin/health?state=down"); code != http.StatusOK {
+		t.Fatal("override failed")
 	}
-	check("upstream healthy", 7, rec{hl, 7, 1, 0})
+	for probe := 1; probe <= 3; probe++ {
+		for i := 0; i < 5; i++ {
+			if resp, body := get(t, base, 10*probe+i); resp.StatusCode != http.StatusOK || len(body) != 500 || resp.Header.Get(headerDegraded) != "" {
+				t.Fatalf("GET before probe %d: status %d, %d bytes, %v", probe, resp.StatusCode, len(body), resp.Header)
+			}
+		}
+		got, want := edge.ProbeUpstream(), controlplane.Suspect
+		if probe == 3 {
+			want = controlplane.Down
+		}
+		if got != want {
+			t.Fatalf("probe %d: upstream %v, want %v", probe, got, want)
+		}
+	}
 }

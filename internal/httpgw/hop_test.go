@@ -121,7 +121,7 @@ func TestHopChainMatchesHTTP(t *testing.T) {
 			}
 			var hdr []string
 			for k, v := range resp.Header {
-				if strings.HasPrefix(k, "X-Cascade-") && k != http.CanonicalHeaderKey(HeaderTraceCtx) {
+				if strings.HasPrefix(k, "X-Cascade-") && k != http.CanonicalHeaderKey(headerTraceCtx) {
 					hdr = append(hdr, k+"="+strings.Join(v, ","))
 				}
 			}

@@ -137,20 +137,13 @@ type Node struct {
 	TTL float64
 
 	// OriginURL, when set, enables degraded mode: if the upstream chain
-	// is unreachable (retries exhausted or circuit breaker open), the
+	// is unreachable (retries exhausted, or the upstream slot Down), the
 	// node fetches straight from this URL and serves the bytes without
 	// caching or coordination, marked with headerDegraded.
 	OriginURL string
 	// MaxRetries bounds upstream retry attempts after the initial try.
 	// 0 means the default (2); negative disables retries.
 	MaxRetries int
-	// BreakerThreshold is the consecutive upstream-failure count that
-	// opens the circuit breaker. 0 means the default (5); negative
-	// disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how long (in Clock seconds) the breaker stays
-	// open before a half-open probe. 0 means the default (30).
-	BreakerCooldown float64
 	// Sleep pauses between retries (time.Sleep when nil); injectable
 	// for tests.
 	Sleep func(time.Duration)
@@ -158,11 +151,10 @@ type Node struct {
 	// bench/ stops assigning it.
 	DisableBinaryFraming bool
 
-	// mu guards the circuit breaker (resilience.go) and nothing else. No
-	// protocol step runs under it — the engine's shard locks and the body
-	// store's tier lock guard everything a step touches, taken tier lock
-	// first — and the control plane is cp's.
-	mu sync.Mutex
+	// The node has no lock of its own: the engine's shard locks and the
+	// body store's tier lock guard everything a step touches, taken tier
+	// lock first, and the control plane is cp's.
+	//
 	// st is the node's protocol state and bodies its data plane: the
 	// in-memory payload tier plus, after EnableSpill, the disk-backed spill
 	// tier (internal/store). Like view, tracer and spans, both pointers are
@@ -217,9 +209,9 @@ type Node struct {
 
 	// Span tracing: the tracer, wired by EnableSpans (nil — off — by
 	// default), and the node's one ring, built by NewNode, which keeps the
-	// sampled spans and the node's event records (breaker, membership,
-	// health, spill, coherency and audit events). Both are replaced only
-	// before serving, so the request path reads them without holding mu.
+	// sampled spans and the node's event records (membership, health,
+	// spill, coherency and audit events). Both are replaced only before
+	// serving, so the request path reads them without a lock.
 	tracer *span.Tracer
 	spans  *span.Ring
 
@@ -238,23 +230,24 @@ type Node struct {
 
 	// cp is the node's control plane, the Manager the cluster runs: slot
 	// selfSlot holds this node's membership and advertised health, slot
-	// upSlot the prober's view of the upstream, and its epoch counts both
-	// slots' transitions (admin.go). Membership reads are one atomic load,
-	// so the request path takes no lock for them. upProbe is the upstream
-	// prober's threshold machine.
+	// upSlot the upstream's health, and its epoch counts both slots'
+	// transitions (admin.go). Membership and health reads are one atomic
+	// load, so the request path takes no lock for them. upProbe is the
+	// upstream slot's threshold machine, fed by the prober and by the
+	// upstream exchanges (fetchUpstream); probed is set once the prober has
+	// run, and trialAt holds the Clock time, as float64 bits, of the
+	// upstream's last fall to Down or its last cooldown trial.
 	cp      *controlplane.Manager
 	upProbe controlplane.Streak
+	probed  atomic.Bool
+	trialAt atomic.Uint64
 
-	breaker                         BreakerState
-	breakerFails                    int
-	breakerOpenedAt                 float64
-	probing                         bool
-	retries, breakerOpens, degraded atomic.Int64
+	retries, degraded atomic.Int64
 }
 
 // NewNode builds a gateway node with the given stores. Observability is on
 // from construction: the node carries an online invariant auditor, a
-// predicted-vs-realized cost ledger and a span ring of DefaultSpanCapacity
+// predicted-vs-realized cost ledger and a span ring of defaultSpanCapacity
 // records that keeps its events, the first two exported through the node's
 // metrics registry — a deployed gateway wants the cascade_audit_* and
 // cascade_ledger_* series present from the first scrape. Per-request
@@ -272,7 +265,7 @@ func NewNode(id model.NodeID, upstream string, upCost float64, capacity int64, d
 		fence:    controlplane.NewEpochGuard(),
 		cp:       controlplane.NewManager(2),
 	}
-	n.cp.SetOnEvent(n.recordTransition)
+	n.cp.SetOnEvent(n.transition)
 	reg := n.MetricsRegistry()
 	nl := metrics.L("node", nodeName(id))
 	n.auditor = audit.New(reg, nl)
@@ -286,7 +279,7 @@ func NewNode(id model.NodeID, upstream string, upCost float64, capacity int64, d
 		Audit:         n.auditor,
 		Ledger:        n.ledger,
 	})
-	n.setRing(DefaultSpanCapacity)
+	n.setRing(defaultSpanCapacity)
 	n.registerShardSeries()
 	return n
 }
@@ -813,12 +806,18 @@ func (n *Node) exchange(w http.ResponseWriter, r *http.Request, g *getReq, q *en
 		// Upstream chain unreachable: fall back to the origin when one is
 		// configured, else fail conventionally.
 		fail()
-		if !n.serveDegraded(w, r) {
+		if n.OriginURL == "" {
 			http.Error(w, err.Error(), http.StatusBadGateway)
+			return false
 		}
-		return false
+		return n.serveDegraded(w, r, g, tsp, restarts)
 	}
 	defer resp.Body.Close()
+	// A degraded answer keeps its marker on the way down; it carries no
+	// decision, and no hop takes a down step on it (downStep).
+	if resp.Header.Get(headerDegraded) != "" {
+		w.Header().Set(headerDegraded, "1")
+	}
 	if !g.seg.on && resp.StatusCode == http.StatusOK && resp.Header.Get(HeaderSegmented) != "" {
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck
 		tsp.End(upsp, n.Clock())
@@ -856,9 +855,10 @@ func (n *Node) exchange(w http.ResponseWriter, r *http.Request, g *getReq, q *en
 // segmentedAnswer handles an upstream's bodiless segmented marker (no
 // placement anywhere — the base identity carries no protocol state). A
 // mid-chain hop relays it and its generation toward the client; the
-// client-facing hop validates and remembers them, fans out the per-segment
-// Range requests through its own protocol stack and reassembles. It reports
-// whether the GET must start over.
+// client-facing hop validates and — unless the marker came degraded —
+// remembers them, fans out the per-segment Range requests through its own
+// protocol stack and reassembles. It reports whether the GET must start
+// over.
 func (n *Node) segmentedAnswer(w http.ResponseWriter, r *http.Request, g *getReq, resp *http.Response, tsp *span.Trace, restarts int) bool {
 	if g.hop() > 0 {
 		relayMarker(w.Header(), resp.Header)
@@ -869,7 +869,9 @@ func (n *Node) segmentedAnswer(w http.ResponseWriter, r *http.Request, g *getReq
 		tsp.Force(span.FlagError)
 		return false
 	}
-	n.rememberMarker(g.base, m)
+	if w.Header().Get(headerDegraded) == "" {
+		n.rememberMarker(g.base, m)
+	}
 	return n.serveSegmented(w, r, g.base, m, false, restarts, tsp)
 }
 
@@ -917,12 +919,13 @@ func (n *Node) finishMiss(w http.ResponseWriter, resp *http.Response, g *getReq,
 // landed while the fetch was in flight — the fetch runs outside the fence,
 // so a drain can run from inside it — routes the node around instead: the
 // invalidation tail still lands, but no placement, no ledger claim, the
-// link folded into the counter.
+// link folded into the counter. So does a degraded answer: its bytes came
+// from the origin, not through the upstream, and update no cache state.
 func (n *Node) downStep(q *engine.Req, hop int, upsp span.SpanID, dec decision, place bool, prev, mp float64, body []byte, resp *http.Response) float64 {
 	q.Now, q.Gen, q.Tail, q.Head = n.Clock(), dec.gen, dec.inval, dec.invHead
 	e := n.fence.Enter()
 	defer n.fence.Exit(e)
-	if !n.active() {
+	if !n.active() || resp.Header.Get(headerDegraded) != "" {
 		n.hop().Land(q, hop, upsp)
 		q.Trace.End(upsp, n.Clock())
 		return mp
@@ -1057,11 +1060,11 @@ func (n *Node) serveStats(w http.ResponseWriter) {
 	badHeaders := n.badPenalty.Load() + n.badSegment.Load() + n.badGen.Load() + n.badInval.Load() + n.badPath.Load()
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w,
-		"{\"node\":%d,\"upstream\":%q,\"membership\":%q,\"health\":%q,\"upstream_health\":%q,\"epoch\":%d,\"shards\":%d,\"hits\":%d,\"misses\":%d,\"inserts\":%d,\"revalidations\":%d,\"objects\":%d,\"used_bytes\":%d,\"capacity_bytes\":%d,\"dcache_descriptors\":%d,\"retries\":%d,\"breaker_state\":%q,\"breaker_opens\":%d,\"degraded\":%d,\"spill_objects\":%d,\"spill_used_bytes\":%d,\"spill_bytes_total\":%d,\"spill_hits\":%d,\"promotions\":%d,\"bad_headers\":%d,\"reassembly\":{\"ok\":%d,\"marker_hit\":%d,\"restarted\":%d,\"truncated\":%d,\"refused\":%d}}\n",
+		"{\"node\":%d,\"upstream\":%q,\"membership\":%q,\"health\":%q,\"upstream_health\":%q,\"epoch\":%d,\"shards\":%d,\"hits\":%d,\"misses\":%d,\"inserts\":%d,\"revalidations\":%d,\"objects\":%d,\"used_bytes\":%d,\"capacity_bytes\":%d,\"dcache_descriptors\":%d,\"retries\":%d,\"degraded\":%d,\"spill_objects\":%d,\"spill_used_bytes\":%d,\"spill_bytes_total\":%d,\"spill_hits\":%d,\"promotions\":%d,\"bad_headers\":%d,\"reassembly\":{\"ok\":%d,\"marker_hit\":%d,\"restarted\":%d,\"truncated\":%d,\"refused\":%d}}\n",
 		n.ID, n.Upstream, cs.Member, cs.Health, cs.UpstreamHealth, cs.Epoch, n.st.ShardCount(),
 		n.hits.Load(), n.misses.Load(), n.inserts.Load(), n.revalidations.Load(),
 		n.st.StoreLen(), n.st.Used(), n.st.Capacity(), n.st.DCacheLen(),
-		n.retries.Load(), n.Breaker().String(), n.breakerOpens.Load(), n.degraded.Load(),
+		n.retries.Load(), n.degraded.Load(),
 		bs.DiskObjects, bs.DiskBytes, bs.SpillBytesTotal, n.spillHits.Load(), n.promotions.Load(), badHeaders,
 		n.reassembly[reassemblyOK].Load(), n.reassembly[reassemblyMarkerHit].Load(), n.reassembly[reassemblyRestarted].Load(),
 		n.reassembly[reassemblyTruncated].Load(), n.reassembly[reassemblyRefused].Load())

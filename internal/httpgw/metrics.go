@@ -13,8 +13,9 @@ import (
 
 // MetricsRegistry returns the node's Prometheus registry, built by NewNode
 // (so the audit and ledger series register eagerly). Every series carries a
-// node label; breaker and retry series additionally carry the upstream, so
-// a scrape of a whole chain distinguishes which link is failing. Counters
+// node label; the retry and upstream-health series additionally carry the
+// upstream, so a scrape of a whole chain distinguishes which link is
+// failing. Counters
 // are read at scrape time from the node's own atomics and the engine's and
 // body store's accounting — the request path pays nothing for the export.
 func (n *Node) MetricsRegistry() *metrics.Registry {
@@ -31,13 +32,11 @@ func (n *Node) MetricsRegistry() *metrics.Registry {
 	r.CounterFunc("cascade_gw_inserts_total", "Copies cached by placement decisions.", load(&n.inserts), nl)
 	r.CounterFunc("cascade_gw_revalidations_total", "Expired copies refreshed by a 304.", load(&n.revalidations), nl)
 	r.CounterFunc("cascade_gw_retries_total", "Upstream retry attempts.", load(&n.retries), nl, ul)
-	r.CounterFunc("cascade_gw_breaker_opens_total", "Times the upstream circuit breaker opened.", load(&n.breakerOpens), nl, ul)
 	r.CounterFunc("cascade_gw_degraded_total", "Responses served outside the protocol (origin-direct or stale-if-error).", load(&n.degraded), nl)
 
-	r.GaugeFunc("cascade_gw_breaker_state", "Upstream circuit breaker position (0=closed, 1=open, 2=half-open).", func() float64 { return float64(n.Breaker()) }, nl, ul)
 	r.GaugeFunc("cascade_node_health", "This node's advertised health (0=healthy, 1=suspect, 2=down).", func() float64 { return float64(n.cp.HealthOf(selfSlot)) }, nl)
 	r.GaugeFunc("cascade_gw_membership", "This node's membership state (0=active, 1=draining, 2=removed).", func() float64 { return float64(n.Member()) }, nl)
-	r.GaugeFunc("cascade_gw_upstream_health", "The active prober's view of the upstream (0=healthy, 1=suspect, 2=down).", func() float64 { return float64(n.UpstreamHealth()) }, nl, ul)
+	r.GaugeFunc("cascade_gw_upstream_health", "The upstream's health as its prober and its exchanges judge it (0=healthy, 1=suspect, 2=down).", func() float64 { return float64(n.UpstreamHealth()) }, nl, ul)
 	for _, k := range []controlplane.EventKind{controlplane.EventAdmit, controlplane.EventDrain, controlplane.EventRemove, controlplane.EventHealthChange} {
 		r.CounterFunc("cascade_membership_changes_total",
 			"Membership and health transitions applied by the control plane.",

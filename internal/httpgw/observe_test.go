@@ -164,8 +164,8 @@ func TestGatewayMetricsEndpoint(t *testing.T) {
 		"# TYPE cascade_gw_hits_total counter",
 		`cascade_gw_hits_total{node="0"}`,
 		`cascade_gw_misses_total{node="0"}`,
-		"# TYPE cascade_gw_breaker_state gauge",
-		`cascade_gw_breaker_state{node="0",upstream="`,
+		"# TYPE cascade_gw_upstream_health gauge",
+		`cascade_gw_upstream_health{node="0",upstream="`,
 		`cascade_gw_cache_used_bytes{node="0"}`,
 	} {
 		if !strings.Contains(out, want) {
@@ -376,7 +376,7 @@ func TestOriginDecideSpan(t *testing.T) {
 
 	var snap span.Snapshot
 	dumpJSON(t, o, "/cascade/debug/spans", &snap)
-	if snap.Node != int(model.NoNode) || snap.Capacity != DefaultSpanCapacity || len(snap.Spans) != len(decisions) {
+	if snap.Node != int(model.NoNode) || snap.Capacity != defaultSpanCapacity || len(snap.Spans) != len(decisions) {
 		t.Fatalf("origin ring: node %d capacity %d with %d spans, want %d spans (one decide per request) at the default capacity",
 			snap.Node, snap.Capacity, len(snap.Spans), len(decisions))
 	}
@@ -410,31 +410,33 @@ func TestOriginDecideSpan(t *testing.T) {
 	}
 }
 
-// TestBreakerStateMetric walks the breaker through open and checks the
-// gauge tracks it.
-func TestBreakerStateMetric(t *testing.T) {
+// TestUpstreamHealthMetric walks the upstream slot to Down with failing
+// exchanges and checks the gauge tracks it: suspect after the first, down
+// after the third.
+func TestUpstreamHealthMetric(t *testing.T) {
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusBadGateway)
 	}))
 	defer dead.Close()
 	n := NewNode(0, dead.URL, 1, 1000, 10, func() float64 { return 0 })
 	n.MaxRetries = -1
-	n.BreakerThreshold = 1
 	n.Sleep = func(time.Duration) {}
 	srv := httptest.NewServer(n)
 	defer srv.Close()
 
-	get := func() { resp, _ := http.Get(srv.URL + "/objects/1"); io.Copy(io.Discard, resp.Body); resp.Body.Close() } //nolint:errcheck
-	get()
-
-	rec := httptest.NewRecorder()
-	n.MetricsHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/cascade/metrics", nil))
-	out := rec.Body.String()
-	if !strings.Contains(out, "cascade_gw_breaker_state{") || !strings.Contains(out, "} 1") {
-		t.Fatalf("breaker gauge did not report open:\n%s", out)
-	}
-	if !strings.Contains(out, "cascade_gw_breaker_opens_total{") {
-		t.Fatalf("missing breaker opens counter:\n%s", out)
+	for i, want := range []int{1, 1, 2} {
+		resp, err := http.Get(srv.URL + "/objects/1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		rec := httptest.NewRecorder()
+		n.MetricsHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/cascade/metrics", nil))
+		line := `cascade_gw_upstream_health{node="0",upstream="` + dead.URL + `"} ` + strconv.Itoa(want)
+		if !strings.Contains(rec.Body.String(), line) {
+			t.Fatalf("after %d failed exchanges the scrape lacks %s:\n%s", i+1, line, rec.Body.String())
+		}
 	}
 }
 

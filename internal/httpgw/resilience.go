@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand/v2"
 	"net/http"
 	"time"
 
+	"cascade/internal/controlplane"
 	"cascade/internal/span"
 )
 
@@ -23,43 +25,11 @@ const DefaultUpstreamTimeout = 10 * time.Second
 // host and honours HTTP_PROXY.
 var defaultUpstreamClient = NewUpstreamClient(DefaultUpstreamTimeout)
 
-// ErrBreakerOpen is returned by upstream fetches refused while the
-// circuit breaker is open.
-var ErrBreakerOpen = errors.New("httpgw: upstream circuit breaker open")
-
-// BreakerState is the circuit breaker's position.
-type BreakerState int
-
-const (
-	// BreakerClosed: upstream healthy, requests flow normally.
-	BreakerClosed BreakerState = iota
-	// BreakerOpen: consecutive failures crossed the threshold; upstream
-	// fetches fail fast and requests are served in degraded mode until
-	// the cooldown elapses.
-	BreakerOpen
-	// BreakerHalfOpen: cooldown elapsed; a single probe request is in
-	// flight. Success closes the breaker, failure reopens it.
-	BreakerHalfOpen
-)
-
-func (s BreakerState) String() string {
-	switch s {
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
-
-// Resolved resilience defaults (see the Node field docs for the zero-value
+// Resolved retry defaults (see Node.MaxRetries for the zero-value
 // conventions: 0 means "use the default", negative disables).
 const (
-	defaultMaxRetries       = 2
-	defaultRetryBase        = 25 * time.Millisecond
-	defaultBreakerThreshold = 5
-	defaultBreakerCooldown  = 30.0 // Clock seconds
+	defaultMaxRetries = 2
+	defaultRetryBase  = 25 * time.Millisecond
 )
 
 func (n *Node) client() *http.Client {
@@ -77,23 +47,6 @@ func (n *Node) maxRetries() int {
 		return defaultMaxRetries
 	}
 	return n.MaxRetries
-}
-
-func (n *Node) breakerThreshold() int {
-	if n.BreakerThreshold < 0 {
-		return 0 // disabled
-	}
-	if n.BreakerThreshold == 0 {
-		return defaultBreakerThreshold
-	}
-	return n.BreakerThreshold
-}
-
-func (n *Node) breakerCooldown() float64 {
-	if n.BreakerCooldown > 0 {
-		return n.BreakerCooldown
-	}
-	return defaultBreakerCooldown
 }
 
 func (n *Node) sleep(d time.Duration) {
@@ -121,105 +74,32 @@ func retryableStatus(code int) bool {
 		code == http.StatusGatewayTimeout
 }
 
-// The breaker's functions below are the only holders of n.mu.
+// errUpstreamDown is returned by upstream fetches refused because the
+// upstream slot is Down, outside its cooldown trial.
+var errUpstreamDown = errors.New("httpgw: upstream down")
 
-// breakerAllow reports whether an upstream fetch may proceed and
-// transitions open → half-open when the cooldown has elapsed.
-func (n *Node) breakerAllow(now float64) bool {
-	if n.breakerThreshold() == 0 {
-		return true
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	switch n.breaker {
-	case BreakerClosed:
-		return true
-	case BreakerOpen:
-		if now-n.breakerOpenedAt < n.breakerCooldown() {
-			return false
-		}
-		n.breaker = BreakerHalfOpen
-		n.probing = true
-		n.recordBreakerLocked(now)
-		return true
-	default: // half-open: one probe at a time
-		if n.probing {
-			return false
-		}
-		n.probing = true
-		return true
-	}
+// trial reports whether a request may go up to a Down upstream: once
+// controlplane.Cooldown clock seconds have passed since the upstream went
+// Down (transition) or since the last trial. Admitting a trial restarts the
+// cooldown, so a trial its client abandons needs no bookkeeping of its own.
+func (n *Node) trial() bool {
+	last, now := n.trialAt.Load(), n.Clock()
+	return now-math.Float64frombits(last) >= controlplane.Cooldown &&
+		n.trialAt.CompareAndSwap(last, math.Float64bits(now))
 }
 
-// recordBreakerLocked writes a breaker event record for a state
-// transition that just happened. Caller holds n.mu.
-func (n *Node) recordBreakerLocked(now float64) {
-	e := span.Event(span.PhaseBreaker, n.ID, now)
-	e.N = int(n.breaker)
-	n.spans.Add(e)
-}
-
-// breakerSuccess records a successful upstream exchange.
-func (n *Node) breakerSuccess() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	closing := n.breaker != BreakerClosed
-	n.breakerFails = 0
-	n.breaker = BreakerClosed
-	n.probing = false
-	if closing {
-		n.recordBreakerLocked(n.Clock())
-	}
-}
-
-// breakerFailure records an exhausted upstream exchange (all retries
-// failed).
-func (n *Node) breakerFailure(now float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.probing = false
-	if n.breakerThreshold() == 0 {
-		return
-	}
-	if n.breaker == BreakerHalfOpen {
-		// The probe failed: straight back to open.
-		n.breaker = BreakerOpen
-		n.breakerOpenedAt = now
-		n.breakerOpens.Add(1)
-		n.recordBreakerLocked(now)
-		return
-	}
-	n.breakerFails++
-	if n.breakerFails >= n.breakerThreshold() && n.breaker == BreakerClosed {
-		n.breaker = BreakerOpen
-		n.breakerOpenedAt = now
-		n.breakerOpens.Add(1)
-		n.recordBreakerLocked(now)
-	}
-}
-
-// breakerAbandon records an exchange its client gave up on: a half-open
-// probe ends without a verdict.
-func (n *Node) breakerAbandon() {
-	n.mu.Lock()
-	n.probing = false
-	n.mu.Unlock()
-}
-
-// fetchUpstream performs one logical upstream exchange: breaker check,
-// bounded retries with exponential backoff and jitter on transport errors
-// and transient 5xx statuses, breaker bookkeeping on the outcome. The
-// returned response (when err == nil) is either a success or a
-// non-retryable status the caller must pass through.
+// fetchUpstream performs one logical upstream exchange: the upstream
+// slot's gate, bounded retries with exponential backoff and jitter on
+// transport errors and transient 5xx statuses, and the outcome fed to the
+// slot's threshold machine (docs/PROTOCOL.md, "Health-gated routing in the
+// gateway"): an exchange whose retries ran out is a failure; a
+// non-retryable answer is a success, except at a node whose prober runs,
+// where only probes count as successes; an exchange its client gave up on
+// counts for nothing. The returned response (when err == nil) is either a
+// success or a non-retryable status the caller must pass through.
 func (n *Node) fetchUpstream(req *http.Request) (*http.Response, error) {
-	// The active prober's verdict gates ahead of the breaker: the breaker
-	// needs consecutive request failures to learn anything, the prober
-	// already knows. A Down upstream fails fast into degraded mode.
-	if !n.cp.Routable(upSlot) {
-		return nil, ErrUpstreamDown
-	}
-	if !n.breakerAllow(n.Clock()) {
-		return nil, ErrBreakerOpen
+	if !n.cp.Routable(upSlot) && !n.trial() {
+		return nil, errUpstreamDown
 	}
 
 	client := n.client()
@@ -233,7 +113,9 @@ func (n *Node) fetchUpstream(req *http.Request) (*http.Response, error) {
 		}
 		resp, err := client.Do(try)
 		if err == nil && !retryableStatus(resp.StatusCode) {
-			n.breakerSuccess()
+			if !n.probed.Load() {
+				n.upProbe.Observe(n.cp, upSlot, true)
+			}
 			return resp, nil
 		}
 		if err == nil {
@@ -246,7 +128,6 @@ func (n *Node) fetchUpstream(req *http.Request) (*http.Response, error) {
 		// A dead client context makes further attempts pointless and
 		// should not count against the upstream's health.
 		if req.Context().Err() != nil {
-			n.breakerAbandon()
 			return nil, lastErr
 		}
 		if attempt >= n.maxRetries() {
@@ -255,43 +136,44 @@ func (n *Node) fetchUpstream(req *http.Request) (*http.Response, error) {
 		n.retries.Add(1)
 		n.sleep(n.backoff(attempt))
 	}
-	n.breakerFailure(n.Clock())
+	n.upProbe.Observe(n.cp, upSlot, false)
 	return nil, lastErr
 }
 
 // serveDegraded serves the request straight from OriginURL, bypassing the
 // broken upstream chain: no piggybacking, no placement, no caching — just
-// content. Reports whether it handled the response (false when no origin
-// is configured, so the caller can fail conventionally).
-func (n *Node) serveDegraded(w http.ResponseWriter, r *http.Request) bool {
-	if n.OriginURL == "" {
-		return false
-	}
+// content, marked headerDegraded. A segment request forwards its segment
+// headers; the origin's segmented marker is reassembled or relayed as a
+// protocol marker is (segmentedAnswer), and each segment then degrades on
+// its own. It reports whether the GET must start over (serveSegmented).
+func (n *Node) serveDegraded(w http.ResponseWriter, r *http.Request, g *getReq, tsp *span.Trace, restarts int) (restart bool) {
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, n.OriginURL+r.URL.Path, nil)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
-		return true
+		return false
+	}
+	if g.seg.on {
+		forwardSegment(req.Header, r.Header)
 	}
 	resp, err := n.client().Do(req)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusGatewayTimeout)
-		return true
+		return false
 	}
 	defer resp.Body.Close()
 	n.degraded.Add(1)
-	w.Header().Set(headerDegraded, "1")
-	w.Header().Set(HeaderHit, "origin")
-	if tag := resp.Header.Get("ETag"); tag != "" {
-		w.Header().Set("ETag", tag)
+	h := w.Header()
+	h.Set(headerDegraded, "1")
+	if !g.seg.on && resp.StatusCode == http.StatusOK && resp.Header.Get(HeaderSegmented) != "" {
+		return n.segmentedAnswer(w, r, g, resp, tsp, restarts)
+	}
+	h.Set(HeaderHit, originName)
+	for _, k := range [...]string{"ETag", HeaderGen, "Content-Length", "Content-Range"} {
+		if v := resp.Header.Get(k); v != "" {
+			h.Set(k, v)
+		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body) //nolint:errcheck
-	return true
-}
-
-// Breaker returns the circuit breaker's current state.
-func (n *Node) Breaker() BreakerState {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.breaker
+	copyStream(w, resp.Body) //nolint:errcheck
+	return false
 }

@@ -1,18 +1,22 @@
 package httpgw
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"cascade/internal/controlplane"
 	"cascade/internal/model"
+	"cascade/internal/store"
 )
 
 // TestNilClientDefaultTimeout: a nil Client must resolve to the shared
@@ -216,18 +220,21 @@ func TestUpstreamRetrySucceeds(t *testing.T) {
 	if pauses[1] <= pauses[0]/2 {
 		t.Fatalf("backoff not growing: %v", pauses)
 	}
-	if n.Breaker() != BreakerClosed {
-		t.Fatalf("breaker %v after success", n.Breaker())
+	if h := n.UpstreamHealth(); h != controlplane.Healthy {
+		t.Fatalf("upstream %v after a successful retry, want healthy", h)
 	}
 }
 
-// TestBreakerOpensServesDegradedAndRecovers walks the full breaker cycle:
-// consecutive failures open it, open fails fast into degraded mode, the
-// cooldown admits a half-open probe, and a healthy probe closes it.
-func TestBreakerOpensServesDegradedAndRecovers(t *testing.T) {
+// TestUpstreamFailuresFailFast walks the upstream slot's machine on
+// request outcomes alone (no prober): three failing exchanges make it Down,
+// a Down upstream fails fast into degraded mode, the cooldown admits one
+// trial and restarts, and two successful trials make it Healthy.
+func TestUpstreamFailuresFailFast(t *testing.T) {
 	var mu sync.Mutex
 	now, failing, upCount := 0.0, true, 0
 	clock := func() float64 { mu.Lock(); defer mu.Unlock(); return now }
+	set := func(t float64, fail bool) { mu.Lock(); now, failing = t, fail; mu.Unlock() }
+	seen := func() int { mu.Lock(); defer mu.Unlock(); return upCount }
 
 	origin := &Origin{Size: func(model.ObjectID) int { return 500 }}
 	originSrv := httptest.NewServer(origin)
@@ -248,51 +255,58 @@ func TestBreakerOpensServesDegradedAndRecovers(t *testing.T) {
 	n := NewNode(0, up.URL, 1, 10000, 100, clock)
 	n.OriginURL = originSrv.URL
 	n.MaxRetries = -1
-	n.BreakerThreshold = 2
-	n.BreakerCooldown = 10
 	n.Sleep = func(time.Duration) {}
 	srv := httptest.NewServer(n)
 	defer srv.Close()
-
-	// Two failing exchanges trip the breaker; both still serve degraded.
-	for i := 0; i < 2; i++ {
-		resp, _ := get(t, srv.URL, 100+i)
-		if resp.StatusCode != http.StatusOK || resp.Header.Get(headerDegraded) != "1" {
-			t.Fatalf("failing request %d: status %d, %v", i, resp.StatusCode, resp.Header)
+	obj := 100
+	// expect GETs a fresh object and checks whether it was served degraded
+	// and whether the upstream saw it.
+	expect := func(step string, degraded, reached bool) {
+		t.Helper()
+		before := seen()
+		resp, body := get(t, srv.URL, obj)
+		obj++
+		if resp.StatusCode != http.StatusOK || len(body) != 500 {
+			t.Fatalf("%s: status %d, %d bytes", step, resp.StatusCode, len(body))
+		}
+		if got := resp.Header.Get(headerDegraded) == "1"; got != degraded {
+			t.Fatalf("%s: degraded %v, want %v", step, got, degraded)
+		}
+		if got := seen() > before; got != reached {
+			t.Fatalf("%s: the upstream saw the request: %v, want %v", step, got, reached)
 		}
 	}
-	if n.Breaker() != BreakerOpen {
-		t.Fatalf("breaker %v after threshold failures", n.Breaker())
-	}
-	mu.Lock()
-	count := upCount
-	mu.Unlock()
 
-	// Open: fail fast — the upstream must not even see the request.
-	resp, _ := get(t, srv.URL, 102)
-	if resp.StatusCode != http.StatusOK || resp.Header.Get(headerDegraded) != "1" {
-		t.Fatalf("open-breaker request: %d %v", resp.StatusCode, resp.Header)
+	// Three failing exchanges make the upstream Down; each serves degraded.
+	for i := 0; i < 3; i++ {
+		expect("failing exchange", true, true)
 	}
-	mu.Lock()
-	if upCount != count {
-		mu.Unlock()
-		t.Fatalf("open breaker let a request through (%d → %d)", count, upCount)
+	if h := n.UpstreamHealth(); h != controlplane.Down {
+		t.Fatalf("upstream %v after three failed exchanges, want down", h)
 	}
-	// Cooldown elapses and the upstream heals.
-	now = 11
-	failing = false
-	mu.Unlock()
+	rec := httptest.NewRecorder()
+	n.MetricsHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/cascade/metrics", nil))
+	if line := `cascade_gw_upstream_health{node="0",upstream="` + up.URL + `"} 2`; !strings.Contains(rec.Body.String(), line) {
+		t.Fatalf("scrape lacks %s", line)
+	}
+	// Down: fail fast — the upstream does not see the 4th request.
+	expect("fourth request", true, false)
 
-	resp, body := get(t, srv.URL, 103)
-	if resp.StatusCode != http.StatusOK || len(body) != 500 {
-		t.Fatalf("probe request: %d, %d bytes", resp.StatusCode, len(body))
+	// The cooldown passes and the upstream heals: one trial goes up and is
+	// served through the protocol; a second request inside the new cooldown
+	// still fails fast.
+	set(controlplane.Cooldown, false)
+	expect("first trial", false, true)
+	expect("inside the new cooldown", true, false)
+	if h := n.UpstreamHealth(); h != controlplane.Down {
+		t.Fatalf("upstream %v after one successful trial, want still down", h)
 	}
-	if resp.Header.Get(headerDegraded) != "" {
-		t.Fatal("healthy probe still degraded")
+	set(2*controlplane.Cooldown, false)
+	expect("second trial", false, true)
+	if h := n.UpstreamHealth(); h != controlplane.Healthy {
+		t.Fatalf("upstream %v after two successful trials, want healthy", h)
 	}
-	if n.Breaker() != BreakerClosed {
-		t.Fatalf("breaker %v after successful probe", n.Breaker())
-	}
+	expect("healthy", false, true)
 
 	// The resilience counters surface in /stats.
 	r2, err := http.Get(srv.URL + "/cascade/stats")
@@ -304,10 +318,7 @@ func TestBreakerOpensServesDegradedAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	r2.Body.Close()
-	if stats["breaker_state"] != "closed" {
-		t.Fatalf("breaker_state = %v", stats["breaker_state"])
-	}
-	if stats["breaker_opens"].(float64) < 1 || stats["degraded"].(float64) < 3 {
+	if stats["upstream_health"] != "healthy" || stats["degraded"].(float64) != 5 {
 		t.Fatalf("stats: %v", stats)
 	}
 }
@@ -363,5 +374,91 @@ func TestStaleIfError(t *testing.T) {
 	}
 	if resp.Header.Get(HeaderHit) != strconv.Itoa(int(n.ID)) {
 		t.Fatalf("hit header %q", resp.Header.Get(HeaderHit))
+	}
+}
+
+// deadURL returns the URL of a server that is already gone: every exchange
+// with it fails at once.
+func deadURL() string {
+	srv := httptest.NewServer(http.NotFoundHandler())
+	srv.Close()
+	return srv.URL
+}
+
+// TestDegradedLargeObject: a degraded GET of an object the origin segments
+// must deliver the whole object, not the origin's bodiless marker. Two
+// shapes: the client-facing node's own upstream is dead, and a mid node's
+// upstream is dead behind a healthy edge. The client gets the origin's 1 MiB
+// byte for byte, marked degraded, and no hop holds anything afterwards.
+func TestDegradedLargeObject(t *testing.T) {
+	origin := httptest.NewServer(largeOrigin())
+	defer origin.Close()
+	want := store.SyntheticBody(7, obj1M)
+	node := func(id model.NodeID, upstream string) (*Node, *httptest.Server) {
+		n := NewNode(id, upstream, 1, 4*obj1M, 100, func() float64 { return 0 })
+		n.OriginURL = origin.URL
+		n.MaxRetries = -1
+		n.Sleep = func(time.Duration) {}
+		srv := httptest.NewServer(n)
+		t.Cleanup(srv.Close)
+		return n, srv
+	}
+
+	single, singleSrv := node(0, deadURL())
+	mid, midSrv := node(1, deadURL())
+	edge, edgeSrv := node(0, midSrv.URL)
+	edge.OriginURL = ""
+	for _, tc := range []struct {
+		name  string
+		base  string
+		nodes []*Node
+	}{
+		{"one node", singleSrv.URL, []*Node{single}},
+		{"edge and mid", edgeSrv.URL, []*Node{edge, mid}},
+	} {
+		for i := 0; i < 3; i++ {
+			resp, body := get(t, tc.base, 7)
+			if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
+				t.Fatalf("%s, GET %d: status %d, %d bytes; want 200 and the origin's %d", tc.name, i, resp.StatusCode, len(body), obj1M)
+			}
+			if resp.Header.Get(headerDegraded) != "1" {
+				t.Fatalf("%s, GET %d: not marked degraded: %v", tc.name, i, resp.Header)
+			}
+		}
+		for _, n := range tc.nodes {
+			if k := n.st.StoreLen(); k != 0 {
+				t.Fatalf("%s: node %d holds %d objects after degraded GETs", tc.name, n.ID, k)
+			}
+		}
+	}
+}
+
+// TestDegradedMarkerRelayed: a degraded answer keeps its marker on its way
+// down, and the hop that relays it takes no down step — its d-cache books
+// no miss penalty for bytes that came from the origin, not through its
+// upstream.
+func TestDegradedMarkerRelayed(t *testing.T) {
+	origin := httptest.NewServer(&Origin{Size: func(model.ObjectID) int { return 500 }})
+	defer origin.Close()
+	clock := func() float64 { return 0 }
+	mid := NewNode(1, deadURL(), 5, 10000, 100, clock)
+	mid.OriginURL = origin.URL
+	mid.MaxRetries = -1
+	mid.Sleep = func(time.Duration) {}
+	midSrv := httptest.NewServer(mid)
+	defer midSrv.Close()
+	edge := NewNode(0, midSrv.URL, 1, 10000, 100, clock)
+	edgeSrv := httptest.NewServer(edge)
+	defer edgeSrv.Close()
+
+	resp, body := get(t, edgeSrv.URL, 7)
+	if resp.StatusCode != http.StatusOK || len(body) != 500 {
+		t.Fatalf("status %d, %d bytes", resp.StatusCode, len(body))
+	}
+	if resp.Header.Get(headerDegraded) != "1" {
+		t.Fatalf("the edge dropped the degraded marker: %v", resp.Header)
+	}
+	if d := edge.st.DCacheAt(0).Get(7); d != nil && d.MissPenalty() != 0 {
+		t.Fatalf("edge descriptor reads miss penalty %v after a degraded answer; want 0", d.MissPenalty())
 	}
 }

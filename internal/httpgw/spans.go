@@ -6,15 +6,15 @@ import (
 	"cascade/internal/span"
 )
 
-// HeaderTraceCtx carries the span trace context hop-to-hop as
+// headerTraceCtx carries the span trace context hop-to-hop as
 // "<32 hex trace id>-<16 hex parent span>", beside X-Cascade-Path. See
 // docs/OBSERVABILITY.md for the span schema.
-const HeaderTraceCtx = "X-Cascade-TraceCtx"
+const headerTraceCtx = "X-Cascade-TraceCtx"
 
-// DefaultSpanCapacity is the depth of the span ring a node starts with
+// defaultSpanCapacity is the depth of the span ring a node starts with
 // (NewNode), and the one EnableSpans (node and origin) falls back to when
 // given none.
-const DefaultSpanCapacity = 256
+const defaultSpanCapacity = 256
 
 // EnableSpans equips the node with protocol span tracing: each request
 // contributes phase spans (lookup, up, decide, down, body, coherency,
@@ -22,7 +22,7 @@ const DefaultSpanCapacity = 256
 // survive the tail-sampling policy land in the node's ring, served at
 // /cascade/debug/spans beside the node's event records, which the ring
 // keeps with or without a tracer. The ring is rebuilt at capacity records
-// (capacity <= 0 picks DefaultSpanCapacity). Call before the node serves
+// (capacity <= 0 picks defaultSpanCapacity). Call before the node serves
 // requests — the request path reads both pointers without holding the node
 // lock.
 //
@@ -31,7 +31,7 @@ const DefaultSpanCapacity = 256
 // spans are point-in-time markers on the protocol clock).
 func (n *Node) EnableSpans(policy span.Policy, capacity int) {
 	if capacity <= 0 {
-		capacity = DefaultSpanCapacity
+		capacity = defaultSpanCapacity
 	}
 	n.tracer = span.NewTracer(policy)
 	n.setRing(capacity)

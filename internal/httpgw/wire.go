@@ -55,7 +55,7 @@ func parseIncomingPath(h http.Header) ([]engine.Candidate, span.Ctx, error) {
 	if err != nil {
 		return nil, span.Ctx{}, err
 	}
-	ctx, _ := span.ParseCtx(h.Get(HeaderTraceCtx))
+	ctx, _ := span.ParseCtx(h.Get(headerTraceCtx))
 	return entries, ctx, nil
 }
 
@@ -63,7 +63,7 @@ func parseIncomingPath(h http.Header) ([]engine.Candidate, span.Ctx, error) {
 // context (zero: no tracing, no header).
 func writePath(h http.Header, entries []engine.Candidate, ctx span.Ctx) {
 	if ctx.Valid() {
-		h.Set(HeaderTraceCtx, ctx.String())
+		h.Set(headerTraceCtx, ctx.String())
 	}
 	parts := make([]string, len(entries))
 	for i, e := range entries {

@@ -262,7 +262,7 @@ func TestOverCapDecisionListsRefused(t *testing.T) {
 func TestOldPeerAdvertIgnored(t *testing.T) {
 	known := map[string]bool{}
 	for _, h := range []string{headerPath, HeaderPlace, headerPenalty, HeaderHit, headerPredict, headerDegraded,
-		HeaderSegment, HeaderSegmented, HeaderGen, headerInval, HeaderTraceCtx} {
+		HeaderSegment, HeaderSegmented, HeaderGen, headerInval, headerTraceCtx} {
 		known[http.CanonicalHeaderKey(h)] = true // the form net/http puts on the wire
 	}
 	if len(known) != 11 {
@@ -327,7 +327,7 @@ func TestOldPeerAdvertIgnored(t *testing.T) {
 		}
 		checkNames("upstream request", h)
 	}
-	for _, h := range []string{headerPath, HeaderTraceCtx, HeaderPlace, headerPenalty, HeaderHit, HeaderGen, headerInval} {
+	for _, h := range []string{headerPath, headerTraceCtx, HeaderPlace, headerPenalty, HeaderHit, HeaderGen, headerInval} {
 		if !seen[http.CanonicalHeaderKey(h)] {
 			t.Errorf("exchange never carried %s; the name check is vacuous for it", h)
 		}
@@ -463,7 +463,7 @@ func TestMalformedPathJoinsNoTrace(t *testing.T) {
 	for _, path := range []string{"garbage", "1;NaN;1;1", "4294967297;-;-;1"} {
 		req := httptest.NewRequest(http.MethodGet, "/objects/1", nil)
 		req.Header.Set(headerPath, path)
-		req.Header.Set(HeaderTraceCtx, ctx.String())
+		req.Header.Set(headerTraceCtx, ctx.String())
 		rec := httptest.NewRecorder()
 		n.ServeHTTP(rec, req)
 		if rec.Code != http.StatusBadRequest {

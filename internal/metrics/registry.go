@@ -167,7 +167,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time —
-// for quantities the owner already tracks (queue depths, breaker state).
+// for quantities the owner already tracks (queue depths, health states).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	r.register(name, help, "gauge", renderLabels(labels), func(w io.Writer, n, l string) {
 		writeSample(w, n, l, formatFloat(fn()))

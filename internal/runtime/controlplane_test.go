@@ -169,24 +169,22 @@ func TestClusterHealthChecker(t *testing.T) {
 	stop := make(chan struct{})
 	defer close(stop)
 	ck := c.StartHealthChecker(controlplane.CheckerConfig{
-		FailureThreshold: 2,
-		SuccessThreshold: 1,
-		Interval:         time.Hour, // ticks driven manually below
+		Interval: time.Hour, // ticks driven manually below
 	}, stop)
 
 	c.Fail(leaf)
-	ck.Tick()
-	if got := c.cp.HealthOf(leaf); got != controlplane.Suspect {
-		t.Fatalf("after 1 failed probe: %v, want suspect", got)
-	}
-	ck.Tick()
-	if got := c.cp.HealthOf(leaf); got != controlplane.Down {
-		t.Fatalf("after 2 failed probes: %v, want down", got)
+	for i, want := range []controlplane.Health{controlplane.Suspect, controlplane.Suspect, controlplane.Down} {
+		ck.Tick()
+		if got := c.cp.HealthOf(leaf); got != want {
+			t.Fatalf("after %d failed probes: %v, want %v", i+1, got, want)
+		}
 	}
 	c.Recover(leaf)
-	ck.Tick()
-	if got := c.cp.HealthOf(leaf); got != controlplane.Healthy {
-		t.Fatalf("after recovery probe: %v, want healthy", got)
+	for i, want := range []controlplane.Health{controlplane.Down, controlplane.Healthy} {
+		ck.Tick()
+		if got := c.cp.HealthOf(leaf); got != want {
+			t.Fatalf("after %d recovery probes: %v, want %v", i+1, got, want)
+		}
 	}
 }
 

@@ -18,7 +18,7 @@
 // conformance suite asserts exactly this).
 //
 // The same per-node ring keeps the node's events — crashes, recoveries,
-// breaker, membership and health transitions, audit violations, disk-tier
+// membership and health transitions, audit violations, disk-tier
 // moves and coherency events — as zero-length records (see Event), written
 // as they happen rather than through the sampler. An event caused by a
 // request carries that request's trace ID, so it sits in the request's
@@ -138,8 +138,6 @@ const (
 	PhaseCrash
 	// PhaseRecover: the node came back empty after a crash.
 	PhaseRecover
-	// PhaseBreaker: a circuit-breaker transition; N = the new state.
-	PhaseBreaker
 	// PhaseAuditViolation: an invariant monitor fired; N = the invariant,
 	// A and B = its got and want values.
 	PhaseAuditViolation
@@ -147,7 +145,7 @@ const (
 	// the routing epoch after it.
 	PhaseMembership
 	// PhaseHealth: a health transition; N = the new state, A = the
-	// routing epoch after it (B = 1 for a gateway's upstream probe).
+	// routing epoch after it (B = 1 for a gateway's upstream slot).
 	PhaseHealth
 	// PhaseInvalidate: an invalidation-log entry applied; A = the new
 	// floor, B = the log sequence, N = 1 when a copy was dropped.
@@ -176,7 +174,6 @@ var phaseNames = [numPhases]string{
 
 	PhaseCrash:          "crash",
 	PhaseRecover:        "recover",
-	PhaseBreaker:        "breaker",
 	PhaseAuditViolation: "audit_violation",
 	PhaseMembership:     "membership",
 	PhaseHealth:         "health",
