@@ -49,7 +49,6 @@ import (
 	"time"
 
 	"cascade/internal/analysis"
-	"cascade/internal/audit"
 	"cascade/internal/coherency"
 	"cascade/internal/core"
 	"cascade/internal/dcache"
@@ -189,8 +188,6 @@ type (
 	TreeConfig = topology.TreeConfig
 	// HierarchyNetwork is the full O-ary cache tree.
 	HierarchyNetwork = topology.Hierarchy
-	// TopologyDescription summarizes an en-route topology (Table 1).
-	TopologyDescription = topology.Description
 )
 
 // WANNodeKind marks the en-route topology's backbone nodes.
@@ -356,14 +353,6 @@ func NewCoherencyAuthority() *CoherencyAuthority { return coherency.NewAuthority
 // ParseCoherencyMode parses "none", "ttl", "psi" or "cas".
 func ParseCoherencyMode(s string) (CoherencyMode, error) { return coherency.ParseMode(s) }
 
-// FreshnessFrontier quantifies the paper's freshness assumption and the
-// frontier of consistency mechanisms above it: stale-hit and refetch ratios
-// of coordinated caching under object updates, per coherency mode
-// (None / TTL / PSI piggyback / CAS strict).
-func FreshnessFrontier(arch Architecture, cfg ExperimentConfig, intervals []float64, size float64) (ResultTable, error) {
-	return experiment.FreshnessFrontier(arch, cfg, intervals, size)
-}
-
 // Live protocol runtime (the deployable counterpart of the simulator).
 type (
 	// Cluster is a set of cache nodes implementing the coordinated
@@ -383,28 +372,6 @@ type (
 // its state), Cluster.Recover restarts it empty; requests route around dead
 // hops.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return runtime.NewCluster(cfg) }
-
-// Online invariant auditing and predicted-vs-realized cost accounting
-// (docs/OBSERVABILITY.md).
-type (
-	// AuditInvariant identifies one monitored guarantee of the paper's
-	// analysis (Theorem 2 local benefit, §2.2 DP optimality spot checks,
-	// NCL eviction order, miss-penalty consistency); violations surface as
-	// cascade_audit_violations_total{invariant=...}.
-	AuditInvariant = audit.Invariant
-	// AuditReport summarizes an audited run's per-invariant counts.
-	AuditReport = experiment.AuditReport
-)
-
-// AuditInvariants lists every monitored invariant in metric-label order.
-func AuditInvariants() []AuditInvariant { return audit.Invariants() }
-
-// LedgerStudy replays the workload through audited coordinated caching and
-// tabulates each node's predicted-vs-realized placement accounting
-// (cascadesim -exp ledger).
-func LedgerStudy(arch Architecture, cfg ExperimentConfig, size float64) (ResultTable, AuditReport, error) {
-	return experiment.LedgerStudy(arch, cfg, size)
-}
 
 // Cascade-wide span tracing: per-request protocol-phase spans under one
 // 128-bit trace ID, propagated hop to hop and tail-sampled into per-node
@@ -507,37 +474,14 @@ const (
 	ArchHierarchy = experiment.Hierarchy
 )
 
-// Chaos harness (failure-aware replay through the live runtime).
-type (
-	// ChaosConfig parameterizes a fault-injection replay.
-	ChaosConfig = experiment.ChaosConfig
-	// ChaosResult pairs the no-fault and faulted replays.
-	ChaosResult = experiment.ChaosResult
-)
+// Study is one experiment beside the figures: the paper's Table 1, a study
+// of its textual findings or an operational replay, run by
+// Study.Run(arch, cfg, log) with its parameters fixed.
+type Study = experiment.Study
 
-// ChaosStudy replays the workload through the cluster runtime twice — clean,
-// and with a deterministic subset of nodes crashed mid-trace and later
-// recovered — and tabulates byte hit ratio, degraded serves and
-// routed-around hops per phase.
-func ChaosStudy(cfg ChaosConfig) (ChaosResult, ResultTable, error) {
-	return experiment.ChaosStudy(cfg)
-}
-
-// Rolling-reconfiguration harness (control-plane upgrade replay).
-type (
-	// RollingConfig parameterizes a rolling-upgrade replay.
-	RollingConfig = experiment.RollingConfig
-	// RollingResult is the replay's phase-split accounting.
-	RollingResult = experiment.RollingResult
-)
-
-// RollingUpgradeStudy replays the workload through the live cluster runtime
-// while every cache node is drained and re-admitted in batches — a rolling
-// upgrade under sustained load — with the active health checker running and
-// the auditor and cost ledger on throughout (cascadesim -exp rolling).
-func RollingUpgradeStudy(cfg RollingConfig) (RollingResult, ResultTable, error) {
-	return experiment.RollingUpgradeStudy(cfg)
-}
+// Studies lists every study in the order cascadesim runs them (cascadesim
+// -list).
+func Studies() []Study { return experiment.Studies }
 
 // Figures lists every figure of the paper's evaluation section.
 func Figures() []Figure { return experiment.Figures }
@@ -548,83 +492,6 @@ func FigureByID(id string) (Figure, bool) { return experiment.FigureByID(id) }
 // RunSweep simulates every (cache size, scheme) pair for one architecture.
 func RunSweep(arch Architecture, cfg ExperimentConfig, progress func(SweepCell)) (*Sweep, error) {
 	return experiment.RunSweep(arch, cfg, progress)
-}
-
-// RadiusStudy reproduces the MODULO cache-radius sensitivity analysis.
-func RadiusStudy(arch Architecture, cfg ExperimentConfig, radii []int) (ResultTable, error) {
-	return experiment.RadiusStudy(arch, cfg, radii)
-}
-
-// DCacheStudy reproduces the d-cache sizing analysis.
-func DCacheStudy(arch Architecture, cfg ExperimentConfig, factors []float64, size float64) (ResultTable, error) {
-	return experiment.DCacheStudy(arch, cfg, factors, size)
-}
-
-// OverheadStudy quantifies the coordinated protocol's piggyback overhead.
-func OverheadStudy(arch Architecture, cfg ExperimentConfig) (ResultTable, error) {
-	return experiment.OverheadStudy(arch, cfg)
-}
-
-// TreeShapeStudy sweeps the hierarchy's delay growth factor and reports
-// LRU vs COORD latency — the paper's "similar trends for a wide range of d
-// and g values" claim.
-func TreeShapeStudy(cfg ExperimentConfig, growths []float64, size float64) (ResultTable, error) {
-	return experiment.TreeShapeStudy(cfg, growths, size)
-}
-
-// ZipfStudy sweeps the workload's Zipf exponent and reports LRU vs COORD
-// latency — the robustness of the comparison across realistic skews.
-func ZipfStudy(cfg ExperimentConfig, thetas []float64, size float64) (ResultTable, error) {
-	return experiment.ZipfStudy(cfg, thetas, size)
-}
-
-// LevelStudy reports which hierarchy level serves requests, per scheme —
-// the §4.2 mechanics made visible.
-func LevelStudy(cfg ExperimentConfig, size float64) (ResultTable, error) {
-	return experiment.LevelStudy(cfg, size)
-}
-
-// LocalityStudy sweeps the workload's community-of-interest strength and
-// reports LRU vs MODULO vs COORD performance.
-func LocalityStudy(cfg ExperimentConfig, localities []float64, size float64) (ResultTable, error) {
-	return experiment.LocalityStudy(cfg, localities, size)
-}
-
-// AnalysisStudy sets the layered Che approximation beside measured
-// per-level LRU hit ratios on the hierarchy.
-func AnalysisStudy(cfg ExperimentConfig, size float64) (ResultTable, error) {
-	return experiment.AnalysisStudy(cfg, size)
-}
-
-// PartialDeploymentStudy sweeps the fraction of caches running the
-// coordinated protocol (incremental rollout).
-func PartialDeploymentStudy(arch Architecture, cfg ExperimentConfig, fractions []float64, size float64) (ResultTable, error) {
-	return experiment.PartialDeploymentStudy(arch, cfg, fractions, size)
-}
-
-// WindowKStudy sweeps the frequency estimator's sliding-window size K for
-// the coordinated scheme.
-func WindowKStudy(arch Architecture, cfg ExperimentConfig, ks []int, size float64) (ResultTable, error) {
-	return experiment.WindowKStudy(arch, cfg, ks, size)
-}
-
-// CostModelStudy runs coordinated caching under each interpretation of the
-// generic cost (latency, bandwidth, hops) and reports all three measures.
-func CostModelStudy(arch Architecture, cfg ExperimentConfig, size float64) (ResultTable, error) {
-	return experiment.CostModelStudy(arch, cfg, size)
-}
-
-// AdaptivityStudy injects a mid-trace flash crowd and reports per-window
-// latency per scheme — transient behaviour the steady-state figures hide.
-func AdaptivityStudy(arch Architecture, cfg ExperimentConfig, size float64, windows int) (ResultTable, error) {
-	return experiment.AdaptivityStudy(arch, cfg, size, windows)
-}
-
-// CapacityStudy redistributes a fixed total budget across hierarchy levels
-// (uniform / leaf-heavy / root-heavy / delay-proportional) and compares
-// LRU and COORD under each profile.
-func CapacityStudy(cfg ExperimentConfig, size float64) (ResultTable, error) {
-	return experiment.CapacityStudy(cfg, size)
 }
 
 // Replicate runs one figure's sweep under several seeds and reports
@@ -648,10 +515,4 @@ func CompareBaselineCSV(t ResultTable, baseline io.Reader, tolerance float64) ([
 // document with inline SVG charts.
 func WriteHTMLReport(w io.Writer, title string, tables []ResultTable) error {
 	return experiment.WriteHTMLReport(w, title, tables)
-}
-
-// Table1 generates and describes an en-route topology in the terms of the
-// paper's Table 1.
-func Table1(cfg ExperimentConfig) (TopologyDescription, ResultTable) {
-	return experiment.Table1(cfg)
 }

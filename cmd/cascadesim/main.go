@@ -8,16 +8,19 @@
 // Examples:
 //
 //	cascadesim -list                        # what can be regenerated
-//	cascadesim -exp all                     # every table, figure and study
+//	cascadesim -exp all                     # Table 1, every figure, every study but the replays
 //	cascadesim -exp fig6a,fig7a             # selected figures
 //	cascadesim -exp radius -arch hierarchy  # MODULO radius study
+//	cascadesim -exp chaos,ledger,rolling    # the operational replays, outside all
 //	cascadesim -exp figs -csv out/ -svg figs/ -html report.html
 //	cascadesim -exp figs -baseline golden/  # regression drift detection
 //	cascadesim -exp fig6a -replicate 5      # mean ± stdev over seeds
 //	cascadesim -span-dump 256 -span-sample 0.1  # dump per-node span rings (both passes, with f/l/tag, Δcost, penalty attributes) as JSON
 //
-// The workload is synthetic (see DESIGN.md for the substitution rationale)
-// unless -trace FILE replays a recorded trace in the cascade text format.
+// The studies, with their fixed parameters, are the table cascade.Studies()
+// returns; -list prints their names. The workload is synthetic (see DESIGN.md for the
+// substitution rationale) unless -trace FILE replays a recorded trace in
+// the cascade text format.
 package main
 
 import (
@@ -28,6 +31,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -58,7 +62,7 @@ func main() {
 
 func run() error {
 	var (
-		exps    = flag.String("exp", "all", "experiments: all, figs, table1, radius, dcache, overhead, freshness-frontier, treeshape, zipf, costmodel, locality, levels, adaptivity, capacity, windowk, partial, analysis, chaos, ledger, rolling, or comma-separated figure IDs (fig6a..fig10b)")
+		exps    = flag.String("exp", "all", "experiments: all, figs, "+strings.Join(studyNames(), ", ")+", or comma-separated figure IDs (fig6a..fig10b)")
 		arch    = flag.String("arch", "both", "architecture for studies: enroute, hierarchy or both")
 		sizes   = flag.String("sizes", "0.001,0.003,0.01,0.03,0.1", "relative cache sizes")
 		schemes = flag.String("schemes", "LRU,MODULO(4),LNC-R,COORD", "schemes to compare")
@@ -78,16 +82,9 @@ func run() error {
 		csvDir     = flag.String("csv", "", "directory for CSV export (created if missing)")
 		svgDir     = flag.String("svg", "", "directory for SVG figure export (created if missing)")
 		htmlOut    = flag.String("html", "", "write a self-contained HTML report of every emitted table")
-		chart      = flag.Bool("chart", false, "render ASCII charts next to the tables")
 		md         = flag.Bool("md", false, "emit GitHub-flavored markdown instead of aligned text")
 		replicate  = flag.Int("replicate", 0, "rerun each figure under N seeds and report mean ± stdev")
 		baseline   = flag.String("baseline", "", "directory of previously exported CSVs to compare against (5% tolerance)")
-		chaosFrac  = flag.Float64("chaos-frac", 0.2, "chaos study: fraction of nodes crashed mid-trace")
-		chaosFail  = flag.Float64("chaos-fail", 0.25, "chaos study: trace fraction at which nodes crash")
-		chaosHeal  = flag.Float64("chaos-heal", 0.6, "chaos study: trace fraction at which nodes recover")
-		rollBatch  = flag.Float64("rolling-batch", 0.1, "rolling study: fraction of nodes upgraded per batch")
-		rollStart  = flag.Float64("rolling-start", 0.25, "rolling study: trace fraction at which the upgrade begins")
-		rollEnd    = flag.Float64("rolling-end", 0.75, "rolling study: trace fraction by which every batch has cycled")
 		verbose    = flag.Bool("v", false, "print per-cell progress")
 		list       = flag.Bool("list", false, "list available experiments, figures and schemes, then exit")
 		jobs       = flag.Int("j", 0, "concurrent sweep cells (0 = GOMAXPROCS)")
@@ -97,38 +94,18 @@ func run() error {
 	)
 	flag.Parse()
 
-	if *cpuprof != "" {
-		f, err := os.Create(*cpuprof)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
+	stop, err := profile(*cpuprof, *memprof)
+	if err != nil {
+		return err
 	}
-	if *memprof != "" {
-		defer func() {
-			f, err := os.Create(*memprof)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "cascadesim: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "cascadesim: memprofile:", err)
-			}
-		}()
-	}
+	defer stop()
 
 	if *list {
 		fmt.Println("figures:")
 		for _, f := range cascade.Figures() {
 			fmt.Printf("  %-8s %s\n", f.ID, f.Title)
 		}
-		fmt.Println("studies: table1 radius dcache overhead freshness-frontier costmodel treeshape zipf locality levels adaptivity capacity windowk partial analysis chaos ledger rolling")
+		fmt.Printf("studies: %s\n", strings.Join(studyNames(), " "))
 		fmt.Printf("schemes: %s\n", strings.Join(cascade.SchemeNames(), ", "))
 		return nil
 	}
@@ -196,64 +173,21 @@ func run() error {
 		return enc.Encode(snaps)
 	}
 
-	wantTable1, wantRadius, wantDCache, wantOverhead, wantFreshness := false, false, false, false, false
-	wantTreeShape, wantZipf, wantCostModel, wantLocality, wantLevels := false, false, false, false, false
-	wantAdaptivity, wantCapacity, wantWindowK, wantPartial := false, false, false, false
-	wantAnalysis, wantChaos, wantLedger, wantRolling := false, false, false, false
+	want := map[string]bool{}
 	var figIDs []string
 	for _, e := range splitList(*exps) {
-		switch e {
-		case "all":
-			wantTable1, wantRadius, wantDCache, wantOverhead, wantFreshness = true, true, true, true, true
-			wantTreeShape, wantZipf, wantCostModel, wantLocality, wantLevels = true, true, true, true, true
-			wantAdaptivity, wantCapacity, wantWindowK, wantPartial = true, true, true, true
-			wantAnalysis = true
+		switch {
+		case e == "all":
+			for _, st := range cascade.Studies() {
+				if st.InAll {
+					want[st.Name] = true
+				}
+			}
 			figIDs = allFigureIDs()
-		case "figs", "figures":
+		case e == "figs":
 			figIDs = allFigureIDs()
-		case "table1":
-			wantTable1 = true
-		case "radius":
-			wantRadius = true
-		case "dcache":
-			wantDCache = true
-		case "overhead":
-			wantOverhead = true
-		case "freshness", "freshness-frontier":
-			wantFreshness = true
-		case "treeshape":
-			wantTreeShape = true
-		case "zipf":
-			wantZipf = true
-		case "costmodel":
-			wantCostModel = true
-		case "locality":
-			wantLocality = true
-		case "levels":
-			wantLevels = true
-		case "adaptivity":
-			wantAdaptivity = true
-		case "capacity":
-			wantCapacity = true
-		case "windowk":
-			wantWindowK = true
-		case "partial":
-			wantPartial = true
-		case "analysis":
-			wantAnalysis = true
-		case "chaos":
-			// Failure-aware replay through the live runtime; not part of
-			// "all", which regenerates the paper's artifacts only.
-			wantChaos = true
-		case "ledger":
-			// Predicted-vs-realized accounting replay; like chaos, an
-			// operational diagnostic rather than a paper artifact, so not
-			// part of "all".
-			wantLedger = true
-		case "rolling":
-			// Rolling-upgrade replay through the live runtime's control
-			// plane; an operational diagnostic, not part of "all".
-			wantRolling = true
+		case slices.Contains(studyNames(), e):
+			want[e] = true
 		default:
 			if _, ok := cascade.FigureByID(e); !ok {
 				return fmt.Errorf("-exp: unknown experiment %q", e)
@@ -291,12 +225,6 @@ func run() error {
 				driftTotal += len(drifts)
 			}
 		}
-		if *chart {
-			fmt.Println()
-			if err := t.Chart(os.Stdout, 64, 16); err != nil {
-				return err
-			}
-		}
 		fmt.Println()
 		if *svgDir != "" {
 			if err := os.MkdirAll(*svgDir, 0o755); err != nil {
@@ -326,233 +254,7 @@ func run() error {
 		return t.CSV(f)
 	}
 
-	// Each requested experiment becomes a job producing named tables. Jobs
-	// are independent (each builds its own workload and simulators from
-	// cfg), so -parallel may run them concurrently; tables are emitted in
-	// job-definition order either way, keeping stdout byte-identical
-	// between the two modes.
-	var work []simJob
-	addJob := func(label string, run func() ([]namedTable, error)) {
-		work = append(work, simJob{label: label, run: run})
-	}
-	one := func(name string, f func() (cascade.ResultTable, error)) func() ([]namedTable, error) {
-		return func() ([]namedTable, error) {
-			t, err := f()
-			if err != nil {
-				return nil, err
-			}
-			return []namedTable{{name, t}}, nil
-		}
-	}
-
-	if wantTable1 {
-		addJob("table1", one("table1", func() (cascade.ResultTable, error) {
-			_, t := cascade.Table1(cfg)
-			return t, nil
-		}))
-	}
-
-	// Run at most one sweep per architecture and project all requested
-	// figures from it.
-	needed := map[cascade.Architecture][]cascade.Figure{}
-	for _, id := range figIDs {
-		f, _ := cascade.FigureByID(id)
-		if archAllowed(f.Arch, archs) {
-			needed[f.Arch] = append(needed[f.Arch], f)
-		}
-	}
-	for _, a := range archs {
-		a := a
-		figs := needed[a]
-		if len(figs) == 0 {
-			continue
-		}
-		if *replicate > 1 {
-			n := *replicate
-			addJob("replicate "+string(a), func() ([]namedTable, error) {
-				var out []namedTable
-				for _, f := range figs {
-					t, err := cascade.Replicate(a, cfg, f, n)
-					if err != nil {
-						return nil, err
-					}
-					out = append(out, namedTable{f.ID + "_replicated", t})
-				}
-				return out, nil
-			})
-			continue
-		}
-		addJob("sweep "+string(a), func() ([]namedTable, error) {
-			fmt.Fprintf(os.Stderr, "running %s sweep: %d cache sizes x %d schemes...\n",
-				a, len(cfg.CacheSizes), len(cfg.Schemes))
-			progress := func(c cascade.SweepCell) {
-				if *verbose {
-					fmt.Fprintf(os.Stderr, "  %-10s size=%.3f%%  latency=%.4fs  bhr=%.3f\n",
-						c.Scheme, c.CacheSize*100, c.Summary.AvgLatency, c.Summary.ByteHitRatio)
-				}
-			}
-			sweep, err := cascade.RunSweep(a, cfg, progress)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]namedTable, 0, len(figs))
-			for _, f := range figs {
-				out = append(out, namedTable{f.ID, sweep.Project(f)})
-			}
-			return out, nil
-		})
-	}
-
-	for _, a := range archs {
-		a := a
-		if wantRadius {
-			addJob("radius "+string(a), one("radius_"+string(a), func() (cascade.ResultTable, error) {
-				return cascade.RadiusStudy(a, cfg, nil)
-			}))
-		}
-		if wantDCache {
-			addJob("dcache "+string(a), one("dcache_"+string(a), func() (cascade.ResultTable, error) {
-				return cascade.DCacheStudy(a, cfg, nil, 0.01)
-			}))
-		}
-		if wantOverhead {
-			addJob("overhead "+string(a), one("overhead_"+string(a), func() (cascade.ResultTable, error) {
-				return cascade.OverheadStudy(a, cfg)
-			}))
-		}
-		if wantFreshness {
-			addJob("freshness-frontier "+string(a), one("freshness_frontier_"+string(a), func() (cascade.ResultTable, error) {
-				return cascade.FreshnessFrontier(a, cfg, nil, 0.01)
-			}))
-		}
-		if wantCostModel {
-			addJob("costmodel "+string(a), one("costmodel_"+string(a), func() (cascade.ResultTable, error) {
-				return cascade.CostModelStudy(a, cfg, 0.01)
-			}))
-		}
-	}
-
-	if wantTreeShape {
-		addJob("treeshape", one("treeshape", func() (cascade.ResultTable, error) {
-			return cascade.TreeShapeStudy(cfg, nil, 0.01)
-		}))
-	}
-	if wantZipf {
-		addJob("zipf", one("zipf", func() (cascade.ResultTable, error) {
-			return cascade.ZipfStudy(cfg, nil, 0.01)
-		}))
-	}
-	if wantLocality {
-		addJob("locality", one("locality", func() (cascade.ResultTable, error) {
-			return cascade.LocalityStudy(cfg, nil, 0.01)
-		}))
-	}
-	if wantLevels {
-		addJob("levels", one("levels", func() (cascade.ResultTable, error) {
-			return cascade.LevelStudy(cfg, 0.01)
-		}))
-	}
-	if wantAdaptivity {
-		addJob("adaptivity", one("adaptivity", func() (cascade.ResultTable, error) {
-			return cascade.AdaptivityStudy(cascade.ArchEnRoute, cfg, 0.03, 12)
-		}))
-	}
-	if wantCapacity {
-		addJob("capacity", one("capacity", func() (cascade.ResultTable, error) {
-			return cascade.CapacityStudy(cfg, 0.01)
-		}))
-	}
-	if wantWindowK {
-		addJob("windowk", one("windowk", func() (cascade.ResultTable, error) {
-			return cascade.WindowKStudy(cascade.ArchEnRoute, cfg, nil, 0.01)
-		}))
-	}
-	if wantPartial {
-		addJob("partial", one("partial", func() (cascade.ResultTable, error) {
-			return cascade.PartialDeploymentStudy(cascade.ArchEnRoute, cfg, nil, 0.01)
-		}))
-	}
-	if wantAnalysis {
-		addJob("analysis", one("analysis", func() (cascade.ResultTable, error) {
-			return cascade.AnalysisStudy(cfg, 0.01)
-		}))
-	}
-	if wantLedger {
-		for _, a := range archs {
-			a := a
-			addJob("ledger "+string(a), one("ledger_"+string(a), func() (cascade.ResultTable, error) {
-				t, report, err := cascade.LedgerStudy(a, cfg, sizeList[0])
-				if err != nil {
-					return cascade.ResultTable{}, err
-				}
-				for _, iv := range cascade.AuditInvariants() {
-					fmt.Fprintf(os.Stderr, "audit %s %s: %d checks, %d violations\n",
-						a, iv, report.Checks[iv.String()], report.Violations[iv.String()])
-				}
-				if n := report.Total(); n > 0 {
-					return cascade.ResultTable{}, fmt.Errorf("ledger %s: %d audit violations", a, n)
-				}
-				return t, nil
-			}))
-		}
-	}
-	if wantChaos {
-		for _, a := range archs {
-			a := a
-			addJob("chaos "+string(a), one("chaos_"+string(a), func() (cascade.ResultTable, error) {
-				fmt.Fprintf(os.Stderr, "running %s chaos replay (%.0f%% of nodes crash at %.0f%% of trace)...\n",
-					a, *chaosFrac*100, *chaosFail*100)
-				res, t, err := cascade.ChaosStudy(cascade.ChaosConfig{
-					Arch:         a,
-					Base:         cfg,
-					FailFraction: *chaosFrac,
-					FailAt:       *chaosFail,
-					HealAt:       *chaosHeal,
-					Seed:         *seed,
-				})
-				if err != nil {
-					return cascade.ResultTable{}, err
-				}
-				fmt.Fprintf(os.Stderr, "chaos %s: crashed nodes %v, routed around %d hops, %d degraded serves, recovery gap %.1f%%\n",
-					a, res.Failed, res.Faulted.Stats.RoutedAround,
-					res.Faulted.Stats.OriginFallbacks, res.RecoveryGap()*100)
-				return t, nil
-			}))
-		}
-	}
-	if wantRolling {
-		for _, a := range archs {
-			a := a
-			addJob("rolling "+string(a), one("rolling_"+string(a), func() (cascade.ResultTable, error) {
-				fmt.Fprintf(os.Stderr, "running %s rolling upgrade (batches of %.0f%% over trace [%.0f%%, %.0f%%))...\n",
-					a, *rollBatch*100, *rollStart*100, *rollEnd*100)
-				res, t, err := cascade.RollingUpgradeStudy(cascade.RollingConfig{
-					Arch:          a,
-					Base:          cfg,
-					BatchFraction: *rollBatch,
-					StartAt:       *rollStart,
-					EndAt:         *rollEnd,
-				})
-				if err != nil {
-					return cascade.ResultTable{}, err
-				}
-				fmt.Fprintf(os.Stderr, "rolling %s: %d batches, epoch %d, routed around %d hops, dip %.2fpp, %d predictions / %d hits booked\n",
-					a, len(res.Batches), res.FinalEpoch, res.Stats.RoutedAround,
-					res.HitDip(), res.Predictions, res.Hits)
-				if res.AuditViolations > 0 {
-					return cascade.ResultTable{}, fmt.Errorf("rolling %s: %d audit violations", a, res.AuditViolations)
-				}
-				if dip := res.HitDip(); dip > 5 {
-					return cascade.ResultTable{}, fmt.Errorf("rolling %s: hit-rate dip %.2fpp exceeds 5pp", a, dip)
-				}
-				if res.Predictions == 0 {
-					return cascade.ResultTable{}, fmt.Errorf("rolling %s: cost ledger booked nothing", a)
-				}
-				return t, nil
-			}))
-		}
-	}
-
+	work := plan(want, figIDs, archs, cfg, *replicate, *verbose)
 	if err := runJobs(work, *parallel, emit); err != nil {
 		return err
 	}
@@ -571,6 +273,146 @@ func run() error {
 		return fmt.Errorf("%d cells drifted beyond tolerance", driftTotal)
 	}
 	return nil
+}
+
+// plan turns the requested studies (want, by name) and figures into jobs
+// producing named tables. Jobs are independent (each builds its own
+// workload and simulators from cfg), so -parallel may run them
+// concurrently; tables are emitted in job order either way, keeping stdout
+// byte-identical between the two modes. The order: the studies ahead of
+// the table's first per-architecture one (Table 1), the figures' sweeps,
+// the per-architecture studies in "all" one architecture at a time, then
+// the rest in table order, each on every architecture in turn.
+func plan(want map[string]bool, figIDs []string, archs []cascade.Architecture, cfg cascade.ExperimentConfig, replicate int, verbose bool) []simJob {
+	var work []simJob
+	addJob := func(label string, run func() ([]namedTable, error)) {
+		work = append(work, simJob{label: label, run: run})
+	}
+	addStudy := func(st cascade.Study, a cascade.Architecture) {
+		label := st.Name
+		if st.PerArch {
+			label += " " + string(a)
+		}
+		addJob(label, func() ([]namedTable, error) {
+			t, err := st.Run(a, cfg, os.Stderr)
+			if err != nil {
+				return nil, err
+			}
+			return []namedTable{{st.Stem(a), t}}, nil
+		})
+	}
+
+	studies := cascade.Studies()
+	lead := 0
+	for lead < len(studies) && !studies[lead].PerArch {
+		if want[studies[lead].Name] {
+			addStudy(studies[lead], "")
+		}
+		lead++
+	}
+
+	// Run at most one sweep per architecture and project all requested
+	// figures from it.
+	needed := map[cascade.Architecture][]cascade.Figure{}
+	for _, id := range figIDs {
+		f, _ := cascade.FigureByID(id)
+		if archAllowed(f.Arch, archs) {
+			needed[f.Arch] = append(needed[f.Arch], f)
+		}
+	}
+	for _, a := range archs {
+		figs := needed[a]
+		if len(figs) == 0 {
+			continue
+		}
+		if replicate > 1 {
+			addJob("replicate "+string(a), func() ([]namedTable, error) {
+				var out []namedTable
+				for _, f := range figs {
+					t, err := cascade.Replicate(a, cfg, f, replicate)
+					if err != nil {
+						return nil, err
+					}
+					out = append(out, namedTable{f.ID + "_replicated", t})
+				}
+				return out, nil
+			})
+			continue
+		}
+		addJob("sweep "+string(a), func() ([]namedTable, error) {
+			fmt.Fprintf(os.Stderr, "running %s sweep: %d cache sizes x %d schemes...\n",
+				a, len(cfg.CacheSizes), len(cfg.Schemes))
+			progress := func(c cascade.SweepCell) {
+				if verbose {
+					fmt.Fprintf(os.Stderr, "  %-10s size=%.3f%%  latency=%.4fs  bhr=%.3f\n",
+						c.Scheme, c.CacheSize*100, c.Summary.AvgLatency, c.Summary.ByteHitRatio)
+				}
+			}
+			sweep, err := cascade.RunSweep(a, cfg, progress)
+			if err != nil {
+				return nil, err
+			}
+			out := make([]namedTable, 0, len(figs))
+			for _, f := range figs {
+				out = append(out, namedTable{f.ID, sweep.Project(f)})
+			}
+			return out, nil
+		})
+	}
+
+	for _, a := range archs {
+		for _, st := range studies[lead:] {
+			if want[st.Name] && st.PerArch && st.InAll {
+				addStudy(st, a)
+			}
+		}
+	}
+	for _, st := range studies[lead:] {
+		switch {
+		case !want[st.Name] || st.PerArch && st.InAll:
+		case !st.PerArch:
+			addStudy(st, "")
+		default:
+			for _, a := range archs {
+				addStudy(st, a)
+			}
+		}
+	}
+	return work
+}
+
+// profile starts a CPU profile into cpu and arranges a heap profile into
+// mem, each when named; stop ends the one and writes the other.
+func profile(cpu, mem string) (stop func(), err error) {
+	var cpuFile *os.File
+	if cpu != "" {
+		if cpuFile, err = os.Create(cpu); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, err
+		}
+	}
+	return func() {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			cpuFile.Close()
+		}
+		if mem == "" {
+			return
+		}
+		f, err := os.Create(mem)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "cascadesim: memprofile:", err)
+			return
+		}
+		defer f.Close()
+		runtime.GC()
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			fmt.Fprintln(os.Stderr, "cascadesim: memprofile:", err)
+		}
+	}, nil
 }
 
 // runJobs executes the experiment jobs — sequentially, or concurrently when
@@ -620,6 +462,15 @@ func allFigureIDs() []string {
 		ids = append(ids, f.ID)
 	}
 	return ids
+}
+
+// studyNames lists the table's studies, in its order.
+func studyNames() []string {
+	var names []string
+	for _, st := range cascade.Studies() {
+		names = append(names, st.Name)
+	}
+	return names
 }
 
 func archAllowed(a cascade.Architecture, allowed []cascade.Architecture) bool {

@@ -86,11 +86,11 @@ func TestRunEndToEnd(t *testing.T) {
 		return run()
 	}
 
-	if err := invoke("-exp", "fig6a,table1", "-arch", "enroute", "-csv", dir, "-md", "-chart",
+	if err := invoke("-exp", "fig6a,table1,overhead", "-arch", "enroute", "-csv", dir, "-md",
 		"-svg", dir, "-html", filepath.Join(dir, "report.html")); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{"fig6a.csv", "fig6a.svg", "report.html"} {
+	for _, f := range []string{"fig6a.csv", "fig6a.svg", "table1.csv", "overhead_enroute.csv", "report.html"} {
 		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
 			t.Fatalf("%s not exported: %v", f, err)
 		}
@@ -114,6 +114,16 @@ func TestRunEndToEnd(t *testing.T) {
 	// Bad inputs.
 	if err := invoke("-exp", "nonsense"); err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+	// Every study of the table is an -exp name: on a one-request trace each
+	// gets past -exp, and fails, if at all, inside its own run.
+	for _, st := range cascade.Studies() {
+		if err := invoke("-exp", st.Name, "-arch", "enroute", "-objects", "20", "-requests", "1"); err != nil && strings.Contains(err.Error(), "unknown experiment") {
+			t.Errorf("-exp %s: %v", st.Name, err)
+		}
+	}
+	if err := invoke("-exp", "figures"); err == nil {
+		t.Fatal("the retired alias figures accepted")
 	}
 	if err := invoke("-arch", "moon"); err == nil {
 		t.Fatal("unknown architecture accepted")
@@ -181,5 +191,17 @@ func TestRunList(t *testing.T) {
 		if !strings.Contains(string(out), want) {
 			t.Fatalf("list output missing %q:\n%s", want, out)
 		}
+	}
+	var listed []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if names, ok := strings.CutPrefix(line, "studies: "); ok {
+			listed = strings.Fields(names)
+		}
+	}
+	if !reflect.DeepEqual(listed, studyNames()) || len(listed) != len(cascade.Studies()) {
+		t.Fatalf("-list names studies %v, the table %v", listed, studyNames())
+	}
+	if usage := flag.Lookup("exp").Usage; !strings.Contains(usage, strings.Join(studyNames(), ", ")) {
+		t.Fatalf("-exp help text does not name every study: %s", usage)
 	}
 }

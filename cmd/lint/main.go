@@ -68,18 +68,17 @@ const maxFuncLines = 120
 // function that shrinks must have its ceiling lowered to its new length,
 // and one back under maxFuncLines leaves the list.
 var funcCeilings = map[string]int{
-	"cmd/cascadesim run":                      516,
-	"cmd/observesmoke run":                    405,
-	"cmd/cascadegw run":                       198,
-	"internal/experiment RollingUpgradeStudy": 202,
-	"internal/trace ExtractTopObjects":        138,
-	"cmd/cascadeload run":                     126,
+	"cmd/observesmoke run":             405,
+	"cmd/cascadesim run":               214,
+	"cmd/cascadegw run":                198,
+	"internal/trace ExtractTopObjects": 138,
+	"cmd/cascadeload run":              126,
 }
 
 // maxLines is the ceiling on `make loc`'s total. Only an issue that states
 // its reason may raise it, as a bound-backed optimality oracle replacing the
 // non-paper baselines would.
-const maxLines = 24973
+const maxLines = 24462
 
 // unreached lists, per package directory, the exported names that nothing
 // outside their package reaches. Each is to be unexported or deleted.
@@ -87,7 +86,6 @@ var unreached = map[string][]string{
 	"internal/controlplane": {"Draining"},
 	"internal/core":         {"BruteForce", "ClampMonotone", "LocallyBeneficial"},
 	"internal/dcache":       {"NewLRUStacks"},
-	"internal/experiment":   {"ChaosDegraded", "ChaosHealthy", "ChaosRecovered", "ReplicateSummary", "RollingHealthy", "RollingRecovered", "RollingUpgrading"},
 	"internal/fault":        {"ActPass"},
 	"internal/metrics":      {"BucketUpperBound"},
 	"internal/sim":          {"CoherencyScheme"},

@@ -44,11 +44,16 @@ func main() {
 
 	// The §4.2 radius observation: in the hierarchy, MODULO(1) ≡ LRU is
 	// the best MODULO can do; radius 4 uses only the leaf caches.
-	radius, err := cascade.RadiusStudy(cascade.ArchHierarchy, cfg, []int{1, 2, 3, 4})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	for _, st := range cascade.Studies() {
+		if st.Name != "radius" {
+			continue
+		}
+		radius, err := st.Run(cascade.ArchHierarchy, cfg, os.Stderr)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		radius.Format(os.Stdout)
 	}
-	radius.Format(os.Stdout)
 	fmt.Println("\n(radius 1 wins: larger radii leave levels 1..3 of the tree unused)")
 }

@@ -2,26 +2,23 @@ package experiment
 
 import (
 	"fmt"
+	"io"
 
 	"cascade/internal/scheme"
 	"cascade/internal/sim"
 	"cascade/internal/trace"
 )
 
-// AdaptivityStudy injects a flash crowd (a complete popularity regime
-// change) halfway through the workload and reports per-time-window average
-// latency for each scheme — how quickly each recovers once its cached
-// state is suddenly worthless. The paper evaluates steady state only; this
-// study probes the transient that follows the kind of popularity shifts
-// real content distribution sees.
-func AdaptivityStudy(arch Arch, cfg Config, size float64, windows int) (Table, error) {
+// adaptivityStudy injects a flash crowd (a complete popularity regime
+// change) halfway through the workload and reports average latency per
+// twelfth of the trace for each scheme on the en-route architecture, at
+// cache size 3% — how quickly each recovers once its cached state is
+// suddenly worthless. The paper evaluates steady state only; this study
+// probes the transient that follows the kind of popularity shifts real
+// content distribution sees.
+func adaptivityStudy(_ Arch, cfg Config, _ io.Writer) (Table, error) {
 	cfg.setDefaults()
-	if size <= 0 {
-		size = 0.01
-	}
-	if windows <= 0 {
-		windows = 12
-	}
+	const arch, size, windows = EnRoute, 0.03, 12
 	// Resolve workload defaults (Duration in particular) through a probe
 	// generator, then schedule the flash crowd at the halfway point.
 	tcfg := trace.NewGenerator(cfg.Trace).Config()

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"io"
 
 	"cascade/internal/analysis"
 	"cascade/internal/model"
@@ -11,18 +12,15 @@ import (
 	"cascade/internal/trace"
 )
 
-// AnalysisStudy validates the closed-form machinery against the simulator:
+// analysisStudy validates the closed-form machinery against the simulator:
 // it replays the workload through LRU caches on the hierarchy, measures
 // each level's hit ratio (hits at the level / requests reaching it), and
 // sets the layered Che approximation beside the measurements. The
 // approximation treats the trace as an independent reference model and the
 // tree as uniformly loaded, so agreement is expected to be qualitative at
 // upper levels and close at the leaves.
-func AnalysisStudy(cfg Config, size float64) (Table, error) {
+func analysisStudy(_ Arch, cfg Config, _ io.Writer) (Table, error) {
 	cfg.setDefaults()
-	if size <= 0 {
-		size = 0.01
-	}
 	gen := trace.NewGenerator(cfg.Trace)
 	cat := gen.Catalog()
 	tree := topology.GenerateTree(cfg.Tree)
@@ -34,7 +32,7 @@ func AnalysisStudy(cfg Config, size float64) (Table, error) {
 		Scheme:            scheme.NewLRU(),
 		Network:           tree,
 		Catalog:           cat,
-		RelativeCacheSize: size,
+		RelativeCacheSize: studySize,
 		Seed:              cfg.AttachSeed + 7,
 		TrackNodes:        true,
 	})
@@ -64,7 +62,7 @@ func AnalysisStudy(cfg Config, size float64) (Table, error) {
 	for i := range objs {
 		objs[i] = analysis.Object{Rate: counts[i] / duration, Size: cat.Objects[i].Size}
 	}
-	capacity := int64(size * float64(cat.TotalBytes))
+	capacity := int64(studySize * float64(cat.TotalBytes))
 	preds, err := analysis.CheLRUTree(objs, capacity, tc.Depth, tc.Fanout, len(tree.ClientAttachPoints()))
 	if err != nil {
 		return Table{}, err
@@ -72,7 +70,7 @@ func AnalysisStudy(cfg Config, size float64) (Table, error) {
 
 	t := Table{
 		Title: fmt.Sprintf("Analysis validation (hierarchy, cache size %.2f%%): measured LRU hit ratio per level vs layered Che approximation",
-			size*100),
+			studySize*100),
 		XLabel:  "level",
 		YLabel:  "hit ratio of requests reaching the level",
 		Columns: []string{"measured", "Che approx"},

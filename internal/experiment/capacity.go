@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"io"
 
 	"cascade/internal/model"
 	"cascade/internal/scheme"
@@ -9,17 +10,14 @@ import (
 	"cascade/internal/topology"
 )
 
-// CapacityStudy redistributes a fixed total cache budget across the
+// capacityStudy redistributes a fixed total cache budget across the
 // hierarchy's levels — uniform (the paper's setup), leaf-heavy, root-heavy
 // and delay-proportional — and reports LRU and COORD latency under each
 // profile. It extends the paper's uniform-sizing evaluation to the
 // capacity-planning question deployments actually face, and shows how much
 // coordinated placement compensates for (or exploits) skewed provisioning.
-func CapacityStudy(cfg Config, size float64) (Table, error) {
+func capacityStudy(_ Arch, cfg Config, _ io.Writer) (Table, error) {
 	cfg.setDefaults()
-	if size <= 0 {
-		size = 0.01
-	}
 	w := cfg.workload()
 	tree := topology.GenerateTree(cfg.Tree)
 	depth := tree.Config().Depth
@@ -46,7 +44,7 @@ func CapacityStudy(cfg Config, size float64) (Table, error) {
 
 	t := Table{
 		Title: fmt.Sprintf("Capacity allocation study (hierarchy, total budget = %.2f%% x nodes)",
-			size*100),
+			studySize*100),
 		XLabel:  "profile",
 		YLabel:  "latency (s) / byte hit ratio",
 		Columns: []string{"LRU lat", "COORD lat", "LRU bhr", "COORD bhr"},
@@ -62,7 +60,7 @@ func CapacityStudy(cfg Config, size float64) (Table, error) {
 				Scheme:            mk(),
 				Network:           tree,
 				Catalog:           w.Catalog(),
-				RelativeCacheSize: size,
+				RelativeCacheSize: studySize,
 				DCacheFactor:      cfg.DCacheFactor,
 				Seed:              cfg.AttachSeed + 7,
 				CapacityWeights: func(n model.NodeID) float64 {

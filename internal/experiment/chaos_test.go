@@ -1,20 +1,20 @@
 package experiment
 
 import (
+	"io"
+	"strings"
 	"testing"
 
 	"cascade/internal/topology"
 )
 
-func tinyChaosConfig() ChaosConfig {
+// tinyLiveConfig is tinyConfig on a 13-cache hierarchy, whose crash schedule
+// the given seed draws.
+func tinyLiveConfig(seed int64) Config {
 	cfg := tinyConfig()
 	cfg.Tree = topology.TreeConfig{Depth: 3, Fanout: 3, BaseDelay: 0.008, Growth: 5}
-	return ChaosConfig{
-		Arch:      Hierarchy,
-		Base:      cfg,
-		CacheSize: 0.03,
-		Seed:      7,
-	}
+	cfg.TopoSeed = seed
+	return cfg
 }
 
 // TestChaosStudyAcceptance exercises the harness's headline guarantees:
@@ -22,21 +22,21 @@ func tinyChaosConfig() ChaosConfig {
 // run shuts down cleanly, and after recovery the byte hit rate closes to
 // within 10% of the no-fault run.
 func TestChaosStudyAcceptance(t *testing.T) {
-	cfg := tinyChaosConfig()
-	res, table, err := ChaosStudy(cfg)
+	cfg := tinyLiveConfig(7)
+	res, table, err := runChaos(Hierarchy, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Liveness: both replays processed the entire trace.
-	want := int64(cfg.Base.Trace.Requests)
+	want := int64(cfg.Trace.Requests)
 	if res.Baseline.Overall.Requests != want || res.Faulted.Overall.Requests != want {
 		t.Fatalf("requests: baseline %d, faulted %d, want %d",
 			res.Baseline.Overall.Requests, res.Faulted.Overall.Requests, want)
 	}
 
 	// The schedule took down ~20% of nodes and brought them back.
-	numNodes := cfg.Base.Network(cfg.Arch).NumCaches()
+	numNodes := cfg.Network(Hierarchy).NumCaches()
 	if len(res.Failed) != int(0.2*float64(numNodes)+0.5) {
 		t.Fatalf("failed %d of %d nodes", len(res.Failed), numNodes)
 	}
@@ -52,21 +52,21 @@ func TestChaosStudyAcceptance(t *testing.T) {
 	}
 
 	// The degraded window routed around dead caches.
-	if res.Faulted.Phases[ChaosDegraded].AvgSkippedHops == 0 {
+	if res.Faulted.Phases[phaseDuring].AvgSkippedHops == 0 {
 		t.Fatal("degraded phase skipped no hops")
 	}
-	if res.Faulted.Phases[ChaosHealthy] != res.Baseline.Phases[ChaosHealthy] {
+	if res.Faulted.Phases[phaseBefore] != res.Baseline.Phases[phaseBefore] {
 		t.Fatal("pre-failure phases diverged — replay not deterministic")
 	}
 
 	// Recovery: byte hit rate within 10% of the no-fault run.
 	if gap := res.RecoveryGap(); gap > 0.10 {
 		t.Fatalf("recovery gap %.3f exceeds 10%% (baseline %.3f, faulted %.3f)",
-			gap, res.Baseline.Phases[ChaosRecovered].ByteHitRatio,
-			res.Faulted.Phases[ChaosRecovered].ByteHitRatio)
+			gap, res.Baseline.Phases[phaseAfter].ByteHitRatio,
+			res.Faulted.Phases[phaseAfter].ByteHitRatio)
 	}
 
-	if len(table.Rows) != chaosPhases+1 || len(table.Columns) != 4 {
+	if len(table.Rows) != numPhases+1 || len(table.Columns) != 4 {
 		t.Fatalf("table shape: %d rows, %d columns", len(table.Rows), len(table.Columns))
 	}
 }
@@ -74,11 +74,11 @@ func TestChaosStudyAcceptance(t *testing.T) {
 // TestChaosStudyDeterministic: the same seed reproduces the exact fault
 // schedule and byte-identical results.
 func TestChaosStudyDeterministic(t *testing.T) {
-	a, _, err := ChaosStudy(tinyChaosConfig())
+	a, _, err := runChaos(Hierarchy, tinyLiveConfig(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := ChaosStudy(tinyChaosConfig())
+	b, _, err := runChaos(Hierarchy, tinyLiveConfig(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,9 +94,7 @@ func TestChaosStudyDeterministic(t *testing.T) {
 		t.Fatalf("faulted runs diverged:\n%+v\n%+v", a.Faulted.Overall, b.Faulted.Overall)
 	}
 	// A different seed picks a different schedule.
-	cfg := tinyChaosConfig()
-	cfg.Seed = 8
-	c, _, err := ChaosStudy(cfg)
+	c, _, err := runChaos(Hierarchy, tinyLiveConfig(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +112,12 @@ func TestChaosStudyDeterministic(t *testing.T) {
 	}
 }
 
-// TestChaosStudyWindowValidation rejects schedules that do not fit.
+// TestChaosStudyWindowValidation rejects a trace too short for the crash
+// window: one request puts the crash and the recovery at the same index.
 func TestChaosStudyWindowValidation(t *testing.T) {
-	cfg := tinyChaosConfig()
-	cfg.FailAt, cfg.HealAt = 0.8, 0.3
-	if _, _, err := ChaosStudy(cfg); err == nil {
-		t.Fatal("inverted chaos window accepted")
+	cfg := tinyLiveConfig(7)
+	cfg.Trace.Requests = 1
+	if _, err := chaosStudy(Hierarchy, cfg, io.Discard); err == nil || !strings.Contains(err.Error(), "window") {
+		t.Fatalf("a chaos window that does not fit the trace: %v", err)
 	}
 }

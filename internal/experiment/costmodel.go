@@ -2,26 +2,24 @@ package experiment
 
 import (
 	"fmt"
+	"io"
 
 	"cascade/internal/scheme"
 	"cascade/internal/sim"
 )
 
-// CostModelStudy exercises the §2 claim that the analytical model "is
+// costModelStudy exercises the §2 claim that the analytical model "is
 // independent of the cost function": the coordinated scheme is run with its
 // generic cost interpreted as latency, bandwidth (byte×hops) and hop count
 // in turn, and all three measures are reported for each run. Optimizing a
 // measure should (weakly) win on that measure's column.
-func CostModelStudy(arch Arch, cfg Config, size float64) (Table, error) {
+func costModelStudy(arch Arch, cfg Config, _ io.Writer) (Table, error) {
 	cfg.setDefaults()
-	if size <= 0 {
-		size = 0.01
-	}
 	w := cfg.workload()
 	net := cfg.Network(arch)
 	t := Table{
 		Title: fmt.Sprintf("Cost-model study (%s, cache size %.2f%%): coordinated caching optimizing different measures",
-			arch, size*100),
+			arch, studySize*100),
 		XLabel:  "optimized cost",
 		YLabel:  "resulting metrics",
 		Columns: []string{"latency (s)", "traffic (B*hops)", "hops"},
@@ -31,7 +29,7 @@ func CostModelStudy(arch Arch, cfg Config, size float64) (Table, error) {
 			Scheme:            scheme.NewCoordinated(),
 			Network:           net,
 			Catalog:           w.Catalog(),
-			RelativeCacheSize: size,
+			RelativeCacheSize: studySize,
 			DCacheFactor:      cfg.DCacheFactor,
 			Seed:              cfg.AttachSeed + 7,
 			CostModel:         m,

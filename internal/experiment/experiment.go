@@ -1,8 +1,9 @@
 // Package experiment regenerates every table and figure of the paper's
 // evaluation (§3–4). A Sweep runs (cache size × scheme) simulations for one
 // architecture; each figure is a projection of a sweep onto one metric.
-// Additional parameter studies reproduce the textual findings (MODULO's
-// radius sensitivity, d-cache sizing).
+// Table 1, the studies of the paper's textual findings (MODULO's radius
+// sensitivity, d-cache sizing, …) and the operational replays are the
+// entries of one table, Studies.
 package experiment
 
 import (

@@ -2,12 +2,14 @@ package experiment
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
-	"cascade/internal/metrics"
+	"cascade/internal/audit"
 	"cascade/internal/model"
 	"cascade/internal/scheme"
 	"cascade/internal/sim"
@@ -127,35 +129,35 @@ func TestHierarchySweep(t *testing.T) {
 }
 
 func TestRadiusStudy(t *testing.T) {
-	tab, err := RadiusStudy(Hierarchy, tinyConfig(), []int{1, 4})
+	tab, err := radiusStudy(Hierarchy, tinyConfig(), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tab.Rows))
+	if len(tab.Rows) != 6 || tab.Rows[0].Label != "1" || tab.Rows[3].Label != "4" {
+		t.Fatalf("rows: %+v", tab.Rows)
 	}
 	// §4.2: in the hierarchy radius 1 (≡ LRU) beats radius 4, which
 	// leaves the upper levels unused.
 	for col := range tab.Columns {
-		if tab.Rows[0].Values[col] >= tab.Rows[1].Values[col] {
+		if tab.Rows[0].Values[col] >= tab.Rows[3].Values[col] {
 			t.Fatalf("radius 1 latency %v not below radius 4 %v (col %d)",
-				tab.Rows[0].Values[col], tab.Rows[1].Values[col], col)
+				tab.Rows[0].Values[col], tab.Rows[3].Values[col], col)
 		}
 	}
 }
 
 func TestDCacheStudy(t *testing.T) {
-	tab, err := DCacheStudy(EnRoute, tinyConfig(), []float64{1, 3}, 0.02)
+	tab, err := dcacheStudy(EnRoute, tinyConfig(), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 2 || len(tab.Rows[0].Values) != 2 {
+	if len(tab.Rows) != 6 || len(tab.Rows[0].Values) != 2 {
 		t.Fatalf("table shape wrong: %+v", tab)
 	}
 }
 
 func TestOverheadStudySmall(t *testing.T) {
-	tab, err := OverheadStudy(EnRoute, tinyConfig())
+	tab, err := overheadStudy(EnRoute, tinyConfig(), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,9 +175,12 @@ func TestOverheadStudySmall(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	d, tab := Table1(Config{})
-	if d.TotalNodes != 100 {
-		t.Fatalf("nodes = %d", d.TotalNodes)
+	tab, err := table1("", Config{}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nodes := tab.Rows[0].Values[0]; nodes != 100 {
+		t.Fatalf("nodes = %v", nodes)
 	}
 	if len(tab.Rows) != 7 {
 		t.Fatalf("table rows = %d", len(tab.Rows))
@@ -222,15 +227,22 @@ func TestTableFormatAndCSV(t *testing.T) {
 	}
 }
 
+// tinyFrontier is the freshness frontier at tinyConfig, which two tests
+// read: its rows are a week, a day and two hours between an object's
+// updates.
+var tinyFrontier = sync.OnceValues(func() (Table, error) {
+	return freshnessFrontier(EnRoute, tinyConfig(), io.Discard)
+})
+
 func TestFreshnessFrontier(t *testing.T) {
-	tab, err := FreshnessFrontier(EnRoute, tinyConfig(), []float64{3600}, 0.02)
+	tab, err := tinyFrontier()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 1 || len(tab.Rows[0].Values) != 10 {
+	if len(tab.Rows) != 3 || len(tab.Rows[2].Values) != 10 || tab.Rows[2].Label != "2h" {
 		t.Fatalf("table shape wrong: %+v", tab)
 	}
-	v := tab.Rows[0].Values
+	v := tab.Rows[2].Values
 	noneLat, noneStale := v[0], v[1]
 	ttlStale, ttlRefetch := v[3], v[4]
 	psiStale := v[6]
@@ -261,9 +273,12 @@ func TestFreshnessFrontier(t *testing.T) {
 func TestFreshnessAssumptionHoldsAtWebRates(t *testing.T) {
 	// The §2 assumption: at realistic (weekly) update rates, staleness is
 	// negligible even with no consistency protocol at all.
-	tab, err := FreshnessFrontier(EnRoute, tinyConfig(), []float64{7 * 86400}, 0.02)
+	tab, err := tinyFrontier()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if tab.Rows[0].Label != "168h" {
+		t.Fatalf("first row %q, want the weekly one", tab.Rows[0].Label)
 	}
 	if stale := tab.Rows[0].Values[1]; stale > 0.02 {
 		t.Fatalf("stale-hit ratio %v at weekly updates; assumption violated", stale)
@@ -271,11 +286,11 @@ func TestFreshnessAssumptionHoldsAtWebRates(t *testing.T) {
 }
 
 func TestTreeShapeStudy(t *testing.T) {
-	tab, err := TreeShapeStudy(tinyConfig(), []float64{2, 8}, 0.02)
+	tab, err := treeShapeStudy("", tinyConfig(), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 2 {
+	if len(tab.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	// The trend the paper reports: COORD beats LRU at every growth value.
@@ -288,24 +303,28 @@ func TestTreeShapeStudy(t *testing.T) {
 }
 
 func TestZipfStudy(t *testing.T) {
-	tab, err := ZipfStudy(tinyConfig(), []float64{0.6, 0.9}, 0.02)
+	tab, err := zipfStudy("", tinyConfig(), io.Discard)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(tab.Rows) != 5 {
+		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	for _, r := range tab.Rows {
 		if r.Values[1] >= r.Values[0] {
 			t.Fatalf("theta %s: COORD %v not better than LRU %v", r.Label, r.Values[1], r.Values[0])
 		}
 	}
-	// Stronger skew → hotter head → better absolute latency for both.
-	if tab.Rows[1].Values[1] >= tab.Rows[0].Values[1] {
+	// Stronger skew → hotter head → better absolute latency: θ = 0.9
+	// against θ = 0.6.
+	if tab.Rows[3].Values[1] >= tab.Rows[0].Values[1] {
 		t.Fatalf("higher theta did not reduce COORD latency: %v vs %v",
-			tab.Rows[1].Values[1], tab.Rows[0].Values[1])
+			tab.Rows[3].Values[1], tab.Rows[0].Values[1])
 	}
 }
 
 func TestCostModelStudy(t *testing.T) {
-	tab, err := CostModelStudy(EnRoute, tinyConfig(), 0.02)
+	tab, err := costModelStudy(EnRoute, tinyConfig(), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,11 +346,11 @@ func TestCostModelStudy(t *testing.T) {
 }
 
 func TestLocalityStudy(t *testing.T) {
-	tab, err := LocalityStudy(tinyConfig(), []float64{0, 0.9}, 0.02)
+	tab, err := localityStudy("", tinyConfig(), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 2 || len(tab.Rows[0].Values) != 6 {
+	if len(tab.Rows) != 5 || len(tab.Rows[0].Values) != 6 {
 		t.Fatalf("table shape: %+v", tab)
 	}
 	// COORD must beat LRU on latency at both locality levels.
@@ -345,7 +364,7 @@ func TestLocalityStudy(t *testing.T) {
 func TestLevelStudy(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Schemes = []string{"LRU", "MODULO(4)", "COORD"}
-	tab, err := LevelStudy(cfg, 0.02)
+	tab, err := levelStudy("", cfg, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,49 +394,6 @@ func TestLevelStudy(t *testing.T) {
 		if upper <= 0 {
 			t.Fatalf("%s never used upper levels", tab.Rows[i].Label)
 		}
-	}
-}
-
-func TestChartRendering(t *testing.T) {
-	tab := Table{
-		Title:   "Chart",
-		XLabel:  "cache size",
-		Columns: []string{"LRU", "COORD"},
-		Rows: []Row{
-			{Label: "0.1%", Values: []float64{1.0, 0.8}},
-			{Label: "1%", Values: []float64{0.8, 0.55}},
-			{Label: "10%", Values: []float64{0.5, 0.25}},
-		},
-	}
-	var buf bytes.Buffer
-	if err := tab.Chart(&buf, 40, 10); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"Chart", "*", "+", "*=LRU", "+=COORD", "0.1%", "10%", "cache size"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("chart missing %q:\n%s", want, out)
-		}
-	}
-	lines := strings.Split(out, "\n")
-	if len(lines) < 12 {
-		t.Fatalf("chart too short: %d lines", len(lines))
-	}
-}
-
-func TestChartDegenerate(t *testing.T) {
-	var buf bytes.Buffer
-	if err := (Table{Title: "E"}).Chart(&buf, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "no data") {
-		t.Fatal("empty chart not flagged")
-	}
-	// Single row and constant values must not divide by zero.
-	one := Table{Title: "1", Columns: []string{"a"}, Rows: []Row{{Label: "x", Values: []float64{5}}}}
-	buf.Reset()
-	if err := one.Chart(&buf, 30, 8); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -470,21 +446,6 @@ func TestMeanStdev(t *testing.T) {
 	}
 }
 
-func TestReplicateSummaryMetrics(t *testing.T) {
-	s := metrics.Summary{AvgLatency: 1, AvgRespRatio: 2, ByteHitRatio: 3, AvgByteHops: 4, AvgHops: 5, AvgLoad: 6}
-	for metric, want := range map[string]float64{
-		"latency": 1, "respratio": 2, "bytehit": 3, "traffic": 4, "hops": 5, "load": 6,
-	} {
-		got, err := ReplicateSummary(s, metric)
-		if err != nil || got != want {
-			t.Fatalf("%s: %v, %v", metric, got, err)
-		}
-	}
-	if _, err := ReplicateSummary(s, "bogus"); err == nil {
-		t.Fatal("unknown metric accepted")
-	}
-}
-
 func TestTableMarkdown(t *testing.T) {
 	tab := Table{
 		Title:   "MD",
@@ -508,12 +469,11 @@ func TestTableMarkdown(t *testing.T) {
 func TestAdaptivityStudy(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Trace.Requests = 24000
-	cfg.Schemes = []string{"LRU", "COORD"}
-	tab, err := AdaptivityStudy(EnRoute, cfg, 0.1, 8)
+	tab, err := adaptivityStudy("", cfg, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) < 6 || len(tab.Columns) != 2 {
+	if len(tab.Rows) < 12 || len(tab.Columns) != 2 {
 		t.Fatalf("table shape: %dx%d", len(tab.Rows), len(tab.Columns))
 	}
 	// The flash crowd hits mid-trace: latency in the window right after
@@ -527,7 +487,7 @@ func TestAdaptivityStudy(t *testing.T) {
 }
 
 func TestCapacityStudy(t *testing.T) {
-	tab, err := CapacityStudy(tinyConfig(), 0.03)
+	tab, err := capacityStudy("", tinyConfig(), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -638,11 +598,11 @@ func TestCompareCSVStructuralErrors(t *testing.T) {
 }
 
 func TestWindowKStudy(t *testing.T) {
-	tab, err := WindowKStudy(EnRoute, tinyConfig(), []int{1, 3}, 0.02)
+	tab, err := windowKStudy("", tinyConfig(), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 2 {
+	if len(tab.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	for _, r := range tab.Rows {
@@ -653,24 +613,24 @@ func TestWindowKStudy(t *testing.T) {
 }
 
 func TestPartialDeploymentStudy(t *testing.T) {
-	tab, err := PartialDeploymentStudy(EnRoute, tinyConfig(), []float64{0, 1}, 0.02)
+	tab, err := partialDeploymentStudy("", tinyConfig(), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 2 {
+	if len(tab.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	// Full participation must beat zero participation on latency.
-	if tab.Rows[1].Values[0] >= tab.Rows[0].Values[0] {
+	if tab.Rows[4].Values[0] >= tab.Rows[0].Values[0] {
 		t.Fatalf("full coordination %v not better than none %v",
-			tab.Rows[1].Values[0], tab.Rows[0].Values[0])
+			tab.Rows[4].Values[0], tab.Rows[0].Values[0])
 	}
 }
 
 func TestAnalysisStudy(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Trace.Requests = 30000
-	tab, err := AnalysisStudy(cfg, 0.05)
+	tab, err := analysisStudy("", cfg, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -864,5 +824,60 @@ func TestWriteHTMLReport(t *testing.T) {
 	// The single-row table gets no chart (nothing to plot).
 	if strings.Count(out, "<figure>") != 1 {
 		t.Fatalf("figures = %d, want 1", strings.Count(out, "<figure>"))
+	}
+}
+
+// TestLedgerAuditGate: the ledger study prints every invariant's counts and
+// fails on any violation.
+func TestLedgerAuditGate(t *testing.T) {
+	a := audit.New(nil)
+	var log bytes.Buffer
+	if err := auditGate(&log, EnRoute, a); err != nil {
+		t.Fatalf("a clean auditor failed the gate: %v", err)
+	}
+	if got, want := strings.Count(log.String(), "\n"), len(audit.Invariants()); got != want {
+		t.Fatalf("%d audit lines, want %d:\n%s", got, want, log.String())
+	}
+	a.CheckLocalBenefit(nil, 0, 0, 0, 1, 1, 5, 0) // f·m = 1 below l = 5
+	if err := auditGate(io.Discard, EnRoute, a); err == nil || !strings.Contains(err.Error(), "1 audit violations") {
+		t.Fatalf("gate = %v, want 1 audit violation", err)
+	}
+}
+
+// TestStudyStems: a study's files are its name with "-" as "_", plus the
+// architecture when it runs once per architecture.
+func TestStudyStems(t *testing.T) {
+	names := map[string]bool{}
+	for _, s := range Studies {
+		if names[s.Name] {
+			t.Fatalf("two studies named %q", s.Name)
+		}
+		names[s.Name] = true
+		if _, isFig := FigureByID(s.Name); isFig {
+			t.Fatalf("study %q shadows a figure", s.Name)
+		}
+	}
+	byName := func(name string) Study {
+		for _, s := range Studies {
+			if s.Name == name {
+				return s
+			}
+		}
+		t.Fatalf("no study %q", name)
+		return Study{}
+	}
+	for _, tc := range []struct {
+		name string
+		arch Arch
+		want string
+	}{
+		{"freshness-frontier", Hierarchy, "freshness_frontier_hierarchy"},
+		{"radius", EnRoute, "radius_enroute"},
+		{"zipf", EnRoute, "zipf"},
+		{"table1", "", "table1"},
+	} {
+		if got := byName(tc.name).Stem(tc.arch); got != tc.want {
+			t.Errorf("%s on %q: stem %q, want %q", tc.name, tc.arch, got, tc.want)
+		}
 	}
 }

@@ -2,13 +2,14 @@ package experiment
 
 import (
 	"fmt"
+	"io"
 
 	"cascade/internal/coherency"
 	"cascade/internal/scheme"
 	"cascade/internal/sim"
 )
 
-// FreshnessFrontier quantifies the paper's §2 freshness assumption
+// freshnessFrontier quantifies the paper's §2 freshness assumption
 // ("objects stored in the caches are up-to-date") and maps the frontier of
 // consistency mechanisms the engine-native substrate offers: it replays the
 // workload through the coordinated scheme under object-update processes of
@@ -27,22 +28,15 @@ import (
 //     current generation as a read floor, so a stale copy self-heals to a
 //     miss. Staleness is zero by construction; the column pins it.
 //
-// intervals lists mean seconds between updates of one object (larger =
-// more static); size is the relative cache size to study.
-func FreshnessFrontier(arch Arch, cfg Config, intervals []float64, size float64) (Table, error) {
+// Each row is one mean interval between updates of an object: a week, a
+// day and two hours.
+func freshnessFrontier(arch Arch, cfg Config, _ io.Writer) (Table, error) {
 	cfg.setDefaults()
-	if len(intervals) == 0 {
-		// One update per object per week / day / 2 hours.
-		intervals = []float64{7 * 86400, 86400, 7200}
-	}
-	if size <= 0 {
-		size = 0.01
-	}
 	w := cfg.workload()
 	net := cfg.Network(arch)
 	t := Table{
 		Title: fmt.Sprintf("Freshness frontier (%s, cache size %.2f%%): coordinated caching under object updates",
-			arch, size*100),
+			arch, studySize*100),
 		XLabel: "update interval",
 		YLabel: "latency (s) / fraction of requests",
 		Columns: []string{
@@ -53,14 +47,14 @@ func FreshnessFrontier(arch Arch, cfg Config, intervals []float64, size float64)
 		},
 	}
 	modes := []coherency.Mode{coherency.ModeNone, coherency.ModeTTL, coherency.ModePSI, coherency.ModeCAS}
-	for _, interval := range intervals {
+	for _, interval := range []float64{7 * 86400, 86400, 7200} {
 		row := Row{Label: fmt.Sprintf("%gh", interval/3600)}
 		for _, mode := range modes {
 			simr, err := sim.New(sim.Config{
 				Scheme:            scheme.NewCoordinated(),
 				Network:           net,
 				Catalog:           w.Catalog(),
-				RelativeCacheSize: size,
+				RelativeCacheSize: studySize,
 				DCacheFactor:      cfg.DCacheFactor,
 				Seed:              cfg.AttachSeed + 7,
 				Coherency: &coherency.Config{

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"io"
 
 	"cascade/internal/model"
 	"cascade/internal/scheme"
@@ -9,23 +10,20 @@ import (
 	"cascade/internal/topology"
 )
 
-// LevelStudy breaks the hierarchy's cache hits down by tree level per
+// levelStudy breaks the hierarchy's cache hits down by tree level per
 // scheme: what fraction of requests each level serves (plus the origin).
 // It visualizes the §4.2 mechanics directly — coordinated caching pulls
 // popular objects toward the leaves, MODULO(4) strands everything at the
 // leaves and starves levels 1–3, LRU replicates the same hot set at every
 // level.
-func LevelStudy(cfg Config, size float64) (Table, error) {
+func levelStudy(_ Arch, cfg Config, _ io.Writer) (Table, error) {
 	cfg.setDefaults()
-	if size <= 0 {
-		size = 0.01
-	}
 	w := cfg.workload()
 	tree := topology.GenerateTree(cfg.Tree)
 	depth := tree.Config().Depth
 
 	t := Table{
-		Title:  fmt.Sprintf("Hierarchy level study (cache size %.2f%%): share of requests served per level", size*100),
+		Title:  fmt.Sprintf("Hierarchy level study (cache size %.2f%%): share of requests served per level", studySize*100),
 		XLabel: "scheme",
 		YLabel: "fraction of requests",
 	}
@@ -43,7 +41,7 @@ func LevelStudy(cfg Config, size float64) (Table, error) {
 			Scheme:            sch,
 			Network:           tree,
 			Catalog:           w.Catalog(),
-			RelativeCacheSize: size,
+			RelativeCacheSize: studySize,
 			DCacheFactor:      cfg.DCacheFactor,
 			Seed:              cfg.AttachSeed + 7,
 			TrackNodes:        true,

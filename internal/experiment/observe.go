@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"io"
 	"sort"
 
 	"cascade/internal/audit"
@@ -10,30 +11,16 @@ import (
 	"cascade/internal/span"
 )
 
-// AuditReport summarizes an online-audited run: per-invariant check and
-// violation counts, keyed by the invariant's metric label.
-type AuditReport struct {
-	Checks     map[string]int64 `json:"checks"`
-	Violations map[string]int64 `json:"violations"`
-}
-
-// Total returns the summed violation count.
-func (r AuditReport) Total() int64 {
-	var t int64
-	for _, v := range r.Violations {
-		t += v
-	}
-	return t
-}
-
-// reportOf snapshots an auditor's counters.
-func reportOf(a *audit.Auditor) AuditReport {
-	r := AuditReport{Checks: map[string]int64{}, Violations: map[string]int64{}}
+// auditGate writes the auditor's per-invariant check and violation counts
+// to log and fails when any invariant was violated.
+func auditGate(log io.Writer, arch Arch, a *audit.Auditor) error {
 	for _, iv := range audit.Invariants() {
-		r.Checks[iv.String()] = a.Checks(iv)
-		r.Violations[iv.String()] = a.Violations(iv)
+		fmt.Fprintf(log, "audit %s %s: %d checks, %d violations\n", arch, iv, a.Checks(iv), a.Violations(iv))
 	}
-	return r
+	if n := a.TotalViolations(); n > 0 {
+		return fmt.Errorf("%d audit violations", n)
+	}
+	return nil
 }
 
 // observedReplay runs the coordinated scheme over the configured workload at
@@ -71,20 +58,22 @@ func observedReplay(arch Arch, cfg Config, size float64, attach func(*scheme.Coo
 	return sch, nil
 }
 
-// LedgerStudy replays the configured workload through the coordinated
-// scheme at one relative cache size with the cost ledger and invariant
+// ledgerStudy replays the configured workload through the coordinated
+// scheme at the first of cfg.CacheSizes with the cost ledger and invariant
 // auditor attached, and tabulates each node's predicted-vs-realized
 // accounting. The predicted column is the DP's claimed cost-reduction rate
 // (§2.1's Δcost, cost per second); the realized column is the cost actually
 // avoided by hits at placed copies over the run — see docs/OBSERVABILITY.md
-// for how to read the two together. Exposed as `cascadesim -exp ledger`.
-func LedgerStudy(arch Arch, cfg Config, size float64) (Table, AuditReport, error) {
-	if size <= 0 {
-		size = 0.01
-	}
+// for how to read the two together. Any audit violation fails the study.
+func ledgerStudy(arch Arch, cfg Config, log io.Writer) (Table, error) {
+	cfg.setDefaults()
+	size := cfg.CacheSizes[0]
 	sch, err := observedReplay(arch, cfg, size, nil)
 	if err != nil {
-		return Table{}, AuditReport{}, err
+		return Table{}, err
+	}
+	if err := auditGate(log, arch, sch.Auditor()); err != nil {
+		return Table{}, err
 	}
 
 	t := Table{
@@ -107,7 +96,7 @@ func LedgerStudy(arch Arch, cfg Config, size float64) (Table, AuditReport, error
 			},
 		})
 	}
-	return t, reportOf(sch.Auditor()), nil
+	return t, nil
 }
 
 // SpanDump replays the configured workload through the coordinated scheme

@@ -3,8 +3,6 @@ package experiment
 import (
 	"fmt"
 	"math"
-
-	"cascade/internal/metrics"
 )
 
 // Replicate runs the same sweep under R different seeds (workload,
@@ -87,24 +85,4 @@ func meanStdev(xs []float64) (mean, sd float64) {
 		ss += (x - mean) * (x - mean)
 	}
 	return mean, math.Sqrt(ss / float64(len(xs)-1))
-}
-
-// ReplicateSummary extracts a named metric from a summary for ad-hoc
-// replication studies.
-func ReplicateSummary(s metrics.Summary, metric string) (float64, error) {
-	switch metric {
-	case "latency":
-		return s.AvgLatency, nil
-	case "respratio":
-		return s.AvgRespRatio, nil
-	case "bytehit":
-		return s.ByteHitRatio, nil
-	case "traffic":
-		return s.AvgByteHops, nil
-	case "hops":
-		return s.AvgHops, nil
-	case "load":
-		return s.AvgLoad, nil
-	}
-	return 0, fmt.Errorf("experiment: unknown metric %q", metric)
 }

@@ -1,39 +1,31 @@
 package experiment
 
 import (
+	"io"
+	"strings"
 	"testing"
 
-	"cascade/internal/topology"
+	"cascade/internal/metrics"
 )
-
-func tinyRollingConfig() RollingConfig {
-	cfg := tinyConfig()
-	cfg.Tree = topology.TreeConfig{Depth: 3, Fanout: 3, BaseDelay: 0.008, Growth: 5}
-	return RollingConfig{
-		Arch:      Hierarchy,
-		Base:      cfg,
-		CacheSize: 0.03,
-	}
-}
 
 // TestRollingUpgradeStudyAcceptance exercises the study's headline
 // guarantees: every node of the cascade cycles out and back in under load,
 // every request terminates, the auditor stays silent, the ledger keeps
 // booking, and the hit-rate dip during the rolling window stays bounded.
 func TestRollingUpgradeStudyAcceptance(t *testing.T) {
-	cfg := tinyRollingConfig()
-	res, table, err := RollingUpgradeStudy(cfg)
+	cfg := tinyLiveConfig(0)
+	res, table, err := runRolling(Hierarchy, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Liveness: the whole trace was processed.
-	if got, want := res.Overall.Requests, int64(cfg.Base.Trace.Requests); got != want {
+	if got, want := res.Overall.Requests, int64(cfg.Trace.Requests); got != want {
 		t.Fatalf("requests %d, want %d", got, want)
 	}
 
 	// The schedule covered every cache node exactly once.
-	numNodes := cfg.Base.Network(cfg.Arch).NumCaches()
+	numNodes := cfg.Network(Hierarchy).NumCaches()
 	seen := make(map[int]bool, numNodes)
 	for _, b := range res.Batches {
 		for _, id := range b {
@@ -61,27 +53,22 @@ func TestRollingUpgradeStudyAcceptance(t *testing.T) {
 	if res.Stats.RoutedAround == 0 {
 		t.Fatal("no hops were routed around during the rolling window")
 	}
-	if res.Phases[RollingUpgrading].AvgSkippedHops == 0 {
+	if res.Phases[phaseDuring].AvgSkippedHops == 0 {
 		t.Fatal("rolling phase skipped no hops")
 	}
 
-	// Correctness and accounting stayed live through every epoch flip.
-	if res.AuditViolations != 0 {
-		t.Fatalf("%d audit violations across the rolling upgrade", res.AuditViolations)
+	// Correctness and accounting stayed live through every epoch flip,
+	// and the rolling window cost at most 5 percentage points of byte hit
+	// ratio against the healthy phase.
+	if res.Hits == 0 {
+		t.Fatalf("ledger booked %d predictions but no hit", res.Predictions)
 	}
-	if res.Predictions == 0 || res.Hits == 0 {
-		t.Fatalf("ledger vacuous: %d predictions, %d hits", res.Predictions, res.Hits)
-	}
-
-	// The headline bound: the rolling window costs at most 5 percentage
-	// points of byte hit ratio against the healthy phase.
-	if dip := res.HitDip(); dip > 5 {
-		t.Fatalf("hit-rate dip %.2fpp exceeds 5pp (healthy %.3f, rolling %.3f)",
-			dip, res.Phases[RollingHealthy].ByteHitRatio,
-			res.Phases[RollingUpgrading].ByteHitRatio)
+	if err := res.gate(); err != nil {
+		t.Fatalf("%v (healthy BHR %.3f, rolling %.3f)", err,
+			res.Phases[phaseBefore].ByteHitRatio, res.Phases[phaseDuring].ByteHitRatio)
 	}
 
-	if len(table.Rows) != rollingPhases+1 || len(table.Columns) != 4 {
+	if len(table.Rows) != numPhases+1 || len(table.Columns) != 4 {
 		t.Fatalf("table shape: %d rows, %d columns", len(table.Rows), len(table.Columns))
 	}
 }
@@ -90,11 +77,11 @@ func TestRollingUpgradeStudyAcceptance(t *testing.T) {
 // two runs agree exactly (the async health checker observes but never
 // perturbs the request path).
 func TestRollingUpgradeStudyDeterministic(t *testing.T) {
-	a, _, err := RollingUpgradeStudy(tinyRollingConfig())
+	a, _, err := runRolling(Hierarchy, tinyLiveConfig(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := RollingUpgradeStudy(tinyRollingConfig())
+	b, _, err := runRolling(Hierarchy, tinyLiveConfig(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,17 +95,35 @@ func TestRollingUpgradeStudyDeterministic(t *testing.T) {
 	}
 }
 
-// TestRollingUpgradeStudyWindowValidation rejects schedules that do not
-// fit the trace.
+// TestRollingUpgradeStudyWindowValidation rejects a trace too short for the
+// batch schedule.
 func TestRollingUpgradeStudyWindowValidation(t *testing.T) {
-	cfg := tinyRollingConfig()
-	cfg.StartAt, cfg.EndAt = 0.9, 0.3
-	if _, _, err := RollingUpgradeStudy(cfg); err == nil {
-		t.Fatal("inverted rolling window accepted")
+	cfg := tinyLiveConfig(0)
+	cfg.Trace.Requests = 20 // a 10-request window cannot stride 13 one-node batches
+	if _, err := rollingStudy(Hierarchy, cfg, io.Discard); err == nil || !strings.Contains(err.Error(), "window") {
+		t.Fatalf("a window too small for the batch schedule: %v", err)
 	}
-	cfg = tinyRollingConfig()
-	cfg.Base.Trace.Requests = 20 // a 10-request window cannot stride 13 one-node batches
-	if _, _, err := RollingUpgradeStudy(cfg); err == nil {
-		t.Fatal("window too small for the batch schedule accepted")
+}
+
+// TestRollingGate: the study fails a replay with an audit violation, a dip
+// of more than 5 percentage points or an empty ledger, and passes one
+// without.
+func TestRollingGate(t *testing.T) {
+	ok := rollingResult{Predictions: 1}
+	ok.Phases[phaseBefore] = metrics.Summary{ByteHitRatio: 0.5}
+	ok.Phases[phaseDuring] = metrics.Summary{ByteHitRatio: 0.46}
+	if err := ok.gate(); err != nil {
+		t.Fatalf("a 4pp dip failed the gate: %v", err)
+	}
+	for want, mutate := range map[string]func(*rollingResult){
+		"audit violations": func(r *rollingResult) { r.AuditViolations = 1 },
+		"exceeds 5pp":      func(r *rollingResult) { r.Phases[phaseDuring].ByteHitRatio = 0.44 },
+		"booked nothing":   func(r *rollingResult) { r.Predictions = 0 },
+	} {
+		r := ok
+		mutate(&r)
+		if err := r.gate(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("gate = %v, want an error mentioning %q", err, want)
+		}
 	}
 }

@@ -2,12 +2,64 @@ package experiment
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
+	"strings"
 
 	"cascade/internal/scheme"
 	"cascade/internal/sim"
 	"cascade/internal/topology"
 )
+
+// Study is one experiment beside the paper's figures: Table 1, a study of
+// the textual findings, or an operational replay. Its parameters are fixed;
+// only the architecture and the shared Config vary.
+type Study struct {
+	Name    string // its cascadesim -exp name
+	PerArch bool   // runs once per architecture; otherwise it picks its own
+	InAll   bool   // part of cascadesim -exp all, with a committed results/ CSV
+	// Run builds the study's table, writing progress lines to log. A study
+	// that gates its own result (ledger, rolling) fails with an error.
+	Run func(arch Arch, cfg Config, log io.Writer) (Table, error)
+}
+
+// Stem names the study's exported files: the name with "-" turned into
+// "_", plus "_<arch>" for a per-architecture study.
+func (s Study) Stem(arch Arch) string {
+	stem := strings.ReplaceAll(s.Name, "-", "_")
+	if s.PerArch {
+		stem += "_" + string(arch)
+	}
+	return stem
+}
+
+// Studies lists every study in the order cascadesim runs them. Adding a
+// study is adding an entry.
+var Studies = []Study{
+	{"table1", false, true, table1},
+	{"radius", true, true, radiusStudy},
+	{"dcache", true, true, dcacheStudy},
+	{"overhead", true, true, overheadStudy},
+	{"freshness-frontier", true, true, freshnessFrontier},
+	{"costmodel", true, true, costModelStudy},
+	{"treeshape", false, true, treeShapeStudy},
+	{"zipf", false, true, zipfStudy},
+	{"locality", false, true, localityStudy},
+	{"levels", false, true, levelStudy},
+	{"adaptivity", false, true, adaptivityStudy},
+	{"capacity", false, true, capacityStudy},
+	{"windowk", false, true, windowKStudy},
+	{"partial", false, true, partialDeploymentStudy},
+	{"analysis", false, true, analysisStudy},
+	{"ledger", true, false, ledgerStudy},
+	{"chaos", true, false, chaosStudy},
+	{"rolling", true, false, rollingStudy},
+}
+
+// studySize is the relative cache size a study runs at when it does not
+// sweep cfg.CacheSizes (adaptivity runs at 0.03, ledger at the first of
+// cfg.CacheSizes).
+const studySize = 0.01
 
 // runCell runs one (scheme, size) simulation against a prepared workload
 // and network. The paper's methodology applies: the first half of the
@@ -32,15 +84,12 @@ func runCell(cfg Config, sch scheme.Scheme, net topology.Network, w Workload, si
 	return Cell{Scheme: sch.Name(), CacheSize: size, Summary: summary}, nil
 }
 
-// RadiusStudy reproduces the MODULO radius sensitivity discussed in
-// §4.1/§4.2: average access latency for each cache radius, per cache size.
-// The paper finds radius 4 best under its en-route settings while any
-// radius above 1 wastes the upper hierarchy levels.
-func RadiusStudy(arch Arch, cfg Config, radii []int) (Table, error) {
+// radiusStudy reproduces the MODULO radius sensitivity discussed in
+// §4.1/§4.2: average access latency for radii 1–6, per cache size. The
+// paper finds radius 4 best under its en-route settings while any radius
+// above 1 wastes the upper hierarchy levels.
+func radiusStudy(arch Arch, cfg Config, _ io.Writer) (Table, error) {
 	cfg.setDefaults()
-	if len(radii) == 0 {
-		radii = []int{1, 2, 3, 4, 5, 6}
-	}
 	w := cfg.workload()
 	net := cfg.Network(arch)
 	t := Table{
@@ -51,7 +100,7 @@ func RadiusStudy(arch Arch, cfg Config, radii []int) (Table, error) {
 	for _, size := range cfg.CacheSizes {
 		t.Columns = append(t.Columns, fmt.Sprintf("%.2f%%", size*100))
 	}
-	for _, r := range radii {
+	for r := 1; r <= 6; r++ {
 		row := Row{Label: fmt.Sprintf("%d", r)}
 		for _, size := range cfg.CacheSizes {
 			cell, err := runCell(cfg, scheme.NewModulo(r), net, w, size)
@@ -65,30 +114,24 @@ func RadiusStudy(arch Arch, cfg Config, radii []int) (Table, error) {
 	return t, nil
 }
 
-// DCacheStudy reproduces the §3.2 d-cache sizing observation: coordinated
-// caching's latency as the d-cache grows from 0× to several× the number of
+// dcacheStudy reproduces the §3.2 d-cache sizing observation: coordinated
+// caching's latency as the d-cache grows from 0.5× to 10× the number of
 // objects the main cache holds (the paper settles on 3×).
-func DCacheStudy(arch Arch, cfg Config, factors []float64, size float64) (Table, error) {
+func dcacheStudy(arch Arch, cfg Config, _ io.Writer) (Table, error) {
 	cfg.setDefaults()
-	if len(factors) == 0 {
-		factors = []float64{0.5, 1, 2, 3, 5, 10}
-	}
-	if size <= 0 {
-		size = 0.01
-	}
 	w := cfg.workload()
 	net := cfg.Network(arch)
 	t := Table{
 		Title: fmt.Sprintf("d-cache sizing study (%s, cache size %.2f%%): coordinated caching",
-			arch, size*100),
+			arch, studySize*100),
 		XLabel:  "d-cache factor",
 		YLabel:  "per scheme metric",
 		Columns: []string{"latency (s)", "byte hit ratio"},
 	}
-	for _, f := range factors {
+	for _, f := range []float64{0.5, 1, 2, 3, 5, 10} {
 		c := cfg
 		c.DCacheFactor = f
-		cell, err := runCell(c, scheme.NewCoordinated(), net, w, size)
+		cell, err := runCell(c, scheme.NewCoordinated(), net, w, studySize)
 		if err != nil {
 			return Table{}, err
 		}
@@ -100,10 +143,10 @@ func DCacheStudy(arch Arch, cfg Config, factors []float64, size float64) (Table,
 	return t, nil
 }
 
-// OverheadStudy quantifies the coordinated protocol's piggyback overhead
+// overheadStudy quantifies the coordinated protocol's piggyback overhead
 // (§2.3–2.4): descriptor bytes carried per request next to the payload
 // bytes moved, across cache sizes.
-func OverheadStudy(arch Arch, cfg Config) (Table, error) {
+func overheadStudy(arch Arch, cfg Config, _ io.Writer) (Table, error) {
 	cfg.setDefaults()
 	w := cfg.workload()
 	net := cfg.Network(arch)
@@ -131,9 +174,9 @@ func OverheadStudy(arch Arch, cfg Config) (Table, error) {
 	return t, nil
 }
 
-// Table1 generates an en-route topology and reports its characteristics in
+// table1 generates an en-route topology and reports its characteristics in
 // the format of the paper's Table 1.
-func Table1(cfg Config) (topology.Description, Table) {
+func table1(_ Arch, cfg Config, _ io.Writer) (Table, error) {
 	cfg.setDefaults()
 	e := topology.GenerateTiers(cfg.Tiers, rand.New(rand.NewSource(cfg.TopoSeed+1)))
 	d := e.Describe()
@@ -151,5 +194,5 @@ func Table1(cfg Config) (topology.Description, Table) {
 			{Label: "Average route length (hops)", Values: []float64{d.AvgRouteHops}},
 		},
 	}
-	return d, t
+	return t, nil
 }

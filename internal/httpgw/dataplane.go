@@ -287,6 +287,7 @@ type segmentWriter struct {
 	dst       http.ResponseWriter // the client's writer
 	header    http.Header         // the sub-response's own headers; not forwarded
 	pin       uint64              // the reassembly's generation; a sub-response at any other is refused
+	first     bool                // segment 0: nothing has reached the client's header yet
 	want      int64               // the segment's length as the marker implies it
 	sent      int64               // bytes forwarded to the client so far
 	status    int                 // the sub-response's status, 0 until its header is written
@@ -296,9 +297,9 @@ type segmentWriter struct {
 }
 
 // begin readies the writer for the next segment's sub-response.
-func (s *segmentWriter) begin(want int64) {
+func (s *segmentWriter) begin(want int64, first bool) {
 	clear(s.header)
-	s.want, s.sent, s.status, s.accepted, s.overtaken, s.err = want, 0, 0, false, false, nil
+	s.first, s.want, s.sent, s.status, s.accepted, s.overtaken, s.err = first, want, 0, 0, false, false, nil
 }
 
 // complete reports whether the whole segment reached the client.
@@ -320,6 +321,11 @@ func (s *segmentWriter) WriteHeader(code int) {
 	gen, ok := parseGen(s.header.Get(HeaderGen))
 	s.overtaken = !ok || gen != s.pin
 	s.accepted = !s.overtaken
+	// The client's header goes out with byte 0, so only the first segment
+	// can mark the whole answer degraded.
+	if s.accepted && s.first && s.header.Get(headerDegraded) != "" {
+		s.dst.Header().Set(headerDegraded, "1")
+	}
 }
 
 func (s *segmentWriter) Write(p []byte) (int, error) {
@@ -496,7 +502,7 @@ func (n *Node) serveSegmented(w http.ResponseWriter, r *http.Request, base model
 		want := min(m.segSize, m.total-lo)
 		sreq.Header.Set("Range", fmtRange(lo, lo+want-1))
 		sreq.Header.Set(HeaderSegment, seg.header())
-		sw.begin(want)
+		sw.begin(want, idx == 0)
 		n.ServeHTTP(sw, sreq)
 		if sw.complete() {
 			continue

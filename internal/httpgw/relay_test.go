@@ -345,7 +345,7 @@ func TestRelayWritersRefuseOverlong(t *testing.T) {
 		http.ResponseWriter
 		io.ReaderFrom
 	}{httptest.NewRecorder(), rec}, header: make(http.Header)}
-	sw.begin(owed)
+	sw.begin(owed, true)
 	sw.header.Set("Content-Length", strconv.Itoa(owed))
 	if n, err := sw.ReadFrom(&io.LimitedReader{R: up, N: offered}); n != owed || !errors.Is(err, http.ErrContentLength) || rec.readFroms != 0 {
 		t.Fatalf("segment writer owing %d took %d bytes of %d offered (%d through ReadFrom), %v", owed, n, offered, rec.readFroms, err)

@@ -462,3 +462,47 @@ func TestDegradedMarkerRelayed(t *testing.T) {
 		t.Fatalf("edge descriptor reads miss penalty %v after a degraded answer; want 0", d.MissPenalty())
 	}
 }
+
+// TestDegradedMarkerMemo: a reassembly the client-facing node serves from
+// its marker memo while its upstream is down degrades segment by segment,
+// and the answer must say so. One healthy GET leaves the marker remembered;
+// then the upstream answers 503 to everything, and the next GET must still
+// deliver the origin's 1 MiB byte for byte, marked degraded, counted as a
+// marker hit.
+func TestDegradedMarkerMemo(t *testing.T) {
+	o := largeOrigin()
+	origin := httptest.NewServer(o)
+	defer origin.Close()
+	var down atomic.Bool
+	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if down.Load() {
+			http.Error(w, "down", http.StatusServiceUnavailable)
+			return
+		}
+		o.ServeHTTP(w, r)
+	}))
+	defer upstream.Close()
+	n := NewNode(0, upstream.URL, 1, 4*obj1M, 100, func() float64 { return 0 })
+	n.OriginURL = origin.URL
+	n.MaxRetries = -1
+	n.Sleep = func(time.Duration) {}
+	srv := httptest.NewServer(n)
+	defer srv.Close()
+	want := store.SyntheticBody(7, obj1M)
+
+	resp, body := get(t, srv.URL, 7)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) || resp.Header.Get(headerDegraded) != "" {
+		t.Fatalf("healthy GET: status %d, %d bytes, degraded %q", resp.StatusCode, len(body), resp.Header.Get(headerDegraded))
+	}
+	down.Store(true)
+	resp, body = get(t, srv.URL, 7)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
+		t.Fatalf("GET with the upstream down: status %d, %d bytes; want 200 and the origin's %d", resp.StatusCode, len(body), obj1M)
+	}
+	if resp.Header.Get(headerDegraded) != "1" {
+		t.Fatalf("a reassembly from the marker memo with the upstream down is not marked degraded: %v", resp.Header)
+	}
+	if got := n.reassembly[reassemblyMarkerHit].Load(); got != 1 {
+		t.Fatalf("marker_hit = %d, want 1", got)
+	}
+}

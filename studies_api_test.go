@@ -21,81 +21,49 @@ func miniCfg() cascade.ExperimentConfig {
 	}
 }
 
-// TestAPIStudiesSmoke runs every exported study end-to-end at tiny scale:
-// each must produce a non-empty, well-formed table.
+// TestAPIStudiesSmoke runs every study of the table end-to-end at tiny
+// scale, on every architecture it runs on: each must produce a non-empty,
+// well-formed table.
 func TestAPIStudiesSmoke(t *testing.T) {
-	cfg := miniCfg()
-	type study struct {
-		name string
-		run  func() (cascade.ResultTable, error)
-	}
-	studies := []study{
-		{"radius", func() (cascade.ResultTable, error) {
-			return cascade.RadiusStudy(cascade.ArchHierarchy, cfg, []int{1, 2})
-		}},
-		{"dcache", func() (cascade.ResultTable, error) {
-			return cascade.DCacheStudy(cascade.ArchEnRoute, cfg, []float64{1, 3}, 0.03)
-		}},
-		{"overhead", func() (cascade.ResultTable, error) {
-			return cascade.OverheadStudy(cascade.ArchEnRoute, cfg)
-		}},
-		{"freshness-frontier", func() (cascade.ResultTable, error) {
-			return cascade.FreshnessFrontier(cascade.ArchEnRoute, cfg, []float64{600}, 0.03)
-		}},
-		{"treeshape", func() (cascade.ResultTable, error) {
-			return cascade.TreeShapeStudy(cfg, []float64{3, 6}, 0.03)
-		}},
-		{"zipf", func() (cascade.ResultTable, error) {
-			return cascade.ZipfStudy(cfg, []float64{0.7, 0.9}, 0.03)
-		}},
-		{"locality", func() (cascade.ResultTable, error) {
-			return cascade.LocalityStudy(cfg, []float64{0, 0.8}, 0.03)
-		}},
-		{"levels", func() (cascade.ResultTable, error) {
-			return cascade.LevelStudy(cfg, 0.03)
-		}},
-		{"adaptivity", func() (cascade.ResultTable, error) {
-			return cascade.AdaptivityStudy(cascade.ArchEnRoute, cfg, 0.05, 4)
-		}},
-		{"capacity", func() (cascade.ResultTable, error) {
-			return cascade.CapacityStudy(cfg, 0.03)
-		}},
-		{"costmodel", func() (cascade.ResultTable, error) {
-			return cascade.CostModelStudy(cascade.ArchEnRoute, cfg, 0.03)
-		}},
-	}
-	for _, st := range studies {
-		st := st
-		t.Run(st.name, func(t *testing.T) {
-			tab, err := st.run()
-			if err != nil {
-				t.Fatal(err)
+	for _, st := range cascade.Studies() {
+		t.Run(st.Name, func(t *testing.T) {
+			if !st.PerArch {
+				studySmoke(t, st, "")
+				return
 			}
-			if len(tab.Rows) == 0 || len(tab.Columns) == 0 {
-				t.Fatalf("empty table: %+v", tab)
-			}
-			var txt, md, csv, chart bytes.Buffer
-			if err := tab.Format(&txt); err != nil {
-				t.Fatal(err)
-			}
-			if err := tab.Markdown(&md); err != nil {
-				t.Fatal(err)
-			}
-			if err := tab.CSV(&csv); err != nil {
-				t.Fatal(err)
-			}
-			if err := tab.Chart(&chart, 40, 10); err != nil {
-				t.Fatal(err)
-			}
-			if txt.Len() == 0 || md.Len() == 0 || csv.Len() == 0 || chart.Len() == 0 {
-				t.Fatal("a rendering came out empty")
-			}
-			// Round-trip through the baseline comparator: zero drift.
-			drifts, err := cascade.CompareBaselineCSV(tab, bytes.NewReader(csv.Bytes()), 0.01)
-			if err != nil || len(drifts) != 0 {
-				t.Fatalf("self-comparison drifted: %v, %v", drifts, err)
+			for _, arch := range []cascade.Architecture{cascade.ArchEnRoute, cascade.ArchHierarchy} {
+				t.Run(string(arch), func(t *testing.T) { studySmoke(t, st, arch) })
 			}
 		})
+	}
+}
+
+func studySmoke(t *testing.T, st cascade.Study, arch cascade.Architecture) {
+	var log bytes.Buffer
+	tab, err := st.Run(arch, miniCfg(), &log)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, log.String())
+	}
+	if len(tab.Rows) == 0 || len(tab.Columns) == 0 {
+		t.Fatalf("empty table: %+v", tab)
+	}
+	var txt, md, csv bytes.Buffer
+	if err := tab.Format(&txt); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Markdown(&md); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.CSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	if txt.Len() == 0 || md.Len() == 0 || csv.Len() == 0 {
+		t.Fatal("a rendering came out empty")
+	}
+	// Round-trip through the baseline comparator: zero drift.
+	drifts, err := cascade.CompareBaselineCSV(tab, bytes.NewReader(csv.Bytes()), 0.01)
+	if err != nil || len(drifts) != 0 {
+		t.Fatalf("self-comparison drifted: %v, %v", drifts, err)
 	}
 }
 
