@@ -19,8 +19,7 @@ check: vet lint build bench-module race allocs observe fuzz rolling coherency re
 # directions, function length (120 lines, or a ratcheted ceiling), size
 # (`make loc`'s total at or below a committed ceiling) and reachability
 # (every exported name of the root package and internal/... is used outside
-# its package, or is on a list that only shrinks). Its tests run the same
-# checks under `go test ./...`.
+# its package). Its tests run the same checks under `go test ./...`.
 lint:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l: these files need formatting:"; echo "$$unformatted"; exit 1; fi
@@ -105,8 +104,10 @@ observe:
 	$(GO) run ./cmd/observesmoke -go $(GO)
 
 # Fuzz smoke: ten seconds of coverage-guided input against the textual wire
-# decoders — parsePath and parseDecision must never panic, and must accept
-# only bounded, finite input that re-encodes to what was parsed — then ten
+# decoders — parsePath (X-Cascade-Path) and parseDecision
+# (X-Cascade-Decision) must never panic, and must accept only bounded,
+# finite input that re-encodes to what was parsed, a decision also in the
+# form a hop forwards (its own counter before the bytes as they came) — then ten
 # against the segment protocol's three small parsers: whatever
 # parseSegmentRequest, parseSegmentedMarker or parseByteRange accepts must be
 # bounded (no offset overflows, no object of more than store.MaxSegments

@@ -223,3 +223,30 @@ func TestAPIDefaultsMatchPaper(t *testing.T) {
 		t.Fatalf("tree defaults: %+v", tree)
 	}
 }
+
+// TestParseBytes pins the size syntax of the gateway commands' flags
+// (cascadegw -capacity, -spill-max, -segment-*; cascadeload -capacity). A
+// fraction, trailing garbage and a hex literal used to read as their leading
+// digits in one command (-capacity 1.5MB became 1 MiB), and a size past
+// int64 wrapped negative in both.
+func TestParseBytes(t *testing.T) {
+	for in, want := range map[string]int64{
+		"1024":         1024,
+		"0":            0,
+		"100B":         100,
+		"4KB":          4 << 10,
+		"64mb":         64 << 20,
+		"2GB":          2 << 30,
+		" 8 MB ":       8 << 20,
+		"8589934591GB": 8589934591 << 30,
+	} {
+		if got, err := cascade.ParseBytes(in); err != nil || got != want {
+			t.Errorf("ParseBytes(%q) = %d, %v; want %d", in, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "abc", "-1", "-4KB", "12TBx", "1.5", "1.5MB", "12x", "0x10", "9999999999GB", "9223372036854775808"} {
+		if got, err := cascade.ParseBytes(bad); err == nil {
+			t.Errorf("ParseBytes(%q) = %d, want it refused", bad, got)
+		}
+	}
+}

@@ -43,9 +43,13 @@
 package cascade
 
 import (
+	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
+	"strconv"
+	"strings"
 	"time"
 
 	"cascade/internal/analysis"
@@ -411,6 +415,35 @@ const (
 	// requests, the served copy's generation on responses.
 	HTTPHeaderGen = httpgw.HeaderGen
 )
+
+// ParseBytes parses a byte size as the gateway commands take one: a
+// non-negative decimal integer, optionally followed by B, KB, MB or GB
+// (binary multiples) in any case. A fraction, trailing garbage, a hex
+// literal or a size past int64 is refused.
+func ParseBytes(s string) (int64, error) {
+	in := strings.TrimSpace(strings.ToUpper(s))
+	mult := int64(1)
+	switch {
+	case strings.HasSuffix(in, "GB"):
+		mult, in = 1<<30, strings.TrimSuffix(in, "GB")
+	case strings.HasSuffix(in, "MB"):
+		mult, in = 1<<20, strings.TrimSuffix(in, "MB")
+	case strings.HasSuffix(in, "KB"):
+		mult, in = 1<<10, strings.TrimSuffix(in, "KB")
+	case strings.HasSuffix(in, "B"):
+		in = strings.TrimSuffix(in, "B")
+	}
+	n, err := strconv.ParseInt(strings.TrimSpace(in), 10, 64)
+	switch {
+	case err != nil:
+		return 0, fmt.Errorf("size %q: %w", s, err)
+	case n < 0:
+		return 0, fmt.Errorf("negative size %q", s)
+	case n > math.MaxInt64/mult:
+		return 0, fmt.Errorf("size %q overflows int64", s)
+	}
+	return n * mult, nil
+}
 
 // DefaultUpstreamTimeout bounds gateway upstream fetches when no explicit
 // Client is configured.

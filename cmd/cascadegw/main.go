@@ -20,7 +20,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"time"
 
@@ -97,11 +96,11 @@ func run() error {
 			o = cascade.NewHTTPOrigin(func(cascade.ObjectID) int { return *objSize })
 			fmt.Fprintf(os.Stderr, "cascadegw: origin on %s (%d-byte objects)\n", *listen, *objSize)
 		}
-		thr, err := parseBytes(*segThreshold)
+		thr, err := cascade.ParseBytes(*segThreshold)
 		if err != nil {
 			return fmt.Errorf("-segment-threshold: %w", err)
 		}
-		seg, err := parseBytes(*segSize)
+		seg, err := cascade.ParseBytes(*segSize)
 		if err != nil {
 			return fmt.Errorf("-segment-size: %w", err)
 		}
@@ -133,7 +132,7 @@ func run() error {
 		if *upstream == "" {
 			return fmt.Errorf("gateway mode needs -upstream (or pass -origin)")
 		}
-		capBytes, err := parseBytes(*capacity)
+		capBytes, err := cascade.ParseBytes(*capacity)
 		if err != nil {
 			return fmt.Errorf("-capacity: %w", err)
 		}
@@ -156,7 +155,7 @@ func run() error {
 			}
 		}
 		if *spillDir != "" {
-			maxBytes, err := parseBytes(*spillMax)
+			maxBytes, err := cascade.ParseBytes(*spillMax)
 			if err != nil {
 				return fmt.Errorf("-spill-max: %w", err)
 			}
@@ -244,29 +243,4 @@ func saveState(node *cascade.HTTPCacheNode, path string) {
 	if err := node.SaveSnapshot(f); err != nil {
 		fmt.Fprintf(os.Stderr, "cascadegw: snapshot save: %v\n", err)
 	}
-}
-
-// parseBytes parses human-friendly sizes: plain bytes, or KB/MB/GB (binary
-// multiples).
-func parseBytes(s string) (int64, error) {
-	in := strings.TrimSpace(strings.ToUpper(s))
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(in, "GB"):
-		mult, in = 1<<30, strings.TrimSuffix(in, "GB")
-	case strings.HasSuffix(in, "MB"):
-		mult, in = 1<<20, strings.TrimSuffix(in, "MB")
-	case strings.HasSuffix(in, "KB"):
-		mult, in = 1<<10, strings.TrimSuffix(in, "KB")
-	case strings.HasSuffix(in, "B"):
-		in = strings.TrimSuffix(in, "B")
-	}
-	n, err := strconv.ParseInt(strings.TrimSpace(in), 10, 64)
-	if err != nil {
-		return 0, err
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("negative size %q", s)
-	}
-	return n * mult, nil
 }

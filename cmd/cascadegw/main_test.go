@@ -1,7 +1,13 @@
 package main
 
-import "testing"
+import (
+	"testing"
 
+	"cascade"
+)
+
+// TestParseBytes pins the sizes cascadegw's -capacity, -spill-max and
+// -segment-* flags take; the parser itself is cascade.ParseBytes.
 func TestParseBytes(t *testing.T) {
 	cases := map[string]int64{
 		"1024":   1024,
@@ -13,14 +19,14 @@ func TestParseBytes(t *testing.T) {
 		"0":      0,
 	}
 	for in, want := range cases {
-		got, err := parseBytes(in)
+		got, err := cascade.ParseBytes(in)
 		if err != nil || got != want {
-			t.Fatalf("parseBytes(%q) = %d, %v; want %d", in, got, err, want)
+			t.Fatalf("ParseBytes(%q) = %d, %v; want %d", in, got, err, want)
 		}
 	}
 	for _, bad := range []string{"", "abc", "-5MB", "12TBx"} {
-		if _, err := parseBytes(bad); err == nil {
-			t.Fatalf("parseBytes(%q) accepted", bad)
+		if _, err := cascade.ParseBytes(bad); err == nil {
+			t.Fatalf("ParseBytes(%q) accepted", bad)
 		}
 	}
 }

@@ -497,7 +497,7 @@ func doWrite(client *http.Client, front string, obj int, floors *genFloors) erro
 // listeners and returns the front URL, the origin fetch counter, and a
 // closer. Node IDs run front-to-back 0..n-1 matching protocol hop order.
 func buildChain(cfg config) (string, *atomic.Int64, func(), error) {
-	capBytes, err := parseBytes(cfg.capacity)
+	capBytes, err := cascade.ParseBytes(cfg.capacity)
 	if err != nil {
 		return "", nil, nil, fmt.Errorf("-capacity: %w", err)
 	}
@@ -598,29 +598,4 @@ func report(cfg config, res *result, elapsed time.Duration, hitRatio float64, hi
 		fmt.Fprintf(os.Stderr, "cascadeload: hit ratio %s\n", hitSource)
 	}
 
-}
-
-// parseBytes parses human-friendly sizes: plain bytes, or KB/MB/GB (binary
-// multiples), matching cascadegw's flag syntax.
-func parseBytes(s string) (int64, error) {
-	in := strings.TrimSpace(strings.ToUpper(s))
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(in, "GB"):
-		mult, in = 1<<30, strings.TrimSuffix(in, "GB")
-	case strings.HasSuffix(in, "MB"):
-		mult, in = 1<<20, strings.TrimSuffix(in, "MB")
-	case strings.HasSuffix(in, "KB"):
-		mult, in = 1<<10, strings.TrimSuffix(in, "KB")
-	case strings.HasSuffix(in, "B"):
-		in = strings.TrimSuffix(in, "B")
-	}
-	var n int64
-	if _, err := fmt.Sscanf(strings.TrimSpace(in), "%d", &n); err != nil {
-		return 0, err
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("negative size %q", s)
-	}
-	return n * mult, nil
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"cascade"
 )
 
 func baseConfig() config {
@@ -101,6 +103,8 @@ func TestSeedStreamsDeterministicAndDisjoint(t *testing.T) {
 	}
 }
 
+// TestParseBytes pins the sizes cascadeload's -capacity flag takes; the
+// parser itself is cascade.ParseBytes.
 func TestParseBytes(t *testing.T) {
 	cases := map[string]int64{
 		"1024": 1024,
@@ -110,14 +114,14 @@ func TestParseBytes(t *testing.T) {
 		"512B": 512,
 	}
 	for in, want := range cases {
-		got, err := parseBytes(in)
+		got, err := cascade.ParseBytes(in)
 		if err != nil || got != want {
-			t.Errorf("parseBytes(%q) = %d, %v; want %d", in, got, err, want)
+			t.Errorf("ParseBytes(%q) = %d, %v; want %d", in, got, err, want)
 		}
 	}
 	for _, bad := range []string{"", "-1", "abc", "-4KB"} {
-		if _, err := parseBytes(bad); err == nil {
-			t.Errorf("parseBytes(%q) accepted", bad)
+		if _, err := cascade.ParseBytes(bad); err == nil {
+			t.Errorf("ParseBytes(%q) accepted", bad)
 		}
 	}
 }

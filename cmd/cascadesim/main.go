@@ -173,27 +173,9 @@ func run() error {
 		return enc.Encode(snaps)
 	}
 
-	want := map[string]bool{}
-	var figIDs []string
-	for _, e := range splitList(*exps) {
-		switch {
-		case e == "all":
-			for _, st := range cascade.Studies() {
-				if st.InAll {
-					want[st.Name] = true
-				}
-			}
-			figIDs = allFigureIDs()
-		case e == "figs":
-			figIDs = allFigureIDs()
-		case slices.Contains(studyNames(), e):
-			want[e] = true
-		default:
-			if _, ok := cascade.FigureByID(e); !ok {
-				return fmt.Errorf("-exp: unknown experiment %q", e)
-			}
-			figIDs = append(figIDs, e)
-		}
+	want, figIDs, err := selectExperiments(splitList(*exps))
+	if err != nil {
+		return err
 	}
 
 	driftTotal := 0
@@ -273,6 +255,35 @@ func run() error {
 		return fmt.Errorf("%d cells drifted beyond tolerance", driftTotal)
 	}
 	return nil
+}
+
+// selectExperiments resolves the -exp names: the studies to run, and the
+// figures to sweep, each once however often it is named.
+func selectExperiments(names []string) (want map[string]bool, figIDs []string, err error) {
+	want = map[string]bool{}
+	for _, e := range names {
+		switch {
+		case e == "all":
+			for _, st := range cascade.Studies() {
+				if st.InAll {
+					want[st.Name] = true
+				}
+			}
+			figIDs = allFigureIDs()
+		case e == "figs":
+			figIDs = allFigureIDs()
+		case slices.Contains(studyNames(), e):
+			want[e] = true
+		default:
+			if _, ok := cascade.FigureByID(e); !ok {
+				return nil, nil, fmt.Errorf("-exp: unknown experiment %q", e)
+			}
+			if !slices.Contains(figIDs, e) {
+				figIDs = append(figIDs, e)
+			}
+		}
+	}
+	return want, figIDs, nil
 }
 
 // plan turns the requested studies (want, by name) and figures into jobs

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -203,5 +204,38 @@ func TestRunList(t *testing.T) {
 	}
 	if usage := flag.Lookup("exp").Usage; !strings.Contains(usage, strings.Join(studyNames(), ", ")) {
 		t.Fatalf("-exp help text does not name every study: %s", usage)
+	}
+}
+
+// TestFigureNamedTwiceRunsOnce: a figure ID named twice, or named after
+// figs (or all), used to be swept twice, printing its table twice and
+// writing its CSV twice.
+func TestFigureNamedTwiceRunsOnce(t *testing.T) {
+	dir := t.TempDir()
+	oldArgs, oldStdout := os.Args, os.Stdout
+	defer func() { os.Args, os.Stdout = oldArgs, oldStdout }()
+	for i, exp := range []string{"fig6a,fig6a", "figs,fig6a"} {
+		name := filepath.Join(dir, strconv.Itoa(i)+".out")
+		out, err := os.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		os.Stdout = out
+		flag.CommandLine = flag.NewFlagSet("cascadesim", flag.PanicOnError)
+		os.Args = []string{"cascadesim", "-objects", "200", "-requests", "4000", "-clients", "20",
+			"-servers", "10", "-duration", "1200", "-sizes", "0.02", "-exp", exp, "-arch", "enroute"}
+		runErr := run()
+		out.Close()
+		os.Stdout = oldStdout
+		if runErr != nil {
+			t.Fatal(runErr)
+		}
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(data), "Figure 6(a)"); n != 1 {
+			t.Errorf("-exp %s printed Figure 6(a) %d times, want once", exp, n)
+		}
 	}
 }

@@ -15,7 +15,7 @@ func TestRepository(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fails, summary := tr.check(funcCeilings, maxLines, unreached)
+	fails, summary := tr.check(funcCeilings, maxLines)
 	for _, f := range fails {
 		t.Error(f)
 	}
@@ -32,17 +32,14 @@ func TestRepository(t *testing.T) {
 	}
 }
 
-// fixture is a small tree that passes every check under fixtureCeilings,
-// fixtureUnreached and a size ceiling 50 lines above its total.
+// fixture is a small tree that passes every check under fixtureCeilings and
+// a size ceiling 50 lines above its total.
 func fixture() map[string]string {
 	files := map[string]string{
 		"go.mod": "module cascade\n",
 		"docs/OBSERVABILITY.md": "`cascade_demo_{hits,misses}_total`, `cascade_lat_seconds_bucket`,\n" +
 			"`cascade_audit_violations_total{invariant=...}` and the `cascade_audit_*` family.\n",
 		"internal/metrics/metrics.go": `package metrics
-
-// Spare is used only here.
-const Spare = 1
 
 type R interface{ Counter(string) int; Summary(string) int }
 
@@ -52,7 +49,6 @@ func Register(r R) {
 	r.Counter("cascade_demo_misses_total")
 	r.Counter("cascade_audit_violations_total")
 	r.Summary("cascade_lat_seconds")
-	_ = Spare
 }
 `,
 		"cascade.go":      "package cascade\n\n// Options is named in Run's signature.\ntype Options struct{}\n\nfunc Run(Options) {}\n",
@@ -66,10 +62,7 @@ func Register(r R) {
 	return files
 }
 
-var (
-	fixtureCeilings  = map[string]int{"cmd/demo long": 125}
-	fixtureUnreached = map[string][]string{"internal/metrics": {"Spare"}}
-)
+var fixtureCeilings = map[string]int{"cmd/demo long": 125}
 
 func TestMutationsFail(t *testing.T) {
 	cases := []struct {
@@ -99,9 +92,6 @@ func TestMutationsFail(t *testing.T) {
 		{"exported name nothing reaches", func(f map[string]string) {
 			f["internal/metrics/orphan.go"] = "package metrics\n\nfunc Orphan() {}\n"
 		}, `internal/metrics/orphan.go:3: internal/metrics Orphan is exported, but nothing outside its package reaches it`},
-		{"listed name reached", func(f map[string]string) {
-			f["cmd/demo/spare.go"] = "package main\n\nimport \"cascade/internal/metrics\"\n\nvar _ = metrics.Spare\n"
-		}, `internal/metrics Spare is reached now: take it off unreached`},
 	}
 	base := write(t, fixture())
 	tr, err := load(base)
@@ -117,7 +107,7 @@ func TestMutationsFail(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fails, _ := tr.check(fixtureCeilings, ceiling, fixtureUnreached)
+			fails, _ := tr.check(fixtureCeilings, ceiling)
 			if c.want == "" {
 				if len(fails) > 0 {
 					t.Fatalf("the fixture fails: %q", fails)

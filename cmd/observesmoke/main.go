@@ -13,8 +13,8 @@
 // protocol passes with their attributes (f on the up span, the chosen count
 // on the decide span, the placement on the down span), and that an
 // origin-served request's tree holds lookup/up/down at every hop plus the
-// origin's decide span agreeing with the X-Cascade-Place and
-// X-Cascade-Predict headers the client saw. Exit status 0 means the
+// origin's decide span agreeing with the placement and predicted terms of
+// the X-Cascade-Decision header the client saw. Exit status 0 means the
 // observability surface of the deployed binary works end to end.
 package main
 
@@ -247,7 +247,7 @@ func run() error {
 	} else if v < 1 {
 		return fmt.Errorf(`cascade_coherency_invalidations_total{node="0"} = %g, want >= 1 after the admin write`, v)
 	}
-	for _, kind := range []string{"gen", "inval", "path"} {
+	for _, kind := range []string{"decision", "gen", "path"} {
 		found := false
 		for _, line := range strings.Split(gwBody, "\n") {
 			if strings.HasPrefix(line, "cascade_gw_bad_header_total") && strings.Contains(line, `header="`+kind+`"`) {
@@ -417,14 +417,14 @@ func run() error {
 		resp.Body.Close()
 		hdr = resp.Header
 	}
+	// The decision's second field lists the chosen nodes as node=term.
 	chosen, predicted := 0, 0.0
-	if v := hdr.Get("X-Cascade-Place"); v != "" {
-		chosen = strings.Count(v, ",") + 1
-	}
-	for _, term := range strings.Split(hdr.Get("X-Cascade-Predict"), ",") {
-		_, v, _ := strings.Cut(term, "=")
-		f, _ := strconv.ParseFloat(v, 64) // a malformed term fails the comparison below
-		predicted += f
+	if fields := strings.Split(hdr.Get("X-Cascade-Decision"), ";"); len(fields) > 1 && fields[1] != "" {
+		for _, entry := range strings.Split(fields[1], ",") {
+			_, v, _ := strings.Cut(entry, "=")
+			f, _ := strconv.ParseFloat(v, 64) // a malformed term fails the comparison below
+			chosen, predicted = chosen+1, predicted+f
+		}
 	}
 	if err := fetchJSON("http://"+originAddr+"/cascade/debug/spans", &originSpans); err != nil {
 		return err

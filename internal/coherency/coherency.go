@@ -156,7 +156,7 @@ func (a *Authority) Head() uint64 {
 
 // Tail appends the most recent min(TailK, available) log entries to buf in
 // ascending sequence order and returns it — the payload an origin
-// piggybacks on a response (X-Cascade-Inval on the wire).
+// piggybacks on a response (the tail of X-Cascade-Decision on the wire).
 func (a *Authority) Tail(buf []Invalidation) []Invalidation {
 	a.mu.RLock()
 	defer a.mu.RUnlock()

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
-	"strings"
 	"testing"
 
 	"cascade/internal/audit"
@@ -119,8 +118,10 @@ func segmentedObjectStage(t *testing.T, client *http.Client, base string, nodes 
 	}
 }
 
-// gatewayReadCoh is gatewayGet plus the generation of the served copy (the
-// response's X-Cascade-Gen; absent means generation zero, never written).
+// gatewayReadCoh issues one request to the chain and returns the serving
+// node (model.NoNode for the origin), the sorted placement set and the
+// generation of the served copy (the response's X-Cascade-Gen; absent means
+// generation zero, never written).
 func gatewayReadCoh(t *testing.T, client *http.Client, base string, obj model.ObjectID) (model.NodeID, []model.NodeID, uint64) {
 	t.Helper()
 	resp, err := client.Get(base + "/objects/" + strconv.Itoa(int(obj)))
@@ -142,17 +143,7 @@ func gatewayReadCoh(t *testing.T, client *http.Client, base string, obj model.Ob
 		}
 		served = model.NodeID(id)
 	}
-	var placed []model.NodeID
-	for _, p := range strings.Split(resp.Header.Get(httpgw.HeaderPlace), ",") {
-		if p = strings.TrimSpace(p); p == "" {
-			continue
-		}
-		id, err := strconv.Atoi(p)
-		if err != nil {
-			t.Fatalf("object %d: bad %s header %q", obj, httpgw.HeaderPlace, resp.Header.Get(httpgw.HeaderPlace))
-		}
-		placed = append(placed, model.NodeID(id))
-	}
+	placed := decidedPlacement(t, resp.Header)
 	var gen uint64
 	if h := resp.Header.Get(httpgw.HeaderGen); h != "" {
 		if gen, err = strconv.ParseUint(h, 10, 64); err != nil {

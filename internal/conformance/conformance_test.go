@@ -132,37 +132,31 @@ func closableGatewayChain(t *testing.T, upCost []float64, capacity int64, dEntri
 // (model.NoNode for the origin) and the sorted placement set.
 func gatewayGet(t *testing.T, client *http.Client, base string, obj model.ObjectID) (model.NodeID, []model.NodeID) {
 	t.Helper()
-	resp, err := client.Get(base + "/objects/" + strconv.Itoa(int(obj)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("object %d: status %d", obj, resp.StatusCode)
-	}
-	served := model.NoNode
-	if h := resp.Header.Get(httpgw.HeaderHit); h != "origin" {
-		id, err := strconv.Atoi(h)
-		if err != nil {
-			t.Fatalf("object %d: bad %s header %q", obj, httpgw.HeaderHit, h)
-		}
-		served = model.NodeID(id)
+	served, placed, _ := gatewayReadCoh(t, client, base, obj)
+	return served, placed
+}
+
+// decidedPlacement lists the nodes a response's X-Cascade-Decision places
+// at, in wire order: the node of each entry of its second field. It is the
+// suites' own reading of the wire, independent of the gateway's parser, and
+// fails the test on a malformed entry.
+func decidedPlacement(t *testing.T, h http.Header) []model.NodeID {
+	t.Helper()
+	v := h.Get(httpgw.HeaderDecision)
+	fields := strings.Split(v, ";")
+	if len(fields) < 2 || fields[1] == "" {
+		return nil
 	}
 	var placed []model.NodeID
-	for _, p := range strings.Split(resp.Header.Get(httpgw.HeaderPlace), ",") {
-		if p = strings.TrimSpace(p); p == "" {
-			continue
-		}
-		id, err := strconv.Atoi(p)
+	for _, e := range strings.Split(fields[1], ",") {
+		node, _, _ := strings.Cut(e, "=")
+		id, err := strconv.Atoi(node)
 		if err != nil {
-			t.Fatalf("object %d: bad %s header %q", obj, httpgw.HeaderPlace, resp.Header.Get(httpgw.HeaderPlace))
+			t.Fatalf("malformed %s %q", httpgw.HeaderDecision, v)
 		}
 		placed = append(placed, model.NodeID(id))
 	}
-	return served, placed
+	return placed
 }
 
 func sortNodes(ns []model.NodeID) []model.NodeID {
@@ -362,8 +356,8 @@ func TestThreeIncarnationsAgree(t *testing.T) {
 
 			// The cost ledgers must agree across incarnations too. The
 			// simulator and the cluster book predictions at the decision
-			// site into one shared ledger; the gateway ships each term over
-			// X-Cascade-Predict and books it at the placing node — per
+			// site into one shared ledger; the gateway ships each term in
+			// X-Cascade-Decision and books it at the placing node — per
 			// node, all three must end with the same accounts.
 			closeTo := func(a, b float64) bool {
 				return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))+1e-12
@@ -397,8 +391,8 @@ func TestThreeIncarnationsAgree(t *testing.T) {
 }
 
 // TestPlacementHeaderSortedOnWire verifies the determinism fix end-to-end:
-// on live traffic through a real chain, every X-Cascade-Place header lists
-// node IDs in strictly ascending order (the encoding once depended on map
+// on live traffic through a real chain, every X-Cascade-Decision lists its
+// placement's node IDs in strictly ascending order (the encoding once depended on map
 // iteration order, which made byte-level replay comparison impossible).
 func TestPlacementHeaderSortedOnWire(t *testing.T) {
 	const objSize = 500
@@ -415,21 +409,15 @@ func TestPlacementHeaderSortedOnWire(t *testing.T) {
 		}
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck
 		resp.Body.Close()
-		h := resp.Header.Get(httpgw.HeaderPlace)
-		if h == "" {
+		placed := decidedPlacement(t, resp.Header)
+		if len(placed) == 0 {
 			continue
 		}
 		nonEmpty++
-		prev := -1
-		for _, p := range strings.Split(h, ",") {
-			id, err := strconv.Atoi(p)
-			if err != nil {
-				t.Fatalf("request %d: malformed placement header %q", i, h)
+		for j := 1; j < len(placed); j++ {
+			if placed[j] <= placed[j-1] {
+				t.Fatalf("request %d: placement %q not strictly ascending", i, resp.Header.Get(httpgw.HeaderDecision))
 			}
-			if id <= prev {
-				t.Fatalf("request %d: placement header %q not strictly ascending", i, h)
-			}
-			prev = id
 		}
 	}
 	if nonEmpty == 0 {

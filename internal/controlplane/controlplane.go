@@ -36,10 +36,10 @@ const (
 	// Active: the node participates fully — it is routable (subject to
 	// health) and offers placement candidacy.
 	Active MemberState = iota
-	// Draining: the node is leaving cooperatively. It finishes requests
+	// draining: the node is leaving cooperatively. It finishes requests
 	// already routed through it but offers no candidacy and takes no new
 	// copies; new requests route around it.
-	Draining
+	draining
 	// Removed: the node has departed. It holds no state and is not
 	// routable; Admit returns it to Active.
 	Removed
@@ -47,7 +47,7 @@ const (
 
 func (s MemberState) String() string {
 	switch s {
-	case Draining:
+	case draining:
 		return "draining"
 	case Removed:
 		return "removed"
@@ -253,20 +253,20 @@ func (m *Manager) move(id model.NodeID, from, to MemberState, k EventKind) bool 
 }
 
 // Admit returns a departed node to service: Removed → Active, Healthy. A
-// Draining node is not admitted — its drain is still running and will
+// draining node is not admitted — its drain is still running and will
 // remove it — nor is an Active or unknown one. Reports whether a
 // transition happened.
 func (m *Manager) Admit(id model.NodeID) bool { return m.move(id, Removed, Active, EventAdmit) }
 
-// StartDrain moves an Active node to Draining: it leaves the routing view
+// StartDrain moves an Active node to draining: it leaves the routing view
 // (the epoch bumps) but keeps serving requests already routed through it.
 // Reports whether a transition happened.
-func (m *Manager) StartDrain(id model.NodeID) bool { return m.move(id, Active, Draining, EventDrain) }
+func (m *Manager) StartDrain(id model.NodeID) bool { return m.move(id, Active, draining, EventDrain) }
 
-// FinishDrain completes a drain: Draining → Removed. Reports whether a
+// FinishDrain completes a drain: draining → Removed. Reports whether a
 // transition happened.
 func (m *Manager) FinishDrain(id model.NodeID) bool {
-	return m.move(id, Draining, Removed, EventRemove)
+	return m.move(id, draining, Removed, EventRemove)
 }
 
 // SetHealth records a node's health classification (typically from a

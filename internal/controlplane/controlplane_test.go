@@ -28,7 +28,7 @@ func TestMembershipTransitions(t *testing.T) {
 	if m.Routable(1) {
 		t.Fatal("draining node must leave the routing view")
 	}
-	if got := m.StateOf(1); got != Draining {
+	if got := m.StateOf(1); got != draining {
 		t.Fatalf("state = %v, want draining", got)
 	}
 
@@ -81,14 +81,14 @@ func TestHealthGatesRouting(t *testing.T) {
 
 func TestMembersSortedNonNil(t *testing.T) {
 	m := NewManager(4)
-	if got := m.Members(Draining); got == nil || len(got) != 0 {
-		t.Fatalf("Members(Draining) = %#v, want non-nil empty", got)
+	if got := m.Members(draining); got == nil || len(got) != 0 {
+		t.Fatalf("Members(draining) = %#v, want non-nil empty", got)
 	}
 	m.StartDrain(3)
 	m.StartDrain(1)
-	got := m.Members(Draining)
+	got := m.Members(draining)
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("Members(Draining) = %v, want [1 3]", got)
+		t.Fatalf("Members(draining) = %v, want [1 3]", got)
 	}
 }
 
@@ -179,7 +179,7 @@ func TestAdmitOnlyRemoved(t *testing.T) {
 	m := NewManager(1)
 	m.SetHealth(0, Down)
 	m.StartDrain(0)
-	if m.Admit(0) || m.StateOf(0) != Draining {
+	if m.Admit(0) || m.StateOf(0) != draining {
 		t.Fatalf("admit of a draining node: state %v, want draining", m.StateOf(0))
 	}
 	m.FinishDrain(0)

@@ -126,7 +126,7 @@ func (o *Optimizer) Optimize(path []Node) Placement {
 	return Placement{Indices: rev, Gain: opt[n]}
 }
 
-// ClampMonotone is the pooled variant of the package-level ClampMonotone:
+// ClampMonotone is the pooled variant of the package-level clampMonotone:
 // the non-increasing copy is written into the Optimizer's scratch buffer,
 // which the next ClampMonotone call overwrites. The input is not modified.
 func (o *Optimizer) ClampMonotone(path []Node) []Node {
@@ -135,7 +135,7 @@ func (o *Optimizer) ClampMonotone(path []Node) []Node {
 	}
 	out := o.clamp[:len(path)]
 	copy(out, path)
-	clampMonotone(out)
+	clampInPlace(out)
 	return out
 }
 
@@ -164,10 +164,10 @@ func Gain(path []Node, indices []int) float64 {
 	return total
 }
 
-// BruteForce solves the n-optimization problem by exhaustive enumeration of
+// bruteForce solves the n-optimization problem by exhaustive enumeration of
 // all 2^n subsets. It exists as an oracle for tests and for explanatory
 // tooling; do not call it on paths longer than ~20 nodes.
-func BruteForce(path []Node) Placement {
+func bruteForce(path []Node) Placement {
 	n := len(path)
 	bestGain := 0.0
 	var bestSet []int
@@ -187,22 +187,22 @@ func BruteForce(path []Node) Placement {
 	return Placement{Indices: bestSet, Gain: bestGain}
 }
 
-// ClampMonotone returns a copy of path whose frequency profile is
+// clampMonotone returns a copy of path whose frequency profile is
 // non-increasing from index 0 (nearest the serving node) to the end, by
 // raising each Freq to the maximum of all frequencies at deeper (more
 // client-ward) positions. This restores the containment property
 // f_1 ≥ f_2 ≥ … ≥ f_n that the system model guarantees in steady state but
 // sliding-window estimation can transiently violate. The input is not
 // modified.
-func ClampMonotone(path []Node) []Node {
+func clampMonotone(path []Node) []Node {
 	out := append([]Node(nil), path...)
-	clampMonotone(out)
+	clampInPlace(out)
 	return out
 }
 
-// clampMonotone raises frequencies in place to restore the non-increasing
+// clampInPlace raises frequencies in place to restore the non-increasing
 // profile.
-func clampMonotone(out []Node) {
+func clampInPlace(out []Node) {
 	for i := len(out) - 2; i >= 0; i-- {
 		if out[i].Freq < out[i+1].Freq {
 			out[i].Freq = out[i+1].Freq
@@ -210,12 +210,12 @@ func clampMonotone(out []Node) {
 	}
 }
 
-// LocallyBeneficial reports whether caching at every chosen index is
+// locallyBeneficial reports whether caching at every chosen index is
 // locally worthwhile, i.e. f_i·m_i ≥ l_i. By Theorem 2 of the paper this
 // holds for every index returned by Optimize; the coordinated scheme uses
 // the property to prune candidate sets (only nodes whose d-cache holds the
 // object's descriptor are considered).
-func LocallyBeneficial(path []Node, indices []int) bool {
+func locallyBeneficial(path []Node, indices []int) bool {
 	for _, v := range indices {
 		nd := path[v]
 		if nd.Freq*nd.MissPenalty < nd.CostLoss {

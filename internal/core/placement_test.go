@@ -105,7 +105,7 @@ func TestOptimizeMatchesBruteForce(t *testing.T) {
 		n := 1 + r.Intn(12)
 		path := randomPath(r, n)
 		got := Optimize(path)
-		want := BruteForce(path)
+		want := bruteForce(path)
 		if math.Abs(got.Gain-want.Gain) > 1e-9 {
 			t.Fatalf("trial %d: DP gain %v != brute-force gain %v\npath=%+v",
 				trial, got.Gain, want.Gain, path)
@@ -130,7 +130,7 @@ func TestOptimizeMatchesBruteForceNonMonotone(t *testing.T) {
 				CostLoss:    3 * r.Float64(),
 			}
 		}
-		got, want := Optimize(path), BruteForce(path)
+		got, want := Optimize(path), bruteForce(path)
 		if math.Abs(got.Gain-want.Gain) > 1e-9 {
 			t.Fatalf("trial %d: DP gain %v != brute-force %v\npath=%+v",
 				trial, got.Gain, want.Gain, path)
@@ -166,7 +166,7 @@ func TestTheorem2(t *testing.T) {
 	for trial := 0; trial < 1000; trial++ {
 		path := randomPath(r, 1+r.Intn(15))
 		p := Optimize(path)
-		if !LocallyBeneficial(path, p.Indices) {
+		if !locallyBeneficial(path, p.Indices) {
 			t.Fatalf("Theorem 2 violated: placement %v on %+v", p.Indices, path)
 		}
 	}
@@ -194,7 +194,7 @@ func TestOptimizeGainNonNegativeQuick(t *testing.T) {
 			return false
 		}
 		// The DP must weakly dominate a handful of arbitrary subsets.
-		bf := BruteForce(path)
+		bf := bruteForce(path)
 		return p.Gain >= bf.Gain-1e-9 && p.Gain <= bf.Gain+1e-9
 	}
 	if err := quick.Check(prop, cfg); err != nil {
@@ -210,7 +210,7 @@ func TestGainEmptyPlacement(t *testing.T) {
 
 func TestClampMonotone(t *testing.T) {
 	in := []Node{{Freq: 1}, {Freq: 5}, {Freq: 2}, {Freq: 3}}
-	out := ClampMonotone(in)
+	out := clampMonotone(in)
 	want := []float64{5, 5, 3, 3}
 	for i, n := range out {
 		if n.Freq != want[i] {
@@ -237,7 +237,7 @@ func TestClampMonotoneProperties(t *testing.T) {
 		for i := range path {
 			path[i] = Node{Freq: 10 * r.Float64(), MissPenalty: r.Float64(), CostLoss: r.Float64()}
 		}
-		clamped := ClampMonotone(path)
+		clamped := clampMonotone(path)
 		for i := range clamped {
 			if clamped[i].Freq < path[i].Freq {
 				t.Fatalf("clamping lowered freq at %d: %v < %v", i, clamped[i].Freq, path[i].Freq)
@@ -249,11 +249,11 @@ func TestClampMonotoneProperties(t *testing.T) {
 				t.Fatalf("not monotone at %d: %+v", i, clamped)
 			}
 		}
-		if !reflect.DeepEqual(ClampMonotone(clamped), clamped) {
+		if !reflect.DeepEqual(clampMonotone(clamped), clamped) {
 			t.Fatal("ClampMonotone not idempotent")
 		}
 		mono := randomPath(r, n)
-		if !reflect.DeepEqual(ClampMonotone(mono), mono) {
+		if !reflect.DeepEqual(clampMonotone(mono), mono) {
 			t.Fatalf("clamping changed a monotone profile: %+v", mono)
 		}
 	}

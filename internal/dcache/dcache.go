@@ -12,7 +12,7 @@
 // Two implementations are provided, both from §2.4:
 //
 //   - New: LFU via a frequency-keyed heap (O(log n) per adjustment);
-//   - NewLRUStacks: the paper's O(1) alternative — one LRU stack per
+//   - newLRUStacks: the paper's O(1) alternative — one LRU stack per
 //     reference count 𝒦; within a stack, ordering by recency coincides
 //     with ordering by the sliding-window estimate, so the global LFU
 //     victim is the minimum over the K stack tails.
@@ -133,7 +133,7 @@ type Recycler interface {
 }
 
 // Factory builds a d-cache of a given capacity; schemes accept one to
-// select the implementation (New by default, NewLRUStacks for the O(1)
+// select the implementation (New by default, NewLRUStacksFactory for the O(1)
 // variant).
 type Factory func(capacity int) DCache
 
@@ -141,4 +141,4 @@ type Factory func(capacity int) DCache
 func NewFactory(capacity int) DCache { return New(capacity) }
 
 // NewLRUStacksFactory builds LRU-stack d-caches.
-func NewLRUStacksFactory(capacity int) DCache { return NewLRUStacks(capacity) }
+func NewLRUStacksFactory(capacity int) DCache { return newLRUStacks(capacity) }

@@ -28,9 +28,9 @@ type stackEntry struct {
 	stack int
 }
 
-// NewLRUStacks returns an LRU-stack d-cache holding at most capacity
+// newLRUStacks returns an LRU-stack d-cache holding at most capacity
 // descriptors.
-func NewLRUStacks(capacity int) *LRUStacks {
+func newLRUStacks(capacity int) *LRUStacks {
 	if capacity < 0 {
 		capacity = 0
 	}

@@ -12,7 +12,7 @@ import (
 func impls(capacity int) map[string]DCache {
 	return map[string]DCache{
 		"LFU":       New(capacity),
-		"LRUStacks": NewLRUStacks(capacity),
+		"LRUStacks": newLRUStacks(capacity),
 	}
 }
 
@@ -78,7 +78,7 @@ func TestDCacheZeroCapacityBoth(t *testing.T) {
 }
 
 func TestLRUStacksEvictsLeastFrequent(t *testing.T) {
-	dc := NewLRUStacks(3)
+	dc := newLRUStacks(3)
 	// Object 1: three recent accesses (stack 3, hot).
 	dc.Put(desc(1, 700, 705, 710), 710)
 	// Object 2: one ancient access (stack 1, cold).
@@ -95,7 +95,7 @@ func TestLRUStacksEvictsLeastFrequent(t *testing.T) {
 }
 
 func TestLRUStacksPromotionAcrossStacks(t *testing.T) {
-	dc := NewLRUStacks(10)
+	dc := newLRUStacks(10)
 	d := desc(1, 0) // one access → stack 0
 	dc.Put(d, 0)
 	dc.RecordAccess(1, 5)  // two accesses → stack 1
@@ -111,7 +111,7 @@ func TestLRUStacksPromotionAcrossStacks(t *testing.T) {
 }
 
 func TestLRUStacksWithinStackRecencyOrder(t *testing.T) {
-	dc := NewLRUStacks(10)
+	dc := newLRUStacks(10)
 	dc.Put(desc(1, 100), 100)
 	dc.Put(desc(2, 200), 200)
 	dc.Put(desc(3, 300), 300)
@@ -137,7 +137,7 @@ func TestLRUStacksWithinStackRecencyOrder(t *testing.T) {
 // heap's exact LFU order.
 func TestLRUStacksApproximatesLFU(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
-	lfu, stacks := New(50), NewLRUStacks(50)
+	lfu, stacks := New(50), newLRUStacks(50)
 	now := 0.0
 	for i := 0; i < 20000; i++ {
 		now += r.Float64()
@@ -174,7 +174,7 @@ func TestFactories(t *testing.T) {
 	if _, ok := NewLRUStacksFactory(3).(*LRUStacks); !ok {
 		t.Fatal("NewLRUStacksFactory did not build LRUStacks")
 	}
-	if NewLRUStacks(-1).Capacity() != 0 {
+	if newLRUStacks(-1).Capacity() != 0 {
 		t.Fatal("negative capacity not clamped")
 	}
 }

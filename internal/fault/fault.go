@@ -24,8 +24,8 @@ import (
 type Action int
 
 const (
-	// ActPass delivers the message normally.
-	ActPass Action = iota
+	// actPass delivers the message normally.
+	actPass Action = iota
 	// ActDrop loses the message: the cluster runtime abandons the request's
 	// walk where it stands and serves the client origin-direct.
 	ActDrop
@@ -44,7 +44,7 @@ const (
 // String names the action for logs and test failures.
 func (a Action) String() string {
 	switch a {
-	case ActPass:
+	case actPass:
 		return "pass"
 	case ActDrop:
 		return "drop"
@@ -183,7 +183,7 @@ func (i *Injector) Next(key int64) Decision {
 		i.stats.Delays++
 		return Decision{Action: ActDelay, Delay: i.delay}
 	}
-	return Decision{Action: ActPass}
+	return Decision{Action: actPass}
 }
 
 // Stats snapshots the injection counters.

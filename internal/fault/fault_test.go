@@ -27,14 +27,14 @@ func TestInjectorDeterministic(t *testing.T) {
 
 func TestInjectorCrashOnNth(t *testing.T) {
 	i := New(1).WithCrashOn(3, 2)
-	if d := i.Next(3); d.Action != ActPass {
+	if d := i.Next(3); d.Action != actPass {
 		t.Fatalf("first message: %v", d.Action)
 	}
 	if d := i.Next(3); d.Action != ActCrash {
 		t.Fatalf("second message: %v", d.Action)
 	}
 	// One-shot: the schedule does not re-fire.
-	if d := i.Next(3); d.Action != ActPass {
+	if d := i.Next(3); d.Action != actPass {
 		t.Fatalf("third message: %v", d.Action)
 	}
 	if st := i.Stats(); st.Crashes != 1 {
@@ -48,7 +48,7 @@ func TestInjectorDropEveryAndSaturate(t *testing.T) {
 	for n := 0; n < 6; n++ {
 		got = append(got, i.Next(0).Action)
 	}
-	want := []Action{ActPass, ActPass, ActDrop, ActPass, ActPass, ActDrop}
+	want := []Action{actPass, actPass, ActDrop, actPass, actPass, ActDrop}
 	for k := range want {
 		if got[k] != want[k] {
 			t.Fatalf("drop-every sequence %v, want %v", got, want)
@@ -67,7 +67,7 @@ func TestInjectorDropEveryAndSaturate(t *testing.T) {
 func TestZeroInjectorPasses(t *testing.T) {
 	i := New(0)
 	for n := 0; n < 100; n++ {
-		if d := i.Next(int64(n)); d.Action != ActPass {
+		if d := i.Next(int64(n)); d.Action != actPass {
 			t.Fatalf("zero-rule injector acted: %v", d.Action)
 		}
 	}

@@ -114,7 +114,7 @@ func TestAdminDrainSpillsUpstream(t *testing.T) {
 	if resp.Header.Get(HeaderHit) != "1" {
 		t.Fatalf("served by %q, want node 1", resp.Header.Get(HeaderHit))
 	}
-	if got := resp.Header.Get(headerPenalty); got != "1" {
+	if got := resp.Header.Get(HeaderDecision); got != "1" {
 		t.Fatalf("relay penalty %q, want 1 (link folded, no reset)", got)
 	}
 
@@ -327,13 +327,13 @@ func TestMissTailsForwardETag(t *testing.T) {
 	const tag = `"v1"`
 	cases := []struct {
 		name   string
-		place  string // X-Cascade-Place on the upstream reply
+		place  string // X-Cascade-Decision on the upstream reply
 		drain  bool   // drain the node inside RoundTrip
 		cached bool   // the node holds the object afterwards
 	}{
-		{name: "placed", place: "1", cached: true},
-		{name: "relayed", place: ""},
-		{name: "drained-mid-fetch", place: "1", drain: true},
+		{name: "placed", place: "0;1=0", cached: true},
+		{name: "relayed", place: "0"},
+		{name: "drained-mid-fetch", place: "0;1=0", drain: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -348,11 +348,8 @@ func TestMissTailsForwardETag(t *testing.T) {
 				}
 				h := http.Header{}
 				h.Set(HeaderHit, "origin")
-				h.Set(headerPenalty, "0")
+				h.Set(HeaderDecision, tc.place)
 				h.Set("ETag", tag)
-				if tc.place != "" {
-					h.Set(HeaderPlace, tc.place)
-				}
 				return &http.Response{StatusCode: http.StatusOK, Header: h, ContentLength: 3,
 					Body: io.NopCloser(strings.NewReader("abc"))}
 			})}

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"cascade/internal/coherency"
 	"cascade/internal/metrics"
@@ -23,22 +22,20 @@ import (
 //	                 asker is reassembling, which is exact; on a response,
 //	                 the served copy's generation — or, beside
 //	                 X-Cascade-Segmented, the generation to reassemble at.
-//	X-Cascade-Inval: the origin's invalidation-log head and recent tail,
-//	                 "head|seq:obj:gen,…", piggybacked on origin responses
-//	                 PSI-style and applied at every hop before its DownStep.
+//
+// The origin's invalidation-log head and recent tail ride in the third
+// field of X-Cascade-Decision ("head|seq:obj:gen,…", wire.go), piggybacked
+// on origin responses PSI-style and applied at every hop before its
+// DownStep.
 //
 // Generations, floors and the invalidation log speak in base identities
 // only: a segment of a large object is stamped with its base's generation
 // and validated against its base's floor, so one write of the base reaches
 // every segment wherever it is cached (engine.Up, Node.serveSegmented).
 //
-// Malformed values never fail a request: a garbled floor zero-defaults
-// (weakening freshness, not availability) and a garbled tail is ignored,
-// each counted in cascade_gw_bad_header_total.
-const (
-	HeaderGen   = "X-Cascade-Gen"
-	headerInval = "X-Cascade-Inval"
-)
+// A malformed floor never fails a request: it zero-defaults (weakening
+// freshness, not availability), counted in cascade_gw_bad_header_total.
+const HeaderGen = "X-Cascade-Gen"
 
 // EnableCoherency attaches engine-native freshness to the node: one
 // generation-floor view shared across every shard, the cascade_coherency_*
@@ -74,68 +71,6 @@ func parseGen(v string) (uint64, bool) {
 		return 0, false
 	}
 	return g, true
-}
-
-// formatInval renders the origin's invalidation-log head and tail as the
-// X-Cascade-Inval value: "head|seq:obj:gen,seq:obj:gen,…". Every
-// origin-served response carries one, so it is built in a single buffer
-// sized for the tail rather than a string per number.
-func formatInval(head uint64, tail []coherency.Invalidation) string {
-	b := make([]byte, 0, 24*(1+len(tail)))
-	b = strconv.AppendUint(b, head, 10)
-	b = append(b, '|')
-	for i, inv := range tail {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendUint(b, inv.Seq, 10)
-		b = append(b, ':')
-		b = strconv.AppendInt(b, int64(inv.Obj), 10)
-		b = append(b, ':')
-		b = strconv.AppendUint(b, inv.Gen, 10)
-	}
-	return string(b)
-}
-
-// parseInval decodes an X-Cascade-Inval value; !ok on any malformation (the
-// caller counts it and drops the whole batch — applying half a tail would
-// advance no cursor anyway). One pass, one allocation: the tail slice, sized
-// from the separator count — which is a peer's number, so it is capped here
-// too, whatever parseDecision refused before calling.
-func parseInval(v string) (head uint64, tail []coherency.Invalidation, ok bool) {
-	h, rest, found := strings.Cut(v, "|")
-	if !found {
-		return 0, nil, false
-	}
-	head, err := strconv.ParseUint(h, 10, 64)
-	if err != nil {
-		return 0, nil, false
-	}
-	if rest == "" {
-		return head, nil, true
-	}
-	n := strings.Count(rest, ",") + 1
-	if n > maxPathEntries {
-		return 0, nil, false
-	}
-	tail = make([]coherency.Invalidation, 0, n)
-	for more := true; more; {
-		var part string
-		part, rest, more = strings.Cut(rest, ",")
-		seqS, objGen, ok1 := strings.Cut(part, ":")
-		objS, genS, ok2 := strings.Cut(objGen, ":")
-		if !ok1 || !ok2 {
-			return 0, nil, false
-		}
-		seq, e1 := strconv.ParseUint(seqS, 10, 64)
-		obj, e2 := strconv.ParseInt(objS, 10, 64)
-		gen, e3 := strconv.ParseUint(genS, 10, 64)
-		if e1 != nil || e2 != nil || e3 != nil || obj < 0 {
-			return 0, nil, false
-		}
-		tail = append(tail, coherency.Invalidation{Seq: seq, Obj: model.ObjectID(obj), Gen: gen})
-	}
-	return head, tail, true
 }
 
 // invalidateReply is the JSON body of POST /cascade/admin/invalidate: the

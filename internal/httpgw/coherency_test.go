@@ -217,22 +217,20 @@ func TestInvalidateReplyCapped(t *testing.T) {
 }
 
 // TestBadCoherencyHeadersCounted: a malformed request floor is counted and
-// zero-defaulted (freshness weakens, availability never), and a garbled
-// piggybacked invalidation batch from upstream is counted and dropped whole
-// — both visible in cascade_gw_bad_header_total by header kind.
+// zero-defaulted (freshness weakens, availability never), and a decision
+// whose piggybacked invalidation batch is garbled is counted and dropped
+// whole — both visible in cascade_gw_bad_header_total by header kind.
 func TestBadCoherencyHeadersCounted(t *testing.T) {
 	var mu sync.Mutex
 	now := 0.0
 	clock := func() float64 { mu.Lock(); defer mu.Unlock(); return now }
 
-	// The origin answers with a garbage invalidation header injected beside
-	// its real decision — a corrupted peer.
-	o := &Origin{Size: func(model.ObjectID) int { return 500 }}
+	// The upstream answers with a garbage invalidation tail in its
+	// decision — a corrupted peer.
 	garbler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/objects/") {
-			w.Header().Set(headerInval, "0|not:an:entry")
-		}
-		o.ServeHTTP(w, r)
+		w.Header().Set(HeaderDecision, "0;;0|not:an:entry")
+		w.Header().Set(HeaderHit, originName)
+		w.Write(make([]byte, 500)) //nolint:errcheck
 	})
 	origin := httptest.NewServer(garbler)
 	t.Cleanup(origin.Close)
@@ -274,7 +272,7 @@ func TestBadCoherencyHeadersCounted(t *testing.T) {
 	}
 	sresp.Body.Close()
 	if st.BadHeaders != 2 {
-		t.Fatalf("bad_headers = %d, want 2 (one gen, one inval)", st.BadHeaders)
+		t.Fatalf("bad_headers = %d, want 2 (one gen, one decision)", st.BadHeaders)
 	}
 
 	mresp, err := http.Get(srv.URL + "/cascade/metrics")
@@ -283,7 +281,7 @@ func TestBadCoherencyHeadersCounted(t *testing.T) {
 	}
 	mbody, _ := io.ReadAll(mresp.Body)
 	mresp.Body.Close()
-	for _, kind := range []string{"gen", "inval"} {
+	for _, kind := range []string{"gen", "decision"} {
 		found := false
 		for _, line := range strings.Split(string(mbody), "\n") {
 			if strings.HasPrefix(line, "cascade_gw_bad_header_total") &&
@@ -519,9 +517,7 @@ func TestDrainMidFetchLandsInvalidationTail(t *testing.T) {
 		}
 		h := http.Header{}
 		h.Set(HeaderHit, "origin")
-		h.Set(headerPenalty, "0")
-		h.Set(HeaderPlace, "1")
-		h.Set(headerInval, formatInval(5, []coherency.Invalidation{{Seq: 5, Obj: 9, Gen: 3}}))
+		h.Set(HeaderDecision, "0;1=0;5|5:9:3")
 		return &http.Response{StatusCode: http.StatusOK, Header: h, ContentLength: 3,
 			Body: io.NopCloser(strings.NewReader("abc"))}
 	})}

@@ -18,7 +18,7 @@ import (
 // on relay hops, NCL evictions spill payloads to a disk tier instead of
 // dropping them, and over-threshold objects travel as fixed-size Range
 // segments, each a first-class object to the placement decision. The
-// descriptor-plane protocol (path/place/penalty headers) is untouched —
+// descriptor-plane protocol (the path and decision headers) is untouched —
 // segments simply have their own object identity (store.SegmentID), so
 // every existing invariant applies per segment. Only freshness is the base
 // object's: a segment carries its base's generation, is validated against
@@ -60,21 +60,6 @@ func (n *Node) BodyStats() store.Stats { return n.bodies.Stats() }
 // CheckBytes reports a disagreement between the node's bytes and its
 // descriptors (engine.Hop.CheckBytes). For tests: quiesce the node first.
 func (n *Node) CheckBytes() error { return n.hop().CheckBytes() }
-
-// parsePenalty decodes an X-Cascade-Penalty value with an explicit ok
-// flag: an absent header is legitimately zero (a hop outside the
-// protocol), but a malformed, negative or non-finite one reports !ok so
-// the caller can count it instead of silently zeroing the counter.
-func parsePenalty(v string) (float64, bool) {
-	if v == "" {
-		return 0, true
-	}
-	f, err := parseFinite(v)
-	if err != nil || f < 0 {
-		return 0, false
-	}
-	return f, true
-}
 
 // segInfo is a parsed X-Cascade-Segment request header: this request asks
 // for segment idx of a large object split into size-byte segments.

@@ -230,11 +230,14 @@ func TestSegmentedLargeObjectEndToEnd(t *testing.T) {
 	}
 }
 
+// TestMalformedPenaltyHeaderCounted: a garbage penalty field makes the
+// whole decision malformed — counted under header="decision", the answer
+// relayed as one without a decision.
 func TestMalformedPenaltyHeaderCounted(t *testing.T) {
 	// An upstream that speaks just enough of the protocol but emits a
-	// garbage penalty counter.
+	// garbage penalty counter in front of a placement at the node.
 	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(headerPenalty, "not-a-number")
+		w.Header().Set(HeaderDecision, "not-a-number;1=0.5")
 		w.Header().Set(HeaderHit, "origin")
 		w.Header().Set("Content-Length", "3")
 		w.Write([]byte("abc")) //nolint:errcheck
@@ -249,13 +252,13 @@ func TestMalformedPenaltyHeaderCounted(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || string(body) != "abc" {
 		t.Fatalf("status %d body %q", resp.StatusCode, body)
 	}
-	// Explicit fallback: the counter is treated as zero, so the outgoing
-	// penalty is exactly the link cost.
-	if got := resp.Header.Get(headerPenalty); got != "2" {
-		t.Fatalf("penalty %q, want link cost 2", got)
+	// Explicit fallback: the counter is treated as zero and the placement
+	// dropped, so the outgoing decision is exactly the link cost.
+	if got := resp.Header.Get(HeaderDecision); got != "2" {
+		t.Fatalf("decision %q, want link cost 2 alone", got)
 	}
-	if n.badPenalty.Load() != 1 {
-		t.Fatalf("badPenalty = %d, want 1", n.badPenalty.Load())
+	if n.badDecision.Load() != 1 || n.Contains(5) {
+		t.Fatalf("badDecision = %d, placed %v; want 1 and no copy", n.badDecision.Load(), n.Contains(5))
 	}
 
 	mresp, err := http.Get(srv.URL + "/cascade/metrics")
@@ -266,12 +269,12 @@ func TestMalformedPenaltyHeaderCounted(t *testing.T) {
 	mresp.Body.Close()
 	found := false
 	for _, line := range strings.Split(string(mbody), "\n") {
-		if strings.HasPrefix(line, "cascade_gw_bad_header_total") && strings.Contains(line, `header="penalty"`) && strings.HasSuffix(line, " 1") {
+		if strings.HasPrefix(line, "cascade_gw_bad_header_total") && strings.Contains(line, `header="decision"`) && strings.HasSuffix(line, " 1") {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("cascade_gw_bad_header_total{header=penalty} not 1 in scrape:\n%s", mbody)
+		t.Fatalf("cascade_gw_bad_header_total{header=decision} not 1 in scrape:\n%s", mbody)
 	}
 }
 
@@ -473,7 +476,7 @@ func TestHostilePeerLengthsBoundAllocation(t *testing.T) {
 	reply := func(declared int64, body string, hdr map[string]string) *http.Response {
 		h := http.Header{}
 		h.Set(HeaderHit, "origin")
-		h.Set(headerPenalty, "0")
+		h.Set(HeaderDecision, "0")
 		for k, v := range hdr {
 			h.Set(k, v)
 		}
@@ -490,7 +493,7 @@ func TestHostilePeerLengthsBoundAllocation(t *testing.T) {
 			// Chosen as a caching point, body length declared as 1 TiB.
 			name: "content-length",
 			upstream: func(*http.Request) *http.Response {
-				return reply(huge, "abc", map[string]string{HeaderPlace: "1"})
+				return reply(huge, "abc", map[string]string{HeaderDecision: "0;1=0"})
 			},
 			status: http.StatusOK, body: "abc",
 		},

@@ -629,7 +629,7 @@ func FuzzHopConn(f *testing.F) {
 
 		n := NewNode(0, "http://upstream.invalid", 1, 1<<20, 100, func() float64 { return 0 })
 		n.Client = &http.Client{Transport: stubUpstream(func(r *http.Request) *http.Response {
-			return upstreamReply(http.StatusOK, 4, []byte("abcd"), HeaderPlace, "0")
+			return upstreamReply(http.StatusOK, 4, []byte("abcd"), HeaderDecision, "0;0=0")
 		})}
 		var mu sync.Mutex
 		var got []string

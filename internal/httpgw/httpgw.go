@@ -3,14 +3,14 @@
 // to an upstream (another node or the origin); all coordination state
 // travels in headers, exactly as §2.3's piggybacking prescribes:
 //
-//	X-Cascade-Path:    hop entries appended on the way up, each carrying
-//	                   the node's frequency estimate, eviction cost loss
-//	                   and the cost of the link just crossed;
-//	X-Cascade-Place:   the serving side's placement decision (hop list);
-//	X-Cascade-Predict: the DP's predicted Δcost term per chosen node, so
-//	                   each placing node books its own cost-ledger claim;
-//	X-Cascade-Penalty: the response's accumulated miss-penalty counter,
-//	                   updated and reset at caching points on the way down.
+//	X-Cascade-Path:     hop entries appended on the way up, each carrying
+//	                    the node's frequency estimate, eviction cost loss
+//	                    and the cost of the link just crossed;
+//	X-Cascade-Decision: the serving side's one answer, made once: the
+//	                    miss-penalty counter, updated and reset at caching
+//	                    points on the way down, then the chosen nodes, each
+//	                    with the DP's predicted Δcost term so it books its
+//	                    own cost-ledger claim, then the invalidation tail.
 //
 // That textual form is the only encoding: every hop and every client speaks
 // it (wire.go; docs/PROTOCOL.md has the header table). A piggybacked path is
@@ -57,17 +57,16 @@ import (
 
 // Protocol header names.
 const (
-	headerPath    = "X-Cascade-Path"
-	HeaderPlace   = "X-Cascade-Place"
-	headerPenalty = "X-Cascade-Penalty"
-	HeaderHit     = "X-Cascade-Hit"
-	// headerPredict pairs each node of the placement decision with the
-	// DP's predicted Δcost term for that placement (§2.1), "node=term"
-	// entries in ascending node order. It rides next to HeaderPlace so
-	// each placing node can book its own prediction into its own cost
-	// ledger — the decision site (serving node or origin) cannot reach the
-	// other processes' ledgers.
-	headerPredict = "X-Cascade-Predict"
+	headerPath = "X-Cascade-Path"
+	// HeaderDecision is the serving point's answer (§2.3),
+	// "<penalty>[;<node>=<term>,…[;<head>|<seq>:<obj>:<gen>,…]]": the
+	// miss-penalty counter, the chosen nodes ascending, each with the DP's
+	// predicted Δcost term for its placement (§2.1), and the origin's
+	// invalidation-log head and tail; trailing empty fields are left out.
+	// The serving point formats it once (Node.decide); every hop below
+	// parses it once and forwards it with only the counter rewritten.
+	HeaderDecision = "X-Cascade-Decision"
+	HeaderHit      = "X-Cascade-Hit"
 	// headerDegraded marks a response served outside the coordinated
 	// protocol — fetched straight from the origin (or served stale) while
 	// the upstream chain is unreachable. No placement decision rode along.
@@ -184,7 +183,7 @@ type Node struct {
 
 	// Malformed protocol headers received, counted per header kind
 	// (cascade_gw_bad_header_total).
-	badPenalty, badSegment, badGen, badInval, badPath atomic.Int64
+	badDecision, badSegment, badGen, badPath atomic.Int64
 
 	// Relayed body bytes, by path: kernel (hopBody.relayTo) or copy
 	// (cascade_gw_relayed_bytes_total).
@@ -400,15 +399,14 @@ func formatEntry(e engine.Candidate) string {
 // from the client's first cache upward, as accumulated on the wire) with the
 // decision site's auditor threaded through (Theorem 2 and optimality checks)
 // and the decide span landed in the request's trace (tsp and parent,
-// nil-safe). It returns the chosen node IDs in ascending order plus the
-// engine's predicted Δcost term per chosen node (ascending node order, as
-// X-Cascade-Predict carries them) — the decision site cannot reach the other
+// nil-safe). It returns the chosen nodes in ascending order, each with the
+// engine's predicted Δcost term — the decision site cannot reach the other
 // processes' ledgers, so the claims ship downstream and every placing node
 // books its own. A decision that chooses nothing — every front-node hit —
 // allocates nothing.
 func decideObserved(entries []engine.Candidate, obj model.ObjectID, now float64,
 	aud *audit.Auditor, serv model.NodeID,
-	tsp *span.Trace, parent span.SpanID) ([]model.NodeID, []predictTerm) {
+	tsp *span.Trace, parent span.SpanID) []engine.Prediction {
 	opts := engine.DecideOptions{
 		ClampMonotone: true,
 		Audit:         aud,
@@ -420,79 +418,15 @@ func decideObserved(entries []engine.Candidate, obj model.ObjectID, now float64,
 	if len(entries) > 0 {
 		// Only a decision with candidates can choose any; the slice header
 		// escapes, so an empty one is not worth a heap cell per hit.
-		opts.Predicted = new([]predictTerm)
+		opts.Predicted = new([]engine.Prediction)
 	}
-	hops := engine.Decide(entries, opts, engine.ServePoint{Hop: len(entries), Node: serv})
-	if len(hops) == 0 {
-		return nil, nil
+	engine.Decide(entries, opts, engine.ServePoint{Hop: len(entries), Node: serv})
+	if opts.Predicted == nil {
+		return nil
 	}
-	ids := make([]model.NodeID, len(hops))
-	for i, h := range hops {
-		ids[i] = entries[h].Node
-	}
-	predict := *opts.Predicted
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	sort.Slice(predict, func(i, j int) bool { return predict[i].Node < predict[j].Node })
-	return ids, predict
-}
-
-func formatPlacement(chosen []model.NodeID) string {
-	parts := make([]string, len(chosen))
-	for i, id := range chosen {
-		parts[i] = strconv.Itoa(int(id))
-	}
-	return strings.Join(parts, ",")
-}
-
-// parsePlacementList decodes a HeaderPlace value preserving wire order
-// (ascending — formatPlacement emits sorted IDs), so re-encoding it is
-// byte-identical. Malformed entries are skipped.
-func parsePlacementList(h string) []model.NodeID {
-	var out []model.NodeID
-	for _, p := range strings.Split(h, ",") {
-		if p = strings.TrimSpace(p); p == "" {
-			continue
-		}
-		if id, err := parseNodeID(p); err == nil {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// formatPredictTerms encodes predicted Δcost terms as the headerPredict
-// value: "node=term" comma-separated, ascending node order, terms in the
-// shortest bit-exact float encoding.
-func formatPredictTerms(predict []predictTerm) string {
-	parts := make([]string, len(predict))
-	for i, p := range predict {
-		parts[i] = strconv.Itoa(int(p.Node)) + "=" + fmtFloat(p.Term)
-	}
-	return strings.Join(parts, ",")
-}
-
-// parsePredictTerms decodes a headerPredict value preserving wire order
-// (ascending node, as decideObserved emits them). Malformed entries are
-// skipped — a missing prediction only loses ledger bookkeeping, never the
-// placement itself.
-func parsePredictTerms(h string) []predictTerm {
-	var out []predictTerm
-	for _, p := range strings.Split(h, ",") {
-		node, term, ok := strings.Cut(strings.TrimSpace(p), "=")
-		if !ok {
-			continue
-		}
-		id, err := parseNodeID(node)
-		if err != nil {
-			continue
-		}
-		t, err := parseFinite(term)
-		if err != nil {
-			continue
-		}
-		out = append(out, predictTerm{Node: id, Term: t})
-	}
-	return out
+	place := *opts.Predicted
+	sort.Slice(place, func(i, j int) bool { return place[i].Node < place[j].Node })
+	return place
 }
 
 // objectID derives the object identity from a request path. Numeric
@@ -746,9 +680,9 @@ func (n *Node) serveHit(w http.ResponseWriter, r *http.Request, g *getReq, gen u
 // coherency payload, a fresh penalty counter, the serving node and the
 // validator.
 func (n *Node) decide(h http.Header, g *getReq, d decision, etag string) {
-	d.place, d.predict = decideObserved(g.entries, g.obj, g.now, n.auditor, n.ID, g.tsp, g.parent)
-	writeDecision(h, d)
-	h.Set(headerPenalty, "0")
+	d.place = decideObserved(g.entries, g.obj, g.now, n.auditor, n.ID, g.tsp, g.parent)
+	d.encode()
+	writeDecision(h, 0, d)
 	h.Set(HeaderHit, nodeName(n.ID))
 	if etag != "" {
 		h.Set("ETag", etag)
@@ -830,23 +764,17 @@ func (n *Node) exchange(w http.ResponseWriter, r *http.Request, g *getReq, q *en
 		return false
 	}
 	// prev is the counter as it left the upstream node — the miss-penalty
-	// audit's reference value. A malformed one is counted and zeroed.
-	prev, okPen := parsePenalty(resp.Header.Get(headerPenalty))
-	if !okPen {
-		n.badPenalty.Add(1)
-		prev = 0
+	// audit's reference value. A decision that does not parse is counted
+	// here, at the first hop to read it, and the answer goes on as one
+	// without a decision: nothing placed, claimed or invalidated, prev 0,
+	// and only this hop's counter below, so no hop there counts it again.
+	prev, dec, ok := parseDecision(resp.Header.Get(HeaderDecision))
+	if !ok {
+		n.badDecision.Add(1)
 	}
-	dec, err := parseDecision(resp.Header)
-	if err != nil {
-		fail()
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return false
-	}
-	if dec.badGen {
+	// A malformed generation is counted, then zero-defaulted.
+	if dec.gen, ok = parseGen(resp.Header.Get(HeaderGen)); !ok {
 		n.badGen.Add(1)
-	}
-	if dec.badInval {
-		n.badInval.Add(1)
 	}
 	n.finishMiss(w, resp, g, q, upsp, dec, prev)
 	return false
@@ -883,7 +811,8 @@ func (n *Node) segmentedAnswer(w http.ResponseWriter, r *http.Request, g *getReq
 // so a relay hop never holds a full object.
 func (n *Node) finishMiss(w http.ResponseWriter, resp *http.Response, g *getReq, q *engine.Req, upsp span.SpanID, dec decision, prev float64) {
 	mp := prev + n.UpCost
-	place := q != nil && placed(dec.place, n.ID)
+	term, place := dec.termFor(n.ID)
+	place = place && q != nil
 	var body []byte
 	if place {
 		var err error
@@ -895,7 +824,7 @@ func (n *Node) finishMiss(w http.ResponseWriter, resp *http.Response, g *getReq,
 		}
 	}
 	if q != nil {
-		mp = n.downStep(q, g.hop(), upsp, dec, place, prev, mp, body, resp)
+		mp = n.downStep(q, g.hop(), upsp, dec, term, place, prev, mp, body, resp)
 	}
 	writeMissTail(w.Header(), resp, dec, mp)
 	if body != nil {
@@ -921,7 +850,7 @@ func (n *Node) finishMiss(w http.ResponseWriter, resp *http.Response, g *getReq,
 // invalidation tail still lands, but no placement, no ledger claim, the
 // link folded into the counter. So does a degraded answer: its bytes came
 // from the origin, not through the upstream, and update no cache state.
-func (n *Node) downStep(q *engine.Req, hop int, upsp span.SpanID, dec decision, place bool, prev, mp float64, body []byte, resp *http.Response) float64 {
+func (n *Node) downStep(q *engine.Req, hop int, upsp span.SpanID, dec decision, term float64, place bool, prev, mp float64, body []byte, resp *http.Response) float64 {
 	q.Now, q.Gen, q.Tail, q.Head = n.Clock(), dec.gen, dec.inval, dec.invHead
 	e := n.fence.Enter()
 	defer n.fence.Exit(e)
@@ -939,9 +868,7 @@ func (n *Node) downStep(q *engine.Req, hop int, upsp span.SpanID, dec decision, 
 		// Booked per instruction, before the step — a store that cannot make
 		// room shows up as a place failure against a recorded prediction,
 		// exactly the drift the ledger exists to expose.
-		if term, ok := predictFor(dec.predict, n.ID); ok {
-			n.ledger.RecordPrediction(n.ID, term)
-		}
+		n.ledger.RecordPrediction(n.ID, term)
 	}
 	out := engine.Down(n.hop(), q, hop, upsp, place, prev, mp, body, resp.Header.Get("ETag"))
 	if out.Placed {
@@ -951,12 +878,12 @@ func (n *Node) downStep(q *engine.Req, hop int, upsp span.SpanID, dec decision, 
 }
 
 // writeMissTail writes what every miss tail — placed, relayed, or passed
-// through a routed-around hop — forwards to the hop below: the decision, the
-// outgoing penalty counter, the serving node and the upstream validator (a
-// hop that stores the body without it cannot revalidate conditionally).
+// through a routed-around hop — forwards to the hop below: the decision as
+// it arrived behind the outgoing penalty counter, the serving node and the
+// upstream validator (a hop that stores the body without it cannot
+// revalidate conditionally).
 func writeMissTail(h http.Header, resp *http.Response, dec decision, mp float64) {
-	writeDecision(h, dec)
-	h.Set(headerPenalty, fmtFloat(mp))
+	writeDecision(h, mp, dec)
 	h.Set(HeaderHit, resp.Header.Get(HeaderHit))
 	if tag := resp.Header.Get("ETag"); tag != "" {
 		h.Set("ETag", tag)
@@ -1014,7 +941,7 @@ func (n *Node) revalidate(w http.ResponseWriter, r *http.Request, g *getReq, up 
 		n.spans.Add(e)
 		h := w.Header()
 		h.Set(headerDegraded, "1")
-		h.Set(headerPenalty, "0")
+		h.Set(HeaderDecision, "0")
 		h.Set(HeaderHit, nodeName(n.ID))
 		if gen != 0 {
 			h.Set(HeaderGen, strconv.FormatUint(gen, 10))
@@ -1057,7 +984,7 @@ func (n *Node) revalidate(w http.ResponseWriter, r *http.Request, g *getReq, up 
 func (n *Node) serveStats(w http.ResponseWriter) {
 	cs := n.state()
 	bs := n.bodies.Stats()
-	badHeaders := n.badPenalty.Load() + n.badSegment.Load() + n.badGen.Load() + n.badInval.Load() + n.badPath.Load()
+	badHeaders := n.badDecision.Load() + n.badSegment.Load() + n.badGen.Load() + n.badPath.Load()
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w,
 		"{\"node\":%d,\"upstream\":%q,\"membership\":%q,\"health\":%q,\"upstream_health\":%q,\"epoch\":%d,\"shards\":%d,\"hits\":%d,\"misses\":%d,\"inserts\":%d,\"revalidations\":%d,\"objects\":%d,\"used_bytes\":%d,\"capacity_bytes\":%d,\"dcache_descriptors\":%d,\"retries\":%d,\"degraded\":%d,\"spill_objects\":%d,\"spill_used_bytes\":%d,\"spill_bytes_total\":%d,\"spill_hits\":%d,\"promotions\":%d,\"bad_headers\":%d,\"reassembly\":{\"ok\":%d,\"marker_hit\":%d,\"restarted\":%d,\"truncated\":%d,\"refused\":%d}}\n",

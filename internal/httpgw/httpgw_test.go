@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -139,7 +140,7 @@ func TestHTTPPenaltyCounter(t *testing.T) {
 	}
 	// The response reaching the client has the counter reset at the
 	// caching point (node 0 is the last hop, so the client sees 0).
-	if got := resp.Header.Get(headerPenalty); got != "0" {
+	if got := penaltyOf(resp.Header); got != "0" {
 		t.Fatalf("penalty header = %q, want 0", got)
 	}
 	// Node 1's d-cache descriptor carries its distance to the origin.
@@ -257,11 +258,12 @@ func TestPathHeaderFloatExact(t *testing.T) {
 	}
 }
 
-// decideIDs runs the serving paths' decision step unobserved and returns the
-// chosen node IDs.
-func decideIDs(entries []engine.Candidate) []model.NodeID {
-	ids, _ := decideObserved(entries, 0, 0, nil, model.NoNode, nil, 0)
-	return ids
+// decideHeader runs the serving paths' decision step unobserved and returns
+// the X-Cascade-Decision value a serving point sends.
+func decideHeader(entries []engine.Candidate) string {
+	d := decision{place: decideObserved(entries, 0, 0, nil, model.NoNode, nil, 0)}
+	d.encode()
+	return "0" + d.rest
 }
 
 func TestDecideMatchesDP(t *testing.T) {
@@ -272,54 +274,40 @@ func TestDecideMatchesDP(t *testing.T) {
 		{Hop: 1, Node: 1, Tag: engine.TagCandidate, Freq: 1, CostLoss: 0, Link: 1},
 		{Hop: 2, Node: 2, Tag: engine.TagNoDescriptor, Link: 1}, // tagged: excluded
 	}
-	chosen, predict := decideObserved(entries, 0, 0, nil, model.NoNode, nil, 0)
-	if len(chosen) != 1 || chosen[0] != 0 {
-		t.Fatalf("chosen = %v, want node 0 only", chosen)
-	}
 	// Δcost of the lone placement: f·m − l = 1·3 − 0.
-	if len(predict) != 1 || predict[0] != (predictTerm{Node: 0, Term: 3}) {
-		t.Fatalf("predicted terms = %v, want node 0 at 3", predict)
+	place := decideObserved(entries, 0, 0, nil, model.NoNode, nil, 0)
+	if len(place) != 1 || place[0] != (engine.Prediction{Node: 0, Term: 3}) {
+		t.Fatalf("placement = %v, want node 0 at 3", place)
 	}
-	if got := parsePlacementList(formatPlacement(chosen)); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("placement header round trip: %v", got)
+	if _, d, ok := parseDecision(decideHeader(entries)); !ok || !reflect.DeepEqual(d.place, place) {
+		t.Fatalf("decision header round trip: %v", d.place)
 	}
 }
 
-// TestPlacementHeaderDeterministic pins the X-Cascade-Place encoding:
-// node IDs ascending, no dependence on map iteration order.
+// TestPlacementHeaderDeterministic pins the placement's encoding in
+// X-Cascade-Decision: node IDs ascending, no dependence on map iteration
+// order.
 func TestPlacementHeaderDeterministic(t *testing.T) {
 	entries := []engine.Candidate{
 		{Hop: 0, Node: 9, Tag: engine.TagCandidate, Freq: 1, CostLoss: 0, Link: 1},
 		{Hop: 1, Node: 4, Tag: engine.TagCandidate, Freq: 2, CostLoss: 0, Link: 1},
 		{Hop: 2, Node: 6, Tag: engine.TagCandidate, Freq: 3, CostLoss: 0, Link: 1},
 	}
-	want := formatPlacement(decideIDs(entries))
+	want := decideHeader(entries)
 	for i := 0; i < 50; i++ {
-		if got := formatPlacement(decideIDs(entries)); got != want {
+		if got := decideHeader(entries); got != want {
 			t.Fatalf("placement header unstable: %q vs %q", got, want)
 		}
 	}
-	for i, id := range parseSortedIDs(t, want) {
-		if i > 0 && id <= parseSortedIDs(t, want)[i-1] {
+	_, d, ok := parseDecision(want)
+	if !ok || len(d.place) < 2 {
+		t.Fatalf("decision %q places %v; want two or more nodes", want, d.place)
+	}
+	for i := 1; i < len(d.place); i++ {
+		if d.place[i].Node <= d.place[i-1].Node {
 			t.Fatalf("placement header not ascending: %q", want)
 		}
 	}
-}
-
-func parseSortedIDs(t *testing.T, h string) []int {
-	t.Helper()
-	var out []int
-	for _, p := range strings.Split(h, ",") {
-		if p == "" {
-			continue
-		}
-		id, err := strconv.Atoi(p)
-		if err != nil {
-			t.Fatalf("bad placement header %q", h)
-		}
-		out = append(out, id)
-	}
-	return out
 }
 
 // TestHTTPMatchesSimulationScheme replays a serial workload through the
@@ -688,11 +676,10 @@ func TestTTLRevalidationContentChanged(t *testing.T) {
 		mu.Unlock()
 		tag := etagOf(body)
 		w.Header().Set("ETag", tag)
-		w.Header().Set(headerPenalty, "0")
 		w.Header().Set(HeaderHit, "origin")
 		// Let the node's own hop decide placement for itself.
 		entries, _ := parsePath(r.Header.Get(headerPath))
-		w.Header().Set(HeaderPlace, formatPlacement(decideIDs(entries)))
+		w.Header().Set(HeaderDecision, decideHeader(entries))
 		if r.Header.Get("If-None-Match") == tag {
 			w.WriteHeader(http.StatusNotModified)
 			return
@@ -734,8 +721,8 @@ func TestTTLRevalidationContentChanged(t *testing.T) {
 // TestRevalidatedCopyDecidesLikeAHit: a copy past Node.TTL whose upstream
 // answers the conditional GET with a 304 is served as a hit is — with the
 // decision over the path below — so a request carrying a path entry the
-// DP chooses gets the same X-Cascade-Place and X-Cascade-Predict from the
-// revalidated copy as from a fresh one.
+// DP chooses gets the same X-Cascade-Decision from the revalidated copy as
+// from a fresh one.
 func TestRevalidatedCopyDecidesLikeAHit(t *testing.T) {
 	base, nodes, setNow := chain(t, 1, 1<<20)
 	node := nodes[0]
@@ -762,14 +749,14 @@ func TestRevalidatedCopyDecidesLikeAHit(t *testing.T) {
 		return resp
 	}
 	fresh := ask(20)
-	if fresh.Header.Get(HeaderHit) != "0" || fresh.Header.Get(HeaderPlace) != "7" {
-		t.Fatalf("fresh hit: served by %q, place %q; want node 0, place 7", fresh.Header.Get(HeaderHit), fresh.Header.Get(HeaderPlace))
+	if fresh.Header.Get(HeaderHit) != "0" || !strings.HasPrefix(fresh.Header.Get(HeaderDecision), "0;7=") {
+		t.Fatalf("fresh hit: served by %q, decision %q; want node 0, place 7", fresh.Header.Get(HeaderHit), fresh.Header.Get(HeaderDecision))
 	}
 	revalidated := ask(200)
 	if node.revalidations.Load() != 1 {
 		t.Fatalf("%d revalidations, want 1", node.revalidations.Load())
 	}
-	for _, h := range []string{HeaderHit, HeaderPlace, headerPredict, headerPenalty, "ETag"} {
+	for _, h := range []string{HeaderHit, HeaderDecision, "ETag"} {
 		if got, want := revalidated.Header.Get(h), fresh.Header.Get(h); got != want {
 			t.Errorf("%s from the revalidated copy = %q, from the fresh one %q", h, got, want)
 		}

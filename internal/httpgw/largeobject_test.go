@@ -105,7 +105,7 @@ func segmentRequest(path string, idx int, segSize, total int64) *http.Request {
 func upstreamReply(status int, declared int64, body []byte, hdr ...string) *http.Response {
 	h := http.Header{}
 	h.Set(HeaderHit, "origin")
-	h.Set(headerPenalty, "0")
+	h.Set(HeaderDecision, "0")
 	for i := 0; i+1 < len(hdr); i += 2 {
 		h.Set(hdr[i], hdr[i+1])
 	}
@@ -178,7 +178,7 @@ func TestReassemblyOutcomes(t *testing.T) {
 					status, declared, body = tc.bad(body)
 				}
 				if tc.place {
-					return upstreamReply(status, declared, body, HeaderPlace, "1")
+					return upstreamReply(status, declared, body, HeaderDecision, "0;1=0")
 				}
 				return upstreamReply(status, declared, body)
 			})
@@ -233,7 +233,7 @@ func cachedLargeObject(tb testing.TB) *Node {
 				Header: http.Header{HeaderSegmented: {marker}, HeaderHit: {"origin"}}}
 		}
 		body := store.SyntheticRange(7, obj1M, int(seg.lo()), int(seg.lo())+seg256K)
-		return upstreamReply(http.StatusPartialContent, int64(len(body)), body, HeaderPlace, "1", "ETag", etagOf(body))
+		return upstreamReply(http.StatusPartialContent, int64(len(body)), body, HeaderDecision, "0;1=0", "ETag", etagOf(body))
 	})}
 	w := newDiscardWriter()
 	n.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/objects/7", nil))
@@ -286,7 +286,7 @@ func BenchmarkFrontNodeHit(b *testing.B) {
 	body := store.SyntheticBody(7, size)
 	n := NewNode(1, "http://upstream.invalid", 2.0, 1<<20, 100, func() float64 { return 0 })
 	n.Client = &http.Client{Transport: stubUpstream(func(*http.Request) *http.Response {
-		return upstreamReply(http.StatusOK, size, body, HeaderPlace, "1", "ETag", etagOf(body))
+		return upstreamReply(http.StatusOK, size, body, HeaderDecision, "0;1=0", "ETag", etagOf(body))
 	})}
 	w := newDiscardWriter()
 	r := httptest.NewRequest(http.MethodGet, "/objects/7", nil)

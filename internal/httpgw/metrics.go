@@ -56,13 +56,11 @@ func (n *Node) MetricsRegistry() *metrics.Registry {
 	r.GaugeFunc("cascade_gw_spill_used_bytes", "Bytes currently held by the disk spill tier.",
 		bodyStats(func(s store.Stats) float64 { return float64(s.DiskBytes) }), nl)
 	r.CounterFunc("cascade_gw_bad_header_total", "Malformed protocol headers received, by header kind.",
-		func() float64 { return float64(n.badPenalty.Load()) }, metrics.L("header", "penalty"), nl)
+		func() float64 { return float64(n.badDecision.Load()) }, metrics.L("header", "decision"), nl)
 	r.CounterFunc("cascade_gw_bad_header_total", "Malformed protocol headers received, by header kind.",
 		func() float64 { return float64(n.badSegment.Load()) }, metrics.L("header", "segment"), nl)
 	r.CounterFunc("cascade_gw_bad_header_total", "Malformed protocol headers received, by header kind.",
 		func() float64 { return float64(n.badGen.Load()) }, metrics.L("header", "gen"), nl)
-	r.CounterFunc("cascade_gw_bad_header_total", "Malformed protocol headers received, by header kind.",
-		func() float64 { return float64(n.badInval.Load()) }, metrics.L("header", "inval"), nl)
 	r.CounterFunc("cascade_gw_bad_header_total", "Malformed protocol headers received, by header kind.",
 		func() float64 { return float64(n.badPath.Load()) }, metrics.L("header", "path"), nl)
 	r.CounterFunc("cascade_gw_relayed_bytes_total", "Body bytes relayed through this node without being stored, by the path they took.",

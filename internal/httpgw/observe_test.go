@@ -72,8 +72,8 @@ func TestSpanAttrsBothPasses(t *testing.T) {
 	setNow(0)
 	get(t, base, 7) // cold: every cache misses without a descriptor
 	setNow(10)
-	if resp, _ := get(t, base, 7); resp.Header.Get(HeaderPlace) != "0" {
-		t.Fatalf("test premise broken: second fetch placed at %q, want the edge", resp.Header.Get(HeaderPlace))
+	if resp, _ := get(t, base, 7); !reflect.DeepEqual(placedAt(t, resp.Header), []model.NodeID{0}) {
+		t.Fatalf("test premise broken: second fetch decided %q, want a placement at the edge alone", resp.Header.Get(HeaderDecision))
 	}
 	closeAll()
 	traces := tracesByStart(nodes)
@@ -193,29 +193,30 @@ func TestGatewayMetricsEndpoint(t *testing.T) {
 	_ = nodes
 }
 
-// TestPredictHeaderRoundTrip pins the X-Cascade-Predict encoding: every
-// predicted Δcost term round-trips bit-exactly through the header, and
-// malformed entries are skipped rather than poisoning a ledger.
+// TestPredictHeaderRoundTrip pins the placement field of
+// X-Cascade-Decision: every predicted Δcost term round-trips bit-exactly
+// through the header, and a malformed entry fails the whole decision
+// rather than poisoning a ledger.
 func TestPredictHeaderRoundTrip(t *testing.T) {
-	terms := []predictTerm{{Node: 2, Term: 1.0 / 3.0}, {Node: 5, Term: 0.1 + 0.2}, {Node: 9, Term: 4096}}
-	h := formatPredictTerms(terms)
-	if got := parsePredictTerms(h); !reflect.DeepEqual(got, terms) {
-		t.Fatalf("terms %v != %v after header round-trip %q", got, terms, h)
+	d := decision{place: []engine.Prediction{{Node: 2, Term: 1.0 / 3.0}, {Node: 5, Term: 0.1 + 0.2}, {Node: 9, Term: 4096}}}
+	d.encode()
+	if _, got, ok := parseDecision("0" + d.rest); !ok || !reflect.DeepEqual(got.place, d.place) {
+		t.Fatalf("terms %v != %v after header round-trip %q", got.place, d.place, d.rest)
 	}
-
-	got := parsePredictTerms("junk, 3=0.5 ,=7,8=,4=nope,6=2.25")
-	if want := []predictTerm{{Node: 3, Term: 0.5}, {Node: 6, Term: 2.25}}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("malformed-entry parse = %v, want %v", got, want)
+	for _, bad := range []string{"0;junk", "0; 3=0.5", "0;=7", "0;8=", "0;4=nope", "0;3=0.5,,6=2.25", "0;3=0.5,"} {
+		if _, got, ok := parseDecision(bad); ok {
+			t.Errorf("parseDecision(%q) = %+v, want it refused", bad, got)
+		}
 	}
-	if got := parsePredictTerms(""); len(got) != 0 {
-		t.Fatalf("empty header parsed to %v", got)
+	if _, got, ok := parseDecision("0"); !ok || got.place != nil {
+		t.Fatalf("a bare counter parsed to %+v, %v", got, ok)
 	}
 }
 
 // TestPredictBookedAtPlacingNode checks the gateway's apply-time ledger
-// booking: every response that carries X-Cascade-Place also carries the
-// decision's X-Cascade-Predict terms, and each node's own ledger ends up
-// with exactly the terms the wire attributed to it.
+// booking: every node a response's X-Cascade-Decision places at carries
+// its predicted term, and each node's own ledger ends up with exactly the
+// terms the wire attributed to it.
 func TestPredictBookedAtPlacingNode(t *testing.T) {
 	base, nodes, setNow := chain(t, 2, 100000)
 	wantSum := map[model.NodeID]float64{}
@@ -224,23 +225,14 @@ func TestPredictBookedAtPlacingNode(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		setNow(float64(10 * i))
 		resp, _ := get(t, base, 7)
-		place := resp.Header.Get(HeaderPlace)
-		predict := resp.Header.Get(headerPredict)
-		if place == "" {
-			if predict != "" {
-				t.Fatalf("predict header %q without a placement", predict)
-			}
-			continue
+		_, d, ok := parseDecision(resp.Header.Get(HeaderDecision))
+		if !ok {
+			t.Fatalf("decision %q does not parse", resp.Header.Get(HeaderDecision))
 		}
-		placed = true
-		terms := parsePredictTerms(predict)
-		for _, id := range parsePlacementList(place) {
-			term, ok := predictFor(terms, id)
-			if !ok {
-				t.Fatalf("placement at node %d carries no predicted term (place %q, predict %q)", id, place, predict)
-			}
-			wantSum[id] += term
-			wantCount[id]++
+		for _, p := range d.place {
+			placed = true
+			wantSum[p.Node] += p.Term
+			wantCount[p.Node]++
 		}
 	}
 	if !placed {
@@ -332,9 +324,9 @@ func dumpJSON(t *testing.T, h http.Handler, path string, v any) {
 // decide that chose its placement. The origin joins the trace the last hop
 // forwarded and keeps, in its own ring, exactly one decide span per request —
 // in the client's trace, parented on the last hop's up span — whose N is the
-// length of X-Cascade-Place and whose A is the sum of the X-Cascade-Predict
-// terms the client saw. This is the only per-request record of the origin's
-// predicted Δcost.
+// number of nodes X-Cascade-Decision places at and whose A is the sum of the
+// predicted terms the client saw there. This is the only per-request record
+// of the origin's predicted Δcost.
 func TestOriginDecideSpan(t *testing.T) {
 	clock, setNow := testClock()
 
@@ -366,9 +358,9 @@ func TestOriginDecideSpan(t *testing.T) {
 		if resp.Header.Get(HeaderHit) != "origin" {
 			t.Fatalf("request %d served by %q, want the origin", i, resp.Header.Get(HeaderHit))
 		}
-		dec, err := parseDecision(resp.Header)
-		if err != nil {
-			t.Fatal(err)
+		_, dec, ok := parseDecision(resp.Header.Get(HeaderDecision))
+		if !ok {
+			t.Fatalf("decision %q does not parse", resp.Header.Get(HeaderDecision))
 		}
 		decisions = append(decisions, dec)
 	}
@@ -396,12 +388,12 @@ func TestOriginDecideSpan(t *testing.T) {
 				i, dec, levels, tr["up@2"].ID)
 		}
 		sum := 0.0
-		for _, p := range decisions[i].predict {
+		for _, p := range decisions[i].place {
 			sum += p.Term
 		}
 		if dec.N != len(decisions[i].place) || dec.A != sum {
-			t.Errorf("request %d: decide(Δcost=%v, chosen=%d) but the client saw place=%v predict=%v (sum %v)",
-				i, dec.A, dec.N, decisions[i].place, decisions[i].predict, sum)
+			t.Errorf("request %d: decide(Δcost=%v, chosen=%d) but the client saw place=%v (sum %v)",
+				i, dec.A, dec.N, decisions[i].place, sum)
 		}
 		placedSomething = placedSomething || dec.N > 0
 	}

@@ -43,9 +43,9 @@ func genBytes(gen uint64) []byte { return store.SyntheticBody(model.ObjectID(100
 type genUpstream struct {
 	mu        sync.Mutex
 	gen       uint64
-	place     func(idx int) string // X-Cascade-Place for segment idx's reply
+	place     func(idx int) string // X-Cascade-Decision for segment idx's reply
 	onSegment func(idx int)        // runs, locked, before segment idx is answered; may bump gen
-	inval     string               // X-Cascade-Inval for small-object replies
+	inval     string               // X-Cascade-Decision for small-object replies
 	markers   int
 	segments  int
 }
@@ -58,7 +58,7 @@ func (u *genUpstream) RoundTrip(r *http.Request) (*http.Response, error) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	if r.URL.Path != "/objects/"+strconv.Itoa(genObj) {
-		return upstreamReply(http.StatusOK, 100, store.SyntheticBody(99, 100), headerInval, u.inval), nil
+		return upstreamReply(http.StatusOK, 100, store.SyntheticBody(99, 100), HeaderDecision, u.inval), nil
 	}
 	if !seg.on {
 		u.markers++
@@ -78,7 +78,7 @@ func (u *genUpstream) RoundTrip(r *http.Request) (*http.Response, error) {
 		hdr = append(hdr, HeaderGen, strconv.FormatUint(u.gen, 10))
 	}
 	if u.place != nil {
-		hdr = append(hdr, HeaderPlace, u.place(seg.idx))
+		hdr = append(hdr, HeaderDecision, u.place(seg.idx))
 	}
 	return upstreamReply(http.StatusPartialContent, int64(len(body)), body, hdr...), nil
 }
@@ -159,7 +159,7 @@ func (c *genChain) write() uint64 {
 		c.floor = gen
 	case coherency.ModePSI:
 		c.up.mu.Lock()
-		c.up.inval = fmt.Sprintf("%d|%d:%d:%d", gen, gen, genObj, gen)
+		c.up.inval = fmt.Sprintf("0;;%d|%d:%d:%d", gen, gen, genObj, gen)
 		c.up.mu.Unlock()
 		c.get(c.nodes[0], 99)
 	case coherency.ModeTTL:
@@ -205,7 +205,7 @@ var validatingAndNot = []coherency.Mode{coherency.ModeCAS, coherency.ModePSI, co
 // TestReassemblyGenerations: writes that race a reassembly, or land on a
 // cached object, in every coherency mode.
 func TestReassemblyGenerations(t *testing.T) {
-	everywhere := func(int) string { return "0" }
+	everywhere := func(int) string { return "0;0=0" }
 	rows := []struct {
 		name string
 		run  func(t *testing.T, c *genChain)
@@ -313,9 +313,9 @@ func TestReassemblyGenerations(t *testing.T) {
 			c := newGenChain(t, mode, 2)
 			c.up.place = func(idx int) string {
 				if idx < 2 {
-					return "1"
+					return "0;1=0"
 				}
-				return ""
+				return "0"
 			}
 			oneGeneration(t, c.get(c.nodes[0], genObj).Body.Bytes(), 1, genTotal)
 			for idx := 0; idx < 2; idx++ {

@@ -245,7 +245,7 @@ func TestRevalidationKeepsNewerPlacement(t *testing.T) {
 			if r.Header.Get(HeaderGen) == "2" {
 				body, gen = fresh, "2"
 			}
-			return upstreamReply(http.StatusOK, int64(len(body)), body, HeaderPlace, "0", HeaderGen, gen, "ETag", etagOf(body))
+			return upstreamReply(http.StatusOK, int64(len(body)), body, HeaderDecision, "0;0=0", HeaderGen, gen, "ETag", etagOf(body))
 		}
 		req := httptest.NewRequest(http.MethodGet, "/objects/7", nil)
 		req.Header.Set(HeaderGen, "2")

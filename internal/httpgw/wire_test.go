@@ -70,8 +70,9 @@ func TestPathMalformed(t *testing.T) {
 	}
 }
 
-// badInvals is the malformed-input table for X-Cascade-Inval.
-var badInvals = []string{
+// badTails is the malformed-input table for the tail field of
+// X-Cascade-Decision.
+var badTails = []string{
 	"",
 	"7",
 	"x|1:2:3",
@@ -89,73 +90,112 @@ var badInvals = []string{
 	"7|1:2:3 ",
 }
 
-// TestInvalHeaderMalformed pins the explicit bad-header policy: a garbled
-// X-Cascade-Gen zero-defaults and a garbled X-Cascade-Inval drops the whole
-// batch, each flagged for the gateway's counters; the placement decision
-// itself still parses.
+// badDecisions is the malformed-input table for whole X-Cascade-Decision
+// values: parseDecision must refuse each.
+var badDecisions = []string{
+	"x",
+	";1=0.5",
+	"-1",
+	"NaN",
+	"Inf",
+	"1e999",
+	" 0",
+	"0;1",
+	"0;=1",
+	"0;1=",
+	"0;1=1,",
+	"0;,1=1",
+	"0;1=1,,2=1",
+	"0;1=x",
+	"0;1=NaN",
+	"0;1=-Inf",
+	"0;4294967297=1",
+	"0;1=1;5|;",
+	"0;1=1;5|1:2:3;x",
+	"0;;",
+}
+
+// TestInvalHeaderMalformed pins the tail field's rules: a garbled tail
+// fails the whole decision, a head with an empty tail is one, and any
+// generation, object and sequence round-trips. A garbled X-Cascade-Gen
+// reports !ok, for the caller to count and zero-default.
 func TestInvalHeaderMalformed(t *testing.T) {
-	h := http.Header{}
-	h.Set(HeaderPlace, "1")
-	h.Set(HeaderGen, "banana")
-	h.Set(headerInval, "7|1:2:3,garbled")
-	d, err := parseDecision(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.badGen || !d.badInval {
-		t.Fatalf("malformed headers not flagged: %+v", d)
-	}
-	if d.gen != 0 || d.inval != nil || d.invHead != 0 {
-		t.Fatalf("malformed payloads not dropped: %+v", d)
-	}
-	if len(d.place) != 1 || d.place[0] != 1 {
-		t.Fatalf("placement lost: %+v", d)
-	}
-	if _, _, ok := parseInval("7|1:2:-3"); ok {
-		t.Fatal("negative object ID accepted")
-	}
-	if head, tail, ok := parseInval("5|"); !ok || head != 5 || tail != nil {
-		t.Fatal("empty tail with head rejected")
-	}
-	for _, v := range badInvals {
-		if head, tail, ok := parseInval(v); ok || head != 0 || tail != nil {
-			t.Errorf("parseInval(%q) = %d, %+v, %v; want nothing and !ok", v, head, tail, ok)
+	for _, v := range badTails {
+		if _, d, ok := parseDecision("0;1=0;" + v); ok {
+			t.Errorf("tail %q parsed to %+v, want the decision refused", v, d)
 		}
 	}
-	want := []coherency.Invalidation{{Seq: 8, Obj: 17, Gen: 3}, {Seq: 9, Obj: 1 << 40, Gen: math.MaxUint64}}
-	if head, tail, ok := parseInval(formatInval(9, want)); !ok || head != 9 || !reflect.DeepEqual(tail, want) {
-		t.Errorf("round trip: %d, %+v, %v", head, tail, ok)
+	for _, v := range badDecisions {
+		if _, d, ok := parseDecision(v); ok {
+			t.Errorf("parseDecision(%q) = %+v, want it refused", v, d)
+		}
+	}
+	if _, d, ok := parseDecision("0;;5|"); !ok || d.invHead != 5 || d.inval != nil || d.place != nil {
+		t.Fatalf("empty tail with head: %+v, %v", d, ok)
+	}
+	want := decision{invHead: 9, inval: []coherency.Invalidation{{Seq: 8, Obj: 17, Gen: 3}, {Seq: 9, Obj: 1 << 40, Gen: math.MaxUint64}}}
+	want.encode()
+	if _, d, ok := parseDecision("0" + want.rest); !ok || !reflect.DeepEqual(d, want) {
+		t.Errorf("round trip of %q: %+v, %v", want.rest, d, ok)
+	}
+	if _, ok := parseGen("banana"); ok {
+		t.Error("a garbled generation parsed")
 	}
 }
 
-// TestInvalCodecAllocs holds format + parse of a full coherency.TailK tail —
-// what every origin-served response carries once TailK writes have happened,
-// re-parsed and re-formatted at every hop — to a handful of allocations: the
-// format buffer, its string, and the parsed slice.
+// TestInvalCodecAllocs holds encode + parse of a full coherency.TailK tail —
+// what every origin-served response carries once TailK writes have
+// happened, parsed once at every hop — to a handful of allocations: the
+// encode buffer, its string, and the parsed slice.
 func TestInvalCodecAllocs(t *testing.T) {
-	tail := make([]coherency.Invalidation, coherency.TailK)
-	for i := range tail {
-		tail[i] = coherency.Invalidation{Seq: uint64(100000 + i), Obj: model.ObjectID(7919 * i), Gen: uint64(1 + i%5)}
+	d := decision{invHead: 100031, inval: make([]coherency.Invalidation, coherency.TailK)}
+	for i := range d.inval {
+		d.inval[i] = coherency.Invalidation{Seq: uint64(100000 + i), Obj: model.ObjectID(7919 * i), Gen: uint64(1 + i%5)}
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, got, ok := parseInval(formatInval(100031, tail)); !ok || len(got) != len(tail) {
-			t.Fatalf("round trip lost the tail: %d entries, ok=%v", len(got), ok)
+		d.encode()
+		if _, got, ok := parseDecision("0" + d.rest); !ok || len(got.inval) != len(d.inval) {
+			t.Fatalf("round trip lost the tail: %d entries, ok=%v", len(got.inval), ok)
 		}
 	})
 	if allocs > 4 {
-		t.Errorf("format + parse of a %d-entry tail allocates %.0f times, want <= 4", len(tail), allocs)
+		t.Errorf("encode + parse of a %d-entry tail allocates %.0f times, want <= 4", len(d.inval), allocs)
 	}
 }
 
+// penaltyOf is the counter field of a response's X-Cascade-Decision.
+func penaltyOf(h http.Header) string {
+	pen, _, _ := strings.Cut(h.Get(HeaderDecision), ";")
+	return pen
+}
+
+// placedAt lists the nodes a response's X-Cascade-Decision places at.
+func placedAt(t *testing.T, h http.Header) []model.NodeID {
+	t.Helper()
+	_, d, ok := parseDecision(h.Get(HeaderDecision))
+	if !ok {
+		t.Fatalf("decision %q does not parse", h.Get(HeaderDecision))
+	}
+	var ids []model.NodeID
+	for _, p := range d.place {
+		ids = append(ids, p.Node)
+	}
+	return ids
+}
+
 // hostileUpstream answers every request like an origin would, with the given
-// decision headers verbatim.
+// headers verbatim (X-Cascade-Decision "0" unless they name one; an empty
+// value leaves the header out).
 func hostileUpstream(t *testing.T, hdr map[string]string) string {
 	t.Helper()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(HeaderDecision, "0")
 		for k, v := range hdr {
 			w.Header().Set(k, v)
+			if v == "" {
+				w.Header().Del(k)
+			}
 		}
-		w.Header().Set(headerPenalty, "0")
 		w.Header().Set(HeaderHit, "origin")
 		w.Write(make([]byte, 64)) //nolint:errcheck
 	}))
@@ -164,18 +204,15 @@ func hostileUpstream(t *testing.T, hdr map[string]string) string {
 }
 
 // TestWideNodeIDNotTruncated: model.NodeID is an int32, and the parsers used
-// to convert through int — so 4294967297 became node 1 in a path entry, a
-// placement instruction and a prediction. It is malformed in all three.
+// to convert through int — so 4294967297 became node 1 in a path entry and
+// in a placement. It is malformed in both.
 func TestWideNodeIDNotTruncated(t *testing.T) {
-	if out := parsePlacementList("4294967297,2"); !reflect.DeepEqual(out, []model.NodeID{2}) {
-		t.Errorf("parsePlacementList kept a wide ID: %v", out)
-	}
-	if out := parsePredictTerms("4294967297=2.5,2=1"); !reflect.DeepEqual(out, []predictTerm{{Node: 2, Term: 1}}) {
-		t.Errorf("parsePredictTerms kept a wide ID: %v", out)
+	if _, d, ok := parseDecision("0;2=1,4294967297=2.5"); ok {
+		t.Errorf("parseDecision kept a wide ID: %+v", d)
 	}
 	// On the wire: a placement instruction for node 4294967297 is not one
 	// for node 1, and a path naming it is refused and counted.
-	n := NewNode(1, hostileUpstream(t, map[string]string{HeaderPlace: "4294967297"}), 1, 1<<20, 64, func() float64 { return 0 })
+	n := NewNode(1, hostileUpstream(t, map[string]string{HeaderDecision: "0;4294967297=0"}), 1, 1<<20, 64, func() float64 { return 0 })
 	rec := httptest.NewRecorder()
 	n.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/objects/5", nil))
 	if rec.Code != http.StatusOK || n.inserts.Load() != 0 || n.Contains(5) {
@@ -194,19 +231,22 @@ func TestWideNodeIDNotTruncated(t *testing.T) {
 }
 
 // TestNonFiniteNumbersRefused: a NaN prediction used to reach the placing
-// node's ledger (predictFor → RecordPrediction → +=) and leave
+// node's ledger (RecordPrediction → +=) and leave
 // cascade_ledger_predicted_gain NaN for the life of the process; a NaN or
-// Inf path entry used to enter the DP.
+// Inf path entry used to enter the DP. A non-finite term now fails its whole
+// decision, and a non-finite path field its request.
 func TestNonFiniteNumbersRefused(t *testing.T) {
-	if out := parsePredictTerms("0=NaN,1=+Inf,2=-Inf,3=0.5"); !reflect.DeepEqual(out, []predictTerm{{Node: 3, Term: 0.5}}) {
-		t.Errorf("parsePredictTerms kept non-finite terms: %v", out)
+	for _, v := range []string{"0;0=NaN", "0;1=+Inf", "0;2=-Inf", "NaN;3=0.5", "+Inf"} {
+		if _, d, ok := parseDecision(v); ok {
+			t.Errorf("parseDecision(%q) kept non-finite numbers: %+v", v, d)
+		}
 	}
-	up := hostileUpstream(t, map[string]string{HeaderPlace: "0", headerPredict: "0=NaN"})
+	up := hostileUpstream(t, map[string]string{HeaderDecision: "0;0=NaN"})
 	n := NewNode(0, up, 1, 1<<20, 64, func() float64 { return 0 })
 	rec := httptest.NewRecorder()
 	n.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/objects/5", nil))
-	if rec.Code != http.StatusOK || n.inserts.Load() != 1 {
-		t.Fatalf("status %d, %d inserts: the placement itself must survive a bad prediction", rec.Code, n.inserts.Load())
+	if rec.Code != http.StatusOK || n.inserts.Load() != 0 {
+		t.Fatalf("status %d, %d inserts: want the answer relayed, unplaced", rec.Code, n.inserts.Load())
 	}
 	if got := scrapeCounter(t, n, `cascade_ledger_predicted_gain{node="0"}`); got != "0" {
 		t.Errorf("ledger predicted gain reads %s after a NaN prediction, want 0", got)
@@ -222,34 +262,106 @@ func TestNonFiniteNumbersRefused(t *testing.T) {
 	}
 }
 
-// TestOverCapDecisionListsRefused: the placement, prediction and invalidation
-// lists of a response are peer-supplied bytes (net/http admits a 10 MB
-// response header, and the down step walks the tail under the node lock). One
-// entry past maxPathEntries fails the whole decision with 502, before the
-// list is split; a list at the cap is served.
+// TestOverCapDecisionListsRefused: the placement and tail lists of a
+// decision are peer-supplied bytes (net/http admits a 10 MB response
+// header, and the down step walks the tail under the node lock). One entry
+// past maxPathEntries in either fails the whole decision, before the list
+// is split; lists at the cap parse. (What a hop then does with the answer
+// is TestHostileDecision's.)
 func TestOverCapDecisionListsRefused(t *testing.T) {
 	list := func(entry string, n int) string { return strings.TrimSuffix(strings.Repeat(entry+",", n), ",") }
-	for name, mk := range map[string]func(n int) map[string]string{
-		"place": func(n int) map[string]string { return map[string]string{HeaderPlace: list("9", n)} },
-		"predict": func(n int) map[string]string {
-			return map[string]string{HeaderPlace: "9", headerPredict: list("9=1", n)}
-		},
-		"inval": func(n int) map[string]string {
-			return map[string]string{HeaderPlace: "9", headerInval: "1|" + list("1:2:3", n)}
-		},
+	for name, mk := range map[string]func(n int) string{
+		"place": func(n int) string { return "0;" + list("9=1", n) },
+		"tail":  func(n int) string { return "0;9=1;1|" + list("1:2:3", n) },
 	} {
-		for n, want := range map[int]int{maxPathEntries: http.StatusOK, maxPathEntries + 1: http.StatusBadGateway} {
-			node := NewNode(0, hostileUpstream(t, mk(n)), 1, 1<<20, 64, func() float64 { return 0 })
-			node.EnableCoherency(coherency.ModePSI)
-			rec := httptest.NewRecorder()
-			node.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/objects/5", nil))
-			if rec.Code != want {
-				t.Errorf("%s list of %d entries: status %d, want %d", name, n, rec.Code, want)
-			}
+		if _, d, ok := parseDecision(mk(maxPathEntries)); !ok || len(d.place)+len(d.inval) < maxPathEntries {
+			t.Errorf("%s list of %d entries refused", name, maxPathEntries)
+		}
+		if _, _, ok := parseDecision(mk(maxPathEntries + 1)); ok {
+			t.Errorf("%s list of %d entries accepted", name, maxPathEntries+1)
 		}
 	}
-	if _, _, ok := parseInval("1|" + list("1:2:3", maxPathEntries+1)); ok {
-		t.Error("parseInval accepted a tail over the cap")
+}
+
+// TestHostileDecision is the one rule for a decision that cannot be used:
+// whether it does not parse, lists more than maxPathEntries entries, or
+// comes from a peer that speaks the retired per-field headers, the answer
+// reaches the client whole, and no hop places a copy, books a claim or
+// lands a tail. A malformed decision is counted once, at the first hop to
+// read it: that hop sends only its own counter down. A well-formed
+// decision, the control row, is placed and claimed at both hops.
+func TestHostileDecision(t *testing.T) {
+	const tail = ";5|5:9:3"
+	// oldPeer sends the well-formed row's decision as a peer that speaks the
+	// retired per-field headers does.
+	oldPeer := map[string]string{HeaderDecision: ""}
+	for field, v := range map[string]string{"Place": "0,1", "Predict": "0=1,1=1", "Penalty": "0", "Inval": "5|5:9:3"} {
+		oldPeer["X-Cascade-"+field] = v
+	}
+	rows := []struct {
+		name     string
+		hdr      map[string]string
+		bad      [2]int64 // cascade_gw_bad_header_total{header="decision"} at node 0, 1
+		placed   bool
+		decision string // what the client sees
+	}{
+		{"well-formed", map[string]string{HeaderDecision: "0;0=1,1=1" + tail}, [2]int64{0, 0}, true, "0;0=1,1=1" + tail},
+		{"malformed", map[string]string{HeaderDecision: "0;0=1,1=1;5|x"}, [2]int64{0, 1}, false, "3"},
+		{"over-long", map[string]string{HeaderDecision: "0;0=1,1=1" + strings.Repeat(",9=1", maxPathEntries-1) + tail}, [2]int64{0, 1}, false, "3"},
+		{"old peer", oldPeer, [2]int64{0, 0}, false, "3"},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			up := hostileUpstream(t, row.hdr)
+			mid := NewNode(1, up, 2, 1<<20, 64, func() float64 { return 0 })
+			mid.EnableCoherency(coherency.ModePSI)
+			msrv := httptest.NewServer(mid)
+			t.Cleanup(msrv.Close)
+			edge := NewNode(0, msrv.URL, 1, 1<<20, 64, func() float64 { return 0 })
+			edge.EnableCoherency(coherency.ModePSI)
+			esrv := httptest.NewServer(edge)
+			t.Cleanup(esrv.Close)
+			resp, body := get(t, esrv.URL, 5)
+			if resp.StatusCode != http.StatusOK || len(body) != 64 {
+				t.Fatalf("status %d with %d bytes, want 200 with 64", resp.StatusCode, len(body))
+			}
+			if got := resp.Header.Get(HeaderDecision); got != row.decision {
+				t.Errorf("client saw decision %q, want %q", got, row.decision)
+			}
+			for i, n := range []*Node{edge, mid} {
+				acc := n.Ledger().Node(n.ID)
+				if got := n.badDecision.Load(); got != row.bad[i] {
+					t.Errorf("node %d counted %d bad decisions, want %d", n.ID, got, row.bad[i])
+				}
+				if n.Contains(5) != row.placed || (acc.Predictions == 1) != row.placed {
+					t.Errorf("node %d: cached %v with %d claims, want cached %v", n.ID, n.Contains(5), acc.Predictions, row.placed)
+				}
+				if landed := n.CoherencyView().Floor(9) == 3; landed != row.placed {
+					t.Errorf("node %d: tail landed %v, want %v", n.ID, landed, row.placed)
+				}
+			}
+		})
+	}
+}
+
+// TestMidHopForwardsDecision: a hop below the serving point parses the
+// decision once and forwards it with only the counter rewritten — the
+// placement, the terms and the tail go on byte for byte, even in a
+// spelling this build would not produce — whether it places a copy (the
+// counter resets) or passes the answer on (it adds its link cost).
+func TestMidHopForwardsDecision(t *testing.T) {
+	for _, tc := range []struct{ in, out string }{
+		{"0.50;7=1.250,9=2;3|1:2:3", "2.5;7=1.250,9=2;3|1:2:3"},
+		{"0.50;1=1.250,9=2;3|1:2:3", "0;1=1.250,9=2;3|1:2:3"},
+		{"4;;0|", "6;;0|"},
+		{"1", "3"},
+	} {
+		n := NewNode(1, hostileUpstream(t, map[string]string{HeaderDecision: tc.in}), 2, 1<<20, 64, func() float64 { return 0 })
+		rec := httptest.NewRecorder()
+		n.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/objects/5", nil))
+		if got := rec.Header().Get(HeaderDecision); rec.Code != http.StatusOK || got != tc.out {
+			t.Errorf("%q in: status %d, %q out; want %q", tc.in, rec.Code, got, tc.out)
+		}
 	}
 }
 
@@ -257,16 +369,16 @@ func TestOverCapDecisionListsRefused(t *testing.T) {
 // the binary frame. Such a peer advertises "bf4" on X-Cascade-Accept but
 // sends a frame only after seeing the advert come back; this build never
 // advertises, so both sides stay on the textual headers — and every
-// X-Cascade-* name this build puts on the wire is one of the eleven Header*
+// X-Cascade-* name this build puts on the wire is one of the eight Header*
 // constants.
 func TestOldPeerAdvertIgnored(t *testing.T) {
 	known := map[string]bool{}
-	for _, h := range []string{headerPath, HeaderPlace, headerPenalty, HeaderHit, headerPredict, headerDegraded,
-		HeaderSegment, HeaderSegmented, HeaderGen, headerInval, headerTraceCtx} {
+	for _, h := range []string{headerPath, HeaderDecision, HeaderHit, headerDegraded,
+		HeaderSegment, HeaderSegmented, HeaderGen, headerTraceCtx} {
 		known[http.CanonicalHeaderKey(h)] = true // the form net/http puts on the wire
 	}
-	if len(known) != 11 {
-		t.Fatalf("%d protocol headers, want 11", len(known))
+	if len(known) != 8 {
+		t.Fatalf("%d protocol headers, want 8", len(known))
 	}
 	seen := map[string]bool{}
 	checkNames := func(side string, h http.Header) {
@@ -308,7 +420,7 @@ func TestOldPeerAdvertIgnored(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d: status %d", i, resp.StatusCode)
 		}
-		if _, ok := resp.Header[HeaderPlace]; !ok {
+		if _, ok := resp.Header[HeaderDecision]; !ok {
 			t.Errorf("request %d: advertising client was not answered with the textual decision: %v", i, resp.Header)
 		}
 		for _, gone := range []string{"X-Cascade-Accept", "X-Cascade-Frame"} {
@@ -327,7 +439,7 @@ func TestOldPeerAdvertIgnored(t *testing.T) {
 		}
 		checkNames("upstream request", h)
 	}
-	for _, h := range []string{headerPath, headerTraceCtx, HeaderPlace, headerPenalty, HeaderHit, HeaderGen, headerInval} {
+	for _, h := range []string{headerPath, headerTraceCtx, HeaderDecision, HeaderHit, HeaderGen} {
 		if !seen[http.CanonicalHeaderKey(h)] {
 			t.Errorf("exchange never carried %s; the name check is vacuous for it", h)
 		}
@@ -335,21 +447,25 @@ func TestOldPeerAdvertIgnored(t *testing.T) {
 }
 
 // FuzzWireText feeds arbitrary strings to the decoders a peer reaches:
-// parsePath and, as header values, parseDecision. Neither may panic, and
-// whatever they accept is bounded (≤ maxPathEntries per list), finite,
-// within the node-ID range by construction of the types, and a fixed point
-// of format → parse: re-encoding what was parsed and parsing that again
-// yields the identical structs.
+// parsePath and parseDecision. Neither may panic, and whatever they accept
+// is bounded (≤ maxPathEntries per list), finite, within the node-ID range
+// by construction of the types, and a fixed point of format → parse:
+// re-encoding what was parsed and parsing that again yields the identical
+// structs, and so does the form a hop forwards, its own counter in front
+// of the bytes as they came.
 func FuzzWireText(f *testing.F) {
 	for _, p := range badPaths {
-		f.Add(p, "", "", "", "")
+		f.Add(p, "")
 	}
-	for _, v := range badInvals {
-		f.Add("", "1", "1=0.5", "3", v)
+	for _, v := range badTails {
+		f.Add("", "1;1=0.5;"+v)
 	}
-	f.Add("3;0.5;1.25;2, 4;-;-;1;9", "0,2,5", "0=0.1,2=3.141592653589793,5=5e-324", "41", "9|8:17:3,9:1099511627776:18446744073709551615")
-	f.Add("4294967297;1;1;0.1", "4294967297", "4294967297=2.5,0=NaN", "banana", "5|")
-	f.Fuzz(func(t *testing.T, path, place, predict, gen, inval string) {
+	f.Add("3;0.5;1.25;2, 4;-;-;1;9", "41;0=0.1,2=3.141592653589793,5=5e-324;9|8:17:3,9:1099511627776:18446744073709551615")
+	f.Add("4294967297;1;1;0.1", "0;4294967297=2.5,0=NaN;5|")
+	for _, v := range badDecisions {
+		f.Add("", v)
+	}
+	f.Fuzz(func(t *testing.T, path, value string) {
 		finite := func(vs ...float64) {
 			for _, v := range vs {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -372,27 +488,28 @@ func FuzzWireText(f *testing.F) {
 			}
 		}
 
-		h := http.Header{}
-		h.Set(HeaderPlace, place)
-		h.Set(headerPredict, predict)
-		h.Set(HeaderGen, gen)
-		h.Set(headerInval, inval)
-		d, err := parseDecision(h)
-		if err != nil {
+		prev, d, ok := parseDecision(value)
+		if !ok {
 			return
 		}
-		if len(d.place) > maxPathEntries || len(d.predict) > maxPathEntries || len(d.inval) > maxPathEntries {
-			t.Fatalf("accepted lists of %d/%d/%d entries", len(d.place), len(d.predict), len(d.inval))
+		if len(d.place) > maxPathEntries || len(d.inval) > maxPathEntries {
+			t.Fatalf("accepted lists of %d/%d entries", len(d.place), len(d.inval))
 		}
-		for _, p := range d.predict {
+		finite(prev)
+		for _, p := range d.place {
 			finite(p.Term)
 		}
-		d.badGen, d.badInval = false, false // properties of the input, not of the decision
-		re := http.Header{}
-		writeDecision(re, d)
-		again, err := parseDecision(re)
-		if err != nil || !reflect.DeepEqual(again, d) {
-			t.Fatalf("decision not a fixed point:\n in %+v\nout %+v (%v)\nvia %v", d, again, err, re)
+		forwarded := http.Header{}
+		writeDecision(forwarded, prev, d)
+		re := d
+		re.encode()
+		d.rest = "" // the bytes as they came, compared by what they parse to
+		for _, v := range []string{forwarded.Get(HeaderDecision), fmtFloat(prev) + re.rest} {
+			p2, again, ok := parseDecision(v)
+			again.rest = ""
+			if !ok || p2 != prev || !reflect.DeepEqual(again, d) {
+				t.Fatalf("decision not a fixed point:\n in %+v\nout %+v (%v)\nvia %q", d, again, ok, v)
+			}
 		}
 	})
 }

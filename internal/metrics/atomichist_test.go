@@ -146,7 +146,7 @@ func TestHistogramAddLeRoundTrip(t *testing.T) {
 	}
 	orig.ForEachBucket(func(idx int, n int64) {
 		cum += n
-		pairs = append(pairs, pair{BucketUpperBound(idx), cum})
+		pairs = append(pairs, pair{bucketUpperBound(idx), cum})
 	})
 
 	var rebuilt Histogram

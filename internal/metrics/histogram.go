@@ -138,11 +138,11 @@ func (h *Histogram) FractionAtOrBelow(v float64) float64 {
 	return float64(cum) / float64(h.count)
 }
 
-// BucketUpperBound returns the inclusive upper bound — the Prometheus
+// bucketUpperBound returns the inclusive upper bound — the Prometheus
 // "le" — of bucket idx. Every histogram in the system shares one bucket
 // ladder, so bounds emitted by one node parse back into the same bucket on
 // any other, which is what makes scraped distributions mergeable.
-func BucketUpperBound(idx int) float64 {
+func bucketUpperBound(idx int) float64 {
 	return histMin * math.Pow(10, float64(idx+1)/histPerDecade)
 }
 

@@ -218,7 +218,7 @@ func (r *Registry) Summary(name, help string, labels ...Label) *AtomicHistogram 
 		}
 		snap.ForEachBucket(func(idx int, count int64) {
 			cum += count
-			bucket(formatFloat(BucketUpperBound(idx)), cum)
+			bucket(formatFloat(bucketUpperBound(idx)), cum)
 		})
 		bucket("+Inf", snap.Count())
 		writeSample(w, n+"_sum", l, formatFloat(h.Sum()))

@@ -116,11 +116,11 @@ type Simulator struct {
 	proc *coherency.Process
 }
 
-// CoherencyScheme is the capability a scheme must provide for a coherency
+// coherencyScheme is the capability a scheme must provide for a coherency
 // run: accept the shared generation authority and the enforced mode.
 // Coordinated implements it; the baselines do not (the paper's baselines
 // have no piggyback channel to carry invalidations).
-type CoherencyScheme interface {
+type coherencyScheme interface {
 	SetCoherency(auth *coherency.Authority, mode coherency.Mode, lifetime float64)
 }
 
@@ -180,7 +180,7 @@ func New(cfg Config) (*Simulator, error) {
 	cfg.Scheme.Configure(budgets)
 
 	if cfg.Coherency != nil {
-		cs, ok := cfg.Scheme.(CoherencyScheme)
+		cs, ok := cfg.Scheme.(coherencyScheme)
 		if !ok {
 			return nil, fmt.Errorf("sim: scheme %s does not support coherency", cfg.Scheme.Name())
 		}

@@ -196,8 +196,8 @@ const (
 	FlagError uint8 = 1 << iota
 	// FlagStale: a copy below the coherency floor was observed.
 	FlagStale
-	// FlagSlow: the request exceeded the tracer's slow threshold.
-	FlagSlow
+	// flagSlow: the request exceeded the tracer's slow threshold.
+	flagSlow
 )
 
 // Span is one fixed-size record covering one protocol phase at one node.
@@ -235,7 +235,7 @@ type Span struct {
 	//	decide: A = the DP's predicted Δcost, N = caches chosen
 	//	down:   A = miss-penalty counter observed (link just crossed
 	//	        included), B = victims evicted, N = DownPass / DownPlaced
-	//	        (the counter reset here) / DownPlaceFailed
+	//	        (the counter reset here) / downPlaceFailed
 	//
 	// The event phases carry theirs (see the Phase constants); every other
 	// phase carries zero.
@@ -254,7 +254,7 @@ func Event(ph Phase, node model.NodeID, now float64) Span {
 const (
 	DownPass = iota
 	DownPlaced
-	DownPlaceFailed
+	downPlaceFailed
 )
 
 // DownOutcome maps a downstream step's result onto the down span's N.
@@ -263,7 +263,7 @@ func DownOutcome(placed, placeFailed bool) int {
 	case placed:
 		return DownPlaced
 	case placeFailed:
-		return DownPlaceFailed
+		return downPlaceFailed
 	}
 	return DownPass
 }
@@ -407,12 +407,12 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Sampled is the cascade-wide tail-sampling verdict for a non-forced
+// sampled is the cascade-wide tail-sampling verdict for a non-forced
 // trace: a deterministic hash of the trace ID mapped to [0,1) and compared
 // to the sampling rate. Every node computes the same answer for the same
 // trace, so a distributed gateway chain keeps or drops a trace coherently
 // without coordination.
-func Sampled(id TraceID, rate float64) bool {
+func sampled(id TraceID, rate float64) bool {
 	if rate >= 1 {
 		return true
 	}

@@ -30,13 +30,13 @@ func TestCtxRoundTrip(t *testing.T) {
 
 func TestSampledDeterministicAndBounded(t *testing.T) {
 	id := TraceID{Hi: 1, Lo: 2}
-	if Sampled(id, 0) {
+	if sampled(id, 0) {
 		t.Fatal("rate 0 sampled a trace")
 	}
-	if !Sampled(id, 1) {
+	if !sampled(id, 1) {
 		t.Fatal("rate 1 dropped a trace")
 	}
-	if Sampled(id, 0.5) != Sampled(id, 0.5) {
+	if sampled(id, 0.5) != sampled(id, 0.5) {
 		t.Fatal("verdict not deterministic")
 	}
 	// The hash should keep roughly rate·n of n distinct IDs, minted the
@@ -46,7 +46,7 @@ func TestSampledDeterministicAndBounded(t *testing.T) {
 	const n = 20000
 	for i := 0; i < n; i++ {
 		tc := tr.Begin(0, -1, 0)
-		if Sampled(tc.ID(), 0.1) {
+		if sampled(tc.ID(), 0.1) {
 			kept++
 		}
 		collect(tr, tc, 0, nil)
@@ -136,7 +136,7 @@ func TestSlowThresholdForcesKeep(t *testing.T) {
 	tc = tr.Begin(0, -1, 10.0)
 	collect(tr, tc, 11.0, r) // 1s > 0.5s: kept, flagged slow
 	spans := r.Spans()
-	if len(spans) != 1 || spans[0].Flags&FlagSlow == 0 {
+	if len(spans) != 1 || spans[0].Flags&flagSlow == 0 {
 		t.Fatalf("slow trace not force-kept: %+v", spans)
 	}
 }

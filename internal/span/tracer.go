@@ -10,7 +10,7 @@ import (
 // Policy declares the tail-sampling policy of a Tracer.
 type Policy struct {
 	// Rate is the fraction of non-forced traces kept (deterministic on
-	// the trace ID; see Sampled). 1 keeps everything, 0 keeps only
+	// the trace ID; see sampled). 1 keeps everything, 0 keeps only
 	// forced traces.
 	Rate float64
 	// Slow is the forced-keep latency threshold in seconds: a trace
@@ -125,10 +125,10 @@ func (tr *Tracer) Collect(t *Trace, now float64, rings func(model.NodeID) *Ring)
 			}
 		}
 		if now-start > tr.policy.Slow {
-			t.flags |= FlagSlow
+			t.flags |= flagSlow
 		}
 	}
-	if t.flags != 0 || Sampled(t.id, tr.policy.Rate) {
+	if t.flags != 0 || sampled(t.id, tr.policy.Rate) {
 		for i := range t.spans {
 			s := t.spans[i]
 			s.Flags = t.flags
@@ -228,7 +228,7 @@ func (t *Trace) Annotate(id SpanID, a, b float64, n int) {
 }
 
 // Force marks the trace for forced retention (FlagError, FlagStale,
-// FlagSlow). The tail sampler keeps forced traces regardless of rate.
+// flagSlow). The tail sampler keeps forced traces regardless of rate.
 func (t *Trace) Force(flag uint8) {
 	if t == nil {
 		return

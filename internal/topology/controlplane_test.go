@@ -10,7 +10,7 @@ import (
 // lineEnRoute builds a hand-wired EnRoute over a path graph
 // 0–1–2–3–4 with unit delays plus a 0–4 detour of the given delay.
 func lineEnRoute(detour float64) *EnRoute {
-	g := NewGraph(5)
+	g := newGraph(5)
 	for i := 0; i < 4; i++ {
 		g.AddEdge(model.NodeID(i), model.NodeID(i+1), 1)
 	}
@@ -100,7 +100,7 @@ func TestSetNodeEnabledKeepsUnaffectedEntries(t *testing.T) {
 // request (the relay semantics every incarnation implements for draining
 // hops).
 func TestDisabledCutVertexStaysAsRelay(t *testing.T) {
-	g := NewGraph(5) // pure chain 0–1–2–3–4: every interior node is a cut vertex
+	g := newGraph(5) // pure chain 0–1–2–3–4: every interior node is a cut vertex
 	for i := 0; i < 4; i++ {
 		g.AddEdge(model.NodeID(i), model.NodeID(i+1), 1)
 	}
@@ -157,7 +157,7 @@ func TestSetNodeEnabledIsIdempotent(t *testing.T) {
 }
 
 func TestEnRouteParent(t *testing.T) {
-	g := NewGraph(4)
+	g := newGraph(4)
 	g.AddEdge(0, 1, 5)
 	g.AddEdge(0, 2, 2)
 	g.AddEdge(0, 3, 2)
@@ -195,7 +195,7 @@ func TestValidateAcceptsGenerated(t *testing.T) {
 
 func TestValidateRejectsDegenerate(t *testing.T) {
 	single := &EnRoute{
-		G:        NewGraph(1),
+		G:        newGraph(1),
 		Kinds:    make([]NodeKind, 1),
 		manNodes: []model.NodeID{0},
 	}
@@ -203,7 +203,7 @@ func TestValidateRejectsDegenerate(t *testing.T) {
 		t.Fatal("single-node topology must be rejected")
 	}
 
-	g := NewGraph(4)
+	g := newGraph(4)
 	g.AddEdge(0, 1, 1) // nodes 2, 3 isolated
 	disconnected := &EnRoute{
 		G:        g,
@@ -214,7 +214,7 @@ func TestValidateRejectsDegenerate(t *testing.T) {
 		t.Fatal("disconnected topology must be rejected")
 	}
 
-	g2 := NewGraph(2)
+	g2 := newGraph(2)
 	g2.AddEdge(0, 1, 1)
 	noAttach := &EnRoute{G: g2, Kinds: make([]NodeKind, 2)}
 	if err := noAttach.Validate(); err == nil {

@@ -28,8 +28,8 @@ type Graph struct {
 	numEdges int
 }
 
-// NewGraph returns a graph with n isolated nodes.
-func NewGraph(n int) *Graph {
+// newGraph returns a graph with n isolated nodes.
+func newGraph(n int) *Graph {
 	return &Graph{adj: make([][]Edge, n)}
 }
 

@@ -150,7 +150,7 @@ type routeEntry struct {
 func GenerateTiers(cfg TiersConfig, r *rand.Rand) *EnRoute {
 	cfg.setDefaults()
 	total := cfg.WANNodes + cfg.MANs*cfg.NodesPerMAN
-	g := NewGraph(total)
+	g := newGraph(total)
 	kinds := make([]NodeKind, total)
 
 	delay := func(mean float64) float64 {

@@ -10,7 +10,7 @@ import (
 )
 
 func TestGraphBasics(t *testing.T) {
-	g := NewGraph(4)
+	g := newGraph(4)
 	g.AddEdge(0, 1, 1.0)
 	g.AddEdge(1, 2, 2.0)
 	if g.NumNodes() != 4 || g.NumEdges() != 2 {
@@ -37,13 +37,13 @@ func TestGraphSelfLoopPanics(t *testing.T) {
 			t.Fatal("self-loop did not panic")
 		}
 	}()
-	NewGraph(2).AddEdge(1, 1, 1)
+	newGraph(2).AddEdge(1, 1, 1)
 }
 
 func TestShortestPathTreeSimple(t *testing.T) {
 	// 0 —1— 1 —1— 2, plus direct 0—2 with delay 5: SPT from 2 must route
 	// 0 via 1.
-	g := NewGraph(3)
+	g := newGraph(3)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 1)
 	g.AddEdge(0, 2, 5)
@@ -60,7 +60,7 @@ func TestShortestPathTreeSimple(t *testing.T) {
 }
 
 func TestShortestPathTreeUnreachable(t *testing.T) {
-	g := NewGraph(3)
+	g := newGraph(3)
 	g.AddEdge(0, 1, 1)
 	parent, dist := g.ShortestPathTree(0)
 	if parent[2] != model.NoNode || dist[2] >= 0 {
@@ -73,7 +73,7 @@ func TestDijkstraAgainstFloydWarshall(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 30; trial++ {
 		n := 3 + r.Intn(20)
-		g := NewGraph(n)
+		g := newGraph(n)
 		for i := 1; i < n; i++ {
 			g.AddEdge(model.NodeID(i), model.NodeID(r.Intn(i)), 0.01+r.Float64())
 		}
